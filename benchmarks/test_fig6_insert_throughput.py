@@ -1,9 +1,12 @@
 """Fig. 6 — single-writer-thread insert throughput, 5 systems x 6 graphs.
 
 The paper's protocol: shuffled stream, first 10% warm-up, remaining 90%
-timed; throughput in million edges per second (MEPS).  A companion check
-exercises the batched ingestion pipeline: the same modeled numbers must
-come out of the harness at a fraction of the wall-clock cost.
+timed; throughput in million edges per second (MEPS).  Every compared
+system persists per edge, so the DGAP column of the ratio checks is its
+per-edge arm (batch 1); the default-batch, group-committing DGAP
+(DESIGN.md §5) is an extra labelled column.  A companion check pins what
+batching buys: a wall-clock speedup and a floor on the group-commit gain
+in modeled throughput.
 """
 
 import json
@@ -18,11 +21,17 @@ from repro.bench import (
     ingest_phase_table,
     paper_vs_measured,
 )
-from repro.bench.harness import DEFAULT_BATCH_SIZE, build_system
+from repro.bench.harness import DEFAULT_BATCH_SIZE, build_system, paper_batch_size
 from repro.bench.paper_data import FIG6_MEPS
 from repro.datasets import PAPER_DATASETS, get_dataset
 
 SYSTEM_ORDER = ("dgap", "bal", "llama", "graphone", "xpgraph")
+GROUP_COMMIT = f"dgap@{DEFAULT_BATCH_SIZE}"  # extra column, outside the ratios
+
+#: group commit must buy at least this much modeled throughput over the
+#: per-edge arm (measured 1.41x on the orkut proxy at scale 1.0, more on
+#: smaller graphs)
+MIN_GROUP_COMMIT_GAIN = 1.25
 
 BASELINE_JSON = pathlib.Path(__file__).parent / "baselines" / "fig6_insert_batch.json"
 
@@ -33,19 +42,25 @@ def test_fig6_insert_throughput(benchmark, scale):
         for ds in PAPER_DATASETS:
             table[ds] = {}
             for name in SYSTEM_ORDER:
-                _, ins = get_built_system(name, ds, scale=scale)
+                _, ins = get_built_system(
+                    name, ds, scale=scale, batch_size=paper_batch_size(name)
+                )
                 table[ds][name] = ins.meps(1)
         return table
 
     table = run_once(benchmark, run)
+    # the default-batch arm, ingested anyway for the analysis figures
+    extra = {ds: get_built_system("dgap", ds, scale=scale)[1].meps(1) for ds in table}
 
     rows = [
-        [ds] + [table[ds][s] for s in SYSTEM_ORDER] + [max(table[ds], key=table[ds].get)]
+        [ds] + [table[ds][s] for s in SYSTEM_ORDER]
+        + [max(table[ds], key=table[ds].get), extra[ds]]
         for ds in table
     ]
     emit(format_table(
-        "Fig 6: single-thread insert throughput (MEPS, measured)",
-        ["dataset"] + list(SYSTEM_ORDER) + ["best"],
+        "Fig 6: single-thread insert throughput (MEPS, measured; "
+        "every system persists per edge, DGAP at batch 1)",
+        ["dataset"] + list(SYSTEM_ORDER) + ["best", GROUP_COMMIT],
         rows,
     ))
     rows_p = [[ds] + [FIG6_MEPS[ds][s] for s in SYSTEM_ORDER] for ds in FIG6_MEPS]
@@ -76,6 +91,10 @@ def test_fig6_insert_throughput(benchmark, scale):
             table[ds]["dgap"] / table[ds]["llama"],
             table[ds]["dgap"] > table[ds]["llama"],
         ))
+        checks.append((
+            f"{ds}: group commit only helps ({GROUP_COMMIT} vs per-edge DGAP)",
+            ">=1x", extra[ds] / table[ds]["dgap"], extra[ds] >= table[ds]["dgap"],
+        ))
     emit(paper_vs_measured("fig6 structure", checks))
     assert all(ok for *_, ok in checks)
     # LLAMA's vertex-table cost makes CitPatents its worst dataset (paper)
@@ -84,12 +103,12 @@ def test_fig6_insert_throughput(benchmark, scale):
 
 def test_fig6_dgap_batch_speedup(benchmark, scale):
     """Batched ingestion must beat the per-edge path >= 3x in wall clock
-    on DGAP/Orkut while leaving modeled throughput essentially unchanged.
+    on DGAP/Orkut, and its commit groups must buy modeled throughput.
 
-    The speedup pair {1, 1024} is pinned against the seed baseline; the
-    throughput-consistency check runs at the shipping default (512),
-    since 1024-edge rounds trade some rebalance efficiency for speed on
-    reduced-scale graphs (see DESIGN.md §5).
+    The wall speedup pair {1, 1024} is pinned against the seed baseline
+    (batch 1 is the unchanged per-edge persist path, so its modeled MEPS
+    is pinned too); the group-commit gain is checked at the shipping
+    default (512) as a floor, not a band (see DESIGN.md §5).
     """
     seed = json.loads(BASELINE_JSON.read_text())
     spec = get_dataset("orkut")
@@ -122,11 +141,12 @@ def test_fig6_dgap_batch_speedup(benchmark, scale):
              seed["wall_speedup_1024_vs_1"], speedup, speedup >= need),
             ("modeled MEPS T1, batch 1", seed["batch"]["1"]["meps_t1"], meps[1],
              abs(meps[1] - seed["batch"]["1"]["meps_t1"]) < 0.5 or scale != seed["scale"]),
-            (f"modeled MEPS within 10% at default batch ({dbs})", "<=10%",
-             abs(meps[dbs] - meps[1]) / meps[1], abs(meps[dbs] - meps[1]) <= 0.10 * meps[1]),
+            (f"group-commit gain in modeled MEPS at default batch ({dbs})",
+             f">={MIN_GROUP_COMMIT_GAIN:g}x", meps[dbs] / meps[1],
+             meps[dbs] >= MIN_GROUP_COMMIT_GAIN * meps[1]),
         ],
     ))
     if ne < 50_000:
         return  # too small for stable wall-clock ratios
     assert speedup >= need, (wall, speedup)
-    assert abs(meps[dbs] - meps[1]) <= 0.10 * meps[1]
+    assert meps[dbs] >= MIN_GROUP_COMMIT_GAIN * meps[1]

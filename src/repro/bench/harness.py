@@ -31,6 +31,15 @@ from ..datasets import DatasetSpec, env_scale, get_dataset
 #: kernel -> does it take a source vertex (Table 1)
 SOURCE_KERNELS = {"bfs", "bc"}
 
+#: Batch size of the paper-faithful DGAP arm: every compared system
+#: persists per edge, so DGAP-vs-baseline ratios run DGAP one edge per
+#: batch; larger batches group-commit (DESIGN.md §5) — an extra row.
+PAPER_BATCH_SIZE = 1
+
+
+def paper_batch_size(system: str, batch_size: Optional[int] = DEFAULT_BATCH_SIZE):
+    """Ingest batch size of ``system``'s row in a paper-ratio table."""
+    return PAPER_BATCH_SIZE if system == "dgap" else batch_size
 
 
 @dataclass
@@ -188,6 +197,8 @@ def pick_source(dataset: str, scale: Optional[float] = None) -> int:
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",
+    "PAPER_BATCH_SIZE",
+    "paper_batch_size",
     "InsertResult",
     "AnalysisResult",
     "build_system",

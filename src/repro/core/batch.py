@@ -24,10 +24,12 @@ EdgeLike = Union["EdgeBatch", np.ndarray, Iterable[Tuple[int, int]]]
 #: Default ingest sub-batch size.  Bounded chunks keep streaming
 #: semantics (rebalances and log merges interleave with the stream at
 #: the same cadence as a per-edge loop) while amortizing interpreter
-#: overhead; ``batch_size=None`` opts into one unbounded batch.  512 is
-#: the largest size that holds write amplification at the per-edge
-#: level across dataset scales: larger rounds let hot sections densify
-#: between log merges, escalating rebalance windows on small graphs.
+#: overhead; ``batch_size=None`` opts into one unbounded batch.  For
+#: DGAP it is also the durability granularity: a (sub-)batch is
+#: group-committed and acknowledged as a whole (``batch_size=1`` is the
+#: per-edge persist path).  512 bounds placement drift: larger rounds
+#: let hot sections densify between log merges, escalating rebalance
+#: windows on small graphs.
 DEFAULT_BATCH_SIZE = 512
 
 

@@ -64,8 +64,8 @@ class DGAP:
     """Dynamic Graph Analysis framework on (simulated) Persistent memory."""
 
     #: processed per-edge order of the last vectorized batch (positions
-    #: into the batch) — replaying it one edge at a time reproduces the
-    #: exact same persistent state and PM counters (equivalence tests).
+    #: into the batch) — replaying it one edge at a time through
+    #: ``insert_edge`` reproduces the exact same persistent image.
     last_batch_order: Optional[np.ndarray] = None
     _merge_thr_cache: Optional[tuple] = None
 
@@ -312,13 +312,13 @@ class DGAP:
     ) -> None:
         """Insert directed edge ``src -> dst`` (``g.insertE``).
 
-        A thin one-element batch: semantically ``insert_edges`` of a
-        single edge, kept on the scalar path so crash-injection sweeps
-        hit every individual store/flush/fence boundary.  Deletion
-        re-inserts the edge with the tombstone flag set
-        (:meth:`delete_edge`).  The PM write is persisted *before* the
-        DRAM vertex array is touched, so a crash in between is always
-        recoverable from the persistent state.
+        The paper's per-edge protocol: one ``store; clwb; sfence`` per
+        edge, durable when the call returns (``insert_edges`` with two
+        or more edges group-commits instead).  Deletion re-inserts the
+        edge with the tombstone flag set (:meth:`delete_edge`).  The PM
+        write is persisted *before* the DRAM vertex array is touched, so
+        a crash in between is always recoverable from the persistent
+        state.
 
         With ``grow_vertices=False`` the source must already exist and
         the destination is stored as an opaque id without materializing
@@ -568,15 +568,17 @@ class DGAP:
         Accepts an :class:`EdgeBatch`, an ``(N, 2)`` array or any
         ``(src, dst)`` iterable; returns the number of accepted edges
         (tombstones included).  The batch is grouped by PMA section and
-        applied with span stores/flushes: per round, every source's
-        trailing gap run is filled with one scattered
-        :meth:`~repro.pmem.device.PMemDevice.persist_batch`, then each
-        touched section's remaining edges are appended to its edge log
-        as one contiguous span.  The resulting persistent state and PM
-        counters are identical to inserting the edges one at a time in
-        :attr:`last_batch_order`.  ``batch_size`` splits the stream into
-        consecutive sub-batches (default 512; None or <= 0 = one
-        unbounded batch).
+        applied in rounds of two *commit groups*: every source's
+        trailing gap run is filled (all stores, one flush per distinct
+        cache line in ascending order, one fence), then the remaining
+        edges are appended to their sections' edge logs the same way.
+        Placement — and so the persistent image once the call returns —
+        is identical to inserting the edges one at a time in
+        :attr:`last_batch_order`; durability is acknowledged per
+        (sub-)batch, not per edge (a crash mid-round keeps a per-vertex
+        prefix of its edges).  ``batch_size`` splits the stream into
+        sub-batches (default 512; None or <= 0 = one unbounded batch;
+        1 = the per-edge persist path).
         """
         batch = EdgeBatch.coerce(edges)
         with trace("insert_edges", edges=len(batch)):
@@ -666,12 +668,12 @@ class DGAP:
         """One grouped pass over ``pending``; returns the deferred rest.
 
         Edges are processed section-by-section, source-by-source: first
-        every source's gap run is extended (fast path, one scattered
-        span persist), then each section's overflow goes to its edge log
-        (one contiguous span persist per section).  A section merge or a
-        resize relocates runs, so the rest of the round is deferred and
-        regrouped against the new geometry — exactly what the scalar
-        path's retry does.
+        every source's gap run is extended (commit group 1), then the
+        overflow goes to the sections' edge logs (commit group 2), so a
+        vertex's array edges are durable before its log edges.  A
+        section merge or a resize relocates runs, so the rest of the
+        round is deferred and regrouped against the new geometry —
+        exactly what the scalar path's retry does.
         """
         with trace("batch_round", edges=int(pending.size)):
             return self._batch_round_traced(
@@ -749,12 +751,8 @@ class DGAP:
             if n_fast:
                 fast_slots = _multi_arange(gpos, nfree)
                 fast_p = p[_multi_arange(gstart, nfree)]
-                # Emit the span in original stream-position order: the
-                # device sees the same scattered store/flush sequence a
-                # per-edge stream would, so modeled flush classification
-                # (sequential/random/in-place) matches the scalar path.
-                perm = np.argsort(fast_p, kind="stable")
-                ea.write_slots(fast_slots[perm], encs[fast_p[perm]])
+                # Commit group 1: durable before any log append is issued.
+                ea.write_slots(fast_slots, encs[fast_p])
                 ea.inc_occ_counts(
                     np.bincount(fast_slots // S, minlength=ea.n_sections)
                 )
@@ -764,19 +762,18 @@ class DGAP:
                 self.n_array_inserts += n_fast
                 self.n_edges_inserted += n_fast
                 self._touch_sections(np.unique(fast_slots // S))
-                order_parts.append(fast_p[perm])
+                order_parts.append(fast_p)
                 # As in the scalar path, gap inserts trigger no density
                 # check — rebalancing is driven by the edge logs.
 
-            # ---- log phase: one scattered span append over all sections --
+            # ---- log phase: commit group 2, one scattered append ---------
             rem = gcount - nfree
             deferred_parts: list = []
             if rem.any():
                 c_thr = self._merge_threshold()
                 tails = _multi_arange(gstart + nfree, rem)
-                # Emission again follows original stream positions, so
-                # appends from different sections interleave exactly as a
-                # per-edge stream would hit the device.
+                # Log slots are assigned in stream-position order: this
+                # fixes each edge's entry and where the merge cut falls.
                 pos_order = np.argsort(p[tails], kind="stable")
                 ti = tails[pos_order]
                 sp = p[ti]
@@ -831,7 +828,7 @@ class DGAP:
                         + counts_s[inv[ki]]
                         + rank[ki]
                     )
-                    # back-pointer chains per source, in emission order
+                    # back-pointer chains per source, in slot order
                     cho = np.argsort(ks, kind="stable")
                     cs = ks[cho]
                     cg = kg[cho]

@@ -85,15 +85,9 @@ class EdgeArray:
     def write_slot(self, slot: int, value, payload: int = 0, persist: bool = True) -> None:
         self.region.write(slot, value, payload=payload, persist=persist)
 
-    def write_run(self, start: int, values: np.ndarray, payload: int = 0) -> None:
-        self.region.write_slice(start, values, payload=payload, persist=True)
-
     def write_slots(self, slots: np.ndarray, values: np.ndarray, payload: int = 4) -> None:
-        """Batched scattered slot writes, one persisted store per slot.
-
-        Counter-equivalent to ``for s, v in zip(slots, values):
-        write_slot(s, v, payload, persist=True)`` in that order.
-        """
+        """Scattered slot writes persisted as one commit group: all
+        stores, one flush per distinct cache line, one fence."""
         self.region.write_batch(slots, values, payload_per_unit=payload)
 
     # -- occupancy bookkeeping ------------------------------------------------------
@@ -129,9 +123,6 @@ class EdgeArray:
         the density the PMA tree reasons about (paper: log edges count
         toward their section's density)."""
         return self.seg_occ + log_live_counts
-
-    def total_elements(self) -> int:
-        return int(self.seg_occ.sum())
 
 
 __all__ = ["EdgeArray"]

@@ -114,70 +114,6 @@ class EdgeLogs:
             self.peak_counts[section] = slot + 1
         return self.gidx(section, slot)
 
-    def append_batch(
-        self, section: int, srcs: np.ndarray, dst_encs: np.ndarray, back_gidxs: np.ndarray
-    ) -> np.ndarray:
-        """Persistently append ``k`` entries; returns their global indices.
-
-        Counter-equivalent to ``k`` scalar :meth:`append` calls in order
-        (one 12-byte persisted store per entry), vectorized.
-        """
-        k = int(len(srcs))
-        if k == 0:
-            return np.empty(0, dtype=np.int64)
-        slot = int(self.counts[section])
-        if slot + k > self.entries_per_section:
-            raise PMemError(f"edge log of section {section} cannot take {k} entries")
-        entries = np.empty((k, _FIELDS), dtype=np.int32)
-        entries[:, 0] = np.asarray(srcs, dtype=np.int64) + 1
-        entries[:, 1] = dst_encs
-        entries[:, 2] = np.asarray(back_gidxs, dtype=np.int64) + 2
-        pos0 = self._base(section) + slot * _FIELDS
-        idxs = pos0 + np.arange(k, dtype=np.int64) * _FIELDS
-        self.region.write_batch(idxs, entries, payload_per_unit=4)
-        self.counts[section] = slot + k
-        self.live_counts[section] += k
-        if slot + k > self.peak_counts[section]:
-            self.peak_counts[section] = slot + k
-        return self.gidx(section, slot) + np.arange(k, dtype=np.int64)
-
-    def append_spans(
-        self,
-        sections: np.ndarray,
-        takes: np.ndarray,
-        srcs: np.ndarray,
-        dst_encs: np.ndarray,
-        back_gidxs: np.ndarray,
-    ) -> np.ndarray:
-        """Append runs to several sections with one batched device op.
-
-        ``sections``/``takes`` name distinct sections and how many of the
-        concatenated entries (``srcs``/``dst_encs``/``back_gidxs``, in
-        section order) each receives.  Counter-equivalent to the same
-        scalar :meth:`append` sequence; returns all global indices.
-        """
-        sections = np.asarray(sections, dtype=np.int64)
-        takes = np.asarray(takes, dtype=np.int64)
-        k = int(takes.sum())
-        if k == 0:
-            return np.empty(0, dtype=np.int64)
-        base = self.counts[sections]
-        if (base + takes > self.entries_per_section).any():
-            raise PMemError("edge-log span append overflows a section")
-        # concatenated per-section slot runs -> global entry indices
-        ends = np.cumsum(takes)
-        local = np.arange(k, dtype=np.int64) - np.repeat(ends - takes, takes)
-        gidxs = np.repeat(sections * self.entries_per_section + base, takes) + local
-        entries = np.empty((k, _FIELDS), dtype=np.int32)
-        entries[:, 0] = np.asarray(srcs, dtype=np.int64) + 1
-        entries[:, 1] = dst_encs
-        entries[:, 2] = np.asarray(back_gidxs, dtype=np.int64) + 2
-        self.region.write_batch(gidxs * _FIELDS, entries, payload_per_unit=4)
-        self.counts[sections] = base + takes
-        self.live_counts[sections] += takes
-        self.peak_counts[sections] = np.maximum(self.peak_counts[sections], base + takes)
-        return gidxs
-
     def append_scatter(
         self,
         gidxs: np.ndarray,
@@ -185,13 +121,15 @@ class EdgeLogs:
         dst_encs: np.ndarray,
         back_gidxs: np.ndarray,
     ) -> np.ndarray:
-        """Persist entries at caller-assigned global indices, in order.
+        """Persist entries at caller-assigned global indices as one
+        commit group (all stores, one flush per distinct line, one fence).
 
         The caller guarantees each section's indices extend its cursor
         contiguously (slots ``counts[s] .. counts[s]+k_s-1``); entries
-        from different sections may interleave, matching a batch's
-        stream order.  Counter-equivalent to the same scalar
-        :meth:`append` sequence; returns ``gidxs``.
+        from different sections may interleave.  A crash inside the
+        group may persist any subset of the entries — recovery accepts
+        an entry only if its back-pointer chain is intact
+        (``recovery._replay_logs``).  Returns ``gidxs``.
         """
         gidxs = np.asarray(gidxs, dtype=np.int64)
         k = int(gidxs.size)
@@ -221,23 +159,19 @@ class EdgeLogs:
         self.live_counts[section] = 0
 
     def invalidate_entries(self, gidxs) -> None:
-        """Zero the ``dst_enc`` field of specific entries (boundary-section merges).
+        """Zero the ``dst_enc`` field of specific entries, as one commit group.
 
         Invalidation keeps sibling vertices' entries intact while making
-        the merged vertices' entries invisible to readers and recovery.
+        the merged (or, in recovery, chain-broken) entries invisible to
+        readers and recovery.
         """
-        for g in gidxs:
-            section, slot = self.locate(int(g))
-            pos = self._base(section) + slot * _FIELDS + 1  # dst_enc field
-            self.region.write(pos, 0, payload=0)
-            self.live_counts[section] -= 1
-        if len(gidxs):
-            # One fence orders the batch.
-            for g in gidxs:
-                section, slot = self.locate(int(g))
-                pos = self._base(section) + slot * _FIELDS + 1
-                self.region.clwb(pos, 1)
-            self.region.device.sfence()
+        gidxs = np.asarray(gidxs, dtype=np.int64)
+        if gidxs.size == 0:
+            return
+        self.region.write_batch(
+            gidxs * _FIELDS + 1, np.zeros(gidxs.size, dtype=np.int32), payload_per_unit=0
+        )
+        np.subtract.at(self.live_counts, gidxs // self.entries_per_section, 1)
 
     # -- reads -------------------------------------------------------------------
     def read_entry(self, gidx: int) -> Tuple[int, int, int]:

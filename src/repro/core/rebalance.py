@@ -472,9 +472,7 @@ class Rebalancer:
                     continue
                 srcs = entries[:, 0].astype(np.int64) - 1
                 hit = (entries[:, 1] != 0) & np.isin(srcs, merged)
-                bad = (logs.gidx(s, 0) + np.flatnonzero(hit)).tolist()
-                if bad:
-                    logs.invalidate_entries(bad)
+                logs.invalidate_entries(logs.gidx(s, 0) + np.flatnonzero(hit))
 
     def _apply_dram(self, g: GatherResult, new_starts: np.ndarray) -> None:
         va = self.host.va

@@ -306,12 +306,28 @@ def _scan_edge_array(host) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     nz[0] = 0
     np.cumsum(slots != 0, dtype=np.int64, out=nz[1:])
     array_deg = nz[ends] - nz[starts]
+    # A crash inside a commit group may persist slot k+1 without slot k:
+    # cut such runs at their first gap, scrub the leftovers behind it.
+    torn = np.flatnonzero(nz[starts + array_deg] - nz[starts] != array_deg)
+    if torn.size:
+        garbage = []
+        for st, en in zip(starts[torn].tolist(), ends[torn].tolist()):
+            nzpos = st + np.flatnonzero(slots[st:en])
+            garbage.append(nzpos[nzpos - st != np.arange(nzpos.size)])
+        _zero_slots(ea, np.concatenate(garbage))
+        np.cumsum(slots != 0, dtype=np.int64, out=nz[1:])  # live view: recount
+        array_deg = nz[ends] - nz[starts]
     tz = sb.take("recovery.tz", cap + 1, np.int64)
     tz[0] = 0
     np.cumsum((slots > 0) & ((slots & TOMB_BIT) != 0), dtype=np.int64, out=tz[1:])
     tombs = tz[ends] - tz[starts]
     live = array_deg - 2 * tombs
     return starts.astype(np.int64), array_deg, live
+
+
+def _zero_slots(ea, garbage: np.ndarray) -> None:
+    """Persistently scrub torn-group leftovers so the run is gap-terminated."""
+    ea.write_slots(garbage, np.zeros(garbage.size, dtype=SLOT_DTYPE), payload=0)
 
 
 def _scan_edge_array_scalar(host) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -322,6 +338,8 @@ def _scan_edge_array_scalar(host) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     starts: List[int] = []
     array_deg: List[int] = []
     live: List[int] = []
+    garbage: List[int] = []
+    closed = False  # current run already hit its first gap
     for i in range(cap):
         s = int(slots[i])
         if s < 0:
@@ -329,7 +347,12 @@ def _scan_edge_array_scalar(host) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
             starts.append(i + 1)
             array_deg.append(0)
             live.append(0)
-        elif s != 0 and starts:
+            closed = False
+        elif s == 0:
+            closed = True
+        elif closed:
+            garbage.append(i)  # torn commit group: behind the run's first gap
+        elif starts:
             array_deg[-1] += 1
             if s & int(TOMB_BIT):
                 live[-1] -= 1
@@ -342,6 +365,8 @@ def _scan_edge_array_scalar(host) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         if vids[0] != 0 or vids[-1] != nv - 1:
             raise RecoveryError("pivot id space is not dense — image corrupt")
     host.pool.device.account_seq_read(cap * 4, bucket="recovery")
+    if garbage:
+        _zero_slots(host.ea, np.asarray(garbage, dtype=np.int64))
     return (
         np.asarray(starts, dtype=np.int64),
         np.asarray(array_deg, dtype=np.int64),
@@ -374,6 +399,20 @@ def _replay_logs(host, nv: int, degree: np.ndarray, live: np.ndarray, el: np.nda
         return
     gidx = np.flatnonzero(valid)
     rows = logs.gather_entries(gidx, bucket="recovery")
+    # A crash inside a commit group may persist entry j without the one
+    # its back-pointer names: accept entries only through an intact chain
+    # (back targets have smaller indices) and invalidate the rest.
+    back = rows[:, 2].astype(np.int64) - 2
+    broken = []
+    while True:
+        ok = (back < 0) | valid[np.maximum(back, 0)]
+        if ok.all():
+            break
+        valid[gidx[~ok]] = False  # rejected: re-judge what chained to them
+        broken.append(gidx[~ok])
+        gidx, rows, back = gidx[ok], rows[ok], back[ok]
+    if broken:
+        logs.invalidate_entries(np.concatenate(broken))
     s = rows[:, 0].astype(np.int64) - 1
     d = rows[:, 1]
     if s.size and (s.max() >= nv or s.min() < 0):
@@ -395,12 +434,18 @@ def _replay_logs_scalar(
     view = logs.region.view
     total = logs.n_sections * logs.entries_per_section
     n_entries = 0
+    accepted = np.zeros(total, dtype=bool)
+    broken: List[int] = []
     for g in range(total):
         p = g * 3
         f0, f1, f2 = int(view[p]), int(view[p + 1]), int(view[p + 2])
         if not (f0 and f1 and f2):
             continue
         n_entries += 1
+        if f2 > 1 and not accepted[f2 - 2]:
+            broken.append(g)  # back target never persisted: torn commit group
+            continue
+        accepted[g] = True
         s = f0 - 1
         if s >= nv or s < 0:
             raise RecoveryError("edge-log entry references unknown vertex")
@@ -413,6 +458,7 @@ def _replay_logs_scalar(
             el[s] = g
     if n_entries:
         host.pool.device.account_rnd_read(n_entries, ENTRY_BYTES, bucket="recovery")
+    logs.invalidate_entries(broken)
 
 
 def _reissue_window(host, lo_slot: int, hi_slot: int) -> None:

@@ -133,15 +133,15 @@ class Region:
         if persist:
             self.device.persist(off, a.size * self.itemsize)
 
-    def write_batch(
-        self, idxs, values, payload_per_unit: Optional[int] = None, persist: bool = True
-    ) -> None:
-        """Batched unit writes at (possibly scattered) element indices.
+    def write_batch(self, idxs, values, payload_per_unit: Optional[int] = None) -> None:
+        """Batched unit writes at (possibly scattered) element indices,
+        persisted as one *commit group*.
 
         ``values`` has one row per index: shape ``(n,)`` writes one
         element per unit, shape ``(n, k)`` writes ``k`` consecutive
-        elements starting at each index.  Counter-equivalent to the
-        per-unit ``write``/``write_slice(..., persist=True)`` loop.
+        elements starting at each index.  All stores, then one flush per
+        distinct cache line in ascending address order, then a single
+        fence — nothing of the group is durable before that fence.
         """
         idxs = np.asarray(idxs, dtype=np.int64)
         vals = np.ascontiguousarray(values, dtype=self.dtype)
@@ -153,11 +153,12 @@ class Region:
             raise PMemError(
                 f"region {self.name!r} batch write outside [0, {self.count})"
             )
+        dev = self.device
         offs = self.offset + idxs * self.itemsize
-        if persist:
-            self.device.persist_batch(offs, vals, payload_per_unit)
-        else:
-            self.device.store_batch(offs, vals, payload_per_unit)
+        dev.store_batch(offs, vals, payload_per_unit)
+        lines = np.unique(dev._unit_line_seq(offs, per_unit * self.itemsize))
+        dev.flush_span(lines * CACHE_LINE, CACHE_LINE)
+        dev.sfence()
 
     def nt_write_slice(self, start: int, arr, payload: Optional[int] = None) -> None:
         """Non-temporal streaming store of a contiguous run (bulk loads)."""

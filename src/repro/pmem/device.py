@@ -177,6 +177,8 @@ class PMemDevice:
         arr = arr.reshape(-1)
         n = arr.size
         self._check_range(off, n)
+        if n == 0:
+            return  # nothing stored: no event, no dirty line, no charge
         self._tick("store")
 
         self.buf[off : off + n] = arr
@@ -197,6 +199,8 @@ class PMemDevice:
     def store_zeros(self, off: int, n: int, payload: int = 0) -> None:
         """Store ``n`` zero bytes (cheap bulk clear through the cache)."""
         self._check_range(off, n)
+        if n == 0:
+            return
         self._tick("store")
         self.buf[off : off + n] = 0
         first, last = off // CACHE_LINE, (off + n - 1) // CACHE_LINE

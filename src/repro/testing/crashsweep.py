@@ -167,8 +167,8 @@ def make_batched_insert_workload(
     is split per shard and the sub-batches dispatched in turn, so a
     crash can land *between* per-shard dispatches of one op — exactly
     the torn-multi-shard-batch case the sweep must cover.  Batches are
-    insert-only (the per-vertex-prefix in-flight oracle relies on the
-    batched ingest path's stream-order contract for inserts).
+    insert-only (the per-vertex-prefix in-flight oracle compares
+    ordered neighbor sequences, which deletes would reorder).
     """
     batch = EdgeBatch.coerce(edges)
     if batch.tombstone.any():
@@ -302,8 +302,9 @@ def verify_recovered_graph(
     visible exactly once or not at all.  An in-flight ``("batch", ...)``
     op may be *partially* visible, but only as a per-vertex prefix of
     the batch's per-source destination sequence — the batched ingest
-    path processes each vertex's edges in stream order (scalar
-    equivalence contract), and on a sharded graph a crash between
+    path places each vertex's edges in stream order and recovery cuts
+    a torn commit group back to a per-vertex prefix (DESIGN.md §5),
+    and on a sharded graph a crash between
     per-shard dispatches leaves whole shards unapplied, which is still a
     per-vertex prefix (each vertex lives in exactly one shard).  An
     in-flight ``("expire", pairs)`` run applies its scalar deletes in

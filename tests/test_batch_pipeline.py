@@ -7,7 +7,7 @@ Covers the three layers beneath ``DGAP.insert_edges``:
   / ``sfence_batch`` / ``persist_batch``), whose contract is *counter
   equivalence*: identical integer :class:`PMemStats` and media bytes to
   the scalar ``store``/``clwb``/``sfence`` loop they replace;
-* :class:`~repro.core.edge_log.EdgeLogs` batched appends.
+* :class:`~repro.core.edge_log.EdgeLogs` commit-group appends.
 """
 
 import numpy as np
@@ -394,20 +394,6 @@ class TestEdgeLogBatchedAppends:
     def _scalar_logs(self, pool_size=4 << 20, **kw):
         return EdgeLogs(PMemPool(pool_size), **kw)
 
-    def test_append_batch_equivalent(self, pool):
-        kw = dict(n_sections=4, entries_per_section=32)
-        a = self._scalar_logs(**kw)
-        b = EdgeLogs(pool, **kw)
-        srcs = np.arange(10, dtype=np.int64)
-        encs = np.array([int(encode_edge(d)) for d in range(10)], dtype=np.int64)
-        backs = np.full(10, -1, dtype=np.int64)
-        ga = [a.append(2, int(s), int(e), -1) for s, e in zip(srcs, encs)]
-        gb = b.append_batch(2, srcs, encs, backs)
-        assert ga == gb.tolist()
-        assert int_stats(a.pool.device) == int_stats(b.pool.device)
-        np.testing.assert_array_equal(a.region.view, b.region.view)
-        np.testing.assert_array_equal(a.counts, b.counts)
-
     def test_append_scatter_interleaved_equivalent(self, pool):
         kw = dict(n_sections=4, entries_per_section=32)
         a = self._scalar_logs(**kw)
@@ -427,19 +413,22 @@ class TestEdgeLogBatchedAppends:
         for i, s in enumerate(secs):
             gidxs[i] = s * kw["entries_per_section"] + slot[s]
             slot[s] += 1
+        base = int_stats(b.pool.device)
         gb = b.append_scatter(gidxs, srcs, encs, backs)
         assert ga == gb.tolist()
-        assert int_stats(a.pool.device) == int_stats(b.pool.device)
+        # one commit group: the scalar loop's stores and bytes, but one
+        # flush per distinct line (3 sections -> 3 lines here) and one fence
+        sa, sb = int_stats(a.pool.device), int_stats(b.pool.device)
+        for k in ("stores", "stored_bytes", "payload_bytes"):
+            assert sa[k] == sb[k]
+        assert sb["fences"] - base["fences"] == 1
+        assert sb["flushes"] - base["flushes"] == 3
+        assert b.pool.device.dirty_lines == 0
+        np.testing.assert_array_equal(a.pool.device.media, b.pool.device.media)
         np.testing.assert_array_equal(a.region.view, b.region.view)
         np.testing.assert_array_equal(a.counts, b.counts)
         np.testing.assert_array_equal(a.live_counts, b.live_counts)
         np.testing.assert_array_equal(a.peak_counts, b.peak_counts)
-
-    def test_append_batch_overflow(self, pool):
-        logs = EdgeLogs(pool, n_sections=2, entries_per_section=4)
-        srcs = np.zeros(5, dtype=np.int64)
-        with pytest.raises(PMemError):
-            logs.append_batch(0, srcs, srcs + 1, srcs - 1)
 
     def test_append_scatter_overflow(self, pool):
         logs = EdgeLogs(pool, n_sections=2, entries_per_section=4)
@@ -450,23 +439,3 @@ class TestEdgeLogBatchedAppends:
         z = np.zeros(3, dtype=np.int64)
         with pytest.raises(PMemError):
             logs.append_scatter(gidxs, z, z + 1, z - 1)
-
-    def test_append_spans_equivalent(self, pool):
-        kw = dict(n_sections=3, entries_per_section=16)
-        a = self._scalar_logs(**kw)
-        b = EdgeLogs(pool, **kw)
-        secs = np.array([0, 2], dtype=np.int64)
-        takes = np.array([2, 3], dtype=np.int64)
-        srcs = np.array([1, 1, 8, 8, 9], dtype=np.int64)
-        encs = np.array([int(encode_edge(d)) for d in (1, 2, 3, 4, 5)])
-        backs = np.full(5, -1, dtype=np.int64)
-        ga = []
-        k = 0
-        for s, t in zip(secs, takes):
-            for _ in range(int(t)):
-                ga.append(a.append(int(s), int(srcs[k]), int(encs[k]), -1))
-                k += 1
-        gb = b.append_spans(secs, takes, srcs, encs, backs)
-        assert ga == gb.tolist()
-        assert int_stats(a.pool.device) == int_stats(b.pool.device)
-        np.testing.assert_array_equal(a.region.view, b.region.view)

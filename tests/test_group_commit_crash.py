@@ -1,0 +1,279 @@
+"""Crash consistency of the commit-group write protocol (DESIGN.md §5).
+
+A batched round persists its gap fills as one commit group and its
+edge-log appends as a second one (all stores, one flush per distinct
+line, one fence).  A power failure inside a group may persist any
+8-byte-chunk / cache-line subset of its stores, so recovery restores the
+per-vertex-prefix guarantee itself with two cuts:
+
+* ``_scan_edge_array`` cuts each run at its first gap and persistently
+  zeroes any nonzero slot between that gap and the next pivot;
+* ``_replay_logs`` accepts a valid log entry only if its back-pointer
+  chain is intact and persistently invalidates the rest.
+
+Part (a) plants the two torn shapes directly into a quiescent image;
+part (b) sweeps every persistence event of batched workloads under every
+fault policy against the per-vertex-prefix oracle.
+"""
+
+from contextlib import contextmanager
+from types import SimpleNamespace
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from repro import DGAP, DGAPConfig
+from repro.core import recovery
+from repro.core.encoding import encode_edge
+from repro.errors import SimulatedCrash
+from repro.pmem import CACHE_LINE, CrashInjector
+from repro.pmem.faults import (
+    ADVERSARIAL,
+    DEFAULT_POLICY,
+    PERSIST_REORDER,
+    TORN_STORES,
+    FaultPolicy,
+)
+from repro.sharding import ShardedDGAP
+from repro.testing import SweepConfig, crash_sweep, make_batched_insert_workload
+from repro.testing.crashsweep import _graph_state, _verify_structure
+
+CFG = dict(init_vertices=8, init_edges=256, segment_slots=64, elog_size=96)
+SLOTS_PER_LINE = CACHE_LINE // 4
+
+readpaths = pytest.mark.parametrize(
+    "scalar_readpath", [False, True], ids=["vectorized", "scalar"]
+)
+
+
+def plant(dev, off: int, data: np.ndarray) -> None:
+    """Make ``data`` part of the durable image, as a torn group would."""
+    raw = np.ascontiguousarray(data).view(np.uint8)
+    dev.buf[off : off + raw.size] = raw
+    dev.media[off : off + raw.size] = raw
+
+
+def reopen_checked(g, cfg):
+    """Crash + recover, run the structural oracle, return the new graph."""
+    g.pool.crash()
+    g2 = DGAP.open(g.pool, cfg)
+    _verify_structure(g2, "planted", check_invariants=True, check_log_cursors=True)
+    return g2
+
+
+def assert_idempotent(g2, cfg, inj):
+    """A second crash — during or after recovery — changes nothing."""
+    want = _graph_state(g2)
+    media = g2.pool.device.media.copy()
+    g3 = reopen_checked(g2, cfg)
+    assert _graph_state(g3) == want
+    np.testing.assert_array_equal(g3.pool.device.media, media)
+    for k in (1, 2, 3):  # power failures inside the recovery itself
+        inj.arm(k)
+        try:
+            DGAP.open(g3.pool, cfg)
+        except SimulatedCrash:
+            pass
+        inj.disarm()
+        assert _graph_state(reopen_checked(g3, cfg)) == want
+
+
+# ----------------------------------------------------------------------
+# (a) the two torn shapes, planted directly
+# ----------------------------------------------------------------------
+class TestPlantedTornShapes:
+    @readpaths
+    def test_slot_behind_a_gap_is_cut_and_scrubbed(self, scalar_readpath):
+        cfg = DGAPConfig(scalar_readpath=scalar_readpath, **CFG)
+        inj = CrashInjector()
+        g = DGAP(cfg, injector=inj)
+        g.insert_edges([(v, (v + 1) % 8) for v in range(8)])
+        v, d = 3, 0
+        # grow v's run until its next free slot k is the last of a line
+        while (int(g.va.start[v] + g.va.array_degree[v]) % SLOTS_PER_LINE
+               != SLOTS_PER_LINE - 1):
+            g.insert_edge(v, d % 8)
+            d += 1
+        before = _graph_state(g)
+        k = int(g.va.start[v] + g.va.array_degree[v])
+        assert k + 6 < int(g.va.start[v + 1]) - 1  # all inside v's own gap
+        # slot k's line was lost; k+1, k+2 and k+5 (next line) persisted
+        garbage = [k + 1, k + 2, k + 5]
+        for s in garbage:
+            plant(g.pool.device, g.ea.byte_off(s),
+                  np.asarray(encode_edge(s % 8), dtype=np.int32))
+
+        g2 = reopen_checked(g, cfg)
+        assert _graph_state(g2) == before  # the per-vertex prefix, no phantoms
+        slots = g2.pool.device.media.view(np.int32)
+        base = g2.ea.region.offset // 4
+        assert not slots[base + k : base + k + 6].any()  # scrubbed on media
+        assert_idempotent(g2, cfg, inj)
+        # the recovered run is writable again, through the cut slot
+        g2.insert_edges([(v, 1), (v, 2)])
+        assert g2.out_neighbors(v).tolist() == before[v] + [1, 2]
+        g2.check_invariants()
+
+    @readpaths
+    def test_log_entry_with_missing_back_target_is_rejected(self, scalar_readpath):
+        # 32 vertices: 0..3 share PMA section 0 and therefore its edge log
+        cfg = DGAPConfig(scalar_readpath=scalar_readpath, **{**CFG, "init_vertices": 32})
+        inj = CrashInjector()
+        g = DGAP(cfg, injector=inj)
+        assert g.ea.section_of(int(g.va.start[1]) - 1) == 0
+        # fill vertex 0's gap, then overflow into its section's edge log
+        d = 0
+        while g.n_log_inserts < 2:
+            g.insert_edge(0, d % 8)
+            d += 1
+        g.insert_edges([(1, 5), (1, 6)])
+        before = _graph_state(g)
+        logs = g.logs
+        sec = g.ea.section_of(int(g.va.start[0]) - 1)
+        c = int(logs.counts[sec])
+        head = int(g.va.el[0])
+        assert head >= 0 and c + 4 <= logs.capacity
+        # entry c never persisted; c+1 (back -> c) and c+2 (back -> c+1)
+        # did, and so did c+3, a sibling's well-rooted entry
+        base = logs.gidx(sec, c)
+        rows = {
+            base + 1: (0 + 1, int(encode_edge(6)), base + 2),
+            base + 2: (0 + 1, int(encode_edge(7)), base + 1 + 2),
+            base + 3: (1 + 1, int(encode_edge(4)), -1 + 2),
+        }
+        for gidx, row in rows.items():
+            plant(g.pool.device, logs.region.byte_offset(gidx * 3),
+                  np.asarray(row, dtype=np.int32))
+
+        g2 = reopen_checked(g, cfg)
+        want = dict(before)
+        want[1] = before[1] + [4]  # the rooted sibling entry is a legal prefix
+        assert _graph_state(g2) == want
+        assert int(g2.va.el[0]) == head  # chain head back on the intact entry
+        view = g2.pool.device.media.view(np.int32)
+        fld = g2.logs.region.offset // 4
+        for gidx in (base + 1, base + 2):  # invalidated on media, still spent
+            assert view[fld + gidx * 3 + 1] == 0
+            assert view[fld + gidx * 3] != 0
+        assert int(g2.logs.counts[sec]) == c + 4
+        assert_idempotent(g2, cfg, inj)
+        g2.insert_edges([(0, 1), (0, 2)])
+        assert g2.out_neighbors(0).tolist() == before[0] + [1, 2]
+        g2.check_invariants()
+
+    def test_clean_image_costs_no_extra_recovery_traffic(self):
+        """Nothing torn -> the cuts read and write nothing of their own."""
+        cfg = DGAPConfig(**CFG)
+        g = DGAP(cfg)
+        rng = np.random.default_rng(0)
+        g.insert_edges(rng.integers(0, 8, size=(120, 2)), batch_size=16)
+        g.pool.crash()
+        with mock.patch.object(recovery, "_zero_slots") as scrub, \
+                mock.patch.object(type(g.logs), "invalidate_entries") as inval:
+            DGAP.open(g.pool, cfg)
+        assert not scrub.called and not inval.called
+
+
+# ----------------------------------------------------------------------
+# (b) sweeps: every event of a batched workload, every fault policy
+# ----------------------------------------------------------------------
+#: 32 vertices in 512 slots: 15-slot gaps, four runs (and one 8-entry
+#: edge log) per section, so small batches reach every write path
+SWEEP_CFG = {**CFG, "init_vertices": 32}
+
+
+def make_graph(injector, faults):
+    return DGAP(DGAPConfig(**SWEEP_CFG), injector=injector, faults=faults)
+
+
+def make_sharded(n):
+    def factory(injector, faults):
+        return ShardedDGAP(n, DGAPConfig(**SWEEP_CFG), injector=injector, faults=faults)
+
+    return factory
+
+
+def batched_workload(n=96, batch_size=8, seed=4):
+    """Hub-skewed stream: vertex 0 overflows its gap, fills its section's
+    edge log and forces merges, while its neighbours share its lines."""
+    rng = np.random.default_rng(seed)
+    src = np.where(rng.random(n) < 0.5, 0, rng.integers(0, 8, size=n))
+    return make_batched_insert_workload(
+        np.column_stack([src, rng.integers(0, 32, size=n)]), batch_size=batch_size
+    )
+
+
+@contextmanager
+def cut_spy():
+    """Count what each recovery cut actually removed while active."""
+    spy = SimpleNamespace(scrubbed=0, rejected=0)
+    zero, replay = recovery._zero_slots, recovery._replay_logs
+
+    def zero_spy(ea, garbage):
+        spy.scrubbed += int(garbage.size)
+        zero(ea, garbage)
+
+    def replay_spy(host, *a):
+        live0 = int(host.logs.live_counts.sum())
+        replay(host, *a)
+        spy.rejected += live0 - int(host.logs.live_counts.sum())
+
+    with mock.patch.object(recovery, "_zero_slots", zero_spy), \
+            mock.patch.object(recovery, "_replay_logs", replay_spy):
+        yield spy
+
+
+class TestBatchedSweeps:
+    def test_workload_covers_both_groups_and_merges(self):
+        g = make_graph(None, None)
+        for _, batch in batched_workload():
+            g.insert_edges(batch, batch_size=None)
+        assert g.n_array_inserts > 0 and g.n_log_inserts > 0
+        assert g.n_rebalances > 0
+
+    # The crash RNG is seeded per (policy seed, crash ordinal), so one
+    # policy seed drops or keeps the *first* pending line at every crash
+    # point alike: seed 0 keeps it (prefixes only), seed 1 drops it and
+    # produces both torn shapes from line-granular reordering alone.
+    @pytest.mark.parametrize(
+        "policy, tears",
+        [
+            (DEFAULT_POLICY, False),
+            (TORN_STORES, True),
+            (PERSIST_REORDER, None),
+            (FaultPolicy(persist_reorder=True, seed=1), True),
+            (ADVERSARIAL, True),
+        ],
+        ids=["default", "torn", "reorder", "reorder-seed1", "adversarial"],
+    )
+    def test_exhaustive_single_pool_sweep(self, policy, tears):
+        with cut_spy() as spy:
+            rep = crash_sweep(
+                make_graph,
+                batched_workload(),
+                SweepConfig(faults=policy, exhaustive_threshold=10_000,
+                            idempotence_samples=8),
+            )
+        assert rep.exhaustive and rep.crash_points == rep.total_events
+        assert rep.unrecoverable_count() == 0
+        assert rep.in_flight_applied_count() > 0  # partial batches occurred
+        assert {r.op for r in rep.results} >= {"store", "flush", "fence"}
+        if tears:
+            # the weakened model really produced both torn shapes
+            assert spy.scrubbed > 0 and spy.rejected > 0
+        elif tears is False:
+            # clean ADR persists ascending whole lines: prefixes only
+            assert spy.scrubbed == 0 and spy.rejected == 0
+
+    @pytest.mark.parametrize("policy", [DEFAULT_POLICY, ADVERSARIAL],
+                             ids=["default", "adversarial"])
+    def test_sampled_sharded_sweep(self, policy):
+        rep = crash_sweep(
+            make_sharded(3),
+            batched_workload(n=90, batch_size=10, seed=6),
+            SweepConfig(faults=policy, exhaustive_threshold=100, samples=150,
+                        idempotence_samples=4, seed=11),
+        )
+        assert rep.unrecoverable_count() == 0
+        assert rep.in_flight_applied_count() > 0

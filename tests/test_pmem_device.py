@@ -13,6 +13,7 @@ from repro.pmem import (
     CrashInjector,
     PMemDevice,
 )
+from repro.pmem.stats import PMemStats
 
 
 @pytest.fixture
@@ -150,6 +151,19 @@ class TestStatsAndCosts:
         assert dev.stats.stores == 1
         assert dev.stats.stored_bytes == 100
         assert dev.stats.payload_bytes == 4
+
+    @pytest.mark.parametrize("off", [0, 7, 100])
+    def test_zero_length_store_is_a_noop(self, dev, off):
+        before = dev.stats.snapshot()
+        events = dev.injector.total_events
+        dev.store(off, b"")
+        dev.store(off, np.empty(0, dtype=np.int32))
+        dev.store_zeros(off, 0)
+        assert dev.stats.delta_since(before) == PMemStats()  # no store, no ns
+        assert dev.dirty_lines == 0
+        assert dev.injector.total_events == events  # not a crash point either
+        with pytest.raises(PMemError):
+            dev.store(dev.size + 1, b"")  # the range is still checked
 
     def test_write_amplification(self, dev):
         dev.store(0, b"x" * 28, payload=4)  # 7 bytes stored per payload byte
