@@ -205,7 +205,7 @@ def cmd_recovery(args) -> None:
 
 def cmd_profile(args) -> None:
     from ..obs import write_chrome_trace
-    from .profile import check_attribution, check_chrome_trace, run_profile
+    from .profile import check_attribution, check_chrome_trace, check_recovery_reads, run_profile
 
     tracer = run_profile(
         args.experiment,
@@ -224,7 +224,7 @@ def cmd_profile(args) -> None:
     print(f"spans recorded: {tracer.span_count()}")
     failures = []
     if args.check:
-        failures += check_attribution(tracer)
+        failures += check_attribution(tracer) + check_recovery_reads(tracer)
     if args.trace_out:
         n = write_chrome_trace(tracer, args.trace_out)
         print(f"wrote {n} Chrome trace events to {args.trace_out}")

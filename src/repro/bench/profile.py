@@ -8,7 +8,9 @@ export (``--trace-out`` Chrome trace-event JSON).
 ``check_attribution`` is the acceptance gate used by ``--check`` and the
 CI ``profile-smoke`` job: per-phase self modeled-ns must sum to the
 run's total (float rounding only), and the integer counters must sum
-exactly — no double-counting, no leaks.
+exactly — no double-counting, no leaks.  ``check_recovery_reads`` adds,
+for traces of a crash recovery: the log region is streamed once and
+``replay_logs`` reads nothing.
 """
 
 from __future__ import annotations
@@ -227,6 +229,30 @@ def check_attribution(tracer: Tracer) -> List[str]:
     return failures
 
 
+def check_recovery_reads(tracer: Tracer) -> List[str]:
+    """A traced crash recovery reads every log byte once, sequentially:
+    ``rebuild_log_cursors`` streams exactly the log region and
+    ``replay_logs`` works from that image (no device read)."""
+    reads = {
+        r.name: (r.counters["seq_read_bytes"], r.counters["rnd_reads"])
+        for r in aggregate_phases(tracer)[0]
+    }
+    failures: List[str] = []
+    if any(reads.get("replay_logs", ())):
+        failures.append(
+            "replay_logs read the device (%d sequential bytes, %d random reads); "
+            "it must work from the cursor-rebuild image" % reads["replay_logs"]
+        )
+    log_bytes = sum(s.attrs["log_bytes"] for s in tracer.find("rebuild_log_cursors"))
+    if reads.get("rebuild_log_cursors", (0, 0)) != (log_bytes, 0):
+        failures.append(
+            "rebuild_log_cursors made %d random reads and streamed %d bytes of a "
+            "%d-byte log region; expected one sequential pass"
+            % (reads["rebuild_log_cursors"][::-1] + (log_bytes,))
+        )
+    return failures
+
+
 def check_chrome_trace(path: str) -> List[str]:
     """Validate the written file is loadable Chrome trace-event JSON."""
     failures: List[str] = []
@@ -257,5 +283,6 @@ __all__ = [
     "profile_rebalance",
     "build_rebalance_arm",
     "check_attribution",
+    "check_recovery_reads",
     "check_chrome_trace",
 ]

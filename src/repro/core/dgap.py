@@ -1001,16 +1001,21 @@ class DGAP:
 
     def _shutdown_traced(self) -> None:
         nv = self.va.num_vertices
-        for f in self._META_FIELDS:
+        meta = {f: getattr(self.va, f)[:nv] for f in self._META_FIELDS}
+        # section occupancy + log cursors: a normal restart rescans nothing
+        logs = self.logs
+        meta.update(seg_occ=self.ea.seg_occ, log_counts=logs.counts, log_live=logs.live_counts)
+        for f, arr in meta.items():
             name = f"meta.{f}"
             if self.pool.has_array(name):
                 self.pool.drop_array(name)
-            region = self.pool.alloc_array(name, np.int64, nv)
-            region.nt_write_slice(0, getattr(self.va, f)[:nv])
+            region = self.pool.alloc_array(name, np.int64, arr.size)
+            region.nt_write_slice(0, arr)
         self.pool.device.sfence()
         self.pool.write_root(ROOT_NV_HINT, nv)
         self.pool.device.drain_all()
         self.pool.write_root(ROOT_SHUTDOWN, 1)
+        self.pool.device.end_session()  # the reopen is another process
 
     @classmethod
     def open(cls, pool: PMemPool, config: Optional[DGAPConfig] = None) -> "DGAP":

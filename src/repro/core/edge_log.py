@@ -29,7 +29,7 @@ self-invalidating without a checksum:
 Recovery finds the append frontier as one past the last entry with any
 nonzero field — no persistent per-log counter (counters would be
 in-place PM updates, exactly what DGAP avoids).  ``read_entry`` /
-``walk_chain`` undo the biases, so readers see plain ids.
+``walk_chain_arrays`` undo the biases, so readers see plain ids.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ..errors import GraphError, PMemError
+from ..errors import PMemError
 from ..pmem.pool import PMemPool
 
 ENTRY_BYTES = 12
@@ -181,33 +181,77 @@ class EdgeLogs:
         e = self.region.view[pos : pos + _FIELDS]
         return int(e[0]) - 1, int(e[1]), int(e[2]) - 2
 
-    def section_entries(self, section: int) -> np.ndarray:
-        """(count, 3) view of a section's appended entries (some may be invalidated)."""
-        base = self._base(section)
-        n = int(self.counts[section])
-        return self.region.view[base : base + n * _FIELDS].reshape(n, _FIELDS)
+    def _runs(self, s_lo: int, s_hi: int):
+        """``(first_gidx, n_entries)`` of each load :meth:`stream` issues:
+        one per run of adjacent non-empty sections in ``[s_lo, s_hi)``,
+        from the run's first entry to its last section's cursor."""
+        eps, cursors = self.entries_per_section, self.counts
+        secs = s_lo + np.flatnonzero(cursors[s_lo:s_hi])
+        for run in np.split(secs, np.flatnonzero(np.diff(secs) != 1) + 1):
+            if run.size:
+                a, b = int(run[0]), int(run[-1])
+                yield a * eps, (b - a) * eps + int(cursors[b])
 
-    def gather_entries(self, gidxs, bucket: str = None) -> np.ndarray:
-        """Accounted random gather of whole entries: ``(n, 3)`` int32 rows.
+    def stream(self, s_lo: int, s_hi: int, bucket: str = None):
+        """Accounted sequential read of the appended log prefixes of
+        sections ``[s_lo, s_hi)`` — how merges and recovery consume logs.
 
-        One independent ``ENTRY_BYTES``-sized random read per entry via
-        the device's :meth:`~repro.pmem.device.PMemDevice.gather_span` —
-        the bulk form of ``read_entry`` (fields keep their on-media
-        biases; callers undo them).
+        Each section's log is small and contiguous so that it reads as a
+        short sequential PM range (paper §3.1.4–5): one ``load_batch``
+        per run of adjacent non-empty sections, every byte charged and
+        poison / read-fault checked once.  Returns ``(gidx, rows)``:
+        ascending global indices and the matching ``(n, 3)`` int32
+        entries in their on-media biases.  Ascending index *is* append
+        order and a vertex's pending entries all sit in its pivot
+        section's log, so a stable group-by on ``rows[:, 0]`` yields
+        every back-pointer chain oldest-first without chasing a pointer.
+        A single fully-kept run is returned as a live view of the device
+        buffer.
         """
-        idxs = np.asarray(gidxs, dtype=np.int64) * _FIELDS
-        return self.region.gather(idxs, per_unit=_FIELDS, bucket=bucket)
+        dev = self.pool.device
+        eps, cursors = self.entries_per_section, self.counts
+        gs, rs = [], []
+        for g0, n in self._runs(s_lo, s_hi):
+            raw = dev.load_batch(
+                self.region.offset + g0 * ENTRY_BYTES, n * ENTRY_BYTES, bucket=bucket
+            )
+            gidx = np.arange(g0, g0 + n, dtype=np.int64)
+            rows = raw.view(np.int32).reshape(n, _FIELDS)
+            if n > eps and (cursors[g0 // eps : (g0 + n) // eps] < eps).any():
+                # the run spans unappended tails of sections before its last
+                keep = gidx % eps < cursors[gidx // eps]
+                gidx, rows = gidx[keep], rows[keep]
+            gs.append(gidx)
+            rs.append(rows)
+        if not gs:
+            return np.empty(0, dtype=np.int64), np.empty((0, _FIELDS), dtype=np.int32)
+        return (gs[0], rs[0]) if len(gs) == 1 else (np.concatenate(gs), np.concatenate(rs))
+
+    def _stream_scalar(self, s_lo: int, s_hi: int, bucket: str = None):
+        """Per-entry reference of :meth:`stream` (same loads, charges and
+        fault draws): ``(n, 4)`` int64 rows ``(gidx, f0, f1, f2)``."""
+        dev = self.pool.device
+        view = self.region.view
+        eps, cursors = self.entries_per_section, self.counts
+        out = []
+        for g0, n in self._runs(s_lo, s_hi):
+            dev.read(self.region.offset + g0 * ENTRY_BYTES, n * ENTRY_BYTES)
+            dev.account_seq_read(n * ENTRY_BYTES, bucket=bucket)
+            for g in range(g0, g0 + n):
+                if g % eps < cursors[g // eps]:
+                    p = g * _FIELDS
+                    out.append((g, int(view[p]), int(view[p + 1]), int(view[p + 2])))
+        return np.asarray(out, dtype=np.int64).reshape(len(out), 1 + _FIELDS)
 
     def walk_chain_arrays(self, head_gidx: int, limit: int = -1):
-        """Ndarray fast path of :meth:`walk_chain`.
+        """Follow back-pointers from ``head_gidx``; stops after ``limit``
+        entries if >= 0.
 
-        Follows back-pointers from ``head_gidx`` into a preallocated
-        buffer; returns newest-first ``(gidxs, srcs, dst_encs)`` int64
-        column views (valid until the next walk).  Pointer chasing a
-        single chain is inherently serial, but writing into a reused
-        ndarray avoids the per-entry tuple and list traffic of the
-        scalar walk — see :meth:`resolve_chains` for the many-chain
-        vectorized form.
+        Returns newest-first ``(gidxs, srcs, dst_encs)`` int64 column
+        views into a preallocated buffer (valid until the next walk).
+        Unaccounted single-chain reader for snapshots, the scrubber and
+        invariant checks; merges and recovery consume whole section logs
+        through :meth:`stream` instead.
         """
         buf = self._chain_buf
         view = self.region.view
@@ -229,80 +273,8 @@ class EdgeLogs:
         done = buf[:n]
         return done[:, 0], done[:, 1], done[:, 2]
 
-    def walk_chain(self, head_gidx: int, limit: int = -1) -> list:
-        """Follow back-pointers from ``head_gidx``; newest-first list of
-        ``(gidx, src, dst_enc)``; stops after ``limit`` entries if >= 0.
-
-        Scalar wrapper over :meth:`walk_chain_arrays`, kept for the
-        tuple-shaped test callers; hot paths use the array forms.
-        """
-        gidxs, srcs, dst_encs = self.walk_chain_arrays(head_gidx, limit)
-        return list(zip(gidxs.tolist(), srcs.tolist(), dst_encs.tolist()))
-
-    def resolve_chains(self, heads: np.ndarray, expect_src: np.ndarray = None):
-        """Follow *all* back-pointer chains at once (frontier pointer chasing).
-
-        ``heads`` holds one chain head per vertex (−1 for no chain).
-        Returns ``(counts, gidxs, dst_encs)``: per-head chain lengths
-        plus the concatenated entries grouped by head, newest-first
-        within each group — exactly what :meth:`walk_chain` per head
-        would produce, computed round-by-round over a shrinking frontier
-        (one fancy-indexed read per chain depth instead of one Python
-        iteration per entry).
-
-        When ``expect_src`` is given (aligned with ``heads``), each
-        chain's *oldest* entry must name that source vertex — the same
-        chain-root integrity check the scalar gather performs.
-        """
-        heads = np.asarray(heads, dtype=np.int64)
-        nv = int(heads.size)
-        counts = np.zeros(nv, dtype=np.int64)
-        kidx = np.flatnonzero(heads >= 0)
-        if kidx.size == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return counts, empty, empty
-        view = self.region.view
-        g = heads[kidx]
-        rounds_k, rounds_g, rounds_d = [], [], []
-        while g.size:
-            p = g * _FIELDS
-            src = view[p].astype(np.int64) - 1
-            dst = view[p + 1].astype(np.int64)
-            back = view[p + 2].astype(np.int64) - 2
-            invalid = dst == 0
-            if invalid.any():
-                bad = int(g[int(invalid.argmax())])
-                raise PMemError(f"edge-log chain reached invalidated entry {bad}")
-            rounds_k.append(kidx)
-            rounds_g.append(g)
-            rounds_d.append(dst)
-            counts[kidx] += 1
-            ended = back < 0
-            if expect_src is not None and ended.any():
-                mism = src[ended] != np.asarray(expect_src)[kidx[ended]]
-                if mism.any():
-                    v = int(np.min(np.asarray(expect_src)[kidx[ended]][mism]))
-                    raise GraphError(f"edge-log chain of vertex {v} is corrupt")
-            keep = ~ended
-            kidx = kidx[keep]
-            g = back[keep]
-        k_cat = np.concatenate(rounds_k)
-        g_cat = np.concatenate(rounds_g)
-        d_cat = np.concatenate(rounds_d)
-        # An entry surfaced in round r is the r-th newest of its chain:
-        # scatter each round to slot ``start_of_chain + r``.
-        sizes = np.fromiter((a.size for a in rounds_k), dtype=np.int64, count=len(rounds_k))
-        r_cat = np.repeat(np.arange(len(rounds_k), dtype=np.int64), sizes)
-        start = np.cumsum(counts) - counts
-        pos = start[k_cat] + r_cat
-        gidxs = np.empty(k_cat.size, dtype=np.int64)
-        dst_encs = np.empty(k_cat.size, dtype=np.int64)
-        gidxs[pos] = g_cat
-        dst_encs[pos] = d_cat
-        return counts, gidxs, dst_encs
-
     # -- recovery -----------------------------------------------------------------
-    def rebuild_counts(self, scalar: bool = False) -> None:
+    def rebuild_counts(self, scalar: bool = False):
         """Recompute append cursors from persistent bytes (crash recovery).
 
         The cursor is one past the last *non-empty* entry — one with any
@@ -313,41 +285,41 @@ class EdgeLogs:
         Only entries with all three fields nonzero are *valid* (counted
         live and replayed) — a torn partial entry can never be.
 
-        One accounted sequential pass over the whole log region, via the
-        device's bulk read layer; ``scalar=True`` runs the retained
-        per-entry reference instead (same results, same accounting).
+        One :meth:`stream` over the whole log region (every slot counts
+        as spent until the cursors are known); ``scalar=True`` runs the
+        per-entry reference (same results, same accounting).  Returns the
+        streamed ``(gidx, rows)`` image — a live view, so zeros written
+        to the logs afterwards show through — for recovery's undo-log
+        clears and log replay, which therefore read no log byte again.
         """
+        eps = self.entries_per_section
+        self.counts = np.full(self.n_sections, eps, dtype=np.int64)
         if scalar:
-            self._rebuild_counts_scalar()
-            return
-        raw = self.pool.device.load_batch(self.region.offset, self.region.nbytes, bucket="recovery")
-        view = raw.view(np.int32).reshape(self.n_sections, self.entries_per_section, _FIELDS)
-        nonempty = (view != 0).any(axis=2)
-        valid = (view != 0).all(axis=2)
+            return self._rebuild_counts_scalar()
+        gidx, rows = self.stream(0, self.n_sections, bucket="recovery")
+        f0, f1, f2 = (rows[:, k].reshape(self.n_sections, eps) != 0 for k in range(_FIELDS))
+        nonempty = f0 | f1 | f2
         # highest non-empty index + 1 per section (0 when empty)
-        rev = nonempty[:, ::-1]
-        first = rev.argmax(axis=1)
-        any_used = nonempty.any(axis=1)
-        self.counts = np.where(any_used, self.entries_per_section - first, 0).astype(np.int64)
-        self.live_counts = valid.sum(axis=1).astype(np.int64)
+        first = nonempty[:, ::-1].argmax(axis=1)
+        self.counts = np.where(nonempty.any(axis=1), eps - first, 0).astype(np.int64)
+        self.live_counts = (f0 & f1 & f2).sum(axis=1).astype(np.int64)
+        return gidx, rows
 
-    def _rebuild_counts_scalar(self) -> None:
+    def _rebuild_counts_scalar(self):
         """Per-entry reference implementation of :meth:`rebuild_counts`."""
-        view = self.region.view
+        eps = self.entries_per_section
         counts = np.zeros(self.n_sections, dtype=np.int64)
         live = np.zeros(self.n_sections, dtype=np.int64)
-        for s in range(self.n_sections):
-            base = self._base(s)
-            for slot in range(self.entries_per_section):
-                p = base + slot * _FIELDS
-                f0, f1, f2 = int(view[p]), int(view[p + 1]), int(view[p + 2])
-                if f0 or f1 or f2:
-                    counts[s] = slot + 1
-                if f0 and f1 and f2:
-                    live[s] += 1
+        entries = self._stream_scalar(0, self.n_sections, bucket="recovery")
+        for g, f0, f1, f2 in entries.tolist():
+            s, slot = divmod(g, eps)
+            if f0 or f1 or f2:
+                counts[s] = slot + 1
+            if f0 and f1 and f2:
+                live[s] += 1
         self.counts = counts
         self.live_counts = live
-        self.pool.device.account_seq_read(self.region.nbytes, bucket="recovery")
+        return entries[:, 0], self.region.view.reshape(-1, _FIELDS)
 
 
 __all__ = ["EdgeLogs", "ENTRY_BYTES"]

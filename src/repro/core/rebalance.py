@@ -41,7 +41,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import GraphError, OutOfPMemError
+from ..errors import GraphError, OutOfPMemError, PMemError
 from ..nputil import ScratchBuffer, multi_arange
 from ..obs.tracer import annotate, trace
 from .edge_array import EdgeArray
@@ -83,9 +83,9 @@ class GatherResult:
     """
 
     __slots__ = ("lo", "hi", "i0", "j", "values", "sizes", "run_off",
-                 "chain_gidxs", "total", "_runs")
+                 "chain_gidxs", "total", "log_rows", "_runs")
 
-    def __init__(self, lo, hi, i0, j, values, sizes, run_off, chain_gidxs, total):
+    def __init__(self, lo, hi, i0, j, values, sizes, run_off, chain_gidxs, total, log_rows=None):
         self.lo = lo
         self.hi = hi
         self.i0 = i0
@@ -93,12 +93,13 @@ class GatherResult:
         self.values: np.ndarray = values  # all runs, concatenated (no pivots)
         self.sizes: np.ndarray = sizes  # per-vertex run length
         self.run_off: np.ndarray = run_off  # exclusive prefix sum of sizes
-        self.chain_gidxs: np.ndarray = chain_gidxs
+        self.chain_gidxs: np.ndarray = chain_gidxs  # merged log entries, by vertex
         self.total = total  # elements incl. pivots
+        self.log_rows = log_rows  # the gather's ``EdgeLogs.stream``; feeds the log cleanup
         self._runs: Optional[List[np.ndarray]] = None
 
     @classmethod
-    def from_runs(cls, lo, hi, i0, j, runs, chain_gidxs, total) -> "GatherResult":
+    def from_runs(cls, lo, hi, i0, j, runs, chain_gidxs, total, log_rows) -> "GatherResult":
         """Build from a per-vertex list of run arrays (scalar reference path)."""
         sizes = np.fromiter((r.size for r in runs), dtype=np.int64, count=len(runs))
         run_off = np.cumsum(sizes) - sizes
@@ -106,7 +107,7 @@ class GatherResult:
             np.concatenate(runs) if runs else np.empty(0, dtype=SLOT_DTYPE)
         ).astype(SLOT_DTYPE, copy=False)
         res = cls(lo, hi, i0, j, values, sizes, run_off,
-                  np.asarray(chain_gidxs, dtype=np.int64), total)
+                  np.asarray(chain_gidxs, dtype=np.int64), total, log_rows)
         res._runs = list(runs)
         return res
 
@@ -236,11 +237,12 @@ class Rebalancer:
     def _gather(self, lo: int, hi: int, i0: int, j: int) -> GatherResult:
         """Collect runs (array edges + merged log chains) for vertices [i0, j).
 
-        One whole-window bulk load plus one gather of every pending
-        chain entry, with chain heads resolved by frontier pointer
-        chasing — accounting-identical to the retained scalar reference
-        (``scalar_readpath``): one sequential window read, then one
-        random read per chain entry.
+        Two sequential reads and no pointer chasing: one bulk load of
+        the window, one :meth:`EdgeLogs.stream` of its sections' logs.
+        A vertex's pending entries all sit in its pivot section's log in
+        append order, so a stable group-by on source over the streamed
+        rows *is* every chain, oldest first.  ``scalar_readpath`` selects
+        the per-entry reference (same results, same accounting).
         """
         if self.host.config.scalar_readpath:
             return self._gather_scalar(lo, hi, i0, j)
@@ -249,60 +251,72 @@ class Rebalancer:
         dev = host.pool.device
         n = j - i0
         win = dev.load_batch(ea.byte_off(lo), (hi - lo) * 4, bucket="rebalance").view(SLOT_DTYPE)
+        secs = self._window_lock_span(lo, hi)
+        gidx, rows = log_rows = logs.stream(secs.start, secs.stop, bucket="rebalance")
+        src = rows[:, 0].astype(np.int64) - 1
+        # valid (all three fields nonzero; ``src >= i0`` covers field 0) and ours
+        mine = np.flatnonzero((rows[:, 1] != 0) & (rows[:, 2] != 0) & (src >= i0) & (src < j))
+        mine = mine[np.argsort(src[mine], kind="stable")]
+        counts = np.bincount(src[mine] - i0, minlength=n)
+        chain_gidxs = gidx[mine]
         starts = np.asarray(va.start[i0:j], dtype=np.int64) - lo
         ads = np.asarray(va.array_degree[i0:j], dtype=np.int64)
-        counts, chain_gidxs, _ = logs.resolve_chains(
-            va.el[i0:j], expect_src=np.arange(i0, j, dtype=np.int64)
-        )
         sizes = ads + counts
         run_off = np.cumsum(sizes) - sizes
+        self._check_chains(i0, counts, chain_gidxs)
         nvals = int(sizes.sum())
         values = self.dram_scratch().take("gather.values", nvals, SLOT_DTYPE)
         if int(ads.sum()):
             values[multi_arange(run_off, ads)] = win[multi_arange(starts, ads)]
-        if chain_gidxs.size:
-            rows = logs.gather_entries(chain_gidxs, bucket="rebalance")
-            # The r-th newest entry of vertex k fills slot end_k - 1 - r:
-            # chains merge oldest-first behind the array part of the run.
-            kk = np.repeat(np.arange(n, dtype=np.int64), counts)
-            rr = np.arange(chain_gidxs.size, dtype=np.int64) - np.repeat(
-                np.cumsum(counts) - counts, counts
-            )
-            ends = run_off + sizes
-            values[ends[kk] - 1 - rr] = rows[:, 1]
-        return GatherResult(lo, hi, i0, j, values, sizes, run_off, chain_gidxs, n + nvals)
+        # chains merge oldest-first behind the array part of the run
+        values[multi_arange(run_off + ads, counts)] = rows[mine, 1]
+        return GatherResult(lo, hi, i0, j, values, sizes, run_off, chain_gidxs, n + nvals, log_rows)
+
+    def _check_chains(self, i0: int, counts: np.ndarray, chain_gidxs: np.ndarray) -> None:
+        """Gathered chains (grouped by vertex, oldest first) must match the
+        DRAM vertex array: ``degree - array_degree`` valid entries per
+        vertex, the newest being ``el``."""
+        va = self.host.va
+        j = i0 + counts.size
+        want = np.asarray(va.degree[i0:j], dtype=np.int64) - va.array_degree[i0:j]
+        heads = np.full(counts.size, -1, dtype=np.int64)
+        heads[counts > 0] = chain_gidxs[(np.cumsum(counts) - 1)[counts > 0]]
+        if (counts < want).any():
+            v = i0 + int((counts < want).argmax())
+            raise PMemError(f"edge-log chain of vertex {v} reached an invalidated entry")
+        bad = (counts > want) | (heads != va.el[i0:j])
+        if bad.any():
+            raise GraphError(f"edge-log chain of vertex {i0 + int(bad.argmax())} is corrupt")
 
     def _gather_scalar(self, lo: int, hi: int, i0: int, j: int) -> GatherResult:
         """Per-vertex/per-entry reference implementation of :meth:`_gather`."""
         host = self.host
         va, ea, logs = host.va, host.ea, host.logs
-        slots = ea.slots
+        dev = host.pool.device
+        slots = dev.read(ea.byte_off(lo), (hi - lo) * 4).view(SLOT_DTYPE)
+        dev.account_seq_read((hi - lo) * 4, bucket="rebalance")
+        secs = self._window_lock_span(lo, hi)
+        entries = logs._stream_scalar(secs.start, secs.stop, bucket="rebalance")
+        chains: List[list] = [[] for _ in range(i0, j)]
+        for g, f0, f1, f2 in entries.tolist():  # append order: oldest first per vertex
+            if f0 and f1 and f2 and i0 <= f0 - 1 < j:
+                chains[f0 - 1 - i0].append((g, f1))
         runs: List[np.ndarray] = []
         chain_gidxs: List[int] = []
         total = 0
         for v in range(i0, j):
-            st = int(va.start[v])
+            st = int(va.start[v]) - lo
             ad = int(va.array_degree[v])
-            arr = slots[st : st + ad].copy()
-            el = int(va.el[v])
-            if el >= 0:
-                chain = logs.walk_chain(el)  # newest first
-                if chain and chain[-1][1] != v:
-                    raise GraphError(f"edge-log chain of vertex {v} is corrupt")
-                vals = np.fromiter(
-                    (c[2] for c in reversed(chain)), dtype=SLOT_DTYPE, count=len(chain)
-                )
-                chain_gidxs.extend(c[0] for c in chain)
-                run = np.concatenate([arr, vals])
-            else:
-                run = arr
+            chain = chains[v - i0]
+            vals = np.fromiter((c[1] for c in chain), dtype=SLOT_DTYPE, count=len(chain))
+            chain_gidxs.extend(c[0] for c in chain)
+            run = np.concatenate([slots[st : st + ad], vals])
             runs.append(run)
             total += 1 + run.size  # pivot + edges
-        dev = host.pool.device
-        dev.account_seq_read((hi - lo) * 4, bucket="rebalance")
-        if chain_gidxs:
-            dev.account_rnd_read(len(chain_gidxs), 12, bucket="rebalance")
-        return GatherResult.from_runs(lo, hi, i0, j, runs, chain_gidxs, total)
+        counts = np.fromiter(map(len, chains), dtype=np.int64, count=j - i0)
+        self._check_chains(i0, counts, np.asarray(chain_gidxs, dtype=np.int64))
+        log_rows = entries[:, 0], entries[:, 1:]
+        return GatherResult.from_runs(lo, hi, i0, j, runs, chain_gidxs, total, log_rows)
 
     def _gaps(self, sizes: np.ndarray, G: int, T: int) -> np.ndarray:
         """Per-run trailing gaps distributing ``G`` free slots.
@@ -440,7 +454,7 @@ class Rebalancer:
         dev.copyback_stream(src_off, dst_off, nbytes, chunk=ulog.capacity)
         dev.sfence()
 
-    def _clears_by_window(self, lo: int, hi: int) -> None:
+    def _clears_by_window(self, lo: int, hi: int, log_rows) -> None:
         """Idempotent post-merge edge-log cleanup for window slots [lo, hi).
 
         Fully-covered sections' logs are cleared wholesale; boundary
@@ -448,31 +462,28 @@ class Rebalancer:
         only the merged vertices' entries are invalidated.  Merged
         vertices are identified positionally (pivot inside the window),
         so this can run during crash recovery with no DRAM metadata.
+        ``log_rows`` is the stream that already loaded these logs (the
+        merge's gather, recovery's cursor rebuild): none is read here.
         """
         host = self.host
         ea, logs = host.ea, host.logs
         S = ea.segment_slots
+        eps = logs.entries_per_section
         s_lo, s_hi = lo // S, (hi + S - 1) // S
         full_lo = (lo + S - 1) // S
         full_hi = hi // S
         window_slots = ea.slots[lo:hi]
         merged = pivot_vertices(window_slots[is_pivot(window_slots)])
+        gidx, rows = log_rows
         for s in range(s_lo, s_hi):
             if full_lo <= s < full_hi:
-                if logs.counts[s] or logs.region.view[
-                    logs._base(s) : logs._base(s) + 3
-                ].any():
+                if logs.counts[s]:
                     logs.clear_section(s)
-                else:
-                    logs.counts[s] = 0
-                    logs.live_counts[s] = 0
             else:
-                entries = logs.section_entries(s)
-                if entries.size == 0:
-                    continue
-                srcs = entries[:, 0].astype(np.int64) - 1
-                hit = (entries[:, 1] != 0) & np.isin(srcs, merged)
-                logs.invalidate_entries(logs.gidx(s, 0) + np.flatnonzero(hit))
+                a, b = np.searchsorted(gidx, (s * eps, (s + 1) * eps))
+                srcs = rows[a:b, 0].astype(np.int64) - 1
+                hit = (rows[a:b, 1] != 0) & np.isin(srcs, merged)
+                logs.invalidate_entries(gidx[a:b][hit])
 
     def _apply_dram(self, g: GatherResult, new_starts: np.ndarray) -> None:
         va = self.host.va
@@ -555,10 +566,10 @@ class Rebalancer:
             if host.config.use_undo_log:
                 ulog = host.ulogs[thread_id]
                 ulog.mark_done(g.lo, g.hi)
-                self._clears_by_window(g.lo, g.hi)
+                self._clears_by_window(g.lo, g.hi, g.log_rows)
                 ulog.finish()
             else:
-                self._clears_by_window(g.lo, g.hi)
+                self._clears_by_window(g.lo, g.hi, g.log_rows)
             self._apply_dram(g, new_starts)
             ea.recount(g.lo, g.hi)
             host.stats_note_rebalance(g.hi - g.lo)
@@ -713,10 +724,10 @@ class Rebalancer:
                 if host.config.use_undo_log:
                     ulog = host.ulogs[thread_id]
                     ulog.mark_done(0, cap)
-                    self._clears_by_window(0, cap)
+                    self._clears_by_window(0, cap, g.log_rows)
                     ulog.finish()
                 else:
-                    self._clears_by_window(0, cap)
+                    self._clears_by_window(0, cap, g.log_rows)
                 # The filtered run *is* the vertex's whole logical
                 # history now: degree == array_degree == kept length,
                 # chains merged.  live_degree is invariant — each
@@ -747,9 +758,10 @@ class Rebalancer:
     # ------------------------------------------------------------------
     # crash recovery
     # ------------------------------------------------------------------
-    def recover_ulog(self, ulog: UndoLog) -> Optional[Tuple[int, int]]:
+    def recover_ulog(self, ulog: UndoLog, log_rows) -> Optional[Tuple[int, int]]:
         """Complete or unwind whatever one undo log was doing at the crash.
 
+        ``log_rows`` is the log image ``EdgeLogs.rebuild_counts`` streamed.
         Returns a window (lo, hi) that should be *re-issued* after the
         DRAM metadata is rebuilt, or None.
         """
@@ -763,11 +775,11 @@ class Rebalancer:
         if h.state == STATE_COPYBACK:
             self._copy_scratch(h.dst_off, self.host.ea.byte_off(h.win_lo), h.length, ulog)
             ulog.mark_done(h.win_lo, h.win_hi)
-            self._clears_by_window(h.win_lo, h.win_hi)
+            self._clears_by_window(h.win_lo, h.win_hi, log_rows)
             ulog.finish()
             return None
         if h.state == STATE_DONE:
-            self._clears_by_window(h.done_lo, h.done_hi)
+            self._clears_by_window(h.done_lo, h.done_hi, log_rows)
             ulog.finish()
             return None
         raise GraphError(f"undo log {ulog.thread_id} in unknown state {h.state}")

@@ -9,7 +9,9 @@ flag:
 
   1. roll back an interrupted PMDK transaction (the "No EL&UL"
      ablation's protection);
-  2. rebuild the edge-log append cursors from the log bytes;
+  2. stream the whole edge-log region once and rebuild the append
+     cursors from it — the only time recovery reads log bytes: steps 3
+     and 5 work on this image;
   3. complete or unwind every per-thread undo log (restore the chunk
      backup / redo the copy-on-write / finish pending log clears);
   4. scan the edge array pivots to reconstruct the vertex array
@@ -17,7 +19,9 @@ flag:
   5. replay the edge logs to restore degrees and ``el_v`` chain heads;
   6. recount section occupancy and re-issue any interrupted rebalance.
 
-Every step reads persistent state only; costs accrue to the pool's
+Every step reads persistent state only — two sequential streams, one
+over the logs and one over the edge array, so recovery time follows
+pool size (§4.4: "graph-size dependent"); costs accrue to the pool's
 modeled clock under the ``recovery`` bucket, which is what the §4.4
 recovery evaluation reports.
 """
@@ -34,7 +38,7 @@ from ..obs.tracer import trace
 from ..pmem.pool import PMemPool
 from ..pmem.tx import TransactionManager
 from .edge_array import EdgeArray
-from .edge_log import ENTRY_BYTES, EdgeLogs
+from .edge_log import EdgeLogs
 from .encoding import SLOT_DTYPE, TOMB_BIT
 from .locks import SectionLockTable
 from .pma_tree import DensityBounds
@@ -120,24 +124,21 @@ def _open_from_pool_traced(cls, pool: PMemPool, config: Optional[DGAPConfig]):
 
 
 def _normal_restart(host) -> None:
-    """Load the metadata persisted by a graceful shutdown."""
+    """Load the metadata persisted by a graceful shutdown (vertex array,
+    section occupancy, log cursors): neither array nor logs are scanned."""
     pool = host.pool
     nv = pool.read_root(ROOT_NV_HINT)
+    n_sec = host.ea.n_sections
     host.va = make_vertex_array(nv, host.config.dram_placement, pool)
-    fields = {}
-    nbytes = 0
-    for f in ("start", "degree", "array_degree", "live_degree", "el"):
-        region = pool.get_array(f"meta.{f}")
-        fields[f] = region.view[:nv].copy()
-        nbytes += nv * 8
-    host.va.bulk_load(
-        fields["start"], fields["degree"], fields["array_degree"],
-        fields["live_degree"], fields["el"],
-    )
-    pool.device.account_seq_read(nbytes, bucket="recovery")
-    host.logs.rebuild_counts(scalar=host.config.scalar_readpath)
-    host.ea.recount_all()
-    pool.device.account_seq_read(host.ea.capacity * 4, bucket="recovery")
+
+    def load(name: str, n: int) -> np.ndarray:
+        pool.device.account_seq_read(n * 8, bucket="recovery")
+        return pool.get_array(f"meta.{name}").view[:n].copy()
+
+    host.va.bulk_load(*(load(f, nv) for f in host._META_FIELDS))
+    host.ea.seg_occ = load("seg_occ", n_sec)
+    host.logs.counts = load("log_counts", n_sec)
+    host.logs.live_counts = load("log_live", n_sec)
 
 
 def crash_recover(host) -> None:
@@ -154,15 +155,16 @@ def crash_recover(host) -> None:
         with trace("tx_recover"):
             host.tx_mgr.recover()
 
-    # (2) edge-log cursors (needed by the undo logs' pending clears)
-    with trace("rebuild_log_cursors"):
-        host.logs.rebuild_counts(scalar=host.config.scalar_readpath)
+    # (2) edge-log cursors (needed by the undo logs' pending clears) —
+    # the one stream of the log region; (3) and (5) reuse its image
+    with trace("rebuild_log_cursors", log_bytes=host.logs.region.nbytes):
+        log_rows = host.logs.rebuild_counts(scalar=host.config.scalar_readpath)
 
     # (3) per-thread undo logs: restore / redo / finish clears
     reissue: List[Tuple[int, int]] = []
     with trace("recover_ulogs", threads=len(host.ulogs)):
         for ul in host.ulogs:
-            win = host.rebalancer.recover_ulog(ul)
+            win = host.rebalancer.recover_ulog(ul, log_rows)
             if win is not None:
                 reissue.append(win)
 
@@ -173,7 +175,7 @@ def crash_recover(host) -> None:
     degree = array_deg.copy()
     el = np.full(nv, -1, dtype=np.int64)
     with trace("replay_logs"):
-        _replay_logs(host, nv, degree, live, el)
+        _replay_logs(host, log_rows[1], nv, degree, live, el)
 
     host.va = make_vertex_array(max(nv, 1), host.config.dram_placement, pool)
     if nv:
@@ -374,31 +376,29 @@ def _scan_edge_array_scalar(host) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-def _replay_logs(host, nv: int, degree: np.ndarray, live: np.ndarray, el: np.ndarray) -> None:
+def _replay_logs(
+    host, image: np.ndarray, nv: int, degree: np.ndarray, live: np.ndarray, el: np.ndarray
+) -> None:
     """Fold valid edge-log entries back into the vertex metadata (§3.1.5 step 3).
 
-    Validity is decided from the log image; the valid entries are then
-    fetched with one random-read gather and folded in with unbuffered
-    scatter-adds.  ``scalar_readpath`` selects the retained per-entry
-    reference.
+    ``image`` is the whole-region ``(entries, 3)`` log image streamed by
+    ``EdgeLogs.rebuild_counts`` (row index = global entry index); the
+    only log bytes written since are the zeros of ``recover_ulog``'s
+    clears, which the live view shows.  Validity, the torn-chain cut and
+    the fold all come from it — no device read here.
+    ``scalar_readpath`` selects the retained per-entry reference.
     """
     if host.config.scalar_readpath:
-        _replay_logs_scalar(host, nv, degree, live, el)
+        _replay_logs_scalar(host, image, nv, degree, live, el)
         return
-    logs = host.logs
-    view = logs.region.view.reshape(logs.n_sections, logs.entries_per_section, 3)
-    srcs = view[:, :, 0].ravel()
-    dsts = view[:, :, 1].ravel()
-    backs = view[:, :, 2].ravel()
     # Valid = all three biased fields nonzero: an in-flight append torn
     # by the crash (8-byte atomicity) persists a strict chunk subset and
     # always leaves a zero field, so it self-invalidates here.
-    valid = (srcs != 0) & (dsts != 0) & (backs != 0)
-    n_entries = int(valid.sum())
-    if n_entries == 0:
-        return
+    valid = (image[:, 0] != 0) & (image[:, 1] != 0) & (image[:, 2] != 0)
     gidx = np.flatnonzero(valid)
-    rows = logs.gather_entries(gidx, bucket="recovery")
+    if gidx.size == 0:
+        return
+    rows = image[gidx]
     # A crash inside a commit group may persist entry j without the one
     # its back-pointer names: accept entries only through an intact chain
     # (back targets have smaller indices) and invalidate the rest.
@@ -412,7 +412,7 @@ def _replay_logs(host, nv: int, degree: np.ndarray, live: np.ndarray, el: np.nda
         broken.append(gidx[~ok])
         gidx, rows, back = gidx[ok], rows[ok], back[ok]
     if broken:
-        logs.invalidate_entries(np.concatenate(broken))
+        host.logs.invalidate_entries(np.concatenate(broken))
     s = rows[:, 0].astype(np.int64) - 1
     d = rows[:, 1]
     if s.size and (s.max() >= nv or s.min() < 0):
@@ -427,21 +427,14 @@ def _replay_logs(host, nv: int, degree: np.ndarray, live: np.ndarray, el: np.nda
 
 
 def _replay_logs_scalar(
-    host, nv: int, degree: np.ndarray, live: np.ndarray, el: np.ndarray
+    host, image: np.ndarray, nv: int, degree: np.ndarray, live: np.ndarray, el: np.ndarray
 ) -> None:
     """Per-entry reference implementation of :func:`_replay_logs`."""
-    logs = host.logs
-    view = logs.region.view
-    total = logs.n_sections * logs.entries_per_section
-    n_entries = 0
-    accepted = np.zeros(total, dtype=bool)
+    accepted = np.zeros(image.shape[0], dtype=bool)
     broken: List[int] = []
-    for g in range(total):
-        p = g * 3
-        f0, f1, f2 = int(view[p]), int(view[p + 1]), int(view[p + 2])
+    for g, (f0, f1, f2) in enumerate(image.tolist()):
         if not (f0 and f1 and f2):
             continue
-        n_entries += 1
         if f2 > 1 and not accepted[f2 - 2]:
             broken.append(g)  # back target never persisted: torn commit group
             continue
@@ -456,9 +449,7 @@ def _replay_logs_scalar(
             live[s] += 1
         if g > el[s]:
             el[s] = g
-    if n_entries:
-        host.pool.device.account_rnd_read(n_entries, ENTRY_BYTES, bucket="recovery")
-    logs.invalidate_entries(broken)
+    host.logs.invalidate_entries(broken)
 
 
 def _reissue_window(host, lo_slot: int, hi_slot: int) -> None:

@@ -92,26 +92,6 @@ class Region:
         raw = self.device.load_batch(self.byte_offset(start), n * self.itemsize, bucket=bucket)
         return raw.view(self.dtype)
 
-    def gather(self, idxs, per_unit: int = 1, bucket: Optional[str] = None) -> np.ndarray:
-        """Accounted gather of ``per_unit`` consecutive elements per index.
-
-        Routed through :meth:`~repro.pmem.device.PMemDevice.gather_span`:
-        each unit is charged as one independent random read of
-        ``per_unit * itemsize`` bytes.  Returns an ``(n, per_unit)``
-        array in this region's dtype.
-        """
-        idxs = np.asarray(idxs, dtype=np.int64)
-        n = int(idxs.size)
-        if n == 0:
-            return np.empty((0, per_unit), dtype=self.dtype)
-        if int(idxs.min()) < 0 or int(idxs.max()) + per_unit > self.count:
-            raise PMemError(
-                f"region {self.name!r} gather outside [0, {self.count})"
-            )
-        offs = self.offset + idxs * self.itemsize
-        raw = self.device.gather_span(offs, per_unit * self.itemsize, bucket=bucket)
-        return raw.view(self.dtype).reshape(n, per_unit)
-
     # -- writes ---------------------------------------------------------------
     def write(self, idx: int, value, payload: Optional[int] = None, persist: bool = False) -> None:
         """Store one element; optionally clwb+sfence it immediately."""

@@ -902,11 +902,17 @@ class PMemDevice:
             self._crash_adr(ordinal)
         self._dirty.clear()
         self._pending.clear()
+        self.end_session()
+        if TRACE_HOOK is not None:
+            TRACE_HOOK("crash", 1, 0)
+
+    def end_session(self) -> None:
+        """Forget flush recency (the in-place / sequential classification
+        state): write-combining buffers outlive neither a power failure
+        nor the process exit after a graceful shutdown."""
         self._recent_flushes.clear()
         self._last_flush_line = -(10**9)
         self._last_media_xpline = -(10**9)
-        if TRACE_HOOK is not None:
-            TRACE_HOOK("crash", 1, 0)
 
     def _crash_adr(self, ordinal: int) -> None:
         """ADR power failure, honoring the device's fault policy."""

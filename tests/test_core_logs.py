@@ -38,15 +38,15 @@ class TestEdgeLogs:
         g = -1
         for d in (1, 2, 3):
             g = logs.append(0, 7, int(encode_edge(d)), g)
-        chain = logs.walk_chain(g)
-        assert [c[2] for c in chain] == [int(encode_edge(3)), int(encode_edge(2)), int(encode_edge(1))]
+        _, _, dst_encs = logs.walk_chain_arrays(g)
+        assert dst_encs.tolist() == [int(encode_edge(3)), int(encode_edge(2)), int(encode_edge(1))]
 
     def test_walk_chain_limit(self, pool):
         logs = EdgeLogs(pool, 2, 16)
         g = -1
         for d in range(5):
             g = logs.append(0, 7, int(encode_edge(d)), g)
-        assert len(logs.walk_chain(g, limit=2)) == 2
+        assert logs.walk_chain_arrays(g, limit=2)[0].size == 2
 
     def test_fill_fraction_and_overflow(self, pool):
         logs = EdgeLogs(pool, 2, 4)
@@ -61,7 +61,7 @@ class TestEdgeLogs:
         logs.append(0, 1, int(encode_edge(5)), -1)
         logs.clear_section(0)
         assert logs.counts[0] == 0 and logs.live_counts[0] == 0
-        assert logs.section_entries(0).size == 0
+        assert logs.stream(0, 1)[0].size == 0
 
     def test_invalidate_keeps_siblings(self, pool):
         logs = EdgeLogs(pool, 2, 8)
@@ -72,7 +72,7 @@ class TestEdgeLogs:
         # sibling entry still readable
         assert logs.read_entry(gb)[0] == 2
         with pytest.raises(PMemError):
-            logs.walk_chain(ga)
+            logs.walk_chain_arrays(ga)
 
     def test_rebuild_counts_after_crash(self, pool):
         logs = EdgeLogs(pool, 4, 8)
@@ -268,8 +268,18 @@ class TestCompactionTombstoneAccounting:
         g2.check_invariants()
 
 
+def _walk_by_read_entry(logs, head):
+    """Newest-first ``(gidx, src, dst_enc)`` by following ``read_entry`` backs."""
+    out = []
+    while head >= 0:
+        src, dst_enc, back = logs.read_entry(head)
+        out.append((head, src, dst_enc))
+        head = back
+    return out
+
+
 class TestChainArrayPaths:
-    """Ndarray chain walks: walk_chain_arrays and resolve_chains."""
+    """The two log readers: single-chain walks and the sequential stream."""
 
     def test_walk_chain_arrays_matches_walk_chain(self, pool):
         logs = EdgeLogs(pool, 2, 16)
@@ -277,7 +287,7 @@ class TestChainArrayPaths:
         for d in (4, 5, 6, 7):
             g = logs.append(1, 9, int(encode_edge(d)), g)
         gidxs, srcs, dst_encs = logs.walk_chain_arrays(g)
-        expect = logs.walk_chain(g)
+        expect = _walk_by_read_entry(logs, g)
         assert list(zip(gidxs.tolist(), srcs.tolist(), dst_encs.tolist())) == expect
         assert srcs.tolist() == [9, 9, 9, 9]
 
@@ -291,42 +301,47 @@ class TestChainArrayPaths:
         assert dst_encs[0] == int(encode_edge(49))  # newest first
         assert logs.walk_chain_arrays(g, limit=3)[0].size == 3
 
-    def test_resolve_chains_matches_per_head_walks(self, pool):
+    def test_stream_groupby_matches_per_head_walks(self, pool):
+        """Append order within a section, grouped by source, *is* each chain."""
         logs = EdgeLogs(pool, 4, 16)
-        heads = []
-        for v, n in ((0, 3), (1, 0), (2, 5), (3, 1)):
-            g = -1
-            for d in range(n):
-                g = logs.append(v % 4, v, int(encode_edge(d)), g)
-            heads.append(g)
-        counts, gidxs, dst_encs = logs.resolve_chains(
-            np.asarray(heads), expect_src=np.arange(4)
-        )
-        assert counts.tolist() == [3, 0, 5, 1]
-        off = 0
-        for h, c in zip(heads, counts.tolist()):
-            walked = logs.walk_chain(h) if h >= 0 else []
-            assert gidxs[off : off + c].tolist() == [w[0] for w in walked]
-            assert dst_encs[off : off + c].tolist() == [w[2] for w in walked]
-            off += c
+        heads = {}
+        for d in range(5):  # interleave the appends of three co-located vertices
+            for v in (0, 4, 8)[: 1 + d % 3]:
+                heads[v] = logs.append(0, v, int(encode_edge(d)), heads.get(v, -1))
+        heads[3] = logs.append(3, 3, int(encode_edge(7)), -1)
+        gidx, rows = logs.stream(0, 4)
+        assert (np.diff(gidx) > 0).all()
+        src = rows[:, 0].astype(np.int64) - 1
+        order = np.argsort(src, kind="stable")
+        for v, head in heads.items():
+            walked = _walk_by_read_entry(logs, head)[::-1]  # oldest first
+            sel = order[src[order] == v]
+            assert gidx[sel].tolist() == [w[0] for w in walked]
+            assert rows[sel, 1].tolist() == [w[2] for w in walked]
 
-    def test_resolve_chains_no_heads(self, pool):
-        logs = EdgeLogs(pool, 2, 8)
-        counts, gidxs, dst_encs = logs.resolve_chains(np.asarray([-1, -1]))
-        assert counts.tolist() == [0, 0] and gidxs.size == 0 and dst_encs.size == 0
+    def test_stream_empty_and_out_of_window_sections(self, pool):
+        logs = EdgeLogs(pool, 4, 8)
+        before = pool.device.stats.snapshot()
+        gidx, rows = logs.stream(0, 4)
+        assert gidx.size == 0 and rows.shape == (0, 3)
+        assert pool.device.stats.delta_since(before).seq_read_bytes == 0
+        logs.append(2, 5, int(encode_edge(1)), -1)
+        assert logs.stream(0, 2)[0].size == 0  # section 2 is outside [0, 2)
+        assert logs.stream(2, 3)[0].tolist() == [logs.gidx(2, 0)]
 
-    def test_resolve_chains_corrupt_root_raises(self, pool):
-        from repro.errors import GraphError
-
-        logs = EdgeLogs(pool, 2, 8)
-        head = logs.append(0, 6, int(encode_edge(1)), -1)  # oldest names src 6
-        with pytest.raises(GraphError, match="vertex 5"):
-            logs.resolve_chains(np.asarray([head]), expect_src=np.asarray([5]))
-
-    def test_gather_entries_matches_read_entry(self, pool):
+    def test_stream_rows_match_read_entry_and_charge_prefix_bytes(self, pool):
         logs = EdgeLogs(pool, 4, 16)
-        gs = [logs.append(i % 4, i, int(encode_edge(i + 1)), -1) for i in range(6)]
-        rows = logs.gather_entries(np.asarray(gs))
-        for row, g in zip(rows, gs):
+        # sections 0, 1 adjacent (one coalesced load), 3 alone; 2 empty
+        gs = [logs.append(s, i, int(encode_edge(i + 1)), -1)
+              for i, s in enumerate((0, 0, 1, 3, 3, 3))]
+        logs.invalidate_entries([gs[1]])  # invalidated entries are still streamed
+        before = pool.device.stats.snapshot()
+        gidx, rows = logs.stream(0, 4)
+        d = pool.device.stats.delta_since(before)
+        assert gidx.tolist() == sorted(gs)
+        for row, g in zip(rows, gidx.tolist()):
             src, dst_enc, back = logs.read_entry(g)
             assert (int(row[0]) - 1, int(row[1]), int(row[2]) - 2) == (src, dst_enc, back)
+        # run {0, 1}: all of section 0's log + section 1's prefix; run {3}: its prefix
+        assert d.seq_read_bytes == (16 + 1) * ENTRY_BYTES + 3 * ENTRY_BYTES
+        assert d.rnd_reads == 0

@@ -173,7 +173,7 @@ class TestBoundarySectionClears:
         outside_v = outside_candidates[0]
         ga = logs.append(0, inside_v, int(encode_edge(5)), -1)
         gb = logs.append(0, outside_v, int(encode_edge(6)), -1)
-        g.rebalancer._clears_by_window(0, 64)  # covers section 0 partially? no:
+        g.rebalancer._clears_by_window(0, 64, logs.stream(0, 1))  # covers section 0 partially? no:
         # window [0, 64) == exactly section 0 -> full clear; use [0, 32)
         # to exercise the boundary path instead
         logs2 = g.logs
@@ -181,9 +181,9 @@ class TestBoundarySectionClears:
             # full-section path cleared everything; re-plant and do partial
             ga = logs2.append(0, inside_v, int(encode_edge(5)), -1)
             gb = logs2.append(0, outside_v, int(encode_edge(6)), -1)
-        g.rebalancer._clears_by_window(0, 32)
+        g.rebalancer._clears_by_window(0, 32, logs2.stream(0, 1))
         # the outside vertex's entry must survive, the inside one must not
-        entries = logs2.section_entries(0)
+        _, entries = logs2.stream(0, 1)
         live_srcs = {int(e[0]) - 1 for e in entries if e[1] != 0}
         assert outside_v in live_srcs
         assert inside_v not in live_srcs

@@ -1,8 +1,8 @@
 """Scalar-reference vs vectorized read-path equivalence.
 
-The bulk pmem read layer (``load_batch``/``gather_span``) rewrote the
-rebalance gather/plan passes and the recovery scan/replay/cursor-rebuild
-as whole-window NumPy operations; ``DGAPConfig.scalar_readpath`` keeps
+The bulk pmem read layer (``load_batch``) rewrote the rebalance
+gather/plan passes and the recovery scan/replay/cursor-rebuild as
+whole-window NumPy operations over sequential streams; ``DGAPConfig.scalar_readpath`` keeps
 the original per-slot/per-entry loops as a reference.  The contract is
 exact equivalence: same results, same persistent bytes, and the same
 device accounting (counters *and* modeled time, bit for bit).  These
@@ -216,18 +216,25 @@ class TestRecoveryEquivalenceWithFaults:
 
 
 class TestChainErrors:
-    """Both walk forms reject invalidated chain hops identically."""
+    """Both chain readers reject invalidated chain hops identically."""
 
     def test_walk_and_resolve_agree_on_invalidated(self):
-        pool = PMemPool(1 << 20)
-        logs = EdgeLogs(pool, 2, 16)
-        g0 = logs.append(0, 3, int(encode_edge(1)), -1)
-        g1 = logs.append(0, 3, int(encode_edge(2)), g0)
-        logs.invalidate_entries([g0])
+        for scalar in (False, True):
+            self._invalidated_hop_raises(scalar)
+
+    def _invalidated_hop_raises(self, scalar):
+        g = _build(scalar, [])
+        d = 0
+        while g.va.degree[3] - g.va.array_degree[3] < 2:  # grow a 2-entry chain
+            g.insert_edge(3, d % 16)
+            d += 1
+        head = int(g.va.el[3])
+        oldest = int(g.logs.walk_chain_arrays(head)[0][-1])
+        g.logs.invalidate_entries([oldest])
         with pytest.raises(PMemError, match="invalidated entry"):
-            logs.walk_chain(g1)
+            g.logs.walk_chain_arrays(head)
         with pytest.raises(PMemError, match="invalidated entry"):
-            logs.resolve_chains(np.asarray([g1]))
+            g.rebalancer._gather(0, g.ea.capacity, 0, g.va.num_vertices)
 
 
 class TestScratchBuffer:

@@ -47,7 +47,7 @@ class TestUlogRecoveryBranches:
 
     def test_idle_is_noop(self):
         g = self.make()
-        assert g.rebalancer.recover_ulog(g.ulogs[0]) is None
+        assert g.rebalancer.recover_ulog(g.ulogs[0], g.logs.rebuild_counts()) is None
 
     def test_active_with_backup_restores_and_reports_window(self):
         g = self.make()
@@ -56,7 +56,7 @@ class TestUlogRecoveryBranches:
         ul.snapshot_window(0, 64, g.ea.byte_off(0), 256)
         g.pool.device.store(g.ea.byte_off(0), np.full(256, 7, np.uint8))
         g.pool.device.persist(g.ea.byte_off(0), 256)
-        win = g.rebalancer.recover_ulog(ul)
+        win = g.rebalancer.recover_ulog(ul, g.logs.rebuild_counts())
         assert win == (0, 64)
         np.testing.assert_array_equal(g.ea.slots[:64], original)
         assert ul.read_header().state == STATE_IDLE
@@ -72,7 +72,7 @@ class TestUlogRecoveryBranches:
         ul = g.ulogs[0]
         ul.begin(0, 64, 1)
         ul.mark_done(0, 64)
-        g.rebalancer.recover_ulog(ul)
+        g.rebalancer.recover_ulog(ul, g.logs.rebuild_counts())
         assert ul.read_header().state == STATE_IDLE
 
     def test_copyback_redoes_copy(self):
@@ -84,7 +84,7 @@ class TestUlogRecoveryBranches:
         g.pool.device.sfence()
         ul.begin_copyback(0, 64, scratch.offset, 256)
         # crash before any copy happened; recovery must redo it fully
-        g.rebalancer.recover_ulog(ul)
+        g.rebalancer.recover_ulog(ul, g.logs.rebuild_counts())
         np.testing.assert_array_equal(g.ea.slots[:64], image)
         assert ul.read_header().state == STATE_IDLE
 

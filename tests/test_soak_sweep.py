@@ -69,7 +69,9 @@ class TestRuntimeSoak:
     def test_lossy_soak_enumerates_losses(self):
         """At a hot poison rate some repair goes lossy; the oracle still
         passes because every lost edge is enumerated."""
-        pol = FaultPolicy(read_poison_rate=2e-2, seed=4)
+        # seed picked so that lossy repairs do occur (fault sites follow
+        # the read sequence, which the streamed log reads changed)
+        pol = FaultPolicy(read_poison_rate=2e-2, seed=3)
         rep = soak_sweep(
             make_graph, hot_ops(600),
             SoakConfig(faults=pol, rounds=3, scrub_every=10,
