@@ -15,12 +15,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .. import DGAP, DGAPConfig
-from ..datasets import DATASETS, SMALL_DATASETS, get_dataset
+from .. import DGAP
+from ..datasets import DATASETS, SMALL_DATASETS
 from .harness import (
     DEFAULT_BATCH_SIZE,
     PAPER_BATCH_SIZE,
     get_built_system,
+    load_stream,
+    make_store,
     paper_batch_size,
     get_static_csr,
     pick_source,
@@ -164,11 +166,9 @@ def cmd_ablation(args) -> None:
         variants += ((f"dgap (group commit, batch {bs or 'all'})", {}, bs),)
     rows = []
     for ds in SMALL_DATASETS:
-        spec = get_dataset(ds)
-        edges = spec.generate(args.scale)
-        nv, _ = spec.sizes(args.scale)
+        nv, edges = load_stream(ds, args.scale)
         for name, kw, arm_bs in variants:
-            g = DGAP(DGAPConfig(init_vertices=nv, init_edges=edges.shape[0], **kw))
+            g = make_store(nv, edges.shape[0], **kw)
             before = g.pool.stats.snapshot()
             g.insert_edges(edges, batch_size=arm_bs)
             d = g.pool.stats.delta_since(before)
@@ -182,10 +182,8 @@ def cmd_ablation(args) -> None:
 
 
 def cmd_recovery(args) -> None:
-    spec = get_dataset(args.dataset)
-    edges = spec.generate(args.scale)
-    nv, _ = spec.sizes(args.scale)
-    g = DGAP(DGAPConfig(init_vertices=nv, init_edges=edges.shape[0]))
+    nv, edges = load_stream(args.dataset, args.scale)
+    g = make_store(nv, edges.shape[0])
     g.insert_edges(edges, batch_size=_batch_size(args))
     g.shutdown()
     before = g.pool.stats.snapshot()
@@ -244,9 +242,7 @@ def cmd_shard(args) -> None:
     from ..analysis.viewcache import DGAPViewCache
     from ..sharding import ShardedDGAP
 
-    spec = get_dataset(args.dataset)
-    edges = spec.generate(args.scale)
-    nv, _ = spec.sizes(args.scale)
+    nv, edges = load_stream(args.dataset, args.scale)
     bs = _batch_size(args)
     n = args.shards
 
@@ -258,9 +254,9 @@ def cmd_shard(args) -> None:
     def meps(ns):
         return edges.shape[0] / ns * 1e3 if ns else 0.0
 
-    single = DGAP(DGAPConfig(init_vertices=nv, init_edges=edges.shape[0]))
+    single = make_store(nv, edges.shape[0])
     ns1 = build(single)
-    sharded = ShardedDGAP(n, DGAPConfig(init_vertices=nv, init_edges=edges.shape[0]))
+    sharded = ShardedDGAP(n, single.config)  # even for n == 1: the routed path
     nsn = build(sharded)
 
     with single.consistent_view() as snap:
@@ -294,9 +290,7 @@ def cmd_serve(args) -> None:
     from ..serve import ServeWorkloadConfig, generate_workload, run_serve_workload
     from .reporting import serve_latency_table
 
-    spec = get_dataset(args.dataset)
-    edges = spec.generate(args.scale)
-    nv, _ = spec.sizes(args.scale)
+    nv, edges = load_stream(args.dataset, args.scale)
     cfg = ServeWorkloadConfig(
         n_ops=args.ops,
         read_fraction=args.read_fraction,
@@ -305,16 +299,8 @@ def cmd_serve(args) -> None:
         mode=args.mode,
         seed=args.seed,
     )
-    if args.shards > 1:
-        from ..sharding import ShardedDGAP
-
-        graph = ShardedDGAP(
-            args.shards, DGAPConfig(init_vertices=nv, init_edges=edges.shape[0])
-        )
-        flavor = f"{args.shards} shards"
-    else:
-        graph = DGAP(DGAPConfig(init_vertices=nv, init_edges=edges.shape[0]))
-        flavor = "unsharded"
+    graph = make_store(nv, edges.shape[0], args.shards)
+    flavor = f"{args.shards} shards" if args.shards > 1 else "unsharded"
     graph.insert_edges(edges, batch_size=_batch_size(args))
     ops = generate_workload(nv, cfg)
     report = run_serve_workload(graph, ops, cfg, twin_check=args.twin)
@@ -362,20 +348,12 @@ def cmd_crash_sweep(args) -> None:
         transient_read_rate=args.transient_rate,
         seed=args.seed,
     )
-    spec = get_dataset(args.dataset)
-    edges = spec.generate(args.scale)[: args.edges]
+    edges = load_stream(args.dataset, args.scale)[1][: args.edges]
     nv = int(edges.max()) + 1 if edges.size else 1
     nv = max(nv, args.shards)
-    cfg = DGAPConfig(init_vertices=nv, init_edges=max(len(edges), 64))
 
-    if args.shards > 1:
-        from ..sharding import ShardedDGAP
-
-        def make_graph(injector, faults):
-            return ShardedDGAP(args.shards, cfg, injector=injector, faults=faults)
-    else:
-        def make_graph(injector, faults):
-            return DGAP(cfg, injector=injector, faults=faults)
+    def make_graph(injector, faults):
+        return make_store(nv, max(len(edges), 64), args.shards, injector, faults)
 
     if args.expire_window >= 0:
         workload = make_windowed_workload(
@@ -419,16 +397,14 @@ def cmd_soak(args) -> None:
         transient_read_rate=args.transient_rate,
         seed=args.seed,
     )
-    spec = get_dataset(args.dataset)
-    edges = spec.generate(args.scale)[: args.edges]
+    edges = load_stream(args.dataset, args.scale)[1][: args.edges]
     nv = int(edges.max()) + 1 if edges.size else 1
+
     # A tight initial capacity keeps the PMA under pressure so the run
     # exercises log appends, merges, and rebalance windows — the demand
     # bulk-read paths where transient faults surface.
-    cfg = DGAPConfig(init_vertices=nv, init_edges=max(len(edges) // 2, 256))
-
     def make_graph(injector, faults):
-        return DGAP(cfg, injector=injector, faults=faults)
+        return make_store(nv, max(len(edges) // 2, 256), 1, injector, faults)
 
     report = soak_sweep(
         make_graph,

@@ -32,8 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..algorithms import KERNELS
-from ..datasets import get_dataset
-from .harness import SOURCE_KERNELS, build_system
+from .harness import SOURCE_KERNELS, build_system, load_stream
 
 #: the full Table 1 sweep, run after every ingest round.
 DEFAULT_KERNELS: Tuple[str, ...] = ("pr", "cc", "bfs", "bc")
@@ -65,13 +64,6 @@ class LoopResult:
     analysis_wall_s: float = 0.0
     counters: Dict[str, int] = field(default_factory=dict)
 
-    def round_wall(self) -> List[float]:
-        """Analysis wall seconds summed per round."""
-        out = [0.0] * self.rounds
-        for r in self.records:
-            out[r.round] += r.wall_s
-        return out
-
 
 @dataclass
 class LoopPair:
@@ -84,6 +76,56 @@ class LoopPair:
     def speedup(self) -> float:
         """Uncached / cached analysis wall time (the ≥3x criterion)."""
         return self.uncached.analysis_wall_s / max(self.cached.analysis_wall_s, 1e-12)
+
+
+def kernel_sweep(system, kernels: Sequence[str], source_list, round_index: int, result):
+    """One full sweep on ``system``'s current graph, recorded into ``result``.
+
+    PR and CC run once; the source kernels (BFS, BC) follow GAPBS's
+    trial protocol and run once per entry of ``source_list``.  Every
+    trial acquires its own ``analysis_view()`` — the seed's per-run
+    protocol — and appends a :class:`KernelRecord` (output digest,
+    modeled seconds, wall incl. view acquisition).  Returns the last
+    view used (None when ``kernels`` is empty).
+    """
+    view = None
+    for kernel in kernels:
+        fn = KERNELS[kernel]
+        trials = source_list if kernel in SOURCE_KERNELS else [-1]
+        for src in trials:
+            t0 = perf_counter()
+            view = system.analysis_view()
+            view.reset_clock()
+            out = fn(view, int(src)) if src >= 0 else fn(view)
+            wall = perf_counter() - t0
+            result.analysis_wall_s += wall
+            result.records.append(KernelRecord(
+                round=round_index,
+                kernel=kernel,
+                source=int(src),
+                digest=hashlib.sha256(
+                    np.ascontiguousarray(out).tobytes()
+                ).hexdigest(),
+                modeled_s=view.seconds(1),
+                wall_s=wall,
+            ))
+    return view
+
+
+def assert_arms_identical(cached, other, unit: str, other_name: str) -> None:
+    """Every kernel trial of two arms agrees on output and modeled time."""
+    for rc, ru in zip(cached.records, other.records):
+        where = f"{unit} {rc.round} kernel {rc.kernel} source {rc.source}"
+        if rc.digest != ru.digest:
+            raise AssertionError(
+                f"cached kernel output diverged from {other_name} at {where}: "
+                f"{rc.digest[:12]} != {ru.digest[:12]}"
+            )
+        if rc.modeled_s != ru.modeled_s:
+            raise AssertionError(
+                f"cached modeled time diverged at {where}: "
+                f"{rc.modeled_s!r} != {ru.modeled_s!r}"
+            )
 
 
 def run_analysis_loop(
@@ -108,9 +150,7 @@ def run_analysis_loop(
     round hit the whole-view cache and share derived arrays, and the
     per-round rebuild pays only for dirty sections.
     """
-    spec = get_dataset(dataset)
-    edges = spec.generate(scale)
-    nv, _ = spec.sizes(scale)
+    nv, edges = load_stream(dataset, scale)
     system = build_system(system_name, nv, edges.shape[0])
     system.view_caching = view_caching
     deg = np.bincount(edges[:, 0], minlength=nv)
@@ -122,26 +162,7 @@ def run_analysis_loop(
         system.insert_edges(part, batch_size=batch_size)
         system.finalize()
         result.ingest_wall_s += perf_counter() - t0
-        for kernel in kernels:
-            fn = KERNELS[kernel]
-            trials = source_list if kernel in SOURCE_KERNELS else [-1]
-            for src in trials:
-                t0 = perf_counter()
-                view = system.analysis_view()
-                view.reset_clock()
-                out = fn(view, int(src)) if src >= 0 else fn(view)
-                wall = perf_counter() - t0
-                result.analysis_wall_s += wall
-                result.records.append(KernelRecord(
-                    round=rnd,
-                    kernel=kernel,
-                    source=int(src),
-                    digest=hashlib.sha256(
-                        np.ascontiguousarray(out).tobytes()
-                    ).hexdigest(),
-                    modeled_s=view.seconds(1),
-                    wall_s=wall,
-                ))
+        kernel_sweep(system, kernels, source_list, rnd, result)
     if hasattr(system, "view_counters"):
         result.counters = dict(system.view_counters())
     else:  # non-DGAP systems: whole-view reuse stats only
@@ -170,18 +191,7 @@ def run_analysis_loop_pair(
         dataset, scale, rounds, kernels, sources, batch_size,
         view_caching=False, system_name=system_name,
     )
-    for rc, ru in zip(cached.records, uncached.records):
-        where = f"round {rc.round} kernel {rc.kernel} source {rc.source}"
-        if rc.digest != ru.digest:
-            raise AssertionError(
-                f"cached kernel output diverged from from-scratch at {where}: "
-                f"{rc.digest[:12]} != {ru.digest[:12]}"
-            )
-        if rc.modeled_s != ru.modeled_s:
-            raise AssertionError(
-                f"cached modeled time diverged at {where}: "
-                f"{rc.modeled_s!r} != {ru.modeled_s!r}"
-            )
+    assert_arms_identical(cached, uncached, "round", "from-scratch")
     return LoopPair(cached=cached, uncached=uncached)
 
 
@@ -207,9 +217,7 @@ def verify_view_counters(
     """
     from ..analysis.view import build_in_csr
 
-    spec = get_dataset(dataset)
-    edges = spec.generate(scale)
-    nv, _ = spec.sizes(scale)
+    nv, edges = load_stream(dataset, scale)
     system = build_system("dgap", nv, edges.shape[0])
     system.insert_edges(edges)
     system.finalize()
@@ -290,6 +298,8 @@ __all__ = [
     "KernelRecord",
     "LoopResult",
     "LoopPair",
+    "kernel_sweep",
+    "assert_arms_identical",
     "run_analysis_loop",
     "run_analysis_loop_pair",
     "verify_view_counters",

@@ -26,6 +26,7 @@ from ..analysis.view import BaseGraphView
 from ..baselines import SYSTEMS, DynamicGraphSystem, InsertProfile, StaticCSR
 from ..config import DGAPConfig
 from ..core.batch import DEFAULT_BATCH_SIZE
+from ..core.dgap import DGAP
 from ..datasets import DatasetSpec, env_scale, get_dataset
 
 #: kernel -> does it take a source vertex (Table 1)
@@ -67,6 +68,23 @@ class AnalysisResult:
     kernel: str
     seconds_by_threads: Dict[int, float]
     wall_s: float
+
+
+def load_stream(dataset: str, scale: float) -> Tuple[int, np.ndarray]:
+    """``(num_vertices, shuffled (N, 2) edge stream)`` of a proxy dataset."""
+    spec = get_dataset(dataset)
+    return spec.sizes(scale)[0], spec.generate(scale)
+
+
+def make_store(num_vertices: int, num_edges: int, shards: int = 1,
+               injector=None, faults=None, **cfg):
+    """A DGAP sized for the stream — a ShardedDGAP when ``shards > 1``."""
+    config = DGAPConfig(init_vertices=num_vertices, init_edges=num_edges, **cfg)
+    if shards > 1:
+        from ..sharding import ShardedDGAP
+
+        return ShardedDGAP(shards, config, injector=injector, faults=faults)
+    return DGAP(config, injector=injector, faults=faults)
 
 
 def build_system(
@@ -164,11 +182,11 @@ def get_built_system(
     scale = env_scale() if scale is None else scale
     key = (name, dataset, scale, batch_size, tuple(sorted(kwargs.items())))
     if key not in _CACHE:
-        spec = get_dataset(dataset)
-        edges = spec.generate(scale)
-        nv, _ = spec.sizes(scale)
+        nv, edges = load_stream(dataset, scale)
         system = build_system(name, nv, edges.shape[0], **kwargs)
-        _CACHE[key] = (system, ingest(system, spec, edges, batch_size=batch_size))
+        _CACHE[key] = (
+            system, ingest(system, get_dataset(dataset), edges, batch_size=batch_size)
+        )
     return _CACHE[key]
 
 
@@ -176,11 +194,7 @@ def get_static_csr(dataset: str, scale: Optional[float] = None) -> StaticCSR:
     scale = env_scale() if scale is None else scale
     key = ("csr", dataset, scale, ())
     if key not in _CACHE:
-        spec = get_dataset(dataset)
-        edges = spec.generate(scale)
-        nv, _ = spec.sizes(scale)
-        csr = StaticCSR(nv, edges)
-        _CACHE[key] = (csr, None)
+        _CACHE[key] = (StaticCSR(*load_stream(dataset, scale)), None)
     return _CACHE[key][0]
 
 
@@ -202,6 +216,8 @@ __all__ = [
     "InsertResult",
     "AnalysisResult",
     "build_system",
+    "load_stream",
+    "make_store",
     "ingest",
     "run_kernel",
     "get_built_system",

@@ -6,7 +6,7 @@ the tracer for the CLI to render (``profile_table``) and optionally
 export (``--trace-out`` Chrome trace-event JSON).
 
 ``check_attribution`` is the acceptance gate used by ``--check`` and the
-CI ``profile-smoke`` job: per-phase self modeled-ns must sum to the
+CI tracing smoke row: per-phase self modeled-ns must sum to the
 run's total (float rounding only), and the integer counters must sum
 exactly — no double-counting, no leaks.  ``check_recovery_reads`` adds,
 for traces of a crash recovery: the log region is streamed once and
@@ -16,13 +16,14 @@ for traces of a crash recovery: the log region is streamed once and
 from __future__ import annotations
 
 import json
-from typing import List, Optional, Tuple
+from contextlib import nullcontext
+from time import perf_counter
+from typing import List, Optional
 
-from .. import DGAP, DGAPConfig
+from .. import DGAP
 from ..baselines import SYSTEMS
-from ..datasets import get_dataset
 from ..obs import INT_COUNTER_FIELDS, Tracer, aggregate_phases, tracing
-from .harness import pick_source, run_kernel
+from .harness import load_stream, make_store, pick_source, run_kernel
 
 PROFILE_EXPERIMENTS = ("insert", "recovery", "analysis", "rebalance")
 
@@ -42,10 +43,8 @@ def profile_insert(
     device_ops: bool = False,
 ) -> Tracer:
     """Trace a full ingest of the dataset stream into a fresh DGAP."""
-    spec = get_dataset(dataset)
-    edges = spec.generate(scale)
-    nv, _ = spec.sizes(scale)
-    g = DGAP(DGAPConfig(init_vertices=nv, init_edges=edges.shape[0]))
+    nv, edges = load_stream(dataset, scale)
+    g = make_store(nv, edges.shape[0])
     tracer = Tracer(g.pool.stats, device_ops=device_ops)
     with tracing(tracer):
         g.insert_edges(edges, batch_size=batch_size)
@@ -60,16 +59,47 @@ def profile_recovery(
     device_ops: bool = False,
 ) -> Tracer:
     """Ingest untraced, crash the pool, then trace the recovery path."""
-    spec = get_dataset(dataset)
-    edges = spec.generate(scale)
-    nv, _ = spec.sizes(scale)
-    g = DGAP(DGAPConfig(init_vertices=nv, init_edges=edges.shape[0]))
+    nv, edges = load_stream(dataset, scale)
+    g = make_store(nv, edges.shape[0])
     g.insert_edges(edges, batch_size=batch_size)
     g.pool.crash()
     tracer = Tracer(g.pool.stats, device_ops=device_ops)
     with tracing(tracer):
         DGAP.open(g.pool, g.config)
     return tracer
+
+
+def _rebalance_arm(
+    dataset: str,
+    scale: float,
+    batch_size: Optional[int],
+    scalar_readpath: bool = False,
+    rounds: int = REBALANCE_ARM_ROUNDS,
+    make_tracer=None,
+):
+    """The merge/rebalance-heavy loop; ``(graph, rebalance_wall_s, tracer)``.
+
+    The stream is split into ``rounds`` slices; after each slice a full
+    whole-array rebalance is forced.  Only the rebalance calls are
+    timed — that is the path the bulk pmem read layer vectorizes (the
+    ingest slices between them exercise the ordinary merge triggers).
+    ``make_tracer(graph)`` supplies a tracer to run the rounds under.
+    """
+    nv, edges = load_stream(dataset, scale)
+    g = make_store(
+        nv, edges.shape[0],
+        segment_slots=REBALANCE_ARM_SEGMENT_SLOTS, scalar_readpath=scalar_readpath,
+    )
+    tracer = make_tracer(g) if make_tracer else None
+    per = max(1, edges.shape[0] // rounds)
+    wall = 0.0
+    with tracing(tracer) if tracer else nullcontext():
+        for r in range(rounds):
+            g.insert_edges(edges[r * per : (r + 1) * per], batch_size=batch_size)
+            t0 = perf_counter()
+            g.rebalancer.rebalance_window(0, g.ea.n_sections, g.ea.tree.height)
+            wall += perf_counter() - t0
+    return g, wall, tracer
 
 
 def build_rebalance_arm(
@@ -80,34 +110,8 @@ def build_rebalance_arm(
     scalar_readpath: bool = False,
     rounds: int = REBALANCE_ARM_ROUNDS,
 ):
-    """Run the merge/rebalance-heavy arm; return ``(graph, rebalance_wall_s)``.
-
-    The stream is split into ``rounds`` slices; after each slice a full
-    whole-array rebalance is forced.  Only the rebalance calls are
-    timed — that is the path the bulk pmem read layer vectorizes (the
-    ingest slices between them exercise the ordinary merge triggers).
-    """
-    from time import perf_counter
-
-    spec = get_dataset(dataset)
-    edges = spec.generate(scale)
-    nv, _ = spec.sizes(scale)
-    g = DGAP(
-        DGAPConfig(
-            init_vertices=nv,
-            init_edges=edges.shape[0],
-            segment_slots=REBALANCE_ARM_SEGMENT_SLOTS,
-            scalar_readpath=scalar_readpath,
-        )
-    )
-    per = max(1, edges.shape[0] // rounds)
-    wall = 0.0
-    for r in range(rounds):
-        g.insert_edges(edges[r * per : (r + 1) * per], batch_size=batch_size)
-        t0 = perf_counter()
-        g.rebalancer.rebalance_window(0, g.ea.n_sections, g.ea.tree.height)
-        wall += perf_counter() - t0
-    return g, wall
+    """Run the merge/rebalance-heavy arm; return ``(graph, rebalance_wall_s)``."""
+    return _rebalance_arm(dataset, scale, batch_size, scalar_readpath, rounds)[:2]
 
 
 def profile_rebalance(
@@ -118,25 +122,10 @@ def profile_rebalance(
     device_ops: bool = False,
 ) -> Tracer:
     """Trace the merge/rebalance-heavy arm (forced whole-array rebalances)."""
-    from time import perf_counter
-
-    spec = get_dataset(dataset)
-    edges = spec.generate(scale)
-    nv, _ = spec.sizes(scale)
-    g = DGAP(
-        DGAPConfig(
-            init_vertices=nv,
-            init_edges=edges.shape[0],
-            segment_slots=REBALANCE_ARM_SEGMENT_SLOTS,
-        )
-    )
-    tracer = Tracer(g.pool.stats, device_ops=device_ops)
-    per = max(1, edges.shape[0] // REBALANCE_ARM_ROUNDS)
-    with tracing(tracer):
-        for r in range(REBALANCE_ARM_ROUNDS):
-            g.insert_edges(edges[r * per : (r + 1) * per], batch_size=batch_size)
-            g.rebalancer.rebalance_window(0, g.ea.n_sections, g.ea.tree.height)
-    return tracer
+    return _rebalance_arm(
+        dataset, scale, batch_size,
+        make_tracer=lambda g: Tracer(g.pool.stats, device_ops=device_ops),
+    )[2]
 
 
 def profile_analysis(
@@ -153,9 +142,7 @@ def profile_analysis(
     device-side cost shows up in the ``view_materialize``/``to_csr``
     spans.
     """
-    spec = get_dataset(dataset)
-    edges = spec.generate(scale)
-    nv, _ = spec.sizes(scale)
+    nv, edges = load_stream(dataset, scale)
     system = SYSTEMS["dgap"](nv, edges.shape[0])
     system.insert_batch(edges)
     src = pick_source(dataset, scale)
@@ -193,7 +180,7 @@ def run_profile(
     return runner(dataset, scale, batch_size, device_ops=device_ops)
 
 
-# -- acceptance checks (CI profile-smoke + --check) ------------------------
+# -- acceptance checks (CI tracing smoke + --check) ------------------------
 
 def check_attribution(tracer: Tracer) -> List[str]:
     """Return human-readable failures; empty list = attribution is exact."""

@@ -120,6 +120,30 @@ def ingest_phase_table(results: Iterable) -> str:
     )
 
 
+def _loop_table(title, step_header, step_cols, totals, cached, other, other_name,
+                speedup, counters_title) -> str:
+    """Two-arm loop summary: one row per round/step (``step_cols[i]`` are
+    its leading cells) with both arms' analysis wall clock, a total row,
+    then the cached arm's counters."""
+    n = len(step_cols)
+    cw, ow = [0.0] * n, [0.0] * n
+    for walls, arm in ((cw, cached), (ow, other)):
+        for r in arm.records:
+            walls[r.round] += r.wall_s
+    rows = [(*cols, c, o, o / max(c, 1e-12)) for cols, c, o in zip(step_cols, cw, ow)]
+    rows.append((*totals, cached.analysis_wall_s, other.analysis_wall_s, speedup))
+    head = format_table(
+        title,
+        [*step_header, "cached wall (s)", f"{other_name} wall (s)", "speedup"],
+        rows,
+        floatfmt="{:.4f}",
+    )
+    counters = format_table(
+        counters_title, ["counter", "value"], sorted(cached.counters.items())
+    )
+    return head + "\n\n" + counters
+
+
 def analysis_loop_table(pair, title: str = "analysis loop") -> str:
     """Summarize a :class:`~repro.bench.analysis_loop.LoopPair`.
 
@@ -127,25 +151,14 @@ def analysis_loop_table(pair, title: str = "analysis loop") -> str:
     times are asserted identical before this table can exist), then the
     cache counters that prove incrementality.
     """
-    cached, uncached = pair.cached, pair.uncached
-    rows = [
-        (r, cw, uw, uw / max(cw, 1e-12))
-        for r, (cw, uw) in enumerate(zip(cached.round_wall(), uncached.round_wall()))
-    ]
-    rows.append(("total", cached.analysis_wall_s, uncached.analysis_wall_s, pair.speedup))
-    head = format_table(
+    cached = pair.cached
+    return _loop_table(
         f"{title} — {cached.dataset} (scale {cached.scale:g}, "
         f"{cached.rounds} rounds, kernels {','.join(cached.kernels)})",
-        ["round", "cached wall (s)", "uncached wall (s)", "speedup"],
-        rows,
-        floatfmt="{:.4f}",
-    )
-    counters = format_table(
+        ["round"], [(r,) for r in range(cached.rounds)], ("total",),
+        cached, pair.uncached, "uncached", pair.speedup,
         "view-cache counters (cached arm)",
-        ["counter", "value"],
-        sorted(cached.counters.items()),
     )
-    return head + "\n\n" + counters
 
 
 def temporal_loop_table(pair, title: str = "temporal loop") -> str:
@@ -156,41 +169,20 @@ def temporal_loop_table(pair, title: str = "temporal loop") -> str:
     identical before this table can exist), then the window and
     view-cache counters.
     """
-    cached, scratch = pair.cached, pair.scratch
-    cw = [0.0] * len(cached.steps)
-    sw = [0.0] * len(scratch.steps)
-    for r in cached.records:
-        cw[r.round] += r.wall_s
-    for r in scratch.records:
-        sw[r.round] += r.wall_s
-    rows = [
-        (s.step, s.added, s.churned, s.expired, "yes" if s.compacted else "",
-         c, u, u / max(c, 1e-12))
-        for s, c, u in zip(cached.steps, cw, sw)
-    ]
-    rows.append((
-        "total",
-        sum(s.added for s in cached.steps),
-        sum(s.churned for s in cached.steps),
-        sum(s.expired for s in cached.steps),
-        str(cached.compactions),
-        cached.analysis_wall_s, scratch.analysis_wall_s, pair.speedup,
-    ))
-    head = format_table(
+    cached = pair.cached
+    steps = cached.steps
+    return _loop_table(
         f"{title} — {cached.dataset} (scale {cached.scale:g}, window "
         f"{cached.window}, compact at {cached.compact_threshold:g}, "
         f"kernels {','.join(cached.kernels)})",
-        ["step", "added", "churned", "expired", "compact",
-         "cached wall (s)", "scratch wall (s)", "speedup"],
-        rows,
-        floatfmt="{:.4f}",
-    )
-    counters = format_table(
+        ["step", "added", "churned", "expired", "compact"],
+        [(s.step, s.added, s.churned, s.expired, "yes" if s.compacted else "")
+         for s in steps],
+        ("total", sum(s.added for s in steps), sum(s.churned for s in steps),
+         sum(s.expired for s in steps), str(cached.compactions)),
+        cached, pair.scratch, "scratch", pair.speedup,
         "window + view-cache counters (cached arm)",
-        ["counter", "value"],
-        sorted(cached.counters.items()),
     )
-    return head + "\n\n" + counters
 
 
 def crash_sweep_table(report, title: str = "crash sweep") -> str:

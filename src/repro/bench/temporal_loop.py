@@ -38,12 +38,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..algorithms import KERNELS
 from ..analysis.view import ID_DTYPE, INDPTR_DTYPE
 from ..datasets import get_temporal_dataset
 from ..temporal import TemporalWindowGraph
-from .analysis_loop import KernelRecord
-from .harness import SOURCE_KERNELS, build_system
+from .analysis_loop import KernelRecord, assert_arms_identical, kernel_sweep
+from .harness import build_system
 
 #: default geometry for the pinned benchmark.
 DEFAULT_DATASET = "orkut-stream"
@@ -157,27 +156,7 @@ def run_temporal_loop(
         t0 = perf_counter()
         st = wg.advance(ts)
         result.ingest_wall_s += perf_counter() - t0
-        view = None
-        for kernel in kernels:
-            fn = KERNELS[kernel]
-            trials = source_list if kernel in SOURCE_KERNELS else [-1]
-            for src in trials:
-                t0 = perf_counter()
-                view = system.analysis_view()
-                view.reset_clock()
-                out = fn(view, int(src)) if src >= 0 else fn(view)
-                wall = perf_counter() - t0
-                result.analysis_wall_s += wall
-                result.records.append(KernelRecord(
-                    round=st["step"],
-                    kernel=kernel,
-                    source=int(src),
-                    digest=hashlib.sha256(
-                        np.ascontiguousarray(out).tobytes()
-                    ).hexdigest(),
-                    modeled_s=view.seconds(1),
-                    wall_s=wall,
-                ))
+        view = kernel_sweep(system, kernels, source_list, st["step"], result)
         result.steps.append(StepRecord(
             step=st["step"],
             added=st["added"],
@@ -214,18 +193,7 @@ def run_temporal_loop_pair(
         dataset, scale, window, compact_threshold, kernels, sources,
         batch_size, max_steps, view_caching=False,
     )
-    for rc, ru in zip(cached.records, scratch.records):
-        where = f"step {rc.round} kernel {rc.kernel} source {rc.source}"
-        if rc.digest != ru.digest:
-            raise AssertionError(
-                f"cached kernel output diverged from scratch at {where}: "
-                f"{rc.digest[:12]} != {ru.digest[:12]}"
-            )
-        if rc.modeled_s != ru.modeled_s:
-            raise AssertionError(
-                f"cached modeled time diverged at {where}: "
-                f"{rc.modeled_s!r} != {ru.modeled_s!r}"
-            )
+    assert_arms_identical(cached, scratch, "step", "scratch")
     for sc, su in zip(cached.steps, scratch.steps):
         if sc.csr_digest != su.csr_digest:
             raise AssertionError(

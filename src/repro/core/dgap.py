@@ -38,7 +38,7 @@ from .edge_array import EdgeArray
 from .edge_log import EdgeLogs
 from .encoding import MAX_VERTEX, SLOT_DTYPE, encode_edge, encode_pivot
 from .locks import SectionLockTable
-from ..obs.tracer import annotate, trace
+from ..obs.tracer import annotate, trace, traced
 from .pma_tree import DensityBounds
 from ..nputil import multi_arange as _multi_arange
 from .rebalance import (
@@ -88,42 +88,12 @@ class DGAP:
                 faults=faults,
             )
         self.pool = pool
-        self._bounds = DensityBounds(cfg.tau_leaf, cfg.tau_root, cfg.rho_leaf, cfg.rho_root)
-
-        self.ea = EdgeArray(
-            pool, capacity, cfg.segment_slots, self._bounds,
-            gen=0, create=True, pm_metadata=not cfg.dram_placement,
-        )
-        self.logs = EdgeLogs(pool, self.ea.n_sections, cfg.elog_entries, gen=0)
-        self.ulogs = [UndoLog(pool, t, cfg.ulog_size) for t in range(cfg.writer_threads)]
-        self.tx_mgr: Optional[TransactionManager] = None
-        if not cfg.use_undo_log:
-            self._make_tx_mgr(capacity)
+        self._attach(capacity, cfg.segment_slots, cfg.elog_entries, cfg.writer_threads,
+                     gen=0, create=True)
         self.va = make_vertex_array(cfg.init_vertices, cfg.dram_placement, pool)
-        self.locks = SectionLockTable(self.ea.n_sections)
-        self.rebalancer = Rebalancer(self)
-
-        # operation counters (DRAM, informational)
-        self.n_edges_inserted = 0
-        self.n_log_inserts = 0
-        self.n_array_inserts = 0
-        self.n_shift_inserts = 0
-        self.n_rebalances = 0
-        self.n_resizes = 0
-        self.n_compactions = 0
-        self.tombstone_pairs_compacted = 0
-        self.slots_rebalanced = 0
-        self._active_snapshots = 0
-
-        self._cow_cache = None
-        #: rebalance windows of the current op (consumed by the virtual-
-        #: thread scheduler when track_rebalance_windows is set)
-        self.track_rebalance_windows = False
-        self.op_rebalance_windows: list = []
         self._seed_pivots()
         if cfg.cow_degree_cache:
             self._init_cow_cache()
-        self._init_view_tracking()
         self._write_geometry_roots()
 
     # ------------------------------------------------------------------
@@ -144,8 +114,45 @@ class DGAP:
         per_gen = slot_bytes * 3 + elog_bytes * 2
         return max(1 << 20, per_gen * 16 + cfg.writer_threads * (cfg.ulog_size + 4096) + (1 << 20))
 
+    def _attach(self, capacity: int, seg_slots: int, eps: int, nthreads: int,
+                gen: int, create: bool) -> None:
+        """Bind the persistent structures of generation ``gen`` — allocated
+        (``create``) or reopened from the pool — and reset everything
+        DRAM-only that a fresh instance and a reopened one start from
+        alike: locks, rebalancer, operation counters, view tracking."""
+        cfg, pool = self.config, self.pool
+        self._bounds = DensityBounds(cfg.tau_leaf, cfg.tau_root, cfg.rho_leaf, cfg.rho_root)
+        self.ea = EdgeArray(
+            pool, capacity, seg_slots, self._bounds,
+            gen=gen, create=create, pm_metadata=not cfg.dram_placement,
+        )
+        self.logs = EdgeLogs(pool, self.ea.n_sections, eps, gen=gen, create=create)
+        self.ulogs = [UndoLog(pool, t, cfg.ulog_size, create=create) for t in range(nthreads)]
+        self.tx_mgr: Optional[TransactionManager] = None
+        if not cfg.use_undo_log:
+            self._make_tx_mgr(capacity)
+        self.locks = SectionLockTable(self.ea.n_sections)
+        self.rebalancer = Rebalancer(self)
+        # operation counters (informational)
+        self.n_edges_inserted = 0
+        self.n_log_inserts = 0
+        self.n_array_inserts = 0
+        self.n_shift_inserts = 0
+        self.n_rebalances = 0
+        self.n_resizes = 0
+        self.n_compactions = 0
+        self.tombstone_pairs_compacted = 0
+        self.slots_rebalanced = 0
+        self._active_snapshots = 0
+        self._cow_cache = None
+        #: rebalance windows of the current op (consumed by the virtual-
+        #: thread scheduler when track_rebalance_windows is set)
+        self.track_rebalance_windows = False
+        self.op_rebalance_windows: list = []
+        self._init_view_tracking()
+
     def _make_tx_mgr(self, capacity: int) -> None:
-        name = f"pmdk-journal.g{self.ea.gen if hasattr(self, 'ea') else 0}"
+        name = f"pmdk-journal.g{self.ea.gen}"
         self.tx_mgr = TransactionManager(self.pool, capacity=capacity * 4 + 64 * 1024, name=name)
 
     def _seed_pivots(self) -> None:
@@ -252,13 +259,12 @@ class DGAP:
         """Ensure vertex ids ``0..v`` exist (``g.insertV``)."""
         if v > MAX_VERTEX:
             raise VertexRangeError(f"vertex {v} exceeds encodable maximum {MAX_VERTEX}")
-        va = self.va
-        if va.num_vertices > v:
-            return
-        with trace("insert_vertex", v=v):
-            self._insert_vertex_traced(v)
+        if self.va.num_vertices <= v:
+            self._append_vertices(v)
 
-    def _insert_vertex_traced(self, v: int) -> None:
+    @traced("insert_vertex", v=lambda self, v: v)
+    def _append_vertices(self, v: int) -> None:
+        """Write tail pivots until vertex ``v`` exists."""
         va = self.va
         locked = self.config.thread_safe
         while va.num_vertices <= v:
@@ -326,15 +332,20 @@ class DGAP:
         and keeps destinations in the *global* id space
         (:mod:`repro.sharding`).
         """
+        self._ensure_vertices(src, max(src, dst), grow_vertices)
+        self._insert_one(int(src), int(dst), thread_id, tombstone)
+
+    def _ensure_vertices(self, src_max: int, any_max: int, grow_vertices: bool) -> None:
+        """Grow the id space to cover an insert, or — with growth
+        disabled — require that its sources already exist."""
         nv = self.va.num_vertices
         if grow_vertices:
-            if src >= nv or dst >= nv:
-                self.insert_vertex(max(src, dst))
-        elif src >= nv:
+            if any_max >= nv:
+                self.insert_vertex(any_max)
+        elif src_max >= nv:
             raise VertexRangeError(
-                f"source {src} >= {nv} with vertex growth disabled"
+                f"source {src_max} >= {nv} with vertex growth disabled"
             )
-        self._insert_one(int(src), int(dst), thread_id, tombstone)
 
     # -- §3.1.6 lock sets ------------------------------------------------
     #
@@ -379,6 +390,7 @@ class DGAP:
                 return held
             self.locks.release_many(held)
 
+    @traced("insert_edge")
     def _insert_one(self, src: int, dst: int, thread_id: int, tombstone: bool) -> None:
         """One-edge insert for an existing vertex (lock + inner path).
 
@@ -389,10 +401,6 @@ class DGAP:
         pure control flow — the persistence-event order is identical to
         the historical inline calls, which the crash sweeps pin down.
         """
-        with trace("insert_edge"):
-            self._insert_one_traced(src, dst, thread_id, tombstone)
-
-    def _insert_one_traced(self, src: int, dst: int, thread_id: int, tombstone: bool) -> None:
         locked = self.config.thread_safe
         stage = "inner"
         while True:
@@ -478,9 +486,13 @@ class DGAP:
         self.n_log_inserts += 1
         self.n_edges_inserted += 1
         self._touch_sections(sec)
-        if logs.fill_fraction(sec) >= cfg.elog_merge_fraction:
+        if self.merge_due(sec):
             return ("merge", sec)
         return None
+
+    def merge_due(self, sec: int) -> bool:
+        """Has section ``sec``'s edge log reached the merge point (§3 ③)?"""
+        return self.logs.fill_fraction(sec) >= self.config.elog_merge_fraction
 
     def _insert_with_shift(self, src: int, enc: int, live_delta: int, thread_id: int):
         """Naive PMA insert: shift the occupied range right to open a gap.
@@ -504,7 +516,6 @@ class DGAP:
         if g >= cap:
             return ("resize_shift",)
 
-        dev = self.pool.device
         nbytes = (g - pos + 1) * 4
         if self.config.use_undo_log and nbytes <= self.ulogs[thread_id].capacity:
             # Common case: the paper's fused backup-then-shift protocol.
@@ -517,17 +528,13 @@ class DGAP:
             ulog.finish()
         else:
             # Long shift (dense run longer than ULOG_SZ) or the PMDK-TX
-            # ablation: write the shifted image through the protected
-            # window writer.  Edge logs are unused in "No EL" mode, so
-            # the copyback DONE protocol's log cleanup is a no-op.
+            # ablation: the shifted image goes through the rebalancer's
+            # commit sequence.  Edge logs are unused in "No EL" mode, so
+            # no log was merged (``log_rows=None``): nothing to clear.
             image = np.empty(g - pos + 1, dtype=SLOT_DTYPE)
             image[0] = enc
             image[1:] = ea.slots[pos:g]
-            self.rebalancer.write_window_protected(pos, g + 1, image, thread_id)
-            if self.config.use_undo_log:
-                ulog = self.ulogs[thread_id]
-                ulog.mark_done(pos, pos)
-                ulog.finish()
+            self.rebalancer._commit(pos, g + 1, None, thread_id, image)
 
         # DRAM metadata: shifted runs (pivots in (pos, g]) moved right by one.
         starts = va.starts()
@@ -596,31 +603,12 @@ class DGAP:
         if n == 0:
             self.last_batch_order = np.empty(0, dtype=np.int64)
             return 0
-        if n == 1:
-            s, d = int(batch.src[0]), int(batch.dst[0])
-            if grow_vertices:
-                if max(s, d) >= self.va.num_vertices:
-                    self.insert_vertex(max(s, d))
-            elif s >= self.va.num_vertices:
-                raise VertexRangeError(
-                    f"source {s} >= {self.va.num_vertices} with vertex growth disabled"
-                )
-            self._insert_one(s, d, thread_id, bool(batch.tombstone[0]))
-            self.last_batch_order = np.zeros(1, dtype=np.int64)
-            return 1
-        if grow_vertices:
-            mx = batch.max_vertex()
-            if mx >= self.va.num_vertices:
-                self.insert_vertex(mx)
-        elif int(batch.src.max()) >= self.va.num_vertices:
-            raise VertexRangeError(
-                f"source {int(batch.src.max())} >= {self.va.num_vertices} "
-                f"with vertex growth disabled"
-            )
+        self._ensure_vertices(int(batch.src.max()), batch.max_vertex(), grow_vertices)
         cfg = self.config
-        if not cfg.use_edge_log or not cfg.dram_placement:
-            # Ablation modes interleave per-edge PM metadata writes
-            # (shift path / PM-resident placement); keep the scalar order.
+        if n == 1 or not cfg.use_edge_log or not cfg.dram_placement:
+            # A lone edge takes the per-edge persist path.  Ablation modes
+            # interleave per-edge PM metadata writes (shift path /
+            # PM-resident placement); keep the scalar order.
             src, dst, tomb = batch.src, batch.dst, batch.tombstone
             for i in range(n):
                 self._insert_one(int(src[i]), int(dst[i]), thread_id, bool(tomb[i]))
@@ -656,6 +644,7 @@ class DGAP:
         )
         return len(batch)
 
+    @traced("batch_round", edges=lambda self, pending, *_: int(pending.size))
     def _batch_round(
         self,
         pending: np.ndarray,
@@ -675,20 +664,6 @@ class DGAP:
         round is deferred and regrouped against the new geometry —
         exactly what the scalar path's retry does.
         """
-        with trace("batch_round", edges=int(pending.size)):
-            return self._batch_round_traced(
-                pending, srcs, encs, live, order_parts, thread_id
-            )
-
-    def _batch_round_traced(
-        self,
-        pending: np.ndarray,
-        srcs: np.ndarray,
-        encs: np.ndarray,
-        live: np.ndarray,
-        order_parts: list,
-        thread_id: int,
-    ) -> np.ndarray:
         va, cfg = self.va, self.config
         S = self.ea.segment_slots
         while True:
@@ -906,7 +881,7 @@ class DGAP:
         chains in the same pass.  The live adjacency read back afterward
         is byte-identical; only the dead weight that inflates section
         occupancy, gathers and recovery scans is gone.  Unmatched
-        tombstones are kept (see ``rebalance._compact_keep_mask``).
+        tombstones are kept (see ``encoding.tombstone_matches``).
 
         Requires no active analysis snapshots: snapshot semantics give a
         reader the first ``degree_v`` *logical* entries of each run, and
@@ -991,15 +966,12 @@ class DGAP:
     # ------------------------------------------------------------------
     _META_FIELDS = ("start", "degree", "array_degree", "live_degree", "el")
 
+    @traced("shutdown")
     def shutdown(self) -> None:
         """Graceful shutdown: persist DRAM components, set NORMAL_SHUTDOWN."""
         self._drop_point_view()
         if self._active_snapshots:
             raise GraphError("shutdown with active analysis snapshots")
-        with trace("shutdown"):
-            self._shutdown_traced()
-
-    def _shutdown_traced(self) -> None:
         nv = self.va.num_vertices
         meta = {f: getattr(self.va, f)[:nv] for f in self._META_FIELDS}
         # section occupancy + log cursors: a normal restart rescans nothing

@@ -78,6 +78,35 @@ def pivot_vertices(slots: np.ndarray) -> np.ndarray:
     return -slots - 1
 
 
+def tombstone_matches(
+    keys: np.ndarray, tomb: np.ndarray, run_off=(0,), sizes=None
+) -> np.ndarray:
+    """The deletion rule of §3.1.2, spelled once: mask of matched pairs.
+
+    Within one vertex's logical run (``keys[o : o + s]`` for each
+    ``run_off``/``sizes`` pair; the whole array by default) a tombstone
+    cancels the *most recent earlier* live occurrence of its key, and
+    later re-insertions of that key survive.  Both slots of every such
+    pair are marked; a tombstone with no live occurrence before it
+    (a delete of a never-present edge) matches nothing and stays
+    unmarked.  Snapshot reads hide marked slots and all tombstones;
+    compaction physically drops exactly the marked slots.
+    """
+    matched = np.zeros(keys.size, dtype=bool)
+    ks, ts = keys.tolist(), tomb.tolist()
+    for o, s in zip(run_off, (keys.size,) if sizes is None else sizes):
+        open_pos: dict = {}
+        for i in range(o, o + s):
+            if ts[i]:
+                stack = open_pos.get(ks[i])
+                if stack:
+                    matched[stack.pop()] = True
+                    matched[i] = True
+            else:
+                open_pos.setdefault(ks[i], []).append(i)
+    return matched
+
+
 __all__ = [
     "GAP",
     "TOMB_BIT",
@@ -94,4 +123,5 @@ __all__ = [
     "is_tombstone",
     "edge_dsts",
     "pivot_vertices",
+    "tombstone_matches",
 ]

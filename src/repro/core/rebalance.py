@@ -32,6 +32,17 @@ The ``No EL&UL`` ablation (Table 5) replaces all of this with one PMDK
 transaction around the window.  Resizing never moves data in place:
 it's a copy-on-write generation switch committed by a single atomic
 root-pointer update.
+
+Every rewrite of edge-array slots is one pipeline, ``_extend`` →
+``_gather`` → (optional filter) → ``_plan`` → :meth:`Rebalancer._commit`,
+and ``_commit`` is the only place the protocol's tail — overwrite → mark
+done → clear the merged logs → finish → move the DRAM vertex array — is
+spelled.  A window rebalance and a log merge run it as is; compaction is
+the whole-array window with the matched-tombstone filter between gather
+and plan; the "No EL" long shift hands ``_commit`` its shifted image;
+crash recovery re-enters ``_commit`` at the state the undo log recorded.
+A resize shares the gather, the plan and the DRAM apply but commits by
+its root-pointer switch.
 """
 
 from __future__ import annotations
@@ -43,16 +54,23 @@ import numpy as np
 
 from ..errors import GraphError, OutOfPMemError, PMemError
 from ..nputil import ScratchBuffer, multi_arange
-from ..obs.tracer import annotate, trace
+from ..obs.tracer import annotate, traced
 from .edge_array import EdgeArray
 from .edge_log import EdgeLogs
-from .encoding import SLOT_DTYPE, TOMB_BIT, encode_pivot, is_pivot, pivot_vertices
+from .encoding import (
+    SLOT_DTYPE,
+    TOMB_BIT,
+    encode_pivot,
+    is_pivot,
+    pivot_vertices,
+    tombstone_matches,
+)
 from .undo_log import (
-    PHASE_COMPACT,
     STATE_ACTIVE,
     STATE_COPYBACK,
     STATE_DONE,
     STATE_IDLE,
+    UndoHeader,
     UndoLog,
 )
 
@@ -85,31 +103,39 @@ class GatherResult:
     __slots__ = ("lo", "hi", "i0", "j", "values", "sizes", "run_off",
                  "chain_gidxs", "total", "log_rows", "_runs")
 
-    def __init__(self, lo, hi, i0, j, values, sizes, run_off, chain_gidxs, total, log_rows=None):
+    def __init__(self, lo, hi, i0, j, values, sizes, chain_gidxs, log_rows=None, runs=None):
         self.lo = lo
         self.hi = hi
         self.i0 = i0
         self.j = j
         self.values: np.ndarray = values  # all runs, concatenated (no pivots)
         self.sizes: np.ndarray = sizes  # per-vertex run length
-        self.run_off: np.ndarray = run_off  # exclusive prefix sum of sizes
+        self.run_off: np.ndarray = np.cumsum(sizes) - sizes
         self.chain_gidxs: np.ndarray = chain_gidxs  # merged log entries, by vertex
-        self.total = total  # elements incl. pivots
+        self.total = sizes.size + values.size  # elements incl. pivots
         self.log_rows = log_rows  # the gather's ``EdgeLogs.stream``; feeds the log cleanup
-        self._runs: Optional[List[np.ndarray]] = None
+        self._runs: Optional[List[np.ndarray]] = runs
 
     @classmethod
-    def from_runs(cls, lo, hi, i0, j, runs, chain_gidxs, total, log_rows) -> "GatherResult":
+    def from_runs(cls, lo, hi, i0, j, runs, chain_gidxs, log_rows) -> "GatherResult":
         """Build from a per-vertex list of run arrays (scalar reference path)."""
         sizes = np.fromiter((r.size for r in runs), dtype=np.int64, count=len(runs))
-        run_off = np.cumsum(sizes) - sizes
         values = (
             np.concatenate(runs) if runs else np.empty(0, dtype=SLOT_DTYPE)
         ).astype(SLOT_DTYPE, copy=False)
-        res = cls(lo, hi, i0, j, values, sizes, run_off,
-                  np.asarray(chain_gidxs, dtype=np.int64), total, log_rows)
-        res._runs = list(runs)
-        return res
+        return cls(lo, hi, i0, j, values, sizes,
+                   np.asarray(chain_gidxs, dtype=np.int64), log_rows, list(runs))
+
+    def relaid(self, lo: int, hi: int, keep: Optional[np.ndarray] = None) -> "GatherResult":
+        """The same vertices' runs, to be laid out over slots ``[lo, hi)``
+        — only ``values[keep]`` of them when a mask is given."""
+        values, sizes = self.values, self.sizes
+        if keep is not None:
+            run_id = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
+            sizes = np.bincount(run_id[keep], minlength=sizes.size).astype(np.int64)
+            values = values[keep]
+        return GatherResult(lo, hi, self.i0, self.j, values, sizes,
+                            self.chain_gidxs, self.log_rows)
 
     @property
     def runs(self) -> List[np.ndarray]:
@@ -122,37 +148,21 @@ class GatherResult:
         return self._runs
 
 
-def _compact_keep_mask(
-    values: np.ndarray, sizes: np.ndarray, run_off: np.ndarray
-) -> np.ndarray:
-    """Per-run keep mask dropping matched tombstone + cancelled-live pairs.
+def _unmatched_mask(g: GatherResult) -> np.ndarray:
+    """Compaction's filter: keep every gathered value but matched tombstone pairs.
 
-    Pairing mirrors the snapshot read path (``snapshot._apply_tombstones``):
-    within one vertex's logical run, a tombstone cancels the *most recent
-    earlier* live occurrence of its destination, and both slots of a
-    matched pair are dropped.  Unmatched tombstones (deletes of a
-    never-present edge) are **kept**: they carry a −1 live-degree
-    contribution that both the DRAM bookkeeping and the recovery scan
-    (``live = array_deg − 2·tombs``) account per tombstone regardless of
-    matching, so dropping them would silently shift live degrees.
-    Filtering is order-preserving, so replaying the kept sequence reads
-    back the exact same live adjacency.
+    Both slots of a pair (:func:`~repro.core.encoding.tombstone_matches`,
+    the rule snapshot reads apply) are dropped.  Unmatched tombstones
+    (deletes of a never-present edge) are **kept**: they carry a −1
+    live-degree contribution that both the DRAM bookkeeping and the
+    recovery scan (``live = array_deg − 2·tombs``) account per tombstone
+    regardless of matching, so dropping them would silently shift live
+    degrees.  Filtering is order-preserving, so replaying the kept
+    sequence reads back the exact same live adjacency.
     """
-    keep = np.ones(values.size, dtype=bool)
-    vals = values.tolist()
-    tb = int(TOMB_BIT)
-    for o, s in zip(run_off.tolist(), sizes.tolist()):
-        open_pos: dict = {}
-        for i in range(o, o + s):
-            enc = vals[i]
-            if enc & tb:
-                stack = open_pos.get(enc & ~tb)
-                if stack:
-                    keep[stack.pop()] = False
-                    keep[i] = False
-            else:
-                open_pos.setdefault(enc, []).append(i)
-    return keep
+    return ~tombstone_matches(
+        g.values & ~TOMB_BIT, (g.values & TOMB_BIT) != 0, g.run_off.tolist(), g.sizes.tolist()
+    )
 
 
 class Rebalancer:
@@ -178,40 +188,36 @@ class Rebalancer:
     # ------------------------------------------------------------------
     # density triggers
     # ------------------------------------------------------------------
-    def combined_occupancy(self) -> np.ndarray:
-        return self.host.ea.seg_occ + self.host.logs.live_counts
-
     def maybe_rebalance(self, section: int, thread_id: int = 0) -> bool:
         """Called after an insertion raised ``section``'s density."""
-        host = self.host
-        ea = host.ea
+        ea = self.host.ea
         # Scalar fast path: the vast majority of inserts leave the leaf
         # under its bound — avoid building the full occupancy vector.
-        leaf = int(ea.seg_occ[section]) + int(host.logs.live_counts[section])
+        leaf = int(ea.seg_occ[section]) + int(self.host.logs.live_counts[section])
         if leaf <= ea.tree.tau(0) * ea.segment_slots:
             return False
-        occ = self.combined_occupancy()
+        return self._rebalance_around(section, thread_id, even_leaf=False)
+
+    @traced("merge", section=lambda self, section, *_, **__: section)
+    def merge_section(self, section: int, thread_id: int = 0) -> None:
+        """Fold a (nearly full) section edge log back into the array (§3 ③)."""
+        self._rebalance_around(section, thread_id, even_leaf=True)
+
+    def _rebalance_around(self, section: int, thread_id: int, even_leaf: bool) -> bool:
+        """Rebalance the smallest in-bounds window around ``section`` —
+        resize when even the root is too dense; a leaf already within
+        bounds (tombstone churn) is left alone unless ``even_leaf``."""
+        ea = self.host.ea
+        occ = ea.combined_occupancy(self.host.logs.live_counts)
         win = ea.tree.find_rebalance_window(occ, section)
         if win is None:
             self.resize(thread_id)
             return True
         lo_seg, hi_seg, level = win
-        if level == 0:
-            return False  # section itself back within bounds (tombstone churn)
+        if level == 0 and not even_leaf:
+            return False
         self.rebalance_window(lo_seg, hi_seg, level, thread_id)
         return True
-
-    def merge_section(self, section: int, thread_id: int = 0) -> None:
-        """Fold a (nearly full) section edge log back into the array (§3 ③)."""
-        with trace("merge", section=section):
-            ea = self.host.ea
-            occ = self.combined_occupancy()
-            win = ea.tree.find_rebalance_window(occ, section)
-            if win is None:
-                self.resize(thread_id)
-                return
-            lo_seg, hi_seg, level = win
-            self.rebalance_window(lo_seg, hi_seg, level, thread_id)
 
     # ------------------------------------------------------------------
     # gather / plan
@@ -270,7 +276,7 @@ class Rebalancer:
             values[multi_arange(run_off, ads)] = win[multi_arange(starts, ads)]
         # chains merge oldest-first behind the array part of the run
         values[multi_arange(run_off + ads, counts)] = rows[mine, 1]
-        return GatherResult(lo, hi, i0, j, values, sizes, run_off, chain_gidxs, n + nvals, log_rows)
+        return GatherResult(lo, hi, i0, j, values, sizes, chain_gidxs, log_rows)
 
     def _check_chains(self, i0: int, counts: np.ndarray, chain_gidxs: np.ndarray) -> None:
         """Gathered chains (grouped by vertex, oldest first) must match the
@@ -316,7 +322,7 @@ class Rebalancer:
         counts = np.fromiter(map(len, chains), dtype=np.int64, count=j - i0)
         self._check_chains(i0, counts, np.asarray(chain_gidxs, dtype=np.int64))
         log_rows = entries[:, 0], entries[:, 1:]
-        return GatherResult.from_runs(lo, hi, i0, j, runs, chain_gidxs, total, log_rows)
+        return GatherResult.from_runs(lo, hi, i0, j, runs, chain_gidxs, log_rows)
 
     def _gaps(self, sizes: np.ndarray, G: int, T: int) -> np.ndarray:
         """Per-run trailing gaps distributing ``G`` free slots.
@@ -402,22 +408,15 @@ class Rebalancer:
                     break
         return self._scratch
 
+    @traced("write_window", slots=lambda self, lo, hi, *_: hi - lo)
     def write_window_protected(self, lo: int, hi: int, image: np.ndarray, thread_id: int) -> None:
         """Crash-consistently overwrite slots ``[lo, hi)`` with ``image``.
 
-        Used by rebalances and by the "No EL" nearby-shift path.  Small
-        windows use the paper's backup-then-overwrite undo-log protocol;
-        large ones the copy-on-write redirect; the "No EL&UL" ablation a
-        PMDK transaction.  The caller owns the undo log's completion
-        protocol (mark_done/finish).
+        Small windows use the paper's backup-then-overwrite undo-log
+        protocol; large ones the copy-on-write redirect; the "No EL&UL"
+        ablation a PMDK transaction.  :meth:`_commit` owns the undo
+        log's completion protocol (mark_done/finish).
         """
-        self._execute(lo, hi, image, thread_id)
-
-    def _execute(self, lo: int, hi: int, image: np.ndarray, thread_id: int) -> None:
-        with trace("write_window", slots=hi - lo):
-            self._execute_traced(lo, hi, image, thread_id)
-
-    def _execute_traced(self, lo: int, hi: int, image: np.ndarray, thread_id: int) -> None:
         host = self.host
         dev = host.pool.device
         ea = host.ea
@@ -425,9 +424,9 @@ class Rebalancer:
         img8 = np.ascontiguousarray(image).view(np.uint8)
         dst = ea.byte_off(lo)
 
+        dev.account_ns((hi - lo) * ELEMENT_MOVE_NS, bucket="rebalance-move")
         if not host.config.use_undo_log:
             # Ablation "No EL&UL": one PMDK transaction around the window.
-            dev.account_ns((hi - lo) * ELEMENT_MOVE_NS, bucket="rebalance-move")
             with host.tx_mgr.tx() as t:
                 t.add(dst, nbytes)
                 dev.store(dst, img8, payload=0)
@@ -435,7 +434,6 @@ class Rebalancer:
             return
 
         ulog: UndoLog = host.ulogs[thread_id]
-        dev.account_ns((hi - lo) * ELEMENT_MOVE_NS, bucket="rebalance-move")
         if nbytes <= ulog.capacity:
             # Paper protocol: backup destination, then overwrite.
             ulog.snapshot_window(lo, hi, dst, nbytes)
@@ -485,16 +483,65 @@ class Rebalancer:
                 hit = (rows[a:b, 1] != 0) & np.isin(srcs, merged)
                 logs.invalidate_entries(gidx[a:b][hit])
 
-    def _apply_dram(self, g: GatherResult, new_starts: np.ndarray) -> None:
+    def _apply_dram(self, laid: GatherResult, new_starts: np.ndarray) -> None:
+        """Move the vertex array with a committed layout: every chain was
+        merged, so the laid-out run *is* the vertex's whole history
+        (``degree == array_degree == run length`` — :meth:`_check_chains`
+        pinned the gathered lengths to ``degree``) and ``el`` is empty.
+        ``live_degree`` is invariant: a gather drops nothing, and each
+        pair compaction drops is one live (+1) and one tombstone (−1)."""
         va = self.host.va
-        i0, j = g.i0, g.j
-        n = j - i0
-        if n == 0:
+        i0, j = laid.i0, laid.j
+        if i0 == j:
             return
-        deg = va.degree[i0:j].copy()
-        live = va.live_degree[i0:j].copy()
-        el = np.full(n, -1, dtype=np.int64)
-        va.update_window(i0, j, new_starts, deg, deg.copy(), live, el)
+        va.update_window(i0, j, new_starts, laid.sizes, laid.sizes,
+                         va.live_degree[i0:j], np.full(j - i0, -1, dtype=np.int64))
+
+    def _commit(
+        self,
+        lo: int,
+        hi: int,
+        log_rows,
+        thread_id: int = 0,
+        image: Optional[np.ndarray] = None,
+        redo: Optional[UndoHeader] = None,
+        layout: Optional[Tuple[GatherResult, np.ndarray]] = None,
+    ) -> None:
+        """Fig. 4 from the overwrite on — the one copy of the sequence.
+
+        overwrite slots ``[lo, hi)`` with ``image`` → mark done → clear
+        the logs the image absorbed → finish → move the DRAM metadata.
+        Crash recovery re-enters with the header it found (``redo``):
+        a COPYBACK redoes the scratch copy in place of the overwrite, a
+        DONE resumes at the clears.  ``log_rows`` is the stream that
+        loaded the absorbed logs; ``None`` means none was merged (the
+        "No EL" shift), so the recorded done window is empty and nothing
+        is cleared.  ``layout`` — ``(laid, new_starts)`` from
+        :meth:`_plan` — moves the vertex array with the image; recovery
+        (whose scan rebuilds it) and the shift (which only bumps starts)
+        pass none.  Under "No EL&UL" the PMDK transaction inside
+        :meth:`write_window_protected` is the whole protection: only the
+        clears remain.
+        """
+        host = self.host
+        ulog: Optional[UndoLog] = (
+            host.ulogs[thread_id] if redo is not None or host.config.use_undo_log else None
+        )
+        if redo is None:
+            self.write_window_protected(lo, hi, image, thread_id)
+        elif redo.state == STATE_COPYBACK:
+            self._copy_scratch(redo.dst_off, host.ea.byte_off(lo), redo.length, ulog)
+        if ulog is not None and (redo is None or redo.state != STATE_DONE):
+            ulog.mark_done(lo, hi if log_rows is not None else lo)
+        if log_rows is not None:
+            self._clears_by_window(lo, hi, log_rows)
+        if ulog is not None:
+            ulog.finish()
+        if layout is not None:
+            self._apply_dram(*layout)
+            host.ea.recount(lo, hi)
+            host.stats_note_rebalance(hi - lo)
+            host.note_rebalance_window(lo, hi)
 
     # ------------------------------------------------------------------
     # top-level operations
@@ -504,8 +551,30 @@ class Rebalancer:
         S = ea.segment_slots
         return range(lo // S, min((hi + S - 1) // S, ea.n_sections))
 
+    @traced(
+        "rebalance",
+        lo_seg=lambda self, lo_seg, hi_seg, level, *_, **__: lo_seg,
+        hi_seg=lambda self, lo_seg, hi_seg, level, *_, **__: hi_seg,
+        level=lambda self, lo_seg, hi_seg, level, *_, **__: level,
+    )
     def rebalance_window(self, lo_seg: int, hi_seg: int, level: int, thread_id: int = 0) -> None:
-        """Rebalance one density-tree window under its section locks.
+        """Rebalance one density-tree window (merging its edge logs)."""
+        done = self._rewrite_window(lo_seg, hi_seg, level, thread_id)
+        if done is not None:
+            annotate(lo=done[1].lo, hi=done[1].hi, elements=done[1].total)
+
+    def _rewrite_window(
+        self, lo_seg: int, hi_seg: int, level: int, thread_id: int, keep_mask=None
+    ) -> Optional[Tuple[GatherResult, GatherResult]]:
+        """Run the pipeline over one density-tree window under its locks.
+
+        Returns ``(gathered, laid out)`` once committed, or None when
+        nothing was written here: the window holds only gaps, the array
+        generation changed while waiting for locks (the trigger is
+        obsolete — the new layout was just rebalanced wholesale), or
+        even the root window could not hold its contents and the array
+        was resized instead.  ``keep_mask(gathered)`` filters the
+        gathered values before they are laid out.
 
         §3.1.6 protocol: flag the window's sections, acquire every
         section lock in ascending order (``begin_rebalance``), *then*
@@ -517,12 +586,6 @@ class Rebalancer:
         The caller must hold no section locks (writers defer rebalances
         until after their release — see ``DGAP._insert_one``).
         """
-        with trace("rebalance", lo_seg=lo_seg, hi_seg=hi_seg, level=level):
-            self._rebalance_window_traced(lo_seg, hi_seg, level, thread_id)
-
-    def _rebalance_window_traced(
-        self, lo_seg: int, hi_seg: int, level: int, thread_id: int = 0
-    ) -> None:
         host = self.host
         ea = host.ea
         S = ea.segment_slots
@@ -531,10 +594,7 @@ class Rebalancer:
         try:
             while True:
                 if host.ea is not ea:
-                    # A concurrent resize swapped the generation while we
-                    # were waiting for locks: this trigger is obsolete —
-                    # the new layout was just rebalanced wholesale.
-                    return
+                    return None
                 lo, hi = lo_seg * S, hi_seg * S
                 lo, hi, i0, j = self._extend(lo, hi)
                 need = self._window_lock_span(lo, hi)
@@ -545,39 +605,30 @@ class Rebalancer:
                     held = locks.begin_rebalance(need)
                     continue  # re-extend now that the window is exclusive
                 if i0 == j:
-                    return  # nothing but gaps in the window
+                    return None
                 g = self._gather(lo, hi, i0, j)
-                if g.total <= (hi - lo):
+                laid = g if keep_mask is None else g.relaid(lo, hi, keep_mask(g))
+                if laid.total <= (hi - lo):
                     break
-                # window can't hold its own contents (boundary extension):
-                # escalate a level, or resize when already at the root.
+                # window can't hold its own contents (boundary extension,
+                # or log chains that outgrew the array): escalate a level,
+                # or resize when already at the root.
                 if level >= ea.tree.height:
                     locks.end_rebalance(held)
                     held = []
                     self.resize(thread_id)
-                    return
+                    return None
                 level += 1
                 lo_seg, hi_seg = ea.tree.window_at(lo_seg, level)
 
-            image, new_starts = self._plan(g)
-            annotate(lo=g.lo, hi=g.hi, elements=g.total)
-            self._execute(g.lo, g.hi, image, thread_id)
-
-            if host.config.use_undo_log:
-                ulog = host.ulogs[thread_id]
-                ulog.mark_done(g.lo, g.hi)
-                self._clears_by_window(g.lo, g.hi, g.log_rows)
-                ulog.finish()
-            else:
-                self._clears_by_window(g.lo, g.hi, g.log_rows)
-            self._apply_dram(g, new_starts)
-            ea.recount(g.lo, g.hi)
-            host.stats_note_rebalance(g.hi - g.lo)
-            host.note_rebalance_window(g.lo, g.hi)
+            image, new_starts = self._plan(laid)
+            self._commit(lo, hi, g.log_rows, thread_id, image, layout=(laid, new_starts))
+            return g, laid
         finally:
             if held:
                 locks.end_rebalance(held)
 
+    @traced("resize")
     def resize(self, thread_id: int = 0) -> None:
         """Copy-on-write generation switch to a (at least) doubled array.
 
@@ -590,15 +641,11 @@ class Rebalancer:
         the early-exit (exception) path.  Callers must hold no section
         locks (deadlock-freedom: a resize acquires everything).
         """
-        with trace("resize"):
-            self._resize_traced(thread_id)
-
-    def _resize_traced(self, thread_id: int = 0) -> None:
         host = self.host
         locks = host.locks
         held = locks.begin_rebalance(range(locks.n_sections))
         try:
-            self._resize_locked(thread_id)
+            self._resize_locked()
             held = []  # locks.resize() already dropped the old-table holds
         finally:
             if held:
@@ -610,12 +657,10 @@ class Rebalancer:
                 if mine:
                     locks.end_rebalance(mine)
 
-    def _resize_locked(self, thread_id: int = 0) -> None:
+    def _resize_locked(self) -> None:
         host = self.host
-        ea, va = host.ea, host.va
-        # Gather the whole array.
-        lo, hi, i0, j = self._extend(0, ea.capacity)
-        g = self._gather(0, ea.capacity, i0, j)
+        ea = host.ea
+        g = self._gather(*self._extend(0, ea.capacity))
         new_cap = ea.capacity
         target = host.config.tau_root * 0.75
         while g.total > new_cap * target:
@@ -637,9 +682,7 @@ class Rebalancer:
             host.pool, new_ea.n_sections, host.logs.entries_per_section, gen=gen, create=True
         )
         # Lay out into the new generation (sequential streaming store).
-        g2 = GatherResult(
-            0, new_cap, g.i0, g.j, g.values, g.sizes, g.run_off, g.chain_gidxs, g.total
-        )
+        g2 = g.relaid(0, new_cap)
         image, new_starts = self._plan(g2)
         host.pool.device.ntstore(new_ea.region.offset, image.view(np.uint8), payload=0)
         host.pool.device.sfence()
@@ -655,18 +698,19 @@ class Rebalancer:
     # ------------------------------------------------------------------
     # tombstone compaction (temporal expiry sweep)
     # ------------------------------------------------------------------
+    @traced("compact_sweep")
     def compact(self, thread_id: int = 0) -> dict:
         """Whole-array tombstone-merge sweep; returns sweep statistics.
 
-        Gathers every vertex run (merging pending edge-log chains, as a
-        rebalance would), drops each matched tombstone + cancelled-live
-        pair (:func:`_compact_keep_mask`), and lays the filtered runs
-        back out over the full array under the same crash protection as
-        a rebalance window.  Live adjacency is byte-identical before and
-        after; ``live_degree`` is untouched (a dropped pair nets zero)
-        while ``degree``/``array_degree`` shrink to the filtered run
-        lengths, so the paid-per-entry costs of future gathers and scans
-        drop with the dead weight.
+        A rebalance of the root window with a filter: gathers every
+        vertex run (merging pending edge-log chains), drops each matched
+        tombstone + cancelled-live pair (:func:`_unmatched_mask`), and
+        commits the filtered layout like any other window.  Live
+        adjacency is byte-identical before and after; ``live_degree`` is
+        untouched (a dropped pair nets zero) while ``degree`` and
+        ``array_degree`` shrink to the filtered run lengths, so the
+        paid-per-entry costs of future gathers and scans drop with the
+        dead weight.
 
         Crash behavior needs no new recovery logic: a crash before the
         window image commits restores the backup and re-issues the
@@ -676,84 +720,29 @@ class Rebalancer:
         ``live = array_deg − 2·tombs`` still exact because only matched
         pairs were removed.
         """
-        with trace("compact_sweep"):
-            return self._compact_traced(thread_id)
-
-    def _compact_traced(self, thread_id: int = 0) -> dict:
         host = self.host
         while True:
-            locks = host.locks
-            held = locks.begin_rebalance(range(locks.n_sections))
-            try:
-                ea, va = host.ea, host.va
-                cap = ea.capacity
-                lo, hi, i0, j = self._extend(0, cap)
-                n = j - i0
-                if n == 0:
-                    return {
-                        "slots": cap, "entries_before": 0, "entries_after": 0,
-                        "pairs_dropped": 0, "tombstones_before": 0,
-                        "tombstones_after": 0,
-                    }
-                g = self._gather(0, cap, i0, j)
-                keep = _compact_keep_mask(g.values, g.sizes, g.run_off)
-                kept_total = int(keep.sum())
-                if n + kept_total > cap:
-                    # Even the filtered image cannot fit in place (log
-                    # chains outgrew the array): grow a generation, then
-                    # sweep the new layout.
-                    locks.end_rebalance(held)
-                    held = []
-                    self.resize(thread_id)
-                    continue
-                run_id = np.repeat(np.arange(n, dtype=np.int64), g.sizes)
-                new_sizes = np.bincount(run_id[keep], minlength=n).astype(np.int64)
-                values = g.values[keep]
-                new_off = np.cumsum(new_sizes) - new_sizes
-                g2 = GatherResult(
-                    0, cap, i0, j, values, new_sizes, new_off,
-                    g.chain_gidxs, n + kept_total,
-                )
-                image, new_starts = self._plan(g2)
-                annotate(
-                    slots=cap,
-                    entries=int(g.values.size),
-                    dropped=int(g.values.size - kept_total),
-                )
-                self._execute(0, cap, image, thread_id)
-                if host.config.use_undo_log:
-                    ulog = host.ulogs[thread_id]
-                    ulog.mark_done(0, cap)
-                    self._clears_by_window(0, cap, g.log_rows)
-                    ulog.finish()
-                else:
-                    self._clears_by_window(0, cap, g.log_rows)
-                # The filtered run *is* the vertex's whole logical
-                # history now: degree == array_degree == kept length,
-                # chains merged.  live_degree is invariant — each
-                # dropped pair is one live (+1) and one tombstone (−1).
-                live = va.live_degree[i0:j].copy()
-                va.update_window(
-                    i0, j, new_starts, new_sizes.copy(), new_sizes.copy(),
-                    live, np.full(n, -1, dtype=np.int64),
-                )
-                ea.recount(0, cap)
-                host.stats_note_rebalance(cap)
-                host.note_rebalance_window(0, cap)
-                tb = TOMB_BIT
-                tombs_before = int(((g.values & tb) != 0).sum())
-                tombs_after = int(((values & tb) != 0).sum())
-                return {
-                    "slots": cap,
-                    "entries_before": int(g.values.size),
-                    "entries_after": int(values.size),
-                    "pairs_dropped": int(g.values.size - kept_total) // 2,
-                    "tombstones_before": tombs_before,
-                    "tombstones_after": tombs_after,
-                }
-            finally:
-                if held:
-                    locks.end_rebalance(held)
+            ea = host.ea
+            done = self._rewrite_window(
+                0, ea.n_sections, ea.tree.height, thread_id, _unmatched_mask
+            )
+            if done is not None or host.ea is ea:
+                break
+            # Even the filtered image could not fit in place and the
+            # array grew a generation: sweep the new layout.
+        before = after = np.empty(0, dtype=SLOT_DTYPE)
+        if done is not None:
+            before, after = done[0].values, done[1].values
+            annotate(slots=ea.capacity, entries=int(before.size),
+                     dropped=int(before.size - after.size))
+        return {
+            "slots": ea.capacity,
+            "entries_before": int(before.size),
+            "entries_after": int(after.size),
+            "pairs_dropped": int(before.size - after.size) // 2,
+            "tombstones_before": int(((before & TOMB_BIT) != 0).sum()),
+            "tombstones_after": int(((after & TOMB_BIT) != 0).sum()),
+        }
 
     # ------------------------------------------------------------------
     # crash recovery
@@ -773,14 +762,10 @@ class Rebalancer:
             ulog.finish()
             return (h.win_lo, h.win_hi)
         if h.state == STATE_COPYBACK:
-            self._copy_scratch(h.dst_off, self.host.ea.byte_off(h.win_lo), h.length, ulog)
-            ulog.mark_done(h.win_lo, h.win_hi)
-            self._clears_by_window(h.win_lo, h.win_hi, log_rows)
-            ulog.finish()
+            self._commit(h.win_lo, h.win_hi, log_rows, ulog.thread_id, redo=h)
             return None
         if h.state == STATE_DONE:
-            self._clears_by_window(h.done_lo, h.done_hi, log_rows)
-            ulog.finish()
+            self._commit(h.done_lo, h.done_hi, log_rows, ulog.thread_id, redo=h)
             return None
         raise GraphError(f"undo log {ulog.thread_id} in unknown state {h.state}")
 

@@ -34,14 +34,10 @@ import numpy as np
 
 from ..config import DGAPConfig
 from ..errors import RecoveryError
-from ..obs.tracer import trace
+from ..obs.tracer import trace, traced
+from ..pmem import pool as pool_mod
 from ..pmem.pool import PMemPool
-from ..pmem.tx import TransactionManager
-from .edge_array import EdgeArray
-from .edge_log import EdgeLogs
 from .encoding import SLOT_DTYPE, TOMB_BIT
-from .locks import SectionLockTable
-from .pma_tree import DensityBounds
 from .rebalance import (
     ROOT_EPS,
     ROOT_GEN,
@@ -49,19 +45,14 @@ from .rebalance import (
     ROOT_NV_HINT,
     ROOT_SEGSLOTS,
     ROOT_SHUTDOWN,
-    Rebalancer,
 )
-from .undo_log import UndoLog
+from .undo_log import STATE_ACTIVE, STATE_COPYBACK
 from .vertex_array import make_vertex_array
 
 
+@traced("open")
 def open_from_pool(cls, pool: PMemPool, config: Optional[DGAPConfig] = None):
     """Reconstruct a DGAP instance from a pool (normal or crash path)."""
-    with trace("open"):
-        return _open_from_pool_traced(cls, pool, config)
-
-
-def _open_from_pool_traced(cls, pool: PMemPool, config: Optional[DGAPConfig]):
     host = cls._blank()
     host.config = config or DGAPConfig()
     cfg = host.config
@@ -74,36 +65,12 @@ def _open_from_pool_traced(cls, pool: PMemPool, config: Optional[DGAPConfig]):
     if seg_slots == 0 or eps == 0:
         raise RecoveryError("pool does not contain a DGAP image (missing geometry roots)")
 
-    host._bounds = DensityBounds(cfg.tau_leaf, cfg.tau_root, cfg.rho_leaf, cfg.rho_root)
-    edges_region = pool.get_array(f"edges.g{gen}")
-    capacity = edges_region.count
-    host.ea = EdgeArray(
-        pool, capacity, seg_slots, host._bounds,
-        gen=gen, create=False, pm_metadata=not cfg.dram_placement,
-    )
-    host.logs = EdgeLogs(pool, host.ea.n_sections, eps, gen=gen, create=False)
-    host.ulogs = [UndoLog(pool, t, cfg.ulog_size, create=False) for t in range(nthreads)]
-    host.tx_mgr = None
-    if not cfg.use_undo_log:
-        host.tx_mgr = TransactionManager(pool, name=f"pmdk-journal.g{gen}")
-
-    host.n_edges_inserted = 0
-    host.n_log_inserts = 0
-    host.n_array_inserts = 0
-    host.n_shift_inserts = 0
-    host.n_rebalances = 0
-    host.n_resizes = 0
-    host.n_compactions = 0
-    host.tombstone_pairs_compacted = 0
-    host.slots_rebalanced = 0
-    host._active_snapshots = 0
-    host.rebalancer = Rebalancer(host)
-    host._init_view_tracking()
-    # Locks are DRAM-only: rebuilt from scratch (paper §3.1.6).  Built
-    # *before* replay so the rebalances recovery re-issues run under the
-    # same window-lock protocol as live ones; resized afterwards in case
-    # recovery itself switched generations.
-    host.locks = SectionLockTable(host.ea.n_sections)
+    # Locks are DRAM-only (paper §3.1.6) and built here, *before* replay,
+    # so the rebalances recovery re-issues run under the same window-lock
+    # protocol as live ones; resized afterwards in case recovery itself
+    # switched generations.
+    capacity = pool.get_array(f"edges.g{gen}").count
+    host._attach(capacity, seg_slots, eps, nthreads, gen=gen, create=False)
 
     if pool.read_root(ROOT_SHUTDOWN) == 1:
         with trace("normal_restart"):
@@ -112,9 +79,6 @@ def _open_from_pool_traced(cls, pool: PMemPool, config: Optional[DGAPConfig]):
         with trace("crash_recover"):
             crash_recover(host)
 
-    host._cow_cache = None
-    host.track_rebalance_windows = False
-    host.op_rebalance_windows = []
     if cfg.cow_degree_cache:
         host._init_cow_cache()
     if host.locks.n_sections != host.ea.n_sections:
@@ -188,87 +152,69 @@ def crash_recover(host) -> None:
             _reissue_window(host, lo, hi)
 
 
+def dead_state(host, name: str, off: int, n: int) -> Optional[bool]:
+    """The one rule for which allocated bytes nothing will read again.
+
+    ``True``: bytes ``[off, off + n)`` of region ``name`` are dead — they
+    may be zeroed, which is how poison on them is repaired, at crash
+    time and at runtime alike.  ``False``: something still reads them
+    and no copy exists.  ``None``: not a region this rule covers (the
+    caller's own redundancy, if any, decides).
+
+    * ``meta.*`` — the shutdown snapshot: ignored on the crash path and
+      regenerated at the next shutdown;
+    * ``edges.g*`` / ``elogs.g*`` — dead unless the current generation;
+    * ``ulog.pay.t*`` — only consumed by an ACTIVE restore with a
+      committed (valid) backup;
+    * ``rebal.scratch.*`` — only consumed as the source of a COPYBACK.
+    """
+    if name.startswith("meta."):
+        return True
+    if name.startswith(("edges.g", "elogs.g")):
+        return int(name.rsplit("g", 1)[1]) != host.ea.gen
+    if name.startswith("ulog.pay.t"):
+        tid = int(name.rsplit("t", 1)[1])
+        h = next((ul.read_header() for ul in host.ulogs if ul.thread_id == tid), None)
+        return h is None or h.state != STATE_ACTIVE or h.valid == 0
+    if name.startswith("rebal.scratch."):
+        headers = (ul.read_header() for ul in host.ulogs)
+        return not any(
+            h.state == STATE_COPYBACK and h.dst_off < off + n and off < h.dst_off + h.length
+            for h in headers
+        )
+    return None
+
+
 def _scrub_poison(host) -> None:
     """Handle poisoned (uncorrectable) media lines before recovery reads.
 
-    A region whose content recovery never consumes can be *repaired* by
-    rewriting it (a media rewrite clears DCPMM poison): undo-log
-    payloads with no valid backup, rebalance scratch not being copied
-    back, dead (pre-resize) edge-array/log generations, and the
-    shutdown metadata arrays (ignored on the crash path, regenerated at
-    the next shutdown).  Damage to anything recovery must read — the
-    live edge array or logs, undo-log headers, an ACTIVE backup payload,
-    a COPYBACK scratch source — is unrecoverable data loss and raises
+    A region whose content recovery never consumes (:func:`dead_state`)
+    is *repaired* by rewriting it (a media rewrite clears DCPMM poison).
+    Damage to anything recovery must read — the live edge array or logs,
+    undo-log headers, an ACTIVE backup payload, a COPYBACK scratch
+    source — is unrecoverable data loss and raises
     :class:`RecoveryError` naming the region.
 
     Poisoned line ranges are split at region boundaries and every part
-    classified by its own region — a single line can straddle a dead
-    region and a live one, and classifying the whole range by its first
-    byte would either zero live data or refuse a repairable range.
-    Poison in unallocated space (nothing recovery reads) is repairable.
-    A range whose parts are all repairable is rewritten in one store so
-    the whole ECC line is made whole even when parts split it.
+    classified by its own region.  Poison in unallocated space (nothing
+    recovery reads) is repairable.  A range whose parts are all
+    repairable is rewritten in one store so the whole ECC line is made
+    whole even when parts split it.
     """
-    from .undo_log import STATE_ACTIVE, STATE_COPYBACK
-
     pool = host.pool
     dev = pool.device
     ranges = dev.poisoned_ranges()
     if not ranges:
         return
-    gen = host.ea.gen
-    headers = {ul.thread_id: ul.read_header() for ul in host.ulogs}
-    copyback_srcs = [
-        (h.dst_off, h.dst_off + h.length)
-        for h in headers.values()
-        if h.state == STATE_COPYBACK
-    ]
-
-    def repairable(name: str, off: int, n: int) -> bool:
-        if name.startswith("ulog.pay.t"):
-            h = headers.get(int(name.rsplit("t", 1)[1]))
-            # The payload is only consumed by an ACTIVE restore with a
-            # committed (valid) backup.
-            return h is None or h.state != STATE_ACTIVE or h.valid == 0
-        if name.startswith("rebal.scratch."):
-            return not any(a < off + n and off < b for a, b in copyback_srcs)
-        if name.startswith("meta."):
-            return True
-        if name.startswith(("edges.g", "elogs.g")):
-            return int(name.rsplit("g", 1)[1]) != gen  # dead generation
-        return False
-
-    from ..pmem import pool as pool_mod
-
-    def split_parts(off: int, n: int):
-        """``(off, n, name)`` parts of a range, cut at region bounds."""
-        out = []
-        starts = sorted(s for s, _, _ in pool._directory.values())
-        cur, end = off, off + n
-        while cur < end:
-            hit = pool.region_of(cur)
-            if hit is not None:
-                nxt = min(hit[2], end)
-            else:
-                nxt = min([s for s in starts if s > cur] + [end])
-            out.append((cur, nxt - cur, hit[0] if hit else None))
-            cur = nxt
-        return out
-
     for off, n in ranges:
-        for poff, pn, name in split_parts(off, n):
-            if name is None:
-                if poff < pool_mod._DATA_OFF:
-                    raise RecoveryError(
-                        f"uncorrectable media error in 'pool metadata' at "
-                        f"offset {poff} ({pn} bytes): persistent image is "
-                        f"damaged beyond repair"
-                    )
+        for poff, pn, name in pool.split_by_region(off, n):
+            if name is None and poff >= pool_mod._DATA_OFF:
                 continue  # unallocated space: content unused, zeros fine
-            if not repairable(name, poff, pn):
+            if name is None or not dead_state(host, name, poff, pn):
                 raise RecoveryError(
-                    f"uncorrectable media error in {name!r} at offset {poff} "
-                    f"({pn} bytes): persistent image is damaged beyond repair"
+                    f"uncorrectable media error in {name or 'pool metadata'!r} at "
+                    f"offset {poff} ({pn} bytes): persistent image is damaged "
+                    f"beyond repair"
                 )
         # Rewriting the lines clears the poison; the content is dead, so
         # zeros are as good as anything.  One store over the whole range:
@@ -471,4 +417,4 @@ def _reissue_window(host, lo_slot: int, hi_slot: int) -> None:
     host.rebalancer.rebalance_window(aligned_lo, min(aligned_lo + width, n), level)
 
 
-__all__ = ["open_from_pool", "crash_recover"]
+__all__ = ["open_from_pool", "crash_recover", "dead_state"]

@@ -32,7 +32,7 @@ import numpy as np
 from ..errors import SnapshotError
 from ..nputil import multi_arange
 from ..obs.tracer import trace
-from .encoding import SLOT_DTYPE, TOMB_BIT
+from .encoding import SLOT_DTYPE, TOMB_BIT, tombstone_matches
 
 #: historical alias — external code and tests import the underscored name.
 _multi_arange = multi_arange
@@ -213,19 +213,9 @@ class DGAPSnapshot:
 
 
 def _apply_tombstones(dsts: np.ndarray, tomb: np.ndarray) -> np.ndarray:
-    """Each tombstone cancels the most recent *earlier* live occurrence of
-    its destination; later re-insertions of the same destination survive."""
-    keep = np.ones(dsts.size, dtype=bool)
-    open_positions: dict[int, list[int]] = {}
-    for i in range(dsts.size):
-        d = int(dsts[i])
-        if tomb[i]:
-            keep[i] = False
-            stack = open_positions.get(d)
-            if stack:
-                keep[stack.pop()] = False
-        else:
-            open_positions.setdefault(d, []).append(i)
+    """Live destinations of one run: tombstones and the lives they cancel
+    (:func:`~repro.core.encoding.tombstone_matches`) are hidden."""
+    keep = ~(tomb | tombstone_matches(dsts, tomb))
     return dsts[keep].astype(np.int32, copy=False)
 
 

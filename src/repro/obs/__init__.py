@@ -45,6 +45,7 @@ from .tracer import (
     annotate,
     kernel_span,
     trace,
+    traced,
     tracing,
 )
 
@@ -55,6 +56,7 @@ __all__ = [
     "annotate",
     "kernel_span",
     "trace",
+    "traced",
     "tracing",
     "INT_COUNTER_FIELDS",
     "aggregate_phases",

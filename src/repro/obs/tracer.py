@@ -28,9 +28,10 @@ span — exactly the attribution the paper's phase-breakdown figures need.
 
 from __future__ import annotations
 
+import functools
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..pmem import device as _device_mod
 from ..pmem.stats import PMemStats
@@ -279,6 +280,30 @@ def trace(name: str, **attrs: Any):
     return Span(t, name, attrs)
 
 
+def traced(name: str, **attr_fns: Callable[..., Any]):
+    """Decorator form of :func:`trace`: the whole call is one ``name`` span.
+
+    Each ``attr_fns`` value is called with the decorated function's own
+    arguments to compute one span attribute — only while a tracer is
+    installed.  The off path is the same global load and ``None`` check
+    as :func:`trace`, then the plain call.
+    """
+
+    def decorate(fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            t = _ACTIVE
+            if t is None:
+                return fn(*args, **kwargs)
+            attrs = {k: f(*args, **kwargs) for k, f in attr_fns.items()}
+            with Span(t, name, attrs):
+                return fn(*args, **kwargs)
+
+        return wrapper
+
+    return decorate
+
+
 def annotate(**attrs: Any) -> None:
     """Attach attributes to the innermost open span (no-op when off)."""
     t = _ACTIVE
@@ -331,5 +356,6 @@ __all__ = [
     "annotate",
     "kernel_span",
     "trace",
+    "traced",
     "tracing",
 ]

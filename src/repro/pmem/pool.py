@@ -19,7 +19,7 @@ bytes, which is what the recovery tests do.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -135,6 +135,27 @@ class PMemPool:
             if start <= off < end:
                 return name, start, end
         return None
+
+    def split_by_region(self, off: int, n: int) -> List[Tuple[int, int, Optional[str]]]:
+        """``(off, n, name)`` parts of byte range ``[off, off + n)``, cut at
+        region bounds; ``name`` is None for unallocated/metadata space.
+
+        A poisoned line can straddle a dead region and a live one, so
+        both the crash-time scrub and the runtime repair judge every
+        part by its own region, never the range by its first byte.
+        """
+        starts = sorted(s for s, _, _ in self._directory.values())
+        out: List[Tuple[int, int, Optional[str]]] = []
+        cur, end = off, off + n
+        while cur < end:
+            hit = self.region_of(cur)
+            if hit is not None:
+                nxt = min(hit[2], end)
+            else:
+                nxt = min([s for s in starts if s > cur] + [end])
+            out.append((cur, nxt - cur, hit[0] if hit else None))
+            cur = nxt
+        return out
 
     # -- failure ------------------------------------------------------------
     def crash(self) -> None:

@@ -71,7 +71,7 @@ from ..core.rebalance import (
     ROOT_SEGSLOTS,
     ROOT_SHUTDOWN,
 )
-from ..core.undo_log import STATE_ACTIVE, STATE_COPYBACK
+from ..core.recovery import dead_state
 from ..core.vertex_array import NO_EL
 from ..errors import MediaError, ReadOnlyGraphError
 from ..obs.tracer import annotate, trace
@@ -86,6 +86,18 @@ from .quarantine import (
 )
 
 _FIELDS = 3  # edge-log entry fields (src, dst_enc, back)
+
+#: How a quarantine entry words each region kind ``dead_state`` judges,
+#: by the first component of the region name:
+#: ``(kind, detail when dead, detail when lost)``.
+_DEAD_STATE_KINDS = {
+    "meta": ("shutdown-metadata",
+             "stale shutdown snapshot; regenerated at next shutdown", ""),
+    "edges": ("dead-generation", "", ""),
+    "elogs": ("dead-generation", "", ""),
+    "ulog": ("undo-log", "", "committed ACTIVE backup payload lost"),
+    "rebal": ("scratch", "", "COPYBACK source image lost"),
+}
 
 
 class ResilienceManager:
@@ -168,18 +180,27 @@ class ResilienceManager:
         Whether a faulted insert landed is decided from the source's
         degree delta, corrected for edges the repair itself dropped —
         an insert is retried only when it provably did not land, so the
-        graph never gains a duplicate.  Raises
+        graph never gains a duplicate.  An insert that landed may have
+        faulted inside the section merge it owes *afterwards*; the
+        remaining attempts then re-drive that merge, so the layout keeps
+        up with a fault-free run's.  Raises
         :class:`~repro.errors.ReadOnlyGraphError` when the instance is
         (or becomes) READ_ONLY.
         """
         self.check_writable()
         g = self.graph
         created: List[QuarantineEntry] = []
+        landed = False
         for _ in range(self.max_retries + 1):
             known = src < g.va.num_vertices
             d0 = int(g.va.degree[src]) if known else 0
             try:
-                g.insert_edge(src, dst, thread_id)
+                if not landed:
+                    g.insert_edge(src, dst, thread_id)
+                else:
+                    sec = g.ea.section_of(int(g.va.start[src]) - 1)
+                    if g.merge_due(sec):
+                        g.rebalancer.merge_section(sec, thread_id)
                 return created
             except MediaError as err:
                 entries = self.handle_media_error(err)
@@ -189,15 +210,18 @@ class ResilienceManager:
                         "media damage during insert was unrecoverable; "
                         "instance is now READ_ONLY"
                     ) from err
-                lost_src = sum(
-                    n for e in entries for v, n in e.lost_by_vertex if v == src
-                )
-                landed = (
-                    src < g.va.num_vertices
-                    and int(g.va.degree[src]) > d0 - lost_src
-                )
-                if landed:
-                    return created
+                if not landed:
+                    lost_src = sum(
+                        n for e in entries for v, n in e.lost_by_vertex if v == src
+                    )
+                    landed = (
+                        src < g.va.num_vertices
+                        and int(g.va.degree[src]) > d0 - lost_src
+                    )
+        if landed:
+            # The edge is in; the merge stays owed to the section's next
+            # insert (a full log forces it before anything else lands).
+            return created
         raise MediaError(
             f"insert of ({src}, {dst}) kept faulting after "
             f"{self.max_retries} repair attempts"
@@ -231,7 +255,7 @@ class ResilienceManager:
             return []
         parts: List[Tuple[int, int, Optional[str]]] = []
         for off, n in ranges:
-            parts.extend(self._split_by_region(off, n))
+            parts.extend(self.pool.split_by_region(off, n))
 
         g = self.graph
         edges_name = f"edges.g{g.ea.gen}"
@@ -285,23 +309,6 @@ class ResilienceManager:
                     a, self.dev.buf[a : a + CACHE_LINE].copy(), payload=0
                 )
         self.dev.sfence()
-
-    def _split_by_region(self, off: int, n: int) -> List[Tuple[int, int, Optional[str]]]:
-        """Split a poisoned range at pool-region boundaries."""
-        out: List[Tuple[int, int, Optional[str]]] = []
-        end = off + n
-        starts = sorted(s for s, _, _ in self.pool._directory.values())
-        cur = off
-        while cur < end:
-            hit = self.pool.region_of(cur)
-            if hit is not None:
-                _, _, rend = hit
-                nxt = min(rend, end)
-            else:
-                nxt = min([s for s in starts if s > cur] + [end])
-            out.append((cur, nxt - cur, hit[0] if hit else None))
-            cur = nxt
-        return out
 
     def _zero(self, off: int, n: int) -> None:
         self.dev.ntstore(off, np.zeros(n, dtype=np.uint8), payload=0)
@@ -357,18 +364,8 @@ class ResilienceManager:
                 "pma-metadata", RepairOutcome.EXACT, "rewritten from DRAM seg_occ"
             )
 
-        if name.startswith("meta."):
-            self._zero(off, n)
-            return entry(
-                "shutdown-metadata", RepairOutcome.SCRUBBED,
-                "stale shutdown snapshot; regenerated at next shutdown",
-            )
-
-        if name.startswith(("edges.g", "elogs.g", "segocc.g")):
-            # Current-generation edges/elogs are routed to the structural
-            # repairs before this dispatcher; reaching here means a dead
-            # (pre-resize) generation.
-            self._zero(off, n)
+        if name.startswith("segocc.g"):
+            self._zero(off, n)  # the live one was rewritten above
             return entry("dead-generation", RepairOutcome.SCRUBBED)
 
         if name.startswith("ulog.hdr.t"):
@@ -378,32 +375,17 @@ class ResilienceManager:
                 "quiescent header reset to idle",
             )
 
-        if name.startswith("ulog.pay.t"):
-            tid = int(name.rsplit("t", 1)[1])
-            hdr = next(
-                (ul.read_header() for ul in g.ulogs if ul.thread_id == tid), None
-            )
-            if hdr is not None and hdr.state == STATE_ACTIVE and hdr.valid != 0:
-                return entry(
-                    "undo-log", RepairOutcome.UNRECOVERABLE,
-                    "committed ACTIVE backup payload lost",
-                )
+        # Regions with no DRAM redundancy: zeroed when nothing will read
+        # them again (the rule crash recovery scrubs by), lost otherwise.
+        # Current-generation edges/elogs never get here — the structural
+        # repairs take them first.
+        dead = dead_state(g, name, off, n)
+        if dead is not None:
+            kind, why_dead, why_lost = _DEAD_STATE_KINDS[name.split(".", 1)[0]]
+            if not dead:
+                return entry(kind, RepairOutcome.UNRECOVERABLE, why_lost)
             self._zero(off, n)
-            return entry("undo-log", RepairOutcome.SCRUBBED)
-
-        if name.startswith("rebal.scratch."):
-            srcs = [
-                (h.dst_off, h.dst_off + h.length)
-                for h in (ul.read_header() for ul in g.ulogs)
-                if h.state == STATE_COPYBACK
-            ]
-            if any(a < off + n and off < b for a, b in srcs):
-                return entry(
-                    "scratch", RepairOutcome.UNRECOVERABLE,
-                    "COPYBACK source image lost",
-                )
-            self._zero(off, n)
-            return entry("scratch", RepairOutcome.SCRUBBED)
+            return entry(kind, RepairOutcome.SCRUBBED, why_dead)
 
         if name.startswith("pmdk-journal"):
             self._zero(off, n)

@@ -38,6 +38,7 @@ from ..analysis.costs import (
 from ..analysis.view import ID_DTYPE
 from ..analysis.viewcache import DGAPViewCache
 from ..errors import VertexRangeError
+from ..nputil import multi_arange
 
 #: modeled cost of a same-epoch ``acquire()``: one DRAM read of the
 #: epoch counter plus the compare.
@@ -166,7 +167,7 @@ class ServeView:
                 break
             starts = indptr[frontier]
             counts = indptr[frontier + 1] - starts
-            idx = _multi_arange(starts, counts)
+            idx = multi_arange(starts, counts)
             nbrs = dsts[idx]
             frontier_total += frontier.size
             edges_total += nbrs.size
@@ -184,12 +185,6 @@ class ServeView:
         degrees = np.diff(self.out_indptr)
         self.last_query_ns = top_k_ns(self.num_vertices, k)
         return top_k_from_degrees(degrees, k)
-
-
-def _multi_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    from ..nputil import multi_arange
-
-    return multi_arange(np.asarray(starts, dtype=np.int64), np.asarray(counts, dtype=np.int64))
 
 
 class QueryServer:

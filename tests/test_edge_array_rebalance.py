@@ -187,3 +187,120 @@ class TestBoundarySectionClears:
         live_srcs = {int(e[0]) - 1 for e in entries if e[1] != 0}
         assert outside_v in live_srcs
         assert inside_v not in live_srcs
+
+
+class TestOneCommitSequence:
+    """Every edge-array rewrite runs the Fig. 4 tail through
+    ``Rebalancer._commit`` — once, in protocol order: mark done, finish,
+    then the vertex-array move (where the rewrite moves runs)."""
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        from repro.core.rebalance import Rebalancer
+        from repro.core.undo_log import UndoLog
+        from repro.core.vertex_array import VertexArray
+
+        events = []
+
+        def record(cls, name, enter, leave=None):
+            orig = getattr(cls, name)
+
+            def wrapper(self, *args, **kwargs):
+                events.append(enter)
+                try:
+                    return orig(self, *args, **kwargs)
+                finally:
+                    if leave:
+                        events.append(leave)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        record(UndoLog, "mark_done", "mark_done")
+        record(UndoLog, "finish", "finish")
+        record(VertexArray, "update_window", "update_window")
+        record(Rebalancer, "_commit", "commit>", "<commit")
+        return events
+
+    @staticmethod
+    def make(use_undo_log, **over):
+        cfg = dict(init_vertices=16, init_edges=1024, segment_slots=64, elog_size=96)
+        g = DGAP(DGAPConfig(**{**cfg, **over}, use_undo_log=use_undo_log))
+        for d in range(40):
+            g.insert_edge(5, d % 16)
+        d = 0
+        while not g.logs.counts.any():  # overflow vertex 0's gap into its log
+            g.insert_edge(0, d % 16)
+            d += 1
+        return g
+
+    @staticmethod
+    def expected(use_undo_log, moves_runs=True):
+        inner = (["mark_done", "finish"] if use_undo_log else []) + (
+            ["update_window"] if moves_runs else []
+        )
+        return ["commit>", *inner, "<commit"]
+
+    @pytest.mark.parametrize("use_undo_log", [True, False])
+    def test_rebalance(self, spy, use_undo_log):
+        g = self.make(use_undo_log)
+        del spy[:]
+        g.rebalancer.rebalance_window(0, g.ea.n_sections, g.ea.tree.height)
+        assert spy == self.expected(use_undo_log)
+        g.check_invariants()
+
+    @pytest.mark.parametrize("use_undo_log", [True, False])
+    def test_forced_merge(self, spy, use_undo_log):
+        g = self.make(use_undo_log)
+        sec = int(np.flatnonzero(g.logs.counts)[0])  # a section with pending entries
+        del spy[:]
+        g.rebalancer.merge_section(sec)
+        assert spy == self.expected(use_undo_log)
+        assert g.logs.counts[sec] == 0
+
+    @pytest.mark.parametrize("use_undo_log", [True, False])
+    def test_compact(self, spy, use_undo_log):
+        g = self.make(use_undo_log)
+        for d in range(8):
+            g.delete_edge(0, d)
+        del spy[:]
+        assert g.compact()["pairs_dropped"] == 8
+        assert spy == self.expected(use_undo_log)
+        g.check_invariants()
+
+    @pytest.mark.parametrize("use_undo_log", [True, False])
+    def test_long_no_el_shift(self, spy, use_undo_log):
+        """A shift longer than ULOG_SZ goes through the commit sequence
+        with an empty done window; it bumps starts itself."""
+        g = DGAP(DGAPConfig(init_vertices=4, init_edges=128, segment_slots=64,
+                            use_edge_log=False, use_undo_log=use_undo_log, ulog_size=64))
+        for d in range(40):  # a dense run (41 slots > ULOG_SZ) right of vertex 1's gap
+            g.insert_edge(2, d)
+        start2 = int(g.va.start[2])
+        shifts = g.n_shift_inserts
+        d = 0
+        while g.n_shift_inserts == shifts:  # fill vertex 1's gap, then shift
+            del spy[:]
+            g.insert_edge(1, d)
+            d += 1
+        assert spy[: len(self.expected(use_undo_log, False))] == self.expected(use_undo_log, False)
+        assert int(g.va.start[2]) == start2 + 1
+        if use_undo_log:
+            h = g.ulogs[0].read_header()
+            assert h.done_lo == h.done_hi  # nothing merged, nothing to clear
+        assert g.out_neighbors(1).tolist() == list(range(d))
+        assert g.out_neighbors(2).tolist() == list(range(40))
+
+    def test_copyback_recovery_redo(self, spy):
+        """Recovery re-enters the sequence at the recorded state: the
+        scratch copy is redone, then done → clears → finish."""
+        g = self.make(True)
+        image = np.arange(1, 65, dtype=np.int32)
+        scratch = g.rebalancer._get_scratch(256)
+        g.pool.device.ntstore(scratch.offset, image.view(np.uint8))
+        g.pool.device.sfence()
+        ul = g.ulogs[0]
+        ul.begin_copyback(0, 64, scratch.offset, 256)
+        del spy[:]
+        assert g.rebalancer.recover_ulog(ul, g.logs.rebuild_counts()) is None
+        assert spy == self.expected(True, moves_runs=False)
+        np.testing.assert_array_equal(g.ea.slots[:64], image)

@@ -24,6 +24,7 @@ from repro.obs import (
     kernel_span,
     render_tree,
     trace,
+    traced,
     tracing,
     write_chrome_trace,
 )
@@ -46,6 +47,54 @@ def test_trace_is_noop_when_off():
     with cm1:
         annotate(x=1)  # must not raise
     assert device_mod.TRACE_HOOK is None
+
+
+def test_traced_decorator_is_free_when_off(monkeypatch):
+    """Off: the plain call — no span object, no attr callable run, and
+    nothing left allocated behind."""
+    import sys
+
+    ran = []
+
+    @traced("work", n=lambda x: ran.append(x) or x)
+    def work(x):
+        return x + 1
+
+    def no_spans(*a, **k):
+        raise AssertionError("a span was constructed with tracing off")
+
+    monkeypatch.setattr(tracer_mod, "Span", no_spans)
+    assert active_tracer() is None
+    assert work(1) == 2 and work.__name__ == "work"
+    blocks = sys.getallocatedblocks()
+    for _ in range(1000):
+        work(1)
+    assert sys.getallocatedblocks() - blocks < 10  # nothing retained per call
+    assert ran == []
+
+
+def test_traced_decorator_opens_one_span_when_on():
+    ran = []
+
+    @traced("inner", n=lambda x: ran.append(x) or x)
+    def inner(x):
+        annotate(seen=True)
+        return x * 2
+
+    @traced("outer")
+    def outer(x):
+        return inner(x) + inner(x=x + 1)
+
+    t = Tracer()
+    with tracing(t):
+        assert outer(3) == 14
+    assert ran == [3, 4]  # attr callables ran once per traced call
+    (root,) = t.roots
+    assert root.name == "outer" and root.attrs == {}
+    assert [(c.name, c.attrs) for c in root.children] == [
+        ("inner", {"n": 3, "seen": True}),
+        ("inner", {"n": 4, "seen": True}),
+    ]
 
 
 def test_span_tree_structure_and_indices():

@@ -115,3 +115,153 @@ class TestAcknowledgementSemantics:
         g3 = DGAP.open(g2.pool, g2.config)
         state2 = {v: g3.out_neighbors(v).tolist() for v in range(16)}
         assert state1 == state2
+
+
+# ----------------------------------------------------------------------
+# poisoned regions: one verdict table for crash-time scrub and runtime repair
+# (tests/test_resilience.py runs the same table against ResilienceManager)
+# ----------------------------------------------------------------------
+LINE, XPLINE = 64, 256
+
+
+def poison_graph():
+    """Vertex 0 holds an array run and a live log chain in section 0."""
+    g = DGAP(DGAPConfig(**CFG, elog_size=96))
+    i = 0
+    while not g.logs.counts[0]:
+        g.insert_edge(0, i % 16)
+        i += 1
+    return g
+
+
+def first_line(g, name):
+    """The first cache line of region ``name`` (regions start line-aligned)."""
+    return g.pool._directory[name][0], LINE
+
+
+def _case_ulog_pay_idle():
+    g = poison_graph()
+    return g, first_line(g, "ulog.pay.t0")
+
+
+def _case_ulog_pay_active_valid():
+    g = poison_graph()
+    g.ulogs[0].snapshot_window(0, 64, g.ea.byte_off(0), 256)  # committed backup
+    return g, first_line(g, "ulog.pay.t0")
+
+
+def _case_scratch_unused():
+    g = poison_graph()
+    return g, (g.rebalancer._get_scratch(256).offset, LINE)
+
+
+def _copyback_graph():
+    g = poison_graph()
+    scratch = g.rebalancer._get_scratch(256)
+    g.ulogs[0].begin_copyback(0, 64, scratch.offset, 256)
+    return g, scratch
+
+
+def _case_scratch_copyback_source():
+    g, scratch = _copyback_graph()
+    return g, (scratch.offset + 128, LINE)
+
+
+def _case_scratch_past_copyback_source():
+    g, scratch = _copyback_graph()
+    return g, (scratch.offset + 256, LINE)  # same region, beyond the image
+
+
+def _restarted_graph():
+    g = poison_graph()
+    g.shutdown()  # allocates meta.*
+    return DGAP.open(g.pool, g.config)
+
+
+def _case_meta():
+    g = _restarted_graph()
+    return g, first_line(g, "meta.degree")
+
+
+def _resized_graph():
+    g = poison_graph()
+    g.rebalancer.resize()  # generation 0 becomes dead state
+    return g
+
+
+def _case_edges_dead_generation():
+    g = _resized_graph()
+    return g, first_line(g, "edges.g0")
+
+
+def _case_elogs_dead_generation():
+    g = _resized_graph()
+    return g, first_line(g, "elogs.g0")
+
+
+def _case_edges_live():
+    g = _resized_graph()
+    return g, first_line(g, "edges.g1")
+
+
+def _case_elogs_live():
+    g = poison_graph()
+    return g, first_line(g, "elogs.g0")
+
+
+def _case_xpline_straddling_dead_and_live():
+    g = _restarted_graph()
+    if g.pool.allocator.cursor % XPLINE == 0:  # make the next region start mid-XPLine
+        g.pool.alloc_array("meta.pad", np.uint8, LINE)
+    g.rebalancer.resize()  # edges.g1 lands right behind the last meta array
+    live_off = g.pool._directory["edges.g1"][0]
+    assert live_off % XPLINE and g.pool.region_of(live_off - 1)[0].startswith("meta.")
+    return g, (live_off // XPLINE * XPLINE, XPLINE)  # one ECC line holds both
+
+
+#: case -> (builder returning ``(graph, (off, nbytes))``, verdict):
+#: ``dead`` — nothing reads the bytes again, zeroing repairs them;
+#: ``lost`` — something must read them and no copy exists;
+#: ``live`` — current-generation edges/logs: lost to crash recovery,
+#: structurally repairable only while DRAM metadata is alive.
+POISON_CASES = {
+    "ulog.pay-idle": (_case_ulog_pay_idle, "dead"),
+    "ulog.pay-active-valid": (_case_ulog_pay_active_valid, "lost"),
+    "scratch-unused": (_case_scratch_unused, "dead"),
+    "scratch-copyback-source": (_case_scratch_copyback_source, "lost"),
+    "scratch-past-copyback-source": (_case_scratch_past_copyback_source, "dead"),
+    "meta": (_case_meta, "dead"),
+    "edges-dead-generation": (_case_edges_dead_generation, "dead"),
+    "elogs-dead-generation": (_case_elogs_dead_generation, "dead"),
+    "edges-live": (_case_edges_live, "live"),
+    "elogs-live": (_case_elogs_live, "live"),
+    "xpline-straddling-dead-and-live": (_case_xpline_straddling_dead_and_live, "live"),
+}
+
+
+def plant_poison(g, off, n):
+    """Poison exactly the cache lines of ``[off, off + n)`` (``poison()``
+    widens to whole XPLines, which would reach into neighbor regions)."""
+    g.pool.device._poisoned.update(range(off // LINE, (off + n - 1) // LINE + 1))
+
+
+class TestCrashScrubVerdicts:
+    @pytest.mark.parametrize("case", POISON_CASES)
+    def test_crash_scrub_verdict(self, case):
+        from repro.core.recovery import _scrub_poison
+
+        build, verdict = POISON_CASES[case]
+        g, (off, n) = build()
+        g.pool.device.drain_all()
+        plant_poison(g, off, n)
+        before = g.pool.device.buf.copy()
+        if verdict == "dead":
+            _scrub_poison(g)
+            assert not g.pool.device.poisoned_ranges()
+            assert not g.pool.device.buf[off : off + n].any()  # zeroed
+        else:
+            with pytest.raises(RecoveryError, match="beyond repair"):
+                _scrub_poison(g)
+            # refused before anything was rewritten — live bytes sharing
+            # a poisoned line with dead ones are never zeroed
+            np.testing.assert_array_equal(g.pool.device.buf, before)

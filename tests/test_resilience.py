@@ -25,6 +25,8 @@ from repro.resilience import (
 )
 from repro.resilience.quarantine import OUTCOME_HEALTH
 
+from .test_recovery_internals import POISON_CASES, plant_poison
+
 CFG = dict(init_vertices=512, init_edges=4096, segment_slots=64, elog_size=96)
 
 
@@ -261,3 +263,37 @@ class TestGuardedOperation:
                 g.check_invariants()
             total = int(g.va.degree[: g.num_vertices].sum())
         assert total == applied - rep.lost_edges
+
+
+class TestRuntimeRepairVerdicts:
+    """The crash-time verdict table (``tests/test_recovery_internals.py``)
+    replayed against the runtime repair: both sides consult the same
+    dead-state rule, so they agree on what may be zeroed and what is lost."""
+
+    @pytest.mark.parametrize("case", POISON_CASES)
+    def test_runtime_repair_verdict(self, case):
+        build, verdict = POISON_CASES[case]
+        g, (off, n) = build()
+        g.pool.device.drain_all()
+        plant_poison(g, off, n)
+        live_regions = (f"edges.g{g.ea.gen}", f"elogs.g{g.ea.gen}")
+        entries = ResilienceManager(g).full_scrub()
+        assert entries
+        outcomes = {e.outcome for e in entries}
+        if verdict == "dead":
+            assert outcomes == {RepairOutcome.SCRUBBED}
+            assert not g.pool.device.buf[off : off + n].any()  # zeroed
+            assert g.health is HealthState.HEALTHY
+        elif verdict == "lost":
+            assert RepairOutcome.UNRECOVERABLE in outcomes
+            assert g.health is HealthState.READ_ONLY
+        else:
+            # live structures are never zeroed as dead state: DRAM
+            # metadata (which a crash loses) repairs them structurally
+            live = [e for e in entries if e.region in live_regions]
+            assert live and all(e.kind in ("edge-array", "edge-log") for e in live)
+            assert RepairOutcome.UNRECOVERABLE not in outcomes
+            with g.pool.device.suspend_runtime_faults():
+                g.check_invariants()
+        if verdict != "lost":
+            assert not g.pool.device.poisoned_ranges()

@@ -208,6 +208,65 @@ class TestWindowedStreamDifferential:
 # -- degenerate windows -----------------------------------------------------
 
 
+class TestSharedPairingRule:
+    """Snapshot reads and the compaction filter apply one deletion rule
+    (``encoding.tombstone_matches``): what a read hides as a cancelled
+    pair is exactly what a sweep drops."""
+
+    run_s = st.lists(st.tuples(st.integers(0, 5), st.booleans()), max_size=40)
+    op_s = st.tuples(st.integers(0, 3), st.integers(0, 5), st.booleans())
+
+    @given(run_s)
+    @common
+    def test_compacted_run_reads_back_the_same(self, seq):
+        from repro.core.encoding import TOMB_BIT, tombstone_matches
+        from repro.core.rebalance import GatherResult, _unmatched_mask
+        from repro.core.snapshot import _apply_tombstones
+
+        dsts = np.array([d for d, _ in seq], dtype=np.int32)
+        tomb = np.array([t for _, t in seq], dtype=bool)
+        values = (dsts + 1) | np.where(tomb, TOMB_BIT, 0).astype(np.int32)
+        run = GatherResult(0, 0, 0, 1, values, np.array([len(seq)]), np.empty(0, np.int64))
+        keep = _unmatched_mask(run)
+        assert (
+            _apply_tombstones(dsts[keep], tomb[keep]).tolist()
+            == _apply_tombstones(dsts, tomb).tolist()
+        )
+        # the swept run holds no pair any more: only unmatched tombstones
+        assert not tombstone_matches(dsts[keep], tomb[keep]).any()
+        assert (~keep).sum() % 2 == 0
+
+    @given(st.lists(op_s, max_size=60))
+    @common
+    def test_sweep_is_invisible_to_reads(self, ops):
+        """Random inserts/deletes incl. deletes of never-present edges
+        (unmatched tombstones, kept) and re-inserts after a delete."""
+        g = make_graph()
+        live = defaultdict(list)
+        unmatched = defaultdict(int)
+        for s, d, delete in ops:
+            if not delete:
+                g.insert_edge(s, d)
+                live[s].append(d)
+            else:
+                g.delete_edge(s, d)
+                if d in live[s]:
+                    _remove_last(live[s], d)
+                else:
+                    unmatched[s] += 1
+        before = {v: g.out_neighbors(v).tolist() for v in range(4)}
+        assert before == {v: live[v] for v in range(4)}
+        live_deg = g.va.live_degrees().copy()
+        stats = g.compact()
+        assert {v: g.out_neighbors(v).tolist() for v in range(4)} == before
+        np.testing.assert_array_equal(g.va.live_degrees(), live_deg)
+        for v in range(4):
+            assert int(g.va.degree[v]) == len(live[v]) + unmatched[v]
+        assert stats["tombstones_after"] == sum(unmatched.values())
+        assert g.compact()["pairs_dropped"] == 0
+        g.check_invariants()
+
+
 class TestDegenerateWindows:
     def test_window_zero_graph_empty_after_every_step(self):
         g = make_graph()
