@@ -16,8 +16,8 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..errors import GraphError, VertexRangeError
-from .encoding import MAX_VERTEX, SLOT_DTYPE, TOMB_BIT
+from ..errors import GraphError
+from .encoding import SLOT_DTYPE, TOMB_BIT, check_vertex
 
 EdgeLike = Union["EdgeBatch", np.ndarray, Iterable[Tuple[int, int]]]
 
@@ -96,16 +96,9 @@ class EdgeBatch:
 
     # -- validation -------------------------------------------------------
     def validate(self) -> None:
-        if self.src.size == 0:
-            return
-        lo = min(int(self.src.min()), int(self.dst.min()))
-        hi = max(int(self.src.max()), int(self.dst.max()))
-        if lo < 0:
-            raise VertexRangeError("negative vertex id in batch")
-        if hi > MAX_VERTEX:
-            raise VertexRangeError(
-                f"vertex {hi} exceeds encodable maximum {MAX_VERTEX}"
-            )
+        if self.src.size:
+            check_vertex(min(int(self.src.min()), int(self.dst.min())))
+            check_vertex(self.max_vertex())
 
     # -- basics -----------------------------------------------------------
     def __len__(self) -> int:

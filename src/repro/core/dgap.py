@@ -36,7 +36,7 @@ from ..pmem.tx import TransactionManager
 from .batch import DEFAULT_BATCH_SIZE, EdgeBatch, EdgeLike
 from .edge_array import EdgeArray
 from .edge_log import EdgeLogs
-from .encoding import MAX_VERTEX, SLOT_DTYPE, encode_edge, encode_pivot
+from .encoding import SLOT_DTYPE, check_vertex, encode_edge, encode_pivot
 from .locks import SectionLockTable
 from ..obs.tracer import annotate, trace, traced
 from .pma_tree import DensityBounds
@@ -68,6 +68,13 @@ class DGAP:
     #: ``insert_edge`` reproduces the exact same persistent image.
     last_batch_order: Optional[np.ndarray] = None
     _merge_thr_cache: Optional[tuple] = None
+    #: a DGAP is a one-shard store (DESIGN.md §14): everything above
+    #: ``core/`` is written once, over ``shards`` / ``pool.pools``.
+    n_shards = 1
+
+    @property
+    def shards(self) -> Tuple["DGAP", ...]:
+        return (self,)
 
     def __init__(
         self,
@@ -144,6 +151,7 @@ class DGAP:
         self.tombstone_pairs_compacted = 0
         self.slots_rebalanced = 0
         self._active_snapshots = 0
+        self._shut_down = False
         self._cow_cache = None
         #: rebalance windows of the current op (consumed by the virtual-
         #: thread scheduler when track_rebalance_windows is set)
@@ -255,12 +263,18 @@ class DGAP:
     # ------------------------------------------------------------------
     # graph updates (paper §3.1.2)
     # ------------------------------------------------------------------
+    def _require_open(self) -> None:
+        """Every public mutation starts here: after :meth:`shutdown` the
+        NORMAL_SHUTDOWN flag stays set until the next :meth:`open`, so a
+        write acknowledged now would be dropped by the normal restart."""
+        if self._shut_down:
+            raise GraphError("write to a shut-down store; reopen it from its pool")
+
     def insert_vertex(self, v: int) -> None:
         """Ensure vertex ids ``0..v`` exist (``g.insertV``)."""
-        if v > MAX_VERTEX:
-            raise VertexRangeError(f"vertex {v} exceeds encodable maximum {MAX_VERTEX}")
+        self._require_open()
         if self.va.num_vertices <= v:
-            self._append_vertices(v)
+            self._append_vertices(check_vertex(v))
 
     @traced("insert_vertex", v=lambda self, v: v)
     def _append_vertices(self, v: int) -> None:
@@ -332,8 +346,10 @@ class DGAP:
         and keeps destinations in the *global* id space
         (:mod:`repro.sharding`).
         """
+        self._require_open()
+        src, dst = check_vertex(src), check_vertex(dst)
         self._ensure_vertices(src, max(src, dst), grow_vertices)
-        self._insert_one(int(src), int(dst), thread_id, tombstone)
+        self._insert_one(src, dst, thread_id, tombstone)
 
     def _ensure_vertices(self, src_max: int, any_max: int, grow_vertices: bool) -> None:
         """Grow the id space to cover an insert, or — with growth
@@ -341,7 +357,7 @@ class DGAP:
         nv = self.va.num_vertices
         if grow_vertices:
             if any_max >= nv:
-                self.insert_vertex(any_max)
+                self._append_vertices(any_max)
         elif src_max >= nv:
             raise VertexRangeError(
                 f"source {src_max} >= {nv} with vertex growth disabled"
@@ -587,6 +603,7 @@ class DGAP:
         sub-batches (default 512; None or <= 0 = one unbounded batch;
         1 = the per-edge persist path).
         """
+        self._require_open()
         batch = EdgeBatch.coerce(edges)
         with trace("insert_edges", edges=len(batch)):
             if batch_size is not None and batch_size > 0 and len(batch) > batch_size:
@@ -864,13 +881,13 @@ class DGAP:
         ``degree`` counts every entry (lives and tombstones), and
         ``live_degree`` counts lives minus tombstones, so the tombstone
         count is ``(Σdegree − Σlive) / 2`` — a pure DRAM read, cheap
-        enough to poll after every expiry batch.
+        enough to poll after every expiry batch.  Summed over ``shards``
+        (:class:`~repro.sharding.sharded.ShardedDGAP` reuses this very
+        method), so the density is store-wide.
         """
-        deg = int(self.va.degrees().sum())
-        if deg == 0:
-            return 0.0
-        live = int(self.va.live_degrees().sum())
-        return (deg - live) / (2 * deg)
+        deg = sum(int(sh.va.degrees().sum()) for sh in self.shards)
+        live = sum(sh.num_edges for sh in self.shards)
+        return (deg - live) / (2 * deg) if deg else 0.0
 
     def compact(self, thread_id: int = 0) -> dict:
         """Tombstone-merge sweep: physically drop matched delete pairs.
@@ -887,9 +904,8 @@ class DGAP:
         reader the first ``degree_v`` *logical* entries of each run, and
         the sweep rewrites exactly that history.
         """
-        self._drop_point_view()
-        if self._active_snapshots:
-            raise GraphError("compact with active analysis snapshots")
+        self._require_open()
+        self.require_no_snapshots("compact")
         with trace("compact"):
             stats = self.rebalancer.compact(thread_id)
             annotate(**stats)
@@ -906,6 +922,13 @@ class DGAP:
     def consistent_view(self) -> DGAPSnapshot:
         """Snapshot the Degree Cache for an analysis task (``g.consistent_view``)."""
         return DGAPSnapshot(self)
+
+    def require_no_snapshots(self, what: str) -> None:
+        """Drop the graph-owned point view, then refuse ``what`` while a
+        caller still holds an analysis snapshot."""
+        self._drop_point_view()
+        if self._active_snapshots:
+            raise GraphError(f"{what} with active analysis snapshots")
 
     def _snapshot_opened(self, snap) -> None:
         self._active_snapshots += 1
@@ -969,9 +992,7 @@ class DGAP:
     @traced("shutdown")
     def shutdown(self) -> None:
         """Graceful shutdown: persist DRAM components, set NORMAL_SHUTDOWN."""
-        self._drop_point_view()
-        if self._active_snapshots:
-            raise GraphError("shutdown with active analysis snapshots")
+        self.require_no_snapshots("shutdown")
         nv = self.va.num_vertices
         meta = {f: getattr(self.va, f)[:nv] for f in self._META_FIELDS}
         # section occupancy + log cursors: a normal restart rescans nothing
@@ -988,6 +1009,7 @@ class DGAP:
         self.pool.device.drain_all()
         self.pool.write_root(ROOT_SHUTDOWN, 1)
         self.pool.device.end_session()  # the reopen is another process
+        self._shut_down = True
 
     @classmethod
     def open(cls, pool: PMemPool, config: Optional[DGAPConfig] = None) -> "DGAP":

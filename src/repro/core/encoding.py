@@ -21,12 +21,28 @@ from typing import Tuple
 
 import numpy as np
 
+from ..errors import VertexRangeError
+
 GAP = np.int32(0)
 TOMB_BIT = np.int32(1 << 30)
 MAX_VERTEX = (1 << 30) - 2
 
 SLOT_DTYPE = np.int32
 SLOT_BYTES = 4
+
+
+def check_vertex(v: int, nv: int = MAX_VERTEX + 1) -> int:
+    """``int(v)`` if it lies in ``[0, nv)``, else :class:`VertexRangeError`.
+
+    The one "is this vertex id legal" check.  Readers pass the store's
+    vertex count — the *global* one under sharding, so an error never
+    names a shard-local id; the write path keeps the default, the
+    encodable id space, and calls it before the first device event.
+    """
+    v = int(v)
+    if not 0 <= v < nv:
+        raise VertexRangeError(f"vertex {v} out of range [0, {nv})")
+    return v
 
 
 def encode_pivot(v: int) -> np.int32:
@@ -113,6 +129,7 @@ __all__ = [
     "MAX_VERTEX",
     "SLOT_DTYPE",
     "SLOT_BYTES",
+    "check_vertex",
     "encode_pivot",
     "encode_edge",
     "decode_pivot",

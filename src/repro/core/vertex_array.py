@@ -20,8 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import VertexRangeError
 from ..pmem.pool import PMemPool
+from .encoding import check_vertex
 
 #: el_ptr value meaning "no edge-log entries for this vertex".
 NO_EL = -1
@@ -60,8 +60,7 @@ class VertexArray:
 
     # -- element updates ------------------------------------------------------
     def check(self, v: int) -> None:
-        if not 0 <= v < self.num_vertices:
-            raise VertexRangeError(f"vertex {v} out of range [0, {self.num_vertices})")
+        check_vertex(v, self.num_vertices)
 
     def set_start(self, v: int, value: int) -> None:
         self.start[v] = value

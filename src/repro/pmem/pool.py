@@ -62,6 +62,11 @@ class PMemPool:
             self.device.sfence()
         self.allocator = BumpAllocator(self.device, _DATA_OFF, self.device.size, _CURSOR_OFF)
 
+    @property
+    def pools(self) -> Tuple["PMemPool", ...]:
+        """A pool is a one-pool group (``ShardPoolGroup.pools``; DESIGN.md §14)."""
+        return (self,)
+
     # -- stats passthrough -------------------------------------------------
     @property
     def stats(self):

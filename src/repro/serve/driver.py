@@ -36,7 +36,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..analysis.view import ID_DTYPE
+from ..core.encoding import check_vertex
 from ..obs.tracer import annotate, trace
+from ..sharding.partition import local_count, local_ids_to_global, shard_of, to_local
 from .server import (
     QueryServer,
     degree_ns,
@@ -66,22 +68,21 @@ class SnapshotReader:
     snapshot — per owner shard for point queries, per every shard for
     the global ones — and pays :func:`snapshot_open_ns` on top of the
     identical read cost.  The twin runner uses it as the byte-identity
-    oracle and the speedup baseline.
+    oracle and the speedup baseline.  Written against the store surface
+    (``shards`` / ``n_shards`` / ``num_vertices``, DESIGN.md §14): a
+    plain DGAP is the one-shard case.
     """
 
     def __init__(self, graph) -> None:
         self.graph = graph
-        self.sharded = hasattr(graph, "shards")
         self.last_query_ns = 0.0
 
     # -- helpers -----------------------------------------------------------
     def _owner(self, v: int):
-        """(shard graph, local id) for a global vertex."""
-        if not self.sharded:
-            return self.graph, int(v)
-        from ..sharding.partition import to_local
-
-        return self.graph.shard_for(int(v)), to_local(int(v), self.graph.n_shards)
+        """(shard graph, local id) for a range-checked global vertex."""
+        g = self.graph
+        v = check_vertex(v, g.num_vertices)
+        return g.shards[shard_of(v, g.n_shards)], to_local(v, g.n_shards)
 
     # -- queries -----------------------------------------------------------
     def degree(self, v: int) -> int:
@@ -108,19 +109,26 @@ class SnapshotReader:
             return found
 
     def k_hop(self, v: int, k: int) -> np.ndarray:
-        snaps, open_ns, owner = self._open_all()
+        g = self.graph
+        n = g.n_shards
+        nv = g.num_vertices
+        v = check_vertex(v, nv)
+        # One snapshot per shard; they open in parallel (max, not sum).
+        snaps = [sh.consistent_view() for sh in g.shards]
+        open_ns = max(snapshot_open_ns(s.num_vertices) for s in snaps)
         try:
-            nv = self.graph.num_vertices
             visited = np.zeros(nv, dtype=bool)
-            visited[int(v)] = True
-            frontier = np.array([int(v)], dtype=ID_DTYPE)
+            visited[v] = True
+            frontier = np.array([v], dtype=ID_DTYPE)
             parts: List[np.ndarray] = []
             frontier_total = 0
             edges_total = 0
             for _ in range(int(k)):
                 if frontier.size == 0:
                     break
-                rows = [owner(int(u)).out_neighbors(self._local(int(u))) for u in frontier]
+                owners = shard_of(frontier, n).tolist()
+                locals_ = to_local(frontier, n).tolist()
+                rows = [snaps[r].out_neighbors(lu) for r, lu in zip(owners, locals_)]
                 nbrs = np.concatenate(rows) if rows else np.empty(0, dtype=ID_DTYPE)
                 frontier_total += frontier.size
                 edges_total += nbrs.size
@@ -137,49 +145,18 @@ class SnapshotReader:
                 snap.release()
 
     def top_k_degree(self, k: int) -> Tuple[np.ndarray, np.ndarray]:
-        nv = self.graph.num_vertices
-        if not self.sharded:
-            with self.graph.consistent_view() as snap:
-                degrees = snap.live_t[:nv].astype(np.int64)
-                open_ns = snapshot_open_ns(nv)
-        else:
-            from ..sharding.partition import local_count, local_ids_to_global
-
-            n = self.graph.n_shards
-            degrees = np.empty(nv, dtype=np.int64)
-            open_ns = 0.0
-            for r, sh in enumerate(self.graph.shards):
-                lc = local_count(nv - 1, r, n)
-                with sh.consistent_view() as snap:
-                    degrees[local_ids_to_global(lc, r, n)] = snap.live_t[:lc]
-                open_ns = max(open_ns, snapshot_open_ns(lc))
+        g = self.graph
+        n = g.n_shards
+        nv = g.num_vertices
+        degrees = np.empty(nv, dtype=np.int64)
+        open_ns = 0.0
+        for r, sh in enumerate(g.shards):
+            lc = local_count(nv - 1, r, n)
+            with sh.consistent_view() as snap:
+                degrees[local_ids_to_global(lc, r, n)] = snap.live_t[:lc]
+            open_ns = max(open_ns, snapshot_open_ns(lc))
         self.last_query_ns = open_ns + top_k_ns(nv, k)
         return top_k_from_degrees(degrees, k)
-
-    # -- snapshot plumbing -------------------------------------------------
-    def _local(self, v: int) -> int:
-        if not self.sharded:
-            return v
-        from ..sharding.partition import to_local
-
-        return to_local(v, self.graph.n_shards)
-
-    def _open_all(self):
-        """Open snapshots covering the whole graph (global queries).
-
-        Returns ``(snaps, open_ns, owner)`` where ``owner(v)`` maps a
-        global vertex to the snapshot holding its row; ``open_ns`` is
-        the parallel (max-over-shards) open cost.
-        """
-        if not self.sharded:
-            snap = self.graph.consistent_view()
-            return [snap], snapshot_open_ns(snap.num_vertices), lambda v: snap
-        from ..sharding.partition import shard_of
-
-        n = self.graph.n_shards
-        snaps = [sh.consistent_view() for sh in self.graph.shards]
-        open_ns = max(snapshot_open_ns(s.num_vertices) for s in snaps)
-        return snaps, open_ns, lambda v: snaps[shard_of(v, n)]
 
 
 @dataclass

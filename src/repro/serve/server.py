@@ -1,11 +1,12 @@
 """Snapshot-isolated query serving over epoch-versioned CSR views.
 
-:class:`QueryServer` fronts a :class:`~repro.core.dgap.DGAP` or
-:class:`~repro.sharding.sharded.ShardedDGAP` with the view-cache
-machinery: ``acquire()`` returns an immutable :class:`ServeView` pinned
-at the graph's current structure epoch(s).  While no write lands, every
-acquire reuses the cached arrays (an epoch compare, no snapshot); after
-a write, the next acquire re-materializes through
+:class:`QueryServer` fronts a store — a
+:class:`~repro.sharding.sharded.ShardedDGAP` or a one-shard
+:class:`~repro.core.dgap.DGAP` — with the view-cache machinery:
+``acquire()`` returns an immutable :class:`ServeView` pinned at the
+shards' current structure epochs.  While no write lands, every acquire
+reuses the cached arrays (an epoch compare, no snapshot); after a
+write, the next acquire re-materializes through the per-shard
 :class:`~repro.analysis.viewcache.DGAPViewCache` — which patches only
 the stale rows — and hands out a *new* view.  Held views keep serving
 the old arrays untouched: the cache allocates fresh arrays on every
@@ -36,9 +37,9 @@ from ..analysis.costs import (
     PM_SEQ_NS_PER_BYTE,
 )
 from ..analysis.view import ID_DTYPE
-from ..analysis.viewcache import DGAPViewCache
-from ..errors import VertexRangeError
+from ..core.encoding import check_vertex
 from ..nputil import multi_arange
+from ..sharding.merge import ShardedViewCache
 
 #: modeled cost of a same-epoch ``acquire()``: one DRAM read of the
 #: epoch counter plus the compare.
@@ -125,26 +126,19 @@ class ServeView:
         self.num_vertices = int(out_indptr.size - 1)
         self.last_query_ns = 0.0
 
-    def _check(self, v: int) -> int:
-        v = int(v)
-        nv = self.num_vertices
-        if not 0 <= v < nv:
-            raise VertexRangeError(f"vertex {v} out of range [0, {nv})")
-        return v
-
     def degree(self, v: int) -> int:
-        v = self._check(v)
+        v = check_vertex(v, self.num_vertices)
         self.last_query_ns = degree_ns()
         return int(self.out_indptr[v + 1] - self.out_indptr[v])
 
     def neighbors(self, v: int) -> np.ndarray:
-        v = self._check(v)
+        v = check_vertex(v, self.num_vertices)
         row = self.out_dsts[self.out_indptr[v] : self.out_indptr[v + 1]]
         self.last_query_ns = row_ns(row.size, pm=False)
         return row
 
     def edge_exists(self, u: int, w: int) -> bool:
-        u = self._check(u)
+        u = check_vertex(u, self.num_vertices)
         row = self.out_dsts[self.out_indptr[u] : self.out_indptr[u + 1]]
         hits = np.flatnonzero(row == w)
         found = hits.size > 0
@@ -154,7 +148,7 @@ class ServeView:
 
     def k_hop(self, v: int, k: int) -> np.ndarray:
         """Vertices at distance 1..k from ``v`` (sorted, excludes ``v``)."""
-        v = self._check(v)
+        v = check_vertex(v, self.num_vertices)
         indptr, dsts = self.out_indptr, self.out_dsts
         visited = np.zeros(self.num_vertices, dtype=bool)
         visited[v] = True
@@ -188,9 +182,12 @@ class ServeView:
 
 
 class QueryServer:
-    """Serves :class:`ServeView` objects for a DGAP or ShardedDGAP.
+    """Serves :class:`ServeView` objects for a store (DESIGN.md §14).
 
-    ``acquire()`` compares the graph's structure epoch(s) against the
+    Written against the store surface only — ``graph.shards`` and the
+    :class:`~repro.sharding.merge.ShardedViewCache` over them; a plain
+    DGAP is the one-shard case, not a second path.
+    ``acquire()`` compares the shards' structure epochs against the
     cached view and only re-materializes when a write moved them.  The
     modeled cost of each acquire lands in :attr:`last_acquire_ns`: an
     epoch check when reused, the snapshot + patch cost when refreshed —
@@ -199,13 +196,8 @@ class QueryServer:
 
     def __init__(self, graph) -> None:
         self.graph = graph
-        self.sharded = hasattr(graph, "shards")
-        if self.sharded:
-            from ..sharding.merge import ShardedViewCache
-
-            self._cache = ShardedViewCache(graph)
-        else:
-            self._cache = DGAPViewCache(graph)
+        self._shards = tuple(graph.shards)  # fixed for a store's lifetime
+        self._cache = ShardedViewCache(graph)
         self._view: Optional[ServeView] = None
         self.refreshes = 0
         self.reuses = 0
@@ -213,11 +205,9 @@ class QueryServer:
         self.refresh_ns_total = 0.0
 
     # -- epochs ------------------------------------------------------------
-    def current_epoch(self):
-        g = self.graph
-        if self.sharded:
-            return tuple(int(sh.structure_epoch) for sh in g.shards)
-        return int(g.structure_epoch)
+    def current_epoch(self) -> Tuple[int, ...]:
+        # the same-epoch acquire is the p50 read: keep it a list comprehension
+        return tuple([sh.structure_epoch for sh in self._shards])
 
     @property
     def view_epoch(self):
@@ -236,24 +226,18 @@ class QueryServer:
         return view
 
     def _stat_snapshot(self):
-        stats = self._cache.stats if self.sharded else [self._cache.stats]
         return [
             (s.full_rebuilds, s.sections_rebuilt, s.delta_edges_merged)
-            for s in stats
+            for s in self._cache.stats
         ]
 
     def _refresh(self, epoch) -> ServeView:
         self.refreshes += 1
         before = self._stat_snapshot()
-        if self.sharded:
-            (out_indptr, out_dsts), _ = self._cache.materialize()
-            local_nvs = [
-                int(c._nv) for c in self._cache.caches  # noqa: SLF001 — cost model input
-            ]
-        else:
-            with self.graph.consistent_view() as snap:
-                (out_indptr, out_dsts), _ = self._cache.materialize(snap)
-            local_nvs = [int(out_indptr.size - 1)]
+        (out_indptr, out_dsts), _ = self._cache.materialize()
+        local_nvs = [
+            int(c._nv) for c in self._cache.caches  # noqa: SLF001 — cost model input
+        ]
         after = self._stat_snapshot()
         cost = self._refresh_cost_ns(before, after, local_nvs, int(out_dsts.size))
         self.last_acquire_ns = cost

@@ -40,6 +40,8 @@ CSRPair = Tuple[np.ndarray, np.ndarray]
 
 def merge_out_csr(outs: List[CSRPair], nv: int, n_shards: int) -> CSRPair:
     """Scatter per-shard out-CSRs into the global block-striped layout."""
+    if n_shards == 1:
+        return outs[0]  # a merge of one stream is that stream (no copy)
     counts = np.empty(nv, dtype=np.int64)
     gids_per_shard = []
     for r, (ip, _) in enumerate(outs):
@@ -88,7 +90,9 @@ def merge_in_csr(inns: List[CSRPair], nv: int) -> CSRPair:
 
 
 class ShardedViewCache:
-    """Global analysis view over a :class:`~repro.sharding.sharded.ShardedDGAP`.
+    """Global analysis view over a store's ``shards`` — a
+    :class:`~repro.sharding.sharded.ShardedDGAP` or a one-shard
+    :class:`~repro.core.dgap.DGAP`.
 
     One generalized :class:`DGAPViewCache` per shard (global source ids,
     global destination domain) keeps per-shard incrementality; the merge
@@ -96,16 +100,16 @@ class ShardedViewCache:
     no sorting.
     """
 
-    def __init__(self, sharded) -> None:
-        self.sharded = sharded
-        n = sharded.n_shards
+    def __init__(self, store) -> None:
+        self.store = store
+        n = store.n_shards
         self.caches = [
             DGAPViewCache(
                 sh,
                 id_stride=n,
                 row_ids=(lambda nv, r=r: local_ids_to_global(nv, r, n)),
             )
-            for r, sh in enumerate(sharded.shards)
+            for r, sh in enumerate(store.shards)
         ]
 
     @property
@@ -114,7 +118,7 @@ class ShardedViewCache:
         return [c.stats for c in self.caches]
 
     def materialize(self) -> Tuple[CSRPair, CSRPair]:
-        host = self.sharded
+        host = self.store
         n = host.n_shards
         nv = host.num_vertices
         outs: List[CSRPair] = []

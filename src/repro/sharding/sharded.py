@@ -28,6 +28,7 @@ The facade keeps DGAP's mutation semantics:
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import replace
 from typing import List, Optional
 
@@ -36,31 +37,13 @@ import numpy as np
 from ..config import DGAPConfig
 from ..core.batch import DEFAULT_BATCH_SIZE, EdgeBatch, EdgeLike
 from ..core.dgap import DGAP
-from ..errors import GraphError, SimulatedCrash, VertexRangeError
+from ..core.encoding import check_vertex
+from ..errors import GraphError, SimulatedCrash
 from ..pmem.crash import CrashInjector
 from ..pmem.faults import FaultPolicy
+from .merge import ShardedViewCache
 from .partition import global_vertex_count, local_count, shard_of, to_local
 from .router import ShardRouter
-
-
-class _GroupDevice:
-    """Device facade over the shard pools (injector fan-out)."""
-
-    def __init__(self, pools):
-        self._pools = pools
-
-    @property
-    def injector(self) -> CrashInjector:
-        return self._pools[0].device.injector
-
-    @injector.setter
-    def injector(self, inj: CrashInjector) -> None:
-        for p in self._pools:
-            p.device.injector = inj
-
-    def drain_all(self) -> None:
-        for p in self._pools:
-            p.device.drain_all()
 
 
 class _GroupDelta:
@@ -101,7 +84,7 @@ class _GroupStats:
 
     ``modeled_ns`` is the *parallel* clock — shards run on independent
     devices concurrently, so elapsed time is the max over shards, while
-    additive counters (media bytes, crashes) sum.  ``snapshot`` /
+    additive counters (media bytes) sum.  ``snapshot`` /
     ``delta_since`` mirror :class:`~repro.pmem.stats.PMemStats` so the
     benchmark harness can treat a shard group like a single pool.
     """
@@ -117,10 +100,6 @@ class _GroupStats:
     def media_bytes(self) -> int:
         return sum(p.stats.media_bytes for p in self._pools)
 
-    @property
-    def crashes(self) -> int:
-        return sum(p.stats.crashes for p in self._pools)
-
     def snapshot(self):
         """Per-pool frozen copies, for :meth:`delta_since`."""
         return [p.stats.snapshot() for p in self._pools]
@@ -134,20 +113,15 @@ class _GroupStats:
 class ShardPoolGroup:
     """The persistent footprint of a :class:`ShardedDGAP`: one pool per shard.
 
-    Quacks enough like a :class:`~repro.pmem.pool.PMemPool` for the
-    crash-sweep driver: ``device.injector`` fans out to every shard
-    device, ``stats`` aggregates (max modeled clock, summed counters),
-    ``crash()`` power-fails every shard, and a ``deepcopy`` preserves
-    the shared-injector wiring (the injector deduplicates through the
-    copy memo).
+    The members it shares with a :class:`~repro.pmem.pool.PMemPool`
+    (itself a one-pool group): ``pools``, ``stats`` (max modeled clock,
+    summed counters) and ``crash()``, which power-fails every shard.  A
+    ``deepcopy`` preserves the shared-injector wiring (the injector
+    deduplicates through the copy memo).
     """
 
     def __init__(self, pools):
         self.pools = list(pools)
-
-    @property
-    def device(self) -> _GroupDevice:
-        return _GroupDevice(self.pools)
 
     @property
     def stats(self) -> _GroupStats:
@@ -194,33 +168,26 @@ class ShardedDGAP:
     ):
         if n_shards < 1:
             raise GraphError("need at least one shard")
-        self.config = config or DGAPConfig()
-        self.n_shards = int(n_shards)
-        self.router = ShardRouter(self.n_shards)
+        config = config or DGAPConfig()
         # One injector across every shard device: crash sweeps count a
         # single machine-wide persistence-event stream.
         injector = injector or CrashInjector()
-        self.shards: List[DGAP] = [
-            DGAP(
-                shard_config(self.config, r, self.n_shards),
-                injector=injector,
-                faults=faults,
-            )
-            for r in range(self.n_shards)
-        ]
-        self.pool = ShardPoolGroup([sh.pool for sh in self.shards])
+        self._assemble(
+            [
+                DGAP(shard_config(config, r, n_shards), injector=injector, faults=faults)
+                for r in range(n_shards)
+            ],
+            config,
+        )
 
-    @classmethod
-    def _assemble(
-        cls, shards: List[DGAP], config: DGAPConfig, n_shards: int
-    ) -> "ShardedDGAP":
-        host = cls.__new__(cls)
-        host.config = config
-        host.n_shards = n_shards
-        host.router = ShardRouter(n_shards)
-        host.shards = shards
-        host.pool = ShardPoolGroup([sh.pool for sh in shards])
-        return host
+    def _assemble(self, shards: List[DGAP], config: DGAPConfig) -> None:
+        """The one place the facade's fields are set (fresh or reopened)."""
+        self.config = config
+        self.shards = shards
+        self.n_shards = len(shards)
+        self.router = ShardRouter(self.n_shards)
+        self.pool = ShardPoolGroup([sh.pool for sh in shards])
+        self._view_cache = ShardedViewCache(self)  # holds nothing until asked
 
     # ------------------------------------------------------------------
     # structure
@@ -237,86 +204,70 @@ class ShardedDGAP:
     def shard_for(self, v: int) -> DGAP:
         return self.shards[shard_of(int(v), self.n_shards)]
 
-    def _check_global(self, v: int) -> int:
-        """Bounds-check a queried vertex in the *global* id space.
-
-        Point reads must never fall through to the owner shard's local
-        bounds check: the shard would report the *local* id in its
-        error, and after an uneven mid-crash growth a globally-invalid
-        id could even resolve to a stray local vertex.  Error behavior
-        is pinned to DGAP's: same exception type, same message shape,
-        global ids (``tests/test_serve.py`` asserts the parity).
-        """
-        v = int(v)
-        nv = self.num_vertices
-        if not 0 <= v < nv:
-            raise VertexRangeError(f"vertex {v} out of range [0, {nv})")
-        return v
+    # Point reads bounds-check in the *global* id space and never fall
+    # through to the owner shard's local check: the shard would report
+    # the *local* id, and after an uneven mid-crash growth a
+    # globally-invalid id could even resolve to a stray local vertex.
 
     def out_degree(self, v: int) -> int:
-        v = self._check_global(v)
+        v = check_vertex(v, self.num_vertices)
         return self.shard_for(v).out_degree(to_local(v, self.n_shards))
 
     def out_neighbors(self, v: int) -> np.ndarray:
         """Live neighbors of global vertex ``v`` (global destination ids)."""
-        v = self._check_global(v)
+        v = check_vertex(v, self.num_vertices)
         return self.shard_for(v).out_neighbors(to_local(v, self.n_shards))
 
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
-    def _power_fail_rest(self) -> None:
-        """A shard device power-failed mid-op: fail the whole machine.
+    @contextmanager
+    def _whole_machine(self):
+        """A shard device power-failing inside the block fails the whole machine.
 
         The device that raised already lost its volatile state
         (``PMemDevice._tick`` crashes before re-raising); any *other*
         shard device still holding dirty or in-flight lines loses them
         here, so recovery always sees a consistent whole-machine outage.
         """
-        for sh in self.shards:
-            dev = sh.pool.device
-            if dev.dirty_lines or dev.pending_lines:
-                dev.crash()
+        try:
+            yield
+        except SimulatedCrash:
+            for sh in self.shards:
+                dev = sh.pool.device
+                if dev.dirty_lines or dev.pending_lines:
+                    dev.crash()
+            raise
 
     def insert_vertex(self, v: int) -> None:
         """Ensure global vertices ``0..v`` exist (owner shards grow)."""
-        try:
-            for r in range(self.n_shards):
+        with self._whole_machine():
+            for r, sh in enumerate(self.shards):
                 lc = local_count(int(v), r, self.n_shards)
-                if lc > self.shards[r].num_vertices:
-                    self.shards[r].insert_vertex(lc - 1)
-        except SimulatedCrash:
-            self._power_fail_rest()
-            raise
+                if lc > sh.num_vertices:
+                    sh.insert_vertex(lc - 1)
 
     def insert_edge(
         self, src: int, dst: int, thread_id: int = 0, tombstone: bool = False
     ) -> None:
-        try:
-            mx = max(int(src), int(dst))
+        src, dst = check_vertex(src), check_vertex(dst)
+        with self._whole_machine():
+            mx = max(src, dst)
             if mx >= self.num_vertices:
                 self.insert_vertex(mx)
             self.shard_for(src).insert_edge(
-                to_local(int(src), self.n_shards),
-                int(dst),
+                to_local(src, self.n_shards),
+                dst,
                 thread_id=thread_id,
                 tombstone=tombstone,
                 grow_vertices=False,
             )
-        except SimulatedCrash:
-            self._power_fail_rest()
-            raise
 
     def delete_edge(self, src: int, dst: int, thread_id: int = 0) -> None:
         self.insert_edge(src, dst, thread_id=thread_id, tombstone=True)
 
-    def tombstone_density(self) -> float:
-        """Machine-wide tombstone fraction over all shards' logical entries."""
-        deg = sum(int(sh.va.degrees().sum()) for sh in self.shards)
-        if deg == 0:
-            return 0.0
-        live = sum(int(sh.va.live_degrees().sum()) for sh in self.shards)
-        return (deg - live) / (2 * deg)
+    #: store-wide tombstone fraction: DGAP's method is written over ``shards``.
+    tombstone_density = DGAP.tombstone_density
 
     def compact(self, thread_id: int = 0) -> dict:
         """Tombstone-merge sweep on every shard; returns summed statistics.
@@ -326,14 +277,10 @@ class ShardedDGAP:
         machine, exactly like a mid-dispatch batch crash.
         """
         totals: dict = {}
-        try:
+        with self._whole_machine():
             for sh in self.shards:
-                stats = sh.compact(thread_id)
-                for k, v in stats.items():
+                for k, v in sh.compact(thread_id).items():
                     totals[k] = totals.get(k, 0) + v
-        except SimulatedCrash:
-            self._power_fail_rest()
-            raise
         return totals
 
     def insert_edges(
@@ -359,7 +306,7 @@ class ShardedDGAP:
     def _dispatch(self, chunk: EdgeBatch, thread_id: int) -> int:
         if len(chunk) == 0:
             return 0
-        try:
+        with self._whole_machine():
             mx = chunk.max_vertex()
             if mx >= self.num_vertices:
                 self.insert_vertex(mx)
@@ -367,9 +314,6 @@ class ShardedDGAP:
                 self.shards[r].insert_edges(
                     sub, thread_id=thread_id, batch_size=None, grow_vertices=False
                 )
-        except SimulatedCrash:
-            self._power_fail_rest()
-            raise
         return len(chunk)
 
     # ------------------------------------------------------------------
@@ -382,12 +326,7 @@ class ShardedDGAP:
         (DESIGN.md §14); incrementally maintained per shard by the
         epoch-versioned view caches.
         """
-        from .merge import ShardedViewCache
-
-        cache = getattr(self, "_view_cache", None)
-        if cache is None:
-            cache = self._view_cache = ShardedViewCache(self)
-        return cache.materialize()
+        return self._view_cache.materialize()
 
     # ------------------------------------------------------------------
     # diagnostics / lifecycle
@@ -400,8 +339,14 @@ class ShardedDGAP:
                 raise GraphError(f"shard {r}: {exc}") from exc
 
     def shutdown(self) -> None:
+        """All-or-nothing: no shard is flagged NORMAL_SHUTDOWN unless every
+        shard can be — a half-flagged machine would keep taking writes
+        that the flagged shards' normal restart then drops (§3.1.5)."""
         for sh in self.shards:
-            sh.shutdown()
+            sh.require_no_snapshots("shutdown")
+        with self._whole_machine():
+            for sh in self.shards:
+                sh.shutdown()
 
     @classmethod
     def open(
@@ -417,11 +362,12 @@ class ShardedDGAP:
         """
         config = config or DGAPConfig()
         n = len(pool.pools)
-        shards = [
-            DGAP.open(p, shard_config(config, r, n))
-            for r, p in enumerate(pool.pools)
-        ]
-        return cls._assemble(shards, config, n)
+        host = cls.__new__(cls)
+        host._assemble(
+            [DGAP.open(p, shard_config(config, r, n)) for r, p in enumerate(pool.pools)],
+            config,
+        )
+        return host
 
 
 __all__ = ["ShardedDGAP", "ShardPoolGroup", "shard_config"]

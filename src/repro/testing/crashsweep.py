@@ -27,12 +27,12 @@ image.
 Oracle violations raise :class:`SweepFailure` naming the exact crash
 point (op kind, per-kind index, total index) to re-arm for debugging.
 
-The driver is graph-shape agnostic: a :class:`~repro.sharding.sharded.
-ShardedDGAP` factory works unchanged because every shard device shares
-one injector (a single machine-wide event ordering), the facade
-power-fails sibling devices when one shard crashes, ``pool_clocks``
-measures recovery as the max over per-shard modeled clock deltas
-(shards replay concurrently), and ``("batch", EdgeBatch)`` workload ops
+The driver is written over the store surface (``g.shards``,
+``g.pool.pools``; DESIGN.md §14), so any store works unchanged: every
+shard device shares one injector (a single machine-wide event ordering),
+the facade power-fails sibling devices when one shard crashes,
+``pool_clocks`` measures recovery as the max over per-shard modeled clock
+deltas (shards replay concurrently), and ``("batch", EdgeBatch)`` workload ops
 (:func:`make_batched_insert_workload`) sweep crashes that land
 *mid-dispatch* — between per-shard sub-batches of one routed batch —
 against a per-vertex-prefix oracle.
@@ -430,9 +430,8 @@ def _verify_structure(
     if check_log_cursors:
         from ..core.edge_log import EdgeLogs
 
-        # A sharded graph exposes its members via ``shards``; every
-        # shard's cursors must match its own independent rebuild.
-        for part in getattr(g, "shards", [g]):
+        # Every shard's cursors must match its own independent rebuild.
+        for part in g.shards:
             fresh = EdgeLogs(
                 part.pool, part.logs.n_sections, part.logs.entries_per_section,
                 gen=part.ea.gen, create=False,
@@ -480,16 +479,14 @@ def pool_clocks(pool) -> np.ndarray:
     sum.  (Delta-of-max would under-count when the busiest pool before
     the crash is not the one that replays longest.)
     """
-    pools = getattr(pool, "pools", None)
-    if pools is None:
-        return np.array([pool.stats.modeled_ns])
-    return np.array([p.stats.modeled_ns for p in pools])
+    return np.array([p.stats.modeled_ns for p in pool.pools])
 
 
 def _reference_recovery(g, open_graph) -> Tuple[Dict[int, List[int]], float]:
     """Recover a deep copy of the crashed pool; its state is the reference."""
     ref_pool = copy.deepcopy(g.pool)
-    ref_pool.device.injector = CrashInjector()  # never crashes
+    for p in ref_pool.pools:
+        p.device.injector = CrashInjector()  # never crashes
     ns0 = pool_clocks(ref_pool)
     ref = open_graph(ref_pool, g.config)
     return _graph_state(ref), float((pool_clocks(ref_pool) - ns0).max())

@@ -160,7 +160,7 @@ def _freeze(view):
 
 def _fresh_out_csr(graph):
     """Out-CSR straight from fresh snapshots (the trusted read path)."""
-    if hasattr(graph, "shards"):
+    if hasattr(graph, "global_csr"):
         return graph.global_csr()[0]
     with graph.consistent_view() as snap:
         indptr, dsts = snap.to_csr()

@@ -1,0 +1,350 @@
+"""Conformance suite for the store surface (DESIGN.md §14).
+
+A ``DGAP`` is a one-shard store: it carries the same members as a
+``ShardedDGAP`` — mutation (``insert_vertex`` / ``insert_edge(s)`` /
+``delete_edge`` / ``compact``), reads (``num_vertices`` / ``num_edges`` /
+``out_degree`` / ``out_neighbors`` / ``tombstone_density``), lifecycle
+(``check_invariants`` / ``shutdown`` / ``type(g).open(g.pool, cfg)`` /
+``pool.crash()``) and composition (``shards`` / ``n_shards`` /
+``pool.pools``).  Everything here drives the three stores through those
+members only, never asking which class it was handed:
+
+* one script (batched insert with growth, scalar insert + delete,
+  compact, served reads vs the fresh-snapshot twin, crash → open,
+  shutdown → open) yields byte-identical out-CSRs on all three, and
+  equal device counters and modeled serve costs on ``DGAP`` vs
+  ``ShardedDGAP(1)``;
+* one table of illegal calls raises the same exception everywhere,
+  before the first device event;
+* a shut-down store refuses writes, and ``shutdown()`` is all-or-nothing;
+* a grep gate pins the "is it sharded?" probe counts at zero.
+
+``make_store`` is importable on purpose: it is the seed of the ROADMAP's
+composed-system state machine.
+"""
+
+import dataclasses
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import repro
+from repro import DGAP, DGAPConfig
+from repro.core.encoding import MAX_VERTEX
+from repro.core.rebalance import ROOT_SHUTDOWN
+from repro.errors import GraphError, VertexRangeError
+from repro.pmem.crash import CrashInjector
+from repro.serve import QueryServer
+from repro.serve.driver import QUERY_CLASSES, SnapshotReader, _bytes_equal, _run_query
+from repro.sharding import ShardedDGAP
+
+NV = 64
+CFG = dict(init_vertices=NV, init_edges=1024)
+STORES = ("dgap", "sharded1", "sharded3")
+
+
+def make_store(kind: str, injector=None, **overrides):
+    """A fresh store of ``kind`` ("dgap" or "sharded<N>") on fresh pools."""
+    cfg = DGAPConfig(**{**CFG, **overrides})
+    if kind == "dgap":
+        return DGAP(cfg, injector=injector)
+    return ShardedDGAP(int(kind[len("sharded"):]), cfg, injector=injector)
+
+
+def reopen(g):
+    """Reopen a store from its pool(s): recovery after a crash, else restart."""
+    g2 = type(g).open(g.pool, g.config)
+    g2.check_invariants()
+    return g2
+
+
+def out_csr(g):
+    view = QueryServer(g).acquire()
+    return view.out_indptr.tobytes(), view.out_dsts.tobytes()
+
+
+def counters(g):
+    return [dataclasses.asdict(p.stats) for p in g.pool.pools]
+
+
+# ---------------------------------------------------------------------------
+# the shared script
+# ---------------------------------------------------------------------------
+
+def _probe_ops(nv, rng):
+    ops = [("top_k_degree", 5)]
+    for v in [0, nv - 1, *rng.integers(0, nv, size=4).tolist()]:
+        w = int(rng.integers(0, nv))
+        ops += [("degree", v), ("neighbors", v), ("edge_exists", v, w), ("k_hop", v, 2)]
+    return ops
+
+
+def run_script(kind):
+    """Drive one store through the whole surface; return its evidence trail."""
+    g = make_store(kind)
+    rng = np.random.default_rng(5)
+    trail = {"csr": [], "acquire_ns": [], "query_ns": [], "snapshot_ns": [], "counters": []}
+    server = QueryServer(g)
+
+    def checkpoint():
+        nonlocal server
+        if server.graph is not g:
+            server = QueryServer(g)
+        view = server.acquire()
+        trail["csr"].append((view.out_indptr.tobytes(), view.out_dsts.tobytes()))
+        trail["acquire_ns"].append(server.last_acquire_ns)
+        direct = SnapshotReader(g)
+        seen = set()
+        for op in _probe_ops(g.num_vertices, rng):
+            served = _run_query(view, op)
+            assert _bytes_equal(served, _run_query(direct, op)), (kind, op)
+            trail["query_ns"].append(view.last_query_ns)
+            trail["snapshot_ns"].append(direct.last_query_ns)
+            seen.add(op[0])
+        assert seen == set(QUERY_CLASSES)
+        assert server.acquire() is view  # same epoch: reused, not rebuilt
+        trail["counters"].append(counters(g))
+        g.check_invariants()
+
+    # batched ingest that grows the id space 64 -> 200 and overflows sections
+    stream = rng.integers(0, 200, size=(3000, 2))
+    for a in range(0, 3000, 750):
+        g.insert_edges(stream[a : a + 750])
+        checkpoint()
+    assert g.num_vertices == 200
+
+    # scalar inserts and deletes (tombstones), then the sweep that drops them
+    live = [tuple(e) for e in stream.tolist()]
+    for _ in range(120):
+        s, d = live.pop(int(rng.integers(0, len(live))))
+        g.delete_edge(s, d)
+    for _ in range(40):
+        g.insert_edge(int(rng.integers(0, 200)), int(rng.integers(0, 200)))
+    checkpoint()
+    assert g.tombstone_density() > 0
+    stats = g.compact()
+    assert stats["pairs_dropped"] == 120
+    assert g.tombstone_density() == 0
+    checkpoint()
+
+    # power failure, then recovery through the store's own class
+    g.insert_edge(7, 9)
+    n_edges = g.num_edges
+    g.pool.crash()
+    g = reopen(g)
+    assert g.num_edges == n_edges
+    checkpoint()
+
+    # graceful shutdown, then the normal restart
+    g.insert_edges(stream[:300])
+    n_edges = g.num_edges
+    g.shutdown()
+    g = reopen(g)
+    assert g.num_edges == n_edges
+    checkpoint()
+    return trail
+
+
+@pytest.fixture(scope="module")
+def trails():
+    return {kind: run_script(kind) for kind in STORES}
+
+
+class TestOneScriptThreeStores:
+    def test_out_csr_is_byte_identical(self, trails):
+        ref = trails["dgap"]["csr"]
+        assert len(ref) == 8
+        for kind in STORES[1:]:
+            assert trails[kind]["csr"] == ref, kind
+
+    def test_served_query_costs_do_not_depend_on_the_store(self, trails):
+        # queries run on the merged DRAM CSR: same bytes, same modeled cost
+        ref = trails["dgap"]["query_ns"]
+        for kind in STORES[1:]:
+            assert trails[kind]["query_ns"] == ref, kind
+
+    def test_one_shard_store_is_the_plain_dgap(self, trails):
+        """``ShardedDGAP(1)`` and ``DGAP``: same device ops, same clocks."""
+        a, b = trails["dgap"], trails["sharded1"]
+        assert a["counters"] == b["counters"]
+        assert a["acquire_ns"] == b["acquire_ns"]
+        assert a["snapshot_ns"] == b["snapshot_ns"]
+
+    def test_partition_is_the_identity_at_one_shard(self):
+        from repro.sharding.partition import (
+            local_count, local_ids_to_global, shard_of, to_global, to_local,
+        )
+
+        ids = np.arange(1000)
+        assert not shard_of(ids, 1).any()
+        assert np.array_equal(to_local(ids, 1), ids)
+        assert np.array_equal(to_global(ids, 0, 1), ids)
+        assert np.array_equal(local_ids_to_global(1000, 0, 1), ids)
+        assert all(local_count(m, 0, 1) == m + 1 for m in (0, 1, 63, 999))
+
+
+@pytest.mark.parametrize("kind", STORES)
+class TestComposition:
+    def test_members(self, kind):
+        g = make_store(kind)
+        assert g.n_shards == len(g.shards) == len(g.pool.pools)
+        assert [sh.pool for sh in g.shards] == list(g.pool.pools)
+        assert all(isinstance(sh, DGAP) and sh.n_shards == 1 for sh in g.shards)
+        assert sum(sh.num_vertices for sh in g.shards) == g.num_vertices == NV
+
+    def test_plain_dgap_holds_no_merged_copy(self, kind):
+        # `global_csr` is what the perf harness dispatches on, and a cached
+        # merge would be a second CSR in RSS: the one-shard store has neither
+        assert hasattr(make_store(kind), "global_csr") == (kind != "dgap")
+
+
+# ---------------------------------------------------------------------------
+# illegal calls: one table, every store, no device event
+# ---------------------------------------------------------------------------
+
+BAD = MAX_VERTEX + 1
+ILLEGAL_WRITES = [
+    ("delete_edge", (0, -5)),
+    ("insert_edge", (3, -1)),
+    ("insert_edge", (-1, 3)),
+    ("insert_edge", (BAD, 0)),
+    ("delete_edge", (0, BAD)),
+    ("insert_edges", ([[0, -5]],)),
+    ("insert_edges", ([[1, 2], [-1, 3]],)),
+    ("insert_edges", ([[0, BAD]],)),
+    ("insert_edges", (np.array([[BAD, 0], [1, 2]]),)),
+]
+#: (reader method, args); the first argument is the offending *global* id
+ILLEGAL_READS = [
+    ("degree", (-1,)),
+    ("edge_exists", (-1, 0)),
+    ("k_hop", (-1, 2)),
+    ("degree", (10**6,)),
+    ("neighbors", (NV,)),
+    ("k_hop", (NV, 2)),
+]
+
+
+def seeded(kind):
+    inj = CrashInjector()
+    g = make_store(kind, injector=inj)
+    g.insert_edges([[0, 1], [3, 4], [5, 63]])
+    return g, inj
+
+
+@pytest.mark.parametrize("kind", STORES)
+class TestIllegalCalls:
+    @pytest.mark.parametrize("method,args", ILLEGAL_WRITES)
+    def test_write_is_rejected_before_any_device_event(self, kind, method, args):
+        g, inj = seeded(kind)
+        before = inj.total_events, counters(g), out_csr(g)
+        with pytest.raises(VertexRangeError):
+            getattr(g, method)(*args)
+        assert (inj.total_events, counters(g), out_csr(g)) == before
+        g.check_invariants()
+        assert g.num_vertices == NV and g.num_edges == 3
+        g.pool.crash()
+        assert out_csr(reopen(g)) == before[2]
+
+    @pytest.mark.parametrize("method,args", ILLEGAL_READS)
+    def test_every_reader_names_the_global_id(self, kind, method, args):
+        g, _ = seeded(kind)
+        want = f"vertex {args[0]} out of range [0, {NV})"
+        for reader in (QueryServer(g).acquire(), SnapshotReader(g)):
+            with pytest.raises(VertexRangeError) as exc:
+                getattr(reader, method)(*args)
+            assert str(exc.value) == want, type(reader).__name__
+        for read in (g.out_degree, g.out_neighbors):
+            with pytest.raises(VertexRangeError) as exc:
+                read(args[0])
+            assert str(exc.value) == want
+        # a refused snapshot read leaks no snapshot: shutdown still legal
+        g.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# lifecycle: shutdown is final and all-or-nothing (paper §3.1.5)
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", STORES)
+class TestShutdown:
+    def test_shut_down_store_refuses_writes(self, kind):
+        g, inj = seeded(kind)
+        g.shutdown()
+        before = inj.total_events
+        for write in (
+            lambda: g.insert_edges([[2, 3], [0, 7]]),
+            lambda: g.insert_edge(2, 3),
+            lambda: g.delete_edge(0, 1),
+            lambda: g.insert_vertex(NV + 5),
+            lambda: g.compact(),
+        ):
+            with pytest.raises(GraphError, match="shut-down"):
+                write()
+        assert inj.total_events == before
+        # reads still work, and nothing acknowledged is missing after reopen
+        assert g.num_edges == 3 and list(g.out_neighbors(5)) == [63]
+        g.pool.crash()
+        g2 = reopen(g)
+        assert g2.num_edges == 3
+        g2.insert_edges([[2, 3], [0, 7]])  # the reopened store is writable
+        assert g2.num_edges == 5
+
+    def test_blocked_shutdown_flags_no_shard_and_loses_nothing(self, kind):
+        """A snapshot on the *last* shard blocks shutdown before any shard is
+        flagged NORMAL_SHUTDOWN, so the store keeps taking durable writes."""
+        g = make_store(kind)
+        first = [[v, v + 1] for v in range(5)]
+        g.insert_edges(first)
+        snap = g.shards[-1].consistent_view()
+        with pytest.raises(GraphError, match="active analysis snapshots"):
+            g.shutdown()
+        assert [p.read_root(ROOT_SHUTDOWN) for p in g.pool.pools] == [0] * g.n_shards
+        snap.release()
+        more = [[v, v + 2] for v in range(10, 16)]
+        g.insert_edges(more)
+        assert g.num_edges == 11
+        g.pool.crash()
+        g2 = reopen(g)
+        assert g2.num_edges == 11
+        for s, d in first + more:
+            assert d in g2.out_neighbors(s)
+
+
+# ---------------------------------------------------------------------------
+# grep gate: nobody above core/ asks which store it was handed
+# ---------------------------------------------------------------------------
+
+def _src():
+    root = Path(repro.__file__).parent
+    return {p.relative_to(root).as_posix(): p.read_text() for p in root.rglob("*.py")}
+
+
+def _count(pattern, sources):
+    return sum(len(re.findall(pattern, text)) for text in sources.values())
+
+
+class TestOneSurface:
+    def test_no_sharded_probe_is_left(self):
+        src = _src()
+        assert _count(r"hasattr\([^)]*[\"']shards[\"']", src) == 0
+        assert _count(r"getattr\([^)]*[\"'](shards|pools|_view_cache)[\"']", src) == 0
+        assert _count(r"self\.sharded\b(?!\.)", src) == 0
+        assert _count(r"_GroupDevice", src) == 0
+
+    def test_one_home_each(self):
+        src = _src()
+        assert _count(r"out of range \[0, \{", {k: v for k, v in src.items()
+                                               if not k.startswith("pmem/")}) == 1
+        assert "out of range [0, {" in src["core/encoding.py"]
+        assert _count(r"except SimulatedCrash", {"s": src["sharding/sharded.py"]}) == 1
+        # the facade's fields are assigned in `_assemble` and nowhere else
+        for name in ("config", "shards", "n_shards", "router", "pool", "_view_cache"):
+            sets = re.findall(rf"^\s+(?:self|host)\.{name} = ", src["sharding/sharded.py"], flags=re.M)
+            assert len(sets) == 1, name
+
+    def test_dgap_did_not_grow_a_merged_view(self):
+        assert not hasattr(DGAP, "global_csr")
+        assert len(dataclasses.fields(DGAPConfig)) == 21
