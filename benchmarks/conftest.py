@@ -6,13 +6,19 @@ datasets (``REPRO_SCALE`` environment variable, default 1.0 — see
 cached across benchmarks within a session, so the analysis experiments
 reuse the ingest done by the throughput experiments.
 
+Every measured table comes from an arm of ``repro.bench`` — the same
+``run`` the ``python -m repro.bench`` subcommand drives; the twin arms'
+tests are ``run_arm`` and nothing else, since their gates live with the
+arm.
+
 Run with ``pytest benchmarks/ --benchmark-only``; printed tables land
 in the captured output (and thus in ``bench_output.txt``).
 """
 
 import pytest
 
-from repro.bench.reporting import flush_reports
+from repro.bench.harness import finish_arm
+from repro.bench.reporting import emit, flush_reports
 from repro.datasets import env_scale
 
 
@@ -36,3 +42,8 @@ def run_once(benchmark, fn):
     """Record one timed run of ``fn`` with pytest-benchmark (experiments
     are long; statistical repetition adds nothing to modeled results)."""
     return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)
+
+
+def run_arm(benchmark, arm, **params):
+    """One timed ``arm.run``; emit its report, enforce its gates."""
+    return finish_arm(arm, run_once(benchmark, lambda: arm.run(**params)), emit)

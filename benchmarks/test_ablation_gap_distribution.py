@@ -11,6 +11,7 @@ insert distribution.
 from conftest import run_once
 from repro import DGAP, DGAPConfig
 from repro.bench import emit, format_table, paper_vs_measured
+from repro.bench.harness import modeled_ingest
 from repro.datasets import get_dataset
 
 DATASETS_GD = ("orkut", "protein")
@@ -29,9 +30,7 @@ def test_gap_distribution_ablation(benchmark, scale):
                     init_vertices=nv, init_edges=edges.shape[0],
                     gap_distribution=strategy,
                 ))
-                before = g.pool.stats.snapshot()
-                g.insert_edges(map(tuple, edges))
-                d = g.pool.stats.delta_since(before)
+                d = modeled_ingest(g, map(tuple, edges))
                 row[strategy] = (
                     d.modeled_ns * 1e-9,
                     g.n_log_inserts,

@@ -1,74 +1,15 @@
 """Incremental analytics views — the ingest→analyze loop, cached vs scratch.
 
 The Fig. 7/8 experiments analyze one final graph; deployments interleave
-ingest with repeated analysis.  This benchmark replays that loop twice
-on identical streams — with the epoch-versioned view cache and with the
-seed's from-scratch materialization — and pins three facts:
-
-* kernel outputs and modeled seconds are identical (the cache is
-  invisible to results and to the paper's modeled numbers);
-* the cached loop is >= 3x faster in wall clock (seed baseline JSON);
-* the materialization counters prove incrementality: zero sections
-  rebuilt on an unchanged graph, dirty-sections-only after a localized
-  batch (deterministic — no wall clocks involved).
+ingest with repeated analysis.  The ``analysis-loop`` arm replays that
+loop twice on identical streams and owns the gates (identity asserted
+in the pair runner; view-reuse counts; the deterministic incrementality
+proof) — see ``repro.bench.analysis_loop``.
 """
 
-import json
-import pathlib
-
-from conftest import run_once
-from repro.bench import emit, format_table, paper_vs_measured
-from repro.bench.analysis_loop import run_analysis_loop_pair, verify_view_counters
-from repro.bench.reporting import analysis_loop_table
-
-BASELINE_JSON = pathlib.Path(__file__).parent / "baselines" / "analysis_loop.json"
+from conftest import run_arm
+from repro.bench import analysis_loop
 
 
-def test_analysis_loop_cached_speedup(benchmark):
-    seed = json.loads(BASELINE_JSON.read_text())
-
-    def run():
-        # run_analysis_loop_pair raises if any kernel digest or modeled
-        # time differs between the arms — identity is asserted, not eyed
-        return run_analysis_loop_pair(
-            seed["dataset"],
-            scale=seed["scale"],
-            rounds=seed["rounds"],
-            kernels=tuple(seed["kernels"]),
-            sources=seed["sources"],
-        )
-
-    pair = run_once(benchmark, run)
-    emit(analysis_loop_table(pair, title="analysis loop (Fig. 7 cadence)"))
-
-    need = seed["min_required_speedup"]
-    c = pair.cached.counters
-    checks = [
-        ("cached analysis wall s (seed env)", seed["cached_analysis_wall_s"],
-         pair.cached.analysis_wall_s, True),
-        ("uncached analysis wall s (seed env)", seed["uncached_analysis_wall_s"],
-         pair.uncached.analysis_wall_s, True),
-        (f"wall speedup cached vs scratch (need >= {need:g}x)",
-         seed["wall_speedup_cached"], pair.speedup, pair.speedup >= need),
-        ("view builds (one per round)", seed["counters"]["view_builds"],
-         c["view_builds"], c["view_builds"] == seed["counters"]["view_builds"]),
-        ("whole-view hits (all other trials)", seed["counters"]["whole_view_hits"],
-         c["whole_view_hits"],
-         c["whole_view_hits"] == seed["counters"]["whole_view_hits"]),
-    ]
-    emit(paper_vs_measured("analysis-loop speedup (DGAP, orkut)", checks))
-    assert all(ok for *_, ok in checks), checks
-
-
-def test_analysis_loop_counters_prove_incrementality(benchmark):
-    """Counter-based (not wall-clock) incrementality proof — CI-stable."""
-    seed = json.loads(BASELINE_JSON.read_text())
-    checks = run_once(
-        benchmark, lambda: verify_view_counters(seed["dataset"], scale=seed["scale"])
-    )
-    emit(format_table(
-        "incrementality counter checks",
-        ["check", "ok?", "detail"],
-        [(name, "yes" if ok else "NO", detail) for name, ok, detail in checks],
-    ))
-    assert all(ok for _, ok, _ in checks), checks
+def test_analysis_loop(benchmark):
+    run_arm(benchmark, analysis_loop)

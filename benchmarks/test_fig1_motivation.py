@@ -10,6 +10,7 @@ import numpy as np
 from conftest import run_once
 from repro import DGAP, DGAPConfig
 from repro.bench import emit, format_table, paper_vs_measured
+from repro.bench.harness import modeled_ingest
 from repro.bench.paper_data import HEADLINES
 from repro.datasets import get_dataset
 from repro.pmem import CACHE_LINE, OPTANE_ADR, PMemDevice
@@ -50,9 +51,7 @@ def test_fig1a_write_amplification(benchmark, scale):
     peak = max(w for _, w in series)
     # DGAP with the edge log, same stream
     g2 = DGAP(DGAPConfig(init_vertices=nv, init_edges=edges.shape[0]))
-    before = g2.pool.stats.snapshot()
-    g2.insert_edges(map(tuple, edges))
-    d = g2.pool.stats.delta_since(before)
+    d = modeled_ingest(g2, map(tuple, edges))
     wa_el = d.stored_bytes / d.payload_bytes
     emit(paper_vs_measured("fig1a", [
         ("naive WA (paper: up to ~7x)", HEADLINES["fig1a_write_amplification"], peak, peak > 3.0),
@@ -71,9 +70,7 @@ def test_fig1b_transaction_overhead(benchmark, scale):
 
     def one(**kw):
         g = DGAP(_naive_config(spec, small, **kw))
-        before = g.pool.stats.snapshot()
-        g.insert_edges(map(tuple, edges))
-        return g.pool.stats.delta_since(before).modeled_ns * 1e-9
+        return modeled_ingest(g, map(tuple, edges)).modeled_ns * 1e-9
 
     def run():
         return {

@@ -7,59 +7,17 @@ DGAP catches back up and LLAMA's fragment chains collapse (§4.3).
 """
 
 from conftest import run_once
-from repro.bench import (
-    emit,
-    format_table,
-    get_built_system,
-    get_static_csr,
-    paper_vs_measured,
-    pick_source,
-    run_kernel,
-)
-from repro.bench.paper_data import TABLE4_SECONDS
-from repro.datasets import PAPER_DATASETS
-
-SYSTEM_ORDER = ("dgap", "bal", "llama", "graphone", "xpgraph")
-
-
-def _normalized(kernel: str, scale: float):
-    table = {}
-    for ds in PAPER_DATASETS:
-        src = pick_source(ds, scale)
-        csr_view = get_static_csr(ds, scale).analysis_view()
-        t_csr = run_kernel(csr_view, kernel, source=src)[1]
-        table[ds] = {}
-        for name in SYSTEM_ORDER:
-            system, _ = get_built_system(name, ds, scale=scale)
-            view = system.analysis_view()
-            table[ds][name] = run_kernel(view, kernel, source=src)[1] / t_csr
-    return table
+from repro.bench import emit, kernels, paper_vs_measured
 
 
 def test_fig8_bfs_and_bc(benchmark, scale):
     def run():
-        return {"bfs": _normalized("bfs", scale), "bc": _normalized("bc", scale)}
+        return {"bfs": kernels.normalized("bfs", scale), "bc": kernels.normalized("bc", scale)}
 
     tables = run_once(benchmark, run)
     for kernel in ("bfs", "bc"):
-        t = tables[kernel]
-        rows = [[ds] + [t[ds][s] for s in SYSTEM_ORDER] for ds in t]
-        emit(format_table(
-            f"Fig 8 ({kernel.upper()}): time normalized to CSR on PM (measured)",
-            ["dataset"] + list(SYSTEM_ORDER),
-            rows,
-        ))
-        prows = []
-        for ds in t:
-            data = TABLE4_SECONDS[kernel].get(ds)
-            if data:
-                prows.append([ds] + [f"{data[s][0] / data['csr'][0]:.2f}" for s in SYSTEM_ORDER])
-        if prows:
-            emit(format_table(
-                f"Fig 8 ({kernel.upper()}): paper ratios (Table 4 T1)",
-                ["dataset"] + list(SYSTEM_ORDER),
-                prows,
-            ))
+        for table in kernels.report_normalized("Fig 8", kernel, tables[kernel]):
+            emit(table)
 
     bfs, bc = tables["bfs"], tables["bc"]
     checks = []

@@ -15,7 +15,7 @@ the merge traffic this sweep varies.
 from conftest import run_once
 from repro import DGAP, DGAPConfig
 from repro.bench import emit, format_table, paper_vs_measured
-from repro.bench.harness import PAPER_BATCH_SIZE
+from repro.bench.harness import PAPER_BATCH_SIZE, modeled_ingest
 from repro.bench.paper_data import FIG9_ELOG_SIZES
 from repro.datasets import get_dataset
 
@@ -34,9 +34,7 @@ def test_fig9_elog_size_sweep(benchmark, scale):
                 g = DGAP(DGAPConfig(
                     init_vertices=nv, init_edges=edges.shape[0], elog_size=elog
                 ))
-                before = g.pool.stats.snapshot()
-                g.insert_edges(edges, batch_size=PAPER_BATCH_SIZE)
-                d = g.pool.stats.delta_since(before)
+                d = modeled_ingest(g, edges, PAPER_BATCH_SIZE)
                 logs = g.logs
                 utilization = float(logs.peak_counts.mean()) / logs.entries_per_section
                 space_mb = logs.region.nbytes / 1e6

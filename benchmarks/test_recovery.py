@@ -8,50 +8,15 @@ verify both the ordering and the size scaling.
 """
 
 from conftest import run_once
-from repro import DGAP, DGAPConfig
-from repro.bench import emit, format_table, paper_vs_measured
-from repro.datasets import get_dataset
-
-DATASETS_REC = ("citpatents", "livejournal", "orkut", "protein")
-
-
-def _built_graph(ds: str, scale: float) -> DGAP:
-    spec = get_dataset(ds)
-    edges = spec.generate(scale)
-    nv, _ = spec.sizes(scale)
-    g = DGAP(DGAPConfig(init_vertices=nv, init_edges=edges.shape[0]))
-    g.insert_edges(map(tuple, edges))
-    return g
+from repro.bench import emit, paper_vs_measured, recovery
 
 
 def test_recovery_times(benchmark, scale):
-    def run():
-        rows = []
-        for ds in DATASETS_REC:
-            g = _built_graph(ds, scale)
-            edges_total = g.num_edges
-
-            # normal shutdown -> restart
-            g.shutdown()
-            before = g.pool.stats.snapshot()
-            g2 = DGAP.open(g.pool, g.config)
-            normal_s = g.pool.stats.delta_since(before).modeled_ns * 1e-9
-
-            # crash -> recovery
-            g2.pool.crash()
-            before = g2.pool.stats.snapshot()
-            g3 = DGAP.open(g2.pool, g2.config)
-            crash_s = g2.pool.stats.delta_since(before).modeled_ns * 1e-9
-            assert g3.num_edges == edges_total  # nothing lost
-            rows.append((ds, edges_total, normal_s * 1e3, crash_s * 1e3))
-        return rows
-
-    rows = run_once(benchmark, run)
-    emit(format_table(
-        "Recovery: normal restart vs crash recovery (modeled ms)",
-        ["dataset", "edges", "normal restart (ms)", "crash recovery (ms)"],
-        [(d, e, f"{n:.3f}", f"{c:.3f}") for d, e, n, c in rows],
-    ))
+    # the ``recovery`` arm's rows: (dataset, edges, normal ms, crash ms),
+    # nothing lost asserted per dataset
+    rows = run_once(benchmark, lambda: recovery.run(scale=scale))
+    for table in recovery.report(rows):
+        emit(table)
 
     checks = [
         (

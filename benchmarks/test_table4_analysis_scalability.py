@@ -7,18 +7,11 @@ CC's larger modeled serial fraction (DESIGN.md §6).
 """
 
 from conftest import run_once
-from repro.bench import (
-    emit,
-    format_table,
-    get_built_system,
-    get_static_csr,
-    paper_vs_measured,
-    pick_source,
-    run_kernel,
-)
+from repro.bench import emit, format_table, kernels, paper_vs_measured
+from repro.bench.harness import SYSTEM_ORDER
 from repro.bench.paper_data import TABLE4_SECONDS
 
-SYSTEM_ORDER = ("csr", "dgap", "bal", "llama", "graphone", "xpgraph")
+COLUMNS = ("csr",) + SYSTEM_ORDER
 KERNELS = ("pr", "bfs", "bc", "cc")
 #: the datasets the paper details in Table 4 that we print in full
 DATASET_ORDER = ("orkut", "livejournal", "citpatents", "twitter", "friendster", "protein")
@@ -28,15 +21,9 @@ def test_table4_analysis_scalability(benchmark, scale):
     def run():
         table = {}
         for ds in DATASET_ORDER:
-            src = pick_source(ds, scale)
-            views = {"csr": get_static_csr(ds, scale).analysis_view()}
-            for name in SYSTEM_ORDER[1:]:
-                system, _ = get_built_system(name, ds, scale=scale)
-                views[name] = system.analysis_view()
             for kernel in KERNELS:
-                for name, view in views.items():
-                    times = run_kernel(view, kernel, source=src, threads=(1, 16))
-                    table[(kernel, ds, name)] = (times[1], times[16])
+                for name, t in kernels.run(ds, kernel, scale).seconds.items():
+                    table[(kernel, ds, name)] = (t[1], t[16])
         return table
 
     table = run_once(benchmark, run)
@@ -45,24 +32,24 @@ def test_table4_analysis_scalability(benchmark, scale):
         rows = []
         for ds in DATASET_ORDER:
             row = [ds]
-            for name in SYSTEM_ORDER:
+            for name in COLUMNS:
                 t1, t16 = table[(kernel, ds, name)]
                 row.append(f"{t1*1e3:.2f}/{t16*1e3:.2f}")
             rows.append(row)
         emit(format_table(
             f"Table 4 ({kernel.upper()}): measured modeled ms, T1/T16",
-            ["dataset"] + list(SYSTEM_ORDER),
+            ["dataset"] + list(COLUMNS),
             rows,
         ))
         prows = []
         for ds in DATASET_ORDER:
             data = TABLE4_SECONDS[kernel].get(ds)
             if data:
-                prows.append([ds] + [f"{data[s][0]}/{data[s][1]}" for s in SYSTEM_ORDER])
+                prows.append([ds] + [f"{data[s][0]}/{data[s][1]}" for s in COLUMNS])
         if prows:
             emit(format_table(
                 f"Table 4 ({kernel.upper()}): paper seconds, T1/T16",
-                ["dataset"] + list(SYSTEM_ORDER),
+                ["dataset"] + list(COLUMNS),
                 prows,
             ))
 
@@ -76,7 +63,7 @@ def test_table4_analysis_scalability(benchmark, scale):
             paper_note, sp, lo < sp <= hi,
         ))
     # CC scales worst for every system (paper §4.3.1)
-    for name in SYSTEM_ORDER:
+    for name in COLUMNS:
         cc_sp = table[("cc", "orkut", name)][0] / table[("cc", "orkut", name)][1]
         pr_sp = table[("pr", "orkut", name)][0] / table[("pr", "orkut", name)][1]
         checks.append((

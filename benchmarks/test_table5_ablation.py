@@ -13,41 +13,17 @@ group-committing DGAP (DESIGN.md §5) is an extra labelled column.
 """
 
 from conftest import run_once
-from repro import DGAP, DGAPConfig
-from repro.bench import emit, format_table, paper_vs_measured
-from repro.bench.harness import DEFAULT_BATCH_SIZE, paper_batch_size
+from repro.bench import ablation, emit, format_table, paper_vs_measured
+from repro.bench.harness import group_commit_label
 from repro.bench.paper_data import TABLE5_SECONDS
-from repro.datasets import SMALL_DATASETS, get_dataset
 
-VARIANTS = (
-    ("dgap", {}),
-    ("no_el", {"use_edge_log": False}),
-    ("no_el_ul", {"use_edge_log": False, "use_undo_log": False}),
-    ("no_el_ul_dp", {"use_edge_log": False, "use_undo_log": False, "dram_placement": False}),
-)
-GROUP_COMMIT = f"dgap@{DEFAULT_BATCH_SIZE}"  # extra column, outside the ratios
+GROUP_COMMIT = group_commit_label()  # extra column, outside the ratios
 
 
 def test_table5_component_ablation(benchmark, scale):
-    def run():
-        table = {}
-        for ds in SMALL_DATASETS:
-            spec = get_dataset(ds)
-            edges = spec.generate(scale)
-            nv, _ = spec.sizes(scale)
-            table[ds] = {}
-            arms = [(n, kw, paper_batch_size(n)) for n, kw in VARIANTS]
-            for name, kw, bs in arms + [(GROUP_COMMIT, {}, DEFAULT_BATCH_SIZE)]:
-                g = DGAP(DGAPConfig(init_vertices=nv, init_edges=edges.shape[0], **kw))
-                before = g.pool.stats.snapshot()
-                g.insert_edges(edges, batch_size=bs)
-                d = g.pool.stats.delta_since(before)
-                table[ds][name] = d.modeled_ns * 1e-9
-        return table
+    table = run_once(benchmark, lambda: ablation.run(scale)).seconds
 
-    table = run_once(benchmark, run)
-
-    names = [n for n, _ in VARIANTS]
+    names = [n for n, _ in ablation.VARIANTS]
     rows = [[ds] + [table[ds][n] for n in names + [GROUP_COMMIT]] for ds in table]
     emit(format_table(
         "Table 5: insert time by DGAP variant (measured modeled seconds; "

@@ -28,7 +28,7 @@ from ..pmem.alloc import FreeListAllocator
 from ..pmem.latency import OPTANE_ADR, LatencyModel
 from ..pmem.pool import PMemPool
 from ..pmem.tx import TransactionManager
-from .interfaces import DynamicGraphSystem
+from .interfaces import DynamicGraphSystem, adjacency_to_csr
 
 BLOCK_BYTES = 256
 BLOCK_EDGES = (BLOCK_BYTES - 8) // 4  # 62
@@ -96,19 +96,16 @@ class BlockedAdjacencyList(DynamicGraphSystem):
     # -- analysis -------------------------------------------------------------
     def _build_view(self) -> BaseGraphView:
         nv = self.num_vertices
-        indptr = np.zeros(nv + 1, dtype=np.int64)
-        np.cumsum(self.degree, out=indptr[1:])
-        dsts = np.empty(int(indptr[-1]), dtype=np.int32)
         buf = self.pool.device.buf
-        pos = 0
-        for v in range(nv):
+
+        def blocks(v):
             remaining = int(self.degree[v])
             for off in self.block_lists[v]:
                 take = min(remaining, BLOCK_EDGES)
-                vals = buf[off + 8 : off + 8 + take * 4].view(np.int32)
-                dsts[pos : pos + take] = vals
-                pos += take
+                yield buf[off + 8 : off + 8 + take * 4].view(np.int32)
                 remaining -= take
+
+        indptr, dsts = adjacency_to_csr(self.degree, ((v, blocks(v)) for v in range(nv)))
         total_blocks = sum(len(b) for b in self.block_lists)
         used_edges = max(1, int(indptr[-1]))
         geometry = StorageGeometry(

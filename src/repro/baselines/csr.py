@@ -17,7 +17,7 @@ from ..analysis.view import CSR_PM_GEOMETRY, BaseGraphView, CSRArraysView
 from ..errors import ImmutableGraphError
 from ..pmem.latency import OPTANE_ADR, LatencyModel
 from ..pmem.pool import PMemPool
-from .interfaces import DynamicGraphSystem
+from .interfaces import DynamicGraphSystem, adjacency_to_csr
 
 
 class StaticCSR(DynamicGraphSystem):
@@ -39,11 +39,13 @@ class StaticCSR(DynamicGraphSystem):
         pool_bytes = max(1 << 20, (num_vertices + 1) * 8 + ne * 4 + (1 << 16))
         self.pool = PMemPool(pool_bytes, profile=profile, name="csr")
 
-        order = np.argsort(edges[:, 0], kind="stable") if ne else np.empty(0, np.int64)
-        sorted_dst = edges[order, 1].astype(np.int32) if ne else np.empty(0, np.int32)
-        counts = np.bincount(edges[:, 0], minlength=num_vertices) if ne else np.zeros(num_vertices, np.int64)
-        indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
+        # source-sorted, the destination column is one piece that fills
+        # every slot from vertex 0's on
+        order = np.argsort(edges[:, 0], kind="stable")
+        indptr, sorted_dst = adjacency_to_csr(
+            np.bincount(edges[:, 0], minlength=num_vertices),
+            [(0, (edges[order, 1],))],
+        )
 
         self.indptr_region = self.pool.alloc_array("indptr", np.int64, num_vertices + 1)
         self.indptr_region.nt_write_slice(0, indptr)

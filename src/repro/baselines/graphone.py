@@ -25,7 +25,7 @@ from ..core.batch import EdgeBatch, extend_adjacency
 from ..pmem.device import PMemDevice
 from ..pmem.latency import DRAM, OPTANE_ADR, LatencyModel
 from ..pmem.pool import PMemPool
-from .interfaces import DynamicGraphSystem
+from .interfaces import DynamicGraphSystem, adjacency_to_csr
 
 #: DRAM adjacency-list block size, in edges (GraphOne's chained blocks).
 AL_BLOCK_EDGES = 16
@@ -119,12 +119,9 @@ class GraphOneFD(DynamicGraphSystem):
     def _build_view(self) -> BaseGraphView:
         nv = self.num_vertices
         degree = np.fromiter((len(a) for a in self.adj), dtype=np.int64, count=nv)
-        indptr = np.zeros(nv + 1, dtype=np.int64)
-        np.cumsum(degree, out=indptr[1:])
-        dsts = np.empty(int(indptr[-1]), dtype=np.int32)
-        for v, a in enumerate(self.adj):
-            if a:
-                dsts[indptr[v] : indptr[v + 1]] = a
+        indptr, dsts = adjacency_to_csr(
+            degree, ((v, (a,)) for v, a in enumerate(self.adj) if a)
+        )
         geometry = StorageGeometry(
             name="graphone",
             seq_ns_per_byte=costs.DRAM_SEQ_NS_PER_BYTE,  # analysis from DRAM

@@ -210,6 +210,24 @@ class SystemCheckpoint:
     edges: int
 
 
+def adjacency_to_csr(degree, rows) -> Tuple[np.ndarray, np.ndarray]:
+    """CSR ``(indptr, dsts)`` from per-vertex degrees and adjacency pieces.
+
+    ``rows`` yields ``(vertex, pieces)``; a vertex's pieces (arrays or
+    lists of destinations) are copied back to back from the start of its
+    slot.  Vertices that ``rows`` skips must have degree 0.
+    """
+    indptr = np.zeros(len(degree) + 1, dtype=np.int64)
+    np.cumsum(degree, out=indptr[1:])
+    dsts = np.empty(int(indptr[-1]), dtype=np.int32)
+    for v, pieces in rows:
+        pos = indptr[v]
+        for piece in pieces:
+            dsts[pos : pos + len(piece)] = piece
+            pos += len(piece)
+    return indptr, dsts
+
+
 def make_dram_device(size: int, name: str) -> PMemDevice:
     """A DRAM-profile device for a system's volatile structures."""
     return PMemDevice(size, profile=DRAM, name=name)
@@ -221,5 +239,6 @@ __all__ = [
     "SystemCheckpoint",
     "ViewReuseStats",
     "PM_WRITE_BW_BYTES_PER_S",
+    "adjacency_to_csr",
     "make_dram_device",
 ]

@@ -29,7 +29,7 @@ from ..core.batch import EdgeBatch
 from ..pmem.device import PMemDevice
 from ..pmem.latency import DRAM, OPTANE_ADR, LatencyModel
 from ..pmem.pool import PMemPool
-from .interfaces import DynamicGraphSystem
+from .interfaces import DynamicGraphSystem, adjacency_to_csr
 
 #: prefetch discount on fragment-boundary stalls during sequential scans.
 _SCAN_FRAG_DISCOUNT = 0.35
@@ -139,16 +139,8 @@ class LLAMA(DynamicGraphSystem):
     # -- analysis -------------------------------------------------------------
     def _build_view(self) -> BaseGraphView:
         nv = self.num_vertices
-        indptr = np.zeros(nv + 1, dtype=np.int64)
-        np.cumsum(self._degree, out=indptr[1:])
-        dsts = np.empty(int(indptr[-1]), dtype=np.int32)
-        total_frags = 0
-        for v, frags in self._frags.items():
-            pos = indptr[v]
-            for f in frags:
-                dsts[pos : pos + f.size] = f
-                pos += f.size
-            total_frags += len(frags)
+        indptr, dsts = adjacency_to_csr(self._degree, self._frags.items())
+        total_frags = sum(len(frags) for frags in self._frags.values())
         touched = max(1, len(self._frags))
         geometry = StorageGeometry(
             name="llama",

@@ -1,4 +1,9 @@
-"""Benchmark harness: regenerates every table and figure of the paper."""
+"""Benchmark harness: regenerates every table and figure of the paper.
+
+One arm per experiment (``run`` / ``report`` / ``gates`` — DESIGN.md
+§17); ``python -m repro.bench`` and ``benchmarks/test_*`` are thin
+drivers of the same ``run``.
+"""
 
 from .harness import (
     DEFAULT_BATCH_SIZE,
@@ -11,7 +16,6 @@ from .harness import (
     run_kernel,
 )
 from .reporting import (
-    analysis_loop_table,
     emit,
     format_table,
     ingest_phase_table,
@@ -30,6 +34,5 @@ __all__ = [
     "emit",
     "format_table",
     "ingest_phase_table",
-    "analysis_loop_table",
     "paper_vs_measured",
 ]

@@ -11,6 +11,13 @@ One place owns the paper's protocol (§4.1):
 Built systems are cached per (system, dataset, scale) so the analysis
 experiments (Fig. 7/8, Table 4) reuse one ingest per system instead of
 re-inserting for every kernel.
+
+An *arm* (DESIGN.md §17) is a module of this package exposing
+``run(**params) -> result``, ``report(result) -> tables`` and, where it
+has pass/fail criteria, ``gates(result) -> [(label, want, got, ok)]``.
+:func:`finish_arm` is the one driver behind both ``python -m
+repro.bench`` and ``benchmarks/test_*``: it emits the report and
+enforces the gates.
 """
 
 from __future__ import annotations
@@ -27,7 +34,11 @@ from ..baselines import SYSTEMS, DynamicGraphSystem, InsertProfile, StaticCSR
 from ..config import DGAPConfig
 from ..core.batch import DEFAULT_BATCH_SIZE
 from ..core.dgap import DGAP
-from ..datasets import DatasetSpec, env_scale, get_dataset
+from ..datasets import DatasetSpec, get_dataset
+from .reporting import gate_table
+
+#: the five compared dynamic systems, in the paper's column order
+SYSTEM_ORDER = ("dgap", "bal", "llama", "graphone", "xpgraph")
 
 #: kernel -> does it take a source vertex (Table 1)
 SOURCE_KERNELS = {"bfs", "bc"}
@@ -41,6 +52,11 @@ PAPER_BATCH_SIZE = 1
 def paper_batch_size(system: str, batch_size: Optional[int] = DEFAULT_BATCH_SIZE):
     """Ingest batch size of ``system``'s row in a paper-ratio table."""
     return PAPER_BATCH_SIZE if system == "dgap" else batch_size
+
+
+def group_commit_label(batch_size: Optional[int] = DEFAULT_BATCH_SIZE) -> str:
+    """Row/column label of DGAP's group-commit arm (outside the ratios)."""
+    return f"dgap@{batch_size or 'all'}"
 
 
 @dataclass
@@ -59,17 +75,6 @@ class InsertResult:
         return self.profile.meps(threads)
 
 
-@dataclass
-class AnalysisResult:
-    """Modeled kernel times for one system/dataset/kernel triple."""
-
-    system: str
-    dataset: str
-    kernel: str
-    seconds_by_threads: Dict[int, float]
-    wall_s: float
-
-
 def load_stream(dataset: str, scale: float) -> Tuple[int, np.ndarray]:
     """``(num_vertices, shuffled (N, 2) edge stream)`` of a proxy dataset."""
     spec = get_dataset(dataset)
@@ -85,6 +90,13 @@ def make_store(num_vertices: int, num_edges: int, shards: int = 1,
 
         return ShardedDGAP(shards, config, injector=injector, faults=faults)
     return DGAP(config, injector=injector, faults=faults)
+
+
+def modeled_ingest(store, edges, batch_size: Optional[int] = DEFAULT_BATCH_SIZE):
+    """Ingest ``edges`` into a store; the device-stats delta it cost."""
+    before = store.pool.stats.snapshot()
+    store.insert_edges(edges, batch_size=batch_size)
+    return store.pool.stats.delta_since(before)
 
 
 def build_system(
@@ -127,11 +139,12 @@ def ingest(
     system.finalize()
     wall = perf_counter() - t0
     profile = system.insert_profile(since=cp, edges=timed.shape[0])
-    stored = payload = 0
+    stored = payload = fences = 0
     for dev, before in zip(system._devices(), stats_before):
         d = dev.stats.delta_since(before)
         stored += d.stored_bytes
         payload += d.payload_bytes
+        fences += d.fences
     wa = stored / payload if payload else 0.0
     return InsertResult(
         system=system.name,
@@ -146,6 +159,7 @@ def ingest(
             "warmup_modeled_s": cp.ns * 1e-9,
             "timed_wall_s": wall,
             "timed_modeled_s": profile.modeled_ns * 1e-9,
+            "timed_fences": float(fences),
         },
     )
 
@@ -175,11 +189,10 @@ _CACHE: Dict[Tuple, Tuple[DynamicGraphSystem, InsertResult]] = {}
 def get_built_system(
     name: str,
     dataset: str,
-    scale: Optional[float] = None,
+    scale: float,
     batch_size: Optional[int] = DEFAULT_BATCH_SIZE,
     **kwargs,
 ) -> Tuple[DynamicGraphSystem, InsertResult]:
-    scale = env_scale() if scale is None else scale
     key = (name, dataset, scale, batch_size, tuple(sorted(kwargs.items())))
     if key not in _CACHE:
         nv, edges = load_stream(dataset, scale)
@@ -190,9 +203,8 @@ def get_built_system(
     return _CACHE[key]
 
 
-def get_static_csr(dataset: str, scale: Optional[float] = None) -> StaticCSR:
-    scale = env_scale() if scale is None else scale
-    key = ("csr", dataset, scale, ())
+def get_static_csr(dataset: str, scale: float) -> StaticCSR:
+    key = ("csr", dataset, scale, None, ())
     if key not in _CACHE:
         _CACHE[key] = (StaticCSR(*load_stream(dataset, scale)), None)
     return _CACHE[key][0]
@@ -202,22 +214,42 @@ def clear_cache() -> None:
     _CACHE.clear()
 
 
-def pick_source(dataset: str, scale: Optional[float] = None) -> int:
+def pick_source(dataset: str, scale: float) -> int:
     """A deterministic well-connected source vertex for BFS/BC."""
     csr = get_static_csr(dataset, scale)
     view = csr.analysis_view()
     return int(np.argmax(view.out_degrees()))
 
 
+def finish_arm(arm, result, emit=print):
+    """Emit ``arm``'s report for ``result`` and enforce its gates.
+
+    Exits nonzero (``SystemExit`` with the failed labels) when a gate
+    does not hold — the CLI and the benchmark tests fail the same way.
+    """
+    for table in arm.report(result):
+        emit(table)
+    rows = arm.gates(result) if hasattr(arm, "gates") else []
+    if rows:
+        emit(gate_table(arm.__name__.rpartition(".")[2], rows))
+    failed = [label for label, *_, ok in rows if not ok]
+    if failed:
+        raise SystemExit("gate failed: " + "; ".join(failed))
+    return result
+
+
 __all__ = [
     "DEFAULT_BATCH_SIZE",
     "PAPER_BATCH_SIZE",
+    "SYSTEM_ORDER",
     "paper_batch_size",
+    "group_commit_label",
+    "finish_arm",
     "InsertResult",
-    "AnalysisResult",
     "build_system",
     "load_stream",
     "make_store",
+    "modeled_ingest",
     "ingest",
     "run_kernel",
     "get_built_system",

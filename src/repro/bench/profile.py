@@ -1,31 +1,31 @@
-"""``python -m repro.bench profile`` — traced runs with per-phase attribution.
+"""Traced runs with per-phase self attribution (+ Chrome trace export).
 
 Each experiment builds the workload, installs a :class:`~repro.obs.Tracer`
-on the system's device stats around the phase of interest, and returns
-the tracer for the CLI to render (``profile_table``) and optionally
-export (``--trace-out`` Chrome trace-event JSON).
+on the system's device stats around the phase of interest, and the arm
+renders it (``profile_table``) and optionally exports it
+(``trace_out``: Chrome trace-event JSON).
 
-``check_attribution`` is the acceptance gate used by ``--check`` and the
-CI tracing smoke row: per-phase self modeled-ns must sum to the
-run's total (float rounding only), and the integer counters must sum
-exactly — no double-counting, no leaks.  ``check_recovery_reads`` adds,
-for traces of a crash recovery: the log region is streamed once and
-``replay_logs`` reads nothing.
+The gates: per-phase self modeled-ns must sum to the run's total (float
+rounding only) and the integer counters must sum exactly — no
+double-counting, no leaks (``check_attribution``); a traced crash
+recovery streams the log region once and ``replay_logs`` reads nothing
+(``check_recovery_reads``); a written trace file is loadable
+(``check_chrome_trace``).
 """
 
 from __future__ import annotations
 
 import json
 from contextlib import nullcontext
+from dataclasses import dataclass
 from time import perf_counter
 from typing import List, Optional
 
-from .. import DGAP
 from ..baselines import SYSTEMS
-from ..obs import INT_COUNTER_FIELDS, Tracer, aggregate_phases, tracing
-from .harness import load_stream, make_store, pick_source, run_kernel
-
-PROFILE_EXPERIMENTS = ("insert", "recovery", "analysis", "rebalance")
+from ..core.dgap import DGAP
+from ..obs import INT_COUNTER_FIELDS, Tracer, aggregate_phases, tracing, write_chrome_trace
+from .harness import DEFAULT_BATCH_SIZE, load_stream, make_store, pick_source, run_kernel
+from .reporting import profile_table
 
 #: The merge/rebalance-heavy arm: large segments keep the per-section
 #: lock/clear overhead small relative to the gather/plan/write passes the
@@ -69,21 +69,21 @@ def profile_recovery(
     return tracer
 
 
-def _rebalance_arm(
+def rebalance_arm(
     dataset: str,
     scale: float,
     batch_size: Optional[int],
     scalar_readpath: bool = False,
-    rounds: int = REBALANCE_ARM_ROUNDS,
     make_tracer=None,
 ):
     """The merge/rebalance-heavy loop; ``(graph, rebalance_wall_s, tracer)``.
 
-    The stream is split into ``rounds`` slices; after each slice a full
-    whole-array rebalance is forced.  Only the rebalance calls are
-    timed — that is the path the bulk pmem read layer vectorizes (the
-    ingest slices between them exercise the ordinary merge triggers).
-    ``make_tracer(graph)`` supplies a tracer to run the rounds under.
+    The stream is split into ``REBALANCE_ARM_ROUNDS`` slices; after each
+    slice a full whole-array rebalance is forced.  Only the rebalance
+    calls are timed — that is the path the bulk pmem read layer
+    vectorizes (the ingest slices between them exercise the ordinary
+    merge triggers).  ``make_tracer(graph)`` supplies a tracer to run
+    the rounds under.
     """
     nv, edges = load_stream(dataset, scale)
     g = make_store(
@@ -91,27 +91,15 @@ def _rebalance_arm(
         segment_slots=REBALANCE_ARM_SEGMENT_SLOTS, scalar_readpath=scalar_readpath,
     )
     tracer = make_tracer(g) if make_tracer else None
-    per = max(1, edges.shape[0] // rounds)
+    per = max(1, edges.shape[0] // REBALANCE_ARM_ROUNDS)
     wall = 0.0
     with tracing(tracer) if tracer else nullcontext():
-        for r in range(rounds):
+        for r in range(REBALANCE_ARM_ROUNDS):
             g.insert_edges(edges[r * per : (r + 1) * per], batch_size=batch_size)
             t0 = perf_counter()
             g.rebalancer.rebalance_window(0, g.ea.n_sections, g.ea.tree.height)
             wall += perf_counter() - t0
     return g, wall, tracer
-
-
-def build_rebalance_arm(
-    dataset: str,
-    scale: float,
-    batch_size: Optional[int],
-    *,
-    scalar_readpath: bool = False,
-    rounds: int = REBALANCE_ARM_ROUNDS,
-):
-    """Run the merge/rebalance-heavy arm; return ``(graph, rebalance_wall_s)``."""
-    return _rebalance_arm(dataset, scale, batch_size, scalar_readpath, rounds)[:2]
 
 
 def profile_rebalance(
@@ -122,7 +110,7 @@ def profile_rebalance(
     device_ops: bool = False,
 ) -> Tracer:
     """Trace the merge/rebalance-heavy arm (forced whole-array rebalances)."""
-    return _rebalance_arm(
+    return rebalance_arm(
         dataset, scale, batch_size,
         make_tracer=lambda g: Tracer(g.pool.stats, device_ops=device_ops),
     )[2]
@@ -160,27 +148,55 @@ _RUNNERS = {
     "analysis": profile_analysis,
     "rebalance": profile_rebalance,
 }
+PROFILE_EXPERIMENTS = tuple(_RUNNERS)
 
 
-def run_profile(
-    experiment: str,
-    dataset: str,
-    scale: float,
-    batch_size: Optional[int],
-    *,
-    device_ops: bool = False,
-) -> Tracer:
-    try:
-        runner = _RUNNERS[experiment]
-    except KeyError:
-        raise SystemExit(
-            f"unknown profile experiment {experiment!r}; "
-            f"have {sorted(_RUNNERS)}"
-        ) from None
-    return runner(dataset, scale, batch_size, device_ops=device_ops)
+@dataclass
+class ProfileRun:
+    title: str
+    tracer: Tracer
+    trace_out: str  #: Chrome trace path ("" = not written)
+    events_written: int = 0
 
 
-# -- acceptance checks (CI tracing smoke + --check) ------------------------
+def run(
+    experiment,
+    dataset="orkut",
+    scale=0.1,
+    batch_size=DEFAULT_BATCH_SIZE,
+    trace_out="",
+    device_ops=False,
+) -> ProfileRun:
+    tracer = _RUNNERS[experiment](dataset, scale, batch_size, device_ops=device_ops)
+    title = (f"profile {experiment} — {dataset} (scale {scale:g}): "
+             "per-phase self attribution")
+    written = write_chrome_trace(tracer, trace_out) if trace_out else 0
+    return ProfileRun(title, tracer, trace_out, written)
+
+
+def report(r: ProfileRun):
+    yield profile_table(r.tracer, title=r.title)
+    yield f"spans recorded: {r.tracer.span_count()}"
+    if r.trace_out:
+        yield f"wrote {r.events_written} Chrome trace events to {r.trace_out}"
+
+
+def gates(r: ProfileRun):
+    def row(label, failures):
+        return (label, "exact", "; ".join(failures) or "exact", not failures)
+
+    rows = [
+        row("per-phase modeled ns and counters sum to the device totals",
+            check_attribution(r.tracer)),
+        row("recovery streams the log region once; replay_logs reads nothing",
+            check_recovery_reads(r.tracer)),
+    ]
+    if r.trace_out:
+        rows.append(row("Chrome trace file loads", check_chrome_trace(r.trace_out)))
+    return rows
+
+
+# -- the gates' checks ------------------------------------------------------
 
 def check_attribution(tracer: Tracer) -> List[str]:
     """Return human-readable failures; empty list = attribution is exact."""
@@ -259,17 +275,3 @@ def check_chrome_trace(path: str) -> List[str]:
         if ev.get("ph") == "X" and (ev.get("dur", -1) < 0 or ev.get("ts", -1) < 0):
             failures.append(f"event {i} ({ev.get('name')}) has bad ts/dur")
     return failures
-
-
-__all__ = [
-    "PROFILE_EXPERIMENTS",
-    "run_profile",
-    "profile_insert",
-    "profile_recovery",
-    "profile_analysis",
-    "profile_rebalance",
-    "build_rebalance_arm",
-    "check_attribution",
-    "check_recovery_reads",
-    "check_chrome_trace",
-]

@@ -74,23 +74,33 @@ def format_table(
     return "\n".join(out)
 
 
+def _check_rows(rows: Iterable[Sequence]) -> List[Sequence[str]]:
+    """Format ``(label, expected, measured, ok)`` rows (counts exactly)."""
+    return [
+        (
+            label,
+            want if isinstance(want, str) else f"{want:g}",
+            str(got) if isinstance(got, (str, int)) else f"{got:.3g}",
+            "yes" if ok else "NO",
+        )
+        for label, want, got, ok in rows
+    ]
+
+
 def paper_vs_measured(
     title: str,
     rows: Iterable[Sequence],
     headers: Sequence[str] = ("metric", "paper", "measured", "ok?"),
 ) -> str:
     """Rows: (metric, paper_value, measured_value, predicate_result)."""
-    formatted = []
-    for metric, paper, measured, ok in rows:
-        formatted.append(
-            (
-                metric,
-                paper if isinstance(paper, str) else f"{paper:g}",
-                measured if isinstance(measured, str) else f"{measured:.3g}",
-                "yes" if ok else "NO",
-            )
-        )
-    return format_table(f"{title} — paper vs measured", headers, formatted)
+    return format_table(f"{title} — paper vs measured", headers, _check_rows(rows))
+
+
+def gate_table(title: str, rows: Iterable[Sequence]) -> str:
+    """An arm's ``gates()`` rows: (gate, want, measured, ok)."""
+    return format_table(
+        f"{title} — gates", ("gate", "want", "measured", "ok?"), _check_rows(rows)
+    )
 
 
 def ingest_phase_table(results: Iterable) -> str:
@@ -121,10 +131,11 @@ def ingest_phase_table(results: Iterable) -> str:
 
 
 def _loop_table(title, step_header, step_cols, totals, cached, other, other_name,
-                speedup, counters_title) -> str:
+                speedup, counters_title, facts=()) -> str:
     """Two-arm loop summary: one row per round/step (``step_cols[i]`` are
     its leading cells) with both arms' analysis wall clock, a total row,
-    then the cached arm's counters."""
+    the cached arm's counters, then what the pair runner asserted (plus
+    the arm's own ``facts`` rows) and the printed-only wall speedup."""
     n = len(step_cols)
     cw, ow = [0.0] * n, [0.0] * n
     for walls, arm in ((cw, cached), (ow, other)):
@@ -141,10 +152,20 @@ def _loop_table(title, step_header, step_cols, totals, cached, other, other_name
     counters = format_table(
         counters_title, ["counter", "value"], sorted(cached.counters.items())
     )
-    return head + "\n\n" + counters
+    identity = format_table(
+        "loop identity (asserted) & speedup",
+        ["metric", "value"],
+        [
+            ("kernel outputs identical (sha256)", "yes"),
+            ("modeled seconds identical", "yes"),
+            *facts,
+            ("analysis wall speedup (cached, not gated)", f"{speedup:.2f}x"),
+        ],
+    )
+    return "\n\n".join((head, counters, identity))
 
 
-def analysis_loop_table(pair, title: str = "analysis loop") -> str:
+def analysis_loop_table(pair) -> str:
     """Summarize a :class:`~repro.bench.analysis_loop.LoopPair`.
 
     Per-round analysis wall clock for both arms (outputs and modeled
@@ -153,7 +174,7 @@ def analysis_loop_table(pair, title: str = "analysis loop") -> str:
     """
     cached = pair.cached
     return _loop_table(
-        f"{title} — {cached.dataset} (scale {cached.scale:g}, "
+        f"analysis loop — {cached.dataset} (scale {cached.scale:g}, "
         f"{cached.rounds} rounds, kernels {','.join(cached.kernels)})",
         ["round"], [(r,) for r in range(cached.rounds)], ("total",),
         cached, pair.uncached, "uncached", pair.speedup,
@@ -161,7 +182,7 @@ def analysis_loop_table(pair, title: str = "analysis loop") -> str:
     )
 
 
-def temporal_loop_table(pair, title: str = "temporal loop") -> str:
+def temporal_loop_table(pair) -> str:
     """Summarize a :class:`~repro.bench.temporal_loop.TemporalLoopPair`.
 
     Per-step mutation volume and analysis wall clock for both arms
@@ -172,7 +193,7 @@ def temporal_loop_table(pair, title: str = "temporal loop") -> str:
     cached = pair.cached
     steps = cached.steps
     return _loop_table(
-        f"{title} — {cached.dataset} (scale {cached.scale:g}, window "
+        f"temporal loop — {cached.dataset} (scale {cached.scale:g}, window "
         f"{cached.window}, compact at {cached.compact_threshold:g}, "
         f"kernels {','.join(cached.kernels)})",
         ["step", "added", "churned", "expired", "compact"],
@@ -182,6 +203,12 @@ def temporal_loop_table(pair, title: str = "temporal loop") -> str:
          sum(s.expired for s in steps), str(cached.compactions)),
         cached, pair.scratch, "scratch", pair.speedup,
         "window + view-cache counters (cached arm)",
+        facts=[
+            ("per-step CSR byte-identical", "yes"),
+            ("compaction sweeps", str(cached.compactions)),
+            ("tombstone pairs compacted",
+             str(cached.counters["tombstone_pairs_compacted"])),
+        ],
     )
 
 
@@ -360,10 +387,6 @@ def profile_table(tracer, title: str = "profile") -> str:
     )
 
 
-#: tables collected during a benchmark session; pytest's capture swallows
-#: per-test stdout of passing tests, so the benchmarks' conftest flushes
-#: this registry in ``pytest_terminal_summary`` — that is how every table
-#: reaches the tee'd ``bench_output.txt``.
 def serve_latency_table(report, title: str = "serve latency") -> str:
     """Summarize a :class:`~repro.serve.driver.ServeReport`.
 
@@ -405,6 +428,10 @@ def serve_latency_table(report, title: str = "serve latency") -> str:
     return "\n\n".join(out)
 
 
+#: tables collected during a benchmark session; pytest's capture swallows
+#: per-test stdout of passing tests, so the benchmarks' conftest flushes
+#: this registry in ``pytest_terminal_summary`` — that is how every table
+#: reaches the tee'd ``bench_output.txt``.
 _REPORTS: List[str] = []
 
 
@@ -425,6 +452,7 @@ __all__ = [
     "distribution_stats",
     "format_table",
     "paper_vs_measured",
+    "gate_table",
     "ingest_phase_table",
     "analysis_loop_table",
     "crash_sweep_table",

@@ -1,0 +1,103 @@
+"""Online serving twin: snapshot-isolated epoch views vs per-query snapshots.
+
+One seeded Zipfian read/write stream is replayed over a live graph: the
+**served** arm acquires an epoch-versioned view (refreshed only when a
+write moved the epoch), the **snapshot** arm opens a fresh Degree-Cache
+snapshot for every query — the pre-serving read path.  Every served
+read must equal the snapshot read at the same stream point, byte for
+byte: serving is an optimization, never a semantic change.
+
+``dataset=None`` selects the pinned serving geometry (``NV`` vertices,
+uniform preload, roomy sections keeping dirty-section spans — and the
+modeled refresh cost — proportional to the write), the geometry the
+modeled read-speedup and view-reuse floors were measured on; the
+speedup is an nv-dependent ratio, so a proxy dataset's geometry is
+gated on identity alone.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
+
+from .harness import DEFAULT_BATCH_SIZE, load_stream, make_store
+from .reporting import serve_latency_table
+
+NV = 8000
+PRELOAD_EDGES = 4 * NV
+EDGE_CAPACITY = 16 * NV
+
+#: modeled floors on the pinned geometry (measured 4.44x unsharded,
+#: 2.11x at 4 shards, reuse 0.94 at 95% reads).  Point queries in the
+#: sharded snapshot arm only open the owner shard's nv/N-sized snapshot,
+#: so its amortization margin is structurally thinner.
+MIN_READ_SPEEDUP = 3.0
+MIN_READ_SPEEDUP_SHARDED = 1.5
+MIN_REUSE_RATIO = 0.9
+
+
+@dataclass
+class ServeTwin:
+    title: str
+    report: object  #: :class:`~repro.serve.driver.ServeReport`
+    sharded: bool
+    pinned: bool  #: ran the pinned geometry (floors apply)
+
+
+def run(
+    dataset: Optional[str] = "orkut",
+    scale=0.1,
+    ops=1500,
+    read_fraction=0.95,
+    theta=0.99,
+    clients=8,
+    mode="closed",
+    shards=1,
+    batch_size: Optional[int] = DEFAULT_BATCH_SIZE,
+    seed=0,
+) -> ServeTwin:
+    from ..serve import ServeWorkloadConfig, generate_workload, run_serve_workload
+
+    cfg = ServeWorkloadConfig(
+        n_ops=ops, read_fraction=read_fraction, zipf_theta=theta,
+        n_clients=clients, mode=mode, seed=seed,
+    )
+    flavor = f"{shards} shards" if shards > 1 else "unsharded"
+    if dataset is None:
+        nv = NV
+        graph = make_store(NV, EDGE_CAPACITY, shards)
+        preload = np.random.default_rng(1).integers(0, NV, size=(PRELOAD_EDGES, 2))
+        title = f"serve twin — {flavor} (nv {NV}, {ops} ops, seed {seed})"
+    else:
+        nv, preload = load_stream(dataset, scale)
+        graph = make_store(nv, preload.shape[0], shards)
+        title = (f"serve latency — {dataset} (scale {scale:g}, {flavor}, "
+                 f"{mode} loop, theta {theta:g})")
+    graph.insert_edges(preload, batch_size=batch_size)
+    report = run_serve_workload(graph, generate_workload(nv, cfg), cfg, twin_check=True)
+    return ServeTwin(title, report, shards > 1, dataset is None)
+
+
+def report(r: ServeTwin):
+    yield serve_latency_table(r.report, r.title)
+
+
+def gates(r: ServeTwin):
+    rep, stats = r.report, r.report.stats()
+    rows = [
+        ("served reads byte-identical to fresh-snapshot reads", "0 mismatches",
+         f"{rep.mismatches} mismatches", rep.identity_ok),
+        ("p50 and p99 reported for every latency class", "all",
+         ", ".join(stats) or "none",
+         bool(stats) and all("p50_us" in d and "p99_us" in d for d in stats.values())),
+    ]
+    if r.pinned:
+        floor = MIN_READ_SPEEDUP_SHARDED if r.sharded else MIN_READ_SPEEDUP
+        rows.append(("modeled read speedup vs per-query snapshots", f">={floor:g}x",
+                     rep.modeled_read_speedup, rep.modeled_read_speedup >= floor))
+        if not r.sharded:
+            rows.append(("view reuse ratio", f">={MIN_REUSE_RATIO:g}",
+                         rep.reuse_ratio, rep.reuse_ratio >= MIN_REUSE_RATIO))
+    return rows

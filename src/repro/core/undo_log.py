@@ -165,16 +165,6 @@ class UndoLog:
         self.hdr.clwb(_F_VALID, _F_STATE - _F_VALID + 1)
         dev.sfence()  # fence 2: commit
 
-    def set_phase(self, phase: int, progress: int) -> None:
-        # Invalidate any chunk backup from the previous phase first: the
-        # old (phase, progress) pair no longer describes it.
-        self._set(_F_VALID, 0)
-        self._set2(_F_PHASE, phase, _F_PROGRESS, progress)
-
-    def advance(self, progress: int) -> None:
-        """Move the chunk boundary after a chunk's new contents persisted."""
-        self._set(_F_PROGRESS, progress)
-
     def backup(self, dev_off: int, nbytes: int, step: int) -> None:
         """Back up device bytes ``[dev_off, dev_off+nbytes)`` (see protocol above)."""
         assert nbytes <= self.capacity, "chunk exceeds ULOG_SZ"

@@ -1,5 +1,7 @@
 """Tests for the benchmark harness, reporting helpers and cost model glue."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -129,3 +131,55 @@ class TestPaperData:
 
     def test_fig6_is_t1_column(self):
         assert paper_data.FIG6_MEPS["orkut"]["dgap"] == paper_data.TABLE3_MEPS["orkut"]["dgap"][0]
+
+
+class TestGatesCatchTheMechanism:
+    """Each count gate that replaced a wall-clock floor fails — and
+    ``main()`` exits nonzero — when the mechanism the floor stood for is
+    switched off."""
+
+    def expect_gate_failure(self, monkeypatch, arm, broken, argv, needle):
+        from repro.bench.__main__ import main
+
+        failed = [label for label, *_, ok in arm.gates(broken) if not ok]
+        assert any(needle in label for label in failed), failed
+        # wraps: the CLI derives the arm's flags from run's signature
+        monkeypatch.setattr(arm, "run", functools.wraps(arm.run)(lambda **params: broken))
+        with pytest.raises(SystemExit) as ei:
+            main(argv)
+        assert ei.value.code not in (0, None) and needle in str(ei.value.code)
+
+    def test_analysis_loop_without_view_cache(self, monkeypatch):
+        from repro.bench import analysis_loop as arm
+
+        scratch = [
+            arm.run_analysis_loop("citpatents", 0.05, 2, ("pr", "bfs"), 2, None, False)
+            for _ in range(2)
+        ]
+        self.expect_gate_failure(
+            monkeypatch, arm, arm.LoopPair(*scratch), ["analysis-loop"], "view builds"
+        )
+
+    def test_temporal_loop_without_view_cache(self, monkeypatch):
+        from repro.bench import temporal_loop as arm
+
+        scratch = [
+            arm.run_temporal_loop(
+                arm.DEFAULT_DATASET, 0.25, 2, 0.25, ("pr", "bfs"), 2, None, 3, False
+            )
+            for _ in range(2)
+        ]
+        self.expect_gate_failure(
+            monkeypatch, arm, arm.TemporalLoopPair(*scratch), ["temporal"], "view builds"
+        )
+
+    def test_insert_group_arm_ingested_per_edge(self, monkeypatch):
+        from repro.bench import insert as arm
+
+        good = arm.run("citpatents", 0.05)
+        assert all(ok for *_, ok in arm.gates(good))
+        broken = arm.InsertArms(
+            good.dataset, good.scale, good.batch_size, good.per_edge,
+            group=good.per_edge["dgap"],  # batch_size=1 in the "batched" slot
+        )
+        self.expect_gate_failure(monkeypatch, arm, broken, ["insert"], "fences per edge")

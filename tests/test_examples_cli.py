@@ -1,4 +1,4 @@
-"""Smoke tests: every example script and CLI subcommand runs to completion."""
+"""Smoke tests: every example script and every ``repro.bench`` arm runs to completion."""
 
 import os
 import subprocess
@@ -33,27 +33,48 @@ class TestExamples:
         assert needle in res.stdout
 
 
+#: every arm of ``python -m repro.bench`` at tiny scale: argv -> a needle
+#: of its report.  Gates are always enforced, so a pass means they held.
+ARM_SMOKE = {
+    "insert": (["--dataset", "citpatents", "--scale", "0.1"], "insert throughput"),
+    "analysis": (["--dataset", "citpatents", "--kernel", "bfs", "--scale", "0.1"], "vs CSR"),
+    "analysis-loop": (["--scale", "0.05", "--rounds", "2", "--sources", "2"], "whole-view hits"),
+    "temporal": (["--scale", "0.25", "--sources", "2", "--max-steps", "4"], "per-step CSR"),
+    "ablation": (["--scale", "0.02", "--batch-size", "1"], "no_el_ul_dp"),
+    "recovery": (["--dataset", "citpatents", "--scale", "0.1"], "crash recovery"),
+    "profile": (["insert", "--scale", "0.02"], "batch_round"),
+    "profile recovery": (["--scale", "0.02"], "rebuild_log_cursors"),
+    "profile analysis": (["--scale", "0.02"], "view_materialize"),
+    "profile rebalance": (["--scale", "0.02"], "write_window"),
+    "readpath": (["--dataset", "citpatents", "--scale", "0.02"], "identical"),
+    "shard": (["--scale", "0.05"], "merged view byte-identical"),
+    "serve": (["--scale", "0.02", "--ops", "120", "--shards", "2"], "p99"),
+    "crash-sweep": (["--edges", "12", "--shards", "2", "--batch-size", "4"], "crash points swept"),
+    "soak": (["--edges", "400", "--rounds", "1", "--min-fault-points", "1"], "fault points"),
+    "race-check": (["--dry-run"], "decisions"),
+}
+
+
+@pytest.mark.parametrize("arm", ARM_SMOKE)
+def test_arm_runs_in_process(arm, capsys):
+    from repro.bench.__main__ import main
+
+    argv, needle = ARM_SMOKE[arm]
+    assert main(arm.split() + argv) == 0
+    assert needle in capsys.readouterr().out
+
+
+def test_every_arm_has_a_smoke_row():
+    from repro.bench.__main__ import ARMS
+
+    assert {a.split()[0] for a in ARM_SMOKE} == set(ARMS)
+
+
 class TestCLI:
-    def test_insert(self):
-        res = run(["-m", "repro.bench", "insert", "--dataset", "citpatents", "--scale", "0.1"])
+    def test_help(self):
+        res = run(["-m", "repro.bench", "--help"])
         assert res.returncode == 0, res.stderr[-2000:]
-        assert "insert throughput" in res.stdout and "dgap" in res.stdout
-
-    def test_analysis(self):
-        res = run(["-m", "repro.bench", "analysis", "--dataset", "citpatents",
-                   "--kernel", "bfs", "--scale", "0.1"])
-        assert res.returncode == 0, res.stderr[-2000:]
-        assert "BFS" in res.stdout and "vs CSR" in res.stdout
-
-    def test_recovery(self):
-        res = run(["-m", "repro.bench", "recovery", "--dataset", "citpatents", "--scale", "0.1"])
-        assert res.returncode == 0, res.stderr[-2000:]
-        assert "crash recovery" in res.stdout
-
-    def test_ablation(self):
-        res = run(["-m", "repro.bench", "ablation", "--scale", "0.05"])
-        assert res.returncode == 0, res.stderr[-2000:]
-        assert "no_el_ul_dp" in res.stdout
+        assert "usage" in res.stdout and "crash-sweep" in res.stdout
 
     def test_bad_dataset_rejected(self):
         res = run(["-m", "repro.bench", "insert", "--dataset", "nope"])
