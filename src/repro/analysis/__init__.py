@@ -10,7 +10,7 @@ from .view import (
     StorageGeometry,
     build_in_csr,
 )
-from .viewcache import FULL_REBUILD_STALE_FRACTION, DGAPViewCache, ViewCacheStats
+from .viewcache import FULL_REBUILD_STALE_FRACTION, ViewCacheStats
 
 __all__ = [
     "AnalysisClock",
@@ -21,7 +21,6 @@ __all__ = [
     "ID_DTYPE",
     "INDPTR_DTYPE",
     "build_in_csr",
-    "DGAPViewCache",
     "ViewCacheStats",
     "FULL_REBUILD_STALE_FRACTION",
 ]

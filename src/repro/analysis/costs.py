@@ -17,7 +17,14 @@ Optane's peak streaming bandwidth), CSR lands at 5.2 ns/edge-visit.
 Every other number in Tables 4 and Figs. 7/8 is then *predicted* by
 each framework's geometry (gaps, blocks, fragments, DRAM vs. PM) — see
 EXPERIMENTS.md for the paper-vs-predicted comparison.
+
+The modeled cost of *building* a view lives here too
+(:func:`view_build_ns`): the store-level view cache prices each
+materialization with it, and serving and analysis both read the result
+from ``cache.last`` (DESIGN.md §7).
 """
+
+from ..pmem.latency import DRAM, OPTANE_ADR
 
 #: DRAM-side kernel work per edge processed (same for every framework).
 COMPUTE_NS_PER_EDGE = 1.2
@@ -28,9 +35,50 @@ PM_SEQ_NS_PER_BYTE = 1.0
 #: Effective DRAM read cost for edge-list streams.
 DRAM_SEQ_NS_PER_BYTE = 0.12
 
-#: Uncached random access latencies (one cache line).
-PM_RND_NS = 305.0
-DRAM_RND_NS = 85.0
+#: Uncached random access latencies (one cache line): the device
+#: profiles' own numbers, not a second copy of them.
+PM_RND_NS = OPTANE_ADR.read_rnd_per_line_ns
+DRAM_RND_NS = DRAM.read_rnd_per_line_ns
 
 #: Destination-id payload per edge (all evaluated layouts use 4 B ids).
 EDGE_BYTES = 4.0
+
+#: modeled cost of handing back a view nothing moved under: one DRAM
+#: read of the epoch counter plus the compare.
+EPOCH_CHECK_NS = DRAM_RND_NS
+
+#: vertex-table entry width charged for snapshot vector copies
+#: (degree + live_degree, 8 bytes each in the simulated layout).
+_VT_ENTRY_BYTES = 8.0
+
+
+def snapshot_open_ns(nv: int) -> float:
+    """Opening a Degree-Cache snapshot: two O(nv) DRAM vector copies."""
+    return 2.0 * nv * _VT_ENTRY_BYTES * DRAM_SEQ_NS_PER_BYTE
+
+
+def view_build_ns(builds, total_edges: int) -> float:
+    """Modeled view build: per-shard snapshot + patch (parallel max) + merge.
+
+    ``builds`` holds one :class:`~repro.analysis.viewcache.ShardBuild`
+    per shard; ``total_edges`` is the merged out-CSR's edge count.
+    Stale rows cluster in dirty PMA sections, so the PM traffic is one
+    random probe per rebuilt *section* plus a sequential stream of the
+    re-read edges — only the stale rows' edges for an incremental
+    build.  A full rebuild is priced at an even share of the merged
+    edge count rather than the shard's own (DESIGN.md §9, known
+    deviation).  Sharded builds add the O(E) DRAM scatter/merge into
+    the global layout.
+    """
+    n_shards = len(builds)
+    cost = max(
+        snapshot_open_ns(b.nv)
+        + b.sections * PM_RND_NS
+        + (total_edges / n_shards if b.mode == "full" else b.edges)
+        * EDGE_BYTES
+        * PM_SEQ_NS_PER_BYTE
+        for b in builds
+    )
+    if n_shards > 1:
+        cost += total_edges * EDGE_BYTES * DRAM_SEQ_NS_PER_BYTE
+    return cost

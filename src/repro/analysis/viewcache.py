@@ -1,12 +1,11 @@
-"""Incremental CSR maintenance for DGAP analysis views.
+"""Per-shard incremental CSR maintenance behind the store-level view cache.
 
-``DGAPSystem.analysis_view()`` historically rematerialized the whole
-out-CSR from the snapshot and rebuilt the in-CSR with an ``O(E log E)``
-argsort on every call — even when only a handful of PMA sections
-changed since the last analysis round.  :class:`DGAPViewCache` keeps the
-last materialized ``(out_indptr, out_dsts)`` / ``(in_indptr, in_srcs)``
-pair and, on the next call, rebuilds only what the structure epochs say
-moved:
+:class:`DGAPViewCache` is the patch half of the one view stack
+(DESIGN.md §7): :class:`~repro.sharding.merge.ShardedViewCache` — the
+only place one is constructed — decides reuse, opens the shard's
+snapshot and hands it here.  The cache keeps the shard's last
+``(out_indptr, out_dsts)`` / ``(in_indptr, in_srcs)`` pair and rebuilds
+only what the structure epochs say moved:
 
 * **stale vertices** — a vertex is stale iff any *dirty* section (one
   stamped after the cache's materialization epoch) intersects its
@@ -31,15 +30,17 @@ When most of the graph moved (resize stamps everything) patching would
 touch nearly every row anyway, so the cache falls back to a full
 rebuild above :data:`FULL_REBUILD_STALE_FRACTION`.
 
-None of this changes modeled analysis time: materialization reads the
-simulated arrays without accounting (as the from-scratch path always
-has), and kernels charge the same geometry-derived costs either way.
+In-CSR rows carry *global* source ids over the *global* destination
+domain (shard ``r`` of ``n``; the identity for a one-shard store), so
+the per-shard streams merge without translation.  Each call reports
+what it did as a :class:`ShardBuild`, which is what
+:func:`~repro.analysis.costs.view_build_ns` prices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -86,86 +87,86 @@ class ViewCacheStats:
         }
 
 
+class ShardBuild(NamedTuple):
+    """What one shard's cache did for one materialization."""
+
+    mode: str  #: "full" | "incremental" | "reuse"
+    sections: int  #: PMA sections re-read from PM
+    edges: int  #: edges streamed from PM (every row, or the stale rows only)
+    nv: int  #: the shard's local vertex count (the snapshot that was opened)
+
+
 class DGAPViewCache:
-    """Epoch-versioned (out, in) CSR cache for one :class:`~repro.core.dgap.DGAP`.
+    """Epoch-versioned (out, in) CSR cache for shard ``r`` of an ``n``-shard store."""
 
-    ``id_stride`` / ``row_ids`` generalize the cache for sharded builds
-    (:mod:`repro.sharding`): out-CSR row ``i`` carries the source id
-    ``row_ids(nv)[i]`` in the in-CSR (ids must ascend, with
-    ``id == i * id_stride + something < id_stride`` so the inverse is a
-    floor division), and the in-CSR destination domain can be widened to
-    a caller-supplied ``dst_nv`` (the *global* vertex count).  The
-    defaults — stride 1, identity ids, ``dst_nv=None`` — reproduce the
-    unsharded behavior exactly.
-    """
-
-    def __init__(self, graph, id_stride: int = 1, row_ids=None) -> None:
-        self.graph = graph
+    def __init__(self, shard, r: int, n: int) -> None:
+        self.graph = shard
+        self.r, self.n = int(r), int(n)
         self.stats = ViewCacheStats()
-        self.id_stride = int(id_stride)
-        self.row_ids = row_ids
         self._out: Optional[CSRPair] = None
         self._in: Optional[CSRPair] = None
         self._epoch = -1
         self._nv = 0
-        self._dst_nv = 0
 
-    def _row_ids(self, nv: int) -> np.ndarray:
-        if self.row_ids is None:
-            return np.arange(nv, dtype=ID_DTYPE)
-        return np.asarray(self.row_ids(nv), dtype=ID_DTYPE)
+    def _source_ids(self, nv: int) -> np.ndarray:
+        """Global source id of each local out-CSR row (ascending)."""
+        # repro.sharding imports this module, so the id algebra is
+        # imported at call time (as core.batch does)
+        from ..sharding.partition import local_ids_to_global
+
+        return local_ids_to_global(nv, self.r, self.n).astype(ID_DTYPE)
 
     # -- entry point -------------------------------------------------------
-    def materialize(self, snap, dst_nv: Optional[int] = None) -> Tuple[CSRPair, CSRPair]:
-        """Current ``((out_indptr, out_dsts), (in_indptr, in_srcs))``.
+    def materialize(self, snap, dst_nv: int) -> Tuple[CSRPair, CSRPair, ShardBuild]:
+        """Current ``((out_indptr, out_dsts), (in_indptr, in_srcs))`` and
+        the :class:`ShardBuild` saying how they were obtained.
 
         ``snap`` must be an open :class:`DGAPSnapshot` of ``self.graph``
         taken at the current structure epoch.  The returned arrays are
-        owned by the cache and shared with analysis views; they are
-        never mutated afterwards (each refresh allocates new ones).
-        ``dst_nv`` widens the in-CSR destination domain (sharded builds
-        pass the global vertex count); it must not shrink between calls.
+        owned by the cache; they are never mutated afterwards (each
+        refresh allocates new ones).  ``dst_nv`` is the in-CSR
+        destination domain — the store's global vertex count; it must
+        not shrink between calls.
         """
         g = self.graph
         epoch = int(g.structure_epoch)
         nv = snap.num_vertices
-        if dst_nv is None:
-            dst_nv = nv
         with trace("view_materialize"):
             if self._out is None:
                 annotate(mode="full")
-                out, inn = self._full_build(snap, nv, dst_nv)
+                out, inn, did = self._full_build(snap, nv, dst_nv)
             else:
                 dirty = g.sections_dirty_since(self._epoch)
                 stale = self._stale_vertices(dirty, nv)
                 n_stale = int(stale.sum())
                 if n_stale == 0 and nv == self._nv:
-                    # Epoch moved but nothing a view can observe changed
-                    # (the destination domain may still have grown via
-                    # other shards — extend the in-indptr with empties).
+                    # The store moved but nothing this shard's view can
+                    # observe did (the destination domain may still have
+                    # grown via other shards — extend the in-indptr with
+                    # empties).
                     annotate(mode="reuse")
-                    out, inn = self._out, self._in
-                    if dst_nv != self._dst_nv:
-                        inn = (_extend_indptr(inn[0], dst_nv), inn[1])
+                    out = self._out
+                    inn = (_extend_indptr(self._in[0], dst_nv), self._in[1])
+                    did = ShardBuild("reuse", 0, 0, nv)
                     self.stats.incremental_builds += 1
                     self.stats.rows_reused += nv
                 elif n_stale >= FULL_REBUILD_STALE_FRACTION * nv:
                     annotate(mode="full")
-                    out, inn = self._full_build(snap, nv, dst_nv)
+                    out, inn, did = self._full_build(snap, nv, dst_nv)
                 else:
                     annotate(mode="incremental", stale_vertices=n_stale)
+                    n_dirty = int(np.count_nonzero(dirty))
                     self.stats.incremental_builds += 1
-                    self.stats.sections_rebuilt += int(np.count_nonzero(dirty))
+                    self.stats.sections_rebuilt += n_dirty
                     self.stats.vertices_rebuilt += n_stale
                     self.stats.rows_reused += nv - n_stale
                     stale_vids = np.flatnonzero(stale)
                     out, s_counts, s_dsts = self._patch_out(snap, nv, stale, stale_vids)
-                    inn = self._merge_in(
-                        nv, dst_nv, stale, stale_vids, s_counts, s_dsts
-                    )
+                    inn = self._merge_in(nv, dst_nv, stale_vids, s_counts, s_dsts)
+                    did = ShardBuild("incremental", n_dirty, int(s_dsts.size), nv)
         self._out, self._in = out, inn
-        self._epoch, self._nv, self._dst_nv = epoch, nv, dst_nv
-        return out, inn
+        self._epoch, self._nv = epoch, nv
+        return out, inn, did
 
     # -- staleness ---------------------------------------------------------
     def _stale_vertices(self, dirty: np.ndarray, nv: int) -> np.ndarray:
@@ -186,13 +187,14 @@ class DGAPViewCache:
         return stale
 
     # -- out-CSR -----------------------------------------------------------
-    def _full_build(self, snap, nv: int, dst_nv: int) -> Tuple[CSRPair, CSRPair]:
+    def _full_build(self, snap, nv: int, dst_nv: int) -> Tuple[CSRPair, CSRPair, ShardBuild]:
+        n_sections = int(self.graph.ea.n_sections)
         self.stats.full_rebuilds += 1
-        self.stats.sections_rebuilt += int(self.graph.ea.n_sections)
+        self.stats.sections_rebuilt += n_sections
         self.stats.vertices_rebuilt += nv
         out = snap.to_csr()
-        inn = build_in_csr_from(out[0], out[1], self._row_ids(nv), dst_nv)
-        return out, inn
+        inn = build_in_csr_from(out[0], out[1], self._source_ids(nv), dst_nv)
+        return out, inn, ShardBuild("full", n_sections, int(out[1].size), nv)
 
     def _patch_out(
         self, snap, nv: int, stale: np.ndarray, stale_vids: np.ndarray
@@ -222,7 +224,6 @@ class DGAPViewCache:
         self,
         nv: int,
         dst_nv: int,
-        stale: np.ndarray,
         stale_vids: np.ndarray,
         s_counts: np.ndarray,
         s_dsts: np.ndarray,
@@ -232,12 +233,11 @@ class DGAPViewCache:
         old_dst = np.repeat(
             np.arange(prev_dst_nv, dtype=np.int64), np.diff(prev_in_indptr)
         )
-        # prev_in_srcs carry source *ids* (global under sharding); the
-        # stale mask is indexed by local row.
-        if self.id_stride == 1 and self.row_ids is None:
-            keep = ~stale[prev_in_srcs]
-        else:
-            keep = ~stale[prev_in_srcs // self.id_stride]
+        # prev_in_srcs carry source *ids*, so mask staleness by id
+        stale_ids = self._source_ids(nv)[stale_vids]
+        gone = np.zeros(dst_nv, dtype=bool)
+        gone[stale_ids] = True
+        keep = ~gone[prev_in_srcs]
         ko_dst = old_dst[keep]
         ko_src = prev_in_srcs[keep]
         self.stats.in_entries_dropped += int(prev_in_srcs.size - ko_src.size)
@@ -245,7 +245,7 @@ class DGAPViewCache:
         # Counting-sort the delta by destination: a stable integer
         # argsort over the delta only (NumPy radix-sorts ints) — never a
         # full-graph sort.
-        delta_src = np.repeat(self._row_ids(nv)[stale_vids], s_counts)
+        delta_src = np.repeat(stale_ids, s_counts)
         order = np.argsort(s_dsts, kind="stable")
         kd_dst = s_dsts[order].astype(np.int64)
         kd_src = delta_src[order]
@@ -256,7 +256,7 @@ class DGAPViewCache:
         # merged order is exactly build_in_csr's (dst, src, insertion)
         # order — bit-identical in_srcs.  The multiplier only has to
         # exceed every source id; ``dst_nv`` does (ids live in the
-        # destination domain), and it equals ``nv`` when unsharded.
+        # destination domain).
         ko_key = ko_dst * dst_nv + ko_src
         kd_key = kd_dst * dst_nv + kd_src
         pos_d = np.searchsorted(ko_key, kd_key, side="left") + np.arange(kd_key.size)
@@ -283,4 +283,4 @@ def _extend_indptr(indptr: np.ndarray, dst_nv: int) -> np.ndarray:
     return np.concatenate((indptr, ext))
 
 
-__all__ = ["DGAPViewCache", "ViewCacheStats", "FULL_REBUILD_STALE_FRACTION"]
+__all__ = ["DGAPViewCache", "ShardBuild", "ViewCacheStats", "FULL_REBUILD_STALE_FRACTION"]

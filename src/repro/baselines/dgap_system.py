@@ -12,14 +12,13 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from ..analysis import costs
 from ..analysis.view import BaseGraphView, CSRArraysView, StorageGeometry
-from ..analysis.viewcache import DGAPViewCache
 from ..config import DGAPConfig
 from ..core.batch import EdgeBatch
 from ..core.dgap import DGAP
+from ..core.edge_log import ENTRY_BYTES
+from ..sharding.merge import ShardedViewCache
 from .interfaces import DynamicGraphSystem
 
 
@@ -44,7 +43,9 @@ class DGAPSystem(DynamicGraphSystem):
             init_vertices=num_vertices, init_edges=expected_edges
         )
         self.graph = DGAP(self.config)
-        self._inc_cache = DGAPViewCache(self.graph)
+        #: the store's one read entry (DESIGN.md §7); its ``last`` is the
+        #: modeled cost of the most recent cached view build
+        self.csr_cache = ShardedViewCache(self.graph)
 
     # -- updates ------------------------------------------------------------
     def insert_edge(self, src: int, dst: int) -> None:
@@ -65,24 +66,23 @@ class DGAPSystem(DynamicGraphSystem):
 
     def view_counters(self):
         """Whole-view reuse + incremental-materialization counters."""
-        c = self._inc_cache.stats.as_dict()
+        c = self.csr_cache.stats[0].as_dict()
         c["whole_view_hits"] = self.view_stats.hits
         c["view_builds"] = self.view_stats.builds
         c["sections_total"] = int(self.graph.ea.n_sections)
         return c
 
     def _build_view(self) -> BaseGraphView:
-        with self.graph.consistent_view() as snap:
-            if self.view_caching:
-                out, inn = self._inc_cache.materialize(snap)
-                indptr, dsts = out
-            else:
-                # From-scratch path.  No defensive copy: to_csr builds
-                # its arrays by fancy indexing / fresh allocation and
-                # never returns views into the persistent buffers (the
-                # aliasing test in tests/test_view_cache.py pins this).
+        if self.view_caching:
+            (indptr, dsts), inn = self.csr_cache.materialize()
+        else:
+            # From-scratch path.  No defensive copy: to_csr builds its
+            # arrays by fancy indexing / fresh allocation and never
+            # returns views into the persistent buffers (the aliasing
+            # test in tests/test_view_cache.py pins this).
+            with self.graph.consistent_view() as snap:
                 indptr, dsts = snap.to_csr()
-                inn = None
+            inn = None
         ne = max(1, int(indptr[-1]))
         nv = self.graph.num_vertices
         live_log = float(self.graph.logs.live_counts.sum())
@@ -91,8 +91,8 @@ class DGAPSystem(DynamicGraphSystem):
         # are skipped, but run boundaries waste partial cache lines
         # (~16 B per vertex — low-degree vertices pack several runs per
         # line), and the per-section edge logs are streamed for their
-        # pending entries (12 B each).
-        scan_overhead = (nv * 16.0 + live_log * 12.0) / (ne * costs.EDGE_BYTES)
+        # pending entries.
+        scan_overhead = (nv * 16.0 + live_log * ENTRY_BYTES) / (ne * costs.EDGE_BYTES)
         geometry = StorageGeometry(
             name="dgap",
             edge_bytes=costs.EDGE_BYTES,

@@ -20,7 +20,9 @@ The wall-clock ratio between the arms is printed, never gated (the
 sandbox swings 1.3–1.8x).  :func:`gates` pins the mechanism behind it
 on deterministic counts — the cached arm materializes once per round,
 the scratch arm once per trial — and :func:`verify_view_counters`
-proves *incrementality* itself the same way.
+proves *incrementality* itself the same way.  The cached arm's modeled
+view-build cost per round (``cache.last``, DESIGN.md §7) is printed
+beside the wall column: report only, part of no kernel's modeled time.
 """
 
 from __future__ import annotations
@@ -65,6 +67,10 @@ class LoopResult:
     ingest_wall_s: float = 0.0
     analysis_wall_s: float = 0.0
     counters: Dict[str, int] = field(default_factory=dict)
+    #: modeled cost of each round's view build (``cache.last``); report
+    #: only — no kernel's modeled time includes it.  None when the arm
+    #: never went through the store cache.
+    view_build_ns: List[Optional[float]] = field(default_factory=list)
 
 
 @dataclass
@@ -166,6 +172,8 @@ def run_analysis_loop(
         system.finalize()
         result.ingest_wall_s += perf_counter() - t0
         kernel_sweep(system, kernels, source_list, rnd, result)
+        last = system.csr_cache.last
+        result.view_build_ns.append(last.modeled_ns if last else None)
     result.counters = dict(system.view_counters())
     return result
 
@@ -245,6 +253,7 @@ def verify_view_counters(
     system.finalize()
     system.analysis_view()
     c0 = system.view_counters()
+    full_ms = system.csr_cache.last.modeled_ns / 1e6
 
     checks: List[Tuple[str, bool, str]] = []
 
@@ -278,7 +287,9 @@ def verify_view_counters(
         "localized batch -> incremental build",
         c2["incremental_builds"] == c1["incremental_builds"] + 1
         and c2["full_rebuilds"] == c1["full_rebuilds"],
-        f"incremental_builds {c1['incremental_builds']} -> {c2['incremental_builds']}",
+        f"incremental_builds {c1['incremental_builds']} -> {c2['incremental_builds']}; "
+        f"modeled build {full_ms:.3f} ms full -> "
+        f"{system.csr_cache.last.modeled_ns / 1e6:.4f} ms patch",
     ))
     checks.append((
         "localized batch -> strict section subset rebuilt",

@@ -168,15 +168,19 @@ def _loop_table(title, step_header, step_cols, totals, cached, other, other_name
 def analysis_loop_table(pair) -> str:
     """Summarize a :class:`~repro.bench.analysis_loop.LoopPair`.
 
-    Per-round analysis wall clock for both arms (outputs and modeled
-    times are asserted identical before this table can exist), then the
-    cache counters that prove incrementality.
+    Per round: the cached arm's modeled view-build cost (``cache.last``
+    — report only, part of no kernel's modeled time) and the analysis
+    wall clock of both arms (outputs and modeled times are asserted
+    identical before this table can exist); then the cache counters
+    that prove incrementality.
     """
     cached = pair.cached
+    build_ms = [ns / 1e6 if ns is not None else "-" for ns in cached.view_build_ns]
     return _loop_table(
         f"analysis loop — {cached.dataset} (scale {cached.scale:g}, "
         f"{cached.rounds} rounds, kernels {','.join(cached.kernels)})",
-        ["round"], [(r,) for r in range(cached.rounds)], ("total",),
+        ["round", "view build, modeled (ms)"], list(enumerate(build_ms)),
+        ("total", sum(ms for ms in build_ms if ms != "-")),
         cached, pair.uncached, "uncached", pair.speedup,
         "view-cache counters (cached arm)",
     )

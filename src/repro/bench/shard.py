@@ -77,7 +77,7 @@ def run(
     shards=4,
     batch_size: Optional[int] = DEFAULT_BATCH_SIZE,
 ) -> ShardTwin:
-    from ..analysis.viewcache import DGAPViewCache
+    from ..analysis.view import build_in_csr
     from ..workloads.vthreads import VirtualThreadScheduler, run_sharded
 
     nv, edges = load_stream(dataset, scale)
@@ -86,7 +86,8 @@ def run(
     single, sharded = _stores(nv, ne, shards)
     ns = tuple(modeled_ingest(g, edges, batch_size).modeled_ns for g in (single, sharded))
     with single.consistent_view() as snap:
-        ref_out, ref_in = DGAPViewCache(single).materialize(snap)
+        ref_out = snap.to_csr()
+    ref_in = build_in_csr(*ref_out, single.num_vertices)
     mrg_out, mrg_in = sharded.global_csr()
     identical = all(
         a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -17,11 +17,11 @@ below ``2**30 - 2`` — far beyond any graph this simulator hosts.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from ..errors import VertexRangeError
+from ..errors import GraphError, VertexRangeError
 
 GAP = np.int32(0)
 TOMB_BIT = np.int32(1 << 30)
@@ -43,6 +43,20 @@ def check_vertex(v: int, nv: int = MAX_VERTEX + 1) -> int:
     if not 0 <= v < nv:
         raise VertexRangeError(f"vertex {v} out of range [0, {nv})")
     return v
+
+
+def check_k(k: int, limit: Optional[int] = None) -> int:
+    """``int(k)`` clipped to ``limit`` if non-negative, else :class:`GraphError`.
+
+    The one "is this count legal" check for the readers' ``k`` (hop
+    depth, top-k size).  An oversized ``k`` is clipped to what can be
+    answered, so a modeled cost is charged for the rows returned, not
+    the rows asked for.
+    """
+    k = int(k)
+    if k < 0:
+        raise GraphError(f"k must be >= 0, got {k}")
+    return k if limit is None else min(k, limit)
 
 
 def encode_pivot(v: int) -> np.int32:
@@ -130,6 +144,7 @@ __all__ = [
     "SLOT_DTYPE",
     "SLOT_BYTES",
     "check_vertex",
+    "check_k",
     "encode_pivot",
     "encode_edge",
     "decode_pivot",

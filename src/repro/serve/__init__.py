@@ -6,12 +6,12 @@ this package serves *point queries* — ``degree``, ``neighbors``,
 epoch-versioned view machinery while writers stream ``EdgeBatch``
 rounds underneath:
 
-* :class:`~repro.serve.server.QueryServer` owns a
-  :class:`~repro.analysis.viewcache.DGAPViewCache` (or the sharded
-  merge cache) and hands out immutable :class:`~repro.serve.server.
-  ServeView` objects pinned at a structure epoch — snapshot isolation
-  for free, because a refresh allocates new arrays and never mutates
-  the ones a held view references.
+* :class:`~repro.serve.server.QueryServer` reads the store through its
+  one view stack (:class:`~repro.sharding.merge.ShardedViewCache`, which
+  decides reuse, builds and prices the build) and hands out immutable
+  :class:`~repro.serve.server.ServeView` objects pinned at a structure
+  epoch — snapshot isolation for free, because a refresh allocates new
+  read-only arrays and never mutates the ones a held view references.
 * :mod:`~repro.serve.workload` generates Zipfian-skewed, seeded
   read/write op streams (YCSB-style hot-key skew, deletes restricted
   to live edges so degree semantics stay exact).

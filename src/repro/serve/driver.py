@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..analysis.view import ID_DTYPE
-from ..core.encoding import check_vertex
+from ..core.encoding import check_k, check_vertex
 from ..obs.tracer import annotate, trace
 from ..sharding.partition import local_count, local_ids_to_global, shard_of, to_local
 from .server import (
@@ -113,6 +113,7 @@ class SnapshotReader:
         n = g.n_shards
         nv = g.num_vertices
         v = check_vertex(v, nv)
+        k = check_k(k)
         # One snapshot per shard; they open in parallel (max, not sum).
         snaps = [sh.consistent_view() for sh in g.shards]
         open_ns = max(snapshot_open_ns(s.num_vertices) for s in snaps)
@@ -123,7 +124,7 @@ class SnapshotReader:
             parts: List[np.ndarray] = []
             frontier_total = 0
             edges_total = 0
-            for _ in range(int(k)):
+            for _ in range(k):
                 if frontier.size == 0:
                     break
                 owners = shard_of(frontier, n).tolist()
@@ -148,6 +149,7 @@ class SnapshotReader:
         g = self.graph
         n = g.n_shards
         nv = g.num_vertices
+        k = check_k(k, nv)
         degrees = np.empty(nv, dtype=np.int64)
         open_ns = 0.0
         for r, sh in enumerate(g.shards):

@@ -2,24 +2,24 @@
 
 :class:`QueryServer` fronts a store — a
 :class:`~repro.sharding.sharded.ShardedDGAP` or a one-shard
-:class:`~repro.core.dgap.DGAP` — with the view-cache machinery:
+:class:`~repro.core.dgap.DGAP` — with the store-level view cache
+(:class:`~repro.sharding.merge.ShardedViewCache`, DESIGN.md §7):
 ``acquire()`` returns an immutable :class:`ServeView` pinned at the
 shards' current structure epochs.  While no write lands, every acquire
-reuses the cached arrays (an epoch compare, no snapshot); after a
-write, the next acquire re-materializes through the per-shard
-:class:`~repro.analysis.viewcache.DGAPViewCache` — which patches only
-the stale rows — and hands out a *new* view.  Held views keep serving
-the old arrays untouched: the cache allocates fresh arrays on every
-refresh, so isolation needs no locks and no copies on the read path.
+gets the cached arrays back (an epoch compare, no snapshot) and returns
+the same view; after a write the cache re-materializes — patching only
+the stale rows — and the server hands out a *new* view.  Held views
+keep serving the old arrays untouched: the cache allocates fresh,
+read-only arrays on every build, so isolation needs no locks and no
+copies on the read path.
 
 Modeled latency follows the analysis cost model
 (:mod:`repro.analysis.costs`).  Served reads price against the
 materialized DRAM CSR (DRAM probe + DRAM scan); the fresh-snapshot
 path prices adjacency rows against the PM edge array and pays the two
 O(nv) DRAM vector copies of a Degree-Cache snapshot on *every* query —
-the terms the served path amortizes across an epoch's read burst.  A
-refresh pays one snapshot open plus one PM probe per dirty section and
-a sequential stream of the re-read edges.
+the terms the served path amortizes across an epoch's read burst.  The
+acquire itself costs whatever the cache reports in ``cache.last``.
 """
 
 from __future__ import annotations
@@ -29,33 +29,23 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..analysis.costs import (
+    _VT_ENTRY_BYTES,
     COMPUTE_NS_PER_EDGE,
     DRAM_RND_NS,
     DRAM_SEQ_NS_PER_BYTE,
     EDGE_BYTES,
+    EPOCH_CHECK_NS,
     PM_RND_NS,
     PM_SEQ_NS_PER_BYTE,
+    snapshot_open_ns,
 )
 from ..analysis.view import ID_DTYPE
-from ..core.encoding import check_vertex
+from ..core.encoding import check_k, check_vertex
 from ..nputil import multi_arange
 from ..sharding.merge import ShardedViewCache
 
-#: modeled cost of a same-epoch ``acquire()``: one DRAM read of the
-#: epoch counter plus the compare.
-EPOCH_CHECK_NS = DRAM_RND_NS
-
-#: vertex-table entry width charged for snapshot vector copies
-#: (degree + live_degree, 8 bytes each in the simulated layout).
-_VT_ENTRY_BYTES = 8.0
-
 
 # -- modeled query costs (shared by the served and snapshot arms) ---------
-
-def snapshot_open_ns(nv: int) -> float:
-    """Opening a Degree-Cache snapshot: two O(nv) DRAM vector copies."""
-    return 2.0 * nv * _VT_ENTRY_BYTES * DRAM_SEQ_NS_PER_BYTE
-
 
 def degree_ns() -> float:
     """One vertex-table (or indptr) random read."""
@@ -97,10 +87,9 @@ def top_k_ns(nv: int, k: int) -> float:
 
 
 def top_k_from_degrees(degrees: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Deterministic top-k by ``(-degree, id)`` — shared by both arms."""
-    nv = degrees.size
-    k = min(int(k), nv)
-    order = np.lexsort((np.arange(nv), -degrees))[:k]
+    """Deterministic top-k by ``(-degree, id)`` — shared by both arms
+    (``k`` already through :func:`~repro.core.encoding.check_k`)."""
+    order = np.lexsort((np.arange(degrees.size), -degrees))[:k]
     ids = order.astype(ID_DTYPE)
     return ids, degrees[order].astype(np.int64)
 
@@ -108,10 +97,12 @@ def top_k_from_degrees(degrees: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndar
 class ServeView:
     """Immutable read view pinned at one structure epoch.
 
-    Wraps the out-CSR arrays a view cache materialized.  The arrays are
-    never mutated after materialization (refreshes allocate new ones),
-    so any number of readers can hold a view while writers advance the
-    graph — reads are wait-free and see exactly the pinned epoch.
+    Wraps the out-CSR arrays the view cache materialized.  The arrays
+    are read-only and never mutated after materialization (refreshes
+    allocate new ones; a row handed out by :meth:`neighbors` is a
+    read-only slice), so any number of readers can hold a view while
+    writers advance the graph — reads are wait-free and see exactly the
+    pinned epoch.
 
     Every query records its modeled cost in :attr:`last_query_ns`; the
     driver reads it immediately after the call to attribute latency.
@@ -149,6 +140,7 @@ class ServeView:
     def k_hop(self, v: int, k: int) -> np.ndarray:
         """Vertices at distance 1..k from ``v`` (sorted, excludes ``v``)."""
         v = check_vertex(v, self.num_vertices)
+        k = check_k(k)
         indptr, dsts = self.out_indptr, self.out_dsts
         visited = np.zeros(self.num_vertices, dtype=bool)
         visited[v] = True
@@ -156,7 +148,7 @@ class ServeView:
         parts: List[np.ndarray] = []
         frontier_total = 0
         edges_total = 0
-        for _ in range(int(k)):
+        for _ in range(k):
             if frontier.size == 0:
                 break
             starts = indptr[frontier]
@@ -176,27 +168,27 @@ class ServeView:
 
     def top_k_degree(self, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """Top-k ``(ids, degrees)`` by ``(-degree, id)``."""
+        k = check_k(k, self.num_vertices)
         degrees = np.diff(self.out_indptr)
         self.last_query_ns = top_k_ns(self.num_vertices, k)
         return top_k_from_degrees(degrees, k)
 
 
 class QueryServer:
-    """Serves :class:`ServeView` objects for a store (DESIGN.md §14).
+    """Serves :class:`ServeView` objects for a store (DESIGN.md §15).
 
-    Written against the store surface only — ``graph.shards`` and the
-    :class:`~repro.sharding.merge.ShardedViewCache` over them; a plain
-    DGAP is the one-shard case, not a second path.
-    ``acquire()`` compares the shards' structure epochs against the
-    cached view and only re-materializes when a write moved them.  The
-    modeled cost of each acquire lands in :attr:`last_acquire_ns`: an
-    epoch check when reused, the snapshot + patch cost when refreshed —
-    the driver charges it to the read that triggered the refresh.
+    Written against the store surface only, through the one read entry
+    (:class:`~repro.sharding.merge.ShardedViewCache`); a plain DGAP is
+    the one-shard case, not a second path.  The cache decides whether
+    anything moved and prices the call; ``acquire()`` adds the pinned
+    :class:`ServeView` — the same object while the epoch holds, a new
+    one after any write — and the serving counters.  Each acquire's
+    modeled cost lands in :attr:`last_acquire_ns`; the driver charges
+    it to the read that triggered it.
     """
 
     def __init__(self, graph) -> None:
         self.graph = graph
-        self._shards = tuple(graph.shards)  # fixed for a store's lifetime
         self._cache = ShardedViewCache(graph)
         self._view: Optional[ServeView] = None
         self.refreshes = 0
@@ -204,72 +196,21 @@ class QueryServer:
         self.last_acquire_ns = 0.0
         self.refresh_ns_total = 0.0
 
-    # -- epochs ------------------------------------------------------------
-    def current_epoch(self) -> Tuple[int, ...]:
-        # the same-epoch acquire is the p50 read: keep it a list comprehension
-        return tuple([sh.structure_epoch for sh in self._shards])
-
     @property
     def view_epoch(self):
         return None if self._view is None else self._view.epoch
 
-    # -- acquisition -------------------------------------------------------
     def acquire(self) -> ServeView:
-        epoch = self.current_epoch()
-        view = self._view
-        if view is not None and view.epoch == epoch:
+        views = self._cache.materialize()
+        last = self._cache.last
+        self.last_acquire_ns = last.modeled_ns
+        if last.reused:
             self.reuses += 1
-            self.last_acquire_ns = EPOCH_CHECK_NS
-            return view
-        view = self._refresh(epoch)
-        self._view = view
-        return view
-
-    def _stat_snapshot(self):
-        return [
-            (s.full_rebuilds, s.sections_rebuilt, s.delta_edges_merged)
-            for s in self._cache.stats
-        ]
-
-    def _refresh(self, epoch) -> ServeView:
+            return self._view
         self.refreshes += 1
-        before = self._stat_snapshot()
-        (out_indptr, out_dsts), _ = self._cache.materialize()
-        local_nvs = [
-            int(c._nv) for c in self._cache.caches  # noqa: SLF001 — cost model input
-        ]
-        after = self._stat_snapshot()
-        cost = self._refresh_cost_ns(before, after, local_nvs, int(out_dsts.size))
-        self.last_acquire_ns = cost
-        self.refresh_ns_total += cost
-        return ServeView(epoch, out_indptr, out_dsts)
-
-    @staticmethod
-    def _refresh_cost_ns(before, after, local_nvs, total_edges: int) -> float:
-        """Modeled refresh: per-shard snapshot + patch (parallel max) + merge.
-
-        Stale rows cluster in dirty PMA sections, so the PM traffic is
-        one random probe per rebuilt *section* plus a sequential stream
-        of the re-read edges — every edge for a full rebuild, only the
-        stale rows' edges (``delta_edges_merged``) for an incremental
-        one.  Sharded refreshes add the O(E) DRAM scatter/merge into
-        the global layout.
-        """
-        n_shards = max(len(local_nvs), 1)
-        per_shard = []
-        for (b, a), nv in zip(zip(before, after), local_nvs):
-            full = a[0] - b[0]
-            sections = a[1] - b[1]
-            streamed = total_edges / n_shards if full else a[2] - b[2]
-            per_shard.append(
-                snapshot_open_ns(nv)
-                + sections * PM_RND_NS
-                + streamed * EDGE_BYTES * PM_SEQ_NS_PER_BYTE
-            )
-        cost = max(per_shard) if per_shard else 0.0
-        if n_shards > 1:
-            cost += total_edges * EDGE_BYTES * DRAM_SEQ_NS_PER_BYTE
-        return cost
+        self.refresh_ns_total += last.modeled_ns
+        self._view = ServeView(last.epoch, *views[0])
+        return self._view
 
 
 __all__ = [

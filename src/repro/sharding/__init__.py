@@ -5,9 +5,11 @@ See DESIGN.md §14.  Public surface:
 * :class:`ShardedDGAP` — N independent DGAP instances (own pool, locks,
   logs, fault policy each) addressed by global vertex ids.
 * :class:`ShardRouter` — vectorized per-shard batch splitting.
-* :class:`ShardedViewCache` — merged global (out, in) CSR, byte-identical
-  to an unsharded build of the same stream.
-* :mod:`~repro.sharding.partition` — the modulo id mapping.
+* :class:`ShardedViewCache` — the one read entry of any store (a plain
+  ``DGAP`` is the one-shard case): decides reuse, builds the merged
+  global (out, in) CSR — byte-identical to an unsharded build of the
+  same stream — and prices the build (``cache.last``).
+* :mod:`~repro.sharding.partition` — the block-mixed id mapping.
 """
 
 from .merge import ShardedViewCache, merge_in_csr, merge_out_csr

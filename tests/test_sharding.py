@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 from repro import DGAP, DGAPConfig
-from repro.analysis.viewcache import DGAPViewCache
+from repro.analysis.view import build_in_csr
 from repro.datasets import get_dataset
 from repro.errors import GraphError
 from repro.sharding import (
     ShardedDGAP,
+    ShardedViewCache,
     ShardRouter,
     global_vertex_count,
     local_count,
@@ -27,12 +28,18 @@ from repro.sharding import (
 )
 
 
+def scratch_csr(g):
+    """The declared reference: a from-scratch (out, in) CSR of one DGAP."""
+    with g.consistent_view() as snap:
+        out = snap.to_csr()
+    return out, build_in_csr(*out, g.num_vertices)
+
+
 def reference_csr(edges, nv, init_edges=None):
     """((out_indptr, out_dsts), (in_indptr, in_srcs)) of an unsharded build."""
     g = DGAP(DGAPConfig(init_vertices=nv, init_edges=init_edges or max(len(edges), 256)))
     g.insert_edges(edges)
-    with g.consistent_view() as snap:
-        return DGAPViewCache(g).materialize(snap)
+    return scratch_csr(g)
 
 
 def assert_csr_bytes_equal(a, b):
@@ -186,9 +193,7 @@ class TestMergedViewIdentity:
             s, d = int(edges[i, 0]), int(edges[i, 1])
             sh.delete_edge(s, d)
             g.delete_edge(s, d)
-        with g.consistent_view() as snap:
-            ref = DGAPViewCache(g).materialize(snap)
-        assert_csr_bytes_equal(sh.global_csr(), ref)
+        assert_csr_bytes_equal(sh.global_csr(), scratch_csr(g))
 
     def test_byte_identity_incremental_refresh_and_growth(self):
         # second materialize goes down the merge-refresh path, and the
@@ -207,18 +212,15 @@ class TestMergedViewIdentity:
         assert sh.num_vertices == 450
         g = DGAP(DGAPConfig(init_vertices=300, init_edges=16384))
         g.insert_edges(np.concatenate([e1, e2]))
-        gcache = DGAPViewCache(g)
-        with g.consistent_view() as snap:
-            ref = gcache.materialize(snap)
-        assert_csr_bytes_equal(sh.global_csr(), ref)
+        gcache = ShardedViewCache(g)  # the unsharded twin patches too
+        assert_csr_bytes_equal(sh.global_csr(), gcache.materialize())
         # a small no-growth delta must take the incremental merge path
         # in at least one shard — and stay byte-identical
         e3 = stream(60, nv=450, seed=21)
         sh.insert_edges(e3)
         g.insert_edges(e3)
-        with g.consistent_view() as snap:
-            ref = gcache.materialize(snap)
-        assert_csr_bytes_equal(sh.global_csr(), ref)
+        assert_csr_bytes_equal(sh.global_csr(), gcache.materialize())
+        assert_csr_bytes_equal(sh.global_csr(), scratch_csr(g))
         assert any(s.incremental_builds > 0 for s in sh._view_cache.stats)
 
     def test_identity_survives_shutdown_and_open(self):

@@ -16,6 +16,8 @@ members only, never asking which class it was handed:
   ``ShardedDGAP(1)``;
 * one table of illegal calls raises the same exception everywhere,
   before the first device event;
+* one view stack (DESIGN.md §7): the store cache's reuse, its read-only
+  arrays and its modeled build cost, by hand, on all three;
 * a shut-down store refuses writes, and ``shutdown()`` is all-or-nothing;
 * a grep gate pins the "is it sharded?" probe counts at zero.
 
@@ -32,13 +34,15 @@ import pytest
 
 import repro
 from repro import DGAP, DGAPConfig
+from repro.analysis import costs
+from repro.baselines.dgap_system import DGAPSystem
 from repro.core.encoding import MAX_VERTEX
 from repro.core.rebalance import ROOT_SHUTDOWN
 from repro.errors import GraphError, VertexRangeError
 from repro.pmem.crash import CrashInjector
-from repro.serve import QueryServer
+from repro.serve import QueryServer, top_k_ns
 from repro.serve.driver import QUERY_CLASSES, SnapshotReader, _bytes_equal, _run_query
-from repro.sharding import ShardedDGAP
+from repro.sharding import ShardedDGAP, ShardedViewCache
 
 NV = 64
 CFG = dict(init_vertices=NV, init_edges=1024)
@@ -225,6 +229,11 @@ ILLEGAL_READS = [
     ("neighbors", (NV,)),
     ("k_hop", (NV, 2)),
 ]
+#: (reader method, args, the refused k): a count, not an id — GraphError
+ILLEGAL_K = [
+    ("top_k_degree", (-1,), -1),
+    ("k_hop", (0, -2), -2),
+]
 
 
 def seeded(kind):
@@ -262,6 +271,153 @@ class TestIllegalCalls:
             assert str(exc.value) == want
         # a refused snapshot read leaks no snapshot: shutdown still legal
         g.shutdown()
+
+    @pytest.mark.parametrize("method,args,k", ILLEGAL_K)
+    def test_every_reader_refuses_a_negative_k(self, kind, method, args, k):
+        g, _ = seeded(kind)
+        for reader in (QueryServer(g).acquire(), SnapshotReader(g)):
+            reader.degree(0)
+            charged = reader.last_query_ns
+            with pytest.raises(GraphError) as exc:
+                getattr(reader, method)(*args)
+            assert str(exc.value) == f"k must be >= 0, got {k}", type(reader).__name__
+            assert reader.last_query_ns == charged  # refused before any charge
+        g.shutdown()
+
+    def test_an_oversized_k_is_charged_for_what_it_returns(self, kind):
+        g, _ = seeded(kind)
+        served, direct = QueryServer(g).acquire(), SnapshotReader(g)
+        ids, degs = served.top_k_degree(10**6)
+        assert ids.size == degs.size == NV
+        assert _bytes_equal((ids, degs), direct.top_k_degree(10**6))
+        assert served.last_query_ns == top_k_ns(NV, NV)
+        open_ns = max(costs.snapshot_open_ns(sh.num_vertices) for sh in g.shards)
+        assert direct.last_query_ns == open_ns + top_k_ns(NV, NV)
+
+
+# ---------------------------------------------------------------------------
+# one view stack: reuse, frozen arrays, the modeled build cost (DESIGN.md §7)
+# ---------------------------------------------------------------------------
+
+#: wide enough that a one-vertex write dirties a strict subset of sections
+WIDE = dict(init_vertices=256, init_edges=8192, segment_slots=64)
+
+
+def wide_store(kind):
+    g = make_store(kind, **WIDE)
+    g.insert_edges(np.random.default_rng(3).integers(0, 256, size=(3000, 2)))
+    return g
+
+
+def build_cost_by_hand(g, sections, streamed, total_edges):
+    """Per-shard snapshot open + one PM probe per re-read section + the
+    streamed edges at PM bandwidth, shards in parallel; N > 1 adds the
+    O(E) DRAM merge."""
+    per_shard = [
+        2.0 * sh.num_vertices * 8.0 * costs.DRAM_SEQ_NS_PER_BYTE
+        + k * costs.PM_RND_NS
+        + e * 4.0 * costs.PM_SEQ_NS_PER_BYTE
+        for sh, k, e in zip(g.shards, sections, streamed)
+    ]
+    merge = total_edges * 4.0 * costs.DRAM_SEQ_NS_PER_BYTE if g.n_shards > 1 else 0.0
+    return max(per_shard) + merge
+
+
+def view_costs(kind):
+    """(full, hit, patch) modeled ns of one store, each checked against
+    the closed form, ``cache.last`` and ``QueryServer.last_acquire_ns``."""
+    g = wide_store(kind)
+    n = g.n_shards
+    cache, server = ShardedViewCache(g), QueryServer(g)
+
+    def build():
+        (_, out_dsts), _ = cache.materialize()
+        server.acquire()
+        assert cache.last.epoch == tuple(sh.structure_epoch for sh in g.shards)
+        assert cache.last.modeled_ns == server.last_acquire_ns
+        return cache.last, out_dsts.size
+
+    # first acquire: every section of every shard, an even share of the edges
+    last, ne = build()
+    full = build_cost_by_hand(g, [sh.ea.n_sections for sh in g.shards], [ne / n] * n, ne)
+    assert (last.reused, last.modeled_ns) == (False, full)
+
+    # same epoch: the epoch check and nothing else
+    last, _ = build()
+    assert (last.reused, last.modeled_ns) == (True, costs.EPOCH_CHECK_NS)
+
+    # one-vertex write: the owner re-reads its dirty sections and streams
+    # the stale rows; every other shard only opens its snapshot
+    epochs = [sh.structure_epoch for sh in g.shards]
+    merged = [st.delta_edges_merged for st in cache.stats]
+    rebuilds = [st.full_rebuilds for st in cache.stats]
+    g.insert_edges([[5, 9], [5, 11], [5, 13]])
+    last, ne = build()
+    assert [st.full_rebuilds for st in cache.stats] == rebuilds  # patched
+    dirty = [int(sh.sections_dirty_since(e).sum()) for sh, e in zip(g.shards, epochs)]
+    delta = [st.delta_edges_merged - m for st, m in zip(cache.stats, merged)]
+    assert sum(1 for k in dirty if k) == 1 and 0 < sum(dirty) < g.shards[0].ea.n_sections
+    patch = build_cost_by_hand(g, dirty, delta, ne)
+    assert (last.reused, last.modeled_ns) == (False, patch)
+    assert server.refresh_ns_total == full + patch
+    assert (server.refreshes, server.reuses) == (2, 1)
+    return full, costs.EPOCH_CHECK_NS, patch
+
+
+class TestOneViewStack:
+    def test_build_cost_is_the_closed_form_on_every_store(self):
+        got = {kind: view_costs(kind) for kind in STORES}
+        assert got["sharded1"] == got["dgap"]  # exactly, not approximately
+        # three shards open and patch in parallel: a cheaper max, plus the merge
+        assert got["sharded3"][0] < got["dgap"][0]
+        assert got["sharded3"][2] > got["dgap"][2]
+
+    @pytest.mark.parametrize("kind", STORES)
+    def test_nothing_moved_returns_the_same_arrays_without_a_snapshot(self, kind, monkeypatch):
+        g = wide_store(kind)
+        cache = ShardedViewCache(g)
+        reads = [cache.materialize] + ([g.global_csr] if kind != "dgap" else [])
+        first = [read() for read in reads]
+        stats = [st.as_dict() for st in cache.stats]
+
+        def refuse():
+            raise AssertionError("a same-epoch read opened a snapshot")
+
+        for sh in g.shards:
+            monkeypatch.setattr(sh, "consistent_view", refuse)
+        for read, ((o_ip, o_ds), (i_ip, i_sr)) in zip(reads, first):
+            (o_ip2, o_ds2), (i_ip2, i_sr2) = read()
+            assert o_ip2 is o_ip and o_ds2 is o_ds and i_ip2 is i_ip and i_sr2 is i_sr
+        assert [st.as_dict() for st in cache.stats] == stats
+        assert cache.last.reused
+
+    @pytest.mark.parametrize("kind", STORES)
+    def test_a_caller_cannot_rewrite_a_pinned_epoch(self, kind):
+        """Rows are slices of cache-owned arrays every holder shares (and,
+        at one shard, the arrays the next patch copies clean rows from)."""
+        g = make_store(kind)
+        g.insert_edges([[0, 5], [0, 2], [3, 4]])
+        server = QueryServer(g)
+        view = server.acquire()
+        held = view.out_indptr.tobytes(), view.out_dsts.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            view.neighbors(0).sort()
+        assert list(view.neighbors(0)) == list(g.out_neighbors(0)) == [5, 2]
+        g.insert_edge(3, 7)  # the next build patches from the frozen arrays
+        assert list(server.acquire().neighbors(0)) == [5, 2]
+        assert (view.out_indptr.tobytes(), view.out_dsts.tobytes()) == held
+        arrays = [a for pair in ShardedViewCache(g).materialize() for a in pair]
+        if kind != "dgap":
+            arrays += [a for pair in g.global_csr() for a in pair]
+        assert not any(a.flags.writeable for a in arrays)
+
+    def test_analysis_view_arrays_are_read_only(self):
+        system = DGAPSystem(NV, 1024)
+        system.insert_edges(np.array([[0, 5], [0, 2], [3, 4]]))
+        view = system.analysis_view()
+        for arr in (*view.out_csr(), *view.in_csr()):
+            assert not arr.flags.writeable
+        assert system.csr_cache.last.modeled_ns > costs.EPOCH_CHECK_NS
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +500,25 @@ class TestOneSurface:
         for name in ("config", "shards", "n_shards", "router", "pool", "_view_cache"):
             sets = re.findall(rf"^\s+(?:self|host)\.{name} = ", src["sharding/sharded.py"], flags=re.M)
             assert len(sets) == 1, name
+
+        # one view stack: who decides reuse, who opens snapshots for a view
+        # and who prices the build is `sharding/merge.py` (the formula
+        # itself in `analysis/costs.py`)
+        def homes(pattern):
+            return sorted(k for k, text in src.items() if re.search(pattern, text))
+
+        # the serve layer's outside-in cost model and its private reach
+        for gone in (r"_refresh_cost_ns", r"_stat_snapshot", r"SLF001",
+                     "id_" + "stride", "row_" + "ids"):
+            assert homes(gone) == [], gone
+        assert homes(r"\._nv\b") == ["analysis/viewcache.py"]
+        # one constructor site, one epoch-tuple build, one snapshot hand-off
+        assert homes(r"DGAPViewCache\(") == ["sharding/merge.py"]
+        assert homes(r"structure_epoch for") == ["sharding/merge.py"]
+        assert homes(r"\.materialize\(snap") == ["sharding/merge.py"]
+        # the device profiles' numbers are derived, not restated
+        assert homes(r"\b(305|85)\.0\b") == ["pmem/latency.py"]
+        assert costs.PM_RND_NS == 305.0 and costs.DRAM_RND_NS == 85.0
 
     def test_dgap_did_not_grow_a_merged_view(self):
         assert not hasattr(DGAP, "global_csr")

@@ -27,8 +27,8 @@ from hypothesis import strategies as st
 
 from repro import DGAP, DGAPConfig
 from repro.analysis.view import build_in_csr
-from repro.analysis.viewcache import DGAPViewCache
 from repro.errors import GraphError
+from repro.sharding import ShardedViewCache
 from repro.temporal import TemporalWindowGraph
 
 common = settings(
@@ -171,13 +171,12 @@ class TestWindowedStreamDifferential:
         reference under expiry tombstones and compaction sweeps."""
         g = make_graph()
         wg = TemporalWindowGraph(g, window, compact_threshold=0.15)
-        cache = DGAPViewCache(g)
+        cache = ShardedViewCache(g)
         ref = NaiveWindowRef(window)
         for i, (adds, deletes) in enumerate(stream):
             wg.advance(adds, deletes)
             ref.step(adds, deletes)
-            with g.consistent_view() as snap:
-                (out_ip, out_ds), (in_ip, in_sr) = cache.materialize(snap)
+            (out_ip, out_ds), (in_ip, in_sr) = cache.materialize()
             (ref_ip, ref_ds), (ref_iip, ref_isr) = ref.csr(g.num_vertices)
             assert out_ip.tobytes() == ref_ip.tobytes(), f"step {i}"
             assert out_ds.tobytes() == ref_ds.tobytes(), f"step {i}"

@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 from repro import DGAPConfig
 from repro.analysis.view import ID_DTYPE, INDPTR_DTYPE, build_in_csr
-from repro.analysis.viewcache import DGAPViewCache
 from repro.baselines import SYSTEMS, DGAPSystem, StaticCSR
 from repro.bench.harness import SOURCE_KERNELS
 from repro.algorithms import KERNELS
+from repro.sharding import ShardedViewCache
 
 common = settings(
     max_examples=30,
@@ -105,7 +105,7 @@ class TestIncrementalViewProperty:
     @given(ops_strategy)
     @common
     def test_second_view_cache_follows_first(self, ops):
-        """A second, independent DGAPViewCache attached mid-history must
+        """A second, independent view cache attached mid-history must
         agree too (epoch stamps are monotone, never cleared per-cache)."""
         system = small_system()
         late = None
@@ -119,12 +119,10 @@ class TestIncrementalViewProperty:
             else:
                 system.analysis_view()
                 if late is None:
-                    late = DGAPViewCache(system.graph)
-                with system.graph.consistent_view() as snap:
-                    out, inn = late.materialize(snap)
+                    late = ShardedViewCache(system.graph)
+                out, inn = late.materialize()
         if late is not None:
-            with system.graph.consistent_view() as snap:
-                out, inn = late.materialize(snap)
+            out, inn = late.materialize()
             (ref_ip, ref_ds), (ref_iip, ref_isr) = scratch_reference(system)
             np.testing.assert_array_equal(out[0], ref_ip)
             np.testing.assert_array_equal(out[1], ref_ds)
