@@ -61,24 +61,21 @@ def view_build_ns(builds, total_edges: int) -> float:
     """Modeled view build: per-shard snapshot + patch (parallel max) + merge.
 
     ``builds`` holds one :class:`~repro.analysis.viewcache.ShardBuild`
-    per shard; ``total_edges`` is the merged out-CSR's edge count.
-    Stale rows cluster in dirty PMA sections, so the PM traffic is one
-    random probe per rebuilt *section* plus a sequential stream of the
-    re-read edges — only the stale rows' edges for an incremental
-    build.  A full rebuild is priced at an even share of the merged
-    edge count rather than the shard's own (DESIGN.md §9, known
-    deviation).  Sharded builds add the O(E) DRAM scatter/merge into
-    the global layout.
+    per shard; ``total_edges`` is the edge count of the out-CSR the
+    shards' streams were merged into.  Re-read rows cluster in PMA
+    sections, so the PM traffic is one random probe per re-read
+    *section* plus a sequential stream of the re-read rows' edges —
+    every section and every edge of the shard for a full build, those
+    of the changed rows for a patch, none for a shard nothing changed
+    in.  Sharded builds add the O(E) DRAM scatter/merge into the global
+    layout.
     """
-    n_shards = len(builds)
     cost = max(
         snapshot_open_ns(b.nv)
         + b.sections * PM_RND_NS
-        + (total_edges / n_shards if b.mode == "full" else b.edges)
-        * EDGE_BYTES
-        * PM_SEQ_NS_PER_BYTE
+        + b.edges * EDGE_BYTES * PM_SEQ_NS_PER_BYTE
         for b in builds
     )
-    if n_shards > 1:
+    if len(builds) > 1:
         cost += total_edges * EDGE_BYTES * DRAM_SEQ_NS_PER_BYTE
     return cost

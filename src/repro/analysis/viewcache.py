@@ -5,14 +5,15 @@
 only place one is constructed — decides reuse, opens the shard's
 snapshot and hands it here.  The cache keeps the shard's last
 ``(out_indptr, out_dsts)`` / ``(in_indptr, in_srcs)`` pair and rebuilds
-only what the structure epochs say moved:
+only the rows the store says changed:
 
-* **stale vertices** — a vertex is stale iff any *dirty* section (one
-  stamped after the cache's materialization epoch) intersects its
-  current run span ``[start-1, start+array_degree]`` (pivot included).
-  Every DGAP mutation that can affect a row — gap insert, edge-log
-  append, shift, rebalance window, resize, tombstone — stamps a section
-  inside the span, so clean vertices' cached rows are exact.
+* **stale vertices** — a vertex is stale iff its *row stamp* is newer
+  than the cache's materialization epoch, or it was born since.  DGAP
+  stamps a vertex exactly when an edge or tombstone of that vertex
+  arrives (or a scrub repair loses one); a row is append-only and kept
+  in insertion order, so rebalance windows, log merges, resizes and
+  compaction sweeps move rows without changing them and stamp nothing
+  — every unstamped vertex's cached row is exact.
 * **out-CSR patch** — clean rows are gathered from the previous arrays,
   stale rows re-materialized from the snapshot
   (:meth:`~repro.core.snapshot.DGAPSnapshot.materialize_rows`).
@@ -26,9 +27,9 @@ only what the structure epochs say moved:
   stable sort — which matters because PR's ``bincount`` float summation
   order follows ``in_srcs`` order.
 
-When most of the graph moved (resize stamps everything) patching would
-touch nearly every row anyway, so the cache falls back to a full
-rebuild above :data:`FULL_REBUILD_STALE_FRACTION`.
+When most rows changed (a bulk load, the first builds of a small graph)
+patching would touch nearly every row anyway, so the cache falls back to
+a full rebuild above :data:`FULL_REBUILD_STALE_FRACTION`.
 
 In-CSR rows carry *global* source ids over the *global* destination
 domain (shard ``r`` of ``n``; the identity for a one-shard store), so
@@ -49,8 +50,7 @@ from ..obs.tracer import annotate, trace
 from .view import ID_DTYPE, INDPTR_DTYPE, build_in_csr_from
 
 #: stale-vertex share above which patching loses to a from-scratch
-#: rebuild (a resize stamps every section, so this also catches
-#: generation switches).
+#: rebuild.
 FULL_REBUILD_STALE_FRACTION = 0.9
 
 CSRPair = Tuple[np.ndarray, np.ndarray]
@@ -64,7 +64,7 @@ class ViewCacheStats:
     full_rebuilds: int = 0
     #: materializations that patched only stale rows.
     incremental_builds: int = 0
-    #: dirty sections covered by rebuilds (== n_sections for a full one).
+    #: PMA sections a re-read row starts in (== n_sections for a full one).
     sections_rebuilt: int = 0
     #: vertices whose rows were re-materialized.
     vertices_rebuilt: int = 0
@@ -91,8 +91,8 @@ class ShardBuild(NamedTuple):
     """What one shard's cache did for one materialization."""
 
     mode: str  #: "full" | "incremental" | "reuse"
-    sections: int  #: PMA sections re-read from PM
-    edges: int  #: edges streamed from PM (every row, or the stale rows only)
+    sections: int  #: distinct PMA sections a re-read row starts in
+    edges: int  #: the re-read rows' edges, streamed from PM
     nv: int  #: the shard's local vertex count (the snapshot that was opened)
 
 
@@ -136,14 +136,13 @@ class DGAPViewCache:
                 annotate(mode="full")
                 out, inn, did = self._full_build(snap, nv, dst_nv)
             else:
-                dirty = g.sections_dirty_since(self._epoch)
-                stale = self._stale_vertices(dirty, nv)
+                stale = self._stale_vertices(nv)
                 n_stale = int(stale.sum())
-                if n_stale == 0 and nv == self._nv:
-                    # The store moved but nothing this shard's view can
-                    # observe did (the destination domain may still have
-                    # grown via other shards — extend the in-indptr with
-                    # empties).
+                if n_stale == 0:
+                    # The store moved but no row of this shard changed: a
+                    # layout operation here, or a write to another shard
+                    # (the destination domain may have grown with it —
+                    # extend the in-indptr with empties).
                     annotate(mode="reuse")
                     out = self._out
                     inn = (_extend_indptr(self._in[0], dst_nv), self._in[1])
@@ -155,35 +154,27 @@ class DGAPViewCache:
                     out, inn, did = self._full_build(snap, nv, dst_nv)
                 else:
                     annotate(mode="incremental", stale_vertices=n_stale)
-                    n_dirty = int(np.count_nonzero(dirty))
-                    self.stats.incremental_builds += 1
-                    self.stats.sections_rebuilt += n_dirty
-                    self.stats.vertices_rebuilt += n_stale
-                    self.stats.rows_reused += nv - n_stale
                     stale_vids = np.flatnonzero(stale)
                     out, s_counts, s_dsts = self._patch_out(snap, nv, stale, stale_vids)
                     inn = self._merge_in(nv, dst_nv, stale_vids, s_counts, s_dsts)
-                    did = ShardBuild("incremental", n_dirty, int(s_dsts.size), nv)
+                    # one probe per section a re-read row starts in, then
+                    # those rows' edges as one stream
+                    starts = g.va.start[stale_vids]
+                    n_secs = int(np.unique(starts // g.ea.segment_slots).size)
+                    did = ShardBuild("incremental", n_secs, int(s_dsts.size), nv)
+                    self.stats.incremental_builds += 1
+                    self.stats.sections_rebuilt += n_secs
+                    self.stats.vertices_rebuilt += n_stale
+                    self.stats.rows_reused += nv - n_stale
         self._out, self._in = out, inn
         self._epoch, self._nv = epoch, nv
         return out, inn, did
 
     # -- staleness ---------------------------------------------------------
-    def _stale_vertices(self, dirty: np.ndarray, nv: int) -> np.ndarray:
-        """Vertices whose current run span intersects a dirty section."""
-        g = self.graph
-        stale = np.zeros(nv, dtype=bool)
-        if dirty.any():
-            va = g.va
-            starts = va.start[:nv]
-            adeg = va.array_degree[:nv]
-            S = g.ea.segment_slots
-            sec_lo = (starts - 1) // S  # pivot's section
-            sec_hi = (starts + adeg - 1) // S  # last run slot (== pivot if empty)
-            cum = np.concatenate(([0], np.cumsum(dirty)))
-            stale = cum[sec_hi + 1] > cum[sec_lo]
-        if self._nv < nv:
-            stale[self._nv :] = True  # vertices born after the cached build
+    def _stale_vertices(self, nv: int) -> np.ndarray:
+        """Rows stamped after the cached build, or born since."""
+        stale = self.graph.rows_changed_since(self._epoch, nv)
+        stale[self._nv :] = True
         return stale
 
     # -- out-CSR -----------------------------------------------------------

@@ -172,10 +172,12 @@ def analysis_loop_table(pair) -> str:
     — report only, part of no kernel's modeled time) and the analysis
     wall clock of both arms (outputs and modeled times are asserted
     identical before this table can exist); then the cache counters
-    that prove incrementality.
+    that prove incrementality, and the modeled cost of patching in a
+    localized vs a scattered increment.
     """
     cached = pair.cached
     build_ms = [ns / 1e6 if ns is not None else "-" for ns in cached.view_build_ns]
+    local_ns, scattered_ns = pair.patch_ns
     return _loop_table(
         f"analysis loop — {cached.dataset} (scale {cached.scale:g}, "
         f"{cached.rounds} rounds, kernels {','.join(cached.kernels)})",
@@ -183,6 +185,11 @@ def analysis_loop_table(pair) -> str:
         ("total", sum(ms for ms in build_ms if ms != "-")),
         cached, pair.uncached, "uncached", pair.speedup,
         "view-cache counters (cached arm)",
+        facts=[
+            ("view patch, localized increment, modeled (us)", f"{local_ns / 1e3:.1f}"),
+            ("view patch, scattered increment, modeled (us)", f"{scattered_ns / 1e3:.1f}"),
+            ("scattered / localized patch (modeled)", f"{pair.local_patch_advantage:.1f}x"),
+        ],
     )
 
 
@@ -394,8 +401,9 @@ def profile_table(tracer, title: str = "profile") -> str:
 def serve_latency_table(report, title: str = "serve latency") -> str:
     """Summarize a :class:`~repro.serve.driver.ServeReport`.
 
-    Two tables: run-level facts (mode, mix, view reuse, twin identity
-    and read speedup when the twin ran), then the per-class modeled
+    Two tables: run-level facts (mode, mix, view reuse, what a refresh
+    cost and re-read, twin identity and read speedup when the twin ran),
+    then the per-class modeled
     latency distribution along :data:`DISTRIBUTION_KEYS` — ``p99``
     included, since tail behavior (the refresh-triggering read after a
     write) is the point of the serving layer.
@@ -405,6 +413,8 @@ def serve_latency_table(report, title: str = "serve latency") -> str:
         ("load model", f"{report.mode} ({report.n_clients} clients)"),
         ("view refreshes / reuses", f"{report.refreshes} / {report.reuses}"),
         ("reuse ratio", report.reuse_ratio),
+        ("mean refresh (modeled us)", report.refresh_ns_total * 1e-3 / max(report.refreshes, 1)),
+        ("rows re-read per refresh", report.rows_reread / max(report.refreshes, 1)),
         ("makespan (modeled ms)", report.makespan_ns * 1e-6),
     ]
     if report.identity_checked:

@@ -8,8 +8,7 @@ read must equal the snapshot read at the same stream point, byte for
 byte: serving is an optimization, never a semantic change.
 
 ``dataset=None`` selects the pinned serving geometry (``NV`` vertices,
-uniform preload, roomy sections keeping dirty-section spans — and the
-modeled refresh cost — proportional to the write), the geometry the
+uniform preload, roomy sections), the geometry the
 modeled read-speedup and view-reuse floors were measured on; the
 speedup is an nv-dependent ratio, so a proxy dataset's geometry is
 gated on identity alone.
@@ -29,8 +28,8 @@ NV = 8000
 PRELOAD_EDGES = 4 * NV
 EDGE_CAPACITY = 16 * NV
 
-#: modeled floors on the pinned geometry (measured 4.44x unsharded,
-#: 2.11x at 4 shards, reuse 0.94 at 95% reads).  Point queries in the
+#: modeled floors on the pinned geometry (measured 6.55x unsharded,
+#: 2.56x at 4 shards, reuse 0.96 at 95% reads).  Point queries in the
 #: sharded snapshot arm only open the owner shard's nv/N-sized snapshot,
 #: so its amortization margin is structurally thinner.
 MIN_READ_SPEEDUP = 3.0

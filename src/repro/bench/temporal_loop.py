@@ -7,7 +7,7 @@ left the window down the deletion path, and occasionally pays a
 tombstone-merge compaction sweep.  This driver replays that loop twice
 on identical streams — same :class:`~repro.temporal.TemporalWindowGraph`
 mutations, same expiry and compaction points — once with the PR 3
-epoch-versioned view cache (whole-view reuse + dirty-section patching)
+epoch-versioned view cache (whole-view reuse + changed-row patching)
 and once with the seed's from-scratch materialization per trial.
 
 Deletions make the scratch arm strictly more expensive than in the

@@ -206,36 +206,39 @@ class DGAP:
     # structure epochs (incremental analysis views)
     # ------------------------------------------------------------------
     def _init_view_tracking(self) -> None:
-        """Reset the structure epoch and per-section dirty stamps.
+        """Reset the structure epoch (the per-vertex row stamps live in
+        the vertex array, which every open builds afresh).
 
         ``structure_epoch`` is a monotone counter bumped on every
-        structural mutation; ``_section_epoch[s]`` records the epoch
-        that last touched section ``s``.  A view cache materialized at
-        epoch ``e`` finds its dirty sections as ``_section_epoch > e``
-        — stamp-based, so there is no clearing step and any number of
-        caches (and a reopened graph) stay correct independently.
+        mutation — a view pinned at an older epoch must be re-acquired.
+        ``va.row_epoch[v]`` records the epoch of the last mutation that
+        changed vertex ``v``'s *logical row*: an edge or tombstone of
+        ``v`` arriving, or a scrub repair losing one.  A row is append-
+        only and kept in insertion order (paper §3.1.3), so rebalance
+        windows, log merges, resizes and compaction sweeps move it
+        without changing it: they bump the epoch (the view's geometry —
+        chain share, scan overhead — is rebuilt from live PMA state) but
+        stamp no row.  A view cache materialized at epoch ``e`` finds
+        its stale rows as ``row_epoch > e`` — stamp-based, so there is
+        no clearing step and any number of caches stay correct
+        independently.
         """
         self.structure_epoch = 0
-        self._section_epoch = np.zeros(self.ea.n_sections, dtype=np.int64)
         #: epoch-keyed snapshot serving point reads (`out_neighbors`):
         #: re-taken only when the structure epoch moves, so a read burst
         #: between writes pays one snapshot, not one per call.
         self._point_snap: Optional[DGAPSnapshot] = None
         self._point_snap_epoch = -1
 
-    def _touch_sections(self, sections) -> None:
-        """Stamp ``sections`` (index, slice or array) with a fresh epoch."""
+    def _touch_rows(self, vs) -> None:
+        """Stamp the rows of ``vs`` (index or array) with a fresh epoch —
+        the one call every site that changes a vertex's adjacency makes."""
         self.structure_epoch += 1
-        self._section_epoch[sections] = self.structure_epoch
+        self.va.row_epoch[vs] = self.structure_epoch
 
-    def _touch_slot_range(self, lo_slot: int, hi_slot: int) -> None:
-        """Stamp every section overlapping slots ``[lo_slot, hi_slot)``."""
-        S = self.ea.segment_slots
-        self._touch_sections(slice(int(lo_slot) // S, (int(hi_slot) + S - 1) // S))
-
-    def sections_dirty_since(self, epoch: int) -> np.ndarray:
-        """Boolean mask of sections mutated after ``epoch``."""
-        return self._section_epoch > epoch
+    def rows_changed_since(self, epoch: int, nv: int) -> np.ndarray:
+        """Boolean mask over rows ``[0, nv)`` whose adjacency changed after ``epoch``."""
+        return self.va.row_epoch[:nv] > epoch
 
     # ------------------------------------------------------------------
     # rebalancer callbacks
@@ -245,18 +248,14 @@ class DGAP:
         self.slots_rebalanced += slots
 
     def note_rebalance_window(self, lo_slot: int, hi_slot: int) -> None:
-        self._touch_slot_range(lo_slot, hi_slot)
+        self.structure_epoch += 1  # runs moved; no row changed
         if getattr(self, "track_rebalance_windows", False):
             self.op_rebalance_windows.append((lo_slot, hi_slot))
 
     def stats_note_resize(self, new_capacity: int) -> None:
         self.n_resizes += 1
         self.locks.resize(self.ea.n_sections)
-        # New generation: every run may have moved — stamp everything.
-        self.structure_epoch += 1
-        self._section_epoch = np.full(
-            self.ea.n_sections, self.structure_epoch, dtype=np.int64
-        )
+        self.structure_epoch += 1  # new generation; no row changed
         if self.tx_mgr is not None:
             self._make_tx_mgr(new_capacity)
 
@@ -316,7 +315,7 @@ class DGAP:
                 va.set_el(u, -1)
                 self._sync_degree(u)
                 self.ea.inc_occ(self.ea.section_of(pos))
-                self._touch_slot_range(pos, pos + 1)
+                self._touch_rows(u)
                 self.pool.write_root(ROOT_NV_HINT, va.num_vertices)
             finally:
                 if held is not None:
@@ -473,7 +472,7 @@ class DGAP:
             self._sync_degree(src)
             self.n_array_inserts += 1
             self.n_edges_inserted += 1
-            self._touch_slot_range(pos, pos + 1)
+            self._touch_rows(src)
             # No density check here: a gap insert cannot overflow anything.
             # Rebalancing is driven by the edge logs (merge at 90%/full) and
             # by capacity (resize) — see §3 ③: "rebalancing might be
@@ -501,7 +500,7 @@ class DGAP:
         self._sync_degree(src)
         self.n_log_inserts += 1
         self.n_edges_inserted += 1
-        self._touch_sections(sec)
+        self._touch_rows(src)
         if self.merge_due(sec):
             return ("merge", sec)
         return None
@@ -564,7 +563,7 @@ class DGAP:
         va.set_live_degree(src, int(va.live_degree[src]) + live_delta)
         self._sync_degree(src)
         ea.recount(pos, g + 1)
-        self._touch_slot_range(pos, g + 1)
+        self._touch_rows(src)
         self.n_shift_inserts += 1
         self.n_edges_inserted += 1
         return ("rebalance", ea.section_of(pos))
@@ -753,7 +752,7 @@ class DGAP:
                 va.bulk_apply_inserts(gsrc, nfree, nfree, lcum[ends] - lcum[ends - nfree])
                 self.n_array_inserts += n_fast
                 self.n_edges_inserted += n_fast
-                self._touch_sections(np.unique(fast_slots // S))
+                self._touch_rows(gsrc[nfree > 0])
                 order_parts.append(fast_p)
                 # As in the scalar path, gap inserts trigger no density
                 # check — rebalancing is driven by the edge logs.
@@ -847,7 +846,7 @@ class DGAP:
                     )
                     self.n_log_inserts += n_log
                     self.n_edges_inserted += n_log
-                    self._touch_sections(np.unique(usecs[inv[ki]]))
+                    self._touch_rows(cs[cnt_starts])
                     order_parts.append(kp)
 
         finally:

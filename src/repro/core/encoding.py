@@ -22,6 +22,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..errors import GraphError, VertexRangeError
+from ..nputil import multi_arange
 
 GAP = np.int32(0)
 TOMB_BIT = np.int32(1 << 30)
@@ -121,19 +122,52 @@ def tombstone_matches(
     (a delete of a never-present edge) matches nothing and stays
     unmarked.  Snapshot reads hide marked slots and all tombstones;
     compaction physically drops exactly the marked slots.
+
+    Per ``(run, key)`` group the rule is a stack — a live pushes, a
+    tombstone pops — so each entry has a stack *level*, read off the
+    group's floor-clamped running balance, and within one level lives
+    and the tombstones that pop them alternate: ordered by ``(run, key,
+    level, position)`` every matched tombstone directly follows its
+    live.
     """
     matched = np.zeros(keys.size, dtype=bool)
-    ks, ts = keys.tolist(), tomb.tolist()
-    for o, s in zip(run_off, (keys.size,) if sizes is None else sizes):
-        open_pos: dict = {}
-        for i in range(o, o + s):
-            if ts[i]:
-                stack = open_pos.get(ks[i])
-                if stack:
-                    matched[stack.pop()] = True
-                    matched[i] = True
-            else:
-                open_pos.setdefault(ks[i], []).append(i)
+    sizes = np.asarray((keys.size,) if sizes is None else sizes, dtype=np.int64)
+    idx = multi_arange(np.asarray(run_off, dtype=np.int64), sizes)
+    if not tomb[idx].any():
+        return matched
+    run = np.repeat(np.arange(sizes.size), sizes)
+    k = keys[idx].astype(np.int64)
+    # one stable sort on a combined (run, key) key keeps position order
+    # within a group (several times faster than a two-key lexsort)
+    group = run * (int(k.max()) + 1) + k
+    order = np.argsort(group, kind="stable")
+    idx, group = idx[order], group[order]
+    t = tomb[idx]
+    first = np.ones(idx.size, dtype=bool)
+    first[1:] = group[1:] != group[:-1]
+    gid = np.cumsum(first) - 1
+    # only groups holding a tombstone can pair anything
+    play = np.flatnonzero((np.bincount(gid[t], minlength=gid[-1] + 1) > 0)[gid])
+    idx, t, first, gid = idx[play], t[play], first[play], gid[play]
+
+    # balance after each entry: the ±1 walk reflected at zero (a pop of
+    # an empty stack is absorbed), segmented by a per-group offset steep
+    # enough that no running minimum carries over from an earlier group
+    step = np.where(t, -1, 1)
+    walk = np.cumsum(step)
+    walk -= (walk - step)[first][np.cumsum(first) - 1]
+    drop = gid * (2 * idx.size + 2)
+    balance = walk - np.minimum(np.minimum.accumulate(walk - drop) + drop, 0)
+    before = np.zeros_like(balance)
+    before[1:] = balance[:-1]
+    before[first] = 0
+    level = before - t  # a live sits at `before`; a tombstone pops `before - 1`
+    met = level >= 0  # the rest are tombstones met at an empty stack: unmatched
+    idx, t = idx[met], t[met]
+    by_level = np.argsort(gid[met] * (int(level.max()) + 1) + level[met], kind="stable")
+    pops = np.flatnonzero(t[by_level])
+    matched[idx[by_level[pops]]] = True
+    matched[idx[by_level[pops - 1]]] = True
     return matched
 
 

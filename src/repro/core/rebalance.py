@@ -161,7 +161,7 @@ def _unmatched_mask(g: GatherResult) -> np.ndarray:
     sequence reads back the exact same live adjacency.
     """
     return ~tombstone_matches(
-        g.values & ~TOMB_BIT, (g.values & TOMB_BIT) != 0, g.run_off.tolist(), g.sizes.tolist()
+        g.values & ~TOMB_BIT, (g.values & TOMB_BIT) != 0, g.run_off, g.sizes
     )
 
 

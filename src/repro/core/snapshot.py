@@ -118,13 +118,15 @@ class DGAPSnapshot:
         arr = self.host.ea.slots[st : st + n_arr]
         if deg_t <= n_arr:
             return arr
-        deg_now = int(va.degree[v])
-        skip = deg_now - deg_t  # entries appended after snapshot time
-        take = deg_t - n_arr
+        return np.concatenate([arr, self._chain_tail(v, deg_t - n_arr, deg_t)])
+
+    def _chain_tail(self, v: int, take: int, deg_t: int) -> np.ndarray:
+        """The last ``take`` of ``v``'s first ``deg_t`` entries, oldest
+        first, from its edge-log chain (which is walked newest first)."""
+        va = self.host.va
+        skip = int(va.degree[v]) - deg_t  # entries appended after snapshot time
         _, _, dst_encs = self.host.logs.walk_chain_arrays(int(va.el[v]), limit=skip + take)
-        picked = dst_encs[skip : skip + take]  # newest-first slice we need
-        vals = picked[::-1].astype(SLOT_DTYPE)
-        return np.concatenate([arr, vals])
+        return dst_encs[skip : skip + take][::-1].astype(SLOT_DTYPE)
 
     def out_neighbors(self, v: int) -> np.ndarray:
         """Live destination ids of ``v`` at snapshot time (tombstones applied)."""
@@ -143,54 +145,39 @@ class DGAPSnapshot:
 
         Returns ``(counts, dsts)``: ``counts[i]`` is the live degree of
         ``vids[i]`` at snapshot time and ``dsts`` holds the rows back to
-        back.  The common case (no pending chains, no tombstones) is
-        fully vectorized; vertices that need chain walks or tombstone
-        filtering are patched individually.  Both arrays are always
-        freshly allocated — never views into the persistent buffers.
+        back.  Array parts are gathered in one pass and every
+        tombstone-holding row is resolved by one
+        :func:`~repro.core.encoding.tombstone_matches` call; only pending
+        log chains are walked per vertex.  Both arrays are always freshly
+        allocated — never views into the persistent buffers.
         """
         self._check()
         va = self.host.va
         vids = np.asarray(vids, dtype=np.int64)
-        deg_t = self.degree_t[vids]
-        a_now = va.array_degree[vids]
-        starts = va.start[vids]
-        n_arr = np.minimum(a_now, deg_t)
-        idx = _multi_arange(starts, n_arr)
+        deg_t = self.degree_t[vids]  # the raw row lengths, tombstones included
+        n_arr = np.minimum(va.array_degree[vids], deg_t)
+        idx = _multi_arange(va.start[vids], n_arr)
         vals = self.host.ea.slots[idx] if idx.size else np.empty(0, dtype=SLOT_DTYPE)
+        off = np.cumsum(deg_t) - deg_t
 
-        needs_chain = deg_t > n_arr
-        has_tomb = np.zeros(vids.size, dtype=bool)
-        if vals.size:
-            tomb_positions = (vals & TOMB_BIT) != 0
-            if tomb_positions.any():
-                owner = np.repeat(np.arange(vids.size), n_arr)
-                has_tomb[np.unique(owner[tomb_positions])] = True
-        special = np.nonzero(needs_chain | has_tomb)[0]
+        chained = np.flatnonzero(deg_t > n_arr)
+        if chained.size:
+            # splice each pending chain's entries in behind the array part
+            arr_vals, vals = vals, np.empty(int(deg_t.sum()), dtype=SLOT_DTYPE)
+            vals[_multi_arange(off, n_arr)] = arr_vals
+            for i in chained.tolist():
+                a, d = int(n_arr[i]), int(deg_t[i])
+                vals[off[i] + a : off[i] + d] = self._chain_tail(int(vids[i]), d - a, d)
 
-        if special.size == 0:
-            dsts = (vals & ~TOMB_BIT) - 1
-            return n_arr, dsts.astype(np.int32, copy=False)
-
-        # General path: splice per-vertex corrected segments.
-        counts = n_arr.copy()
-        patches = {}
-        for i in special:
-            nb = self.out_neighbors(int(vids[i]))
-            patches[int(i)] = nb
-            counts[i] = nb.size
-        offsets = np.zeros(vids.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        dsts = np.empty(int(offsets[-1]), dtype=np.int32)
-        # vectorized fill for ordinary vertices
-        ordinary = ~(needs_chain | has_tomb)
-        src_idx = _multi_arange(starts[ordinary], n_arr[ordinary])
-        dst_idx = _multi_arange(offsets[:-1][ordinary], counts[ordinary])
-        if src_idx.size:
-            slot_vals = self.host.ea.slots[src_idx]
-            dsts[dst_idx] = (slot_vals & ~TOMB_BIT) - 1
-        for i, nb in patches.items():
-            dsts[offsets[i] : offsets[i] + nb.size] = nb
-        return counts, dsts
+        tomb = (vals & TOMB_BIT) != 0
+        dsts = (vals & ~TOMB_BIT) - 1
+        if not tomb.any():
+            return deg_t, dsts
+        owner = np.repeat(np.arange(vids.size), deg_t)
+        hot = np.zeros(vids.size, dtype=bool)
+        hot[owner[tomb]] = True  # rows holding a tombstone
+        keep = ~(tomb | tombstone_matches(dsts, tomb, off[hot], deg_t[hot]))
+        return np.bincount(owner[keep], minlength=vids.size), dsts[keep]
 
     def to_csr(self) -> Tuple[np.ndarray, np.ndarray]:
         """(indptr, dsts) of the live snapshot graph — cached per snapshot."""

@@ -4,7 +4,10 @@ Per vertex the paper stores *degree*, *starting index in the edge
 array* and an *edge-log pointer*; we additionally keep ``array_degree``
 (how many of the vertex's edge slots physically live in the edge array
 vs. its edge-log chain) and ``live_degree`` (degree minus tombstones)
-— both derivable from persistent state, kept for O(1) access.
+— both derivable from persistent state, kept for O(1) access — and
+``row_epoch``, the DRAM-only stamp of the last mutation that changed
+the vertex's adjacency (``DGAP._touch_rows`` is its one writer; view
+caches read it to find stale rows, DESIGN.md §7).
 
 Placement is the paper's headline design decision: these fields are
 updated on *every* edge insertion, so DGAP keeps them **in DRAM** and
@@ -41,6 +44,7 @@ class VertexArray:
         self.live_degree = np.zeros(cap, dtype=np.int64)
         self.start = np.zeros(cap, dtype=np.int64)
         self.el = np.full(cap, NO_EL, dtype=np.int64)
+        self.row_epoch = np.zeros(cap, dtype=np.int64)
 
     # -- bulk views (valid slices over the active prefix) -------------------
     def starts(self) -> np.ndarray:
@@ -130,7 +134,7 @@ class VertexArray:
             return
         if new_num_vertices > self._cap:
             new_cap = max(new_num_vertices, self._cap * 2)
-            for name in ("degree", "array_degree", "live_degree", "start", "el"):
+            for name in ("degree", "array_degree", "live_degree", "start", "el", "row_epoch"):
                 old = getattr(self, name)
                 arr = np.full(new_cap, NO_EL if name == "el" else 0, dtype=np.int64)
                 arr[: self._cap] = old

@@ -458,12 +458,10 @@ class ResilienceManager:
         el = va.el[:nv]
         edge_dmg = self._edge_slot_mask(edge_parts)
         lost_by_vertex: Dict[int, int] = {}
-        secs_touched: List[int] = []
         for s, slots in sorted(dmg_slots.items()):
             cur = int(logs.counts[s])
             if not any(sl < cur for sl in slots):
                 continue  # only at/past-cursor zeros: byte-exact
-            secs_touched.append(s)
             base = s * eps * _FIELDS
             rows = reg.view[base : base + cur * _FIELDS].reshape(cur, _FIELDS)
             valid = (rows != 0).all(axis=1)
@@ -504,8 +502,8 @@ class ResilienceManager:
                 int(nonempty.size - nonempty[::-1].argmax())
                 if nonempty.any() else 0
             )
-        if secs_touched:
-            g._touch_sections(np.asarray(secs_touched, dtype=np.int64))
+        if lost_by_vertex:
+            g._touch_rows(list(lost_by_vertex))
 
         entries: List[QuarantineEntry] = []
         lost_total = sum(lost_by_vertex.values())
@@ -619,7 +617,8 @@ class ResilienceManager:
 
         if hi_touch > lo_touch:
             ea.recount(lo_touch, hi_touch)
-            g._touch_slot_range(lo_touch, hi_touch)
+        if lost_by_vertex:
+            g._touch_rows(list(lost_by_vertex))
 
         entries: List[QuarantineEntry] = []
         for off, n in parts:

@@ -177,6 +177,9 @@ class ServeReport:
     makespan_ns: float = 0.0
     refreshes: int = 0
     reuses: int = 0
+    #: what the refreshes cost (modeled ns) and re-read (rows), summed
+    refresh_ns_total: float = 0.0
+    rows_reread: int = 0
     served_read_ns: float = 0.0
     snapshot_read_ns: float = 0.0
     wall_served_s: float = 0.0
@@ -333,6 +336,8 @@ def run_serve_workload(
 
     report.refreshes = server.refreshes
     report.reuses = server.reuses
+    report.refresh_ns_total = server.refresh_ns_total
+    report.rows_reread = server.rows_reread
     report.makespan_ns = max(
         float(clocks.max()) if closed else max_end, writer_free
     )

@@ -200,6 +200,12 @@ class QueryServer:
     def view_epoch(self):
         return None if self._view is None else self._view.epoch
 
+    @property
+    def rows_reread(self) -> int:
+        """Rows re-materialized from PM over all refreshes (the first,
+        full build included)."""
+        return sum(st.vertices_rebuilt for st in self._cache.stats)
+
     def acquire(self) -> ServeView:
         views = self._cache.materialize()
         last = self._cache.last

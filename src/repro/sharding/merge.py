@@ -110,10 +110,13 @@ class ShardedViewCache:
 
     ``materialize()`` compares the shards' structure epochs with the
     cached build and hands back the same (read-only) arrays while they
-    hold; otherwise it opens one snapshot per shard, lets each shard's
-    :class:`DGAPViewCache` patch what moved, and merges — a scatter plus
-    pairwise in-stream merges, ``O(E)`` with no sorting.  :attr:`last`
-    says which happened and what it cost on the modeled clock.
+    hold; otherwise it opens one snapshot per shard and lets each shard's
+    :class:`DGAPViewCache` patch the rows that changed.  If none did (the
+    epoch moved for a rebalance, merge, resize or compaction) the same
+    arrays come back again; else the shards' streams are merged — a
+    scatter plus pairwise in-stream merges, ``O(E)`` with no sorting.
+    :attr:`last` says which happened and what it cost on the modeled
+    clock.
     """
 
     def __init__(self, store) -> None:
@@ -155,15 +158,19 @@ class ShardedViewCache:
             outs.append(out)
             inns.append(inn)
             builds.append(did)
-        views = merge_out_csr(outs, nv, n), merge_in_csr(inns, nv)
-        for pair in views:
-            for arr in pair:
-                # shared by every holder of this epoch (and, at one shard,
-                # by the patch cache's next build): freeze at birth
-                arr.flags.writeable = False
-        self._views = views
-        self.last = ViewBuild(epoch, False, view_build_ns(builds, int(views[0][1].size)))
-        return views
+        merged_edges = 0
+        if any(b.mode != "reuse" for b in builds):
+            # else the epoch moved (a layout operation) but no row did: the
+            # merged arrays are still exact, and nothing is merged again
+            self._views = merge_out_csr(outs, nv, n), merge_in_csr(inns, nv)
+            for pair in self._views:
+                for arr in pair:
+                    # shared by every holder of this epoch (and, at one shard,
+                    # by the patch cache's next build): freeze at birth
+                    arr.flags.writeable = False
+            merged_edges = int(self._views[0][1].size)
+        self.last = ViewBuild(epoch, False, view_build_ns(builds, merged_edges))
+        return self._views
 
 
 __all__ = ["ShardedViewCache", "ViewBuild", "merge_out_csr", "merge_in_csr"]

@@ -5,7 +5,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import DGAP, DGAPConfig
-from repro.core.encoding import decode_edge, decode_pivot, encode_edge, encode_pivot
+from repro.core.encoding import (
+    decode_edge,
+    decode_pivot,
+    encode_edge,
+    encode_pivot,
+    tombstone_matches,
+)
 from repro.core.pma_tree import DensityBounds, PMATree
 from repro.core.snapshot import _apply_tombstones, _multi_arange
 from repro.pmem import CACHE_LINE, PMemDevice
@@ -120,6 +126,59 @@ class TestSnapshotHelpers:
                 stacks.setdefault(d, []).append(len(keep) - 1)
         want = [d for d in keep if d is not None]
         assert out.tolist() == want
+
+
+def tombstone_matches_oracle(keys, tomb, run_off=(0,), sizes=None):
+    """The per-entry spelling of the pairing rule ``tombstone_matches``
+    used to be: one stack of open live positions per key, per run."""
+    matched = np.zeros(keys.size, dtype=bool)
+    ks, ts = keys.tolist(), tomb.tolist()
+    for o, s in zip(run_off, (keys.size,) if sizes is None else sizes):
+        open_pos: dict = {}
+        for i in range(o, o + s):
+            if ts[i]:
+                stack = open_pos.get(ks[i])
+                if stack:
+                    matched[stack.pop()] = True
+                    matched[i] = True
+            else:
+                open_pos.setdefault(ks[i], []).append(i)
+    return matched
+
+
+class TestTombstonePairing:
+    #: few keys and many tombstones: re-insertions after deletes, deletes
+    #: of never-present keys and stacks several lives deep all occur
+    run_s = st.lists(st.tuples(st.integers(0, 4), st.booleans()), max_size=30)
+
+    @given(st.lists(run_s, min_size=1, max_size=6))
+    @common
+    def test_matches_the_stack_oracle_over_several_runs(self, runs):
+        seq = [e for run in runs for e in run]
+        keys = np.array([k for k, _ in seq], dtype=np.int32)
+        tomb = np.array([t for _, t in seq], dtype=bool)
+        sizes = np.array([len(run) for run in runs], dtype=np.int64)
+        off = np.cumsum(sizes) - sizes
+        got = tombstone_matches(keys, tomb, off, sizes)
+        np.testing.assert_array_equal(got, tombstone_matches_oracle(keys, tomb, off, sizes))
+        # the same entries as one run pair differently: keys meet across rows
+        np.testing.assert_array_equal(
+            tombstone_matches(keys, tomb), tombstone_matches_oracle(keys, tomb)
+        )
+        # runs that do not cover the array leave the rest unmarked
+        if len(runs) > 1:
+            part = tombstone_matches(keys, tomb, off[1:], sizes[1:])
+            np.testing.assert_array_equal(
+                part, tombstone_matches_oracle(keys, tomb, off[1:], sizes[1:])
+            )
+            assert not part[: sizes[0]].any()
+
+    def test_reinsertion_survives_and_unmatched_delete_stays(self):
+        # a b a ~a ~a ~a a ~b ~c : the third ~a and ~c match nothing
+        keys = np.array([0, 1, 0, 0, 0, 0, 0, 1, 2])
+        tomb = np.array([0, 0, 0, 1, 1, 1, 0, 1, 1], dtype=bool)
+        want = np.array([1, 1, 1, 1, 1, 0, 0, 1, 0], dtype=bool)
+        np.testing.assert_array_equal(tombstone_matches(keys, tomb), want)
 
 
 class TestDGAPProperties:

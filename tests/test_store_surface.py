@@ -26,6 +26,7 @@ composed-system state machine.
 """
 
 import dataclasses
+import inspect
 import re
 from pathlib import Path
 
@@ -34,7 +35,7 @@ import pytest
 
 import repro
 from repro import DGAP, DGAPConfig
-from repro.analysis import costs
+from repro.analysis import costs, viewcache
 from repro.baselines.dgap_system import DGAPSystem
 from repro.core.encoding import MAX_VERTEX
 from repro.core.rebalance import ROOT_SHUTDOWN
@@ -43,6 +44,7 @@ from repro.pmem.crash import CrashInjector
 from repro.serve import QueryServer, top_k_ns
 from repro.serve.driver import QUERY_CLASSES, SnapshotReader, _bytes_equal, _run_query
 from repro.sharding import ShardedDGAP, ShardedViewCache
+from repro.sharding.partition import shard_of
 
 NV = 64
 CFG = dict(init_vertices=NV, init_edges=1024)
@@ -337,26 +339,33 @@ def view_costs(kind):
         assert cache.last.modeled_ns == server.last_acquire_ns
         return cache.last, out_dsts.size
 
-    # first acquire: every section of every shard, an even share of the edges
+    # first acquire: every section and every edge of every shard
     last, ne = build()
-    full = build_cost_by_hand(g, [sh.ea.n_sections for sh in g.shards], [ne / n] * n, ne)
+    own = [sh.num_edges for sh in g.shards]
+    assert sum(own) == ne
+    full = build_cost_by_hand(g, [sh.ea.n_sections for sh in g.shards], own, ne)
     assert (last.reused, last.modeled_ns) == (False, full)
 
     # same epoch: the epoch check and nothing else
     last, _ = build()
     assert (last.reused, last.modeled_ns) == (True, costs.EPOCH_CHECK_NS)
 
-    # one-vertex write: the owner re-reads its dirty sections and streams
-    # the stale rows; every other shard only opens its snapshot
+    # one-vertex write: the owner probes the section that row starts in and
+    # streams the row; every other shard only opens its snapshot
     epochs = [sh.structure_epoch for sh in g.shards]
     merged = [st.delta_edges_merged for st in cache.stats]
     rebuilds = [st.full_rebuilds for st in cache.stats]
     g.insert_edges([[5, 9], [5, 11], [5, 13]])
     last, ne = build()
     assert [st.full_rebuilds for st in cache.stats] == rebuilds  # patched
-    dirty = [int(sh.sections_dirty_since(e).sum()) for sh, e in zip(g.shards, epochs)]
+    reread = [np.flatnonzero(sh.rows_changed_since(e, sh.num_vertices))
+              for sh, e in zip(g.shards, epochs)]
+    dirty = [np.unique(sh.va.start[rows] // sh.ea.segment_slots).size
+             for sh, rows in zip(g.shards, reread)]
     delta = [st.delta_edges_merged - m for st, m in zip(cache.stats, merged)]
-    assert sum(1 for k in dirty if k) == 1 and 0 < sum(dirty) < g.shards[0].ea.n_sections
+    owner = int(shard_of(5, n))  # vertex 5's row, and no other
+    assert [rows.tolist() for rows in reread] == [[5 // n] * (r == owner) for r in range(n)]
+    assert dirty == [int(r == owner) for r in range(n)] and delta[owner] == g.out_degree(5)
     patch = build_cost_by_hand(g, dirty, delta, ne)
     assert (last.reused, last.modeled_ns) == (False, patch)
     assert server.refresh_ns_total == full + patch
@@ -516,6 +525,18 @@ class TestOneSurface:
         assert homes(r"DGAPViewCache\(") == ["sharding/merge.py"]
         assert homes(r"structure_epoch for") == ["sharding/merge.py"]
         assert homes(r"\.materialize\(snap") == ["sharding/merge.py"]
+        # one staleness signal: rows are stamped by one function, called by
+        # the write path and the two lossy scrub repairs; no section stamps
+        for gone in (r"_section_epoch", r"sections_dirty_since", r"_touch_sections",
+                     r"_touch_slot_range"):
+            assert homes(gone) == [], gone
+        assert _count(r"row_epoch\[[^\]]*\] = ", src) == 1
+        assert "row_epoch[vs] = " in src["core/dgap.py"].split("def _touch_rows")[1][:400]
+        assert homes(r"\._touch_rows\(") == ["core/dgap.py", "resilience/scrub.py"]
+        assert not re.search(r"\bmode\b", inspect.getsource(costs.view_build_ns))
+        assert homes(r"def tombstone_matches") == ["core/encoding.py"]
+        assert _count(r"def tombstone_matches", src) == 1  # the dict loop is a test oracle now
+        assert viewcache.FULL_REBUILD_STALE_FRACTION == 0.9
         # the device profiles' numbers are derived, not restated
         assert homes(r"\b(305|85)\.0\b") == ["pmem/latency.py"]
         assert costs.PM_RND_NS == 305.0 and costs.DRAM_RND_NS == 85.0

@@ -12,12 +12,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import DGAPConfig
+from repro import DGAP, DGAPConfig
+from repro.analysis.costs import snapshot_open_ns
 from repro.analysis.view import ID_DTYPE, INDPTR_DTYPE, build_in_csr
 from repro.baselines import SYSTEMS, DGAPSystem, StaticCSR
 from repro.bench.harness import SOURCE_KERNELS
 from repro.algorithms import KERNELS
+from repro.core.batch import EdgeBatch
+from repro.pmem.constants import XPLINE
+from repro.resilience import RepairOutcome, ResilienceManager
 from repro.sharding import ShardedViewCache
+from repro.sharding.partition import shard_of
+
+from .test_resilience import hot_graph
+from .test_store_surface import STORES, make_store
 
 common = settings(
     max_examples=30,
@@ -128,6 +136,213 @@ class TestIncrementalViewProperty:
             np.testing.assert_array_equal(out[1], ref_ds)
             np.testing.assert_array_equal(inn[0], ref_iip)
             np.testing.assert_array_equal(inn[1], ref_isr)
+
+
+# -- rows go stale by vertex; layout operations invalidate nothing ----------
+
+#: ids past NV grow the id space; the tiny edge log (8 entries) keeps
+#: chains pending and makes writes merge and rebalance on their own
+GROW = NV + 8
+TINY_LOG = dict(init_vertices=NV, init_edges=256, segment_slots=64, elog_size=96)
+
+vertex = st.integers(0, GROW - 1)
+store_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("ins"), vertex, vertex),
+        st.tuples(st.just("del"), vertex, vertex),
+        st.tuples(st.just("batch"), st.lists(st.tuples(vertex, vertex), min_size=2, max_size=12)),
+        st.tuples(st.just("merge"), st.integers(0, 63)),
+        st.tuples(st.just("window"), st.integers(0, 63)),
+        st.tuples(st.just("resize"), st.integers(0, 63)),
+        st.tuples(st.just("compact")),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+def view_bytes(views):
+    return [arr.tobytes() for pair in views for arr in pair]
+
+
+def rows_rebuilt(cache):
+    return [(st.full_rebuilds, st.vertices_rebuilt) for st in cache.stats]
+
+
+def layout_op(g, op):
+    """Run one layout-only operation straight on a shard's rebalancer."""
+    if op[0] == "compact":
+        return g.compact()
+    sh = g.shards[op[1] % g.n_shards]
+    sec = op[1] % sh.ea.n_sections
+    if op[0] == "window":
+        sh.rebalancer.rebalance_window(*sh.ea.tree.window_at(sec, 1), 1)
+    elif op[0] == "resize" and sh.n_resizes < 2:  # each doubles the array: the pool is finite
+        sh.rebalancer.resize()
+    else:
+        sh.rebalancer.merge_section(sec)
+
+
+@pytest.mark.parametrize("kind", STORES)
+class TestRowsNotSections:
+    @given(store_ops)
+    @common
+    def test_layout_operations_invalidate_nothing_and_writes_exactly_their_rows(self, kind, ops):
+        """Between reads, a log merge, a window rebalance, a resize or a
+        compaction sweep hands back the *same four array objects* with no
+        row re-read; a write re-reads exactly the rows it had as a source
+        (plus the vertices born since) and patches to the bytes a fresh
+        cache builds from scratch."""
+        g = make_store(kind, **TINY_LOG)
+        n = g.n_shards
+        g.insert_edges(np.random.default_rng(2).integers(0, NV, size=(120, 2)))
+        cache = ShardedViewCache(g)
+        held = cache.materialize()
+        for op in ops:
+            if op[0] in ("merge", "window", "resize", "compact"):
+                before = rows_rebuilt(cache)
+                layout_op(g, op)
+                again = cache.materialize()
+                assert all(a is b for x, y in zip(again, held) for a, b in zip(x, y)), op
+                assert rows_rebuilt(cache) == before, op
+                if not cache.last.reused:  # the epoch moved: snapshot opens, nothing else
+                    assert cache.last.modeled_ns == max(
+                        snapshot_open_ns(sh.num_vertices) for sh in g.shards
+                    )
+                continue
+            epochs = [sh.structure_epoch for sh in g.shards]
+            was_nv = [sh.num_vertices for sh in g.shards]
+            before = rows_rebuilt(cache)
+            if op[0] == "batch":
+                g.insert_edges(np.array(op[1], dtype=np.int64))
+                srcs = {s for s, _ in op[1]}
+            else:
+                (g.insert_edge if op[0] == "ins" else g.delete_edge)(op[1], op[2])
+                srcs = {op[1]}
+            held = cache.materialize()
+            assert view_bytes(held) == view_bytes(ShardedViewCache(g).materialize()), op
+            for r, sh in enumerate(g.shards):
+                want = {v // n for v in srcs if shard_of(v, n) == r}
+                want |= set(range(was_nv[r], sh.num_vertices))
+                got = np.flatnonzero(sh.rows_changed_since(epochs[r], sh.num_vertices))
+                assert set(got.tolist()) == want, (op, r)
+                (full0, rows0), (full1, rows1) = before[r], rows_rebuilt(cache)[r]
+                if full1 == full0:  # patched: no row more, no row fewer
+                    assert rows1 - rows0 == len(want), (op, r)
+        g.check_invariants()
+
+    def test_born_vertices_and_a_reopened_store_come_back_right(self, kind):
+        g = make_store(kind, **TINY_LOG)
+        g.insert_edges(np.random.default_rng(4).integers(0, NV, size=(200, 2)))
+        cache = ShardedViewCache(g)
+        cache.materialize()
+        g.insert_vertex(NV + 2)  # born with no edge: three empty rows
+        (out_ip, _), (in_ip, _) = cache.materialize()
+        assert out_ip.size == in_ip.size == NV + 4
+        g.insert_edge(NV + 5, 1)  # born by a write, as source and as domain
+        held = cache.materialize()
+        assert view_bytes(held) == view_bytes(ShardedViewCache(g).materialize())
+        assert sum(st.full_rebuilds for st in cache.stats) == g.n_shards  # the first builds only
+
+        for crash in (True, False):
+            g.pool.crash() if crash else g.shutdown()
+            g = type(g).open(g.pool, g.config)
+            # stamps are DRAM-only: a reopened store starts with none
+            assert not any(sh.rows_changed_since(0, sh.num_vertices).any() for sh in g.shards)
+            cache = ShardedViewCache(g)
+            assert view_bytes(cache.materialize()) == view_bytes(held)
+            g.insert_edges([[3, 4], [NV + 1, 3]])
+            g.delete_edge(3, 4)
+            held = cache.materialize()
+            assert view_bytes(held) == view_bytes(ShardedViewCache(g).materialize())
+
+
+# -- every row-changing site stamps its row ---------------------------------
+
+V = 9  # the vertex every site test writes to
+SITE_CFG = dict(init_vertices=64, init_edges=1024)
+
+
+def fill_trailing_gap(g, v):
+    """Append to ``v`` until the slot behind its run is occupied."""
+    while True:
+        pos = int(g.va.start[v] + g.va.array_degree[v])
+        if pos >= g.ea.capacity or g.ea.slots[pos] != 0:
+            return
+        g.insert_edge(v, 1)
+
+
+def tombstones(dsts):
+    n = len(dsts)
+    return EdgeBatch(np.full(n, V), np.array(dsts), np.ones(n, dtype=bool))
+
+
+#: name -> (config, fill V's gap first?, mutation, the counter proving the site ran, by how much)
+ROW_SITES = {
+    "scalar gap insert": ({}, False, lambda g: g.insert_edge(V, 7), "n_array_inserts", 1),
+    "scalar log append": ({}, True, lambda g: g.insert_edge(V, 7), "n_log_inserts", 1),
+    "no-EL shift insert": (
+        dict(use_edge_log=False), True, lambda g: g.insert_edge(V, 7), "n_shift_inserts", 1),
+    "batch fast phase": ({}, False, lambda g: g.insert_edges([[V, 7], [V, 8]]), "n_array_inserts", 2),
+    "batch log phase": ({}, True, lambda g: g.insert_edges([[V, 7], [V, 8]]), "n_log_inserts", 2),
+    "scalar gap tombstone": ({}, False, lambda g: g.delete_edge(V, 3), "n_array_inserts", 1),
+    "scalar log tombstone": ({}, True, lambda g: g.delete_edge(V, 3), "n_log_inserts", 1),
+    "no-EL shift tombstone": (
+        dict(use_edge_log=False), True, lambda g: g.delete_edge(V, 3), "n_shift_inserts", 1),
+    "batch gap tombstones": (
+        {}, False, lambda g: g.insert_edges(tombstones([3, 5])), "n_array_inserts", 2),
+    "batch log tombstones": (
+        {}, True, lambda g: g.insert_edges(tombstones([3, 5])), "n_log_inserts", 2),
+}
+
+
+def assert_patched_like_scratch(g, mutate, row=V):
+    """A view cached before ``mutate`` moves, re-reading ``row`` alone, to
+    the bytes a from-scratch build gives after it."""
+    cache = ShardedViewCache(g)
+    before = view_bytes(cache.materialize())
+    epoch, rebuilt = g.structure_epoch, cache.stats[0].vertices_rebuilt
+    mutate()
+    after = view_bytes(cache.materialize())
+    assert after == view_bytes(ShardedViewCache(g).materialize())
+    assert after != before
+    assert np.flatnonzero(g.rows_changed_since(epoch, g.num_vertices)).tolist() == [row]
+    assert cache.stats[0].vertices_rebuilt == rebuilt + 1
+
+
+class TestEveryRowChangingSiteStamps:
+    @pytest.mark.parametrize("site", ROW_SITES)
+    def test_write_path_site(self, site):
+        """A view cached *before* the mutation differs *after* it exactly
+        as a from-scratch build does — drop the site's stamp and the
+        cache keeps serving the old row."""
+        over, fill, mutate, counter, by = ROW_SITES[site]
+        g = DGAP(DGAPConfig(**{**SITE_CFG, **over}))
+        g.insert_edges(np.random.default_rng(6).integers(0, 64, size=(300, 2)))
+        g.insert_edges([[V, 3], [V, 5], [V, 3]])
+        if fill:
+            fill_trailing_gap(g, V)
+        ran = getattr(g, counter)
+        assert_patched_like_scratch(g, lambda: mutate(g))
+        assert getattr(g, counter) == ran + by  # the site under test is the one that ran
+
+    @pytest.mark.parametrize("region", ["edge-array", "edge-log"])
+    def test_lossy_scrub_repair(self, region):
+        """A repair that *loses* entries changes the rows it lost them
+        from; the cached view must follow."""
+        g = hot_graph()  # vertex 0: array edges and a live log chain
+        if region == "edge-array":
+            off = g.ea.region.offset  # vertex 0's pivot and run start
+        else:
+            s0 = int(np.flatnonzero(g.logs.counts)[0])
+            reg = g.logs.region
+            off = reg.offset + s0 * g.logs.entries_per_section * 3 * reg.itemsize
+        g.pool.device.poison(off, XPLINE)
+        lossy = []
+        assert_patched_like_scratch(g, lambda: lossy.extend(
+            e for e in ResilienceManager(g).full_scrub() if e.outcome is RepairOutcome.LOSSY
+        ), row=0)
+        assert [e.kind for e in lossy] == [region] and dict(lossy[0].lost_by_vertex).keys() == {0}
 
 
 # -- delete-heavy histories: tombstones and compaction sweeps --------------
