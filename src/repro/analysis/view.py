@@ -224,18 +224,6 @@ class BaseGraphView(ABC):
             self._derived["out_src_ids"] = ids
         return ids  # type: ignore[return-value]
 
-    def in_dst_ids(self) -> np.ndarray:
-        """Destination id of every in-CSR entry (``np.intp``, see
-        :meth:`out_src_ids`), cached."""
-        ids = self._derived.get("in_dst_ids")
-        if ids is None:
-            in_indptr, _ = self.in_csr()
-            ids = np.repeat(
-                np.arange(self.num_vertices, dtype=np.intp), np.diff(in_indptr)
-            )
-            self._derived["in_dst_ids"] = ids
-        return ids  # type: ignore[return-value]
-
     # -- accounting ---------------------------------------------------------------
     def account_full_scan(self, serial_fraction: float = 0.02) -> None:
         ne = self.num_edges

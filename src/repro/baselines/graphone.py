@@ -97,13 +97,13 @@ class GraphOneFD(DynamicGraphSystem):
     def _archive(self, n: int) -> None:
         # edge-list append + adjacency-list insert: head lookup + block
         # write, occasionally a block allocation/link — all DRAM.
-        self.dram.account_rnd_read(n, 8, bucket="go-archive")  # head lookup
-        self.dram.account_rnd_write(n, 4, bucket="go-archive")  # AL write
-        self.dram.account_rnd_write(n // AL_BLOCK_EDGES + 1, 8, bucket="go-archive")
+        self.dram.account_rnd_read(n, 8)  # head lookup
+        self.dram.account_rnd_write(n, 4)  # AL write
+        self.dram.account_rnd_write(n // AL_BLOCK_EDGES + 1, 8)
 
     def _flush(self, n: int) -> None:
         """Durable phase: stream the edge-list window to PM."""
-        self.pool.device.account_seq_write(n * 16, bucket="go-durable")
+        self.pool.device.account_seq_write(n * 16)
         self.pool.device.sfence()
         self.flushes += 1
 

@@ -28,7 +28,6 @@ import numpy as np
 from ..analysis.view import BaseGraphView
 from ..core.batch import DEFAULT_BATCH_SIZE, EdgeBatch, EdgeLike
 from ..pmem.device import PMemDevice
-from ..pmem.latency import DRAM, OPTANE_ADR
 from ..pmem.pool import PMemPool
 
 #: Aggregate Optane media write bandwidth of the paper's 6-DIMM testbed
@@ -228,11 +227,6 @@ def adjacency_to_csr(degree, rows) -> Tuple[np.ndarray, np.ndarray]:
     return indptr, dsts
 
 
-def make_dram_device(size: int, name: str) -> PMemDevice:
-    """A DRAM-profile device for a system's volatile structures."""
-    return PMemDevice(size, profile=DRAM, name=name)
-
-
 __all__ = [
     "DynamicGraphSystem",
     "InsertProfile",
@@ -240,5 +234,4 @@ __all__ = [
     "ViewReuseStats",
     "PM_WRITE_BW_BYTES_PER_S",
     "adjacency_to_csr",
-    "make_dram_device",
 ]

@@ -117,10 +117,10 @@ class LLAMA(DynamicGraphSystem):
             v = int(srcs[a])
             self._frags.setdefault(v, []).append(dsts[a:b])
             self._degree[v] += b - a
-        self.pool.device.account_seq_write(len(srcs) * 4, bucket="llama-frags")
+        self.pool.device.account_seq_write(len(srcs) * 4)
         # copy-on-write vertex table: the O(|V|) per-snapshot cost
-        self.dram.account_rnd_read(self.num_vertices, 16, bucket="llama-table")
-        self.pool.device.account_seq_write(self.num_vertices * 8, bucket="llama-table")
+        self.dram.account_rnd_read(self.num_vertices, 16)
+        self.pool.device.account_seq_write(self.num_vertices * 8)
         if self.n_snapshots % self.flatten_every == 0:
             self._flatten()
 
@@ -133,8 +133,8 @@ class LLAMA(DynamicGraphSystem):
                 self._frags[v] = [merged]
                 nbytes += merged.size * 4
         if nbytes:
-            self.pool.device.account_seq_read(nbytes, bucket="llama-flatten")
-            self.pool.device.account_seq_write(nbytes, bucket="llama-flatten")
+            self.pool.device.account_seq_read(nbytes)
+            self.pool.device.account_seq_write(nbytes)
 
     # -- analysis -------------------------------------------------------------
     def _build_view(self) -> BaseGraphView:

@@ -121,7 +121,7 @@ class XPGraph(DynamicGraphSystem):
 
     def _account_log_append(self, n: int) -> None:
         """Sequential XPLine-friendly edge-log appends (16 B per edge)."""
-        self.pool.device.account_seq_write(n * 16, bucket="xp-log")
+        self.pool.device.account_seq_write(n * 16)
         self.pool.device.sfence()
 
     def _archive(self) -> None:
@@ -133,8 +133,8 @@ class XPGraph(DynamicGraphSystem):
         distinct = np.unique(srcs).size
         # one XPLine-granular PM write per touched vertex's cache block,
         # plus DRAM batch-cache traffic per edge
-        self.pool.device.account_rnd_write(distinct, 64, bucket="xp-archive")
-        self.dram.account_rnd_write(len(batch), 4, bucket="xp-cache")
+        self.pool.device.account_rnd_write(distinct, 64)
+        self.dram.account_rnd_write(len(batch), 4)
         self.n_archives += 1
         self.edges_archived += len(batch)
 

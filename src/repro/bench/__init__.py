@@ -8,7 +8,6 @@ drivers of the same ``run``.
 from .harness import (
     DEFAULT_BATCH_SIZE,
     build_system,
-    clear_cache,
     get_built_system,
     get_static_csr,
     ingest,
@@ -29,7 +28,6 @@ __all__ = [
     "run_kernel",
     "get_built_system",
     "get_static_csr",
-    "clear_cache",
     "pick_source",
     "emit",
     "format_table",

@@ -210,10 +210,6 @@ def get_static_csr(dataset: str, scale: float) -> StaticCSR:
     return _CACHE[key][0]
 
 
-def clear_cache() -> None:
-    _CACHE.clear()
-
-
 def pick_source(dataset: str, scale: float) -> int:
     """A deterministic well-connected source vertex for BFS/BC."""
     csr = get_static_csr(dataset, scale)
@@ -254,7 +250,6 @@ __all__ = [
     "run_kernel",
     "get_built_system",
     "get_static_csr",
-    "clear_cache",
     "pick_source",
     "SOURCE_KERNELS",
 ]

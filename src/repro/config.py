@@ -54,10 +54,6 @@ class DGAPConfig:
     tau_leaf: float = 0.92
     tau_root: float = 0.70
 
-    #: Lower-bound densities (used when deletions thin out sections).
-    rho_leaf: float = 0.08
-    rho_root: float = 0.30
-
     #: Device latency profile for the PM pool.
     profile: LatencyModel = field(default=OPTANE_ADR)
 
@@ -106,8 +102,6 @@ class DGAPConfig:
             raise ValueError("elog_merge_fraction must be in (0, 1]")
         if not (0 < self.tau_root <= self.tau_leaf <= 1.0):
             raise ValueError("need 0 < tau_root <= tau_leaf <= 1")
-        if not (0 <= self.rho_leaf <= self.rho_root < self.tau_root):
-            raise ValueError("need 0 <= rho_leaf <= rho_root < tau_root")
         if self.segment_slots < 64 or self.segment_slots & (self.segment_slots - 1):
             raise ValueError("segment_slots must be a power of two >= 64")
         if self.gap_distribution not in ("proportional", "uniform"):

@@ -82,14 +82,6 @@ class EdgeBatch:
         return cls.from_pairs(edges)
 
     @classmethod
-    def single(cls, src: int, dst: int, tombstone: bool = False) -> "EdgeBatch":
-        return cls(
-            np.asarray([src], dtype=np.int64),
-            np.asarray([dst], dtype=np.int64),
-            np.asarray([tombstone], dtype=bool),
-        )
-
-    @classmethod
     def empty(cls) -> "EdgeBatch":
         z = np.empty(0, dtype=np.int64)
         return cls(z, z.copy(), np.empty(0, dtype=bool), validate=False)
@@ -143,10 +135,6 @@ class EdgeBatch:
         """+1 per insert, -1 per tombstone (live-degree contribution)."""
         return np.where(self.tombstone, np.int64(-1), np.int64(1))
 
-    def section_keys(self, starts: np.ndarray, segment_slots: int) -> np.ndarray:
-        """PMA section of each edge's source pivot (``starts`` per vertex)."""
-        return (starts[self.src] - 1) // segment_slots
-
     def shard_keys(self, n_shards: int) -> np.ndarray:
         """Owning shard of each edge (block-mixed partition on the source).
 
@@ -161,11 +149,6 @@ class EdgeBatch:
         from ..sharding.partition import shard_of
 
         return shard_of(self.src, n_shards)
-
-    @staticmethod
-    def grouped_order(sections: np.ndarray, srcs: np.ndarray) -> np.ndarray:
-        """Stable processing order: by section, then by source within it."""
-        return np.lexsort((srcs, sections))
 
 
 def extend_adjacency(

@@ -130,10 +130,6 @@ class CoWDegreeCache:
         self._writable(self._deg, ci)[off] = degree
         self._writable(self._live, ci)[off] = live
 
-    def bulk_set(self, i0: int, degrees: np.ndarray, lives: np.ndarray) -> None:
-        for k in range(degrees.size):
-            self.set(i0 + k, int(degrees[k]), int(lives[k]))
-
     def grow(self, new_n: int) -> None:
         self._deg.grow(new_n)
         self._live.grow(new_n)

@@ -40,7 +40,7 @@ from .encoding import SLOT_DTYPE, check_vertex, encode_edge, encode_pivot
 from .locks import SectionLockTable
 from ..obs.tracer import annotate, trace, traced
 from .pma_tree import DensityBounds
-from ..nputil import multi_arange as _multi_arange
+from ..nputil import multi_arange
 from .rebalance import (
     ROOT_EPS,
     ROOT_GEN,
@@ -128,7 +128,7 @@ class DGAP:
         DRAM-only that a fresh instance and a reopened one start from
         alike: locks, rebalancer, operation counters, view tracking."""
         cfg, pool = self.config, self.pool
-        self._bounds = DensityBounds(cfg.tau_leaf, cfg.tau_root, cfg.rho_leaf, cfg.rho_root)
+        self._bounds = DensityBounds(cfg.tau_leaf, cfg.tau_root)
         self.ea = EdgeArray(
             pool, capacity, seg_slots, self._bounds,
             gen=gen, create=create, pm_metadata=not cfg.dram_placement,
@@ -243,13 +243,11 @@ class DGAP:
     # ------------------------------------------------------------------
     # rebalancer callbacks
     # ------------------------------------------------------------------
-    def stats_note_rebalance(self, slots: int) -> None:
-        self.n_rebalances += 1
-        self.slots_rebalanced += slots
-
     def note_rebalance_window(self, lo_slot: int, hi_slot: int) -> None:
+        self.n_rebalances += 1
+        self.slots_rebalanced += hi_slot - lo_slot
         self.structure_epoch += 1  # runs moved; no row changed
-        if getattr(self, "track_rebalance_windows", False):
+        if self.track_rebalance_windows:
             self.op_rebalance_windows.append((lo_slot, hi_slot))
 
     def stats_note_resize(self, new_capacity: int) -> None:
@@ -727,7 +725,7 @@ class DGAP:
             gpos = va.start[gsrc] + va.array_degree[gsrc]
             kclip = np.minimum(gcount, np.clip(cap - gpos, 0, None))
             nfree = kclip.copy()
-            cand = _multi_arange(gpos, kclip)
+            cand = multi_arange(gpos, kclip)
             if cand.size:
                 occ_mask = ea.slots[cand] != 0
                 if occ_mask.any():
@@ -740,8 +738,8 @@ class DGAP:
                     nfree = np.minimum(kclip, first_block)
             n_fast = int(nfree.sum())
             if n_fast:
-                fast_slots = _multi_arange(gpos, nfree)
-                fast_p = p[_multi_arange(gstart, nfree)]
+                fast_slots = multi_arange(gpos, nfree)
+                fast_p = p[multi_arange(gstart, nfree)]
                 # Commit group 1: durable before any log append is issued.
                 ea.write_slots(fast_slots, encs[fast_p])
                 ea.inc_occ_counts(
@@ -762,7 +760,7 @@ class DGAP:
             deferred_parts: list = []
             if rem.any():
                 c_thr = self._merge_threshold()
-                tails = _multi_arange(gstart + nfree, rem)
+                tails = multi_arange(gstart + nfree, rem)
                 # Log slots are assigned in stream-position order: this
                 # fixes each edge's entry and where the merge cut falls.
                 pos_order = np.argsort(p[tails], kind="stable")

@@ -192,7 +192,7 @@ class EdgeLogs:
                 a, b = int(run[0]), int(run[-1])
                 yield a * eps, (b - a) * eps + int(cursors[b])
 
-    def stream(self, s_lo: int, s_hi: int, bucket: str = None):
+    def stream(self, s_lo: int, s_hi: int):
         """Accounted sequential read of the appended log prefixes of
         sections ``[s_lo, s_hi)`` — how merges and recovery consume logs.
 
@@ -213,7 +213,7 @@ class EdgeLogs:
         gs, rs = [], []
         for g0, n in self._runs(s_lo, s_hi):
             raw = dev.load_batch(
-                self.region.offset + g0 * ENTRY_BYTES, n * ENTRY_BYTES, bucket=bucket
+                self.region.offset + g0 * ENTRY_BYTES, n * ENTRY_BYTES
             )
             gidx = np.arange(g0, g0 + n, dtype=np.int64)
             rows = raw.view(np.int32).reshape(n, _FIELDS)
@@ -227,7 +227,7 @@ class EdgeLogs:
             return np.empty(0, dtype=np.int64), np.empty((0, _FIELDS), dtype=np.int32)
         return (gs[0], rs[0]) if len(gs) == 1 else (np.concatenate(gs), np.concatenate(rs))
 
-    def _stream_scalar(self, s_lo: int, s_hi: int, bucket: str = None):
+    def _stream_scalar(self, s_lo: int, s_hi: int):
         """Per-entry reference of :meth:`stream` (same loads, charges and
         fault draws): ``(n, 4)`` int64 rows ``(gidx, f0, f1, f2)``."""
         dev = self.pool.device
@@ -236,7 +236,7 @@ class EdgeLogs:
         out = []
         for g0, n in self._runs(s_lo, s_hi):
             dev.read(self.region.offset + g0 * ENTRY_BYTES, n * ENTRY_BYTES)
-            dev.account_seq_read(n * ENTRY_BYTES, bucket=bucket)
+            dev.account_seq_read(n * ENTRY_BYTES)
             for g in range(g0, g0 + n):
                 if g % eps < cursors[g // eps]:
                     p = g * _FIELDS
@@ -296,7 +296,7 @@ class EdgeLogs:
         self.counts = np.full(self.n_sections, eps, dtype=np.int64)
         if scalar:
             return self._rebuild_counts_scalar()
-        gidx, rows = self.stream(0, self.n_sections, bucket="recovery")
+        gidx, rows = self.stream(0, self.n_sections)
         f0, f1, f2 = (rows[:, k].reshape(self.n_sections, eps) != 0 for k in range(_FIELDS))
         nonempty = f0 | f1 | f2
         # highest non-empty index + 1 per section (0 when empty)
@@ -310,7 +310,7 @@ class EdgeLogs:
         eps = self.entries_per_section
         counts = np.zeros(self.n_sections, dtype=np.int64)
         live = np.zeros(self.n_sections, dtype=np.int64)
-        entries = self._stream_scalar(0, self.n_sections, bucket="recovery")
+        entries = self._stream_scalar(0, self.n_sections)
         for g, f0, f1, f2 in entries.tolist():
             s, slot = divmod(g, eps)
             if f0 or f1 or f2:

@@ -2,13 +2,14 @@
 
 The edge array is divided into fixed-size leaf *sections* (the paper's
 lock/edge-log granularity).  An implicit binary tree sits above them;
-each tree level ``h`` (0 = leaf) has an upper density bound ``tau(h)``
-and a lower bound ``rho(h)``, linearly interpolated between the leaf
-and root bounds.  When an insertion pushes a section past ``tau(0)``,
-:meth:`find_rebalance_window` walks up the tree to the smallest aligned
-window whose *combined* density (array elements + pending edge-log
-entries) is back within bounds; if even the root is too dense the
-caller must resize.
+each tree level ``h`` (0 = leaf) has an upper density bound ``tau(h)``,
+linearly interpolated between the leaf and root bounds (there is no
+lower bound: deletions are tombstones, reclaimed by ``compact()``, and
+the array never shrinks).  When an insertion pushes a section past
+``tau(0)``, :meth:`find_rebalance_window` walks up the tree to the
+smallest aligned window whose *combined* density (array elements +
+pending edge-log entries) is back within bounds; if even the root is
+too dense the caller must resize.
 """
 
 from __future__ import annotations
@@ -21,12 +22,10 @@ import numpy as np
 
 @dataclass(frozen=True)
 class DensityBounds:
-    """PMA density thresholds (upper tau, lower rho; leaf and root)."""
+    """PMA upper density thresholds (leaf and root)."""
 
     tau_leaf: float
     tau_root: float
-    rho_leaf: float
-    rho_root: float
 
 
 class PMATree:
@@ -49,27 +48,12 @@ class PMATree:
         f = level / self.height
         return self.bounds.tau_leaf - (self.bounds.tau_leaf - self.bounds.tau_root) * f
 
-    def rho(self, level: int) -> float:
-        """Lower density bound at ``level``."""
-        if self.height == 0:
-            return self.bounds.rho_root
-        f = level / self.height
-        return self.bounds.rho_leaf + (self.bounds.rho_root - self.bounds.rho_leaf) * f
-
     # -- window selection ---------------------------------------------------
     def window_at(self, section: int, level: int) -> Tuple[int, int]:
         """The aligned window of ``2**level`` sections containing ``section``."""
         width = 1 << level
         lo = section // width * width
         return lo, lo + width
-
-    def density(self, occupancy: np.ndarray, lo: int, hi: int) -> float:
-        """Combined density of sections ``[lo, hi)`` given per-section element counts."""
-        slots = (hi - lo) * self.segment_slots
-        return float(occupancy[lo:hi].sum()) / slots
-
-    def leaf_overflows(self, occupancy: np.ndarray, section: int) -> bool:
-        return self.density(occupancy, section, section + 1) > self.tau(0)
 
     def find_rebalance_window(
         self,
@@ -95,19 +79,6 @@ class PMATree:
                 return lo, hi, level
         # Even the root window exceeds its bound: the array must resize.
         return None
-
-    def _root_overflows(self, occupancy: np.ndarray, extra: int) -> bool:
-        total = float(occupancy.sum()) + extra
-        return total / (self.n_sections * self.segment_slots) > self.tau(self.height)
-
-    def needs_resize(self, occupancy: np.ndarray, extra: int = 0) -> bool:
-        return self._root_overflows(occupancy, extra)
-
-    def section_of_slot(self, slot: int) -> int:
-        return slot // self.segment_slots
-
-    def slot_range(self, lo_section: int, hi_section: int) -> Tuple[int, int]:
-        return lo_section * self.segment_slots, hi_section * self.segment_slots
 
 
 __all__ = ["PMATree", "DensityBounds"]

@@ -256,9 +256,9 @@ class Rebalancer:
         va, ea, logs = host.va, host.ea, host.logs
         dev = host.pool.device
         n = j - i0
-        win = dev.load_batch(ea.byte_off(lo), (hi - lo) * 4, bucket="rebalance").view(SLOT_DTYPE)
+        win = dev.load_batch(ea.byte_off(lo), (hi - lo) * 4).view(SLOT_DTYPE)
         secs = self._window_lock_span(lo, hi)
-        gidx, rows = log_rows = logs.stream(secs.start, secs.stop, bucket="rebalance")
+        gidx, rows = log_rows = logs.stream(secs.start, secs.stop)
         src = rows[:, 0].astype(np.int64) - 1
         # valid (all three fields nonzero; ``src >= i0`` covers field 0) and ours
         mine = np.flatnonzero((rows[:, 1] != 0) & (rows[:, 2] != 0) & (src >= i0) & (src < j))
@@ -300,9 +300,9 @@ class Rebalancer:
         va, ea, logs = host.va, host.ea, host.logs
         dev = host.pool.device
         slots = dev.read(ea.byte_off(lo), (hi - lo) * 4).view(SLOT_DTYPE)
-        dev.account_seq_read((hi - lo) * 4, bucket="rebalance")
+        dev.account_seq_read((hi - lo) * 4)
         secs = self._window_lock_span(lo, hi)
-        entries = logs._stream_scalar(secs.start, secs.stop, bucket="rebalance")
+        entries = logs._stream_scalar(secs.start, secs.stop)
         chains: List[list] = [[] for _ in range(i0, j)]
         for g, f0, f1, f2 in entries.tolist():  # append order: oldest first per vertex
             if f0 and f1 and f2 and i0 <= f0 - 1 < j:
@@ -424,7 +424,7 @@ class Rebalancer:
         img8 = np.ascontiguousarray(image).view(np.uint8)
         dst = ea.byte_off(lo)
 
-        dev.account_ns((hi - lo) * ELEMENT_MOVE_NS, bucket="rebalance-move")
+        dev.account_ns((hi - lo) * ELEMENT_MOVE_NS)
         if not host.config.use_undo_log:
             # Ablation "No EL&UL": one PMDK transaction around the window.
             with host.tx_mgr.tx() as t:
@@ -540,7 +540,6 @@ class Rebalancer:
         if layout is not None:
             self._apply_dram(*layout)
             host.ea.recount(lo, hi)
-            host.stats_note_rebalance(hi - lo)
             host.note_rebalance_window(lo, hi)
 
     # ------------------------------------------------------------------

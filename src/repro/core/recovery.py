@@ -22,7 +22,7 @@ flag:
 Every step reads persistent state only — two sequential streams, one
 over the logs and one over the edge array, so recovery time follows
 pool size (§4.4: "graph-size dependent"); costs accrue to the pool's
-modeled clock under the ``recovery`` bucket, which is what the §4.4
+modeled clock inside the ``crash_recover`` span, which is what the §4.4
 recovery evaluation reports.
 """
 
@@ -96,7 +96,7 @@ def _normal_restart(host) -> None:
     host.va = make_vertex_array(nv, host.config.dram_placement, pool)
 
     def load(name: str, n: int) -> np.ndarray:
-        pool.device.account_seq_read(n * 8, bucket="recovery")
+        pool.device.account_seq_read(n * 8)
         return pool.get_array(f"meta.{name}").view[:n].copy()
 
     host.va.bulk_load(*(load(f, nv) for f in host._META_FIELDS))
@@ -237,7 +237,7 @@ def _scan_edge_array(host) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     ea = host.ea
     cap = ea.capacity
     slots = host.pool.device.load_batch(
-        ea.region.offset, cap * 4, bucket="recovery"
+        ea.region.offset, cap * 4
     ).view(SLOT_DTYPE)
     ppos = np.flatnonzero(slots < 0)
     vids = (-slots[ppos].astype(np.int64)) - 1
@@ -312,7 +312,7 @@ def _scan_edge_array_scalar(host) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
             raise RecoveryError("pivot ids are not strictly increasing — image corrupt")
         if vids[0] != 0 or vids[-1] != nv - 1:
             raise RecoveryError("pivot id space is not dense — image corrupt")
-    host.pool.device.account_seq_read(cap * 4, bucket="recovery")
+    host.pool.device.account_seq_read(cap * 4)
     if garbage:
         _zero_slots(host.ea, np.asarray(garbage, dtype=np.int64))
     return (

@@ -34,9 +34,6 @@ from ..nputil import multi_arange
 from ..obs.tracer import trace
 from .encoding import SLOT_DTYPE, TOMB_BIT, tombstone_matches
 
-#: historical alias — external code and tests import the underscored name.
-_multi_arange = multi_arange
-
 
 class DGAPSnapshot:
     """One analysis task's consistent view of a DGAP graph."""
@@ -156,7 +153,7 @@ class DGAPSnapshot:
         vids = np.asarray(vids, dtype=np.int64)
         deg_t = self.degree_t[vids]  # the raw row lengths, tombstones included
         n_arr = np.minimum(va.array_degree[vids], deg_t)
-        idx = _multi_arange(va.start[vids], n_arr)
+        idx = multi_arange(va.start[vids], n_arr)
         vals = self.host.ea.slots[idx] if idx.size else np.empty(0, dtype=SLOT_DTYPE)
         off = np.cumsum(deg_t) - deg_t
 
@@ -164,7 +161,7 @@ class DGAPSnapshot:
         if chained.size:
             # splice each pending chain's entries in behind the array part
             arr_vals, vals = vals, np.empty(int(deg_t.sum()), dtype=SLOT_DTYPE)
-            vals[_multi_arange(off, n_arr)] = arr_vals
+            vals[multi_arange(off, n_arr)] = arr_vals
             for i in chained.tolist():
                 a, d = int(n_arr[i]), int(deg_t[i])
                 vals[off[i] + a : off[i] + d] = self._chain_tail(int(vids[i]), d - a, d)
@@ -190,13 +187,6 @@ class DGAPSnapshot:
                 np.cumsum(counts, out=indptr[1:])
                 self._csr = (indptr, dsts)
         return self._csr
-
-    def to_csc(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Transpose (in-edges) of the snapshot, built from the CSR by counting sort."""
-        from ..analysis.view import build_in_csr
-
-        indptr, dsts = self.to_csr()
-        return build_in_csr(indptr, dsts, self.num_vertices)
 
 
 def _apply_tombstones(dsts: np.ndarray, tomb: np.ndarray) -> np.ndarray:

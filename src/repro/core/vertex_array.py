@@ -53,14 +53,8 @@ class VertexArray:
     def degrees(self) -> np.ndarray:
         return self.degree[: self.num_vertices]
 
-    def array_degrees(self) -> np.ndarray:
-        return self.array_degree[: self.num_vertices]
-
     def live_degrees(self) -> np.ndarray:
         return self.live_degree[: self.num_vertices]
-
-    def els(self) -> np.ndarray:
-        return self.el[: self.num_vertices]
 
     # -- element updates ------------------------------------------------------
     def check(self, v: int) -> None:

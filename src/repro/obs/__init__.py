@@ -14,11 +14,13 @@ state (counter snapshots via ``PMemStats.snapshot``/``delta_since`` and
 modeled time, so a traced run is event- and counter-identical to an
 untraced one (proven by ``tests/test_trace_differential.py``).
 
-Typical use::
+Typical use — on any store: a sharded store's ``pool.stats`` is the
+summed view over its pools (device work; elapsed time over pools that
+tick in parallel is ``pool.clocks()``)::
 
     from repro.obs import Tracer, tracing
 
-    g = DGAP(config)
+    g = ShardedDGAP(4, config)      # or DGAP(config)
     tracer = Tracer(g.pool.stats)
     with tracing(tracer):
         g.insert_edges(edges)

@@ -24,33 +24,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..pmem.stats import PMemStats
+from ..pmem.stats import INT_COUNTER_FIELDS
 from .tracer import Span, Tracer
-
-#: integer PMemStats fields carried into aggregation rows and golden trees
-#: (every counter except the float modeled clock and the buckets dict).
-INT_COUNTER_FIELDS: Tuple[str, ...] = (
-    "stores",
-    "stored_bytes",
-    "payload_bytes",
-    "flushes",
-    "flushed_lines",
-    "flushed_bytes",
-    "seq_flushes",
-    "rnd_flushes",
-    "inplace_flushes",
-    "media_bytes",
-    "fences",
-    "ntstores",
-    "ntstored_bytes",
-    "seq_read_bytes",
-    "rnd_reads",
-    "crashes",
-    "torn_lines",
-    "dropped_pending_lines",
-    "poisoned_xplines",
-    "media_errors",
-)
 
 
 # -- per-phase aggregation -------------------------------------------------
@@ -225,6 +200,7 @@ GOLDEN_COUNTERS: Tuple[str, ...] = (
     "ntstores",
     "media_bytes",
 )
+assert set(GOLDEN_COUNTERS) <= set(INT_COUNTER_FIELDS)
 
 
 def _golden_span(span: Span) -> Dict[str, Any]:

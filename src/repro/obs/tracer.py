@@ -139,12 +139,7 @@ class Span:
             if child.delta is None:
                 continue
             for k, v in child.delta.__dict__.items():
-                if k == "buckets":
-                    continue
                 setattr(acc, k, getattr(acc, k) - v)
-            for k, v in child.delta.buckets.items():
-                acc.buckets[k] = acc.buckets.get(k, 0.0) - v
-        acc.buckets = {k: v for k, v in acc.buckets.items() if v != 0.0}
         return acc
 
     def self_wall_ns(self) -> int:
@@ -167,8 +162,9 @@ class Tracer:
     Parameters
     ----------
     stats:
-        The :class:`PMemStats` block to snapshot at span boundaries
-        (normally ``graph.pool.stats``).  ``None`` traces wall time and
+        The :class:`PMemStats` block to snapshot at span boundaries —
+        ``graph.pool.stats`` of any store (a sharded store's is the
+        summed view over its pools).  ``None`` traces wall time and
         structure only.
     device_ops:
         When true, install a hook in :mod:`repro.pmem.device` that

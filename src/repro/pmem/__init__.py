@@ -9,7 +9,7 @@ undo-log transactions.
 
 from .alloc import BumpAllocator, FreeListAllocator, Region
 from .constants import ATOMIC_WRITE, CACHE_LINE, CHUNKS_PER_LINE, GIB, KIB, MIB, XPLINE
-from .crash import CrashInjector, CrashPlan, iter_crash_points
+from .crash import CrashInjector, CrashPlan
 from .device import PMemDevice
 from .faults import (
     ADVERSARIAL,
@@ -18,7 +18,7 @@ from .faults import (
     TORN_STORES,
     FaultPolicy,
 )
-from .latency import DRAM, OPTANE_ADR, OPTANE_EADR, LatencyModel, get_profile
+from .latency import DRAM, OPTANE_ADR, OPTANE_EADR, LatencyModel
 from .pool import PMemPool
 from .stats import PMemStats
 from .tx import Transaction, TransactionManager
@@ -36,7 +36,6 @@ __all__ = [
     "Region",
     "CrashInjector",
     "CrashPlan",
-    "iter_crash_points",
     "FaultPolicy",
     "DEFAULT_POLICY",
     "TORN_STORES",
@@ -49,7 +48,6 @@ __all__ = [
     "DRAM",
     "OPTANE_ADR",
     "OPTANE_EADR",
-    "get_profile",
     "Transaction",
     "TransactionManager",
 ]

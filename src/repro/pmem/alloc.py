@@ -80,18 +80,6 @@ class Region:
         self._check_idx(start, n)
         return self._view[start : start + n]
 
-    def load_slice(self, start: int, n: int, bucket: Optional[str] = None) -> np.ndarray:
-        """Accounted bulk sequential load of ``n`` elements.
-
-        Like :meth:`read_slice` but routed through the device's
-        :meth:`~repro.pmem.device.PMemDevice.load_batch`, so the read is
-        poison-checked, charged as one sequential stream, and visible to
-        the device-op trace hook.
-        """
-        self._check_idx(start, n)
-        raw = self.device.load_batch(self.byte_offset(start), n * self.itemsize, bucket=bucket)
-        return raw.view(self.dtype)
-
     # -- writes ---------------------------------------------------------------
     def write(self, idx: int, value, payload: Optional[int] = None, persist: bool = False) -> None:
         """Store one element; optionally clwb+sfence it immediately."""
@@ -162,13 +150,6 @@ class Region:
         self._check_idx(start, n)
         self.device.persist(self.byte_offset(start), n * self.itemsize)
 
-    def subregion(self, start: int, n: int, name: str = "") -> "Region":
-        """A region aliasing elements ``[start, start+n)`` of this one."""
-        self._check_idx(start, n)
-        return Region(
-            self.device, self.byte_offset(start), self.dtype, n, name or f"{self.name}[{start}:{start+n}]"
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Region({self.name!r}, off={self.offset}, dtype={self.dtype}, count={self.count})"
 
@@ -237,10 +218,6 @@ class FreeListAllocator:
     def free(self, off: int) -> None:
         self.allocated_blocks -= 1
         self._free.append(off)
-
-    @property
-    def live_bytes(self) -> int:
-        return self.allocated_blocks * self.block_bytes
 
 
 __all__ = ["Region", "BumpAllocator", "FreeListAllocator"]

@@ -14,9 +14,8 @@ which is the strongest form of the paper's §3.1.4/§3.1.5 claims.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional
+from typing import Optional
 
 from ..errors import SimulatedCrash
 
@@ -123,11 +122,4 @@ class CrashInjector:
         self._fire(event)
 
 
-def iter_crash_points(start: int = 1, stop: Optional[int] = None, step: int = 1) -> Iterator[int]:
-    """Countdown values for sweeping crash points (open-ended if ``stop`` is None)."""
-    if stop is None:
-        return itertools.count(start, step)
-    return iter(range(start, stop, step))
-
-
-__all__ = ["CrashPlan", "CrashInjector", "iter_crash_points", "EVENTS"]
+__all__ = ["CrashPlan", "CrashInjector", "EVENTS"]

@@ -6,8 +6,9 @@ The device keeps two images of its contents:
   sitting in the volatile cache hierarchy);
 * ``media`` — what survives a power failure.
 
-A *store* marks the covered 64-byte cache lines dirty.  ``clwb`` /
-``clflushopt`` copy dirty lines from ``buf`` to ``media``; ``sfence``
+A *store* marks the covered 64-byte cache lines dirty.  ``clwb`` copies
+dirty lines from ``buf`` to ``media`` (``clflushopt`` would evict the
+line as well, at the same cost here, so it has no twin); ``sfence``
 orders them (and is where the fence cost is charged).  On
 :meth:`crash`, every still-dirty line reverts to its media content —
 precisely the ADR failure semantics the DGAP paper programs against
@@ -196,23 +197,6 @@ class PMemDevice:
         if TRACE_HOOK is not None:
             TRACE_HOOK("store", 1, n)
 
-    def store_zeros(self, off: int, n: int, payload: int = 0) -> None:
-        """Store ``n`` zero bytes (cheap bulk clear through the cache)."""
-        self._check_range(off, n)
-        if n == 0:
-            return
-        self._tick("store")
-        self.buf[off : off + n] = 0
-        first, last = off // CACHE_LINE, (off + n - 1) // CACHE_LINE
-        self._dirty.update(range(first, last + 1))
-        st = self.stats
-        st.stores += 1
-        st.stored_bytes += n
-        st.payload_bytes += payload
-        self._charge((last - first + 1) * self.profile.store_per_line_ns)
-        if TRACE_HOOK is not None:
-            TRACE_HOOK("store", 1, n)
-
     def ntstore(self, off: int, data: Buffer, payload: Optional[int] = None) -> None:
         """Non-temporal streaming store: write-combines straight to media.
 
@@ -293,31 +277,31 @@ class PMemDevice:
         view.flags.writeable = False
         return view
 
-    def load_batch(self, off: int, n: int, bucket: Optional[str] = None) -> np.ndarray:
+    def load_batch(self, off: int, n: int) -> np.ndarray:
         """Bulk sequential load of ``[off, off+n)`` — the read mirror of
         :meth:`ntstore`.
 
         Equivalent to ``read(off, n)`` followed by
-        ``account_seq_read(n, bucket)``: same poison enforcement, same
+        ``account_seq_read(n)``: same poison enforcement, same
         counters, the same single modeled-ns term.  Returns a read-only
         view of the CPU-visible contents.  Reads never feed the crash
         injector (they have no persistence side effects), so batching
         them is always safe under an armed crash plan.
         """
         view = self.read(off, n)
-        self.account_seq_read(n, bucket=bucket)
+        self.account_seq_read(n)
         if TRACE_HOOK is not None:
             TRACE_HOOK("load", 1, n)
         return view
 
-    def gather_span(self, offs: np.ndarray, unit: int, bucket: Optional[str] = None) -> np.ndarray:
+    def gather_span(self, offs: np.ndarray, unit: int) -> np.ndarray:
         """Gather ``n`` equal-size units at scattered offsets — the read
         mirror of :meth:`flush_span`.
 
         Counter- and modeled-ns-equivalent to ``for off in offs:
-        read(off, unit)`` plus one ``account_rnd_read(len(offs), unit,
-        bucket)``: ``n`` independent random-line reads of ``unit`` bytes
-        each.  Poison is enforced per covered cache line, in unit order,
+        read(off, unit)`` plus one ``account_rnd_read(len(offs), unit)``:
+        ``n`` independent random-line reads of ``unit`` bytes each.
+        Poison is enforced per covered cache line, in unit order,
         before any cost is charged — exactly where the scalar replay
         would fault.  Returns an ``(n, unit)`` uint8 copy of the
         current contents.
@@ -347,28 +331,22 @@ class PMemDevice:
                     self._rt_check_line(line, ctx)
         idx = offs[:, None] + np.arange(unit, dtype=np.int64)[None, :]
         out = self.buf[idx]
-        self.account_rnd_read(n, unit, bucket=bucket)
+        self.account_rnd_read(n, unit)
         if TRACE_HOOK is not None:
             TRACE_HOOK("gather", n, n * unit)
         return out
 
-    def account_seq_read(self, nbytes: int, bucket: Optional[str] = None) -> None:
+    def account_seq_read(self, nbytes: int) -> None:
         """Charge a sequential streaming read of ``nbytes``."""
-        ns = self.profile.seq_read_ns(nbytes)
         self.stats.seq_read_bytes += nbytes
-        self._charge(ns)
-        if bucket:
-            self.stats.add_bucket(bucket, ns)
+        self._charge(self.profile.seq_read_ns(nbytes))
 
-    def account_rnd_read(self, naccesses: int, bytes_each: int = CACHE_LINE, bucket: Optional[str] = None) -> None:
+    def account_rnd_read(self, naccesses: int, bytes_each: int = CACHE_LINE) -> None:
         """Charge ``naccesses`` independent random reads of ``bytes_each`` bytes."""
-        ns = self.profile.rnd_read_ns(naccesses, bytes_each)
         self.stats.rnd_reads += naccesses
-        self._charge(ns)
-        if bucket:
-            self.stats.add_bucket(bucket, ns)
+        self._charge(self.profile.rnd_read_ns(naccesses, bytes_each))
 
-    def account_rnd_write(self, naccesses: int, bytes_each: int = CACHE_LINE, bucket: Optional[str] = None) -> None:
+    def account_rnd_write(self, naccesses: int, bytes_each: int = CACHE_LINE) -> None:
         """Charge ``naccesses`` random-line writes (modeling hook: counts
         cost and media traffic without changing contents — used by the
         baseline systems for DRAM/PM structures whose *functional* state
@@ -383,24 +361,17 @@ class PMemDevice:
         self.stats.stores += naccesses
         self.stats.stored_bytes += naccesses * bytes_each
         self._charge(ns)
-        if bucket:
-            self.stats.add_bucket(bucket, ns)
 
-    def account_ns(self, ns: float, bucket: Optional[str] = None) -> None:
+    def account_ns(self, ns: float) -> None:
         """Charge modeled time directly (documented modeling terms only)."""
         self._charge(ns)
-        if bucket:
-            self.stats.add_bucket(bucket, ns)
 
-    def account_seq_write(self, nbytes: int, bucket: Optional[str] = None) -> None:
+    def account_seq_write(self, nbytes: int) -> None:
         """Charge a streaming write of ``nbytes`` (modeling hook, no contents)."""
-        ns = self.profile.seq_write_ns(nbytes)
         self.stats.stored_bytes += nbytes
         if not self.profile.volatile:
             self.stats.media_bytes += (nbytes + XPLINE - 1) // XPLINE * XPLINE
-        self._charge(ns)
-        if bucket:
-            self.stats.add_bucket(bucket, ns)
+        self._charge(self.profile.seq_write_ns(nbytes))
 
     # ------------------------------------------------------------------
     # persistence
@@ -419,10 +390,6 @@ class PMemDevice:
                 self._flush_line(line)
         if TRACE_HOOK is not None:
             TRACE_HOOK("flush", nlines, nlines * CACHE_LINE)
-
-    #: ``clflushopt`` behaves identically for our purposes (clwb keeps the
-    #: line in cache, clflushopt evicts it — costs are the same here).
-    clflushopt = clwb
 
     def _flush_line(self, line: int) -> None:
         prof = self.profile
@@ -988,7 +955,6 @@ class PMemDevice:
             for _ in range(pol.read_retries):
                 st.read_retries += 1
                 self._charge(backoff)
-                st.add_bucket("fault-retry", backoff)
                 if rng.random() >= pol.transient_read_rate:
                     return  # recovered transparently; caller never sees it
             self._rt_escalate(
@@ -1022,7 +988,7 @@ class PMemDevice:
         finally:
             self._rt_suspend -= 1
 
-    def scrub_scan(self, off: int, n: int, bucket: Optional[str] = "scrub") -> list:
+    def scrub_scan(self, off: int, n: int) -> list:
         """Patrol-read a window at media granularity, surfacing decay.
 
         Models DCPMM address-range scrub (ARS): charges one sequential
@@ -1035,7 +1001,7 @@ class PMemDevice:
         transiently is simply covered again by the next pass.
         """
         self._check_range(off, n)
-        self.account_seq_read(n, bucket=bucket)
+        self.account_seq_read(n)
         pol = self.faults
         if (
             self._rt_rng is None
@@ -1072,14 +1038,6 @@ class PMemDevice:
             if new:
                 self.stats.poisoned_xplines += 1
                 self._poisoned.update(new)
-
-    def clear_poison(self, off: Optional[int] = None, n: int = 1) -> None:
-        """Clear poison for a range (or everywhere when ``off`` is None)."""
-        if off is None:
-            self._poisoned.clear()
-            return
-        first, last = off // CACHE_LINE, (off + max(n, 1) - 1) // CACHE_LINE
-        self._poisoned.difference_update(range(first, last + 1))
 
     def check_poison(self, off: int, n: int = 1) -> bool:
         """True when any line covering ``[off, off+n)`` is poisoned."""

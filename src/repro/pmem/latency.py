@@ -142,24 +142,11 @@ OPTANE_EADR = OPTANE_ADR.with_overrides(
     flush_inplace_extra_ns=0.0,
 )
 
-PROFILES = {p.name: p for p in (DRAM, OPTANE_ADR, OPTANE_EADR)}
-
-
-def get_profile(name: str) -> LatencyModel:
-    """Look up a builtin profile by name (``dram``, ``optane-adr``, ``optane-eadr``)."""
-    try:
-        return PROFILES[name]
-    except KeyError:
-        raise KeyError(f"unknown latency profile {name!r}; choose from {sorted(PROFILES)}") from None
-
-
 __all__ = [
     "LatencyModel",
     "DRAM",
     "OPTANE_ADR",
     "OPTANE_EADR",
-    "PROFILES",
-    "get_profile",
     "CACHE_LINE",
     "XPLINE",
 ]

@@ -72,6 +72,16 @@ class PMemPool:
     def stats(self):
         return self.device.stats
 
+    def clocks(self) -> np.ndarray:
+        """Modeled ns per device, one entry per pool of the group.
+
+        The one home of "devices tick in parallel": elapsed time over an
+        interval is ``(after - before).max()`` of this vector — never a
+        delta of maxima, which under-counts when the busiest pool before
+        the interval is not the one that works longest inside it.
+        """
+        return np.array([p.stats.modeled_ns for p in self.pools])
+
     @property
     def profile(self):
         return self.device.profile
@@ -122,11 +132,6 @@ class PMemPool:
     def drop_array(self, name: str) -> None:
         """Forget a named array (space is not reclaimed — bump allocator)."""
         self._directory.pop(name, None)
-
-    def rename_array(self, old: str, new: str) -> None:
-        if new in self._directory:
-            raise PoolLayoutError(f"root {new!r} already exists")
-        self._directory[new] = self._directory.pop(old)
 
     def region_of(self, off: int) -> Optional[Tuple[str, int, int]]:
         """Name the allocated region containing byte ``off``.

@@ -17,8 +17,8 @@ write-combining for consecutive flushes into the same XPLine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass, fields
+from typing import Sequence, Tuple
 
 
 @dataclass
@@ -63,13 +63,6 @@ class PMemStats:
     # -- modeled time ------------------------------------------------------
     modeled_ns: float = 0.0
 
-    #: free-form buckets so higher layers can attribute time, e.g.
-    #: ``{"rebalance": ns, "edge_log": ns}``.
-    buckets: Dict[str, float] = field(default_factory=dict)
-
-    def add_bucket(self, name: str, ns: float) -> None:
-        self.buckets[name] = self.buckets.get(name, 0.0) + ns
-
     # -- derived -----------------------------------------------------------
     @property
     def modeled_seconds(self) -> float:
@@ -95,29 +88,11 @@ class PMemStats:
 
     def snapshot(self) -> "PMemStats":
         """A frozen copy, for before/after deltas."""
-        cp = PMemStats(**{k: v for k, v in self.__dict__.items() if k != "buckets"})
-        cp.buckets = dict(self.buckets)
-        return cp
+        return PMemStats(**self.__dict__)
 
     def delta_since(self, before: "PMemStats") -> "PMemStats":
-        """Counters accumulated since ``before`` (a prior :meth:`snapshot`).
-
-        Buckets that did not move are dropped: a bucket key exists for
-        every phase the device ever saw, and zero-valued entries would
-        otherwise pollute per-phase tables and baseline JSON diffs with
-        every historical key.
-        """
-        d = PMemStats()
-        for k, v in self.__dict__.items():
-            if k == "buckets":
-                continue
-            setattr(d, k, v - getattr(before, k))
-        d.buckets = {
-            k: dv
-            for k in set(self.buckets) | set(before.buckets)
-            if (dv := self.buckets.get(k, 0.0) - before.buckets.get(k, 0.0)) != 0.0
-        }
-        return d
+        """Counters accumulated since ``before`` (a prior :meth:`snapshot`)."""
+        return PMemStats(**{k: v - getattr(before, k) for k, v in self.__dict__.items()})
 
     def reset(self) -> None:
         fresh = PMemStats()
@@ -136,4 +111,37 @@ class PMemStats:
         )
 
 
-__all__ = ["PMemStats"]
+#: every integer counter, in declaration order (all fields but the float
+#: modeled clock) — what aggregation rows, traces and twin checks iterate.
+INT_COUNTER_FIELDS: Tuple[str, ...] = tuple(
+    f.name for f in fields(PMemStats) if isinstance(f.default, int)
+)
+
+
+class SummedStats:
+    """Several devices' :class:`PMemStats` read as one block.
+
+    Every counter and ``modeled_ns`` is summed — device *work*, which is
+    what exact span self-attribution needs (a :class:`~repro.obs.Tracer`
+    takes one of these exactly like a single pool's block).  *Elapsed*
+    time over devices that tick in parallel is not a sum; that reading
+    lives in ``pool.clocks()``.
+    """
+
+    def __init__(self, blocks: Sequence[PMemStats]):
+        self._blocks = blocks
+
+    def snapshot(self) -> PMemStats:
+        return PMemStats(
+            **{f.name: sum(getattr(b, f.name) for b in self._blocks) for f in fields(PMemStats)}
+        )
+
+    def delta_since(self, before: PMemStats) -> PMemStats:
+        return self.snapshot().delta_since(before)
+
+    @property
+    def modeled_ns(self) -> float:
+        return sum(b.modeled_ns for b in self._blocks)
+
+
+__all__ = ["PMemStats", "SummedStats", "INT_COUNTER_FIELDS"]

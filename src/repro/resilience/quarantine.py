@@ -37,9 +37,6 @@ class HealthState(enum.Enum):
     def rank(self) -> int:
         return _RANK[self]
 
-    def worst(self, other: "HealthState") -> "HealthState":
-        return self if self.rank >= other.rank else other
-
 
 _RANK = {HealthState.HEALTHY: 0, HealthState.DEGRADED: 1, HealthState.READ_ONLY: 2}
 
@@ -127,10 +124,6 @@ class DamageReport:
     def damaged_vertices(self) -> Tuple[int, ...]:
         return tuple(sorted({v for e in self.entries for v in e.vertices}))
 
-    @property
-    def byte_ranges(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple(e.byte_range for e in self.entries)
-
     def by_outcome(self) -> Dict[RepairOutcome, int]:
         out: Dict[RepairOutcome, int] = {}
         for e in self.entries:
@@ -172,12 +165,6 @@ class QuarantineRegistry:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def worst_outcome_health(self) -> HealthState:
-        h = HealthState.HEALTHY
-        for e in self._entries:
-            h = h.worst(OUTCOME_HEALTH[e.outcome])
-        return h
 
     def report(self, health: HealthState) -> DamageReport:
         return DamageReport(health=health, entries=self.entries)

@@ -9,7 +9,7 @@ operating through uncorrectable media errors:
   ``pool.region_of`` to the structure it damages, and repairs it from
   whatever redundancy survives;
 * **patrol scrub** — :meth:`scrub` walks the device in fixed windows on
-  the modeled clock (sequential-read cost in the ``scrub`` bucket),
+  the modeled clock (sequential-read cost inside a ``scrub`` span),
   finding and repairing poison the application has not touched yet;
 * **guarded operation** — :meth:`guarded_insert_edge` and
   :meth:`analyze` catch mid-operation faults, repair, and retry, so a
@@ -147,7 +147,7 @@ class ResilienceManager:
 
         The scan is a media patrol read
         (:meth:`~repro.pmem.device.PMemDevice.scrub_scan`): it charges
-        one sequential read to the ``scrub`` bucket *and* surfaces
+        one sequential read inside the ``scrub`` span *and* surfaces
         latent spontaneous decay in the window, which — together with
         any poison demand reads already confirmed — is repaired before
         returning.  Call with ``nbytes=device.size`` for a full scrub.
@@ -157,7 +157,7 @@ class ResilienceManager:
         start = self._patrol_cursor
         end = min(start + window, self.dev.size)
         with trace("scrub", off=start, nbytes=end - start):
-            found = self.dev.scrub_scan(start, end - start, bucket="scrub")
+            found = self.dev.scrub_scan(start, end - start)
             self._patrol_cursor = end % self.dev.size
             hit = bool(found) or any(
                 off < end and off + n > start

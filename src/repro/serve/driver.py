@@ -266,7 +266,6 @@ def run_serve_workload(
     """
     server = QueryServer(graph)
     direct = SnapshotReader(graph) if twin_check else None
-    pool_stats = graph.pool.stats
 
     n_clients = max(1, int(config.n_clients))
     closed = config.mode != "open"
@@ -294,9 +293,9 @@ def run_serve_workload(
         if kind == "write":
             batch = op[1]
             with trace("serve_write", edges=len(batch)):
-                before = pool_stats.snapshot()
+                before = graph.pool.clocks()
                 graph.insert_edges(batch, batch_size=None)
-                service_ns = pool_stats.delta_since(before).modeled_ns
+                service_ns = float((graph.pool.clocks() - before).max())
                 start = max(t0, writer_free)
                 end = start + service_ns
                 writer_free = end

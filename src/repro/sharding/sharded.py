@@ -22,8 +22,8 @@ The facade keeps DGAP's mutation semantics:
   too (a real outage does not spare the other DIMMs).
 * ``open`` recovers every shard from its pool; the shards replay
   concurrently on the modeled clock, so recovery makespan is the max
-  over per-shard recovery times, not the sum
-  (:func:`~repro.testing.crashsweep.pool_clocks` reports it that way).
+  over per-shard recovery times, not the sum (``pool.clocks()`` is
+  where that is read).
 """
 
 from __future__ import annotations
@@ -41,91 +41,32 @@ from ..core.encoding import check_vertex
 from ..errors import GraphError, SimulatedCrash
 from ..pmem.crash import CrashInjector
 from ..pmem.faults import FaultPolicy
+from ..pmem.pool import PMemPool
+from ..pmem.stats import SummedStats
 from .merge import ShardedViewCache
 from .partition import global_vertex_count, local_count, shard_of, to_local
 from .router import ShardRouter
-
-
-class _GroupDelta:
-    """Counters accrued by the group over an interval.
-
-    ``modeled_ns`` is the *parallel* elapsed time — the max over the
-    per-shard deltas, since shard devices tick concurrently — while the
-    additive counters sum.  ``per_shard`` keeps the raw deltas for
-    load-balance reporting.
-    """
-
-    def __init__(self, deltas):
-        self.per_shard = list(deltas)
-
-    @property
-    def modeled_ns(self) -> float:
-        return max(d.modeled_ns for d in self.per_shard)
-
-    @property
-    def media_bytes(self) -> int:
-        return sum(d.media_bytes for d in self.per_shard)
-
-    @property
-    def stores(self) -> int:
-        return sum(d.stores for d in self.per_shard)
-
-    @property
-    def flushes(self) -> int:
-        return sum(d.flushes for d in self.per_shard)
-
-    @property
-    def fences(self) -> int:
-        return sum(d.fences for d in self.per_shard)
-
-
-class _GroupStats:
-    """Aggregated device statistics for the shard group.
-
-    ``modeled_ns`` is the *parallel* clock — shards run on independent
-    devices concurrently, so elapsed time is the max over shards, while
-    additive counters (media bytes) sum.  ``snapshot`` /
-    ``delta_since`` mirror :class:`~repro.pmem.stats.PMemStats` so the
-    benchmark harness can treat a shard group like a single pool.
-    """
-
-    def __init__(self, pools):
-        self._pools = pools
-
-    @property
-    def modeled_ns(self) -> float:
-        return max(p.stats.modeled_ns for p in self._pools)
-
-    @property
-    def media_bytes(self) -> int:
-        return sum(p.stats.media_bytes for p in self._pools)
-
-    def snapshot(self):
-        """Per-pool frozen copies, for :meth:`delta_since`."""
-        return [p.stats.snapshot() for p in self._pools]
-
-    def delta_since(self, before) -> _GroupDelta:
-        return _GroupDelta(
-            p.stats.delta_since(b) for p, b in zip(self._pools, before)
-        )
 
 
 class ShardPoolGroup:
     """The persistent footprint of a :class:`ShardedDGAP`: one pool per shard.
 
     The members it shares with a :class:`~repro.pmem.pool.PMemPool`
-    (itself a one-pool group): ``pools``, ``stats`` (max modeled clock,
-    summed counters) and ``crash()``, which power-fails every shard.  A
-    ``deepcopy`` preserves the shared-injector wiring (the injector
-    deduplicates through the copy memo).
+    (itself a one-pool group): ``pools``, ``stats`` (every counter and
+    ``modeled_ns`` summed — device work), ``clocks()`` (per-pool modeled
+    ns — where "parallel" is read) and ``crash()``, which power-fails
+    every shard.  A ``deepcopy`` preserves the shared-injector wiring
+    (the injector deduplicates through the copy memo).
     """
 
     def __init__(self, pools):
         self.pools = list(pools)
 
     @property
-    def stats(self) -> _GroupStats:
-        return _GroupStats(self.pools)
+    def stats(self) -> SummedStats:
+        return SummedStats([p.stats for p in self.pools])
+
+    clocks = PMemPool.clocks  # the same function: it reads ``self.pools``
 
     def crash(self) -> None:
         for p in self.pools:
@@ -357,8 +298,7 @@ class ShardedDGAP:
         Shards recover *concurrently on the modeled clock*: each
         shard's replay accrues to its own device, so the modeled
         recovery makespan is the max over per-shard deltas — the
-        crash-sweep driver measures exactly that via
-        :func:`~repro.testing.crashsweep.pool_clocks`.
+        crash-sweep driver measures exactly that via ``pool.clocks()``.
         """
         config = config or DGAPConfig()
         n = len(pool.pools)

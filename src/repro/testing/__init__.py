@@ -13,7 +13,6 @@ from .crashsweep import (
     make_batched_insert_workload,
     make_insert_workload,
     make_windowed_workload,
-    pool_clocks,
     verify_recovered_graph,
 )
 from .racecheck import (
@@ -77,7 +76,6 @@ __all__ = [
     "events_from_tuples",
     "make_batched_insert_workload",
     "make_windowed_workload",
-    "pool_clocks",
     "explore_scenario",
     "explore_schedules",
     "make_insert_workload",

@@ -31,8 +31,8 @@ The driver is written over the store surface (``g.shards``,
 ``g.pool.pools``; DESIGN.md §14), so any store works unchanged: every
 shard device shares one injector (a single machine-wide event ordering),
 the facade power-fails sibling devices when one shard crashes,
-``pool_clocks`` measures recovery as the max over per-shard modeled clock
-deltas (shards replay concurrently), and ``("batch", EdgeBatch)`` workload ops
+recovery is the max over per-shard ``pool.clocks()`` deltas (shards
+replay concurrently), and ``("batch", EdgeBatch)`` workload ops
 (:func:`make_batched_insert_workload`) sweep crashes that land
 *mid-dispatch* — between per-shard sub-batches of one routed batch —
 against a per-vertex-prefix oracle.
@@ -471,25 +471,14 @@ def _run_workload(g, ops: Sequence[Op]) -> Tuple[int, Optional[SimulatedCrash]]:
     return acked, None
 
 
-def pool_clocks(pool) -> np.ndarray:
-    """Per-pool modeled clocks: one entry per shard pool, one for a plain pool.
-
-    Shards replay concurrently on the modeled clock, so recovery time is
-    ``max(after - before)`` over this vector — max-over-shards, never the
-    sum.  (Delta-of-max would under-count when the busiest pool before
-    the crash is not the one that replays longest.)
-    """
-    return np.array([p.stats.modeled_ns for p in pool.pools])
-
-
 def _reference_recovery(g, open_graph) -> Tuple[Dict[int, List[int]], float]:
     """Recover a deep copy of the crashed pool; its state is the reference."""
     ref_pool = copy.deepcopy(g.pool)
     for p in ref_pool.pools:
         p.device.injector = CrashInjector()  # never crashes
-    ns0 = pool_clocks(ref_pool)
+    ns0 = ref_pool.clocks()
     ref = open_graph(ref_pool, g.config)
-    return _graph_state(ref), float((pool_clocks(ref_pool) - ns0).max())
+    return _graph_state(ref), float((ref_pool.clocks() - ns0).max())
 
 
 def crash_sweep(
@@ -573,9 +562,9 @@ def crash_sweep(
                             f"the same image gives {want}"
                         )
             else:
-                ns0 = pool_clocks(pool)
+                ns0 = pool.clocks()
                 g2 = open_graph(pool, g.config)
-                rec_ns = float((pool_clocks(pool) - ns0).max())
+                rec_ns = float((pool.clocks() - ns0).max())
         except (RecoveryError, MediaError) as exc:
             inj.disarm()
             if cfg.faults.poison_on_crash <= 0.0 and not cfg.faults.runtime_active:
@@ -633,6 +622,5 @@ __all__ = [
     "make_insert_workload",
     "make_batched_insert_workload",
     "make_windowed_workload",
-    "pool_clocks",
     "verify_recovered_graph",
 ]

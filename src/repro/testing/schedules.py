@@ -184,13 +184,6 @@ class DeterministicScheduler:
                     other.parked = False
             return not bounced
 
-    def runnable(self) -> List[str]:
-        with self._cv:
-            return [
-                n for n in self._order
-                if not self._workers[n].done and self._workers[n].at_yield
-            ]
-
     def live(self) -> List[str]:
         return [n for n in self._order if not self._workers[n].done]
 

@@ -50,20 +50,15 @@ import numpy as np
 from ..errors import MediaError, ReadOnlyGraphError
 from ..pmem.crash import CrashInjector
 from ..pmem.faults import FaultPolicy, RUNTIME_HAZARD
+from ..pmem.stats import INT_COUNTER_FIELDS
 from ..resilience import DamageReport, HealthState, ResilienceManager
-from .crashsweep import GraphFactory, Op, make_insert_workload
+from .crashsweep import GraphFactory, Op, SweepFailure, _verify_structure, make_insert_workload
 
 #: Stats fields that must be identical between a managed fault-free run
-#: and the unmanaged twin (reads/modeled time are exempt: patrol scrub
-#: legitimately charges sequential-read time to the ``scrub`` bucket).
-_WRITE_COUNTERS = (
-    "stores", "stored_bytes", "payload_bytes",
-    "flushes", "flushed_lines", "flushed_bytes",
-    "seq_flushes", "rnd_flushes", "inplace_flushes", "media_bytes",
-    "fences", "ntstores", "ntstored_bytes",
-    "crashes", "torn_lines", "dropped_pending_lines",
-    "poisoned_xplines", "media_errors",
-    "transient_faults", "read_retries", "runtime_poison_events",
+#: and the unmanaged twin: every integer counter but the two read ones
+#: (patrol scrub legitimately charges sequential reads and their time).
+_WRITE_COUNTERS = tuple(
+    k for k in INT_COUNTER_FIELDS if k not in ("seq_read_bytes", "rnd_reads")
 )
 
 
@@ -195,29 +190,6 @@ def _check_vertex(
             f"subject has {len(got)}, but the DamageReport enumerates only "
             f"{lost_v} lost edges for it"
         )
-
-
-def _structural_checks(g, cfg: SoakConfig, where: str) -> None:
-    if cfg.check_invariants:
-        try:
-            g.check_invariants()
-        except Exception as exc:
-            raise SoakFailure(f"[{where}] structural invariants violated: {exc}") from exc
-    if cfg.check_log_cursors:
-        from ..core.edge_log import EdgeLogs
-
-        fresh = EdgeLogs(
-            g.pool, g.logs.n_sections, g.logs.entries_per_section,
-            gen=g.ea.gen, create=False,
-        )
-        fresh.rebuild_counts()
-        if not (
-            np.array_equal(fresh.counts, g.logs.counts)
-            and np.array_equal(fresh.live_counts, g.logs.live_counts)
-        ):
-            raise SoakFailure(
-                f"[{where}] edge-log cursors disagree with an independent rebuild"
-            )
 
 
 def _byte_compare(subject_dev, twin_dev, exempt: Sequence[Tuple[int, int]]) -> None:
@@ -370,7 +342,12 @@ def soak_sweep(
             )
 
         if not out.read_only:
-            _structural_checks(subject, cfg, where="soak-end")
+            try:
+                _verify_structure(
+                    subject, "soak-end", cfg.check_invariants, cfg.check_log_cursors
+                )
+            except SweepFailure as exc:
+                raise SoakFailure(str(exc)) from exc
 
     if not diverged:
         _byte_compare(

@@ -19,26 +19,10 @@ from repro.core.encoding import MAX_VERTEX, TOMB_BIT, encode_edge
 from repro.errors import GraphError, PMemError, SimulatedCrash, VertexRangeError
 from repro.pmem import CACHE_LINE, DRAM, OPTANE_ADR, OPTANE_EADR, PMemDevice, PMemPool
 from repro.pmem.crash import CrashInjector
-
-INT_STATS = (
-    "stores",
-    "stored_bytes",
-    "payload_bytes",
-    "flushes",
-    "flushed_lines",
-    "flushed_bytes",
-    "seq_flushes",
-    "rnd_flushes",
-    "inplace_flushes",
-    "media_bytes",
-    "fences",
-    "ntstores",
-    "ntstored_bytes",
-)
-
+from repro.pmem.stats import INT_COUNTER_FIELDS
 
 def int_stats(dev):
-    return {k: getattr(dev.stats, k) for k in INT_STATS}
+    return {k: getattr(dev.stats, k) for k in INT_COUNTER_FIELDS}
 
 
 class TestEdgeBatch:
@@ -75,7 +59,7 @@ class TestEdgeBatch:
         EdgeBatch(np.array([0]), np.array([MAX_VERTEX]))  # boundary OK
 
     def test_single_and_max_vertex(self):
-        b = EdgeBatch.single(7, 9, tombstone=True)
+        b = EdgeBatch(np.array([7]), np.array([9]), np.array([True]))
         assert len(b) == 1 and b.tombstone[0]
         assert b.max_vertex() == 9
         assert EdgeBatch.empty().max_vertex() == -1
@@ -99,14 +83,6 @@ class TestEdgeBatch:
         assert enc[1] == encode_edge(6, tombstone=True)
         assert enc[1] & TOMB_BIT
         np.testing.assert_array_equal(b.live_deltas(), [1, -1, 1])
-
-    def test_grouped_order_stable_per_source(self):
-        sections = np.array([1, 0, 1, 0, 1])
-        srcs = np.array([5, 2, 5, 2, 4])
-        order = EdgeBatch.grouped_order(sections, srcs)
-        # section-major, source-minor; equal keys keep stream order
-        assert sections[order].tolist() == [0, 0, 1, 1, 1]
-        assert order.tolist() == [1, 3, 4, 0, 2]
 
     def test_extend_adjacency_preserves_per_src_order(self):
         adj = [[] for _ in range(4)]

@@ -240,7 +240,7 @@ class TestCompactionTombstoneAccounting:
         for s, d in edges[::3]:
             g.delete_edge(int(s), int(d))
         g.compact()
-        assert (g.va.els() == -1).all()  # every chain merged by the sweep
+        assert (g.va.el[: g.num_vertices] == -1).all()  # every chain merged by the sweep
         counts = g.logs.counts.copy()
         live = g.logs.live_counts.copy()
         g.logs.rebuild_counts()

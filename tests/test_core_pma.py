@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core import encoding as enc
+from repro.core.edge_array import EdgeArray
 from repro.core.pma_tree import DensityBounds, PMATree
 from repro.core.vertex_array import NO_EL, VertexArray, make_vertex_array
 from repro.errors import VertexRangeError
 from repro.pmem import PMemPool
 
-BOUNDS = DensityBounds(tau_leaf=0.92, tau_root=0.70, rho_leaf=0.08, rho_root=0.30)
+BOUNDS = DensityBounds(tau_leaf=0.92, tau_root=0.70)
 
 
 class TestEncoding:
@@ -47,8 +48,6 @@ class TestPMATree:
         t = PMATree(16, 64, BOUNDS)
         assert t.tau(0) == pytest.approx(0.92)
         assert t.tau(t.height) == pytest.approx(0.70)
-        assert t.rho(0) == pytest.approx(0.08)
-        assert t.rho(t.height) == pytest.approx(0.30)
         taus = [t.tau(h) for h in range(t.height + 1)]
         assert taus == sorted(taus, reverse=True)
 
@@ -78,7 +77,6 @@ class TestPMATree:
         t = PMATree(4, 64, BOUNDS)
         occ = np.full(4, 63, dtype=np.int64)  # everything ~full
         assert t.find_rebalance_window(occ, 0) is None
-        assert t.needs_resize(occ)
 
     def test_find_window_level0_ok(self):
         t = PMATree(4, 64, BOUNDS)
@@ -87,24 +85,26 @@ class TestPMATree:
         assert level == 0
 
     def test_density(self):
+        """A window's density is its combined occupancy plus ``extra``
+        over its slots; the level it clears is the window returned."""
         t = PMATree(4, 64, BOUNDS)
-        occ = np.array([32, 32, 0, 0], dtype=np.int64)
-        assert t.density(occ, 0, 2) == pytest.approx(0.5)
-        assert t.density(occ, 0, 4) == pytest.approx(0.25)
+        occ = np.array([58, 58, 0, 0], dtype=np.int64)
+        assert t.find_rebalance_window(occ, 0) == (0, 1, 0)  # 58/64 <= 0.92
+        # 59/64 > tau(0) and 117/128 > tau(1) = 0.81; 117/256 clears the root
+        assert t.find_rebalance_window(occ, 0, extra=1) == (0, 4, 2)
 
     def test_section_slot_mapping(self):
-        t = PMATree(4, 64, BOUNDS)
-        assert t.section_of_slot(0) == 0
-        assert t.section_of_slot(63) == 0
-        assert t.section_of_slot(64) == 1
-        assert t.slot_range(1, 3) == (64, 192)
+        """Slot -> section lives on the edge array; the tree sees sections."""
+        ea = EdgeArray(PMemPool(1 << 20), 256, 64, BOUNDS)
+        assert [ea.section_of(s) for s in (0, 63, 64, 255)] == [0, 0, 1, 3]
+        assert ea.tree.window_at(ea.section_of(130), 1) == (2, 4)
 
 
 class TestVertexArray:
     def test_init_state(self):
         va = VertexArray(10)
         assert va.num_vertices == 10
-        assert (va.els() == NO_EL).all()
+        assert (va.el[:10] == NO_EL).all()
         assert va.degrees().sum() == 0
 
     def test_setters(self):

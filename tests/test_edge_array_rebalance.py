@@ -9,7 +9,7 @@ from repro.core.encoding import encode_edge, encode_pivot
 from repro.core.pma_tree import DensityBounds
 from repro.pmem import PMemPool
 
-BOUNDS = DensityBounds(0.92, 0.70, 0.08, 0.30)
+BOUNDS = DensityBounds(0.92, 0.70)
 
 
 @pytest.fixture
@@ -152,7 +152,7 @@ class TestRebalanceInternals:
             g.insert_edge(0, d % 16)
         # whatever remains pending is consistent with the degree totals
         total = int(g.va.degrees().sum())
-        in_array = int(g.va.array_degrees().sum())
+        in_array = int(g.va.array_degree[: g.num_vertices].sum())
         in_logs = int(g.logs.live_counts.sum())
         assert total == in_array + in_logs == 300
 

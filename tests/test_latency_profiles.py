@@ -3,17 +3,10 @@
 import pytest
 
 from repro.config import DGAPConfig
-from repro.pmem.latency import DRAM, OPTANE_ADR, OPTANE_EADR, get_profile
+from repro.pmem.latency import DRAM, OPTANE_ADR, OPTANE_EADR
 
 
 class TestProfiles:
-    def test_registry(self):
-        assert get_profile("dram") is DRAM
-        assert get_profile("optane-adr") is OPTANE_ADR
-        assert get_profile("optane-eadr") is OPTANE_EADR
-        with pytest.raises(KeyError):
-            get_profile("nvme")
-
     def test_paper_asymmetries(self):
         """§2.1.2: PM writes ~7-8x DRAM; reads ~2-3x DRAM."""
         write_ratio = (
@@ -62,7 +55,7 @@ class TestConfigValidation:
             dict(elog_merge_fraction=0.0),
             dict(elog_merge_fraction=1.5),
             dict(tau_leaf=0.5, tau_root=0.7),
-            dict(rho_root=0.8, tau_root=0.7),
+            dict(tau_leaf=1.2),
             dict(segment_slots=100),  # not a power of two
             dict(segment_slots=32),  # too small
         ],

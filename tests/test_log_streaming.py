@@ -318,7 +318,7 @@ class TestProfileRecoveryCheck:
         replay = recovery._replay_logs
 
         def rereading(host, image, *rest):
-            host.logs.stream(0, host.logs.n_sections, bucket="recovery")
+            host.logs.stream(0, host.logs.n_sections)
             return replay(host, image, *rest)
 
         with mock.patch.object(recovery, "_replay_logs", rereading):

@@ -158,7 +158,6 @@ class TestStatsAndCosts:
         events = dev.injector.total_events
         dev.store(off, b"")
         dev.store(off, np.empty(0, dtype=np.int32))
-        dev.store_zeros(off, 0)
         assert dev.stats.delta_since(before) == PMemStats()  # no store, no ns
         assert dev.dirty_lines == 0
         assert dev.injector.total_events == events  # not a crash point either
@@ -245,11 +244,6 @@ class TestStatsAndCosts:
         assert t1 > t0 and t2 > t1
         assert dev.stats.seq_read_bytes == 1 << 20
         assert dev.stats.rnd_reads == 1000
-
-    def test_buckets(self, dev):
-        dev.account_seq_read(1000, bucket="scan")
-        dev.account_seq_read(1000, bucket="scan")
-        assert dev.stats.buckets["scan"] > 0
 
 
 class TestCrashInjection:

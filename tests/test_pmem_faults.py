@@ -213,10 +213,12 @@ class TestPoison:
         assert dev.poisoned_ranges() == [(0, 2 * XPLINE), (4 * XPLINE, XPLINE)]
 
     def test_clear_poison(self):
+        """Only a rewrite clears poison, and only on the lines it rewrites."""
         dev = mkdev()
         dev.poison(0, 1)
-        dev.clear_poison(0, XPLINE)
-        assert dev.poisoned_ranges() == []
+        dev.store(0, b"\x99" * CACHE_LINE)
+        dev.persist(0, CACHE_LINE)
+        assert dev.poisoned_ranges() == [(CACHE_LINE, XPLINE - CACHE_LINE)]
 
     def test_poison_on_crash_probability_one(self):
         dev = mkdev(FaultPolicy(poison_on_crash=1.0))

@@ -13,10 +13,11 @@ from repro.core.encoding import (
     tombstone_matches,
 )
 from repro.core.pma_tree import DensityBounds, PMATree
-from repro.core.snapshot import _apply_tombstones, _multi_arange
+from repro.core.snapshot import _apply_tombstones
+from repro.nputil import multi_arange as _multi_arange
 from repro.pmem import CACHE_LINE, PMemDevice
 
-BOUNDS = DensityBounds(0.92, 0.70, 0.08, 0.30)
+BOUNDS = DensityBounds(0.92, 0.70)
 
 common = settings(
     max_examples=40,
@@ -67,7 +68,7 @@ class TestPMATreeProperties:
             lo, hi, level = res
             assert occ[lo:hi].sum() / ((hi - lo) * 64) <= t.tau(level) + 1e-9
         else:
-            assert t.needs_resize(occ)
+            assert occ.sum() / (16 * 64) > t.tau(t.height)
 
 
 class TestDeviceProperties:

@@ -13,7 +13,7 @@ What changes versus the single-pool sweeps of ``test_crash_sweep.py``:
   prefix of the in-flight batch (each vertex lives in exactly one
   shard, and the batched path preserves per-vertex stream order);
 * modeled recovery time is the max over per-shard replay deltas
-  (parallel recovery), reported via ``pool_clocks``.
+  (parallel recovery), read from ``pool.clocks()``.
 """
 
 import numpy as np
@@ -27,7 +27,6 @@ from repro.testing import (
     crash_sweep,
     make_batched_insert_workload,
     make_insert_workload,
-    pool_clocks,
 )
 
 CFG = dict(init_vertices=9, init_edges=256, segment_slots=64, elog_size=96)
@@ -110,23 +109,22 @@ class TestShardedBatchedSweep:
 class TestParallelRecoveryClock:
     def test_pool_clocks_shape(self):
         sh = ShardedDGAP(3, DGAPConfig(**CFG))
-        clocks = pool_clocks(sh.pool)
+        clocks = sh.pool.clocks()
         assert clocks.shape == (3,)
         single = make_sharded(1)(None, None)
-        assert pool_clocks(single.pool).shape == (1,)
+        assert single.pool.clocks().shape == (1,)
+        assert single.shards[0].pool.clocks().shape == (1,)  # a plain PMemPool
 
     def test_recovery_ns_is_max_over_shards_not_sum(self):
         sh = ShardedDGAP(3, DGAPConfig(**CFG))
         for kind, u, w in scalar_workload():
             (sh.insert_edge if kind == "insert" else sh.delete_edge)(u, w)
         sh.pool.crash()
-        before = pool_clocks(sh.pool)
+        before, work0 = sh.pool.clocks(), sh.pool.stats.snapshot()
         ShardedDGAP.open(sh.pool, sh.config)
-        deltas = pool_clocks(sh.pool) - before
+        deltas = sh.pool.clocks() - before
         assert (deltas > 0).all()  # every shard actually replayed
         makespan = float(deltas.max())
         assert makespan < float(deltas.sum())
-        # the group-stats clock agrees with the per-pool maximum
-        assert sh.pool.stats.modeled_ns == max(
-            p.stats.modeled_ns for p in sh.pool.pools
-        )
+        # the group stats are device *work*: the sum, never the makespan
+        assert sh.pool.stats.delta_since(work0).modeled_ns == pytest.approx(deltas.sum())

@@ -148,15 +148,18 @@ class TestShardedFacade:
 
     def test_group_stats_parallel_clock(self):
         sh = self.make(nv=600)
-        before = sh.pool.stats.snapshot()
+        before, clocks0 = sh.pool.stats.snapshot(), sh.pool.clocks()
+        per0 = [p.stats.snapshot() for p in sh.pool.pools]
         sh.insert_edges(stream(2000, nv=600))
         d = sh.pool.stats.delta_since(before)
-        per = [x.modeled_ns for x in d.per_shard]
-        assert d.modeled_ns == max(per)
-        assert d.media_bytes == sum(x.media_bytes for x in d.per_shard)
-        assert sh.pool.stats.modeled_ns == max(
-            p.stats.modeled_ns for p in sh.pool.pools
-        )
+        per = [p.stats.delta_since(b) for p, b in zip(sh.pool.pools, per0)]
+        # work sums (a real PMemStats, every counter); elapsed is the max
+        # over per-pool deltas and lives in pool.clocks()
+        assert type(d) is type(per[0])
+        assert d.media_bytes == sum(x.media_bytes for x in per)
+        assert d.modeled_ns == pytest.approx(sum(x.modeled_ns for x in per))
+        elapsed = float((sh.pool.clocks() - clocks0).max())
+        assert elapsed == max(x.modeled_ns for x in per) < d.modeled_ns
 
     def test_check_invariants_runs_per_shard(self):
         sh = self.make(nv=600)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro import DGAP, DGAPConfig
-from repro.core.snapshot import _multi_arange
+from repro.analysis.view import build_in_csr
+from repro.nputil import multi_arange as _multi_arange
 
 CFG = dict(init_vertices=24, init_edges=1024, segment_slots=64)
 
@@ -111,7 +112,7 @@ class TestCSRDetails:
             g.insert_edge(u, w)
             indeg[w] += 1
         with g.consistent_view() as snap:
-            in_indptr, in_srcs = snap.to_csc()
+            in_indptr, in_srcs = build_in_csr(*snap.to_csr(), snap.num_vertices)
             np.testing.assert_array_equal(np.diff(in_indptr), indeg)
 
 

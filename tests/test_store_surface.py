@@ -19,6 +19,8 @@ members only, never asking which class it was handed:
 * one view stack (DESIGN.md §7): the store cache's reuse, its read-only
   arrays and its modeled build cost, by hand, on all three;
 * a shut-down store refuses writes, and ``shutdown()`` is all-or-nothing;
+* one device ledger: ``Tracer(g.pool.stats)`` attributes every store
+  exactly, and a grep gate keeps the ledger spoken one way;
 * a grep gate pins the "is it sharded?" probe counts at zero.
 
 ``make_store`` is importable on purpose: it is the seed of the ROADMAP's
@@ -39,7 +41,9 @@ from repro.analysis import costs, viewcache
 from repro.baselines.dgap_system import DGAPSystem
 from repro.core.encoding import MAX_VERTEX
 from repro.core.rebalance import ROOT_SHUTDOWN
+from repro.bench.profile import check_attribution
 from repro.errors import GraphError, VertexRangeError
+from repro.obs import INT_COUNTER_FIELDS, Tracer, tracing
 from repro.pmem.crash import CrashInjector
 from repro.serve import QueryServer, top_k_ns
 from repro.serve.driver import QUERY_CLASSES, SnapshotReader, _bytes_equal, _run_query
@@ -204,6 +208,37 @@ class TestComposition:
         # `global_csr` is what the perf harness dispatches on, and a cached
         # merge would be a second CSR in RSS: the one-shard store has neither
         assert hasattr(make_store(kind), "global_csr") == (kind != "dgap")
+
+
+# ---------------------------------------------------------------------------
+# one device ledger: every store is traceable through pool.stats
+# ---------------------------------------------------------------------------
+
+def traced_totals(kind):
+    """Trace the batched-ingest + delete + compact slice of the script."""
+    g = make_store(kind)
+    stream = np.random.default_rng(5).integers(0, 200, size=(3000, 2))
+    own0 = [p.stats.snapshot() for p in g.pool.pools]
+    tracer = Tracer(g.pool.stats)
+    with tracing(tracer):
+        for a in range(0, 3000, 750):
+            g.insert_edges(stream[a : a + 750])
+        for s, d in stream[:120].tolist():
+            g.delete_edge(s, d)
+        g.compact()
+    return tracer, [p.stats.delta_since(b) for p, b in zip(g.pool.pools, own0)]
+
+
+@pytest.mark.parametrize("kind", STORES)
+def test_every_store_is_traceable(kind):
+    tracer, own = traced_totals(kind)
+    assert check_attribution(tracer) == [] and tracer.find("compact")
+    total = tracer.total_delta()
+    for k in INT_COUNTER_FIELDS:  # work sums over the pools, counter by counter
+        assert getattr(total, k) == sum(getattr(d, k) for d in own), k
+    assert total.modeled_ns == pytest.approx(sum(d.modeled_ns for d in own))
+    if kind == "sharded1":  # the plain DGAP's totals: every counter and the float clock
+        assert total == traced_totals("dgap")[0].total_delta()
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +575,16 @@ class TestOneSurface:
         # the device profiles' numbers are derived, not restated
         assert homes(r"\b(305|85)\.0\b") == ["pmem/latency.py"]
         assert costs.PM_RND_NS == 305.0 and costs.DRAM_RND_NS == 85.0
+        # one device ledger: PMemStats + spans; no side-channel, no group
+        # half-mirror, no dead PMA lower bound, counter lists derived once
+        for gone in (r"\bbuckets?\b", r"_GroupDelta", r"_GroupStats", r"pool_clocks",
+                     r"rho_", r'"inplace_flushes"', r'"dropped_pending_lines"'):
+            assert homes(gone) == [], gone
+        assert homes(r"fields\(PMemStats\)") == ["pmem/stats.py"]
+        # "pools tick in parallel" is read in pool.clocks() only (the
+        # baselines' devices run in sequence: they sum)
+        assert homes(r"stats\.modeled_ns for") == ["baselines/interfaces.py", "pmem/pool.py"]
 
     def test_dgap_did_not_grow_a_merged_view(self):
         assert not hasattr(DGAP, "global_csr")
-        assert len(dataclasses.fields(DGAPConfig)) == 21
+        assert len(dataclasses.fields(DGAPConfig)) == 19

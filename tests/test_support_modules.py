@@ -7,7 +7,12 @@
 * ``bench/__main__.py`` — argument parsing: bad dataset/kernel/batch
   size/subcommand exit nonzero with a message on stderr (argparse),
   not a traceback; help exits zero.
+* ``tools/check_reachability.py`` — passes on this tree, bites on a
+  planted dead name and on a rotted allow-list.
 """
+
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -28,9 +33,10 @@ from repro import errors
         ({"tau_root": 0.0}, "tau_root"),
         ({"tau_root": 0.95, "tau_leaf": 0.9}, "tau_root"),
         ({"tau_leaf": 1.2}, "tau_root <= tau_leaf"),
-        ({"rho_leaf": -0.1}, "rho_leaf"),
-        ({"rho_leaf": 0.5, "rho_root": 0.4}, "rho_leaf"),
-        ({"rho_root": 0.75}, "rho_root < tau_root"),
+        # the other side of three bounds above, in the deleted rho rows' slots
+        ({"init_vertices": -1}, "must be positive"),
+        ({"init_edges": 0}, "must be positive"),
+        ({"elog_merge_fraction": -0.5}, "elog_merge_fraction"),
         ({"segment_slots": 63}, "power of two"),
         ({"segment_slots": 96}, "power of two"),
         ({"segment_slots": 32}, "power of two"),
@@ -47,7 +53,6 @@ def test_config_defaults_are_valid_and_paper_shaped():
     assert cfg.elog_size == 2048 and cfg.ulog_size == 2048  # paper defaults
     assert cfg.segment_slots & (cfg.segment_slots - 1) == 0
     assert 0 < cfg.tau_root <= cfg.tau_leaf <= 1.0
-    assert 0 <= cfg.rho_leaf <= cfg.rho_root < cfg.tau_root
 
 
 def test_config_elog_entries_derivation():
@@ -63,7 +68,6 @@ def test_config_boundary_values_accepted():
     DGAPConfig(elog_merge_fraction=1.0)          # inclusive upper bound
     DGAPConfig(segment_slots=64)                 # smallest legal section
     DGAPConfig(tau_leaf=1.0, tau_root=1.0)       # degenerate but legal
-    DGAPConfig(rho_leaf=0.0)                     # inclusive lower bound
     DGAPConfig(gap_distribution="uniform")
 
 
@@ -199,3 +203,28 @@ def test_cli_batch_size_normalization():
     a.batch_size = 7
     assert _batch_size(a) == 7
     assert _batch_size(A()) is not None  # default comes from the harness
+
+
+# -- tools/check_reachability.py -------------------------------------------
+
+def test_reachability_gate_passes_here_and_bites(tmp_path, capsys):
+    path = Path(__file__).resolve().parents[1] / "tools" / "check_reachability.py"
+    spec = importlib.util.spec_from_file_location("check_reachability", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.main([]) == 0, capsys.readouterr().out
+
+    pkg = tmp_path / "src" / "repro"
+    pkg.mkdir(parents=True)
+    (pkg / "config.py").write_text(
+        "class DGAPConfig:\n    read_field: int = 0\n    dead_field: int = 0\n"
+        "def reached():\n    return f'{DGAPConfig().read_field}'\n"
+        "def unreached_def():\n    'reached() and unreached_def() here are not callers'\n"
+        "__all__ = ['unreached_def']\nreached()\n"
+    )
+    assert tool.main([str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "unreached: dead_field" in out and "unreached: unreached_def" in out
+    assert "unreached: read_field" not in out and "unreached: reached" not in out
+    # the allow-list cannot rot: its names are not defined in this tree
+    assert "stale allow-list entry: is_persisted — no longer defined" in out

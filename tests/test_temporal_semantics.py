@@ -112,7 +112,7 @@ def assert_graph_matches_ref(graph, ref, where=""):
     (ref_ip, ref_ds), (ref_iip, ref_isr) = ref.csr(nv)
     with graph.consistent_view() as snap:
         out_ip, out_ds = snap.to_csr()
-        in_ip, in_sr = snap.to_csc()
+        in_ip, in_sr = build_in_csr(out_ip, out_ds, nv)
     assert np.asarray(out_ip).tobytes() == ref_ip.tobytes(), where
     assert np.asarray(out_ds).tobytes() == ref_ds.tobytes(), where
     assert np.asarray(in_ip).tobytes() == ref_iip.tobytes(), where

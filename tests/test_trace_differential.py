@@ -75,19 +75,12 @@ def run_workload(g: DGAP) -> None:
     assert pagerank_view[0].shape[0] == g.num_vertices + 1
 
 
-def assert_stats_identical(a, b):
-    da, db = dict(a.__dict__), dict(b.__dict__)
-    ba, bb = da.pop("buckets"), db.pop("buckets")
-    assert da == db  # integer counters AND float modeled_ns, exactly
-    assert ba == bb
-
-
 def assert_devices_identical(g1: DGAP, g2: DGAP):
     d1, d2 = g1.pool.device, g2.pool.device
     np.testing.assert_array_equal(d1.buf, d2.buf)
     np.testing.assert_array_equal(d1.media, d2.media)
     assert d1._dirty == d2._dirty
-    assert_stats_identical(d1.stats, d2.stats)
+    assert d1.stats == d2.stats  # integer counters AND float modeled_ns, exactly
 
 
 def test_traced_run_is_event_and_counter_identical():
@@ -152,9 +145,7 @@ def test_traced_crash_recovery_is_byte_identical():
     assert_devices_identical(g_plain, g_traced)
     # exactly-equal modeled recovery cost (floats compared with ==)
     assert delta_plain.modeled_ns == delta_traced.modeled_ns
-    assert delta_plain.buckets.get("recovery") == delta_traced.buckets.get(
-        "recovery"
-    )
+    assert delta_plain.seq_read_bytes == delta_traced.seq_read_bytes > 0
     # recovered graphs agree
     assert r_plain.num_edges == r_traced.num_edges
     np.testing.assert_array_equal(

@@ -19,7 +19,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import DGAP, DGAPConfig
-from repro.obs import INT_COUNTER_FIELDS, Tracer, aggregate_phases, trace, tracing
+from repro.bench.profile import check_attribution
+from repro.obs import INT_COUNTER_FIELDS, Tracer, trace, tracing
+from repro.pmem.faults import FaultPolicy
+from repro.testing import SoakConfig, soak_sweep
 
 common = settings(
     max_examples=25,
@@ -116,12 +119,7 @@ def test_child_spans_never_exceed_parent_and_roots_sum_to_total(ops):
 
     # the same identity as exposed through the aggregation used by
     # `bench profile`: self-attribution plus (untraced) partitions total
-    rows, untraced = aggregate_phases(tracer)
-    for k in INT_COUNTER_FIELDS:
-        got = sum(r.counters[k] for r in rows) + untraced.counters[k]
-        assert got == getattr(total, k)
-    got_ns = sum(r.modeled_ns for r in rows) + untraced.modeled_ns
-    assert got_ns == pytest.approx(total.modeled_ns, rel=1e-9, abs=1e-3)
+    assert check_attribution(tracer) == []
 
 
 @common
@@ -143,3 +141,29 @@ def test_wall_clock_containment(ops):
 
     for root in tracer.roots:
         check(root)
+
+
+def test_traced_runtime_fault_soak_attribution_is_exact():
+    """``bench profile``'s identity over a managed soak: the counter list
+    is derived from ``PMemStats``, so retries, transient faults and
+    runtime poison are attributed to spans like every other counter."""
+    runtime = ("transient_faults", "read_retries", "runtime_poison_events")
+    assert set(runtime) <= set(INT_COUNTER_FIELDS)
+    policy = FaultPolicy(read_poison_rate=2e-3, transient_read_rate=5e-3, seed=1)
+    tracers = []
+
+    def make_graph(injector, faults):
+        g = DGAP(DGAPConfig(**SMALL, elog_size=96), injector=injector, faults=faults)
+        if not tracers:  # the subject is built first; its twin stays unobserved
+            tracers.append(Tracer(g.pool.stats))
+            tracers[0].install()
+        return g
+
+    ops = [("insert", i % 4, (7 * i) % 64) for i in range(600)]
+    try:
+        soak_sweep(make_graph, ops, SoakConfig(
+            faults=policy, rounds=3, scrub_every=10, patrol_bytes=32 * 1024))
+    finally:
+        tracers[0].uninstall()
+    assert check_attribution(tracers[0]) == []
+    assert all(getattr(tracers[0].total_delta(), k) > 0 for k in runtime)

@@ -540,7 +540,6 @@ class TestDtypeStandard:
             assert in_sr.dtype == ID_DTYPE, name
             # derived id arrays are intp: they are fancy-index operands
             assert view.out_src_ids().dtype == np.intp, name
-            assert view.in_dst_ids().dtype == np.intp, name
             assert view.num_edges == out_ip[-1] == len(out_ds), name
 
 
@@ -550,9 +549,9 @@ class TestDtypeStandard:
 def test_multi_arange_single_implementation():
     from repro import nputil
     from repro.algorithms import common as algo_common
-    from repro.core import snapshot as core_snapshot
+    from repro.core import dgap as core_dgap, snapshot as core_snapshot
 
     assert algo_common.multi_arange is nputil.multi_arange
-    assert core_snapshot._multi_arange is nputil.multi_arange
+    assert core_snapshot.multi_arange is core_dgap.multi_arange is nputil.multi_arange
     got = nputil.multi_arange(np.array([3, 10, 7]), np.array([2, 0, 3]))
     np.testing.assert_array_equal(got, [3, 4, 7, 8, 9])
