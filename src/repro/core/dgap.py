@@ -101,7 +101,8 @@ class DGAP:
         self._seed_pivots()
         if cfg.cow_degree_cache:
             self._init_cow_cache()
-        self._write_geometry_roots()
+        for slot, value in self.geometry_roots().items():
+            pool.write_root(slot, value)
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -180,15 +181,19 @@ class DGAP:
         self.va.bulk_load(starts, zeros, zeros.copy(), zeros.copy(), np.full(nv, -1, np.int64))
         self.ea.recount_all()
 
-    def _write_geometry_roots(self) -> None:
-        p = self.pool
-        p.write_root(ROOT_GEN, 0)
-        p.write_root(ROOT_SEGSLOTS, self.config.segment_slots)
-        p.write_root(ROOT_INIT_CAP, self.ea.capacity)
-        p.write_root(ROOT_EPS, self.config.elog_entries)
-        p.write_root(ROOT_NTHREADS, self.config.writer_threads)
-        p.write_root(ROOT_NV_HINT, self.va.num_vertices)
-        p.write_root(ROOT_SHUTDOWN, 0)
+    def geometry_roots(self) -> dict:
+        """Root slot → value for the geometry a reopen reads — the one
+        list of DGAP's pool roots: the constructor stores them in this
+        order, the scrubber rebuilds a damaged pool header from them."""
+        return {
+            ROOT_GEN: self.ea.gen,
+            ROOT_SEGSLOTS: self.ea.segment_slots,
+            ROOT_INIT_CAP: self.ea.capacity,
+            ROOT_EPS: self.logs.entries_per_section,
+            ROOT_NTHREADS: len(self.ulogs),
+            ROOT_NV_HINT: self.va.num_vertices,
+            ROOT_SHUTDOWN: 0,
+        }
 
     def _init_cow_cache(self) -> None:
         from .degree_cache import CoWDegreeCache

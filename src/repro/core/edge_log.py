@@ -249,8 +249,8 @@ class EdgeLogs:
 
         Returns newest-first ``(gidxs, srcs, dst_encs)`` int64 column
         views into a preallocated buffer (valid until the next walk).
-        Unaccounted single-chain reader for snapshots, the scrubber and
-        invariant checks; merges and recovery consume whole section logs
+        Unaccounted single-chain reader for snapshots and invariant
+        checks; merges and recovery consume whole section logs
         through :meth:`stream` instead.
         """
         buf = self._chain_buf
@@ -297,13 +297,22 @@ class EdgeLogs:
         if scalar:
             return self._rebuild_counts_scalar()
         gidx, rows = self.stream(0, self.n_sections)
-        f0, f1, f2 = (rows[:, k].reshape(self.n_sections, eps) != 0 for k in range(_FIELDS))
-        nonempty = f0 | f1 | f2
-        # highest non-empty index + 1 per section (0 when empty)
-        first = nonempty[:, ::-1].argmax(axis=1)
-        self.counts = np.where(nonempty.any(axis=1), eps - first, 0).astype(np.int64)
-        self.live_counts = (f0 & f1 & f2).sum(axis=1).astype(np.int64)
+        self.counts, self.live_counts = _cursors(rows.reshape(self.n_sections, eps, _FIELDS))
         return gidx, rows
+
+    def rescan(self, sections) -> None:
+        """Re-derive the DRAM cursors of ``sections`` from their bytes —
+        :meth:`rebuild_counts`'s rule, for the runtime repair that just
+        zeroed damaged entries there (unaccounted, like the rest of the
+        repair's bookkeeping reads)."""
+        sections = np.asarray(sections, dtype=np.int64)
+        rows = self.region.view.reshape(self.n_sections, self.entries_per_section, _FIELDS)
+        self.counts[sections], self.live_counts[sections] = _cursors(rows[sections])
+
+    def entries_at(self, off: int, nbytes: int) -> np.ndarray:
+        """Global indices of the entries device bytes ``[off, off + nbytes)`` touch."""
+        b = off - self.region.offset
+        return np.arange(b // ENTRY_BYTES, -(-(b + nbytes) // ENTRY_BYTES), dtype=np.int64)
 
     def _rebuild_counts_scalar(self):
         """Per-entry reference implementation of :meth:`rebuild_counts`."""
@@ -320,6 +329,17 @@ class EdgeLogs:
         self.counts = counts
         self.live_counts = live
         return entries[:, 0], self.region.view.reshape(-1, _FIELDS)
+
+
+def _cursors(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The cursor rule over whole-section entry rows ``(k, eps, 3)``:
+    per section, one past the last *non-empty* entry (0 when empty) and
+    the count of *valid* — all fields nonzero — entries."""
+    f0, f1, f2 = (rows[..., k] != 0 for k in range(_FIELDS))
+    nonempty = f0 | f1 | f2
+    first = nonempty[:, ::-1].argmax(axis=1)  # distance of the last non-empty from the end
+    counts = np.where(nonempty.any(axis=1), rows.shape[1] - first, 0).astype(np.int64)
+    return counts, (f0 & f1 & f2).sum(axis=1).astype(np.int64)
 
 
 __all__ = ["EdgeLogs", "ENTRY_BYTES"]

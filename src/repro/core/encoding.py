@@ -96,7 +96,8 @@ def is_gap(slots: np.ndarray) -> np.ndarray:
 
 
 def is_tombstone(slots: np.ndarray) -> np.ndarray:
-    return (slots > 0) & ((slots & TOMB_BIT) != 0)
+    # positive with bit 30 set — for int32 slots exactly the values >= 2**30
+    return slots >= TOMB_BIT
 
 
 def edge_dsts(slots: np.ndarray) -> np.ndarray:
@@ -107,6 +108,27 @@ def edge_dsts(slots: np.ndarray) -> np.ndarray:
 def pivot_vertices(slots: np.ndarray) -> np.ndarray:
     """Vertex ids of negative (pivot) slots — caller pre-filters."""
     return -slots - 1
+
+
+def live_degrees(
+    slots: np.ndarray, lo: np.ndarray, hi: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Live degree of the entries in each ``slots[lo[k] : hi[k]]``: lives
+    minus tombstones.
+
+    The one spelling of what an entry is worth to its vertex's
+    ``live_degree`` — a live edge +1, a tombstone −1 *whether or not it
+    matches anything* (:func:`tombstone_matches` pairs each match with
+    one live, netting zero), a pivot or gap nothing.  Crash recovery
+    rebuilds the counter with it from the scanned array (handing in its
+    ``slots.size + 1`` int64 scratch as ``out``); a lossy repair
+    recounts the rows it shrank.
+    """
+    worth = (slots > 0).view(np.int8) - 2 * is_tombstone(slots).view(np.int8)
+    net = np.empty(slots.size + 1, dtype=np.int64) if out is None else out
+    net[0] = 0
+    np.cumsum(worth, dtype=np.int64, out=net[1:])
+    return net[hi] - net[lo]
 
 
 def tombstone_matches(
@@ -189,5 +211,6 @@ __all__ = [
     "is_tombstone",
     "edge_dsts",
     "pivot_vertices",
+    "live_degrees",
     "tombstone_matches",
 ]

@@ -39,10 +39,12 @@ and ``_commit`` is the only place the protocol's tail — overwrite → mark
 done → clear the merged logs → finish → move the DRAM vertex array — is
 spelled.  A window rebalance and a log merge run it as is; compaction is
 the whole-array window with the matched-tombstone filter between gather
-and plan; the "No EL" long shift hands ``_commit`` its shifted image;
-crash recovery re-enters ``_commit`` at the state the undo log recorded.
-A resize shares the gather, the plan and the DRAM apply but commits by
-its root-pointer switch.
+and plan, the scrubber's lossy repair a leaf window with the lost-slot
+filter (the two masks sit side by side below); the "No EL" long shift
+hands ``_commit`` its shifted image; crash recovery re-enters ``_commit``
+at the state the undo log recorded.  A resize shares the gather, the
+filter of the window it takes over, the plan and the DRAM apply but
+commits by its root-pointer switch.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ from .encoding import (
     TOMB_BIT,
     encode_pivot,
     is_pivot,
+    live_degrees,
     pivot_vertices,
     tombstone_matches,
 )
@@ -101,9 +104,10 @@ class GatherResult:
     """
 
     __slots__ = ("lo", "hi", "i0", "j", "values", "sizes", "run_off",
-                 "chain_gidxs", "total", "log_rows", "_runs")
+                 "chain_gidxs", "total", "log_rows", "short", "_runs")
 
-    def __init__(self, lo, hi, i0, j, values, sizes, chain_gidxs, log_rows=None, runs=None):
+    def __init__(self, lo, hi, i0, j, values, sizes, chain_gidxs, log_rows=None, runs=None,
+                 short=None):
         self.lo = lo
         self.hi = hi
         self.i0 = i0
@@ -114,17 +118,19 @@ class GatherResult:
         self.chain_gidxs: np.ndarray = chain_gidxs  # merged log entries, by vertex
         self.total = sizes.size + values.size  # elements incl. pivots
         self.log_rows = log_rows  # the gather's ``EdgeLogs.stream``; feeds the log cleanup
+        #: lossy gathers only (None otherwise): chain entries each vertex is short of
+        self.short: Optional[np.ndarray] = short
         self._runs: Optional[List[np.ndarray]] = runs
 
     @classmethod
-    def from_runs(cls, lo, hi, i0, j, runs, chain_gidxs, log_rows) -> "GatherResult":
+    def from_runs(cls, lo, hi, i0, j, runs, chain_gidxs, log_rows, short) -> "GatherResult":
         """Build from a per-vertex list of run arrays (scalar reference path)."""
         sizes = np.fromiter((r.size for r in runs), dtype=np.int64, count=len(runs))
         values = (
             np.concatenate(runs) if runs else np.empty(0, dtype=SLOT_DTYPE)
         ).astype(SLOT_DTYPE, copy=False)
         return cls(lo, hi, i0, j, values, sizes,
-                   np.asarray(chain_gidxs, dtype=np.int64), log_rows, list(runs))
+                   np.asarray(chain_gidxs, dtype=np.int64), log_rows, list(runs), short)
 
     def relaid(self, lo: int, hi: int, keep: Optional[np.ndarray] = None) -> "GatherResult":
         """The same vertices' runs, to be laid out over slots ``[lo, hi)``
@@ -135,7 +141,7 @@ class GatherResult:
             sizes = np.bincount(run_id[keep], minlength=sizes.size).astype(np.int64)
             values = values[keep]
         return GatherResult(lo, hi, self.i0, self.j, values, sizes,
-                            self.chain_gidxs, self.log_rows)
+                            self.chain_gidxs, self.log_rows, short=self.short)
 
     @property
     def runs(self) -> List[np.ndarray]:
@@ -163,6 +169,19 @@ def _unmatched_mask(g: GatherResult) -> np.ndarray:
     return ~tombstone_matches(
         g.values & ~TOMB_BIT, (g.values & TOMB_BIT) != 0, g.run_off, g.sizes
     )
+
+
+def _lost_mask(g: GatherResult) -> np.ndarray:
+    """Lossy repair's filter: keep every gathered value but lost slots.
+
+    The scrubber zeroes the run slots and log entries a media error
+    destroyed before it asks for the rewrite, and a zero inside a
+    gathered run can be nothing else: array runs are contiguous, a
+    chain value is never zero.  Laying out only the survivors closes
+    the holes in order; selecting this filter is also what lets the
+    gather accept a chain shorter than the vertex array expects.
+    """
+    return g.values != 0
 
 
 class Rebalancer:
@@ -240,7 +259,7 @@ class Rebalancer:
             hi = max(hi, last_end)
         return lo, hi, i0, j
 
-    def _gather(self, lo: int, hi: int, i0: int, j: int) -> GatherResult:
+    def _gather(self, lo: int, hi: int, i0: int, j: int, lossy: bool = False) -> GatherResult:
         """Collect runs (array edges + merged log chains) for vertices [i0, j).
 
         Two sequential reads and no pointer chasing: one bulk load of
@@ -248,10 +267,11 @@ class Rebalancer:
         A vertex's pending entries all sit in its pivot section's log in
         append order, so a stable group-by on source over the streamed
         rows *is* every chain, oldest first.  ``scalar_readpath`` selects
-        the per-entry reference (same results, same accounting).
+        the per-entry reference (same results, same accounting); ``lossy``
+        is :meth:`_check_chains`'s.
         """
         if self.host.config.scalar_readpath:
-            return self._gather_scalar(lo, hi, i0, j)
+            return self._gather_scalar(lo, hi, i0, j, lossy)
         host = self.host
         va, ea, logs = host.va, host.ea, host.logs
         dev = host.pool.device
@@ -269,32 +289,42 @@ class Rebalancer:
         ads = np.asarray(va.array_degree[i0:j], dtype=np.int64)
         sizes = ads + counts
         run_off = np.cumsum(sizes) - sizes
-        self._check_chains(i0, counts, chain_gidxs)
+        short = self._check_chains(i0, counts, chain_gidxs, lossy)
         nvals = int(sizes.sum())
         values = self.dram_scratch().take("gather.values", nvals, SLOT_DTYPE)
         if int(ads.sum()):
             values[multi_arange(run_off, ads)] = win[multi_arange(starts, ads)]
         # chains merge oldest-first behind the array part of the run
         values[multi_arange(run_off + ads, counts)] = rows[mine, 1]
-        return GatherResult(lo, hi, i0, j, values, sizes, chain_gidxs, log_rows)
+        return GatherResult(lo, hi, i0, j, values, sizes, chain_gidxs, log_rows, short=short)
 
-    def _check_chains(self, i0: int, counts: np.ndarray, chain_gidxs: np.ndarray) -> None:
+    def _check_chains(
+        self, i0: int, counts: np.ndarray, chain_gidxs: np.ndarray, lossy: bool
+    ) -> Optional[np.ndarray]:
         """Gathered chains (grouped by vertex, oldest first) must match the
         DRAM vertex array: ``degree - array_degree`` valid entries per
-        vertex, the newest being ``el``."""
+        vertex, the newest being ``el``.  A ``lossy`` gather (the
+        scrubber zeroed the entries a media error destroyed) accepts a
+        chain that came up short and returns the per-vertex shortfall:
+        the survivors are adopted by the layout the rewrite commits
+        (:meth:`_apply_dram` — degree becomes the run laid out, ``el``
+        empties).  A chain longer than expected is corrupt either way."""
         va = self.host.va
         j = i0 + counts.size
-        want = np.asarray(va.degree[i0:j], dtype=np.int64) - va.array_degree[i0:j]
+        short = np.asarray(va.degree[i0:j], dtype=np.int64) - va.array_degree[i0:j] - counts
         heads = np.full(counts.size, -1, dtype=np.int64)
         heads[counts > 0] = chain_gidxs[(np.cumsum(counts) - 1)[counts > 0]]
-        if (counts < want).any():
-            v = i0 + int((counts < want).argmax())
+        if not lossy and (short > 0).any():
+            v = i0 + int((short > 0).argmax())
             raise PMemError(f"edge-log chain of vertex {v} reached an invalidated entry")
-        bad = (counts > want) | (heads != va.el[i0:j])
+        bad = (short < 0) | ((short == 0) & (heads != va.el[i0:j]))
         if bad.any():
             raise GraphError(f"edge-log chain of vertex {i0 + int(bad.argmax())} is corrupt")
+        return short if lossy else None
 
-    def _gather_scalar(self, lo: int, hi: int, i0: int, j: int) -> GatherResult:
+    def _gather_scalar(
+        self, lo: int, hi: int, i0: int, j: int, lossy: bool = False
+    ) -> GatherResult:
         """Per-vertex/per-entry reference implementation of :meth:`_gather`."""
         host = self.host
         va, ea, logs = host.va, host.ea, host.logs
@@ -320,9 +350,20 @@ class Rebalancer:
             runs.append(run)
             total += 1 + run.size  # pivot + edges
         counts = np.fromiter(map(len, chains), dtype=np.int64, count=j - i0)
-        self._check_chains(i0, counts, np.asarray(chain_gidxs, dtype=np.int64))
+        short = self._check_chains(i0, counts, np.asarray(chain_gidxs, dtype=np.int64), lossy)
         log_rows = entries[:, 0], entries[:, 1:]
-        return GatherResult.from_runs(lo, hi, i0, j, runs, chain_gidxs, log_rows)
+        return GatherResult.from_runs(lo, hi, i0, j, runs, chain_gidxs, log_rows, short)
+
+    def _gather_kept(self, ext, keep_mask) -> Tuple[GatherResult, Optional[np.ndarray]]:
+        """Gather ``ext`` (an :meth:`_extend` result) and evaluate the
+        rewrite's filter on it: ``(gathered, mask of values to keep)``.
+        The one place a gather meets its filter — in a window or in the
+        resize that takes it over — so only the lost-slot filter's
+        gather ever accepts a short chain."""
+        if keep_mask is None:
+            return self._gather(*ext), None
+        g = self._gather(*ext, lossy=keep_mask is _lost_mask)
+        return g, keep_mask(g)
 
     def _gaps(self, sizes: np.ndarray, G: int, T: int) -> np.ndarray:
         """Per-run trailing gaps distributing ``G`` free slots.
@@ -488,14 +529,19 @@ class Rebalancer:
         merged, so the laid-out run *is* the vertex's whole history
         (``degree == array_degree == run length`` — :meth:`_check_chains`
         pinned the gathered lengths to ``degree``) and ``el`` is empty.
-        ``live_degree`` is invariant: a gather drops nothing, and each
-        pair compaction drops is one live (+1) and one tombstone (−1)."""
+        ``live_degree`` is invariant — a gather drops nothing, and each
+        pair compaction drops is one live (+1) and one tombstone (−1) —
+        except under a lossy repair, whose rows are recounted from what
+        survived into the layout."""
         va = self.host.va
         i0, j = laid.i0, laid.j
         if i0 == j:
             return
+        live = va.live_degree[i0:j]
+        if laid.short is not None:
+            live = live_degrees(laid.values, laid.run_off, laid.run_off + laid.sizes)
         va.update_window(i0, j, new_starts, laid.sizes, laid.sizes,
-                         va.live_degree[i0:j], np.full(j - i0, -1, dtype=np.int64))
+                         live, np.full(j - i0, -1, dtype=np.int64))
 
     def _commit(
         self,
@@ -567,13 +613,14 @@ class Rebalancer:
     ) -> Optional[Tuple[GatherResult, GatherResult]]:
         """Run the pipeline over one density-tree window under its locks.
 
-        Returns ``(gathered, laid out)`` once committed, or None when
-        nothing was written here: the window holds only gaps, the array
-        generation changed while waiting for locks (the trigger is
-        obsolete — the new layout was just rebalanced wholesale), or
-        even the root window could not hold its contents and the array
-        was resized instead.  ``keep_mask(gathered)`` filters the
-        gathered values before they are laid out.
+        Returns ``(gathered, laid out)`` once committed — in place, or by
+        the resize that took over when even the root window could not
+        hold its contents — or None when nothing was written: the window
+        holds only gaps, or the array generation changed while waiting
+        for locks (the trigger is obsolete — the new layout was just
+        rebalanced wholesale).  ``keep_mask(gathered)`` filters the
+        gathered values before they are laid out, in the window and in
+        that resize alike: no gather of this call goes unfiltered.
 
         §3.1.6 protocol: flag the window's sections, acquire every
         section lock in ascending order (``begin_rebalance``), *then*
@@ -605,8 +652,8 @@ class Rebalancer:
                     continue  # re-extend now that the window is exclusive
                 if i0 == j:
                     return None
-                g = self._gather(lo, hi, i0, j)
-                laid = g if keep_mask is None else g.relaid(lo, hi, keep_mask(g))
+                g, keep = self._gather_kept((lo, hi, i0, j), keep_mask)
+                laid = g if keep is None else g.relaid(lo, hi, keep)
                 if laid.total <= (hi - lo):
                     break
                 # window can't hold its own contents (boundary extension,
@@ -615,8 +662,7 @@ class Rebalancer:
                 if level >= ea.tree.height:
                     locks.end_rebalance(held)
                     held = []
-                    self.resize(thread_id)
-                    return None
+                    return self.resize(thread_id, keep_mask)
                 level += 1
                 lo_seg, hi_seg = ea.tree.window_at(lo_seg, level)
 
@@ -628,8 +674,10 @@ class Rebalancer:
                 locks.end_rebalance(held)
 
     @traced("resize")
-    def resize(self, thread_id: int = 0) -> None:
-        """Copy-on-write generation switch to a (at least) doubled array.
+    def resize(self, thread_id: int = 0, keep_mask=None) -> Tuple[GatherResult, GatherResult]:
+        """Copy-on-write generation switch to a (at least) doubled array;
+        returns ``(gathered, laid out)`` like :meth:`_rewrite_window`,
+        whose ``keep_mask`` it honours when it takes a window over.
 
         Runs under *full* exclusion: every section is flagged and locked
         (``begin_rebalance`` over the whole table) before the gather, so
@@ -644,8 +692,9 @@ class Rebalancer:
         locks = host.locks
         held = locks.begin_rebalance(range(locks.n_sections))
         try:
-            self._resize_locked()
+            done = self._resize_locked(keep_mask)
             held = []  # locks.resize() already dropped the old-table holds
+            return done
         finally:
             if held:
                 # Unwind only what this thread still holds: a failure
@@ -656,13 +705,14 @@ class Rebalancer:
                 if mine:
                     locks.end_rebalance(mine)
 
-    def _resize_locked(self) -> None:
+    def _resize_locked(self, keep_mask) -> Tuple[GatherResult, GatherResult]:
         host = self.host
         ea = host.ea
-        g = self._gather(*self._extend(0, ea.capacity))
+        g, keep = self._gather_kept(self._extend(0, ea.capacity), keep_mask)
+        total = g.total if keep is None else g.sizes.size + int(keep.sum())
         new_cap = ea.capacity
         target = host.config.tau_root * 0.75
-        while g.total > new_cap * target:
+        while total > new_cap * target:
             new_cap *= 2
         if new_cap == ea.capacity:
             new_cap *= 2
@@ -681,7 +731,7 @@ class Rebalancer:
             host.pool, new_ea.n_sections, host.logs.entries_per_section, gen=gen, create=True
         )
         # Lay out into the new generation (sequential streaming store).
-        g2 = g.relaid(0, new_cap)
+        g2 = g.relaid(0, new_cap, keep)
         image, new_starts = self._plan(g2)
         host.pool.device.ntstore(new_ea.region.offset, image.view(np.uint8), payload=0)
         host.pool.device.sfence()
@@ -693,6 +743,7 @@ class Rebalancer:
         self._apply_dram(g2, new_starts)
         new_ea.recount_all()
         host.stats_note_resize(new_cap)
+        return g, g2
 
     # ------------------------------------------------------------------
     # tombstone compaction (temporal expiry sweep)
@@ -709,7 +760,9 @@ class Rebalancer:
         untouched (a dropped pair nets zero) while ``degree`` and
         ``array_degree`` shrink to the filtered run lengths, so the
         paid-per-entry costs of future gathers and scans drop with the
-        dead weight.
+        dead weight.  Should even the filtered image not fit in place,
+        the resize that takes over applies the same filter: one sweep
+        always suffices.
 
         Crash behavior needs no new recovery logic: a crash before the
         window image commits restores the backup and re-issues the
@@ -720,15 +773,10 @@ class Rebalancer:
         pairs were removed.
         """
         host = self.host
-        while True:
-            ea = host.ea
-            done = self._rewrite_window(
-                0, ea.n_sections, ea.tree.height, thread_id, _unmatched_mask
-            )
-            if done is not None or host.ea is ea:
-                break
-            # Even the filtered image could not fit in place and the
-            # array grew a generation: sweep the new layout.
+        done = self._rewrite_window(
+            0, host.ea.n_sections, host.ea.tree.height, thread_id, _unmatched_mask
+        )
+        ea = host.ea  # a generation newer when the sweep had to resize
         before = after = np.empty(0, dtype=SLOT_DTYPE)
         if done is not None:
             before, after = done[0].values, done[1].values
@@ -742,6 +790,45 @@ class Rebalancer:
             "tombstones_before": int(((before & TOMB_BIT) != 0).sum()),
             "tombstones_after": int(((after & TOMB_BIT) != 0).sum()),
         }
+
+    # ------------------------------------------------------------------
+    # lossy repair (runtime scrubber)
+    # ------------------------------------------------------------------
+    def repair_sections(self, sections) -> dict:
+        """Close the holes a media error left in ``sections``; returns
+        ``{vertex: entries lost}``.
+
+        The scrubber's entry point, between operations (every undo log
+        idle; thread 0's is used).  The run slots and log entries the
+        error destroyed already read zero — the bytes are gone and the
+        scrubber cleared their poison — so each section is one leaf
+        window rewritten with the lost-slot filter: the survivors are
+        laid out in order, surviving chain entries merged, the merged
+        logs cleared and the vertex array moved exactly as a log merge
+        does, under the same undo-log / COPYBACK / PMDK-tx protection.
+        A crash anywhere leaves only what recovery already cuts: a run
+        at its first hole, a chain at its first missing entry.  Windows
+        extend to whole runs and may escalate, so a section inside one
+        already rewritten is skipped; a resize filters everything.
+        """
+        host = self.host
+        ea = host.ea
+        lost: dict = {}
+        done_hi = 0
+        for s in sorted(sections):
+            if (s + 1) * ea.segment_slots <= done_hi:
+                continue
+            done = self._rewrite_window(s, s + 1, level=0, thread_id=0, keep_mask=_lost_mask)
+            if done is None:
+                continue
+            g, laid = done
+            n = g.short + g.sizes - laid.sizes  # chain entries + run slots lost
+            for k in np.flatnonzero(n).tolist():
+                lost[g.i0 + k] = lost.get(g.i0 + k, 0) + int(n[k])
+            if host.ea is not ea:
+                break
+            done_hi = laid.hi
+        return lost
 
     # ------------------------------------------------------------------
     # crash recovery

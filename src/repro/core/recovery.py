@@ -35,9 +35,8 @@ import numpy as np
 from ..config import DGAPConfig
 from ..errors import RecoveryError
 from ..obs.tracer import trace, traced
-from ..pmem import pool as pool_mod
-from ..pmem.pool import PMemPool
-from .encoding import SLOT_DTYPE, TOMB_BIT
+from ..pmem.pool import DATA_OFF, PMemPool
+from .encoding import SLOT_DTYPE, TOMB_BIT, live_degrees
 from .rebalance import (
     ROOT_EPS,
     ROOT_GEN,
@@ -208,7 +207,7 @@ def _scrub_poison(host) -> None:
         return
     for off, n in ranges:
         for poff, pn, name in pool.split_by_region(off, n):
-            if name is None and poff >= pool_mod._DATA_OFF:
+            if name is None and poff >= DATA_OFF:
                 continue  # unallocated space: content unused, zeros fine
             if name is None or not dead_state(host, name, poff, pn):
                 raise RecoveryError(
@@ -265,11 +264,7 @@ def _scan_edge_array(host) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         _zero_slots(ea, np.concatenate(garbage))
         np.cumsum(slots != 0, dtype=np.int64, out=nz[1:])  # live view: recount
         array_deg = nz[ends] - nz[starts]
-    tz = sb.take("recovery.tz", cap + 1, np.int64)
-    tz[0] = 0
-    np.cumsum((slots > 0) & ((slots & TOMB_BIT) != 0), dtype=np.int64, out=tz[1:])
-    tombs = tz[ends] - tz[starts]
-    live = array_deg - 2 * tombs
+    live = live_degrees(slots, starts, ends, out=sb.take("recovery.tz", cap + 1, np.int64))
     return starts.astype(np.int64), array_deg, live
 
 

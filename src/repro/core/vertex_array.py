@@ -168,6 +168,10 @@ class PMVertexArray(VertexArray):
         self._regions = {}
         for f in self._FIELDS:
             rname = f"{self._name}.{f}.g{self._gen}"
+            # a reopened pool still names the previous instance's mirror:
+            # nothing reads it back (recovery rebuilds and reloads every
+            # field), so the name moves to a fresh region
+            self.pool.drop_array(rname)
             r = self.pool.alloc_array(rname, np.int64, self._cap)
             r.fill(NO_EL if f == "el" else 0)
             self._regions[f] = r
@@ -187,24 +191,6 @@ class PMVertexArray(VertexArray):
     def set_el(self, v: int, value: int) -> None:
         super().set_el(v, value)
         self._mirror("el", v, value)
-
-    def bulk_apply_inserts(self, vs, d_degree, d_array_degree, d_live) -> None:
-        # Per-write persistent mirroring keeps the ablation's cost model:
-        # degree is mirrored, array/live degree stay DRAM (as in set_*).
-        vs = np.asarray(vs, dtype=np.int64)
-        dd = np.broadcast_to(np.asarray(d_degree, dtype=np.int64), vs.shape)
-        da = np.broadcast_to(np.asarray(d_array_degree, dtype=np.int64), vs.shape)
-        dl = np.broadcast_to(np.asarray(d_live, dtype=np.int64), vs.shape)
-        for i, v in enumerate(vs.tolist()):
-            self.set_degree(v, int(self.degree[v] + dd[i]))
-            self.array_degree[v] += da[i]
-            self.live_degree[v] += dl[i]
-
-    def bulk_set_el(self, vs, values) -> None:
-        vs = np.asarray(vs, dtype=np.int64)
-        values = np.broadcast_to(np.asarray(values, dtype=np.int64), vs.shape)
-        for i, v in enumerate(vs.tolist()):
-            self.set_el(v, int(values[i]))
 
     def bulk_load(self, start, degree, array_degree, live_degree, el) -> None:
         super().bulk_load(start, degree, array_degree, live_degree, el)

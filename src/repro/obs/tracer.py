@@ -48,9 +48,6 @@ class _NoopSpan:
     def __exit__(self, *exc) -> bool:
         return False
 
-    def annotate(self, **attrs: Any) -> None:  # pragma: no cover - trivial
-        pass
-
 
 _NOOP = _NoopSpan()
 
@@ -123,9 +120,6 @@ class Span:
         return False
 
     # -- helpers -----------------------------------------------------------
-    def annotate(self, **attrs: Any) -> None:
-        self.attrs.update(attrs)
-
     @property
     def modeled_ns(self) -> float:
         return self.delta.modeled_ns if self.delta is not None else 0.0

@@ -61,9 +61,6 @@ class Region:
     def byte_offset(self, idx: int) -> int:
         return self.offset + idx * self.itemsize
 
-    def __len__(self) -> int:
-        return self.count
-
     def _check_idx(self, start: int, n: int = 1) -> None:
         if start < 0 or start + n > self.count:
             raise PMemError(
@@ -146,10 +143,6 @@ class Region:
         self._check_idx(start, n)
         self.device.clwb(self.byte_offset(start), n * self.itemsize)
 
-    def persist(self, start: int, n: int = 1) -> None:
-        self._check_idx(start, n)
-        self.device.persist(self.byte_offset(start), n * self.itemsize)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Region({self.name!r}, off={self.offset}, dtype={self.dtype}, count={self.count})"
 
@@ -186,10 +179,6 @@ class BumpAllocator:
             )
         self._persist_cursor(off + nbytes)
         return off
-
-    @property
-    def remaining(self) -> int:
-        return self.limit - self.cursor
 
 
 class FreeListAllocator:

@@ -152,8 +152,9 @@ class PMemDevice:
         self._recent_flushes[line] = self._flush_op
         if len(self._recent_flushes) > self.recent_flush_capacity:
             cutoff = self._flush_op - self.profile.inplace_window
+            # over a snapshot: concurrent writers (thread_safe) share the device
             self._recent_flushes = {
-                ln: op for ln, op in self._recent_flushes.items() if op >= cutoff
+                ln: op for ln, op in list(self._recent_flushes.items()) if op >= cutoff
             }
             # Entries older than the window can never classify a future
             # flush as in-place; if pruning by age ever leaves more than

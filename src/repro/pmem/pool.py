@@ -35,7 +35,8 @@ _MAGIC = 0x44474150  # "DGAP"
 _N_ROOT_SLOTS = 64
 _ROOTS_OFF = 64
 _CURSOR_OFF = _ROOTS_OFF + _N_ROOT_SLOTS * 8
-_DATA_OFF = 4096
+#: first allocatable byte; everything below it is the pool header
+DATA_OFF = 4096
 
 
 class PMemPool:
@@ -60,7 +61,7 @@ class PMemPool:
         if magic != _MAGIC:
             self.device.ntstore(0, np.uint64(_MAGIC).tobytes(), payload=0)
             self.device.sfence()
-        self.allocator = BumpAllocator(self.device, _DATA_OFF, self.device.size, _CURSOR_OFF)
+        self.allocator = BumpAllocator(self.device, DATA_OFF, self.device.size, _CURSOR_OFF)
 
     @property
     def pools(self) -> Tuple["PMemPool", ...]:
@@ -82,10 +83,6 @@ class PMemPool:
         """
         return np.array([p.stats.modeled_ns for p in self.pools])
 
-    @property
-    def profile(self):
-        return self.device.profile
-
     # -- root slots (8-byte failure-atomic values) ---------------------------
     def _root_off(self, slot: int) -> int:
         if not 0 <= slot < _N_ROOT_SLOTS:
@@ -101,6 +98,18 @@ class PMemPool:
         off = self._root_off(slot)
         self.device.store(off, np.uint64(value).tobytes(), payload=0)
         self.device.persist(off, 8)
+
+    def header_bytes(self, roots: Dict[int, int]) -> np.ndarray:
+        """The header ``[0, DATA_OFF)`` as it must read for these root
+        values and the allocator's current cursor (unnamed root slots are
+        zero) — what the repair of a damaged header stores back."""
+        header = np.zeros(DATA_OFF, dtype=np.uint8)
+        words = header.view(np.uint64)
+        words[0] = _MAGIC
+        for slot, value in roots.items():
+            words[self._root_off(slot) // 8] = value
+        words[_CURSOR_OFF // 8] = self.allocator.cursor
+        return header
 
     # -- allocation ------------------------------------------------------------
     def alloc(self, nbytes: int, align: int = CACHE_LINE) -> int:
@@ -176,4 +185,4 @@ class PMemPool:
         return f"PMemPool({self.name!r}, size={self.device.size}, roots={sorted(self._directory)})"
 
 
-__all__ = ["PMemPool"]
+__all__ = ["PMemPool", "DATA_OFF"]

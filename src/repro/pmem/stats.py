@@ -80,12 +80,6 @@ class PMemStats:
             return 0.0
         return self.stored_bytes / self.payload_bytes
 
-    def media_write_amplification(self) -> float:
-        """Media (XPLine-granular) bytes per payload byte — the device-level view."""
-        if self.payload_bytes == 0:
-            return 0.0
-        return self.media_bytes / self.payload_bytes
-
     def snapshot(self) -> "PMemStats":
         """A frozen copy, for before/after deltas."""
         return PMemStats(**self.__dict__)
@@ -93,22 +87,6 @@ class PMemStats:
     def delta_since(self, before: "PMemStats") -> "PMemStats":
         """Counters accumulated since ``before`` (a prior :meth:`snapshot`)."""
         return PMemStats(**{k: v - getattr(before, k) for k, v in self.__dict__.items()})
-
-    def reset(self) -> None:
-        fresh = PMemStats()
-        for k, v in fresh.__dict__.items():
-            setattr(self, k, v)
-
-    def summary(self) -> str:
-        wa = self.write_amplification()
-        mwa = self.media_write_amplification()
-        return (
-            f"stores={self.stores} stored={self.stored_bytes}B payload={self.payload_bytes}B "
-            f"WA={wa:.2f} mediaWA={mwa:.2f} flushes={self.flushes} "
-            f"(seq={self.seq_flushes} rnd={self.rnd_flushes} "
-            f"inplace={self.inplace_flushes}) media={self.media_bytes}B fences={self.fences} "
-            f"modeled={self.modeled_seconds * 1e3:.3f}ms"
-        )
 
 
 #: every integer counter, in declaration order (all fields but the float

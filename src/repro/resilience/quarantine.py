@@ -55,8 +55,9 @@ class RepairOutcome(enum.Enum):
     from a fault-free twin until the region is next rewritten."""
 
     LOSSY = "lossy"
-    """Live edges were lost; the structure was compacted/relinked around
-    the hole and the losses are enumerated per vertex."""
+    """Live edges were lost; their sections were rewritten without them
+    through the rebalance pipeline (crash-consistently, like a log
+    merge) and the losses are enumerated per vertex."""
 
     UNRECOVERABLE = "unrecoverable"
     """No redundancy covers the range; the line stays poisoned and the

@@ -26,14 +26,13 @@ shadow of the damaged bytes.  What each region kind affords:
 region              repair
 =================== =====================================================
 ``edges.g<cur>``    pivots from ``va.start`` (exact); gaps are zeros
-                    (exact); damaged *run* slots are lost — the run is
-                    compacted around them and per-vertex degrees fixed
-                    up (**lossy**)
-``elogs.g<cur>``    slots at/past the append cursor are zeros (exact);
-                    damaged live entries are lost — surviving entries
-                    (slot order = oldest-first chain order) are
-                    re-linked into a fresh chain and the owner inferred
-                    from its degree shortfall (**lossy**)
+                    (exact); damaged *run* slots are lost — zeroed, and
+                    their section rewritten without them (**lossy**)
+``elogs.g<cur>``    slots at/past the append cursor are zeros (exact),
+                    spent ones too (scrubbed); damaged live entries are
+                    lost — zeroed, and their section rewritten: the
+                    surviving entries merge into their runs, the owner
+                    is whoever's chain came up short (**lossy**)
 ``vertexarr.*``     rewritten from the authoritative DRAM cache (exact)
 ``segocc.g<cur>``   rewritten from DRAM ``seg_occ`` (exact)
 ``meta.*``          shutdown-only snapshot: zeroed, regenerated at the
@@ -49,6 +48,12 @@ pool metadata       magic/roots/cursor rewritten from DRAM authority
 unknown             unrecoverable → READ_ONLY
 =================== =====================================================
 
+A lossy repair writes no layout of its own: the scrubber clears the
+damaged bytes and ``Rebalancer.repair_sections`` rewrites the sections
+that lost something through the one rebalance pipeline, so it is
+crash-consistent under the same undo-log protocol as a log merge
+(swept in ``tests/test_resilience.py::TestCrashDuringRepair``).
+
 Health only worsens: HEALTHY → DEGRADED on the first lossy repair,
 → READ_ONLY on the first unrecoverable range.  Transitions and repairs
 are traced (``repro.obs`` spans), so ``bench profile`` attributes their
@@ -57,25 +62,15 @@ modeled time exactly.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.encoding import SLOT_DTYPE, TOMB_BIT
-from ..core.rebalance import (
-    ROOT_EPS,
-    ROOT_GEN,
-    ROOT_INIT_CAP,
-    ROOT_NTHREADS,
-    ROOT_NV_HINT,
-    ROOT_SEGSLOTS,
-    ROOT_SHUTDOWN,
-)
+from ..core.encoding import encode_pivot
 from ..core.recovery import dead_state
-from ..core.vertex_array import NO_EL
 from ..errors import MediaError, ReadOnlyGraphError
 from ..obs.tracer import annotate, trace
-from ..pmem import pool as pool_mod
+from ..pmem.pool import DATA_OFF
 from .quarantine import (
     OUTCOME_HEALTH,
     DamageReport,
@@ -85,7 +80,8 @@ from .quarantine import (
     RepairOutcome,
 )
 
-_FIELDS = 3  # edge-log entry fields (src, dst_enc, back)
+#: Repair-and-retry attempts a guarded operation makes before giving up.
+MAX_RETRIES = 3
 
 #: How a quarantine entry words each region kind ``dead_state`` judges,
 #: by the first component of the region name:
@@ -103,14 +99,13 @@ _DEAD_STATE_KINDS = {
 class ResilienceManager:
     """Runtime fault tolerance for one live DGAP instance."""
 
-    def __init__(self, graph, patrol_bytes: int = 64 * 1024, max_retries: int = 3):
+    def __init__(self, graph, patrol_bytes: int = 64 * 1024):
         self.graph = graph
         self.pool = graph.pool
         self.dev = graph.pool.device
         self.registry = QuarantineRegistry()
         self.health = HealthState.HEALTHY
         self.patrol_bytes = int(patrol_bytes)
-        self.max_retries = int(max_retries)
         self._patrol_cursor = 0
         graph.health = self.health
 
@@ -191,7 +186,7 @@ class ResilienceManager:
         g = self.graph
         created: List[QuarantineEntry] = []
         landed = False
-        for _ in range(self.max_retries + 1):
+        for _ in range(MAX_RETRIES + 1):
             known = src < g.va.num_vertices
             d0 = int(g.va.degree[src]) if known else 0
             try:
@@ -224,27 +219,22 @@ class ResilienceManager:
             return created
         raise MediaError(
             f"insert of ({src}, {dst}) kept faulting after "
-            f"{self.max_retries} repair attempts"
+            f"{MAX_RETRIES} repair attempts"
         )
 
     def analyze(self, kernel: Callable) -> Tuple[object, DamageReport]:
         """Run ``kernel(snapshot)`` with repair-retry; returns
         ``(result, DamageReport)`` instead of raising mid-kernel."""
         g = self.graph
-        for _ in range(self.max_retries + 1):
+        for _ in range(MAX_RETRIES + 1):
             try:
-                snap = g.consistent_view()
-                try:
+                with g.consistent_view() as snap:
                     result = kernel(snap)
-                finally:
-                    close = getattr(snap, "close", None)
-                    if close is not None:
-                        close()
                 return result, self.damage_report()
             except MediaError as err:
                 self.handle_media_error(err)
         raise MediaError(
-            f"analysis kept faulting after {self.max_retries} repair attempts"
+            f"analysis kept faulting after {MAX_RETRIES} repair attempts"
         )
 
     # -- quarantine + repair ----------------------------------------------
@@ -258,27 +248,21 @@ class ResilienceManager:
             parts.extend(self.pool.split_by_region(off, n))
 
         g = self.graph
-        edges_name = f"edges.g{g.ea.gen}"
-        elogs_name = f"elogs.g{g.logs.gen}"
+        edges_name, elogs_name = g.ea.region.name, g.logs.region.name
         edge_parts = [(o, n) for o, n, nm in parts if nm == edges_name]
         log_parts = [(o, n) for o, n, nm in parts if nm == elogs_name]
         other = [(o, n, nm) for o, n, nm in parts if nm not in (edges_name, elogs_name)]
 
         entries: List[QuarantineEntry] = []
         with self.dev.suspend_runtime_faults():
-            # Generic regions first (they may unblock the structural
-            # repairs), then edge logs (the edge-array repair walks the
-            # repaired chains), then the edge array.
+            # Generic regions first: the structural repair commits through
+            # an undo log (or the PMDK journal) they may have to unblock.
             for off, n, name in other:
                 with trace("repair", region=name or "pool", off=off, nbytes=n):
                     e = self._repair_generic(off, n, name)
                     annotate(outcome=e.outcome.value)
                 entries.append(e)
-            if log_parts:
-                entries.extend(self._repair_edge_log(log_parts, edge_parts))
-            if edge_parts:
-                entries.extend(self._repair_edge_array(edge_parts))
-            self._finish_straddling_lines(entries)
+            self._repair_structure(edge_parts, log_parts, entries)
         for e in entries:
             self.registry.add(e)
             self._set_health(OUTCOME_HEALTH[e.outcome])
@@ -310,9 +294,13 @@ class ResilienceManager:
                 )
         self.dev.sfence()
 
-    def _zero(self, off: int, n: int) -> None:
-        self.dev.ntstore(off, np.zeros(n, dtype=np.uint8), payload=0)
+    def _rewrite(self, off: int, data: np.ndarray) -> None:
+        """Media rewrite: clears the poison of every line it covers whole."""
+        self.dev.ntstore(off, data, payload=0)
         self.dev.sfence()
+
+    def _zero(self, off: int, n: int) -> None:
+        self._rewrite(off, np.zeros(n, dtype=np.uint8))
 
     # -- generic (non-structural) regions ----------------------------------
     def _repair_generic(self, off: int, n: int, name: Optional[str]) -> QuarantineEntry:
@@ -325,8 +313,8 @@ class ResilienceManager:
             )
 
         if name is None:
-            if off < pool_mod._DATA_OFF:
-                self._rewrite_pool_meta(off, n)
+            if off < DATA_OFF:
+                self._rewrite(off, self.pool.header_bytes(g.geometry_roots())[off : off + n])
                 return entry(
                     "pool-metadata", RepairOutcome.SCRUBBED,
                     "rewritten from DRAM authority",
@@ -393,273 +381,103 @@ class ResilienceManager:
 
         return entry("unknown", RepairOutcome.UNRECOVERABLE, f"no redundancy for {name!r}")
 
-    def _rewrite_pool_meta(self, off: int, n: int) -> None:
-        """Reconstruct the pool metadata block from DRAM authority."""
-        g = self.graph
-        repl = np.zeros(pool_mod._DATA_OFF, dtype=np.uint8)
-        repl[0:8] = np.frombuffer(np.uint64(pool_mod._MAGIC).tobytes(), dtype=np.uint8)
-        roots = np.zeros(pool_mod._N_ROOT_SLOTS, dtype=np.uint64)
-        roots[ROOT_GEN] = g.ea.gen
-        roots[ROOT_SEGSLOTS] = g.ea.segment_slots
-        roots[ROOT_INIT_CAP] = g.ea.capacity
-        roots[ROOT_EPS] = g.logs.entries_per_section
-        roots[ROOT_NTHREADS] = len(g.ulogs)
-        roots[ROOT_NV_HINT] = g.va.num_vertices
-        roots[ROOT_SHUTDOWN] = 0
-        ro = pool_mod._ROOTS_OFF
-        repl[ro : ro + roots.nbytes] = roots.view(np.uint8)
-        co = pool_mod._CURSOR_OFF
-        repl[co : co + 8] = np.frombuffer(
-            np.uint64(self.pool.allocator.cursor).tobytes(), dtype=np.uint8
-        )
-        self.dev.ntstore(off, repl[off : off + n], payload=0)
-        self.dev.sfence()
+    # -- the live edge array and edge logs ----------------------------------
+    def _repair_structure(
+        self,
+        edge_parts: List[Tuple[int, int]],
+        log_parts: List[Tuple[int, int]],
+        entries: List[QuarantineEntry],
+    ) -> None:
+        """Repair the damaged parts of the current-generation edge array
+        and edge logs, appending one entry per part.
 
-    # -- edge-log repair ----------------------------------------------------
-    def _repair_edge_log(
-        self, parts: List[Tuple[int, int]], edge_parts: List[Tuple[int, int]]
-    ) -> List[QuarantineEntry]:
-        """Lossy repair of the current-generation edge logs.
-
-        Damaged entries are lost.  Surviving entries of each affected
-        vertex (slot order = oldest-first chain order) are re-linked
-        into a fresh back-pointer chain; the owner of a lost entry is
-        inferred from its degree shortfall (``degree - array_degree``
-        minus the surviving chain length).  Zeroed slots before the
-        append cursor stay spent, as merge invalidation leaves them,
-        except that a cursor whose frontier entry died shrinks to the
-        last surviving non-empty entry — keeping the DRAM cursors
-        identical to what an independent rebuild would infer.
+        The bytes are lost, so every part is first rewritten with what
+        is known without them — zeros, the exact content of a gap and of
+        an unreached or spent log slot, and the pivots ``va.start``
+        places there, each in the same store as the zeros around it so
+        that no crash finds a run without its pivot.  That clears the
+        poison (straddling lines are completed next: the rewrite below
+        reads through the device) and leaves a hole wherever a *live*
+        run slot or log entry was.  The sections with holes go to
+        ``Rebalancer.repair_sections`` — a filtered window rewrite under
+        the rebalance crash protocol — which reports what each vertex
+        lost.  What each *part* hit is judged here from its byte range
+        and the DRAM metadata as they were; no slot or entry is decoded.
         """
         g = self.graph
-        logs = g.logs
-        va = g.va
-        reg = logs.region
-        eps = logs.entries_per_section
-        nv = va.num_vertices
+        ea, logs = g.ea, g.logs
+        width = ea.region.itemsize
+        start = g.va.starts().copy()
+        end = start + g.va.array_degree[: start.size]
+        cursors, live = logs.counts.copy(), logs.live_counts.copy()
 
-        # Pre-repair cursors: attribution below must classify damage
-        # against where the frontier *was*, not the shrunk cursor.
-        counts_before = logs.counts.copy()
-
-        # Zero first: damaged slots then read back as invalid entries,
-        # so "surviving" needs no separate mask.
-        for off, n in parts:
+        spent = []  # per log part: did it reach below its section's cursor?
+        for off, n in log_parts:
+            sec, slot = logs.locate(logs.entries_at(off, n))
+            spent.append(bool((slot < cursors[sec]).any()))
             self._zero(off, n)
+            logs.rescan(np.unique(sec))
+        sections = set(np.flatnonzero(logs.live_counts < live).tolist())
+        log_lost = int((live - logs.live_counts).sum())
 
-        dmg_slots: Dict[int, set] = {}
-        for off, n in parts:
-            f0 = (off - reg.offset) // reg.itemsize
-            f1 = (off + n - reg.offset + reg.itemsize - 1) // reg.itemsize
-            for gidx in range(f0 // _FIELDS, (f1 + _FIELDS - 1) // _FIELDS):
-                dmg_slots.setdefault(gidx // eps, set()).add(gidx % eps)
-
-        # Sections whose live entries may be lost (damage below cursor).
-        el = va.el[:nv]
-        edge_dmg = self._edge_slot_mask(edge_parts)
-        lost_by_vertex: Dict[int, int] = {}
-        for s, slots in sorted(dmg_slots.items()):
-            cur = int(logs.counts[s])
-            if not any(sl < cur for sl in slots):
-                continue  # only at/past-cursor zeros: byte-exact
-            base = s * eps * _FIELDS
-            rows = reg.view[base : base + cur * _FIELDS].reshape(cur, _FIELDS)
-            valid = (rows != 0).all(axis=1)
-            srcs = rows[:, 0].astype(np.int64) - 1
-            cands = np.flatnonzero((el >= 0) & (el // eps == s))
-            for v in cands.tolist():
-                mine = np.flatnonzero(valid & (srcs == v))
-                old_chain = int(va.degree[v]) - int(va.array_degree[v])
-                lost_v = old_chain - int(mine.size)
-                if lost_v <= 0:
-                    continue  # no entry of v was damaged: chain untouched
-                lost_by_vertex[v] = lost_by_vertex.get(v, 0) + lost_v
-                gidxs = s * eps + mine
-                chain_live = 0
-                prev_stored = 1  # "no predecessor"
-                for i, sl in enumerate(mine.tolist()):
-                    pos = base + sl * _FIELDS + 2
-                    if int(reg.view[pos]) != prev_stored:
-                        reg.write(pos, prev_stored, payload=0, persist=True)
-                    prev_stored = int(gidxs[i]) + 2
-                    enc = int(rows[sl, 1])
-                    chain_live += -1 if enc & int(TOMB_BIT) else 1
-                va.set_el(v, int(gidxs[-1]) if mine.size else NO_EL)
-                va.set_degree(v, int(va.degree[v]) - lost_v)
-                st, ad = int(va.start[v]), int(va.array_degree[v])
-                if not edge_dmg[st : st + ad].any():
-                    run = g.ea.slots[st : st + ad]
-                    tombs = int(np.count_nonzero((run > 0) & ((run & TOMB_BIT) != 0)))
-                    va.set_live_degree(v, (ad - 2 * tombs) + chain_live)
-                # else: the edge-array repair recomputes live_degree.
-            valid_after = (rows != 0).all(axis=1)
-            logs.live_counts[s] = int(valid_after.sum())
-            # If the section's append frontier itself died, the cursor
-            # shrinks to one past the last surviving non-empty entry —
-            # exactly what an independent rebuild_counts() would infer.
-            nonempty = (rows != 0).any(axis=1)
-            logs.counts[s] = (
-                int(nonempty.size - nonempty[::-1].argmax())
-                if nonempty.any() else 0
-            )
-        if lost_by_vertex:
-            g._touch_rows(list(lost_by_vertex))
-
-        entries: List[QuarantineEntry] = []
-        lost_total = sum(lost_by_vertex.values())
-        attributed = False
-        for off, n in parts:
-            f0 = (off - reg.offset) // reg.itemsize
-            g0 = f0 // _FIELDS
-            g1 = ((off + n - reg.offset) // reg.itemsize + _FIELDS - 1) // _FIELDS
-            below_cursor = any(
-                (gg % eps) < int(counts_before[gg // eps]) for gg in range(g0, g1)
-            )
-            if not below_cursor:
-                outcome, lv, vs = RepairOutcome.EXACT, (), ()
-                detail = "unreached log slots re-zeroed"
-            elif lost_total and not attributed:
-                attributed = True
-                outcome = RepairOutcome.LOSSY
-                lv = tuple(sorted(lost_by_vertex.items()))
-                vs = tuple(sorted(lost_by_vertex))
-                detail = f"{lost_total} live log entries lost; chains re-linked"
-            else:
-                outcome, lv, vs = RepairOutcome.SCRUBBED, (), ()
-                detail = "spent log slots re-zeroed"
-            with trace("repair", region=reg.name, off=off, nbytes=n):
-                annotate(outcome=outcome.value, lost_edges=sum(x for _, x in lv))
-            entries.append(
-                QuarantineEntry(
-                    off=off, nbytes=n, region=reg.name, kind="edge-log",
-                    outcome=outcome, vertices=vs,
-                    lost_edges=sum(x for _, x in lv),
-                    lost_by_vertex=lv, detail=detail,
-                )
-            )
-        return entries
-
-    # -- edge-array repair ---------------------------------------------------
-    def _edge_slot_mask(self, edge_parts: List[Tuple[int, int]]) -> np.ndarray:
-        ea = self.graph.ea
-        mask = np.zeros(ea.capacity, dtype=bool)
+        run_lost = []  # per edge part: {vertex: run slots under the part}
         for off, n in edge_parts:
-            lo = (off - ea.region.offset) // 4
-            mask[lo : lo + n // 4] = True
-        return mask
+            lo = (off - ea.region.offset) // width
+            hi = lo + n // width
+            image = np.zeros(hi - lo, dtype=ea.slots.dtype)
+            for v in np.flatnonzero((start > lo) & (start <= hi)).tolist():
+                image[start[v] - 1 - lo] = encode_pivot(v)
+            self._rewrite(off, image.view(np.uint8))
+            under = np.minimum(end, hi) - np.maximum(start, lo)
+            vs = np.flatnonzero(under > 0)
+            run_lost.append(dict(zip(vs.tolist(), under[vs].tolist())))
+            sections.update((np.maximum(start[vs], lo) // ea.segment_slots).tolist())
+        self._finish_straddling_lines(entries)
 
-    def _repair_edge_array(self, parts: List[Tuple[int, int]]) -> List[QuarantineEntry]:
-        """Lossy repair of the current-generation edge array.
+        lost = g.rebalancer.repair_sections(sections) if sections else {}
+        if lost:
+            g._touch_rows(sorted(lost))
+        # The pipeline's losses are the damage's: a vertex lost the run
+        # slots under the parts, and whatever else it lost were log entries.
+        chain_lost = dict(lost)
+        for part in run_lost:
+            for v, k in part.items():
+                chain_lost[v] -= k
+        chain_lost = {v: k for v, k in chain_lost.items() if k}
+        assert min(chain_lost.values(), default=1) > 0
+        assert sum(chain_lost.values()) == log_lost
 
-        Damaged run slots are lost; each affected run is compacted in
-        place (surviving slots first, trailing gaps), pivots are
-        rewritten from ``va.start`` and gaps re-zeroed (both exact).
-        Degrees come down by the loss; ``live_degree`` is recomputed
-        from the surviving tombstone bits plus the vertex's (already
-        repaired) log chain.
-        """
-        g = self.graph
-        ea = g.ea
-        va = g.va
-        reg = ea.region
-        nv = va.num_vertices
-        dmg = self._edge_slot_mask(parts)
-
-        # Snapshots: the loop below mutates va in place.
-        start = va.start[:nv].copy()
-        ad = va.array_degree[:nv].copy()
-        piv = start - 1
-        cov = np.zeros(ea.capacity, dtype=bool)  # slots we rewrote
-
-        lost_by_vertex: Dict[int, int] = {}
-        lo_touch, hi_touch = ea.capacity, 0
-        affected = np.flatnonzero(
-            (ad > 0) & (start < dmg.size) & dmg_any_in_runs(dmg, start, ad)
-        )
-        for v in affected.tolist():
-            st, d = int(start[v]), int(ad[v])
-            run_dmg = dmg[st : st + d]
-            run = ea.slots[st : st + d]
-            surv = run[~run_dmg].copy()
-            lost_v = d - int(surv.size)
-            new_run = np.zeros(d, dtype=SLOT_DTYPE)
-            new_run[: surv.size] = surv
-            reg.write_slice(st, new_run, payload=0, persist=True)
-            cov[st : st + d] = True
-            lo_touch, hi_touch = min(lo_touch, st), max(hi_touch, st + d)
-            lost_by_vertex[v] = lost_by_vertex.get(v, 0) + lost_v
-            va.set_array_degree(v, int(surv.size))
-            va.set_degree(v, int(va.degree[v]) - lost_v)
-            tombs = int(np.count_nonzero((surv > 0) & ((surv & TOMB_BIT) != 0)))
-            chain_live = 0
-            if int(va.el[v]) != NO_EL:
-                _, _, encs = g.logs.walk_chain_arrays(int(va.el[v]))
-                chain_live = int(
-                    np.count_nonzero((encs & TOMB_BIT) == 0) - np.count_nonzero(encs & TOMB_BIT)
-                )
-            va.set_live_degree(v, (int(surv.size) - 2 * tombs) + chain_live)
-
-        piv_dmg = np.flatnonzero((piv >= 0) & dmg[np.clip(piv, 0, dmg.size - 1)])
-        for v in piv_dmg.tolist():
-            p = int(piv[v])
-            reg.write(p, np.int32(-(v + 1)), payload=0, persist=True)
-            cov[p] = True
-            lo_touch, hi_touch = min(lo_touch, p), max(hi_touch, p + 1)
-
-        # Remaining damaged slots are inter-run gaps: re-zero them.
-        gaps = np.flatnonzero(dmg & ~cov)
-        if gaps.size:
-            splits = np.flatnonzero(np.diff(gaps) > 1) + 1
-            for seg in np.split(gaps, splits):
-                a, b = int(seg[0]), int(seg[-1]) + 1
-                self._zero(reg.byte_offset(a), (b - a) * 4)
-                lo_touch, hi_touch = min(lo_touch, a), max(hi_touch, b)
-
-        if hi_touch > lo_touch:
-            ea.recount(lo_touch, hi_touch)
-        if lost_by_vertex:
-            g._touch_rows(list(lost_by_vertex))
-
-        entries: List[QuarantineEntry] = []
-        for off, n in parts:
-            lo = (off - reg.offset) // 4
-            hi = lo + n // 4
-            vs: Dict[int, int] = {}
-            for v in affected.tolist():
-                st, d = int(start[v]), int(ad[v])
-                k = int(dmg[max(st, lo) : min(st + d, hi)].sum()) if st < hi and st + d > lo else 0
-                if k:
-                    vs[v] = k
-            lost = sum(vs.values())
-            outcome = RepairOutcome.LOSSY if lost else RepairOutcome.EXACT
-            detail = (
-                f"{lost} live edge slots lost; runs compacted"
-                if lost
-                else "pivots/gaps rewritten byte-exactly"
-            )
-            with trace("repair", region=reg.name, off=off, nbytes=n):
-                annotate(outcome=outcome.value, lost_edges=lost)
+        def entry(part, region, kind, outcome, by_vertex, detail):
+            off, n = part
+            n_lost = sum(by_vertex.values())
+            with trace("repair", region=region.name, off=off, nbytes=n):
+                annotate(outcome=outcome.value, lost_edges=n_lost)
             entries.append(
                 QuarantineEntry(
-                    off=off, nbytes=n, region=reg.name, kind="edge-array",
-                    outcome=outcome, vertices=tuple(sorted(vs)),
-                    lost_edges=lost, lost_by_vertex=tuple(sorted(vs.items())),
-                    detail=detail,
+                    off=off, nbytes=n, region=region.name, kind=kind, outcome=outcome,
+                    vertices=tuple(sorted(by_vertex)), lost_edges=n_lost,
+                    lost_by_vertex=tuple(sorted(by_vertex.items())), detail=detail,
                 )
             )
-        return entries
 
-
-def dmg_any_in_runs(dmg: np.ndarray, start: np.ndarray, ad: np.ndarray) -> np.ndarray:
-    """Per-vertex: does ``[start, start+ad)`` contain a damaged slot?
-
-    Vectorized via a prefix sum over the damage mask.
-    """
-    cum = np.zeros(dmg.size + 1, dtype=np.int64)
-    np.cumsum(dmg, out=cum[1:])
-    lo = np.clip(start, 0, dmg.size)
-    hi = np.clip(start + ad, 0, dmg.size)
-    return cum[hi] - cum[lo] > 0
+        for part, below_cursor in zip(log_parts, spent):
+            if not below_cursor:
+                entry(part, logs.region, "edge-log", RepairOutcome.EXACT, {},
+                      "unreached log slots re-zeroed")
+            elif chain_lost:  # every log loss of this pass, on its first such part
+                entry(part, logs.region, "edge-log", RepairOutcome.LOSSY, chain_lost,
+                      f"{log_lost} live log entries lost; survivors merged into their runs")
+                chain_lost = {}
+            else:
+                entry(part, logs.region, "edge-log", RepairOutcome.SCRUBBED, {},
+                      "spent log slots re-zeroed")
+        for part, by_vertex in zip(edge_parts, run_lost):
+            if by_vertex:
+                entry(part, ea.region, "edge-array", RepairOutcome.LOSSY, by_vertex,
+                      f"{sum(by_vertex.values())} live edge slots lost; runs rewritten without them")
+            else:
+                entry(part, ea.region, "edge-array", RepairOutcome.EXACT, {},
+                      "pivots/gaps rewritten byte-exactly")
 
 
 __all__ = ["ResilienceManager"]

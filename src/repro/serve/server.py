@@ -197,10 +197,6 @@ class QueryServer:
         self.refresh_ns_total = 0.0
 
     @property
-    def view_epoch(self):
-        return None if self._view is None else self._view.epoch
-
-    @property
     def rows_reread(self) -> int:
         """Rows re-materialized from PM over all refreshes (the first,
         full build included)."""

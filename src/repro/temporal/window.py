@@ -34,7 +34,7 @@ coming from the underlying insert/compact paths.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -118,10 +118,6 @@ class TemporalWindowGraph:
             "tombstone_density": density,
             "compacted": compacted,
         }
-
-    def run(self, steps: Iterable) -> List[dict]:
-        """Apply a whole stream (e.g. ``TemporalSpec.generate()`` output)."""
-        return [self.advance(s) for s in steps]
 
     # ------------------------------------------------------------------
     # phases

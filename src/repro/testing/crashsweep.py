@@ -64,6 +64,15 @@ Op = Tuple
 GraphFactory = Callable[[CrashInjector, FaultPolicy], "object"]
 
 
+#: Crash-during-recovery points are drawn from the first this-many events.
+RECOVERY_CRASH_WINDOW = 64
+
+#: Workload ops applied to every recovered store past the in-flight one
+#: (then the invariants are re-checked): recovery must hand back a store
+#: that can take a write, not just one that reads right.
+OPS_AFTER_RECOVERY = 2
+
+
 class SweepFailure(AssertionError):
     """The recovery oracle rejected the graph recovered at a crash point."""
 
@@ -80,12 +89,8 @@ class SweepConfig:
     seed: int = 0
     idempotence_samples: int = 5
     """Crash points that additionally get a crash-during-recovery check."""
-    recovery_crash_window: int = 64
-    """Crash-during-recovery points are drawn from the first this-many events."""
     check_invariants: bool = True
     check_log_cursors: bool = True
-    continue_after_recovery: int = 0
-    """Extra workload ops to apply on the recovered graph (smoke that it's live)."""
 
 
 @dataclass
@@ -543,7 +548,7 @@ def crash_sweep(
             if idem:
                 ref_state, rec_ns = _reference_recovery(g, open_graph)
                 # Crash *during* recovery at a seeded event, then recover again.
-                r = int(rng.integers(1, cfg.recovery_crash_window + 1))
+                r = int(rng.integers(1, RECOVERY_CRASH_WINDOW + 1))
                 inj.arm(r)
                 try:
                     g2 = open_graph(pool, g.config)
@@ -594,9 +599,9 @@ def crash_sweep(
             check_invariants=cfg.check_invariants,
             check_log_cursors=cfg.check_log_cursors,
         )
-        if cfg.continue_after_recovery and acked < len(ops):
-            for op in ops[acked + 1 : acked + 1 + cfg.continue_after_recovery]:
-                _apply_op(g2, op)
+        for op in ops[acked + 1 : acked + 1 + OPS_AFTER_RECOVERY]:
+            _apply_op(g2, op)
+        _verify_structure(g2, f"{where} + {OPS_AFTER_RECOVERY} ops", cfg.check_invariants, False)
         report.results.append(
             CrashPointResult(
                 total_index=k,

@@ -98,12 +98,6 @@ class EventRecorder:
         self.events.append(ev)
         return ev
 
-    def counts(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for ev in self.events:
-            out[ev.kind] = out.get(ev.kind, 0) + 1
-        return out
-
 
 #: trace kinds emitted with no internal lock held — the only points
 #: where the instrumented table may yield to the scheduler.  Everything

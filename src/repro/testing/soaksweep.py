@@ -17,9 +17,10 @@ fields), with every fault routed through the
 The **no-silent-corruption oracle** at the end of the run:
 
 * if no lossy repair occurred, every vertex's neighbor sequence on the
-  subject equals the twin's exactly; after a lossy repair (compaction
-  frees run slots the twin doesn't have, so later inserts legitimately
-  land in different positions) the subject's neighbor *multiset* must
+  subject equals the twin's exactly; after a lossy repair (the damaged
+  sections are rewritten without the lost slots, a layout the twin
+  doesn't have, so later inserts legitimately land in different
+  positions) the subject's neighbor *multiset* must
   be contained in the twin's with the shortfall equal exactly to the
   per-vertex losses enumerated in the final
   :class:`~repro.resilience.DamageReport` — an edge may be lost to
@@ -76,10 +77,6 @@ class SoakConfig:
     scrub_every: int = 64
     """Run one patrol-scrub step every this-many guarded inserts."""
     patrol_bytes: int = 64 * 1024
-    analyze_rounds: bool = True
-    """Run a guarded analytics kernel (edge count over a consistent
-    view) at the end of every round."""
-    max_retries: int = 3
     check_invariants: bool = True
     check_log_cursors: bool = True
 
@@ -162,8 +159,8 @@ def _check_vertex(
     """One vertex of the containment-with-enumerated-shortfall oracle.
 
     ``strict`` (no lossy repair diverged the layouts) demands the exact
-    twin sequence.  After a lossy repair the compacted run has gaps the
-    twin's doesn't, so later inserts legitimately land in different
+    twin sequence.  After a lossy repair the rewritten sections have gaps
+    the twin's don't, so later inserts legitimately land in different
     *positions* — neighbor order is not an API guarantee — but the
     multiset must still be contained in the twin's with the shortfall
     exactly the enumerated losses.  ``relax`` admits the one op that
@@ -238,9 +235,7 @@ def soak_sweep(
     )
     subject = make_graph(CrashInjector(), cfg.faults)
     twin = make_graph(CrashInjector(), clean)
-    mgr = ResilienceManager(
-        subject, patrol_bytes=cfg.patrol_bytes, max_retries=cfg.max_retries
-    )
+    mgr = ResilienceManager(subject, patrol_bytes=cfg.patrol_bytes)
 
     out = SoakReport(config=cfg, ops_total=len(ops))
     stats = subject.pool.stats
@@ -276,11 +271,9 @@ def soak_sweep(
                 mgr.scrub()
                 scrubs += 1
 
-        analyzed = False
         result = None
-        if cfg.analyze_rounds and not out.read_only:
+        if not out.read_only:  # every round ends in a guarded kernel: the edge count
             result, _ = mgr.analyze(lambda snap: int(snap.to_csr()[1].size))
-            analyzed = True
 
         delta = stats.delta_since(before)
         rep = mgr.damage_report()
@@ -295,7 +288,7 @@ def soak_sweep(
                 quarantined=len(mgr.registry) - q0,
                 lost_edges=rep.lost_edges - lost0,
                 health=rep.health,
-                analyzed=analyzed,
+                analyzed=not out.read_only,
                 analysis_result=result,
             )
         )

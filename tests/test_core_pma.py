@@ -148,6 +148,29 @@ class TestVertexArray:
         assert pool.stats.flushes > before  # persistent in-place update
         assert va._regions["degree"].view[3] == 7
 
+    def test_pm_backend_grows_a_generation_and_reopens(self):
+        """Growing past the mirror's capacity moves it to ``vertexarr.*.g1``
+        regions holding the DRAM values; a crash + reopen (which builds a
+        fresh mirror under the old names) reads the same graph."""
+        from repro import DGAP, DGAPConfig
+
+        cfg = DGAPConfig(init_vertices=4, init_edges=256, segment_slots=64, dram_placement=False)
+        g = DGAP(cfg)
+        for i in range(12):
+            g.insert_edge(i % 4, i % 4)
+        assert not g.pool.has_array("vertexarr.degree.g1")
+        g.insert_edge(1, 20)  # vertex 20 is past the 16-entry mirror
+        for f in ("degree", "start", "el"):
+            grown = g.pool.get_array(f"vertexarr.{f}.g1")
+            assert grown.count > 16
+            np.testing.assert_array_equal(grown.view, getattr(g.va, f))
+        before = {v: g.out_neighbors(v).tolist() for v in range(g.num_vertices)}
+        g.pool.crash()
+        g = DGAP.open(g.pool, cfg)
+        assert {v: g.out_neighbors(v).tolist() for v in range(g.num_vertices)} == before
+        g.insert_edge(20, 3)
+        assert g.va._regions["degree"].view[20] == 1  # the reopened mirror is live
+
     def test_pm_backend_requires_pool(self):
         with pytest.raises(ValueError):
             make_vertex_array(8, dram_placement=False, pool=None)

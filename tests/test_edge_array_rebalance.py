@@ -304,3 +304,22 @@ class TestOneCommitSequence:
         assert g.rebalancer.recover_ulog(ul, g.logs.rebuild_counts()) is None
         assert spy == self.expected(True, moves_runs=False)
         np.testing.assert_array_equal(g.ea.slots[:64], image)
+
+
+def test_compaction_too_big_for_the_array_resizes_filtered():
+    """When even the filtered image cannot fit in place, the resize that
+    takes the sweep over drops the matched pairs itself — one sweep, and
+    its statistics are the resize's."""
+    g = DGAP(DGAPConfig(init_vertices=4, init_edges=64, segment_slots=64, elog_size=2048))
+    for i in range(140):
+        g.insert_edge(1, i % 4)
+    for d in (0, 1, 2):
+        g.delete_edge(1, d)
+    before = g.out_neighbors(1).tolist()
+    assert g.ea.gen == 0 and int(g.va.degree[1]) - 6 > g.ea.capacity
+    stats = g.compact()
+    assert g.ea.gen == 1 and stats["slots"] == g.ea.capacity
+    assert (stats["entries_before"], stats["pairs_dropped"], stats["tombstones_after"]) == (143, 3, 0)
+    assert int(g.va.degree[1]) == 137 and g.tombstone_density() == 0
+    assert g.out_neighbors(1).tolist() == before
+    g.check_invariants()

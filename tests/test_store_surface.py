@@ -561,7 +561,7 @@ class TestOneSurface:
         assert homes(r"structure_epoch for") == ["sharding/merge.py"]
         assert homes(r"\.materialize\(snap") == ["sharding/merge.py"]
         # one staleness signal: rows are stamped by one function, called by
-        # the write path and the two lossy scrub repairs; no section stamps
+        # the write path and the scrubber's lossy repair; no section stamps
         for gone in (r"_section_epoch", r"sections_dirty_since", r"_touch_sections",
                      r"_touch_slot_range"):
             assert homes(gone) == [], gone
@@ -584,6 +584,23 @@ class TestOneSurface:
         # "pools tick in parallel" is read in pool.clocks() only (the
         # baselines' devices run in sequence: they sum)
         assert homes(r"stats\.modeled_ns for") == ["baselines/interfaces.py", "pmem/pool.py"]
+        # one slot rewriter: the scrubber judges damage and clears it, the
+        # core's pipeline rewrites — resilience/ knows no slot or entry format
+        resilience = {k: v for k, v in src.items() if k.startswith("resilience/")}
+        for gone in (r"TOMB_BIT", r"\b_FIELDS\b", r"walk_chain_arrays", r"\.recount",
+                     r"-\(v \+ 1\)"):
+            assert _count(gone, resilience) == 0, gone
+        for gone in (r"_repair_edge_log", r"_repair_edge_array"):
+            assert homes(gone) == [], gone
+        assert homes(r"_rewrite_window\(") == ["core/rebalance.py"]
+        assert re.search(r"\ndef _unmatched_mask\(((?!\ndef ).)*\ndef _lost_mask\(",
+                         src["core/rebalance.py"], flags=re.S)  # the two filters, side by side
+        assert _count(r"def _unmatched_mask", src) == _count(r"def _lost_mask", src) == 1
+        # the pool header has one builder, DGAP's roots one list
+        assert [k for k in homes(r"pool_mod\._") if not k.startswith("pmem/")] == []
+        assert homes(r"ROOT_INIT_CAP\b") == ["core/dgap.py", "core/rebalance.py"]
+        assert _count(r"ROOT_INIT_CAP\b", {"d": src["core/dgap.py"]}) == 2  # import + the list
+        assert homes(r"\.geometry_roots\(\)") == ["core/dgap.py", "resilience/scrub.py"]
 
     def test_dgap_did_not_grow_a_merged_view(self):
         assert not hasattr(DGAP, "global_csr")

@@ -228,3 +228,57 @@ def test_reachability_gate_passes_here_and_bites(tmp_path, capsys):
     assert "unreached: read_field" not in out and "unreached: reached" not in out
     # the allow-list cannot rot: its names are not defined in this tree
     assert "stale allow-list entry: is_persisted — no longer defined" in out
+
+
+# -- tools/check_coverage.py --dead-defs -------------------------------------
+
+def test_dead_defs_gate_sees_what_the_name_gate_cannot(tmp_path, monkeypatch, capsys):
+    path = Path(__file__).resolve().parents[1] / "tools" / "check_coverage.py"
+    spec = importlib.util.spec_from_file_location("check_coverage", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+
+    pkg = tmp_path / "src" / "repro"
+    pkg.mkdir(parents=True)
+    mod = pkg / "m.py"
+    mod.write_text(
+        "class Base:\n"
+        "    def run(self):\n"          # 2
+        "        return 1\n"            # 3: executes
+        "class Override(Base):\n"
+        "    def run(self):\n"          # 5: same name as a live def — never dispatched to
+        "        '''doc'''\n"
+        "        return 2\n"            # 7
+        "def outer():\n"                # 8
+        "    def inner():\n"            # 9
+        "        return 3\n"            # 10: never executes
+        "    return inner\n"            # 11: executes
+        "def one_line(): return 4\n"    # 12: cannot be told from its def statement
+    )
+    allow = tmp_path / "allow.txt"
+    monkeypatch.setattr(tool, "SRC", pkg)
+    monkeypatch.setattr(tool, "DEAD_DEFS_ALLOW", allow)
+    hits = {str(mod): {1, 2, 3, 4, 5, 8, 9, 11, 12}}
+    assert tool.dead_defs(hits) == {"repro.m:Override.run", "repro.m:outer.inner"}
+
+    allow.write_text("# header\nrepro.m:Override.run  # kept for the example\n")
+    assert tool.check_dead_defs(hits) == 1
+    assert "dead definition: repro.m:outer.inner" in capsys.readouterr().err
+    allow.write_text(
+        "repro.m:Override.run  # kept\nrepro.m:outer.inner\nrepro.m:Base.run  # executes\n"
+    )
+    assert tool.check_dead_defs(hits) == 2  # a missing reason, an entry that is alive
+    err = capsys.readouterr().err
+    assert "without a reason: repro.m:outer.inner" in err
+    assert "stale allow-list entry: repro.m:Base.run" in err
+    allow.write_text("repro.m:Override.run  # kept\nrepro.m:outer.inner  # kept\n")
+    assert tool.check_dead_defs(hits) == 0
+
+    # every entry of the real allow-list names a def of this tree, with a reason
+    monkeypatch.undo()
+    names = {
+        f"{'.'.join(p.relative_to(tool.SRC.parent).with_suffix('').parts)}:{q}"
+        for p in tool.SRC.rglob("*.py") for q, _ in tool.function_bodies(p)
+    }
+    for entry, reason in tool.allowed_dead_defs().items():
+        assert entry in names and reason, entry

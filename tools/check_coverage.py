@@ -12,22 +12,35 @@ On Python 3.12+ it uses ``sys.monitoring`` with per-location DISABLE
 back to ``sys.settrace``, returning ``None`` for frames outside the
 package so foreign code runs untraced.
 
+``--dead-defs`` adds the gate ``tools/check_reachability.py`` cannot be:
+that one asks whether a public *name* has a caller, so a dead definition
+hides behind any live one of the same name (an override nobody
+dispatches to, a method named like another class's).  This one lists
+every ``def`` under ``src/repro`` none of whose body lines executed in
+the run, and fails on one that is not in ``tools/dead_defs_allow.txt``
+(``module:qualname  # reason``) — and on an entry there that did
+execute, lost its definition or gives no reason.
+
 Usage::
 
-    python tools/check_coverage.py [--fail-under PCT] [pytest args...]
+    python tools/check_coverage.py [--fail-under PCT] [--dead-defs] [pytest args...]
 
-Exits nonzero if pytest fails or measured coverage is below the floor.
+Exits nonzero if pytest fails, measured coverage is below the floor, or
+the dead-definition list and its allow-list disagree.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import os
 import sys
+import threading
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
+DEAD_DEFS_ALLOW = REPO / "tools" / "dead_defs_allow.txt"
 
 
 def executable_lines(path: Path) -> set:
@@ -46,6 +59,68 @@ def executable_lines(path: Path) -> set:
     # a module's code object reports line 0 for some preamble ops
     lines.discard(0)
     return lines
+
+
+def function_bodies(path: Path):
+    """``(qualname, body lines)`` of every ``def`` in ``path``: the line
+    span from its first body statement to its last, nested defs included
+    under dotted names (``Class.method``, ``outer.inner``)."""
+
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                yield name, set(range(child.body[0].lineno, child.end_lineno + 1))
+                yield from walk(child, name + ".")
+            elif isinstance(child, ast.ClassDef):
+                yield from walk(child, prefix + child.name + ".")
+            else:
+                yield from walk(child, prefix)
+
+    yield from walk(ast.parse(path.read_text()), "")
+
+
+def dead_defs(hits: dict) -> set:
+    """``module:qualname`` of every def with executable body lines none
+    of which executed.  A body that starts on its ``def`` line cannot be
+    told from the ``def`` statement itself (which runs at import) and is
+    taken as live."""
+    dead = set()
+    for path in sorted(SRC.rglob("*.py")):
+        exe = executable_lines(path)
+        hit = hits.get(str(path), set())
+        module = ".".join(path.relative_to(SRC.parent).with_suffix("").parts)
+        for qualname, body in function_bodies(path):
+            if body & exe and not body & hit:
+                dead.add(f"{module}:{qualname}")
+    return dead
+
+
+def allowed_dead_defs() -> dict:
+    """``{module:qualname: reason}`` of ``tools/dead_defs_allow.txt``."""
+    allowed = {}
+    for line in DEAD_DEFS_ALLOW.read_text().splitlines():
+        entry, _, reason = line.partition("#")
+        if entry.strip():
+            allowed[entry.strip()] = reason.strip()
+    return allowed
+
+
+def check_dead_defs(hits: dict) -> int:
+    """Compare the run's dead definitions with the allow-list; returns
+    the number of disagreements (each printed)."""
+    allowed = allowed_dead_defs()
+    dead = dead_defs(hits)
+    problems = [f"dead definition: {d} — no body line executed" for d in sorted(dead - set(allowed))]
+    problems += [
+        f"stale allow-list entry: {a} — it executed, or is not a def any more"
+        for a in sorted(set(allowed) - dead)
+    ]
+    problems += [f"allow-list entry without a reason: {a}" for a, why in sorted(allowed.items()) if not why]
+    for p in problems:
+        print(p, file=sys.stderr)
+    print(f"{len(dead)} dead definitions, {len(allowed)} allowed, {len(problems)} problems")
+    return len(problems)
 
 
 class Collector:
@@ -89,10 +164,21 @@ class Collector:
                 self.hits.setdefault(fn, set()).add(frame.f_lineno)
             return tracer
 
+        self._tracer = tracer
+        threading.settrace(tracer)  # threads started from here on, as sys.monitoring sees them
         sys.settrace(tracer)
 
     def stop_settrace(self):
         sys.settrace(None)
+        threading.settrace(None)
+
+    def pytest_runtest_setup(self, item):
+        """pytest hook: the interpreter silently unsets a trace function
+        that raised (a RecursionError at the stack limit will do), and a
+        library that finds none installs — then removes — its own; put
+        ours back before every test so at most one test goes unseen."""
+        if not hasattr(sys, "monitoring") and sys.gettrace() is not self._tracer:
+            sys.settrace(self._tracer)
 
     def start(self):
         if hasattr(sys, "monitoring"):
@@ -117,6 +203,12 @@ def main(argv=None) -> int:
         help="exit nonzero if total line coverage is below PCT",
     )
     ap.add_argument(
+        "--dead-defs",
+        action="store_true",
+        help="also fail on a def that never executed and is not in "
+        "tools/dead_defs_allow.txt (or an entry there that did)",
+    )
+    ap.add_argument(
         "pytest_args",
         nargs="*",
         help="arguments forwarded to pytest (default: -q tests); "
@@ -133,7 +225,7 @@ def main(argv=None) -> int:
     collector = Collector(SRC)
     collector.start()
     try:
-        rc = pytest.main(pytest_args)
+        rc = pytest.main(pytest_args, plugins=[collector])
     finally:
         collector.stop()
     if rc != 0:
@@ -165,6 +257,8 @@ def main(argv=None) -> int:
             f"{args.fail_under:.1f}%",
             file=sys.stderr,
         )
+        return 1
+    if args.dead_defs and check_dead_defs(collector.hits):
         return 1
     return 0
 
