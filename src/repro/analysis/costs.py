@@ -52,9 +52,11 @@ EPOCH_CHECK_NS = DRAM_RND_NS
 _VT_ENTRY_BYTES = 8.0
 
 
-def snapshot_open_ns(nv: int) -> float:
-    """Opening a Degree-Cache snapshot: two O(nv) DRAM vector copies."""
-    return 2.0 * nv * _VT_ENTRY_BYTES * DRAM_SEQ_NS_PER_BYTE
+def snapshot_open_ns(rows: int) -> float:
+    """Opening a Degree-Cache snapshot: two DRAM vector copies of ``rows``
+    entries each (every row of the shard, or the rows a refresh scoped
+    it to)."""
+    return 2.0 * rows * _VT_ENTRY_BYTES * DRAM_SEQ_NS_PER_BYTE
 
 
 def view_build_ns(builds, total_edges: int) -> float:
@@ -62,18 +64,19 @@ def view_build_ns(builds, total_edges: int) -> float:
 
     ``builds`` holds one :class:`~repro.analysis.viewcache.ShardBuild`
     per shard; ``total_edges`` is the edge count of the out-CSR the
-    shards' streams were merged into.  Re-read rows cluster in PMA
-    sections, so the PM traffic is one random probe per re-read
-    *section* plus a sequential stream of the re-read rows' edges —
-    every section and every edge of the shard for a full build, those
-    of the changed rows for a patch, none for a shard nothing changed
+    shards' streams were merged into.  Each shard pays for what it did:
+    the degree copies of the rows its snapshot was scoped to, one random
+    PM probe per *section* a re-read row starts in (re-read rows cluster
+    in PMA sections) and a sequential stream of the entries it read —
+    every row, section and entry of the shard for a full build, the
+    stale rows' tails for a patch, nothing for a shard nothing changed
     in.  Sharded builds add the O(E) DRAM scatter/merge into the global
     layout.
     """
     cost = max(
-        snapshot_open_ns(b.nv)
-        + b.sections * PM_RND_NS
-        + b.edges * EDGE_BYTES * PM_SEQ_NS_PER_BYTE
+        snapshot_open_ns(b.rows_copied)
+        + b.sections_probed * PM_RND_NS
+        + b.entries_streamed * EDGE_BYTES * PM_SEQ_NS_PER_BYTE
         for b in builds
     )
     if len(builds) > 1:

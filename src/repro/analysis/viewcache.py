@@ -2,21 +2,31 @@
 
 :class:`DGAPViewCache` is the patch half of the one view stack
 (DESIGN.md §7): :class:`~repro.sharding.merge.ShardedViewCache` — the
-only place one is constructed — decides reuse, opens the shard's
-snapshot and hands it here.  The cache keeps the shard's last
-``(out_indptr, out_dsts)`` / ``(in_indptr, in_srcs)`` pair and rebuilds
-only the rows the store says changed:
+only place one is constructed — decides reuse and merges; the cache
+keeps the shard's last ``(out_indptr, out_dsts)`` / ``(in_indptr,
+in_srcs)`` pair *and the degree vector they were read at* (one int64
+per row: the Degree Cache, held incrementally) and reads from PM only
+what was appended since:
 
 * **stale vertices** — a vertex is stale iff its *row stamp* is newer
-  than the cache's materialization epoch, or it was born since.  DGAP
-  stamps a vertex exactly when an edge or tombstone of that vertex
-  arrives (or a scrub repair loses one); a row is append-only and kept
-  in insertion order, so rebalance windows, log merges, resizes and
-  compaction sweeps move rows without changing them and stamp nothing
-  — every unstamped vertex's cached row is exact.
-* **out-CSR patch** — clean rows are gathered from the previous arrays,
-  stale rows re-materialized from the snapshot
-  (:meth:`~repro.core.snapshot.DGAPSnapshot.materialize_rows`).
+  than the cache's last read, or it was born since.  DGAP stamps a
+  vertex exactly when an edge or tombstone of that vertex arrives (or a
+  scrub repair loses one); a row is append-only and kept in insertion
+  order, so rebalance windows, log merges, resizes and compaction
+  sweeps move rows without changing them and stamp nothing — every
+  unstamped vertex's cached row is exact.
+* **row-scoped snapshot** — a refresh copies the degrees of the stale
+  rows only (``consistent_view(rows)``: the lifecycle and exclusion of
+  any snapshot, none of the O(nv) copy).
+* **out-CSR patch** — clean rows are gathered from the previous arrays;
+  of a stale row only the tail ``[cached degree, degree_t)`` is streamed
+  from PM, and the row is the deletion rule applied to *cached live row
+  ++ tail* (:meth:`~repro.core.snapshot.DGAPSnapshot.materialize_rows`,
+  which a full build calls with no prefix — one read path).  Only a
+  filtered rewrite (compaction sweep, lossy repair) takes entries out
+  of a row; the shard records it in ``history_epoch``, and the first
+  refresh after one copies the whole degree vector and reads its stale
+  rows whole, once.
 * **in-CSR delta merge** — old entries whose source went stale are
   dropped; the stale rows' edges are counting-sorted by destination
   (NumPy's stable integer argsort is a radix sort over the *delta
@@ -68,6 +78,8 @@ class ViewCacheStats:
     sections_rebuilt: int = 0
     #: vertices whose rows were re-materialized.
     vertices_rebuilt: int = 0
+    #: row entries (tombstones included) streamed from PM for them.
+    entries_streamed: int = 0
     #: clean rows copied over from the previous materialization.
     rows_reused: int = 0
     #: delta edges merged into the in-CSR (incremental builds only).
@@ -81,6 +93,7 @@ class ViewCacheStats:
             "incremental_builds": self.incremental_builds,
             "sections_rebuilt": self.sections_rebuilt,
             "vertices_rebuilt": self.vertices_rebuilt,
+            "entries_streamed": self.entries_streamed,
             "rows_reused": self.rows_reused,
             "delta_edges_merged": self.delta_edges_merged,
             "in_entries_dropped": self.in_entries_dropped,
@@ -88,12 +101,13 @@ class ViewCacheStats:
 
 
 class ShardBuild(NamedTuple):
-    """What one shard's cache did for one materialization."""
+    """What one shard's cache did for one materialization — the three
+    counts :func:`~repro.analysis.costs.view_build_ns` prices."""
 
     mode: str  #: "full" | "incremental" | "reuse"
-    sections: int  #: distinct PMA sections a re-read row starts in
-    edges: int  #: the re-read rows' edges, streamed from PM
-    nv: int  #: the shard's local vertex count (the snapshot that was opened)
+    rows_copied: int  #: rows whose degrees the snapshot copied
+    sections_probed: int  #: distinct PMA sections a re-read row starts in
+    entries_streamed: int  #: row entries (tombstones included) read from PM
 
 
 class DGAPViewCache:
@@ -105,6 +119,9 @@ class DGAPViewCache:
         self.stats = ViewCacheStats()
         self._out: Optional[CSRPair] = None
         self._in: Optional[CSRPair] = None
+        #: the degree vector the cached rows were read at (raw lengths,
+        #: tombstones included) and the structure epoch of that read
+        self._deg = np.empty(0, dtype=np.int64)
         self._epoch = -1
         self._nv = 0
 
@@ -117,98 +134,88 @@ class DGAPViewCache:
         return local_ids_to_global(nv, self.r, self.n).astype(ID_DTYPE)
 
     # -- entry point -------------------------------------------------------
-    def materialize(self, snap, dst_nv: int) -> Tuple[CSRPair, CSRPair, ShardBuild]:
+    def materialize(self, dst_nv: int) -> Tuple[CSRPair, CSRPair, ShardBuild]:
         """Current ``((out_indptr, out_dsts), (in_indptr, in_srcs))`` and
         the :class:`ShardBuild` saying how they were obtained.
 
-        ``snap`` must be an open :class:`DGAPSnapshot` of ``self.graph``
-        taken at the current structure epoch.  The returned arrays are
-        owned by the cache; they are never mutated afterwards (each
-        refresh allocates new ones).  ``dst_nv`` is the in-CSR
-        destination domain — the store's global vertex count; it must
-        not shrink between calls.
+        Opens (and releases) the shard's snapshot itself, scoped to the
+        rows it will read.  The returned arrays are owned by the cache;
+        they are never mutated afterwards (each refresh allocates new
+        ones).  ``dst_nv`` is the in-CSR destination domain — the
+        store's global vertex count; it must not shrink between calls.
         """
         g = self.graph
         epoch = int(g.structure_epoch)
-        nv = snap.num_vertices
+        nv = g.num_vertices
         with trace("view_materialize"):
-            if self._out is None:
-                annotate(mode="full")
-                out, inn, did = self._full_build(snap, nv, dst_nv)
+            stale = g.rows_changed_since(self._epoch, nv)
+            stale[self._nv :] = True  # born since
+            n_stale = int(stale.sum())
+            if self._out is not None and n_stale == 0:
+                # The store moved but no row of this shard changed: a
+                # layout operation here, or a write to another shard
+                # (the destination domain may have grown with it —
+                # extend the in-indptr with empties).  Nothing was read,
+                # so the cached read keeps its epoch.
+                self._in = (_extend_indptr(self._in[0], dst_nv), self._in[1])
+                self.stats.incremental_builds += 1
+                self.stats.rows_reused += nv
+                did = ShardBuild("reuse", 0, 0, 0)
             else:
-                stale = self._stale_vertices(nv)
-                n_stale = int(stale.sum())
-                if n_stale == 0:
-                    # The store moved but no row of this shard changed: a
-                    # layout operation here, or a write to another shard
-                    # (the destination domain may have grown with it —
-                    # extend the in-indptr with empties).
-                    annotate(mode="reuse")
-                    out = self._out
-                    inn = (_extend_indptr(self._in[0], dst_nv), self._in[1])
-                    did = ShardBuild("reuse", 0, 0, nv)
-                    self.stats.incremental_builds += 1
-                    self.stats.rows_reused += nv
-                elif n_stale >= FULL_REBUILD_STALE_FRACTION * nv:
-                    annotate(mode="full")
-                    out, inn, did = self._full_build(snap, nv, dst_nv)
+                if self._out is None or n_stale >= FULL_REBUILD_STALE_FRACTION * nv:
+                    with g.consistent_view() as snap:
+                        did = self._full_build(snap, nv, dst_nv)
                 else:
-                    annotate(mode="incremental", stale_vertices=n_stale)
                     stale_vids = np.flatnonzero(stale)
-                    out, s_counts, s_dsts = self._patch_out(snap, nv, stale, stale_vids)
-                    inn = self._merge_in(nv, dst_nv, stale_vids, s_counts, s_dsts)
-                    # one probe per section a re-read row starts in, then
-                    # those rows' edges as one stream
-                    starts = g.va.start[stale_vids]
-                    n_secs = int(np.unique(starts // g.ea.segment_slots).size)
-                    did = ShardBuild("incremental", n_secs, int(s_dsts.size), nv)
-                    self.stats.incremental_builds += 1
-                    self.stats.sections_rebuilt += n_secs
-                    self.stats.vertices_rebuilt += n_stale
-                    self.stats.rows_reused += nv - n_stale
-        self._out, self._in = out, inn
-        self._epoch, self._nv = epoch, nv
-        return out, inn, did
+                    # a filtered rewrite since the last read voids the held
+                    # lengths: one full degree copy, the stale rows read whole
+                    voided = g.history_epoch > self._epoch
+                    with g.consistent_view(None if voided else stale_vids) as snap:
+                        did = self._patch(snap, nv, dst_nv, stale, stale_vids)
+                self._epoch, self._nv = epoch, nv
+            annotate(**did._asdict())
+            self.stats.entries_streamed += did.entries_streamed
+        return self._out, self._in, did
 
-    # -- staleness ---------------------------------------------------------
-    def _stale_vertices(self, nv: int) -> np.ndarray:
-        """Rows stamped after the cached build, or born since."""
-        stale = self.graph.rows_changed_since(self._epoch, nv)
-        stale[self._nv :] = True
-        return stale
-
-    # -- out-CSR -----------------------------------------------------------
-    def _full_build(self, snap, nv: int, dst_nv: int) -> Tuple[CSRPair, CSRPair, ShardBuild]:
+    def _full_build(self, snap, nv: int, dst_nv: int) -> ShardBuild:
         n_sections = int(self.graph.ea.n_sections)
         self.stats.full_rebuilds += 1
         self.stats.sections_rebuilt += n_sections
         self.stats.vertices_rebuilt += nv
         out = snap.to_csr()
-        inn = build_in_csr_from(out[0], out[1], self._source_ids(nv), dst_nv)
-        return out, inn, ShardBuild("full", n_sections, int(out[1].size), nv)
+        inn = build_in_csr_from(*out, self._source_ids(nv), dst_nv)
+        self._out, self._in, self._deg = out, inn, snap.degree_t
+        return ShardBuild("full", nv, n_sections, int(self._deg.sum()))
 
-    def _patch_out(
-        self, snap, nv: int, stale: np.ndarray, stale_vids: np.ndarray
-    ) -> Tuple[CSRPair, np.ndarray, np.ndarray]:
-        prev_indptr, prev_dsts = self._out  # type: ignore[misc]
-        prev_counts = np.diff(prev_indptr)
-        clean_vids = np.flatnonzero(~stale)  # all < self._nv by construction
-        s_counts, s_dsts = snap.materialize_rows(stale_vids)
-
-        counts = np.empty(nv, dtype=np.int64)
-        counts[clean_vids] = prev_counts[clean_vids]
-        counts[stale_vids] = s_counts
-        indptr = np.zeros(nv + 1, dtype=INDPTR_DTYPE)
-        np.cumsum(counts, out=indptr[1:])
-        dsts = np.empty(int(indptr[-1]), dtype=ID_DTYPE)
-        src_idx = multi_arange(prev_indptr[clean_vids], prev_counts[clean_vids])
-        dst_idx = multi_arange(indptr[:-1][clean_vids], counts[clean_vids])
-        if src_idx.size:
-            dsts[dst_idx] = prev_dsts[src_idx]
-        s_idx = multi_arange(indptr[:-1][stale_vids], s_counts)
-        if s_idx.size:
-            dsts[s_idx] = s_dsts
-        return (indptr, dsts), s_counts, s_dsts
+    def _patch(self, snap, nv: int, dst_nv: int, stale, stale_vids) -> ShardBuild:
+        """Re-read the stale rows — their tails when ``snap`` is scoped to
+        them, whole when it is the full vector — and patch both CSRs."""
+        g = self.graph
+        prev_indptr = _extend_indptr(self._out[0], nv)  # a row born since is empty
+        prev_dsts = self._out[1]
+        if snap.rows is None:
+            deg, prefix = snap.degree_t, None
+            streamed = deg[stale_vids]
+        else:
+            deg = _extend(self._deg, nv)
+            held = prev_indptr[stale_vids + 1] - prev_indptr[stale_vids]
+            prefix = deg[stale_vids], held, prev_dsts[multi_arange(prev_indptr[stale_vids], held)]
+            streamed = snap.degree_t - prefix[0]
+        s_counts, s_dsts = snap.materialize_rows(stale_vids, prefix)
+        out = _patch_out(prev_indptr, prev_dsts, stale, stale_vids, s_counts, s_dsts)
+        inn = self._merge_in(nv, dst_nv, stale_vids, s_counts, s_dsts)
+        if prefix is not None:
+            deg[stale_vids] = snap.degree_t
+        self._out, self._in, self._deg = out, inn, deg
+        # one probe per section a re-read row starts in, then those rows'
+        # entries as one stream
+        starts = g.va.start[stale_vids]
+        n_secs = int(np.unique(starts // g.ea.segment_slots).size)
+        self.stats.incremental_builds += 1
+        self.stats.sections_rebuilt += n_secs
+        self.stats.vertices_rebuilt += stale_vids.size
+        self.stats.rows_reused += nv - stale_vids.size
+        return ShardBuild("incremental", snap.degree_t.size, n_secs, int(streamed.sum()))
 
     # -- in-CSR ------------------------------------------------------------
     def _merge_in(
@@ -266,12 +273,36 @@ class DGAPViewCache:
         return in_indptr, in_srcs
 
 
-def _extend_indptr(indptr: np.ndarray, dst_nv: int) -> np.ndarray:
-    """Widen an in-indptr to a grown destination domain (empty tail rows)."""
-    if indptr.size == dst_nv + 1:
-        return indptr
-    ext = np.full(dst_nv + 1 - indptr.size, indptr[-1], dtype=INDPTR_DTYPE)
-    return np.concatenate((indptr, ext))
+def _patch_out(prev_indptr, prev_dsts, stale, stale_vids, s_counts, s_dsts) -> CSRPair:
+    """Out-CSR over the rows of ``prev_indptr``: the clean ones from the
+    previous arrays, the stale ones from ``(s_counts, s_dsts)``."""
+    clean_vids = np.flatnonzero(~stale)
+    counts = np.diff(prev_indptr)
+    clean_counts = counts[clean_vids]
+    counts[stale_vids] = s_counts
+    indptr = np.zeros(counts.size + 1, dtype=INDPTR_DTYPE)
+    np.cumsum(counts, out=indptr[1:])
+    dsts = np.empty(int(indptr[-1]), dtype=ID_DTYPE)
+    src_idx = multi_arange(prev_indptr[clean_vids], clean_counts)
+    dst_idx = multi_arange(indptr[:-1][clean_vids], clean_counts)
+    if src_idx.size:
+        dsts[dst_idx] = prev_dsts[src_idx]
+    s_idx = multi_arange(indptr[:-1][stale_vids], s_counts)
+    if s_idx.size:
+        dsts[s_idx] = s_dsts
+    return indptr, dsts
+
+
+def _extend(vec: np.ndarray, n: int, fill=0) -> np.ndarray:
+    """``vec`` widened to ``n`` entries, the new ones ``fill``."""
+    if vec.size == n:
+        return vec
+    return np.concatenate((vec, np.full(n - vec.size, fill, dtype=vec.dtype)))
+
+
+def _extend_indptr(indptr: np.ndarray, nv: int) -> np.ndarray:
+    """Widen an indptr to ``nv`` rows (empty tail rows)."""
+    return _extend(indptr, nv + 1, indptr[-1])
 
 
 __all__ = ["DGAPViewCache", "ShardBuild", "ViewCacheStats", "FULL_REBUILD_STALE_FRACTION"]

@@ -76,11 +76,6 @@ class DGAPConfig:
     #: more room, the paper's design) or "uniform" (classic PMA/PCSR).
     gap_distribution: str = "proportional"
 
-    #: Use the Copy-on-Write Degree Cache (the paper's §6 future work):
-    #: snapshots share unchanged degree chunks with the writer instead of
-    #: copying the whole O(|V|) vector per analysis task.
-    cow_degree_cache: bool = False
-
     # ---- ablation switches (Table 5) -----------------------------------
     use_edge_log: bool = True
     use_undo_log: bool = True

@@ -99,8 +99,6 @@ class DGAP:
                      gen=0, create=True)
         self.va = make_vertex_array(cfg.init_vertices, cfg.dram_placement, pool)
         self._seed_pivots()
-        if cfg.cow_degree_cache:
-            self._init_cow_cache()
         for slot, value in self.geometry_roots().items():
             pool.write_root(slot, value)
 
@@ -153,7 +151,6 @@ class DGAP:
         self.slots_rebalanced = 0
         self._active_snapshots = 0
         self._shut_down = False
-        self._cow_cache = None
         #: rebalance windows of the current op (consumed by the virtual-
         #: thread scheduler when track_rebalance_windows is set)
         self.track_rebalance_windows = False
@@ -195,18 +192,6 @@ class DGAP:
             ROOT_SHUTDOWN: 0,
         }
 
-    def _init_cow_cache(self) -> None:
-        from .degree_cache import CoWDegreeCache
-
-        self._cow_cache = CoWDegreeCache(self.va.degrees(), self.va.live_degrees())
-
-    def _sync_degree(self, v: int) -> None:
-        """Mirror one vertex's degree into the CoW Degree Cache."""
-        if self._cow_cache is not None:
-            if v >= self._cow_cache.num_vertices:
-                self._cow_cache.grow(self.va.num_vertices)
-            self._cow_cache.set(v, int(self.va.degree[v]), int(self.va.live_degree[v]))
-
     # ------------------------------------------------------------------
     # structure epochs (incremental analysis views)
     # ------------------------------------------------------------------
@@ -226,9 +211,14 @@ class DGAP:
         stamp no row.  A view cache materialized at epoch ``e`` finds
         its stale rows as ``row_epoch > e`` — stamp-based, so there is
         no clearing step and any number of caches stay correct
-        independently.
+        independently.  It re-reads only the *tail* a stale row grew
+        since, which is exact until entries leave a row: a filtered
+        rewrite (compaction sweep, lossy repair) records the epoch it
+        commits at in ``history_epoch``, and a cache older than that
+        reads its stale rows whole, once.
         """
         self.structure_epoch = 0
+        self.history_epoch = 0
         #: epoch-keyed snapshot serving point reads (`out_neighbors`):
         #: re-taken only when the structure epoch moves, so a read burst
         #: between writes pays one snapshot, not one per call.
@@ -316,7 +306,6 @@ class DGAP:
                 va.grow(u + 1)
                 va.set_start(u, pos + 1)
                 va.set_el(u, -1)
-                self._sync_degree(u)
                 self.ea.inc_occ(self.ea.section_of(pos))
                 self._touch_rows(u)
                 self.pool.write_root(ROOT_NV_HINT, va.num_vertices)
@@ -472,7 +461,6 @@ class DGAP:
             va.set_degree(src, int(va.degree[src]) + 1)
             va.set_live_degree(src, int(va.live_degree[src]) + live_delta)
             ea.inc_occ(ea.section_of(pos))
-            self._sync_degree(src)
             self.n_array_inserts += 1
             self.n_edges_inserted += 1
             self._touch_rows(src)
@@ -500,7 +488,6 @@ class DGAP:
         va.set_el(src, gidx)
         va.set_degree(src, int(va.degree[src]) + 1)
         va.set_live_degree(src, int(va.live_degree[src]) + live_delta)
-        self._sync_degree(src)
         self.n_log_inserts += 1
         self.n_edges_inserted += 1
         self._touch_rows(src)
@@ -564,7 +551,6 @@ class DGAP:
         va.set_array_degree(src, int(va.array_degree[src]) + 1)
         va.set_degree(src, int(va.degree[src]) + 1)
         va.set_live_degree(src, int(va.live_degree[src]) + live_delta)
-        self._sync_degree(src)
         ea.recount(pos, g + 1)
         self._touch_rows(src)
         self.n_shift_inserts += 1
@@ -861,9 +847,6 @@ class DGAP:
             # out-of-order acquisition the lock discipline forbids.
             self.rebalancer.merge_section(cut_sec, thread_id)
 
-        if self._cow_cache is not None:
-            for v in gsrc.tolist():
-                self._sync_degree(int(v))
         return (
             np.concatenate(deferred_parts)
             if deferred_parts
@@ -913,17 +896,15 @@ class DGAP:
             annotate(**stats)
         self.n_compactions += 1
         self.tombstone_pairs_compacted += stats["pairs_dropped"]
-        if self._cow_cache is not None:
-            for v in range(self.va.num_vertices):
-                self._sync_degree(v)
         return stats
 
     # ------------------------------------------------------------------
     # graph analysis (paper §3.1.3)
     # ------------------------------------------------------------------
-    def consistent_view(self) -> DGAPSnapshot:
-        """Snapshot the Degree Cache for an analysis task (``g.consistent_view``)."""
-        return DGAPSnapshot(self)
+    def consistent_view(self, rows: Optional[np.ndarray] = None) -> DGAPSnapshot:
+        """Snapshot the Degree Cache for an analysis task (``g.consistent_view``)
+        — of ``rows`` (ascending vertex ids) only, for a task that reads no other."""
+        return DGAPSnapshot(self, rows)
 
     def require_no_snapshots(self, what: str) -> None:
         """Drop the graph-owned point view, then refuse ``what`` while a

@@ -363,6 +363,9 @@ class Rebalancer:
         if keep_mask is None:
             return self._gather(*ext), None
         g = self._gather(*ext, lossy=keep_mask is _lost_mask)
+        # entries are about to leave rows: whatever prefix a reader holds
+        # of them ends with the epoch this rewrite commits at
+        self.host.history_epoch = self.host.structure_epoch + 1
         return g, keep_mask(g)
 
     def _gaps(self, sizes: np.ndarray, G: int, T: int) -> np.ndarray:

@@ -54,7 +54,6 @@ def open_from_pool(cls, pool: PMemPool, config: Optional[DGAPConfig] = None):
     """Reconstruct a DGAP instance from a pool (normal or crash path)."""
     host = cls._blank()
     host.config = config or DGAPConfig()
-    cfg = host.config
     host.pool = pool
 
     seg_slots = pool.read_root(ROOT_SEGSLOTS)
@@ -78,8 +77,6 @@ def open_from_pool(cls, pool: PMemPool, config: Optional[DGAPConfig] = None):
         with trace("crash_recover"):
             crash_recover(host)
 
-    if cfg.cow_degree_cache:
-        host._init_cow_cache()
     if host.locks.n_sections != host.ea.n_sections:
         host.locks.resize(host.ea.n_sections)
     pool.write_root(ROOT_SHUTDOWN, 0)

@@ -8,16 +8,21 @@ merges, rebalances or resizes happen afterwards — merges only ever
 *append-preserve* a run's logical prefix, and reads locate data through
 the live vertex array.  ``consistent_view()`` therefore copies the
 degree (and live-degree) vectors into the task's DRAM space and nothing
-else.
+else — and a task that will read only some rows (a view refresh: the
+rows written since its last build) copies only those rows' entries.
 
-Reading vertex ``v`` at time *t* (``degree_t = degree_v^t``):
+Reading entries ``[lo, degree_t)`` of vertex ``v`` (``degree_t =
+degree_v^t``; ``lo = 0`` is the whole row, a larger ``lo`` the *tail*
+behind a prefix the reader already holds — the same append-only
+argument makes that prefix exact for as long as no filtered rewrite
+drops entries, DESIGN.md §7):
 
-* the first ``min(array_degree_now, degree_t)`` edges come from the
-  edge array run at the *current* ``start_v``;
-* any remainder comes from the edge-log back-pointer chain: the chain
-  holds logical positions ``[array_degree_now, degree_now)`` newest
-  first, so skip the ``degree_now - degree_t`` newest entries and take
-  the rest (paper: the FIFO buffer of size ``rest_v^t``).
+* positions below ``array_degree_now`` come from the edge array run at
+  the *current* ``start_v``;
+* the rest come from the edge-log back-pointer chain: the chain holds
+  logical positions ``[array_degree_now, degree_now)`` newest first, so
+  skip the ``degree_now - degree_t`` newest entries and take what the
+  range still needs (paper: the FIFO buffer of size ``rest_v^t``).
 
 Tombstones (deleted edges) are filtered at read time: a tombstone
 cancels one earlier occurrence of the same destination.
@@ -32,52 +37,40 @@ import numpy as np
 from ..errors import SnapshotError
 from ..nputil import multi_arange
 from ..obs.tracer import trace
-from .encoding import SLOT_DTYPE, TOMB_BIT, tombstone_matches
+from .encoding import SLOT_DTYPE, TOMB_BIT, check_vertex, tombstone_matches
 
 
 class DGAPSnapshot:
-    """One analysis task's consistent view of a DGAP graph."""
+    """One analysis task's consistent view of a DGAP graph.
 
-    def __init__(self, host):
+    ``rows`` (ascending vertex ids) scopes the snapshot to those rows:
+    only their degrees are copied and only they can be read.
+    """
+
+    def __init__(self, host, rows: Optional[np.ndarray] = None):
         self.host = host
-        self.num_vertices = host.va.num_vertices
-        self._cow = None
-        if getattr(host, "_cow_cache", None) is not None:
-            # CoW Degree Cache (§6 future work): O(chunks) pin instead of
-            # an O(|V|) copy; vectors materialize lazily on bulk access.
-            self._cow = host._cow_cache.snapshot()
-            self._degree_t: Optional[np.ndarray] = None
-            self._live_t: Optional[np.ndarray] = None
+        va = host.va
+        self.num_vertices = va.num_vertices
+        self.rows = rows
+        if rows is None:
+            # The Degree Cache: O(V) DRAM copies at task start.
+            self.degree_t = va.degrees().copy()
+            self.live_t = va.live_degrees().copy()
         else:
-            # The baseline Degree Cache: O(V) DRAM copies at task start.
-            self._degree_t = host.va.degrees().copy()
-            self._live_t = host.va.live_degrees().copy()
+            self.degree_t = va.degree[rows]
+            self.live_t = va.live_degree[rows]
         self._released = False
         self._csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
         host._snapshot_opened(self)
 
     @property
-    def degree_t(self) -> np.ndarray:
-        if self._degree_t is None:
-            self._degree_t = self._cow.degrees()
-        return self._degree_t
-
-    @property
-    def live_t(self) -> np.ndarray:
-        if self._live_t is None:
-            self._live_t = self._cow.live_degrees()
-        return self._live_t
-
-    @property
     def num_edges(self) -> int:
-        return int(self.live_t[: self.num_vertices].sum())
+        return int(self.live_t.sum())
 
     # -- lifecycle ----------------------------------------------------------
     def release(self) -> None:
         if not self._released:
             self._released = True
-            if self._cow is not None:
-                self._cow.release()
             self.host._snapshot_closed(self)
 
     def __enter__(self):
@@ -91,45 +84,29 @@ class DGAPSnapshot:
         if self._released:
             raise SnapshotError("snapshot used after release()")
 
+    def _at(self, vids):
+        """Positions of ``vids`` in the copied vectors (the ids themselves
+        unless the snapshot is row-scoped)."""
+        self._check()
+        if self.rows is None:
+            return vids
+        if not np.isin(vids, self.rows).all():
+            raise SnapshotError("row outside this snapshot's scope")
+        return np.searchsorted(self.rows, vids)
+
     # -- per-vertex reads --------------------------------------------------------
     def out_degree(self, v: int) -> int:
         """Live (tombstone-adjusted) out-degree of ``v`` at snapshot time."""
-        self._check()
-        if self._cow is not None and self._live_t is None:
-            return self._cow.live_degree(v)  # no materialization needed
-        return int(self.live_t[v])
+        return int(self.live_t[self._at(check_vertex(v, self.num_vertices))])
 
     def slot_values(self, v: int) -> np.ndarray:
         """Encoded slot values of ``v``'s first ``degree_t`` edges, in order."""
-        self._check()
-        va = self.host.va
-        if self._cow is not None and self._degree_t is None:
-            deg_t = self._cow.degree(v)
-        else:
-            deg_t = int(self.degree_t[v])
-        if deg_t == 0:
-            return np.empty(0, dtype=SLOT_DTYPE)
-        a_now = int(va.array_degree[v])
-        n_arr = min(a_now, deg_t)
-        st = int(va.start[v])
-        arr = self.host.ea.slots[st : st + n_arr]
-        if deg_t <= n_arr:
-            return arr
-        return np.concatenate([arr, self._chain_tail(v, deg_t - n_arr, deg_t)])
-
-    def _chain_tail(self, v: int, take: int, deg_t: int) -> np.ndarray:
-        """The last ``take`` of ``v``'s first ``deg_t`` entries, oldest
-        first, from its edge-log chain (which is walked newest first)."""
-        va = self.host.va
-        skip = int(va.degree[v]) - deg_t  # entries appended after snapshot time
-        _, _, dst_encs = self.host.logs.walk_chain_arrays(int(va.el[v]), limit=skip + take)
-        return dst_encs[skip : skip + take][::-1].astype(SLOT_DTYPE)
+        vids = np.array([check_vertex(v, self.num_vertices)], dtype=np.int64)
+        return self._tails(vids, 0, self.degree_t[self._at(vids)])
 
     def out_neighbors(self, v: int) -> np.ndarray:
         """Live destination ids of ``v`` at snapshot time (tombstones applied)."""
         vals = self.slot_values(v)
-        if vals.size == 0:
-            return vals.astype(SLOT_DTYPE)
         tomb = (vals & TOMB_BIT) != 0
         dsts = (vals & ~TOMB_BIT) - 1
         if not tomb.any():
@@ -137,43 +114,74 @@ class DGAPSnapshot:
         return _apply_tombstones(dsts, tomb)
 
     # -- bulk materialization ---------------------------------------------------------
-    def materialize_rows(self, vids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def _tails(self, vids: np.ndarray, lo, deg_t: np.ndarray) -> np.ndarray:
+        """Encoded entries ``[lo[i], deg_t[i])`` of each ``vids[i]``, back to
+        back (``lo``: one offset per row, or 0 for whole rows) — the one
+        reader of row bytes.  Array parts are gathered in one pass; only
+        pending log chains are walked per vertex, and only as deep as the
+        range reaches.  Freshly allocated — never a view into the
+        persistent buffers."""
+        va = self.host.va
+        sizes = deg_t - lo
+        n_arr = np.maximum(np.minimum(va.array_degree[vids], deg_t) - lo, 0)
+        vals = self.host.ea.slots[multi_arange(va.start[vids] + lo, n_arr)]
+        n_chain = sizes - n_arr
+        if n_chain.any():
+            # splice each pending chain's entries in behind the array part
+            off = np.cumsum(sizes) - sizes
+            arr_vals, vals = vals, np.empty(int(sizes.sum()), dtype=SLOT_DTYPE)
+            vals[multi_arange(off, n_arr)] = arr_vals
+            for i in np.flatnonzero(n_chain).tolist():
+                v, take = int(vids[i]), int(n_chain[i])
+                skip = int(va.degree[v] - deg_t[i])  # entries appended after snapshot time
+                _, _, encs = self.host.logs.walk_chain_arrays(int(va.el[v]), limit=skip + take)
+                # the chain is walked newest first
+                vals[off[i] + n_arr[i] : off[i] + sizes[i]] = encs[skip : skip + take][::-1]
+        return vals
+
+    def materialize_rows(
+        self, vids: np.ndarray, prefix: Optional[Tuple[np.ndarray, ...]] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Row counts and concatenated live rows of ``vids``, in order.
 
         Returns ``(counts, dsts)``: ``counts[i]`` is the live degree of
         ``vids[i]`` at snapshot time and ``dsts`` holds the rows back to
-        back.  Array parts are gathered in one pass and every
-        tombstone-holding row is resolved by one
-        :func:`~repro.core.encoding.tombstone_matches` call; only pending
-        log chains are walked per vertex.  Both arrays are always freshly
-        allocated — never views into the persistent buffers.
+        back, both freshly allocated.  ``prefix = (lens, counts, dsts)``
+        says the caller holds each row's first ``lens[i]`` entries
+        already resolved to ``counts[i]`` live destinations: only the
+        tails behind them are read from PM and each row is the deletion
+        rule applied to *prefix ++ tail*.  That equals resolving the raw
+        row: per key the rule is a stack (:func:`~repro.core.encoding.
+        tombstone_matches`), a resolved prefix leaves every stack as the
+        raw prefix did, and a tombstone the prefix left unmatched cancels
+        nothing that comes later.
         """
-        self._check()
-        va = self.host.va
         vids = np.asarray(vids, dtype=np.int64)
-        deg_t = self.degree_t[vids]  # the raw row lengths, tombstones included
-        n_arr = np.minimum(va.array_degree[vids], deg_t)
-        idx = multi_arange(va.start[vids], n_arr)
-        vals = self.host.ea.slots[idx] if idx.size else np.empty(0, dtype=SLOT_DTYPE)
-        off = np.cumsum(deg_t) - deg_t
-
-        chained = np.flatnonzero(deg_t > n_arr)
-        if chained.size:
-            # splice each pending chain's entries in behind the array part
-            arr_vals, vals = vals, np.empty(int(deg_t.sum()), dtype=SLOT_DTYPE)
-            vals[multi_arange(off, n_arr)] = arr_vals
-            for i in chained.tolist():
-                a, d = int(n_arr[i]), int(deg_t[i])
-                vals[off[i] + a : off[i] + d] = self._chain_tail(int(vids[i]), d - a, d)
-
+        deg_t = self.degree_t[self._at(vids)]  # the raw row lengths, tombstones included
+        lens = 0 if prefix is None else prefix[0]
+        vals = self._tails(vids, lens, deg_t)
+        sizes = deg_t - lens
         tomb = (vals & TOMB_BIT) != 0
         dsts = (vals & ~TOMB_BIT) - 1
+        if prefix is not None:
+            # lay each held prefix out in front of its tail
+            _, held, held_dsts = prefix
+            tail_dsts, tail_tomb, tails = dsts, tomb, sizes
+            sizes = held + tails
+            off = np.cumsum(sizes) - sizes
+            at_tail = multi_arange(off + held, tails)
+            dsts = np.empty(int(sizes.sum()), dtype=SLOT_DTYPE)
+            dsts[multi_arange(off, held)] = held_dsts
+            dsts[at_tail] = tail_dsts
+            tomb = np.zeros(dsts.size, dtype=bool)
+            tomb[at_tail] = tail_tomb
         if not tomb.any():
-            return deg_t, dsts
-        owner = np.repeat(np.arange(vids.size), deg_t)
+            return sizes, dsts
+        off = np.cumsum(sizes) - sizes
+        owner = np.repeat(np.arange(vids.size), sizes)
         hot = np.zeros(vids.size, dtype=bool)
         hot[owner[tomb]] = True  # rows holding a tombstone
-        keep = ~(tomb | tombstone_matches(dsts, tomb, off[hot], deg_t[hot]))
+        keep = ~(tomb | tombstone_matches(dsts, tomb, off[hot], sizes[hot]))
         return np.bincount(owner[keep], minlength=vids.size), dsts[keep]
 
     def to_csr(self) -> Tuple[np.ndarray, np.ndarray]:

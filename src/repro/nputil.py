@@ -12,6 +12,9 @@ def multi_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     and the kernels' edge gathers; always returns int64 indices.
     """
     counts = np.asarray(counts, dtype=np.int64)
+    if counts.size == 1:  # one run (a point read's row) is one arange
+        start = int(np.asarray(starts).flat[0])
+        return np.arange(start, start + int(counts.flat[0]), dtype=np.int64)
     total = int(counts.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64)

@@ -5,13 +5,14 @@
 :class:`~repro.core.dgap.DGAP` — with the store-level view cache
 (:class:`~repro.sharding.merge.ShardedViewCache`, DESIGN.md §7):
 ``acquire()`` returns an immutable :class:`ServeView` pinned at the
-shards' current structure epochs.  While no write lands, every acquire
-gets the cached arrays back (an epoch compare, no snapshot) and returns
-the same view; after a write the cache re-materializes — patching only
-the stale rows — and the server hands out a *new* view.  Held views
-keep serving the old arrays untouched: the cache allocates fresh,
-read-only arrays on every build, so isolation needs no locks and no
-copies on the read path.
+shards' current structure epochs.  While no write lands — layout
+operations (rebalance, merge, resize, compaction) included — every
+acquire gets the cached arrays back (an epoch compare, no snapshot) and
+returns the same view; after a write the cache re-materializes —
+reading only what was appended to the stale rows — and the server hands
+out a *new* view.  Held views keep serving the old arrays untouched: the
+cache allocates fresh, read-only arrays on every build, so isolation
+needs no locks and no copies on the read path.
 
 Modeled latency follows the analysis cost model
 (:mod:`repro.analysis.costs`).  Served reads price against the

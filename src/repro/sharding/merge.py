@@ -3,10 +3,9 @@
 :class:`ShardedViewCache` fronts any store — a
 :class:`~repro.sharding.sharded.ShardedDGAP` or a one-shard
 :class:`~repro.core.dgap.DGAP` — and owns the three read-side decisions
-(DESIGN.md §7): *reuse* (nothing moved → the same arrays, no snapshot),
-*build* (open the per-shard snapshots, drive the per-shard patch
-caches, merge) and *cost* (``cache.last``, priced by
-:func:`~repro.analysis.costs.view_build_ns`).
+(DESIGN.md §7): *reuse* (no row moved → the same arrays, no snapshot),
+*build* (drive the per-shard patch caches, merge) and *cost*
+(``cache.last``, priced by :func:`~repro.analysis.costs.view_build_ns`).
 
 The merge contract (tested in ``tests/test_sharding.py``, proved in
 DESIGN.md §14): the merged ``((out_indptr, out_dsts), (in_indptr,
@@ -101,7 +100,7 @@ class ViewBuild(NamedTuple):
     """The last ``materialize()`` call, as ``cache.last``."""
 
     epoch: Tuple[int, ...]  #: per-shard structure epochs the arrays are pinned at
-    reused: bool  #: nothing moved: the cached arrays were handed back
+    reused: bool  #: no row moved: the cached arrays were handed back
     modeled_ns: float  #: ``EPOCH_CHECK_NS`` when reused, else the build cost
 
 
@@ -110,13 +109,12 @@ class ShardedViewCache:
 
     ``materialize()`` compares the shards' structure epochs with the
     cached build and hands back the same (read-only) arrays while they
-    hold; otherwise it opens one snapshot per shard and lets each shard's
-    :class:`DGAPViewCache` patch the rows that changed.  If none did (the
-    epoch moved for a rebalance, merge, resize or compaction) the same
-    arrays come back again; else the shards' streams are merged — a
-    scatter plus pairwise in-stream merges, ``O(E)`` with no sorting.
-    :attr:`last` says which happened and what it cost on the modeled
-    clock.
+    hold; otherwise each shard's :class:`DGAPViewCache` patches the rows
+    that changed.  If none did (the epoch moved for a rebalance, merge,
+    resize or compaction) the same arrays come back again, still a
+    reuse; else the shards' streams are merged — a scatter plus pairwise
+    in-stream merges, ``O(E)`` with no sorting.  :attr:`last` says which
+    happened and what it cost on the modeled clock.
     """
 
     def __init__(self, store) -> None:
@@ -148,28 +146,27 @@ class ShardedViewCache:
         builds = []
         for r, sh in enumerate(self._shards):
             expect = local_count(nv - 1, r, n)
-            with sh.consistent_view() as snap:
-                if snap.num_vertices != expect:
-                    raise GraphError(
-                        f"shard {r} holds {snap.num_vertices} local vertices, "
-                        f"expected {expect} for global count {nv}"
-                    )
-                out, inn, did = self.caches[r].materialize(snap, nv)
+            if sh.num_vertices != expect:
+                raise GraphError(
+                    f"shard {r} holds {sh.num_vertices} local vertices, "
+                    f"expected {expect} for global count {nv}"
+                )
+            out, inn, did = self.caches[r].materialize(nv)
             outs.append(out)
             inns.append(inn)
             builds.append(did)
-        merged_edges = 0
-        if any(b.mode != "reuse" for b in builds):
-            # else the epoch moved (a layout operation) but no row did: the
-            # merged arrays are still exact, and nothing is merged again
-            self._views = merge_out_csr(outs, nv, n), merge_in_csr(inns, nv)
-            for pair in self._views:
-                for arr in pair:
-                    # shared by every holder of this epoch (and, at one shard,
-                    # by the patch cache's next build): freeze at birth
-                    arr.flags.writeable = False
-            merged_edges = int(self._views[0][1].size)
-        self.last = ViewBuild(epoch, False, view_build_ns(builds, merged_edges))
+        if all(b.mode == "reuse" for b in builds):
+            # the epoch moved (a layout operation) but no row did: the
+            # merged arrays are still exact — the epoch check, a step later
+            self.last = ViewBuild(epoch, True, EPOCH_CHECK_NS)
+            return self._views
+        self._views = merge_out_csr(outs, nv, n), merge_in_csr(inns, nv)
+        for pair in self._views:
+            for arr in pair:
+                # shared by every holder of this epoch (and, at one shard,
+                # by the patch cache's next build): freeze at birth
+                arr.flags.writeable = False
+        self.last = ViewBuild(epoch, False, view_build_ns(builds, int(self._views[0][1].size)))
         return self._views
 
 

@@ -25,6 +25,7 @@ from repro import DGAP, DGAPConfig
 from repro.analysis.view import ID_DTYPE
 from repro.errors import VertexRangeError
 from repro.serve import (
+    EPOCH_CHECK_NS,
     QueryServer,
     ServeWorkloadConfig,
     ZipfianSampler,
@@ -359,6 +360,32 @@ class TestQueryServer:
         v3 = server.acquire()
         assert v1 is not v2 and v2 is v3
         assert server.refreshes == 2 and server.reuses == 1
+        g.shutdown()
+
+    @pytest.mark.parametrize("make", [small_graph, small_sharded])
+    def test_a_layout_only_epoch_move_is_not_a_refresh(self, make):
+        """A rebalance window, resize or compaction with no write between
+        moves the epoch and no row: the held view comes back, counted and
+        priced as the reuse it is."""
+        g = make()
+        preload(g)
+        g.delete_edge(*next((s, int(g.out_neighbors(s)[0])) for s in range(NV) if g.out_degree(s)))
+        server = QueryServer(g)
+        v1 = server.acquire()
+        for layout in (
+            lambda sh: sh.rebalancer.rebalance_window(*sh.ea.tree.window_at(0, 1), 1),
+            lambda sh: sh.rebalancer.resize(),
+            lambda sh: sh.compact(),
+        ):
+            epochs = [sh.structure_epoch for sh in g.shards]
+            for sh in g.shards:
+                layout(sh)
+            assert all(sh.structure_epoch > e for sh, e in zip(g.shards, epochs))
+            assert server.acquire() is v1
+            assert server.last_acquire_ns == EPOCH_CHECK_NS
+        assert (server.refreshes, server.reuses) == (1, 3)
+        g.insert_edge(0, 1)
+        assert server.acquire() is not v1 and server.refreshes == 2
         g.shutdown()
 
     def test_k_hop_levels(self):

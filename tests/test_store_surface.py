@@ -309,6 +309,24 @@ class TestIllegalCalls:
         # a refused snapshot read leaks no snapshot: shutdown still legal
         g.shutdown()
 
+    @pytest.mark.parametrize("bad", [-1, 10**6])
+    def test_a_snapshot_refuses_ids_outside_its_rows(self, kind, bad):
+        """The snapshot is a reader too: a negative id must not wrap to the
+        last row, and an id born after it was taken is not its row."""
+        g, _ = seeded(kind)
+        snaps = [sh.consistent_view() for sh in g.shards]
+        g.insert_vertex(NV + 5)
+        for snap in snaps:
+            nv = snap.num_vertices
+            for v in (bad, nv):
+                for read in (snap.out_degree, snap.out_neighbors, snap.slot_values):
+                    with pytest.raises(VertexRangeError) as exc:
+                        read(v)
+                    assert str(exc.value) == f"vertex {v} out of range [0, {nv})"
+            assert snap.out_degree(nv - 1) == snap.out_neighbors(nv - 1).size
+            snap.release()
+        g.shutdown()
+
     @pytest.mark.parametrize("method,args,k", ILLEGAL_K)
     def test_every_reader_refuses_a_negative_k(self, kind, method, args, k):
         g, _ = seeded(kind)
@@ -346,15 +364,15 @@ def wide_store(kind):
     return g
 
 
-def build_cost_by_hand(g, sections, streamed, total_edges):
-    """Per-shard snapshot open + one PM probe per re-read section + the
-    streamed edges at PM bandwidth, shards in parallel; N > 1 adds the
-    O(E) DRAM merge."""
+def build_cost_by_hand(g, copied, sections, streamed, total_edges):
+    """Per-shard degree copies of the rows the snapshot was scoped to +
+    one PM probe per re-read section + the streamed entries at PM
+    bandwidth, shards in parallel; N > 1 adds the O(E) DRAM merge."""
     per_shard = [
-        2.0 * sh.num_vertices * 8.0 * costs.DRAM_SEQ_NS_PER_BYTE
+        2.0 * rows * 8.0 * costs.DRAM_SEQ_NS_PER_BYTE
         + k * costs.PM_RND_NS
         + e * 4.0 * costs.PM_SEQ_NS_PER_BYTE
-        for sh, k, e in zip(g.shards, sections, streamed)
+        for rows, k, e in zip(copied, sections, streamed)
     ]
     merge = total_edges * 4.0 * costs.DRAM_SEQ_NS_PER_BYTE if g.n_shards > 1 else 0.0
     return max(per_shard) + merge
@@ -378,17 +396,20 @@ def view_costs(kind):
     last, ne = build()
     own = [sh.num_edges for sh in g.shards]
     assert sum(own) == ne
-    full = build_cost_by_hand(g, [sh.ea.n_sections for sh in g.shards], own, ne)
+    full = build_cost_by_hand(g, [sh.num_vertices for sh in g.shards],
+                              [sh.ea.n_sections for sh in g.shards], own, ne)
     assert (last.reused, last.modeled_ns) == (False, full)
 
     # same epoch: the epoch check and nothing else
     last, _ = build()
     assert (last.reused, last.modeled_ns) == (True, costs.EPOCH_CHECK_NS)
 
-    # one-vertex write: the owner probes the section that row starts in and
-    # streams the row; every other shard only opens its snapshot
+    # one-vertex write: the owner copies that row's degrees, probes the
+    # section it starts in and streams the three entries appended to it;
+    # every other shard reads nothing
     epochs = [sh.structure_epoch for sh in g.shards]
     merged = [st.delta_edges_merged for st in cache.stats]
+    streamed = [st.entries_streamed for st in cache.stats]
     rebuilds = [st.full_rebuilds for st in cache.stats]
     g.insert_edges([[5, 9], [5, 11], [5, 13]])
     last, ne = build()
@@ -401,7 +422,9 @@ def view_costs(kind):
     owner = int(shard_of(5, n))  # vertex 5's row, and no other
     assert [rows.tolist() for rows in reread] == [[5 // n] * (r == owner) for r in range(n)]
     assert dirty == [int(r == owner) for r in range(n)] and delta[owner] == g.out_degree(5)
-    patch = build_cost_by_hand(g, dirty, delta, ne)
+    tails = [st.entries_streamed - e for st, e in zip(cache.stats, streamed)]
+    assert tails == [3 * (r == owner) for r in range(n)]  # the row's tail, not the row
+    patch = build_cost_by_hand(g, dirty, dirty, tails, ne)
     assert (last.reused, last.modeled_ns) == (False, patch)
     assert server.refresh_ns_total == full + patch
     assert (server.refreshes, server.reuses) == (2, 1)
@@ -545,9 +568,10 @@ class TestOneSurface:
             sets = re.findall(rf"^\s+(?:self|host)\.{name} = ", src["sharding/sharded.py"], flags=re.M)
             assert len(sets) == 1, name
 
-        # one view stack: who decides reuse, who opens snapshots for a view
-        # and who prices the build is `sharding/merge.py` (the formula
-        # itself in `analysis/costs.py`)
+        # one view stack: who decides reuse and who prices the build is
+        # `sharding/merge.py` (the formula itself in `analysis/costs.py`);
+        # who opens a shard's snapshot for a view, scoped to the rows it
+        # reads, is that shard's patch cache
         def homes(pattern):
             return sorted(k for k, text in src.items() if re.search(pattern, text))
 
@@ -556,10 +580,23 @@ class TestOneSurface:
                      "id_" + "stride", "row_" + "ids"):
             assert homes(gone) == [], gone
         assert homes(r"\._nv\b") == ["analysis/viewcache.py"]
-        # one constructor site, one epoch-tuple build, one snapshot hand-off
+        # one constructor site, one epoch-tuple build, one row-scoped snapshot
         assert homes(r"DGAPViewCache\(") == ["sharding/merge.py"]
         assert homes(r"structure_epoch for") == ["sharding/merge.py"]
-        assert homes(r"\.materialize\(snap") == ["sharding/merge.py"]
+        assert homes(r"\.consistent_view\([^)]") == ["analysis/viewcache.py"]
+        # one Degree Cache: the full-vector copy has one home, no second
+        # (copy-on-write) snapshot path; one reader of row bytes on the
+        # view path, the tail reader; one writer of the stamp that voids
+        # the prefixes tails are read behind, where a rewrite meets a filter
+        assert homes(r"(?i)cow") == []
+        assert homes(r"degrees\(\)\.copy\(\)") == ["core/snapshot.py"]
+        view_path = {k: v for k, v in src.items()
+                     if k in ("core/snapshot.py", "analysis/viewcache.py", "sharding/merge.py")
+                     or k.startswith("serve/")}
+        assert _count(r"\.ea\.slots\[|region\.view", view_path) == 1
+        assert ".ea.slots[" in src["core/snapshot.py"].split("def _tails")[1].split("\n    def ")[0]
+        assert homes(r"history_epoch = [^0]") == ["core/rebalance.py"]
+        assert _count(r"history_epoch = [^0]", src) == 1
         # one staleness signal: rows are stamped by one function, called by
         # the write path and the scrubber's lossy repair; no section stamps
         for gone in (r"_section_epoch", r"sections_dirty_since", r"_touch_sections",
@@ -604,4 +641,4 @@ class TestOneSurface:
 
     def test_dgap_did_not_grow_a_merged_view(self):
         assert not hasattr(DGAP, "global_csr")
-        assert len(dataclasses.fields(DGAPConfig)) == 19
+        assert len(dataclasses.fields(DGAPConfig)) == 18

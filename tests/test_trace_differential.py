@@ -179,3 +179,49 @@ def test_analysis_kernels_unperturbed_by_tracing():
     np.testing.assert_array_equal(ranks_plain, ranks_traced)
     assert secs_plain == secs_traced  # modeled analysis seconds, exactly
     assert tracer.find("pr")[0].attrs["analysis_par_ns"] > 0
+
+
+def test_served_refreshes_unperturbed_and_attributed():
+    """Traced vs untraced serving twins hand out the same bytes at the
+    same modeled price, and every traced refresh shows where that price
+    came from: its ``view_materialize`` span carries the three counts
+    ``view_build_ns`` prices."""
+    from repro.analysis.costs import view_build_ns
+    from repro.analysis.viewcache import ShardBuild
+    from repro.serve import QueryServer
+
+    edges = workload_edges()
+
+    def serve(g, on_refresh):
+        server, trail = QueryServer(g), []
+        for step, a in enumerate(range(0, 600, 40)):
+            g.insert_edges(edges[a : a + 40])
+            g.delete_edge(*edges[a].tolist())
+            if step % 5 == 4:
+                g.compact()
+            view = server.acquire()
+            trail.append((view.out_indptr.tobytes(), view.out_dsts.tobytes(), server.last_acquire_ns))
+            on_refresh(view, server.last_acquire_ns)
+        assert server.refreshes == len(trail)
+        return trail, [st.as_dict() for st in server._cache.stats]
+
+    g_plain, _ = make_twin()
+    g_traced, _ = make_twin()
+    want = serve(g_plain, lambda view, ns: None)
+
+    tracer = Tracer(g_traced.pool.stats, device_ops=True)
+    seen = []
+
+    def attributed(view, ns):
+        spans = tracer.find("view_materialize")
+        assert len(spans) == len(seen) + 1
+        did = ShardBuild(**{k: spans[-1].attrs[k] for k in ShardBuild._fields})
+        assert did.mode != "reuse" and did.entries_streamed >= 41
+        assert ns == view_build_ns([did], view.out_dsts.size)
+        seen.append(did)
+
+    with tracing(tracer):
+        got = serve(g_traced, attributed)
+    assert got == want
+    assert any(b.rows_copied < NV for b in seen)  # tails were read, not only whole rows
+    assert_devices_identical(g_plain, g_traced)

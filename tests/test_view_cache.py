@@ -13,14 +13,21 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import DGAP, DGAPConfig
-from repro.analysis.costs import snapshot_open_ns
+from repro.analysis.costs import (
+    DRAM_SEQ_NS_PER_BYTE,
+    EPOCH_CHECK_NS,
+    PM_RND_NS,
+    PM_SEQ_NS_PER_BYTE,
+)
 from repro.analysis.view import ID_DTYPE, INDPTR_DTYPE, build_in_csr
 from repro.baselines import SYSTEMS, DGAPSystem, StaticCSR
 from repro.bench.harness import SOURCE_KERNELS
 from repro.algorithms import KERNELS
 from repro.core.batch import EdgeBatch
+from repro.obs import Tracer, tracing
 from repro.pmem.constants import XPLINE
 from repro.resilience import RepairOutcome, ResilienceManager
+from repro.serve import QueryServer
 from repro.sharding import ShardedViewCache
 from repro.sharding.partition import shard_of
 
@@ -205,10 +212,8 @@ class TestRowsNotSections:
                 again = cache.materialize()
                 assert all(a is b for x, y in zip(again, held) for a, b in zip(x, y)), op
                 assert rows_rebuilt(cache) == before, op
-                if not cache.last.reused:  # the epoch moved: snapshot opens, nothing else
-                    assert cache.last.modeled_ns == max(
-                        snapshot_open_ns(sh.num_vertices) for sh in g.shards
-                    )
+                # the epoch moved but no row did: still a reuse, the epoch check
+                assert cache.last == (cache.last.epoch, True, EPOCH_CHECK_NS)
                 continue
             epochs = [sh.structure_epoch for sh in g.shards]
             was_nv = [sh.num_vertices for sh in g.shards]
@@ -255,6 +260,134 @@ class TestRowsNotSections:
             g.delete_edge(3, 4)
             held = cache.materialize()
             assert view_bytes(held) == view_bytes(ShardedViewCache(g).materialize())
+
+
+# -- a refresh reads only what was appended: tail patch == from-scratch ------
+
+pair = st.tuples(vertex, vertex)
+tail_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("batch"), st.lists(pair, min_size=1, max_size=12), st.booleans()),
+        st.tuples(st.just("redo"), vertex, vertex),   # delete, then re-insert the pair
+        st.tuples(st.just("del"), vertex, vertex),    # unmatched when the pair is absent
+        st.tuples(st.just("hub"), st.integers(0, NV - 1), st.integers(1, 30)),
+        st.tuples(st.just("birth"), st.integers(NV, GROW + 8)),
+        st.tuples(st.sampled_from(["merge", "window", "resize"]), st.integers(0, 63)),
+        st.tuples(st.just("compact")),
+        st.tuples(st.just("repair"), st.integers(0, 63)),
+        st.tuples(st.just("refresh")),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+def lossy_repair(g, k):
+    """Destroy one XPLine of a shard's edge array and let the scrubber
+    close the holes (a filtered rewrite, like compaction)."""
+    sh = g.shards[k % g.n_shards]
+    lines = sh.ea.region.nbytes // XPLINE
+    sh.pool.device.poison(sh.ea.region.offset + (k % lines) * XPLINE, XPLINE)
+    ResilienceManager(sh).full_scrub()
+
+
+@pytest.mark.parametrize("kind", STORES)
+class TestTailPatch:
+    @given(tail_ops)
+    @common
+    def test_every_refresh_is_the_from_scratch_build(self, kind, ops):
+        """Duplicate pairs, delete-then-reinsert, unmatched tombstones,
+        tails straddling the array run and the log chain, births, layout
+        operations and the two history rewrites, refreshed at random
+        points: each refresh equals a fresh cache's build byte for byte
+        (out- and in-CSR), and a held view keeps its epoch's bytes."""
+        g = make_store(kind, **TINY_LOG)
+        g.insert_edges(np.random.default_rng(8).integers(0, NV, size=(150, 2)))
+        cache, server = ShardedViewCache(g), QueryServer(g)
+        held = server.acquire()
+        pinned = held.epoch, view_bytes([(held.out_indptr, held.out_dsts)])
+
+        def refresh():
+            assert view_bytes(cache.materialize()) == view_bytes(ShardedViewCache(g).materialize())
+
+        for op in ops:
+            if op[0] == "batch":
+                g.insert_edges(EdgeBatch(*np.array(op[1], dtype=np.int64).T,
+                                         np.full(len(op[1]), op[2])))  # all lives or all deletes
+            elif op[0] == "redo":
+                g.insert_edges([op[1:], op[1:]])  # a duplicate pair
+                g.delete_edge(*op[1:])
+                refresh()  # the tombstone lands in a tail of its own
+                g.insert_edge(*op[1:])
+            elif op[0] == "del":
+                g.delete_edge(*op[1:])
+            elif op[0] == "hub":
+                g.insert_edges([[op[1], d % NV] for d in range(op[2])])
+            elif op[0] == "birth":
+                g.insert_vertex(op[1])
+            elif op[0] == "repair":
+                lossy_repair(g, op[1])
+            elif op[0] == "refresh":
+                refresh()
+            else:
+                layout_op(g, op)
+        refresh()
+        assert (held.epoch, view_bytes([(held.out_indptr, held.out_dsts)])) == pinned
+        g.check_invariants()
+
+    def test_one_edge_on_a_hub_streams_one_entry(self, kind):
+        g, cache, owner, read = hub_store(kind)
+        g.insert_edge(HUB, 7)
+        did, build_ns = read(), cache.last.modeled_ns
+        assert [(b["rows_copied"], b["sections_probed"], b["entries_streamed"]) for b in did] == [
+            (1, 1, 1) if r == owner else (0, 0, 0) for r in range(g.n_shards)
+        ]
+        assert cache.stats[owner].vertices_rebuilt == g.shards[owner].num_vertices + 1
+        merge = cache.materialize()[0][1].size * 4.0 * DRAM_SEQ_NS_PER_BYTE * (g.n_shards > 1)
+        assert build_ns == (
+            2.0 * 1 * 8.0 * DRAM_SEQ_NS_PER_BYTE + 1 * PM_RND_NS + 1 * 4.0 * PM_SEQ_NS_PER_BYTE + merge
+        )
+
+    def test_a_compaction_costs_one_whole_row_read_then_tails_resume(self, kind):
+        g, cache, owner, read = hub_store(kind)
+        sh = g.shards[owner]
+        for d in range(40):
+            g.delete_edge(HUB, d % NV)
+        read()
+        before = int(sh.va.degree[HUB // g.n_shards])
+        assert g.compact()["pairs_dropped"] == 40
+        assert {b["mode"] for b in read()} == {"reuse"}  # a layout operation: no row re-read
+        g.insert_edge(HUB, 9)
+        raw = int(sh.va.degree[HUB // g.n_shards])
+        assert raw == before - 80 + 1 > 500
+        did = read()[owner]  # the prefix is void: every degree, the stale row whole
+        assert (did["mode"], did["rows_copied"], did["entries_streamed"]) == ("incremental", sh.num_vertices, raw)
+        g.insert_edge(HUB, 11)
+        did = read()[owner]
+        assert (did["mode"], did["rows_copied"], did["entries_streamed"]) == ("incremental", 1, 1)
+        assert view_bytes(cache.materialize()) == view_bytes(ShardedViewCache(g).materialize())
+
+
+HUB = 5
+
+
+def hub_store(kind):
+    """A store whose vertex ``HUB`` holds 600 entries, a cache built on it,
+    and ``read()``: refresh under a tracer, return each shard's
+    ``view_materialize`` annotations (what ``view_build_ns`` prices)."""
+    g = make_store(kind, init_vertices=64, init_edges=4096)
+    g.insert_edges(np.random.default_rng(9).integers(0, 64, size=(500, 2)))
+    g.insert_edges([[HUB, d % NV] for d in range(600)])
+    cache = ShardedViewCache(g)
+    cache.materialize()
+
+    def read():
+        tracer = Tracer(g.pool.stats)
+        with tracing(tracer):
+            cache.materialize()
+        return [sp.attrs for sp in tracer.find("view_materialize")]
+
+    return g, cache, int(shard_of(HUB, g.n_shards)), read
 
 
 # -- every row-changing site stamps its row ---------------------------------
