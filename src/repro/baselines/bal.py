@@ -24,7 +24,6 @@ import numpy as np
 from ..analysis.view import BaseGraphView, CSRArraysView, StorageGeometry
 from ..analysis import costs
 from ..errors import VertexRangeError
-from ..pmem.alloc import FreeListAllocator
 from ..pmem.latency import OPTANE_ADR, LatencyModel
 from ..pmem.pool import PMemPool
 from ..pmem.tx import TransactionManager
@@ -56,7 +55,6 @@ class BlockedAdjacencyList(DynamicGraphSystem):
         self.pool = PMemPool(pool_bytes, profile=profile, name="bal")
         self.heads = self.pool.alloc_array("heads", np.int64, num_vertices, initial=0)
         self.txm = TransactionManager(self.pool, capacity=4096, name="bal-journal")
-        self.blocks = FreeListAllocator(self.pool.allocator, BLOCK_BYTES)
 
         # DRAM bookkeeping
         self.tail_off = np.full(num_vertices, -1, dtype=np.int64)
@@ -74,7 +72,7 @@ class BlockedAdjacencyList(DynamicGraphSystem):
         if tail < 0 or cnt == BLOCK_EDGES:
             # Grow the chain: journaled allocation + link (the expensive path).
             with self.txm.tx() as t:
-                off = self.blocks.alloc()
+                off = self.pool.alloc(BLOCK_BYTES)
                 if tail < 0:
                     t.add_region(self.heads, src, 1)
                     self.heads.write(src, off + 1, payload=0, persist=True)

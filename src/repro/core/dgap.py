@@ -28,7 +28,7 @@ from typing import Iterable, Optional, Tuple
 import numpy as np
 
 from ..config import DGAPConfig
-from ..errors import GraphError, OutOfPMemError, VertexRangeError
+from ..errors import GraphError, VertexRangeError
 from ..pmem.crash import CrashInjector
 from ..pmem.faults import FaultPolicy
 from ..pmem.pool import PMemPool
@@ -113,8 +113,9 @@ class DGAP:
 
     @staticmethod
     def _auto_pool_bytes(cfg: DGAPConfig, capacity: int) -> int:
-        # Headroom for several copy-on-write resize generations, the
-        # per-section edge logs of each, scratch areas and the undo logs.
+        # Headroom for several growth generations (a retired one is
+        # reused, but only by a region that fits it), the per-section
+        # edge logs of each, the scratch area and the undo logs.
         slot_bytes = capacity * 4
         elog_bytes = (capacity // cfg.segment_slots) * cfg.elog_size
         per_gen = slot_bytes * 3 + elog_bytes * 2
@@ -132,7 +133,7 @@ class DGAP:
             pool, capacity, seg_slots, self._bounds,
             gen=gen, create=create, pm_metadata=not cfg.dram_placement,
         )
-        self.logs = EdgeLogs(pool, self.ea.n_sections, eps, gen=gen, create=create)
+        self.logs = EdgeLogs(pool, self.ea.n_sections, eps, create=create)
         self.ulogs = [UndoLog(pool, t, cfg.ulog_size, create=create) for t in range(nthreads)]
         self.tx_mgr: Optional[TransactionManager] = None
         if not cfg.use_undo_log:
@@ -877,10 +878,11 @@ class DGAP:
     def compact(self, thread_id: int = 0) -> dict:
         """Tombstone-merge sweep: physically drop matched delete pairs.
 
-        Rewrites the whole edge array once (under the rebalance crash
-        protocol), removing every matched tombstone + cancelled-live
-        pair from each vertex's logical run and merging pending edge-log
-        chains in the same pass.  The live adjacency read back afterward
+        Rewrites the whole edge array once (into its next generation,
+        ``Rebalancer._switch``), removing every matched tombstone +
+        cancelled-live pair from each vertex's logical run and merging
+        pending edge-log chains in the same pass.  The live adjacency
+        read back afterward
         is byte-identical; only the dead weight that inflates section
         occupancy, gathers and recovery scans is gone.  Unmatched
         tombstones are kept (see ``encoding.tombstone_matches``).

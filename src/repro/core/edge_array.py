@@ -6,11 +6,13 @@ insertion order — with PMA gaps between runs.  Section (leaf segment)
 occupancy counts are DRAM metadata by default, mirrored to PM with
 persistent in-place updates under the "No DP" ablation (Table 5).
 
-Generations: resizing the PMA does not move data in place — it writes a
-fresh, larger region and atomically switches the pool root pointer
-(copy-on-write), so a crash during resize trivially falls back to the
-old generation.  Old generations are abandoned (bump allocator); real
-PMDK would free them.
+Generations: a whole-array rewrite — growth, or the root window at the
+same capacity — does not move data in place.  It streams the image into
+a fresh region and atomically switches the pool root pointer to it
+(``Rebalancer._switch``), so a crash before the switch trivially falls
+back to the old generation; the switch frees the generation it retires,
+and the next one reuses the block.  The constructor therefore writes
+nothing: whoever creates a generation stores its whole image.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ class EdgeArray:
         name = f"edges.g{gen}"
         if create:
             self.region = pool.alloc_array(name, SLOT_DTYPE, capacity_slots)
-            self.region.fill(0)
         else:
             self.region = pool.get_array(name)
 

@@ -46,21 +46,24 @@ _FIELDS = 3  # src, dst_enc, back
 
 
 class EdgeLogs:
-    """All per-section logs of one edge-array generation, in one region."""
+    """All per-section logs of one array geometry, in one region.
+
+    The region belongs to — and is named after — a geometry
+    (``n_sections``), not a generation: a same-capacity generation
+    switch keeps it, growth allocates the next.
+    """
 
     def __init__(
         self,
         pool: PMemPool,
         n_sections: int,
         entries_per_section: int,
-        gen: int = 0,
         create: bool = True,
     ):
         self.pool = pool
         self.n_sections = n_sections
         self.entries_per_section = entries_per_section
-        self.gen = gen
-        name = f"elogs.g{gen}"
+        name = f"elogs.g{n_sections}"
         total = n_sections * entries_per_section * _FIELDS
         if create:
             self.region = pool.alloc_array(name, np.int32, total)

@@ -11,16 +11,19 @@ layout over the window under crash protection:
   Fig. 4 scenario): the paper's exact protocol — back the whole window
   up in the per-thread undo log, then overwrite.  A crash restores the
   backup and re-issues the rebalance.
-* **large windows**: the final image is first streamed to a persistent
-  scratch area, a redirect record is committed in the undo-log header
-  (state = COPYBACK), then copied over the window in ULOG_SZ chunks.  A
-  crash *redoes* the idempotent copy from scratch.  This deviates from
-  the paper's description (which chunk-backs-up destinations but does
-  not explain how interrupted multi-chunk permutations are replayed —
-  see DESIGN.md §9); it preserves the cost profile (bulk sequential
-  writes, no PMDK journal allocations, O(1) ordering points) while
-  making every crash point provably recoverable, which the crash-sweep
-  tests verify exhaustively.
+* **large windows** below the root: the final image is first streamed
+  to a persistent scratch area, a redirect record is committed in the
+  undo-log header (state = COPYBACK), then copied over the window in
+  ULOG_SZ chunks.  A crash *redoes* the idempotent copy from scratch.
+  This deviates from the paper's description (DESIGN.md §9) while
+  preserving its cost profile (bulk sequential writes, no PMDK journal
+  allocations, O(1) ordering points) and making every crash point
+  provably recoverable, which the crash-sweep tests verify exhaustively.
+* **the whole array** — growth, or the root window at unchanged
+  capacity (a compaction sweep, a root-level rebalance): nothing moves
+  in place.  :meth:`Rebalancer._switch` streams the image once into a
+  fresh generation's region and flips the root pointer to it
+  (:meth:`Rebalancer._stream_generation` has the protocol).
 
 Edge-log clearing after a merge follows the DONE protocol in
 ``undo_log.py``: the window is recorded and state=DONE committed before
@@ -28,10 +31,8 @@ any log is cleared, so clears are idempotent across crashes and a
 half-cleared state can always be completed — entries are never both in
 the array and replayable from a log.
 
-The ``No EL&UL`` ablation (Table 5) replaces all of this with one PMDK
-transaction around the window.  Resizing never moves data in place:
-it's a copy-on-write generation switch committed by a single atomic
-root-pointer update.
+The ``No EL&UL`` ablation (Table 5) replaces all of this, the root
+window included, with one PMDK transaction around the window.
 
 Every rewrite of edge-array slots is one pipeline, ``_extend`` →
 ``_gather`` → (optional filter) → ``_plan`` → :meth:`Rebalancer._commit`,
@@ -42,9 +43,10 @@ the whole-array window with the matched-tombstone filter between gather
 and plan, the scrubber's lossy repair a leaf window with the lost-slot
 filter (the two masks sit side by side below); the "No EL" long shift
 hands ``_commit`` its shifted image; crash recovery re-enters ``_commit``
-at the state the undo log recorded.  A resize shares the gather, the
-filter of the window it takes over, the plan and the DRAM apply but
-commits by its root-pointer switch.
+at the state the undo log recorded.  The generation switch shares the
+gather, the filter of the window it takes over, the plan and the DRAM
+apply, commits by its root-pointer flip, and at unchanged capacity hands
+``_commit`` the tail from ``mark_done`` on.
 """
 
 from __future__ import annotations
@@ -83,6 +85,10 @@ from .undo_log import (
 #: Charged per slot moved, on top of the bulk store/flush costs — it is
 #: what makes small edge logs (frequent merges) expensive in Fig. 9.
 ELEMENT_MOVE_NS = 22.0
+
+#: The store's one persistent scratch region (COPYBACK images of
+#: sub-root windows); dead between windows, regrown when one outgrows it.
+SCRATCH = "rebal.scratch"
 
 #: Pool root slots used by the edge-array generation protocol.
 ROOT_SHUTDOWN = 0
@@ -189,8 +195,6 @@ class Rebalancer:
 
     def __init__(self, host):
         self.host = host
-        self._scratch = None  # lazily grown uint8 region for COPYBACK
-        self._scratch_seq = 0
         self._tls = threading.local()  # per-thread DRAM scratch buffers
 
     def dram_scratch(self) -> ScratchBuffer:
@@ -436,21 +440,11 @@ class Rebalancer:
     # execution
     # ------------------------------------------------------------------
     def _get_scratch(self, nbytes: int):
-        if self._scratch is None or self._scratch.count < nbytes:
-            pool = self.host.pool
-            cap = max(nbytes, 64 * 1024)
-            while True:
-                self._scratch_seq += 1
-                name = f"rebal.scratch.{self._scratch_seq}"
-                if not pool.has_array(name):
-                    self._scratch = pool.alloc_array(name, np.uint8, cap)
-                    break
-                # left over from a pre-crash instance: reuse if big enough
-                existing = pool.get_array(name)
-                if existing.count >= nbytes:
-                    self._scratch = existing
-                    break
-        return self._scratch
+        pool = self.host.pool
+        if not pool.has_array(SCRATCH):
+            return pool.alloc_array(SCRATCH, np.uint8, max(nbytes, 64 * 1024))
+        scratch = pool.get_array(SCRATCH)
+        return scratch if scratch.count >= nbytes else pool.grow_array(SCRATCH, nbytes)
 
     @traced("write_window", slots=lambda self, lo, hi, *_: hi - lo)
     def write_window_protected(self, lo: int, hi: int, image: np.ndarray, thread_id: int) -> None:
@@ -459,7 +453,8 @@ class Rebalancer:
         Small windows use the paper's backup-then-overwrite undo-log
         protocol; large ones the copy-on-write redirect; the "No EL&UL"
         ablation a PMDK transaction.  :meth:`_commit` owns the undo
-        log's completion protocol (mark_done/finish).
+        log's completion protocol (mark_done/finish).  Under the undo
+        log the root window never comes here (:meth:`_switch`).
         """
         host = self.host
         dev = host.pool.device
@@ -560,12 +555,13 @@ class Rebalancer:
 
         overwrite slots ``[lo, hi)`` with ``image`` → mark done → clear
         the logs the image absorbed → finish → move the DRAM metadata.
-        Crash recovery re-enters with the header it found (``redo``):
-        a COPYBACK redoes the scratch copy in place of the overwrite, a
-        DONE resumes at the clears.  ``log_rows`` is the stream that
-        loaded the absorbed logs; ``None`` means none was merged (the
-        "No EL" shift), so the recorded done window is empty and nothing
-        is cleared.  ``layout`` — ``(laid, new_starts)`` from
+        A generation switch already made its image current and passes
+        none.  Crash recovery re-enters with the header it found
+        (``redo``): a COPYBACK is landed again (:meth:`_land`) in place
+        of the overwrite, a DONE resumes at the clears.  ``log_rows`` is
+        the stream that loaded the absorbed logs; ``None`` means none
+        was merged (the "No EL" shift), so the recorded done window is
+        empty and nothing is cleared.  ``layout`` — ``(laid, new_starts)`` from
         :meth:`_plan` — moves the vertex array with the image; recovery
         (whose scan rebuilds it) and the shift (which only bumps starts)
         pass none.  Under "No EL&UL" the PMDK transaction inside
@@ -577,9 +573,10 @@ class Rebalancer:
             host.ulogs[thread_id] if redo is not None or host.config.use_undo_log else None
         )
         if redo is None:
-            self.write_window_protected(lo, hi, image, thread_id)
+            if image is not None:
+                self.write_window_protected(lo, hi, image, thread_id)
         elif redo.state == STATE_COPYBACK:
-            self._copy_scratch(redo.dst_off, host.ea.byte_off(lo), redo.length, ulog)
+            self._land(redo, ulog)
         if ulog is not None and (redo is None or redo.state != STATE_DONE):
             ulog.mark_done(lo, hi if log_rows is not None else lo)
         if log_rows is not None:
@@ -617,13 +614,14 @@ class Rebalancer:
         """Run the pipeline over one density-tree window under its locks.
 
         Returns ``(gathered, laid out)`` once committed — in place, or by
-        the resize that took over when even the root window could not
-        hold its contents — or None when nothing was written: the window
-        holds only gaps, or the array generation changed while waiting
-        for locks (the trigger is obsolete — the new layout was just
-        rebalanced wholesale).  ``keep_mask(gathered)`` filters the
-        gathered values before they are laid out, in the window and in
-        that resize alike: no gather of this call goes unfiltered.
+        the generation switch that takes the root window over (growing
+        when it cannot hold its contents) — or None when nothing was
+        written: the window holds only gaps, or the array generation
+        changed while waiting for locks (the trigger is obsolete — the
+        new layout was just rebalanced wholesale).  ``keep_mask(gathered)``
+        filters the gathered values before they are laid out, in the
+        window and in that switch alike: no gather of this call goes
+        unfiltered.
 
         §3.1.6 protocol: flag the window's sections, acquire every
         section lock in ascending order (``begin_rebalance``), *then*
@@ -644,8 +642,10 @@ class Rebalancer:
             while True:
                 if host.ea is not ea:
                     return None
-                lo, hi = lo_seg * S, hi_seg * S
-                lo, hi, i0, j = self._extend(lo, hi)
+                lo, hi, i0, j = self._extend(lo_seg * S, hi_seg * S)
+                root = hi - lo == ea.capacity
+                if root and host.config.use_undo_log:
+                    break  # never rewritten in place
                 need = self._window_lock_span(lo, hi)
                 if not set(need) <= set(held):
                     if held:
@@ -658,95 +658,144 @@ class Rebalancer:
                 g, keep = self._gather_kept((lo, hi, i0, j), keep_mask)
                 laid = g if keep is None else g.relaid(lo, hi, keep)
                 if laid.total <= (hi - lo):
-                    break
+                    image, new_starts = self._plan(laid)
+                    self._commit(lo, hi, g.log_rows, thread_id, image, layout=(laid, new_starts))
+                    return g, laid
                 # window can't hold its own contents (boundary extension,
                 # or log chains that outgrew the array): escalate a level,
-                # or resize when already at the root.
-                if level >= ea.tree.height:
-                    locks.end_rebalance(held)
-                    held = []
-                    return self.resize(thread_id, keep_mask)
+                # or leave the root to a larger generation.
+                if root:
+                    break
                 level += 1
                 lo_seg, hi_seg = ea.tree.window_at(lo_seg, level)
-
-            image, new_starts = self._plan(laid)
-            self._commit(lo, hi, g.log_rows, thread_id, image, layout=(laid, new_starts))
-            return g, laid
         finally:
             if held:
                 locks.end_rebalance(held)
+        # the whole array: a generation switch, which takes every lock itself
+        fits = host.config.use_undo_log and self._switch(thread_id, keep_mask)
+        return fits or self.resize(thread_id, keep_mask)
 
     @traced("resize")
     def resize(self, thread_id: int = 0, keep_mask=None) -> Tuple[GatherResult, GatherResult]:
-        """Copy-on-write generation switch to a (at least) doubled array;
-        returns ``(gathered, laid out)`` like :meth:`_rewrite_window`,
-        whose ``keep_mask`` it honours when it takes a window over.
+        """Generation switch to a (at least) doubled array; returns
+        ``(gathered, laid out)`` like :meth:`_rewrite_window`, whose
+        ``keep_mask`` it honours when it takes a window over."""
+        return self._switch(thread_id, keep_mask, grow=True)
+
+    def _switch(
+        self, thread_id: int, keep_mask, grow: bool = False
+    ) -> Optional[Tuple[GatherResult, GatherResult]]:
+        """Rewrite the whole array into a fresh generation — at the same
+        capacity, or (``grow``) a larger one.  None when the contents
+        do not fit the capacity they were to keep.
 
         Runs under *full* exclusion: every section is flagged and locked
         (``begin_rebalance`` over the whole table) before the gather, so
         the quiescence assertion in ``SectionLockTable.resize`` — which
-        this thread reaches via ``stats_note_resize`` after the commit
-        point — holds by construction.  The lock-table swap releases the
-        old generation's locks itself, so ``end_rebalance`` only runs on
-        the early-exit (exception) path.  Callers must hold no section
-        locks (deadlock-freedom: a resize acquires everything).
+        a growing switch reaches via ``stats_note_resize`` after the
+        commit point — holds by construction.  That lock-table swap
+        releases the old generation's locks itself; otherwise this
+        thread still holds them and ``end_rebalance`` runs.  Callers
+        must hold no section locks (deadlock-freedom: a switch acquires
+        everything).
         """
         host = self.host
         locks = host.locks
         held = locks.begin_rebalance(range(locks.n_sections))
         try:
-            done = self._resize_locked(keep_mask)
-            held = []  # locks.resize() already dropped the old-table holds
-            return done
+            cap = new_cap = host.ea.capacity
+            g, keep = self._gather_kept(self._extend(0, cap), keep_mask)
+            total = g.total if keep is None else g.sizes.size + int(keep.sum())
+            if grow:
+                target = host.config.tau_root * 0.75
+                while total > new_cap * target:
+                    new_cap *= 2
+                if new_cap == cap:
+                    new_cap *= 2
+            elif total > cap:
+                return None
+            laid = g.relaid(0, new_cap, keep)
+            image, new_starts = self._plan(laid)
+            self._stream_generation(image, thread_id)
+            if grow:
+                self._apply_dram(laid, new_starts)
+                host.ea.recount_all()
+                host.stats_note_resize(new_cap)
+            else:  # the kept logs still hold what the image absorbed
+                self._commit(0, cap, g.log_rows, thread_id, layout=(laid, new_starts))
+            return g, laid
         finally:
-            if held:
-                # Unwind only what this thread still holds: a failure
-                # *after* the lock-table swap already released everything.
-                me = threading.get_ident()
-                still = locks.held_sections()
-                mine = [s for s in held if still.get(s, (0, 0))[0] == me]
-                if mine:
-                    locks.end_rebalance(mine)
+            me = threading.get_ident()
+            still = locks.held_sections()
+            mine = [s for s in held if still.get(s, (0, 0))[0] == me]
+            if mine:
+                locks.end_rebalance(mine)
 
-    def _resize_locked(self, keep_mask) -> Tuple[GatherResult, GatherResult]:
+    @traced("write_window", slots=lambda self, image, *_: int(image.size))
+    def _stream_generation(self, image: np.ndarray, thread_id: int) -> None:
+        """Make ``image`` — a whole array — the next generation: one
+        sequential non-temporal stream into its region (which the image
+        covers: no fill), a fence, the root flip.  Nothing is moved in
+        place, so no element-move cost accrues.
+
+        A larger array gets new, empty logs and the flip alone commits.
+        At unchanged capacity the log region is kept, so the image is
+        committed first — a COPYBACK whose source is the new region —
+        and everything after rolls forward: recovery lands it by
+        flipping the root (:meth:`_land`), and the caller's
+        :meth:`_commit` tail clears the entries it absorbed under the
+        DONE record of any window.  A failed allocation frees what the
+        half-built generation got.
+        """
+        host = self.host
+        pool, ea, logs = host.pool, host.ea, host.logs
+        try:
+            new_ea = EdgeArray(pool, image.size, ea.segment_slots, ea.tree.bounds,
+                               gen=ea.gen + 1, create=True, pm_metadata=ea.pm_metadata)
+            if image.size != ea.capacity:
+                logs = EdgeLogs(pool, new_ea.n_sections, logs.entries_per_section)
+        except OutOfPMemError:
+            self.reap()
+            raise
+        pool.device.ntstore(new_ea.region.offset, image.view(np.uint8), payload=0)
+        pool.device.sfence()
+        if logs is host.logs:
+            host.ulogs[thread_id].begin_copyback(0, image.size, new_ea.region.offset, image.nbytes)
+        self._flip(new_ea, logs)
+
+    def _flip(self, ea: EdgeArray, logs: EdgeLogs) -> None:
+        """The atomic generation switch; the generation it retires is freed."""
+        host = self.host
+        host.pool.write_root(ROOT_GEN, ea.gen)
+        host.ea, host.logs = ea, logs
+        self.reap()
+
+    def _land(self, h: UndoHeader, ulog: UndoLog) -> None:
+        """Redo a committed COPYBACK, whose image sits whole at
+        ``h.dst_off``: in the scratch, copy it over the window again; in
+        a generation's region, flip the root to it.  Idempotent both."""
         host = self.host
         ea = host.ea
-        g, keep = self._gather_kept(self._extend(0, ea.capacity), keep_mask)
-        total = g.total if keep is None else g.sizes.size + int(keep.sum())
-        new_cap = ea.capacity
-        target = host.config.tau_root * 0.75
-        while total > new_cap * target:
-            new_cap *= 2
-        if new_cap == ea.capacity:
-            new_cap *= 2
+        name = host.pool.region_of(h.dst_off)[0]
+        if name == SCRATCH:
+            self._copy_scratch(h.dst_off, ea.byte_off(h.win_lo), h.length, ulog)
+            return
+        ea = EdgeArray(host.pool, ea.capacity, ea.segment_slots, ea.tree.bounds,
+                       gen=int(name.rsplit("g", 1)[1]), create=False,
+                       pm_metadata=ea.pm_metadata)
+        self._flip(ea, host.logs)
 
-        gen = ea.gen + 1
-        new_ea = EdgeArray(
-            host.pool,
-            new_cap,
-            ea.segment_slots,
-            ea.tree.bounds,
-            gen=gen,
-            create=True,
-            pm_metadata=ea.pm_metadata,
-        )
-        new_logs = EdgeLogs(
-            host.pool, new_ea.n_sections, host.logs.entries_per_section, gen=gen, create=True
-        )
-        # Lay out into the new generation (sequential streaming store).
-        g2 = g.relaid(0, new_cap, keep)
-        image, new_starts = self._plan(g2)
-        host.pool.device.ntstore(new_ea.region.offset, image.view(np.uint8), payload=0)
-        host.pool.device.sfence()
-        # Commit point: the atomic generation switch.
-        host.pool.write_root(ROOT_GEN, gen)
+    def reap(self) -> None:
+        """Free every generation region nothing will read again
+        (``recovery.dead_state``): the retired generation at a flip, a
+        half-built one when a switch unwinds or a crash interrupted it."""
+        from .recovery import GENERATION_REGIONS, dead_state
 
-        host.ea = new_ea
-        host.logs = new_logs
-        self._apply_dram(g2, new_starts)
-        new_ea.recount_all()
-        host.stats_note_resize(new_cap)
-        return g, g2
+        pool = self.host.pool
+        for name in pool.names(GENERATION_REGIONS):
+            region = pool.get_array(name)
+            if dead_state(self.host, name, region.offset, region.nbytes):
+                pool.free_array(name)
 
     # ------------------------------------------------------------------
     # tombstone compaction (temporal expiry sweep)
@@ -758,19 +807,18 @@ class Rebalancer:
         A rebalance of the root window with a filter: gathers every
         vertex run (merging pending edge-log chains), drops each matched
         tombstone + cancelled-live pair (:func:`_unmatched_mask`), and
-        commits the filtered layout like any other window.  Live
+        commits the filtered layout as the next generation.  Live
         adjacency is byte-identical before and after; ``live_degree`` is
         untouched (a dropped pair nets zero) while ``degree`` and
         ``array_degree`` shrink to the filtered run lengths, so the
         paid-per-entry costs of future gathers and scans drop with the
-        dead weight.  Should even the filtered image not fit in place,
-        the resize that takes over applies the same filter: one sweep
-        always suffices.
+        dead weight.  Should even the filtered image not fit the
+        capacity, the resize that takes over applies the same filter:
+        one sweep always suffices.
 
-        Crash behavior needs no new recovery logic: a crash before the
-        window image commits restores the backup and re-issues the
-        window as a plain rebalance (the sweep is dropped — logically
-        invisible); a crash after the COPYBACK commit redoes the copy
+        Crash behavior: a crash before the image commits leaves the old
+        generation current (the sweep is dropped — logically invisible);
+        a crash after the COPYBACK commit rolls forward to the new one
         and the recovery scan reconstructs the filtered metadata, with
         ``live = array_deg − 2·tombs`` still exact because only matched
         pairs were removed.
@@ -808,7 +856,8 @@ class Rebalancer:
         window rewritten with the lost-slot filter: the survivors are
         laid out in order, surviving chain entries merged, the merged
         logs cleared and the vertex array moved exactly as a log merge
-        does, under the same undo-log / COPYBACK / PMDK-tx protection.
+        does, under the same undo-log / COPYBACK / PMDK-tx protection
+        (or the generation switch, should a window escalate to the root).
         A crash anywhere leaves only what recovery already cuts: a run
         at its first hole, a chain at its first missing entry.  Windows
         extend to whole runs and may escalate, so a section inside one

@@ -13,7 +13,8 @@ flag:
      cursors from it — the only time recovery reads log bytes: steps 3
      and 5 work on this image;
   3. complete or unwind every per-thread undo log (restore the chunk
-     backup / redo the copy-on-write / finish pending log clears);
+     backup / redo the copy-on-write or roll a committed generation
+     switch forward / finish pending log clears);
   4. scan the edge array pivots to reconstruct the vertex array
      (starts, array degrees, tombstone-adjusted live degrees);
   5. replay the edge logs to restore degrees and ``el_v`` chain heads;
@@ -23,7 +24,8 @@ Every step reads persistent state only — two sequential streams, one
 over the logs and one over the edge array, so recovery time follows
 pool size (§4.4: "graph-size dependent"); costs accrue to the pool's
 modeled clock inside the ``crash_recover`` span, which is what the §4.4
-recovery evaluation reports.
+recovery evaluation reports.  Either path ends by freeing the generation
+regions a crash or a failed switch left behind (``Rebalancer.reap``).
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .rebalance import (
     ROOT_NV_HINT,
     ROOT_SEGSLOTS,
     ROOT_SHUTDOWN,
+    SCRATCH,
 )
 from .undo_log import STATE_ACTIVE, STATE_COPYBACK
 from .vertex_array import make_vertex_array
@@ -79,6 +82,7 @@ def open_from_pool(cls, pool: PMemPool, config: Optional[DGAPConfig] = None):
 
     if host.locks.n_sections != host.ea.n_sections:
         host.locks.resize(host.ea.n_sections)
+    host.rebalancer.reap()
     pool.write_root(ROOT_SHUTDOWN, 0)
     return host
 
@@ -148,6 +152,12 @@ def crash_recover(host) -> None:
             _reissue_window(host, lo, hi)
 
 
+#: name prefixes of the regions that live and die with a generation, or
+#: (the logs) its geometry — what ``Rebalancer.reap`` frees once dead
+_PER_GENERATION = ("edges.g", "segocc.g")
+GENERATION_REGIONS = _PER_GENERATION + ("elogs.g",)
+
+
 def dead_state(host, name: str, off: int, n: int) -> Optional[bool]:
     """The one rule for which allocated bytes nothing will read again.
 
@@ -159,20 +169,27 @@ def dead_state(host, name: str, off: int, n: int) -> Optional[bool]:
 
     * ``meta.*`` — the shutdown snapshot: ignored on the crash path and
       regenerated at the next shutdown;
-    * ``edges.g*`` / ``elogs.g*`` — dead unless the current generation;
+    * ``edges.g*`` / ``segocc.g*`` — dead unless the current generation
+      or the source of a COPYBACK (a committed generation switch the
+      root has yet to flip to);
+    * ``elogs.g*`` — a log region belongs to a geometry
+      (``n_sections``), not to a generation: dead iff not the current one's;
     * ``ulog.pay.t*`` — only consumed by an ACTIVE restore with a
       committed (valid) backup;
-    * ``rebal.scratch.*`` — only consumed as the source of a COPYBACK.
+    * ``rebal.scratch`` — only consumed as the source of a COPYBACK.
     """
     if name.startswith("meta."):
         return True
-    if name.startswith(("edges.g", "elogs.g")):
-        return int(name.rsplit("g", 1)[1]) != host.ea.gen
+    if name.startswith("elogs.g"):
+        return name != host.logs.region.name
     if name.startswith("ulog.pay.t"):
         tid = int(name.rsplit("t", 1)[1])
         h = next((ul.read_header() for ul in host.ulogs if ul.thread_id == tid), None)
         return h is None or h.state != STATE_ACTIVE or h.valid == 0
-    if name.startswith("rebal.scratch."):
+    generation = name.startswith(_PER_GENERATION)
+    if generation and int(name.rsplit("g", 1)[1]) == host.ea.gen:
+        return False
+    if generation or name == SCRATCH:
         headers = (ul.read_header() for ul in host.ulogs)
         return not any(
             h.state == STATE_COPYBACK and h.dst_off < off + n and off < h.dst_off + h.length
@@ -409,4 +426,4 @@ def _reissue_window(host, lo_slot: int, hi_slot: int) -> None:
     host.rebalancer.rebalance_window(aligned_lo, min(aligned_lo + width, n), level)
 
 
-__all__ = ["open_from_pool", "crash_recover", "dead_state"]
+__all__ = ["open_from_pool", "crash_recover", "dead_state", "GENERATION_REGIONS"]

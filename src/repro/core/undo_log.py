@@ -48,7 +48,9 @@ STATE_IDLE = 0
 STATE_ACTIVE = 1
 STATE_DONE = 2
 #: Large-window copy-on-write: the final layout sits complete in a
-#: persistent scratch area; recovery re-copies it (idempotent redo).
+#: persistent region; recovery rolls forward (idempotent redo) — re-copies
+#: it from the scratch, or flips the root to it when the region is the
+#: next generation's (``Rebalancer._land``).
 STATE_COPYBACK = 3
 
 PHASE_COMPACT = 1
@@ -182,9 +184,10 @@ class UndoLog:
 
     def begin_copyback(self, win_lo: int, win_hi: int, scratch_off: int, nbytes: int) -> None:
         """Commit a copy-on-write redirect: the final window image is
-        complete and persistent at device offset ``scratch_off``.  The
-        state store is the commit point; from here on recovery *redoes*
-        the copy instead of undoing."""
+        complete and persistent at device offset ``scratch_off`` (in
+        the scratch, or the next generation's region).  The state store
+        is the commit point; from here on recovery *redoes* instead of
+        undoing."""
         self._set2(_F_WIN_LO, win_lo, _F_WIN_HI, win_hi)
         self._set2(_F_DST, scratch_off, _F_LEN, nbytes)
         self._set(_F_VALID, 0)

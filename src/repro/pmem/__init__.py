@@ -7,7 +7,7 @@ calibrated latency cost model, crash injection, PMDK-style pools and
 undo-log transactions.
 """
 
-from .alloc import BumpAllocator, FreeListAllocator, Region
+from .alloc import BumpAllocator, Region
 from .constants import ATOMIC_WRITE, CACHE_LINE, CHUNKS_PER_LINE, GIB, KIB, MIB, XPLINE
 from .crash import CrashInjector, CrashPlan
 from .device import PMemDevice
@@ -32,7 +32,6 @@ __all__ = [
     "MIB",
     "GIB",
     "BumpAllocator",
-    "FreeListAllocator",
     "Region",
     "CrashInjector",
     "CrashPlan",

@@ -5,10 +5,6 @@ NumPy view over a device range whose *writes* go through the device (so
 dirty-line tracking, crash injection and cost accounting all see them)
 while *reads* are plain NumPy views — free and fast, with bulk read
 costs accounted explicitly by the reader (see ``device.py`` docs).
-
-The :class:`FreeListAllocator` provides PMDK-style fixed-class block
-allocation for the baselines that allocate dynamically (e.g. the
-blocked-adjacency-list's edge blocks).
 """
 
 from __future__ import annotations
@@ -148,10 +144,16 @@ class Region:
 
 
 class BumpAllocator:
-    """Monotonic allocator over ``[base, limit)`` of a device.
+    """Bump allocator over ``[base, limit)`` of a device, with a free list.
 
     The bump pointer is persisted at a fixed 8-byte slot so allocation
-    survives crashes (as PMDK's heap metadata does).
+    survives crashes (as PMDK's heap metadata does); it only ever rises,
+    so it is the pool's high-water mark whichever blocks are free at the
+    moment.  Freed blocks are kept address-ordered and coalesced;
+    :meth:`alloc` reuses the first that fits before it bumps, and pays
+    the same persisted metadata word either way.  The list itself is
+    volatile bookkeeping, like the pool's directory (``pool.py``): a
+    simulated crash does not lose it.
     """
 
     def __init__(self, device: PMemDevice, base: int, limit: int, cursor_off: int):
@@ -159,6 +161,7 @@ class BumpAllocator:
         self.base = base
         self.limit = limit
         self.cursor_off = cursor_off
+        self._free: list[tuple[int, int]] = []  # (offset, nbytes), ascending
         cur = int(device.buf[cursor_off : cursor_off + 8].view(np.uint64)[0])
         if cur < base or cur > limit:
             cur = base
@@ -172,41 +175,37 @@ class BumpAllocator:
 
     def alloc(self, nbytes: int, align: int = CACHE_LINE) -> int:
         """Reserve ``nbytes`` and return its device offset."""
-        off = (self.cursor + align - 1) // align * align
+        for i, (start, size) in enumerate(self._free):
+            off = (start + align - 1) // align * align
+            if off + nbytes <= start + size:
+                rest = [(start, off - start), (off + nbytes, start + size - off - nbytes)]
+                self._free[i : i + 1] = [b for b in rest if b[1]]
+                self._persist_cursor(self.cursor)
+                return off
+        # too big for any free block: bump — from the start of the free
+        # block that ends at the pointer, if there is one, so a tail
+        # allocation freed and re-requested larger regrows in place
+        tail = bool(self._free) and sum(self._free[-1]) == self.cursor
+        start = self._free[-1][0] if tail else self.cursor
+        off = (start + align - 1) // align * align
         if off + nbytes > self.limit:
             raise OutOfPMemError(
                 f"allocation of {nbytes}B exceeds pool (cursor={self.cursor}, limit={self.limit})"
             )
+        if tail:
+            self._free[-1:] = [(start, off - start)] if off > start else []
         self._persist_cursor(off + nbytes)
         return off
 
-
-class FreeListAllocator:
-    """Fixed-size block allocator with a free list, PMDK-object style.
-
-    The free list itself is volatile (rebuilt by the owner's recovery
-    scan, the way the baselines rebuild their block chains); durability
-    of *allocation* comes from the bump cursor and from the owner's
-    journaling of the linking stores.
-    """
-
-    def __init__(self, bump: BumpAllocator, block_bytes: int):
-        if block_bytes % CACHE_LINE:
-            block_bytes = (block_bytes + CACHE_LINE - 1) // CACHE_LINE * CACHE_LINE
-        self.bump = bump
-        self.block_bytes = block_bytes
-        self._free: list[int] = []
-        self.allocated_blocks = 0
-
-    def alloc(self) -> int:
-        self.allocated_blocks += 1
-        if self._free:
-            return self._free.pop()
-        return self.bump.alloc(self.block_bytes)
-
-    def free(self, off: int) -> None:
-        self.allocated_blocks -= 1
-        self._free.append(off)
+    def free(self, off: int, nbytes: int) -> None:
+        """Return a block; the bump pointer stays where it is."""
+        merged: list[tuple[int, int]] = []  # sum(block) is its end
+        for start, size in sorted(self._free + [(off, nbytes)]):
+            if merged and sum(merged[-1]) == start:
+                merged[-1] = (merged[-1][0], merged[-1][1] + size)
+            else:
+                merged.append((start, size))
+        self._free = merged
 
 
-__all__ = ["Region", "BumpAllocator", "FreeListAllocator"]
+__all__ = ["Region", "BumpAllocator"]

@@ -5,7 +5,7 @@ Layout::
     [0, 64)        magic + format version
     [64, 576)      64 x u64 root slots (failure-atomic 8-byte values for
                    flags and pointers, e.g. DGAP's NORMAL_SHUTDOWN flag)
-    [576, 584)     bump-allocator cursor
+    [576, 584)     allocator cursor (bump pointer)
     [4096, ...)    allocations
 
 Named array roots (``alloc_array``/``get_array``) keep their
@@ -138,9 +138,26 @@ class PMemPool:
     def has_array(self, name: str) -> bool:
         return name in self._directory
 
+    def names(self, prefix) -> List[str]:
+        """Registered array names starting with ``prefix`` (a str or a tuple of them)."""
+        return [name for name in self._directory if name.startswith(prefix)]
+
     def drop_array(self, name: str) -> None:
-        """Forget a named array (space is not reclaimed — bump allocator)."""
+        """Forget a named array; its bytes stay allocated."""
         self._directory.pop(name, None)
+
+    def free_array(self, name: str) -> None:
+        """Forget a named array and return its bytes to the allocator."""
+        off, dt, count = self._directory.pop(name)
+        self.allocator.free(off, max(count * dt.itemsize, 1))
+
+    def grow_array(self, name: str, count: int) -> Region:
+        """Re-allocate ``name`` at ``count`` elements, contents not kept:
+        in place when it is the pool's tail allocation, else from the
+        free list or the tail, the outgrown block freed."""
+        dt = self._directory[name][1]
+        self.free_array(name)
+        return self.alloc_array(name, dt, count)
 
     def region_of(self, off: int) -> Optional[Tuple[str, int, int]]:
         """Name the allocated region containing byte ``off``.

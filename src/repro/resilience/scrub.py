@@ -40,9 +40,12 @@ region              repair
 ``ulog.*``          quiescent between operations: reset to idle
                     (scrubbed); an ACTIVE committed backup payload is
                     unrecoverable
-``rebal.scratch.*`` dead between operations (scrubbed) unless a
+``rebal.scratch``   dead between operations (scrubbed) unless a
                     COPYBACK names it as source (unrecoverable)
-dead generations    zeroed (scrubbed)
+dead generations    freed at the root flip that retires them, so their
+                    bytes are unallocated space (scrubbed); one a failed
+                    switch left registered is zeroed (scrubbed) unless a
+                    COPYBACK names it as source (unrecoverable)
 pool metadata       magic/roots/cursor rewritten from DRAM authority
                     (scrubbed — the shutdown hint may differ)
 unknown             unrecoverable → READ_ONLY
@@ -89,8 +92,8 @@ MAX_RETRIES = 3
 _DEAD_STATE_KINDS = {
     "meta": ("shutdown-metadata",
              "stale shutdown snapshot; regenerated at next shutdown", ""),
-    "edges": ("dead-generation", "", ""),
-    "elogs": ("dead-generation", "", ""),
+    "edges": ("dead-generation", "", "committed generation image lost"),
+    "segocc": ("dead-generation", "", ""),
     "ulog": ("undo-log", "", "committed ACTIVE backup payload lost"),
     "rebal": ("scratch", "", "COPYBACK source image lost"),
 }
@@ -351,10 +354,6 @@ class ResilienceManager:
             return entry(
                 "pma-metadata", RepairOutcome.EXACT, "rewritten from DRAM seg_occ"
             )
-
-        if name.startswith("segocc.g"):
-            self._zero(off, n)  # the live one was rewritten above
-            return entry("dead-generation", RepairOutcome.SCRUBBED)
 
         if name.startswith("ulog.hdr.t"):
             self._zero(off, n)

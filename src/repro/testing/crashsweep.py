@@ -438,8 +438,7 @@ def _verify_structure(
         # Every shard's cursors must match its own independent rebuild.
         for part in g.shards:
             fresh = EdgeLogs(
-                part.pool, part.logs.n_sections, part.logs.entries_per_section,
-                gen=part.ea.gen, create=False,
+                part.pool, part.logs.n_sections, part.logs.entries_per_section, create=False
             )
             fresh.rebuild_counts()
             if not (

@@ -257,10 +257,10 @@ class TestRecoveryScrub:
         g = DGAP(DGAPConfig(init_vertices=16, init_edges=128, segment_slots=64))
         for d in range(100):
             g.insert_edge(d % 16, d % 16)
-        g.rebalancer.resize()  # generation 0 becomes dead state
-        assert g.ea.gen == 1
-        g.pool.crash()
         off, _, _ = g.pool._directory["edges.g0"]
+        g.rebalancer.resize()  # generation 0 is retired: freed at the flip
+        assert g.ea.gen == 1 and g.pool.region_of(off) is None
+        g.pool.crash()
         g.pool.device.poison(off, 1)
         g2 = DGAP.open(g.pool, g.config)
         assert g2.num_edges == 100

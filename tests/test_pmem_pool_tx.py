@@ -1,5 +1,7 @@
 """Unit tests for pools, regions, allocators and PMDK-style transactions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from repro.pmem import (
     DRAM,
     OPTANE_ADR,
     CrashInjector,
-    FreeListAllocator,
     PMemPool,
     Region,
     TransactionManager,
@@ -105,19 +106,70 @@ class TestRegion:
 
 
 class TestFreeList:
-    def test_alloc_free_reuse(self, pool):
-        fl = FreeListAllocator(pool.allocator, 256)
-        a = fl.alloc()
-        b = fl.alloc()
-        assert a != b
-        fl.free(a)
-        c = fl.alloc()
-        assert c == a
-        assert fl.allocated_blocks == 2
+    """The allocator's free list (``PMemPool.free_array`` / ``grow_array``):
+    what a generation switch retires, the next one reuses."""
 
-    def test_block_size_rounds_to_line(self, pool):
-        fl = FreeListAllocator(pool.allocator, 100)
-        assert fl.block_bytes == 128
+    def test_alloc_free_reuse(self, pool):
+        a = pool.alloc_array("a", np.uint8, 256)
+        b = pool.alloc_array("b", np.uint8, 256)
+        pool.free_array("a")
+        assert not pool.has_array("a") and pool.region_of(a.offset) is None
+        cursor = pool.allocator.cursor
+        c = pool.alloc_array("c", np.uint8, 256)
+        assert c.offset == a.offset != b.offset
+        assert pool.allocator.cursor == cursor  # reused, not bumped
+
+    def test_reuse_pays_the_metadata_word_a_bump_pays(self, pool):
+        pool.alloc_array("a", np.uint8, 256)
+        pool.alloc_array("pin", np.uint8, 64)  # keeps "a" off the tail
+        costs = []
+        for name in ("bump", "reuse"):
+            before = pool.stats.snapshot()
+            pool.alloc_array(name, np.uint8, 256)
+            costs.append(dataclasses.asdict(pool.stats.delta_since(before)))
+            if name == "bump":
+                pool.free_array("a")
+        assert costs[0] == costs[1] and costs[0]["fences"] == 1
+        assert pool.get_array("reuse").offset < pool.get_array("pin").offset
+
+    def test_first_fit_splits_and_neighbours_coalesce(self, pool):
+        offs = [pool.alloc_array(n, np.uint8, 256).offset for n in "abcd"]
+        pool.free_array("a")
+        pool.free_array("c")
+        assert pool.allocator._free == [(offs[0], 256), (offs[2], 256)]
+        pool.free_array("b")  # bridges its neighbours
+        assert pool.allocator._free == [(offs[0], 768)]
+        assert pool.alloc_array("e", np.uint8, 512).offset == offs[0]
+        assert pool.allocator._free == [(offs[0] + 512, 256)]  # the split's rest
+        big = pool.alloc_array("f", np.uint8, 1024)  # fits no free block: bumps
+        assert big.offset == offs[3] + 256
+
+    def test_tail_allocation_regrows_in_place(self, pool):
+        pool.alloc_array("head", np.uint8, 256)
+        t = pool.alloc_array("tail", np.uint8, 64 * 1024)
+        grown = pool.grow_array("tail", 128 * 1024)
+        assert grown.offset == t.offset and grown.count == 128 * 1024
+        assert pool.allocator.cursor == t.offset + 128 * 1024
+        assert pool.allocator._free == []
+        # not the tail: the outgrown block is freed, the array moves
+        moved = pool.grow_array("head", 512)
+        assert moved.offset == grown.offset + grown.count
+        assert pool.allocator._free == [(4096, 256)]
+
+    def test_the_cursor_is_a_high_water_mark_and_a_free_tail_is_bumped_from(self, pool):
+        a = pool.alloc_array("a", np.uint8, 256)
+        b = pool.alloc_array("b", np.uint8, 256)
+        top = pool.allocator.cursor
+        pool.free_array("a")
+        pool.free_array("b")  # the tail, through its free neighbour
+        assert pool.allocator.cursor == top and pool.allocator._free == [(a.offset, 512)]
+        # which block is live when the footprint is read does not move it
+        assert pool.alloc_array("c", np.uint8, 256).offset == a.offset
+        assert pool.allocator.cursor == top and pool.allocator._free == [(b.offset, 256)]
+        pool.free_array("c")
+        big = pool.alloc_array("big", np.uint8, 1024)  # fits no block: bumps from the free tail
+        assert big.offset == a.offset and pool.allocator.cursor == a.offset + 1024
+        assert pool.allocator._free == []
 
 
 class TestTransactions:

@@ -183,30 +183,53 @@ def _case_meta():
     return g, first_line(g, "meta.degree")
 
 
-def _resized_graph():
+def _retired_line(part):
+    """A line of generation 0's edge array (``"ea"``) or log region
+    (``"logs"``) after the resize that retired it — and freed it at the
+    flip: nobody's bytes any more."""
     g = poison_graph()
-    g.rebalancer.resize()  # generation 0 becomes dead state
-    return g
+    line = first_line(g, getattr(g, part).region.name)
+    g.rebalancer.resize()
+    assert g.pool.region_of(line[0]) is None
+    return g, line
 
 
 def _case_edges_dead_generation():
-    g = _resized_graph()
-    return g, first_line(g, "edges.g0")
+    return _retired_line("ea")
 
 
 def _case_elogs_dead_generation():
-    g = _resized_graph()
-    return g, first_line(g, "elogs.g0")
+    return _retired_line("logs")
+
+
+def _half_built_generation():
+    """A switch that crashed between allocating the next generation's
+    region and flipping to it: ``edges.g1`` is registered, never current."""
+    g = poison_graph()
+    half = g.pool.alloc_array("edges.g1", np.int32, g.ea.capacity)
+    return g, half
+
+
+def _case_edges_half_built_generation():
+    g, half = _half_built_generation()
+    return g, (half.offset, LINE)
+
+
+def _case_edges_committed_generation():
+    g, half = _half_built_generation()  # ... its image committed, the root not flipped
+    g.ulogs[0].begin_copyback(0, g.ea.capacity, half.offset, half.nbytes)
+    return g, (half.offset + 128, LINE)
 
 
 def _case_edges_live():
-    g = _resized_graph()
+    g = poison_graph()
+    g.rebalancer.resize()
     return g, first_line(g, "edges.g1")
 
 
 def _case_elogs_live():
     g = poison_graph()
-    return g, first_line(g, "elogs.g0")
+    return g, first_line(g, g.logs.region.name)
 
 
 def _case_xpline_straddling_dead_and_live():
@@ -233,6 +256,8 @@ POISON_CASES = {
     "meta": (_case_meta, "dead"),
     "edges-dead-generation": (_case_edges_dead_generation, "dead"),
     "elogs-dead-generation": (_case_elogs_dead_generation, "dead"),
+    "edges-half-built-generation": (_case_edges_half_built_generation, "dead"),
+    "edges-committed-generation": (_case_edges_committed_generation, "lost"),
     "edges-live": (_case_edges_live, "live"),
     "elogs-live": (_case_elogs_live, "live"),
     "xpline-straddling-dead-and-live": (_case_xpline_straddling_dead_and_live, "live"),

@@ -130,10 +130,10 @@ class TestScrubRepairs:
         live = mgr.full_scrub()
         assert [(e.kind, e.outcome) for e in live] == [("pma-metadata", RepairOutcome.EXACT)]
         assert bytes(dev.buf[lo:hi]) == before  # rewritten from DRAM seg_occ
-        g.rebalancer.resize()  # generation 1: segocc.g0 is nobody's any more
+        g.rebalancer.resize()  # generation 1: segocc.g0 was freed with its generation
         plant_poison(g, lo, hi - lo)
         dead = mgr.full_scrub()
-        assert [(e.kind, e.outcome) for e in dead] == [("dead-generation", RepairOutcome.SCRUBBED)]
+        assert [(e.kind, e.outcome) for e in dead] == [("unallocated", RepairOutcome.SCRUBBED)]
         assert not dev.buf[lo:hi].any()
         assert not dev.poisoned_ranges() and mgr.health is HealthState.HEALTHY
 
@@ -356,7 +356,7 @@ class TestRuntimeRepairVerdicts:
         g, (off, n) = build()
         g.pool.device.drain_all()
         plant_poison(g, off, n)
-        live_regions = (f"edges.g{g.ea.gen}", f"elogs.g{g.ea.gen}")
+        live_regions = (g.ea.region.name, g.logs.region.name)
         entries = ResilienceManager(g).full_scrub()
         assert entries
         outcomes = {e.outcome for e in entries}

@@ -638,6 +638,26 @@ class TestOneSurface:
         assert homes(r"ROOT_INIT_CAP\b") == ["core/dgap.py", "core/rebalance.py"]
         assert _count(r"ROOT_INIT_CAP\b", {"d": src["core/dgap.py"]}) == 2  # import + the list
         assert homes(r"\.geometry_roots\(\)") == ["core/dgap.py", "resilience/scrub.py"]
+        # one generation switch: the root flips in one function, which the
+        # live switch and recovery's roll-forward both call; dead generation
+        # regions are freed by one function (the flip, a switch unwinding
+        # and open call it), judged by the one dead-state rule; the store
+        # has one scratch, named and (re)allocated in one function; a log
+        # region's name — its geometry — is built and parsed in two places
+        assert _count(r"write_root\(ROOT_GEN", src) == 1
+        assert "write_root(ROOT_GEN" in src["core/rebalance.py"].split("def _flip")[1][:400]
+        assert _count(r"\._flip\(", src) == 2
+        assert homes(r"\.free_array\(") == ["core/rebalance.py", "pmem/pool.py"]
+        assert _count(r"\.free_array\(", src) == 2  # reap, and the pool's own regrow
+        assert homes(r"\.reap\(\)") == ["core/rebalance.py", "core/recovery.py"]
+        assert _count(r"\.reap\(\)", src) == 3
+        assert homes(r"dead_state\(") == ["core/rebalance.py", "core/recovery.py", "resilience/scrub.py"]
+        assert homes(r'"rebal\.scratch') == ["core/rebalance.py"]
+        get_scratch = src["core/rebalance.py"].split("def _get_scratch")[1].split("\n    @traced")[0]
+        assert _count(r"_array\(SCRATCH", src) == get_scratch.count("_array(SCRATCH") == 4
+        assert homes(r'"elogs\.g') == ["core/edge_log.py", "core/recovery.py"]
+        for gone in (r"FreeListAllocator", r"_scratch_seq", r"_resize_locked", r"abandoned"):
+            assert homes(gone) == [], gone
 
     def test_dgap_did_not_grow_a_merged_view(self):
         assert not hasattr(DGAP, "global_csr")

@@ -7,14 +7,22 @@ tombstone-merge sweeps.  What the sweeps below pin:
 * crashes *inside* an expiry run recover to the acked prefix plus some
   prefix of the in-flight run's deletes (the oracle tries every cut);
 * crashes *inside* a compaction sweep are logically invisible — the
-  rebalance-window crash protocol either drops the whole sweep (the
-  ACTIVE undo window restores and recovery re-issues it as a plain
-  rebalance) or completes it (COPYBACK redo), and reads never change
-  either way;
+  generation switch either drops the whole sweep (the root never
+  flipped; the half-built generation is freed at the reopen) or rolls
+  it forward (the image's COPYBACK commit landed: flip, clears, finish),
+  and reads never change either way — under the default, torn-store and
+  persist-reorder policies, every sweep after the first streaming into
+  a freed-then-reused region;
+* with poison planted on the lines a crash tears (adversarial policy),
+  recovery either repairs (dead bytes: a half-built or retired
+  generation) or refuses (the committed image, the current generation)
+  — never zeroes an image and then adopts it;
 * both hold exhaustively on a single pool, and under sampled sweeps on
   the sharded facade where one machine-wide crash power-fails every
   pool mid-stream.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -22,7 +30,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import DGAP, DGAPConfig
-from repro.pmem.faults import DEFAULT_POLICY, TORN_STORES, FaultPolicy
+from repro.pmem.faults import (
+    ADVERSARIAL,
+    DEFAULT_POLICY,
+    PERSIST_REORDER,
+    TORN_STORES,
+    FaultPolicy,
+)
 from repro.sharding import ShardedDGAP
 from repro.testing import (
     SweepConfig,
@@ -99,11 +113,15 @@ class TestBuilder:
             _apply_op(g, op)
         assert g.n_compactions > 0
         assert g.tombstone_pairs_compacted > 0
+        # every sweep is a generation switch; the second streams into
+        # the block the first one freed
+        assert g.ea.gen == g.n_compactions == 2 and g.n_resizes == 0
+        assert g.ea.region.offset + g.ea.region.nbytes == g.logs.region.offset  # generation 0's
 
 
 class TestSinglePoolWindowedSweep:
-    @pytest.mark.parametrize("policy", [DEFAULT_POLICY, TORN_STORES],
-                             ids=["default", "torn"])
+    @pytest.mark.parametrize("policy", [DEFAULT_POLICY, TORN_STORES, PERSIST_REORDER],
+                             ids=["default", "torn", "reorder"])
     def test_exhaustive_windowed_sweep_passes_oracle(self, policy):
         rep = crash_sweep(
             make_graph,
@@ -114,6 +132,21 @@ class TestSinglePoolWindowedSweep:
         assert rep.exhaustive
         assert rep.unrecoverable_count() == 0
         assert rep.in_flight_applied_count() > 0
+
+    def test_poisoned_sweep_repairs_or_refuses(self):
+        """Adversarial policy + poison on the torn lines: the oracle
+        holds at every point recovery accepts; what it refuses, it
+        names.  Both outcomes occur, so neither branch passes vacuously."""
+        policy = dataclasses.replace(ADVERSARIAL, poison_on_crash=0.3, seed=5)
+        rep = crash_sweep(
+            make_graph,
+            windowed_workload(),
+            SweepConfig(faults=policy, exhaustive_threshold=5000,
+                        idempotence_samples=0, seed=5),
+        )
+        refused = [r for r in rep.results if r.unrecoverable]
+        assert refused and len(refused) < rep.crash_points
+        assert all("beyond repair" in r.detail for r in refused)
 
     def test_sweep_is_deterministic(self):
         cfg = SweepConfig(faults=TORN_STORES, exhaustive_threshold=0,
