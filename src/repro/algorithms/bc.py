@@ -17,20 +17,20 @@ from typing import List
 
 import numpy as np
 
-from ..analysis.view import BaseGraphView
+from ..analysis.view import CSRArraysView
 from ..obs.tracer import kernel_span
 from .common import gather_edges
 
 _BC_SERIAL = 0.02
 
 
-def betweenness_centrality(view: BaseGraphView, source: int = 0) -> np.ndarray:
+def betweenness_centrality(view: CSRArraysView, source: int = 0) -> np.ndarray:
     """|V|-sized array of Brandes dependency scores from ``source``."""
     with kernel_span("bc", view):
         return _betweenness_centrality(view, source)
 
 
-def _betweenness_centrality(view: BaseGraphView, source: int) -> np.ndarray:
+def _betweenness_centrality(view: CSRArraysView, source: int) -> np.ndarray:
     nv = view.num_vertices
     out_indptr, out_dsts = view.out_csr()
     # ID_DTYPE ids would be re-cast to intp at every fancy index below

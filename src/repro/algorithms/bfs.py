@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..analysis.view import BaseGraphView
+from ..analysis.view import CSRArraysView
 from ..obs.tracer import kernel_span
 from .common import gather_edges
 
@@ -21,7 +21,7 @@ _BFS_SERIAL = 0.03
 
 
 def bfs(
-    view: BaseGraphView,
+    view: CSRArraysView,
     source: int = 0,
     alpha: int = 15,
     beta: int = 18,
@@ -31,7 +31,7 @@ def bfs(
 
 
 def _bfs(
-    view: BaseGraphView,
+    view: CSRArraysView,
     source: int,
     alpha: int,
     beta: int,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..analysis.view import BaseGraphView
+from ..analysis.view import CSRArraysView
 from ..obs.tracer import kernel_span
 
 #: the modeled scheduling bottleneck (gives ~4-6x speedup at 16 threads,
@@ -22,13 +22,13 @@ from ..obs.tracer import kernel_span
 _CC_SERIAL = 0.12
 
 
-def connected_components(view: BaseGraphView, max_rounds: int = 64) -> np.ndarray:
+def connected_components(view: CSRArraysView, max_rounds: int = 64) -> np.ndarray:
     """|V|-sized array of component labels (the minimum vertex id reachable)."""
     with kernel_span("cc", view):
         return _connected_components(view, max_rounds)
 
 
-def _connected_components(view: BaseGraphView, max_rounds: int) -> np.ndarray:
+def _connected_components(view: CSRArraysView, max_rounds: int) -> np.ndarray:
     nv = view.num_vertices
     _, dsts = view.out_csr()
     srcs = view.out_src_ids()  # intp, cached across kernels

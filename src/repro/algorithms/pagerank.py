@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..analysis.view import BaseGraphView
+from ..analysis.view import CSRArraysView
 from ..obs.tracer import kernel_span
 
 #: PR touches every edge every iteration but has near-perfect parallel
@@ -20,7 +20,7 @@ _PR_SERIAL = 0.015
 
 
 def pagerank(
-    view: BaseGraphView,
+    view: CSRArraysView,
     iterations: int = 20,
     damping: float = 0.85,
 ) -> np.ndarray:
@@ -30,7 +30,7 @@ def pagerank(
 
 
 def _pagerank(
-    view: BaseGraphView,
+    view: CSRArraysView,
     iterations: int,
     damping: float,
 ) -> np.ndarray:

@@ -5,7 +5,6 @@ from .view import (
     ID_DTYPE,
     INDPTR_DTYPE,
     AnalysisClock,
-    BaseGraphView,
     CSRArraysView,
     StorageGeometry,
     build_in_csr,
@@ -14,7 +13,6 @@ from .viewcache import FULL_REBUILD_STALE_FRACTION, ViewCacheStats
 
 __all__ = [
     "AnalysisClock",
-    "BaseGraphView",
     "CSRArraysView",
     "StorageGeometry",
     "CSR_PM_GEOMETRY",

@@ -5,9 +5,9 @@ The four GAPBS kernels (PR, BFS, BC, CC) are framework-agnostic: they
 kernels at tolerable speed in Python) and *account* their memory access
 pattern through two hooks:
 
-* :meth:`BaseGraphView.account_full_scan` — one sweep over every
+* :meth:`CSRArraysView.account_full_scan` — one sweep over every
   vertex's edges (a PR/CC iteration);
-* :meth:`BaseGraphView.account_frontier` — random access to a subset of
+* :meth:`CSRArraysView.account_frontier` — random access to a subset of
   vertices' edge lists (a BFS/BC level).
 
 Each framework's :class:`StorageGeometry` translates the pattern into
@@ -33,7 +33,6 @@ rather than inherit.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -85,6 +84,31 @@ def build_in_csr_from(
     in_indptr = np.zeros(dst_nv + 1, dtype=INDPTR_DTYPE)
     np.cumsum(counts, out=in_indptr[1:])
     return in_indptr, srcs[order]
+
+
+def merge_in_streams(
+    a_dst: np.ndarray, a_srcs: np.ndarray, b_dst: np.ndarray, b_srcs: np.ndarray, nv: int
+) -> np.ndarray:
+    """``in_srcs`` of two in-streams merged, each given as its entries'
+    ``(dst, src)`` columns in :func:`build_in_csr` order.
+
+    No ``(dst, src)`` key may occur in both streams (a source is wholly
+    in one: a shard's, or a view patch's stale / clean side), so one
+    ``searchsorted`` on ``dst * nv + src`` places every entry of ``b``
+    and the result is in ``(dst, src, insertion)`` order again — what
+    one stable sort of the union would give.  ``nv`` only has to exceed
+    every source id.
+    """
+    a_key = a_dst * nv + a_srcs
+    b_key = b_dst * nv + b_srcs
+    pos_b = np.searchsorted(a_key, b_key, side="left") + np.arange(b_key.size)
+    total = a_key.size + b_key.size
+    srcs = np.empty(total, dtype=ID_DTYPE)
+    a_mask = np.ones(total, dtype=bool)
+    a_mask[pos_b] = False
+    srcs[pos_b] = b_srcs
+    srcs[a_mask] = a_srcs
+    return srcs
 
 
 class AnalysisClock:
@@ -147,8 +171,14 @@ class StorageGeometry:
         return ns
 
 
-class BaseGraphView(ABC):
-    """Storage-aware view: CSR materialization + access-cost accounting.
+#: flat CSR on persistent memory — the analysis-optimal baseline.
+CSR_PM_GEOMETRY = StorageGeometry(name="csr-pm")
+
+
+class CSRArraysView:
+    """Storage-aware view over explicit ``(indptr, dsts)`` arrays: the
+    CSR every system materializes, plus access-cost accounting under a
+    given :class:`StorageGeometry`.
 
     Derived arrays (the in-CSR, out-degrees, the repeated-id arrays the
     kernels need) live in a ``_derived`` dict that clones of a view
@@ -157,41 +187,38 @@ class BaseGraphView(ABC):
     one caller's ``reset_clock`` never disturbs another's accounting.
     """
 
-    geometry: StorageGeometry
-
-    def __init__(self, derived: Optional[Dict[str, object]] = None) -> None:
+    def __init__(
+        self,
+        indptr: np.ndarray,
+        dsts: np.ndarray,
+        geometry: StorageGeometry = CSR_PM_GEOMETRY,
+        derived: Optional[Dict[str, object]] = None,
+    ):
         self.clock = AnalysisClock()
         self._derived: Dict[str, object] = {} if derived is None else derived
+        self._indptr = indptr
+        self._dsts = dsts
+        self.geometry = geometry
+
+    def clone(self) -> "CSRArraysView":
+        """Fresh view (own clock) sharing this view's arrays and derived
+        cache — the epoch-keyed whole-view reuse handed out by
+        :meth:`repro.baselines.interfaces.DynamicGraphSystem.analysis_view`."""
+        return CSRArraysView(
+            self._indptr, self._dsts, self.geometry, derived=self._derived
+        )
 
     # -- structure ---------------------------------------------------------
     @property
-    @abstractmethod
-    def num_vertices(self) -> int: ...
+    def num_vertices(self) -> int:
+        return len(self._indptr) - 1
 
     @property
     def num_edges(self) -> int:
-        """Edge count — does not force CSR materialization when the
-        subclass can count cheaply (:meth:`_count_edges`)."""
-        ne = self._derived.get("num_edges")
-        if ne is None:
-            ne = self._count_edges()
-            self._derived["num_edges"] = ne
-        return ne  # type: ignore[return-value]
-
-    def _count_edges(self) -> int:
-        indptr, _ = self.out_csr()
-        return int(indptr[-1])
-
-    @abstractmethod
-    def _materialize_out(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(indptr, dsts) of the graph this view exposes."""
+        return int(self._indptr[-1])
 
     def out_csr(self) -> Tuple[np.ndarray, np.ndarray]:
-        out = self._derived.get("out")
-        if out is None:
-            out = self._materialize_out()
-            self._derived["out"] = out
-        return out  # type: ignore[return-value]
+        return self._indptr, self._dsts
 
     def in_csr(self) -> Tuple[np.ndarray, np.ndarray]:
         inn = self._derived.get("in")
@@ -261,47 +288,8 @@ class BaseGraphView(ABC):
         self.clock.reset()
 
 
-#: flat CSR on persistent memory — the analysis-optimal baseline.
-CSR_PM_GEOMETRY = StorageGeometry(name="csr-pm")
-
-
-class CSRArraysView(BaseGraphView):
-    """A view over explicit (indptr, dsts) arrays with a given geometry."""
-
-    def __init__(
-        self,
-        indptr: np.ndarray,
-        dsts: np.ndarray,
-        geometry: StorageGeometry = CSR_PM_GEOMETRY,
-        derived: Optional[Dict[str, object]] = None,
-    ):
-        super().__init__(derived)
-        self._indptr = indptr
-        self._dsts = dsts
-        self.geometry = geometry
-
-    @property
-    def num_vertices(self) -> int:
-        return len(self._indptr) - 1
-
-    def _count_edges(self) -> int:
-        return int(self._indptr[-1])
-
-    def _materialize_out(self):
-        return self._indptr, self._dsts
-
-    def clone(self) -> "CSRArraysView":
-        """Fresh view (own clock) sharing this view's arrays and derived
-        cache — the epoch-keyed whole-view reuse handed out by
-        :meth:`repro.baselines.interfaces.DynamicGraphSystem.analysis_view`."""
-        return CSRArraysView(
-            self._indptr, self._dsts, self.geometry, derived=self._derived
-        )
-
-
 __all__ = [
     "AnalysisClock",
-    "BaseGraphView",
     "CSRArraysView",
     "StorageGeometry",
     "CSR_PM_GEOMETRY",
@@ -309,4 +297,5 @@ __all__ = [
     "INDPTR_DTYPE",
     "build_in_csr",
     "build_in_csr_from",
+    "merge_in_streams",
 ]

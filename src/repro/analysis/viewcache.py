@@ -50,14 +50,14 @@ what it did as a :class:`ShardBuild`, which is what
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..nputil import multi_arange
 from ..obs.tracer import annotate, trace
-from .view import ID_DTYPE, INDPTR_DTYPE, build_in_csr_from
+from .view import ID_DTYPE, INDPTR_DTYPE, build_in_csr_from, merge_in_streams
 
 #: stale-vertex share above which patching loses to a from-scratch
 #: rebuild.
@@ -88,16 +88,7 @@ class ViewCacheStats:
     in_entries_dropped: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "full_rebuilds": self.full_rebuilds,
-            "incremental_builds": self.incremental_builds,
-            "sections_rebuilt": self.sections_rebuilt,
-            "vertices_rebuilt": self.vertices_rebuilt,
-            "entries_streamed": self.entries_streamed,
-            "rows_reused": self.rows_reused,
-            "delta_edges_merged": self.delta_edges_merged,
-            "in_entries_dropped": self.in_entries_dropped,
-        }
+        return asdict(self)
 
 
 class ShardBuild(NamedTuple):
@@ -249,21 +240,11 @@ class DGAPViewCache:
         kd_src = delta_src[order]
         self.stats.delta_edges_merged += int(kd_src.size)
 
-        # Single merge pass on the (dst, src) key.  Sources are wholly
-        # stale or wholly clean, so no key appears in both sides and the
-        # merged order is exactly build_in_csr's (dst, src, insertion)
-        # order — bit-identical in_srcs.  The multiplier only has to
-        # exceed every source id; ``dst_nv`` does (ids live in the
-        # destination domain).
-        ko_key = ko_dst * dst_nv + ko_src
-        kd_key = kd_dst * dst_nv + kd_src
-        pos_d = np.searchsorted(ko_key, kd_key, side="left") + np.arange(kd_key.size)
-        total = ko_key.size + kd_key.size
-        in_srcs = np.empty(total, dtype=ID_DTYPE)
-        old_mask = np.ones(total, dtype=bool)
-        old_mask[pos_d] = False
-        in_srcs[pos_d] = kd_src
-        in_srcs[old_mask] = ko_src
+        # Sources are wholly stale or wholly clean, so no (dst, src) key
+        # appears on both sides and the merged order is exactly
+        # build_in_csr's — bit-identical in_srcs.  Source ids live in
+        # the destination domain, so ``dst_nv`` exceeds every one.
+        in_srcs = merge_in_streams(ko_dst, ko_src, kd_dst, kd_src, dst_nv)
 
         counts = np.bincount(ko_dst, minlength=dst_nv) + np.bincount(
             kd_dst, minlength=dst_nv

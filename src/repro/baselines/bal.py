@@ -21,7 +21,7 @@ from typing import List
 
 import numpy as np
 
-from ..analysis.view import BaseGraphView, CSRArraysView, StorageGeometry
+from ..analysis.view import CSRArraysView, StorageGeometry
 from ..analysis import costs
 from ..errors import VertexRangeError
 from ..pmem.latency import OPTANE_ADR, LatencyModel
@@ -92,7 +92,7 @@ class BlockedAdjacencyList(DynamicGraphSystem):
         self._sw_edges += 1
 
     # -- analysis -------------------------------------------------------------
-    def _build_view(self) -> BaseGraphView:
+    def _build_view(self) -> CSRArraysView:
         nv = self.num_vertices
         buf = self.pool.device.buf
 

@@ -13,7 +13,7 @@ from typing import Iterable, Tuple
 
 import numpy as np
 
-from ..analysis.view import CSR_PM_GEOMETRY, BaseGraphView, CSRArraysView
+from ..analysis.view import CSR_PM_GEOMETRY, CSRArraysView
 from ..errors import ImmutableGraphError
 from ..pmem.latency import OPTANE_ADR, LatencyModel
 from ..pmem.pool import PMemPool
@@ -61,7 +61,7 @@ class StaticCSR(DynamicGraphSystem):
         raise ImmutableGraphError("static CSR cannot be updated without a rebuild")
 
     # -- analysis -------------------------------------------------------------
-    def _build_view(self) -> BaseGraphView:
+    def _build_view(self) -> CSRArraysView:
         # Immutable: the view epoch never advances, so the base class
         # serves every call after the first from the cached view.
         indptr = self.indptr_region.view

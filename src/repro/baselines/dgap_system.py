@@ -13,12 +13,11 @@ from __future__ import annotations
 from typing import Optional
 
 from ..analysis import costs
-from ..analysis.view import BaseGraphView, CSRArraysView, StorageGeometry
+from ..analysis.view import CSRArraysView, StorageGeometry
 from ..config import DGAPConfig
 from ..core.batch import EdgeBatch
 from ..core.dgap import DGAP
 from ..core.edge_log import ENTRY_BYTES
-from ..sharding.merge import ShardedViewCache
 from .interfaces import DynamicGraphSystem
 
 
@@ -43,9 +42,6 @@ class DGAPSystem(DynamicGraphSystem):
             init_vertices=num_vertices, init_edges=expected_edges
         )
         self.graph = DGAP(self.config)
-        #: the store's one read entry (DESIGN.md §7); its ``last`` is the
-        #: modeled cost of the most recent cached view build
-        self.csr_cache = ShardedViewCache(self.graph)
 
     # -- updates ------------------------------------------------------------
     def insert_edge(self, src: int, dst: int) -> None:
@@ -66,15 +62,16 @@ class DGAPSystem(DynamicGraphSystem):
 
     def view_counters(self):
         """Whole-view reuse + incremental-materialization counters."""
-        c = self.csr_cache.stats[0].as_dict()
+        c = self.graph.view_cache.stats[0].as_dict()
         c["whole_view_hits"] = self.view_stats.hits
         c["view_builds"] = self.view_stats.builds
         c["sections_total"] = int(self.graph.ea.n_sections)
         return c
 
-    def _build_view(self) -> BaseGraphView:
+    def _build_view(self) -> CSRArraysView:
         if self.view_caching:
-            (indptr, dsts), inn = self.csr_cache.materialize()
+            (indptr, dsts), inn = self.graph.view_cache.materialize()
+            derived = {"in": inn}
         else:
             # From-scratch path.  No defensive copy: to_csr builds its
             # arrays by fancy indexing / fresh allocation and never
@@ -82,7 +79,7 @@ class DGAPSystem(DynamicGraphSystem):
             # test in tests/test_view_cache.py pins this).
             with self.graph.consistent_view() as snap:
                 indptr, dsts = snap.to_csr()
-            inn = None
+            derived = None
         ne = max(1, int(indptr[-1]))
         nv = self.graph.num_vertices
         live_log = float(self.graph.logs.live_counts.sum())
@@ -106,10 +103,7 @@ class DGAPSystem(DynamicGraphSystem):
             chain_rnd_per_edge=chain_share,
             chain_rnd_ns=costs.PM_RND_NS,
         )
-        view = CSRArraysView(indptr, dsts, geometry)
-        if inn is not None:
-            view._derived["in"] = inn
-        return view
+        return CSRArraysView(indptr, dsts, geometry, derived)
 
     def _devices(self):
         return (self.graph.pool.device,)

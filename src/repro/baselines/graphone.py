@@ -20,7 +20,7 @@ from typing import List
 import numpy as np
 
 from ..analysis import costs
-from ..analysis.view import BaseGraphView, CSRArraysView, StorageGeometry
+from ..analysis.view import CSRArraysView, StorageGeometry
 from ..core.batch import EdgeBatch, extend_adjacency
 from ..pmem.device import PMemDevice
 from ..pmem.latency import DRAM, OPTANE_ADR, LatencyModel
@@ -116,7 +116,7 @@ class GraphOneFD(DynamicGraphSystem):
             self._since_flush = 0
 
     # -- analysis -------------------------------------------------------------
-    def _build_view(self) -> BaseGraphView:
+    def _build_view(self) -> CSRArraysView:
         nv = self.num_vertices
         degree = np.fromiter((len(a) for a in self.adj), dtype=np.int64, count=nv)
         indptr, dsts = adjacency_to_csr(

@@ -25,7 +25,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..analysis.view import BaseGraphView
+from ..analysis.view import CSRArraysView
 from ..core.batch import DEFAULT_BATCH_SIZE, EdgeBatch, EdgeLike
 from ..pmem.device import PMemDevice
 from ..pmem.pool import PMemPool
@@ -82,7 +82,7 @@ class DynamicGraphSystem(ABC):
     def __init__(self) -> None:
         self._sw_edges = 0
         self._view_epoch = 0
-        self._view_cache: Optional[Tuple[int, BaseGraphView]] = None
+        self._view_cache: Optional[Tuple[int, CSRArraysView]] = None
         self.view_stats = ViewReuseStats()
 
     # -- updates ------------------------------------------------------------
@@ -140,7 +140,7 @@ class DynamicGraphSystem(ABC):
     def _note_mutation(self) -> None:
         self._view_epoch += 1
 
-    def analysis_view(self) -> BaseGraphView:
+    def analysis_view(self) -> CSRArraysView:
         """A view over the system's current analyzable graph.
 
         Epoch-keyed whole-view reuse: if the analyzable graph did not
@@ -155,15 +155,15 @@ class DynamicGraphSystem(ABC):
         cached = self._view_cache
         if self.view_caching and cached is not None and cached[0] == epoch:
             self.view_stats.hits += 1
-            return cached[1].clone()  # type: ignore[attr-defined]
+            return cached[1].clone()
         view = self._build_view()
         self.view_stats.builds += 1
-        if self.view_caching and hasattr(view, "clone"):
+        if self.view_caching:
             self._view_cache = (epoch, view)
         return view
 
     @abstractmethod
-    def _build_view(self) -> BaseGraphView:
+    def _build_view(self) -> CSRArraysView:
         """Materialize a fresh view of the current analyzable graph."""
 
     # -- accounting ---------------------------------------------------------------

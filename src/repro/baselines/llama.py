@@ -24,7 +24,7 @@ from typing import Dict, List
 import numpy as np
 
 from ..analysis import costs
-from ..analysis.view import BaseGraphView, CSRArraysView, StorageGeometry
+from ..analysis.view import CSRArraysView, StorageGeometry
 from ..core.batch import EdgeBatch
 from ..pmem.device import PMemDevice
 from ..pmem.latency import DRAM, OPTANE_ADR, LatencyModel
@@ -137,7 +137,7 @@ class LLAMA(DynamicGraphSystem):
             self.pool.device.account_seq_write(nbytes)
 
     # -- analysis -------------------------------------------------------------
-    def _build_view(self) -> BaseGraphView:
+    def _build_view(self) -> CSRArraysView:
         nv = self.num_vertices
         indptr, dsts = adjacency_to_csr(self._degree, self._frags.items())
         total_frags = sum(len(frags) for frags in self._frags.values())

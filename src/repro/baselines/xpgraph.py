@@ -28,7 +28,7 @@ from typing import List
 import numpy as np
 
 from ..analysis import costs
-from ..analysis.view import BaseGraphView, CSRArraysView, StorageGeometry
+from ..analysis.view import CSRArraysView, StorageGeometry
 from ..core.batch import EdgeBatch, extend_adjacency
 from ..pmem.device import PMemDevice
 from ..pmem.latency import DRAM, OPTANE_ADR, LatencyModel
@@ -153,7 +153,7 @@ class XPGraph(DynamicGraphSystem):
         return 0.30 if self.n_archives else 0.05
 
     # -- analysis -------------------------------------------------------------
-    def _build_view(self) -> BaseGraphView:
+    def _build_view(self) -> CSRArraysView:
         nv = self.num_vertices
         degree = np.fromiter((len(a) for a in self.adj), dtype=np.int64, count=nv)
         indptr, dsts = adjacency_to_csr(

@@ -193,7 +193,7 @@ def run_analysis_loop(
         system.finalize()
         result.ingest_wall_s += perf_counter() - t0
         kernel_sweep(system, kernels, source_list, rnd, result)
-        last = system.csr_cache.last
+        last = system.graph.view_cache.last
         result.view_build_ns.append(last.modeled_ns if last else None)
     result.counters = dict(system.view_counters())
     return result
@@ -281,7 +281,7 @@ def verify_view_counters(
     system.finalize()
     system.analysis_view()
     c0 = system.view_counters()
-    full_ms = system.csr_cache.last.modeled_ns / 1e6
+    full_ms = system.graph.view_cache.last.modeled_ns / 1e6
 
     checks: List[Tuple[str, bool, str]] = []
 
@@ -317,7 +317,7 @@ def verify_view_counters(
         and c2["full_rebuilds"] == c1["full_rebuilds"],
         f"incremental_builds {c1['incremental_builds']} -> {c2['incremental_builds']}; "
         f"modeled build {full_ms:.3f} ms full -> "
-        f"{system.csr_cache.last.modeled_ns / 1e6:.4f} ms patch",
+        f"{system.graph.view_cache.last.modeled_ns / 1e6:.4f} ms patch",
     ))
     checks.append((
         "localized batch -> strict section subset rebuilt",
@@ -371,5 +371,5 @@ def verify_view_counters(
         system.insert_edges(inc)
         system.finalize()
         system.analysis_view()
-        patch_ns.append(system.csr_cache.last.modeled_ns)
+        patch_ns.append(system.graph.view_cache.last.modeled_ns)
     return checks, tuple(patch_ns)

@@ -29,7 +29,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..algorithms import KERNELS
-from ..analysis.view import BaseGraphView
+from ..analysis.view import CSRArraysView
 from ..baselines import SYSTEMS, DynamicGraphSystem, InsertProfile, StaticCSR
 from ..config import DGAPConfig
 from ..core.batch import DEFAULT_BATCH_SIZE
@@ -165,7 +165,7 @@ def ingest(
 
 
 def run_kernel(
-    view: BaseGraphView,
+    view: CSRArraysView,
     kernel: str,
     source: int = 0,
     threads: Tuple[int, ...] = (1, 16),

@@ -14,10 +14,9 @@ the ablation switches used by Table 5:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .pmem.constants import KIB
-from .pmem.latency import OPTANE_ADR, LatencyModel
 
 
 @dataclass
@@ -38,9 +37,6 @@ class DGAPConfig:
     #: Per-thread undo log size in bytes (paper default 2 KB).
     ulog_size: int = 2 * KIB
 
-    #: Number of writer threads to pre-allocate undo logs for.
-    writer_threads: int = 16
-
     #: Leaf section size of the PMA, in slots.  Sections are the
     #: granularity of edge logs, locks and density accounting.
     segment_slots: int = 512
@@ -53,13 +49,6 @@ class DGAPConfig:
     #: (thresholds interpolate linearly with tree height, Bender & Hu).
     tau_leaf: float = 0.92
     tau_root: float = 0.70
-
-    #: Device latency profile for the PM pool.
-    profile: LatencyModel = field(default=OPTANE_ADR)
-
-    #: Extra slack factor when sizing the PM edge array: capacity =
-    #: next_pow2(init_edges * overprovision) so the PMA has working gaps.
-    overprovision: float = 1.30
 
     #: Total simulated PM pool size in bytes (None = auto-sized with
     #: headroom for several copy-on-write resizes).

@@ -56,6 +56,15 @@ from .undo_log import UndoLog
 from .vertex_array import make_vertex_array
 
 
+#: Slack when sizing the initial PM edge array — capacity =
+#: next_pow2((init_edges + init_vertices) * OVERPROVISION) — so the PMA
+#: has working gaps.
+OVERPROVISION = 1.30
+
+#: Writer threads a store pre-allocates undo logs for.
+WRITER_THREADS = 16
+
+
 def _next_pow2(n: int) -> int:
     return 1 << max(0, (n - 1).bit_length())
 
@@ -89,13 +98,12 @@ class DGAP:
         if pool is None:
             pool = PMemPool(
                 cfg.pool_bytes or self._auto_pool_bytes(cfg, capacity),
-                profile=cfg.profile,
                 name="dgap",
                 injector=injector,
                 faults=faults,
             )
         self.pool = pool
-        self._attach(capacity, cfg.segment_slots, cfg.elog_entries, cfg.writer_threads,
+        self._attach(capacity, cfg.segment_slots, cfg.elog_entries, WRITER_THREADS,
                      gen=0, create=True)
         self.va = make_vertex_array(cfg.init_vertices, cfg.dram_placement, pool)
         self._seed_pivots()
@@ -107,7 +115,7 @@ class DGAP:
     # ------------------------------------------------------------------
     @staticmethod
     def _initial_capacity(cfg: DGAPConfig) -> int:
-        need = int((cfg.init_edges + cfg.init_vertices) * cfg.overprovision)
+        need = int((cfg.init_edges + cfg.init_vertices) * OVERPROVISION)
         n_seg = _next_pow2(max(1, (need + cfg.segment_slots - 1) // cfg.segment_slots))
         return n_seg * cfg.segment_slots
 
@@ -119,7 +127,7 @@ class DGAP:
         slot_bytes = capacity * 4
         elog_bytes = (capacity // cfg.segment_slots) * cfg.elog_size
         per_gen = slot_bytes * 3 + elog_bytes * 2
-        return max(1 << 20, per_gen * 16 + cfg.writer_threads * (cfg.ulog_size + 4096) + (1 << 20))
+        return max(1 << 20, per_gen * 16 + WRITER_THREADS * (cfg.ulog_size + 4096) + (1 << 20))
 
     def _attach(self, capacity: int, seg_slots: int, eps: int, nthreads: int,
                 gen: int, create: bool) -> None:
@@ -220,11 +228,7 @@ class DGAP:
         """
         self.structure_epoch = 0
         self.history_epoch = 0
-        #: epoch-keyed snapshot serving point reads (`out_neighbors`):
-        #: re-taken only when the structure epoch moves, so a read burst
-        #: between writes pays one snapshot, not one per call.
-        self._point_snap: Optional[DGAPSnapshot] = None
-        self._point_snap_epoch = -1
+        self._views = None  # the store's view cache, built on first use
 
     def _touch_rows(self, vs) -> None:
         """Stamp the rows of ``vs`` (index or array) with a fresh epoch —
@@ -908,10 +912,21 @@ class DGAP:
         — of ``rows`` (ascending vertex ids) only, for a task that reads no other."""
         return DGAPSnapshot(self, rows)
 
+    @property
+    def view_cache(self):
+        """The store's one view cache — every reader's way to its CSR
+        arrays (DESIGN.md §7).  Written over the store surface
+        (:class:`~repro.sharding.sharded.ShardedDGAP` reuses this very
+        property); built on first use, empty again after a reopen."""
+        if self._views is None:
+            # repro.sharding imports this module: import at call time
+            from ..sharding.merge import ShardedViewCache
+
+            self._views = ShardedViewCache(self)
+        return self._views
+
     def require_no_snapshots(self, what: str) -> None:
-        """Drop the graph-owned point view, then refuse ``what`` while a
-        caller still holds an analysis snapshot."""
-        self._drop_point_view()
+        """Refuse ``what`` while a caller still holds an analysis snapshot."""
         if self._active_snapshots:
             raise GraphError(f"{what} with active analysis snapshots")
 
@@ -934,40 +949,12 @@ class DGAP:
         self.va.check(v)
         return int(self.va.live_degree[v])
 
-    def point_view(self) -> DGAPSnapshot:
-        """Epoch-keyed snapshot for point reads.
-
-        Every structural mutation bumps ``structure_epoch``, so a
-        snapshot taken at the current epoch stays exact until the next
-        write — point reads between writes share one cached snapshot
-        instead of paying a fresh Degree-Cache copy (and
-        ``_active_snapshots`` churn) per call.  The cached snapshot is
-        owned by the graph: callers must not ``release()`` it (it is
-        dropped automatically on the next epoch change or shutdown).
-        """
-        snap = self._point_snap
-        if (
-            snap is None
-            or snap._released
-            or self._point_snap_epoch != self.structure_epoch
-        ):
-            self._drop_point_view()
-            snap = self.consistent_view()
-            self._point_snap = snap
-            self._point_snap_epoch = self.structure_epoch
-        return snap
-
-    def _drop_point_view(self) -> None:
-        if self._point_snap is not None:
-            if not self._point_snap._released:
-                self._point_snap.release()
-            self._point_snap = None
-            self._point_snap_epoch = -1
-
     def out_neighbors(self, v: int) -> np.ndarray:
-        """Current live neighbors of ``v`` (point read, cached per epoch)."""
+        """Current live neighbors of ``v`` — a point read through a
+        snapshot of that one row (O(1) copies, released before returning)."""
         self.va.check(v)
-        return self.point_view().out_neighbors(v)
+        with self.consistent_view(np.array([v], dtype=np.int64)) as snap:
+            return snap.out_neighbors(v)
 
     # ------------------------------------------------------------------
     # shutdown / reopen (paper §3.1.5)
@@ -983,10 +970,13 @@ class DGAP:
         # section occupancy + log cursors: a normal restart rescans nothing
         logs = self.logs
         meta.update(seg_occ=self.ea.seg_occ, log_counts=logs.counts, log_live=logs.live_counts)
+        # The previous shutdown's regions go back to the allocator (their
+        # bytes are reused).  NORMAL_SHUTDOWN is still 0 in here: a crash
+        # reopens through crash recovery, which reads none of meta.*.
         for f, arr in meta.items():
             name = f"meta.{f}"
             if self.pool.has_array(name):
-                self.pool.drop_array(name)
+                self.pool.free_array(name)
             region = self.pool.alloc_array(name, np.int64, arr.size)
             region.nt_write_slice(0, arr)
         self.pool.device.sfence()

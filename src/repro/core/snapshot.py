@@ -90,9 +90,11 @@ class DGAPSnapshot:
         self._check()
         if self.rows is None:
             return vids
-        if not np.isin(vids, self.rows).all():
+        # ``rows`` ascends: an id in scope sits at its insertion point
+        pos = np.searchsorted(self.rows, vids)
+        if (np.append(self.rows, -1)[pos] != vids).any():
             raise SnapshotError("row outside this snapshot's scope")
-        return np.searchsorted(self.rows, vids)
+        return pos
 
     # -- per-vertex reads --------------------------------------------------------
     def out_degree(self, v: int) -> int:

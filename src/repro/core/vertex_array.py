@@ -167,12 +167,12 @@ class PMVertexArray(VertexArray):
     def _alloc_regions(self) -> None:
         self._regions = {}
         for f in self._FIELDS:
-            rname = f"{self._name}.{f}.g{self._gen}"
-            # a reopened pool still names the previous instance's mirror:
-            # nothing reads it back (recovery rebuilds and reloads every
-            # field), so the name moves to a fresh region
-            self.pool.drop_array(rname)
-            r = self.pool.alloc_array(rname, np.int64, self._cap)
+            # the mirror this one replaces — the outgrown generation's, or
+            # in a reopened pool the previous instance's — is read back by
+            # nothing (recovery rebuilds and reloads every field)
+            for old in self.pool.names(f"{self._name}.{f}."):
+                self.pool.free_array(old)
+            r = self.pool.alloc_array(f"{self._name}.{f}.g{self._gen}", np.int64, self._cap)
             r.fill(NO_EL if f == "el" else 0)
             self._regions[f] = r
 

@@ -42,7 +42,7 @@ from ..errors import MediaError, PMemError, SimulatedCrash
 from .constants import CACHE_LINE, CHUNKS_PER_LINE, LINES_PER_XPLINE, XPLINE
 from .crash import CrashInjector
 from .faults import DEFAULT_POLICY, FaultPolicy
-from .latency import LatencyModel, OPTANE_ADR
+from .latency import INPLACE_WINDOW, LatencyModel, OPTANE_ADR
 from .stats import PMemStats
 
 Buffer = Union[bytes, bytearray, memoryview, np.ndarray]
@@ -59,8 +59,8 @@ TRACE_HOOK = None
 _BULK_FLUSH_LINES = 16
 
 #: ``_recent_flushes`` (line -> flush-op index) is pruned whenever it
-#: exceeds ``_RECENT_FLUSH_SLACK * inplace_window`` entries; only entries
-#: within ``inplace_window`` ops can ever classify a flush as in-place,
+#: exceeds ``_RECENT_FLUSH_SLACK * INPLACE_WINDOW`` entries; only entries
+#: within ``INPLACE_WINDOW`` ops can ever classify a flush as in-place,
 #: so eviction never changes accounting.
 _RECENT_FLUSH_SLACK = 4
 
@@ -146,12 +146,12 @@ class PMemDevice:
     @property
     def recent_flush_capacity(self) -> int:
         """Hard bound on ``_recent_flushes`` entries (eviction window)."""
-        return max(1, _RECENT_FLUSH_SLACK * self.profile.inplace_window)
+        return _RECENT_FLUSH_SLACK * INPLACE_WINDOW
 
     def _note_recent_flush(self, line: int) -> None:
         self._recent_flushes[line] = self._flush_op
         if len(self._recent_flushes) > self.recent_flush_capacity:
-            cutoff = self._flush_op - self.profile.inplace_window
+            cutoff = self._flush_op - INPLACE_WINDOW
             # over a snapshot: concurrent writers (thread_safe) share the device
             self._recent_flushes = {
                 ln: op for ln, op in list(self._recent_flushes.items()) if op >= cutoff
@@ -421,7 +421,7 @@ class PMemDevice:
             return
 
         recent_op = self._recent_flushes.get(line)
-        inplace = recent_op is not None and (self._flush_op - recent_op) <= prof.inplace_window
+        inplace = recent_op is not None and (self._flush_op - recent_op) <= INPLACE_WINDOW
         xpline = line * CACHE_LINE // XPLINE
         sequential = line == self._last_flush_line + 1 or xpline == self._last_media_xpline
 
@@ -618,7 +618,7 @@ class PMemDevice:
         seq = self._unit_line_seq(offs, unit)
         m = int(seq.size)
         xp = seq * CACHE_LINE // XPLINE
-        window = prof.inplace_window
+        window = INPLACE_WINDOW
 
         # Physical write-back: the last flush of every line follows its
         # last store, so final media content = final cache content.

@@ -26,6 +26,11 @@ from dataclasses import dataclass, field, replace
 from .constants import CACHE_LINE, XPLINE
 
 
+#: How many of the most recently flushed lines count as "recent" for
+#: the in-place-update penalty.
+INPLACE_WINDOW = 8
+
+
 @dataclass(frozen=True)
 class LatencyModel:
     """Per-operation modeled latencies, in nanoseconds.
@@ -74,10 +79,6 @@ class LatencyModel:
     #: flushing.  Used by the Fig. 1(b) motivation experiment and by the
     #: DRAM-resident halves of the hybrid baselines.
     volatile: bool = False
-
-    #: How many of the most recently flushed lines count as "recent" for
-    #: the in-place-update penalty.
-    inplace_window: int = 8
 
     def with_overrides(self, **kw) -> "LatencyModel":
         """Return a copy with selected fields replaced."""
@@ -144,6 +145,7 @@ OPTANE_EADR = OPTANE_ADR.with_overrides(
 
 __all__ = [
     "LatencyModel",
+    "INPLACE_WINDOW",
     "DRAM",
     "OPTANE_ADR",
     "OPTANE_EADR",

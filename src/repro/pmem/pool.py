@@ -142,10 +142,6 @@ class PMemPool:
         """Registered array names starting with ``prefix`` (a str or a tuple of them)."""
         return [name for name in self._directory if name.startswith(prefix)]
 
-    def drop_array(self, name: str) -> None:
-        """Forget a named array; its bytes stay allocated."""
-        self._directory.pop(name, None)
-
     def free_array(self, name: str) -> None:
         """Forget a named array and return its bytes to the allocator."""
         off, dt, count = self._directory.pop(name)

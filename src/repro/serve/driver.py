@@ -15,7 +15,7 @@ workload.generate_workload`) against a live graph:
 Two load models share the loop: **closed** (``n_clients`` think-free
 clients with per-client clocks, as in
 :class:`~repro.workloads.vthreads.VirtualThreadScheduler`) and **open**
-(seeded Poisson arrivals at ``arrival_rate_ops_per_s``; latency is
+(seeded Poisson arrivals at ``ARRIVAL_RATE_OPS_PER_S``; latency is
 completion minus arrival, so queueing at the writer lane shows up in
 write tails).
 
@@ -49,7 +49,7 @@ from .server import (
     top_k_from_degrees,
     top_k_ns,
 )
-from .workload import ServeWorkloadConfig
+from .workload import ARRIVAL_RATE_OPS_PER_S, ServeWorkloadConfig
 
 QUERY_CLASSES: Tuple[str, ...] = (
     "degree",
@@ -272,7 +272,7 @@ def run_serve_workload(
     clocks = np.zeros(n_clients, dtype=np.float64)
     if not closed:
         arr_rng = np.random.default_rng(config.seed + 1)
-        mean_gap_ns = 1e9 / float(config.arrival_rate_ops_per_s)
+        mean_gap_ns = 1e9 / ARRIVAL_RATE_OPS_PER_S
         arrivals = np.cumsum(arr_rng.exponential(mean_gap_ns, size=len(ops)))
     writer_free = 0.0
     max_end = 0.0

@@ -2,17 +2,17 @@
 
 :class:`QueryServer` fronts a store — a
 :class:`~repro.sharding.sharded.ShardedDGAP` or a one-shard
-:class:`~repro.core.dgap.DGAP` — with the store-level view cache
-(:class:`~repro.sharding.merge.ShardedViewCache`, DESIGN.md §7):
-``acquire()`` returns an immutable :class:`ServeView` pinned at the
-shards' current structure epochs.  While no write lands — layout
-operations (rebalance, merge, resize, compaction) included — every
-acquire gets the cached arrays back (an epoch compare, no snapshot) and
-returns the same view; after a write the cache re-materializes —
-reading only what was appended to the stale rows — and the server hands
-out a *new* view.  Held views keep serving the old arrays untouched: the
-cache allocates fresh, read-only arrays on every build, so isolation
-needs no locks and no copies on the read path.
+:class:`~repro.core.dgap.DGAP` — through the store's one view cache
+(``graph.view_cache``, DESIGN.md §7): ``acquire()`` returns an immutable
+:class:`ServeView` pinned at the shards' current structure epochs.
+While no write lands — layout operations (rebalance, merge, resize,
+compaction) included — every acquire gets the cached arrays back (an
+epoch compare, no snapshot) and returns the same view; after a write
+the cache re-materializes — reading only what was appended to the stale
+rows, once, whichever of the store's readers asks first — and the
+server hands out a *new* view.  Held views keep serving the old arrays
+untouched: the cache allocates fresh, read-only arrays on every build,
+so isolation needs no locks and no copies on the read path.
 
 Modeled latency follows the analysis cost model
 (:mod:`repro.analysis.costs`).  Served reads price against the
@@ -43,7 +43,6 @@ from ..analysis.costs import (
 from ..analysis.view import ID_DTYPE
 from ..core.encoding import check_k, check_vertex
 from ..nputil import multi_arange
-from ..sharding.merge import ShardedViewCache
 
 
 # -- modeled query costs (shared by the served and snapshot arms) ---------
@@ -178,42 +177,49 @@ class ServeView:
 class QueryServer:
     """Serves :class:`ServeView` objects for a store (DESIGN.md §15).
 
-    Written against the store surface only, through the one read entry
-    (:class:`~repro.sharding.merge.ShardedViewCache`); a plain DGAP is
-    the one-shard case, not a second path.  The cache decides whether
-    anything moved and prices the call; ``acquire()`` adds the pinned
-    :class:`ServeView` — the same object while the epoch holds, a new
-    one after any write — and the serving counters.  Each acquire's
-    modeled cost lands in :attr:`last_acquire_ns`; the driver charges
-    it to the read that triggered it.
+    Written against the store surface only, through the store's one
+    view cache (``graph.view_cache``); a plain DGAP is the one-shard
+    case, not a second path.  The cache decides whether anything moved
+    and prices the call; the server keeps only the :class:`ServeView`
+    wrapped around the cache's current arrays — the same object while
+    those arrays stand, a new one once any reader's build replaced
+    them — and the serving counters.  An acquire that found the arrays
+    already built (by an earlier acquire, an analysis view, another
+    server) costs the epoch check and is a reuse; ``refreshes``,
+    :attr:`rows_reread` and :attr:`refresh_ns_total` count the builds
+    this server's own acquires paid for.  Each acquire's modeled cost
+    lands in :attr:`last_acquire_ns`; the driver charges it to the read
+    that triggered it.
     """
 
     def __init__(self, graph) -> None:
         self.graph = graph
-        self._cache = ShardedViewCache(graph)
+        self._cache = graph.view_cache
         self._view: Optional[ServeView] = None
         self.refreshes = 0
         self.reuses = 0
         self.last_acquire_ns = 0.0
         self.refresh_ns_total = 0.0
-
-    @property
-    def rows_reread(self) -> int:
-        """Rows re-materialized from PM over all refreshes (the first,
-        full build included)."""
-        return sum(st.vertices_rebuilt for st in self._cache.stats)
+        #: rows re-materialized from PM over this server's refreshes
+        #: (the first, full build included when the server paid for it)
+        self.rows_reread = 0
 
     def acquire(self) -> ServeView:
-        views = self._cache.materialize()
-        last = self._cache.last
+        cache = self._cache
+        rows = cache.rows_read
+        (out_indptr, out_dsts), _ = cache.materialize()
+        last = cache.last
         self.last_acquire_ns = last.modeled_ns
         if last.reused:
             self.reuses += 1
-            return self._view
-        self.refreshes += 1
-        self.refresh_ns_total += last.modeled_ns
-        self._view = ServeView(last.epoch, *views[0])
-        return self._view
+        else:
+            self.refreshes += 1
+            self.refresh_ns_total += last.modeled_ns
+            self.rows_reread += cache.rows_read - rows
+        view = self._view
+        if view is None or view.out_indptr is not out_indptr:
+            view = self._view = ServeView(last.epoch, out_indptr, out_dsts)
+        return view
 
 
 __all__ = [

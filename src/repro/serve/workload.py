@@ -23,21 +23,30 @@ Key choices:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
 
 from ..core.batch import EdgeBatch
 
-#: default read-class mix (weights, normalized at use).
-DEFAULT_READ_MIX: Tuple[Tuple[str, float], ...] = (
+#: read-class mix (weights, normalized at use).
+READ_MIX: Tuple[Tuple[str, float], ...] = (
     ("degree", 0.25),
     ("neighbors", 0.40),
     ("edge_exists", 0.20),
     ("k_hop", 0.10),
     ("top_k_degree", 0.05),
 )
+#: hop depth of every ``k_hop`` read and size of every ``top_k_degree`` read.
+K_HOP_DEPTH = 2
+TOP_K = 8
+#: edges per write op.
+WRITE_BATCH = 64
+#: share of a write batch emitted as tombstones (of live edges).
+DELETE_FRACTION = 0.15
+#: open-loop offered load.
+ARRIVAL_RATE_OPS_PER_S = 200_000.0
 
 
 @dataclass
@@ -47,21 +56,12 @@ class ServeWorkloadConfig:
     n_ops: int = 2000
     #: fraction of ops that are reads (the rest are write batches).
     read_fraction: float = 0.9
-    read_mix: Tuple[Tuple[str, float], ...] = DEFAULT_READ_MIX
     #: Zipfian skew exponent (0 = uniform; 0.99 = YCSB default).
     zipf_theta: float = 0.99
-    k_hop_depth: int = 2
-    top_k: int = 8
-    #: edges per write op.
-    write_batch: int = 64
-    #: share of a write batch emitted as tombstones (of live edges).
-    delete_fraction: float = 0.15
     #: closed-loop client count.
     n_clients: int = 8
     #: "closed" (think-free clients) or "open" (Poisson arrivals).
     mode: str = "closed"
-    #: open-loop offered load.
-    arrival_rate_ops_per_s: float = 200_000.0
     seed: int = 0
 
 
@@ -102,8 +102,8 @@ def generate_workload(num_vertices: int, config: ServeWorkloadConfig) -> List[tu
     """
     rng = np.random.default_rng(config.seed)
     zipf = ZipfianSampler(num_vertices, config.zipf_theta, rng)
-    classes = [name for name, _ in config.read_mix]
-    weights = np.array([w for _, w in config.read_mix], dtype=np.float64)
+    classes = [name for name, _ in READ_MIX]
+    weights = np.array([w for _, w in READ_MIX], dtype=np.float64)
     weights /= weights.sum()
 
     # live multiset mirror: src -> list of currently-live destinations
@@ -125,15 +125,15 @@ def generate_workload(num_vertices: int, config: ServeWorkloadConfig) -> List[tu
                     w = zipf.one(rng)
                 ops.append((cls, u, w))
             elif cls == "k_hop":
-                ops.append((cls, zipf.one(rng), config.k_hop_depth))
+                ops.append((cls, zipf.one(rng), K_HOP_DEPTH))
             else:
-                ops.append(("top_k_degree", config.top_k))
+                ops.append(("top_k_degree", TOP_K))
         else:
-            srcs = np.empty(config.write_batch, dtype=np.int64)
-            dsts = np.empty(config.write_batch, dtype=np.int64)
-            tombs = np.zeros(config.write_batch, dtype=bool)
-            for j in range(config.write_batch):
-                if live_srcs and rng.random() < config.delete_fraction:
+            srcs = np.empty(WRITE_BATCH, dtype=np.int64)
+            dsts = np.empty(WRITE_BATCH, dtype=np.int64)
+            tombs = np.zeros(WRITE_BATCH, dtype=bool)
+            for j in range(WRITE_BATCH):
+                if live_srcs and rng.random() < DELETE_FRACTION:
                     s = live_srcs[int(rng.integers(len(live_srcs)))]
                     row = live[s]
                     d = row.pop(int(rng.integers(len(row))))
@@ -153,7 +153,8 @@ def generate_workload(num_vertices: int, config: ServeWorkloadConfig) -> List[tu
 
 
 __all__ = [
-    "DEFAULT_READ_MIX",
+    "ARRIVAL_RATE_OPS_PER_S",
+    "READ_MIX",
     "ServeWorkloadConfig",
     "ZipfianSampler",
     "generate_workload",

@@ -5,10 +5,11 @@ See DESIGN.md §14.  Public surface:
 * :class:`ShardedDGAP` — N independent DGAP instances (own pool, locks,
   logs, fault policy each) addressed by global vertex ids.
 * :class:`ShardRouter` — vectorized per-shard batch splitting.
-* :class:`ShardedViewCache` — the one read entry of any store (a plain
-  ``DGAP`` is the one-shard case): decides reuse, builds the merged
-  global (out, in) CSR — byte-identical to an unsharded build of the
-  same stream — and prices the build (``cache.last``).
+* :class:`ShardedViewCache` — the view cache a store owns and hands out
+  as ``g.view_cache`` (a plain ``DGAP`` is the one-shard case): decides
+  reuse, builds the merged global (out, in) CSR — byte-identical to an
+  unsharded build of the same stream — and prices the build
+  (``cache.last``).
 * :mod:`~repro.sharding.partition` — the block-mixed id mapping.
 """
 

@@ -2,10 +2,12 @@
 
 :class:`ShardedViewCache` fronts any store — a
 :class:`~repro.sharding.sharded.ShardedDGAP` or a one-shard
-:class:`~repro.core.dgap.DGAP` — and owns the three read-side decisions
-(DESIGN.md §7): *reuse* (no row moved → the same arrays, no snapshot),
-*build* (drive the per-shard patch caches, merge) and *cost*
-(``cache.last``, priced by :func:`~repro.analysis.costs.view_build_ns`).
+:class:`~repro.core.dgap.DGAP`; the store builds its one instance
+(``g.view_cache``) and every reader shares it — and owns the three
+read-side decisions (DESIGN.md §7): *reuse* (no row moved → the same
+arrays, no snapshot), *build* (drive the per-shard patch caches, merge)
+and *cost* (``cache.last``, priced by
+:func:`~repro.analysis.costs.view_build_ns`).
 
 The merge contract (tested in ``tests/test_sharding.py``, proved in
 DESIGN.md §14): the merged ``((out_indptr, out_dsts), (in_indptr,
@@ -36,7 +38,7 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from ..analysis.costs import EPOCH_CHECK_NS, view_build_ns
-from ..analysis.view import ID_DTYPE, INDPTR_DTYPE
+from ..analysis.view import ID_DTYPE, INDPTR_DTYPE, merge_in_streams
 from ..analysis.viewcache import DGAPViewCache
 from ..errors import GraphError
 from ..nputil import multi_arange
@@ -65,35 +67,21 @@ def merge_out_csr(outs: List[CSRPair], nv: int, n_shards: int) -> CSRPair:
     return indptr, dsts
 
 
-def _merge_in_streams(a: CSRPair, b: CSRPair, nv: int) -> CSRPair:
-    """Merge two (dst, src, insertion)-ordered in-streams over ``nv`` dsts.
-
-    Keys are collision-free across streams (the source id pins the
-    stream), so one ``searchsorted`` computes every insertion point and
-    the per-destination indptrs simply add.
-    """
-    a_ip, a_srcs = a
-    b_ip, b_srcs = b
-    a_dst = np.repeat(np.arange(nv, dtype=np.int64), np.diff(a_ip))
-    b_dst = np.repeat(np.arange(nv, dtype=np.int64), np.diff(b_ip))
-    a_key = a_dst * nv + a_srcs
-    b_key = b_dst * nv + b_srcs
-    pos_b = np.searchsorted(a_key, b_key, side="left") + np.arange(b_key.size)
-    total = a_key.size + b_key.size
-    srcs = np.empty(total, dtype=ID_DTYPE)
-    a_mask = np.ones(total, dtype=bool)
-    a_mask[pos_b] = False
-    srcs[pos_b] = b_srcs
-    srcs[a_mask] = a_srcs
-    return a_ip + b_ip, srcs
-
-
 def merge_in_csr(inns: List[CSRPair], nv: int) -> CSRPair:
-    """Fold per-shard in-streams into the global (dst, src)-ordered one."""
-    acc = inns[0]
-    for nxt in inns[1:]:
-        acc = _merge_in_streams(acc, nxt, nv)
-    return acc
+    """Fold per-shard in-streams into the global (dst, src)-ordered one.
+
+    The source id pins the stream, so keys never collide across shards
+    (:func:`~repro.analysis.view.merge_in_streams`) and the
+    per-destination indptrs simply add.
+    """
+    dsts = np.arange(nv, dtype=np.int64)
+    acc_ip, acc_srcs = inns[0]
+    for ip, srcs in inns[1:]:
+        acc_srcs = merge_in_streams(
+            np.repeat(dsts, np.diff(acc_ip)), acc_srcs, np.repeat(dsts, np.diff(ip)), srcs, nv
+        )
+        acc_ip = acc_ip + ip
+    return acc_ip, acc_srcs
 
 
 class ViewBuild(NamedTuple):
@@ -105,7 +93,8 @@ class ViewBuild(NamedTuple):
 
 
 class ShardedViewCache:
-    """The one read entry: global (out, in) CSR arrays of a store.
+    """Global (out, in) CSR arrays of a store — readers get the store's
+    own instance from ``store.view_cache``.
 
     ``materialize()`` compares the shards' structure epochs with the
     cached build and hands back the same (read-only) arrays while they
@@ -124,6 +113,10 @@ class ShardedViewCache:
         self.caches = [DGAPViewCache(sh, r, n) for r, sh in enumerate(self._shards)]
         self._views: Optional[Tuple[CSRPair, CSRPair]] = None
         self.last: Optional[ViewBuild] = None
+        #: rows re-materialized from PM over all builds (the shards'
+        #: ``vertices_rebuilt``, summed): a reader sharing the cache
+        #: takes the delta over its own call
+        self.rows_read = 0
 
     @property
     def stats(self):
@@ -144,6 +137,7 @@ class ShardedViewCache:
         outs: List[CSRPair] = []
         inns: List[CSRPair] = []
         builds = []
+        rows = sum(c.stats.vertices_rebuilt for c in self.caches)
         for r, sh in enumerate(self._shards):
             expect = local_count(nv - 1, r, n)
             if sh.num_vertices != expect:
@@ -155,6 +149,7 @@ class ShardedViewCache:
             outs.append(out)
             inns.append(inn)
             builds.append(did)
+        self.rows_read += sum(c.stats.vertices_rebuilt for c in self.caches) - rows
         if all(b.mode == "reuse" for b in builds):
             # the epoch moved (a layout operation) but no row did: the
             # merged arrays are still exact — the epoch check, a step later

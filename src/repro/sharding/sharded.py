@@ -43,7 +43,6 @@ from ..pmem.crash import CrashInjector
 from ..pmem.faults import FaultPolicy
 from ..pmem.pool import PMemPool
 from ..pmem.stats import SummedStats
-from .merge import ShardedViewCache
 from .partition import global_vertex_count, local_count, shard_of, to_local
 from .router import ShardRouter
 
@@ -128,7 +127,7 @@ class ShardedDGAP:
         self.n_shards = len(shards)
         self.router = ShardRouter(self.n_shards)
         self.pool = ShardPoolGroup([sh.pool for sh in shards])
-        self._view_cache = ShardedViewCache(self)  # holds nothing until asked
+        self._views = None  # the store's view cache, built on first use
 
     # ------------------------------------------------------------------
     # structure
@@ -260,6 +259,9 @@ class ShardedDGAP:
     # ------------------------------------------------------------------
     # analysis
     # ------------------------------------------------------------------
+    #: the store's one view cache: DGAP's property is written over ``shards``.
+    view_cache = DGAP.view_cache
+
     def global_csr(self):
         """Merged global ``((out_indptr, out_dsts), (in_indptr, in_srcs))``.
 
@@ -267,7 +269,7 @@ class ShardedDGAP:
         (DESIGN.md §14); incrementally maintained per shard by the
         epoch-versioned view caches.
         """
-        return self._view_cache.materialize()
+        return self.view_cache.materialize()
 
     # ------------------------------------------------------------------
     # diagnostics / lifecycle

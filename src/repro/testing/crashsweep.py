@@ -89,8 +89,6 @@ class SweepConfig:
     seed: int = 0
     idempotence_samples: int = 5
     """Crash points that additionally get a crash-during-recovery check."""
-    check_invariants: bool = True
-    check_log_cursors: bool = True
 
 
 @dataclass
@@ -297,8 +295,6 @@ def verify_recovered_graph(
     acked: int,
     *,
     where: str = "?",
-    check_invariants: bool = True,
-    check_log_cursors: bool = True,
 ) -> Optional[bool]:
     """Assert prefix consistency; returns whether the in-flight op landed.
 
@@ -332,12 +328,7 @@ def verify_recovered_graph(
         _batch_per_src(in_flight[1]) if in_flight_batch else {}
     )
     if in_flight is not None and in_flight[0] == "expire":
-        return _verify_in_flight_expire(
-            g, ops, acked, in_flight,
-            where=where,
-            check_invariants=check_invariants,
-            check_log_cursors=check_log_cursors,
-        )
+        return _verify_in_flight_expire(g, ops, acked, in_flight, where=where)
     with_op = None
     if in_flight is not None and not in_flight_batch:
         with_op = _expected_state(list(ops[: acked + 1]), nv)
@@ -375,7 +366,7 @@ def verify_recovered_graph(
     if in_flight_batch and in_flight_applied is None:
         in_flight_applied = False
 
-    _verify_structure(g, where, check_invariants, check_log_cursors)
+    _verify_structure(g, where)
     return in_flight_applied
 
 
@@ -386,8 +377,6 @@ def _verify_in_flight_expire(
     in_flight: Op,
     *,
     where: str,
-    check_invariants: bool,
-    check_log_cursors: bool,
 ) -> Optional[bool]:
     """Oracle for a crash inside an ``("expire", pairs)`` delete run.
 
@@ -418,12 +407,12 @@ def _verify_in_flight_expire(
             f"prefix of the in-flight expire run {pairs} over the acked "
             f"state {want0.get(bad)}"
         )
-    _verify_structure(g, where, check_invariants, check_log_cursors)
+    _verify_structure(g, where)
     return matched_j > 0
 
 
 def _verify_structure(
-    g, where: str, check_invariants: bool, check_log_cursors: bool
+    g, where: str, check_invariants: bool = True, check_log_cursors: bool = True
 ) -> None:
     """Shared structural half of the oracle: invariants + log cursors."""
     if check_invariants:
@@ -533,11 +522,7 @@ def crash_sweep(
             # Event counts can drift a little between the dry run and an
             # armed run only if the workload itself is nondeterministic;
             # a late point then just degenerates to a full-run check.
-            verify_recovered_graph(
-                g, ops, acked, where=f"no-crash@{k}",
-                check_invariants=cfg.check_invariants,
-                check_log_cursors=cfg.check_log_cursors,
-            )
+            verify_recovered_graph(g, ops, acked, where=f"no-crash@{k}")
             continue
 
         where = repr(crash)
@@ -593,14 +578,10 @@ def crash_sweep(
             )
             continue
 
-        applied = verify_recovered_graph(
-            g2, ops, acked, where=where,
-            check_invariants=cfg.check_invariants,
-            check_log_cursors=cfg.check_log_cursors,
-        )
+        applied = verify_recovered_graph(g2, ops, acked, where=where)
         for op in ops[acked + 1 : acked + 1 + OPS_AFTER_RECOVERY]:
             _apply_op(g2, op)
-        _verify_structure(g2, f"{where} + {OPS_AFTER_RECOVERY} ops", cfg.check_invariants, False)
+        _verify_structure(g2, f"{where} + {OPS_AFTER_RECOVERY} ops", check_log_cursors=False)
         report.results.append(
             CrashPointResult(
                 total_index=k,

@@ -77,8 +77,6 @@ class SoakConfig:
     scrub_every: int = 64
     """Run one patrol-scrub step every this-many guarded inserts."""
     patrol_bytes: int = 64 * 1024
-    check_invariants: bool = True
-    check_log_cursors: bool = True
 
 
 @dataclass
@@ -336,9 +334,7 @@ def soak_sweep(
 
         if not out.read_only:
             try:
-                _verify_structure(
-                    subject, "soak-end", cfg.check_invariants, cfg.check_log_cursors
-                )
+                _verify_structure(subject, "soak-end")
             except SweepFailure as exc:
                 raise SoakFailure(str(exc)) from exc
 

@@ -204,8 +204,8 @@ class TestBaselineEquivalence:
             sa = {k: getattr(da.stats, k) for k in INT_STATS}
             sb = {k: getattr(db.stats, k) for k in INT_STATS}
             assert sa == sb
-        pa, da_ = a.analysis_view()._materialize_out()
-        pb, db_ = b.analysis_view()._materialize_out()
+        pa, da_ = a.analysis_view().out_csr()
+        pb, db_ = b.analysis_view().out_csr()
         for v in range(64):
             assert sorted(da_[pa[v] : pa[v + 1]].tolist()) == sorted(
                 db_[pb[v] : pb[v + 1]].tolist()

@@ -19,6 +19,7 @@ from repro.core.encoding import MAX_VERTEX, TOMB_BIT, encode_edge
 from repro.errors import GraphError, PMemError, SimulatedCrash, VertexRangeError
 from repro.pmem import CACHE_LINE, DRAM, OPTANE_ADR, OPTANE_EADR, PMemDevice, PMemPool
 from repro.pmem.crash import CrashInjector
+from repro.pmem.latency import INPLACE_WINDOW
 from repro.pmem.stats import INT_COUNTER_FIELDS
 
 def int_stats(dev):
@@ -183,7 +184,7 @@ def _run_pattern(profile, fn_scalar, fn_batched):
     # scalar path prunes lazily); only entries still inside the in-place
     # window can affect future classification.
     def effective(dev):
-        lo = dev._flush_op + 1 - dev.profile.inplace_window
+        lo = dev._flush_op + 1 - INPLACE_WINDOW
         return {ln: op for ln, op in dev._recent_flushes.items() if op >= lo}
 
     assert effective(a) == effective(b)
@@ -240,7 +241,7 @@ class TestDeviceBatchEquivalence:
 
     def test_flush_span_after_prewarmed_recent_flushes(self):
         # flushes issued *before* the batch can still classify the batch's
-        # first `inplace_window` flushes as in-place.
+        # first `INPLACE_WINDOW` flushes as in-place.
         offs = np.array([0, 64, 128, 0, 64], dtype=np.int64)
         warm = np.array([0, 64], dtype=np.int64)
 
@@ -314,10 +315,10 @@ class TestRecentFlushBound:
         assert len(dev._recent_flushes) <= dev.recent_flush_capacity
 
     def test_eviction_never_changes_classification(self):
-        # Revisit a line *after* more than inplace_window other flushes:
+        # Revisit a line *after* more than INPLACE_WINDOW other flushes:
         # must be random whether or not its entry was evicted.
         dev = PMemDevice(8 << 20)
-        w = dev.profile.inplace_window
+        w = INPLACE_WINDOW
         lines = list(range(1, 3 * w)) + [0]
         dev.store(0, b"a" * 8)
         dev.clwb(0, 8)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro import DGAP, DGAPConfig, SimulatedCrash
-from repro.pmem import CrashInjector
+from repro.pmem import CrashInjector, PMemPool
 from repro.testing import SweepConfig, crash_sweep, make_insert_workload
 
 BASE = dict(init_vertices=48, init_edges=512, segment_slots=64, elog_size=256)
@@ -226,6 +226,108 @@ class TestRecoveryPaths:
         for v in range(48):
             assert list(g2.out_neighbors(v)) == ref.get(v, [])
 
+    @pytest.mark.parametrize("policy", ["default", "torn", "reorder"])
+    def test_power_failure_at_every_event_of_a_second_shutdown(self, policy):
+        """The second shutdown frees the first one's ``meta.*`` regions and
+        writes into the same bytes.  Power failing at any of its
+        persistence events reopens with every acknowledged edge — through
+        crash recovery (the flag still reads 0) at every event before the
+        flag's own store, clwb and sfence — and the store shuts down and
+        restarts normally afterwards."""
+        from repro.core.rebalance import ROOT_SHUTDOWN
+        from repro.pmem.faults import DEFAULT_POLICY, PERSIST_REORDER, TORN_STORES
+
+        faults = {"default": DEFAULT_POLICY, "torn": TORN_STORES, "reorder": PERSIST_REORDER}[policy]
+        cfg = DGAPConfig(**BASE)
+        first, second = make_edges(300, seed=14), make_edges(60, seed=15)
+        ref = {}
+        for u, w in first + second:
+            ref.setdefault(u, []).append(w)
+
+        def adjacency(g):
+            return {v: list(g.out_neighbors(v)) for v in range(48) if g.out_degree(v)}
+
+        def shut_down_once(inj, seed=0):
+            g = DGAP(cfg, injector=inj, faults=faults.with_seed(seed))
+            g.insert_edges(first)
+            g.shutdown()
+            g = DGAP.open(g.pool, cfg)
+            g.insert_edges(second)
+            return g
+
+        # dry run: the second shutdown's events, and that it reuses the bytes
+        inj = CrashInjector()
+        g = shut_down_once(inj)
+        where = {n: g.pool.get_array(n).offset for n in g.pool.names("meta.")}
+        base, cursor = inj.total_events, g.pool.allocator.cursor
+        g.shutdown()
+        n_events = inj.total_events - base
+        assert len(where) == 8 and g.pool.allocator.cursor == cursor
+        assert {n: g.pool.get_array(n).offset for n in where} == where
+        assert adjacency(DGAP.open(g.pool, cfg)) == ref
+
+        flags = []
+        for k in range(1, n_events + 1):
+            inj = CrashInjector()
+            g = shut_down_once(inj, seed=k)
+            inj.arm(k)
+            with pytest.raises(SimulatedCrash):
+                g.shutdown()
+            inj.disarm()
+            flags.append(g.pool.read_root(ROOT_SHUTDOWN))
+            g2 = DGAP.open(g.pool, cfg)
+            g2.check_invariants()
+            assert adjacency(g2) == ref, k
+            g2.shutdown()  # whichever meta.* names the crash left registered
+            assert adjacency(DGAP.open(g2.pool, cfg)) == ref, k
+        # Until the flag's own store / clwb / sfence the pool reads "crashed".
+        # A flushed flag is in the power-fail domain (ADR) at the final
+        # sfence; only a torn store or a reordered flush lands it earlier.
+        assert not any(flags[:-3])
+        if policy == "default":
+            assert flags[-3:] == [0, 0, 1]
+
+    def test_shutdown_open_cycles_do_not_consume_the_pool(self):
+        """A store that is only ever shut down and reopened: the previous
+        shutdown's ``meta.*`` regions are freed and their bytes reused, so
+        the allocator's high-water mark stays where the first cycle put it
+        (the parent ran out of PM after several hundred cycles)."""
+        g = DGAP(DGAPConfig(init_vertices=64, init_edges=1500))
+        g.insert_edges(np.random.default_rng(0).integers(0, 64, size=(1500, 2)))
+        marks = set()
+        for _ in range(1000):
+            g.shutdown()
+            g = DGAP.open(g.pool, g.config)
+            marks.add(g.pool.allocator.cursor)
+        assert len(marks) == 1
+        assert g.num_edges == 1500 and len(g.pool.names("meta.")) == 8
+
+    def test_pm_vertex_array_keeps_one_generation(self):
+        """Every grow of the PM-resident vertex array (and every reopen)
+        frees the mirror it replaces: one ``vertexarr.*`` generation is
+        registered, and the outgrown ones' bytes are allocatable again."""
+        cfg = DGAPConfig(init_vertices=4, init_edges=256, segment_slots=64, dram_placement=False)
+        g = DGAP(cfg)
+        grows = 0
+        for v in (20, 40, 90, 200):
+            before = g.va._gen
+            g.insert_edge(1, v)
+            grows += g.va._gen - before
+            gen = g.va._gen
+            assert sorted(g.pool.names("vertexarr.")) == sorted(
+                f"vertexarr.{f}.g{gen}" for f in ("degree", "start", "el"))
+            for f, r in g.va._regions.items():
+                np.testing.assert_array_equal(r.view, getattr(g.va, f))
+        assert grows >= 4
+        freed = sum(size for _, size in g.pool.allocator._free)
+        assert freed >= 3 * 8 * 16  # at least the first mirror's three fields
+        for crash in (True, False):
+            g.pool.crash() if crash else g.shutdown()
+            g = DGAP.open(g.pool, cfg)
+            assert sorted(g.pool.names("vertexarr.")) == [
+                "vertexarr.degree.g0", "vertexarr.el.g0", "vertexarr.start.g0"]
+            assert g.out_neighbors(1).tolist() == [20, 40, 90, 200]
+
     def test_shutdown_flag_unfenced_under_persist_reorder(self):
         """Same boundary under the persist-reorder policy: the flushed
         flag line may or may not hit media at the crash; either way the
@@ -269,8 +371,8 @@ class TestRecoveryPaths:
         """§2.1.3: DGAP works on eADR too — caches survive power loss."""
         from repro.pmem.latency import OPTANE_EADR
 
-        cfg = DGAPConfig(**BASE, profile=OPTANE_EADR)
-        g = DGAP(cfg)
+        cfg = DGAPConfig(**BASE)
+        g = DGAP(cfg, pool=PMemPool(1 << 20, profile=OPTANE_EADR))
         edges = make_edges(800, seed=11)
         g.insert_edges(edges)
         g.pool.crash()

@@ -66,42 +66,36 @@ edge_lists = st.lists(
 
 
 # ---------------------------------------------------------------------------
-# satellite: epoch-keyed point-read snapshot cache
+# satellite: point reads on the store (``out_neighbors``)
 # ---------------------------------------------------------------------------
 
 class TestPointViewCache:
-    def _spy(self, g):
-        calls = []
+    def test_point_read_opens_one_row_and_holds_nothing(self):
+        """``out_neighbors`` reads through a snapshot of that one row and
+        releases it: no graph-owned snapshot is left for a write, a sweep
+        or a shutdown to special-case."""
+        g = small_graph()
+        preload(g)
+        scopes = []
         orig = g.consistent_view
 
-        def counted():
-            calls.append(1)
-            return orig()
+        def spied(rows=None):
+            scopes.append(None if rows is None else rows.tolist())
+            return orig(rows)
 
-        g.consistent_view = counted
-        return calls
-
-    def test_read_burst_takes_one_snapshot(self):
-        g = small_graph()
-        preload(g)
-        calls = self._spy(g)
+        g.consistent_view = spied
+        with orig() as snap:
+            want = {v: snap.out_neighbors(v).tolist() for v in range(NV)}
         for v in range(NV):
-            g.out_neighbors(v)
-            g.out_neighbors(v)
-        assert len(calls) == 1, "unchanged epoch must not re-snapshot"
-        g.shutdown()
-
-    def test_write_invalidates_point_view(self):
-        g = small_graph()
-        preload(g)
-        calls = self._spy(g)
-        before = g.out_neighbors(1)
-        assert len(calls) == 1
-        g.insert_edge(1, 5)
-        after = g.out_neighbors(1)
-        assert len(calls) == 2, "epoch moved: must take a fresh snapshot"
-        assert after.size == before.size + 1 and after[-1] == 5
-        g.shutdown()
+            assert g.out_neighbors(v).tolist() == want[v]
+            assert g._active_snapshots == 0
+        assert scopes == [[v] for v in range(NV)]
+        g.insert_edge(1, 5)  # a write is visible to the next read
+        assert g.out_neighbors(1).tolist() == want[1] + [5]
+        g.delete_edge(1, 5)
+        g.compact()  # refuses while any snapshot is held
+        assert g.out_neighbors(1).tolist() == want[1]
+        g.shutdown()  # likewise
 
     def test_out_neighbors_checks_range(self):
         g = small_graph()
@@ -110,12 +104,6 @@ class TestPointViewCache:
         with pytest.raises(VertexRangeError):
             g.out_neighbors(NV)
         g.shutdown()
-
-    def test_shutdown_releases_point_view(self):
-        g = small_graph()
-        preload(g)
-        g.out_neighbors(0)
-        g.shutdown()  # must not raise "active analysis snapshots"
 
 
 # ---------------------------------------------------------------------------

@@ -224,7 +224,7 @@ class TestMergedViewIdentity:
         g.insert_edges(e3)
         assert_csr_bytes_equal(sh.global_csr(), gcache.materialize())
         assert_csr_bytes_equal(sh.global_csr(), scratch_csr(g))
-        assert any(s.incremental_builds > 0 for s in sh._view_cache.stats)
+        assert any(s.incremental_builds > 0 for s in sh.view_cache.stats)
 
     def test_identity_survives_shutdown_and_open(self):
         edges = stream(2500, nv=500, seed=9)

@@ -55,6 +55,38 @@ class TestChainSlicing:
             snap.release()
 
 
+class TestRowScope:
+    def test_a_scoped_snapshot_reads_its_rows_and_refuses_every_other(self):
+        """``consistent_view(rows)`` copies those rows' degrees only: in
+        scope it reads what a whole snapshot reads; an id below, between,
+        above or beside the rows raises instead of reading a neighbour."""
+        from repro.errors import SnapshotError
+
+        g = DGAP(DGAPConfig(**CFG))
+        rng = np.random.default_rng(1)
+        g.insert_edges(rng.integers(0, 24, size=(300, 2)))
+        rows = np.array([3, 7, 8, 20], dtype=np.int64)
+        with g.consistent_view() as whole, g.consistent_view(rows) as scoped:
+            assert scoped.degree_t.size == rows.size
+            for v in rows.tolist():
+                assert scoped.out_degree(v) == whole.out_degree(v)
+                assert list(scoped.out_neighbors(v)) == list(whole.out_neighbors(v))
+            counts, dsts = scoped.materialize_rows(rows[[1, 3]])
+            want = whole.materialize_rows(rows[[1, 3]])
+            assert counts.tolist() == want[0].tolist() and dsts.tolist() == want[1].tolist()
+            for v in (0, 2, 5, 9, 21, 23):
+                with pytest.raises(SnapshotError, match="scope"):
+                    scoped.out_neighbors(v)
+                with pytest.raises(SnapshotError, match="scope"):
+                    scoped.out_degree(v)
+            with pytest.raises(SnapshotError, match="scope"):
+                scoped.materialize_rows(np.array([7, 9], dtype=np.int64))
+        with g.consistent_view(np.empty(0, dtype=np.int64)) as nothing:
+            assert nothing.materialize_rows(np.empty(0, dtype=np.int64))[1].size == 0
+            with pytest.raises(SnapshotError, match="scope"):
+                nothing.out_neighbors(0)
+
+
 class TestCSRDetails:
     def test_csr_cached(self):
         g = DGAP(DGAPConfig(**CFG))

@@ -484,7 +484,7 @@ class TestOneViewStack:
         view = system.analysis_view()
         for arr in (*view.out_csr(), *view.in_csr()):
             assert not arr.flags.writeable
-        assert system.csr_cache.last.modeled_ns > costs.EPOCH_CHECK_NS
+        assert system.graph.view_cache.last.modeled_ns > costs.EPOCH_CHECK_NS
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +553,7 @@ class TestOneSurface:
     def test_no_sharded_probe_is_left(self):
         src = _src()
         assert _count(r"hasattr\([^)]*[\"']shards[\"']", src) == 0
-        assert _count(r"getattr\([^)]*[\"'](shards|pools|_view_cache)[\"']", src) == 0
+        assert _count(r"getattr\([^)]*[\"'](shards|pools|_views|view_cache)[\"']", src) == 0
         assert _count(r"self\.sharded\b(?!\.)", src) == 0
         assert _count(r"_GroupDevice", src) == 0
 
@@ -564,7 +564,7 @@ class TestOneSurface:
         assert "out of range [0, {" in src["core/encoding.py"]
         assert _count(r"except SimulatedCrash", {"s": src["sharding/sharded.py"]}) == 1
         # the facade's fields are assigned in `_assemble` and nowhere else
-        for name in ("config", "shards", "n_shards", "router", "pool", "_view_cache"):
+        for name in ("config", "shards", "n_shards", "router", "pool", "_views"):
             sets = re.findall(rf"^\s+(?:self|host)\.{name} = ", src["sharding/sharded.py"], flags=re.M)
             assert len(sets) == 1, name
 
@@ -580,10 +580,24 @@ class TestOneSurface:
                      "id_" + "stride", "row_" + "ids"):
             assert homes(gone) == [], gone
         assert homes(r"\._nv\b") == ["analysis/viewcache.py"]
-        # one constructor site, one epoch-tuple build, one row-scoped snapshot
+        # one constructor site, one epoch-tuple build; a row-scoped snapshot
+        # is opened by a view refresh and by the store's point read
         assert homes(r"DGAPViewCache\(") == ["sharding/merge.py"]
         assert homes(r"structure_epoch for") == ["sharding/merge.py"]
-        assert homes(r"\.consistent_view\([^)]") == ["analysis/viewcache.py"]
+        assert homes(r"\.consistent_view\([^)]") == ["analysis/viewcache.py", "core/dgap.py"]
+        # one view cache per store: built by the store's accessor (DGAP's
+        # property, which ShardedDGAP reuses) and by nobody else under src/;
+        # no point-view cache, one in-stream merge kernel, one view class,
+        # one way to retire a pool region
+        assert _count(r"ShardedViewCache\(", src) == 1
+        assert "ShardedViewCache(self)" in src["core/dgap.py"].split("def view_cache")[1][:700]
+        assert "view_cache = DGAP.view_cache" in src["sharding/sharded.py"]
+        for gone in (r"_point_snap", r"point_view", r"drop_array", r"_merge_in_streams",
+                     r"class BaseGraphView"):
+            assert homes(gone) == [], gone
+        assert _count(r"def merge_in_streams", src) == 1
+        assert homes(r"merge_in_streams\(") == ["analysis/view.py", "analysis/viewcache.py",
+                                                "sharding/merge.py"]
         # one Degree Cache: the full-vector copy has one home, no second
         # (copy-on-write) snapshot path; one reader of row bytes on the
         # view path, the tail reader; one writer of the stamp that voids
@@ -647,8 +661,11 @@ class TestOneSurface:
         assert _count(r"write_root\(ROOT_GEN", src) == 1
         assert "write_root(ROOT_GEN" in src["core/rebalance.py"].split("def _flip")[1][:400]
         assert _count(r"\._flip\(", src) == 2
-        assert homes(r"\.free_array\(") == ["core/rebalance.py", "pmem/pool.py"]
-        assert _count(r"\.free_array\(", src) == 2  # reap, and the pool's own regrow
+        assert homes(r"\.free_array\(") == ["core/dgap.py", "core/rebalance.py",
+                                              "core/vertex_array.py", "pmem/pool.py"]
+        # reap, the pool's own regrow, the previous shutdown's meta.*, the
+        # PM vertex array's previous mirror
+        assert _count(r"\.free_array\(", src) == 4
         assert homes(r"\.reap\(\)") == ["core/rebalance.py", "core/recovery.py"]
         assert _count(r"\.reap\(\)", src) == 3
         assert homes(r"dead_state\(") == ["core/rebalance.py", "core/recovery.py", "resilience/scrub.py"]
@@ -661,4 +678,4 @@ class TestOneSurface:
 
     def test_dgap_did_not_grow_a_merged_view(self):
         assert not hasattr(DGAP, "global_csr")
-        assert len(dataclasses.fields(DGAPConfig)) == 18
+        assert len(dataclasses.fields(DGAPConfig)) == 15

@@ -217,15 +217,22 @@ def test_reachability_gate_passes_here_and_bites(tmp_path, capsys):
     pkg = tmp_path / "src" / "repro"
     pkg.mkdir(parents=True)
     (pkg / "config.py").write_text(
-        "class DGAPConfig:\n    read_field: int = 0\n    dead_field: int = 0\n"
-        "def reached():\n    return f'{DGAPConfig().read_field}'\n"
+        "class DGAPConfig:\n    set_field: int = 0\n    test_field: int = 0\n    read_field: int = 0\n"
+        "class SweepPolicy:\n    dead_field: int = 0\n"
+        "def reached():\n    return f'{DGAPConfig(set_field=1).read_field}'\n"
         "def unreached_def():\n    'reached() and unreached_def() here are not callers'\n"
         "__all__ = ['unreached_def']\nreached()\n"
     )
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_x.py").write_text("cfg.test_field = 3\nunreached_def()\n")
     assert tool.main([str(tmp_path)]) == 1
     out = capsys.readouterr().out
-    assert "unreached: dead_field" in out and "unreached: unreached_def" in out
-    assert "unreached: read_field" not in out and "unreached: reached" not in out
+    # a field is an option only if somebody sets it (a test counts); a read
+    # of the default is one value in use
+    assert "never set: SweepPolicy.dead_field" in out and "never set: DGAPConfig.read_field" in out
+    assert "DGAPConfig.set_field" not in out and "DGAPConfig.test_field" not in out
+    # tests are setters, not product callers
+    assert "unreached: unreached_def" in out and "unreached: reached" not in out
     # the allow-list cannot rot: its names are not defined in this tree
     assert "stale allow-list entry: is_persisted — no longer defined" in out
 
