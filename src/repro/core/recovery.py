@@ -155,7 +155,8 @@ def crash_recover(host) -> None:
 #: name prefixes of the regions that live and die with a generation, or
 #: (the logs) its geometry — what ``Rebalancer.reap`` frees once dead
 _PER_GENERATION = ("edges.g", "segocc.g")
-GENERATION_REGIONS = _PER_GENERATION + ("elogs.g",)
+_JOURNAL = "pmdk-journal.g"
+GENERATION_REGIONS = _PER_GENERATION + ("elogs.g", _JOURNAL)
 
 
 def dead_state(host, name: str, off: int, n: int) -> Optional[bool]:
@@ -174,6 +175,10 @@ def dead_state(host, name: str, off: int, n: int) -> Optional[bool]:
       root has yet to flip to);
     * ``elogs.g*`` — a log region belongs to a geometry
       (``n_sections``), not to a generation: dead iff not the current one's;
+    * ``pmdk-journal.g*`` (+ ``.lane``, the "No EL&UL" ablation) — a
+      journal is empty between transactions and a switch runs none, so it
+      dies with its generation; the current one's is the caller's to judge
+      (idle it may be zeroed, mid-transaction it is what recovery reads);
     * ``ulog.pay.t*`` — only consumed by an ACTIVE restore with a
       committed (valid) backup;
     * ``rebal.scratch`` — only consumed as the source of a COPYBACK.
@@ -182,6 +187,9 @@ def dead_state(host, name: str, off: int, n: int) -> Optional[bool]:
         return True
     if name.startswith("elogs.g"):
         return name != host.logs.region.name
+    if name.startswith(_JOURNAL):
+        current = int(name[len(_JOURNAL):].split(".")[0]) == host.ea.gen
+        return None if current else True
     if name.startswith("ulog.pay.t"):
         tid = int(name.rsplit("t", 1)[1])
         h = next((ul.read_header() for ul in host.ulogs if ul.thread_id == tid), None)

@@ -1,7 +1,9 @@
 """Reusable verification harnesses (crash sweeps, race checks, oracles).
 
 Not imported by the library's runtime paths — this package backs the
-test suite and the ``crash-sweep`` / ``race-check`` bench modes.
+test suite and the ``crash-sweep`` / ``race-check`` / ``soak`` bench
+modes.  :mod:`.model` is the one shadow adjacency and in-flight rule,
+``crash_points`` the one replayer, ``schedules.explore`` the one explorer.
 """
 
 from .crashsweep import (
@@ -9,6 +11,7 @@ from .crashsweep import (
     SweepConfig,
     SweepFailure,
     SweepReport,
+    crash_points,
     crash_sweep,
     make_batched_insert_workload,
     make_insert_workload,
@@ -38,23 +41,23 @@ from .soaksweep import (
     SoakRoundResult,
     soak_sweep,
 )
+from .model import Mismatch, Model
 from .schedules import (
     DeterministicScheduler,
-    ExplorationReport,
     ScheduleDeadlock,
     ScheduleError,
     ScheduleTrace,
-    explore_schedules,
-    run_schedule,
+    explore,
 )
 
 __all__ = [
     "CrashPointResult",
     "DeterministicScheduler",
     "EventRecorder",
-    "ExplorationReport",
     "InstrumentedSectionLockTable",
     "LockEvent",
+    "Mismatch",
+    "Model",
     "RaceCheckConfig",
     "RaceCheckReport",
     "SCENARIOS",
@@ -72,15 +75,15 @@ __all__ = [
     "UnfixedSectionLockTable",
     "Violation",
     "check_lock_discipline",
+    "crash_points",
     "crash_sweep",
     "events_from_tuples",
     "make_batched_insert_workload",
     "make_windowed_workload",
+    "explore",
     "explore_scenario",
-    "explore_schedules",
     "make_insert_workload",
     "race_check",
-    "run_schedule",
     "run_scenario",
     "soak_sweep",
     "verify_recovered_graph",

@@ -38,7 +38,9 @@ oracle flag them; see ``tests/test_racecheck.py``.
 
 from __future__ import annotations
 
+import functools
 import threading
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -48,11 +50,8 @@ from ..config import DGAPConfig
 from ..core.dgap import DGAP
 from ..core.locks import SectionLockTable
 from ..errors import LockDisciplineError
-from .schedules import (
-    DeterministicScheduler,
-    ScheduleDeadlock,
-    ScheduleTrace,
-)
+from .model import Model
+from .schedules import DeterministicScheduler, ScheduleDeadlock, ScheduleTrace, explore
 
 # ----------------------------------------------------------------------
 # events + instrumented tables
@@ -383,12 +382,23 @@ def _op(sched: DeterministicScheduler) -> None:
     sched.yield_point("op")
 
 
-def _writer(g, sched, rec, name, edges, thread_id=0):
+def scalar_writer(g, sched, rec, name, edges, thread_id=0):
+    """A worker inserting ``edges`` one ``insert_edge`` at a time."""
     def run():
         rec.name_thread(name)
         for src, dst in edges:
             g.insert_edge(src, dst, thread_id=thread_id)
             _op(sched)
+    return run
+
+
+def batch_writer(g, sched, rec, name, edges, thread_id=0):
+    """A worker inserting ``edges`` as one batch: the default write path,
+    whose round takes its whole lock set and regroups if runs moved."""
+    def run():
+        rec.name_thread(name)
+        g.insert_edges(edges, thread_id=thread_id)
+        _op(sched)
     return run
 
 
@@ -405,42 +415,58 @@ def _base_validate(g: DGAP, expect_edges: int):
     return validate
 
 
-def scenario_writer_writer(sched: DeterministicScheduler) -> ScenarioSpec:
-    """Two writers, disjoint sources in different sections."""
+def scenario_writer_writer(
+    sched: DeterministicScheduler,
+    writer: Callable = scalar_writer,
+    e_a: Sequence[Tuple[int, int]] = ((0, 1), (0, 2)),
+    e_b: Sequence[Tuple[int, int]] = ((7, 3), (7, 4)),
+) -> ScenarioSpec:
+    """Two writers — by default on disjoint sources in different sections."""
     g = _make_graph()
     rec = instrument(g, sched)
-    e_a = [(0, 1), (0, 2)]
-    e_b = [(7, 3), (7, 4)]
+    want = Model([*e_a, *e_b])
+
+    def validate():
+        _base_validate(g, want.num_edges)()
+        for v, row in want.rows.items():  # whatever the interleaving, the same edges
+            got = sorted(g.out_neighbors(v).tolist())
+            if got != sorted(row):
+                raise AssertionError(f"adjacency of v{v} wrong: {got}")
+
     return ScenarioSpec(
         graph=g, recorder=rec,
         workers={
-            "writerA": _writer(g, sched, rec, "writerA", e_a, thread_id=0),
-            "writerB": _writer(g, sched, rec, "writerB", e_b, thread_id=1),
+            "writerA": writer(g, sched, rec, "writerA", e_a, thread_id=0),
+            "writerB": writer(g, sched, rec, "writerB", e_b, thread_id=1),
         },
-        validate=_base_validate(g, len(e_a) + len(e_b)),
+        validate=validate,
     )
 
 
-def scenario_writer_writer_shared(sched: DeterministicScheduler) -> ScenarioSpec:
-    """Two writers hammering the same source vertex."""
+def _writer_versus(
+    sched, other_name, make_other, preload, edges, writer=scalar_writer,
+    table_cls: type = InstrumentedSectionLockTable,
+) -> ScenarioSpec:
+    """A writer of ``edges`` racing one structural operation on a graph
+    preloaded with ``preload``; ``make_other(g)`` binds the operation."""
     g = _make_graph()
-    rec = instrument(g, sched)
-    e_a = [(3, 1), (3, 2)]
-    e_b = [(3, 5), (3, 6)]
+    for src, dst in preload:
+        g.insert_edge(src, dst)
+    rec = instrument(g, sched, table_cls=table_cls)
+    act = make_other(g)
 
-    def validate():
-        _base_validate(g, 4)()
-        got = sorted(int(x) for x in g.out_neighbors(3))
-        if got != [1, 2, 5, 6]:
-            raise AssertionError(f"adjacency of v3 wrong: {got}")
+    def other():
+        rec.name_thread(other_name)
+        act(thread_id=1)
+        _op(sched)
 
     return ScenarioSpec(
         graph=g, recorder=rec,
         workers={
-            "writerA": _writer(g, sched, rec, "writerA", e_a, thread_id=0),
-            "writerB": _writer(g, sched, rec, "writerB", e_b, thread_id=1),
+            "writer": writer(g, sched, rec, "writer", edges, thread_id=0),
+            other_name: other,
         },
-        validate=validate,
+        validate=_base_validate(g, g.num_edges + len(edges)),
     )
 
 
@@ -448,6 +474,7 @@ def scenario_writer_rebalancer(
     sched: DeterministicScheduler,
     table_cls: type = InstrumentedSectionLockTable,
     writer_edges: int = 1,
+    writer: Callable = scalar_writer,
 ) -> ScenarioSpec:
     """A writer inserting into the section a rebalance window claims.
 
@@ -456,51 +483,25 @@ def scenario_writer_rebalancer(
     With ``table_cls=UnfixedSectionLockTable`` the historical race is
     replayable (see the regression tests).
     """
-    g = _make_graph()
-    # pre-load vertex 0's run so the merge has material to move
-    for i in range(6):
-        g.insert_edge(0, i + 1)
-    rec = instrument(g, sched, table_cls=table_cls)
-    sec = int(g.ea.section_of(int(g.va.start[0])))
-    edges = [(0, 10 + k) for k in range(writer_edges)]
-
-    def rebalancer():
-        rec.name_thread("rebal")
-        g.rebalancer.merge_section(sec, thread_id=1)
-        _op(sched)
-
-    n0 = g.num_edges
-    return ScenarioSpec(
-        graph=g, recorder=rec,
-        workers={
-            "writer": _writer(g, sched, rec, "writer", edges, thread_id=0),
-            "rebal": rebalancer,
-        },
-        validate=_base_validate(g, n0 + len(edges)),
+    return _writer_versus(
+        sched, "rebal",
+        lambda g: functools.partial(
+            g.rebalancer.merge_section, int(g.ea.section_of(int(g.va.start[0])))
+        ),
+        # pre-load vertex 0's run so the merge has material to move
+        preload=[(0, i + 1) for i in range(6)],
+        edges=[(0, 10 + k) for k in range(writer_edges)],
+        writer=writer, table_cls=table_cls,
     )
 
 
-def scenario_writer_resize(sched: DeterministicScheduler) -> ScenarioSpec:
+def scenario_writer_resize(
+    sched: DeterministicScheduler, writer: Callable = scalar_writer
+) -> ScenarioSpec:
     """A writer racing a full edge-array resize (generation switch)."""
-    g = _make_graph()
-    for i in range(4):
-        g.insert_edge(1, i + 2)
-    rec = instrument(g, sched)
-    edges = [(6, 1), (6, 2)]
-
-    def resizer():
-        rec.name_thread("resizer")
-        g.rebalancer.resize(thread_id=1)
-        _op(sched)
-
-    n0 = g.num_edges
-    return ScenarioSpec(
-        graph=g, recorder=rec,
-        workers={
-            "writer": _writer(g, sched, rec, "writer", edges, thread_id=0),
-            "resizer": resizer,
-        },
-        validate=_base_validate(g, n0 + len(edges)),
+    return _writer_versus(
+        sched, "resizer", lambda g: g.rebalancer.resize,
+        preload=[(1, i + 2) for i in range(4)], edges=[(6, 1), (6, 2)], writer=writer,
     )
 
 
@@ -535,19 +536,30 @@ def scenario_reader_writer(sched: DeterministicScheduler) -> ScenarioSpec:
     return ScenarioSpec(
         graph=g, recorder=rec,
         workers={
-            "writer": _writer(g, sched, rec, "writer", edges, thread_id=0),
+            "writer": scalar_writer(g, sched, rec, "writer", edges, thread_id=0),
             "reader": reader,
         },
         validate=validate,
     )
 
 
+#: two writers hammering the same source vertex
+_SHARED = dict(e_a=[(3, 1), (3, 2)], e_b=[(3, 5), (3, 6)])
+
 SCENARIOS: Dict[str, ScenarioBuilder] = {
     "writer-writer": scenario_writer_writer,
-    "writer-writer-shared": scenario_writer_writer_shared,
+    "writer-writer-shared": functools.partial(scenario_writer_writer, **_SHARED),
     "writer-rebalancer": scenario_writer_rebalancer,
     "writer-resize": scenario_writer_resize,
     "reader-writer": scenario_reader_writer,
+    # the same three races through ``insert_edges``: two rounds contending
+    # for one section (the second finds its runs moved and regroups), a
+    # round against a rebalance window, a round against a generation switch
+    "batch-batch": functools.partial(scenario_writer_writer, writer=batch_writer, **_SHARED),
+    "batch-rebalancer": functools.partial(
+        scenario_writer_rebalancer, writer=batch_writer, writer_edges=2
+    ),
+    "batch-resize": functools.partial(scenario_writer_resize, writer=batch_writer),
 }
 
 
@@ -564,11 +576,11 @@ class ScheduleOutcome:
     events: List[LockEvent]
     violations: List[Violation]
     error: Optional[str] = None
-    deadlocked: bool = False
+    """A deadlock, a worker's exception, or the end-state validator's verdict."""
 
     @property
     def clean(self) -> bool:
-        return not self.violations and self.error is None and not self.deadlocked
+        return not self.violations and self.error is None
 
 
 def run_scenario(
@@ -581,65 +593,27 @@ def run_scenario(
     spec = build(sched)
     for name, fn in spec.workers.items():
         sched.spawn(name, fn)
-    deadlocked = False
+    error = None
     try:
         trace = sched.run(prefix=prefix, rng=rng)
     except ScheduleDeadlock as exc:
-        trace = exc.partial
-        deadlocked = True
-    error = None
-    if deadlocked:
-        error = "deadlock: every live worker blocked"
+        trace, error = exc.partial, "deadlock: every live worker blocked"
     for name, exc in trace.errors.items():
         error = f"worker {name!r} raised {type(exc).__name__}: {exc}"
         break
-    violations = check_lock_discipline(spec.recorder.events)
-    if error is None and not deadlocked:
+    if error is None:
         try:
             spec.validate()
         except Exception as exc:  # noqa: BLE001 - judged, not hidden
             error = f"validate: {exc}"
     return ScheduleOutcome(
-        trace=trace,
-        events=spec.recorder.events,
-        violations=violations,
-        error=error,
-        deadlocked=deadlocked,
+        trace, spec.recorder.events, check_lock_discipline(spec.recorder.events), error
     )
 
 
-def explore_scenario(
-    build: ScenarioBuilder,
-    max_schedules: int = 150,
-    seed: int = 0,
-) -> Tuple[List[ScheduleOutcome], bool]:
-    """DFS over a scenario's grant choices; seeded sampling past budget.
-
-    Returns every outcome plus whether the branch frontier emptied
-    (schedule space exhausted).  Same shape as the crash sweep:
-    exhaustive below the budget, sampled above it.
-    """
-    outcomes: List[ScheduleOutcome] = []
-    frontier: List[List[str]] = [[]]
-    seen: set = set()
-    while frontier and len(outcomes) < max_schedules:
-        prefix = frontier.pop()
-        out = run_scenario(build, prefix=prefix)
-        outcomes.append(out)
-        for i in range(len(prefix), len(out.trace.decisions)):
-            d = out.trace.decisions[i]
-            for alt in d.candidates:
-                if alt != d.chosen:
-                    branch = out.trace.trace[:i] + [alt]
-                    key = tuple(branch)
-                    if key not in seen:
-                        seen.add(key)
-                        frontier.append(branch)
-    exhaustive = not frontier
-    rng = np.random.default_rng(seed)
-    while len(outcomes) < max_schedules and not exhaustive:
-        outcomes.append(run_scenario(build, rng=rng))
-    return outcomes, exhaustive
+def explore_scenario(build: ScenarioBuilder, max_schedules: int = 150):
+    """Every outcome of a scenario's schedule space, and whether it was exhausted."""
+    return explore(functools.partial(run_scenario, build), max_schedules)
 
 
 # ----------------------------------------------------------------------
@@ -652,7 +626,7 @@ class RaceCheckConfig:
     """Budget knobs for :func:`race_check` (mirrors ``SweepConfig``)."""
 
     max_schedules: int = 120
-    seed: int = 0
+    seed: int = 0  # names the run in reports; the depth-first explorer draws nothing
     scenarios: Optional[List[str]] = None  # None = all
 
 
@@ -702,9 +676,7 @@ def race_check(config: Optional[RaceCheckConfig] = None) -> RaceCheckReport:
     for name in names:
         build = SCENARIOS[name]
         sr = ScenarioReport(name=name)
-        outcomes, sr.exhaustive = explore_scenario(
-            build, max_schedules=cfg.max_schedules, seed=cfg.seed
-        )
+        outcomes, sr.exhaustive = explore_scenario(build, cfg.max_schedules)
         sr.schedules = len(outcomes)
         for out in outcomes:
             sr.decision_points += len(out.trace.decisions)
@@ -737,9 +709,7 @@ def dry_run(scenario: Optional[str] = None) -> Dict[str, Dict[str, int]]:
                 f"dry run of {name!r} not clean: error={result.error} "
                 f"violations={[str(v) for v in result.violations]}"
             )
-        counts = {}
-        for ev in result.events:
-            counts[ev.kind] = counts.get(ev.kind, 0) + 1
+        counts = dict(Counter(ev.kind for ev in result.events))
         counts["decision-points"] = len(result.trace.decisions)
         out[name] = counts
     return out

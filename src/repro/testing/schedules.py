@@ -24,10 +24,9 @@ progress, the schedule deadlocked: :class:`ScheduleDeadlock` names the
 blocked resources, which is itself a checkable outcome (the fixed lock
 protocol never deadlocks; see ``core/locks.py``).
 
-:func:`explore_schedules` turns single runs into coverage: depth-first
-enumeration of every grant choice (exhaustive for small scenarios —
-the frontier empties), falling back to seeded-random sampling when the
-space is larger than the budget.
+:func:`explore` turns single runs into coverage: depth-first
+enumeration of every grant choice — exhaustive for small scenarios (the
+frontier empties), the first ``max_schedules`` branches otherwise.
 """
 
 from __future__ import annotations
@@ -76,7 +75,6 @@ class ScheduleTrace:
     trace: List[str] = field(default_factory=list)
     decisions: List[Decision] = field(default_factory=list)
     errors: Dict[str, BaseException] = field(default_factory=dict)
-    deadlocked: bool = False
 
 
 class DeterministicScheduler:
@@ -218,14 +216,9 @@ class DeterministicScheduler:
                 # declare deadlock if whole rounds pass with no progress
                 # (retry_rounds only resets on a progressing step).
                 if retry_rounds > len(live) + 1:
-                    out.deadlocked = True
-                    blocked = {
-                        n: self._workers[n].blocked_on for n in live
-                    }
+                    blocked = {n: self._workers[n].blocked_on for n in live}
                     self._abandon()
-                    err = ScheduleDeadlock(
-                        f"all live workers are blocked: {blocked}"
-                    )
+                    err = ScheduleDeadlock(f"all live workers are blocked: {blocked}")
                     err.partial = out
                     raise err
                 retry_rounds += 1
@@ -259,85 +252,42 @@ class DeterministicScheduler:
 # ----------------------------------------------------------------------
 # schedule exploration
 # ----------------------------------------------------------------------
-#: Builds fresh workers for one run and returns (scheduler, finish):
-#: the callable has already spawned its workers on the scheduler;
-#: ``finish()`` validates the end state (raises on violation).
-CaseFactory = Callable[[], Tuple[DeterministicScheduler, Callable[[], None]]]
-
-
-@dataclass
-class ExplorationReport:
-    """Coverage summary of one :func:`explore_schedules` call."""
-
-    schedules: int = 0
-    exhaustive: bool = False
-    decision_points: int = 0
-    deadlocks: int = 0
-    traces: List[ScheduleTrace] = field(default_factory=list)
-
-
-def run_schedule(
-    make_case: CaseFactory,
-    prefix: Sequence[str] = (),
-    rng: Optional[np.random.Generator] = None,
-) -> ScheduleTrace:
-    """One fresh case driven under one schedule; runs its validator."""
-    sched, finish = make_case()
-    trace = sched.run(prefix=prefix, rng=rng)
-    for name, err in trace.errors.items():
-        raise ScheduleError(f"worker {name!r} raised under {trace.trace}") from err
-    finish()
-    return trace
-
-
-def explore_schedules(
-    make_case: CaseFactory,
-    max_schedules: int = 200,
-    seed: int = 0,
-) -> ExplorationReport:
+def explore(run_one: Callable[[Sequence[str]], "object"], max_schedules: int = 200):
     """DFS over grant choices, replaying from scratch per schedule.
 
-    Exhaustive when the branch frontier empties within ``max_schedules``
-    runs (``report.exhaustive``); otherwise the remaining budget is
-    spent on seeded-random schedules, mirroring the crash sweep's
-    exhaustive-below-threshold / sampled-above behavior.
+    ``run_one(prefix)`` drives one fresh case under the schedule that
+    starts with ``prefix`` and returns its outcome, whose ``.trace`` is
+    the run's :class:`ScheduleTrace`; every alternative candidate of
+    every decision past the prefix becomes a branch to replay.  Returns
+    ``(outcomes, exhaustive)``: exhaustive when the branch frontier
+    emptied within ``max_schedules`` runs, otherwise the first
+    ``max_schedules`` schedules in depth-first order.
     """
-    report = ExplorationReport()
+    outcomes: list = []
     frontier: List[List[str]] = [[]]
     seen: set = set()
-    while frontier and report.schedules < max_schedules:
+    while frontier and len(outcomes) < max_schedules:
         prefix = frontier.pop()
-        trace = run_schedule(make_case, prefix=prefix)
-        report.schedules += 1
-        report.decision_points += len(trace.decisions)
-        report.traces.append(trace)
-        for i in range(len(prefix), len(trace.decisions)):
-            d = trace.decisions[i]
+        out = run_one(prefix)
+        outcomes.append(out)
+        run = out.trace
+        for i in range(len(prefix), len(run.decisions)):
+            d = run.decisions[i]
             for alt in d.candidates:
                 if alt != d.chosen:
-                    branch = trace.trace[:i] + [alt]
+                    branch = run.trace[:i] + [alt]
                     key = tuple(branch)
                     if key not in seen:
                         seen.add(key)
                         frontier.append(branch)
-    report.exhaustive = not frontier
-    rng = np.random.default_rng(seed)
-    while report.schedules < max_schedules and not report.exhaustive:
-        trace = run_schedule(make_case, rng=rng)
-        report.schedules += 1
-        report.decision_points += len(trace.decisions)
-        report.traces.append(trace)
-    return report
+    return outcomes, not frontier
 
 
 __all__ = [
-    "CaseFactory",
     "Decision",
     "DeterministicScheduler",
-    "ExplorationReport",
     "ScheduleDeadlock",
     "ScheduleError",
     "ScheduleTrace",
-    "explore_schedules",
-    "run_schedule",
+    "explore",
 ]

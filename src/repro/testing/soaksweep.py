@@ -16,17 +16,17 @@ fields), with every fault routed through the
 
 The **no-silent-corruption oracle** at the end of the run:
 
-* if no lossy repair occurred, every vertex's neighbor sequence on the
-  subject equals the twin's exactly; after a lossy repair (the damaged
-  sections are rewritten without the lost slots, a layout the twin
-  doesn't have, so later inserts legitimately land in different
-  positions) the subject's neighbor *multiset* must
-  be contained in the twin's with the shortfall equal exactly to the
-  per-vertex losses enumerated in the final
+* the twin's adjacency is the model (:mod:`repro.testing.model`): if no
+  lossy repair occurred the subject's rows equal it exactly, in order;
+  after a lossy repair (the damaged sections are rewritten without the
+  lost slots, a layout the twin doesn't have, so later inserts
+  legitimately land in different positions) the subject's neighbor
+  *multiset* must be contained in the twin's with the shortfall equal
+  exactly to the per-vertex losses enumerated in the final
   :class:`~repro.resilience.DamageReport` — an edge may be lost to
   media damage only if the report names it;
 * structural invariants hold and the edge-log cursors match an
-  independent rebuild (same checks as the crash-sweep oracle);
+  independent rebuild (the crash-sweep oracle's structural half);
 * no latent poison: unless the instance went READ_ONLY, every poisoned
   line was found and repaired by the end of the run;
 * if no lossy/unrecoverable repair occurred, the subject's device bytes
@@ -44,7 +44,7 @@ from __future__ import annotations
 import dataclasses
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,8 +52,10 @@ from ..errors import MediaError, ReadOnlyGraphError
 from ..pmem.crash import CrashInjector
 from ..pmem.faults import FaultPolicy, RUNTIME_HAZARD
 from ..pmem.stats import INT_COUNTER_FIELDS
-from ..resilience import DamageReport, HealthState, ResilienceManager
-from .crashsweep import GraphFactory, Op, SweepFailure, _verify_structure, make_insert_workload
+from ..resilience import DamageReport, HealthState, RepairOutcome, ResilienceManager
+from . import model
+from .crashsweep import GraphFactory
+from .model import Mismatch, Model, Op
 
 #: Stats fields that must be identical between a managed fault-free run
 #: and the unmanaged twin: every integer counter but the two read ones
@@ -63,7 +65,7 @@ _WRITE_COUNTERS = tuple(
 )
 
 
-class SoakFailure(AssertionError):
+class SoakFailure(Mismatch):
     """The no-silent-corruption oracle rejected a soak run."""
 
 
@@ -142,51 +144,6 @@ class SoakReport:
 # ----------------------------------------------------------------------
 # oracle helpers
 # ----------------------------------------------------------------------
-def _lost_per_vertex(report: DamageReport) -> Dict[int, int]:
-    lost: Dict[int, int] = {}
-    for e in report.entries:
-        for v, n in e.lost_by_vertex:
-            lost[v] = lost.get(v, 0) + n
-    return lost
-
-
-def _check_vertex(
-    v: int, got: List[int], want: List[int], lost_v: int,
-    *, strict: bool, relax: bool = False,
-) -> None:
-    """One vertex of the containment-with-enumerated-shortfall oracle.
-
-    ``strict`` (no lossy repair diverged the layouts) demands the exact
-    twin sequence.  After a lossy repair the rewritten sections have gaps
-    the twin's don't, so later inserts legitimately land in different
-    *positions* — neighbor order is not an API guarantee — but the
-    multiset must still be contained in the twin's with the shortfall
-    exactly the enumerated losses.  ``relax`` admits the one op that
-    was in flight when the instance went READ_ONLY.
-    """
-    if strict and not relax:
-        if got != want:
-            raise SoakFailure(
-                f"vertex {v}: subject neighbors {got} != fault-free twin's "
-                f"{want} despite no lossy repair (silent divergence)"
-            )
-        return
-    extra = Counter(got) - Counter(want)
-    if extra:
-        raise SoakFailure(
-            f"vertex {v}: subject has neighbors {dict(extra)} beyond the "
-            f"fault-free twin's (phantom or duplicate edge introduced by "
-            f"a repair or retry)"
-        )
-    short = len(want) - len(got)
-    if short != lost_v and not (relax and 0 <= short - lost_v <= 1):
-        raise SoakFailure(
-            f"silent corruption at vertex {v}: twin has {len(want)} edges, "
-            f"subject has {len(got)}, but the DamageReport enumerates only "
-            f"{lost_v} lost edges for it"
-        )
-
-
 def _byte_compare(subject_dev, twin_dev, exempt: Sequence[Tuple[int, int]]) -> None:
     a, b = subject_dev.buf, twin_dev.buf
     if a.size != b.size:
@@ -305,38 +262,39 @@ def soak_sweep(
             f"{subject.pool.device.poisoned_ranges()}"
         )
 
-    from ..resilience import RepairOutcome
-
     by = out.report.by_outcome()
     diverged = bool(
         by.get(RepairOutcome.LOSSY, 0) or by.get(RepairOutcome.UNRECOVERABLE, 0)
     )
-    lost = _lost_per_vertex(out.report)
-    nv = twin.num_vertices
-    relax_src = in_flight[1] if in_flight is not None else None
+    lost: Counter = Counter()
+    for e in out.report.entries:
+        lost.update(dict(e.lost_by_vertex))
+    want, got = model.of(twin), {}
     with subject.pool.device.suspend_runtime_faults():
-        for v in range(nv):
+        for v in list(want):
             try:
-                got = [int(d) for d in subject.out_neighbors(v)] if v < subject.num_vertices else []
+                got[v] = subject.out_neighbors(v).tolist() if v < subject.num_vertices else []
             except MediaError:
-                if out.read_only:
-                    continue  # damaged remainder of a READ_ONLY instance
-                raise
-            want = [int(d) for d in twin.out_neighbors(v)]
-            if relax_src == v:
-                # The op in flight when the instance went READ_ONLY may
-                # have landed on the subject; the twin never applied it.
-                want = want + [in_flight[2]]
-            _check_vertex(
-                v, got, want, lost.get(v, 0),
-                strict=not diverged, relax=(relax_src == v),
-            )
-
-        if not out.read_only:
-            try:
-                _verify_structure(subject, "soak-end")
-            except SweepFailure as exc:
-                raise SoakFailure(str(exc)) from exc
+                if not out.read_only:
+                    raise
+                del want[v]  # damaged remainder of a READ_ONLY instance
+        if in_flight is not None and in_flight[1] not in got:
+            in_flight = None
+        try:
+            # The twin never applied the op in flight when the instance
+            # went READ_ONLY; on the subject it may have landed.  With no
+            # lossy repair the rows are the twin's, in order; after one,
+            # the rewritten sections have gaps the twin's don't, so later
+            # inserts land in different positions and the leg is the
+            # model's containment-with-enumerated-shortfall.
+            if diverged:
+                Model(rows=want).admits_short(got, lost, in_flight)
+            else:
+                Model(rows=want).admits(got, in_flight)
+            if not out.read_only:
+                model.assert_structure(subject)
+        except Mismatch as exc:
+            raise SoakFailure(f"[soak-end] {exc}") from exc
 
     if not diverged:
         _byte_compare(
@@ -365,5 +323,4 @@ __all__ = [
     "SoakReport",
     "SoakRoundResult",
     "soak_sweep",
-    "make_insert_workload",
 ]

@@ -20,16 +20,10 @@ from repro.baselines import (
 )
 from repro.datasets import rmat_edges, shuffle_edges
 from repro.errors import ImmutableGraphError, VertexRangeError
+from repro.testing import Model
 
 NV = 200
 EDGES = shuffle_edges(rmat_edges(NV, 3000, seed=42), seed=1)
-
-
-def ref_adjacency():
-    ref = {}
-    for s, d in EDGES:
-        ref.setdefault(int(s), []).append(int(d))
-    return ref
 
 
 @pytest.fixture(params=list(SYSTEMS))
@@ -42,12 +36,12 @@ def system(request):
 
 class TestFunctionalEquivalence:
     def test_same_graph_as_reference(self, system):
-        ref = ref_adjacency()
+        ref = Model(EDGES)
         view = system.analysis_view()
         indptr, dsts = view.out_csr()
         for v in range(NV):
             got = sorted(dsts[indptr[v] : indptr[v + 1]].tolist())
-            assert got == sorted(ref.get(v, [])), (system.name, v)
+            assert got == sorted(ref.row(v)), (system.name, v)
 
     def test_edge_count(self, system):
         assert system.analysis_view().num_edges == EDGES.shape[0]

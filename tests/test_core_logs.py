@@ -16,6 +16,7 @@ from repro.core.undo_log import (
 )
 from repro.errors import PMemError
 from repro.pmem import PMemPool
+from repro.testing import model
 
 
 @pytest.fixture
@@ -252,16 +253,12 @@ class TestCompactionTombstoneAccounting:
         g.insert_edges(np.array([[5, 1], [5, 2], [5, 1]], dtype=np.int64))
         g.delete_edge(5, 1)
         g.compact()
-        before = {
-            v: g.out_neighbors(v).tolist() for v in range(g.num_vertices)
-        }
+        before = model.of(g)
         deg = g.va.degrees().copy()
         live = g.va.live_degrees().copy()
         g.pool.crash()
         g2 = DGAP.open(g.pool, g.config)
-        assert {
-            v: g2.out_neighbors(v).tolist() for v in range(g2.num_vertices)
-        } == before
+        assert model.of(g2) == before
         np.testing.assert_array_equal(g2.va.degrees(), deg)
         np.testing.assert_array_equal(g2.va.live_degrees(), live)
         assert g2.n_compactions == 0  # counters are runtime, not persistent

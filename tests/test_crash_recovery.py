@@ -9,14 +9,15 @@ normal path and every ablation mode.  The sweeps run on the shared
 the driver's own exhaustive/fault-policy coverage).
 """
 
+import itertools
 import random
 
 import numpy as np
 import pytest
 
-from repro import DGAP, DGAPConfig, SimulatedCrash
-from repro.pmem import CrashInjector, PMemPool
-from repro.testing import SweepConfig, crash_sweep, make_insert_workload
+from repro import DGAP, DGAPConfig
+from repro.pmem import PMemPool
+from repro.testing import Model, SweepConfig, crash_points, crash_sweep, make_insert_workload, model
 
 BASE = dict(init_vertices=48, init_edges=512, segment_slots=64, elog_size=256)
 
@@ -77,7 +78,7 @@ class TestCrashSweeps:
         assert {r.op for r in rep.results} >= {"store", "flush", "fence"}
 
     def test_sweep_with_deletions(self):
-        """Mixed insert/delete workload: multiset oracle, same driver."""
+        """Mixed insert/delete workload: same driver, same exact-order oracle."""
         random.seed(9)
         live = {v: [] for v in range(16)}
         ops = []
@@ -100,14 +101,8 @@ class TestRecoveryPaths:
         g = DGAP(DGAPConfig(**BASE))
         edges = make_edges(1000, seed=5)
         g.insert_edges(edges)
-        ref = {}
-        for u, w in edges:
-            ref.setdefault(u, []).append(w)
         g.shutdown()
-        g2 = DGAP.open(g.pool, g.config)
-        with g2.consistent_view() as snap:
-            for v in range(48):
-                assert list(snap.out_neighbors(v)) == ref.get(v, [])
+        Model(edges).admits(model.of(DGAP.open(g.pool, g.config)))
 
     def test_normal_restart_cheaper_than_crash(self):
         edges = make_edges(2000, seed=6)
@@ -199,32 +194,19 @@ class TestRecoveryPaths:
         cfg = DGAPConfig(**BASE)
         edges = make_edges(400, seed=12)
 
-        # dry run: count shutdown's persistence events
-        inj = CrashInjector()
-        g = DGAP(cfg, injector=inj)
-        g.insert_edges(edges)
-        base = inj.total_events
-        g.shutdown()
-        shutdown_events = inj.total_events - base
-        assert g.pool.read_root(ROOT_SHUTDOWN) == 1
+        def loaded(inj):
+            g = DGAP(cfg, injector=inj)
+            g.insert_edges(edges)
+            return g
 
-        # replay, crashing at the flag's clwb (last event is its sfence)
-        inj = CrashInjector()
-        g = DGAP(cfg, injector=inj)
-        g.insert_edges(edges)
-        inj.arm(shutdown_events - 1)
-        with pytest.raises(SimulatedCrash):
-            g.shutdown()
-        inj.disarm()
+        # crash at the flag's clwb (shutdown's last event is its sfence)
+        [(_, g, crash)] = crash_points(loaded, DGAP.shutdown, lambda total: [total - 1])
+        assert crash is not None
         assert g.pool.read_root(ROOT_SHUTDOWN) == 0  # store was reverted
 
         g2 = DGAP.open(g.pool, cfg)
         assert g2.num_edges == 400
-        ref = {}
-        for u, w in edges:
-            ref.setdefault(u, []).append(w)
-        for v in range(48):
-            assert list(g2.out_neighbors(v)) == ref.get(v, [])
+        Model(edges).admits(model.of(g2))
 
     @pytest.mark.parametrize("policy", ["default", "torn", "reorder"])
     def test_power_failure_at_every_event_of_a_second_shutdown(self, policy):
@@ -240,46 +222,36 @@ class TestRecoveryPaths:
         faults = {"default": DEFAULT_POLICY, "torn": TORN_STORES, "reorder": PERSIST_REORDER}[policy]
         cfg = DGAPConfig(**BASE)
         first, second = make_edges(300, seed=14), make_edges(60, seed=15)
-        ref = {}
-        for u, w in first + second:
-            ref.setdefault(u, []).append(w)
+        ref = Model(first + second)
+        seeds = itertools.count()  # the dry run's 0, then the crash point's own
 
-        def adjacency(g):
-            return {v: list(g.out_neighbors(v)) for v in range(48) if g.out_degree(v)}
-
-        def shut_down_once(inj, seed=0):
-            g = DGAP(cfg, injector=inj, faults=faults.with_seed(seed))
+        def shut_down_once(inj):
+            g = DGAP(cfg, injector=inj, faults=faults.with_seed(next(seeds)))
             g.insert_edges(first)
             g.shutdown()
             g = DGAP.open(g.pool, cfg)
             g.insert_edges(second)
             return g
 
-        # dry run: the second shutdown's events, and that it reuses the bytes
-        inj = CrashInjector()
-        g = shut_down_once(inj)
+        # the second shutdown reuses the first one's bytes
+        g = shut_down_once(None)
         where = {n: g.pool.get_array(n).offset for n in g.pool.names("meta.")}
-        base, cursor = inj.total_events, g.pool.allocator.cursor
+        cursor = g.pool.allocator.cursor
         g.shutdown()
-        n_events = inj.total_events - base
         assert len(where) == 8 and g.pool.allocator.cursor == cursor
         assert {n: g.pool.get_array(n).offset for n in where} == where
-        assert adjacency(DGAP.open(g.pool, cfg)) == ref
+        ref.admits(model.of(DGAP.open(g.pool, cfg)))
 
+        seeds = itertools.count()
         flags = []
-        for k in range(1, n_events + 1):
-            inj = CrashInjector()
-            g = shut_down_once(inj, seed=k)
-            inj.arm(k)
-            with pytest.raises(SimulatedCrash):
-                g.shutdown()
-            inj.disarm()
+        for k, g, crash in crash_points(shut_down_once, DGAP.shutdown):
+            assert crash is not None
             flags.append(g.pool.read_root(ROOT_SHUTDOWN))
             g2 = DGAP.open(g.pool, cfg)
             g2.check_invariants()
-            assert adjacency(g2) == ref, k
+            ref.admits(model.of(g2))
             g2.shutdown()  # whichever meta.* names the crash left registered
-            assert adjacency(DGAP.open(g2.pool, cfg)) == ref, k
+            ref.admits(model.of(DGAP.open(g2.pool, cfg)))
         # Until the flag's own store / clwb / sfence the pool reads "crashed".
         # A flushed flag is in the power-fail domain (ADR) at the final
         # sfence; only a torn store or a reordered flush lands it earlier.
@@ -337,32 +309,21 @@ class TestRecoveryPaths:
 
         cfg = DGAPConfig(**BASE)
         edges = make_edges(300, seed=13)
-        ref = {}
-        for u, w in edges:
-            ref.setdefault(u, []).append(w)
+        seeds = iter([0, 0, 1, 2, 3])  # the dry run, then four coins
 
-        inj = CrashInjector()
-        g = DGAP(cfg, injector=inj, faults=PERSIST_REORDER)
-        g.insert_edges(edges)
-        base = inj.total_events
-        g.shutdown()
-        shutdown_events = inj.total_events - base
+        def loaded(inj):
+            g = DGAP(cfg, injector=inj, faults=PERSIST_REORDER.with_seed(next(seeds)))
+            g.insert_edges(edges)
+            return g
 
         seen_flags = set()
-        for seed in range(4):
-            inj = CrashInjector()
-            g = DGAP(cfg, injector=inj, faults=PERSIST_REORDER.with_seed(seed))
-            g.insert_edges(edges)
-            inj.arm(shutdown_events)  # the final sfence: flush is pending
-            with pytest.raises(SimulatedCrash):
-                g.shutdown()
-            inj.disarm()
-            flag = g.pool.read_root(ROOT_SHUTDOWN)
-            seen_flags.add(flag)
+        # the final sfence, four times: the flag's flush is pending
+        for _, g, crash in crash_points(loaded, DGAP.shutdown, lambda total: [total] * 4):
+            assert crash is not None
+            seen_flags.add(g.pool.read_root(ROOT_SHUTDOWN))
             g2 = DGAP.open(g.pool, cfg)
             assert g2.num_edges == 300
-            for v in range(48):
-                assert list(g2.out_neighbors(v)) == ref.get(v, [])
+            Model(edges).admits(model.of(g2))
         # across seeds the coin lands both ways: the flag persisted on
         # some runs (fast restart) and was dropped on others (crash path)
         assert seen_flags == {0, 1}

@@ -8,6 +8,7 @@ import pytest
 from repro import DGAP, DGAPConfig
 from repro.analysis.view import build_in_csr
 from repro.errors import GraphError, SnapshotError, VertexRangeError
+from repro.testing import Model, model
 
 SMALL = dict(init_vertices=32, init_edges=256, segment_slots=64)
 
@@ -36,14 +37,12 @@ class TestInsert:
 
     def test_many_random_inserts_roundtrip(self, g):
         random.seed(7)
-        ref = {}
+        ref = Model()
         for _ in range(4000):
             u, w = random.randrange(32), random.randrange(32)
             g.insert_edge(u, w)
-            ref.setdefault(u, []).append(w)
-        with g.consistent_view() as snap:
-            for v in range(32):
-                assert list(snap.out_neighbors(v)) == ref.get(v, [])
+            ref.insert(u, w)
+        ref.admits(model.of(g))
         assert g.n_resizes >= 1  # 4000 edges vs init 256: growth exercised
 
     def test_skewed_inserts(self, g):
@@ -145,17 +144,17 @@ class TestSnapshots:
         # frequent log merges and rebalances
         g = DGAP(DGAPConfig(init_vertices=32, init_edges=4000, segment_slots=64, elog_size=96))
         random.seed(3)
-        pre = {}
+        pre = Model()
         for _ in range(800):
             u, w = random.randrange(32), random.randrange(32)
             g.insert_edge(u, w)
-            pre.setdefault(u, []).append(w)
+            pre.insert(u, w)
         snap = g.consistent_view()
         for i in range(2500):  # hammer one vertex: merges + rebalances
             g.insert_edge(7, i % 32)
         assert g.n_rebalances > 0 and g.n_log_inserts > 0
         for v in range(32):
-            assert list(snap.out_neighbors(v)) == pre.get(v, []), v
+            assert list(snap.out_neighbors(v)) == pre.row(v), v
         snap.release()
 
     def test_csr_matches_per_vertex(self, g):
@@ -215,14 +214,12 @@ class TestAblationModes:
     def test_functionally_identical(self, kw):
         random.seed(9)
         g = DGAP(DGAPConfig(**SMALL, **kw))
-        ref = {}
+        ref = Model()
         for _ in range(1500):
             u, w = random.randrange(32), random.randrange(32)
             g.insert_edge(u, w)
-            ref.setdefault(u, []).append(w)
-        with g.consistent_view() as snap:
-            for v in range(32):
-                assert list(snap.out_neighbors(v)) == ref.get(v, [])
+            ref.insert(u, w)
+        ref.admits(model.of(g))
 
     def test_edge_log_reduces_stored_bytes(self):
         """The headline §4.4 claim: EL cuts insert write traffic."""
@@ -281,15 +278,13 @@ class TestGapDistribution:
         random.seed(33)
         g = DGAP(DGAPConfig(init_vertices=32, init_edges=512, segment_slots=64,
                             gap_distribution=strategy))
-        ref = {}
+        ref = Model()
         for _ in range(2500):
             u, w = random.randrange(32), random.randrange(32)
             g.insert_edge(u, w)
-            ref.setdefault(u, []).append(w)
+            ref.insert(u, w)
         g.check_invariants()
-        with g.consistent_view() as snap:
-            for v in range(32):
-                assert list(snap.out_neighbors(v)) == ref.get(v, [])
+        ref.admits(model.of(g))
 
     def test_invalid_strategy_rejected(self):
         with pytest.raises(ValueError):

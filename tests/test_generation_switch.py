@@ -24,22 +24,29 @@ What the tests below pin:
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro import DGAP, DGAPConfig
 from repro.core.batch import EdgeBatch
-from repro.core.rebalance import ROOT_GEN, SCRATCH
+from repro.core.rebalance import ROOT_GEN, SCRATCH, Rebalancer
 from repro.core.recovery import GENERATION_REGIONS
 from repro.core.undo_log import STATE_COPYBACK, STATE_DONE, STATE_IDLE
-from repro.errors import OutOfPMemError, SimulatedCrash
+from repro.errors import OutOfPMemError
 from repro.pmem.alloc import BumpAllocator
-from repro.pmem.crash import CrashInjector
 from repro.pmem.pool import PMemPool
 from repro.pmem.faults import DEFAULT_POLICY, PERSIST_REORDER, TORN_STORES
 from repro.sharding.partition import to_global
-from repro.testing.crashsweep import _apply_op, _graph_state, verify_recovered_graph
+from repro.testing import (
+    SweepConfig,
+    crash_points,
+    crash_sweep,
+    make_insert_workload,
+    model,
+    verify_recovered_graph,
+)
 
 from .test_store_surface import STORES, make_store, out_csr, reopen
 
@@ -65,20 +72,11 @@ def generation_regions(g):
     return sorted(g.pool.names(GENERATION_REGIONS))
 
 
-def crash_points(op, policy, **over):
-    """``(k, crashed store)`` for every persistence event ``k`` of ``op``."""
-    inj = CrashInjector()
-    g = churned(inj, policy, **over)
-    base = inj.total_events
-    op(g)
-    for k in range(1, inj.total_events - base + 1):
-        inj = CrashInjector()
-        g = churned(inj, policy, **over)
-        inj.arm(k)
-        with pytest.raises(SimulatedCrash):
-            op(g)
-        inj.disarm()
-        yield k, g
+def crashed(op, policy, **over):
+    """The crashed store at every persistence event of ``op`` on a churned one."""
+    for _, g, crash in crash_points(lambda inj: churned(inj, policy, **over), op):
+        assert crash is not None
+        yield g
 
 
 def phase(g):
@@ -107,10 +105,10 @@ class TestProtocol:
 
     def test_root_rebalance_is_a_switch_and_counts_as_a_rebalance(self):
         g = churned()
-        before, n = _graph_state(g), g.n_rebalances
+        before, n = model.of(g), g.n_rebalances
         g.rebalancer.rebalance_window(0, g.ea.n_sections, g.ea.tree.height)
         assert (g.ea.gen, g.n_resizes, g.n_rebalances) == (1, 0, n + 1)
-        assert not g.logs.counts.any() and _graph_state(g) == before
+        assert not g.logs.counts.any() and model.of(g) == before
         g.check_invariants()
 
     def test_growth_frees_the_generation_and_the_logs_it_retires(self):
@@ -154,7 +152,7 @@ def settle(g, before):
     generation left registered — then past the *next* resize."""
     g2 = DGAP.open(g.pool, g.config)
     g2.check_invariants()
-    assert _graph_state(g2) == before
+    assert model.of(g2) == before
     assert generation_regions(g2) == sorted([f"edges.g{g2.ea.gen}", g2.logs.region.name])
     assert g2.ulogs[0].read_header().state == STATE_IDLE
     i = 0
@@ -163,16 +161,16 @@ def settle(g, before):
         i += 1
     g2.compact()
     g2.check_invariants()
-    assert {v: nb[: len(before[v])] for v, nb in _graph_state(g2).items()} == before
+    assert {v: nb[: len(before[v])] for v, nb in model.of(g2).items()} == before
     return g2
 
 
 class TestCrashAtEveryPoint:
     @POLICIES
     def test_root_rebalance(self, policy):
-        before = _graph_state(churned())
+        before = model.of(churned())
         seen = set()
-        for _, g in crash_points(
+        for g in crashed(
             lambda g: g.rebalancer.rebalance_window(0, g.ea.n_sections, g.ea.tree.height), policy
         ):
             seen.add(phase(g))
@@ -182,9 +180,9 @@ class TestCrashAtEveryPoint:
 
     @POLICIES
     def test_compaction_sweep_is_invisible(self, policy):
-        before = _graph_state(churned())
+        before = model.of(churned())
         seen = set()
-        for _, g in crash_points(lambda g: g.compact(), policy):
+        for g in crashed(lambda g: g.compact(), policy):
             seen.add(phase(g))
             g2 = settle(g, before)
             assert g2.tombstone_density() == 0
@@ -195,20 +193,20 @@ class TestCrashAtEveryPoint:
         """Fails on the parent at 11 of the 45 crash points: ``edges.g1``
         was registered before the root flipped, so the reopened store's
         next resize raised ``PoolLayoutError`` — forever."""
-        before = _graph_state(churned())
+        before = model.of(churned())
         gens = set()
-        for _, g in crash_points(lambda g: g.rebalancer.resize(), policy):
+        for g in crashed(lambda g: g.rebalancer.resize(), policy):
             gens.add(phase(g)[0])
             settle(g, before)
         assert gens == {0, 1}
 
     def test_pm_metadata_generation_is_switched_whole(self):
         """"No DP": the occupancy mirror is a generation region too."""
-        before = _graph_state(churned(dram_placement=False))
-        for _, g in crash_points(lambda g: g.compact(), DEFAULT_POLICY, dram_placement=False):
+        before = model.of(churned(dram_placement=False))
+        for g in crashed(lambda g: g.compact(), DEFAULT_POLICY, dram_placement=False):
             g2 = DGAP.open(g.pool, g.config)
             g2.check_invariants()
-            assert _graph_state(g2) == before
+            assert model.of(g2) == before
             assert generation_regions(g2) == sorted(
                 [f"edges.g{g2.ea.gen}", f"segocc.g{g2.ea.gen}", g2.logs.region.name])
 
@@ -258,14 +256,14 @@ def exhaustion_ops():
 
 
 def apply(g, op):
-    """``_apply_op``, a sweep preceded by a rebalance of every shard's
+    """``model.apply``, a sweep preceded by a rebalance of every shard's
     upper half: a sub-root window too large for the undo log, so it goes
     through the scratch — which it outgrows as the array doubles."""
     if op[0] == "compact":
         for sh in g.shards:
             n = sh.ea.n_sections
             sh.rebalancer.rebalance_window(n // 2, n, sh.ea.tree.height - 1)
-    _apply_op(g, op)
+    model.apply(g, op)
 
 
 class FailingAllocator:
@@ -359,6 +357,58 @@ def test_ten_times_the_churn_fits_two_generations_plus_logs():
     assert g.n_resizes == 0 and g.n_compactions == 5 * 53
     assert g.pool.allocator.cursor <= room and g.num_edges == 4 * 40
     g.check_invariants()
+
+
+# ---------------------------------------------------------------------------
+# the PMDK journal of the ablation configs dies with its generation
+# ---------------------------------------------------------------------------
+def journals(g):
+    return sorted(g.pool.names("pmdk-journal.g"))
+
+
+@pytest.mark.parametrize(
+    "ablation", [dict(use_undo_log=False), dict(use_edge_log=False, use_undo_log=False)],
+    ids=["no-ul", "no-el-ul"],
+)
+def test_a_journal_dies_with_its_generation(ablation):
+    """Fails on the parent: every resize allocated ``pmdk-journal.g<gen>``
+    (+ ``.lane``) and nothing freed the last one — four resizes, five
+    journals beside the single live ``edges.g4``."""
+    g = DGAP(DGAPConfig(**{**CFG, "init_edges": 256}, **ablation))
+    built = g.pool.allocator.cursor
+    rng = np.random.default_rng(0)
+    while g.n_resizes < 4:
+        g.insert_edges(rng.integers(0, 64, size=(500, 2)))
+    assert journals(g) == [f"pmdk-journal.g{g.ea.gen}", f"pmdk-journal.g{g.ea.gen}.lane"]
+    per_generation = sum(g.pool.get_array(n).nbytes for n in generation_regions(g))
+    assert g.pool.allocator.cursor <= built + 2 * per_generation  # the high-water mark
+    g.pool.crash()
+    g2 = DGAP.open(g.pool, g.config)
+    g2.check_invariants()
+    assert journals(g2) == journals(g) and model.of(g2) == model.of(g)
+
+
+def test_no_el_ul_sweep_crosses_the_flip_with_two_journals():
+    """An exhaustive sweep of the "No EL&UL" config over a growth resize:
+    a power failure between the root flip and the reap reopens with the
+    retired generation's journal still registered — and frees it."""
+    cfg = DGAPConfig(init_vertices=8, init_edges=64, segment_slots=64,
+                     use_edge_log=False, use_undo_log=False)
+    ops = make_insert_workload(np.random.default_rng(3).integers(0, 8, size=(120, 2)).tolist())
+    met, reap = set(), Rebalancer.reap
+
+    def spy(rebalancer):
+        met.add(len(journals(rebalancer.host)))
+        reap(rebalancer)
+        assert len(journals(rebalancer.host)) <= 2
+
+    with mock.patch.object(Rebalancer, "reap", spy):
+        rep = crash_sweep(
+            lambda inj, faults: DGAP(cfg, injector=inj, faults=faults), ops,
+            SweepConfig(exhaustive_threshold=10_000, idempotence_samples=3),
+        )
+    assert rep.exhaustive and rep.unrecoverable_count() == 0
+    assert met == {2, 4}  # 4: a reopen bound generation 1's pair beside the retired one's
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,7 @@ from repro.pmem.faults import (
     FaultPolicy,
 )
 from repro.sharding import ShardedDGAP
-from repro.testing import SweepConfig, crash_sweep, make_batched_insert_workload
-from repro.testing.crashsweep import _graph_state, _verify_structure
+from repro.testing import SweepConfig, crash_sweep, make_batched_insert_workload, model
 
 CFG = dict(init_vertices=8, init_edges=256, segment_slots=64, elog_size=96)
 SLOTS_PER_LINE = CACHE_LINE // 4
@@ -58,16 +57,16 @@ def reopen_checked(g, cfg):
     """Crash + recover, run the structural oracle, return the new graph."""
     g.pool.crash()
     g2 = DGAP.open(g.pool, cfg)
-    _verify_structure(g2, "planted", check_invariants=True, check_log_cursors=True)
+    model.assert_structure(g2)
     return g2
 
 
 def assert_idempotent(g2, cfg, inj):
     """A second crash — during or after recovery — changes nothing."""
-    want = _graph_state(g2)
+    want = model.of(g2)
     media = g2.pool.device.media.copy()
     g3 = reopen_checked(g2, cfg)
-    assert _graph_state(g3) == want
+    assert model.of(g3) == want
     np.testing.assert_array_equal(g3.pool.device.media, media)
     for k in (1, 2, 3):  # power failures inside the recovery itself
         inj.arm(k)
@@ -76,7 +75,7 @@ def assert_idempotent(g2, cfg, inj):
         except SimulatedCrash:
             pass
         inj.disarm()
-        assert _graph_state(reopen_checked(g3, cfg)) == want
+        assert model.of(reopen_checked(g3, cfg)) == want
 
 
 # ----------------------------------------------------------------------
@@ -95,7 +94,7 @@ class TestPlantedTornShapes:
                != SLOTS_PER_LINE - 1):
             g.insert_edge(v, d % 8)
             d += 1
-        before = _graph_state(g)
+        before = model.of(g)
         k = int(g.va.start[v] + g.va.array_degree[v])
         assert k + 6 < int(g.va.start[v + 1]) - 1  # all inside v's own gap
         # slot k's line was lost; k+1, k+2 and k+5 (next line) persisted
@@ -105,7 +104,7 @@ class TestPlantedTornShapes:
                   np.asarray(encode_edge(s % 8), dtype=np.int32))
 
         g2 = reopen_checked(g, cfg)
-        assert _graph_state(g2) == before  # the per-vertex prefix, no phantoms
+        assert model.of(g2) == before  # the per-vertex prefix, no phantoms
         slots = g2.pool.device.media.view(np.int32)
         base = g2.ea.region.offset // 4
         assert not slots[base + k : base + k + 6].any()  # scrubbed on media
@@ -128,7 +127,7 @@ class TestPlantedTornShapes:
             g.insert_edge(0, d % 8)
             d += 1
         g.insert_edges([(1, 5), (1, 6)])
-        before = _graph_state(g)
+        before = model.of(g)
         logs = g.logs
         sec = g.ea.section_of(int(g.va.start[0]) - 1)
         c = int(logs.counts[sec])
@@ -149,7 +148,7 @@ class TestPlantedTornShapes:
         g2 = reopen_checked(g, cfg)
         want = dict(before)
         want[1] = before[1] + [4]  # the rooted sibling entry is a legal prefix
-        assert _graph_state(g2) == want
+        assert model.of(g2) == want
         assert int(g2.va.el[0]) == head  # chain head back on the intact entry
         view = g2.pool.device.media.view(np.int32)
         fld = g2.logs.region.offset // 4

@@ -16,6 +16,7 @@ from repro.core.pma_tree import DensityBounds, PMATree
 from repro.core.snapshot import _apply_tombstones
 from repro.nputil import multi_arange as _multi_arange
 from repro.pmem import CACHE_LINE, PMemDevice
+from repro.testing import Model, make_insert_workload, model, verify_recovered_graph
 
 BOUNDS = DensityBounds(0.92, 0.70)
 
@@ -187,13 +188,9 @@ class TestDGAPProperties:
     @common
     def test_insertion_order_always_preserved(self, edges):
         g = DGAP(DGAPConfig(init_vertices=24, init_edges=256, segment_slots=64))
-        ref = {}
         for u, w in edges:
             g.insert_edge(u, w)
-            ref.setdefault(u, []).append(w)
-        with g.consistent_view() as snap:
-            for v in range(24):
-                assert list(snap.out_neighbors(v)) == ref.get(v, [])
+        Model(edges).admits(model.of(g))
 
     @given(edge_lists)
     @common
@@ -237,20 +234,11 @@ class TestDGAPProperties:
         cfg = DGAPConfig(init_vertices=24, init_edges=128, segment_slots=64, elog_size=96)
         g = DGAP(cfg, injector=inj)
         inj.arm(crash_at)
-        acked = []
+        acked = 0
         try:
             for u, w in edges:
                 g.insert_edge(u, w)
-                acked.append((u, w))
+                acked += 1
         except SimulatedCrash:
             inj.disarm()
-            g2 = DGAP.open(g.pool, cfg)
-            ref = {}
-            for u, w in acked:
-                ref.setdefault(u, []).append(w)
-            with g2.consistent_view() as snap:
-                for v in range(g2.num_vertices):
-                    got = list(snap.out_neighbors(v))
-                    want = ref.get(v, [])
-                    assert got[: len(want)] == want
-                    assert len(got) <= len(want) + 1
+            verify_recovered_graph(DGAP.open(g.pool, cfg), make_insert_workload(edges), acked)

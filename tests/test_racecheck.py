@@ -20,6 +20,7 @@ Four layers, bottom up:
 import functools
 import itertools
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -42,15 +43,10 @@ from repro.testing.racecheck import (
     race_check,
     RaceCheckConfig,
     run_scenario,
+    scalar_writer,
     scenario_writer_rebalancer,
-    _writer,
 )
-from repro.testing.schedules import (
-    DeterministicScheduler,
-    ScheduleDeadlock,
-    explore_schedules,
-    run_schedule,
-)
+from repro.testing.schedules import DeterministicScheduler, ScheduleDeadlock, explore
 from repro.workloads.vthreads import VirtualThreadScheduler
 
 
@@ -174,9 +170,7 @@ class TestOracle:
 class TestScheduler:
     def test_exhaustive_interleavings_of_two_steppers(self):
         # two workers × two yield-separated appends: C(4,2)=6 orders
-        observed = set()
-
-        def make_case():
+        def run_one(prefix):
             sched = DeterministicScheduler()
             log = []
 
@@ -189,18 +183,14 @@ class TestScheduler:
 
             sched.spawn("A", worker("a"))
             sched.spawn("B", worker("b"))
+            return SimpleNamespace(trace=sched.run(prefix=prefix), log=tuple(log))
 
-            def finish():
-                observed.add(tuple(log))
-
-            return sched, finish
-
-        report = explore_schedules(make_case, max_schedules=100)
-        assert report.exhaustive
-        assert len(observed) == 6
+        outcomes, exhaustive = explore(run_one, max_schedules=100)
+        assert exhaustive and not any(o.trace.errors for o in outcomes)
+        assert len({o.log for o in outcomes}) == 6
 
     def test_replay_is_deterministic(self):
-        def make_case():
+        def run_one(prefix):
             sched = DeterministicScheduler()
             log = []
 
@@ -213,14 +203,10 @@ class TestScheduler:
 
             sched.spawn("A", worker("a"))
             sched.spawn("B", worker("b"))
-            make_case.last = log
-            return sched, lambda: None
+            return sched.run(prefix=prefix).trace, log
 
-        t1 = run_schedule(make_case, prefix=["B", "A", "B", "A"])
-        log1 = make_case.last
-        t2 = run_schedule(make_case, prefix=list(t1.trace))
-        assert make_case.last == log1
-        assert t2.trace == t1.trace
+        t1, log1 = run_one(["B", "A", "B", "A"])
+        assert run_one(list(t1)) == (t1, log1)
 
     def test_deadlock_is_detected_not_hung(self):
         # classic AB/BA on two plain locks via cooperative try-loops
@@ -367,16 +353,17 @@ class TestScenarioSweeps:
         for o in outcomes:
             assert o.clean, (o.trace.trace, [str(v) for v in o.violations], o.error)
 
-    @pytest.mark.parametrize("name", ["writer-writer", "writer-writer-shared"])
+    @pytest.mark.parametrize("name", ["writer-writer", "writer-writer-shared", "batch-batch"])
     def test_writer_writer_exhaustive_and_clean(self, name):
         outcomes, exhaustive = explore_scenario(SCENARIOS[name], max_schedules=500)
         assert exhaustive
         for o in outcomes:
             assert o.clean, (o.trace.trace, [str(v) for v in o.violations], o.error)
 
-    @pytest.mark.parametrize("name", ["writer-resize", "reader-writer"])
+    @pytest.mark.parametrize(
+        "name", ["writer-resize", "reader-writer", "batch-rebalancer", "batch-resize"])
     def test_sampled_scenarios_clean(self, name):
-        outcomes, _ = explore_scenario(SCENARIOS[name], max_schedules=60, seed=7)
+        outcomes, _ = explore_scenario(SCENARIOS[name], max_schedules=60)
         for o in outcomes:
             assert o.clean, (o.trace.trace, [str(v) for v in o.violations], o.error)
 
@@ -468,8 +455,8 @@ def test_schedules_are_linearizable(ops):
         return ScenarioSpec(
             graph=g, recorder=rec,
             workers={
-                "A": _writer(g, sched, rec, "A", seq_a, thread_id=0),
-                "B": _writer(g, sched, rec, "B", seq_b, thread_id=1),
+                "A": scalar_writer(g, sched, rec, "A", seq_a, thread_id=0),
+                "B": scalar_writer(g, sched, rec, "B", seq_b, thread_id=1),
             },
             validate=lambda: None,
         )

@@ -9,13 +9,14 @@ consistent, and health only ever worsens.
 """
 
 import copy
+import functools
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro import DGAP, DGAPConfig
-from repro.errors import MediaError, ReadOnlyGraphError, RecoveryError, SimulatedCrash
+from repro.errors import MediaError, ReadOnlyGraphError, RecoveryError
 from repro.obs import Tracer, tracing
 from repro.pmem.constants import CACHE_LINE, XPLINE
 from repro.pmem.crash import CrashInjector
@@ -29,8 +30,7 @@ from repro.resilience import (
     ResilienceManager,
 )
 from repro.resilience.quarantine import OUTCOME_HEALTH
-from repro.testing import SoakConfig, soak_sweep
-from repro.testing.crashsweep import _verify_structure
+from repro.testing import SoakConfig, crash_points, model, soak_sweep
 
 from .test_log_streaming import grown_graph
 from .test_recovery_internals import POISON_CASES, plant_poison
@@ -544,7 +544,7 @@ class TestLossyRepairContract:
         assert [(e.kind, e.outcome) for e in entries] == [("edge-log", RepairOutcome.SCRUBBED)]
         assert mgr.health is HealthState.HEALTHY and g.n_rebalances == windows
         assert rows(g) == before
-        _verify_structure(g, "spent-slot scrub", True, True)  # cursors match a rebuild
+        model.assert_structure(g)  # cursors match a rebuild
 
     def test_tombstones_keep_their_worth(self):
         """``live_degree`` of a row that shrank is recounted — lives minus
@@ -585,31 +585,25 @@ class TestCrashDuringRepair:
         base, hits = build(damage, faults)
         want = {v: Counter(row) for v, row in rows(base).items()}
 
-        def damaged(seed):
+        def damaged(inj, seed=0):
             pool = copy.deepcopy(base.pool)
-            pool.device.faults = faults.with_seed(seed)
+            pool.device.injector, pool.device.faults = inj, faults.with_seed(seed)
             g = DGAP.open(pool, base.config)
             for off in hits:
                 pool.device.poison(off, XPLINE)
-            return g, pool.device
+            return g
 
-        g, dev = damaged(0)
-        first = dev.injector.total_events
-        ResilienceManager(g).full_scrub()
-        n_events = dev.injector.total_events - first
-        assert g.health is HealthState.DEGRADED  # the repair swept is a lossy one
+        def scrub(g):
+            ResilienceManager(g).full_scrub()
+            assert g.health is HealthState.DEGRADED  # the repair swept is a lossy one
 
         for seed in seeds:
-            for k in range(1, n_events + 1):
-                g, dev = damaged(seed)
-                dev.injector.arm(k)
-                with pytest.raises(SimulatedCrash):
-                    ResilienceManager(g).full_scrub()
-                dev.injector.disarm()
+            for k, g, crash in crash_points(functools.partial(damaged, seed=seed), scrub):
+                assert crash is not None
                 try:
                     g2 = DGAP.open(g.pool, g.config)
                 except (RecoveryError, MediaError):
-                    assert dev.poisoned_ranges(), f"seed {seed} event {k}: refused a clean image"
+                    assert g.pool.device.poisoned_ranges(), f"seed {seed} event {k}: refused a clean image"
                     continue
                 for v, row in rows(g2).items():
                     extra = Counter(row) - want.get(v, Counter())

@@ -1,0 +1,240 @@
+"""The store-surface state machine (DESIGN.md §6, §14).
+
+One Hypothesis ``RuleBasedStateMachine`` drives ``make_store``'s three
+stores — ``DGAP``, ``ShardedDGAP(1)``, ``ShardedDGAP(3)`` — in lockstep
+through a random history and judges all of them against one
+:class:`repro.testing.model.Model`.  Every mutation rule may power-fail
+at a drawn persistence event *inside* the op: the reopened store is held
+to the model's in-flight rule, then the client retries what did not
+land.  The fault policy (default / torn / reorder) and the geometry are
+drawn once per history — a device's policy is fixed when it is built.
+After every step: every store's out- and in-CSR byte-equal to the
+model's (and so to each other); device counters of ``DGAP`` equal
+``ShardedDGAP(1)``'s; ``check_invariants()``; every held view still reads
+its epoch's bytes and stays unwriteable.
+
+The settings are the machine's own in every profile — derandomized, 25
+examples of 30 steps — so tier-1 is reproducible.
+
+Three historical defects, re-found by this machine on their parent
+commits (the view arrays taken from ``ShardedViewCache(g)``, which those
+trees had where this one has ``g.view_cache``); the shrunk sequences,
+each after ``state.build(geometry=GEOMETRIES[0], policy=DEFAULT_POLICY,
+seed=0)``:
+
+* ``3e98356`` (the parent of PR 17, which fixed it): a caller's
+  ``neighbors(v).sort()`` rewriting a pinned epoch::
+
+      state.hold_a_serve_view(k=0, v=0, w=0)
+      # Failed: DID NOT RAISE ValueError (and the held-view invariant
+      # finds the arrays writeable)
+
+* ``3e98356`` again (the sort check switched off to get past the first):
+  a negative ``k`` answered with a negative latency, not ``GraphError``::
+
+      state.illegal_call(call=(refuse_k, 'top_k_degree', (-1,), -1))
+      # Failed: DID NOT RAISE GraphError
+
+* ``91dd575`` (PR 22 fixed it): a power failure inside a growth resize
+  left ``edges.g1`` registered, wedging every later resize::
+
+      state.insert_batch(burst=4, crash=None, edges=[(0, 0), (0, 0)])
+      state.insert_batch(burst=5, crash=4, edges=[(0, 0), (0, 0)])
+      # the retry: PoolLayoutError: root 'edges.g1' already exists
+"""
+
+import numpy as np
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
+
+from repro.algorithms import pagerank
+from repro.analysis.view import CSRArraysView, build_in_csr
+from repro.core.batch import EdgeBatch
+from repro.errors import SimulatedCrash
+from repro.pmem.crash import CrashInjector
+from repro.pmem.faults import DEFAULT_POLICY, PERSIST_REORDER, TORN_STORES
+from repro.serve import QueryServer
+from repro.serve.driver import SnapshotReader, _bytes_equal, _run_query
+from repro.testing import model
+from repro.testing.model import Model
+
+from . import test_store_surface as surface
+from .test_store_surface import STORES, counters, make_store
+
+#: (config, ids drawn): the surface suite's roomy store, and one tight
+#: enough that 30 steps merge logs, rebalance and grow the array
+GEOMETRIES = [
+    (dict(init_vertices=64, init_edges=1024), 96),
+    (dict(init_vertices=8, init_edges=256, segment_slots=64, elog_size=96), 24),
+]
+POLICIES = [DEFAULT_POLICY, TORN_STORES, PERSIST_REORDER]
+
+ids = st.integers(0, 95)
+#: None, or (the persistence event of the op the power fails at)
+crashes = st.none() | st.integers(1, 6) | st.integers(1, 60)
+illegal_calls = st.sampled_from(
+    [(surface.refuse_write, *row) for row in surface.ILLEGAL_WRITES]
+    + [(surface.refuse_read, *row) for row in surface.ILLEGAL_READS]
+    + [(surface.refuse_k, *row) for row in surface.ILLEGAL_K]
+)
+
+
+def reopen(g):
+    """Recovery after a crash, else the normal restart; ``check_invariants``
+    is the next invariant's job."""
+    return type(g).open(g.pool, g.config)
+
+
+def csrs(g):
+    (out_ip, out_ds), (in_ip, in_sr) = g.view_cache.materialize()
+    return out_ip.tobytes(), out_ds.tobytes(), in_ip.tobytes(), in_sr.tobytes()
+
+
+class StoreMachine(RuleBasedStateMachine):
+    @initialize(geometry=st.sampled_from(GEOMETRIES), policy=st.sampled_from(POLICIES),
+                seed=st.integers(0, 3))
+    def build(self, geometry, policy, seed):
+        cfg, self.ids = geometry
+        self.injectors = {kind: CrashInjector() for kind in STORES}
+        self.stores = {
+            kind: make_store(kind, injector=self.injectors[kind], faults=policy.with_seed(seed), **cfg)
+            for kind in STORES
+        }
+        self.model = Model()
+        self.held = []  # (ServeView, its out-CSR bytes when acquired)
+
+    # -- mutations, each optionally power-failed inside -------------------
+    def mutate(self, op, crash):
+        """Apply ``op`` to every store; with ``crash``, arm each injector
+        at that event first, and where the power failed reopen, hold the
+        store to the model's in-flight rule and retry what did not land."""
+        for kind, g in self.stores.items():
+            inj = self.injectors[kind]
+            if crash:
+                inj.arm(crash)
+            try:
+                model.apply(g, op)
+            except SimulatedCrash:
+                inj.disarm()
+                g = self.stores[kind] = reopen(g)
+                rows = model.of(g)
+                landed = self.model.admits(rows, op)
+                if op[0] == "batch":  # each row kept a prefix of its edges: resend the rest
+                    g.insert_edges([
+                        (v, d) for v, sent in Model().apply(op).rows.items()
+                        for d in sent[len(rows.get(v, [])) - len(self.model.row(v)):]
+                    ])
+                elif not landed:
+                    model.apply(g, op)
+            inj.disarm()
+        self.model.apply(op)
+
+    @rule(edges=st.lists(st.tuples(ids, ids), min_size=2, max_size=12),
+          burst=st.integers(0, 150), crash=crashes)
+    def insert_batch(self, edges, burst, crash):
+        """A few drawn edges (they shrink well), then a seeded burst of
+        ``burst`` more: enough, on the tight geometry, to fill logs, force
+        rebalances and grow the array within one history."""
+        edges = np.array(edges + np.random.default_rng(burst).integers(0, 96, (burst, 2)).tolist())
+        self.mutate(("batch", EdgeBatch.coerce(edges % self.ids)), crash)
+
+    @rule(s=ids, d=ids, crash=crashes)
+    def insert_edge(self, s, d, crash):
+        self.mutate(("insert", s % self.ids, d % self.ids), crash)
+
+    @precondition(lambda self: self.model.num_edges)
+    @rule(pick=st.integers(0, 10**6), crash=crashes)
+    def delete_a_live_edge(self, pick, crash):
+        live = [(s, d) for s, row in sorted(self.model.rows.items()) for d in row]
+        self.mutate(("delete", *live[pick % len(live)]), crash)
+
+    @rule(crash=crashes)
+    def compact(self, crash):
+        self.mutate(("compact",), crash)
+        assert all(g.tombstone_density() == 0 for g in self.stores.values())
+
+    # -- lifecycle ---------------------------------------------------------
+    @rule()
+    def power_failure_and_reopen(self):
+        for kind, g in self.stores.items():
+            g.pool.crash()
+            self.stores[kind] = reopen(g)
+
+    @rule()
+    def shutdown_and_reopen(self):
+        for kind, g in self.stores.items():
+            g.shutdown()
+            self.stores[kind] = reopen(g)
+
+    # -- readers -----------------------------------------------------------
+    @rule(v=ids, w=ids, k=st.integers(0, 3))
+    def hold_a_serve_view(self, v, w, k):
+        """Served reads equal a fresh snapshot's, at the same modeled cost
+        on every store; the view is then held across later writes, and a
+        caller sorting a row it was handed must not reach the epoch."""
+        v, w = v % self.nv, w % self.nv
+        ns = {}  # per store: the acquire, then (served, snapshot) per query
+        for kind, g in self.stores.items():
+            server, direct = QueryServer(g), SnapshotReader(g)
+            view = server.acquire()
+            assert server.acquire() is view  # same epoch: reused, not rebuilt
+            ns[kind] = [server.last_acquire_ns]
+            for op in (("degree", v), ("neighbors", v), ("edge_exists", v, w),
+                       ("k_hop", v, k), ("top_k_degree", k)):
+                assert _bytes_equal(_run_query(view, op), _run_query(direct, op)), (kind, op)
+                ns[kind] += [view.last_query_ns, direct.last_query_ns]
+            with pytest.raises(ValueError, match="read-only"):
+                view.neighbors(v).sort()
+            self.held.append((view, (view.out_indptr.tobytes(), view.out_dsts.tobytes())))
+        assert ns["sharded1"] == ns["dgap"]
+        # served queries run on the merged DRAM CSR: same bytes, same modeled cost
+        assert ns["sharded3"][1::2] == ns["dgap"][1::2]
+        del self.held[:-6]
+
+    @rule()
+    def analyze(self):
+        """A kernel over each store's analysis view: one answer."""
+        want = pagerank(CSRArraysView(*self.model.csr(self.nv)), 3)
+        for kind, g in self.stores.items():
+            (out_ip, out_ds), inn = g.view_cache.materialize()
+            got = pagerank(CSRArraysView(out_ip, out_ds, derived={"in": inn}), 3)
+            assert got.tobytes() == want.tobytes(), kind
+
+    @rule(call=illegal_calls)
+    def illegal_call(self, call):
+        """Refused as the surface suite's tables say, at no device event."""
+        check, *row = call
+        for kind, g in self.stores.items():
+            before = self.injectors[kind].total_events, counters(g)
+            check(g, *row)
+            assert (self.injectors[kind].total_events, counters(g)) == before
+
+    # -- invariants --------------------------------------------------------
+    @property
+    def nv(self):
+        return self.stores["dgap"].num_vertices
+
+    @invariant()
+    def every_store_reads_the_model(self):
+        out_ip, out_ds = self.model.csr(self.nv)
+        in_ip, in_sr = build_in_csr(out_ip, out_ds, self.nv)
+        want = out_ip.tobytes(), out_ds.tobytes(), in_ip.tobytes(), in_sr.tobytes()
+        for kind, g in self.stores.items():
+            assert csrs(g) == want, kind
+            assert g.num_edges == self.model.num_edges
+            g.check_invariants()
+        assert counters(self.stores["dgap"]) == counters(self.stores["sharded1"])
+
+    @invariant()
+    def held_views_keep_their_epoch(self):
+        for view, held in self.held:
+            assert (view.out_indptr.tobytes(), view.out_dsts.tobytes()) == held
+            assert not (view.out_indptr.flags.writeable or view.out_dsts.flags.writeable)
+
+
+TestStoreMachine = StoreMachine.TestCase
+TestStoreMachine.settings = settings(
+    derandomize=True, max_examples=25, stateful_step_count=30, deadline=None
+)

@@ -9,11 +9,11 @@ A ``DGAP`` is a one-shard store: it carries the same members as a
 ``pool.pools``).  Everything here drives the three stores through those
 members only, never asking which class it was handed:
 
-* one script (batched insert with growth, scalar insert + delete,
-  compact, served reads vs the fresh-snapshot twin, crash → open,
-  shutdown → open) yields byte-identical out-CSRs on all three, and
-  equal device counters and modeled serve costs on ``DGAP`` vs
-  ``ShardedDGAP(1)``;
+* (in ``test_store_machine.py``) one random history — batched insert
+  with growth, scalar insert + delete, compact, served reads vs the
+  fresh-snapshot twin, power failures, shutdown → open — yields
+  byte-identical CSRs on all three after every step, and equal device
+  counters and modeled serve costs on ``DGAP`` vs ``ShardedDGAP(1)``;
 * one table of illegal calls raises the same exception everywhere,
   before the first device event;
 * one view stack (DESIGN.md §7): the store cache's reuse, its read-only
@@ -23,8 +23,8 @@ members only, never asking which class it was handed:
   exactly, and a grep gate keeps the ledger spoken one way;
 * a grep gate pins the "is it sharded?" probe counts at zero.
 
-``make_store`` is importable on purpose: it is the seed of the ROADMAP's
-composed-system state machine.
+``make_store``, ``reopen``, ``counters`` and the illegal-call tables are
+importable on purpose: the state machine drives them.
 """
 
 import dataclasses
@@ -46,7 +46,7 @@ from repro.errors import GraphError, VertexRangeError
 from repro.obs import INT_COUNTER_FIELDS, Tracer, tracing
 from repro.pmem.crash import CrashInjector
 from repro.serve import QueryServer, top_k_ns
-from repro.serve.driver import QUERY_CLASSES, SnapshotReader, _bytes_equal, _run_query
+from repro.serve.driver import SnapshotReader, _bytes_equal
 from repro.sharding import ShardedDGAP, ShardedViewCache
 from repro.sharding.partition import shard_of
 
@@ -55,12 +55,12 @@ CFG = dict(init_vertices=NV, init_edges=1024)
 STORES = ("dgap", "sharded1", "sharded3")
 
 
-def make_store(kind: str, injector=None, **overrides):
+def make_store(kind: str, injector=None, faults=None, **overrides):
     """A fresh store of ``kind`` ("dgap" or "sharded<N>") on fresh pools."""
     cfg = DGAPConfig(**{**CFG, **overrides})
     if kind == "dgap":
-        return DGAP(cfg, injector=injector)
-    return ShardedDGAP(int(kind[len("sharded"):]), cfg, injector=injector)
+        return DGAP(cfg, injector=injector, faults=faults)
+    return ShardedDGAP(int(kind[len("sharded"):]), cfg, injector=injector, faults=faults)
 
 
 def reopen(g):
@@ -79,120 +79,17 @@ def counters(g):
     return [dataclasses.asdict(p.stats) for p in g.pool.pools]
 
 
-# ---------------------------------------------------------------------------
-# the shared script
-# ---------------------------------------------------------------------------
+def test_partition_is_the_identity_at_one_shard():
+    from repro.sharding.partition import (
+        local_count, local_ids_to_global, shard_of, to_global, to_local,
+    )
 
-def _probe_ops(nv, rng):
-    ops = [("top_k_degree", 5)]
-    for v in [0, nv - 1, *rng.integers(0, nv, size=4).tolist()]:
-        w = int(rng.integers(0, nv))
-        ops += [("degree", v), ("neighbors", v), ("edge_exists", v, w), ("k_hop", v, 2)]
-    return ops
-
-
-def run_script(kind):
-    """Drive one store through the whole surface; return its evidence trail."""
-    g = make_store(kind)
-    rng = np.random.default_rng(5)
-    trail = {"csr": [], "acquire_ns": [], "query_ns": [], "snapshot_ns": [], "counters": []}
-    server = QueryServer(g)
-
-    def checkpoint():
-        nonlocal server
-        if server.graph is not g:
-            server = QueryServer(g)
-        view = server.acquire()
-        trail["csr"].append((view.out_indptr.tobytes(), view.out_dsts.tobytes()))
-        trail["acquire_ns"].append(server.last_acquire_ns)
-        direct = SnapshotReader(g)
-        seen = set()
-        for op in _probe_ops(g.num_vertices, rng):
-            served = _run_query(view, op)
-            assert _bytes_equal(served, _run_query(direct, op)), (kind, op)
-            trail["query_ns"].append(view.last_query_ns)
-            trail["snapshot_ns"].append(direct.last_query_ns)
-            seen.add(op[0])
-        assert seen == set(QUERY_CLASSES)
-        assert server.acquire() is view  # same epoch: reused, not rebuilt
-        trail["counters"].append(counters(g))
-        g.check_invariants()
-
-    # batched ingest that grows the id space 64 -> 200 and overflows sections
-    stream = rng.integers(0, 200, size=(3000, 2))
-    for a in range(0, 3000, 750):
-        g.insert_edges(stream[a : a + 750])
-        checkpoint()
-    assert g.num_vertices == 200
-
-    # scalar inserts and deletes (tombstones), then the sweep that drops them
-    live = [tuple(e) for e in stream.tolist()]
-    for _ in range(120):
-        s, d = live.pop(int(rng.integers(0, len(live))))
-        g.delete_edge(s, d)
-    for _ in range(40):
-        g.insert_edge(int(rng.integers(0, 200)), int(rng.integers(0, 200)))
-    checkpoint()
-    assert g.tombstone_density() > 0
-    stats = g.compact()
-    assert stats["pairs_dropped"] == 120
-    assert g.tombstone_density() == 0
-    checkpoint()
-
-    # power failure, then recovery through the store's own class
-    g.insert_edge(7, 9)
-    n_edges = g.num_edges
-    g.pool.crash()
-    g = reopen(g)
-    assert g.num_edges == n_edges
-    checkpoint()
-
-    # graceful shutdown, then the normal restart
-    g.insert_edges(stream[:300])
-    n_edges = g.num_edges
-    g.shutdown()
-    g = reopen(g)
-    assert g.num_edges == n_edges
-    checkpoint()
-    return trail
-
-
-@pytest.fixture(scope="module")
-def trails():
-    return {kind: run_script(kind) for kind in STORES}
-
-
-class TestOneScriptThreeStores:
-    def test_out_csr_is_byte_identical(self, trails):
-        ref = trails["dgap"]["csr"]
-        assert len(ref) == 8
-        for kind in STORES[1:]:
-            assert trails[kind]["csr"] == ref, kind
-
-    def test_served_query_costs_do_not_depend_on_the_store(self, trails):
-        # queries run on the merged DRAM CSR: same bytes, same modeled cost
-        ref = trails["dgap"]["query_ns"]
-        for kind in STORES[1:]:
-            assert trails[kind]["query_ns"] == ref, kind
-
-    def test_one_shard_store_is_the_plain_dgap(self, trails):
-        """``ShardedDGAP(1)`` and ``DGAP``: same device ops, same clocks."""
-        a, b = trails["dgap"], trails["sharded1"]
-        assert a["counters"] == b["counters"]
-        assert a["acquire_ns"] == b["acquire_ns"]
-        assert a["snapshot_ns"] == b["snapshot_ns"]
-
-    def test_partition_is_the_identity_at_one_shard(self):
-        from repro.sharding.partition import (
-            local_count, local_ids_to_global, shard_of, to_global, to_local,
-        )
-
-        ids = np.arange(1000)
-        assert not shard_of(ids, 1).any()
-        assert np.array_equal(to_local(ids, 1), ids)
-        assert np.array_equal(to_global(ids, 0, 1), ids)
-        assert np.array_equal(local_ids_to_global(1000, 0, 1), ids)
-        assert all(local_count(m, 0, 1) == m + 1 for m in (0, 1, 63, 999))
+    ids = np.arange(1000)
+    assert not shard_of(ids, 1).any()
+    assert np.array_equal(to_local(ids, 1), ids)
+    assert np.array_equal(to_global(ids, 0, 1), ids)
+    assert np.array_equal(local_ids_to_global(1000, 0, 1), ids)
+    assert all(local_count(m, 0, 1) == m + 1 for m in (0, 1, 63, 999))
 
 
 @pytest.mark.parametrize("kind", STORES)
@@ -274,38 +171,64 @@ ILLEGAL_K = [
 
 
 def seeded(kind):
-    inj = CrashInjector()
-    g = make_store(kind, injector=inj)
+    g = make_store(kind, injector=CrashInjector())
     g.insert_edges([[0, 1], [3, 4], [5, 63]])
-    return g, inj
+    return g
+
+
+def refuse_write(g, method, args):
+    """An illegal write is rejected before any device event; returns the
+    (unchanged) out-CSR."""
+    inj = g.pool.pools[0].device.injector  # the one every shard device shares
+    before = inj.total_events, counters(g), out_csr(g)
+    with pytest.raises(VertexRangeError):
+        getattr(g, method)(*args)
+    assert (inj.total_events, counters(g), out_csr(g)) == before
+    g.check_invariants()
+    return before[2]
+
+
+def refuse_read(g, method, args):
+    """Every reader names the offending global id (a row's ``NV`` stands
+    for the first id past the end, whatever the store has grown to)."""
+    nv = g.num_vertices
+    bad = nv if args[0] == NV else args[0]
+    want = f"vertex {bad} out of range [0, {nv})"
+    for reader in (QueryServer(g).acquire(), SnapshotReader(g)):
+        with pytest.raises(VertexRangeError) as exc:
+            getattr(reader, method)(bad, *args[1:])
+        assert str(exc.value) == want, type(reader).__name__
+    for read in (g.out_degree, g.out_neighbors):
+        with pytest.raises(VertexRangeError) as exc:
+            read(bad)
+        assert str(exc.value) == want
+
+
+def refuse_k(g, method, args, k):
+    """A negative count is a ``GraphError``, refused before any charge."""
+    for reader in (QueryServer(g).acquire(), SnapshotReader(g)):
+        reader.degree(0)
+        charged = reader.last_query_ns
+        with pytest.raises(GraphError) as exc:
+            getattr(reader, method)(*args)
+        assert str(exc.value) == f"k must be >= 0, got {k}", type(reader).__name__
+        assert reader.last_query_ns == charged
 
 
 @pytest.mark.parametrize("kind", STORES)
 class TestIllegalCalls:
     @pytest.mark.parametrize("method,args", ILLEGAL_WRITES)
     def test_write_is_rejected_before_any_device_event(self, kind, method, args):
-        g, inj = seeded(kind)
-        before = inj.total_events, counters(g), out_csr(g)
-        with pytest.raises(VertexRangeError):
-            getattr(g, method)(*args)
-        assert (inj.total_events, counters(g), out_csr(g)) == before
-        g.check_invariants()
+        g = seeded(kind)
+        csr = refuse_write(g, method, args)
         assert g.num_vertices == NV and g.num_edges == 3
         g.pool.crash()
-        assert out_csr(reopen(g)) == before[2]
+        assert out_csr(reopen(g)) == csr
 
     @pytest.mark.parametrize("method,args", ILLEGAL_READS)
     def test_every_reader_names_the_global_id(self, kind, method, args):
-        g, _ = seeded(kind)
-        want = f"vertex {args[0]} out of range [0, {NV})"
-        for reader in (QueryServer(g).acquire(), SnapshotReader(g)):
-            with pytest.raises(VertexRangeError) as exc:
-                getattr(reader, method)(*args)
-            assert str(exc.value) == want, type(reader).__name__
-        for read in (g.out_degree, g.out_neighbors):
-            with pytest.raises(VertexRangeError) as exc:
-                read(args[0])
-            assert str(exc.value) == want
+        g = seeded(kind)
+        refuse_read(g, method, args)
         # a refused snapshot read leaks no snapshot: shutdown still legal
         g.shutdown()
 
@@ -313,7 +236,7 @@ class TestIllegalCalls:
     def test_a_snapshot_refuses_ids_outside_its_rows(self, kind, bad):
         """The snapshot is a reader too: a negative id must not wrap to the
         last row, and an id born after it was taken is not its row."""
-        g, _ = seeded(kind)
+        g = seeded(kind)
         snaps = [sh.consistent_view() for sh in g.shards]
         g.insert_vertex(NV + 5)
         for snap in snaps:
@@ -329,18 +252,12 @@ class TestIllegalCalls:
 
     @pytest.mark.parametrize("method,args,k", ILLEGAL_K)
     def test_every_reader_refuses_a_negative_k(self, kind, method, args, k):
-        g, _ = seeded(kind)
-        for reader in (QueryServer(g).acquire(), SnapshotReader(g)):
-            reader.degree(0)
-            charged = reader.last_query_ns
-            with pytest.raises(GraphError) as exc:
-                getattr(reader, method)(*args)
-            assert str(exc.value) == f"k must be >= 0, got {k}", type(reader).__name__
-            assert reader.last_query_ns == charged  # refused before any charge
+        g = seeded(kind)
+        refuse_k(g, method, args, k)
         g.shutdown()
 
     def test_an_oversized_k_is_charged_for_what_it_returns(self, kind):
-        g, _ = seeded(kind)
+        g = seeded(kind)
         served, direct = QueryServer(g).acquire(), SnapshotReader(g)
         ids, degs = served.top_k_degree(10**6)
         assert ids.size == degs.size == NV
@@ -494,7 +411,8 @@ class TestOneViewStack:
 @pytest.mark.parametrize("kind", STORES)
 class TestShutdown:
     def test_shut_down_store_refuses_writes(self, kind):
-        g, inj = seeded(kind)
+        g = seeded(kind)
+        inj = g.pool.pools[0].device.injector
         g.shutdown()
         before = inj.total_events
         for write in (
@@ -675,6 +593,18 @@ class TestOneSurface:
         assert homes(r'"elogs\.g') == ["core/edge_log.py", "core/recovery.py"]
         for gone in (r"FreeListAllocator", r"_scratch_seq", r"_resize_locked", r"abandoned"):
             assert homes(gone) == [], gone
+        # the verification harness says each thing once: one DFS explorer,
+        # one dry-run-then-arm loop (tests call `crash_points`), one adjacency
+        # model and in-flight rule — no multiset fallback, no second shadow
+        # graph, and no test reaching for a private name of `repro.testing`
+        tests = {p.name: p.read_text() for p in Path(__file__).parent.glob("*.py")
+                 if p.name != Path(__file__).name}
+        assert [k for k in homes(r"\bfrontier\b") if k.startswith("testing/")] == ["testing/schedules.py"]
+        assert homes(r"total_events - base") == ["testing/crashsweep.py"]
+        assert _count(r"total_events - base", src) == 1 and _count(r"total_events - base", tests) == 0
+        for gone in (r"_ordered_ops", r"\b_match\(", r"class NaiveWindowRef", r"def run_script",
+                     r"from repro\.testing[.\w]* import (.*|\([^)]*)\b_"):
+            assert _count(gone, src) == _count(gone, tests) == 0, gone
 
     def test_dgap_did_not_grow_a_merged_view(self):
         assert not hasattr(DGAP, "global_csr")

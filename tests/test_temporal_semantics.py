@@ -4,8 +4,8 @@ The contract under test: :class:`repro.temporal.TemporalWindowGraph`
 driving a real DGAP — batched adds, FIFO churn deletes, sliding-window
 expiry down the tombstone path, density-triggered compaction sweeps —
 produces *byte-identical* out- and in-CSR views, every step, to a naive
-pure-python reference that implements the same window semantics with a
-dict-of-lists adjacency and remove-last deletion.  The reference shares
+pure-python reference that implements the same window semantics over the
+shadow model's ordered rows and remove-last deletion.  The reference shares
 no code with the library's read path; only the in-CSR counting sort is
 the pinned ``build_in_csr`` builder (the single source of truth for
 (dst, src, insertion) order, per DESIGN.md §7).
@@ -30,6 +30,7 @@ from repro.analysis.view import build_in_csr
 from repro.errors import GraphError
 from repro.sharding import ShardedViewCache
 from repro.temporal import TemporalWindowGraph
+from repro.testing import Model
 
 common = settings(
     max_examples=30,
@@ -48,75 +49,62 @@ def make_graph(**overrides):
 # -- the naive reference ----------------------------------------------------
 
 
-def _remove_last(lst, d):
-    for i in range(len(lst) - 1, -1, -1):
-        if lst[i] == d:
-            del lst[i]
-            return
-    raise AssertionError(f"reference bookkeeping lost a copy of dst {d}")
+class WindowRef:
+    """Window semantics over the shadow model, independent of the library.
 
-
-class NaiveWindowRef:
-    """Dict-of-lists window semantics, independent of the library.
-
-    ``adj[src]`` is the append-ordered destination list; ``tags[(s, d)]``
-    the (non-decreasing) birth steps of that pair's live copies.  A
-    churn delete consumes the oldest tag; expiry of step ``e`` consumes
-    every tag equal to ``e``.  Both remove the positionally *last*
-    occurrence from the adjacency list — the tombstone path's observable
-    effect on byte-identical parallel copies.
+    The adjacency is :class:`repro.testing.Model` (append-ordered rows;
+    a delete removes the positionally *last* occurrence — the tombstone
+    path's observable effect on byte-identical parallel copies);
+    ``tags[(s, d)]`` holds the (non-decreasing) birth steps of that
+    pair's live copies.  A churn delete consumes the oldest tag; expiry
+    of step ``e`` consumes every tag equal to ``e``.
     """
 
     def __init__(self, window: int):
         self.window = window
-        self.adj = defaultdict(list)
+        self.adj = Model()
         self.tags = defaultdict(list)
         self.t = 0
+
+    def _drop(self, s, d):
+        self.tags[(s, d)].pop(0)
+        assert self.adj.delete(s, d), f"reference bookkeeping lost a copy of {(s, d)}"
 
     def step(self, adds, deletes):
         t = self.t
         self.t += 1
         for s, d in adds:
-            self.adj[s].append(d)
+            self.adj.insert(s, d)
             self.tags[(s, d)].append(t)
         for s, d in deletes:
-            tags = self.tags.get((s, d))
-            if not tags:
-                continue  # no live copy: skipped, no tombstone
-            tags.pop(0)
-            _remove_last(self.adj[s], d)
+            if self.tags.get((s, d)):  # no live copy: skipped, no tombstone
+                self._drop(s, d)
         e = t - self.window
         if e >= 0:
             for (s, d), tags in list(self.tags.items()):
                 while tags and tags[0] == e:
-                    tags.pop(0)
-                    _remove_last(self.adj[s], d)
+                    self._drop(s, d)
 
     def csr(self, nv):
-        counts = np.array(
-            [len(self.adj.get(v, ())) for v in range(nv)], dtype=np.int64
-        )
-        indptr = np.zeros(nv + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        dsts = np.array(
-            [d for v in range(nv) for d in self.adj.get(v, ())], dtype=np.int32
-        )
+        indptr, dsts = self.adj.csr(nv)
         return (indptr, dsts), build_in_csr(indptr, dsts, nv)
 
     def live(self):
-        return sum(len(v) for v in self.adj.values())
+        return self.adj.num_edges
+
+
+def assert_reads(ref, nv, out, inn, where=""):
+    """``(out, inn)`` CSR pairs byte-identical to the reference's."""
+    want_out, want_in = ref.csr(nv)
+    for got, want in zip((*out, *inn), (*want_out, *want_in)):
+        assert np.asarray(got).tobytes() == want.tobytes(), where
 
 
 def assert_graph_matches_ref(graph, ref, where=""):
     nv = graph.num_vertices
-    (ref_ip, ref_ds), (ref_iip, ref_isr) = ref.csr(nv)
     with graph.consistent_view() as snap:
-        out_ip, out_ds = snap.to_csr()
-        in_ip, in_sr = build_in_csr(out_ip, out_ds, nv)
-    assert np.asarray(out_ip).tobytes() == ref_ip.tobytes(), where
-    assert np.asarray(out_ds).tobytes() == ref_ds.tobytes(), where
-    assert np.asarray(in_ip).tobytes() == ref_iip.tobytes(), where
-    assert np.asarray(in_sr).tobytes() == ref_isr.tobytes(), where
+        out = snap.to_csr()
+    assert_reads(ref, nv, out, build_in_csr(*out, nv), where)
 
 
 # -- strategies -------------------------------------------------------------
@@ -138,7 +126,7 @@ class TestWindowedStreamDifferential:
         sweep fires inside the property (not only in dedicated tests)."""
         g = make_graph()
         wg = TemporalWindowGraph(g, window, compact_threshold=0.10)
-        ref = NaiveWindowRef(window)
+        ref = WindowRef(window)
         for i, (adds, deletes) in enumerate(stream):
             st_ = wg.advance(adds, deletes)
             ref.step(adds, deletes)
@@ -153,7 +141,7 @@ class TestWindowedStreamDifferential:
         and the swept graph keeps its invariants."""
         g = make_graph()
         wg = TemporalWindowGraph(g, window, auto_compact=False)
-        ref = NaiveWindowRef(window)
+        ref = WindowRef(window)
         for i, (adds, deletes) in enumerate(stream):
             wg.advance(adds, deletes)
             ref.step(adds, deletes)
@@ -172,16 +160,11 @@ class TestWindowedStreamDifferential:
         g = make_graph()
         wg = TemporalWindowGraph(g, window, compact_threshold=0.15)
         cache = ShardedViewCache(g)
-        ref = NaiveWindowRef(window)
+        ref = WindowRef(window)
         for i, (adds, deletes) in enumerate(stream):
             wg.advance(adds, deletes)
             ref.step(adds, deletes)
-            (out_ip, out_ds), (in_ip, in_sr) = cache.materialize()
-            (ref_ip, ref_ds), (ref_iip, ref_isr) = ref.csr(g.num_vertices)
-            assert out_ip.tobytes() == ref_ip.tobytes(), f"step {i}"
-            assert out_ds.tobytes() == ref_ds.tobytes(), f"step {i}"
-            assert in_ip.tobytes() == ref_iip.tobytes(), f"step {i}"
-            assert in_sr.tobytes() == ref_isr.tobytes(), f"step {i}"
+            assert_reads(ref, g.num_vertices, *cache.materialize(), f"step {i}")
 
     @given(stream_s, window_s)
     @common
@@ -192,16 +175,11 @@ class TestWindowedStreamDifferential:
 
         g = ShardedDGAP(2, DGAPConfig(**SMALL))
         wg = TemporalWindowGraph(g, window, compact_threshold=0.10)
-        ref = NaiveWindowRef(window)
+        ref = WindowRef(window)
         for i, (adds, deletes) in enumerate(stream):
             wg.advance(adds, deletes)
             ref.step(adds, deletes)
-            (out, inn) = g.global_csr()
-            (ref_ip, ref_ds), (ref_iip, ref_isr) = ref.csr(g.num_vertices)
-            assert np.asarray(out[0]).tobytes() == ref_ip.tobytes(), f"step {i}"
-            assert np.asarray(out[1]).tobytes() == ref_ds.tobytes(), f"step {i}"
-            assert np.asarray(inn[0]).tobytes() == ref_iip.tobytes(), f"step {i}"
-            assert np.asarray(inn[1]).tobytes() == ref_isr.tobytes(), f"step {i}"
+            assert_reads(ref, g.num_vertices, *g.global_csr(), f"step {i}")
 
 
 # -- degenerate windows -----------------------------------------------------
@@ -241,26 +219,23 @@ class TestSharedPairingRule:
         """Random inserts/deletes incl. deletes of never-present edges
         (unmatched tombstones, kept) and re-inserts after a delete."""
         g = make_graph()
-        live = defaultdict(list)
+        live = Model()
         unmatched = defaultdict(int)
         for s, d, delete in ops:
             if not delete:
                 g.insert_edge(s, d)
-                live[s].append(d)
+                live.insert(s, d)
             else:
                 g.delete_edge(s, d)
-                if d in live[s]:
-                    _remove_last(live[s], d)
-                else:
-                    unmatched[s] += 1
+                unmatched[s] += not live.delete(s, d)
         before = {v: g.out_neighbors(v).tolist() for v in range(4)}
-        assert before == {v: live[v] for v in range(4)}
+        assert before == {v: live.row(v) for v in range(4)}
         live_deg = g.va.live_degrees().copy()
         stats = g.compact()
         assert {v: g.out_neighbors(v).tolist() for v in range(4)} == before
         np.testing.assert_array_equal(g.va.live_degrees(), live_deg)
         for v in range(4):
-            assert int(g.va.degree[v]) == len(live[v]) + unmatched[v]
+            assert int(g.va.degree[v]) == len(live.row(v)) + unmatched[v]
         assert stats["tombstones_after"] == sum(unmatched.values())
         assert g.compact()["pairs_dropped"] == 0
         g.check_invariants()

@@ -39,11 +39,12 @@ from repro.pmem.faults import (
 )
 from repro.sharding import ShardedDGAP
 from repro.testing import (
+    Model,
     SweepConfig,
     crash_sweep,
     make_windowed_workload,
+    model,
 )
-from repro.testing.crashsweep import _expected_state
 
 CFG = dict(init_vertices=8, init_edges=256, segment_slots=64, elog_size=96)
 
@@ -97,7 +98,7 @@ class TestBuilder:
     def test_compact_is_logically_invisible_to_expected_state(self):
         ops = windowed_workload()
         stripped = [op for op in ops if op[0] != "compact"]
-        assert _expected_state(ops, 8) == _expected_state(stripped, 8)
+        assert Model.after(ops).rows == Model.after(stripped).rows
         # and the workload actually contains both new op kinds
         kinds = {op[0] for op in ops}
         assert {"insert", "expire", "compact"} <= kinds
@@ -107,10 +108,8 @@ class TestBuilder:
         pairs in at least one sweep (otherwise the sweeps below prove
         less than claimed)."""
         g = make_graph(None, None)
-        from repro.testing.crashsweep import _apply_op
-
         for op in windowed_workload():
-            _apply_op(g, op)
+            model.apply(g, op)
         assert g.n_compactions > 0
         assert g.tombstone_pairs_compacted > 0
         # every sweep is a generation switch; the second streams into
