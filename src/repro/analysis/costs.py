@@ -18,10 +18,10 @@ Every other number in Tables 4 and Figs. 7/8 is then *predicted* by
 each framework's geometry (gaps, blocks, fragments, DRAM vs. PM) — see
 EXPERIMENTS.md for the paper-vs-predicted comparison.
 
-The modeled cost of *building* a view lives here too
-(:func:`view_build_ns`): the store-level view cache prices each
-materialization with it, and serving and analysis both read the result
-from ``cache.last`` (DESIGN.md §7).
+The modeled cost of *building* a view lives here too: the store-level
+view cache prices each row patch with :func:`view_build_ns` and each
+global merge with :func:`merge_ns`, and serving and analysis both read
+the result from ``cache.last`` (DESIGN.md §7).
 """
 
 from ..pmem.latency import DRAM, OPTANE_ADR
@@ -59,26 +59,26 @@ def snapshot_open_ns(rows: int) -> float:
     return 2.0 * rows * _VT_ENTRY_BYTES * DRAM_SEQ_NS_PER_BYTE
 
 
-def view_build_ns(builds, total_edges: int) -> float:
-    """Modeled view build: per-shard snapshot + patch (parallel max) + merge.
+def view_build_ns(builds) -> float:
+    """Modeled row patch: per-shard snapshot + patch, shards in parallel.
 
     ``builds`` holds one :class:`~repro.analysis.viewcache.ShardBuild`
-    per shard; ``total_edges`` is the edge count of the out-CSR the
-    shards' streams were merged into.  Each shard pays for what it did:
-    the degree copies of the rows its snapshot was scoped to, one random
-    PM probe per *section* a re-read row starts in (re-read rows cluster
-    in PMA sections) and a sequential stream of the entries it read —
-    every row, section and entry of the shard for a full build, the
-    stale rows' tails for a patch, nothing for a shard nothing changed
-    in.  Sharded builds add the O(E) DRAM scatter/merge into the global
-    layout.
+    per shard.  Each shard pays for what it did: the degree copies of
+    the rows its snapshot was scoped to, one random PM probe per
+    *section* a re-read row starts in (re-read rows cluster in PMA
+    sections) and a sequential stream of the entries it read — every
+    row, section and entry of the shard for a full build, the stale
+    rows' tails for a patch, nothing for a shard nothing changed in.
     """
-    cost = max(
+    return max(
         snapshot_open_ns(b.rows_copied)
         + b.sections_probed * PM_RND_NS
         + b.entries_streamed * EDGE_BYTES * PM_SEQ_NS_PER_BYTE
         for b in builds
     )
-    if len(builds) > 1:
-        cost += total_edges * EDGE_BYTES * DRAM_SEQ_NS_PER_BYTE
-    return cost
+
+
+def merge_ns(total_edges: int, n_shards: int) -> float:
+    """The O(E) DRAM scatter of ``n_shards`` out-CSRs into the global
+    layout; a one-shard store's rows already are that layout."""
+    return total_edges * EDGE_BYTES * DRAM_SEQ_NS_PER_BYTE if n_shards > 1 else 0.0

@@ -3,10 +3,9 @@
 :class:`DGAPViewCache` is the patch half of the one view stack
 (DESIGN.md §7): :class:`~repro.sharding.merge.ShardedViewCache` — the
 only place one is constructed — decides reuse and merges; the cache
-keeps the shard's last ``(out_indptr, out_dsts)`` / ``(in_indptr,
-in_srcs)`` pair *and the degree vector they were read at* (one int64
-per row: the Degree Cache, held incrementally) and reads from PM only
-what was appended since:
+keeps the shard's last ``(out_indptr, out_dsts)`` *and the degree vector
+it was read at* (one int64 per row: the Degree Cache, held
+incrementally) and reads from PM only what was appended since:
 
 * **stale vertices** — a vertex is stale iff its *row stamp* is newer
   than the cache's last read, or it was born since.  DGAP stamps a
@@ -18,34 +17,34 @@ what was appended since:
 * **row-scoped snapshot** — a refresh copies the degrees of the stale
   rows only (``consistent_view(rows)``: the lifecycle and exclusion of
   any snapshot, none of the O(nv) copy).
-* **out-CSR patch** — clean rows are gathered from the previous arrays;
-  of a stale row only the tail ``[cached degree, degree_t)`` is streamed
-  from PM, and the row is the deletion rule applied to *cached live row
-  ++ tail* (:meth:`~repro.core.snapshot.DGAPSnapshot.materialize_rows`,
-  which a full build calls with no prefix — one read path).  Only a
-  filtered rewrite (compaction sweep, lossy repair) takes entries out
-  of a row; the shard records it in ``history_epoch``, and the first
-  refresh after one copies the whole degree vector and reads its stale
-  rows whole, once.
-* **in-CSR delta merge** — old entries whose source went stale are
-  dropped; the stale rows' edges are counting-sorted by destination
-  (NumPy's stable integer argsort is a radix sort over the *delta
-  only*) and merged in one ``searchsorted`` pass on the combined
-  ``dst * nv + src`` key.  Because every source is either wholly stale
-  or wholly clean, no key collides across the two groups and the result
-  is bit-identical to :func:`~repro.analysis.view.build_in_csr`'s full
-  stable sort — which matters because PR's ``bincount`` float summation
-  order follows ``in_srcs`` order.
+* **out-CSR patch** (``rows``) — clean rows are gathered from the
+  previous arrays; of a stale row only the tail ``[cached degree,
+  degree_t)`` is streamed from PM, and the row is the deletion rule
+  applied to *cached live row ++ tail* (:meth:`~repro.core.snapshot.
+  DGAPSnapshot.materialize_rows`, which a full build calls with no
+  prefix — one read path).  Only a filtered rewrite (compaction sweep,
+  lossy repair) takes entries out of a row; the shard records it in
+  ``history_epoch``, and the first refresh after one copies the whole
+  degree vector and reads its stale rows whole, once.
+* **in-CSR catch-up** (``in_csr``, on demand, one merge however many
+  patches it lagged) — entries whose source was stamped since are
+  dropped; those rows, taken from the patched out-CSR, are counting-
+  sorted by destination (a stable integer argsort over the *delta
+  only*) and merged in one ``searchsorted`` pass on the ``dst * nv +
+  src`` key.  Every source is wholly stale or wholly clean, so no key
+  collides and the result is bit-identical to :func:`~repro.analysis.
+  view.build_in_csr`'s stable sort (PR's float summation follows it).
 
 When most rows changed (a bulk load, the first builds of a small graph)
-patching would touch nearly every row anyway, so the cache falls back to
-a full rebuild above :data:`FULL_REBUILD_STALE_FRACTION`.
+patching would touch nearly every row anyway, so either half falls back
+to a full rebuild above :data:`FULL_REBUILD_STALE_FRACTION`.
 
 In-CSR rows carry *global* source ids over the *global* destination
 domain (shard ``r`` of ``n``; the identity for a one-shard store), so
-the per-shard streams merge without translation.  Each call reports
-what it did as a :class:`ShardBuild`, which is what
-:func:`~repro.analysis.costs.view_build_ns` prices.
+the per-shard streams merge without translation.  Each row patch
+reports what it did as a :class:`ShardBuild`, which is what
+:func:`~repro.analysis.costs.view_build_ns` prices; the in-CSR is
+DRAM-only work and unpriced.
 """
 
 from __future__ import annotations
@@ -82,17 +81,19 @@ class ViewCacheStats:
     entries_streamed: int = 0
     #: clean rows copied over from the previous materialization.
     rows_reused: int = 0
-    #: delta edges merged into the in-CSR (incremental builds only).
+    #: delta edges merged into the in-CSR (delta catch-ups only).
     delta_edges_merged: int = 0
     #: superseded in-CSR entries dropped before the merge.
     in_entries_dropped: int = 0
+    #: in-CSR catch-ups (full or delta), however many patches each lagged.
+    in_catchups: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return asdict(self)
 
 
 class ShardBuild(NamedTuple):
-    """What one shard's cache did for one materialization — the three
+    """What one shard's cache did for one row patch — the three
     counts :func:`~repro.analysis.costs.view_build_ns` prices."""
 
     mode: str  #: "full" | "incremental" | "reuse"
@@ -102,7 +103,8 @@ class ShardBuild(NamedTuple):
 
 
 class DGAPViewCache:
-    """Epoch-versioned (out, in) CSR cache for shard ``r`` of an ``n``-shard store."""
+    """Epoch-versioned out-CSR of shard ``r`` of an ``n``-shard store, and
+    the in-CSR derived from it when a reader asks."""
 
     def __init__(self, shard, r: int, n: int) -> None:
         self.graph = shard
@@ -115,6 +117,8 @@ class DGAPViewCache:
         self._deg = np.empty(0, dtype=np.int64)
         self._epoch = -1
         self._nv = 0
+        #: the read ``(epoch, rows)`` the in-CSR was derived at
+        self._in_at = (-1, 0)
 
     def _source_ids(self, nv: int) -> np.ndarray:
         """Global source id of each local out-CSR row (ascending)."""
@@ -124,68 +128,82 @@ class DGAPViewCache:
 
         return local_ids_to_global(nv, self.r, self.n).astype(ID_DTYPE)
 
-    # -- entry point -------------------------------------------------------
-    def materialize(self, dst_nv: int) -> Tuple[CSRPair, CSRPair, ShardBuild]:
-        """Current ``((out_indptr, out_dsts), (in_indptr, in_srcs))`` and
-        the :class:`ShardBuild` saying how they were obtained.
+    # -- entry points ------------------------------------------------------
+    def rows(self, nv: int) -> Tuple[CSRPair, ShardBuild]:
+        """Current ``(out_indptr, out_dsts)`` of rows ``[0, nv)`` and the
+        :class:`ShardBuild` saying how they were obtained.
 
         Opens (and releases) the shard's snapshot itself, scoped to the
         rows it will read.  The returned arrays are owned by the cache;
         they are never mutated afterwards (each refresh allocates new
-        ones).  ``dst_nv`` is the in-CSR destination domain — the
-        store's global vertex count; it must not shrink between calls.
+        ones).  ``nv`` — the rows every shard agrees on, never shrinking
+        — may be fewer than the shard holds after a power failure inside
+        vertex growth (the rest are empty).
         """
         g = self.graph
         epoch = int(g.structure_epoch)
-        nv = g.num_vertices
         with trace("view_materialize"):
             stale = g.rows_changed_since(self._epoch, nv)
             stale[self._nv :] = True  # born since
             n_stale = int(stale.sum())
             if self._out is not None and n_stale == 0:
                 # The store moved but no row of this shard changed: a
-                # layout operation here, or a write to another shard
-                # (the destination domain may have grown with it —
-                # extend the in-indptr with empties).  Nothing was read,
-                # so the cached read keeps its epoch.
-                self._in = (_extend_indptr(self._in[0], dst_nv), self._in[1])
+                # layout operation here, or a write to another shard.
+                # Nothing was read, so the cached read keeps its epoch.
                 self.stats.incremental_builds += 1
                 self.stats.rows_reused += nv
                 did = ShardBuild("reuse", 0, 0, 0)
             else:
                 if self._out is None or n_stale >= FULL_REBUILD_STALE_FRACTION * nv:
                     with g.consistent_view() as snap:
-                        did = self._full_build(snap, nv, dst_nv)
+                        did = self._full_build(snap, nv)
                 else:
                     stale_vids = np.flatnonzero(stale)
                     # a filtered rewrite since the last read voids the held
                     # lengths: one full degree copy, the stale rows read whole
                     voided = g.history_epoch > self._epoch
                     with g.consistent_view(None if voided else stale_vids) as snap:
-                        did = self._patch(snap, nv, dst_nv, stale, stale_vids)
+                        did = self._patch(snap, nv, stale, stale_vids)
                 self._epoch, self._nv = epoch, nv
             annotate(**did._asdict())
             self.stats.entries_streamed += did.entries_streamed
-        return self._out, self._in, did
+        return self._out, did
 
-    def _full_build(self, snap, nv: int, dst_nv: int) -> ShardBuild:
+    def in_csr(self, dst_nv: int) -> CSRPair:
+        """``(in_indptr, in_srcs)`` of the last :meth:`rows` read over ``dst_nv``
+        destinations: no patch touches it; it catches up here, on demand."""
+        nv = self._out[0].size - 1  # type: ignore[index]
+        if self._in_at != (self._epoch, nv):
+            changed = self.graph.rows_changed_since(self._in_at[0], nv)
+            changed[self._in_at[1] :] = True  # born since
+            stale = np.flatnonzero(changed)
+            self.stats.in_catchups += 1
+            if self._in is None or stale.size >= FULL_REBUILD_STALE_FRACTION * nv:
+                self._in = build_in_csr_from(*self._out, self._source_ids(nv), dst_nv)
+            else:
+                self._in = self._merge_in(nv, dst_nv, stale)
+            self._in_at = (self._epoch, nv)
+        # a write to another shard may have grown the destination domain
+        self._in = (_extend_indptr(self._in[0], dst_nv), self._in[1])
+        return self._in
+
+    def _full_build(self, snap, nv: int) -> ShardBuild:
         n_sections = int(self.graph.ea.n_sections)
         self.stats.full_rebuilds += 1
         self.stats.sections_rebuilt += n_sections
         self.stats.vertices_rebuilt += nv
-        out = snap.to_csr()
-        inn = build_in_csr_from(*out, self._source_ids(nv), dst_nv)
-        self._out, self._in, self._deg = out, inn, snap.degree_t
-        return ShardBuild("full", nv, n_sections, int(self._deg.sum()))
+        ip, ds = snap.to_csr()
+        self._out, self._deg = (ip[: nv + 1], ds[: ip[nv]]), snap.degree_t[:nv]
+        return ShardBuild("full", snap.num_vertices, n_sections, int(snap.degree_t.sum()))
 
-    def _patch(self, snap, nv: int, dst_nv: int, stale, stale_vids) -> ShardBuild:
+    def _patch(self, snap, nv: int, stale, stale_vids) -> ShardBuild:
         """Re-read the stale rows — their tails when ``snap`` is scoped to
-        them, whole when it is the full vector — and patch both CSRs."""
+        them, whole when it is the full vector — and patch the out-CSR."""
         g = self.graph
         prev_indptr = _extend_indptr(self._out[0], nv)  # a row born since is empty
         prev_dsts = self._out[1]
         if snap.rows is None:
-            deg, prefix = snap.degree_t, None
+            deg, prefix = snap.degree_t[:nv], None
             streamed = deg[stale_vids]
         else:
             deg = _extend(self._deg, nv)
@@ -194,10 +212,9 @@ class DGAPViewCache:
             streamed = snap.degree_t - prefix[0]
         s_counts, s_dsts = snap.materialize_rows(stale_vids, prefix)
         out = _patch_out(prev_indptr, prev_dsts, stale, stale_vids, s_counts, s_dsts)
-        inn = self._merge_in(nv, dst_nv, stale_vids, s_counts, s_dsts)
         if prefix is not None:
             deg[stale_vids] = snap.degree_t
-        self._out, self._in, self._deg = out, inn, deg
+        self._out, self._deg = out, deg
         # one probe per section a re-read row starts in, then those rows'
         # entries as one stream
         starts = g.va.start[stale_vids]
@@ -209,14 +226,13 @@ class DGAPViewCache:
         return ShardBuild("incremental", snap.degree_t.size, n_secs, int(streamed.sum()))
 
     # -- in-CSR ------------------------------------------------------------
-    def _merge_in(
-        self,
-        nv: int,
-        dst_nv: int,
-        stale_vids: np.ndarray,
-        s_counts: np.ndarray,
-        s_dsts: np.ndarray,
-    ) -> CSRPair:
+    def _merge_in(self, nv: int, dst_nv: int, stale_vids: np.ndarray) -> CSRPair:
+        """The held in-CSR with the rows ``stale_vids`` taken anew from
+        the out-CSR — every one a row stamped or born since it was read,
+        so nothing is read from PM."""
+        ip, ds = self._out  # type: ignore[misc]
+        s_counts = ip[stale_vids + 1] - ip[stale_vids]
+        s_dsts = ds[multi_arange(ip[stale_vids], s_counts)]
         prev_in_indptr, prev_in_srcs = self._in  # type: ignore[misc]
         prev_dst_nv = prev_in_indptr.size - 1
         old_dst = np.repeat(

@@ -8,8 +8,8 @@ rounds underneath:
 
 * :class:`~repro.serve.server.QueryServer` reads the store through its
   one view cache (``graph.view_cache``, shared with every other reader
-  of the store; it decides reuse, builds and prices the build) and hands
-  out immutable
+  of the store; it decides reuse, patches the shards' rows and prices
+  the patch) and hands out immutable
   :class:`~repro.serve.server.ServeView` objects pinned at a structure
   epoch — snapshot isolation for free, because a refresh allocates new
   read-only arrays and never mutates the ones a held view references.

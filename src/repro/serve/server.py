@@ -6,17 +6,17 @@
 (``graph.view_cache``, DESIGN.md §7): ``acquire()`` returns an immutable
 :class:`ServeView` pinned at the shards' current structure epochs.
 While no write lands — layout operations (rebalance, merge, resize,
-compaction) included — every acquire gets the cached arrays back (an
-epoch compare, no snapshot) and returns the same view; after a write
-the cache re-materializes — reading only what was appended to the stale
-rows, once, whichever of the store's readers asks first — and the
-server hands out a *new* view.  Held views keep serving the old arrays
-untouched: the cache allocates fresh, read-only arrays on every build,
-so isolation needs no locks and no copies on the read path.
+compaction) included — every acquire gets the cached rows back (an epoch
+compare, no snapshot) and returns the same view; after a write the cache
+patches each shard's rows — reading only what was appended, once,
+whichever of the store's readers asks first; never the global merge —
+and the server hands out a *new* view.  Held views keep serving the old
+arrays untouched: every build allocates fresh, read-only arrays, so
+isolation needs no locks and no copies on the read path.
 
 Modeled latency follows the analysis cost model
 (:mod:`repro.analysis.costs`).  Served reads price against the
-materialized DRAM CSR (DRAM probe + DRAM scan); the fresh-snapshot
+shards' DRAM rows (DRAM probe + DRAM scan); the fresh-snapshot
 path prices adjacency rows against the PM edge array and pays the two
 O(nv) DRAM vector copies of a Degree-Cache snapshot on *every* query —
 the terms the served path amortizes across an epoch's read burst.  The
@@ -43,6 +43,7 @@ from ..analysis.costs import (
 from ..analysis.view import ID_DTYPE
 from ..core.encoding import check_k, check_vertex
 from ..nputil import multi_arange
+from ..sharding.partition import block_mix, global_vertex_count, local_ids_to_global, shard_of, to_local
 
 
 # -- modeled query costs (shared by the served and snapshot arms) ---------
@@ -97,40 +98,43 @@ def top_k_from_degrees(degrees: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndar
 class ServeView:
     """Immutable read view pinned at one structure epoch.
 
-    Wraps the out-CSR arrays the view cache materialized.  The arrays
-    are read-only and never mutated after materialization (refreshes
-    allocate new ones; a row handed out by :meth:`neighbors` is a
-    read-only slice), so any number of readers can hold a view while
-    writers advance the graph — reads are wait-free and see exactly the
-    pinned epoch.
+    Wraps each shard's patched out-CSR (``rows``), routed by owner as
+    :class:`~repro.serve.driver.SnapshotReader` routes.  The arrays are
+    read-only and never mutated (a refresh allocates new ones; a row
+    :meth:`neighbors` hands out is a read-only slice), so any number of
+    readers hold views while writers advance the graph — wait-free, each
+    seeing exactly its pinned epoch.
 
     Every query records its modeled cost in :attr:`last_query_ns`; the
     driver reads it immediately after the call to attribute latency.
     """
 
-    __slots__ = ("epoch", "out_indptr", "out_dsts", "num_vertices", "last_query_ns")
+    __slots__ = ("epoch", "rows", "num_vertices", "last_query_ns")
 
-    def __init__(self, epoch, out_indptr: np.ndarray, out_dsts: np.ndarray) -> None:
+    def __init__(self, epoch, rows: Tuple[Tuple[np.ndarray, np.ndarray], ...]) -> None:
         self.epoch = epoch
-        self.out_indptr = out_indptr
-        self.out_dsts = out_dsts
-        self.num_vertices = int(out_indptr.size - 1)
+        self.rows = rows
+        self.num_vertices = global_vertex_count([ip.size - 1 for ip, _ in rows])
         self.last_query_ns = 0.0
+
+    def _row(self, v: int) -> np.ndarray:
+        n = len(self.rows)
+        lv = v // n  # to_local, and shard_of's block index: computed once
+        indptr, dsts = self.rows[(v + block_mix(lv)) % n]
+        return dsts[indptr[lv] : indptr[lv + 1]]
 
     def degree(self, v: int) -> int:
         v = check_vertex(v, self.num_vertices)
         self.last_query_ns = degree_ns()
-        return int(self.out_indptr[v + 1] - self.out_indptr[v])
+        return self._row(v).size
 
     def neighbors(self, v: int) -> np.ndarray:
-        v = check_vertex(v, self.num_vertices)
-        row = self.out_dsts[self.out_indptr[v] : self.out_indptr[v + 1]]
+        row = self._row(check_vertex(v, self.num_vertices))
         self.last_query_ns = row_ns(row.size, pm=False)
         return row
 
     def edge_exists(self, u: int, w: int) -> bool:
-        u = check_vertex(u, self.num_vertices)
-        row = self.out_dsts[self.out_indptr[u] : self.out_indptr[u + 1]]
+        row = self._row(check_vertex(u, self.num_vertices))
         hits = np.flatnonzero(row == w)
         found = hits.size > 0
         scanned = int(hits[0]) + 1 if found else row.size
@@ -141,7 +145,7 @@ class ServeView:
         """Vertices at distance 1..k from ``v`` (sorted, excludes ``v``)."""
         v = check_vertex(v, self.num_vertices)
         k = check_k(k)
-        indptr, dsts = self.out_indptr, self.out_dsts
+        n = len(self.rows)
         visited = np.zeros(self.num_vertices, dtype=bool)
         visited[v] = True
         frontier = np.array([v], dtype=ID_DTYPE)
@@ -151,10 +155,11 @@ class ServeView:
         for _ in range(k):
             if frontier.size == 0:
                 break
-            starts = indptr[frontier]
-            counts = indptr[frontier + 1] - starts
-            idx = multi_arange(starts, counts)
-            nbrs = dsts[idx]
+            owner, local = shard_of(frontier, n), to_local(frontier, n)
+            nbrs = np.concatenate([  # each shard's rows of the frontier
+                dsts[multi_arange(indptr[lv], indptr[lv + 1] - indptr[lv])]
+                for (indptr, dsts), lv in zip(self.rows, [local[owner == r] for r in range(n)])
+            ])
             frontier_total += frontier.size
             edges_total += nbrs.size
             fresh = np.unique(nbrs[~visited[nbrs]]).astype(ID_DTYPE)
@@ -167,9 +172,11 @@ class ServeView:
         return np.sort(np.concatenate(parts)).astype(ID_DTYPE)
 
     def top_k_degree(self, k: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Top-k ``(ids, degrees)`` by ``(-degree, id)``."""
+        """Top-k ``(ids, degrees)`` by ``(-degree, id)``, shards' degrees in global order."""
         k = check_k(k, self.num_vertices)
-        degrees = np.diff(self.out_indptr)
+        degrees = np.empty(self.num_vertices, dtype=np.int64)
+        for r, (indptr, _) in enumerate(self.rows):
+            degrees[local_ids_to_global(indptr.size - 1, r, len(self.rows))] = np.diff(indptr)
         self.last_query_ns = top_k_ns(self.num_vertices, k)
         return top_k_from_degrees(degrees, k)
 
@@ -179,14 +186,15 @@ class QueryServer:
 
     Written against the store surface only, through the store's one
     view cache (``graph.view_cache``); a plain DGAP is the one-shard
-    case, not a second path.  The cache decides whether anything moved
+    case, not a second path.  It reads the cache's per-shard rows, never
+    the merge or an in-CSR.  The cache decides whether anything moved
     and prices the call; the server keeps only the :class:`ServeView`
-    wrapped around the cache's current arrays — the same object while
-    those arrays stand, a new one once any reader's build replaced
-    them — and the serving counters.  An acquire that found the arrays
-    already built (by an earlier acquire, an analysis view, another
-    server) costs the epoch check and is a reuse; ``refreshes``,
-    :attr:`rows_reread` and :attr:`refresh_ns_total` count the builds
+    wrapped around the cache's current rows — the same object while
+    they stand, a new one once any reader's patch replaced them — and
+    the serving counters.  An acquire that found the rows already
+    patched (by an earlier acquire, an analysis view, another server)
+    costs the epoch check and is a reuse; ``refreshes``,
+    :attr:`rows_reread` and :attr:`refresh_ns_total` count the patches
     this server's own acquires paid for.  Each acquire's modeled cost
     lands in :attr:`last_acquire_ns`; the driver charges it to the read
     that triggered it.
@@ -206,8 +214,7 @@ class QueryServer:
 
     def acquire(self) -> ServeView:
         cache = self._cache
-        rows = cache.rows_read
-        (out_indptr, out_dsts), _ = cache.materialize()
+        reads, rows = cache.rows_read, cache.rows()
         last = cache.last
         self.last_acquire_ns = last.modeled_ns
         if last.reused:
@@ -215,10 +222,10 @@ class QueryServer:
         else:
             self.refreshes += 1
             self.refresh_ns_total += last.modeled_ns
-            self.rows_reread += cache.rows_read - rows
+            self.rows_reread += cache.rows_read - reads
         view = self._view
-        if view is None or view.out_indptr is not out_indptr:
-            view = self._view = ServeView(last.epoch, out_indptr, out_dsts)
+        if view is None or view.rows is not rows:
+            view = self._view = ServeView(last.epoch, rows)
         return view
 
 

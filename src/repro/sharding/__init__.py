@@ -7,9 +7,9 @@ See DESIGN.md §14.  Public surface:
 * :class:`ShardRouter` — vectorized per-shard batch splitting.
 * :class:`ShardedViewCache` — the view cache a store owns and hands out
   as ``g.view_cache`` (a plain ``DGAP`` is the one-shard case): decides
-  reuse, builds the merged global (out, in) CSR — byte-identical to an
-  unsharded build of the same stream — and prices the build
-  (``cache.last``).
+  reuse, patches each shard's rows, builds the merged global (out, in)
+  CSR on demand — byte-identical to an unsharded build of the same
+  stream — and prices both (``cache.last``).
 * :mod:`~repro.sharding.partition` — the block-mixed id mapping.
 """
 

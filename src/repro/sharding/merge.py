@@ -5,9 +5,10 @@
 :class:`~repro.core.dgap.DGAP`; the store builds its one instance
 (``g.view_cache``) and every reader shares it — and owns the three
 read-side decisions (DESIGN.md §7): *reuse* (no row moved → the same
-arrays, no snapshot), *build* (drive the per-shard patch caches, merge)
-and *cost* (``cache.last``, priced by
-:func:`~repro.analysis.costs.view_build_ns`).
+arrays, no snapshot), *build* (drive the per-shard patch caches; merge
+only for a reader of the global arrays) and *cost* (``cache.last``,
+priced by :func:`~repro.analysis.costs.view_build_ns` and
+:func:`~repro.analysis.costs.merge_ns`).
 
 The merge contract (tested in ``tests/test_sharding.py``, proved in
 DESIGN.md §14): the merged ``((out_indptr, out_dsts), (in_indptr,
@@ -37,10 +38,9 @@ from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ..analysis.costs import EPOCH_CHECK_NS, view_build_ns
+from ..analysis.costs import EPOCH_CHECK_NS, merge_ns, view_build_ns
 from ..analysis.view import ID_DTYPE, INDPTR_DTYPE, merge_in_streams
 from ..analysis.viewcache import DGAPViewCache
-from ..errors import GraphError
 from ..nputil import multi_arange
 from .partition import local_count, local_ids_to_global
 
@@ -84,26 +84,40 @@ def merge_in_csr(inns: List[CSRPair], nv: int) -> CSRPair:
     return acc_ip, acc_srcs
 
 
+def _frozen(pairs):
+    """Freeze arrays at birth: every holder of an epoch shares them, and
+    so does the shard cache's next patch."""
+    for arr in (a for pair in pairs for a in pair):
+        arr.flags.writeable = False
+    return pairs
+
+
 class ViewBuild(NamedTuple):
-    """The last ``materialize()`` call, as ``cache.last``."""
+    """The last ``rows()`` or ``materialize()`` call, as ``cache.last``."""
 
     epoch: Tuple[int, ...]  #: per-shard structure epochs the arrays are pinned at
-    reused: bool  #: no row moved: the cached arrays were handed back
-    modeled_ns: float  #: ``EPOCH_CHECK_NS`` when reused, else the build cost
+    reused: bool  #: nothing was built: the cached arrays were handed back
+    modeled_ns: float  #: ``EPOCH_CHECK_NS`` when reused, else what was built
 
 
 class ShardedViewCache:
-    """Global (out, in) CSR arrays of a store — readers get the store's
-    own instance from ``store.view_cache``.
+    """A store's CSR arrays — readers get the store's own instance from
+    ``store.view_cache`` — as two products over the same per-shard
+    :class:`DGAPViewCache` objects:
 
-    ``materialize()`` compares the shards' structure epochs with the
-    cached build and hands back the same (read-only) arrays while they
-    hold; otherwise each shard's :class:`DGAPViewCache` patches the rows
-    that changed.  If none did (the epoch moved for a rebalance, merge,
-    resize or compaction) the same arrays come back again, still a
-    reuse; else the shards' streams are merged — a scatter plus pairwise
-    in-stream merges, ``O(E)`` with no sorting.  :attr:`last` says which
-    happened and what it cost on the modeled clock.
+    * :meth:`rows` — each shard's out-CSR at the current epochs, what a
+      served read routes into: the same tuple while no shard's epoch
+      moved, else each shard patches the rows that changed (none, for a
+      layout operation: still a reuse).  Priced as the slowest shard's
+      patch, with no merge term at any N.
+    * :meth:`materialize` — the merged ``((out_indptr, out_dsts),
+      (in_indptr, in_srcs))`` an analysis reader or ``global_csr()``
+      needs, derived from :meth:`rows` only when called, once per set of
+      rows: each shard's in-CSR catches up (unpriced DRAM work) and
+      N > 1 pays the O(E) scatter.
+
+    :attr:`last` says which happened and what it cost on the modeled
+    clock.
     """
 
     def __init__(self, store) -> None:
@@ -111,19 +125,23 @@ class ShardedViewCache:
         self._shards = tuple(store.shards)  # fixed for a store's lifetime
         n = store.n_shards
         self.caches = [DGAPViewCache(sh, r, n) for r, sh in enumerate(self._shards)]
-        self._views: Optional[Tuple[CSRPair, CSRPair]] = None
+        self._rows: Tuple[CSRPair, ...] = ()
+        self._views: Optional[Tuple[CSRPair, CSRPair]] = None  # merged from them
         self.last: Optional[ViewBuild] = None
         #: rows re-materialized from PM over all builds (the shards'
         #: ``vertices_rebuilt``, summed): a reader sharing the cache
         #: takes the delta over its own call
         self.rows_read = 0
+        self.merges = 0  #: global merges built (scatter + in-CSR catch-ups)
 
     @property
     def stats(self):
         """Per-shard :class:`~repro.analysis.viewcache.ViewCacheStats`."""
         return [c.stats for c in self.caches]
 
-    def materialize(self) -> Tuple[CSRPair, CSRPair]:
+    def rows(self) -> Tuple[CSRPair, ...]:
+        """Per shard ``r``, ``(out_indptr, out_dsts)`` of the rows
+        ``[0, local_count(nv - 1, r, n))`` every shard agrees on."""
         # the same-epoch call is the p50 served read: one tuple build
         # (a list comprehension, not a generator) and one compare
         epoch = tuple([sh.structure_epoch for sh in self._shards])
@@ -131,37 +149,32 @@ class ShardedViewCache:
         if last is not None and last.epoch == epoch:
             if not last.reused:
                 self.last = ViewBuild(epoch, True, EPOCH_CHECK_NS)
-            return self._views
-        n = len(self._shards)
-        nv = self.store.num_vertices
-        outs: List[CSRPair] = []
-        inns: List[CSRPair] = []
-        builds = []
-        rows = sum(c.stats.vertices_rebuilt for c in self.caches)
-        for r, sh in enumerate(self._shards):
-            expect = local_count(nv - 1, r, n)
-            if sh.num_vertices != expect:
-                raise GraphError(
-                    f"shard {r} holds {sh.num_vertices} local vertices, "
-                    f"expected {expect} for global count {nv}"
-                )
-            out, inn, did = self.caches[r].materialize(nv)
-            outs.append(out)
-            inns.append(inn)
-            builds.append(did)
-        self.rows_read += sum(c.stats.vertices_rebuilt for c in self.caches) - rows
+            return self._rows
+        n, nv = len(self._shards), self.store.num_vertices
+        before = sum(c.stats.vertices_rebuilt for c in self.caches)
+        outs, builds = zip(*[c.rows(local_count(nv - 1, r, n)) for r, c in enumerate(self.caches)])
+        self.rows_read += sum(c.stats.vertices_rebuilt for c in self.caches) - before
         if all(b.mode == "reuse" for b in builds):
             # the epoch moved (a layout operation) but no row did: the
-            # merged arrays are still exact — the epoch check, a step later
+            # cached rows are still exact — the epoch check, a step later
             self.last = ViewBuild(epoch, True, EPOCH_CHECK_NS)
+            return self._rows
+        self._rows, self._views = _frozen(outs), None
+        self.last = ViewBuild(epoch, False, view_build_ns(builds))
+        return outs
+
+    def materialize(self) -> Tuple[CSRPair, CSRPair]:
+        rows = self.rows()
+        patched = self.last
+        if self._views is not None:
             return self._views
-        self._views = merge_out_csr(outs, nv, n), merge_in_csr(inns, nv)
-        for pair in self._views:
-            for arr in pair:
-                # shared by every holder of this epoch (and, at one shard,
-                # by the patch cache's next build): freeze at birth
-                arr.flags.writeable = False
-        self.last = ViewBuild(epoch, False, view_build_ns(builds, int(self._views[0][1].size)))
+        n, nv = len(rows), self.store.num_vertices  # what the rows were read at
+        inns = [c.in_csr(nv) for c in self.caches]
+        self._views = _frozen((merge_out_csr(list(rows), nv, n), merge_in_csr(inns, nv)))
+        self.merges += 1
+        # the rows' patch if this call paid for it, and the scatter
+        cost = 0.0 if patched.reused else patched.modeled_ns
+        self.last = ViewBuild(patched.epoch, False, cost + merge_ns(int(self._views[0][1].size), n))
         return self._views
 
 

@@ -35,13 +35,14 @@ IntLike = Union[int, np.ndarray]
 #: ``q * MIX`` decorrelates consecutive and power-of-two block indices.
 MIX = np.uint64(0x9E3779B97F4A7C15)
 _SHIFT = np.uint64(32)
+_MIX_INT, _MASK64 = int(MIX), (1 << 64) - 1
 
 
 def block_mix(q: IntLike) -> IntLike:
     """Per-block residue rotation (well-mixed non-negative int64)."""
-    h = (np.asarray(q, dtype=np.uint64) * MIX) >> _SHIFT
-    h = h.astype(np.int64)
-    return int(h) if np.isscalar(q) or np.ndim(q) == 0 else h
+    if not isinstance(q, np.ndarray) or q.ndim == 0:  # one id: Python ints, no array round trip
+        return (int(q) * _MIX_INT & _MASK64) >> 32
+    return ((np.asarray(q, dtype=np.uint64) * MIX) >> _SHIFT).astype(np.int64)
 
 
 def shard_of(v: IntLike, n_shards: int) -> IntLike:

@@ -35,6 +35,8 @@ from repro.serve import (
 from repro.serve.driver import SnapshotReader, _bytes_equal
 from repro.sharding import ShardedDGAP
 
+from .test_store_surface import rows_bytes, served_csr
+
 common = settings(
     max_examples=25,
     deadline=None,
@@ -143,10 +145,6 @@ class TestErrorParity:
 # satellite: snapshot isolation under interleaved writes
 # ---------------------------------------------------------------------------
 
-def _freeze(view):
-    return (view.out_indptr.tobytes(), view.out_dsts.tobytes())
-
-
 def _fresh_out_csr(graph):
     """Out-CSR straight from fresh snapshots (the trusted read path)."""
     if hasattr(graph, "global_csr"):
@@ -159,8 +157,8 @@ def _fresh_out_csr(graph):
 def _run_isolation(graph, rounds, deletions):
     server = QueryServer(graph)
     v1 = server.acquire()
-    pinned = _freeze(v1)
-    total_before = int(v1.out_indptr[-1])
+    pinned = rows_bytes(v1)
+    total_before = int(served_csr(v1)[0][-1])
 
     live = []
     wrote = 0
@@ -178,17 +176,18 @@ def _run_isolation(graph, rounds, deletions):
         deletions = deletions[len(deletions) // 2 :]
 
     # the held view is frozen at its epoch: same bytes, same totals
-    assert _freeze(v1) == pinned
-    assert int(v1.out_indptr[-1]) == total_before
+    assert rows_bytes(v1) == pinned
+    assert int(served_csr(v1)[0][-1]) == total_before
 
     # a re-acquired view observes every committed write
     v2 = server.acquire()
     assert wrote and v2.epoch != v1.epoch
     ref_ip, ref_ds = _fresh_out_csr(graph)
-    assert v2.out_indptr.tobytes() == np.asarray(ref_ip).tobytes()
-    assert v2.out_dsts.tobytes() == np.asarray(ref_ds).tobytes()
+    got_ip, got_ds = served_csr(v2)
+    assert got_ip.tobytes() == np.asarray(ref_ip).tobytes()
+    assert got_ds.tobytes() == np.asarray(ref_ds).tobytes()
     # net live count: preloaded edges plus the stream's surviving inserts
-    assert int(v2.out_indptr[-1]) == len(live) + total_before
+    assert int(got_ip[-1]) == len(live) + total_before
 
 
 @common

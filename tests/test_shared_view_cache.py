@@ -2,21 +2,23 @@
 
 A store owns its read entry (``g.view_cache``): an analysis reader, any
 number of ``QueryServer`` s and ``global_csr()`` share one
-``ShardedViewCache``, so a build any of them paid for is every other
-reader's reuse.  Each reader keeps only a wrapper around the cache's
-current arrays.  Driven on all three stores of the surface suite.
+``ShardedViewCache``, so a row patch any of them paid for is every
+other reader's reuse — a server reads the patched rows, an analysis
+reader adds only the merge.  Each reader keeps only a wrapper around
+the cache's current arrays.  Driven on all three stores of the surface
+suite.
 """
 
 import numpy as np
 import pytest
 
-from repro.analysis.costs import EPOCH_CHECK_NS
+from repro.analysis.costs import EPOCH_CHECK_NS, merge_ns
 from repro.analysis.view import CSRArraysView
 from repro.baselines.dgap_system import DGAPSystem
-from repro.serve import QueryServer
+from repro.serve import QueryServer, ServeWorkloadConfig, generate_workload, run_serve_workload
 from repro.sharding import ShardedViewCache
 
-from .test_store_surface import STORES, make_store
+from .test_store_surface import STORES, make_store, rows_bytes, served_csr
 from .test_view_cache import NV, TINY_LOG, layout_op, view_bytes
 
 
@@ -38,10 +40,6 @@ def loaded(kind):
     return g
 
 
-def served_bytes(view):
-    return view.out_indptr.tobytes(), view.out_dsts.tobytes()
-
-
 @pytest.mark.parametrize("kind", STORES)
 class TestInterleavedReaders:
     def test_a_build_one_reader_paid_for_is_the_other_readers_reuse(self, kind):
@@ -57,17 +55,19 @@ class TestInterleavedReaders:
         assert (server.refreshes, server.reuses, server.rows_reread) == (0, 1, 0)
         assert server.refresh_ns_total == 0.0
         assert builds(g) == built  # no second build
-        assert held.out_indptr is first.out_csr()[0] and held.out_dsts is first.out_csr()[1]
-        pinned = served_bytes(held)
+        assert held.rows is g.view_cache.rows()  # the rows analysis patched
+        assert view_bytes([served_csr(held)]) == view_bytes([first.out_csr()])
+        pinned = rows_bytes(held)
 
         # a write, then analysis again: the patch is analysis's, and the
-        # server wraps the new arrays for the price of the epoch check
+        # server wraps the new rows for the price of the epoch check
         g.insert_edges([[3, 7], [3, 9], [NV + 2, 3]])
         second = analysis_view(g)
         patched = builds(g)
         assert patched[0] == built[0] and patched[1] > built[1]
         fresh = server.acquire()
-        assert fresh is not held and fresh.out_indptr is second.out_csr()[0]
+        assert fresh is not held and fresh.rows is g.view_cache.rows()
+        assert view_bytes([served_csr(fresh)]) == view_bytes([second.out_csr()])
         assert server.last_acquire_ns == EPOCH_CHECK_NS
         assert (server.refreshes, server.reuses, server.rows_reread) == (0, 2, 0)
         assert builds(g) == patched
@@ -75,8 +75,8 @@ class TestInterleavedReaders:
         assert list(fresh.neighbors(3))[-2:] == [7, 9]
 
         # the view held from before the write keeps its epoch's bytes, frozen
-        assert served_bytes(held) == pinned != served_bytes(fresh)
-        for arr in (held.out_indptr, held.out_dsts, fresh.out_indptr, fresh.out_dsts):
+        assert rows_bytes(held) == pinned != rows_bytes(fresh)
+        for arr in (a for view in (held, fresh) for pair in view.rows for a in pair):
             assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             held.neighbors(3).sort()
@@ -89,8 +89,12 @@ class TestInterleavedReaders:
         assert (server.refreshes, server.reuses) == (1, 3)
         assert server.rows_reread == builds(g)[1] - before[1] == 1
         assert server.refresh_ns_total == server.last_acquire_ns
-        third = analysis_view(g)  # and analysis reuses what the server built
-        assert g.view_cache.last.reused and third.out_csr()[0] is own.out_indptr
+        patched = builds(g)
+        third = analysis_view(g)  # and analysis reuses the rows the server patched:
+        last = g.view_cache.last  # it pays the merge alone, and reads no row
+        assert (last.reused, last.modeled_ns) == (False, merge_ns(third.num_edges, g.n_shards))
+        assert builds(g) == patched
+        assert view_bytes([third.out_csr()]) == view_bytes([served_csr(own)])
 
     @pytest.mark.parametrize("op", [("window", 1), ("merge", 2), ("resize", 0), ("compact",)])
     def test_a_layout_only_move_returns_the_same_served_view(self, kind, op):
@@ -114,10 +118,9 @@ class TestInterleavedReaders:
             g.insert_edges(np.random.default_rng(step).integers(0, NV + 4, size=(9, 2)))
             first, second = (a, b) if step % 2 else (b, a)
             va, vb = first.acquire(), second.acquire()
-            assert served_bytes(va) == served_bytes(vb)
-            assert va.out_indptr is vb.out_indptr  # one CSR, two wrappers
+            assert va.rows is vb.rows  # one set of rows, two wrappers
             merged = g.view_cache.materialize()
-            assert merged[0][0] is va.out_indptr
+            assert view_bytes(merged[:1]) == view_bytes([served_csr(va)])
             if kind != "dgap":
                 assert g.global_csr() is merged
         # each build had exactly one payer
@@ -144,6 +147,22 @@ class TestInterleavedReaders:
         assert sum(st.full_rebuilds for st in cache.stats) == g2.n_shards
 
 
+@pytest.mark.parametrize("kind", ["dgap", "sharded3"])
+def test_serving_builds_no_in_csr_and_no_merge(kind):
+    """A serve workload patches rows only; the analysis view that follows
+    pays one in-CSR catch-up per shard, however many patches it lagged,
+    and one merge."""
+    g = loaded(kind)
+    cfg = ServeWorkloadConfig(n_ops=200, seed=3, n_clients=2)
+    report = run_serve_workload(g, generate_workload(NV, cfg), cfg, twin_check=True)
+    assert report.identity_ok and report.refreshes > 2
+    cache = g.view_cache
+    assert (cache.merges, [st.in_catchups for st in cache.stats]) == (0, [0] * g.n_shards)
+    view = analysis_view(g)
+    assert (cache.merges, [st.in_catchups for st in cache.stats]) == (1, [1] * g.n_shards)
+    assert view_bytes([view.out_csr(), view.in_csr()]) == view_bytes(ShardedViewCache(g).materialize())
+
+
 def test_the_analysis_adapter_and_a_server_share_the_stores_cache():
     """``DGAPSystem`` holds no cache of its own: its view and a server's
     wrap the same arrays, and the view counters are the store cache's."""
@@ -153,15 +172,17 @@ def test_the_analysis_adapter_and_a_server_share_the_stores_cache():
     server = QueryServer(system.graph)
     view = system.analysis_view()
     served = server.acquire()
-    assert served.out_indptr is view.out_csr()[0] and server.refreshes == 0
+    # one shard: the analysis out-CSR *is* the served rows, not a copy
+    assert served.rows[0][0] is view.out_csr()[0] and server.refreshes == 0
     c0 = system.view_counters()
     assert (c0["full_rebuilds"], c0["view_builds"]) == (1, 1)
     system.insert_edges(np.array([[2, 5]]))
     served = server.acquire()  # the server patches ...
     assert server.refreshes == 1 and server.rows_reread == 1
-    view = system.analysis_view()  # ... and the adapter wraps what it built
-    assert view.out_csr()[0] is served.out_indptr
-    assert system.graph.view_cache.last.reused
+    view = system.analysis_view()  # ... and the adapter wraps what it built,
+    assert view.out_csr()[0] is served.rows[0][0]  # its in-CSR caught up, unpriced
+    assert system.graph.view_cache.last.modeled_ns == 0.0
     c1 = system.view_counters()
     assert c1["vertices_rebuilt"] - c0["vertices_rebuilt"] == 1
+    assert c1["in_catchups"] - c0["in_catchups"] == 1
     assert c1["view_builds"] == 2 and c1["full_rebuilds"] == 1

@@ -8,10 +8,14 @@ at a drawn persistence event *inside* the op: the reopened store is held
 to the model's in-flight rule, then the client retries what did not
 land.  The fault policy (default / torn / reorder) and the geometry are
 drawn once per history — a device's policy is fixed when it is built.
-After every step: every store's out- and in-CSR byte-equal to the
-model's (and so to each other); device counters of ``DGAP`` equal
-``ShardedDGAP(1)``'s; ``check_invariants()``; every held view still reads
-its epoch's bytes and stays unwriteable.
+After every step: every store's out- and in-CSR, as a fresh
+``ShardedViewCache`` builds them, byte-equal to the model's (and so to
+each other); device counters of ``DGAP`` equal ``ShardedDGAP(1)``'s;
+``check_invariants()``; every held view still reads its epoch's bytes
+and stays unwriteable.  The store's own cache is driven only by the
+readers' rules — served acquires patch its rows, ``analyze`` merges —
+so an analysis view finds its in-CSR as many patches behind as the
+served reads left it, and its merge deferred.
 
 The settings are the machine's own in every profile — derandomized, 25
 examples of 30 steps — so tier-1 is reproducible.
@@ -57,11 +61,12 @@ from repro.pmem.crash import CrashInjector
 from repro.pmem.faults import DEFAULT_POLICY, PERSIST_REORDER, TORN_STORES
 from repro.serve import QueryServer
 from repro.serve.driver import SnapshotReader, _bytes_equal, _run_query
+from repro.sharding import ShardedViewCache
 from repro.testing import model
 from repro.testing.model import Model
 
 from . import test_store_surface as surface
-from .test_store_surface import STORES, counters, make_store
+from .test_store_surface import STORES, counters, make_store, rows_bytes
 
 #: (config, ids drawn): the surface suite's roomy store, and one tight
 #: enough that 30 steps merge logs, rebalance and grow the array
@@ -88,7 +93,8 @@ def reopen(g):
 
 
 def csrs(g):
-    (out_ip, out_ds), (in_ip, in_sr) = g.view_cache.materialize()
+    """A fresh cache's build: the store's own is the readers' to drive."""
+    (out_ip, out_ds), (in_ip, in_sr) = ShardedViewCache(g).materialize()
     return out_ip.tobytes(), out_ds.tobytes(), in_ip.tobytes(), in_sr.tobytes()
 
 
@@ -187,18 +193,22 @@ class StoreMachine(RuleBasedStateMachine):
                 ns[kind] += [view.last_query_ns, direct.last_query_ns]
             with pytest.raises(ValueError, match="read-only"):
                 view.neighbors(v).sort()
-            self.held.append((view, (view.out_indptr.tobytes(), view.out_dsts.tobytes())))
+            self.held.append((view, rows_bytes(view)))
         assert ns["sharded1"] == ns["dgap"]
-        # served queries run on the merged DRAM CSR: same bytes, same modeled cost
+        # served queries run on the shards' DRAM rows: same bytes, same modeled cost
         assert ns["sharded3"][1::2] == ns["dgap"][1::2]
         del self.held[:-6]
 
     @rule()
     def analyze(self):
-        """A kernel over each store's analysis view: one answer."""
-        want = pagerank(CSRArraysView(*self.model.csr(self.nv)), 3)
+        """A kernel over each store's analysis view: one answer, off the
+        in-CSR the store's cache catches up now (equal to the reference)."""
+        out_ip, out_ds = self.model.csr(self.nv)
+        in_ip, in_sr = build_in_csr(out_ip, out_ds, self.nv)
+        want = pagerank(CSRArraysView(out_ip, out_ds), 3)
         for kind, g in self.stores.items():
             (out_ip, out_ds), inn = g.view_cache.materialize()
+            assert [a.tobytes() for a in inn] == [in_ip.tobytes(), in_sr.tobytes()], kind
             got = pagerank(CSRArraysView(out_ip, out_ds, derived={"in": inn}), 3)
             assert got.tobytes() == want.tobytes(), kind
 
@@ -230,8 +240,8 @@ class StoreMachine(RuleBasedStateMachine):
     @invariant()
     def held_views_keep_their_epoch(self):
         for view, held in self.held:
-            assert (view.out_indptr.tobytes(), view.out_dsts.tobytes()) == held
-            assert not (view.out_indptr.flags.writeable or view.out_dsts.flags.writeable)
+            assert rows_bytes(view) == held
+            assert not any(a.flags.writeable for pair in view.rows for a in pair)
 
 
 TestStoreMachine = StoreMachine.TestCase

@@ -47,7 +47,7 @@ from repro.obs import INT_COUNTER_FIELDS, Tracer, tracing
 from repro.pmem.crash import CrashInjector
 from repro.serve import QueryServer, top_k_ns
 from repro.serve.driver import SnapshotReader, _bytes_equal
-from repro.sharding import ShardedDGAP, ShardedViewCache
+from repro.sharding import ShardedDGAP, ShardedViewCache, merge_out_csr
 from repro.sharding.partition import shard_of
 
 NV = 64
@@ -70,9 +70,19 @@ def reopen(g):
     return g2
 
 
+def served_csr(view):
+    """The global out-CSR a served view's per-shard rows scatter to."""
+    return merge_out_csr(list(view.rows), view.num_vertices, len(view.rows))
+
+
+def rows_bytes(view):
+    """A served view's bytes: every shard's out-CSR as it was wrapped."""
+    return [arr.tobytes() for pair in view.rows for arr in pair]
+
+
 def out_csr(g):
-    view = QueryServer(g).acquire()
-    return view.out_indptr.tobytes(), view.out_dsts.tobytes()
+    indptr, dsts = served_csr(QueryServer(g).acquire())
+    return indptr.tobytes(), dsts.tobytes()
 
 
 def counters(g):
@@ -281,45 +291,56 @@ def wide_store(kind):
     return g
 
 
-def build_cost_by_hand(g, copied, sections, streamed, total_edges):
+def patch_cost_by_hand(copied, sections, streamed):
     """Per-shard degree copies of the rows the snapshot was scoped to +
     one PM probe per re-read section + the streamed entries at PM
-    bandwidth, shards in parallel; N > 1 adds the O(E) DRAM merge."""
-    per_shard = [
+    bandwidth, shards in parallel — at any N, no merge."""
+    return max(
         2.0 * rows * 8.0 * costs.DRAM_SEQ_NS_PER_BYTE
         + k * costs.PM_RND_NS
         + e * 4.0 * costs.PM_SEQ_NS_PER_BYTE
         for rows, k, e in zip(copied, sections, streamed)
-    ]
-    merge = total_edges * 4.0 * costs.DRAM_SEQ_NS_PER_BYTE if g.n_shards > 1 else 0.0
-    return max(per_shard) + merge
+    )
+
+
+def merge_cost_by_hand(g, total_edges):
+    """The O(E) DRAM scatter into the global layout, N > 1 only."""
+    return total_edges * 4.0 * costs.DRAM_SEQ_NS_PER_BYTE if g.n_shards > 1 else 0.0
 
 
 def view_costs(kind):
-    """(full, hit, patch) modeled ns of one store, each checked against
-    the closed form, ``cache.last`` and ``QueryServer.last_acquire_ns``."""
+    """(full, hit, patch) modeled ns of one store's served acquires, each
+    checked against the closed form, ``cache.last`` and
+    ``QueryServer.last_acquire_ns`` — and after each, what an analysis
+    reader's ``materialize()`` of the same rows costs: the merge alone."""
     g = wide_store(kind)
     n = g.n_shards
-    cache, server = ShardedViewCache(g), QueryServer(g)
+    cache, server = g.view_cache, QueryServer(g)
 
     def build():
-        (_, out_dsts), _ = cache.materialize()
         server.acquire()
-        assert cache.last.epoch == tuple(sh.structure_epoch for sh in g.shards)
-        assert cache.last.modeled_ns == server.last_acquire_ns
-        return cache.last, out_dsts.size
+        patched = cache.last
+        assert patched.epoch == tuple(sh.structure_epoch for sh in g.shards)
+        assert patched.modeled_ns == server.last_acquire_ns
+        (_, out_dsts), _ = cache.materialize()
+        merged = cache.last
+        assert merged.reused == patched.reused and merged.epoch == patched.epoch
+        if not merged.reused:
+            assert merged.modeled_ns == merge_cost_by_hand(g, out_dsts.size)
+        return patched, out_dsts.size
 
     # first acquire: every section and every edge of every shard
     last, ne = build()
     own = [sh.num_edges for sh in g.shards]
     assert sum(own) == ne
-    full = build_cost_by_hand(g, [sh.num_vertices for sh in g.shards],
-                              [sh.ea.n_sections for sh in g.shards], own, ne)
+    full = patch_cost_by_hand([sh.num_vertices for sh in g.shards],
+                              [sh.ea.n_sections for sh in g.shards], own)
     assert (last.reused, last.modeled_ns) == (False, full)
 
-    # same epoch: the epoch check and nothing else
+    # same epoch: the epoch check and nothing else, for either product
     last, _ = build()
     assert (last.reused, last.modeled_ns) == (True, costs.EPOCH_CHECK_NS)
+    assert cache.last == last
 
     # one-vertex write: the owner copies that row's degrees, probes the
     # section it starts in and streams the three entries appended to it;
@@ -341,7 +362,7 @@ def view_costs(kind):
     assert dirty == [int(r == owner) for r in range(n)] and delta[owner] == g.out_degree(5)
     tails = [st.entries_streamed - e for st, e in zip(cache.stats, streamed)]
     assert tails == [3 * (r == owner) for r in range(n)]  # the row's tail, not the row
-    patch = build_cost_by_hand(g, dirty, dirty, tails, ne)
+    patch = patch_cost_by_hand(dirty, dirty, tails)
     assert (last.reused, last.modeled_ns) == (False, patch)
     assert server.refresh_ns_total == full + patch
     assert (server.refreshes, server.reuses) == (2, 1)
@@ -352,9 +373,10 @@ class TestOneViewStack:
     def test_build_cost_is_the_closed_form_on_every_store(self):
         got = {kind: view_costs(kind) for kind in STORES}
         assert got["sharded1"] == got["dgap"]  # exactly, not approximately
-        # three shards open and patch in parallel: a cheaper max, plus the merge
+        # three shards open and patch in parallel: a cheaper max, and a
+        # served read never pays the merge — the same one-row patch
         assert got["sharded3"][0] < got["dgap"][0]
-        assert got["sharded3"][2] > got["dgap"][2]
+        assert got["sharded3"][2] == got["dgap"][2]
 
     @pytest.mark.parametrize("kind", STORES)
     def test_nothing_moved_returns_the_same_arrays_without_a_snapshot(self, kind, monkeypatch):
@@ -383,14 +405,15 @@ class TestOneViewStack:
         g.insert_edges([[0, 5], [0, 2], [3, 4]])
         server = QueryServer(g)
         view = server.acquire()
-        held = view.out_indptr.tobytes(), view.out_dsts.tobytes()
+        held = rows_bytes(view)
         with pytest.raises(ValueError, match="read-only"):
             view.neighbors(0).sort()
         assert list(view.neighbors(0)) == list(g.out_neighbors(0)) == [5, 2]
         g.insert_edge(3, 7)  # the next build patches from the frozen arrays
         assert list(server.acquire().neighbors(0)) == [5, 2]
-        assert (view.out_indptr.tobytes(), view.out_dsts.tobytes()) == held
-        arrays = [a for pair in ShardedViewCache(g).materialize() for a in pair]
+        assert rows_bytes(view) == held
+        cache = ShardedViewCache(g)
+        arrays = [a for pair in (*cache.rows(), *cache.materialize()) for a in pair]
         if kind != "dgap":
             arrays += [a for pair in g.global_csr() for a in pair]
         assert not any(a.flags.writeable for a in arrays)
@@ -514,6 +537,10 @@ class TestOneSurface:
                      r"class BaseGraphView"):
             assert homes(gone) == [], gone
         assert _count(r"def merge_in_streams", src) == 1
+        # a served read routes into the shards' own rows: the serve layer
+        # reaches no global merge and no in-CSR
+        serve = {k: v for k, v in src.items() if k.startswith("serve/")}
+        assert _count(r"merge_out_csr|merge_in_csr|_merge_in|in_csr", serve) == 0
         assert homes(r"merge_in_streams\(") == ["analysis/view.py", "analysis/viewcache.py",
                                                 "sharding/merge.py"]
         # one Degree Cache: the full-vector copy has one home, no second

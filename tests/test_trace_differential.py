@@ -200,7 +200,7 @@ def test_served_refreshes_unperturbed_and_attributed():
             if step % 5 == 4:
                 g.compact()
             view = server.acquire()
-            trail.append((view.out_indptr.tobytes(), view.out_dsts.tobytes(), server.last_acquire_ns))
+            trail.append(([a.tobytes() for pair in view.rows for a in pair], server.last_acquire_ns))
             on_refresh(view, server.last_acquire_ns)
         assert server.refreshes == len(trail)
         return trail, [st.as_dict() for st in server._cache.stats]
@@ -217,7 +217,7 @@ def test_served_refreshes_unperturbed_and_attributed():
         assert len(spans) == len(seen) + 1
         did = ShardBuild(**{k: spans[-1].attrs[k] for k in ShardBuild._fields})
         assert did.mode != "reuse" and did.entries_streamed >= 41
-        assert ns == view_build_ns([did], view.out_dsts.size)
+        assert ns == view_build_ns([did])  # the patch, and no merge
         seen.append(did)
 
     with tracing(tracer):
