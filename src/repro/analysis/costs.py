@@ -68,12 +68,14 @@ def view_build_ns(builds) -> float:
     *section* a re-read row starts in (re-read rows cluster in PMA
     sections) and a sequential stream of the entries it read — every
     row, section and entry of the shard for a full build, the stale
-    rows' tails for a patch, nothing for a shard nothing changed in.
+    rows' tails for a patch, nothing for a shard nothing changed in —
+    and a DRAM pass over the top-list entries it merged or ranked.
     """
     return max(
         snapshot_open_ns(b.rows_copied)
         + b.sections_probed * PM_RND_NS
         + b.entries_streamed * EDGE_BYTES * PM_SEQ_NS_PER_BYTE
+        + b.top_entries * _VT_ENTRY_BYTES * DRAM_SEQ_NS_PER_BYTE
         for b in builds
     )
 

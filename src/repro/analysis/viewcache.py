@@ -26,6 +26,8 @@ incrementally) and reads from PM only what was appended since:
   lossy repair) takes entries out of a row; the shard records it in
   ``history_epoch``, and the first refresh after one copies the whole
   degree vector and reads its stale rows whole, once.
+* **top list** (``top``) — the shard's best rows by ``(-live row length,
+  id)``, patched from the listed and the stale rows alone (DESIGN.md §7).
 * **in-CSR catch-up** (``in_csr``, on demand, one merge however many
   patches it lagged) — entries whose source was stamped since are
   dropped; those rows, taken from the patched out-CSR, are counting-
@@ -62,6 +64,9 @@ from .view import ID_DTYPE, INDPTR_DTYPE, build_in_csr_from, merge_in_streams
 #: rebuild.
 FULL_REBUILD_STALE_FRACTION = 0.9
 
+#: rows in a shard's top list: a top-k read up to this long needs no sweep.
+TOP_ROWS = 64
+
 CSRPair = Tuple[np.ndarray, np.ndarray]
 
 
@@ -87,24 +92,36 @@ class ViewCacheStats:
     in_entries_dropped: int = 0
     #: in-CSR catch-ups (full or delta), however many patches each lagged.
     in_catchups: int = 0
+    #: patches that re-ranked every row: the top list fell below half.
+    top_refills: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return asdict(self)
 
 
 class ShardBuild(NamedTuple):
-    """What one shard's cache did for one row patch — the three
+    """What one shard's cache did for one row patch — the four
     counts :func:`~repro.analysis.costs.view_build_ns` prices."""
 
     mode: str  #: "full" | "incremental" | "reuse"
     rows_copied: int  #: rows whose degrees the snapshot copied
     sections_probed: int  #: distinct PMA sections a re-read row starts in
     entries_streamed: int  #: row entries (tombstones included) read from PM
+    top_entries: int  #: top-list candidates merged, plus the rows a sweep ranked
+
+
+def top_k_from_degrees(degrees: np.ndarray, k: int, ids: Optional[np.ndarray] = None) -> CSRPair:
+    """The first ``k`` rows by ``(-degree, id)`` as ``(ids, degrees)``: the
+    one ranking every top-degree reader and top list uses."""
+    ids = np.arange(degrees.size) if ids is None else ids
+    order = np.lexsort((ids, -degrees))[:k]
+    return ids[order].astype(ID_DTYPE), degrees[order].astype(np.int64)
+
 
 
 class DGAPViewCache:
-    """Epoch-versioned out-CSR of shard ``r`` of an ``n``-shard store, and
-    the in-CSR derived from it when a reader asks."""
+    """Epoch-versioned out-CSR of shard ``r`` of an ``n``-shard store, its
+    top-degree rows, and the in-CSR derived from it when a reader asks."""
 
     def __init__(self, shard, r: int, n: int) -> None:
         self.graph = shard
@@ -119,14 +136,21 @@ class DGAPViewCache:
         self._nv = 0
         #: the read ``(epoch, rows)`` the in-CSR was derived at
         self._in_at = (-1, 0)
+        #: ``(global ids, live row lengths)`` of the shard's best rows, frozen
+        #: per read; every unlisted row ranks after the last (the floor)
+        self.top: CSRPair = (np.empty(0, dtype=ID_DTYPE), np.empty(0, dtype=np.int64))
+        self._gids = np.empty(0, dtype=ID_DTYPE)  #: global id of each local row so far
 
     def _source_ids(self, nv: int) -> np.ndarray:
-        """Global source id of each local out-CSR row (ascending)."""
-        # repro.sharding imports this module, so the id algebra is
-        # imported at call time (as core.batch does)
-        from ..sharding.partition import local_ids_to_global
+        """Global id of each local row ``[0, nv)``, ascending like them; the
+        id algebra runs again only when the shard grew."""
+        if self._gids.size < nv:
+            # repro.sharding imports this module, so the id algebra is
+            # imported at call time (as core.batch does)
+            from ..sharding.partition import local_ids_to_global
 
-        return local_ids_to_global(nv, self.r, self.n).astype(ID_DTYPE)
+            self._gids = local_ids_to_global(nv, self.r, self.n).astype(ID_DTYPE)
+        return self._gids[:nv]
 
     # -- entry points ------------------------------------------------------
     def rows(self, nv: int) -> Tuple[CSRPair, ShardBuild]:
@@ -152,7 +176,7 @@ class DGAPViewCache:
                 # Nothing was read, so the cached read keeps its epoch.
                 self.stats.incremental_builds += 1
                 self.stats.rows_reused += nv
-                did = ShardBuild("reuse", 0, 0, 0)
+                did = ShardBuild("reuse", 0, 0, 0, 0)
             else:
                 if self._out is None or n_stale >= FULL_REBUILD_STALE_FRACTION * nv:
                     with g.consistent_view() as snap:
@@ -194,7 +218,8 @@ class DGAPViewCache:
         self.stats.vertices_rebuilt += nv
         ip, ds = snap.to_csr()
         self._out, self._deg = (ip[: nv + 1], ds[: ip[nv]]), snap.degree_t[:nv]
-        return ShardBuild("full", snap.num_vertices, n_sections, int(snap.degree_t.sum()))
+        self.top = top_k_from_degrees(np.diff(self._out[0]), TOP_ROWS, self._source_ids(nv))
+        return ShardBuild("full", snap.num_vertices, n_sections, int(snap.degree_t.sum()), nv)
 
     def _patch(self, snap, nv: int, stale, stale_vids) -> ShardBuild:
         """Re-read the stale rows — their tails when ``snap`` is scoped to
@@ -223,7 +248,31 @@ class DGAPViewCache:
         self.stats.sections_rebuilt += n_secs
         self.stats.vertices_rebuilt += stale_vids.size
         self.stats.rows_reused += nv - stale_vids.size
-        return ShardBuild("incremental", snap.degree_t.size, n_secs, int(streamed.sum()))
+        merged = self._patch_top(out[0], stale, stale_vids, s_counts)
+        return ShardBuild("incremental", snap.degree_t.size, n_secs, int(streamed.sum()), merged)
+
+    # -- top list ----------------------------------------------------------
+    def _patch_top(self, indptr, stale, stale_vids, s_counts) -> int:
+        """Of the listed rows not stale and the stale rows, keep those at or
+        before the old floor (every other row still ranks after it), then
+        truncate — or refill below half a list; returns the entries merged."""
+        ids, degs = self.top
+        nv = indptr.size - 1
+        held = ~stale[ids // self.n]  # ids // n: the id algebra's to_local
+        merged = int(held.sum()) + stale_vids.size
+        if ids.size < self._nv:  # the list did not hold every row: its last is a floor
+            if held.all() and s_counts.max() < degs[-1]:
+                return merged  # no listed row moved, no stale row reaches the floor
+            floor_row = ids[-1] // self.n  # listed rows always rank at or before it
+            enter = (s_counts > degs[-1]) | ((s_counts == degs[-1]) & (stale_vids <= floor_row))
+            stale_vids, s_counts = stale_vids[enter], s_counts[enter]
+        self.top = top_k_from_degrees(np.concatenate((degs[held], s_counts)), TOP_ROWS,
+                                      np.concatenate((ids[held], self._source_ids(nv)[stale_vids])))
+        if self.top[0].size < min(TOP_ROWS // 2, nv):
+            self.stats.top_refills += 1
+            self.top = top_k_from_degrees(np.diff(indptr), TOP_ROWS, self._source_ids(nv))
+            merged += nv
+        return merged
 
     # -- in-CSR ------------------------------------------------------------
     def _merge_in(self, nv: int, dst_nv: int, stale_vids: np.ndarray) -> CSRPair:
@@ -302,4 +351,5 @@ def _extend_indptr(indptr: np.ndarray, nv: int) -> np.ndarray:
     return _extend(indptr, nv + 1, indptr[-1])
 
 
-__all__ = ["DGAPViewCache", "ShardBuild", "ViewCacheStats", "FULL_REBUILD_STALE_FRACTION"]
+__all__ = ["DGAPViewCache", "ShardBuild", "ViewCacheStats", "FULL_REBUILD_STALE_FRACTION",
+           "TOP_ROWS", "top_k_from_degrees"]

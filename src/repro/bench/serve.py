@@ -28,8 +28,8 @@ NV = 8000
 PRELOAD_EDGES = 4 * NV
 EDGE_CAPACITY = 16 * NV
 
-#: modeled floors on the pinned geometry (measured 8.10x unsharded,
-#: 4.33x at 4 shards, reuse 0.94 at 95% reads).  Point queries in the
+#: modeled floors on the pinned geometry (measured 10.01x unsharded,
+#: 6.21x at 4 shards, reuse 0.94 at 95% reads).  Point queries in the
 #: sharded snapshot arm only open the owner shard's nv/N-sized snapshot,
 #: so its amortization margin is structurally thinner.
 MIN_READ_SPEEDUP = 3.0

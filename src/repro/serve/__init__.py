@@ -30,7 +30,6 @@ from .server import (
     degree_ns,
     k_hop_ns,
     row_ns,
-    scan_ns,
     snapshot_open_ns,
     top_k_ns,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "run_serve_workload",
     "degree_ns",
     "row_ns",
-    "scan_ns",
     "k_hop_ns",
     "top_k_ns",
     "snapshot_open_ns",

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..analysis.view import ID_DTYPE
+from ..analysis.viewcache import top_k_from_degrees
 from ..core.encoding import check_k, check_vertex
 from ..obs.tracer import annotate, trace
 from ..sharding.partition import local_count, local_ids_to_global, shard_of, to_local
@@ -43,10 +43,9 @@ from .server import (
     QueryServer,
     degree_ns,
     k_hop_ns,
+    k_hop_walk,
     row_ns,
-    scan_ns,
     snapshot_open_ns,
-    top_k_from_degrees,
     top_k_ns,
 )
 from .workload import ARRIVAL_RATE_OPS_PER_S, ServeWorkloadConfig
@@ -105,7 +104,7 @@ class SnapshotReader:
             hits = np.flatnonzero(row == w)
             found = hits.size > 0
             scanned = int(hits[0]) + 1 if found else row.size
-            self.last_query_ns = snapshot_open_ns(snap.num_vertices) + scan_ns(scanned)
+            self.last_query_ns = snapshot_open_ns(snap.num_vertices) + row_ns(scanned)
             return found
 
     def k_hop(self, v: int, k: int) -> np.ndarray:
@@ -118,29 +117,12 @@ class SnapshotReader:
         snaps = [sh.consistent_view() for sh in g.shards]
         open_ns = max(snapshot_open_ns(s.num_vertices) for s in snaps)
         try:
-            visited = np.zeros(nv, dtype=bool)
-            visited[v] = True
-            frontier = np.array([v], dtype=ID_DTYPE)
-            parts: List[np.ndarray] = []
-            frontier_total = 0
-            edges_total = 0
-            for _ in range(k):
-                if frontier.size == 0:
-                    break
-                owners = shard_of(frontier, n).tolist()
-                locals_ = to_local(frontier, n).tolist()
-                rows = [snaps[r].out_neighbors(lu) for r, lu in zip(owners, locals_)]
-                nbrs = np.concatenate(rows) if rows else np.empty(0, dtype=ID_DTYPE)
-                frontier_total += frontier.size
-                edges_total += nbrs.size
-                fresh = np.unique(nbrs[~visited[nbrs]]).astype(ID_DTYPE)
-                visited[fresh] = True
-                parts.append(fresh)
-                frontier = fresh
-            self.last_query_ns = open_ns + k_hop_ns(frontier_total, edges_total)
-            if not parts:
-                return np.empty(0, dtype=ID_DTYPE)
-            return np.sort(np.concatenate(parts)).astype(ID_DTYPE)
+            found, probes, edges = k_hop_walk(v, k, nv, lambda frontier: np.concatenate([
+                snaps[r].out_neighbors(lu)
+                for r, lu in zip(shard_of(frontier, n).tolist(), to_local(frontier, n).tolist())
+            ]))
+            self.last_query_ns = open_ns + k_hop_ns(probes, edges)
+            return found
         finally:
             for snap in snaps:
                 snap.release()

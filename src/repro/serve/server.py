@@ -10,9 +10,10 @@ compaction) included — every acquire gets the cached rows back (an epoch
 compare, no snapshot) and returns the same view; after a write the cache
 patches each shard's rows — reading only what was appended, once,
 whichever of the store's readers asks first; never the global merge —
-and the server hands out a *new* view.  Held views keep serving the old
-arrays untouched: every build allocates fresh, read-only arrays, so
-isolation needs no locks and no copies on the read path.
+and the server hands out a *new* view (with each shard's top list).  Held
+views keep serving the old arrays untouched: every build allocates
+fresh, read-only arrays, so isolation needs no locks and no copies on
+the read path.
 
 Modeled latency follows the analysis cost model
 (:mod:`repro.analysis.costs`).  Served reads price against the
@@ -41,9 +42,10 @@ from ..analysis.costs import (
     snapshot_open_ns,
 )
 from ..analysis.view import ID_DTYPE
+from ..analysis.viewcache import CSRPair, top_k_from_degrees
 from ..core.encoding import check_k, check_vertex
 from ..nputil import multi_arange
-from ..sharding.partition import block_mix, global_vertex_count, local_ids_to_global, shard_of, to_local
+from ..sharding.partition import block_mix, global_vertex_count, shard_of, to_global, to_local
 
 
 # -- modeled query costs (shared by the served and snapshot arms) ---------
@@ -62,18 +64,14 @@ def _probe_ns(pm: bool) -> float:
     return PM_RND_NS if pm else DRAM_RND_NS
 
 
-def row_ns(deg: int, pm: bool = True) -> float:
-    """Fetch a full adjacency row: random probe + sequential scan.
+def row_ns(scanned: int, pm: bool = True) -> float:
+    """Probe an adjacency row and scan ``scanned`` of its entries — all of
+    them, or up to a membership scan's first hit.
 
     ``pm=True`` models the snapshot path (rows live in the PM edge
     array); ``pm=False`` the served path (rows live in the
     materialized DRAM CSR).
     """
-    return _probe_ns(pm) + deg * _edge_ns(pm)
-
-
-def scan_ns(scanned: int, pm: bool = True) -> float:
-    """Membership scan that stopped after ``scanned`` entries."""
     return _probe_ns(pm) + scanned * _edge_ns(pm)
 
 
@@ -82,38 +80,54 @@ def k_hop_ns(frontier_vertices: int, edges_touched: int, pm: bool = True) -> flo
     return frontier_vertices * _probe_ns(pm) + edges_touched * _edge_ns(pm)
 
 
-def top_k_ns(nv: int, k: int) -> float:
-    """Degree-vector sweep (DRAM sequential) + k result reads."""
-    return nv * _VT_ENTRY_BYTES * DRAM_SEQ_NS_PER_BYTE + k * DRAM_RND_NS
+def k_hop_walk(v: int, k: int, nv: int, expand) -> Tuple[np.ndarray, int, int]:
+    """The BFS both arms run: the vertices at distance 1..k from ``v``
+    (sorted, excluding ``v``), the frontier vertices expanded and the
+    edges they held.  ``expand(frontier)`` returns the frontier's rows,
+    concatenated."""
+    visited = np.zeros(nv, dtype=bool)
+    visited[v] = True
+    frontier = np.array([v], dtype=ID_DTYPE)
+    parts: List[np.ndarray] = []
+    probes = edges = 0
+    for _ in range(k):
+        if frontier.size == 0:
+            break
+        nbrs = expand(frontier)
+        probes, edges = probes + frontier.size, edges + nbrs.size
+        frontier = np.unique(nbrs[~visited[nbrs]]).astype(ID_DTYPE)
+        visited[frontier] = True
+        parts.append(frontier)
+    found = np.sort(np.concatenate(parts)).astype(ID_DTYPE) if parts else np.empty(0, dtype=ID_DTYPE)
+    return found, probes, edges
 
 
-def top_k_from_degrees(degrees: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Deterministic top-k by ``(-degree, id)`` — shared by both arms
-    (``k`` already through :func:`~repro.core.encoding.check_k`)."""
-    order = np.lexsort((np.arange(degrees.size), -degrees))[:k]
-    ids = order.astype(ID_DTYPE)
-    return ids, degrees[order].astype(np.int64)
+def top_k_ns(swept: int, k: int) -> float:
+    """A DRAM pass over ``swept`` degree entries (the whole vector, or
+    ``n`` shards' top lists ``k`` deep) + k result reads."""
+    return swept * _VT_ENTRY_BYTES * DRAM_SEQ_NS_PER_BYTE + k * DRAM_RND_NS
 
 
 class ServeView:
     """Immutable read view pinned at one structure epoch.
 
-    Wraps each shard's patched out-CSR (``rows``), routed by owner as
-    :class:`~repro.serve.driver.SnapshotReader` routes.  The arrays are
-    read-only and never mutated (a refresh allocates new ones; a row
-    :meth:`neighbors` hands out is a read-only slice), so any number of
-    readers hold views while writers advance the graph — wait-free, each
-    seeing exactly its pinned epoch.
+    Wraps each shard's patched out-CSR (``rows``) and top list (``tops``),
+    routed by owner as :class:`~repro.serve.driver.SnapshotReader` routes.
+    The arrays are read-only and never mutated (a refresh allocates new
+    ones; a row :meth:`neighbors` hands out is a read-only slice), so any
+    number of readers hold views while writers advance the graph —
+    wait-free, each seeing exactly its pinned epoch.
 
     Every query records its modeled cost in :attr:`last_query_ns`; the
     driver reads it immediately after the call to attribute latency.
     """
 
-    __slots__ = ("epoch", "rows", "num_vertices", "last_query_ns")
+    __slots__ = ("epoch", "rows", "tops", "num_vertices", "last_query_ns")
 
-    def __init__(self, epoch, rows: Tuple[Tuple[np.ndarray, np.ndarray], ...]) -> None:
+    def __init__(self, epoch, rows: Tuple[CSRPair, ...], tops: Tuple[CSRPair, ...]) -> None:
         self.epoch = epoch
         self.rows = rows
+        self.tops = tops
         self.num_vertices = global_vertex_count([ip.size - 1 for ip, _ in rows])
         self.last_query_ns = 0.0
 
@@ -138,47 +152,37 @@ class ServeView:
         hits = np.flatnonzero(row == w)
         found = hits.size > 0
         scanned = int(hits[0]) + 1 if found else row.size
-        self.last_query_ns = scan_ns(scanned, pm=False)
+        self.last_query_ns = row_ns(scanned, pm=False)
         return found
 
     def k_hop(self, v: int, k: int) -> np.ndarray:
         """Vertices at distance 1..k from ``v`` (sorted, excludes ``v``)."""
-        v = check_vertex(v, self.num_vertices)
-        k = check_k(k)
-        n = len(self.rows)
-        visited = np.zeros(self.num_vertices, dtype=bool)
-        visited[v] = True
-        frontier = np.array([v], dtype=ID_DTYPE)
-        parts: List[np.ndarray] = []
-        frontier_total = 0
-        edges_total = 0
-        for _ in range(k):
-            if frontier.size == 0:
-                break
+        v, k, n = check_vertex(v, self.num_vertices), check_k(k), len(self.rows)
+
+        def expand(frontier):  # each shard's rows of the frontier
             owner, local = shard_of(frontier, n), to_local(frontier, n)
-            nbrs = np.concatenate([  # each shard's rows of the frontier
+            return np.concatenate([
                 dsts[multi_arange(indptr[lv], indptr[lv + 1] - indptr[lv])]
                 for (indptr, dsts), lv in zip(self.rows, [local[owner == r] for r in range(n)])
             ])
-            frontier_total += frontier.size
-            edges_total += nbrs.size
-            fresh = np.unique(nbrs[~visited[nbrs]]).astype(ID_DTYPE)
-            visited[fresh] = True
-            parts.append(fresh)
-            frontier = fresh
-        self.last_query_ns = k_hop_ns(frontier_total, edges_total, pm=False)
-        if not parts:
-            return np.empty(0, dtype=ID_DTYPE)
-        return np.sort(np.concatenate(parts)).astype(ID_DTYPE)
+
+        found, probes, edges = k_hop_walk(v, k, self.num_vertices, expand)
+        self.last_query_ns = k_hop_ns(probes, edges, pm=False)
+        return found
 
     def top_k_degree(self, k: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Top-k ``(ids, degrees)`` by ``(-degree, id)``, shards' degrees in global order."""
-        k = check_k(k, self.num_vertices)
-        degrees = np.empty(self.num_vertices, dtype=np.int64)
-        for r, (indptr, _) in enumerate(self.rows):
-            degrees[local_ids_to_global(indptr.size - 1, r, len(self.rows))] = np.diff(indptr)
-        self.last_query_ns = top_k_ns(self.num_vertices, k)
-        return top_k_from_degrees(degrees, k)
+        """Top-k ``(ids, degrees)`` by ``(-degree, id)``: the shards' lists
+        merged, or every row ranked for a ``k`` beyond the shortest."""
+        k, n = check_k(k, self.num_vertices), len(self.rows)
+        if k <= min(ids.size for ids, _ in self.tops):
+            heads = [(ids[:k], degs[:k]) for ids, degs in self.tops]
+            self.last_query_ns = top_k_ns(n * k, k)
+        else:  # each shard's every row ranked (local ids order rows as global ids do)
+            heads = [top_k_from_degrees(np.diff(ip), k) for ip, _ in self.rows]
+            heads = [(to_global(ids, r, n), degs) for r, (ids, degs) in enumerate(heads)]
+            self.last_query_ns = top_k_ns(self.num_vertices, k)
+        ids, degs = (np.concatenate(part) for part in zip(*heads))
+        return top_k_from_degrees(degs, k, ids)
 
 
 class QueryServer:
@@ -225,7 +229,7 @@ class QueryServer:
             self.rows_reread += cache.rows_read - reads
         view = self._view
         if view is None or view.rows is not rows:
-            view = self._view = ServeView(last.epoch, rows)
+            view = self._view = ServeView(last.epoch, rows, cache.tops)
         return view
 
 
@@ -235,9 +239,8 @@ __all__ = [
     "ServeView",
     "degree_ns",
     "row_ns",
-    "scan_ns",
     "k_hop_ns",
+    "k_hop_walk",
     "top_k_ns",
-    "top_k_from_degrees",
     "snapshot_open_ns",
 ]

@@ -106,7 +106,8 @@ class ShardedViewCache:
     :class:`DGAPViewCache` objects:
 
     * :meth:`rows` — each shard's out-CSR at the current epochs, what a
-      served read routes into: the same tuple while no shard's epoch
+      served read routes into, and beside it each shard's top-degree
+      list (:attr:`tops`): the same tuples while no shard's epoch
       moved, else each shard patches the rows that changed (none, for a
       layout operation: still a reuse).  Priced as the slowest shard's
       patch, with no merge term at any N.
@@ -126,6 +127,7 @@ class ShardedViewCache:
         n = store.n_shards
         self.caches = [DGAPViewCache(sh, r, n) for r, sh in enumerate(self._shards)]
         self._rows: Tuple[CSRPair, ...] = ()
+        self.tops: Tuple[CSRPair, ...] = ()  #: per shard, its top list, read with its rows
         self._views: Optional[Tuple[CSRPair, CSRPair]] = None  # merged from them
         self.last: Optional[ViewBuild] = None
         #: rows re-materialized from PM over all builds (the shards'
@@ -160,6 +162,7 @@ class ShardedViewCache:
             self.last = ViewBuild(epoch, True, EPOCH_CHECK_NS)
             return self._rows
         self._rows, self._views = _frozen(outs), None
+        self.tops = _frozen(tuple(c.top for c in self.caches))
         self.last = ViewBuild(epoch, False, view_build_ns(builds))
         return outs
 

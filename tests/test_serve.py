@@ -281,6 +281,24 @@ def _twin(graph, nv, mode="closed"):
     return report
 
 
+@pytest.mark.parametrize("n_shards", [1, 4])
+def test_a_served_stream_keeps_its_top_lists_without_a_refill(n_shards):
+    """Every shard's list has a floor (more rows than it lists) and the
+    stream's writes move only a few rows per epoch: every top-k read is a
+    listed merge equal to a fresh snapshot's, and no list is ever re-ranked
+    after its first build — on a DGAP and on four shards."""
+    nv = 96 * n_shards
+    cfg = DGAPConfig(init_vertices=nv, init_edges=8192)
+    g = DGAP(cfg) if n_shards == 1 else ShardedDGAP(n_shards, cfg)
+    g.insert_edges(np.random.default_rng(3).integers(0, nv, size=(4 * nv, 2)))
+    wl = ServeWorkloadConfig(n_ops=800, seed=5, n_clients=2)
+    report = run_serve_workload(g, generate_workload(nv, wl), wl, twin_check=True)
+    assert report.identity_ok and report.mismatches == 0 and report.refreshes > 2
+    assert len(report.latencies["top_k_degree"]) > 10
+    assert [st.top_refills for st in g.view_cache.stats] == [0] * n_shards
+    assert [st.full_rebuilds for st in g.view_cache.stats] == [1] * n_shards
+
+
 class TestTwinIdentity:
     def test_unsharded(self):
         g = small_graph()

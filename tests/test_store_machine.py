@@ -11,8 +11,12 @@ drawn once per history — a device's policy is fixed when it is built.
 After every step: every store's out- and in-CSR, as a fresh
 ``ShardedViewCache`` builds them, byte-equal to the model's (and so to
 each other); device counters of ``DGAP`` equal ``ShardedDGAP(1)``'s;
-``check_invariants()``; every held view still reads its epoch's bytes
-and stays unwriteable.  The store's own cache is driven only by the
+``check_invariants()``; every held view still reads its epoch's bytes,
+answers ``top_k_degree`` from its own frozen lists and stays
+unwriteable.  A lossy repair loses what each store's layout put under
+the damaged line, so that rule checks the served top-k against a fresh
+snapshot of the damaged store, then re-sends the lost rows to restore
+the lockstep.  The store's own cache is driven only by the
 readers' rules — served acquires patch its rows, ``analyze`` merges —
 so an analysis view finds its in-CSR as many patches behind as the
 served reads left it, and its merge deferred.
@@ -55,11 +59,12 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, pr
 
 from repro.algorithms import pagerank
 from repro.analysis.view import CSRArraysView, build_in_csr
+from repro.analysis.viewcache import TOP_ROWS
 from repro.core.batch import EdgeBatch
 from repro.errors import SimulatedCrash
 from repro.pmem.crash import CrashInjector
 from repro.pmem.faults import DEFAULT_POLICY, PERSIST_REORDER, TORN_STORES
-from repro.serve import QueryServer
+from repro.serve import QueryServer, top_k_ns
 from repro.serve.driver import SnapshotReader, _bytes_equal, _run_query
 from repro.sharding import ShardedViewCache
 from repro.testing import model
@@ -67,6 +72,7 @@ from repro.testing.model import Model
 
 from . import test_store_surface as surface
 from .test_store_surface import STORES, counters, make_store, rows_bytes
+from .test_view_cache import lossy_repair
 
 #: (config, ids drawn): the surface suite's roomy store, and one tight
 #: enough that 30 steps merge logs, rebalance and grow the array
@@ -90,6 +96,15 @@ def reopen(g):
     """Recovery after a crash, else the normal restart; ``check_invariants``
     is the next invariant's job."""
     return type(g).open(g.pool, g.config)
+
+
+def top_k_price(view, k):
+    """The listed price — ``n`` shards' first ``k`` entries merged — or,
+    for a ``k`` beyond the shortest list, the sweep of every row."""
+    k, n = min(k, view.num_vertices), len(view.tops)
+    if k <= min(ids.size for ids, _ in view.tops):
+        return top_k_ns(n * k, k)
+    return top_k_ns(view.num_vertices, k)
 
 
 def csrs(g):
@@ -156,6 +171,15 @@ class StoreMachine(RuleBasedStateMachine):
         live = [(s, d) for s, row in sorted(self.model.rows.items()) for d in row]
         self.mutate(("delete", *live[pick % len(live)]), crash)
 
+    @precondition(lambda self: self.model.num_edges)
+    @rule(rows=st.integers(1, 8), crash=crashes)
+    def tombstone_the_top_rows(self, rows, crash):
+        """One live edge off each of the ``rows`` highest-degree rows:
+        listed rows fall through their lists' floors."""
+        for v in self.model_top_k(rows)[0].tolist():
+            if self.model.row(v):
+                self.mutate(("delete", v, self.model.row(v)[-1]), crash)
+
     @rule(crash=crashes)
     def compact(self, crash):
         self.mutate(("compact",), crash)
@@ -174,29 +198,66 @@ class StoreMachine(RuleBasedStateMachine):
             g.shutdown()
             self.stores[kind] = reopen(g)
 
+    @rule(line=st.integers(0, 10**6))
+    def lossy_repair_then_resend(self, line):
+        """A media error in one XPLine of an edge array, closed by the
+        scrubber's lossy repair: the served top list, patched through the
+        rows the repair shrank, answers as a fresh snapshot does at every
+        ``k``; then each store's client re-sends what its layout lost —
+        every row short of the model emptied and rewritten — so the
+        lockstep resumes."""
+        for kind, g in self.stores.items():
+            lossy_repair(g, line)
+            view, direct = QueryServer(g).acquire(), SnapshotReader(g)
+            for k in self.top_ks:
+                assert _bytes_equal(view.top_k_degree(k), direct.top_k_degree(k)), (kind, k)
+            for v, row in sorted(model.of(g).items()):
+                if row != self.model.row(v):
+                    for d in row:
+                        g.delete_edge(v, d)
+                    for d in self.model.row(v):
+                        g.insert_edge(v, d)
+
     # -- readers -----------------------------------------------------------
+    @property
+    def top_ks(self):
+        """One row, a whole list, one past it, every row."""
+        return (1, TOP_ROWS, TOP_ROWS + 1, self.nv)
+
+    def model_top_k(self, k):
+        """The model's top-k ``(ids, degrees)`` by ``(-degree, id)``."""
+        order = sorted(range(self.nv), key=lambda v: (-len(self.model.row(v)), v))[:k]
+        return np.array(order, dtype=np.int32), np.array([len(self.model.row(v)) for v in order], dtype=np.int64)
+
     @rule(v=ids, w=ids, k=st.integers(0, 3))
     def hold_a_serve_view(self, v, w, k):
-        """Served reads equal a fresh snapshot's, at the same modeled cost
-        on every store; the view is then held across later writes, and a
-        caller sorting a row it was handed must not reach the epoch."""
+        """Served reads equal a fresh snapshot's — and the model's top-k at
+        every listed and unlisted ``k`` — at the same modeled cost on every
+        store (a top-k read at its closed form); the view is then held
+        across later writes, and a caller sorting a row it was handed must
+        not reach the epoch."""
         v, w = v % self.nv, w % self.nv
         ns = {}  # per store: the acquire, then (served, snapshot) per query
+        tops = [("top_k_degree", k) for k in (k, *self.top_ks)]
         for kind, g in self.stores.items():
             server, direct = QueryServer(g), SnapshotReader(g)
             view = server.acquire()
             assert server.acquire() is view  # same epoch: reused, not rebuilt
             ns[kind] = [server.last_acquire_ns]
-            for op in (("degree", v), ("neighbors", v), ("edge_exists", v, w),
-                       ("k_hop", v, k), ("top_k_degree", k)):
+            for op in (("degree", v), ("neighbors", v), ("edge_exists", v, w), ("k_hop", v, k), *tops):
                 assert _bytes_equal(_run_query(view, op), _run_query(direct, op)), (kind, op)
                 ns[kind] += [view.last_query_ns, direct.last_query_ns]
+            answers = []
+            for op in tops:
+                answers.append(view.top_k_degree(op[1]))
+                assert view.last_query_ns == top_k_price(view, op[1]), (kind, op)
+                assert _bytes_equal(answers[-1], self.model_top_k(op[1])), (kind, op)
             with pytest.raises(ValueError, match="read-only"):
                 view.neighbors(v).sort()
-            self.held.append((view, rows_bytes(view)))
+            self.held.append((view, rows_bytes(view), tops, answers))
         assert ns["sharded1"] == ns["dgap"]
-        # served queries run on the shards' DRAM rows: same bytes, same modeled cost
-        assert ns["sharded3"][1::2] == ns["dgap"][1::2]
+        # point queries run on the shards' DRAM rows: same bytes, same modeled cost
+        assert ns["sharded3"][1:9:2] == ns["dgap"][1:9:2]
         del self.held[:-6]
 
     @rule()
@@ -239,9 +300,13 @@ class StoreMachine(RuleBasedStateMachine):
 
     @invariant()
     def held_views_keep_their_epoch(self):
-        for view, held in self.held:
+        """Each held view reads its epoch's rows and answers top-k from its
+        own frozen lists, whatever the stores' caches patched since."""
+        for view, held, tops, answers in self.held:
             assert rows_bytes(view) == held
-            assert not any(a.flags.writeable for pair in view.rows for a in pair)
+            assert not any(a.flags.writeable for pair in (*view.rows, *view.tops) for a in pair)
+            for op, want in zip(tops, answers):
+                assert _bytes_equal(view.top_k_degree(op[1]), want)
 
 
 TestStoreMachine = StoreMachine.TestCase

@@ -276,6 +276,32 @@ class TestIllegalCalls:
         open_ns = max(costs.snapshot_open_ns(sh.num_vertices) for sh in g.shards)
         assert direct.last_query_ns == open_ns + top_k_ns(NV, NV)
 
+    def test_a_listed_k_is_charged_for_the_heads_it_merges(self, kind):
+        """A ``k`` within every shard's top list reads ``k`` entries of each
+        of the ``n`` lists at DRAM bandwidth plus the ``k`` results — no
+        sweep of the degree vector, at N = 1 as at N = 3."""
+        g = seeded(kind)
+        served, direct = QueryServer(g).acquire(), SnapshotReader(g)
+        n, k = g.n_shards, 3
+        assert k <= min(ids.size for ids, _ in served.tops)
+        assert _bytes_equal(served.top_k_degree(k), direct.top_k_degree(k))
+        assert served.last_query_ns == k * costs.DRAM_RND_NS + n * k * 8.0 * costs.DRAM_SEQ_NS_PER_BYTE
+
+
+@pytest.mark.xfail(strict=True, reason="known defect, DESIGN.md §9: a tombstone that "
+                   "matches no live edge still decrements live_degree")
+@pytest.mark.parametrize("kind", ["dgap", "sharded3"])
+def test_an_unmatched_tombstone_leaves_every_count_alone(kind):
+    """Deleting an edge the store does not hold changes nothing: the
+    degree, the row, both readers' degree and the edge count agree."""
+    g = make_store(kind)
+    g.insert_edges([[1, 2], [1, 3], [0, 1]])
+    g.delete_edge(1, 9)  # there is no 1 -> 9 edge
+    view, direct = QueryServer(g).acquire(), SnapshotReader(g)
+    assert g.out_degree(1) == len(g.out_neighbors(1)) == 2
+    assert view.degree(1) == direct.degree(1) == 2
+    assert g.num_edges == served_csr(view)[1].size == 3
+
 
 # ---------------------------------------------------------------------------
 # one view stack: reuse, frozen arrays, the modeled build cost (DESIGN.md §7)
@@ -291,15 +317,17 @@ def wide_store(kind):
     return g
 
 
-def patch_cost_by_hand(copied, sections, streamed):
+def patch_cost_by_hand(copied, sections, streamed, listed):
     """Per-shard degree copies of the rows the snapshot was scoped to +
     one PM probe per re-read section + the streamed entries at PM
-    bandwidth, shards in parallel — at any N, no merge."""
+    bandwidth + one DRAM pass over the top-list entries merged or
+    ranked, shards in parallel — at any N, no merge."""
     return max(
         2.0 * rows * 8.0 * costs.DRAM_SEQ_NS_PER_BYTE
         + k * costs.PM_RND_NS
         + e * 4.0 * costs.PM_SEQ_NS_PER_BYTE
-        for rows, k, e in zip(copied, sections, streamed)
+        + t * 8.0 * costs.DRAM_SEQ_NS_PER_BYTE
+        for rows, k, e, t in zip(copied, sections, streamed, listed)
     )
 
 
@@ -329,12 +357,13 @@ def view_costs(kind):
             assert merged.modeled_ns == merge_cost_by_hand(g, out_dsts.size)
         return patched, out_dsts.size
 
-    # first acquire: every section and every edge of every shard
+    # first acquire: every section and every edge of every shard, and
+    # every row ranked for the top list
     last, ne = build()
     own = [sh.num_edges for sh in g.shards]
     assert sum(own) == ne
-    full = patch_cost_by_hand([sh.num_vertices for sh in g.shards],
-                              [sh.ea.n_sections for sh in g.shards], own)
+    rows = [sh.num_vertices for sh in g.shards]
+    full = patch_cost_by_hand(rows, [sh.ea.n_sections for sh in g.shards], own, rows)
     assert (last.reused, last.modeled_ns) == (False, full)
 
     # same epoch: the epoch check and nothing else, for either product
@@ -343,8 +372,9 @@ def view_costs(kind):
     assert cache.last == last
 
     # one-vertex write: the owner copies that row's degrees, probes the
-    # section it starts in and streams the three entries appended to it;
-    # every other shard reads nothing
+    # section it starts in, streams the three entries appended to it and
+    # merges its listed rows with that one; every other shard reads nothing
+    listed = [ids.size - int(5 in ids) + 1 for ids, _ in cache.tops]
     epochs = [sh.structure_epoch for sh in g.shards]
     merged = [st.delta_edges_merged for st in cache.stats]
     streamed = [st.entries_streamed for st in cache.stats]
@@ -362,7 +392,7 @@ def view_costs(kind):
     assert dirty == [int(r == owner) for r in range(n)] and delta[owner] == g.out_degree(5)
     tails = [st.entries_streamed - e for st, e in zip(cache.stats, streamed)]
     assert tails == [3 * (r == owner) for r in range(n)]  # the row's tail, not the row
-    patch = patch_cost_by_hand(dirty, dirty, tails)
+    patch = patch_cost_by_hand(dirty, dirty, tails, [t * (r == owner) for r, t in enumerate(listed)])
     assert (last.reused, last.modeled_ns) == (False, patch)
     assert server.refresh_ns_total == full + patch
     assert (server.refreshes, server.reuses) == (2, 1)
@@ -543,6 +573,14 @@ class TestOneSurface:
         assert _count(r"merge_out_csr|merge_in_csr|_merge_in|in_csr", serve) == 0
         assert homes(r"merge_in_streams\(") == ["analysis/view.py", "analysis/viewcache.py",
                                                 "sharding/merge.py"]
+        # one top-degree ranking, which the shards' top lists and both serve
+        # arms call; a served top-k merges those lists and never scatters
+        # the degree vector into global order
+        read_path = {k: v for k, v in src.items() if k.split("/")[0] in ("analysis", "serve", "sharding")}
+        assert _count(r"lexsort", read_path) == 1
+        assert "lexsort" in src["analysis/viewcache.py"].split("def top_k_from_degrees")[1].split("\ndef ")[0]
+        assert homes(r"def top_k_from_degrees") == ["analysis/viewcache.py"]
+        assert "local_ids_to_global" not in src["serve/server.py"]
         # one Degree Cache: the full-vector copy has one home, no second
         # (copy-on-write) snapshot path; one reader of row bytes on the
         # view path, the tail reader; one writer of the stamp that voids

@@ -20,6 +20,7 @@ from repro.analysis.costs import (
     PM_SEQ_NS_PER_BYTE,
 )
 from repro.analysis.view import ID_DTYPE, INDPTR_DTYPE, build_in_csr
+from repro.analysis.viewcache import TOP_ROWS
 from repro.baselines import SYSTEMS, DGAPSystem, StaticCSR
 from repro.bench.harness import SOURCE_KERNELS
 from repro.algorithms import KERNELS
@@ -28,6 +29,7 @@ from repro.obs import Tracer, tracing
 from repro.pmem.constants import XPLINE
 from repro.resilience import RepairOutcome, ResilienceManager
 from repro.serve import QueryServer
+from repro.serve.driver import SnapshotReader, _bytes_equal
 from repro.sharding import ShardedViewCache
 from repro.sharding.partition import shard_of
 
@@ -282,6 +284,15 @@ tail_ops = st.lists(
 )
 
 
+def assert_top_lists_exact(cache, fresh):
+    """Each shard's patched top list is a prefix of a from-scratch
+    ranking, at least half a list long (or every row)."""
+    for (ids, degs), (want_ids, want_degs), (ip, _) in zip(cache.tops, fresh.tops, fresh.rows()):
+        assert ids.size >= min(TOP_ROWS // 2, ip.size - 1)
+        assert ids.tobytes() == want_ids[: ids.size].tobytes()
+        assert degs.tobytes() == want_degs[: ids.size].tobytes()
+
+
 def lossy_repair(g, k):
     """Destroy one XPLine of a shard's edge array and let the scrubber
     close the holes (a filtered rewrite, like compaction)."""
@@ -318,6 +329,7 @@ class TestTailPatch:
                 assert view_bytes(cache.materialize()) == view_bytes(fresh.materialize())
             else:
                 assert rows_bytes(server.acquire()) == view_bytes(fresh.rows())
+            assert_top_lists_exact(cache, fresh)
 
         for op in ops:
             if op[0] == "batch":
@@ -347,14 +359,16 @@ class TestTailPatch:
 
     def test_one_edge_on_a_hub_streams_one_entry(self, kind):
         g, cache, owner, read = hub_store(kind)
+        listed = cache.tops[owner][0].size  # the hub's old entry gives way to its new one
+        assert HUB in cache.tops[owner][0]
         g.insert_edge(HUB, 7)
         did, build_ns = read(), cache.last.modeled_ns
-        assert [(b["rows_copied"], b["sections_probed"], b["entries_streamed"]) for b in did] == [
-            (1, 1, 1) if r == owner else (0, 0, 0) for r in range(g.n_shards)
-        ]
+        assert [(b["rows_copied"], b["sections_probed"], b["entries_streamed"], b["top_entries"])
+                for b in did] == [(1, 1, 1, listed) if r == owner else (0, 0, 0, 0) for r in range(g.n_shards)]
         assert cache.stats[owner].vertices_rebuilt == g.shards[owner].num_vertices + 1
         # the rows' patch is priced at any N without the merge ...
-        assert build_ns == 2.0 * 1 * 8.0 * DRAM_SEQ_NS_PER_BYTE + 1 * PM_RND_NS + 1 * 4.0 * PM_SEQ_NS_PER_BYTE
+        assert build_ns == (2.0 * 1 * 8.0 * DRAM_SEQ_NS_PER_BYTE + 1 * PM_RND_NS + 1 * 4.0 * PM_SEQ_NS_PER_BYTE
+                            + listed * 8.0 * DRAM_SEQ_NS_PER_BYTE)
         # ... which the first reader of the global arrays pays, alone
         ne = cache.materialize()[0][1].size
         assert cache.last.modeled_ns == ne * 4.0 * DRAM_SEQ_NS_PER_BYTE * (g.n_shards > 1)
@@ -377,6 +391,38 @@ class TestTailPatch:
         did = read()[owner]
         assert (did["mode"], did["rows_copied"], did["entries_streamed"]) == ("incremental", 1, 1)
         assert view_bytes(cache.materialize()) == view_bytes(ShardedViewCache(g).materialize())
+
+
+@pytest.mark.parametrize("kind", STORES)
+def test_a_top_list_shrunk_below_half_is_refilled_once(kind):
+    """Every row holds two edges, so each list is its shard's lowest ids
+    and its floor a degree-2 row.  One tombstone on the store's top row per
+    read drops a listed row through the floor: the list shortens by one
+    per read, with no sweep, until fewer than half remain — then exactly
+    one refill ranks every row again.  Every answer along the way equals
+    a fresh snapshot's."""
+    nv = 240
+    g = make_store(kind, init_vertices=nv, init_edges=4096)
+    g.insert_edges([[v, (v + j) % nv] for j in (1, 2) for v in range(nv)])
+    server, direct = QueryServer(g), SnapshotReader(g)
+    cache = g.view_cache
+    server.acquire()
+    assert [ids.size for ids, _ in cache.tops] == [TOP_ROWS] * g.n_shards
+    for _ in range(nv):
+        v = int(direct.top_k_degree(1)[0][0])
+        g.delete_edge(v, int(g.out_neighbors(v)[-1]))
+        sizes = [ids.size for ids, _ in cache.tops]
+        view = server.acquire()
+        for k in (1, 8, TOP_ROWS // 2, TOP_ROWS + 1):
+            assert _bytes_equal(view.top_k_degree(k), direct.top_k_degree(k)), k
+        refills = [st.top_refills for st in cache.stats]
+        if any(refills):
+            break
+        owner = int(shard_of(v, g.n_shards))
+        assert [ids.size for ids, _ in cache.tops] == [t - (r == owner) for r, t in enumerate(sizes)]
+    r = int(np.flatnonzero(refills)[0])
+    assert refills == [int(i == r) for i in range(g.n_shards)]
+    assert (sizes[r], cache.tops[r][0].size) == (TOP_ROWS // 2, TOP_ROWS)
 
 
 HUB = 5
