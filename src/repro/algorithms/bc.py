@@ -6,6 +6,17 @@ vertex.  Forward phase: BFS levels with shortest-path counts (sigma);
 backward phase: per-level dependency (delta) accumulation.  Directed
 semantics, like GAPBS.
 
+The forward phase is direction-optimizing.  GAPBS's ``bc.cc`` always
+pushes (expands the frontier's out-edges); here a level *pulls* — every
+unvisited vertex sums sigma over its in-neighbours at the current depth
+— when the unvisited side is smaller on both counts, vertices and
+edges.  No early exit is possible (every parent's sigma is needed), and
+frontier accounting grows in both counts, so a pulled level never costs
+more than the push it replaces, on any storage geometry.  sigma holds
+integer path counts, so summing it in another order is exact, and the
+backward pass consumes the very edges push would have recorded: the
+scores are byte-identical to push-only Brandes.
+
 BC is the most compute- and memory-intensive kernel and touches large
 parts of the graph — which is why DGAP catches up with the DRAM-cached
 systems here (Fig. 8, §4.3).
@@ -18,7 +29,7 @@ from typing import List
 import numpy as np
 
 from ..analysis.view import CSRArraysView
-from ..obs.tracer import kernel_span
+from ..obs.tracer import annotate, kernel_span
 from .common import gather_edges
 
 _BC_SERIAL = 0.02
@@ -35,49 +46,80 @@ def _betweenness_centrality(view: CSRArraysView, source: int) -> np.ndarray:
     out_indptr, out_dsts = view.out_csr()
     # ID_DTYPE ids would be re-cast to intp at every fancy index below
     out_dsts = out_dsts.astype(np.intp)
+    out_deg = view.out_degrees()
+    # counted once few enough rows are unvisited; the in-CSR is fetched
+    # by the first pulled level
+    in_deg = in_csr = None
 
     depth = np.full(nv, -1, dtype=np.int64)
     sigma = np.zeros(nv, dtype=np.float64)
     depth[source] = 0
     sigma[source] = 1.0
     levels: List[np.ndarray] = [np.array([source], dtype=np.int64)]
-    #: per level: the (u, w) edges landing on the next level, plus the
-    #: total gathered edge count (for the backward pass's accounting)
+    #: per level: the (u, w) edges landing on the next level (None when
+    #: the level pulled), plus its out-edge count for the backward pass
     level_edges: List[tuple] = []
+    # the unvisited side, kept current like GAPBS's ``edges_to_check``
+    n_unvisited = nv - 1
+    m_unvisited = n_pulled = 0
 
     # -- forward: BFS levels + path counts ---------------------------------
     d = 0
     frontier = levels[0]
     while frontier.size:
-        owners, nbrs = gather_edges(out_indptr, out_dsts, frontier)
-        view.account_frontier(frontier.size, int(owners.size), serial_fraction=_BC_SERIAL)
-        fresh = depth[nbrs] < 0
+        m_frontier = int(out_deg[frontier].sum())
+        pull = n_unvisited < frontier.size
+        if pull and in_deg is None:
+            in_deg = np.bincount(out_dsts, minlength=nv)
+            m_unvisited = int(in_deg[depth < 0].sum())
+        pull = pull and m_unvisited < m_frontier
+        n_pulled += pull
+        if pull:
+            if in_csr is None:
+                in_indptr, in_srcs = view.in_csr()
+                in_csr = (in_indptr, in_srcs.astype(np.intp))
+            cand = np.flatnonzero(depth < 0)
+            w, u = gather_edges(*in_csr, cand)
+            view.account_frontier(cand.size, m_unvisited, serial_fraction=_BC_SERIAL)
+            # an unvisited vertex's parents are its in-neighbours at depth d
+            hit = depth[u] == d
+        else:
+            u, w = gather_edges(out_indptr, out_dsts, frontier)
+            view.account_frontier(frontier.size, m_frontier, serial_fraction=_BC_SERIAL)
+            hit = depth[w] < 0
+        u, w = u[hit], w[hit]
         # dedupe via a bitmap: same sorted result as np.unique, no sort
         discovered = np.zeros(nv, dtype=bool)
-        discovered[nbrs[fresh]] = True
+        discovered[w] = True
         nxt = np.flatnonzero(discovered)
         depth[nxt] = d + 1
         # sigma[w] += sigma[u] over edges u->w landing on the next level;
-        # depth d+1 is assigned only in this level, so that edge set is
-        # exactly the fresh mask — no second depth gather needed
-        u, w = owners[fresh], nbrs[fresh]
+        # path counts are integers, so either direction's order is exact
         np.add.at(sigma, w, sigma[u])
         view.account_compute(nxt.size * 16, serial_fraction=_BC_SERIAL)
         if nxt.size == 0:
             break
-        level_edges.append((u, w, int(owners.size)))
+        level_edges.append((None if pull else (u, w), m_frontier))
+        n_unvisited -= nxt.size
+        if in_deg is not None:
+            m_unvisited -= int(in_deg[nxt].sum())
         levels.append(nxt)
         frontier = nxt
         d += 1
+    annotate(levels=len(levels), levels_pulled=n_pulled)
 
     # -- backward: dependency accumulation ----------------------------------
     delta = np.zeros(nv, dtype=np.float64)
     for d in range(len(levels) - 2, -1, -1):
         verts = levels[d]
-        # level d's forward gather already produced exactly the edges the
-        # backward pass needs (u at depth d -> w at depth d+1), in the
-        # same order — reuse them instead of re-gathering and re-masking
-        u, w, gathered = level_edges[d]
+        edges, gathered = level_edges[d]
+        if edges is None:
+            # a pulled level re-gathers its out-rows: the edges landing
+            # on depth d+1 are exactly, and in the order, push records
+            owners, nbrs = gather_edges(out_indptr, out_dsts, verts)
+            keep = depth[nbrs] == d + 1
+            edges = owners[keep], nbrs[keep]
+        u, w = edges
         # the backward pass reads whole per-vertex edge lists level by
         # level — a scan-shaped sweep over the covered subgraph (this is
         # why the paper sees DGAP catch the DRAM systems on BC, §4.3)

@@ -18,24 +18,17 @@ from ..obs.tracer import kernel_span
 from .common import gather_edges
 
 _BFS_SERIAL = 0.03
+#: GAPBS's direction-switch heuristics (``bfs.cc`` defaults)
+_ALPHA = 15
+_BETA = 18
 
 
-def bfs(
-    view: CSRArraysView,
-    source: int = 0,
-    alpha: int = 15,
-    beta: int = 18,
-) -> np.ndarray:
+def bfs(view: CSRArraysView, source: int = 0) -> np.ndarray:
     with kernel_span("bfs", view):
-        return _bfs(view, source, alpha, beta)
+        return _bfs(view, source)
 
 
-def _bfs(
-    view: CSRArraysView,
-    source: int,
-    alpha: int,
-    beta: int,
-) -> np.ndarray:
+def _bfs(view: CSRArraysView, source: int) -> np.ndarray:
     nv = view.num_vertices
     out_indptr, out_dsts = view.out_csr()
     in_indptr, in_srcs = view.in_csr()
@@ -51,7 +44,7 @@ def _bfs(
 
     while frontier.size:
         scout = int(out_deg[frontier].sum())
-        use_bottom_up = scout > edges_to_check // max(1, alpha) and frontier.size > nv // (beta * 4)
+        use_bottom_up = scout > edges_to_check // _ALPHA and frontier.size > nv // (_BETA * 4)
 
         if use_bottom_up:
             in_frontier = np.zeros(nv, dtype=bool)

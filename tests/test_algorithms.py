@@ -4,9 +4,13 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from repro import DGAP, DGAPConfig
 from repro.algorithms import bfs, betweenness_centrality, connected_components, pagerank
+from repro.algorithms.common import gather_edges
 from repro.analysis.view import CSRArraysView, StorageGeometry
 from repro.datasets import rmat_edges
+from repro.obs import Tracer, tracing
+from repro.sharding import ShardedDGAP
 
 
 def make_view(edges, nv):
@@ -123,6 +127,70 @@ class TestCC:
         np.testing.assert_array_equal(connected_components(view), np.arange(5))
 
 
+def push_only_bc(view, source):
+    """Frozen push-only Brandes forward/backward pass: the scores the
+    direction-optimizing kernel must reproduce byte for byte, and the
+    modeled time it must never exceed."""
+    nv = view.num_vertices
+    out_indptr, out_dsts = view.out_csr()
+    out_dsts = out_dsts.astype(np.intp)
+    depth = np.full(nv, -1, dtype=np.int64)
+    sigma = np.zeros(nv, dtype=np.float64)
+    depth[source] = 0
+    sigma[source] = 1.0
+    levels = [np.array([source], dtype=np.int64)]
+    level_edges = []
+    d = 0
+    frontier = levels[0]
+    while frontier.size:
+        owners, nbrs = gather_edges(out_indptr, out_dsts, frontier)
+        view.account_frontier(frontier.size, int(owners.size), serial_fraction=0.02)
+        fresh = depth[nbrs] < 0
+        discovered = np.zeros(nv, dtype=bool)
+        discovered[nbrs[fresh]] = True
+        nxt = np.flatnonzero(discovered)
+        depth[nxt] = d + 1
+        u, w = owners[fresh], nbrs[fresh]
+        np.add.at(sigma, w, sigma[u])
+        view.account_compute(nxt.size * 16, serial_fraction=0.02)
+        if nxt.size == 0:
+            break
+        level_edges.append((u, w, int(owners.size)))
+        levels.append(nxt)
+        frontier = nxt
+        d += 1
+    delta = np.zeros(nv, dtype=np.float64)
+    for d in range(len(levels) - 2, -1, -1):
+        verts = levels[d]
+        u, w, gathered = level_edges[d]
+        view.account_partial_scan(verts.size, gathered, serial_fraction=0.02)
+        contrib = sigma[u] / sigma[w] * (1.0 + delta[w])
+        np.add.at(delta, u, contrib)
+        view.account_compute(verts.size * 24, serial_fraction=0.02)
+    delta[source] = 0.0
+    return delta
+
+
+def hub_graph():
+    """0 -> hub 1 -> 148 rows whose out-edges land mostly on rows already
+    seen: after the hub level the unvisited side is smaller on both
+    counts, so the forward pass pulls."""
+    rng = np.random.default_rng(3)
+    nv = 200
+    edges = [(0, 1)] + [(1, v) for v in range(2, 150)]
+    edges += [(v, int(t)) for v in range(2, 150) for t in rng.choice(np.arange(2, nv), 6, replace=False)]
+    return make_view(np.array(edges), nv)
+
+
+def bc_levels_pulled(view, source):
+    """The ``bc`` span's level annotation: ``(levels, levels_pulled)``."""
+    tracer = Tracer()
+    with tracing(tracer):
+        betweenness_centrality(view, source)
+    attrs = tracer.find("bc")[0].attrs
+    return attrs["levels"], attrs["levels_pulled"]
+
+
 class TestBC:
     @staticmethod
     def reference_dependency(G, s, nv):
@@ -174,6 +242,44 @@ class TestBC:
     def test_source_zeroed(self, random_graph):
         view, _, _ = random_graph
         assert betweenness_centrality(view, source=0)[0] == 0.0
+
+    @staticmethod
+    def assert_push_equivalent(view, source):
+        """Byte-equal scores, never more modeled time; returns both times."""
+        ref_view, got_view = view.clone(), view.clone()
+        ref = push_only_bc(ref_view, source)
+        got = betweenness_centrality(got_view, source)
+        assert got.tobytes() == ref.tobytes(), source
+        assert got_view.seconds(1) <= ref_view.seconds(1), source
+        return got_view.seconds(1), ref_view.seconds(1)
+
+    def test_matches_push_only_on_random_graphs(self, random_graph):
+        view, _, nv = random_graph
+        for source in (0, int(np.argmax(view.out_degrees())), nv // 2):
+            self.assert_push_equivalent(view, source)
+
+    def test_hub_graph_pulls_and_costs_less(self):
+        view = hub_graph()
+        levels, pulled = bc_levels_pulled(view.clone(), 0)
+        assert levels >= 3 and pulled >= 1
+        got_s, ref_s = self.assert_push_equivalent(view, 0)
+        assert got_s < ref_s
+
+    def test_matches_push_only_on_store_views(self):
+        """The analysis views of DGAP and 1- and 3-shard stores fed one
+        stream: scores byte-equal to push-only Brandes on each."""
+        nv = 256
+        edges = rmat_edges(nv, 3000, seed=7)
+        pulled = 0
+        for store in (DGAP(DGAPConfig(init_vertices=nv, init_edges=4096)),
+                      *(ShardedDGAP(n, DGAPConfig(init_vertices=nv, init_edges=4096)) for n in (1, 3))):
+            store.insert_edges(edges)
+            (indptr, dsts), inn = store.view_cache.materialize()
+            view = CSRArraysView(indptr, dsts, derived={"in": inn})
+            for source in np.argsort(-view.out_degrees(), kind="stable")[:4].tolist():
+                self.assert_push_equivalent(view, source)
+                pulled += bc_levels_pulled(view.clone(), source)[1]
+        assert pulled > 0
 
 
 class TestViewAccounting:

@@ -567,6 +567,9 @@ class TestOneSurface:
                      r"class BaseGraphView"):
             assert homes(gone) == [], gone
         assert _count(r"def merge_in_streams", src) == 1
+        # the kernels that pull: PR every sweep, BFS bottom-up, BC's pulled levels
+        assert [k for k in homes(r"\.in_csr\(\)") if k.startswith("algorithms/")] == [
+            "algorithms/bc.py", "algorithms/bfs.py", "algorithms/pagerank.py"]
         # a served read routes into the shards' own rows: the serve layer
         # reaches no global merge and no in-CSR
         serve = {k: v for k, v in src.items() if k.startswith("serve/")}

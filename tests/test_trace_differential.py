@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro import DGAP, DGAPConfig
-from repro.algorithms import pagerank
+from repro.algorithms import betweenness_centrality, pagerank
 from repro.obs import Tracer, tracing
 from repro.pmem.crash import CrashInjector
 
@@ -166,6 +166,8 @@ def test_analysis_kernels_unperturbed_by_tracing():
         view_plain = CSRArraysView(*snap.to_csr())
         ranks_plain = pagerank(view_plain, iterations=5)
         secs_plain = view_plain.seconds(1)
+        bc_view_plain = view_plain.clone()
+        bc_plain = betweenness_centrality(bc_view_plain, 0)
 
     tracer = Tracer(g_traced.pool.stats, device_ops=True)
     with tracing(tracer):
@@ -175,10 +177,17 @@ def test_analysis_kernels_unperturbed_by_tracing():
             view_traced = CSRArraysView(*snap.to_csr())
             ranks_traced = pagerank(view_traced, iterations=5)
             secs_traced = view_traced.seconds(1)
+            bc_view_traced = view_traced.clone()
+            bc_traced = betweenness_centrality(bc_view_traced, 0)
 
     np.testing.assert_array_equal(ranks_plain, ranks_traced)
     assert secs_plain == secs_traced  # modeled analysis seconds, exactly
     assert tracer.find("pr")[0].attrs["analysis_par_ns"] > 0
+    # BC on this graph pulls a level; its span says how many
+    assert bc_plain.tobytes() == bc_traced.tobytes()
+    assert bc_view_plain.seconds(1) == bc_view_traced.seconds(1)
+    bc_span = tracer.find("bc")[0].attrs
+    assert 1 <= bc_span["levels_pulled"] <= bc_span["levels"]
 
 
 def test_served_refreshes_unperturbed_and_attributed():
