@@ -31,11 +31,8 @@ from hypothesis import strategies as st
 from repro import DGAP, DGAPConfig
 from repro.core.edge_array import EdgeArray
 from repro.core.edge_log import EdgeLogs
-from repro.pmem import CrashInjector
 from repro.bench.harness import build_system
 from repro.core.batch import EdgeBatch
-from repro.errors import SimulatedCrash
-from repro.testing import make_batched_insert_workload, model, verify_recovered_graph
 
 #: counters the commit-group protocol leaves equal to the scalar replay
 EQUAL_STATS = (
@@ -223,49 +220,3 @@ class TestBaselineEquivalence:
         b.insert_edges(edges, batch_size=77)
         assert a.modeled_insert_ns() == pytest.approx(b.modeled_insert_ns(), rel=1e-9)
         assert a.pm_media_bytes() == b.pm_media_bytes()
-
-
-class TestMidBatchCrash:
-    def _edges(self, n=600, nv=32, seed=3):
-        rng = np.random.default_rng(seed)
-        return rng.integers(0, nv, size=(n, 2)).astype(np.int64)
-
-    @pytest.mark.parametrize("countdown", [1, 7, 50, 400, 2000])
-    def test_crash_inside_batch_recovers_consistently(self, countdown):
-        ops = make_batched_insert_workload(self._edges())
-        cfg = DGAPConfig(init_vertices=32, init_edges=128)
-        inj = CrashInjector()
-        g = DGAP(cfg, injector=inj)
-        inj.arm(countdown, "store")
-        acked = 0
-        try:
-            for op in ops:
-                model.apply(g, op)
-                acked += 1
-        except SimulatedCrash:
-            inj.disarm()
-        else:
-            return  # countdown beyond the batches' stores: nothing to test
-        g2 = DGAP.open(g.pool, cfg)
-        # every acknowledged sub-batch whole, a per-vertex prefix of the
-        # one in flight, nothing invented or duplicated
-        verify_recovered_graph(g2, ops, acked)
-        # and the recovered graph keeps working
-        n0 = g2.num_edges
-        g2.insert_edges(self._edges(100, seed=4))
-        assert g2.num_edges == n0 + 100
-        g2.check_invariants()
-
-    def test_crash_on_fence_recovers(self):
-        # the whole batch is one round: fence 1 commits the gap fills,
-        # fence 2 the edge-log appends
-        ops = make_batched_insert_workload(self._edges(400, seed=5))
-        cfg = DGAPConfig(init_vertices=32, init_edges=128)
-        for fence in (1, 2):
-            inj = CrashInjector()
-            g = DGAP(cfg, injector=inj)
-            inj.arm(fence, "fence")
-            with pytest.raises(SimulatedCrash):
-                model.apply(g, ops[0])
-            inj.disarm()
-            verify_recovered_graph(DGAP.open(g.pool, cfg), ops, 0)

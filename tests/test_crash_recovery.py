@@ -4,108 +4,33 @@ The central guarantee, verified by crash-point sweeps: after a power
 failure at *any* store/flush/fence boundary, recovery yields a graph
 that contains every acknowledged edge, in per-vertex insertion order,
 with at most the single in-flight operation's edge extra — across the
-normal path and every ablation mode.  The sweeps run on the shared
-:mod:`repro.testing.crashsweep` driver (see ``test_crash_sweep.py`` for
-the driver's own exhaustive/fault-policy coverage).
+normal path and every ablation mode — the sampled rows of
+``test_crash_sweeps.py``.  Here: the restart and recovery paths, and
+power failures swept through a shutdown.
 """
 
 import itertools
-import random
 
 import numpy as np
 import pytest
 
 from repro import DGAP, DGAPConfig
 from repro.pmem import PMemPool
-from repro.testing import Model, SweepConfig, crash_points, crash_sweep, make_insert_workload, model
+from repro.testing import Model, crash_points, model
 
-BASE = dict(init_vertices=48, init_edges=512, segment_slots=64, elog_size=256)
-
-
-def make_graph_factory(cfg):
-    return lambda injector, faults: DGAP(cfg, injector=injector, faults=faults)
-
-
-def sweep(cfg, ops, samples, seed=0, **kw):
-    """Sampled sweep via the shared driver (oracle raises on violation)."""
-    return crash_sweep(
-        make_graph_factory(cfg),
-        ops,
-        SweepConfig(exhaustive_threshold=0, samples=samples, seed=seed,
-                    idempotence_samples=2, **kw),
-    )
-
-
-def make_edges(n, nv=48, seed=1, hot=None):
-    random.seed(seed)
-    out = []
-    for i in range(n):
-        u = hot if (hot is not None and i % 3 == 0) else random.randrange(nv)
-        out.append((u, random.randrange(nv)))
-    return out
-
-
-class TestCrashSweeps:
-    def test_sweep_default_config(self):
-        ops = make_insert_workload(make_edges(900))
-        rep = sweep(DGAPConfig(**BASE), ops, samples=60)
-        assert rep.crash_points > 20
-
-    def test_sweep_hot_vertex_forces_merges(self):
-        ops = make_insert_workload(make_edges(900, hot=7, seed=2))
-        rep = sweep(DGAPConfig(**BASE), ops, samples=40, seed=2)
-        assert rep.crash_points > 15
-
-    def test_sweep_no_edge_log(self):
-        ops = make_insert_workload(make_edges(700, seed=3))
-        cfg = DGAPConfig(**BASE, use_edge_log=False)
-        rep = sweep(cfg, ops, samples=25, seed=3)
-        assert rep.crash_points > 10
-
-    def test_sweep_pmdk_tx_mode(self):
-        ops = make_insert_workload(make_edges(600, seed=4))
-        cfg = DGAPConfig(**BASE, use_edge_log=False, use_undo_log=False)
-        rep = sweep(cfg, ops, samples=25, seed=4)
-        assert rep.crash_points > 10
-
-    def test_sweep_dense_rebalance_many_points(self):
-        """Dense sampling of every phase around forced rebalances."""
-        cfg = DGAPConfig(init_vertices=16, init_edges=256, segment_slots=64, elog_size=96)
-        ops = make_insert_workload([(i % 16, (i * 5) % 16) for i in range(400)])
-        rep = sweep(cfg, ops, samples=120, seed=5)
-        assert rep.crash_points > 50
-        # the sweep crossed rebalance/merge activity, not just gap inserts
-        assert {r.op for r in rep.results} >= {"store", "flush", "fence"}
-
-    def test_sweep_with_deletions(self):
-        """Mixed insert/delete workload: same driver, same exact-order oracle."""
-        random.seed(9)
-        live = {v: [] for v in range(16)}
-        ops = []
-        for i in range(500):
-            u, w = random.randrange(16), random.randrange(16)
-            if i % 5 == 4 and live[u]:
-                x = live[u][0]
-                ops.append(("delete", u, x))
-                live[u].remove(x)
-            else:
-                ops.append(("insert", u, w))
-                live[u].append(w)
-        cfg = DGAPConfig(init_vertices=16, init_edges=512, segment_slots=64)
-        rep = sweep(cfg, ops, samples=25, seed=9)
-        assert rep.crash_points > 10
+from .test_crash_sweeps import BASE, random_edges
 
 
 class TestRecoveryPaths:
     def test_normal_restart_roundtrip(self):
         g = DGAP(DGAPConfig(**BASE))
-        edges = make_edges(1000, seed=5)
+        edges = random_edges(1000, seed=5)
         g.insert_edges(edges)
         g.shutdown()
         Model(edges).admits(model.of(DGAP.open(g.pool, g.config)))
 
     def test_normal_restart_cheaper_than_crash(self):
-        edges = make_edges(2000, seed=6)
+        edges = random_edges(2000, seed=6)
 
         g = DGAP(DGAPConfig(**BASE))
         g.insert_edges(edges)
@@ -124,7 +49,7 @@ class TestRecoveryPaths:
 
     def test_reopen_after_reopen(self):
         g = DGAP(DGAPConfig(**BASE))
-        g.insert_edges(make_edges(300, seed=7))
+        g.insert_edges(random_edges(300, seed=7))
         g.shutdown()
         g2 = DGAP.open(g.pool, g.config)
         g2.insert_edge(1, 2)
@@ -134,11 +59,11 @@ class TestRecoveryPaths:
 
     def test_crash_recovery_can_continue_inserting(self):
         g = DGAP(DGAPConfig(**BASE))
-        g.insert_edges(make_edges(500, seed=8))
+        g.insert_edges(random_edges(500, seed=8))
         n0 = g.num_edges
         g.pool.crash()
         g2 = DGAP.open(g.pool, g.config)
-        g2.insert_edges(make_edges(500, seed=9))
+        g2.insert_edges(random_edges(500, seed=9))
         assert g2.num_edges == n0 + 500
         # and survives a second crash
         g2.pool.crash()
@@ -148,7 +73,7 @@ class TestRecoveryPaths:
     def test_crash_after_resize_keeps_generation(self):
         cfg = DGAPConfig(init_vertices=16, init_edges=128, segment_slots=64)
         g = DGAP(cfg)
-        g.insert_edges(make_edges(2000, nv=16, seed=10))
+        g.insert_edges(random_edges(2000, nv=16, seed=10))
         assert g.n_resizes >= 1
         gen = g.ea.gen
         g.pool.crash()
@@ -192,7 +117,7 @@ class TestRecoveryPaths:
         from repro.core.rebalance import ROOT_SHUTDOWN
 
         cfg = DGAPConfig(**BASE)
-        edges = make_edges(400, seed=12)
+        edges = random_edges(400, seed=12)
 
         def loaded(inj):
             g = DGAP(cfg, injector=inj)
@@ -221,7 +146,7 @@ class TestRecoveryPaths:
 
         faults = {"default": DEFAULT_POLICY, "torn": TORN_STORES, "reorder": PERSIST_REORDER}[policy]
         cfg = DGAPConfig(**BASE)
-        first, second = make_edges(300, seed=14), make_edges(60, seed=15)
+        first, second = random_edges(300, seed=14), random_edges(60, seed=15)
         ref = Model(first + second)
         seeds = itertools.count()  # the dry run's 0, then the crash point's own
 
@@ -308,7 +233,7 @@ class TestRecoveryPaths:
         from repro.pmem.faults import PERSIST_REORDER
 
         cfg = DGAPConfig(**BASE)
-        edges = make_edges(300, seed=13)
+        edges = random_edges(300, seed=13)
         seeds = iter([0, 0, 1, 2, 3])  # the dry run, then four coins
 
         def loaded(inj):
@@ -334,7 +259,7 @@ class TestRecoveryPaths:
 
         cfg = DGAPConfig(**BASE)
         g = DGAP(cfg, pool=PMemPool(1 << 20, profile=OPTANE_EADR))
-        edges = make_edges(800, seed=11)
+        edges = random_edges(800, seed=11)
         g.insert_edges(edges)
         g.pool.crash()
         g2 = DGAP.open(g.pool, cfg)

@@ -35,16 +35,6 @@ class TestInsert:
             g.insert_edge(4, 4)
         assert list(g.out_neighbors(4)) == [4, 4, 4]
 
-    def test_many_random_inserts_roundtrip(self, g):
-        random.seed(7)
-        ref = Model()
-        for _ in range(4000):
-            u, w = random.randrange(32), random.randrange(32)
-            g.insert_edge(u, w)
-            ref.insert(u, w)
-        ref.admits(model.of(g))
-        assert g.n_resizes >= 1  # 4000 edges vs init 256: growth exercised
-
     def test_skewed_inserts(self, g):
         """One hot vertex should push through edge logs + rebalances."""
         ref = []
@@ -57,6 +47,7 @@ class TestInsert:
     def test_insert_edges_bulk(self, g):
         n = g.insert_edges([(0, 1), (1, 2), (2, 3)])
         assert n == 3 and g.num_edges == 3
+        assert g.insert_edges([]) == 0 and g.num_edges == 3
 
     def test_counters(self, g):
         g.insert_edges((i % 32, (i * 7) % 32) for i in range(500))
@@ -108,25 +99,6 @@ class TestDelete:
             assert snap.out_degree(3) == 0
             assert snap.out_neighbors(3).size == 0
 
-    def test_delete_heavy_workload(self, g):
-        random.seed(11)
-        live = {v: [] for v in range(32)}
-        for i in range(3000):
-            u = random.randrange(32)
-            if live[u] and random.random() < 0.3:
-                w = random.choice(live[u])
-                g.delete_edge(u, w)
-                live[u].remove(w)
-            else:
-                w = random.randrange(32)
-                g.insert_edge(u, w)
-                live[u].append(w)
-        with g.consistent_view() as snap:
-            for v in range(32):
-                assert sorted(snap.out_neighbors(v).tolist()) == sorted(live[v]), v
-        assert g.num_edges == sum(len(x) for x in live.values())
-
-
 class TestSnapshots:
     def test_snapshot_isolation(self, g):
         g.insert_edge(0, 1)
@@ -156,17 +128,6 @@ class TestSnapshots:
         for v in range(32):
             assert list(snap.out_neighbors(v)) == pre.row(v), v
         snap.release()
-
-    def test_csr_matches_per_vertex(self, g):
-        random.seed(4)
-        for _ in range(1000):
-            g.insert_edge(random.randrange(32), random.randrange(32))
-        with g.consistent_view() as snap:
-            indptr, dsts = snap.to_csr()
-            for v in range(32):
-                np.testing.assert_array_equal(
-                    dsts[indptr[v] : indptr[v + 1]], snap.out_neighbors(v)
-                )
 
     def test_csr_with_pending_chains(self, g):
         # hammer one vertex to leave entries in the edge log, then CSR

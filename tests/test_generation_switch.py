@@ -48,7 +48,7 @@ from repro.testing import (
     verify_recovered_graph,
 )
 
-from .test_store_surface import STORES, make_store, out_csr, reopen
+from .stores import STORES, make_store, out_csr, reopen
 
 POLICIES = pytest.mark.parametrize(
     "policy", [DEFAULT_POLICY, TORN_STORES, PERSIST_REORDER], ids=["default", "torn", "reorder"]

@@ -11,13 +11,12 @@ per-vertex-prefix guarantee itself with two cuts:
 * ``_replay_logs`` accepts a valid log entry only if its back-pointer
   chain is intact and persistently invalidates the rest.
 
-Part (a) plants the two torn shapes directly into a quiescent image;
-part (b) sweeps every persistence event of batched workloads under every
-fault policy against the per-vertex-prefix oracle.
+Here the two torn shapes are planted directly into a quiescent image;
+the ``batched`` rows of ``test_crash_sweeps.py`` sweep every persistence
+event of batched workloads under every fault policy against the
+per-vertex-prefix oracle.
 """
 
-from contextlib import contextmanager
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -28,15 +27,7 @@ from repro.core import recovery
 from repro.core.encoding import encode_edge
 from repro.errors import SimulatedCrash
 from repro.pmem import CACHE_LINE, CrashInjector
-from repro.pmem.faults import (
-    ADVERSARIAL,
-    DEFAULT_POLICY,
-    PERSIST_REORDER,
-    TORN_STORES,
-    FaultPolicy,
-)
-from repro.sharding import ShardedDGAP
-from repro.testing import SweepConfig, crash_sweep, make_batched_insert_workload, model
+from repro.testing import model
 
 CFG = dict(init_vertices=8, init_edges=256, segment_slots=64, elog_size=96)
 SLOTS_PER_LINE = CACHE_LINE // 4
@@ -78,9 +69,6 @@ def assert_idempotent(g2, cfg, inj):
         assert model.of(reopen_checked(g3, cfg)) == want
 
 
-# ----------------------------------------------------------------------
-# (a) the two torn shapes, planted directly
-# ----------------------------------------------------------------------
 class TestPlantedTornShapes:
     @readpaths
     def test_slot_behind_a_gap_is_cut_and_scrubbed(self, scalar_readpath):
@@ -172,107 +160,3 @@ class TestPlantedTornShapes:
                 mock.patch.object(type(g.logs), "invalidate_entries") as inval:
             DGAP.open(g.pool, cfg)
         assert not scrub.called and not inval.called
-
-
-# ----------------------------------------------------------------------
-# (b) sweeps: every event of a batched workload, every fault policy
-# ----------------------------------------------------------------------
-#: 32 vertices in 512 slots: 15-slot gaps, four runs (and one 8-entry
-#: edge log) per section, so small batches reach every write path
-SWEEP_CFG = {**CFG, "init_vertices": 32}
-
-
-def make_graph(injector, faults):
-    return DGAP(DGAPConfig(**SWEEP_CFG), injector=injector, faults=faults)
-
-
-def make_sharded(n):
-    def factory(injector, faults):
-        return ShardedDGAP(n, DGAPConfig(**SWEEP_CFG), injector=injector, faults=faults)
-
-    return factory
-
-
-def batched_workload(n=96, batch_size=8, seed=4):
-    """Hub-skewed stream: vertex 0 overflows its gap, fills its section's
-    edge log and forces merges, while its neighbours share its lines."""
-    rng = np.random.default_rng(seed)
-    src = np.where(rng.random(n) < 0.5, 0, rng.integers(0, 8, size=n))
-    return make_batched_insert_workload(
-        np.column_stack([src, rng.integers(0, 32, size=n)]), batch_size=batch_size
-    )
-
-
-@contextmanager
-def cut_spy():
-    """Count what each recovery cut actually removed while active."""
-    spy = SimpleNamespace(scrubbed=0, rejected=0)
-    zero, replay = recovery._zero_slots, recovery._replay_logs
-
-    def zero_spy(ea, garbage):
-        spy.scrubbed += int(garbage.size)
-        zero(ea, garbage)
-
-    def replay_spy(host, *a):
-        live0 = int(host.logs.live_counts.sum())
-        replay(host, *a)
-        spy.rejected += live0 - int(host.logs.live_counts.sum())
-
-    with mock.patch.object(recovery, "_zero_slots", zero_spy), \
-            mock.patch.object(recovery, "_replay_logs", replay_spy):
-        yield spy
-
-
-class TestBatchedSweeps:
-    def test_workload_covers_both_groups_and_merges(self):
-        g = make_graph(None, None)
-        for _, batch in batched_workload():
-            g.insert_edges(batch, batch_size=None)
-        assert g.n_array_inserts > 0 and g.n_log_inserts > 0
-        assert g.n_rebalances > 0
-
-    # The crash RNG is seeded per (policy seed, crash ordinal), so one
-    # policy seed drops or keeps the *first* pending line at every crash
-    # point alike: seed 0 keeps it (prefixes only), seed 1 drops it and
-    # produces both torn shapes from line-granular reordering alone.
-    @pytest.mark.parametrize(
-        "policy, tears",
-        [
-            (DEFAULT_POLICY, False),
-            (TORN_STORES, True),
-            (PERSIST_REORDER, None),
-            (FaultPolicy(persist_reorder=True, seed=1), True),
-            (ADVERSARIAL, True),
-        ],
-        ids=["default", "torn", "reorder", "reorder-seed1", "adversarial"],
-    )
-    def test_exhaustive_single_pool_sweep(self, policy, tears):
-        with cut_spy() as spy:
-            rep = crash_sweep(
-                make_graph,
-                batched_workload(),
-                SweepConfig(faults=policy, exhaustive_threshold=10_000,
-                            idempotence_samples=8),
-            )
-        assert rep.exhaustive and rep.crash_points == rep.total_events
-        assert rep.unrecoverable_count() == 0
-        assert rep.in_flight_applied_count() > 0  # partial batches occurred
-        assert {r.op for r in rep.results} >= {"store", "flush", "fence"}
-        if tears:
-            # the weakened model really produced both torn shapes
-            assert spy.scrubbed > 0 and spy.rejected > 0
-        elif tears is False:
-            # clean ADR persists ascending whole lines: prefixes only
-            assert spy.scrubbed == 0 and spy.rejected == 0
-
-    @pytest.mark.parametrize("policy", [DEFAULT_POLICY, ADVERSARIAL],
-                             ids=["default", "adversarial"])
-    def test_sampled_sharded_sweep(self, policy):
-        rep = crash_sweep(
-            make_sharded(3),
-            batched_workload(n=90, batch_size=10, seed=6),
-            SweepConfig(faults=policy, exhaustive_threshold=100, samples=150,
-                        idempotence_samples=4, seed=11),
-        )
-        assert rep.unrecoverable_count() == 0
-        assert rep.in_flight_applied_count() > 0

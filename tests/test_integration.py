@@ -1,20 +1,18 @@
 """End-to-end integration tests across modules.
 
 Full pipelines: generate a dataset proxy -> ingest through the harness
--> analyze through the views -> crash -> recover -> analyze again, and
-cross-system functional agreement on kernel outputs.
+-> analyze through the views, and cross-system functional agreement on
+kernel outputs.  Crash -> recover -> analyze is the store machine's
+(``tests/test_store_machine.py``).
 """
 
 import numpy as np
 import pytest
 
-from repro import DGAP, DGAPConfig, SimulatedCrash
 from repro.algorithms import bfs, betweenness_centrality, connected_components, pagerank
-from repro.analysis.view import CSRArraysView
 from repro.baselines import SYSTEMS, StaticCSR
 from repro.bench.harness import build_system, ingest, pick_source, run_kernel
 from repro.datasets import get_dataset
-from repro.pmem import CrashInjector
 
 SCALE = 0.1
 
@@ -73,55 +71,6 @@ class TestHarnessPipeline:
         system.insert_edges(map(tuple, edges))
         times = run_kernel(system.analysis_view(), "pr", threads=(1, 4, 16))
         assert times[1] > times[4] > times[16]
-
-
-class TestCrashDuringPipeline:
-    def test_ingest_crash_analyze_continue(self, orkut):
-        """The full life cycle: ingest, crash mid-stream, recover, keep
-        ingesting, analyze — results must equal an uninterrupted run."""
-        spec, edges, nv = orkut
-        inj = CrashInjector()
-        cfg = DGAPConfig(init_vertices=nv, init_edges=edges.shape[0])
-        g = DGAP(cfg, injector=inj)
-        half = edges.shape[0] // 2
-        g.insert_edges(map(tuple, edges[:half]))
-        inj.arm(1, "flush")
-        done = half
-        try:
-            for u, w in edges[half:]:
-                g.insert_edge(int(u), int(w))
-                done += 1
-        except SimulatedCrash:
-            pass
-        inj.disarm()
-
-        g2 = DGAP.open(g.pool, cfg)
-        recovered = g2.num_edges
-        assert done <= recovered <= done + 1
-        # complete the stream (skip anything already acknowledged)
-        g2.insert_edges(map(tuple, edges[recovered:]))
-        assert g2.num_edges == edges.shape[0]
-
-        with g2.consistent_view() as snap:
-            view = CSRArraysView(*snap.to_csr())
-            ranks = pagerank(view, 10)
-        ref = pagerank(StaticCSR(nv, edges).analysis_view(), 10)
-        np.testing.assert_allclose(ranks, ref, rtol=1e-9)
-
-    def test_snapshot_survives_heavy_mutation_and_crash_of_later_state(self, orkut):
-        spec, edges, nv = orkut
-        cfg = DGAPConfig(init_vertices=nv, init_edges=edges.shape[0])
-        g = DGAP(cfg)
-        half = edges.shape[0] // 2
-        g.insert_edges(map(tuple, edges[:half]))
-        with g.consistent_view() as snap:
-            indptr_before, dsts_before = snap.to_csr()
-            g.insert_edges(map(tuple, edges[half:]))
-            # snapshot data must be stable even though the array moved
-            snap._csr = None  # force re-materialization through live structures
-            indptr_after, dsts_after = snap.to_csr()
-            np.testing.assert_array_equal(indptr_before, indptr_after)
-            np.testing.assert_array_equal(dsts_before, dsts_after)
 
 
 class TestSourcePicker:

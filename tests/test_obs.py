@@ -11,7 +11,6 @@ import json
 import numpy as np
 import pytest
 
-from repro import DGAP, DGAPConfig
 from repro.errors import SimulatedCrash
 from repro.obs import (
     INT_COUNTER_FIELDS,
@@ -32,11 +31,9 @@ from repro.obs import tracer as tracer_mod
 from repro.pmem import device as device_mod
 from repro.pmem.crash import CrashInjector, CrashPlan
 
+from .stores import make_store
+
 SMALL = dict(init_vertices=24, init_edges=256, segment_slots=64)
-
-
-def small_graph(**kw):
-    return DGAP(DGAPConfig(**{**SMALL, **kw}))
 
 
 def test_trace_is_noop_when_off():
@@ -169,7 +166,7 @@ def test_annotate_targets_innermost_span():
 
 
 def test_counter_attribution_against_device():
-    g = small_graph()
+    g = make_store(**SMALL)
     t = Tracer(g.pool.stats)
     dev = g.pool.device
     with tracing(t):
@@ -196,7 +193,7 @@ def test_counter_attribution_against_device():
 
 
 def test_aggregate_phases_partitions_the_total():
-    g = small_graph()
+    g = make_store(**SMALL)
     rng = np.random.default_rng(3)
     edges = rng.integers(0, SMALL["init_vertices"], size=(400, 2))
     t = Tracer(g.pool.stats)
@@ -216,7 +213,7 @@ def test_aggregate_phases_partitions_the_total():
 
 
 def test_device_events_capture_and_cap():
-    g = small_graph()
+    g = make_store(**SMALL)
     t = Tracer(g.pool.stats, device_ops=True, max_device_events=3)
     dev = g.pool.device
     with tracing(t):
@@ -230,7 +227,7 @@ def test_device_events_capture_and_cap():
 
 
 def test_device_events_cover_batched_ops():
-    g = small_graph()
+    g = make_store(**SMALL)
     t = Tracer(g.pool.stats, device_ops=True)
     dev = g.pool.device
     offs = np.arange(4, dtype=np.int64) * 64
@@ -244,10 +241,10 @@ def test_device_events_cover_batched_ops():
 def test_device_events_identical_counts_under_crash_injection():
     # The scalar crash-sensitive fallback must emit per-op events that
     # sum to the batched path's counts.
-    g = small_graph()
+    g = make_store(**SMALL)
     t = Tracer(g.pool.stats, device_ops=True)
     inj = CrashInjector(CrashPlan(10**9))  # armed far away: scalar fallback
-    g2 = DGAP(DGAPConfig(**SMALL), injector=inj)
+    g2 = make_store(injector=inj, **SMALL)
     t2 = Tracer(g2.pool.stats, device_ops=True)
     edges = np.array([[1, 2], [2, 3], [3, 4]])
     with tracing(t):
@@ -269,7 +266,7 @@ def test_kernel_span_records_analysis_clock():
     from repro.algorithms import pagerank
     from repro.analysis.view import CSRArraysView
 
-    g = small_graph()
+    g = make_store(**SMALL)
     g.insert_edges(np.array([[0, 1], [1, 2], [2, 0]]))
     with g.consistent_view() as snap:
         view = CSRArraysView(*snap.to_csr())
@@ -287,7 +284,7 @@ def test_kernel_span_is_noop_when_off():
     from repro.algorithms import pagerank
     from repro.analysis.view import CSRArraysView
 
-    g = small_graph()
+    g = make_store(**SMALL)
     g.insert_edges(np.array([[0, 1], [1, 0]]))
     with g.consistent_view() as snap:
         ranks = pagerank(CSRArraysView(*snap.to_csr()), iterations=2)
@@ -295,7 +292,7 @@ def test_kernel_span_is_noop_when_off():
 
 
 def test_chrome_trace_events_nest_on_modeled_timeline(tmp_path):
-    g = small_graph()
+    g = make_store(**SMALL)
     rng = np.random.default_rng(5)
     edges = rng.integers(0, SMALL["init_vertices"], size=(300, 2))
     t = Tracer(g.pool.stats, device_ops=True)
@@ -323,7 +320,7 @@ def test_chrome_trace_events_nest_on_modeled_timeline(tmp_path):
 
 
 def test_golden_tree_round_trip_and_rendering():
-    g = small_graph()
+    g = make_store(**SMALL)
     t = Tracer(g.pool.stats)
     with tracing(t):
         g.insert_edges(np.array([[0, 1], [1, 2], [2, 3], [3, 0]]))
@@ -339,7 +336,7 @@ def test_golden_tree_round_trip_and_rendering():
 def test_profile_table_sums_and_total_row():
     from repro.bench.reporting import profile_table
 
-    g = small_graph()
+    g = make_store(**SMALL)
     rng = np.random.default_rng(7)
     edges = rng.integers(0, SMALL["init_vertices"], size=(500, 2))
     t = Tracer(g.pool.stats)
@@ -353,7 +350,7 @@ def test_profile_table_sums_and_total_row():
 
 def test_crash_inside_span_closes_cleanly():
     inj = CrashInjector()
-    g = DGAP(DGAPConfig(**SMALL), injector=inj)
+    g = make_store(injector=inj, **SMALL)
     inj.arm(5)
     t = Tracer(g.pool.stats)
     with tracing(t):

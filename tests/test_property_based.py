@@ -4,7 +4,6 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import DGAP, DGAPConfig
 from repro.core.encoding import (
     decode_edge,
     decode_pivot,
@@ -16,7 +15,6 @@ from repro.core.pma_tree import DensityBounds, PMATree
 from repro.core.snapshot import _apply_tombstones
 from repro.nputil import multi_arange as _multi_arange
 from repro.pmem import CACHE_LINE, PMemDevice
-from repro.testing import Model, make_insert_workload, model, verify_recovered_graph
 
 BOUNDS = DensityBounds(0.92, 0.70)
 
@@ -25,11 +23,6 @@ common = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-
-edge_lists = st.lists(
-    st.tuples(st.integers(0, 23), st.integers(0, 23)), min_size=0, max_size=300
-)
-
 
 class TestEncodingProperties:
     @given(st.integers(0, (1 << 30) - 2))
@@ -181,64 +174,3 @@ class TestTombstonePairing:
         tomb = np.array([0, 0, 0, 1, 1, 1, 0, 1, 1], dtype=bool)
         want = np.array([1, 1, 1, 1, 1, 0, 0, 1, 0], dtype=bool)
         np.testing.assert_array_equal(tombstone_matches(keys, tomb), want)
-
-
-class TestDGAPProperties:
-    @given(edge_lists)
-    @common
-    def test_insertion_order_always_preserved(self, edges):
-        g = DGAP(DGAPConfig(init_vertices=24, init_edges=256, segment_slots=64))
-        for u, w in edges:
-            g.insert_edge(u, w)
-        Model(edges).admits(model.of(g))
-
-    @given(edge_lists)
-    @common
-    def test_pma_invariants_after_any_workload(self, edges):
-        g = DGAP(DGAPConfig(init_vertices=24, init_edges=256, segment_slots=64))
-        g.insert_edges(edges)
-        slots = g.ea.slots
-        # pivots strictly increasing and dense
-        ppos = np.flatnonzero(slots < 0)
-        vids = -slots[ppos].astype(np.int64) - 1
-        np.testing.assert_array_equal(vids, np.arange(g.num_vertices))
-        # runs contiguous: between a pivot and its run end there are no gaps
-        va = g.va
-        for v in range(g.num_vertices):
-            st_, ad = int(va.start[v]), int(va.array_degree[v])
-            assert (slots[st_ : st_ + ad] > 0).all()
-            end = int(ppos[v + 1]) if v + 1 < g.num_vertices else g.ea.capacity
-            assert (slots[st_ + ad : end] == 0).all()
-        # occupancy bookkeeping agrees with the array
-        g.ea.recount_all()
-        seg = g.ea.seg_occ.copy()
-        assert seg.sum() == np.count_nonzero(slots)
-
-    @given(edge_lists)
-    @common
-    def test_degree_cache_totals(self, edges):
-        g = DGAP(DGAPConfig(init_vertices=24, init_edges=256, segment_slots=64))
-        g.insert_edges(edges)
-        with g.consistent_view() as snap:
-            indptr, dsts = snap.to_csr()
-            assert indptr[-1] == len(edges)
-            assert snap.num_edges == len(edges)
-
-    @given(edge_lists, st.integers(1, 200))
-    @common
-    def test_crash_anywhere_preserves_acked_prefix(self, edges, crash_at):
-        from repro import SimulatedCrash
-        from repro.pmem import CrashInjector
-
-        inj = CrashInjector()
-        cfg = DGAPConfig(init_vertices=24, init_edges=128, segment_slots=64, elog_size=96)
-        g = DGAP(cfg, injector=inj)
-        inj.arm(crash_at)
-        acked = 0
-        try:
-            for u, w in edges:
-                g.insert_edge(u, w)
-                acked += 1
-        except SimulatedCrash:
-            inj.disarm()
-            verify_recovered_graph(DGAP.open(g.pool, cfg), make_insert_workload(edges), acked)

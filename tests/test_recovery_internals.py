@@ -5,7 +5,7 @@ import pytest
 
 from repro import DGAP, DGAPConfig, SimulatedCrash
 from repro.core.recovery import _scan_edge_array
-from repro.core.undo_log import STATE_ACTIVE, STATE_COPYBACK, STATE_DONE, STATE_IDLE
+from repro.core.undo_log import STATE_IDLE
 from repro.errors import RecoveryError
 from repro.pmem import CrashInjector
 
@@ -62,17 +62,18 @@ class TestUlogRecoveryBranches:
         assert ul.read_header().state == STATE_IDLE
 
     def test_done_completes_log_clears(self):
-        g = self.make(); g = DGAP(DGAPConfig(**CFG, elog_size=256))
-        # put entries in section 0's log, then simulate a crash right
-        # after a merge marked DONE but before the clears finished
-        for d in range(60):
+        g = DGAP(DGAPConfig(**CFG, elog_size=256))
+        # vertex 0's first 63 edges fill its gap run; the rest go to
+        # section 0's log.  Then a crash right after a merge marked DONE,
+        # before the clears finished: recovery finishes them.
+        for d in range(70):
             g.insert_edge(0, d % 16)
-        if g.logs.counts[0] == 0:
-            pytest.skip("workload did not populate section 0's log")
+        assert g.logs.counts[0] > 0
         ul = g.ulogs[0]
         ul.begin(0, 64, 1)
         ul.mark_done(0, 64)
         g.rebalancer.recover_ulog(ul, g.logs.rebuild_counts())
+        assert g.logs.counts[0] == 0
         assert ul.read_header().state == STATE_IDLE
 
     def test_copyback_redoes_copy(self):

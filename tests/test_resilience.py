@@ -32,19 +32,16 @@ from repro.resilience import (
 from repro.resilience.quarantine import OUTCOME_HEALTH
 from repro.testing import SoakConfig, crash_points, model, soak_sweep
 
+from .stores import make_store
 from .test_log_streaming import grown_graph
 from .test_recovery_internals import POISON_CASES, plant_poison
 
 CFG = dict(init_vertices=512, init_edges=4096, segment_slots=64, elog_size=96)
 
 
-def make_graph(faults=None, **over):
-    return DGAP(DGAPConfig(**{**CFG, **over}), faults=faults)
-
-
 def hot_graph(n=60, **over):
     """Graph with vertex 0 holding both array edges and a live log chain."""
-    g = make_graph(**over)
+    g = make_store(**{**CFG, **over})
     for i in range(n):
         g.insert_edge(0, i)
     return g
@@ -76,7 +73,7 @@ class TestHealthLadder:
         assert len(reg) == 2 and worst is HealthState.DEGRADED
 
     def test_manager_health_never_improves(self):
-        mgr = ResilienceManager(make_graph())
+        mgr = ResilienceManager(make_store(**CFG))
         mgr._set_health(HealthState.DEGRADED)
         mgr._set_health(HealthState.HEALTHY)
         assert mgr.health is HealthState.DEGRADED
@@ -255,7 +252,7 @@ class TestScrubRepairs:
         assert all(s.self_delta().modeled_ns > 0 for s in spans)
 
     def test_patrol_cursor_wraps(self):
-        g = make_graph()
+        g = make_store(**CFG)
         mgr = ResilienceManager(g, patrol_bytes=g.pool.device.size)
         mgr.scrub()
         assert mgr._patrol_cursor == 0  # wrapped to the start
@@ -263,7 +260,7 @@ class TestScrubRepairs:
 
 class TestGuardedOperation:
     def test_guarded_insert_equals_plain_insert_when_clean(self):
-        ga, gb = make_graph(), make_graph()
+        ga, gb = make_store(**CFG), make_store(**CFG)
         mgr = ResilienceManager(ga)
         for i in range(80):
             assert mgr.guarded_insert_edge(i % 5, i) == []
@@ -300,7 +297,7 @@ class TestGuardedOperation:
     def test_analyze_releases_its_snapshot(self):
         """A guarded analysis must not pin the store: compaction and
         shutdown refuse to run under an open snapshot."""
-        g = make_graph()
+        g = make_store(**CFG)
         mgr = ResilienceManager(g)
         for d in range(3):
             mgr.guarded_insert_edge(0, d)
@@ -313,7 +310,7 @@ class TestGuardedOperation:
         made = []
 
         def factory(injector, faults):
-            made.append(DGAP(DGAPConfig(**CFG), injector=injector, faults=faults))
+            made.append(make_store(injector=injector, faults=faults, **CFG))
             return made[-1]
 
         ops = [("insert", i % 4, i % 16) for i in range(60)]
@@ -325,7 +322,7 @@ class TestGuardedOperation:
         """End-to-end mini-soak: hot ingest under spontaneous decay; every
         insert either lands, or its loss is enumerated in the report."""
         pol = FaultPolicy(read_poison_rate=0.02, seed=2)
-        g = make_graph(faults=pol, init_vertices=16, init_edges=512)
+        g = make_store(faults=pol, **{**CFG, "init_vertices": 16, "init_edges": 512})
         mgr = ResilienceManager(g)
         applied = 0
         for i in range(400):
@@ -406,7 +403,7 @@ def hub(damage, faults=None, **over):
     geometry whose in-place repair a crash turned into duplicated edges)
     and / or the log holding its live chain (``log``)."""
     cfg = dict(CFG, pool_bytes=1 << 20)  # a third of the default: cheap to copy per crash point
-    g = DGAP(DGAPConfig(**{**cfg, **over}), injector=CrashInjector(), faults=faults)
+    g = make_store(injector=CrashInjector(), faults=faults, **{**cfg, **over})
     for i in range(300):
         g.insert_edge(0, i)
     hits = []
@@ -428,7 +425,7 @@ def three_hubs(damage, faults=None, **over):
     that repeat destinations; ``array`` hits the XPLine holding hub 3's
     pivot (its neighbor's too) and run head, ``log`` hub 5's chain."""
     cfg = dict(init_vertices=8, init_edges=512, segment_slots=64, elog_size=96)
-    g = DGAP(DGAPConfig(**{**cfg, **over}), injector=CrashInjector(), faults=faults)
+    g = make_store(injector=CrashInjector(), faults=faults, **{**cfg, **over})
     hubs = np.array([1, 3, 5])
     i = 0
     while i < 150 or (g.va.degree[hubs] - g.va.array_degree[hubs]).min() < 2:

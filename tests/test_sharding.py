@@ -1,10 +1,13 @@
 """Sharded multi-pool DGAP: partition algebra, routing, merged views.
 
 The load-bearing contract is *byte identity*: a :class:`ShardedDGAP`
-fed an edge stream materializes exactly the CSR (out and in) of an
-unsharded DGAP fed the same stream — same dtypes, same element order,
-same bytes — so every analysis kernel (including order-sensitive float
-reductions like PageRank) is oblivious to sharding.
+fed an edge stream materializes exactly the CSR (out and in) of the
+shadow model fed the same stream — same dtypes, same element order, same
+bytes — so every analysis kernel (including order-sensitive float
+reductions like PageRank) is oblivious to sharding.  The store machine
+holds every store to it after every step of a random history (inserts,
+tombstones, growth, power failures, reopens); here one four-shard
+stream, and a power failure inside vertex growth.
 """
 
 import numpy as np
@@ -16,7 +19,6 @@ from repro.datasets import get_dataset
 from repro.errors import GraphError
 from repro.sharding import (
     ShardedDGAP,
-    ShardedViewCache,
     ShardRouter,
     global_vertex_count,
     local_count,
@@ -27,28 +29,9 @@ from repro.sharding import (
     to_global,
     to_local,
 )
+from repro.testing import Model
 
-
-def scratch_csr(g):
-    """The declared reference: a from-scratch (out, in) CSR of one DGAP."""
-    with g.consistent_view() as snap:
-        out = snap.to_csr()
-    return out, build_in_csr(*out, g.num_vertices)
-
-
-def reference_csr(edges, nv, init_edges=None):
-    """((out_indptr, out_dsts), (in_indptr, in_srcs)) of an unsharded build."""
-    g = DGAP(DGAPConfig(init_vertices=nv, init_edges=init_edges or max(len(edges), 256)))
-    g.insert_edges(edges)
-    return scratch_csr(g)
-
-
-def assert_csr_bytes_equal(a, b):
-    (ao_ip, ao_ds), (ai_ip, ai_ss) = a
-    (bo_ip, bo_ds), (bi_ip, bi_ss) = b
-    for x, y in ((ao_ip, bo_ip), (ao_ds, bo_ds), (ai_ip, bi_ip), (ai_ss, bi_ss)):
-        assert x.dtype == y.dtype
-        assert x.tobytes() == y.tobytes()
+from .stores import csr_bytes, model_csrs, served_csr
 
 
 def stream(n_edges=4000, nv=600, seed=11):
@@ -173,75 +156,12 @@ class TestShardedFacade:
 
 
 class TestMergedViewIdentity:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [4])
     def test_byte_identity_uniform_stream(self, n):
         edges = stream(4000, nv=600)
         sh = ShardedDGAP(n, DGAPConfig(init_vertices=600, init_edges=16384))
         sh.insert_edges(edges)
-        assert_csr_bytes_equal(sh.global_csr(), reference_csr(edges, 600, 16384))
-
-    def test_byte_identity_skewed_rmat_stream(self):
-        spec = get_dataset("citpatents")
-        edges = spec.generate(0.05)
-        nv, _ = spec.sizes(0.05)
-        sh = ShardedDGAP(4, DGAPConfig(init_vertices=nv, init_edges=len(edges)))
-        sh.insert_edges(edges)
-        assert_csr_bytes_equal(
-            sh.global_csr(), reference_csr(edges, nv, len(edges))
-        )
-
-    def test_byte_identity_with_tombstones(self):
-        rng = np.random.default_rng(5)
-        edges = stream(3000, nv=400, seed=5)
-        sh = ShardedDGAP(3, DGAPConfig(init_vertices=400, init_edges=16384))
-        g = DGAP(DGAPConfig(init_vertices=400, init_edges=16384))
-        sh.insert_edges(edges)
-        g.insert_edges(edges)
-        for i in rng.choice(len(edges), size=200, replace=False):
-            s, d = int(edges[i, 0]), int(edges[i, 1])
-            sh.delete_edge(s, d)
-            g.delete_edge(s, d)
-        assert_csr_bytes_equal(sh.global_csr(), scratch_csr(g))
-
-    def test_byte_identity_incremental_refresh_and_growth(self):
-        # second materialize goes down the merge-refresh path, and the
-        # second batch grows the destination domain past init_vertices
-        e1 = stream(2000, nv=300, seed=7)
-        rng = np.random.default_rng(8)
-        e2 = np.column_stack([
-            rng.integers(0, 450, size=1500),
-            rng.integers(0, 450, size=1500),
-        ]).astype(np.int64)
-        sh = ShardedDGAP(4, DGAPConfig(init_vertices=300, init_edges=16384))
-        sh.insert_edges(e1)
-        first = sh.global_csr()
-        assert_csr_bytes_equal(first, reference_csr(e1, 300, 16384))
-        sh.insert_edges(e2)
-        assert sh.num_vertices == 450
-        g = DGAP(DGAPConfig(init_vertices=300, init_edges=16384))
-        g.insert_edges(np.concatenate([e1, e2]))
-        gcache = ShardedViewCache(g)  # the unsharded twin patches too
-        assert_csr_bytes_equal(sh.global_csr(), gcache.materialize())
-        # a small no-growth delta must take the incremental merge path
-        # in at least one shard — and stay byte-identical
-        e3 = stream(60, nv=450, seed=21)
-        sh.insert_edges(e3)
-        g.insert_edges(e3)
-        assert_csr_bytes_equal(sh.global_csr(), gcache.materialize())
-        assert_csr_bytes_equal(sh.global_csr(), scratch_csr(g))
-        assert any(s.incremental_builds > 0 for s in sh.view_cache.stats)
-
-    def test_identity_survives_shutdown_and_open(self):
-        edges = stream(2500, nv=500, seed=9)
-        cfg = DGAPConfig(init_vertices=500, init_edges=16384)
-        sh = ShardedDGAP(4, cfg)
-        sh.insert_edges(edges)
-        want = sh.global_csr()
-        sh.shutdown()
-        sh2 = ShardedDGAP.open(sh.pool, cfg)
-        assert sh2.num_vertices == 500
-        assert sh2.num_edges == sh.num_edges
-        assert_csr_bytes_equal(sh2.global_csr(), want)
+        assert csr_bytes(sh.global_csr()) == csr_bytes(model_csrs(Model(edges), 600))
 
     def test_a_power_failure_inside_vertex_growth_leaves_a_readable_store(self):
         """``insert_vertex`` grows the shards one after another, so a power
@@ -253,9 +173,6 @@ class TestMergedViewIdentity:
         from repro.serve import QueryServer
         from repro.serve.driver import SnapshotReader, _bytes_equal
         from repro.testing.crashsweep import crash_points
-        from repro.testing.model import Model
-
-        from .test_store_surface import served_csr
 
         edges = stream(200, nv=64, seed=0)
         n = 3
@@ -318,4 +235,4 @@ class TestShardedVThreads:
         edges = stream(1200, nv=300, seed=13)
         sh = ShardedDGAP(3, DGAPConfig(init_vertices=300, init_edges=16384))
         run_sharded(sh, edges, 8)
-        assert_csr_bytes_equal(sh.global_csr(), reference_csr(edges, 300, 16384))
+        assert csr_bytes(sh.global_csr()) == csr_bytes(model_csrs(Model(edges), 300))

@@ -18,7 +18,7 @@ from repro.baselines.dgap_system import DGAPSystem
 from repro.serve import QueryServer, ServeWorkloadConfig, generate_workload, run_serve_workload
 from repro.sharding import ShardedViewCache
 
-from .test_store_surface import STORES, make_store, rows_bytes, served_csr
+from .stores import STORES, make_store, rows_bytes, served_csr
 from .test_view_cache import NV, TINY_LOG, layout_op, view_bytes
 
 

@@ -8,20 +8,13 @@ from its fault-free twin.
 
 import pytest
 
-from repro import DGAP, DGAPConfig
 from repro.pmem.faults import DEFAULT_POLICY, FaultPolicy
 from repro.resilience import HealthState
-from repro.testing import (
-    SoakConfig,
-    SoakFailure,
-    soak_sweep,
-)
+from repro.testing import SoakConfig, SoakFailure, soak_sweep
+
+from .stores import factory, make_store
 
 CFG = dict(init_vertices=16, init_edges=512, segment_slots=64, elog_size=96)
-
-
-def make_graph(injector, faults):
-    return DGAP(DGAPConfig(**CFG), injector=injector, faults=faults)
 
 
 def hot_ops(n):
@@ -33,17 +26,17 @@ def hot_ops(n):
 class TestWorkloadValidation:
     def test_rejects_deletes(self):
         with pytest.raises(ValueError, match="insert-only"):
-            soak_sweep(make_graph, [("delete", 0, 1)], SoakConfig())
+            soak_sweep(factory(**CFG), [("delete", 0, 1)], SoakConfig())
 
     def test_rejects_nonpositive_rounds(self):
         with pytest.raises(ValueError, match="rounds"):
-            soak_sweep(make_graph, hot_ops(10), SoakConfig(rounds=0))
+            soak_sweep(factory(**CFG), hot_ops(10), SoakConfig(rounds=0))
 
 
 class TestFaultFreeIdentity:
     def test_managed_run_is_free_when_nothing_fails(self):
         rep = soak_sweep(
-            make_graph, hot_ops(300),
+            factory(**CFG), hot_ops(300),
             SoakConfig(faults=DEFAULT_POLICY, rounds=2, scrub_every=20),
         )
         assert rep.fault_points == 0
@@ -57,7 +50,7 @@ class TestRuntimeSoak:
     def test_small_soak_survives_decay(self):
         pol = FaultPolicy(read_poison_rate=2e-3, transient_read_rate=5e-3, seed=1)
         rep = soak_sweep(
-            make_graph, hot_ops(600),
+            factory(**CFG), hot_ops(600),
             SoakConfig(faults=pol, rounds=3, scrub_every=10,
                        patrol_bytes=32 * 1024),
         )
@@ -75,7 +68,7 @@ class TestRuntimeSoak:
         dropping the merge a landed-but-faulted insert still owed."""
         pol = FaultPolicy(read_poison_rate=2e-2, seed=seed)
         rep = soak_sweep(
-            make_graph, hot_ops(600),
+            factory(**CFG), hot_ops(600),
             SoakConfig(faults=pol, rounds=3, scrub_every=10,
                        patrol_bytes=32 * 1024),
         )
@@ -94,7 +87,7 @@ class TestOracleRejectsCorruption:
         calls = {"n": 0}
 
         def corrupt_factory(injector, faults):
-            g = make_graph(injector, faults)
+            g = make_store(injector=injector, faults=faults, **CFG)
             calls["n"] += 1
             if calls["n"] == 1:  # the subject is built first
                 orig = g.insert_edge

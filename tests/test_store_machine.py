@@ -6,8 +6,12 @@ through a random history and judges all of them against one
 :class:`repro.testing.model.Model`.  Every mutation rule may power-fail
 at a drawn persistence event *inside* the op: the reopened store is held
 to the model's in-flight rule, then the client retries what did not
-land.  The fault policy (default / torn / reorder) and the geometry are
-drawn once per history — a device's policy is fixed when it is built.
+land — per row, tombstones included, for a batch.  Besides inserts and
+scalar deletes the mutations are the tombstone batches a sliding window
+sends (``expire_batch``) and compaction.  The fault policy (default /
+torn / reorder), the geometry and whether every op runs traced (then
+attributed exactly) are drawn once per history — a device's policy is
+fixed when it is built.
 After every step: every store's out- and in-CSR, as a fresh
 ``ShardedViewCache`` builds them, byte-equal to the model's (and so to
 each other); device counters of ``DGAP`` equal ``ShardedDGAP(1)``'s;
@@ -28,7 +32,7 @@ Three historical defects, re-found by this machine on their parent
 commits (the view arrays taken from ``ShardedViewCache(g)``, which those
 trees had where this one has ``g.view_cache``); the shrunk sequences,
 each after ``state.build(geometry=GEOMETRIES[0], policy=DEFAULT_POLICY,
-seed=0)``:
+seed=0)`` (``traced=False`` since the flag was drawn):
 
 * ``3e98356`` (the parent of PR 17, which fixed it): a caller's
   ``neighbors(v).sort()`` rewriting a pinned epoch::
@@ -51,6 +55,8 @@ seed=0)``:
       # the retry: PoolLayoutError: root 'edges.g1' already exists
 """
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -58,10 +64,12 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from repro.algorithms import pagerank
-from repro.analysis.view import CSRArraysView, build_in_csr
+from repro.analysis.view import CSRArraysView
 from repro.analysis.viewcache import TOP_ROWS
+from repro.bench.profile import check_attribution
 from repro.core.batch import EdgeBatch
 from repro.errors import SimulatedCrash
+from repro.obs import Tracer, tracing
 from repro.pmem.crash import CrashInjector
 from repro.pmem.faults import DEFAULT_POLICY, PERSIST_REORDER, TORN_STORES
 from repro.serve import QueryServer, top_k_ns
@@ -71,7 +79,7 @@ from repro.testing import model
 from repro.testing.model import Model
 
 from . import test_store_surface as surface
-from .test_store_surface import STORES, counters, make_store, rows_bytes
+from .stores import STORES, counters, csr_bytes, make_store, model_csrs, reopen, rows_bytes
 from .test_view_cache import lossy_repair
 
 #: (config, ids drawn): the surface suite's roomy store, and one tight
@@ -92,12 +100,6 @@ illegal_calls = st.sampled_from(
 )
 
 
-def reopen(g):
-    """Recovery after a crash, else the normal restart; ``check_invariants``
-    is the next invariant's job."""
-    return type(g).open(g.pool, g.config)
-
-
 def top_k_price(view, k):
     """The listed price — ``n`` shards' first ``k`` entries merged — or,
     for a ``k`` beyond the shortest list, the sweep of every row."""
@@ -107,17 +109,12 @@ def top_k_price(view, k):
     return top_k_ns(view.num_vertices, k)
 
 
-def csrs(g):
-    """A fresh cache's build: the store's own is the readers' to drive."""
-    (out_ip, out_ds), (in_ip, in_sr) = ShardedViewCache(g).materialize()
-    return out_ip.tobytes(), out_ds.tobytes(), in_ip.tobytes(), in_sr.tobytes()
-
-
 class StoreMachine(RuleBasedStateMachine):
     @initialize(geometry=st.sampled_from(GEOMETRIES), policy=st.sampled_from(POLICIES),
-                seed=st.integers(0, 3))
-    def build(self, geometry, policy, seed):
+                seed=st.integers(0, 3), traced=st.booleans())
+    def build(self, geometry, policy, seed, traced):
         cfg, self.ids = geometry
+        self.traced = traced
         self.injectors = {kind: CrashInjector() for kind in STORES}
         self.stores = {
             kind: make_store(kind, injector=self.injectors[kind], faults=policy.with_seed(seed), **cfg)
@@ -125,32 +122,49 @@ class StoreMachine(RuleBasedStateMachine):
         }
         self.model = Model()
         self.held = []  # (ServeView, its out-CSR bytes when acquired)
+        self.servers = {}  # per store, its long-lived QueryServer
 
     # -- mutations, each optionally power-failed inside -------------------
     def mutate(self, op, crash):
-        """Apply ``op`` to every store; with ``crash``, arm each injector
-        at that event first, and where the power failed reopen, hold the
-        store to the model's in-flight rule and retry what did not land."""
+        """Apply ``op`` to every store — traced, if the history drew it, and
+        then exactly attributed; with ``crash``, arm each injector at that
+        event first, and where the power failed reopen, hold the store to
+        the model's in-flight rule and retry what did not land."""
         for kind, g in self.stores.items():
-            inj = self.injectors[kind]
+            inj, tracer = self.injectors[kind], Tracer(g.pool.stats)
             if crash:
                 inj.arm(crash)
             try:
-                model.apply(g, op)
+                with tracing(tracer) if self.traced else nullcontext():
+                    model.apply(g, op)
             except SimulatedCrash:
                 inj.disarm()
                 g = self.stores[kind] = reopen(g)
-                rows = model.of(g)
-                landed = self.model.admits(rows, op)
-                if op[0] == "batch":  # each row kept a prefix of its edges: resend the rest
-                    g.insert_edges([
-                        (v, d) for v, sent in Model().apply(op).rows.items()
-                        for d in sent[len(rows.get(v, [])) - len(self.model.row(v)):]
-                    ])
+                landed = self.model.admits(model.of(g), op)
+                if op[0] == "batch":
+                    self.resend(g, op[1])
                 elif not landed:
                     model.apply(g, op)
             inj.disarm()
+            if self.traced:
+                assert check_attribution(tracer) == [], kind
         self.model.apply(op)
+
+    def resend(self, g, batch):
+        """Each row kept a cut of its steps, tombstones included: send
+        every row the rest of its own."""
+        got, rest = model.of(g), []
+        steps = list(zip(batch.src.tolist(), batch.dst.tolist(), batch.tombstone.tolist()))
+        for v in sorted(set(batch.src.tolist())):
+            row = [step for step in steps if step[0] == v]
+            cut = Model(rows={v: self.model.row(v)})
+            while cut.row(v) != got.get(v, []):
+                s, d, tomb = row.pop(0)
+                (cut.delete if tomb else cut.insert)(s, d)
+            rest += row
+        if rest:
+            src, dst, tomb = map(np.array, zip(*rest))
+            model.apply(g, ("batch", EdgeBatch(src, dst, tomb)))
 
     @rule(edges=st.lists(st.tuples(ids, ids), min_size=2, max_size=12),
           burst=st.integers(0, 150), crash=crashes)
@@ -165,11 +179,27 @@ class StoreMachine(RuleBasedStateMachine):
     def insert_edge(self, s, d, crash):
         self.mutate(("insert", s % self.ids, d % self.ids), crash)
 
+    def live(self):
+        """Every live copy, ``(src, dst)`` in row order."""
+        return [(s, d) for s, row in sorted(self.model.rows.items()) for d in row]
+
     @precondition(lambda self: self.model.num_edges)
     @rule(pick=st.integers(0, 10**6), crash=crashes)
     def delete_a_live_edge(self, pick, crash):
-        live = [(s, d) for s, row in sorted(self.model.rows.items()) for d in row]
+        live = self.live()
         self.mutate(("delete", *live[pick % len(live)]), crash)
+
+    @precondition(lambda self: self.model.num_edges)
+    @rule(pick=st.integers(0, 10**6), crash=crashes)
+    def expire_batch(self, pick, crash):
+        """A tombstone batch of up to 12 live copies: the op a sliding
+        window's churn and expiry send (``TemporalWindowGraph._delete_pairs``).
+        The wrapper itself is not driven — its FIFO assumes it is the
+        store's only writer."""
+        live = self.live()
+        idx = np.random.default_rng(pick).choice(len(live), min(len(live), 1 + pick % 12), replace=False)
+        src, dst = np.array([live[i] for i in idx]).T
+        self.mutate(("batch", EdgeBatch(src, dst, np.ones(src.size, dtype=bool))), crash)
 
     @precondition(lambda self: self.model.num_edges)
     @rule(rows=st.integers(1, 8), crash=crashes)
@@ -200,13 +230,17 @@ class StoreMachine(RuleBasedStateMachine):
 
     @rule(line=st.integers(0, 10**6))
     def lossy_repair_then_resend(self, line):
-        """A media error in one XPLine of an edge array, closed by the
-        scrubber's lossy repair: the served top list, patched through the
-        rows the repair shrank, answers as a fresh snapshot does at every
-        ``k``; then each store's client re-sends what its layout lost —
-        every row short of the model emptied and rewritten — so the
-        lockstep resumes."""
+        """A media error in one XPLine of a compacted edge array, closed
+        by the scrubber's lossy repair: the served top list, patched
+        through the rows the repair shrank, answers as a fresh snapshot
+        does at every ``k``; then each store's client re-sends what its
+        layout lost — every row short of the model emptied and rewritten —
+        so the lockstep resumes.  Compacted first: a repair that loses a
+        live edge and keeps its tombstone strands an unmatched tombstone,
+        the known defect of DESIGN.md §9, pinned by
+        ``test_a_repair_strands_a_tombstone``."""
         for kind, g in self.stores.items():
+            g.compact()
             lossy_repair(g, line)
             view, direct = QueryServer(g).acquire(), SnapshotReader(g)
             for k in self.top_ks:
@@ -229,18 +263,25 @@ class StoreMachine(RuleBasedStateMachine):
         order = sorted(range(self.nv), key=lambda v: (-len(self.model.row(v)), v))[:k]
         return np.array(order, dtype=np.int32), np.array([len(self.model.row(v)) for v in order], dtype=np.int64)
 
+    def server(self, kind):
+        """The store's one server: a view it handed out outlives its refreshes."""
+        g = self.stores[kind]
+        if kind not in self.servers or self.servers[kind].graph is not g:
+            self.servers[kind] = QueryServer(g)
+        return self.servers[kind]
+
     @rule(v=ids, w=ids, k=st.integers(0, 3))
     def hold_a_serve_view(self, v, w, k):
         """Served reads equal a fresh snapshot's — and the model's top-k at
         every listed and unlisted ``k`` — at the same modeled cost on every
         store (a top-k read at its closed form); the view is then held
-        across later writes, and a caller sorting a row it was handed must
-        not reach the epoch."""
+        across later writes and its server's later refreshes, and a caller
+        sorting a row it was handed must not reach the epoch."""
         v, w = v % self.nv, w % self.nv
         ns = {}  # per store: the acquire, then (served, snapshot) per query
         tops = [("top_k_degree", k) for k in (k, *self.top_ks)]
         for kind, g in self.stores.items():
-            server, direct = QueryServer(g), SnapshotReader(g)
+            server, direct = self.server(kind), SnapshotReader(g)
             view = server.acquire()
             assert server.acquire() is view  # same epoch: reused, not rebuilt
             ns[kind] = [server.last_acquire_ns]
@@ -263,15 +304,15 @@ class StoreMachine(RuleBasedStateMachine):
     @rule()
     def analyze(self):
         """A kernel over each store's analysis view: one answer, off the
-        in-CSR the store's cache catches up now (equal to the reference)."""
-        out_ip, out_ds = self.model.csr(self.nv)
-        in_ip, in_sr = build_in_csr(out_ip, out_ds, self.nv)
-        want = pagerank(CSRArraysView(out_ip, out_ds), 3)
+        out-CSR the readers' patches left and the in-CSR the store's cache
+        catches up now, both equal to the model's."""
+        want = model_csrs(self.model, self.nv)
+        rank = pagerank(CSRArraysView(*want[0]), 3)
         for kind, g in self.stores.items():
-            (out_ip, out_ds), inn = g.view_cache.materialize()
-            assert [a.tobytes() for a in inn] == [in_ip.tobytes(), in_sr.tobytes()], kind
-            got = pagerank(CSRArraysView(out_ip, out_ds, derived={"in": inn}), 3)
-            assert got.tobytes() == want.tobytes(), kind
+            out, inn = csrs = g.view_cache.materialize()
+            assert csr_bytes(csrs) == csr_bytes(want), kind
+            got = pagerank(CSRArraysView(*out, derived={"in": inn}), 3)
+            assert got.tobytes() == rank.tobytes(), kind
 
     @rule(call=illegal_calls)
     def illegal_call(self, call):
@@ -289,11 +330,10 @@ class StoreMachine(RuleBasedStateMachine):
 
     @invariant()
     def every_store_reads_the_model(self):
-        out_ip, out_ds = self.model.csr(self.nv)
-        in_ip, in_sr = build_in_csr(out_ip, out_ds, self.nv)
-        want = out_ip.tobytes(), out_ds.tobytes(), in_ip.tobytes(), in_sr.tobytes()
+        """A fresh cache's build — the store's own is the readers' to drive."""
+        want = csr_bytes(model_csrs(self.model, self.nv))
         for kind, g in self.stores.items():
-            assert csrs(g) == want, kind
+            assert csr_bytes(ShardedViewCache(g).materialize()) == want, kind
             assert g.num_edges == self.model.num_edges
             g.check_invariants()
         assert counters(self.stores["dgap"]) == counters(self.stores["sharded1"])
@@ -313,3 +353,20 @@ TestStoreMachine = StoreMachine.TestCase
 TestStoreMachine.settings = settings(
     derandomize=True, max_examples=25, stateful_step_count=30, deadline=None
 )
+
+
+@pytest.mark.xfail(strict=True, reason="known defect, DESIGN.md §9: a tombstone that "
+                   "matches no live edge still decrements live_degree")
+def test_a_repair_strands_a_tombstone():
+    """The machine's shrunk history, its repair on an uncompacted store:
+    the damaged line held vertex 16's live edge and not its tombstone, so
+    the row keeps a tombstone that matches nothing and reads at degree -1."""
+    state = StoreMachine()
+    state.build(geometry=GEOMETRIES[1], policy=DEFAULT_POLICY, seed=0, traced=False)
+    state.insert_edge(crash=None, d=0, s=0)
+    state.insert_batch(burst=42, crash=None, edges=[(0, 0), (0, 0)])
+    state.insert_edge(crash=None, d=0, s=0)
+    state.delete_a_live_edge(crash=None, pick=353)
+    g = state.stores["dgap"]
+    lossy_repair(g, 7)
+    assert SnapshotReader(g).top_k_degree(g.num_vertices)[1].min() >= 0

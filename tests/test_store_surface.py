@@ -23,7 +23,7 @@ members only, never asking which class it was handed:
   exactly, and a grep gate keeps the ledger spoken one way;
 * a grep gate pins the "is it sharded?" probe counts at zero.
 
-``make_store``, ``reopen``, ``counters`` and the illegal-call tables are
+The stores come from ``tests/stores.py``; the illegal-call tables are
 importable on purpose: the state machine drives them.
 """
 
@@ -47,47 +47,10 @@ from repro.obs import INT_COUNTER_FIELDS, Tracer, tracing
 from repro.pmem.crash import CrashInjector
 from repro.serve import QueryServer, top_k_ns
 from repro.serve.driver import SnapshotReader, _bytes_equal
-from repro.sharding import ShardedDGAP, ShardedViewCache, merge_out_csr
+from repro.sharding import ShardedViewCache
 from repro.sharding.partition import shard_of
 
-NV = 64
-CFG = dict(init_vertices=NV, init_edges=1024)
-STORES = ("dgap", "sharded1", "sharded3")
-
-
-def make_store(kind: str, injector=None, faults=None, **overrides):
-    """A fresh store of ``kind`` ("dgap" or "sharded<N>") on fresh pools."""
-    cfg = DGAPConfig(**{**CFG, **overrides})
-    if kind == "dgap":
-        return DGAP(cfg, injector=injector, faults=faults)
-    return ShardedDGAP(int(kind[len("sharded"):]), cfg, injector=injector, faults=faults)
-
-
-def reopen(g):
-    """Reopen a store from its pool(s): recovery after a crash, else restart."""
-    g2 = type(g).open(g.pool, g.config)
-    g2.check_invariants()
-    return g2
-
-
-def served_csr(view):
-    """The global out-CSR a served view's per-shard rows scatter to."""
-    return merge_out_csr(list(view.rows), view.num_vertices, len(view.rows))
-
-
-def rows_bytes(view):
-    """A served view's bytes: every shard's out-CSR as it was wrapped."""
-    return [arr.tobytes() for pair in view.rows for arr in pair]
-
-
-def out_csr(g):
-    indptr, dsts = served_csr(QueryServer(g).acquire())
-    return indptr.tobytes(), dsts.tobytes()
-
-
-def counters(g):
-    return [dataclasses.asdict(p.stats) for p in g.pool.pools]
-
+from .stores import NV, STORES, counters, make_store, out_csr, reopen, served_csr
 
 def test_partition_is_the_identity_at_one_shard():
     from repro.sharding.partition import (
@@ -427,27 +390,6 @@ class TestOneViewStack:
         assert [st.as_dict() for st in cache.stats] == stats
         assert cache.last.reused
 
-    @pytest.mark.parametrize("kind", STORES)
-    def test_a_caller_cannot_rewrite_a_pinned_epoch(self, kind):
-        """Rows are slices of cache-owned arrays every holder shares (and,
-        at one shard, the arrays the next patch copies clean rows from)."""
-        g = make_store(kind)
-        g.insert_edges([[0, 5], [0, 2], [3, 4]])
-        server = QueryServer(g)
-        view = server.acquire()
-        held = rows_bytes(view)
-        with pytest.raises(ValueError, match="read-only"):
-            view.neighbors(0).sort()
-        assert list(view.neighbors(0)) == list(g.out_neighbors(0)) == [5, 2]
-        g.insert_edge(3, 7)  # the next build patches from the frozen arrays
-        assert list(server.acquire().neighbors(0)) == [5, 2]
-        assert rows_bytes(view) == held
-        cache = ShardedViewCache(g)
-        arrays = [a for pair in (*cache.rows(), *cache.materialize()) for a in pair]
-        if kind != "dgap":
-            arrays += [a for pair in g.global_csr() for a in pair]
-        assert not any(a.flags.writeable for a in arrays)
-
     def test_analysis_view_arrays_are_read_only(self):
         system = DGAPSystem(NV, 1024)
         system.insert_edges(np.array([[0, 5], [0, 2], [3, 4]]))
@@ -673,6 +615,9 @@ class TestOneSurface:
         for gone in (r"_ordered_ops", r"\b_match\(", r"class NaiveWindowRef", r"def run_script",
                      r"from repro\.testing[.\w]* import (.*|\([^)]*)\b_"):
             assert _count(gone, src) == _count(gone, tests) == 0, gone
+        # one table of crash sweeps; beside it only the generation switch's spy sweep
+        assert sorted(k for k, text in tests.items() if "crash_sweep(" in text) == [
+            "test_crash_sweeps.py", "test_generation_switch.py"]
 
     def test_dgap_did_not_grow_a_merged_view(self):
         assert not hasattr(DGAP, "global_csr")

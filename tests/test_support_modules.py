@@ -9,6 +9,8 @@
   not a traceback; help exits zero.
 * ``tools/check_reachability.py`` — passes on this tree, bites on a
   planted dead name and on a rotted allow-list.
+* ``tools/check_doc_refs.py`` — passes on this tree, bites on a
+  reference to a missing file or to a name not defined where it points.
 """
 
 import importlib.util
@@ -235,6 +237,33 @@ def test_reachability_gate_passes_here_and_bites(tmp_path, capsys):
     assert "unreached: unreached_def" in out and "unreached: reached" not in out
     # the allow-list cannot rot: its names are not defined in this tree
     assert "stale allow-list entry: is_persisted — no longer defined" in out
+
+
+# -- tools/check_doc_refs.py ------------------------------------------------
+
+def test_doc_reference_gate_passes_here_and_bites(tmp_path, capsys):
+    path = Path(__file__).resolve().parents[1] / "tools" / "check_doc_refs.py"
+    spec = importlib.util.spec_from_file_location("check_doc_refs", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.main([]) == 0, capsys.readouterr().out
+
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_x.py").write_text(
+        "ROWS = []\nclass TestA:\n    def test_b(self):\n        pass\ndef test_c():\n    pass\n"
+    )
+    (tmp_path / "DESIGN.md").write_text(
+        "`tests/test_x.py::TestA::test_b`, tests/test_x.py::ROWS and tests/test_x.py resolve;\n"
+        "`tests/test_gone.py` and `tests/test_x.py::TestA::test_c` do not,\n"
+        "nor does src/repro/m.py::f\n"
+    )
+    assert tool.main([str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "DESIGN.md:2: tests/test_gone.py — no such file" in out
+    # a function at the top level is not a method of the class before it
+    assert "DESIGN.md:2: tests/test_x.py::TestA::test_c — 'test_c' is not defined there" in out
+    assert "DESIGN.md:3: src/repro/m.py::f — no such file" in out
+    assert "6 references, 3 unresolved" in out
 
 
 # -- tools/check_coverage.py --dead-defs -------------------------------------

@@ -3,19 +3,21 @@
 The contract under test: :class:`repro.temporal.TemporalWindowGraph`
 driving a real DGAP — batched adds, FIFO churn deletes, sliding-window
 expiry down the tombstone path, density-triggered compaction sweeps —
-produces *byte-identical* out- and in-CSR views, every step, to a naive
-pure-python reference that implements the same window semantics over the
-shadow model's ordered rows and remove-last deletion.  The reference shares
-no code with the library's read path; only the in-CSR counting sort is
-the pinned ``build_in_csr`` builder (the single source of truth for
-(dst, src, insertion) order, per DESIGN.md §7).
+produces *byte-identical* out- and in-CSR views, every step — as the
+store's own view cache patches them — to a naive pure-python reference
+that implements the same window semantics over the shadow model's ordered
+rows and remove-last deletion.  The reference shares no code with the
+library's read path; only the in-CSR counting sort is the pinned
+``build_in_csr`` builder (the single source of truth for (dst, src,
+insertion) order, per DESIGN.md §7).
 
 Hypothesis drives arbitrary streams (duplicate parallel edges, deletes
 of absent pairs, empty steps) across window sizes including the
 degenerate 0 (expire the current step's survivors immediately) and 1
 (keep exactly the current step), with compaction both auto-triggered by
-tombstone density and forced at fixed cadences, on single-pool and
-sharded graphs.
+tombstone density and forced at fixed cadences.  The window's batched
+tombstones on every store, power-failed or not, are the store machine's
+``expire_batch``.
 """
 
 from collections import defaultdict
@@ -25,12 +27,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import DGAP, DGAPConfig
-from repro.analysis.view import build_in_csr
 from repro.errors import GraphError
-from repro.sharding import ShardedViewCache
 from repro.temporal import TemporalWindowGraph
 from repro.testing import Model
+
+from .stores import csr_bytes, make_store, model_csrs
 
 common = settings(
     max_examples=30,
@@ -40,10 +41,6 @@ common = settings(
 
 NV = 24
 SMALL = dict(init_vertices=NV, init_edges=256, segment_slots=64)
-
-
-def make_graph(**overrides):
-    return DGAP(DGAPConfig(**{**SMALL, **overrides}))
 
 
 # -- the naive reference ----------------------------------------------------
@@ -85,26 +82,8 @@ class WindowRef:
                 while tags and tags[0] == e:
                     self._drop(s, d)
 
-    def csr(self, nv):
-        indptr, dsts = self.adj.csr(nv)
-        return (indptr, dsts), build_in_csr(indptr, dsts, nv)
-
     def live(self):
         return self.adj.num_edges
-
-
-def assert_reads(ref, nv, out, inn, where=""):
-    """``(out, inn)`` CSR pairs byte-identical to the reference's."""
-    want_out, want_in = ref.csr(nv)
-    for got, want in zip((*out, *inn), (*want_out, *want_in)):
-        assert np.asarray(got).tobytes() == want.tobytes(), where
-
-
-def assert_graph_matches_ref(graph, ref, where=""):
-    nv = graph.num_vertices
-    with graph.consistent_view() as snap:
-        out = snap.to_csr()
-    assert_reads(ref, nv, out, build_in_csr(*out, nv), where)
 
 
 # -- strategies -------------------------------------------------------------
@@ -124,13 +103,14 @@ class TestWindowedStreamDifferential:
     def test_csr_byte_identical_to_reference_every_step(self, stream, window):
         """Arbitrary streams, auto-compaction at a low threshold so the
         sweep fires inside the property (not only in dedicated tests)."""
-        g = make_graph()
+        g = make_store(**SMALL)
         wg = TemporalWindowGraph(g, window, compact_threshold=0.10)
         ref = WindowRef(window)
         for i, (adds, deletes) in enumerate(stream):
             st_ = wg.advance(adds, deletes)
             ref.step(adds, deletes)
-            assert_graph_matches_ref(g, ref, where=f"step {i} ({st_})")
+            got = csr_bytes(g.view_cache.materialize())
+            assert got == csr_bytes(model_csrs(ref.adj, g.num_vertices)), f"step {i} ({st_})"
             assert wg.live_edges() == ref.live()
         g.check_invariants()
 
@@ -139,7 +119,7 @@ class TestWindowedStreamDifferential:
     def test_forced_compaction_cadence_is_invisible(self, stream, window, every):
         """Compaction at a fixed cadence (auto off) never changes reads,
         and the swept graph keeps its invariants."""
-        g = make_graph()
+        g = make_store(**SMALL)
         wg = TemporalWindowGraph(g, window, auto_compact=False)
         ref = WindowRef(window)
         for i, (adds, deletes) in enumerate(stream):
@@ -150,37 +130,8 @@ class TestWindowedStreamDifferential:
                 g.compact()
                 assert g.tombstone_density() <= before
                 g.check_invariants()
-            assert_graph_matches_ref(g, ref, where=f"step {i}")
-
-    @given(stream_s, window_s)
-    @common
-    def test_incremental_view_cache_matches_reference(self, stream, window):
-        """The PR 3 epoch-versioned cache stays byte-identical to the
-        reference under expiry tombstones and compaction sweeps."""
-        g = make_graph()
-        wg = TemporalWindowGraph(g, window, compact_threshold=0.15)
-        cache = ShardedViewCache(g)
-        ref = WindowRef(window)
-        for i, (adds, deletes) in enumerate(stream):
-            wg.advance(adds, deletes)
-            ref.step(adds, deletes)
-            assert_reads(ref, g.num_vertices, *cache.materialize(), f"step {i}")
-
-    @given(stream_s, window_s)
-    @common
-    def test_sharded_windowed_stream_matches_reference(self, stream, window):
-        """The same semantics hold when the window wrapper drives a
-        sharded multi-pool graph (routing + merged global views)."""
-        from repro.sharding import ShardedDGAP
-
-        g = ShardedDGAP(2, DGAPConfig(**SMALL))
-        wg = TemporalWindowGraph(g, window, compact_threshold=0.10)
-        ref = WindowRef(window)
-        for i, (adds, deletes) in enumerate(stream):
-            wg.advance(adds, deletes)
-            ref.step(adds, deletes)
-            assert_reads(ref, g.num_vertices, *g.global_csr(), f"step {i}")
-
+            got = csr_bytes(g.view_cache.materialize())
+            assert got == csr_bytes(model_csrs(ref.adj, g.num_vertices)), f"step {i}"
 
 # -- degenerate windows -----------------------------------------------------
 
@@ -218,7 +169,7 @@ class TestSharedPairingRule:
     def test_sweep_is_invisible_to_reads(self, ops):
         """Random inserts/deletes incl. deletes of never-present edges
         (unmatched tombstones, kept) and re-inserts after a delete."""
-        g = make_graph()
+        g = make_store(**SMALL)
         live = Model()
         unmatched = defaultdict(int)
         for s, d, delete in ops:
@@ -243,7 +194,7 @@ class TestSharedPairingRule:
 
 class TestDegenerateWindows:
     def test_window_zero_graph_empty_after_every_step(self):
-        g = make_graph()
+        g = make_store(**SMALL)
         wg = TemporalWindowGraph(g, 0, auto_compact=False)
         rng = np.random.default_rng(5)
         for t in range(6):
@@ -254,7 +205,7 @@ class TestDegenerateWindows:
             assert int(g.va.live_degrees().sum()) == 0
 
     def test_window_one_keeps_exactly_the_current_step(self):
-        g = make_graph()
+        g = make_store(**SMALL)
         wg = TemporalWindowGraph(g, 1, auto_compact=False)
         rng = np.random.default_rng(6)
         prev = 0
@@ -268,7 +219,7 @@ class TestDegenerateWindows:
     def test_churn_consumes_the_oldest_copy_first(self):
         """FIFO: a churn delete releases the oldest birth tag, so the
         later copy still expires with its own step."""
-        g = make_graph()
+        g = make_store(**SMALL)
         wg = TemporalWindowGraph(g, 3, auto_compact=False)
         wg.advance([(1, 2)])                   # step 0: birth tag 0
         wg.advance([(1, 2)], [(1, 2)])         # step 1: add tag 1, churn eats tag 0
@@ -287,18 +238,18 @@ class TestDegenerateWindows:
 class TestContracts:
     def test_negative_window_rejected(self):
         with pytest.raises(GraphError):
-            TemporalWindowGraph(make_graph(), -1)
+            TemporalWindowGraph(make_store(**SMALL), -1)
 
     def test_bad_compact_threshold_rejected(self):
         with pytest.raises(GraphError):
-            TemporalWindowGraph(make_graph(), 2, compact_threshold=0.0)
+            TemporalWindowGraph(make_store(**SMALL), 2, compact_threshold=0.0)
         with pytest.raises(GraphError):
-            TemporalWindowGraph(make_graph(), 2, compact_threshold=0.75)
+            TemporalWindowGraph(make_store(**SMALL), 2, compact_threshold=0.75)
 
     def test_adds_must_not_carry_tombstones(self):
         from repro.core.batch import EdgeBatch
 
-        wg = TemporalWindowGraph(make_graph(), 2)
+        wg = TemporalWindowGraph(make_store(**SMALL), 2)
         batch = EdgeBatch(
             np.array([1]), np.array([2]), np.array([True])
         )
@@ -306,7 +257,7 @@ class TestContracts:
             wg.advance(batch)
 
     def test_counters_ledger_balances(self):
-        g = make_graph()
+        g = make_store(**SMALL)
         wg = TemporalWindowGraph(g, 2, auto_compact=False)
         rng = np.random.default_rng(9)
         for _ in range(8):

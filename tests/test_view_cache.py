@@ -1,8 +1,9 @@
 """Incremental analytics views: epoch tracking, cache identity, dtypes.
 
 The contract under test (DESIGN.md §7): the epoch-versioned view cache
-must be *invisible* — every cached materialization is element-identical
-to a from-scratch rebuild of the same snapshot, kernel outputs and
+must be *invisible* — every cached materialization is byte-identical to
+the rows the store reads back (under arbitrary histories: the store
+machine's ``analyze``, ``tests/test_store_machine.py``), kernel outputs and
 modeled seconds are bit-identical cached vs uncached, and the counters
 prove the cache really is incremental (it skips clean sections).
 """
@@ -19,7 +20,7 @@ from repro.analysis.costs import (
     PM_RND_NS,
     PM_SEQ_NS_PER_BYTE,
 )
-from repro.analysis.view import ID_DTYPE, INDPTR_DTYPE, build_in_csr
+from repro.analysis.view import ID_DTYPE, INDPTR_DTYPE
 from repro.analysis.viewcache import TOP_ROWS
 from repro.baselines import SYSTEMS, DGAPSystem, StaticCSR
 from repro.bench.harness import SOURCE_KERNELS
@@ -32,9 +33,10 @@ from repro.serve import QueryServer
 from repro.serve.driver import SnapshotReader, _bytes_equal
 from repro.sharding import ShardedViewCache
 from repro.sharding.partition import shard_of
+from repro.testing import Model, model
 
+from .stores import STORES, csr_bytes, make_store, model_csrs, rows_bytes
 from .test_resilience import hot_graph
-from .test_store_surface import STORES, make_store, rows_bytes
 
 common = settings(
     max_examples=30,
@@ -53,98 +55,11 @@ def small_system(**overrides) -> DGAPSystem:
     return DGAPSystem(cfg.init_vertices, cfg.init_edges, config=cfg)
 
 
-def scratch_reference(system):
-    """(out, in) CSR rebuilt from scratch off a fresh snapshot."""
-    with system.graph.consistent_view() as snap:
-        indptr, dsts = snap.to_csr()
-    nv = system.graph.num_vertices
-    return (np.asarray(indptr), np.asarray(dsts)), build_in_csr(
-        np.asarray(indptr), np.asarray(dsts), nv
-    )
-
-
 def assert_view_matches_scratch(system, view):
-    (ref_ip, ref_ds), (ref_iip, ref_isr) = scratch_reference(system)
-    out_ip, out_ds = view.out_csr()
-    in_ip, in_sr = view.in_csr()
-    np.testing.assert_array_equal(out_ip, ref_ip)
-    np.testing.assert_array_equal(out_ds, ref_ds)
-    np.testing.assert_array_equal(in_ip, ref_iip)
-    np.testing.assert_array_equal(in_sr, ref_isr)
-    assert out_ip.dtype == ref_ip.dtype and out_ds.dtype == ref_ds.dtype
-    assert in_ip.dtype == ref_iip.dtype and in_sr.dtype == ref_isr.dtype
-
-
-# -- the tentpole property: cache == scratch under arbitrary histories ----
-
-ops_strategy = st.lists(
-    st.one_of(
-        st.tuples(st.just("ins"), st.integers(0, NV - 1), st.integers(0, NV - 1)),
-        st.tuples(st.just("del"), st.integers(0, NV - 1), st.integers(0, NV - 1)),
-        st.tuples(
-            st.just("batch"),
-            st.lists(
-                st.tuples(st.integers(0, NV - 1), st.integers(0, NV - 1)),
-                min_size=1,
-                max_size=40,
-            ),
-        ),
-        st.tuples(st.just("analyze")),
-    ),
-    min_size=1,
-    max_size=40,
-)
-
-
-class TestIncrementalViewProperty:
-    @given(ops_strategy)
-    @common
-    def test_cached_view_identical_to_scratch(self, ops):
-        """Arbitrary interleavings of inserts, deletes, batches and
-        analysis rounds — enough volume on the small geometry to force
-        merges, rebalance windows and resizes — never diverge the cached
-        materialization from a from-scratch one (elements *and* dtypes).
-        """
-        system = small_system()
-        for op in ops:
-            if op[0] == "ins":
-                system.graph.insert_edge(op[1], op[2])
-            elif op[0] == "del":
-                # deleting a missing edge is a no-op tombstone — legal
-                system.graph.delete_edge(op[1], op[2])
-            elif op[0] == "batch":
-                system.insert_edges(np.array(op[1], dtype=np.int64))
-            else:
-                assert_view_matches_scratch(system, system.analysis_view())
-        # always end with one analyze so every history is checked
-        assert_view_matches_scratch(system, system.analysis_view())
-
-    @given(ops_strategy)
-    @common
-    def test_second_view_cache_follows_first(self, ops):
-        """A second, independent view cache attached mid-history must
-        agree too (epoch stamps are monotone, never cleared per-cache)."""
-        system = small_system()
-        late = None
-        for i, op in enumerate(ops):
-            if op[0] == "ins":
-                system.graph.insert_edge(op[1], op[2])
-            elif op[0] == "del":
-                system.graph.delete_edge(op[1], op[2])
-            elif op[0] == "batch":
-                system.insert_edges(np.array(op[1], dtype=np.int64))
-            else:
-                system.analysis_view()
-                if late is None:
-                    late = ShardedViewCache(system.graph)
-                out, inn = late.materialize()
-        if late is not None:
-            out, inn = late.materialize()
-            (ref_ip, ref_ds), (ref_iip, ref_isr) = scratch_reference(system)
-            np.testing.assert_array_equal(out[0], ref_ip)
-            np.testing.assert_array_equal(out[1], ref_ds)
-            np.testing.assert_array_equal(inn[0], ref_iip)
-            np.testing.assert_array_equal(inn[1], ref_isr)
+    """Both CSRs byte-equal (dtypes too) to the rows the store reads back."""
+    g = system.graph
+    want = model_csrs(Model(rows=model.of(g)), g.num_vertices)
+    assert csr_bytes((view.out_csr(), view.in_csr())) == csr_bytes(want)
 
 
 # -- rows go stale by vertex; layout operations invalidate nothing ----------

@@ -1,19 +1,19 @@
 """Virtual-thread scheduler tests: the event-level Table 3 cross-check."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
-from repro import DGAP, DGAPConfig
 from repro.datasets import get_dataset
 from repro.workloads import VirtualThreadScheduler, simulate_threads
+
+from .stores import make_store
 
 SPEC = get_dataset("orkut")
 EDGES = SPEC.generate(0.2)
 NV, _ = SPEC.sizes(0.2)
-
-
-def make_graph():
-    return DGAP(DGAPConfig(init_vertices=NV, init_edges=EDGES.shape[0]))
+make_graph = partial(make_store, init_vertices=NV, init_edges=EDGES.shape[0])
 
 
 class TestScheduler:
