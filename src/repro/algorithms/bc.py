@@ -9,13 +9,15 @@ semantics, like GAPBS.
 The forward phase is direction-optimizing.  GAPBS's ``bc.cc`` always
 pushes (expands the frontier's out-edges); here a level *pulls* — every
 unvisited vertex sums sigma over its in-neighbours at the current depth
-— when the unvisited side is smaller on both counts, vertices and
-edges.  No early exit is possible (every parent's sigma is needed), and
-frontier accounting grows in both counts, so a pulled level never costs
-more than the push it replaces, on any storage geometry.  sigma holds
-integer path counts, so summing it in another order is exact, and the
-backward pass consumes the very edges push would have recorded: the
-scores are byte-identical to push-only Brandes.
+— when its view prices that lower than the push
+(:func:`~repro.algorithms.common.pull_if_cheaper`: frontier accounting
+of the unvisited side's vertices and in-edges against the frontier's
+vertices and out-edges; no early exit, every parent's sigma is needed).
+A level discovers the same vertices either way, so each costs the
+cheaper of its two charges.  sigma holds integer path counts, so
+summing it in another order is exact, and the backward pass consumes
+the very edges push would have recorded: the scores are byte-identical
+to push-only Brandes.
 
 BC is the most compute- and memory-intensive kernel and touches large
 parts of the graph — which is why DGAP catches up with the DRAM-cached
@@ -30,7 +32,7 @@ import numpy as np
 
 from ..analysis.view import CSRArraysView
 from ..obs.tracer import annotate, kernel_span
-from .common import gather_edges
+from .common import gather_edges, pull_if_cheaper
 
 _BC_SERIAL = 0.02
 
@@ -46,10 +48,8 @@ def _betweenness_centrality(view: CSRArraysView, source: int) -> np.ndarray:
     out_indptr, out_dsts = view.out_csr()
     # ID_DTYPE ids would be re-cast to intp at every fancy index below
     out_dsts = out_dsts.astype(np.intp)
-    out_deg = view.out_degrees()
-    # counted once few enough rows are unvisited; the in-CSR is fetched
-    # by the first pulled level
-    in_deg = in_csr = None
+    out_deg, in_deg = view.out_degrees(), view.in_degrees()
+    in_csr = None  # fetched by the first pulled level
 
     depth = np.full(nv, -1, dtype=np.int64)
     sigma = np.zeros(nv, dtype=np.float64)
@@ -59,33 +59,29 @@ def _betweenness_centrality(view: CSRArraysView, source: int) -> np.ndarray:
     #: per level: the (u, w) edges landing on the next level (None when
     #: the level pulled), plus its out-edge count for the backward pass
     level_edges: List[tuple] = []
-    # the unvisited side, kept current like GAPBS's ``edges_to_check``
+    # the unvisited side, kept current level by level
     n_unvisited = nv - 1
-    m_unvisited = n_pulled = 0
+    m_unvisited = view.num_edges - int(in_deg[source])
+    n_pulled = 0
 
     # -- forward: BFS levels + path counts ---------------------------------
     d = 0
     frontier = levels[0]
     while frontier.size:
         m_frontier = int(out_deg[frontier].sum())
-        pull = n_unvisited < frontier.size
-        if pull and in_deg is None:
-            in_deg = np.bincount(out_dsts, minlength=nv)
-            m_unvisited = int(in_deg[depth < 0].sum())
-        pull = pull and m_unvisited < m_frontier
+        pull = pull_if_cheaper(
+            view, (frontier.size, m_frontier), (n_unvisited, m_unvisited), _BC_SERIAL
+        )
         n_pulled += pull
         if pull:
             if in_csr is None:
                 in_indptr, in_srcs = view.in_csr()
                 in_csr = (in_indptr, in_srcs.astype(np.intp))
-            cand = np.flatnonzero(depth < 0)
-            w, u = gather_edges(*in_csr, cand)
-            view.account_frontier(cand.size, m_unvisited, serial_fraction=_BC_SERIAL)
+            w, u = gather_edges(*in_csr, np.flatnonzero(depth < 0))
             # an unvisited vertex's parents are its in-neighbours at depth d
             hit = depth[u] == d
         else:
             u, w = gather_edges(out_indptr, out_dsts, frontier)
-            view.account_frontier(frontier.size, m_frontier, serial_fraction=_BC_SERIAL)
             hit = depth[w] < 0
         u, w = u[hit], w[hit]
         # dedupe via a bitmap: same sorted result as np.unique, no sort
@@ -101,8 +97,7 @@ def _betweenness_centrality(view: CSRArraysView, source: int) -> np.ndarray:
             break
         level_edges.append((None if pull else (u, w), m_frontier))
         n_unvisited -= nxt.size
-        if in_deg is not None:
-            m_unvisited -= int(in_deg[nxt].sum())
+        m_unvisited -= int(in_deg[nxt].sum())
         levels.append(nxt)
         frontier = nxt
         d += 1

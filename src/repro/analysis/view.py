@@ -180,11 +180,12 @@ class CSRArraysView:
     CSR every system materializes, plus access-cost accounting under a
     given :class:`StorageGeometry`.
 
-    Derived arrays (the in-CSR, out-degrees, the repeated-id arrays the
-    kernels need) live in a ``_derived`` dict that clones of a view
-    *share*: running PR then BFS on views of the same unchanged graph
-    builds the in-CSR once.  The :class:`AnalysisClock` is per-view, so
-    one caller's ``reset_clock`` never disturbs another's accounting.
+    Derived arrays (the in-CSR, out- and in-degrees, the repeated-id
+    arrays the kernels need) live in a ``_derived`` dict that clones of
+    a view *share*: running PR then BFS on views of the same unchanged
+    graph builds the in-CSR once.  The :class:`AnalysisClock` is
+    per-view, so one caller's ``reset_clock`` never disturbs another's
+    accounting.
     """
 
     def __init__(
@@ -236,6 +237,20 @@ class CSRArraysView:
             self._derived["out_degrees"] = deg
         return deg  # type: ignore[return-value]
 
+    def in_degrees(self) -> np.ndarray:
+        """In-degree of every vertex, cached: read off the in-CSR's
+        indptr when that is already built, else counted from the out-CSR."""
+        deg = self._derived.get("in_degrees")
+        if deg is None:
+            inn = self._derived.get("in")
+            if inn is None:
+                _, dsts = self.out_csr()
+                deg = np.bincount(dsts, minlength=self.num_vertices)
+            else:
+                deg = np.diff(inn[0])  # type: ignore[index]
+            self._derived["in_degrees"] = deg
+        return deg  # type: ignore[return-value]
+
     def out_src_ids(self) -> np.ndarray:
         """Source id of every out-CSR entry, cached.
 
@@ -258,12 +273,16 @@ class CSRArraysView:
         ns += ne * costs.COMPUTE_NS_PER_EDGE
         self.clock.charge(ns, serial_fraction)
 
+    def frontier_ns(self, n_vertices: int, n_edges: int) -> float:
+        """What :meth:`account_frontier` charges for visiting
+        ``n_vertices`` edge lists holding ``n_edges`` edges — the price a
+        BFS/BC level compares before it picks a direction."""
+        return self.geometry.frontier_ns(n_vertices, n_edges) + n_edges * costs.COMPUTE_NS_PER_EDGE
+
     def account_frontier(
         self, n_vertices: int, n_edges: int, serial_fraction: float = 0.02
     ) -> None:
-        ns = self.geometry.frontier_ns(n_vertices, n_edges)
-        ns += n_edges * costs.COMPUTE_NS_PER_EDGE
-        self.clock.charge(ns, serial_fraction)
+        self.clock.charge(self.frontier_ns(n_vertices, n_edges), serial_fraction)
 
     def account_partial_scan(
         self, n_vertices: int, n_edges: int, serial_fraction: float = 0.02

@@ -7,7 +7,8 @@ import pytest
 from repro import DGAP, DGAPConfig
 from repro.algorithms import bfs, betweenness_centrality, connected_components, pagerank
 from repro.algorithms.common import gather_edges
-from repro.analysis.view import CSRArraysView, StorageGeometry
+from repro.analysis.view import CSR_PM_GEOMETRY, CSRArraysView, StorageGeometry
+from repro.baselines import SYSTEMS
 from repro.datasets import rmat_edges
 from repro.obs import Tracer, tracing
 from repro.sharding import ShardedDGAP
@@ -107,6 +108,44 @@ class TestBFS:
         parent = bfs(view, source=3)
         assert parent[3] == 3 and parent[1] == -1
 
+    @staticmethod
+    def assert_alpha_beta_equivalent(view, source):
+        """alpha/beta's depths, never more modeled time; returns both times."""
+        ref_view, got_view = view.clone(), view.clone()
+        ref, _ = alpha_beta_bfs(ref_view, source)
+        got = bfs(got_view, source)
+        np.testing.assert_array_equal(bfs_depths(got), bfs_depths(ref))
+        assert got_view.seconds(1) <= ref_view.seconds(1), source
+        return got_view.seconds(1), ref_view.seconds(1)
+
+    def test_matches_alpha_beta_under_every_geometry(self, random_graph, framework_geometries):
+        view, _, nv = random_graph
+        for geometry in framework_geometries:
+            for source in (0, int(np.argmax(view.out_degrees())), nv // 2):
+                self.assert_alpha_beta_equivalent(under(view, geometry), source)
+
+    def test_sparse_graph_pushes_where_alpha_beta_pulls(self):
+        view = sparse_graph()
+        _, ab_pulled = alpha_beta_bfs(view.clone(), 0)
+        _, pulled = levels_pulled(bfs, view.clone(), 0)
+        assert ab_pulled >= 1 and pulled == 0
+        got_s, ref_s = self.assert_alpha_beta_equivalent(view, 0)
+        assert got_s < ref_s
+
+    def test_bottom_up_takes_the_first_frontier_in_neighbour(self):
+        """GAPBS's bottom-up step ``break``s at the first in-neighbour in
+        the frontier — the early exit its charge assumes."""
+        view = hub_graph()
+        levels, pulled = levels_pulled(bfs, view.clone(), 0)
+        assert levels == 4 and pulled >= 1
+        parent = bfs(view, 0)
+        depth = bfs_depths(parent)
+        in_indptr, in_srcs = view.in_csr()
+        assert (depth == 3).sum() > 10
+        for v in np.flatnonzero(depth == 3):
+            srcs = in_srcs[in_indptr[v] : in_indptr[v + 1]]
+            assert parent[v] == srcs[depth[srcs] == 2][0]
+
 
 class TestCC:
     def test_matches_networkx(self, random_graph):
@@ -127,13 +166,18 @@ class TestCC:
         np.testing.assert_array_equal(connected_components(view), np.arange(5))
 
 
-def push_only_bc(view, source):
-    """Frozen push-only Brandes forward/backward pass: the scores the
-    direction-optimizing kernel must reproduce byte for byte, and the
-    modeled time it must never exceed."""
+def frozen_bc(view, source, pulls):
+    """Frozen Brandes forward/backward pass whose levels pull when
+    ``pulls(n_frontier, m_frontier, n_unvisited, m_unvisited)`` says so:
+    the scores the kernel must reproduce byte for byte, and a modeled
+    time it must never exceed."""
     nv = view.num_vertices
     out_indptr, out_dsts = view.out_csr()
     out_dsts = out_dsts.astype(np.intp)
+    in_indptr, in_srcs = view.in_csr()
+    in_srcs = in_srcs.astype(np.intp)
+    out_deg = view.out_degrees()
+    in_deg = np.bincount(out_dsts, minlength=nv)
     depth = np.full(nv, -1, dtype=np.int64)
     sigma = np.zeros(nv, dtype=np.float64)
     depth[source] = 0
@@ -143,26 +187,40 @@ def push_only_bc(view, source):
     d = 0
     frontier = levels[0]
     while frontier.size:
-        owners, nbrs = gather_edges(out_indptr, out_dsts, frontier)
-        view.account_frontier(frontier.size, int(owners.size), serial_fraction=0.02)
-        fresh = depth[nbrs] < 0
+        m_frontier = int(out_deg[frontier].sum())
+        cand = np.flatnonzero(depth < 0)
+        m_unvisited = int(in_deg[cand].sum())
+        pull = pulls(frontier.size, m_frontier, cand.size, m_unvisited)
+        if pull:
+            w, u = gather_edges(in_indptr, in_srcs, cand)
+            view.account_frontier(cand.size, m_unvisited, serial_fraction=0.02)
+            hit = depth[u] == d
+        else:
+            u, w = gather_edges(out_indptr, out_dsts, frontier)
+            view.account_frontier(frontier.size, m_frontier, serial_fraction=0.02)
+            hit = depth[w] < 0
+        u, w = u[hit], w[hit]
         discovered = np.zeros(nv, dtype=bool)
-        discovered[nbrs[fresh]] = True
+        discovered[w] = True
         nxt = np.flatnonzero(discovered)
         depth[nxt] = d + 1
-        u, w = owners[fresh], nbrs[fresh]
         np.add.at(sigma, w, sigma[u])
         view.account_compute(nxt.size * 16, serial_fraction=0.02)
         if nxt.size == 0:
             break
-        level_edges.append((u, w, int(owners.size)))
+        level_edges.append((None if pull else (u, w), m_frontier))
         levels.append(nxt)
         frontier = nxt
         d += 1
     delta = np.zeros(nv, dtype=np.float64)
     for d in range(len(levels) - 2, -1, -1):
         verts = levels[d]
-        u, w, gathered = level_edges[d]
+        edges, gathered = level_edges[d]
+        if edges is None:
+            owners, nbrs = gather_edges(out_indptr, out_dsts, verts)
+            keep = depth[nbrs] == d + 1
+            edges = owners[keep], nbrs[keep]
+        u, w = edges
         view.account_partial_scan(verts.size, gathered, serial_fraction=0.02)
         contrib = sigma[u] / sigma[w] * (1.0 + delta[w])
         np.add.at(delta, u, contrib)
@@ -171,10 +229,105 @@ def push_only_bc(view, source):
     return delta
 
 
+def push_only_bc(view, source):
+    """GAPBS ``bc.cc``: every forward level pushes."""
+    return frozen_bc(view, source, lambda n_f, m_f, n_u, m_u: False)
+
+
+def two_count_bc(view, source):
+    """A level pulls when the unvisited side is smaller on both counts,
+    vertices and edges (the rule before levels were priced by their view)."""
+    return frozen_bc(view, source, lambda n_f, m_f, n_u, m_u: n_u < n_f and m_u < m_f)
+
+
+def alpha_beta_bfs(view, source):
+    """Frozen GAPBS alpha/beta BFS (``bfs.cc``'s DRAM-tuned switch, any
+    bottom-up hit as the parent): the depths the kernel must reproduce,
+    and a modeled time it must never exceed.  Returns the parent array
+    and the number of levels that pulled."""
+    nv = view.num_vertices
+    out_indptr, out_dsts = view.out_csr()
+    in_indptr, in_srcs = view.in_csr()
+    out_deg = view.out_degrees()
+    out_dsts = out_dsts.astype(np.intp)
+    in_srcs = in_srcs.astype(np.intp)
+    parent = np.full(nv, -1, dtype=np.int64)
+    parent[source] = source
+    frontier = np.array([source], dtype=np.int64)
+    edges_to_check = int(out_deg.sum())
+    pulled = 0
+    while frontier.size:
+        scout = int(out_deg[frontier].sum())
+        if scout > edges_to_check // 15 and frontier.size > nv // (18 * 4):
+            pulled += 1
+            in_frontier = np.zeros(nv, dtype=bool)
+            in_frontier[frontier] = True
+            cand = np.flatnonzero(parent < 0)
+            owners, nbrs = gather_edges(in_indptr, in_srcs, cand)
+            hits = in_frontier[nbrs]
+            found = np.full(nv, -1, dtype=np.int64)
+            found[owners[hits]] = nbrs[hits]
+            next_frontier = np.flatnonzero(found >= 0)
+            parent[next_frontier] = found[next_frontier]
+            view.account_frontier(cand.size, int(owners.size * 0.4), serial_fraction=0.03)
+        else:
+            owners, nbrs = gather_edges(out_indptr, out_dsts, frontier)
+            fresh = parent[nbrs] < 0
+            parent[nbrs[fresh]] = owners[fresh]
+            discovered = np.zeros(nv, dtype=bool)
+            discovered[nbrs[fresh]] = True
+            next_frontier = np.flatnonzero(discovered)
+            view.account_frontier(frontier.size, int(owners.size), serial_fraction=0.03)
+        edges_to_check -= scout
+        view.account_compute(next_frontier.size * 8, serial_fraction=0.03)
+        frontier = next_frontier
+    return parent, pulled
+
+
+def bfs_depths(parent):
+    """Hops from the root of every vertex in a BFS parent array (−1: unreached)."""
+    depth = np.where(parent == np.arange(parent.size), 0, -1)
+    while True:
+        ready = (depth < 0) & (parent >= 0)
+        ready[ready] = depth[parent[ready]] >= 0
+        if not ready.any():
+            return depth
+        depth[ready] = depth[parent[ready]] + 1
+
+
+def levels_pulled(kernel, view, source):
+    """The kernel span's level annotation: ``(levels, levels_pulled)``."""
+    tracer = Tracer()
+    with tracing(tracer):
+        kernel(view, source)
+    span = {bfs: "bfs", betweenness_centrality: "bc"}[kernel]
+    attrs = tracer.find(span)[0].attrs
+    return attrs["levels"], attrs["levels_pulled"]
+
+
+@pytest.fixture(scope="module")
+def framework_geometries():
+    """Every compared framework's analysis geometry, as its view prices
+    a graph it ingested, plus immutable CSR on PM."""
+    nv = 120
+    edges = np.unique(rmat_edges(nv, 700, seed=0), axis=0)
+    geoms = [CSR_PM_GEOMETRY]
+    for make in SYSTEMS.values():
+        system = make(nv, edges.shape[0])
+        system.insert_edges(map(tuple, edges))
+        system.finalize()
+        geoms.append(system.analysis_view().geometry)
+    return geoms
+
+
+def under(view, geometry):
+    return CSRArraysView(*view.out_csr(), geometry)
+
+
 def hub_graph():
     """0 -> hub 1 -> 148 rows whose out-edges land mostly on rows already
-    seen: after the hub level the unvisited side is smaller on both
-    counts, so the forward pass pulls."""
+    seen: after the hub level the 50 unvisited rows are priced well
+    below the 148-row frontier, so the third level pulls."""
     rng = np.random.default_rng(3)
     nv = 200
     edges = [(0, 1)] + [(1, v) for v in range(2, 150)]
@@ -182,13 +335,17 @@ def hub_graph():
     return make_view(np.array(edges), nv)
 
 
-def bc_levels_pulled(view, source):
-    """The ``bc`` span's level annotation: ``(levels, levels_pulled)``."""
-    tracer = Tracer()
-    with tracing(tracer):
-        betweenness_centrality(view, source)
-    attrs = tracer.find("bc")[0].attrs
-    return attrs["levels"], attrs["levels_pulled"]
+def sparse_graph():
+    """0 -> 20 rows of 3 out-edges each, in a 1 000-vertex graph of 480
+    edges: at the second level alpha/beta pulls (60 edges to scout, over
+    1/15 of the 460 left; 20 rows, over nv/72) and probes ~980 unvisited
+    rows, where the push reads 20."""
+    rng = np.random.default_rng(5)
+    nv = 1000
+    edges = [(0, v) for v in range(1, 21)]
+    edges += [(v, int(t)) for v in range(1, 21) for t in rng.choice(np.arange(21, nv), 3, replace=False)]
+    edges += [(int(s), int(t)) for s, t in rng.integers(21, nv, size=(400, 2))]
+    return make_view(np.array(edges), nv)
 
 
 class TestBC:
@@ -245,22 +402,26 @@ class TestBC:
 
     @staticmethod
     def assert_push_equivalent(view, source):
-        """Byte-equal scores, never more modeled time; returns both times."""
-        ref_view, got_view = view.clone(), view.clone()
+        """Scores byte-equal to push-only Brandes; never more modeled time
+        than push-only or the two-count rule.  Returns the kernel's and
+        push-only's times."""
+        ref_view, two_view, got_view = view.clone(), view.clone(), view.clone()
         ref = push_only_bc(ref_view, source)
+        two = two_count_bc(two_view, source)
         got = betweenness_centrality(got_view, source)
-        assert got.tobytes() == ref.tobytes(), source
-        assert got_view.seconds(1) <= ref_view.seconds(1), source
+        assert got.tobytes() == ref.tobytes() == two.tobytes(), source
+        assert got_view.seconds(1) <= min(ref_view.seconds(1), two_view.seconds(1)), source
         return got_view.seconds(1), ref_view.seconds(1)
 
-    def test_matches_push_only_on_random_graphs(self, random_graph):
+    def test_matches_push_only_on_random_graphs(self, random_graph, framework_geometries):
         view, _, nv = random_graph
-        for source in (0, int(np.argmax(view.out_degrees())), nv // 2):
-            self.assert_push_equivalent(view, source)
+        for geometry in framework_geometries:
+            for source in (0, int(np.argmax(view.out_degrees())), nv // 2):
+                self.assert_push_equivalent(under(view, geometry), source)
 
     def test_hub_graph_pulls_and_costs_less(self):
         view = hub_graph()
-        levels, pulled = bc_levels_pulled(view.clone(), 0)
+        levels, pulled = levels_pulled(betweenness_centrality, view.clone(), 0)
         assert levels >= 3 and pulled >= 1
         got_s, ref_s = self.assert_push_equivalent(view, 0)
         assert got_s < ref_s
@@ -278,11 +439,26 @@ class TestBC:
             view = CSRArraysView(indptr, dsts, derived={"in": inn})
             for source in np.argsort(-view.out_degrees(), kind="stable")[:4].tolist():
                 self.assert_push_equivalent(view, source)
-                pulled += bc_levels_pulled(view.clone(), source)[1]
+                pulled += levels_pulled(betweenness_centrality, view.clone(), source)[1]
         assert pulled > 0
 
 
 class TestViewAccounting:
+    def test_in_degrees_are_cached_and_shared(self, random_graph):
+        view, G, nv = random_graph
+        want = [G.in_degree(v) for v in range(nv)]
+        counted = CSRArraysView(*view.out_csr())
+        assert counted.in_degrees().tolist() == want
+        assert counted.clone().in_degrees() is counted.in_degrees()
+        read_off = CSRArraysView(*view.out_csr())
+        read_off.in_csr()
+        assert read_off.in_degrees().tolist() == want
+
+    def test_frontier_charge_is_its_price(self, random_graph):
+        view, _, _ = random_graph
+        view.account_frontier(7, 90, serial_fraction=0.0)
+        assert view.clock.par_ns == view.frontier_ns(7, 90) > view.geometry.frontier_ns(7, 90)
+
     def test_gap_overhead_slows_scans(self, random_graph):
         view, _, nv = random_graph
         indptr, dsts = view.out_csr()

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro import DGAP, DGAPConfig
-from repro.algorithms import betweenness_centrality, pagerank
+from repro.algorithms import betweenness_centrality, bfs, pagerank
 from repro.obs import Tracer, tracing
 from repro.pmem.crash import CrashInjector
 
@@ -168,6 +168,8 @@ def test_analysis_kernels_unperturbed_by_tracing():
         secs_plain = view_plain.seconds(1)
         bc_view_plain = view_plain.clone()
         bc_plain = betweenness_centrality(bc_view_plain, 0)
+        bfs_view_plain = view_plain.clone()
+        bfs_plain = bfs(bfs_view_plain, 0)
 
     tracer = Tracer(g_traced.pool.stats, device_ops=True)
     with tracing(tracer):
@@ -179,15 +181,20 @@ def test_analysis_kernels_unperturbed_by_tracing():
             secs_traced = view_traced.seconds(1)
             bc_view_traced = view_traced.clone()
             bc_traced = betweenness_centrality(bc_view_traced, 0)
+            bfs_view_traced = view_traced.clone()
+            bfs_traced = bfs(bfs_view_traced, 0)
 
     np.testing.assert_array_equal(ranks_plain, ranks_traced)
     assert secs_plain == secs_traced  # modeled analysis seconds, exactly
     assert tracer.find("pr")[0].attrs["analysis_par_ns"] > 0
-    # BC on this graph pulls a level; its span says how many
+    # BC and BFS on this graph each pull a level; their spans say how many
     assert bc_plain.tobytes() == bc_traced.tobytes()
     assert bc_view_plain.seconds(1) == bc_view_traced.seconds(1)
-    bc_span = tracer.find("bc")[0].attrs
-    assert 1 <= bc_span["levels_pulled"] <= bc_span["levels"]
+    assert bfs_plain.tobytes() == bfs_traced.tobytes()
+    assert bfs_view_plain.seconds(1) == bfs_view_traced.seconds(1)
+    for kernel in ("bc", "bfs"):
+        span = tracer.find(kernel)[0].attrs
+        assert 1 <= span["levels_pulled"] <= span["levels"], kernel
 
 
 def test_served_refreshes_unperturbed_and_attributed():
