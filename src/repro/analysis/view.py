@@ -186,6 +186,13 @@ class CSRArraysView:
     graph builds the in-CSR once.  The :class:`AnalysisClock` is
     per-view, so one caller's ``reset_clock`` never disturbs another's
     accounting.
+
+    A store that keeps its views' history hands each one a ``carry``
+    dict, shared by every view of that store, where a kernel may leave
+    results for the next view's run, and a ``mark``: a value that stays
+    equal between two views exactly as long as the newer one's rows only
+    grew by appends (DESIGN.md §7).  A view with no carry
+    (``carry is None``) is analyzed from scratch.
     """
 
     def __init__(
@@ -194,19 +201,26 @@ class CSRArraysView:
         dsts: np.ndarray,
         geometry: StorageGeometry = CSR_PM_GEOMETRY,
         derived: Optional[Dict[str, object]] = None,
+        *,
+        carry: Optional[Dict[str, object]] = None,
+        mark: object = None,
     ):
         self.clock = AnalysisClock()
         self._derived: Dict[str, object] = {} if derived is None else derived
         self._indptr = indptr
         self._dsts = dsts
         self.geometry = geometry
+        self.carry = carry
+        self.mark = mark
 
     def clone(self) -> "CSRArraysView":
-        """Fresh view (own clock) sharing this view's arrays and derived
-        cache — the epoch-keyed whole-view reuse handed out by
+        """Fresh view (own clock) sharing this view's arrays, derived
+        cache, carry and mark — the epoch-keyed whole-view reuse handed
+        out by
         :meth:`repro.baselines.interfaces.DynamicGraphSystem.analysis_view`."""
         return CSRArraysView(
-            self._indptr, self._dsts, self.geometry, derived=self._derived
+            self._indptr, self._dsts, self.geometry, derived=self._derived,
+            carry=self.carry, mark=self.mark,
         )
 
     # -- structure ---------------------------------------------------------

@@ -42,6 +42,9 @@ class DGAPSystem(DynamicGraphSystem):
             init_vertices=num_vertices, init_edges=expected_edges
         )
         self.graph = DGAP(self.config)
+        #: what kernels carry from one of this store's views to the next
+        #: (DESIGN.md §7); every view built here shares it
+        self._carry: dict = {}
 
     # -- updates ------------------------------------------------------------
     def insert_edge(self, src: int, dst: int) -> None:
@@ -103,7 +106,11 @@ class DGAPSystem(DynamicGraphSystem):
             chain_rnd_per_edge=chain_share,
             chain_rnd_ns=costs.PM_RND_NS,
         )
-        return CSRArraysView(indptr, dsts, geometry, derived)
+        # the mark moves exactly when a row may have lost an entry since
+        # an older view: a tombstone raises the count, a filtered rewrite
+        # (compaction, lossy repair) moves history_epoch
+        mark = (self.graph.history_epoch, self.graph.tombstone_count())
+        return CSRArraysView(indptr, dsts, geometry, derived, carry=self._carry, mark=mark)
 
     def _devices(self):
         return (self.graph.pool.device,)

@@ -170,8 +170,14 @@ def run_kernel(
     source: int = 0,
     threads: Tuple[int, ...] = (1, 16),
 ) -> Dict[int, float]:
-    """Run one kernel on a view; modeled seconds per thread count."""
-    view.reset_clock()
+    """Run one kernel on a view; modeled seconds per thread count.
+
+    The paper times each kernel from scratch on the final graph, so the
+    kernel runs on a carry-less clone: a built system shared by several
+    experiments must not hand one experiment's CC labels to the next.
+    """
+    view = view.clone()
+    view.carry = None
     fn = KERNELS[kernel]
     if kernel in SOURCE_KERNELS:
         fn(view, source)

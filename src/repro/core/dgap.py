@@ -865,19 +865,26 @@ class DGAP:
     # ------------------------------------------------------------------
     # tombstone compaction (temporal expiry sweep)
     # ------------------------------------------------------------------
-    def tombstone_density(self) -> float:
-        """Fraction of logical edge entries that are tombstones (0 if empty).
+    def tombstone_count(self) -> int:
+        """Tombstones the store holds, store-wide.
 
         ``degree`` counts every entry (lives and tombstones), and
-        ``live_degree`` counts lives minus tombstones, so the tombstone
-        count is ``(Σdegree − Σlive) / 2`` — a pure DRAM read, cheap
-        enough to poll after every expiry batch.  Summed over ``shards``
+        ``live_degree`` counts lives minus tombstones, so the count is
+        ``(Σdegree − Σlive) / 2`` — a pure DRAM read, cheap enough to
+        poll after every expiry batch or view build.  Only a tombstone
+        raises it; only a filtered rewrite (compaction, lossy repair)
+        lowers it.  Summed over ``shards``
         (:class:`~repro.sharding.sharded.ShardedDGAP` reuses this very
-        method), so the density is store-wide.
+        method).
         """
         deg = sum(int(sh.va.degrees().sum()) for sh in self.shards)
         live = sum(sh.num_edges for sh in self.shards)
-        return (deg - live) / (2 * deg) if deg else 0.0
+        return (deg - live) // 2
+
+    def tombstone_density(self) -> float:
+        """Fraction of logical edge entries that are tombstones (0 if empty)."""
+        deg = sum(int(sh.va.degrees().sum()) for sh in self.shards)
+        return self.tombstone_count() / deg if deg else 0.0
 
     def compact(self, thread_id: int = 0) -> dict:
         """Tombstone-merge sweep: physically drop matched delete pairs.

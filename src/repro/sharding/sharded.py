@@ -206,7 +206,8 @@ class ShardedDGAP:
     def delete_edge(self, src: int, dst: int, thread_id: int = 0) -> None:
         self.insert_edge(src, dst, thread_id=thread_id, tombstone=True)
 
-    #: store-wide tombstone fraction: DGAP's method is written over ``shards``.
+    #: store-wide tombstone count and fraction: DGAP's methods are written over ``shards``.
+    tombstone_count = DGAP.tombstone_count
     tombstone_density = DGAP.tombstone_density
 
     def compact(self, thread_id: int = 0) -> dict:

@@ -3,14 +3,19 @@
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import DGAP, DGAPConfig
 from repro.algorithms import bfs, betweenness_centrality, connected_components, pagerank
 from repro.algorithms.common import gather_edges
 from repro.analysis.view import CSR_PM_GEOMETRY, CSRArraysView, StorageGeometry
 from repro.baselines import SYSTEMS
+from repro.baselines.dgap_system import DGAPSystem
+from repro.core.batch import EdgeBatch
 from repro.datasets import rmat_edges
 from repro.obs import Tracer, tracing
+from repro.pmem.stats import PMemStats
 from repro.sharding import ShardedDGAP
 
 
@@ -164,6 +169,125 @@ class TestCC:
     def test_no_edges(self):
         view = make_view(np.empty((0, 2), dtype=np.int64), 5)
         np.testing.assert_array_equal(connected_components(view), np.arange(5))
+
+
+def cc_path(view):
+    """``(labels, incremental, appended_edges)`` of one traced CC run."""
+    tracer = Tracer(PMemStats())
+    with tracing(tracer):
+        labels = connected_components(view)
+    span = tracer.find("cc")[0].attrs
+    return labels, span["incremental"], span["appended_edges"]
+
+
+#: one step of a CC-carry history (see TestCCCarry)
+CARRY_STEP = st.one_of(
+    # an insert batch; ids past the first 12 grow the vertex array
+    st.tuples(st.just("insert"), st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)),
+                                          min_size=1, max_size=6)),
+    # a matched tombstone of the i-th live edge, in one batch with
+    # appends to its own row
+    st.tuples(st.just("delete"), st.integers(0, 200), st.lists(st.integers(0, 11), max_size=3)),
+    # a tombstone of an edge no row holds (the known defect, DESIGN.md §9)
+    st.tuples(st.just("unmatched"), st.integers(0, 11)),
+    st.tuples(st.just("compact")),
+    # acquire a view and hold it; later run CC on a held (older) view
+    st.tuples(st.just("hold")),
+    st.tuples(st.just("held"), st.integers(0, 10)),
+)
+
+
+class TestCCCarry:
+    """CC on a ``DGAPSystem``'s views carries its labels from one view to
+    the next (DESIGN.md §9): after every step of a random history the
+    labels are byte-equal to Shiloach–Vishkin from scratch on a carry-less
+    view of the same arrays, and the path taken is the incremental one
+    exactly when no tombstone and no compaction came between the carried
+    labels and the view, and the view is not older than them.
+
+    With the tombstone count taken out of the view's mark (only
+    ``history_epoch`` left), the derandomized search finds two failures,
+    each a tombstone that shares a batch with an append to its own row —
+    the row keeps its length, so nothing else shows it lost an edge::
+
+        history=[('delete', 0, [0])]
+        # row 0 was [1] and is now [0]: scratch SV splits 0 from 1, the
+        # carried labels keep them merged
+        history=[('delete', 0, [1])]
+        # row 0 was [1] and is [1] again: the labels agree, but the run
+        # took the incremental path past a tombstone
+    """
+
+    NV = 12
+    PRELOAD = [(0, 1), (1, 2), (3, 4), (5, 6), (6, 5), (8, 9)]
+
+    @staticmethod
+    def live_edges(view):
+        indptr, dsts = view.out_csr()
+        return np.repeat(np.arange(view.num_vertices), np.diff(indptr)), dsts
+
+    def check(self, view, state, carried):
+        labels, incremental, appended = cc_path(view)
+        scratch = connected_components(CSRArraysView(*view.out_csr()))
+        assert labels.tobytes() == scratch.tobytes()
+        dirt, appends = state
+        assert incremental == (carried is not None and carried[0] == dirt and carried[1] <= appends)
+        assert incremental or appended == 0
+        return state
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(history=st.lists(CARRY_STEP, max_size=10))
+    def test_labels_match_scratch_and_path_follows_the_mark(self, history):
+        system = DGAPSystem(self.NV, 256, config=DGAPConfig(
+            init_vertices=self.NV, init_edges=256, segment_slots=64))
+        system.insert_edges(self.PRELOAD)
+        dirt = appends = 0  # tombstone/compaction events, append batches
+        held = []
+        carried = self.check(system.analysis_view(), (dirt, appends), None)
+        for step in history:
+            kind, *args = step
+            if kind == "insert":
+                system.insert_edges(args[0])
+                appends += 1
+            elif kind == "delete":
+                srcs, dsts = self.live_edges(system.analysis_view())
+                if srcs.size:
+                    i = args[0] % srcs.size
+                    d = [int(dsts[i])] + args[1]
+                    tomb = [True] + [False] * len(args[1])
+                    system.insert_edges(EdgeBatch(np.full(len(d), srcs[i]), np.array(d), np.array(tomb)))
+                    dirt += 1
+                    appends += bool(args[1])
+            elif kind == "unmatched":
+                v = args[0]
+                view = system.analysis_view()
+                srcs, dsts = self.live_edges(view)
+                absent = sorted(set(range(view.num_vertices)) - set(dsts[srcs == v].tolist()))
+                system.graph.delete_edge(v, absent[0])
+                dirt += 1
+            elif kind == "compact":
+                system.graph.compact()
+                dirt += 1
+            elif kind == "hold":
+                held.append((system.analysis_view(), (dirt, appends)))
+            elif held:
+                view, state = held[args[0] % len(held)]
+                carried = self.check(view, state, carried)
+            carried = self.check(system.analysis_view(), (dirt, appends), carried)
+
+    def test_an_incremental_run_is_priced_by_what_it_reads(self):
+        system = DGAPSystem(self.NV, 256)
+        system.insert_edges(self.PRELOAD)
+        connected_components(system.analysis_view())
+        system.insert_edges([(2, 3), (2, 7), (9, 10), (11, 11)])
+        view = system.analysis_view()
+        labels, incremental, appended = cc_path(view)
+        assert incremental and appended == 4
+        price = CSRArraysView(*view.out_csr(), view.geometry)
+        price.account_frontier(3, 4, serial_fraction=0.12)
+        price.account_compute(view.num_vertices * 16, serial_fraction=0.12)
+        assert view.seconds(1) == price.seconds(1) and view.seconds(16) == price.seconds(16)
+        assert labels.tolist() == [0, 0, 0, 0, 0, 5, 5, 0, 8, 8, 8, 11]
 
 
 def frozen_bc(view, source, pulls):

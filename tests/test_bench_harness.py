@@ -107,6 +107,14 @@ class TestHarness:
         t = run_kernel(view, "bfs", source=0, threads=(1,))
         assert t[1] > 0
 
+    def test_run_kernel_times_cc_from_scratch_every_time(self):
+        """Experiments share one built system: the second CC on its
+        unchanged graph must not pick up the first one's labels."""
+        system = build_system("dgap", 64, 1000)
+        system.insert_edges(np.random.default_rng(0).integers(0, 64, size=(300, 2)))
+        first = run_kernel(system.analysis_view(), "cc")
+        assert run_kernel(system.analysis_view(), "cc") == first
+
 
 class TestReporting:
     def test_format_table(self):

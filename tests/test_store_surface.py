@@ -553,6 +553,19 @@ class TestOneSurface:
         assert ".ea.slots[" in src["core/snapshot.py"].split("def _tails")[1].split("\n    def ")[0]
         assert homes(r"history_epoch = [^0]") == ["core/rebalance.py"]
         assert _count(r"history_epoch = [^0]", src) == 1
+        # one tombstone count, (Σdegree − Σlive) / 2: the density and the
+        # analysis system's view mark both read it
+        assert homes(r"deg - live") == ["core/dgap.py"]
+        assert "self.tombstone_count()" in src["core/dgap.py"].split("def tombstone_density")[1][:400]
+        assert "tombstone_count = DGAP.tombstone_count" in src["sharding/sharded.py"]
+        assert ".tombstone_count()" in src["baselines/dgap_system.py"]
+        # one carry per analysis system, created by DGAPSystem and handed
+        # to every view it builds (clones share it); one append-only
+        # predicate, CC's, which alone reads a view's mark
+        assert homes(r"carry\b[^=\n]*= \{\}") == ["baselines/dgap_system.py"]
+        assert homes(r"carry=") == ["analysis/view.py", "baselines/dgap_system.py"]
+        assert homes(r"view\.mark\b") == ["algorithms/cc.py"]
+        assert homes(r"def _appended") == ["algorithms/cc.py"]
         # one staleness signal: rows are stamped by one function, called by
         # the write path and the scrubber's lossy repair; no section stamps
         for gone in (r"_section_epoch", r"sections_dirty_since", r"_touch_sections",

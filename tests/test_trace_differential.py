@@ -25,9 +25,10 @@ import numpy as np
 import pytest
 
 from repro import DGAP, DGAPConfig
-from repro.algorithms import betweenness_centrality, bfs, pagerank
+from repro.algorithms import betweenness_centrality, bfs, connected_components, pagerank
 from repro.obs import Tracer, tracing
 from repro.pmem.crash import CrashInjector
+from repro.pmem.stats import PMemStats
 
 SMALL = dict(init_vertices=24, init_edges=256, segment_slots=64)
 NV = SMALL["init_vertices"]
@@ -195,6 +196,38 @@ def test_analysis_kernels_unperturbed_by_tracing():
     for kernel in ("bc", "bfs"):
         span = tracer.find(kernel)[0].attrs
         assert 1 <= span["levels_pulled"] <= span["levels"], kernel
+
+
+def test_incremental_cc_unperturbed_by_tracing():
+    """A CC round that picks up the last round's labels hands out the
+    same labels at the same modeled price traced or not, and its span
+    says which path it took and how many appended edges it read."""
+    from repro.baselines.dgap_system import DGAPSystem
+
+    edges = workload_edges()
+
+    def incremental_round(tracer):
+        system = DGAPSystem(NV, SMALL["init_edges"], config=DGAPConfig(**SMALL))
+        system.insert_edges(edges[:300])
+        connected_components(system.analysis_view())  # leaves its labels behind
+        system.insert_edges(edges[300:])
+        view = system.analysis_view()
+        if tracer is None:
+            labels = connected_components(view)
+        else:
+            with tracing(tracer):
+                labels = connected_components(view)
+        return labels, view.seconds(1), view.seconds(16), system.graph
+
+    plain = incremental_round(None)
+    tracer = Tracer(PMemStats())  # a kernel span reads its view's clock
+    traced = incremental_round(tracer)
+    assert plain[0].tobytes() == traced[0].tobytes()
+    assert plain[1:3] == traced[1:3]  # modeled analysis seconds, exactly
+    span = tracer.find("cc")[0].attrs
+    assert span["incremental"] is True and span["appended_edges"] == 300
+    assert span["analysis_par_ns"] + span["analysis_ser_ns"] == pytest.approx(traced[1] * 1e9)
+    assert_devices_identical(plain[3], traced[3])
 
 
 def test_served_refreshes_unperturbed_and_attributed():
