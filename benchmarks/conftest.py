@@ -7,9 +7,10 @@ cached across benchmarks within a session, so the analysis experiments
 reuse the ingest done by the throughput experiments.
 
 Every measured table comes from an arm of ``repro.bench`` — the same
-``run`` the ``python -m repro.bench`` subcommand drives; the twin arms'
-tests are ``run_arm`` and nothing else, since their gates live with the
-arm.
+``run`` the ``python -m repro.bench`` subcommand drives; ``run_arm``
+also enforces the arm's gates.  The twins (cached vs from-scratch view,
+served vs snapshot reads, sharded vs one pool, vectorized vs scalar
+reads) are tests under ``tests/``, timed by ``benchmarks/perf``.
 
 Run with ``pytest benchmarks/ --benchmark-only``; printed tables land
 in the captured output (and thus in ``bench_output.txt``).

@@ -24,35 +24,25 @@ import inspect
 import sys
 
 from ..algorithms import KERNELS
-from ..datasets import DATASETS, TEMPORAL_DATASETS
+from ..datasets import DATASETS
 from . import (
     ablation,
-    analysis_loop,
     crash_sweep,
     insert,
     kernels,
     profile,
     race_check,
-    readpath,
     recovery,
-    serve,
-    shard,
     soak,
-    temporal_loop,
 )
 from .harness import DEFAULT_BATCH_SIZE, finish_arm
 
 ARMS = {
     "insert": insert,
     "analysis": kernels,
-    "analysis-loop": analysis_loop,
-    "temporal": temporal_loop,
     "ablation": ablation,
     "recovery": recovery,
     "profile": profile,
-    "readpath": readpath,
-    "shard": shard,
-    "serve": serve,
     "crash-sweep": crash_sweep,
     "soak": soak,
     "race-check": race_check,
@@ -67,24 +57,14 @@ def _comma_list(text: str) -> tuple:
 #: parameter without a default is positional, a ``False`` default a switch.
 FLAGS = {
     "experiment": dict(choices=profile.PROFILE_EXPERIMENTS),
-    "--dataset": dict(help="proxy dataset (choices follow the arm's default: "
-                           "static proxies or temporal streams)"),
+    "--dataset": dict(choices=sorted(DATASETS), help="proxy dataset"),
     "--scale": dict(type=float, help="fraction of the proxy dataset"),
     "--batch-size": dict(type=int, help="ingest sub-batch size (1 = per-edge "
                                         "path, <=0 = one unbounded batch)"),
     "--seed": dict(type=int),
     "--shards": dict(type=int, help="shard count (1 = unsharded DGAP)"),
-    "--kernels": dict(type=_comma_list, help="comma list from pr,cc,bfs,bc"),
-    "--sources": dict(type=int, help="GAPBS-style trial count for the source "
-                                     "kernels (bfs, bc)"),
     "--kernel": dict(choices=tuple(KERNELS)),
-    "--rounds": dict(type=int, help="ingest->analyze (or ingest->scrub) rounds"),
-    "--window": dict(type=int, help="sliding window in steps (0 = expire each "
-                                    "step immediately)"),
-    "--compact-threshold": dict(type=float, help="tombstone density that "
-                                                 "triggers a merge sweep"),
-    "--max-steps": dict(type=int, help="replay only this many steps (0 = the "
-                                       "whole stream)"),
+    "--rounds": dict(type=int, help="ingest->scrub rounds"),
     "--trace-out": dict(help="write Chrome trace-event JSON here (open in Perfetto)"),
     "--device-ops": dict(help="also record every device primitive as a trace event"),
     "--edges": dict(type=int, help="cap the workload to this many edges"),
@@ -109,11 +89,6 @@ FLAGS = {
                                            "reads/scrub"),
     "--min-fault-points": dict(type=int, help="fail unless at least this many "
                                               "fault points fired"),
-    "--ops": dict(type=int),
-    "--read-fraction": dict(type=float),
-    "--theta": dict(type=float, help="Zipfian skew exponent"),
-    "--clients": dict(type=int),
-    "--mode": dict(choices=("closed", "open")),
     "--scenarios": dict(type=_comma_list, help="comma list of scenario names "
                                                "(default: all)"),
     "--schedules": dict(type=int, help="schedule budget per scenario "
@@ -138,9 +113,6 @@ def _add_arm(sub, name: str, arm) -> None:
         spec = dict(FLAGS[flag], default=prm.default)
         if prm.default is False:
             spec["action"] = "store_true"
-        elif prm.name == "dataset":
-            temporal = prm.default in TEMPORAL_DATASETS
-            spec["choices"] = sorted(TEMPORAL_DATASETS if temporal else DATASETS)
         p.add_argument(flag, **spec)
     p.set_defaults(arm=arm)
 

@@ -8,48 +8,9 @@ against ``bench_output.txt`` directly.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
-#: The canonical distribution summary order, shared by every consumer
-#: (crash-sweep reports, shard benchmarks, the serving layer's
-#: tail-latency tables) so tables line up.  ``p99`` is the serving
-#: layer's headline tail metric.
-DISTRIBUTION_KEYS = ("min", "p50", "mean", "p90", "p95", "p99", "max")
-
-#: percentile value behind each ``pNN`` key (min/mean/max are computed
-#: directly).
-_PERCENTILES = {"p50": 50, "p90": 90, "p95": 95, "p99": 99}
-
-
-def distribution_stats(values, unit: str = "us") -> Dict[str, float]:
-    """Summary of a sample along :data:`DISTRIBUTION_KEYS`.
-
-    Keys are suffixed with ``unit`` (``min_us``, ``p50_us``, ...);
-    values are expected pre-scaled to that unit.  Returns ``{}`` for an
-    empty sample.  This is the single percentile helper — the crash
-    sweep's recovery-time report, the shard-scaling benchmark and the
-    serve-workload latency report all route through it instead of
-    hand-rolling ``np.percentile`` calls, and every consumer derives
-    its column list from :data:`DISTRIBUTION_KEYS` so the two can never
-    drift.
-    """
-    import numpy as np
-
-    vals = np.asarray(list(values), dtype=np.float64)
-    if vals.size == 0:
-        return {}
-    out: Dict[str, float] = {}
-    for key in DISTRIBUTION_KEYS:
-        if key == "min":
-            val = float(vals.min())
-        elif key == "mean":
-            val = float(vals.mean())
-        elif key == "max":
-            val = float(vals.max())
-        else:
-            val = float(np.percentile(vals, _PERCENTILES[key]))
-        out[f"{key}_{unit}"] = val
-    return out
+from ..obs import DISTRIBUTION_KEYS
 
 
 def format_table(
@@ -127,99 +88,6 @@ def ingest_phase_table(results: Iterable) -> str:
         ["system", "batch", "phase", "wall (s)", "modeled (s)", "wall/modeled"],
         rows,
         floatfmt="{:.3f}",
-    )
-
-
-def _loop_table(title, step_header, step_cols, totals, cached, other, other_name,
-                speedup, counters_title, facts=()) -> str:
-    """Two-arm loop summary: one row per round/step (``step_cols[i]`` are
-    its leading cells) with both arms' analysis wall clock, a total row,
-    the cached arm's counters, then what the pair runner asserted (plus
-    the arm's own ``facts`` rows) and the printed-only wall speedup."""
-    n = len(step_cols)
-    cw, ow = [0.0] * n, [0.0] * n
-    for walls, arm in ((cw, cached), (ow, other)):
-        for r in arm.records:
-            walls[r.round] += r.wall_s
-    rows = [(*cols, c, o, o / max(c, 1e-12)) for cols, c, o in zip(step_cols, cw, ow)]
-    rows.append((*totals, cached.analysis_wall_s, other.analysis_wall_s, speedup))
-    head = format_table(
-        title,
-        [*step_header, "cached wall (s)", f"{other_name} wall (s)", "speedup"],
-        rows,
-        floatfmt="{:.4f}",
-    )
-    counters = format_table(
-        counters_title, ["counter", "value"], sorted(cached.counters.items())
-    )
-    identity = format_table(
-        "loop identity (asserted) & speedup",
-        ["metric", "value"],
-        [
-            ("kernel outputs identical (sha256)", "yes"),
-            ("modeled seconds identical", "yes"),
-            *facts,
-            ("analysis wall speedup (cached, not gated)", f"{speedup:.2f}x"),
-        ],
-    )
-    return "\n\n".join((head, counters, identity))
-
-
-def analysis_loop_table(pair) -> str:
-    """Summarize a :class:`~repro.bench.analysis_loop.LoopPair`.
-
-    Per round: the cached arm's modeled view-build cost (``cache.last``
-    — report only, part of no kernel's modeled time) and the analysis
-    wall clock of both arms (outputs and modeled times are asserted
-    identical before this table can exist); then the cache counters
-    that prove incrementality, and the modeled cost of patching in a
-    localized vs a scattered increment.
-    """
-    cached = pair.cached
-    build_ms = [ns / 1e6 if ns is not None else "-" for ns in cached.view_build_ns]
-    local_ns, scattered_ns = pair.patch_ns
-    return _loop_table(
-        f"analysis loop — {cached.dataset} (scale {cached.scale:g}, "
-        f"{cached.rounds} rounds, kernels {','.join(cached.kernels)})",
-        ["round", "view build, modeled (ms)"], list(enumerate(build_ms)),
-        ("total", sum(ms for ms in build_ms if ms != "-")),
-        cached, pair.uncached, "uncached", pair.speedup,
-        "view-cache counters (cached arm)",
-        facts=[
-            ("view patch, localized increment, modeled (us)", f"{local_ns / 1e3:.1f}"),
-            ("view patch, scattered increment, modeled (us)", f"{scattered_ns / 1e3:.1f}"),
-            ("scattered / localized patch (modeled)", f"{pair.local_patch_advantage:.1f}x"),
-        ],
-    )
-
-
-def temporal_loop_table(pair) -> str:
-    """Summarize a :class:`~repro.bench.temporal_loop.TemporalLoopPair`.
-
-    Per-step mutation volume and analysis wall clock for both arms
-    (kernel outputs, modeled times and per-step CSR bytes are asserted
-    identical before this table can exist), then the window and
-    view-cache counters.
-    """
-    cached = pair.cached
-    steps = cached.steps
-    return _loop_table(
-        f"temporal loop — {cached.dataset} (scale {cached.scale:g}, window "
-        f"{cached.window}, compact at {cached.compact_threshold:g}, "
-        f"kernels {','.join(cached.kernels)})",
-        ["step", "added", "churned", "expired", "compact"],
-        [(s.step, s.added, s.churned, s.expired, "yes" if s.compacted else "")
-         for s in steps],
-        ("total", sum(s.added for s in steps), sum(s.churned for s in steps),
-         sum(s.expired for s in steps), str(cached.compactions)),
-        cached, pair.scratch, "scratch", pair.speedup,
-        "window + view-cache counters (cached arm)",
-        facts=[
-            ("per-step CSR byte-identical", "yes"),
-            ("compaction sweeps", str(cached.compactions)),
-            ("tombstone pairs compacted",
-             str(cached.counters["tombstone_pairs_compacted"])),
-        ],
     )
 
 
@@ -398,50 +266,6 @@ def profile_table(tracer, title: str = "profile") -> str:
     )
 
 
-def serve_latency_table(report, title: str = "serve latency") -> str:
-    """Summarize a :class:`~repro.serve.driver.ServeReport`.
-
-    Two tables: run-level facts (mode, mix, view reuse, what a refresh
-    cost and re-read, twin identity and read speedup when the twin ran),
-    then the per-class modeled
-    latency distribution along :data:`DISTRIBUTION_KEYS` — ``p99``
-    included, since tail behavior (the refresh-triggering read after a
-    write) is the point of the serving layer.
-    """
-    head = [
-        ("ops (reads / writes)", f"{report.ops} ({report.reads} / {report.writes})"),
-        ("load model", f"{report.mode} ({report.n_clients} clients)"),
-        ("view refreshes / reuses", f"{report.refreshes} / {report.reuses}"),
-        ("reuse ratio", report.reuse_ratio),
-        ("mean refresh (modeled us)", report.refresh_ns_total * 1e-3 / max(report.refreshes, 1)),
-        ("rows re-read per refresh", report.rows_reread / max(report.refreshes, 1)),
-        ("makespan (modeled ms)", report.makespan_ns * 1e-6),
-    ]
-    if report.identity_checked:
-        head += [
-            ("twin byte-identical", "yes" if report.identity_ok else "NO"),
-            ("read speedup vs per-query snapshots (modeled)", report.modeled_read_speedup),
-            ("read speedup vs per-query snapshots (wall)", report.wall_read_speedup),
-        ]
-    out = [format_table(title, ["metric", "value"], head)]
-    for arm in ("served", "snapshot"):
-        stats = report.stats(arm)
-        if not stats:
-            continue
-        rows = [
-            [cls, len(report.latencies[cls]) if arm == "served"
-             else len(report.snapshot_latencies[cls])]
-            + [st.get(f"{k}_us", 0.0) for k in DISTRIBUTION_KEYS]
-            for cls, st in stats.items()
-        ]
-        out.append(format_table(
-            f"{title} — {arm} arm (modeled us per query)",
-            ["class", "ops", *DISTRIBUTION_KEYS],
-            rows,
-        ))
-    return "\n\n".join(out)
-
-
 #: tables collected during a benchmark session; pytest's capture swallows
 #: per-test stdout of passing tests, so the benchmarks' conftest flushes
 #: this registry in ``pytest_terminal_summary`` — that is how every table
@@ -462,15 +286,11 @@ def flush_reports() -> List[str]:
 
 
 __all__ = [
-    "DISTRIBUTION_KEYS",
-    "distribution_stats",
     "format_table",
     "paper_vs_measured",
     "gate_table",
     "ingest_phase_table",
-    "analysis_loop_table",
     "crash_sweep_table",
-    "serve_latency_table",
     "soak_table",
     "profile_table",
     "race_check_table",

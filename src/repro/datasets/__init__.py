@@ -2,7 +2,7 @@
 
 from .registry import DATASETS, PAPER_DATASETS, SMALL_DATASETS, DatasetSpec, env_scale, get_dataset
 from .rmat import rmat_edges, shuffle_edges, uniform_edges
-from .temporal import TEMPORAL_DATASETS, TemporalSpec, TemporalStep, get_temporal_dataset
+from .temporal import TEMPORAL_DATASETS, TemporalSpec, TemporalStep
 
 __all__ = [
     "DATASETS",
@@ -13,7 +13,6 @@ __all__ = [
     "TemporalSpec",
     "TemporalStep",
     "get_dataset",
-    "get_temporal_dataset",
     "env_scale",
     "rmat_edges",
     "uniform_edges",

@@ -137,19 +137,8 @@ TEMPORAL_DATASETS: Dict[str, TemporalSpec] = {
 }
 
 
-def get_temporal_dataset(name: str) -> TemporalSpec:
-    """Look up a temporal stream spec by name (see ``TEMPORAL_DATASETS``)."""
-    try:
-        return TEMPORAL_DATASETS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown temporal dataset {name!r}; choose from {sorted(TEMPORAL_DATASETS)}"
-        ) from None
-
-
 __all__ = [
     "TemporalStep",
     "TemporalSpec",
     "TEMPORAL_DATASETS",
-    "get_temporal_dataset",
 ]

@@ -29,13 +29,19 @@ tick in parallel is ``pool.clocks()``)::
 
 Exporters live in :mod:`repro.obs.export` (Chrome trace-event JSON for
 Perfetto, golden-tree serialization for regression fixtures, and the
-per-phase aggregation behind ``python -m repro.bench profile``).
+per-phase aggregation behind the ``bench profile`` table), beside
+the invariant checks over a traced run and the percentile summary.
 """
 
 from .export import (
+    DISTRIBUTION_KEYS,
     INT_COUNTER_FIELDS,
     aggregate_phases,
+    check_attribution,
+    check_chrome_trace,
+    check_recovery_reads,
     chrome_trace_events,
+    distribution_stats,
     golden_tree,
     render_tree,
     write_chrome_trace,
@@ -60,9 +66,14 @@ __all__ = [
     "trace",
     "traced",
     "tracing",
+    "DISTRIBUTION_KEYS",
     "INT_COUNTER_FIELDS",
     "aggregate_phases",
+    "check_attribution",
+    "check_chrome_trace",
+    "check_recovery_reads",
     "chrome_trace_events",
+    "distribution_stats",
     "golden_tree",
     "render_tree",
     "write_chrome_trace",

@@ -1,6 +1,6 @@
-"""Exporters for :class:`~repro.obs.tracer.Tracer` forests.
+"""Exporters and invariant checks for :class:`~repro.obs.tracer.Tracer` forests.
 
-Three consumers:
+Three exporters:
 
 * :func:`aggregate_phases` — per-phase *self* attribution (each span's
   delta minus its children's), grouped by span name.  Self values
@@ -17,12 +17,20 @@ Three consumers:
   ns) and wall times are deliberately excluded so the fixture is stable
   across Python versions and machines while still pinning the hot-path
   event structure.
+
+The checks — :func:`check_attribution`, :func:`check_recovery_reads`,
+:func:`check_chrome_trace` — return human-readable failures (empty =
+the invariant holds); the ``bench profile`` gates and the test suite
+call the same functions.  :func:`distribution_stats` is the one
+percentile summary.
 """
 
 from __future__ import annotations
 
 import json
 from typing import Any, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from ..pmem.stats import INT_COUNTER_FIELDS
 from .tracer import Span, Tracer
@@ -183,6 +191,128 @@ def write_chrome_trace(tracer: Tracer, path: str) -> int:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
     return len(events)
+
+
+# -- invariant checks (empty list = the invariant holds) ------------------
+
+def check_attribution(tracer: Tracer) -> List[str]:
+    """Return human-readable failures; empty list = attribution is exact."""
+    failures: List[str] = []
+    total = tracer.total_delta()
+    if total is None:
+        return ["tracer has no stats; nothing to check"]
+    rows, untraced = aggregate_phases(tracer)
+    if not rows:
+        failures.append("no spans were recorded")
+        return failures
+
+    modeled = sum(r.modeled_ns for r in rows) + untraced.modeled_ns
+    tol = max(1e-6 * abs(total.modeled_ns), 1e-3)
+    if abs(modeled - total.modeled_ns) > tol:
+        failures.append(
+            f"modeled-ns attribution leak: phases sum to {modeled}, "
+            f"device total is {total.modeled_ns}"
+        )
+    for field in INT_COUNTER_FIELDS:
+        got = sum(r.counters[field] for r in rows) + untraced.counters[field]
+        want = getattr(total, field)
+        if got != want:
+            failures.append(
+                f"counter {field!r} attribution leak: phases sum to {got}, "
+                f"device total is {want}"
+            )
+    if untraced.modeled_ns < -tol:
+        failures.append(
+            f"(untraced) modeled ns is negative ({untraced.modeled_ns}): "
+            "root spans overlap or double-count"
+        )
+    return failures
+
+
+def check_recovery_reads(tracer: Tracer) -> List[str]:
+    """A traced crash recovery reads every log byte once, sequentially:
+    ``rebuild_log_cursors`` streams exactly the log region and
+    ``replay_logs`` works from that image (no device read)."""
+    reads = {
+        r.name: (r.counters["seq_read_bytes"], r.counters["rnd_reads"])
+        for r in aggregate_phases(tracer)[0]
+    }
+    failures: List[str] = []
+    if any(reads.get("replay_logs", ())):
+        failures.append(
+            "replay_logs read the device (%d sequential bytes, %d random reads); "
+            "it must work from the cursor-rebuild image" % reads["replay_logs"]
+        )
+    log_bytes = sum(s.attrs["log_bytes"] for s in tracer.find("rebuild_log_cursors"))
+    if reads.get("rebuild_log_cursors", (0, 0)) != (log_bytes, 0):
+        failures.append(
+            "rebuild_log_cursors made %d random reads and streamed %d bytes of a "
+            "%d-byte log region; expected one sequential pass"
+            % (reads["rebuild_log_cursors"][::-1] + (log_bytes,))
+        )
+    return failures
+
+
+def check_chrome_trace(path: str) -> List[str]:
+    """Validate the written file is loadable Chrome trace-event JSON."""
+    failures: List[str] = []
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as e:
+        return [f"trace file {path!r} is not readable JSON: {e}"]
+    events = doc.get("traceEvents")
+    if not isinstance(events, list) or not events:
+        return [f"trace file {path!r} has no traceEvents array"]
+    for i, ev in enumerate(events):
+        for key in ("name", "ph", "pid", "tid"):
+            if key not in ev:
+                failures.append(f"event {i} missing {key!r}")
+                break
+        if ev.get("ph") == "X" and (ev.get("dur", -1) < 0 or ev.get("ts", -1) < 0):
+            failures.append(f"event {i} ({ev.get('name')}) has bad ts/dur")
+    return failures
+
+
+# -- distribution summaries ------------------------------------------------
+
+#: The canonical distribution summary order, shared by every consumer
+#: (crash-sweep reports, the serving layer's tail-latency stats) so
+#: their columns line up.  ``p99`` is the serving
+#: layer's headline tail metric.
+DISTRIBUTION_KEYS = ("min", "p50", "mean", "p90", "p95", "p99", "max")
+
+#: percentile value behind each ``pNN`` key (min/mean/max are computed
+#: directly).
+_PERCENTILES = {"p50": 50, "p90": 90, "p95": 95, "p99": 99}
+
+
+def distribution_stats(values, unit: str = "us") -> Dict[str, float]:
+    """Summary of a sample along :data:`DISTRIBUTION_KEYS`.
+
+    Keys are suffixed with ``unit`` (``min_us``, ``p50_us``, ...);
+    values are expected pre-scaled to that unit.  Returns ``{}`` for an
+    empty sample.  This is the single percentile helper — the crash
+    sweep's recovery-time report and the serve-workload latency report
+    both route through it instead of hand-rolling ``np.percentile``
+    calls, and every consumer derives its column list from
+    :data:`DISTRIBUTION_KEYS` so the two can never drift.
+    """
+    vals = np.asarray(list(values), dtype=np.float64)
+    if vals.size == 0:
+        return {}
+    out: Dict[str, float] = {}
+    for key in DISTRIBUTION_KEYS:
+        if key == "min":
+            val = float(vals.min())
+        elif key == "mean":
+            val = float(vals.mean())
+        elif key == "max":
+            val = float(vals.max())
+        else:
+            val = float(np.percentile(vals, _PERCENTILES[key]))
+        out[f"{key}_{unit}"] = val
+    return out
 
 
 # -- golden-tree serialization --------------------------------------------

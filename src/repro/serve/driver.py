@@ -29,15 +29,14 @@ baseline for the view-reuse speedup.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from ..analysis.viewcache import top_k_from_degrees
 from ..core.encoding import check_k, check_vertex
-from ..obs.tracer import annotate, trace
+from ..obs import annotate, distribution_stats, trace
 from ..sharding.partition import local_count, local_ids_to_global, shard_of, to_local
 from .server import (
     QueryServer,
@@ -148,24 +147,15 @@ class ServeReport:
     """Per-class modeled latencies plus twin/identity evidence."""
 
     mode: str
-    n_clients: int
-    ops: int = 0
     reads: int = 0
     writes: int = 0
     #: served-arm modeled latency samples (ns) per class ("write" incl.).
     latencies: Dict[str, List[float]] = field(default_factory=dict)
-    #: direct fresh-snapshot arm samples (ns), twin runs only.
-    snapshot_latencies: Optional[Dict[str, List[float]]] = None
     makespan_ns: float = 0.0
     refreshes: int = 0
     reuses: int = 0
-    #: what the refreshes cost (modeled ns) and re-read (rows), summed
-    refresh_ns_total: float = 0.0
-    rows_reread: int = 0
     served_read_ns: float = 0.0
     snapshot_read_ns: float = 0.0
-    wall_served_s: float = 0.0
-    wall_snapshot_s: float = 0.0
     identity_checked: bool = False
     mismatches: int = 0
 
@@ -183,19 +173,11 @@ class ServeReport:
         """Direct-snapshot read time over served read time (modeled)."""
         return self.snapshot_read_ns / self.served_read_ns if self.served_read_ns else 0.0
 
-    @property
-    def wall_read_speedup(self) -> float:
-        return self.wall_snapshot_s / self.wall_served_s if self.wall_served_s else 0.0
-
-    def stats(self, arm: str = "served", unit: str = "us") -> Dict[str, Dict[str, float]]:
-        """Per-class distribution stats (``p50`` … ``p99``) in ``unit``."""
-        from ..bench.reporting import distribution_stats
-
-        source = self.latencies if arm == "served" else (self.snapshot_latencies or {})
-        scale = 1e-3 if unit == "us" else 1.0
+    def stats(self) -> Dict[str, Dict[str, float]]:
+        """Per-class modeled latency distribution (``p50_us`` … ``p99_us``)."""
         return {
-            cls: distribution_stats(np.asarray(vals) * scale, unit=unit)
-            for cls, vals in source.items()
+            cls: distribution_stats(np.asarray(vals) * 1e-3, unit="us")
+            for cls, vals in self.latencies.items()
             if vals
         }
 
@@ -261,11 +243,7 @@ def run_serve_workload(
 
     report = ServeReport(
         mode="closed" if closed else "open",
-        n_clients=n_clients,
         latencies={cls: [] for cls in (*QUERY_CLASSES, "write")},
-        snapshot_latencies=(
-            {cls: [] for cls in QUERY_CLASSES} if twin_check else None
-        ),
         identity_checked=twin_check,
     )
 
@@ -287,10 +265,8 @@ def run_serve_workload(
             report.writes += 1
         else:
             with trace(f"serve_{kind}"):
-                w0 = time.perf_counter()
                 view = server.acquire()
                 result = _run_query(view, op)
-                report.wall_served_s += time.perf_counter() - w0
                 latency = server.last_acquire_ns + view.last_query_ns
                 annotate(
                     acquire_ns=server.last_acquire_ns,
@@ -302,10 +278,7 @@ def run_serve_workload(
             report.served_read_ns += latency
             report.reads += 1
             if twin_check:
-                w0 = time.perf_counter()
                 reference = _run_query(direct, op)
-                report.wall_snapshot_s += time.perf_counter() - w0
-                report.snapshot_latencies[kind].append(direct.last_query_ns)
                 report.snapshot_read_ns += direct.last_query_ns
                 if not _bytes_equal(result, reference):
                     report.mismatches += 1
@@ -313,12 +286,9 @@ def run_serve_workload(
             clocks[i % n_clients] = end
         else:
             max_end = max(max_end, end)
-        report.ops += 1
 
     report.refreshes = server.refreshes
     report.reuses = server.reuses
-    report.refresh_ns_total = server.refresh_ns_total
-    report.rows_reread = server.rows_reread
     report.makespan_ns = max(
         float(clocks.max()) if closed else max_end, writer_free
     )

@@ -47,6 +47,8 @@ WRITE_BATCH = 64
 DELETE_FRACTION = 0.15
 #: open-loop offered load.
 ARRIVAL_RATE_OPS_PER_S = 200_000.0
+#: Zipfian skew exponent of every key draw (the YCSB default).
+ZIPF_THETA = 0.99
 
 
 @dataclass
@@ -56,8 +58,6 @@ class ServeWorkloadConfig:
     n_ops: int = 2000
     #: fraction of ops that are reads (the rest are write batches).
     read_fraction: float = 0.9
-    #: Zipfian skew exponent (0 = uniform; 0.99 = YCSB default).
-    zipf_theta: float = 0.99
     #: closed-loop client count.
     n_clients: int = 8
     #: "closed" (think-free clients) or "open" (Poisson arrivals).
@@ -101,7 +101,7 @@ def generate_workload(num_vertices: int, config: ServeWorkloadConfig) -> List[tu
     itself inserted, so they always cancel a live occurrence.
     """
     rng = np.random.default_rng(config.seed)
-    zipf = ZipfianSampler(num_vertices, config.zipf_theta, rng)
+    zipf = ZipfianSampler(num_vertices, ZIPF_THETA, rng)
     classes = [name for name, _ in READ_MIX]
     weights = np.array([w for _, w in READ_MIX], dtype=np.float64)
     weights /= weights.sum()

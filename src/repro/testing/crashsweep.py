@@ -52,6 +52,7 @@ import numpy as np
 
 from ..core.batch import DEFAULT_BATCH_SIZE, EdgeBatch
 from ..errors import MediaError, RecoveryError, SimulatedCrash
+from ..obs import distribution_stats
 from ..pmem.crash import CrashInjector
 from ..pmem.faults import DEFAULT_POLICY, FaultPolicy
 from . import model
@@ -133,15 +134,7 @@ class SweepReport:
         )
 
     def recovery_stats(self) -> Dict[str, float]:
-        """Recovery-time summary (µs) along ``DISTRIBUTION_KEYS``.
-
-        Routed through the shared :func:`repro.bench.reporting.
-        distribution_stats` helper (imported lazily — ``repro.bench``
-        pulls the whole harness in, which this testing module must not
-        do at import time).
-        """
-        from ..bench.reporting import distribution_stats
-
+        """Recovery-time summary (µs) along ``DISTRIBUTION_KEYS``."""
         return distribution_stats(self.recovery_ns() * 1e-3, unit="us")
 
     def in_flight_applied_count(self) -> int:

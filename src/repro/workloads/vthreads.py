@@ -201,7 +201,7 @@ def run_sharded(sharded, edges, n_threads: int) -> ShardedVThreadResult:
     execute concurrently, so the combined makespan is the **max** over
     per-shard makespans: N pools are N media lanes, which is what lets
     modeled ingest MEPS exceed the single-pool bandwidth ceiling of
-    Table 3 (see ``benchmarks/test_shard_scaling.py``).
+    Table 3 (``tests/test_sharding.py::TestShardedVThreads``).
     """
     from ..core.batch import EdgeBatch
 

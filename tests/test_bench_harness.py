@@ -157,30 +157,6 @@ class TestGatesCatchTheMechanism:
             main(argv)
         assert ei.value.code not in (0, None) and needle in str(ei.value.code)
 
-    def test_analysis_loop_without_view_cache(self, monkeypatch):
-        from repro.bench import analysis_loop as arm
-
-        scratch = [
-            arm.run_analysis_loop("citpatents", 0.05, 2, ("pr", "bfs"), 2, None, False)
-            for _ in range(2)
-        ]
-        self.expect_gate_failure(
-            monkeypatch, arm, arm.LoopPair(*scratch), ["analysis-loop"], "view builds"
-        )
-
-    def test_temporal_loop_without_view_cache(self, monkeypatch):
-        from repro.bench import temporal_loop as arm
-
-        scratch = [
-            arm.run_temporal_loop(
-                arm.DEFAULT_DATASET, 0.25, 2, 0.25, ("pr", "bfs"), 2, None, 3, False
-            )
-            for _ in range(2)
-        ]
-        self.expect_gate_failure(
-            monkeypatch, arm, arm.TemporalLoopPair(*scratch), ["temporal"], "view builds"
-        )
-
     def test_insert_group_arm_ingested_per_edge(self, monkeypatch):
         from repro.bench import insert as arm
 

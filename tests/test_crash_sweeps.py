@@ -21,9 +21,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.bench.reporting import DISTRIBUTION_KEYS
 from repro.core import recovery
 from repro.core.batch import EdgeBatch
+from repro.obs import DISTRIBUTION_KEYS
 from repro.pmem.faults import ADVERSARIAL, DEFAULT_POLICY, PERSIST_REORDER, TORN_STORES, FaultPolicy
 from repro.testing import (
     Model,

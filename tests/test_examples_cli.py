@@ -38,17 +38,12 @@ class TestExamples:
 ARM_SMOKE = {
     "insert": (["--dataset", "citpatents", "--scale", "0.1"], "insert throughput"),
     "analysis": (["--dataset", "citpatents", "--kernel", "bfs", "--scale", "0.1"], "vs CSR"),
-    "analysis-loop": (["--scale", "0.05", "--rounds", "2", "--sources", "2"], "whole-view hits"),
-    "temporal": (["--scale", "0.25", "--sources", "2", "--max-steps", "4"], "per-step CSR"),
     "ablation": (["--scale", "0.02", "--batch-size", "1"], "no_el_ul_dp"),
     "recovery": (["--dataset", "citpatents", "--scale", "0.1"], "crash recovery"),
     "profile": (["insert", "--scale", "0.02"], "batch_round"),
     "profile recovery": (["--scale", "0.02"], "rebuild_log_cursors"),
     "profile analysis": (["--scale", "0.02"], "view_materialize"),
     "profile rebalance": (["--scale", "0.02"], "write_window"),
-    "readpath": (["--dataset", "citpatents", "--scale", "0.02"], "identical"),
-    "shard": (["--scale", "0.05"], "merged view byte-identical"),
-    "serve": (["--scale", "0.02", "--ops", "120", "--shards", "2"], "p99"),
     "crash-sweep": (["--edges", "12", "--shards", "2", "--batch-size", "4"], "crash points swept"),
     "soak": (["--edges", "400", "--rounds", "1", "--min-fault-points", "1"], "fault points"),
     "race-check": (["--dry-run"], "decisions"),

@@ -307,12 +307,12 @@ class TestProfileRecoveryCheck:
         return tracer
 
     def test_passes_on_the_streamed_recovery(self):
-        from repro.bench.profile import check_recovery_reads
+        from repro.obs import check_recovery_reads
 
         assert check_recovery_reads(self.trace_recovery()) == []
 
     def test_flags_a_second_log_stream_and_reads_in_replay(self):
-        from repro.bench.profile import check_recovery_reads
+        from repro.obs import check_recovery_reads
         from repro.core import recovery
 
         replay = recovery._replay_logs

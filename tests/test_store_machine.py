@@ -66,10 +66,9 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, pr
 from repro.algorithms import pagerank
 from repro.analysis.view import CSRArraysView
 from repro.analysis.viewcache import TOP_ROWS
-from repro.bench.profile import check_attribution
 from repro.core.batch import EdgeBatch
 from repro.errors import SimulatedCrash
-from repro.obs import Tracer, tracing
+from repro.obs import Tracer, check_attribution, tracing
 from repro.pmem.crash import CrashInjector
 from repro.pmem.faults import DEFAULT_POLICY, PERSIST_REORDER, TORN_STORES
 from repro.serve import QueryServer, top_k_ns

@@ -41,9 +41,8 @@ from repro.analysis import costs, viewcache
 from repro.baselines.dgap_system import DGAPSystem
 from repro.core.encoding import MAX_VERTEX
 from repro.core.rebalance import ROOT_SHUTDOWN
-from repro.bench.profile import check_attribution
 from repro.errors import GraphError, VertexRangeError
-from repro.obs import INT_COUNTER_FIELDS, Tracer, tracing
+from repro.obs import INT_COUNTER_FIELDS, Tracer, check_attribution, tracing
 from repro.pmem.crash import CrashInjector
 from repro.serve import QueryServer, top_k_ns
 from repro.serve.driver import SnapshotReader, _bytes_equal
@@ -642,6 +641,16 @@ class TestOneSurface:
         for gone in (r"_ordered_ops", r"\b_match\(", r"class NaiveWindowRef", r"def run_script",
                      r"from repro\.testing[.\w]* import (.*|\([^)]*)\b_"):
             assert _count(gone, src) == _count(gone, tests) == 0, gone
+        # the bench package is a leaf: nothing else under src/ imports it;
+        # the invariant checks over a traced run and the percentile
+        # summary that tests and the serve / crash-sweep reports call live
+        # in repro.obs, once each
+        outside_bench = {k: v for k, v in src.items() if not k.startswith("bench/")}
+        assert _count(r"(?m)^\s*(?:from|import)\s+(?:repro\.bench|\.+bench)\b", outside_bench) == 0
+        for name in ("check_attribution", "check_recovery_reads", "check_chrome_trace",
+                     "distribution_stats"):
+            assert homes(rf"def {name}\(") == ["obs/export.py"], name
+            assert _count(rf"def {name}\(", src) == 1, name
         # one table of crash sweeps; beside it only the generation switch's spy sweep
         assert sorted(k for k, text in tests.items() if "crash_sweep(" in text) == [
             "test_crash_sweeps.py", "test_generation_switch.py"]

@@ -27,6 +27,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.datasets import TEMPORAL_DATASETS
 from repro.errors import GraphError
 from repro.temporal import TemporalWindowGraph
 from repro.testing import Model
@@ -267,3 +268,20 @@ class TestContracts:
         c = wg.counters()
         assert c["added"] - c["churn_deleted"] - c["expired"] == wg.live_edges()
         assert int(g.va.live_degrees().sum()) == wg.live_edges()
+
+    def test_the_seeded_stream_keeps_its_ledger(self):
+        """``orkut-stream`` at scale 1, window 6, compaction at density
+        0.25: every add lands, and the churn picks, expiry and the
+        density-triggered sweeps come out as these golden integers (none
+        is derivable from the arguments)."""
+        spec = TEMPORAL_DATASETS["orkut-stream"]
+        stream = spec.generate(1.0)
+        nv, ne = spec.sizes(1.0)
+        g = make_store(init_vertices=nv, init_edges=ne)
+        wg = TemporalWindowGraph(g, 6, compact_threshold=0.25)
+        for step in stream:
+            wg.advance(step)
+        c = wg.counters()
+        assert c["added"] == sum(len(step.adds) for step in stream) == 65536
+        assert (c["churn_deleted"], c["expired"], c["compactions"],
+                g.tombstone_pairs_compacted) == (14531, 34630, 6, 49161)

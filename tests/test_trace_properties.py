@@ -19,8 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import DGAP, DGAPConfig
-from repro.bench.profile import check_attribution
-from repro.obs import INT_COUNTER_FIELDS, Tracer, trace, tracing
+from repro.obs import INT_COUNTER_FIELDS, Tracer, check_attribution, trace, tracing
 from repro.pmem.faults import FaultPolicy
 from repro.testing import SoakConfig, soak_sweep
 

@@ -23,9 +23,10 @@ from repro.analysis.costs import (
 from repro.analysis.view import ID_DTYPE, INDPTR_DTYPE
 from repro.analysis.viewcache import TOP_ROWS
 from repro.baselines import SYSTEMS, DGAPSystem, StaticCSR
-from repro.bench.harness import SOURCE_KERNELS
+from repro.bench.harness import SOURCE_KERNELS, build_system, load_stream
 from repro.algorithms import KERNELS
 from repro.core.batch import EdgeBatch
+from repro.datasets import TEMPORAL_DATASETS
 from repro.obs import Tracer, tracing
 from repro.pmem.constants import XPLINE
 from repro.resilience import RepairOutcome, ResilienceManager
@@ -33,6 +34,7 @@ from repro.serve import QueryServer
 from repro.serve.driver import SnapshotReader, _bytes_equal
 from repro.sharding import ShardedViewCache
 from repro.sharding.partition import shard_of
+from repro.temporal import TemporalWindowGraph
 from repro.testing import Model, model
 
 from .stores import STORES, csr_bytes, make_store, model_csrs, rows_bytes
@@ -518,26 +520,66 @@ class TestDeleteHeavyHistories:
 
 
 class TestKernelIdentity:
+    @staticmethod
+    def kernel_round(cached, scratch, source=3):
+        """Every kernel on a fresh view of each system: outputs and
+        modeled seconds bit-identical, and the cache builds once and
+        serves every other trial whole while from scratch every trial
+        builds."""
+        c0, s0 = cached.view_counters(), scratch.view_counters()
+        for name, fn in KERNELS.items():
+            vc, vs = cached.analysis_view(), scratch.analysis_view()
+            vc.reset_clock()
+            vs.reset_clock()
+            args = (source,) if name in SOURCE_KERNELS else ()
+            rc, rs = fn(vc, *args), fn(vs, *args)
+            assert rc.tobytes() == rs.tobytes(), name
+            assert rc.dtype == rs.dtype, name
+            for threads in (1, 8, 16):
+                assert vc.seconds(threads) == vs.seconds(threads), name
+        c1, s1 = cached.view_counters(), scratch.view_counters()
+        assert c1["view_builds"] - c0["view_builds"] == 1
+        assert c1["whole_view_hits"] - c0["whole_view_hits"] == len(KERNELS) - 1
+        assert s1["view_builds"] - s0["view_builds"] == len(KERNELS)
+
     def test_outputs_and_modeled_seconds_bit_identical(self):
         rng = np.random.default_rng(7)
         edges = rng.integers(0, NV, size=(600, 2), dtype=np.int64)
         cached, scratch = small_system(), small_system()
         scratch.view_caching = False
         for part in np.array_split(edges, 3):
-            cached.insert_edges(part)
-            scratch.insert_edges(part)
-            cached.finalize()
-            scratch.finalize()
-            for name, fn in KERNELS.items():
-                vc, vs = cached.analysis_view(), scratch.analysis_view()
-                vc.reset_clock()
-                vs.reset_clock()
-                args = (3,) if name in SOURCE_KERNELS else ()
-                rc, rs = fn(vc, *args), fn(vs, *args)
-                assert rc.tobytes() == rs.tobytes(), name
-                assert rc.dtype == rs.dtype, name
-                for threads in (1, 8, 16):
-                    assert vc.seconds(threads) == vs.seconds(threads), name
+            for system in (cached, scratch):
+                system.insert_edges(part)
+                system.finalize()
+            self.kernel_round(cached, scratch)
+
+    def test_windowed_stream_with_sweeps_stays_identical(self):
+        """The windowed loop — adds, churn and expiry down the tombstone
+        path — runs a kernel round after every step, and again right
+        after each compaction sweep: a sweep moves no row but rewrites
+        the layout (merged chains, dropped pairs), so the whole view must
+        not be reused across it — its chain share and scan overhead moved."""
+        spec = TEMPORAL_DATASETS["orkut-stream"]
+        nv, _ = spec.sizes(0.05)
+        # small sections, so the sweeps find pending edge-log chains
+        cached, scratch = (build_system("dgap", nv, 1024, segment_slots=64)
+                           for _ in range(2))
+        scratch.view_caching = False
+        windows = [TemporalWindowGraph(s.graph, 3, auto_compact=False)
+                   for s in (cached, scratch)]
+        chains_merged = []
+        for step in spec.generate(0.05)[:12]:
+            for wg in windows:
+                wg.advance(step)
+            self.kernel_round(cached, scratch)
+            if cached.graph.tombstone_density() >= 0.2:
+                chains_merged.append(int(cached.graph.logs.live_counts.sum()))
+                for s in (cached, scratch):
+                    s.graph.compact()
+                self.kernel_round(cached, scratch)
+        assert len(chains_merged) >= 2 and max(chains_merged) > 0
+        assert (cached.graph.tombstone_pairs_compacted
+                == scratch.graph.tombstone_pairs_compacted > 0)
 
 
 # -- counters: the cache must actually be incremental ----------------------
@@ -580,6 +622,27 @@ class TestCounters:
         assert c1["rows_reused"] > c0["rows_reused"]
         assert c1["delta_edges_merged"] > c0["delta_edges_merged"]
         assert_view_matches_scratch(system, view)
+
+    def test_a_localized_increment_patches_cheaper_than_a_scattered_one(self):
+        """The modeled patch (``cache.last``) of 512 edges whose sources
+        span 1/32 of the id space (the ``analyze-loop`` workload's share)
+        costs at least 3x less than 512 edges from all of it."""
+        nv, edges = load_stream("orkut", 0.05)
+        system = build_system("dgap", nv, edges.shape[0])
+        system.insert_edges(edges)
+        system.finalize()
+        system.analysis_view()
+        rng = np.random.default_rng(0)
+        span = nv // 32
+        patch_ns = []
+        for lo, width in (((nv - span) // 2, span), (0, nv)):
+            srcs = lo + rng.integers(0, width, 512)
+            system.insert_edges(np.stack([srcs, rng.integers(0, nv, 512)], axis=1))
+            system.finalize()
+            system.analysis_view()
+            patch_ns.append(system.graph.view_cache.last.modeled_ns)
+        local, scattered = patch_ns
+        assert scattered >= 3 * local, (local, scattered)
 
 
 # -- aliasing: views never alias the persistent buffers --------------------
