@@ -25,16 +25,7 @@ import sys
 
 from ..algorithms import KERNELS
 from ..datasets import DATASETS
-from . import (
-    ablation,
-    crash_sweep,
-    insert,
-    kernels,
-    profile,
-    race_check,
-    recovery,
-    soak,
-)
+from . import ablation, insert, kernels, profile, recovery
 from .harness import DEFAULT_BATCH_SIZE, finish_arm
 
 ARMS = {
@@ -43,14 +34,7 @@ ARMS = {
     "ablation": ablation,
     "recovery": recovery,
     "profile": profile,
-    "crash-sweep": crash_sweep,
-    "soak": soak,
-    "race-check": race_check,
 }
-
-
-def _comma_list(text: str) -> tuple:
-    return tuple(x for x in text.split(",") if x)
 
 
 #: one declaration per flag; defaults come from each arm's ``run``.  A
@@ -61,39 +45,9 @@ FLAGS = {
     "--scale": dict(type=float, help="fraction of the proxy dataset"),
     "--batch-size": dict(type=int, help="ingest sub-batch size (1 = per-edge "
                                         "path, <=0 = one unbounded batch)"),
-    "--seed": dict(type=int),
-    "--shards": dict(type=int, help="shard count (1 = unsharded DGAP)"),
     "--kernel": dict(choices=tuple(KERNELS)),
-    "--rounds": dict(type=int, help="ingest->scrub rounds"),
     "--trace-out": dict(help="write Chrome trace-event JSON here (open in Perfetto)"),
     "--device-ops": dict(help="also record every device primitive as a trace event"),
-    "--edges": dict(type=int, help="cap the workload to this many edges"),
-    "--expire-window": dict(type=int, help="sweep a windowed stream instead: "
-                            "expire edges this many steps after insertion and "
-                            "compact periodically (>=0 enables; overrides "
-                            "--batch-size)"),
-    "--window-step": dict(type=int, help="edges per temporal step for --expire-window"),
-    "--compact-every": dict(type=int, help="compaction cadence in steps for "
-                                           "--expire-window"),
-    "--policy": dict(choices=tuple(crash_sweep.SWEEP_POLICIES)),
-    "--poison": dict(type=float, help="probability a lost line is poisoned at "
-                                      "crash (media faults)"),
-    "--transient-rate": dict(type=float, help="per-line transient read-fault "
-                                              "rate (retried with modeled backoff)"),
-    "--points": dict(type=int, help="sampled crash points when above the "
-                                    "exhaustive threshold"),
-    "--exhaustive-threshold": dict(type=int),
-    "--scrub-every": dict(type=int, help="patrol-scrub step every this-many inserts"),
-    "--patrol-kib": dict(type=int, help="patrol-scrub window size (KiB)"),
-    "--poison-rate": dict(type=float, help="per-line spontaneous-decay rate on "
-                                           "reads/scrub"),
-    "--min-fault-points": dict(type=int, help="fail unless at least this many "
-                                              "fault points fired"),
-    "--scenarios": dict(type=_comma_list, help="comma list of scenario names "
-                                               "(default: all)"),
-    "--schedules": dict(type=int, help="schedule budget per scenario "
-                                       "(exhaustive when it fits)"),
-    "--dry-run": dict(help="one default schedule per scenario: event counts only"),
 }
 
 

@@ -81,15 +81,9 @@ def load_stream(dataset: str, scale: float) -> Tuple[int, np.ndarray]:
     return spec.sizes(scale)[0], spec.generate(scale)
 
 
-def make_store(num_vertices: int, num_edges: int, shards: int = 1,
-               injector=None, faults=None, **cfg):
-    """A DGAP sized for the stream — a ShardedDGAP when ``shards > 1``."""
-    config = DGAPConfig(init_vertices=num_vertices, init_edges=num_edges, **cfg)
-    if shards > 1:
-        from ..sharding import ShardedDGAP
-
-        return ShardedDGAP(shards, config, injector=injector, faults=faults)
-    return DGAP(config, injector=injector, faults=faults)
+def make_store(num_vertices: int, num_edges: int, **cfg) -> DGAP:
+    """A DGAP sized for the stream."""
+    return DGAP(DGAPConfig(init_vertices=num_vertices, init_edges=num_edges, **cfg))
 
 
 def modeled_ingest(store, edges, batch_size: Optional[int] = DEFAULT_BATCH_SIZE):

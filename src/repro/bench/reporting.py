@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence
 
-from ..obs import DISTRIBUTION_KEYS
-
 
 def format_table(
     title: str,
@@ -89,124 +87,6 @@ def ingest_phase_table(results: Iterable) -> str:
         rows,
         floatfmt="{:.3f}",
     )
-
-
-def crash_sweep_table(report, title: str = "crash sweep") -> str:
-    """Summarize a :class:`~repro.testing.SweepReport` (§4.4 robustness).
-
-    One table: sweep coverage (events, points, exhaustive or sampled),
-    oracle outcomes (in-flight ops that landed, reported-unrecoverable
-    points under a poison policy), and the modeled recovery-time
-    distribution across crash points.
-    """
-    pol = report.policy
-    faults = ", ".join(
-        s for s, on in (
-            ("torn-stores", pol.torn_stores),
-            ("persist-reorder", pol.persist_reorder),
-            (f"poison={pol.poison_on_crash}", pol.poison_on_crash > 0),
-            (f"transient={pol.transient_read_rate:g}", pol.transient_read_rate > 0),
-        ) if on
-    ) or "none (clean ADR)"
-    rows = [
-        ("persistence events", report.total_events),
-        ("crash points swept", report.crash_points),
-        ("coverage", "exhaustive" if report.exhaustive else "sampled"),
-        ("fault policy", faults),
-        ("in-flight op landed", report.in_flight_applied_count()),
-        ("unrecoverable (reported)", report.unrecoverable_count()),
-    ]
-    stats = report.recovery_stats()
-    for name in DISTRIBUTION_KEYS:
-        key = f"{name}_us"
-        if key in stats:
-            rows.append((f"recovery {name} (us)", stats[key]))
-    return format_table(title, ["metric", "value"], rows, floatfmt="{:.2f}")
-
-
-def soak_table(report, title: str = "soak sweep") -> str:
-    """Summarize a :class:`~repro.testing.SoakReport` (PR 7 robustness).
-
-    Header rows give the run-level verdict — fault points survived,
-    final health, damage accounting, and which oracle legs ran — then
-    one row per round with that round's fault/repair activity.
-    """
-    pol = report.config.faults
-    head = [
-        ("ops applied / total", f"{report.ops_applied} / {report.ops_total}"),
-        ("ops skipped (enumerated)", report.ops_skipped),
-        ("fault points survived", report.fault_points),
-        ("  transient (retried)", report.transient_faults),
-        ("  hard poison", report.poison_events),
-        ("quarantined ranges", report.quarantined),
-        ("lost edges (enumerated)", report.lost_edges),
-        ("final health", report.health.value),
-        ("byte-identity checked", "yes" if report.byte_compared else "no (lossy divergence)"),
-        ("fault policy", f"poison={pol.read_poison_rate:g} transient={pol.transient_read_rate:g} seed={pol.seed}"),
-    ]
-    out = [format_table(title, ["metric", "value"], head)]
-    rows = [
-        (
-            r.round_index, r.ops_applied, r.scrub_steps,
-            r.transient_faults, r.read_retries, r.poison_events,
-            r.quarantined, r.lost_edges, r.health.value,
-            r.analysis_result if r.analyzed else "-",
-        )
-        for r in report.rounds
-    ]
-    out.append(format_table(
-        f"{title} — per round",
-        ["round", "ops", "scrubs", "transient", "retries", "poison",
-         "quarantined", "lost", "health", "edges seen"],
-        rows,
-    ))
-    return "\n\n".join(out)
-
-
-def race_check_table(report, title: str = "race check") -> str:
-    """Summarize a :class:`~repro.testing.RaceCheckReport`.
-
-    One row per scenario: how many schedules were driven, whether the
-    schedule space was exhausted or sampled, how many interleaving
-    decision points and protocol events those schedules covered, and
-    the lock-discipline oracle's verdict (violations must be zero).
-    """
-    rows = [
-        (
-            s.name,
-            s.schedules,
-            "exhaustive" if s.exhaustive else "sampled",
-            s.decision_points,
-            s.events,
-            s.violations,
-            "ok" if s.ok else "FAIL",
-        )
-        for s in report.scenarios
-    ]
-    table = format_table(
-        title,
-        ["scenario", "schedules", "coverage", "decisions", "events", "violations", "verdict"],
-        rows,
-    )
-    if report.failures:
-        table += "\nfailures:\n" + "\n".join(
-            f"  {f}" for f in report.failures[:10]
-        )
-    return table
-
-
-def race_check_dry_table(counts, title: str = "race check (dry run)") -> str:
-    """Per-scenario event counts from one default schedule each —
-    the pre-flight view of how much interleaving surface a full
-    exploration would cover (mirrors the crash sweep's dry run)."""
-    kinds = sorted({k for c in counts.values() for k in c if k != "decision-points"})
-    rows = [
-        (name,)
-        + tuple(c.get(k, 0) for k in kinds)
-        + (c.get("decision-points", 0),)
-        for name, c in counts.items()
-    ]
-    return format_table(title, ["scenario"] + kinds + ["decisions"], rows)
 
 
 def profile_table(tracer, title: str = "profile") -> str:
@@ -290,11 +170,7 @@ __all__ = [
     "paper_vs_measured",
     "gate_table",
     "ingest_phase_table",
-    "crash_sweep_table",
-    "soak_table",
     "profile_table",
-    "race_check_table",
-    "race_check_dry_table",
     "emit",
     "flush_reports",
 ]

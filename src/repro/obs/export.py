@@ -276,10 +276,8 @@ def check_chrome_trace(path: str) -> List[str]:
 
 # -- distribution summaries ------------------------------------------------
 
-#: The canonical distribution summary order, shared by every consumer
-#: (crash-sweep reports, the serving layer's tail-latency stats) so
-#: their columns line up.  ``p99`` is the serving
-#: layer's headline tail metric.
+#: The canonical distribution summary order of the serving layer's
+#: tail-latency stats.  ``p99`` is its headline tail metric.
 DISTRIBUTION_KEYS = ("min", "p50", "mean", "p90", "p95", "p99", "max")
 
 #: percentile value behind each ``pNN`` key (min/mean/max are computed
@@ -292,11 +290,9 @@ def distribution_stats(values, unit: str = "us") -> Dict[str, float]:
 
     Keys are suffixed with ``unit`` (``min_us``, ``p50_us``, ...);
     values are expected pre-scaled to that unit.  Returns ``{}`` for an
-    empty sample.  This is the single percentile helper — the crash
-    sweep's recovery-time report and the serve-workload latency report
-    both route through it instead of hand-rolling ``np.percentile``
-    calls, and every consumer derives its column list from
-    :data:`DISTRIBUTION_KEYS` so the two can never drift.
+    empty sample.  This is the single percentile helper: the
+    serve-workload latency report routes through it instead of
+    hand-rolling ``np.percentile`` calls.
     """
     vals = np.asarray(list(values), dtype=np.float64)
     if vals.size == 0:

@@ -1,8 +1,7 @@
 """Reusable verification harnesses (crash sweeps, race checks, oracles).
 
 Not imported by the library's runtime paths — this package backs the
-test suite and the ``crash-sweep`` / ``race-check`` / ``soak`` bench
-modes.  :mod:`.model` is the one shadow adjacency and in-flight rule,
+test suite.  :mod:`.model` is the one shadow adjacency and in-flight rule,
 ``crash_points`` the one replayer, ``schedules.explore`` the one explorer.
 """
 
@@ -22,16 +21,12 @@ from .racecheck import (
     EventRecorder,
     InstrumentedSectionLockTable,
     LockEvent,
-    RaceCheckConfig,
-    RaceCheckReport,
     SCENARIOS,
-    ScenarioReport,
     UnfixedSectionLockTable,
     Violation,
     check_lock_discipline,
     events_from_tuples,
     explore_scenario,
-    race_check,
     run_scenario,
 )
 from .soaksweep import (
@@ -58,10 +53,7 @@ __all__ = [
     "LockEvent",
     "Mismatch",
     "Model",
-    "RaceCheckConfig",
-    "RaceCheckReport",
     "SCENARIOS",
-    "ScenarioReport",
     "ScheduleDeadlock",
     "ScheduleError",
     "ScheduleTrace",
@@ -83,7 +75,6 @@ __all__ = [
     "explore",
     "explore_scenario",
     "make_insert_workload",
-    "race_check",
     "run_scenario",
     "soak_sweep",
     "verify_recovered_graph",

@@ -46,13 +46,12 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.batch import DEFAULT_BATCH_SIZE, EdgeBatch
 from ..errors import MediaError, RecoveryError, SimulatedCrash
-from ..obs import distribution_stats
 from ..pmem.crash import CrashInjector
 from ..pmem.faults import DEFAULT_POLICY, FaultPolicy
 from . import model
@@ -116,32 +115,15 @@ class CrashPointResult:
 
 @dataclass
 class SweepReport:
-    """Everything a sweep learned; ``recovery_ns`` feeds the §4.4 report."""
+    """Everything a sweep learned: its event count, coverage and points."""
 
     total_events: int
     exhaustive: bool
-    policy: FaultPolicy
     results: List[CrashPointResult] = field(default_factory=list)
 
     @property
     def crash_points(self) -> int:
         return len(self.results)
-
-    def recovery_ns(self) -> np.ndarray:
-        return np.array(
-            [r.recovery_ns for r in self.results if not r.unrecoverable],
-            dtype=np.float64,
-        )
-
-    def recovery_stats(self) -> Dict[str, float]:
-        """Recovery-time summary (µs) along ``DISTRIBUTION_KEYS``."""
-        return distribution_stats(self.recovery_ns() * 1e-3, unit="us")
-
-    def in_flight_applied_count(self) -> int:
-        return sum(1 for r in self.results if r.in_flight_applied)
-
-    def unrecoverable_count(self) -> int:
-        return sum(1 for r in self.results if r.unrecoverable)
 
 
 # ----------------------------------------------------------------------
@@ -291,7 +273,7 @@ def crash_sweep(
     cfg = config or SweepConfig()
     ops = list(ops)
     rng = np.random.default_rng(cfg.seed)
-    report = SweepReport(total_events=0, exhaustive=False, policy=cfg.faults)
+    report = SweepReport(total_events=0, exhaustive=False)
     idem_points: set = set()
     acked = 0
 

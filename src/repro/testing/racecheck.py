@@ -23,10 +23,11 @@ replay → oracle):
   identically on the fixed table, the deliberately-unfixed table, and
   the virtual-thread scheduler's modeled event stream.
 
-* scenario drivers + :func:`race_check` — small real-``DGAP``
+* scenario drivers + :func:`explore_scenario` — small real-``DGAP``
   workloads (writer/writer, writer/rebalancer, writer/resize,
-  reader/writer) whose schedule space is explored exhaustively when it
-  fits the budget and by seeded sampling otherwise; every schedule is
+  reader/writer, and the batch twins) whose schedule space is explored
+  exhaustively when it fits the budget, else its first depth-first
+  schedules up to the budget; every schedule is
   oracle-checked AND the end state is validated (no lost edges,
   structural invariants, degree caches consistent).
 
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import functools
 import threading
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -49,7 +49,6 @@ import numpy as np
 from ..config import DGAPConfig
 from ..core.dgap import DGAP
 from ..core.locks import SectionLockTable
-from ..errors import LockDisciplineError
 from .model import Model
 from .schedules import DeterministicScheduler, ScheduleDeadlock, ScheduleTrace, explore
 
@@ -616,122 +615,18 @@ def explore_scenario(build: ScenarioBuilder, max_schedules: int = 150):
     return explore(functools.partial(run_scenario, build), max_schedules)
 
 
-# ----------------------------------------------------------------------
-# the sweep driver (bench `race-check` + CI smoke)
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class RaceCheckConfig:
-    """Budget knobs for :func:`race_check` (mirrors ``SweepConfig``)."""
-
-    max_schedules: int = 120
-    seed: int = 0  # names the run in reports; the depth-first explorer draws nothing
-    scenarios: Optional[List[str]] = None  # None = all
-
-
-@dataclass
-class ScenarioReport:
-    name: str
-    schedules: int = 0
-    exhaustive: bool = False
-    decision_points: int = 0
-    events: int = 0
-    violations: int = 0
-    failures: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.violations == 0 and not self.failures
-
-
-@dataclass
-class RaceCheckReport:
-    """Coverage + verdicts across all scenarios."""
-
-    scenarios: List[ScenarioReport] = field(default_factory=list)
-
-    @property
-    def schedules(self) -> int:
-        return sum(s.schedules for s in self.scenarios)
-
-    @property
-    def violations(self) -> int:
-        return sum(s.violations for s in self.scenarios)
-
-    @property
-    def failures(self) -> List[str]:
-        return [f for s in self.scenarios for f in s.failures]
-
-    @property
-    def ok(self) -> bool:
-        return all(s.ok for s in self.scenarios)
-
-
-def race_check(config: Optional[RaceCheckConfig] = None) -> RaceCheckReport:
-    """Explore every scenario's schedule space and judge every run."""
-    cfg = config or RaceCheckConfig()
-    names = cfg.scenarios or list(SCENARIOS)
-    report = RaceCheckReport()
-    for name in names:
-        build = SCENARIOS[name]
-        sr = ScenarioReport(name=name)
-        outcomes, sr.exhaustive = explore_scenario(build, cfg.max_schedules)
-        sr.schedules = len(outcomes)
-        for out in outcomes:
-            sr.decision_points += len(out.trace.decisions)
-            sr.events += len(out.events)
-            sr.violations += len(out.violations)
-            if out.violations:
-                sr.failures.append(
-                    f"{name} schedule {out.trace.trace}: "
-                    + "; ".join(str(v) for v in out.violations[:3])
-                )
-            elif out.error is not None:
-                sr.failures.append(f"{name} schedule {out.trace.trace}: {out.error}")
-        report.scenarios.append(sr)
-    return report
-
-
-def dry_run(scenario: Optional[str] = None) -> Dict[str, Dict[str, int]]:
-    """One default-schedule run per scenario: event counts by kind.
-
-    The race-check analogue of the crash sweep's dry-run mode — shows
-    how many instrumentation events (≈ interleaving points) each
-    scenario produces, before committing to a full exploration.
-    """
-    names = [scenario] if scenario else list(SCENARIOS)
-    out: Dict[str, Dict[str, int]] = {}
-    for name in names:
-        result = run_scenario(SCENARIOS[name])
-        if result.error or result.violations:
-            raise LockDisciplineError(
-                f"dry run of {name!r} not clean: error={result.error} "
-                f"violations={[str(v) for v in result.violations]}"
-            )
-        counts = dict(Counter(ev.kind for ev in result.events))
-        counts["decision-points"] = len(result.trace.decisions)
-        out[name] = counts
-    return out
-
-
 __all__ = [
     "EventRecorder",
     "InstrumentedSectionLockTable",
     "LockEvent",
-    "RaceCheckConfig",
-    "RaceCheckReport",
     "SCENARIOS",
-    "ScenarioReport",
     "ScenarioSpec",
     "ScheduleOutcome",
     "UnfixedSectionLockTable",
     "Violation",
     "check_lock_discipline",
-    "dry_run",
     "events_from_tuples",
     "explore_scenario",
     "instrument",
-    "race_check",
     "run_scenario",
 ]

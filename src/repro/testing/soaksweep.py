@@ -85,28 +85,19 @@ class SoakConfig:
 class SoakRoundResult:
     """What one round observed (all counts are per-round deltas)."""
 
-    round_index: int
-    ops_applied: int
-    scrub_steps: int
     transient_faults: int
-    read_retries: int
     poison_events: int
-    quarantined: int
-    lost_edges: int
     health: HealthState
     analyzed: bool = False
-    analysis_result: Optional[object] = None
 
 
 @dataclass
 class SoakReport:
-    """Everything a soak run learned; feeds the §4.4-style soak table."""
+    """Everything a soak run learned."""
 
-    config: SoakConfig
     rounds: List[SoakRoundResult] = field(default_factory=list)
     report: Optional[DamageReport] = None
     ops_applied: int = 0
-    ops_total: int = 0
     read_only: bool = False
     ops_skipped: int = 0
     """Inserts dropped after exhausting repair-retries without landing
@@ -120,11 +111,6 @@ class SoakReport:
         return self.report.health if self.report else HealthState.HEALTHY
 
     @property
-    def fault_points(self) -> int:
-        """Distinct injected fault events the run survived."""
-        return sum(r.transient_faults + r.poison_events for r in self.rounds)
-
-    @property
     def transient_faults(self) -> int:
         return sum(r.transient_faults for r in self.rounds)
 
@@ -135,10 +121,6 @@ class SoakReport:
     @property
     def lost_edges(self) -> int:
         return self.report.lost_edges if self.report else 0
-
-    @property
-    def quarantined(self) -> int:
-        return self.report.n_quarantined if self.report else 0
 
 
 # ----------------------------------------------------------------------
@@ -192,7 +174,7 @@ def soak_sweep(
     twin = make_graph(CrashInjector(), clean)
     mgr = ResilienceManager(subject, patrol_bytes=cfg.patrol_bytes)
 
-    out = SoakReport(config=cfg, ops_total=len(ops))
+    out = SoakReport()
     stats = subject.pool.stats
     per_round = max(1, -(-len(ops) // cfg.rounds))
     applied = 0
@@ -203,8 +185,7 @@ def soak_sweep(
         if not chunk and r > 0:
             break
         before = stats.snapshot()
-        q0, lost0 = len(mgr.registry), mgr.damage_report().lost_edges
-        scrubs = done = 0
+        done = 0
         for op in chunk:
             _, src, dst = op
             try:
@@ -224,27 +205,17 @@ def soak_sweep(
             done += 1
             if done % cfg.scrub_every == 0:
                 mgr.scrub()
-                scrubs += 1
 
-        result = None
         if not out.read_only:  # every round ends in a guarded kernel: the edge count
-            result, _ = mgr.analyze(lambda snap: int(snap.to_csr()[1].size))
+            mgr.analyze(lambda snap: int(snap.to_csr()[1].size))
 
         delta = stats.delta_since(before)
-        rep = mgr.damage_report()
         out.rounds.append(
             SoakRoundResult(
-                round_index=r,
-                ops_applied=done,
-                scrub_steps=scrubs,
                 transient_faults=delta.transient_faults,
-                read_retries=delta.read_retries,
                 poison_events=delta.runtime_poison_events,
-                quarantined=len(mgr.registry) - q0,
-                lost_edges=rep.lost_edges - lost0,
-                health=rep.health,
+                health=mgr.health,
                 analyzed=not out.read_only,
-                analysis_result=result,
             )
         )
         if out.read_only:

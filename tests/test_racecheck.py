@@ -36,12 +36,9 @@ from repro.testing.racecheck import (
     ScenarioSpec,
     UnfixedSectionLockTable,
     check_lock_discipline,
-    dry_run,
     events_from_tuples,
     explore_scenario,
     instrument,
-    race_check,
-    RaceCheckConfig,
     run_scenario,
     scalar_writer,
     scenario_writer_rebalancer,
@@ -341,10 +338,17 @@ class TestPreFixRegressions:
 # ----------------------------------------------------------------------
 
 
+#: scenario -> schedule budget (the first schedules in depth-first order);
+#: only batch-rebalancer's space (151 schedules) fits its budget, so only its
+#: run is exhaustive
+SAMPLED = {"writer-resize": 150, "reader-writer": 150, "batch-rebalancer": 400,
+           "batch-resize": 400}
+
+
 class TestScenarioSweeps:
     def test_writer_rebalancer_exhaustive_and_clean(self):
-        """The issue's headline acceptance: every writer/rebalancer
-        schedule, exhaustively, with the oracle and graph invariants."""
+        """Every schedule of a write racing a rebalance window, exhaustively,
+        with the oracle and graph invariants."""
         outcomes, exhaustive = explore_scenario(
             SCENARIOS["writer-rebalancer"], max_schedules=400
         )
@@ -360,27 +364,12 @@ class TestScenarioSweeps:
         for o in outcomes:
             assert o.clean, (o.trace.trace, [str(v) for v in o.violations], o.error)
 
-    @pytest.mark.parametrize(
-        "name", ["writer-resize", "reader-writer", "batch-rebalancer", "batch-resize"])
+    @pytest.mark.parametrize("name", SAMPLED)
     def test_sampled_scenarios_clean(self, name):
-        outcomes, _ = explore_scenario(SCENARIOS[name], max_schedules=60)
+        outcomes, exhaustive = explore_scenario(SCENARIOS[name], max_schedules=SAMPLED[name])
+        assert exhaustive == (name == "batch-rebalancer")
         for o in outcomes:
             assert o.clean, (o.trace.trace, [str(v) for v in o.violations], o.error)
-
-    def test_race_check_report_shape(self):
-        report = race_check(RaceCheckConfig(
-            max_schedules=25, scenarios=["writer-writer", "writer-rebalancer"],
-        ))
-        assert report.ok
-        assert report.schedules == 50
-        assert report.violations == 0
-        assert [s.name for s in report.scenarios] == ["writer-writer", "writer-rebalancer"]
-
-    def test_dry_run_counts(self):
-        counts = dry_run("writer-rebalancer")
-        c = counts["writer-rebalancer"]
-        assert c["flag-set"] >= 1 and c["window-lock"] >= 1
-        assert c["decision-points"] > 0
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from repro.analysis.view import ID_DTYPE
 from repro.errors import VertexRangeError
+from repro.obs import DISTRIBUTION_KEYS
 from repro.serve import (
     QueryServer,
     ServeWorkloadConfig,
@@ -209,7 +210,9 @@ class TestTwinIdentity:
         stats = report.stats()
         assert stats, "no latency classes recorded"
         for cls, dist in stats.items():
-            assert "p50_us" in dist and "p99_us" in dist, cls
+            assert list(dist) == [f"{k}_us" for k in DISTRIBUTION_KEYS], cls
+            assert dist["min_us"] <= dist["p50_us"] <= dist["p90_us"] <= dist["p95_us"], cls
+            assert dist["p95_us"] <= dist["p99_us"] <= dist["max_us"], cls
         assert "write" in stats
         g.shutdown()
 

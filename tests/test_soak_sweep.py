@@ -8,9 +8,10 @@ from its fault-free twin.
 
 import pytest
 
+from repro.datasets import get_dataset
 from repro.pmem.faults import DEFAULT_POLICY, FaultPolicy
 from repro.resilience import HealthState
-from repro.testing import SoakConfig, SoakFailure, soak_sweep
+from repro.testing import SoakConfig, SoakFailure, make_insert_workload, soak_sweep
 
 from .stores import factory, make_store
 
@@ -39,11 +40,11 @@ class TestFaultFreeIdentity:
             factory(**CFG), hot_ops(300),
             SoakConfig(faults=DEFAULT_POLICY, rounds=2, scrub_every=20),
         )
-        assert rep.fault_points == 0
+        assert rep.transient_faults == rep.poison_events == 0
         assert rep.ops_applied == 300 and rep.ops_skipped == 0
         assert rep.health is HealthState.HEALTHY
         assert rep.byte_compared
-        assert rep.quarantined == 0
+        assert rep.report.n_quarantined == 0
 
 
 class TestRuntimeSoak:
@@ -54,7 +55,7 @@ class TestRuntimeSoak:
             SoakConfig(faults=pol, rounds=3, scrub_every=10,
                        patrol_bytes=32 * 1024),
         )
-        assert rep.fault_points > 0  # the soak actually injected faults
+        assert rep.transient_faults + rep.poison_events > 0  # the soak actually injected faults
         assert rep.ops_applied + rep.ops_skipped == 600 or rep.read_only
         # Every round reports its health; the last one is the final state.
         assert rep.rounds[-1].health is rep.health
@@ -73,10 +74,26 @@ class TestRuntimeSoak:
                        patrol_bytes=32 * 1024),
         )
         assert rep.poison_events > 0
-        assert rep.quarantined > 0
+        assert rep.report.n_quarantined > 0
         if rep.lost_edges:
             assert rep.health in (HealthState.DEGRADED, HealthState.READ_ONLY)
             assert not rep.byte_compared
+
+    def test_orkut_soak_survives_both_kinds(self):
+        """3 000 edges of the orkut proxy in three rounds, a patrol step
+        every 20 inserts, on a store sized for half the stream: at least
+        50 faults fire, of both kinds, and every edge a repair lost is
+        enumerated."""
+        edges = get_dataset("orkut").generate(0.05)[:3000]
+        pol = FaultPolicy(read_poison_rate=1e-3, transient_read_rate=1e-2, seed=0)
+        rep = soak_sweep(
+            factory(init_vertices=int(edges.max()) + 1, init_edges=1500),
+            make_insert_workload(edges),
+            SoakConfig(faults=pol, rounds=3, scrub_every=20),
+        )
+        assert rep.transient_faults > 0 and rep.poison_events > 0
+        assert rep.transient_faults + rep.poison_events >= 50
+        assert rep.lost_edges > 0 and rep.health is HealthState.DEGRADED
 
 
 class TestOracleRejectsCorruption:

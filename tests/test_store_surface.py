@@ -39,6 +39,7 @@ import repro
 from repro import DGAP, DGAPConfig
 from repro.analysis import costs, viewcache
 from repro.baselines.dgap_system import DGAPSystem
+from repro.bench.__main__ import ARMS
 from repro.core.encoding import MAX_VERTEX
 from repro.core.rebalance import ROOT_SHUTDOWN
 from repro.errors import GraphError, VertexRangeError
@@ -643,8 +644,8 @@ class TestOneSurface:
             assert _count(gone, src) == _count(gone, tests) == 0, gone
         # the bench package is a leaf: nothing else under src/ imports it;
         # the invariant checks over a traced run and the percentile
-        # summary that tests and the serve / crash-sweep reports call live
-        # in repro.obs, once each
+        # summary that tests and the serve report call live in repro.obs,
+        # once each
         outside_bench = {k: v for k, v in src.items() if not k.startswith("bench/")}
         assert _count(r"(?m)^\s*(?:from|import)\s+(?:repro\.bench|\.+bench)\b", outside_bench) == 0
         for name in ("check_attribution", "check_recovery_reads", "check_chrome_trace",
@@ -654,6 +655,11 @@ class TestOneSurface:
         # one table of crash sweeps; beside it only the generation switch's spy sweep
         assert sorted(k for k, text in tests.items() if "crash_sweep(" in text) == [
             "test_crash_sweeps.py", "test_generation_switch.py"]
+        # repro.testing backs the suite alone: nothing else under src/ imports
+        # it, and the bench CLI runs the paper's experiments and nothing else
+        outside_testing = {k: v for k, v in src.items() if not k.startswith("testing/")}
+        assert _count(r"(?m)^\s*(?:from|import)\s+(?:repro\.testing|\.+testing)\b", outside_testing) == 0
+        assert list(ARMS) == ["insert", "analysis", "ablation", "recovery", "profile"]
 
     def test_dgap_did_not_grow_a_merged_view(self):
         assert not hasattr(DGAP, "global_csr")

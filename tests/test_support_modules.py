@@ -177,12 +177,6 @@ def test_cli_bad_profile_experiment_exits_with_message(capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
-def test_cli_unknown_race_scenario_message_not_traceback():
-    with pytest.raises(SystemExit) as ei:
-        main(["race-check", "--scenarios", "not-a-scenario"])
-    assert "unknown scenarios" in str(ei.value.code)
-
-
 def test_cli_help_exits_zero(capsys):
     for argv in (["--help"], ["insert", "--help"], ["profile", "--help"]):
         with pytest.raises(SystemExit) as ei:
