@@ -14,10 +14,20 @@ unvisited vertex sums sigma over its in-neighbours at the current depth
 of the unvisited side's vertices and in-edges against the frontier's
 vertices and out-edges; no early exit, every parent's sigma is needed).
 A level discovers the same vertices either way, so each costs the
-cheaper of its two charges.  sigma holds integer path counts, so
-summing it in another order is exact, and the backward pass consumes
-the very edges push would have recorded: the scores are byte-identical
-to push-only Brandes.
+cheaper of its two charges.
+
+The backward pass re-reads, level by level, the edges landing on the
+next level.  GAPBS reads them from the out-rows of level d; they are
+also, as one multiset, the in-rows of level d+1 filtered to depth d, and
+when level d+1 is narrow those rows hold them in far fewer bytes.  Each
+backward level is charged for the side its view prices lower (the same
+helper, with :meth:`~repro.analysis.view.CSRArraysView.partial_scan_ns`
+as the price).  The arithmetic does not follow the charge: it always
+uses the landing edges in GAPBS row order, recorded by a pushed level
+and re-gathered from the out-rows for a pulled one.  sigma holds integer
+path counts, so summing it in another order is exact, and the backward
+pass consumes the very edges push would have recorded: the scores are
+byte-identical to push-only Brandes.
 
 BC is the most compute- and memory-intensive kernel and touches large
 parts of the graph — which is why DGAP catches up with the DRAM-cached
@@ -57,7 +67,8 @@ def _betweenness_centrality(view: CSRArraysView, source: int) -> np.ndarray:
     sigma[source] = 1.0
     levels: List[np.ndarray] = [np.array([source], dtype=np.int64)]
     #: per level: the (u, w) edges landing on the next level (None when
-    #: the level pulled), plus its out-edge count for the backward pass
+    #: the level pulled), plus the two sides the backward pass prices:
+    #: the level's out-edge count and the next level's in-edge count
     level_edges: List[tuple] = []
     # the unvisited side, kept current level by level
     n_unvisited = nv - 1
@@ -95,19 +106,28 @@ def _betweenness_centrality(view: CSRArraysView, source: int) -> np.ndarray:
         view.account_compute(nxt.size * 16, serial_fraction=_BC_SERIAL)
         if nxt.size == 0:
             break
-        level_edges.append((None if pull else (u, w), m_frontier))
+        m_next = int(in_deg[nxt].sum())
+        level_edges.append((None if pull else (u, w), m_frontier, m_next))
         n_unvisited -= nxt.size
-        m_unvisited -= int(in_deg[nxt].sum())
+        m_unvisited -= m_next
         levels.append(nxt)
         frontier = nxt
         d += 1
-    annotate(levels=len(levels), levels_pulled=n_pulled)
 
     # -- backward: dependency accumulation ----------------------------------
     delta = np.zeros(nv, dtype=np.float64)
+    n_in = 0
     for d in range(len(levels) - 2, -1, -1):
         verts = levels[d]
-        edges, gathered = level_edges[d]
+        edges, m_out, m_in = level_edges[d]
+        # the edges landing on depth d+1 are the out-rows of depth d
+        # filtered to depth d+1 and, as one multiset, the in-rows of depth
+        # d+1 filtered to depth d: the level-ordered sweep (a scan-shaped
+        # re-read of the covered subgraph, why the paper sees DGAP catch
+        # the DRAM systems on BC, §4.3) is charged for the cheaper side
+        n_in += pull_if_cheaper(
+            view, (verts.size, m_out), (levels[d + 1].size, m_in), _BC_SERIAL, sweep=True
+        )
         if edges is None:
             # a pulled level re-gathers its out-rows: the edges landing
             # on depth d+1 are exactly, and in the order, push records
@@ -115,14 +135,11 @@ def _betweenness_centrality(view: CSRArraysView, source: int) -> np.ndarray:
             keep = depth[nbrs] == d + 1
             edges = owners[keep], nbrs[keep]
         u, w = edges
-        # the backward pass reads whole per-vertex edge lists level by
-        # level — a scan-shaped sweep over the covered subgraph (this is
-        # why the paper sees DGAP catch the DRAM systems on BC, §4.3)
-        view.account_partial_scan(verts.size, gathered, serial_fraction=_BC_SERIAL)
         contrib = sigma[u] / sigma[w] * (1.0 + delta[w])
         np.add.at(delta, u, contrib)
         view.account_compute(verts.size * 24, serial_fraction=_BC_SERIAL)
 
+    annotate(levels=len(levels), levels_pulled=n_pulled, backward_in=n_in)
     delta[source] = 0.0
     return delta
 

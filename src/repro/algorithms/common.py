@@ -29,19 +29,31 @@ def pull_if_cheaper(
     push: Tuple[int, int],
     pull: Tuple[int, int],
     serial_fraction: float,
+    *,
+    sweep: bool = False,
 ) -> bool:
-    """Charge one BFS/BC level for the direction its view prices lower,
-    and say whether that is the pull.
+    """Charge one BFS/BC level for the side its view prices lower, and
+    say whether that is the pull (the in-edge side).
 
-    ``push`` is ``(|frontier|, their out-edges)``, ``pull`` is
-    ``(|unvisited|, the in-edges a pull reads)``.  Both are priced by
-    :meth:`CSRArraysView.frontier_ns` — the value ``account_frontier``
-    charges — under the view's own geometry.  A level discovers the same
-    vertices whichever way it runs, so each level costs the lower of its
-    two charges and no run costs more than under any other rule.
+    ``push`` and ``pull`` are ``(vertices, edges)`` read on each side.  A
+    forward level probes edge lists at random: ``push`` is (|frontier|,
+    their out-edges), ``pull`` (|unvisited|, the in-edges a pull reads),
+    priced by :meth:`CSRArraysView.frontier_ns`.  A BC backward level
+    (``sweep``) re-reads the edges landing on the next level in a
+    scan-shaped sweep: ``push`` is (|L_d|, their out-edges), ``pull``
+    (|L_d+1|, their in-edges), priced by
+    :meth:`CSRArraysView.partial_scan_ns`.  Each price is what the
+    matching ``account_*`` hook charges under the view's own geometry,
+    and either side reads the same landing edges, so each level costs the
+    lower of its two charges and no run costs more than under any other
+    rule.  A tie goes to the push, GAPBS's side.
     """
-    pulls = view.frontier_ns(*pull) < view.frontier_ns(*push)
-    view.account_frontier(*(pull if pulls else push), serial_fraction=serial_fraction)
+    if sweep:
+        pulls = view.partial_scan_ns(*pull) < view.partial_scan_ns(*push)
+        view.account_partial_scan(*(pull if pulls else push), serial_fraction=serial_fraction)
+    else:
+        pulls = view.frontier_ns(*pull) < view.frontier_ns(*push)
+        view.account_frontier(*(pull if pulls else push), serial_fraction=serial_fraction)
     return pulls
 
 

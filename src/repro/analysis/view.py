@@ -3,12 +3,20 @@
 The four GAPBS kernels (PR, BFS, BC, CC) are framework-agnostic: they
 *compute* on materialized CSR arrays (NumPy — the only way to run graph
 kernels at tolerable speed in Python) and *account* their memory access
-pattern through two hooks:
+pattern through three hooks:
 
 * :meth:`CSRArraysView.account_full_scan` — one sweep over every
   vertex's edges (a PR/CC iteration);
 * :meth:`CSRArraysView.account_frontier` — random access to a subset of
-  vertices' edge lists (a BFS/BC level).
+  vertices' edge lists (a BFS/BC level);
+* :meth:`CSRArraysView.account_partial_scan` — a level-ordered sweep
+  over part of the graph (a BC backward level).
+
+The charge is for the reads the modeled engine makes, not for the NumPy
+arrays the kernel happens to index: a kernel may compute from edges it
+recorded earlier, or from the out-rows, while it is charged for reading
+the same edges from whichever side its view prices lower
+(``frontier_ns`` / ``partial_scan_ns``, each equal to its hook's charge).
 
 Each framework's :class:`StorageGeometry` translates the pattern into
 modeled time: a CSR scan streams |E| PM bytes; a blocked adjacency list
@@ -298,15 +306,19 @@ class CSRArraysView:
     ) -> None:
         self.clock.charge(self.frontier_ns(n_vertices, n_edges), serial_fraction)
 
+    def partial_scan_ns(self, n_vertices: int, n_edges: int) -> float:
+        """What :meth:`account_partial_scan` charges for sweeping
+        ``n_vertices`` edge lists holding ``n_edges`` edges — the price a
+        BC backward level compares before it picks a side."""
+        return self.geometry.scan_ns(n_vertices, n_edges) + n_edges * costs.COMPUTE_NS_PER_EDGE
+
     def account_partial_scan(
         self, n_vertices: int, n_edges: int, serial_fraction: float = 0.02
     ) -> None:
         """Level-ordered sweep over a subgraph (BC's backward pass): the
         vertices are processed in bulk, so the access pattern costs like
         a scan over that part of the graph, not like random probes."""
-        ns = self.geometry.scan_ns(n_vertices, n_edges)
-        ns += n_edges * costs.COMPUTE_NS_PER_EDGE
-        self.clock.charge(ns, serial_fraction)
+        self.clock.charge(self.partial_scan_ns(n_vertices, n_edges), serial_fraction)
 
     def account_compute(self, nbytes: int, serial_fraction: float = 0.02) -> None:
         """Kernel-side DRAM traffic not proportional to edges (frontier

@@ -122,23 +122,39 @@ class DGAPSnapshot:
         reader of row bytes.  Array parts are gathered in one pass; only
         pending log chains are walked per vertex, and only as deep as the
         range reaches.  Freshly allocated — never a view into the
-        persistent buffers."""
+        persistent buffers.
+
+        A reader takes no section lock, so on a ``thread_safe`` store a
+        merge may drain a chain or move runs between the read of a row's
+        fields and the read of its bytes.  A row whose ``(start,
+        array_degree, el, degree)`` moved in between is read again."""
         va = self.host.va
+        fields = ("start", "array_degree", "el", "degree")  # looked up again: a grow reallocates
+        start, ad, el, degree = seen = [getattr(va, f)[vids] for f in fields]
         sizes = deg_t - lo
-        n_arr = np.maximum(np.minimum(va.array_degree[vids], deg_t) - lo, 0)
-        vals = self.host.ea.slots[multi_arange(va.start[vids] + lo, n_arr)]
+        n_arr = np.maximum(np.minimum(ad, deg_t) - lo, 0)
+        vals = self.host.ea.slots[multi_arange(start + lo, n_arr)]
         n_chain = sizes - n_arr
-        if n_chain.any():
-            # splice each pending chain's entries in behind the array part
-            off = np.cumsum(sizes) - sizes
-            arr_vals, vals = vals, np.empty(int(sizes.sum()), dtype=SLOT_DTYPE)
-            vals[multi_arange(off, n_arr)] = arr_vals
-            for i in np.flatnonzero(n_chain).tolist():
-                v, take = int(vids[i]), int(n_chain[i])
-                skip = int(va.degree[v] - deg_t[i])  # entries appended after snapshot time
-                _, _, encs = self.host.logs.walk_chain_arrays(int(va.el[v]), limit=skip + take)
-                # the chain is walked newest first
-                vals[off[i] + n_arr[i] : off[i] + sizes[i]] = encs[skip : skip + take][::-1]
+        moved = np.zeros(vids.size, dtype=bool)
+        for f, was in zip(fields, seen):
+            moved |= getattr(va, f)[vids] != was
+        if not (n_chain.any() or moved.any()):
+            return vals
+        # splice each pending chain's entries in behind the array part
+        off = np.cumsum(sizes) - sizes
+        arr_vals, vals = vals, np.empty(int(sizes.sum()), dtype=SLOT_DTYPE)
+        vals[multi_arange(off, n_arr)] = arr_vals
+        for i in np.flatnonzero((n_chain > 0) & ~moved).tolist():
+            take = int(n_chain[i])
+            skip = int(degree[i] - deg_t[i])  # entries appended after snapshot time
+            _, _, encs = self.host.logs.walk_chain_arrays(int(el[i]), limit=skip + take)
+            # the chain is walked newest first
+            vals[off[i] + n_arr[i] : off[i] + sizes[i]] = encs[skip : skip + take][::-1]
+        redo = np.flatnonzero(moved)
+        if redo.size:
+            vals[multi_arange(off[redo], sizes[redo])] = self._tails(
+                vids[redo], np.broadcast_to(lo, vids.shape)[redo], deg_t[redo]
+            )
         return vals
 
     def materialize_rows(

@@ -290,11 +290,21 @@ class TestCCCarry:
         assert labels.tolist() == [0, 0, 0, 0, 0, 5, 5, 0, 8, 8, 8, 11]
 
 
-def frozen_bc(view, source, pulls):
-    """Frozen Brandes forward/backward pass whose levels pull when
-    ``pulls(n_frontier, m_frontier, n_unvisited, m_unvisited)`` says so:
-    the scores the kernel must reproduce byte for byte, and a modeled
-    time it must never exceed."""
+def out_side(n_out, m_out, n_in, m_in):
+    """GAPBS's backward pass: every level re-reads the out-rows of depth d."""
+    return False
+
+
+def frozen_bc(view, source, pulls, reads_in=out_side):
+    """Frozen Brandes forward/backward pass whose forward levels pull when
+    ``pulls(n_frontier, m_frontier, n_unvisited, m_unvisited)`` says so,
+    and whose backward level d is charged for the in-rows of depth d+1
+    when ``reads_in(|L_d|, out-edges of L_d, |L_d+1|, in-edges of L_d+1)``
+    says so: the scores the kernel must reproduce byte for byte, and a
+    modeled time it must never exceed.  Returns the scores and the number
+    of backward levels charged to the in-side; each of those levels
+    checks that the in-rows of depth d+1 filtered to depth d hold the
+    very edges the backward step computes from."""
     nv = view.num_vertices
     out_indptr, out_dsts = view.out_csr()
     out_dsts = out_dsts.astype(np.intp)
@@ -337,31 +347,62 @@ def frozen_bc(view, source, pulls):
         frontier = nxt
         d += 1
     delta = np.zeros(nv, dtype=np.float64)
+    backward_in = 0
     for d in range(len(levels) - 2, -1, -1):
-        verts = levels[d]
+        verts, nxt = levels[d], levels[d + 1]
         edges, gathered = level_edges[d]
         if edges is None:
             owners, nbrs = gather_edges(out_indptr, out_dsts, verts)
             keep = depth[nbrs] == d + 1
             edges = owners[keep], nbrs[keep]
         u, w = edges
-        view.account_partial_scan(verts.size, gathered, serial_fraction=0.02)
+        m_in = int(in_deg[nxt].sum())
+        if reads_in(verts.size, gathered, nxt.size, m_in):
+            backward_in += 1
+            # sufficiency: the in-side holds the same (u, w) multiset
+            in_w, in_u = gather_edges(in_indptr, in_srcs, nxt)
+            parents = depth[in_u] == d
+            assert in_w.size == m_in
+            assert sorted(zip(in_u[parents].tolist(), in_w[parents].tolist())) == sorted(
+                zip(u.tolist(), w.tolist())), d
+            view.account_partial_scan(nxt.size, m_in, serial_fraction=0.02)
+        else:
+            view.account_partial_scan(verts.size, gathered, serial_fraction=0.02)
         contrib = sigma[u] / sigma[w] * (1.0 + delta[w])
         np.add.at(delta, u, contrib)
         view.account_compute(verts.size * 24, serial_fraction=0.02)
     delta[source] = 0.0
-    return delta
+    return delta, backward_in
 
 
 def push_only_bc(view, source):
     """GAPBS ``bc.cc``: every forward level pushes."""
-    return frozen_bc(view, source, lambda n_f, m_f, n_u, m_u: False)
+    return frozen_bc(view, source, lambda n_f, m_f, n_u, m_u: False)[0]
 
 
 def two_count_bc(view, source):
     """A level pulls when the unvisited side is smaller on both counts,
     vertices and edges (the rule before levels were priced by their view)."""
-    return frozen_bc(view, source, lambda n_f, m_f, n_u, m_u: n_u < n_f and m_u < m_f)
+    return frozen_bc(view, source, lambda n_f, m_f, n_u, m_u: n_u < n_f and m_u < m_f)[0]
+
+
+def cheaper(price):
+    """The per-level rule priced by the view: take the second side when
+    ``price`` says it is strictly cheaper."""
+    return lambda n_a, m_a, n_b, m_b: price(n_b, m_b) < price(n_a, m_a)
+
+
+def out_side_bc(view, source):
+    """Forward levels priced as the kernel prices them; every backward
+    level charged for the out-rows (the rule before backward levels were
+    priced)."""
+    return frozen_bc(view, source, cheaper(view.frontier_ns))[0]
+
+
+def priced_bc(view, source):
+    """Both passes priced as the kernel prices them, every in-side level
+    checked for sufficiency: ``(scores, backward levels on the in-side)``."""
+    return frozen_bc(view, source, cheaper(view.frontier_ns), cheaper(view.partial_scan_ns))
 
 
 def alpha_beta_bfs(view, source):
@@ -419,13 +460,18 @@ def bfs_depths(parent):
         depth[ready] = depth[parent[ready]] + 1
 
 
-def levels_pulled(kernel, view, source):
-    """The kernel span's level annotation: ``(levels, levels_pulled)``."""
+def span_attrs(kernel, view, source):
+    """The attributes the kernel's span annotates."""
     tracer = Tracer()
     with tracing(tracer):
         kernel(view, source)
     span = {bfs: "bfs", betweenness_centrality: "bc"}[kernel]
-    attrs = tracer.find(span)[0].attrs
+    return tracer.find(span)[0].attrs
+
+
+def levels_pulled(kernel, view, source):
+    """The kernel span's level annotation: ``(levels, levels_pulled)``."""
+    attrs = span_attrs(kernel, view, source)
     return attrs["levels"], attrs["levels_pulled"]
 
 
@@ -456,6 +502,19 @@ def hub_graph():
     nv = 200
     edges = [(0, 1)] + [(1, v) for v in range(2, 150)]
     edges += [(v, int(t)) for v in range(2, 150) for t in rng.choice(np.arange(2, nv), 6, replace=False)]
+    return make_view(np.array(edges), nv)
+
+
+def wide_narrow_graph():
+    """0 -> 100 rows of 8 out-edges each, nearly all back into that wide
+    level; only rows 1-3 reach row 101, and 101 reaches 102.  The backward
+    level over the wide level re-reads ~800 out-edges of 100 rows on the
+    out-side, and the 3 in-edges of row 101 on the in-side."""
+    rng = np.random.default_rng(11)
+    nv = 103
+    edges = [(0, v) for v in range(1, 101)]
+    edges += [(v, int(t)) for v in range(1, 101) for t in rng.choice(np.arange(1, 101), 8, replace=False)]
+    edges += [(1, 101), (2, 101), (3, 101), (101, 102)]
     return make_view(np.array(edges), nv)
 
 
@@ -527,15 +586,26 @@ class TestBC:
     @staticmethod
     def assert_push_equivalent(view, source):
         """Scores byte-equal to push-only Brandes; never more modeled time
-        than push-only or the two-count rule.  Returns the kernel's and
-        push-only's times."""
-        ref_view, two_view, got_view = view.clone(), view.clone(), view.clone()
+        than push-only, the two-count rule or the kernel's own forward
+        rule with every backward level on the out-side; exactly the time
+        of the frozen copy that prices both passes (whose in-side levels
+        are checked for sufficiency), with as many levels on the in-side
+        as the kernel's span reports.  Returns the kernel's, push-only's
+        and the out-side copy's times."""
+        ref_view, two_view, out_view, priced_view, got_view = (view.clone() for _ in range(5))
         ref = push_only_bc(ref_view, source)
         two = two_count_bc(two_view, source)
-        got = betweenness_centrality(got_view, source)
-        assert got.tobytes() == ref.tobytes() == two.tobytes(), source
-        assert got_view.seconds(1) <= min(ref_view.seconds(1), two_view.seconds(1)), source
-        return got_view.seconds(1), ref_view.seconds(1)
+        out = out_side_bc(out_view, source)
+        priced, backward_in = priced_bc(priced_view, source)
+        tracer = Tracer()
+        with tracing(tracer):
+            got = betweenness_centrality(got_view, source)
+        assert got.tobytes() == ref.tobytes() == two.tobytes() == out.tobytes() == priced.tobytes(), source
+        got_s = got_view.seconds(1)
+        assert got_s <= min(ref_view.seconds(1), two_view.seconds(1), out_view.seconds(1)), source
+        assert got_s == priced_view.seconds(1), source
+        assert tracer.find("bc")[0].attrs["backward_in"] == backward_in, source
+        return got_s, ref_view.seconds(1), out_view.seconds(1)
 
     def test_matches_push_only_on_random_graphs(self, random_graph, framework_geometries):
         view, _, nv = random_graph
@@ -547,8 +617,14 @@ class TestBC:
         view = hub_graph()
         levels, pulled = levels_pulled(betweenness_centrality, view.clone(), 0)
         assert levels >= 3 and pulled >= 1
-        got_s, ref_s = self.assert_push_equivalent(view, 0)
+        got_s, ref_s, _ = self.assert_push_equivalent(view, 0)
         assert got_s < ref_s
+
+    def test_narrow_level_reads_its_in_rows_and_costs_less(self):
+        view = wide_narrow_graph()
+        assert span_attrs(betweenness_centrality, view.clone(), 0)["backward_in"] >= 1
+        got_s, _, out_s = self.assert_push_equivalent(view, 0)
+        assert got_s < out_s
 
     def test_matches_push_only_on_store_views(self):
         """The analysis views of DGAP and 1- and 3-shard stores fed one
@@ -582,6 +658,11 @@ class TestViewAccounting:
         view, _, _ = random_graph
         view.account_frontier(7, 90, serial_fraction=0.0)
         assert view.clock.par_ns == view.frontier_ns(7, 90) > view.geometry.frontier_ns(7, 90)
+
+    def test_partial_scan_charge_is_its_price(self, random_graph):
+        view, _, _ = random_graph
+        view.account_partial_scan(7, 90, serial_fraction=0.0)
+        assert view.clock.par_ns == view.partial_scan_ns(7, 90) > view.geometry.scan_ns(7, 90)
 
     def test_gap_overhead_slows_scans(self, random_graph):
         view, _, nv = random_graph

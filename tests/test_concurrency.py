@@ -226,3 +226,45 @@ class TestConcurrentWriters:
         stop.set()
         wt.join()
         assert not failures
+
+
+class TestSnapshotRace:
+    def test_a_merge_between_a_rows_extent_and_its_chain_is_read_again(self, monkeypatch):
+        """A section merge lands after ``_tails`` read a row's array
+        extent and before it walks the row's log chain: the drained row
+        (and every run the merge moved) is read again, and the view is
+        the one a quiet snapshot reads."""
+        import repro.core.snapshot as snapshot
+
+        nv = 16
+        g = DGAP(DGAPConfig(init_vertices=nv, init_edges=256, segment_slots=64, thread_safe=True))
+        # every row holds a few edges, then row 0's overflow goes to its
+        # section's edge log
+        for i in range(48):
+            g.insert_edge(i % nv, (i * 3 + 1) % nv)
+        for i in range(40):
+            g.insert_edge(0, (i * 5 + 2) % nv)
+        chained = np.flatnonzero(g.va.el[:nv] >= 0)
+        assert chained.size
+        v = int(chained[0])
+        with g.consistent_view() as snap:
+            want = [a.copy() for a in snap.to_csr()]
+        section = g.ea.section_of(int(g.va.start[v]) - 1)
+        starts = g.va.start[:nv].copy()
+
+        real = snapshot.multi_arange
+        calls = []
+
+        def merge_first(*args):
+            if not calls:
+                g.rebalancer.merge_section(section)
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(snapshot, "multi_arange", merge_first)
+        with g.consistent_view() as snap:
+            got = snap.to_csr()
+        assert g.va.el[v] < 0  # the merge drained the chain under the read
+        assert (g.va.start[:nv] != starts).any()  # and moved runs
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)

@@ -512,15 +512,18 @@ class TestOneSurface:
         # the kernels that pull: PR every sweep, BFS bottom-up, BC's pulled levels
         assert [k for k in homes(r"\.in_csr\(\)") if k.startswith("algorithms/")] == [
             "algorithms/bc.py", "algorithms/bfs.py", "algorithms/pagerank.py"]
-        # one direction rule for a BFS/BC level: the view's own price of
-        # each side, which is what it charges; no DRAM-tuned switch constants
+        # one side rule for a BFS/BC level: the view's own price of each
+        # side, which is what it charges; no DRAM-tuned switch constants
         for gone in (r"_ALPHA", r"_BETA"):
             assert homes(gone) == [], gone
         assert homes(r"def pull_if_cheaper") == ["algorithms/common.py"]
         assert homes(r"pull_if_cheaper\(") == ["algorithms/bc.py", "algorithms/bfs.py",
                                                "algorithms/common.py"]
-        assert [k for k in homes(r"frontier_ns\(") if k.startswith("algorithms/")] == [
-            "algorithms/common.py"]
+        # and for a BC backward level: the prices of both kinds of level,
+        # and the backward sweep's charge, are read in that one helper
+        for name in (r"frontier_ns\(", r"partial_scan_ns\(", r"account_partial_scan\("):
+            assert [k for k in homes(name) if k.startswith("algorithms/")] == [
+                "algorithms/common.py"], name
         # the bottom-up early-exit share is one constant, read by price and charge alike
         assert homes(r"BOTTOM_UP_EDGE_SHARE = ") == ["algorithms/common.py"]
         assert "0.4" not in src["algorithms/bfs.py"]

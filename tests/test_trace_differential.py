@@ -188,7 +188,8 @@ def test_analysis_kernels_unperturbed_by_tracing():
     np.testing.assert_array_equal(ranks_plain, ranks_traced)
     assert secs_plain == secs_traced  # modeled analysis seconds, exactly
     assert tracer.find("pr")[0].attrs["analysis_par_ns"] > 0
-    # BC and BFS on this graph each pull a level; their spans say how many
+    # BC and BFS on this graph each pull a level, and a BC backward level
+    # reads its in-rows; their spans say how many
     assert bc_plain.tobytes() == bc_traced.tobytes()
     assert bc_view_plain.seconds(1) == bc_view_traced.seconds(1)
     assert bfs_plain.tobytes() == bfs_traced.tobytes()
@@ -196,6 +197,7 @@ def test_analysis_kernels_unperturbed_by_tracing():
     for kernel in ("bc", "bfs"):
         span = tracer.find(kernel)[0].attrs
         assert 1 <= span["levels_pulled"] <= span["levels"], kernel
+    assert 1 <= tracer.find("bc")[0].attrs["backward_in"] < tracer.find("bc")[0].attrs["levels"]
 
 
 def test_incremental_cc_unperturbed_by_tracing():
