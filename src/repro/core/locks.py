@@ -11,12 +11,12 @@ Two uses in this reproduction:
 * **real threads** — the table wraps ``threading`` primitives, used by
   the concurrency-correctness tests (the GIL serializes bytecode, not
   compound critical sections, so the locks are load-bearing);
-* **virtual threads** — the benchmark scheduler
-  (``repro.workloads.vthreads``) reuses the same acquisition *order* to
+* **virtual threads** — the suite's scheduler
+  (``tests/harness/vthreads.py``) reuses the same acquisition *order* to
   model lock-wait times on its per-thread clocks.
 
 Deadlock freedom rests on two rules, which the lock-discipline oracle
-in ``repro.testing.racecheck`` checks on every recorded schedule:
+in ``tests/harness/racecheck.py`` checks on every recorded schedule:
 
 1. every thread acquires section locks in **ascending order** and never
    blocks on a *flag* while holding any section lock (flag waiters hold
@@ -53,7 +53,7 @@ class SectionLockTable:
     The protocol methods funnel every state change through ``_trace``
     (a no-op here) and every potentially blocking step through
     ``_lock_acquire`` / ``_cond_wait`` — the instrumented subclass in
-    ``repro.testing.racecheck`` overrides those to record events and to
+    ``tests/harness/racecheck.py`` overrides those to record events and to
     yield to a deterministic scheduler, without duplicating any of the
     protocol logic below.
     """

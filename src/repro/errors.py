@@ -100,7 +100,7 @@ class LockDisciplineError(GraphError):
     still holds a section lock.  Subtler violations (a writer slipping
     into a flagged section, out-of-order window acquisition) are caught
     after the fact by the lock-discipline oracle in
-    ``repro.testing.racecheck``.
+    ``tests/harness/racecheck.py``.
     """
 
 

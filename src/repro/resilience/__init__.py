@@ -16,8 +16,8 @@ through them:
 
 The runtime fault *injection* these defenses are exercised against
 lives in :mod:`repro.pmem.faults` (``read_poison_rate`` /
-``transient_read_rate``); the soak harness driving both is
-:mod:`repro.testing.soaksweep`.
+``transient_read_rate``); the soak harness driving both is the
+suite's ``tests/harness/soaksweep.py``.
 """
 
 from .quarantine import (

@@ -13,8 +13,8 @@ workload.generate_workload`) against a live graph:
   behind writes or each other.
 
 Two load models share the loop: **closed** (``n_clients`` think-free
-clients with per-client clocks, as in
-:class:`~repro.workloads.vthreads.VirtualThreadScheduler`) and **open**
+clients with per-client clocks, as in the suite's virtual writer
+threads, ``tests/harness/vthreads.py``) and **open**
 (seeded Poisson arrivals at ``ARRIVAL_RATE_OPS_PER_S``; latency is
 completion minus arrival, so queueing at the writer lane shows up in
 write tails).

@@ -10,7 +10,7 @@ configured :class:`~repro.pmem.faults.FaultPolicy` — torn stores,
 persist reorder, poison).  :func:`crash_sweep` reopens each crashed
 pool through :func:`~repro.core.recovery.open_from_pool` and checks the
 recovered graph against the **prefix-consistency oracle**, which is
-:mod:`repro.testing.model` asked at the acknowledged prefix:
+the shadow model (:mod:`.model`) asked at the acknowledged prefix:
 
 * every operation acknowledged (returned) before the crash is visible,
   each row in exact order;
@@ -28,8 +28,9 @@ crashes *during* recovery (at a seeded event), recovers again, and
 requires the result to equal a reference recovery of the same crashed
 image.
 
-Oracle violations raise :class:`SweepFailure` naming the exact crash
-point (op kind, per-kind index, total index) to re-arm for debugging.
+Oracle violations raise :class:`~.model.Mismatch` naming the exact
+crash point (op kind, per-kind index, total index) to re-arm for
+debugging.
 
 The driver is written over the store surface (``g.shards``,
 ``g.pool.pools``; DESIGN.md §14), so any store works unchanged: every
@@ -50,17 +51,12 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.batch import DEFAULT_BATCH_SIZE, EdgeBatch
-from ..errors import MediaError, RecoveryError, SimulatedCrash
-from ..pmem.crash import CrashInjector
-from ..pmem.faults import DEFAULT_POLICY, FaultPolicy
+from repro.core.batch import DEFAULT_BATCH_SIZE, EdgeBatch
+from repro.errors import MediaError, RecoveryError, SimulatedCrash
+from repro.pmem.crash import CrashInjector
+from repro.pmem.faults import DEFAULT_POLICY, FaultPolicy
 from . import model
 from .model import Mismatch, Model, Op
-
-#: Builds a fresh system on a fresh pool wired to the given injector and
-#: fault policy; the driver calls it once per crash point.
-GraphFactory = Callable[[CrashInjector, FaultPolicy], "object"]
-
 
 #: Crash-during-recovery points are drawn from the first this-many events.
 RECOVERY_CRASH_WINDOW = 64
@@ -69,10 +65,6 @@ RECOVERY_CRASH_WINDOW = 64
 #: (then the invariants are re-checked): recovery must hand back a store
 #: that can take a write, not just one that reads right.
 OPS_AFTER_RECOVERY = 2
-
-
-class SweepFailure(Mismatch):
-    """The recovery oracle rejected the graph recovered at a crash point."""
 
 
 @dataclass
@@ -199,17 +191,11 @@ def verify_recovered_graph(
     ``acked`` operations completed before the crash, so the recovered
     adjacency must be the model after ``ops[:acked]`` — in exact
     per-vertex order, deletes included — plus what the model's in-flight
-    rule (:meth:`~repro.testing.model.Model.admits`) lets ``ops[acked]``
-    leave behind; then the structural half.  Raises
-    :class:`SweepFailure` naming ``where`` otherwise.
+    rule (:meth:`~.model.Model.admits`) lets ``ops[acked]`` leave
+    behind; then the structural half (:func:`~.model.check`).
     """
     in_flight = ops[acked] if acked < len(ops) else None
-    try:
-        applied = Model.after(ops[:acked]).admits(model.of(g), in_flight)
-        model.assert_structure(g)
-    except Mismatch as exc:
-        raise SweepFailure(f"[{where}] {exc}") from exc
-    return applied
+    return model.check(Model.after(ops[:acked]), model.of(g), in_flight, store=g, where=where)
 
 
 # ----------------------------------------------------------------------
@@ -258,17 +244,17 @@ def _reference_recovery(g, open_graph) -> Tuple[Model, float]:
 
 
 def crash_sweep(
-    make_graph: GraphFactory,
+    make_graph: Callable[[CrashInjector, FaultPolicy], object],
     ops: Sequence[Op],
     config: Optional[SweepConfig] = None,
 ) -> SweepReport:
     """Sweep crash points of ``ops`` over fresh graphs; oracle every recovery.
 
-    ``make_graph(injector, faults)`` must build a fresh system on a
-    fresh pool each call (construction runs with the injector disarmed;
-    only workload events are swept).  Raises :class:`SweepFailure` on
-    the first oracle violation; otherwise returns a
-    :class:`SweepReport`.
+    ``make_graph(injector, faults)`` (``tests/stores.factory``) must
+    build a fresh system on a fresh pool each call (construction runs
+    with the injector disarmed; only workload events are swept).  Raises
+    :class:`~.model.Mismatch` on the first oracle violation; otherwise
+    returns a :class:`SweepReport`.
     """
     cfg = config or SweepConfig()
     ops = list(ops)
@@ -330,14 +316,9 @@ def crash_sweep(
                     inj.disarm()
                     g2 = open_graph(pool, g.config)
                 inj.disarm()
-                try:
-                    reference.admits(model.of(g2))
-                except Mismatch as exc:
-                    raise SweepFailure(
-                        f"[{where}] recovery is not idempotent: a crash during "
-                        f"recovery (event #{r}) and a second recovery differ from a "
-                        f"clean recovery of the same image: {exc}"
-                    ) from exc
+                # ... and must land where a clean recovery of the image did
+                model.check(reference, model.of(g2),
+                            where=f"{where}, recovery not idempotent over a crash at its event #{r}")
             else:
                 ns0 = pool.clocks()
                 g2 = open_graph(pool, g.config)
@@ -345,7 +326,7 @@ def crash_sweep(
         except (RecoveryError, MediaError) as exc:
             inj.disarm()
             if cfg.faults.poison_on_crash <= 0.0 and not cfg.faults.runtime_active:
-                raise SweepFailure(
+                raise Mismatch(
                     f"[{where}] recovery refused a crash image produced with "
                     f"no media faults configured: {exc}"
                 ) from exc
@@ -361,20 +342,5 @@ def crash_sweep(
         try:
             model.assert_structure(g2)
         except Mismatch as exc:
-            raise SweepFailure(f"[{where} + {OPS_AFTER_RECOVERY} ops] {exc}") from exc
+            raise Mismatch(f"[{where} + {OPS_AFTER_RECOVERY} ops] {exc}") from exc
     return report
-
-
-__all__ = [
-    "GraphFactory",
-    "SweepFailure",
-    "SweepConfig",
-    "CrashPointResult",
-    "SweepReport",
-    "crash_points",
-    "crash_sweep",
-    "make_insert_workload",
-    "make_batched_insert_workload",
-    "make_windowed_workload",
-    "verify_recovered_graph",
-]

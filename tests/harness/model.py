@@ -18,6 +18,7 @@ One ordered per-vertex adjacency with the store's own semantics
 leave of the operation it interrupted.  :func:`of`, :func:`apply` and
 :func:`assert_structure` are the store-side halves: read a store's
 adjacency, run one workload op on it, check its structure.
+:func:`check` is the oracle step the crash and soak sweeps both end in.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.edge_log import EdgeLogs
+from repro.core.edge_log import EdgeLogs
 
 #: One workload operation: ``("insert" | "delete", src, dst)``, a routed
 #: bulk mutation ``("batch", EdgeBatch)``, a window-expiry delete run
@@ -226,4 +227,28 @@ def assert_structure(store) -> None:
             )
 
 
-__all__ = ["Mismatch", "Model", "Op", "Rows", "apply", "assert_structure", "of"]
+def check(
+    want: Model,
+    got: Rows,
+    in_flight: Optional[Op] = None,
+    *,
+    store=None,
+    lost: Optional[Dict[int, int]] = None,
+    where: str = "?",
+) -> Optional[bool]:
+    """The oracle step of every sweep: ``got`` is ``want`` plus a legal cut
+    of ``in_flight`` (:meth:`Model.admits`) — or, after a lossy repair,
+    short by exactly the enumerated ``lost`` (:meth:`Model.admits_short`)
+    — and then ``store``, if given, passes :func:`assert_structure`.
+    Returns whether the in-flight op landed; raises :class:`Mismatch`
+    prefixed with ``[where]``."""
+    try:
+        if lost is None:
+            applied = want.admits(got, in_flight)
+        else:
+            applied = want.admits_short(got, lost, in_flight)
+        if store is not None:
+            assert_structure(store)
+    except Mismatch as exc:
+        raise Mismatch(f"[{where}] {exc}") from exc
+    return applied

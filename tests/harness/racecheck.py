@@ -7,7 +7,7 @@ replay → oracle):
   ``SectionLockTable`` that records every protocol event (acquire,
   release, flag set/clear/wait, window lock/unlock, resize) with the
   acting thread, and — when attached to a
-  :class:`~repro.testing.schedules.DeterministicScheduler` — yields at
+  :class:`~.schedules.DeterministicScheduler` — yields at
   every instrumentation boundary where no internal lock is held, so the
   driver controls exactly where threads interleave.
 
@@ -46,9 +46,9 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..config import DGAPConfig
-from ..core.dgap import DGAP
-from ..core.locks import SectionLockTable
+from repro.config import DGAPConfig
+from repro.core.dgap import DGAP
+from repro.core.locks import SectionLockTable
 from .model import Model
 from .schedules import DeterministicScheduler, ScheduleDeadlock, ScheduleTrace, explore
 
@@ -613,20 +613,3 @@ def run_scenario(
 def explore_scenario(build: ScenarioBuilder, max_schedules: int = 150):
     """Every outcome of a scenario's schedule space, and whether it was exhausted."""
     return explore(functools.partial(run_scenario, build), max_schedules)
-
-
-__all__ = [
-    "EventRecorder",
-    "InstrumentedSectionLockTable",
-    "LockEvent",
-    "SCENARIOS",
-    "ScenarioSpec",
-    "ScheduleOutcome",
-    "UnfixedSectionLockTable",
-    "Violation",
-    "check_lock_discipline",
-    "events_from_tuples",
-    "explore_scenario",
-    "instrument",
-    "run_scenario",
-]

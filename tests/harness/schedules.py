@@ -281,13 +281,3 @@ def explore(run_one: Callable[[Sequence[str]], "object"], max_schedules: int = 2
                         seen.add(key)
                         frontier.append(branch)
     return outcomes, not frontier
-
-
-__all__ = [
-    "Decision",
-    "DeterministicScheduler",
-    "ScheduleDeadlock",
-    "ScheduleError",
-    "ScheduleTrace",
-    "explore",
-]

@@ -1,6 +1,6 @@
 """Soak-sweep driver: sustained ingest under *runtime* media faults.
 
-The crash sweep (:mod:`repro.testing.crashsweep`) proves every power-cut
+The crash sweep (:mod:`.crashsweep`) proves every power-cut
 boundary recovers; this driver proves the complementary claim for PR 7:
 a **live** instance survives uncorrectable media errors raised *during*
 normal operation.  One soak run drives ``T`` rounds of
@@ -16,7 +16,7 @@ fields), with every fault routed through the
 
 The **no-silent-corruption oracle** at the end of the run:
 
-* the twin's adjacency is the model (:mod:`repro.testing.model`): if no
+* the twin's adjacency is the model (:mod:`.model`): if no
   lossy repair occurred the subject's rows equal it exactly, in order;
   after a lossy repair (the damaged sections are rewritten without the
   lost slots, a layout the twin doesn't have, so later inserts
@@ -36,7 +36,7 @@ The **no-silent-corruption oracle** at the end of the run:
   the unmanaged twin and identical on every write-side counter — the
   resilience machinery is provably free when nothing fails.
 
-Violations raise :class:`SoakFailure` naming the vertex/range.
+Violations raise :class:`~.model.Mismatch` naming the vertex/range.
 """
 
 from __future__ import annotations
@@ -44,17 +44,16 @@ from __future__ import annotations
 import dataclasses
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import MediaError, ReadOnlyGraphError
-from ..pmem.crash import CrashInjector
-from ..pmem.faults import FaultPolicy, RUNTIME_HAZARD
-from ..pmem.stats import INT_COUNTER_FIELDS
-from ..resilience import DamageReport, HealthState, RepairOutcome, ResilienceManager
+from repro.errors import MediaError, ReadOnlyGraphError
+from repro.pmem.crash import CrashInjector
+from repro.pmem.faults import FaultPolicy, RUNTIME_HAZARD
+from repro.pmem.stats import INT_COUNTER_FIELDS
+from repro.resilience import DamageReport, HealthState, RepairOutcome, ResilienceManager
 from . import model
-from .crashsweep import GraphFactory
 from .model import Mismatch, Model, Op
 
 #: Stats fields that must be identical between a managed fault-free run
@@ -63,10 +62,6 @@ from .model import Mismatch, Model, Op
 _WRITE_COUNTERS = tuple(
     k for k in INT_COUNTER_FIELDS if k not in ("seq_read_bytes", "rnd_reads")
 )
-
-
-class SoakFailure(Mismatch):
-    """The no-silent-corruption oracle rejected a soak run."""
 
 
 @dataclass
@@ -129,13 +124,13 @@ class SoakReport:
 def _byte_compare(subject_dev, twin_dev, exempt: Sequence[Tuple[int, int]]) -> None:
     a, b = subject_dev.buf, twin_dev.buf
     if a.size != b.size:
-        raise SoakFailure("subject and twin devices differ in size")
+        raise Mismatch("subject and twin devices differ in size")
     diff = a != b
     for lo, hi in exempt:
         diff[lo:hi] = False
     bad = np.flatnonzero(diff)
     if bad.size:
-        raise SoakFailure(
+        raise Mismatch(
             f"{bad.size} device bytes differ from the fault-free twin outside "
             f"the report's inexact ranges (first at offset {int(bad[0])}) — "
             f"a repair was not byte-exact where it claimed to be"
@@ -146,18 +141,19 @@ def _byte_compare(subject_dev, twin_dev, exempt: Sequence[Tuple[int, int]]) -> N
 # the driver
 # ----------------------------------------------------------------------
 def soak_sweep(
-    make_graph: GraphFactory,
+    make_graph: Callable[[CrashInjector, FaultPolicy], object],
     ops: Sequence[Op],
     config: Optional[SoakConfig] = None,
 ) -> SoakReport:
     """Soak ``ops`` through a managed graph under runtime faults.
 
-    ``make_graph(injector, faults)`` is the crash-sweep factory shape;
+    ``make_graph(injector, faults)`` is the crash-sweep factory shape
+    (``tests/stores.factory``);
     it is called twice, once with ``config.faults`` (the subject) and
     once with the runtime-fault fields zeroed (the fault-free twin).
     The workload must be insert-only: a lost tombstone would silently
     *resurrect* an edge, which no containment oracle can distinguish
-    from a phantom insert.  Raises :class:`SoakFailure` on the first
+    from a phantom insert.  Raises :class:`~.model.Mismatch` on the first
     oracle violation; otherwise returns a :class:`SoakReport`.
     """
     cfg = config or SoakConfig()
@@ -228,7 +224,7 @@ def soak_sweep(
     # the no-silent-corruption oracle
     # ------------------------------------------------------------------
     if not out.read_only and subject.pool.device.poisoned_ranges():
-        raise SoakFailure(
+        raise Mismatch(
             "latent poison survived the run on a non-READ_ONLY instance: "
             f"{subject.pool.device.poisoned_ranges()}"
         )
@@ -251,21 +247,18 @@ def soak_sweep(
                 del want[v]  # damaged remainder of a READ_ONLY instance
         if in_flight is not None and in_flight[1] not in got:
             in_flight = None
-        try:
-            # The twin never applied the op in flight when the instance
-            # went READ_ONLY; on the subject it may have landed.  With no
-            # lossy repair the rows are the twin's, in order; after one,
-            # the rewritten sections have gaps the twin's don't, so later
-            # inserts land in different positions and the leg is the
-            # model's containment-with-enumerated-shortfall.
-            if diverged:
-                Model(rows=want).admits_short(got, lost, in_flight)
-            else:
-                Model(rows=want).admits(got, in_flight)
-            if not out.read_only:
-                model.assert_structure(subject)
-        except Mismatch as exc:
-            raise SoakFailure(f"[soak-end] {exc}") from exc
+        # The twin never applied the op in flight when the instance went
+        # READ_ONLY; on the subject it may have landed.  With no lossy
+        # repair the rows are the twin's, in order; after one, the
+        # rewritten sections have gaps the twin's don't, so later inserts
+        # land in different positions and the leg is the model's
+        # containment-with-enumerated-shortfall.
+        model.check(
+            Model(rows=want), got, in_flight,
+            store=None if out.read_only else subject,
+            lost=lost if diverged else None,
+            where="soak-end",
+        )
 
     if not diverged:
         _byte_compare(
@@ -278,20 +271,11 @@ def soak_sweep(
         s, t = subject.pool.stats, twin.pool.stats
         for k in _WRITE_COUNTERS:
             if getattr(s, k) != getattr(t, k):
-                raise SoakFailure(
+                raise Mismatch(
                     f"fault-free soak is not counter-identical to an unmanaged "
                     f"run: {k} = {getattr(s, k)} vs {getattr(t, k)}"
                 )
         if out.report.n_quarantined:
-            raise SoakFailure("fault-free soak quarantined ranges")
+            raise Mismatch("fault-free soak quarantined ranges")
 
     return out
-
-
-__all__ = [
-    "SoakConfig",
-    "SoakFailure",
-    "SoakReport",
-    "SoakRoundResult",
-    "soak_sweep",
-]

@@ -28,8 +28,9 @@ from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
-from ..baselines.interfaces import PM_WRITE_BW_BYTES_PER_S
-from ..core.dgap import DGAP
+from repro.baselines.interfaces import PM_WRITE_BW_BYTES_PER_S
+from repro.core.batch import EdgeBatch
+from repro.core.dgap import DGAP
 
 
 @dataclass
@@ -81,7 +82,7 @@ class VirtualThreadScheduler:
         self.section_free: Dict[int, float] = {}
         #: with ``record_events``, the modeled lock-protocol event stream
         #: as ``(kind, thread, section)`` tuples — feed through
-        #: ``repro.testing.racecheck.events_from_tuples`` to run the same
+        #: ``racecheck.events_from_tuples`` to run the same
         #: lock-discipline oracle the real-thread racecheck uses.
         self.record_events = record_events
         self.events: List[Tuple[str, str, int]] = []
@@ -203,14 +204,8 @@ def run_sharded(sharded, edges, n_threads: int) -> ShardedVThreadResult:
     modeled ingest MEPS exceed the single-pool bandwidth ceiling of
     Table 3 (``tests/test_sharding.py::TestShardedVThreads``).
     """
-    from ..core.batch import EdgeBatch
-
     n = sharded.n_shards
-    batch = EdgeBatch.coerce(
-        np.asarray(list(map(tuple, edges)), dtype=np.int64)
-        if not isinstance(edges, (EdgeBatch, np.ndarray))
-        else edges
-    )
+    batch = EdgeBatch.coerce(edges)
     mx = batch.max_vertex()
     if mx >= sharded.num_vertices:
         sharded.insert_vertex(mx)
@@ -238,12 +233,3 @@ def run_sharded(sharded, edges, n_threads: int) -> ShardedVThreadResult:
         pm_media_bytes=sum(res.pm_media_bytes for res in results),
         per_shard=results,
     )
-
-
-__all__ = [
-    "VirtualThreadScheduler",
-    "VThreadResult",
-    "ShardedVThreadResult",
-    "run_sharded",
-    "simulate_threads",
-]

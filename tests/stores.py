@@ -4,7 +4,7 @@
 — ``DGAP`` and ``ShardedDGAP(N)`` as ``"dgap"`` / ``"sharded<N>"`` — on
 fresh pools, with a config that overrides the roomy default; ``factory``
 is the same builder in the ``(injector, faults)`` shape
-:func:`repro.testing.crash_sweep` calls.  Beside them, the byte helpers
+:func:`~.harness.crashsweep.crash_sweep` calls.  Beside them, the byte helpers
 every differential compares through: a served view's rows, a CSR pair's
 bytes, and the shadow model's CSR pair as the view stack lays it out.
 """
@@ -15,6 +15,8 @@ from repro import DGAP, DGAPConfig
 from repro.analysis.view import build_in_csr
 from repro.serve import QueryServer
 from repro.sharding import ShardedDGAP, merge_out_csr
+
+from .harness import model
 
 NV = 64
 CFG = dict(init_vertices=NV, init_edges=1024)
@@ -34,10 +36,13 @@ def factory(kind: str = "dgap", **overrides):
     return lambda injector, faults: make_store(kind, injector, faults, **overrides)
 
 
-def reopen(g):
-    """Reopen a store from its pool(s): recovery after a crash, else restart."""
+def reopen(g, crash=False):
+    """Reopen a store from its pool(s) — power-failed first with ``crash``
+    — and hold it to the model's structural oracle."""
+    if crash:
+        g.pool.crash()
     g2 = type(g).open(g.pool, g.config)
-    g2.check_invariants()
+    model.assert_structure(g2)
     return g2
 
 

@@ -20,7 +20,7 @@ from repro.baselines import (
 )
 from repro.datasets import rmat_edges, shuffle_edges
 from repro.errors import ImmutableGraphError, VertexRangeError
-from repro.testing import Model
+from .harness.model import Model
 
 NV = 200
 EDGES = shuffle_edges(rmat_edges(NV, 3000, seed=42), seed=1)

@@ -16,7 +16,7 @@ from repro.core.undo_log import (
 )
 from repro.errors import PMemError
 from repro.pmem import PMemPool
-from repro.testing import model
+from .harness import model
 
 
 @pytest.fixture

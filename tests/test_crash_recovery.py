@@ -16,7 +16,10 @@ import pytest
 
 from repro import DGAP, DGAPConfig
 from repro.pmem import PMemPool
-from repro.testing import Model, crash_points, model
+from .harness import model
+from .harness.crashsweep import crash_points
+from .harness.model import Model
+from .stores import reopen
 
 from .test_crash_sweeps import BASE, random_edges
 
@@ -61,13 +64,11 @@ class TestRecoveryPaths:
         g = DGAP(DGAPConfig(**BASE))
         g.insert_edges(random_edges(500, seed=8))
         n0 = g.num_edges
-        g.pool.crash()
-        g2 = DGAP.open(g.pool, g.config)
+        g2 = reopen(g, crash=True)
         g2.insert_edges(random_edges(500, seed=9))
         assert g2.num_edges == n0 + 500
         # and survives a second crash
-        g2.pool.crash()
-        g3 = DGAP.open(g2.pool, g.config)
+        g3 = reopen(g2, crash=True)
         assert g3.num_edges == n0 + 500
 
     def test_crash_after_resize_keeps_generation(self):
@@ -76,8 +77,7 @@ class TestRecoveryPaths:
         g.insert_edges(random_edges(2000, nv=16, seed=10))
         assert g.n_resizes >= 1
         gen = g.ea.gen
-        g.pool.crash()
-        g2 = DGAP.open(g.pool, cfg)
+        g2 = reopen(g, crash=True)
         assert g2.ea.gen == gen
         assert g2.num_edges == 2000
 
@@ -86,15 +86,13 @@ class TestRecoveryPaths:
         for d in range(300):  # hot vertex: chains guaranteed
             g.insert_edge(3, d % 48)
         assert g.va.el[3] >= 0 or g.n_rebalances > 0
-        g.pool.crash()
-        g2 = DGAP.open(g.pool, g.config)
+        g2 = reopen(g, crash=True)
         assert g2.out_degree(3) == 300
         assert list(g2.out_neighbors(3)) == [d % 48 for d in range(300)]
 
     def test_empty_graph_recovery(self):
         g = DGAP(DGAPConfig(**BASE))
-        g.pool.crash()
-        g2 = DGAP.open(g.pool, g.config)
+        g2 = reopen(g, crash=True)
         assert g2.num_edges == 0
         assert g2.num_vertices == 48
 
@@ -172,8 +170,7 @@ class TestRecoveryPaths:
         for k, g, crash in crash_points(shut_down_once, DGAP.shutdown):
             assert crash is not None
             flags.append(g.pool.read_root(ROOT_SHUTDOWN))
-            g2 = DGAP.open(g.pool, cfg)
-            g2.check_invariants()
+            g2 = reopen(g)
             ref.admits(model.of(g2))
             g2.shutdown()  # whichever meta.* names the crash left registered
             ref.admits(model.of(DGAP.open(g2.pool, cfg)))
@@ -261,6 +258,5 @@ class TestRecoveryPaths:
         g = DGAP(cfg, pool=PMemPool(1 << 20, profile=OPTANE_EADR))
         edges = random_edges(800, seed=11)
         g.insert_edges(edges)
-        g.pool.crash()
-        g2 = DGAP.open(g.pool, cfg)
+        g2 = reopen(g, crash=True)
         assert g2.num_edges == 800

@@ -1,6 +1,6 @@
 """Every crash sweep of the suite, as one table (paper §3.1.4–3.1.5, DESIGN.md §6).
 
-A row of :data:`SWEEPS` is one :func:`repro.testing.crash_sweep` run: a
+A row of :data:`SWEEPS` is one :func:`~.harness.crashsweep.crash_sweep` run: a
 store (``tests/stores.py``), a workload, a :class:`SweepConfig` — the
 fault policy, exhaustive or sampled, how many points also crash during
 recovery — and what the report must show.  Every row also holds the
@@ -26,17 +26,16 @@ import pytest
 from repro.core import recovery
 from repro.core.batch import EdgeBatch
 from repro.pmem.faults import ADVERSARIAL, DEFAULT_POLICY, PERSIST_REORDER, TORN_STORES, FaultPolicy
-from repro.testing import (
-    Model,
+from .harness import model
+from .harness.crashsweep import (
     SweepConfig,
-    SweepFailure,
     crash_sweep,
     make_batched_insert_workload,
     make_insert_workload,
     make_windowed_workload,
-    model,
     verify_recovered_graph,
 )
+from .harness.model import Mismatch, Model
 
 from .stores import factory, make_store
 
@@ -358,7 +357,7 @@ class TestOracle:
         for _, u, w in ops[:2]:
             g.insert_edge(u, w)
         # claim all three were acked: the missing (0, 3) must be flagged
-        with pytest.raises(SweepFailure, match="vertex 0"):
+        with pytest.raises(Mismatch, match="vertex 0"):
             verify_recovered_graph(g, ops, acked=3)
 
     def test_oracle_rejects_phantom_edge(self):
@@ -367,7 +366,7 @@ class TestOracle:
         for _, u, w in ops:
             g.insert_edge(u, w)
         g.insert_edge(4, 4)  # never in the workload
-        with pytest.raises(SweepFailure, match="vertex 4"):
+        with pytest.raises(Mismatch, match="vertex 4"):
             verify_recovered_graph(g, ops, acked=2)
 
     def test_oracle_accepts_in_flight_either_way(self):
@@ -383,7 +382,7 @@ class TestOracle:
         ops = make_insert_workload([(0, 1)])
         g.insert_edge(0, 1)
         g.insert_edge(0, 1)  # applied twice
-        with pytest.raises(SweepFailure):
+        with pytest.raises(Mismatch):
             verify_recovered_graph(g, ops, acked=1)
 
     def test_empty_workload_rejected(self):

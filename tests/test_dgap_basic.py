@@ -8,7 +8,8 @@ import pytest
 from repro import DGAP, DGAPConfig
 from repro.analysis.view import build_in_csr
 from repro.errors import GraphError, SnapshotError, VertexRangeError
-from repro.testing import Model, model
+from .harness import model
+from .harness.model import Model
 
 SMALL = dict(init_vertices=32, init_edges=256, segment_slots=64)
 

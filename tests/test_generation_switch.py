@@ -39,12 +39,12 @@ from repro.pmem.alloc import BumpAllocator
 from repro.pmem.pool import PMemPool
 from repro.pmem.faults import DEFAULT_POLICY, PERSIST_REORDER, TORN_STORES
 from repro.sharding.partition import to_global
-from repro.testing import (
+from .harness import model
+from .harness.crashsweep import (
     SweepConfig,
     crash_points,
     crash_sweep,
     make_insert_workload,
-    model,
     verify_recovered_graph,
 )
 
@@ -150,8 +150,7 @@ class TestProtocol:
 def settle(g, before):
     """Reopen a crashed store: nothing lost, nothing duplicated, no dead
     generation left registered — then past the *next* resize."""
-    g2 = DGAP.open(g.pool, g.config)
-    g2.check_invariants()
+    g2 = reopen(g)
     assert model.of(g2) == before
     assert generation_regions(g2) == sorted([f"edges.g{g2.ea.gen}", g2.logs.region.name])
     assert g2.ulogs[0].read_header().state == STATE_IDLE
@@ -204,8 +203,7 @@ class TestCrashAtEveryPoint:
         """"No DP": the occupancy mirror is a generation region too."""
         before = model.of(churned(dram_placement=False))
         for g in crashed(lambda g: g.compact(), DEFAULT_POLICY, dram_placement=False):
-            g2 = DGAP.open(g.pool, g.config)
-            g2.check_invariants()
+            g2 = reopen(g)
             assert model.of(g2) == before
             assert generation_regions(g2) == sorted(
                 [f"edges.g{g2.ea.gen}", f"segocc.g{g2.ea.gen}", g2.logs.region.name])
@@ -233,9 +231,7 @@ def test_out_of_pmem_in_a_switch_does_not_wedge_the_next():
     with pytest.raises(OutOfPMemError):  # the pool is still full — and says so
         for _ in range(64):
             g.insert_edges(np.column_stack([rng.integers(0, 64, 256), rng.integers(0, 64, 256)]))
-    g.pool.crash()
-    g2 = DGAP.open(g.pool, g.config)
-    g2.check_invariants()
+    g2 = reopen(g, crash=True)
     assert g2.ea.gen == gen and g2.num_edges == g.num_edges
 
 
@@ -329,8 +325,7 @@ def test_the_nth_allocation_failing_for_every_n(kind, monkeypatch):
             v = gap_vertex(g)  # a write that needs no new region still lands
             g.insert_edge(v, 63)
             assert g.out_neighbors(v)[-1] == 63
-        g.pool.crash()
-        g2 = reopen(g)
+        g2 = reopen(g, crash=True)
         for sh in g2.shards:
             assert generation_regions(sh) == sorted([f"edges.g{sh.ea.gen}", sh.logs.region.name])
         assert g2.out_neighbors(v)[-1] == 63
@@ -382,9 +377,7 @@ def test_a_journal_dies_with_its_generation(ablation):
     assert journals(g) == [f"pmdk-journal.g{g.ea.gen}", f"pmdk-journal.g{g.ea.gen}.lane"]
     per_generation = sum(g.pool.get_array(n).nbytes for n in generation_regions(g))
     assert g.pool.allocator.cursor <= built + 2 * per_generation  # the high-water mark
-    g.pool.crash()
-    g2 = DGAP.open(g.pool, g.config)
-    g2.check_invariants()
+    g2 = reopen(g, crash=True)
     assert journals(g2) == journals(g) and model.of(g2) == model.of(g)
 
 

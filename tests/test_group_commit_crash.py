@@ -27,7 +27,8 @@ from repro.core import recovery
 from repro.core.encoding import encode_edge
 from repro.errors import SimulatedCrash
 from repro.pmem import CACHE_LINE, CrashInjector
-from repro.testing import model
+from .harness import model
+from .stores import reopen
 
 CFG = dict(init_vertices=8, init_edges=256, segment_slots=64, elog_size=96)
 SLOTS_PER_LINE = CACHE_LINE // 4
@@ -44,29 +45,21 @@ def plant(dev, off: int, data: np.ndarray) -> None:
     dev.media[off : off + raw.size] = raw
 
 
-def reopen_checked(g, cfg):
-    """Crash + recover, run the structural oracle, return the new graph."""
-    g.pool.crash()
-    g2 = DGAP.open(g.pool, cfg)
-    model.assert_structure(g2)
-    return g2
-
-
-def assert_idempotent(g2, cfg, inj):
+def assert_idempotent(g2, inj):
     """A second crash — during or after recovery — changes nothing."""
     want = model.of(g2)
     media = g2.pool.device.media.copy()
-    g3 = reopen_checked(g2, cfg)
+    g3 = reopen(g2, crash=True)
     assert model.of(g3) == want
     np.testing.assert_array_equal(g3.pool.device.media, media)
     for k in (1, 2, 3):  # power failures inside the recovery itself
         inj.arm(k)
         try:
-            DGAP.open(g3.pool, cfg)
+            DGAP.open(g3.pool, g3.config)
         except SimulatedCrash:
             pass
         inj.disarm()
-        assert model.of(reopen_checked(g3, cfg)) == want
+        assert model.of(reopen(g3, crash=True)) == want
 
 
 class TestPlantedTornShapes:
@@ -91,12 +84,12 @@ class TestPlantedTornShapes:
             plant(g.pool.device, g.ea.byte_off(s),
                   np.asarray(encode_edge(s % 8), dtype=np.int32))
 
-        g2 = reopen_checked(g, cfg)
+        g2 = reopen(g, crash=True)
         assert model.of(g2) == before  # the per-vertex prefix, no phantoms
         slots = g2.pool.device.media.view(np.int32)
         base = g2.ea.region.offset // 4
         assert not slots[base + k : base + k + 6].any()  # scrubbed on media
-        assert_idempotent(g2, cfg, inj)
+        assert_idempotent(g2, inj)
         # the recovered run is writable again, through the cut slot
         g2.insert_edges([(v, 1), (v, 2)])
         assert g2.out_neighbors(v).tolist() == before[v] + [1, 2]
@@ -133,7 +126,7 @@ class TestPlantedTornShapes:
             plant(g.pool.device, logs.region.byte_offset(gidx * 3),
                   np.asarray(row, dtype=np.int32))
 
-        g2 = reopen_checked(g, cfg)
+        g2 = reopen(g, crash=True)
         want = dict(before)
         want[1] = before[1] + [4]  # the rooted sibling entry is a legal prefix
         assert model.of(g2) == want
@@ -144,7 +137,7 @@ class TestPlantedTornShapes:
             assert view[fld + gidx * 3 + 1] == 0
             assert view[fld + gidx * 3] != 0
         assert int(g2.logs.counts[sec]) == c + 4
-        assert_idempotent(g2, cfg, inj)
+        assert_idempotent(g2, inj)
         g2.insert_edges([(0, 1), (0, 2)])
         assert g2.out_neighbors(0).tolist() == before[0] + [1, 2]
         g2.check_invariants()

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 from repro import DGAP, DGAPConfig
 from repro.errors import LockDisciplineError
-from repro.testing.racecheck import (
+from .harness.racecheck import (
     EventRecorder,
     InstrumentedSectionLockTable,
     SCENARIOS,
@@ -43,8 +43,8 @@ from repro.testing.racecheck import (
     scalar_writer,
     scenario_writer_rebalancer,
 )
-from repro.testing.schedules import DeterministicScheduler, ScheduleDeadlock, explore
-from repro.workloads.vthreads import VirtualThreadScheduler
+from .harness.schedules import DeterministicScheduler, ScheduleDeadlock, explore
+from .harness.vthreads import VirtualThreadScheduler
 
 
 def rules(violations):

@@ -30,7 +30,9 @@ from repro.resilience import (
     ResilienceManager,
 )
 from repro.resilience.quarantine import OUTCOME_HEALTH
-from repro.testing import SoakConfig, crash_points, model, soak_sweep
+from .harness import model
+from .harness.crashsweep import crash_points
+from .harness.soaksweep import SoakConfig, soak_sweep
 
 from .stores import make_store
 from .test_log_streaming import grown_graph

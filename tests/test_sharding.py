@@ -29,7 +29,9 @@ from repro.sharding import (
     to_global,
     to_local,
 )
-from repro.testing import Model
+from .harness.crashsweep import crash_points
+from .harness.model import Model
+from .harness.vthreads import VirtualThreadScheduler, run_sharded
 
 from .stores import csr_bytes, make_store, model_csrs, served_csr
 
@@ -172,7 +174,6 @@ class TestMergedViewIdentity:
         pre-crash model's, and stay so after an in-range write."""
         from repro.serve import QueryServer
         from repro.serve.driver import SnapshotReader, _bytes_equal
-        from repro.testing.crashsweep import crash_points
 
         edges = stream(200, nv=64, seed=0)
         n = 3
@@ -236,8 +237,6 @@ class TestFourPoolsAreFourLanes:
 
 class TestShardedVThreads:
     def test_run_sharded_beats_single_instance(self):
-        from repro.workloads.vthreads import VirtualThreadScheduler, run_sharded
-
         spec = get_dataset("citpatents")
         edges = spec.generate(0.05)
         nv, _ = spec.sizes(0.05)
@@ -255,8 +254,6 @@ class TestShardedVThreads:
         assert base.makespan_s / res.makespan_s > 1.4
 
     def test_run_sharded_matches_batched_contents(self):
-        from repro.workloads.vthreads import run_sharded
-
         edges = stream(1200, nv=300, seed=13)
         sh = ShardedDGAP(3, DGAPConfig(init_vertices=300, init_edges=16384))
         run_sharded(sh, edges, 8)

@@ -8,7 +8,7 @@ import pytest
 from repro import DGAP, DGAPConfig
 from repro.analysis.view import build_in_csr
 from repro.nputil import multi_arange as _multi_arange
-from repro.testing import Model
+from .harness.model import Model
 
 CFG = dict(init_vertices=24, init_edges=1024, segment_slots=64)
 

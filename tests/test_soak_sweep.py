@@ -11,7 +11,9 @@ import pytest
 from repro.datasets import get_dataset
 from repro.pmem.faults import DEFAULT_POLICY, FaultPolicy
 from repro.resilience import HealthState
-from repro.testing import SoakConfig, SoakFailure, make_insert_workload, soak_sweep
+from .harness.crashsweep import make_insert_workload
+from .harness.model import Mismatch
+from .harness.soaksweep import SoakConfig, soak_sweep
 
 from .stores import factory, make_store
 
@@ -117,7 +119,7 @@ class TestOracleRejectsCorruption:
                 g.insert_edge = dropping
             return g
 
-        with pytest.raises(SoakFailure):
+        with pytest.raises(Mismatch):
             soak_sweep(
                 corrupt_factory, hot_ops(300),
                 SoakConfig(faults=DEFAULT_POLICY, rounds=2, scrub_every=50),

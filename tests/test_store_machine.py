@@ -3,7 +3,7 @@
 One Hypothesis ``RuleBasedStateMachine`` drives ``make_store``'s three
 stores — ``DGAP``, ``ShardedDGAP(1)``, ``ShardedDGAP(3)`` — in lockstep
 through a random history and judges all of them against one
-:class:`repro.testing.model.Model`.  Every mutation rule may power-fail
+:class:`~.harness.model.Model`.  Every mutation rule may power-fail
 at a drawn persistence event *inside* the op: the reopened store is held
 to the model's in-flight rule, then the client retries what did not
 land — per row, tombstones included, for a batch.  Besides inserts and
@@ -74,11 +74,11 @@ from repro.pmem.faults import DEFAULT_POLICY, PERSIST_REORDER, TORN_STORES
 from repro.serve import QueryServer, top_k_ns
 from repro.serve.driver import SnapshotReader, _bytes_equal, _run_query
 from repro.sharding import ShardedViewCache
-from repro.testing import model
-from repro.testing.model import Model
+from .harness import model
+from .harness.model import Model
 
 from . import test_store_surface as surface
-from .stores import STORES, counters, csr_bytes, make_store, model_csrs, reopen, rows_bytes
+from .stores import STORES, counters, csr_bytes, make_store, model_csrs, rows_bytes
 from .test_view_cache import lossy_repair
 
 #: (config, ids drawn): the surface suite's roomy store, and one tight
@@ -123,6 +123,15 @@ class StoreMachine(RuleBasedStateMachine):
         self.held = []  # (ServeView, its out-CSR bytes when acquired)
         self.servers = {}  # per store, its long-lived QueryServer
 
+    def reopen(self, kind):
+        """Reopen a store and check its invariants.  Not ``stores.reopen``:
+        its edge-log rebuild reads the device, and the machine compares
+        device counters across stores."""
+        g = self.stores[kind]
+        g = self.stores[kind] = type(g).open(g.pool, g.config)
+        g.check_invariants()
+        return g
+
     # -- mutations, each optionally power-failed inside -------------------
     def mutate(self, op, crash):
         """Apply ``op`` to every store — traced, if the history drew it, and
@@ -138,7 +147,7 @@ class StoreMachine(RuleBasedStateMachine):
                     model.apply(g, op)
             except SimulatedCrash:
                 inj.disarm()
-                g = self.stores[kind] = reopen(g)
+                g = self.reopen(kind)
                 landed = self.model.admits(model.of(g), op)
                 if op[0] == "batch":
                     self.resend(g, op[1])
@@ -219,13 +228,13 @@ class StoreMachine(RuleBasedStateMachine):
     def power_failure_and_reopen(self):
         for kind, g in self.stores.items():
             g.pool.crash()
-            self.stores[kind] = reopen(g)
+            self.reopen(kind)
 
     @rule()
     def shutdown_and_reopen(self):
         for kind, g in self.stores.items():
             g.shutdown()
-            self.stores[kind] = reopen(g)
+            self.reopen(kind)
 
     @rule(line=st.integers(0, 10**6))
     def lossy_repair_then_resend(self, line):

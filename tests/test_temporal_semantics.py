@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 from repro.datasets import TEMPORAL_DATASETS
 from repro.errors import GraphError
 from repro.temporal import TemporalWindowGraph
-from repro.testing import Model
+from .harness.model import Model
 
 from .stores import csr_bytes, make_store, model_csrs
 
@@ -50,7 +50,7 @@ SMALL = dict(init_vertices=NV, init_edges=256, segment_slots=64)
 class WindowRef:
     """Window semantics over the shadow model, independent of the library.
 
-    The adjacency is :class:`repro.testing.Model` (append-ordered rows;
+    The adjacency is :class:`~.harness.model.Model` (append-ordered rows;
     a delete removes the positionally *last* occurrence — the tombstone
     path's observable effect on byte-identical parallel copies);
     ``tags[(s, d)]`` holds the (non-decreasing) birth steps of that

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro import DGAP, DGAPConfig
 from repro.obs import INT_COUNTER_FIELDS, Tracer, check_attribution, trace, tracing
 from repro.pmem.faults import FaultPolicy
-from repro.testing import SoakConfig, soak_sweep
+from .harness.soaksweep import SoakConfig, soak_sweep
 
 common = settings(
     max_examples=25,

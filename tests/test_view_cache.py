@@ -35,7 +35,8 @@ from repro.serve.driver import SnapshotReader, _bytes_equal
 from repro.sharding import ShardedViewCache
 from repro.sharding.partition import shard_of
 from repro.temporal import TemporalWindowGraph
-from repro.testing import Model, model
+from .harness import model
+from .harness.model import Model
 
 from .stores import STORES, csr_bytes, make_store, model_csrs, rows_bytes
 from .test_resilience import hot_graph

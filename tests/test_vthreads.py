@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import get_dataset
-from repro.workloads import VirtualThreadScheduler, simulate_threads
+from .harness.vthreads import VirtualThreadScheduler, simulate_threads
 
 from .stores import make_store
 
