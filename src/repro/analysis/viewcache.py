@@ -51,6 +51,7 @@ DRAM-only work and unpriced.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import asdict, dataclass
 from typing import Dict, NamedTuple, Optional, Tuple
 
@@ -124,7 +125,7 @@ class DGAPViewCache:
     top-degree rows, and the in-CSR derived from it when a reader asks."""
 
     def __init__(self, shard, r: int, n: int) -> None:
-        self.graph = shard
+        self.graph = weakref.proxy(shard)  # a one-shard store owns this cache
         self.r, self.n = int(r), int(n)
         self.stats = ViewCacheStats()
         self._out: Optional[CSRPair] = None

@@ -123,7 +123,9 @@ class DGAP:
     def _auto_pool_bytes(cfg: DGAPConfig, capacity: int) -> int:
         # Headroom for several growth generations (a retired one is
         # reused, but only by a region that fits it), the per-section
-        # edge logs of each, the scratch area and the undo logs.
+        # edge logs of each, the scratch area and the undo logs.  The
+        # headroom is virtual: device images are demand-zero, so pages
+        # no generation ever writes cost no RSS (DESIGN.md §12).
         slot_bytes = capacity * 4
         elog_bytes = (capacity // cfg.segment_slots) * cfg.elog_size
         per_gen = slot_bytes * 3 + elog_bytes * 2

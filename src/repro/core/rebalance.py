@@ -52,6 +52,7 @@ apply, commits by its root-pointer flip, and at unchanged capacity hands
 from __future__ import annotations
 
 import threading
+import weakref
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -191,10 +192,16 @@ def _lost_mask(g: GatherResult) -> np.ndarray:
 
 
 class Rebalancer:
-    """Stateless orchestration over a DGAP host (``host.va/ea/logs/ulogs/pool/config``)."""
+    """The rewrite pipeline over a DGAP host (``host.va/ea/logs/ulogs/pool/config``).
+
+    Holds no persistent state of its own — only per-thread DRAM scratch —
+    and reaches its host through a weak proxy: the host owns its
+    rebalancer, so a strong back-pointer would be a reference cycle and
+    a dropped store would wait for the cyclic collector (DESIGN.md §12).
+    """
 
     def __init__(self, host):
-        self.host = host
+        self.host = weakref.proxy(host)
         self._tls = threading.local()  # per-thread DRAM scratch buffers
 
     def dram_scratch(self) -> ScratchBuffer:

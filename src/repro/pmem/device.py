@@ -33,6 +33,7 @@ which the graph views know exactly.
 
 from __future__ import annotations
 
+import mmap
 from contextlib import contextmanager
 from typing import Optional, Union
 
@@ -65,6 +66,19 @@ _BULK_FLUSH_LINES = 16
 _RECENT_FLUSH_SLACK = 4
 
 
+def _demand_zero(size: int) -> np.ndarray:
+    """A zeroed ``uint8`` image whose pages cost DRAM only once written.
+
+    An anonymous private mapping, as a DAX-mapped pool file is on the
+    real platform: capacity is virtual, and untouched pages read as
+    zero without being resident.  ``np.zeros`` cannot promise that — an
+    allocation below glibc's (adaptive) mmap threshold comes from the
+    heap and is memset whole.  The mapping lives as long as the array.
+    """
+    m = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    return np.frombuffer(m, dtype=np.uint8)
+
+
 class PMemDevice:
     """One simulated DIMM region (or a DRAM region with a volatile profile)."""
 
@@ -87,8 +101,8 @@ class PMemDevice:
         self.faults = faults or DEFAULT_POLICY
         self.stats = PMemStats()
 
-        self.buf = np.zeros(size, dtype=np.uint8)
-        self.media = np.zeros(size, dtype=np.uint8)
+        self.buf = _demand_zero(size)
+        self.media = _demand_zero(size)
         self._dirty: set[int] = set()
 
         # Persist-reorder state: line -> content captured at flush time,

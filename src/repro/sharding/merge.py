@@ -34,6 +34,7 @@ build_in_csr` bit-for-bit.
 
 from __future__ import annotations
 
+import weakref
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -122,10 +123,12 @@ class ShardedViewCache:
     """
 
     def __init__(self, store) -> None:
-        self.store = store
-        self._shards = tuple(store.shards)  # fixed for a store's lifetime
+        # the store owns its cache: both back-pointers are weak proxies,
+        # so a dropped store frees on its last reference (DESIGN.md §7)
+        self.store = weakref.proxy(store)
         n = store.n_shards
-        self.caches = [DGAPViewCache(sh, r, n) for r, sh in enumerate(self._shards)]
+        self.caches = [DGAPViewCache(sh, r, n) for r, sh in enumerate(store.shards)]
+        self._shards = tuple(c.graph for c in self.caches)  # fixed for a store's lifetime
         self._rows: Tuple[CSRPair, ...] = ()
         self.tops: Tuple[CSRPair, ...] = ()  #: per shard, its top list, read with its rows
         self._views: Optional[Tuple[CSRPair, CSRPair]] = None  # merged from them

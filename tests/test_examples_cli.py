@@ -24,6 +24,7 @@ class TestExamples:
             ("examples/quickstart.py", "reopened from PM"),
             ("examples/cellular_hotspots.py", "collector restarted"),
             ("examples/crash_recovery_demo.py", "acknowledged edges intact"),
+            ("examples/crash_recovery_demo.py", "ranges not byte-exact to a fault-free twin"),
             ("examples/framework_comparison.py", "five systems"),
         ],
     )

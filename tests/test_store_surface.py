@@ -19,6 +19,8 @@ members only, never asking which class it was handed:
 * one view stack (DESIGN.md §7): the store cache's reuse, its read-only
   arrays and its modeled build cost, by hand, on all three;
 * a shut-down store refuses writes, and ``shutdown()`` is all-or-nothing;
+* a dropped store, and the graph a reopen replaced, free on their last
+  reference: no reference cycle waits for the cyclic collector;
 * one device ledger: ``Tracer(g.pool.stats)`` attributes every store
   exactly, and a grep gate keeps the ledger spoken one way;
 * a grep gate pins the "is it sharded?" probe counts at zero.
@@ -28,8 +30,11 @@ importable on purpose: the state machine drives them.
 """
 
 import dataclasses
+import gc
 import inspect
 import re
+import weakref
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -444,6 +449,53 @@ class TestShutdown:
         assert g2.num_edges == 11
         for s, d in first + more:
             assert d in g2.out_neighbors(s)
+
+
+# ---------------------------------------------------------------------------
+# lifetime: a store is freed on its last reference (DESIGN.md §7, §12)
+# ---------------------------------------------------------------------------
+
+@contextmanager
+def refcounting_only():
+    """Run the body with the cyclic collector off, as the benchmark's
+    cycles do: what a cycle keeps alive stays alive."""
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was:
+            gc.enable()
+
+
+def worked(kind):
+    """A store whose rebalancer, view caches and server have all run."""
+    g = seeded(kind)
+    assert QueryServer(g).acquire().degree(5) == 1
+    g.view_cache.materialize()
+    g.compact()
+    return g
+
+
+@pytest.mark.parametrize("kind", ["dgap", "sharded3"])
+class TestLifetime:
+    def test_a_dropped_store_frees_its_devices(self, kind):
+        with refcounting_only():
+            g = worked(kind)
+            store, device = weakref.ref(g), weakref.ref(g.pool.pools[-1].device)
+            del g
+            assert store() is None
+            assert device() is None
+
+    def test_a_reopen_frees_the_graph_it_replaced(self, kind):
+        with refcounting_only():
+            g = worked(kind)
+            g.pool.crash()
+            g2 = type(g).open(g.pool, g.config)
+            replaced = weakref.ref(g)
+            del g
+            assert replaced() is None
+            assert g2.num_edges == 3 and QueryServer(g2).acquire().degree(5) == 1
 
 
 # ---------------------------------------------------------------------------

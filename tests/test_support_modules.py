@@ -10,7 +10,8 @@
 * ``tools/check_reachability.py`` — passes on this tree, bites on a
   planted dead name and on a rotted allow-list.
 * ``tools/check_doc_refs.py`` — passes on this tree, bites on a
-  reference to a missing file or to a name not defined where it points.
+  reference to a missing file or to a name not defined where it points,
+  and on a dotted ``repro.…`` reference to a module that is gone.
 """
 
 import importlib.util
@@ -258,6 +259,32 @@ def test_doc_reference_gate_passes_here_and_bites(tmp_path, capsys):
     assert "DESIGN.md:2: tests/test_x.py::TestA::test_c — 'test_c' is not defined there" in out
     assert "DESIGN.md:3: src/repro/m.py::f — no such file" in out
     assert "6 references, 3 unresolved" in out
+
+
+def test_doc_reference_gate_resolves_dotted_names_through_reexports(tmp_path, capsys):
+    path = Path(__file__).resolve().parents[1] / "tools" / "check_doc_refs.py"
+    spec = importlib.util.spec_from_file_location("check_doc_refs", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+
+    pkg = tmp_path / "src" / "repro" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg.parent / "__init__.py").write_text("from .pkg import Thing\n")
+    (pkg / "__init__.py").write_text("from .mod import Ghost, Thing as Thing\nfrom . import mod\n")
+    (pkg / "mod.py").write_text("class Thing:\n    def go(self):\n        pass\nLIMIT = 3\n")
+    (tmp_path / "PAPER.md").write_text(
+        "`repro.pkg.mod.Thing.go`, `repro.pkg.mod.LIMIT`, `repro.pkg.Thing.go`, `repro.Thing`\n"
+        "and `repro.pkg.mod` resolve; the stale `repro.workloads.vthreads` does not,\n"
+        "nor do `repro.pkg.Missing`, `repro.pkg.mod.Thing.stop` and the re-exported\n"
+        "`repro.pkg.Ghost`, which its module never defines; repro.gone is not quoted\n"
+    )
+    assert tool.main([str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "PAPER.md:2: repro.workloads.vthreads — 'workloads' is not defined there" in out
+    assert "PAPER.md:3: repro.pkg.Missing — 'Missing' is not defined there" in out
+    assert "PAPER.md:3: repro.pkg.mod.Thing.stop — 'stop' is not defined there" in out
+    assert "PAPER.md:4: repro.pkg.Ghost — 'Ghost' is not defined there" in out
+    assert "9 references, 4 unresolved" in out
 
 
 # -- tools/check_coverage.py --dead-defs -------------------------------------
