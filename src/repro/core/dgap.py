@@ -162,10 +162,6 @@ class DGAP:
         self.slots_rebalanced = 0
         self._active_snapshots = 0
         self._shut_down = False
-        #: rebalance windows of the current op (consumed by the virtual-
-        #: thread scheduler when track_rebalance_windows is set)
-        self.track_rebalance_windows = False
-        self.op_rebalance_windows: list = []
         self._init_view_tracking()
 
     def _make_tx_mgr(self, capacity: int) -> None:
@@ -249,8 +245,6 @@ class DGAP:
         self.n_rebalances += 1
         self.slots_rebalanced += hi_slot - lo_slot
         self.structure_epoch += 1  # runs moved; no row changed
-        if self.track_rebalance_windows:
-            self.op_rebalance_windows.append((lo_slot, hi_slot))
 
     def stats_note_resize(self, new_capacity: int) -> None:
         self.n_resizes += 1

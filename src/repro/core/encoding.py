@@ -110,9 +110,7 @@ def pivot_vertices(slots: np.ndarray) -> np.ndarray:
     return -slots - 1
 
 
-def live_degrees(
-    slots: np.ndarray, lo: np.ndarray, hi: np.ndarray, out: Optional[np.ndarray] = None
-) -> np.ndarray:
+def live_degrees(slots: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Live degree of the entries in each ``slots[lo[k] : hi[k]]``: lives
     minus tombstones.
 
@@ -120,13 +118,11 @@ def live_degrees(
     ``live_degree`` — a live edge +1, a tombstone −1 *whether or not it
     matches anything* (:func:`tombstone_matches` pairs each match with
     one live, netting zero), a pivot or gap nothing.  Crash recovery
-    rebuilds the counter with it from the scanned array (handing in its
-    ``slots.size + 1`` int64 scratch as ``out``); a lossy repair
+    rebuilds the counter with it from the scanned array; a lossy repair
     recounts the rows it shrank.
     """
     worth = (slots > 0).view(np.int8) - 2 * is_tombstone(slots).view(np.int8)
-    net = np.empty(slots.size + 1, dtype=np.int64) if out is None else out
-    net[0] = 0
+    net = np.zeros(slots.size + 1, dtype=np.int64)
     np.cumsum(worth, dtype=np.int64, out=net[1:])
     return net[hi] - net[lo]
 

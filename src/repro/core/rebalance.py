@@ -207,8 +207,7 @@ class Rebalancer:
     def dram_scratch(self) -> ScratchBuffer:
         """Per-thread reusable DRAM scratch (gather values, window images).
 
-        Thread-local because disjoint windows may rebalance concurrently;
-        recovery (single-threaded) borrows the same pool for its scans.
+        Thread-local because disjoint windows may rebalance concurrently.
         """
         sb = getattr(self._tls, "scratch", None)
         if sb is None:

@@ -250,8 +250,9 @@ def _scan_edge_array(host) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     The scan reads the array through the device's bulk read layer (one
     sequential stream over the capacity) and reduces it with prefix sums
-    over reused scratch; ``scalar_readpath`` selects the retained
-    per-slot reference with identical results and accounting.
+    into call-local arrays (recovery keeps no scratch past itself);
+    ``scalar_readpath`` selects the retained per-slot reference with
+    identical results and accounting.
     """
     if host.config.scalar_readpath:
         return _scan_edge_array_scalar(host)
@@ -270,9 +271,7 @@ def _scan_edge_array(host) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
             raise RecoveryError("pivot id space is not dense — image corrupt")
     starts = ppos + 1
     ends = np.append(ppos[1:], cap)
-    sb = host.rebalancer.dram_scratch()
-    nz = sb.take("recovery.nz", cap + 1, np.int64)
-    nz[0] = 0
+    nz = np.zeros(cap + 1, dtype=np.int64)
     np.cumsum(slots != 0, dtype=np.int64, out=nz[1:])
     array_deg = nz[ends] - nz[starts]
     # A crash inside a commit group may persist slot k+1 without slot k:
@@ -286,7 +285,7 @@ def _scan_edge_array(host) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         _zero_slots(ea, np.concatenate(garbage))
         np.cumsum(slots != 0, dtype=np.int64, out=nz[1:])  # live view: recount
         array_deg = nz[ends] - nz[starts]
-    live = live_degrees(slots, starts, ends, out=sb.take("recovery.tz", cap + 1, np.int64))
+    live = live_degrees(slots, starts, ends)
     return starts.astype(np.int64), array_deg, live
 
 

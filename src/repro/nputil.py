@@ -27,9 +27,9 @@ def multi_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 class ScratchBuffer:
     """Grow-only reusable DRAM scratch arrays, keyed by purpose.
 
-    The rebalance and recovery hot paths repeatedly need short-lived
-    work arrays whose sizes vary run to run (a window image here, a
-    gathered value buffer there).  Allocating them fresh each time costs
+    The rebalance hot paths repeatedly need short-lived work arrays
+    whose sizes vary run to run (a window image here, a gathered value
+    buffer there).  Allocating them fresh each time costs
     more than the arithmetic on them; this pool hands out views of
     keyed backing buffers that only ever grow (geometrically), so the
     steady state allocates nothing.

@@ -53,6 +53,7 @@ import numpy as np
 
 from repro.core.batch import DEFAULT_BATCH_SIZE, EdgeBatch
 from repro.errors import MediaError, RecoveryError, SimulatedCrash
+from repro.obs import Tracer, tracing
 from repro.pmem.crash import CrashInjector
 from repro.pmem.faults import DEFAULT_POLICY, FaultPolicy
 from . import model
@@ -201,6 +202,30 @@ def verify_recovered_graph(
 # ----------------------------------------------------------------------
 # the replayer and the driver
 # ----------------------------------------------------------------------
+def events(store, run: Callable[["object"], None]) -> List[Optional[str]]:
+    """Dry-run ``run(store)``: per persistence event it generates, in
+    order, the innermost :mod:`repro.obs` span open at it (None outside
+    every span) — ``batch_round``, ``merge``, ``write_window``, ``resize``,
+    ``compact_sweep``, ...  The store's injector must be unarmed."""
+    inj = store.pool.pools[0].device.injector  # the one every shard device shares
+    tracer, labels = Tracer(), []
+
+    def observe(event: str, n: int = 1) -> None:
+        span = tracer.current
+        labels.extend([span.name if span else None] * n)
+        CrashInjector.tick_many(inj, event, n)
+
+    base = inj.total_events
+    inj.tick = inj.tick_many = observe
+    try:
+        with tracing(tracer):
+            run(store)
+    finally:
+        del inj.tick, inj.tick_many
+    assert len(labels) == inj.total_events - base
+    return labels
+
+
 def crash_points(
     make_store: Callable[[CrashInjector], "object"],
     run: Callable[["object"], None],
@@ -208,18 +233,14 @@ def crash_points(
 ) -> Iterator[Tuple[int, "object", Optional[SimulatedCrash]]]:
     """Power-fail ``run(store)`` at its persistence events, one store each.
 
-    A dry run on ``make_store(injector)`` counts the events ``run``
-    generates (construction is not swept); then for every ``k`` in
-    ``pick(total)`` — every event when ``pick`` is None — a fresh store
-    runs with its injector armed at the ``k``-th event.  Yields ``(k,
-    store, crash)`` with the injector disarmed and the device
-    power-failed; ``crash`` is None if ``run`` finished first.
+    A dry run (:func:`events`) on ``make_store(injector)`` counts the
+    events ``run`` generates (construction is not swept); then for every
+    ``k`` in ``pick(total)`` — every event when ``pick`` is None — a
+    fresh store runs with its injector armed at the ``k``-th event.
+    Yields ``(k, store, crash)`` with the injector disarmed and the
+    device power-failed; ``crash`` is None if ``run`` finished first.
     """
-    inj = CrashInjector()
-    store = make_store(inj)
-    base = inj.total_events
-    run(store)
-    total = inj.total_events - base
+    total = len(events(make_store(CrashInjector()), run))
     for k in pick(total) if pick else range(1, total + 1):
         inj = CrashInjector()
         store = make_store(inj)
@@ -261,6 +282,7 @@ def crash_sweep(
     rng = np.random.default_rng(cfg.seed)
     report = SweepReport(total_events=0, exhaustive=False)
     idem_points: set = set()
+    policies = iter([cfg.faults])  # the dry run's, then each point's own
     acked = 0
 
     def run(g) -> None:
@@ -285,9 +307,18 @@ def crash_sweep(
         n_idem = min(cfg.idempotence_samples, len(points))
         if n_idem:
             idem_points.update(int(p) for p in rng.choice(points, size=n_idem, replace=False))
+        # A device's crash stream is seeded by (policy seed, crash
+        # ordinal), and every replay crashes at ordinal 0: seed each
+        # point's policy by (seed, point), or a torn or reorder policy
+        # drops or keeps the same pending lines at every point.
+        nonlocal policies
+        policies = (
+            cfg.faults.with_seed(int(np.random.SeedSequence((cfg.faults.seed, k)).generate_state(1)[0]))
+            for k in points
+        )
         return points
 
-    for k, g, crash in crash_points(lambda inj: make_graph(inj, cfg.faults), run, pick):
+    for k, g, crash in crash_points(lambda inj: make_graph(inj, next(policies)), run, pick):
         if crash is None:
             # Event counts can drift a little between the dry run and an
             # armed run only if the workload itself is nondeterministic;

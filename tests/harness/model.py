@@ -9,7 +9,7 @@ One ordered per-vertex adjacency with the store's own semantics
   destination (what the tombstone path does to byte-identical parallel
   copies); a delete with no live copy changes nothing;
 * a batch is its per-source sequences, in stream order;
-* a compaction sweep is invisible;
+* a compaction sweep, and growing the id space, are invisible;
 * a lossy repair is a shortfall the damage report enumerates
   (:meth:`Model.admits_short`, the only comparison that is not in
   exact order: the rewritten sections' layout is not the twin's).
@@ -32,8 +32,8 @@ from repro.core.edge_log import EdgeLogs
 
 #: One workload operation: ``("insert" | "delete", src, dst)``, a routed
 #: bulk mutation ``("batch", EdgeBatch)``, a window-expiry delete run
-#: ``("expire", ((src, dst), ...))``, or a tombstone-merge sweep
-#: ``("compact",)``.
+#: ``("expire", ((src, dst), ...))``, a tombstone-merge sweep
+#: ``("compact",)``, or ids ``0..v`` made to exist ``("grow", v)``.
 Op = Tuple
 
 #: ``{vertex: [dst, ...]}`` in read order; an absent vertex has no edges.
@@ -54,7 +54,7 @@ def _steps(op: Op) -> List[Tuple[int, int, bool]]:
         return list(zip(b.src.tolist(), b.dst.tolist(), b.tombstone.tolist()))
     if kind == "expire":
         return [(s, d, True) for s, d in op[1]]
-    if kind == "compact":
+    if kind in ("compact", "grow"):
         return []  # logically invisible: live adjacency is unchanged
     raise ValueError(f"unknown workload op kind {kind!r}")
 
@@ -199,6 +199,8 @@ def apply(store, op: Op) -> None:
         store.insert_edges(op[1], batch_size=None)
     elif kind == "compact":
         store.compact()
+    elif kind == "grow":
+        store.insert_vertex(op[1])
     else:
         for s, d, tomb in _steps(op):
             (store.delete_edge if tomb else store.insert_edge)(s, d)

@@ -86,7 +86,16 @@ class VirtualThreadScheduler:
         #: lock-discipline oracle the real-thread racecheck uses.
         self.record_events = record_events
         self.events: List[Tuple[str, str, int]] = []
-        graph.track_rebalance_windows = True
+        #: the rebalance windows of the op being replayed, as the
+        #: instance's rebalancer reports them
+        self.windows: List[Tuple[int, int]] = []
+        note = graph.note_rebalance_window
+
+        def noted(lo_slot: int, hi_slot: int) -> None:
+            note(lo_slot, hi_slot)
+            self.windows.append((lo_slot, hi_slot))
+
+        graph.note_rebalance_window = noted
 
     def _note(self, kind: str, tid: int, section: int) -> None:
         if self.record_events:
@@ -124,7 +133,7 @@ class VirtualThreadScheduler:
             start = self._acquire(tid, (sec,))
 
             ns0 = dev.stats.modeled_ns
-            g.op_rebalance_windows.clear()
+            self.windows.clear()
             g.insert_edge(src, dst, grow_vertices=self.grow_vertices)
             op_ns = dev.stats.modeled_ns - ns0
 
@@ -138,7 +147,7 @@ class VirtualThreadScheduler:
             # oracle accepts it.
             touched = {sec}
             S = g.ea.segment_slots
-            for lo, hi in g.op_rebalance_windows:
+            for lo, hi in self.windows:
                 touched.update(range(lo // S, min((hi + S - 1) // S, g.ea.n_sections)))
             self._note("acquire", tid, sec)
             self._note("release", tid, sec)

@@ -88,11 +88,10 @@ def batched_workload(n=96, batch_size=8, seed=4):
     )
 
 
-def random_edges(n, nv=48, seed=1, hot=None):
-    """``n`` uniform pairs; with ``hot``, every third one leaves ``hot``."""
+def random_edges(n, nv=48, seed=1):
+    """``n`` uniform pairs."""
     rng = random.Random(seed)
-    return [(hot if hot is not None and i % 3 == 0 else rng.randrange(nv), rng.randrange(nv))
-            for i in range(n)]
+    return [(rng.randrange(nv), rng.randrange(nv)) for _ in range(n)]
 
 
 def delete_workload():
@@ -108,14 +107,6 @@ def delete_workload():
             ops.append(("insert", u, w))
             live[u].append(w)
     return ops
-
-
-def mid_dispatch_workload():
-    """Batches of 8 over 3 shards: most split across several shards."""
-    rng = np.random.default_rng(2)
-    return make_batched_insert_workload(
-        np.column_stack([rng.integers(0, 9, size=72), rng.integers(0, 9, size=72)]), batch_size=8
-    )
 
 
 @contextmanager
@@ -172,28 +163,10 @@ SWEEPS = {
                     exhaustive_threshold=5000, idempotence_samples=4),
         exhaustive=True, refused="media error",
     ),
-    "rebalance-sampled": Sweep(
-        factory(**CFG), rebalance_workload,
-        SweepConfig(exhaustive_threshold=10, samples=25, idempotence_samples=2, seed=7),
-        exhaustive=False, min_points=15,
-    ),
     "hub-30": Sweep(
         factory(**CFG), lambda: make_insert_workload([(0, d % 8) for d in range(30)]),
         SweepConfig(exhaustive_threshold=1000, idempotence_samples=0),
         exhaustive=True,
-    ),
-    **{
-        f"scalar-sharded{n}-{name}": Sweep(
-            factory(f"sharded{n}", **SHARD_CFG), scalar_workload,
-            SweepConfig(faults=policy, exhaustive_threshold=100, samples=120, idempotence_samples=3, seed=3),
-            min_points=80, in_flight=True,
-        )
-        for n in (2, 3) for name, policy in dict(default=DEFAULT_POLICY, torn=TORN_STORES).items()
-    },
-    "batched-sharded3-mid-dispatch": Sweep(
-        factory("sharded3", **SHARD_CFG), mid_dispatch_workload,
-        SweepConfig(exhaustive_threshold=100, samples=120, idempotence_samples=3, seed=9),
-        in_flight=True,
     ),
     **{
         f"windowed-{name}": Sweep(
@@ -213,25 +186,6 @@ SWEEPS = {
         SweepConfig(faults=dataclasses.replace(ADVERSARIAL, poison_on_crash=0.3, seed=5),
                     exhaustive_threshold=5000, idempotence_samples=0, seed=5),
         refused="beyond repair",
-    ),
-    **{
-        f"windowed-sharded{n}": Sweep(
-            factory(f"sharded{n}", **CFG),
-            lambda: make_windowed_workload(windowed_edges(28, seed=4), window=2, step=5, compact_every=3),
-            SweepConfig(exhaustive_threshold=100, samples=80, idempotence_samples=2, seed=11),
-            in_flight=True,
-        )
-        for n in (2, 3)
-    },
-    "random-900": Sweep(
-        factory(**BASE), lambda: make_insert_workload(random_edges(900)),
-        SweepConfig(exhaustive_threshold=0, samples=60, idempotence_samples=2, seed=0),
-        min_points=20,
-    ),
-    "hot-900": Sweep(
-        factory(**BASE), lambda: make_insert_workload(random_edges(900, hot=7, seed=2)),
-        SweepConfig(exhaustive_threshold=0, samples=40, idempotence_samples=2, seed=2),
-        min_points=15,
     ),
     "no-edge-log": Sweep(
         factory(**BASE, use_edge_log=False), lambda: make_insert_workload(random_edges(700, seed=3)),
@@ -255,10 +209,6 @@ SWEEPS = {
         SweepConfig(exhaustive_threshold=0, samples=25, idempotence_samples=2, seed=9),
         min_points=10,
     ),
-    # The crash RNG is seeded per (policy seed, crash ordinal), so one
-    # policy seed drops or keeps the *first* pending line at every crash
-    # point alike: seed 0 keeps it (prefixes only), seed 1 drops it and
-    # produces both torn shapes from line-granular reordering alone.
     **{
         f"batched-{name}": Sweep(
             factory(**BATCH_CFG), batched_workload,
@@ -268,19 +218,10 @@ SWEEPS = {
         for name, policy, tears in [
             ("default", DEFAULT_POLICY, False),
             ("torn", TORN_STORES, True),
-            ("reorder", PERSIST_REORDER, None),
-            ("reorder-seed1", FaultPolicy(persist_reorder=True, seed=1), True),
+            # per-point draws tear both shapes for policy seeds 2 and 3 of 0-7
+            ("reorder", PERSIST_REORDER.with_seed(2), True),
             ("adversarial", ADVERSARIAL, True),
         ]
-    },
-    **{
-        f"batched-sharded3-{name}": Sweep(
-            factory("sharded3", **BATCH_CFG), lambda: batched_workload(n=90, batch_size=10, seed=6),
-            SweepConfig(faults=policy, exhaustive_threshold=100, samples=150, idempotence_samples=4, seed=11),
-            in_flight=True,
-        )
-        for name, policy in dict(default=DEFAULT_POLICY, torn=TORN_STORES,
-                                 reorder=PERSIST_REORDER, adversarial=ADVERSARIAL).items()
     },
 }
 

@@ -497,6 +497,16 @@ class TestLifetime:
             assert replaced() is None
             assert g2.num_edges == 3 and QueryServer(g2).acquire().degree(5) == 1
 
+    def test_a_reopen_keeps_no_recovery_scratch(self, kind):
+        """Recovery's pivot-scan prefix sums (8 B per slot, twice) are the
+        call's own: the reopened graph's rebalancer scratch holds none."""
+        g = worked(kind)
+        g.pool.crash()
+        g2 = type(g).open(g.pool, g.config)
+        for shard in g2.shards:
+            assert not [key for key, _ in shard.rebalancer.dram_scratch()._bufs
+                        if key.startswith("recovery.")]
+
 
 # ---------------------------------------------------------------------------
 # grep gate: nobody above core/ asks which store it was handed
