@@ -299,7 +299,7 @@ class DGAP:
                     if held is not None:
                         self.locks.release_many(held)
                         held = None
-                    self.rebalancer.resize()
+                    self.rebalancer.resize(tail=v + 1 - u)  # room for every pivot left
                     continue
                 if self.ea.slots[pos] != 0:
                     raise GraphError("tail slot unexpectedly occupied")

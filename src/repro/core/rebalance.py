@@ -378,8 +378,9 @@ class Rebalancer:
         self.host.history_epoch = self.host.structure_epoch + 1
         return g, keep_mask(g)
 
-    def _gaps(self, sizes: np.ndarray, G: int, T: int) -> np.ndarray:
-        """Per-run trailing gaps distributing ``G`` free slots.
+    def _gaps(self, sizes: np.ndarray, G: int, T: int, tail: int = 0) -> np.ndarray:
+        """Per-run trailing gaps distributing ``G`` free slots, ``tail``
+        of them to the last run.
 
         Proportional to run size by default (VCSR's workload-aware
         uneven distribution: hot vertices get more room);
@@ -387,6 +388,7 @@ class Rebalancer:
         even split — the design-choice ablation.
         """
         nv = len(sizes)
+        G -= tail
         if self.host.config.gap_distribution == "uniform":
             gaps = np.full(nv, G // nv, dtype=np.int64)
             rem = G - int(gaps.sum())
@@ -397,23 +399,25 @@ class Rebalancer:
             if rem:
                 order = np.argsort(-sizes, kind="stable")[:rem]
                 gaps[order] += 1
+        gaps[-1] += tail
         return gaps
 
-    def _plan(self, g: GatherResult) -> Tuple[np.ndarray, np.ndarray]:
+    def _plan(self, g: GatherResult, tail: int = 0) -> Tuple[np.ndarray, np.ndarray]:
         """Final window image + new per-vertex start slots.
 
         Counting-sort layout: run positions come from one prefix sum
         over sizes-plus-gaps, then pivots and all run values scatter
-        into the image in two fancy-indexed stores.
+        into the image in two fancy-indexed stores.  ``tail`` slots of
+        the free room are the last run's alone (pivots about to follow).
         """
         if self.host.config.scalar_readpath:
-            return self._plan_scalar(g)
+            return self._plan_scalar(g, tail)
         W = g.hi - g.lo
         nv = len(g.sizes)
         sizes = 1 + g.sizes  # pivot + edges
         T = int(sizes.sum())
-        assert T == g.total and T <= W
-        gaps = self._gaps(sizes, W - T, T) if nv else sizes
+        assert T == g.total and T + tail <= W
+        gaps = self._gaps(sizes, W - T, T, tail) if nv else sizes
         steps = sizes + gaps
         pos = np.cumsum(steps) - steps  # window-relative pivot slots
         new_starts = g.lo + pos + 1
@@ -424,14 +428,14 @@ class Rebalancer:
                 image[multi_arange(pos + 1, g.sizes)] = g.values
         return image, new_starts
 
-    def _plan_scalar(self, g: GatherResult) -> Tuple[np.ndarray, np.ndarray]:
+    def _plan_scalar(self, g: GatherResult, tail: int = 0) -> Tuple[np.ndarray, np.ndarray]:
         """Per-run reference implementation of :meth:`_plan`."""
         W = g.hi - g.lo
         nv = len(g.runs)
         sizes = np.fromiter((1 + r.size for r in g.runs), dtype=np.int64, count=nv)
         T = int(sizes.sum())
-        assert T == g.total and T <= W
-        gaps = self._gaps(sizes, W - T, T) if nv else sizes
+        assert T == g.total and T + tail <= W
+        gaps = self._gaps(sizes, W - T, T, tail) if nv else sizes
         image = np.zeros(W, dtype=SLOT_DTYPE)
         new_starts = np.zeros(nv, dtype=np.int64)
         pos = 0
@@ -682,14 +686,18 @@ class Rebalancer:
         return fits or self.resize(thread_id, keep_mask)
 
     @traced("resize")
-    def resize(self, thread_id: int = 0, keep_mask=None) -> Tuple[GatherResult, GatherResult]:
+    def resize(
+        self, thread_id: int = 0, keep_mask=None, tail: int = 0
+    ) -> Tuple[GatherResult, GatherResult]:
         """Generation switch to a (at least) doubled array; returns
         ``(gathered, laid out)`` like :meth:`_rewrite_window`, whose
-        ``keep_mask`` it honours when it takes a window over."""
-        return self._switch(thread_id, keep_mask, grow=True)
+        ``keep_mask`` it honours when it takes a window over.  ``tail``
+        more entries — pivots the caller appends next — are sized for
+        and left room behind the last run."""
+        return self._switch(thread_id, keep_mask, grow=True, tail=tail)
 
     def _switch(
-        self, thread_id: int, keep_mask, grow: bool = False
+        self, thread_id: int, keep_mask, grow: bool = False, tail: int = 0
     ) -> Optional[Tuple[GatherResult, GatherResult]]:
         """Rewrite the whole array into a fresh generation — at the same
         capacity, or (``grow``) a larger one.  None when the contents
@@ -711,7 +719,7 @@ class Rebalancer:
         try:
             cap = new_cap = host.ea.capacity
             g, keep = self._gather_kept(self._extend(0, cap), keep_mask)
-            total = g.total if keep is None else g.sizes.size + int(keep.sum())
+            total = tail + (g.total if keep is None else g.sizes.size + int(keep.sum()))
             if grow:
                 target = host.config.tau_root * 0.75
                 while total > new_cap * target:
@@ -721,7 +729,7 @@ class Rebalancer:
             elif total > cap:
                 return None
             laid = g.relaid(0, new_cap, keep)
-            image, new_starts = self._plan(laid)
+            image, new_starts = self._plan(laid, tail)
             self._stream_generation(image, thread_id)
             if grow:
                 self._apply_dram(laid, new_starts)

@@ -34,7 +34,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..errors import SnapshotError
+from ..errors import PMemError, SnapshotError
 from ..nputil import multi_arange
 from ..obs.tracer import trace
 from .encoding import SLOT_DTYPE, TOMB_BIT, check_vertex, tombstone_matches
@@ -125,19 +125,27 @@ class DGAPSnapshot:
         persistent buffers.
 
         A reader takes no section lock, so on a ``thread_safe`` store a
-        merge may drain a chain or move runs between the read of a row's
-        fields and the read of its bytes.  A row whose ``(start,
-        array_degree, el, degree)`` moved in between is read again."""
+        merge may drain a chain or move runs while a row's bytes are
+        read.  Seqlock order: the row's ``(start, array_degree, el,
+        degree)`` are read before its bytes and checked again behind
+        every read of them; a row whose fields moved in between — or
+        whose chain walk met an entry a merge invalidated — is read
+        again."""
         va = self.host.va
         fields = ("start", "array_degree", "el", "degree")  # looked up again: a grow reallocates
         start, ad, el, degree = seen = [getattr(va, f)[vids] for f in fields]
+
+        def moved_since() -> np.ndarray:
+            moved = np.zeros(vids.size, dtype=bool)
+            for f, was in zip(fields, seen):
+                moved |= getattr(va, f)[vids] != was
+            return moved
+
         sizes = deg_t - lo
         n_arr = np.maximum(np.minimum(ad, deg_t) - lo, 0)
         vals = self.host.ea.slots[multi_arange(start + lo, n_arr)]
         n_chain = sizes - n_arr
-        moved = np.zeros(vids.size, dtype=bool)
-        for f, was in zip(fields, seen):
-            moved |= getattr(va, f)[vids] != was
+        moved = moved_since()
         if not (n_chain.any() or moved.any()):
             return vals
         # splice each pending chain's entries in behind the array part
@@ -147,10 +155,16 @@ class DGAPSnapshot:
         for i in np.flatnonzero((n_chain > 0) & ~moved).tolist():
             take = int(n_chain[i])
             skip = int(degree[i] - deg_t[i])  # entries appended after snapshot time
-            _, _, encs = self.host.logs.walk_chain_arrays(int(el[i]), limit=skip + take)
+            try:
+                _, _, encs = self.host.logs.walk_chain_arrays(int(el[i]), limit=skip + take)
+            except PMemError:
+                if not self.host.config.thread_safe:
+                    raise
+                moved[i] = True  # a merge drained the chain under the walk
+                continue
             # the chain is walked newest first
             vals[off[i] + n_arr[i] : off[i] + sizes[i]] = encs[skip : skip + take][::-1]
-        redo = np.flatnonzero(moved)
+        redo = np.flatnonzero(moved | moved_since())
         if redo.size:
             vals[multi_arange(off[redo], sizes[redo])] = self._tails(
                 vids[redo], np.broadcast_to(lo, vids.shape)[redo], deg_t[redo]

@@ -97,27 +97,35 @@ class TemporalSpec:
         bounds = np.concatenate([[0], np.cumsum(counts)])
         del_rng = np.random.default_rng(self.seed + 2)
 
-        # live pool of not-yet-deleted copies (window expiry is not
-        # modeled here — the stream deletes only via churn)
-        pool = np.empty((0, 2), dtype=np.int64)
-        birth = np.empty(0, dtype=np.int64)
+        # live pool of not-yet-deleted copies, in arrival order, in flat
+        # arrays sized for the whole stream (window expiry is not modeled
+        # here — the stream deletes only via churn); ``deg`` is its degrees
+        src, dst = np.empty(ne, dtype=np.int64), np.empty(ne, dtype=np.int64)
+        birth = np.empty(ne, dtype=np.int64)
+        deg = np.zeros(nv, dtype=np.int64)
+        n = 0
 
         steps: List[TemporalStep] = []
         for t in range(self.num_steps):
             adds = edges[bounds[t] : bounds[t + 1]]
-            pool = np.concatenate([pool, adds], axis=0)
-            birth = np.concatenate([birth, np.full(adds.shape[0], t, dtype=np.int64)])
+            a = adds.shape[0]
+            src[n : n + a], dst[n : n + a], birth[n : n + a] = adds[:, 0], adds[:, 1], t
+            n += a
+            deg += np.bincount(adds.ravel(), minlength=nv)
 
-            k = min(int(round(self.churn * adds.shape[0])), pool.shape[0])
+            k = min(int(round(self.churn * a)), n)
             if k > 0:
-                deg = np.bincount(pool.ravel(), minlength=nv)
-                age = (t - birth + 1).astype(np.float64)
-                w = age**self.age_bias * (deg[pool[:, 0]] + deg[pool[:, 1]]) ** self.degree_bias
-                idx = del_rng.choice(pool.shape[0], size=k, replace=False, p=w / w.sum())
-                deletes = pool[np.sort(idx)].copy()
-                keep = np.ones(pool.shape[0], dtype=bool)
+                age = (t - birth[:n] + 1).astype(np.float64)
+                w = age**self.age_bias * (deg[src[:n]] + deg[dst[:n]]) ** self.degree_bias
+                idx = del_rng.choice(n, size=k, replace=False, p=w / w.sum())
+                gone = np.sort(idx)
+                deletes = np.stack([src[gone], dst[gone]], axis=1)
+                deg -= np.bincount(deletes.ravel(), minlength=nv)
+                keep = np.ones(n, dtype=bool)
                 keep[idx] = False
-                pool, birth = pool[keep], birth[keep]
+                kept = np.flatnonzero(keep)
+                n = kept.size
+                src[:n], dst[:n], birth[:n] = src[kept], dst[kept], birth[kept]
             else:
                 deletes = np.empty((0, 2), dtype=np.int64)
             steps.append(TemporalStep(step=t, adds=adds, deletes=deletes))

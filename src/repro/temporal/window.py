@@ -20,7 +20,9 @@ cancels the positionally *last* live occurrence of its pair, while the
 FIFO bookkeeping decides *how many* copies survive.  Parallel copies of
 a pair are byte-identical slots, so "FIFO by birth step, remove-last in
 the array" yields exactly the adjacency a per-pair FIFO reference
-produces (pinned by ``tests/test_temporal_semantics.py``).
+produces, batch for batch (``tests/test_temporal_semantics.py``).  The
+bookkeeping is one copy table in arrival order — packed pair, birth
+step, live flag: 17 B per copy, sorted and searched once per phase.
 
 Tombstones accumulate until :meth:`DGAP.compact` merges them out; after
 each step the wrapper triggers that sweep when the graph-wide tombstone
@@ -33,8 +35,7 @@ coming from the underlying insert/compact paths.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -43,6 +44,19 @@ from ..errors import GraphError
 from ..obs.tracer import annotate, trace
 
 Pair = Tuple[int, int]
+
+
+def _pack(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """One int64 key per (src, dst) pair (vertex ids fit in 30 bits)."""
+    return (src << 32) | dst
+
+
+def _rank(keys: np.ndarray) -> np.ndarray:
+    """Each element's count of equal keys before it (a stable rank)."""
+    order = np.argsort(keys, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(keys.size) - np.searchsorted(keys[order], keys[order])
+    return rank
 
 
 class TemporalWindowGraph:
@@ -67,18 +81,14 @@ class TemporalWindowGraph:
         self.compact_threshold = float(compact_threshold)
         self.batch_size = batch_size
         self.auto_compact = auto_compact
-        #: birth steps of the live copies of each pair, oldest first
-        self._fifo: Dict[Pair, Deque[int]] = {}
-        #: pairs born at each not-yet-expired step, in insertion order
-        self._step_pairs: Dict[int, List[Pair]] = {}
-        self._next_step = 0
-        # counters (DRAM-side, reset on construction)
-        self.n_steps = 0
-        self.n_added = 0
-        self.n_churn_deleted = 0
-        self.n_churn_skipped = 0
-        self.n_expired = 0
-        self.n_compactions = 0
+        #: the copy table: one row per copy of each not-yet-expired step, in
+        #: arrival (= FIFO) order — packed pair, birth step, unconsumed by churn
+        self._key = np.empty(0, dtype=np.int64)
+        self._birth = np.empty(0, dtype=np.int64)
+        self._live = np.empty(0, dtype=bool)
+        #: DRAM-side counters, reset on construction; ``steps`` numbers the next step
+        self._counts = dict.fromkeys(("steps", "added", "churn_deleted", "churn_skipped",
+                                      "expired", "compactions"), 0)
 
     # ------------------------------------------------------------------
     # stream application
@@ -92,9 +102,8 @@ class TemporalWindowGraph:
         """
         if hasattr(adds, "adds") and hasattr(adds, "deletes"):  # TemporalStep
             adds, deletes = adds.adds, adds.deletes
-        t = self._next_step
-        self._next_step += 1
-        self.n_steps += 1
+        t = self._counts["steps"]
+        self._counts["steps"] += 1
         with trace("temporal_step", step=t):
             added = self._ingest(t, adds)
             churned, skipped = self._churn(deletes)
@@ -103,7 +112,7 @@ class TemporalWindowGraph:
             compacted = False
             if self.auto_compact and density >= self.compact_threshold:
                 self.graph.compact()
-                self.n_compactions += 1
+                self._counts["compactions"] += 1
                 compacted = True
             annotate(
                 added=added, churned=churned, expired=expired,
@@ -124,82 +133,72 @@ class TemporalWindowGraph:
     # ------------------------------------------------------------------
     def _ingest(self, t: int, adds) -> int:
         batch = EdgeBatch.coerce(adds)
-        if len(batch) == 0:
-            self._step_pairs[t] = []
+        n = len(batch)
+        if n == 0:
             return 0
         if batch.tombstone.any():
             raise GraphError("temporal adds must not carry tombstones")
-        pairs = [(int(s), int(d)) for s, d in zip(batch.src, batch.dst)]
         self.graph.insert_edges(batch, batch_size=self.batch_size)
-        for p in pairs:
-            self._fifo.setdefault(p, deque()).append(t)
-        self._step_pairs[t] = pairs
-        self.n_added += len(pairs)
-        return len(pairs)
+        self._key = np.concatenate([self._key, _pack(batch.src, batch.dst)])
+        self._birth = np.concatenate([self._birth, np.full(n, t, dtype=np.int64)])
+        self._live = np.concatenate([self._live, np.ones(n, dtype=bool)])
+        self._counts["added"] += n
+        return n
 
     def _churn(self, deletes) -> Tuple[int, int]:
+        """The r-th delete of a pair consumes its r-th oldest live copy;
+        a delete past the pair's live count is skipped (no tombstone)."""
         batch = EdgeBatch.coerce(deletes)
-        victims: List[Pair] = []
-        skipped = 0
-        for s, d in zip(batch.src, batch.dst):
-            p = (int(s), int(d))
-            fifo = self._fifo.get(p)
-            if not fifo:
-                skipped += 1  # no live copy: nothing to tombstone
-                continue
-            fifo.popleft()  # consume the oldest copy
-            if not fifo:
-                del self._fifo[p]
-            victims.append(p)
-        self._delete_pairs(victims)
-        self.n_churn_deleted += len(victims)
-        self.n_churn_skipped += skipped
-        return len(victims), skipped
+        rows = np.flatnonzero(self._live)
+        order = np.argsort(self._key[rows], kind="stable")
+        live = self._key[rows[order]]
+        dk = _pack(batch.src, batch.dst)
+        at = np.searchsorted(live, dk) + _rank(dk)
+        hit = at < np.searchsorted(live, dk, side="right")
+        self._live[rows[order[at[hit]]]] = False
+        self._tombstone(batch.src[hit], batch.dst[hit])
+        churned = int(np.count_nonzero(hit))
+        self._counts["churn_deleted"] += churned
+        self._counts["churn_skipped"] += len(batch) - churned
+        return churned, len(batch) - churned
 
     def _expire(self, expire_step: int) -> int:
+        """Per pair born at ``expire_step``, tombstone its first ``m``
+        copies in arrival order, ``m`` being how many churn left live;
+        then drop the step's rows (the table's head)."""
         if expire_step < 0:
             return 0
-        victims: List[Pair] = []
-        for p in self._step_pairs.pop(expire_step, []):
-            fifo = self._fifo.get(p)
-            if not fifo or fifo[0] != expire_step:
-                continue  # this copy was already consumed by churn
-            fifo.popleft()
-            if not fifo:
-                del self._fifo[p]
-            victims.append(p)
-        with trace("window_expiry", step=expire_step, copies=len(victims)):
-            self._delete_pairs(victims)
-        self.n_expired += len(victims)
-        return len(victims)
+        n = int(np.searchsorted(self._birth, expire_step, side="right"))
+        keys = self._key[:n]
+        live = np.sort(keys[self._live[:n]])
+        m = np.searchsorted(live, keys, side="right") - np.searchsorted(live, keys)
+        gone = keys[_rank(keys) < m]
+        self._key, self._birth, self._live = self._key[n:], self._birth[n:], self._live[n:]
+        with trace("window_expiry", step=expire_step, copies=len(gone)):
+            self._tombstone(gone >> 32, gone & 0xFFFFFFFF)
+        self._counts["expired"] += len(gone)
+        return len(gone)
 
-    def _delete_pairs(self, pairs: List[Pair]) -> None:
-        if not pairs:
-            return
-        arr = np.asarray(pairs, dtype=np.int64)
-        batch = EdgeBatch(arr[:, 0], arr[:, 1], np.ones(arr.shape[0], dtype=bool))
-        self.graph.insert_edges(batch, batch_size=self.batch_size)
+    def _tombstone(self, src: np.ndarray, dst: np.ndarray) -> None:
+        if src.size:
+            batch = EdgeBatch(src, dst, np.ones(src.size, dtype=bool))
+            self.graph.insert_edges(batch, batch_size=self.batch_size)
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
     def live_pair_counts(self) -> Dict[Pair, int]:
         """Live copy count per pair — the window's logical contents."""
-        return {p: len(fifo) for p, fifo in self._fifo.items()}
+        keys, counts = np.unique(self._key[self._live], return_counts=True)
+        return dict(zip(zip((keys >> 32).tolist(), (keys & 0xFFFFFFFF).tolist()),
+                        counts.tolist()))
 
     def live_edges(self) -> int:
         """Total live copies currently inside the window."""
-        return sum(len(f) for f in self._fifo.values())
+        return int(np.count_nonzero(self._live))
 
     def counters(self) -> Dict[str, int]:
-        return {
-            "steps": self.n_steps,
-            "added": self.n_added,
-            "churn_deleted": self.n_churn_deleted,
-            "churn_skipped": self.n_churn_skipped,
-            "expired": self.n_expired,
-            "compactions": self.n_compactions,
-        }
+        return dict(self._counts)
 
 
 __all__ = ["TemporalWindowGraph"]

@@ -29,6 +29,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.core.edge_log import EdgeLogs
+from repro.sharding.partition import to_global
 
 #: One workload operation: ``("insert" | "delete", src, dst)``, a routed
 #: bulk mutation ``("batch", EdgeBatch)``, a window-expiry delete run
@@ -186,8 +187,16 @@ class Model:
 
 # -- the store side -----------------------------------------------------------
 def of(store) -> Rows:
-    """A store's live adjacency, every vertex, in read order."""
-    return {v: store.out_neighbors(v).tolist() for v in range(store.num_vertices)}
+    """A store's live adjacency, every vertex, in read order: every row
+    of a shard read through one snapshot of it."""
+    rows: Rows = {}
+    for k, part in enumerate(store.shards):
+        local = np.arange(part.num_vertices, dtype=np.int64)
+        with part.consistent_view() as snap:
+            counts, dsts = snap.materialize_rows(local)
+        glob = to_global(local, k, len(store.shards)).tolist()
+        rows.update(zip(glob, np.split(dsts, np.cumsum(counts)[:-1])))
+    return {v: rows[v].tolist() for v in range(store.num_vertices)}
 
 
 def apply(store, op: Op) -> None:

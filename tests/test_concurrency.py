@@ -268,3 +268,41 @@ class TestSnapshotRace:
         assert (g.va.start[:nv] != starts).any()  # and moved runs
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
+
+    def test_a_merge_inside_a_chain_walk_is_read_again(self, monkeypatch):
+        """The merge lands while ``_tails`` walks a row's log chain —
+        after the row's fields were checked: the walk meets an entry the
+        merge invalidated, the row counts as moved, and the fields are
+        checked again behind every read (seqlock order), so the drained
+        row and every run the merge moved are read again."""
+        nv = 16
+        g = DGAP(DGAPConfig(init_vertices=nv, init_edges=256, segment_slots=64, thread_safe=True))
+        for i in range(48):
+            g.insert_edge(i % nv, (i * 3 + 1) % nv)
+        for i in range(40):
+            g.insert_edge(0, (i * 5 + 2) % nv)
+        chained = np.flatnonzero(g.va.el[:nv] >= 0)
+        assert chained.size
+        v = int(chained[0])
+        with g.consistent_view() as snap:
+            want = [a.copy() for a in snap.to_csr()]
+        section = g.ea.section_of(int(g.va.start[v]) - 1)
+        starts = g.va.start[:nv].copy()
+
+        real = g.logs.walk_chain_arrays
+        calls = []
+
+        def merge_first(*args, **kwargs):
+            if not calls:
+                g.rebalancer.merge_section(section)
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(g.logs, "walk_chain_arrays", merge_first)
+        with g.consistent_view() as snap:
+            got = snap.to_csr()
+        assert calls
+        assert g.va.el[v] < 0  # the merge drained the chain under the walk
+        assert (g.va.start[:nv] != starts).any()  # and moved runs
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)

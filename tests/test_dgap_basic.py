@@ -74,6 +74,27 @@ class TestVertexGrowth:
         for v in range(64):
             assert list(g.out_neighbors(v)) == [63 - v]
 
+    @pytest.mark.parametrize("v, capacity", [(50, 1024), (100, 1024), (500, 2048)])
+    def test_many_ids_in_one_call_resize_once(self, v, capacity):
+        """``insert_vertex(v)`` sizes its one growth for every pivot it
+        still has to write and leaves them room behind the last run: 100
+        edges over 24 vertices on a 512-slot array, plus the new pivots,
+        fit ``capacity`` at the root density bound (0.75 · tau_root).
+        Growing at each tail overflow instead took 50 and 100 to 4 096
+        and 8 192 slots in 3 and 4 resizes."""
+        g = DGAP(DGAPConfig(init_vertices=8, init_edges=256, segment_slots=64, elog_size=96))
+        edges = np.random.default_rng(0).integers(0, 24, size=(100, 2))
+        g.insert_edges(edges)
+        assert (g.num_vertices, g.ea.capacity) == (24, 512)
+        resizes = g.n_resizes
+        g.insert_vertex(v)
+        assert (g.num_vertices, g.ea.capacity, g.n_resizes - resizes) == (v + 1, capacity, 1)
+        ref = Model()
+        for s, d in edges.tolist():
+            ref.insert(s, d)
+        assert all(g.out_neighbors(u).tolist() == ref.row(u) for u in range(v + 1))
+        g.check_invariants()
+
     def test_vertex_range_limit(self, g):
         with pytest.raises(VertexRangeError):
             g.insert_vertex(1 << 31)

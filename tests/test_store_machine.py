@@ -253,7 +253,7 @@ class StoreMachine(RuleBasedStateMachine):
     @rule(pick=st.integers(0, 10**6), crash=crashes)
     def expire_batch(self, pick, crash):
         """A tombstone batch of up to 12 live copies: the op a sliding
-        window's churn and expiry send (``TemporalWindowGraph._delete_pairs``).
+        window's churn and expiry send (``TemporalWindowGraph._tombstone``).
         The wrapper itself is not driven — its FIFO assumes it is the
         store's only writer."""
         live = self.live()

@@ -18,18 +18,26 @@ degenerate 0 (expire the current step's survivors immediately) and 1
 tombstone density and forced at fixed cadences.  The window's batched
 tombstones on every store, power-failed or not, are the store machine's
 ``expire_batch``.
+
+Below the adjacency, :class:`TestCopyTableBatches` pins every
+``EdgeBatch`` the window hands ``insert_edges`` — content, dtype and
+order — to a per-pair deque reference (:mod:`.harness.fifo_window`), and
+:class:`TestCopyTableFootprint` bounds the window's own DRAM per live copy.
 """
 
+import tracemalloc
 from collections import defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import repro.temporal.window
 from repro.datasets import TEMPORAL_DATASETS
 from repro.errors import GraphError
 from repro.temporal import TemporalWindowGraph
+from .harness.fifo_window import FifoWindow
 from .harness.model import Model
 
 from .stores import csr_bytes, make_store, model_csrs
@@ -133,6 +141,86 @@ class TestWindowedStreamDifferential:
                 g.check_invariants()
             got = csr_bytes(g.view_cache.materialize())
             assert got == csr_bytes(model_csrs(ref.adj, g.num_vertices)), f"step {i}"
+
+# -- the batches themselves -------------------------------------------------
+
+
+class Recorder:
+    """A graph stand-in that keeps the bytes of every batch it is handed
+    (tombstone density stays 0, so no compaction is asked for)."""
+
+    def __init__(self):
+        self.batches = []
+
+    def insert_edges(self, batch, batch_size=None):
+        self.batches.append((batch.src.tobytes(), batch.dst.tobytes(), batch.tombstone.tobytes()))
+
+    def tombstone_density(self):
+        return 0.0
+
+
+def as_bytes(pairs, tombstone):
+    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    return arr[:, 0].tobytes(), arr[:, 1].tobytes(), np.full(len(arr), tombstone).tobytes()
+
+
+@st.composite
+def dup_streams(draw):
+    """Streams over 2–5 vertices: parallel copies and repeat deletes abound."""
+    nv = draw(st.integers(2, 5))
+    p = st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1))
+    return draw(st.lists(st.tuples(st.lists(p, max_size=12), st.lists(p, max_size=8)),
+                         min_size=1, max_size=12))
+
+
+class TestCopyTableBatches:
+    @given(dup_streams(), window_s)
+    @example([([], []), ([(0, 1)], []), ([], []), ([], [])], 1)  # empty steps
+    @example([([(0, 1)], [(1, 0), (0, 1), (0, 1)])], 2)  # absent pair; past the live count
+    # churn eats the first copy of (0, 1); expiry still sends its first
+    # occurrence, before (1, 0), not the surviving row's position
+    @example([([(0, 1), (1, 0), (0, 1)], []), ([], [(0, 1)])], 1)
+    @example([([(0, 1), (0, 1), (2, 0), (0, 1)], [(0, 1), (0, 1)])], 0)
+    @settings(common, max_examples=200)
+    def test_batches_match_the_per_pair_fifo(self, stream, window):
+        g = Recorder()
+        wg = TemporalWindowGraph(g, window)
+        ref = FifoWindow(window)
+        want = []
+        for i, (adds, deletes) in enumerate(stream):
+            wg.advance(adds, deletes)
+            want += [as_bytes(p, tomb) for p, tomb in ref.step(adds, deletes)]
+            assert g.batches == want, f"step {i}"
+            assert wg.live_pair_counts() == ref.live_pair_counts()
+
+
+class TestCopyTableFootprint:
+    def test_dram_per_live_copy_is_bounded(self):
+        """``orkut-stream`` at scale 0.25, window 6: once the window is
+        full, what ``window.py`` itself holds (tracemalloc, by file) is at
+        most 64 B per live copy — the copy table's 17 B per row, over its
+        rows that churn consumed and the step expiry just dropped.  A
+        deque and a tuple per copy held ~870 B."""
+        spec = TEMPORAL_DATASETS["orkut-stream"]
+        stream = spec.generate(0.25)
+        only_window = [tracemalloc.Filter(True, repro.temporal.window.__file__)]
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            wg = TemporalWindowGraph(Recorder(), 6)
+            worst = 0.0
+            for step in stream:
+                wg.advance(step)
+                held = tracemalloc.take_snapshot().filter_traces(only_window)
+                if wg.counters()["steps"] > 6:
+                    worst = max(worst, sum(t.size for t in held.traces) / wg.live_edges())
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert wg.live_edges() > 1000
+        assert worst <= 64, f"{worst:.0f} B per live copy"
+
 
 # -- degenerate windows -----------------------------------------------------
 
