@@ -10,6 +10,10 @@ the ablation switches used by Table 5:
 * ``dram_placement`` — ① vertex array + PMA metadata in DRAM ("No
   EL&UL&DP" when False: everything lives on PM and pays persistent
   in-place update costs).
+
+The values the paper fixes are constants where they are used: the 90 %
+edge-log merge point (``core.edge_log.MERGE_TENTHS``) and the PMA
+density bounds (``core.pma_tree.TAU_LEAF`` / ``TAU_ROOT``).
 """
 
 from __future__ import annotations
@@ -41,15 +45,6 @@ class DGAPConfig:
     #: granularity of edge logs, locks and density accounting.
     segment_slots: int = 512
 
-    #: Edge-log merge trigger: merge when the log reaches this fraction
-    #: of its capacity (paper: 90%).
-    elog_merge_fraction: float = 0.90
-
-    #: PMA density bounds: leaf upper bound and root upper bound
-    #: (thresholds interpolate linearly with tree height, Bender & Hu).
-    tau_leaf: float = 0.92
-    tau_root: float = 0.70
-
     #: Total simulated PM pool size in bytes (None = auto-sized with
     #: headroom for several copy-on-write resizes).
     pool_bytes: int | None = None
@@ -70,22 +65,11 @@ class DGAPConfig:
     use_undo_log: bool = True
     dram_placement: bool = True
 
-    #: Run the retained scalar (per-slot/per-entry Python loop) reference
-    #: implementations of the read-side hot paths — rebalance gather and
-    #: plan, the recovery pivot scan, log replay and log-cursor rebuild —
-    #: instead of the vectorized bulk-read ones.  Result- and
-    #: accounting-identical by contract (the equivalence tests pin this);
-    #: exists for differential testing and the speedup benchmarks, not
-    #: for production use.
-    scalar_readpath: bool = False
-
     def __post_init__(self) -> None:
         if self.init_vertices <= 0 or self.init_edges <= 0:
             raise ValueError("init_vertices and init_edges must be positive")
-        if not 0.0 < self.elog_merge_fraction <= 1.0:
-            raise ValueError("elog_merge_fraction must be in (0, 1]")
-        if not (0 < self.tau_root <= self.tau_leaf <= 1.0):
-            raise ValueError("need 0 < tau_root <= tau_leaf <= 1")
+        if self.ulog_size < 0:
+            raise ValueError("ulog_size must be non-negative")
         if self.segment_slots < 64 or self.segment_slots & (self.segment_slots - 1):
             raise ValueError("segment_slots must be a power of two >= 64")
         if self.gap_distribution not in ("proportional", "uniform"):

@@ -39,7 +39,6 @@ from .edge_log import EdgeLogs
 from .encoding import SLOT_DTYPE, check_vertex, encode_edge, encode_pivot
 from .locks import SectionLockTable
 from ..obs.tracer import annotate, trace, traced
-from .pma_tree import DensityBounds
 from ..nputil import multi_arange
 from .rebalance import (
     ROOT_EPS,
@@ -76,7 +75,6 @@ class DGAP:
     #: into the batch) — replaying it one edge at a time through
     #: ``insert_edge`` reproduces the exact same persistent image.
     last_batch_order: Optional[np.ndarray] = None
-    _merge_thr_cache: Optional[tuple] = None
     #: a DGAP is a one-shard store (DESIGN.md §14): everything above
     #: ``core/`` is written once, over ``shards`` / ``pool.pools``.
     n_shards = 1
@@ -138,11 +136,8 @@ class DGAP:
         DRAM-only that a fresh instance and a reopened one start from
         alike: locks, rebalancer, operation counters, view tracking."""
         cfg, pool = self.config, self.pool
-        self._bounds = DensityBounds(cfg.tau_leaf, cfg.tau_root)
-        self.ea = EdgeArray(
-            pool, capacity, seg_slots, self._bounds,
-            gen=gen, create=create, pm_metadata=not cfg.dram_placement,
-        )
+        self.ea = EdgeArray(pool, capacity, seg_slots, gen=gen, create=create,
+                            pm_metadata=not cfg.dram_placement)
         self.logs = EdgeLogs(pool, self.ea.n_sections, eps, create=create)
         self.ulogs = [UndoLog(pool, t, cfg.ulog_size, create=create) for t in range(nthreads)]
         self.tx_mgr: Optional[TransactionManager] = None
@@ -492,13 +487,9 @@ class DGAP:
         self.n_log_inserts += 1
         self.n_edges_inserted += 1
         self._touch_rows(src)
-        if self.merge_due(sec):
+        if logs.counts[sec] >= logs.merge_at:
             return ("merge", sec)
         return None
-
-    def merge_due(self, sec: int) -> bool:
-        """Has section ``sec``'s edge log reached the merge point (§3 ③)?"""
-        return self.logs.fill_fraction(sec) >= self.config.elog_merge_fraction
 
     def _insert_with_shift(self, src: int, enc: int, live_delta: int, thread_id: int):
         """Naive PMA insert: shift the occupied range right to open a gap.
@@ -622,21 +613,6 @@ class DGAP:
             return n
         return self._insert_batch_vectorized(batch, thread_id)
 
-    def _merge_threshold(self) -> int:
-        """Smallest entry count whose fill fraction reaches the merge point."""
-        cap = self.logs.capacity
-        frac = self.config.elog_merge_fraction
-        key = (cap, frac)
-        if self._merge_thr_cache is not None and self._merge_thr_cache[0] == key:
-            return self._merge_thr_cache[1]
-        c = max(1, int(np.ceil(frac * cap)))
-        while c > 1 and (c - 1) / cap >= frac:
-            c -= 1
-        while c / cap < frac:
-            c += 1
-        self._merge_thr_cache = (key, c)
-        return c
-
     def _insert_batch_vectorized(self, batch: EdgeBatch, thread_id: int) -> int:
         srcs = batch.src
         encs = batch.encoded()
@@ -751,7 +727,6 @@ class DGAP:
             rem = gcount - nfree
             deferred_parts: list = []
             if rem.any():
-                c_thr = self._merge_threshold()
                 tails = multi_arange(gstart + nfree, rem)
                 # Log slots are assigned in stream-position order: this
                 # fixes each edge's entry and where the merge cut falls.
@@ -765,8 +740,8 @@ class DGAP:
                 counts_s = logs.counts[usecs]
                 t_total = np.bincount(inv, minlength=usecs.size)
                 force = counts_s >= logs.capacity
-                take_s = np.minimum(t_total, np.maximum(1, c_thr - counts_s))
-                merges = force | (counts_s + take_s >= c_thr)
+                take_s = np.minimum(t_total, np.maximum(1, logs.merge_at - counts_s))
+                merges = force | (counts_s + take_s >= logs.merge_at)
                 # per-section append rank of every unit, in position order
                 so = np.argsort(inv, kind="stable")
                 sec0 = np.concatenate(([0], np.cumsum(t_total)))[:-1]

@@ -23,7 +23,7 @@ import numpy as np
 
 from ..pmem.pool import PMemPool
 from .encoding import SLOT_DTYPE
-from .pma_tree import DensityBounds, PMATree
+from .pma_tree import PMATree
 
 
 class EdgeArray:
@@ -34,7 +34,6 @@ class EdgeArray:
         pool: PMemPool,
         capacity_slots: int,
         segment_slots: int,
-        bounds: DensityBounds,
         gen: int = 0,
         create: bool = True,
         pm_metadata: bool = False,
@@ -48,7 +47,7 @@ class EdgeArray:
         self.capacity = capacity_slots
         self.segment_slots = segment_slots
         self.gen = gen
-        self.tree = PMATree(n_sections, segment_slots, bounds)
+        self.tree = PMATree(n_sections, segment_slots)
         name = f"edges.g{gen}"
         if create:
             self.region = pool.alloc_array(name, SLOT_DTYPE, capacity_slots)

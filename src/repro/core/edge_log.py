@@ -44,6 +44,16 @@ from ..pmem.pool import PMemPool
 ENTRY_BYTES = 12
 _FIELDS = 3  # src, dst_enc, back
 
+#: A section's log is merged back into the array once this many tenths
+#: of its entries are spent (paper §3 ③: at 90 %).
+MERGE_TENTHS = 9
+
+
+def merge_point(entries: int) -> int:
+    """The cursor at which a log of ``entries`` (>= 1) slots is due for
+    its merge: the smallest count that spends ``MERGE_TENTHS`` tenths."""
+    return -(-MERGE_TENTHS * entries // 10)
+
 
 class EdgeLogs:
     """All per-section logs of one array geometry, in one region.
@@ -72,6 +82,8 @@ class EdgeLogs:
             self.region = pool.get_array(name)
         #: DRAM append cursors (next free entry slot per section).
         self.counts = np.zeros(n_sections, dtype=np.int64)
+        #: the cursor at which a section's log is due for its merge
+        self.merge_at = merge_point(entries_per_section)
         #: DRAM live (valid, unmerged) entry counts — these contribute to
         #: section density alongside array elements (paper §3 ③).
         self.live_counts = np.zeros(n_sections, dtype=np.int64)
@@ -94,9 +106,6 @@ class EdgeLogs:
 
     def locate(self, gidx: int) -> Tuple[int, int]:
         return divmod(gidx, self.entries_per_section)
-
-    def fill_fraction(self, section: int) -> float:
-        return self.counts[section] / self.entries_per_section
 
     # -- mutation -------------------------------------------------------------
     def append(self, section: int, src: int, dst_enc: int, back_gidx: int) -> int:
@@ -230,22 +239,6 @@ class EdgeLogs:
             return np.empty(0, dtype=np.int64), np.empty((0, _FIELDS), dtype=np.int32)
         return (gs[0], rs[0]) if len(gs) == 1 else (np.concatenate(gs), np.concatenate(rs))
 
-    def _stream_scalar(self, s_lo: int, s_hi: int):
-        """Per-entry reference of :meth:`stream` (same loads, charges and
-        fault draws): ``(n, 4)`` int64 rows ``(gidx, f0, f1, f2)``."""
-        dev = self.pool.device
-        view = self.region.view
-        eps, cursors = self.entries_per_section, self.counts
-        out = []
-        for g0, n in self._runs(s_lo, s_hi):
-            dev.read(self.region.offset + g0 * ENTRY_BYTES, n * ENTRY_BYTES)
-            dev.account_seq_read(n * ENTRY_BYTES)
-            for g in range(g0, g0 + n):
-                if g % eps < cursors[g // eps]:
-                    p = g * _FIELDS
-                    out.append((g, int(view[p]), int(view[p + 1]), int(view[p + 2])))
-        return np.asarray(out, dtype=np.int64).reshape(len(out), 1 + _FIELDS)
-
     def walk_chain_arrays(self, head_gidx: int, limit: int = -1):
         """Follow back-pointers from ``head_gidx``; stops after ``limit``
         entries if >= 0.
@@ -277,7 +270,7 @@ class EdgeLogs:
         return done[:, 0], done[:, 1], done[:, 2]
 
     # -- recovery -----------------------------------------------------------------
-    def rebuild_counts(self, scalar: bool = False):
+    def rebuild_counts(self):
         """Recompute append cursors from persistent bytes (crash recovery).
 
         The cursor is one past the last *non-empty* entry — one with any
@@ -289,16 +282,13 @@ class EdgeLogs:
         live and replayed) — a torn partial entry can never be.
 
         One :meth:`stream` over the whole log region (every slot counts
-        as spent until the cursors are known); ``scalar=True`` runs the
-        per-entry reference (same results, same accounting).  Returns the
-        streamed ``(gidx, rows)`` image — a live view, so zeros written
+        as spent until the cursors are known).  Returns the streamed
+        ``(gidx, rows)`` image — a live view, so zeros written
         to the logs afterwards show through — for recovery's undo-log
         clears and log replay, which therefore read no log byte again.
         """
         eps = self.entries_per_section
         self.counts = np.full(self.n_sections, eps, dtype=np.int64)
-        if scalar:
-            return self._rebuild_counts_scalar()
         gidx, rows = self.stream(0, self.n_sections)
         self.counts, self.live_counts = _cursors(rows.reshape(self.n_sections, eps, _FIELDS))
         return gidx, rows
@@ -317,22 +307,6 @@ class EdgeLogs:
         b = off - self.region.offset
         return np.arange(b // ENTRY_BYTES, -(-(b + nbytes) // ENTRY_BYTES), dtype=np.int64)
 
-    def _rebuild_counts_scalar(self):
-        """Per-entry reference implementation of :meth:`rebuild_counts`."""
-        eps = self.entries_per_section
-        counts = np.zeros(self.n_sections, dtype=np.int64)
-        live = np.zeros(self.n_sections, dtype=np.int64)
-        entries = self._stream_scalar(0, self.n_sections)
-        for g, f0, f1, f2 in entries.tolist():
-            s, slot = divmod(g, eps)
-            if f0 or f1 or f2:
-                counts[s] = slot + 1
-            if f0 and f1 and f2:
-                live[s] += 1
-        self.counts = counts
-        self.live_counts = live
-        return entries[:, 0], self.region.view.reshape(-1, _FIELDS)
-
 
 def _cursors(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The cursor rule over whole-section entry rows ``(k, eps, 3)``:
@@ -345,4 +319,4 @@ def _cursors(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return counts, (f0 & f1 & f2).sum(axis=1).astype(np.int64)
 
 
-__all__ = ["EdgeLogs", "ENTRY_BYTES"]
+__all__ = ["EdgeLogs", "ENTRY_BYTES", "MERGE_TENTHS", "merge_point"]

@@ -14,29 +14,24 @@ too dense the caller must resize.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class DensityBounds:
-    """PMA upper density thresholds (leaf and root)."""
-
-    tau_leaf: float
-    tau_root: float
+#: PMA upper density bounds at the leaves and at the root.
+TAU_LEAF = 0.92
+TAU_ROOT = 0.70
 
 
 class PMATree:
     """Density bookkeeping over ``n_sections`` leaf sections of ``segment_slots`` slots."""
 
-    def __init__(self, n_sections: int, segment_slots: int, bounds: DensityBounds):
+    def __init__(self, n_sections: int, segment_slots: int):
         if n_sections < 1 or n_sections & (n_sections - 1):
             raise ValueError("n_sections must be a power of two >= 1")
         self.n_sections = n_sections
         self.segment_slots = segment_slots
-        self.bounds = bounds
         #: tree height: number of levels above the leaves.
         self.height = int(n_sections).bit_length() - 1
 
@@ -44,9 +39,9 @@ class PMATree:
     def tau(self, level: int) -> float:
         """Upper density bound at ``level`` (0 = leaf, ``height`` = root)."""
         if self.height == 0:
-            return self.bounds.tau_root
+            return TAU_ROOT
         f = level / self.height
-        return self.bounds.tau_leaf - (self.bounds.tau_leaf - self.bounds.tau_root) * f
+        return TAU_LEAF - (TAU_LEAF - TAU_ROOT) * f
 
     # -- window selection ---------------------------------------------------
     def window_at(self, section: int, level: int) -> Tuple[int, int]:
@@ -81,4 +76,4 @@ class PMATree:
         return None
 
 
-__all__ = ["PMATree", "DensityBounds"]
+__all__ = ["PMATree", "TAU_LEAF", "TAU_ROOT"]

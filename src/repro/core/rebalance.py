@@ -65,12 +65,12 @@ from .edge_log import EdgeLogs
 from .encoding import (
     SLOT_DTYPE,
     TOMB_BIT,
-    encode_pivot,
     is_pivot,
     live_degrees,
     pivot_vertices,
     tombstone_matches,
 )
+from .pma_tree import TAU_ROOT
 from .undo_log import (
     STATE_ACTIVE,
     STATE_COPYBACK,
@@ -128,16 +128,6 @@ class GatherResult:
         #: lossy gathers only (None otherwise): chain entries each vertex is short of
         self.short: Optional[np.ndarray] = short
         self._runs: Optional[List[np.ndarray]] = runs
-
-    @classmethod
-    def from_runs(cls, lo, hi, i0, j, runs, chain_gidxs, log_rows, short) -> "GatherResult":
-        """Build from a per-vertex list of run arrays (scalar reference path)."""
-        sizes = np.fromiter((r.size for r in runs), dtype=np.int64, count=len(runs))
-        values = (
-            np.concatenate(runs) if runs else np.empty(0, dtype=SLOT_DTYPE)
-        ).astype(SLOT_DTYPE, copy=False)
-        return cls(lo, hi, i0, j, values, sizes,
-                   np.asarray(chain_gidxs, dtype=np.int64), log_rows, list(runs), short)
 
     def relaid(self, lo: int, hi: int, keep: Optional[np.ndarray] = None) -> "GatherResult":
         """The same vertices' runs, to be laid out over slots ``[lo, hi)``
@@ -276,12 +266,9 @@ class Rebalancer:
         the window, one :meth:`EdgeLogs.stream` of its sections' logs.
         A vertex's pending entries all sit in its pivot section's log in
         append order, so a stable group-by on source over the streamed
-        rows *is* every chain, oldest first.  ``scalar_readpath`` selects
-        the per-entry reference (same results, same accounting); ``lossy``
-        is :meth:`_check_chains`'s.
+        rows *is* every chain, oldest first.  ``lossy`` is
+        :meth:`_check_chains`'s.
         """
-        if self.host.config.scalar_readpath:
-            return self._gather_scalar(lo, hi, i0, j, lossy)
         host = self.host
         va, ea, logs = host.va, host.ea, host.logs
         dev = host.pool.device
@@ -332,38 +319,6 @@ class Rebalancer:
             raise GraphError(f"edge-log chain of vertex {i0 + int(bad.argmax())} is corrupt")
         return short if lossy else None
 
-    def _gather_scalar(
-        self, lo: int, hi: int, i0: int, j: int, lossy: bool = False
-    ) -> GatherResult:
-        """Per-vertex/per-entry reference implementation of :meth:`_gather`."""
-        host = self.host
-        va, ea, logs = host.va, host.ea, host.logs
-        dev = host.pool.device
-        slots = dev.read(ea.byte_off(lo), (hi - lo) * 4).view(SLOT_DTYPE)
-        dev.account_seq_read((hi - lo) * 4)
-        secs = self._window_lock_span(lo, hi)
-        entries = logs._stream_scalar(secs.start, secs.stop)
-        chains: List[list] = [[] for _ in range(i0, j)]
-        for g, f0, f1, f2 in entries.tolist():  # append order: oldest first per vertex
-            if f0 and f1 and f2 and i0 <= f0 - 1 < j:
-                chains[f0 - 1 - i0].append((g, f1))
-        runs: List[np.ndarray] = []
-        chain_gidxs: List[int] = []
-        total = 0
-        for v in range(i0, j):
-            st = int(va.start[v]) - lo
-            ad = int(va.array_degree[v])
-            chain = chains[v - i0]
-            vals = np.fromiter((c[1] for c in chain), dtype=SLOT_DTYPE, count=len(chain))
-            chain_gidxs.extend(c[0] for c in chain)
-            run = np.concatenate([slots[st : st + ad], vals])
-            runs.append(run)
-            total += 1 + run.size  # pivot + edges
-        counts = np.fromiter(map(len, chains), dtype=np.int64, count=j - i0)
-        short = self._check_chains(i0, counts, np.asarray(chain_gidxs, dtype=np.int64), lossy)
-        log_rows = entries[:, 0], entries[:, 1:]
-        return GatherResult.from_runs(lo, hi, i0, j, runs, chain_gidxs, log_rows, short)
-
     def _gather_kept(self, ext, keep_mask) -> Tuple[GatherResult, Optional[np.ndarray]]:
         """Gather ``ext`` (an :meth:`_extend` result) and evaluate the
         rewrite's filter on it: ``(gathered, mask of values to keep)``.
@@ -410,8 +365,6 @@ class Rebalancer:
         into the image in two fancy-indexed stores.  ``tail`` slots of
         the free room are the last run's alone (pivots about to follow).
         """
-        if self.host.config.scalar_readpath:
-            return self._plan_scalar(g, tail)
         W = g.hi - g.lo
         nv = len(g.sizes)
         sizes = 1 + g.sizes  # pivot + edges
@@ -426,24 +379,6 @@ class Rebalancer:
             image[pos] = -(np.arange(g.i0, g.j, dtype=np.int64) + 1)  # encode_pivot
             if g.values.size:
                 image[multi_arange(pos + 1, g.sizes)] = g.values
-        return image, new_starts
-
-    def _plan_scalar(self, g: GatherResult, tail: int = 0) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-run reference implementation of :meth:`_plan`."""
-        W = g.hi - g.lo
-        nv = len(g.runs)
-        sizes = np.fromiter((1 + r.size for r in g.runs), dtype=np.int64, count=nv)
-        T = int(sizes.sum())
-        assert T == g.total and T + tail <= W
-        gaps = self._gaps(sizes, W - T, T, tail) if nv else sizes
-        image = np.zeros(W, dtype=SLOT_DTYPE)
-        new_starts = np.zeros(nv, dtype=np.int64)
-        pos = 0
-        for k, run in enumerate(g.runs):
-            image[pos] = encode_pivot(g.i0 + k)
-            image[pos + 1 : pos + 1 + run.size] = run
-            new_starts[k] = g.lo + pos + 1
-            pos += 1 + run.size + int(gaps[k])
         return image, new_starts
 
     # ------------------------------------------------------------------
@@ -721,7 +656,7 @@ class Rebalancer:
             g, keep = self._gather_kept(self._extend(0, cap), keep_mask)
             total = tail + (g.total if keep is None else g.sizes.size + int(keep.sum()))
             if grow:
-                target = host.config.tau_root * 0.75
+                target = TAU_ROOT * 0.75
                 while total > new_cap * target:
                     new_cap *= 2
                 if new_cap == cap:
@@ -764,8 +699,8 @@ class Rebalancer:
         host = self.host
         pool, ea, logs = host.pool, host.ea, host.logs
         try:
-            new_ea = EdgeArray(pool, image.size, ea.segment_slots, ea.tree.bounds,
-                               gen=ea.gen + 1, create=True, pm_metadata=ea.pm_metadata)
+            new_ea = EdgeArray(pool, image.size, ea.segment_slots, gen=ea.gen + 1,
+                               create=True, pm_metadata=ea.pm_metadata)
             if image.size != ea.capacity:
                 logs = EdgeLogs(pool, new_ea.n_sections, logs.entries_per_section)
         except OutOfPMemError:
@@ -794,8 +729,8 @@ class Rebalancer:
         if name == SCRATCH:
             self._copy_scratch(h.dst_off, ea.byte_off(h.win_lo), h.length, ulog)
             return
-        ea = EdgeArray(host.pool, ea.capacity, ea.segment_slots, ea.tree.bounds,
-                       gen=int(name.rsplit("g", 1)[1]), create=False,
+        gen = int(name.rsplit("g", 1)[1])
+        ea = EdgeArray(host.pool, ea.capacity, ea.segment_slots, gen=gen, create=False,
                        pm_metadata=ea.pm_metadata)
         self._flip(ea, host.logs)
 

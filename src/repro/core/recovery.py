@@ -122,7 +122,7 @@ def crash_recover(host) -> None:
     # (2) edge-log cursors (needed by the undo logs' pending clears) —
     # the one stream of the log region; (3) and (5) reuse its image
     with trace("rebuild_log_cursors", log_bytes=host.logs.region.nbytes):
-        log_rows = host.logs.rebuild_counts(scalar=host.config.scalar_readpath)
+        log_rows = host.logs.rebuild_counts()
 
     # (3) per-thread undo logs: restore / redo / finish clears
     reissue: List[Tuple[int, int]] = []
@@ -250,12 +250,8 @@ def _scan_edge_array(host) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     The scan reads the array through the device's bulk read layer (one
     sequential stream over the capacity) and reduces it with prefix sums
-    into call-local arrays (recovery keeps no scratch past itself);
-    ``scalar_readpath`` selects the retained per-slot reference with
-    identical results and accounting.
+    into call-local arrays (recovery keeps no scratch past itself).
     """
-    if host.config.scalar_readpath:
-        return _scan_edge_array_scalar(host)
     ea = host.ea
     cap = ea.capacity
     slots = host.pool.device.load_batch(
@@ -294,50 +290,6 @@ def _zero_slots(ea, garbage: np.ndarray) -> None:
     ea.write_slots(garbage, np.zeros(garbage.size, dtype=SLOT_DTYPE), payload=0)
 
 
-def _scan_edge_array_scalar(host) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-slot reference implementation of :func:`_scan_edge_array`."""
-    slots = host.ea.slots
-    cap = host.ea.capacity
-    vids: List[int] = []
-    starts: List[int] = []
-    array_deg: List[int] = []
-    live: List[int] = []
-    garbage: List[int] = []
-    closed = False  # current run already hit its first gap
-    for i in range(cap):
-        s = int(slots[i])
-        if s < 0:
-            vids.append(-s - 1)
-            starts.append(i + 1)
-            array_deg.append(0)
-            live.append(0)
-            closed = False
-        elif s == 0:
-            closed = True
-        elif closed:
-            garbage.append(i)  # torn commit group: behind the run's first gap
-        elif starts:
-            array_deg[-1] += 1
-            if s & int(TOMB_BIT):
-                live[-1] -= 1
-            else:
-                live[-1] += 1
-    nv = len(vids)
-    if nv:
-        if any(b <= a for a, b in zip(vids, vids[1:])):
-            raise RecoveryError("pivot ids are not strictly increasing — image corrupt")
-        if vids[0] != 0 or vids[-1] != nv - 1:
-            raise RecoveryError("pivot id space is not dense — image corrupt")
-    host.pool.device.account_seq_read(cap * 4)
-    if garbage:
-        _zero_slots(host.ea, np.asarray(garbage, dtype=np.int64))
-    return (
-        np.asarray(starts, dtype=np.int64),
-        np.asarray(array_deg, dtype=np.int64),
-        np.asarray(live, dtype=np.int64),
-    )
-
-
 def _replay_logs(
     host, image: np.ndarray, nv: int, degree: np.ndarray, live: np.ndarray, el: np.ndarray
 ) -> None:
@@ -348,11 +300,7 @@ def _replay_logs(
     only log bytes written since are the zeros of ``recover_ulog``'s
     clears, which the live view shows.  Validity, the torn-chain cut and
     the fold all come from it — no device read here.
-    ``scalar_readpath`` selects the retained per-entry reference.
     """
-    if host.config.scalar_readpath:
-        _replay_logs_scalar(host, image, nv, degree, live, el)
-        return
     # Valid = all three biased fields nonzero: an in-flight append torn
     # by the crash (8-byte atomicity) persists a strict chunk subset and
     # always leaves a zero field, so it self-invalidates here.
@@ -386,32 +334,6 @@ def _replay_logs(
     # chain head = the entry appended last; entries of one vertex all live
     # in one section per merge epoch, so the max global index is the head.
     np.maximum.at(el, s, gidx)
-
-
-def _replay_logs_scalar(
-    host, image: np.ndarray, nv: int, degree: np.ndarray, live: np.ndarray, el: np.ndarray
-) -> None:
-    """Per-entry reference implementation of :func:`_replay_logs`."""
-    accepted = np.zeros(image.shape[0], dtype=bool)
-    broken: List[int] = []
-    for g, (f0, f1, f2) in enumerate(image.tolist()):
-        if not (f0 and f1 and f2):
-            continue
-        if f2 > 1 and not accepted[f2 - 2]:
-            broken.append(g)  # back target never persisted: torn commit group
-            continue
-        accepted[g] = True
-        s = f0 - 1
-        if s >= nv or s < 0:
-            raise RecoveryError("edge-log entry references unknown vertex")
-        degree[s] += 1
-        if f1 & int(TOMB_BIT):
-            live[s] -= 1
-        else:
-            live[s] += 1
-        if g > el[s]:
-            el[s] = g
-    host.logs.invalidate_entries(broken)
 
 
 def _reissue_window(host, lo_slot: int, hi_slot: int) -> None:

@@ -197,7 +197,7 @@ class ResilienceManager:
                     g.insert_edge(src, dst, thread_id)
                 else:
                     sec = g.ea.section_of(int(g.va.start[src]) - 1)
-                    if g.merge_due(sec):
+                    if g.logs.counts[sec] >= g.logs.merge_at:
                         g.rebalancer.merge_section(sec, thread_id)
                 return created
             except MediaError as err:

@@ -25,9 +25,9 @@ replay → oracle):
 
 * scenario drivers + :func:`explore_scenario` — small real-``DGAP``
   workloads (writer/writer, writer/rebalancer, writer/resize,
-  reader/writer, and the batch twins) whose schedule space is explored
-  exhaustively when it fits the budget, else its first depth-first
-  schedules up to the budget; every schedule is
+  reader/writer, the batch twins and two "No EL" shifts) whose schedule
+  space is explored exhaustively when it fits the budget, else its first
+  depth-first schedules up to the budget; every schedule is
   oracle-checked AND the end state is validated (no lost edges,
   structural invariants, degree caches consistent).
 
@@ -358,10 +358,10 @@ class ScenarioSpec:
 ScenarioBuilder = Callable[[DeterministicScheduler], ScenarioSpec]
 
 
-def _make_graph(nv: int = 8, init_edges: int = 2048) -> DGAP:
+def _make_graph(nv: int = 8, init_edges: int = 2048, **cfg) -> DGAP:
     return DGAP(DGAPConfig(
         init_vertices=nv, init_edges=init_edges,
-        segment_slots=64, thread_safe=True,
+        segment_slots=64, thread_safe=True, **cfg,
     ))
 
 
@@ -419,11 +419,16 @@ def scenario_writer_writer(
     writer: Callable = scalar_writer,
     e_a: Sequence[Tuple[int, int]] = ((0, 1), (0, 2)),
     e_b: Sequence[Tuple[int, int]] = ((7, 3), (7, 4)),
+    preload: Sequence[Tuple[int, int]] = (),
+    make_graph: Callable[[], DGAP] = _make_graph,
 ) -> ScenarioSpec:
-    """Two writers — by default on disjoint sources in different sections."""
-    g = _make_graph()
+    """Two writers — by default on disjoint sources in different sections —
+    on a graph preloaded with ``preload``."""
+    g = make_graph()
+    for src, dst in preload:
+        g.insert_edge(src, dst)
     rec = instrument(g, sched)
-    want = Model([*e_a, *e_b])
+    want = Model([*preload, *e_a, *e_b])
 
     def validate():
         _base_validate(g, want.num_edges)()
@@ -559,6 +564,13 @@ SCENARIOS: Dict[str, ScenarioBuilder] = {
         scenario_writer_rebalancer, writer=batch_writer, writer_edges=2
     ),
     "batch-resize": functools.partial(scenario_writer_resize, writer=batch_writer),
+    # "No EL": rows 2 and 3 of a one-section (64-slot) array are preloaded
+    # full, so each writer's one edge is a nearby shift over the other's row
+    "shift-shift": functools.partial(
+        scenario_writer_writer, e_a=[(2, 7)], e_b=[(3, 7)],
+        preload=[(v, d) for v in (2, 3) for d in range(7)],
+        make_graph=functools.partial(_make_graph, init_edges=16, use_edge_log=False),
+    ),
 }
 
 

@@ -99,15 +99,25 @@ def _to_batch(triples):
 
 
 CFG = dict(init_vertices=16, init_edges=64)
+#: 64-slot sections whose 10-entry (120 B) logs merge at 9, below capacity
+MERGE_BELOW_FULL = dict(init_vertices=16, init_edges=64, segment_slots=64, elog_size=120)
 
 
 class TestDGAPEquivalence:
     @given(batches, st.sampled_from([None, 64, 7]))
     @common
     def test_batched_equals_replay_in_recorded_order(self, triples, chunk):
+        self._replay_check(triples, chunk, CFG)
+
+    @given(batches, st.sampled_from([None, 64, 7]))
+    @common
+    def test_batched_equals_replay_when_logs_merge_below_full(self, triples, chunk):
+        self._replay_check(triples, chunk, MERGE_BELOW_FULL)
+
+    def _replay_check(self, triples, chunk, cfg):
         batch = _to_batch(triples)
-        a = DGAP(DGAPConfig(**CFG))
-        b = DGAP(DGAPConfig(**CFG))
+        a = DGAP(DGAPConfig(**cfg))
+        b = DGAP(DGAPConfig(**cfg))
         grouped_edges = 0
         with commit_groups() as groups:
             for sub in batch.chunks(chunk or len(batch)):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import DGAP, DGAPConfig
-from repro.core.edge_log import ENTRY_BYTES, EdgeLogs
+from repro.core.edge_log import ENTRY_BYTES, EdgeLogs, merge_point
 from repro.core.encoding import encode_edge
 from repro.core.undo_log import (
     PHASE_COMPACT,
@@ -53,9 +53,18 @@ class TestEdgeLogs:
         logs = EdgeLogs(pool, 2, 4)
         for d in range(4):
             logs.append(0, 1, int(encode_edge(d)), -1)
-        assert logs.fill_fraction(0) == 1.0
+        assert logs.counts[0] == logs.capacity
         with pytest.raises(PMemError):
             logs.append(0, 1, int(encode_edge(99)), -1)
+
+    def test_merge_point_is_the_first_count_at_ninety_percent(self, pool):
+        """For every capacity, the merge is due at the smallest count >= 1
+        whose fill fraction reaches 0.90 — the float rule it replaced."""
+        for cap in range(1, 4097):
+            c = merge_point(cap)
+            assert c / cap >= 0.90 and (c == 1 or (c - 1) / cap < 0.90), cap
+        assert [merge_point(cap) for cap in (8, 10, 170)] == [8, 9, 153]
+        assert EdgeLogs(pool, 2, 10).merge_at == 9  # 120 B logs merge below full
 
     def test_clear_section(self, pool):
         logs = EdgeLogs(pool, 2, 8)

@@ -5,12 +5,10 @@ import pytest
 
 from repro.core import encoding as enc
 from repro.core.edge_array import EdgeArray
-from repro.core.pma_tree import DensityBounds, PMATree
+from repro.core.pma_tree import PMATree
 from repro.core.vertex_array import NO_EL, VertexArray, make_vertex_array
 from repro.errors import VertexRangeError
 from repro.pmem import PMemPool
-
-BOUNDS = DensityBounds(tau_leaf=0.92, tau_root=0.70)
 
 
 class TestEncoding:
@@ -45,41 +43,41 @@ class TestEncoding:
 
 class TestPMATree:
     def test_thresholds_interpolate(self):
-        t = PMATree(16, 64, BOUNDS)
+        t = PMATree(16, 64)
         assert t.tau(0) == pytest.approx(0.92)
         assert t.tau(t.height) == pytest.approx(0.70)
         taus = [t.tau(h) for h in range(t.height + 1)]
         assert taus == sorted(taus, reverse=True)
 
     def test_single_section_tree(self):
-        t = PMATree(1, 64, BOUNDS)
+        t = PMATree(1, 64)
         assert t.height == 0
         assert t.tau(0) == pytest.approx(0.70)
 
     def test_non_pow2_rejected(self):
         with pytest.raises(ValueError):
-            PMATree(12, 64, BOUNDS)
+            PMATree(12, 64)
 
     def test_window_alignment(self):
-        t = PMATree(8, 64, BOUNDS)
+        t = PMATree(8, 64)
         assert t.window_at(5, 0) == (5, 6)
         assert t.window_at(5, 1) == (4, 6)
         assert t.window_at(5, 2) == (4, 8)
         assert t.window_at(5, 3) == (0, 8)
 
     def test_find_window_escalates(self):
-        t = PMATree(4, 64, BOUNDS)
+        t = PMATree(4, 64)
         occ = np.array([64, 0, 0, 0], dtype=np.int64)  # leaf 0 full
         lo, hi, level = t.find_rebalance_window(occ, 0)
         assert (lo, hi) == (0, 2) and level == 1
 
     def test_find_window_needs_resize(self):
-        t = PMATree(4, 64, BOUNDS)
+        t = PMATree(4, 64)
         occ = np.full(4, 63, dtype=np.int64)  # everything ~full
         assert t.find_rebalance_window(occ, 0) is None
 
     def test_find_window_level0_ok(self):
-        t = PMATree(4, 64, BOUNDS)
+        t = PMATree(4, 64)
         occ = np.array([10, 0, 0, 0], dtype=np.int64)
         lo, hi, level = t.find_rebalance_window(occ, 0)
         assert level == 0
@@ -87,7 +85,7 @@ class TestPMATree:
     def test_density(self):
         """A window's density is its combined occupancy plus ``extra``
         over its slots; the level it clears is the window returned."""
-        t = PMATree(4, 64, BOUNDS)
+        t = PMATree(4, 64)
         occ = np.array([58, 58, 0, 0], dtype=np.int64)
         assert t.find_rebalance_window(occ, 0) == (0, 1, 0)  # 58/64 <= 0.92
         # 59/64 > tau(0) and 117/128 > tau(1) = 0.81; 117/256 clears the root
@@ -95,7 +93,7 @@ class TestPMATree:
 
     def test_section_slot_mapping(self):
         """Slot -> section lives on the edge array; the tree sees sections."""
-        ea = EdgeArray(PMemPool(1 << 20), 256, 64, BOUNDS)
+        ea = EdgeArray(PMemPool(1 << 20), 256, 64)
         assert [ea.section_of(s) for s in (0, 63, 64, 255)] == [0, 0, 1, 3]
         assert ea.tree.window_at(ea.section_of(130), 1) == (2, 4)
 

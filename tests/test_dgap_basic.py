@@ -79,7 +79,7 @@ class TestVertexGrowth:
         """``insert_vertex(v)`` sizes its one growth for every pivot it
         still has to write and leaves them room behind the last run: 100
         edges over 24 vertices on a 512-slot array, plus the new pivots,
-        fit ``capacity`` at the root density bound (0.75 · tau_root).
+        fit ``capacity`` at the root density bound (0.75 · ``TAU_ROOT``).
         Growing at each tail overflow instead took 50 and 100 to 4 096
         and 8 192 slots in 3 and 4 resizes."""
         g = DGAP(DGAPConfig(init_vertices=8, init_edges=256, segment_slots=64, elog_size=96))

@@ -6,16 +6,13 @@ import pytest
 from repro import DGAP, DGAPConfig
 from repro.core.edge_array import EdgeArray
 from repro.core.encoding import encode_edge, encode_pivot
-from repro.core.pma_tree import DensityBounds
 from repro.pmem import PMemPool
-
-BOUNDS = DensityBounds(0.92, 0.70)
 
 
 @pytest.fixture
 def ea():
     pool = PMemPool(8 << 20)
-    return EdgeArray(pool, capacity_slots=1024, segment_slots=128, bounds=BOUNDS)
+    return EdgeArray(pool, capacity_slots=1024, segment_slots=128)
 
 
 class TestEdgeArray:
@@ -28,9 +25,9 @@ class TestEdgeArray:
     def test_bad_geometry_rejected(self):
         pool = PMemPool(1 << 20)
         with pytest.raises(ValueError):
-            EdgeArray(pool, 1000, 128, BOUNDS)  # not a multiple
+            EdgeArray(pool, 1000, 128)  # not a multiple
         with pytest.raises(ValueError):
-            EdgeArray(pool, 128 * 3, 128, BOUNDS)  # non-pow2 sections
+            EdgeArray(pool, 128 * 3, 128)  # non-pow2 sections
 
     def test_write_slot_persists(self, ea):
         ea.write_slot(5, encode_edge(7), payload=4, persist=True)
@@ -59,7 +56,7 @@ class TestEdgeArray:
 
     def test_pm_metadata_mirrors(self):
         pool = PMemPool(8 << 20)
-        ea = EdgeArray(pool, 1024, 128, BOUNDS, pm_metadata=True)
+        ea = EdgeArray(pool, 1024, 128, pm_metadata=True)
         flushes = pool.stats.flushes
         ea.inc_occ(0)
         assert pool.stats.flushes > flushes

@@ -17,6 +17,7 @@ event of batched workloads under every fault policy against the
 per-vertex-prefix oracle.
 """
 
+import contextlib
 from unittest import mock
 
 import numpy as np
@@ -28,14 +29,18 @@ from repro.core.encoding import encode_edge
 from repro.errors import SimulatedCrash
 from repro.pmem import CACHE_LINE, CrashInjector
 from .harness import model
+from .harness.readpath_ref import scalar_readpath
 from .stores import reopen
 
 CFG = dict(init_vertices=8, init_edges=256, segment_slots=64, elog_size=96)
 SLOTS_PER_LINE = CACHE_LINE // 4
 
-readpaths = pytest.mark.parametrize(
-    "scalar_readpath", [False, True], ids=["vectorized", "scalar"]
-)
+
+@pytest.fixture(params=[False, True], ids=["vectorized", "scalar"])
+def readpath(request):
+    """Each test runs on the store's read path and on the reference one."""
+    with scalar_readpath() if request.param else contextlib.nullcontext():
+        yield
 
 
 def plant(dev, off: int, data: np.ndarray) -> None:
@@ -63,9 +68,8 @@ def assert_idempotent(g2, inj):
 
 
 class TestPlantedTornShapes:
-    @readpaths
-    def test_slot_behind_a_gap_is_cut_and_scrubbed(self, scalar_readpath):
-        cfg = DGAPConfig(scalar_readpath=scalar_readpath, **CFG)
+    def test_slot_behind_a_gap_is_cut_and_scrubbed(self, readpath):
+        cfg = DGAPConfig(**CFG)
         inj = CrashInjector()
         g = DGAP(cfg, injector=inj)
         g.insert_edges([(v, (v + 1) % 8) for v in range(8)])
@@ -95,10 +99,9 @@ class TestPlantedTornShapes:
         assert g2.out_neighbors(v).tolist() == before[v] + [1, 2]
         g2.check_invariants()
 
-    @readpaths
-    def test_log_entry_with_missing_back_target_is_rejected(self, scalar_readpath):
+    def test_log_entry_with_missing_back_target_is_rejected(self, readpath):
         # 32 vertices: 0..3 share PMA section 0 and therefore its edge log
-        cfg = DGAPConfig(scalar_readpath=scalar_readpath, **{**CFG, "init_vertices": 32})
+        cfg = DGAPConfig(**{**CFG, "init_vertices": 32})
         inj = CrashInjector()
         g = DGAP(cfg, injector=inj)
         assert g.ea.section_of(int(g.va.start[1]) - 1) == 0

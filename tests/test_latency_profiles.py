@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import DGAPConfig
+from repro.core.edge_log import MERGE_TENTHS
 from repro.pmem.latency import DRAM, OPTANE_ADR, OPTANE_EADR
 
 
@@ -42,7 +43,7 @@ class TestConfigValidation:
         cfg = DGAPConfig()
         assert cfg.elog_size == 2048  # ELOG_SZ = 2K
         assert cfg.ulog_size == 2048  # ULOG_SZ = 2K
-        assert cfg.elog_merge_fraction == 0.90
+        assert MERGE_TENTHS == 9  # merge at 90 %
 
     def test_elog_entries(self):
         assert DGAPConfig(elog_size=2048).elog_entries == 170  # 12B entries
@@ -52,10 +53,10 @@ class TestConfigValidation:
         [
             dict(init_vertices=0),
             dict(init_edges=-1),
-            dict(elog_merge_fraction=0.0),
-            dict(elog_merge_fraction=1.5),
-            dict(tau_leaf=0.5, tau_root=0.7),
-            dict(tau_leaf=1.2),
+            dict(ulog_size=-8),
+            dict(init_vertices=-1),
+            dict(init_edges=0),
+            dict(gap_distribution="randomly"),
             dict(segment_slots=100),  # not a power of two
             dict(segment_slots=32),  # too small
         ],

@@ -12,6 +12,7 @@ and replays from that image.  Pinned here:
 * poison and transient read faults still surface from the stream.
 """
 
+from contextlib import nullcontext
 from unittest import mock
 
 import numpy as np
@@ -25,6 +26,7 @@ from repro.core.encoding import encode_edge
 from repro.core.rebalance import Rebalancer
 from repro.errors import GraphError, MediaError, PMemError
 from repro.pmem.faults import FaultPolicy
+from .harness.readpath_ref import scalar_readpath
 
 SMALL = dict(init_vertices=16, init_edges=256, elog_size=96, segment_slots=64)
 
@@ -156,10 +158,15 @@ class TestStreamedGroupByIsTheChain:
         g.check_invariants()
         assert neighbors(g) == before
 
-    @pytest.mark.parametrize("scalar", [False, True], ids=["vectorized", "scalar"])
-    def test_damaged_chains_still_raise(self, scalar):
+    @pytest.mark.parametrize("readpath", [nullcontext, scalar_readpath],
+                             ids=["vectorized", "scalar"])
+    def test_damaged_chains_still_raise(self, readpath):
+        with readpath():
+            self._damaged_chains_raise()
+
+    def _damaged_chains_raise(self):
         def fresh():
-            g = grown_graph(scalar_readpath=scalar)
+            g = grown_graph()
             v = int(np.argmax(g.va.degree[:16] - g.va.array_degree[:16]))
             assert g.va.degree[v] - g.va.array_degree[v] >= 2
             return g, v, (0, g.ea.capacity, 0, g.va.num_vertices)
@@ -327,9 +334,9 @@ class TestProfileRecoveryCheck:
 
         rebuild = EdgeLogs.rebuild_counts
 
-        def twice(logs, scalar=False):
-            rebuild(logs, scalar)
-            return rebuild(logs, scalar)
+        def twice(logs):
+            rebuild(logs)
+            return rebuild(logs)
 
         with mock.patch.object(EdgeLogs, "rebuild_counts", twice):
             failures = check_recovery_reads(self.trace_recovery())

@@ -11,12 +11,11 @@ from repro.core.encoding import (
     encode_pivot,
     tombstone_matches,
 )
-from repro.core.pma_tree import DensityBounds, PMATree
+from repro.core.pma_tree import PMATree
 from repro.core.snapshot import _apply_tombstones
 from repro.nputil import multi_arange as _multi_arange
 from repro.pmem import CACHE_LINE, PMemDevice
 
-BOUNDS = DensityBounds(0.92, 0.70)
 
 common = settings(
     max_examples=40,
@@ -46,7 +45,7 @@ class TestPMATreeProperties:
     @given(st.integers(0, 63), st.integers(0, 6))
     @common
     def test_windows_nest(self, section, level):
-        t = PMATree(64, 64, BOUNDS)
+        t = PMATree(64, 64)
         lo1, hi1 = t.window_at(section, level)
         lo2, hi2 = t.window_at(section, min(level + 1, t.height))
         assert lo2 <= lo1 and hi1 <= hi2
@@ -55,7 +54,7 @@ class TestPMATreeProperties:
     @given(st.lists(st.integers(0, 64), min_size=16, max_size=16), st.integers(0, 15))
     @common
     def test_found_window_is_within_bound(self, occ, section):
-        t = PMATree(16, 64, BOUNDS)
+        t = PMATree(16, 64)
         occ = np.asarray(occ, dtype=np.int64)
         res = t.find_rebalance_window(occ, section)
         if res is not None:

@@ -357,12 +357,24 @@ class TestScenarioSweeps:
         for o in outcomes:
             assert o.clean, (o.trace.trace, [str(v) for v in o.violations], o.error)
 
-    @pytest.mark.parametrize("name", ["writer-writer", "writer-writer-shared", "batch-batch"])
+    @pytest.mark.parametrize("name", ["writer-writer", "writer-writer-shared", "batch-batch",
+                                      "shift-shift"])
     def test_writer_writer_exhaustive_and_clean(self, name):
         outcomes, exhaustive = explore_scenario(SCENARIOS[name], max_schedules=500)
         assert exhaustive
         for o in outcomes:
             assert o.clean, (o.trace.trace, [str(v) for v in o.violations], o.error)
+
+    def test_shift_shift_races_two_shifts(self):
+        """Each writer of the "No EL" scenario takes the shift path, under
+        the lock set of its run head through the first gap."""
+        sched = DeterministicScheduler()
+        spec = SCENARIOS["shift-shift"](sched)
+        for name, fn in spec.workers.items():
+            sched.spawn(name, fn)
+        shifts = spec.graph.n_shift_inserts
+        sched.run()
+        assert spec.graph.n_shift_inserts == shifts + 2
 
     @pytest.mark.parametrize("name", SAMPLED)
     def test_sampled_scenarios_clean(self, name):

@@ -2,13 +2,17 @@
 
 The bulk pmem read layer (``load_batch``) rewrote the rebalance
 gather/plan passes and the recovery scan/replay/cursor-rebuild as
-whole-window NumPy operations over sequential streams; ``DGAPConfig.scalar_readpath`` keeps
-the original per-slot/per-entry loops as a reference.  The contract is
-exact equivalence: same results, same persistent bytes, and the same
-device accounting (counters *and* modeled time, bit for bit).  These
-tests pin that contract on randomized workloads, including tombstoned
-edges, invalidated log entries, and torn (partially persisted) entries.
+whole-window NumPy operations over sequential streams;
+``tests/harness/readpath_ref.py`` keeps the original per-slot/per-entry
+loops as a reference, and its ``scalar_readpath()`` swaps them in while
+the reference twin is built.  The contract is exact equivalence: same
+results, same persistent bytes, and the same device accounting
+(counters *and* modeled time, bit for bit).  These tests pin that
+contract on randomized workloads, including tombstoned edges,
+invalidated log entries, and torn (partially persisted) entries.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -16,10 +20,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import DGAP, DGAPConfig
-from repro.core.edge_log import ENTRY_BYTES, EdgeLogs
+from repro.core.edge_log import EdgeLogs
 from repro.core.encoding import encode_edge
 from repro.errors import PMemError
 from repro.pmem import PMemPool
+from .harness import readpath_ref
+from .harness.readpath_ref import scalar_readpath
 
 common = settings(
     max_examples=15,
@@ -36,16 +42,20 @@ op_streams = st.lists(
 )
 
 
-def _build(scalar: bool, ops) -> DGAP:
-    g = DGAP(
-        DGAPConfig(
-            init_vertices=16,
-            init_edges=256,
-            elog_size=96,  # 8 entries/section: frequent merges
-            segment_slots=64,
-            scalar_readpath=scalar,
-        )
-    )
+CFG = DGAPConfig(
+    init_vertices=16,
+    init_edges=256,
+    elog_size=96,  # 8 entries/section: frequent merges
+    segment_slots=64,
+)
+
+
+#: the reference twin's read path, then the store's own
+READPATHS = (scalar_readpath, contextlib.nullcontext)
+
+
+def _build(ops) -> DGAP:
+    g = DGAP(CFG)
     inserted = set()
     for src, dst, delete in ops:
         if delete and (src, dst) in inserted:
@@ -82,15 +92,19 @@ class TestTwinWorkloads:
     @given(op_streams)
     @common
     def test_ingest_equivalence(self, ops):
-        _assert_graphs_equal(_build(True, ops), _build(False, ops))
+        with scalar_readpath():
+            gs = _build(ops)
+        _assert_graphs_equal(gs, _build(ops))
 
     @given(op_streams)
     @common
     def test_crash_recovery_equivalence(self, ops):
-        gs, gv = _build(True, ops), _build(False, ops)
-        gs.pool.crash()
+        with scalar_readpath():
+            gs = _build(ops)
+            gs.pool.crash()
+            rs = DGAP.open(gs.pool, gs.config)
+        gv = _build(ops)
         gv.pool.crash()
-        rs = DGAP.open(gs.pool, gs.config)
         rv = DGAP.open(gv.pool, gv.config)
         _assert_graphs_equal(rs, rv)
         assert rs.num_edges == rv.num_edges
@@ -98,9 +112,11 @@ class TestTwinWorkloads:
     @given(op_streams)
     @common
     def test_forced_rebalance_equivalence(self, ops):
-        gs, gv = _build(True, ops), _build(False, ops)
-        for g in (gs, gv):
-            g.rebalancer.rebalance_window(0, g.ea.n_sections, g.ea.tree.height)
+        with scalar_readpath():
+            gs = _build(ops)
+            gs.rebalancer.rebalance_window(0, gs.ea.n_sections, gs.ea.tree.height)
+        gv = _build(ops)
+        gv.rebalancer.rebalance_window(0, gv.ea.n_sections, gv.ea.tree.height)
         _assert_graphs_equal(gs, gv)
 
 
@@ -110,11 +126,11 @@ class TestGatherPlanEquivalence:
     @given(op_streams)
     @common
     def test_gather_matches_scalar(self, ops):
-        g = _build(False, ops)
+        g = _build(ops)
         lo, hi = 0, g.ea.capacity
         i0, j = 0, g.va.num_vertices
         res_v = g.rebalancer._gather(lo, hi, i0, j)
-        res_s = g.rebalancer._gather_scalar(lo, hi, i0, j)
+        res_s = readpath_ref.gather(g.rebalancer, lo, hi, i0, j)
         assert res_v.total == res_s.total
         np.testing.assert_array_equal(res_v.sizes, res_s.sizes)
         np.testing.assert_array_equal(res_v.values[: res_v.sizes.sum()],
@@ -127,20 +143,22 @@ class TestGatherPlanEquivalence:
     @given(op_streams)
     @common
     def test_gather_accounting_matches_scalar(self, ops):
-        gs, gv = _build(True, ops), _build(False, ops)
-        for g in (gs, gv):
-            before = g.pool.device.stats.snapshot()
-            g.rebalancer._gather(0, g.ea.capacity, 0, g.va.num_vertices)
-            g._delta = g.pool.device.stats.delta_since(before)
-        assert vars(gs._delta) == vars(gv._delta)
+        deltas = []
+        for readpath in READPATHS:
+            with readpath():
+                g = _build(ops)
+                before = g.pool.device.stats.snapshot()
+                g.rebalancer._gather(0, g.ea.capacity, 0, g.va.num_vertices)
+                deltas.append(vars(g.pool.device.stats.delta_since(before)))
+        assert deltas[0] == deltas[1]
 
     @given(op_streams)
     @common
     def test_plan_matches_scalar(self, ops):
-        g = _build(False, ops)
+        g = _build(ops)
         res = g.rebalancer._gather(0, g.ea.capacity, 0, g.va.num_vertices)
         image_v, starts_v = g.rebalancer._plan(res)
-        image_s, starts_s = g.rebalancer._plan_scalar(res)
+        image_s, starts_s = readpath_ref.plan(g.rebalancer, res)
         np.testing.assert_array_equal(np.asarray(image_v), np.asarray(image_s))
         np.testing.assert_array_equal(np.asarray(starts_v), np.asarray(starts_s))
 
@@ -164,7 +182,7 @@ class TestRecoveryEquivalenceWithFaults:
         for section, src, n in chains:
             gidx = -1
             for k in range(n):
-                if logs.fill_fraction(section) >= 1.0:
+                if logs.counts[section] >= logs.capacity:
                     break
                 gidx = logs.append(section, src, int(encode_edge(k)), gidx)
                 appended.append(gidx)
@@ -179,22 +197,23 @@ class TestRecoveryEquivalenceWithFaults:
             logs.region.write(logs._base(s) + slot * 3 + 2, 0, payload=0)
 
         logs_v = EdgeLogs(pool, 4, 16, create=False)
-        logs_v.rebuild_counts(scalar=False)
+        logs_v.rebuild_counts()
         logs_s = EdgeLogs(pool, 4, 16, create=False)
-        logs_s.rebuild_counts(scalar=True)
+        readpath_ref.rebuild_counts(logs_s)
         np.testing.assert_array_equal(logs_v.counts, logs_s.counts)
         np.testing.assert_array_equal(logs_v.live_counts, logs_s.live_counts)
 
     def test_rebuild_counts_accounting_matches(self):
         pools = []
-        for scalar in (True, False):
+        for readpath in READPATHS:
             pool = PMemPool(1 << 20)
             logs = EdgeLogs(pool, 4, 16)
             g = -1
             for d in range(5):
                 g = logs.append(2, 7, int(encode_edge(d)), g)
             before = pool.device.stats.snapshot()
-            logs.rebuild_counts(scalar=scalar)
+            with readpath():
+                logs.rebuild_counts()
             pools.append(vars(pool.device.stats.delta_since(before)))
         assert pools[0] == pools[1]
 
@@ -203,14 +222,13 @@ class TestRecoveryEquivalenceWithFaults:
     def test_recovery_scan_and_replay_match_scalar(self, ops):
         from repro.core import recovery as rec
 
-        gs, gv = _build(True, ops), _build(False, ops)
-        for g in (gs, gv):
-            g.pool.crash()
         outs = []
-        for g, scalar in ((gs, True), (gv, False)):
-            g.logs.rebuild_counts(scalar=scalar)
-            scan = rec._scan_edge_array_scalar(g) if scalar else rec._scan_edge_array(g)
-            outs.append(scan)
+        for readpath in READPATHS:
+            with readpath():
+                g = _build(ops)
+                g.pool.crash()
+                g.logs.rebuild_counts()
+                outs.append(rec._scan_edge_array(g))
         for a, b in zip(*outs):
             np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
 
@@ -219,11 +237,12 @@ class TestChainErrors:
     """Both chain readers reject invalidated chain hops identically."""
 
     def test_walk_and_resolve_agree_on_invalidated(self):
-        for scalar in (False, True):
-            self._invalidated_hop_raises(scalar)
+        self._invalidated_hop_raises()
+        with scalar_readpath():
+            self._invalidated_hop_raises()
 
-    def _invalidated_hop_raises(self, scalar):
-        g = _build(scalar, [])
+    def _invalidated_hop_raises(self):
+        g = _build([])
         d = 0
         while g.va.degree[3] - g.va.array_degree[3] < 2:  # grow a 2-entry chain
             g.insert_edge(3, d % 16)

@@ -11,6 +11,7 @@ consistent, and health only ever worsens.
 import copy
 import functools
 from collections import Counter
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from repro.resilience import (
 from repro.resilience.quarantine import OUTCOME_HEALTH
 from .harness import model
 from .harness.crashsweep import crash_points
+from .harness.readpath_ref import scalar_readpath
 from .harness.soaksweep import SoakConfig, soak_sweep
 
 from .stores import make_store
@@ -490,20 +492,21 @@ def check_repair_contract(g, hits):
 class TestLossyRepairContract:
     @pytest.mark.parametrize("build", [hub, three_hubs])
     @pytest.mark.parametrize(
-        "damage, over",
+        "damage, over, readpath",
         [
-            ("array", {}),
-            ("log", {}),
-            ("array+log", {}),  # one vertex loses to both in one pass
-            ("array+log", dict(use_undo_log=False)),  # commit through the PMDK tx
-            ("array+log", dict(dram_placement=False)),  # PM-resident vertex array
-            ("array+log", dict(scalar_readpath=True)),  # the reference gather
+            ("array", {}, nullcontext),
+            ("log", {}, nullcontext),
+            ("array+log", {}, nullcontext),  # one vertex loses to both in one pass
+            ("array+log", dict(use_undo_log=False), nullcontext),  # commit through the PMDK tx
+            ("array+log", dict(dram_placement=False), nullcontext),  # PM-resident vertex array
+            ("array+log", {}, scalar_readpath),  # the reference gather
         ],
         ids=["array", "log", "both", "pmdk-tx", "pm-placement", "scalar"],
     )
-    def test_contract(self, build, damage, over):
-        g, hits = build(damage, **over)
-        rep = check_repair_contract(g, hits)
+    def test_contract(self, build, damage, over, readpath):
+        with readpath():
+            g, hits = build(damage, **over)
+            rep = check_repair_contract(g, hits)
         kinds = {e.kind for e in rep.entries if e.outcome is RepairOutcome.LOSSY}
         assert kinds == {{"array": "edge-array", "log": "edge-log"}[d] for d in damage.split("+")}
 

@@ -652,6 +652,17 @@ class TestOneSurface:
         # "pools tick in parallel" is read in pool.clocks() only (the
         # baselines' devices run in sequence: they sum)
         assert homes(r"stats\.modeled_ns for") == ["baselines/interfaces.py", "pmem/pool.py"]
+        # the paper's fixed values each have one home and are no option: the
+        # merge point is computed once, per log, and every merge decision
+        # compares a cursor against it; the PMA bounds are two constants
+        assert _count(r"MERGE_TENTHS \*", src) == 1
+        assert "MERGE_TENTHS *" in src["core/edge_log.py"].split("def merge_point")[1][:300]
+        assert homes(r"merge_point\(") == ["core/edge_log.py"]
+        assert homes(r"\.merge_at\b") == ["core/dgap.py", "core/edge_log.py", "resilience/scrub.py"]
+        assert homes(r"TAU_(LEAF|ROOT) = ") == ["core/pma_tree.py"]
+        for gone in (r"scalar_readpath", r"_scalar\(", r"DensityBounds", r"elog_merge_fraction",
+                     r"tau_leaf", r"tau_root", r"fill_fraction", r"_merge_thr"):
+            assert homes(gone) == [], gone
         # one slot rewriter: the scrubber judges damage and clears it, the
         # core's pipeline rewrites — resilience/ knows no slot or entry format
         resilience = {k: v for k, v in src.items() if k.startswith("resilience/")}
@@ -726,4 +737,4 @@ class TestOneSurface:
 
     def test_dgap_did_not_grow_a_merged_view(self):
         assert not hasattr(DGAP, "global_csr")
-        assert len(dataclasses.fields(DGAPConfig)) == 15
+        assert len(dataclasses.fields(DGAPConfig)) == 11

@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.config import DGAPConfig
+from repro.core.pma_tree import TAU_LEAF, TAU_ROOT
 from repro.bench.__main__ import main
 from repro import errors
 
@@ -31,15 +32,17 @@ from repro import errors
     [
         ({"init_vertices": 0}, "must be positive"),
         ({"init_edges": -1}, "must be positive"),
-        ({"elog_merge_fraction": 0.0}, "elog_merge_fraction"),
-        ({"elog_merge_fraction": 1.5}, "elog_merge_fraction"),
-        ({"tau_root": 0.0}, "tau_root"),
-        ({"tau_root": 0.95, "tau_leaf": 0.9}, "tau_root"),
-        ({"tau_leaf": 1.2}, "tau_root <= tau_leaf"),
-        # the other side of three bounds above, in the deleted rho rows' slots
+        # in the slots of the deleted merge-point and PMA-bound rows
+        ({"ulog_size": -8}, "ulog_size must be non-negative"),
+        ({"ulog_size": -1}, "ulog_size must be non-negative"),
+        ({"gap_distribution": "Uniform"}, "gap_distribution"),  # names are exact
+        ({"segment_slots": 0}, "power of two"),
+        ({"segment_slots": 128 + 64}, "power of two"),
+        # the other side of the first two bounds, and both at once, in the
+        # deleted rho rows' slots
         ({"init_vertices": -1}, "must be positive"),
         ({"init_edges": 0}, "must be positive"),
-        ({"elog_merge_fraction": -0.5}, "elog_merge_fraction"),
+        ({"init_vertices": 0, "init_edges": 0}, "must be positive"),
         ({"segment_slots": 63}, "power of two"),
         ({"segment_slots": 96}, "power of two"),
         ({"segment_slots": 32}, "power of two"),
@@ -55,7 +58,7 @@ def test_config_defaults_are_valid_and_paper_shaped():
     cfg = DGAPConfig()
     assert cfg.elog_size == 2048 and cfg.ulog_size == 2048  # paper defaults
     assert cfg.segment_slots & (cfg.segment_slots - 1) == 0
-    assert 0 < cfg.tau_root <= cfg.tau_leaf <= 1.0
+    assert 0 < TAU_ROOT <= TAU_LEAF <= 1.0  # the paper's fixed PMA bounds
 
 
 def test_config_elog_entries_derivation():
@@ -68,9 +71,8 @@ def test_config_elog_entries_derivation():
 
 
 def test_config_boundary_values_accepted():
-    DGAPConfig(elog_merge_fraction=1.0)          # inclusive upper bound
+    DGAPConfig(ulog_size=0)                      # smallest legal undo log
     DGAPConfig(segment_slots=64)                 # smallest legal section
-    DGAPConfig(tau_leaf=1.0, tau_root=1.0)       # degenerate but legal
     DGAPConfig(gap_distribution="uniform")
 
 
@@ -215,8 +217,10 @@ def test_reachability_gate_passes_here_and_bites(tmp_path, capsys):
     pkg.mkdir(parents=True)
     (pkg / "config.py").write_text(
         "class DGAPConfig:\n    set_field: int = 0\n    test_field: int = 0\n    read_field: int = 0\n"
+        "    dict_field: int = 0\n"
         "class SweepPolicy:\n    dead_field: int = 0\n"
         "def reached():\n    return f'{DGAPConfig(set_field=1).read_field}'\n"
+        "ARMS = [{'dict_field': 1}]\n"
         "def unreached_def():\n    'reached() and unreached_def() here are not callers'\n"
         "__all__ = ['unreached_def']\nreached()\n"
     )
@@ -224,11 +228,13 @@ def test_reachability_gate_passes_here_and_bites(tmp_path, capsys):
     (tmp_path / "tests" / "test_x.py").write_text("cfg.test_field = 3\nunreached_def()\n")
     assert tool.main([str(tmp_path)]) == 1
     out = capsys.readouterr().out
-    # a field is an option only if somebody sets it (a test counts); a read
-    # of the default is one value in use
+    # a field is an option only if product code sets it — by keyword or
+    # by a dict-literal key; a read of the default is one value in use, and
+    # a field only tests set needs its reason on the list
     assert "never set: SweepPolicy.dead_field" in out and "never set: DGAPConfig.read_field" in out
-    assert "DGAPConfig.set_field" not in out and "DGAPConfig.test_field" not in out
-    # tests are setters, not product callers
+    assert "never set: DGAPConfig.test_field" in out
+    assert "DGAPConfig.set_field" not in out and "DGAPConfig.dict_field" not in out
+    # tests are neither product callers nor setters
     assert "unreached: unreached_def" in out and "unreached: reached" not in out
     # the allow-list cannot rot: its names are not defined in this tree
     assert "stale allow-list entry: is_persisted — no longer defined" in out

@@ -13,11 +13,12 @@ not caught.  ``tests/`` is not a product caller — a name only tests reach
 needs its reason on the list.
 
 For every field of a ``*Config`` / ``*Policy`` dataclass under
-``src/repro`` the question is whether anybody *sets* it: a ``field=``
-keyword of some call or an ``obj.field = ...`` assignment anywhere in
-the scanned trees or ``tests/`` (a test that sets a field is a second
-value in use).  A field only its own default ever assigns is an option
-nobody flips — make it a constant, or list ``Class.field`` with a reason.
+``src/repro`` the question is whether product code *sets* it: a
+``field=`` keyword of some call, an ``obj.field = ...`` assignment or a
+``"field": ...`` key of a dict literal anywhere in the scanned trees.  A
+field that only its own default and ``tests/`` ever assign is an option
+no user flips — make it a constant, or list ``Class.field`` with a
+reason.
 
 Usage: python tools/check_reachability.py [ROOT]   (ROOT = a checkout)
 """
@@ -56,6 +57,10 @@ def scan(path: Path, traffic: Counter, sets: Counter, defined: dict, fields: dic
         elif isinstance(node, ast.keyword) and node.arg:
             traffic[node.arg] += 1
             sets[node.arg] += 1
+        elif isinstance(node, ast.Dict):
+            for key in node.keys:
+                if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                    sets[key.value] += 1
 
 
 def main(argv=None) -> int:
@@ -70,8 +75,6 @@ def main(argv=None) -> int:
     for top in SCANNED:
         for path in sorted((root / top).rglob("*.py")):
             scan(path, traffic, sets, defined, fields)
-    for path in sorted((root / "tests").rglob("*.py")):
-        scan(path, Counter(), sets, {}, {})  # setters only: no product traffic
 
     reached = {n: traffic[n] for n in defined}
     reached.update({n: sets[n.split(".")[1]] for n in fields})
