@@ -8,8 +8,12 @@ distributions that drive DGAP's behaviour: hub vertices outgrow their
 PMA gap allotments, exercising the edge logs and rebalancing exactly as
 the real social graphs do.
 
-Generation is one NumPy pass per recursion level over all edges at once
-(E x log2(V) random draws), deterministic per seed.
+Generation walks the recursion levels over all edges at once, drawing
+one uniform r per edge per level (E x log2(V) draws, into one reused
+buffer), deterministic per seed.  A level's quadrant — TL [0, a), TR
+[a, a+b), BL [a+b, a+b+c), BR [a+b+c, 1) — is two bits shifted into the
+endpoint ids: the row bit is ``r >= a+b``, the column bit
+``(r >= a) ^ row ^ (r >= a+b+c)``.
 """
 
 from __future__ import annotations
@@ -40,34 +44,36 @@ def rmat_edges(
         raise ValueError("require a + b + c < 1 (d is the remainder)")
     levels = int(np.ceil(np.log2(num_vertices)))
     rng = np.random.default_rng(seed)
-    src = np.zeros(num_edges, dtype=np.int64)
-    dst = np.zeros(num_edges, dtype=np.int64)
+    ids = np.int32 if levels <= 30 else np.int64  # ids < 2**levels: half the bytes per pass
+    src = np.zeros(num_edges, dtype=ids)
+    dst = np.zeros(num_edges, dtype=ids)
+    r = np.empty(num_edges)
+    row, col, br = (np.empty(num_edges, dtype=bool) for _ in range(3))
     ab = a + b
     abc = a + b + c
     for _ in range(levels):
+        rng.random(out=r)
+        np.greater_equal(r, ab, out=row)
+        np.greater_equal(r, a, out=col)
+        np.greater_equal(r, abc, out=br)
+        col ^= row
+        col ^= br
         src <<= 1
+        src |= row
         dst <<= 1
-        r = rng.random(num_edges)
-        # quadrant: TL (a) | TR (b) | BL (c) | BR (d)
-        tr = (r >= a) & (r < ab)
-        bl = (r >= ab) & (r < abc)
-        br = r >= abc
-        dst += tr | br
-        src += bl | br
+        dst |= col
     src %= num_vertices
     dst %= num_vertices
-    edges = np.stack([src, dst], axis=1)
-    if remove_self_loops:
-        mask = src != dst
-        edges = edges[mask]
-        deficit = num_edges - edges.shape[0]
-        if deficit:
-            # top up with uniform random non-loop edges (tiny fraction)
-            extra_s = rng.integers(0, num_vertices, deficit * 2)
-            extra_d = rng.integers(0, num_vertices, deficit * 2)
-            ok = extra_s != extra_d
-            extra = np.stack([extra_s[ok][:deficit], extra_d[ok][:deficit]], axis=1)
-            edges = np.concatenate([edges, extra], axis=0)
+    keep = src != dst if remove_self_loops else slice(None)
+    edges = np.stack([src[keep], dst[keep]], axis=1, dtype=np.int64)
+    deficit = num_edges - edges.shape[0]
+    if deficit:
+        # top up with uniform random non-loop edges (tiny fraction)
+        extra_s = rng.integers(0, num_vertices, deficit * 2)
+        extra_d = rng.integers(0, num_vertices, deficit * 2)
+        ok = extra_s != extra_d
+        extra = np.stack([extra_s[ok][:deficit], extra_d[ok][:deficit]], axis=1)
+        edges = np.concatenate([edges, extra], axis=0)
     return edges
 
 
@@ -85,7 +91,7 @@ def shuffle_edges(edges: np.ndarray, seed: int = 0) -> np.ndarray:
     """The paper's insertion order: a random shuffle of all edges (§4.1)."""
     rng = np.random.default_rng(seed)
     perm = rng.permutation(edges.shape[0])
-    return edges[perm]
+    return edges.take(perm, axis=0)
 
 
 __all__ = ["rmat_edges", "uniform_edges", "shuffle_edges"]

@@ -12,16 +12,20 @@ proxies for that regime, mirroring ``registry.DatasetSpec``:
   structure where per-step volume varies around the mean rather than
   arriving in equal slices;
 * **churn deletes** remove a seeded fraction of each step's volume from
-  the edges still alive, biased toward *old* copies (age exponent) and
-  *busy* endpoints (degree exponent) — lapsing contacts concentrate on
-  long-lived links and hubs, which keeps the delete stream pointed at
-  the PMA regions where tombstones actually accumulate.
+  the generator's own pool (every add not yet churned), biased toward
+  *old* copies (age exponent) and *busy* endpoints (degree exponent) —
+  lapsing contacts concentrate on long-lived links and hubs, which keeps
+  the delete stream pointed at the PMA regions where tombstones accumulate.
 
-Deletes name live (src, dst) copies, never absent pairs, and each delete
-consumes one live copy — duplicate parallel edges are deleted once per
-copy.  Sliding-*window* expiry (drop everything older than W steps) is
-the consumer's job: :class:`repro.temporal.TemporalWindowGraph` layers
-it on top of these streams.
+Deletes name pool copies, never absent pairs, and each delete consumes
+one copy — duplicate parallel edges are deleted once per copy.  The pool
+models no sliding-*window* expiry (drop everything older than W steps):
+that is the consumer's job, :class:`repro.temporal.TemporalWindowGraph`,
+which skips a churn delete whose copy its window already expired — 70 %
+of them on the benchmark's ``temporal-churn`` stream (W = 8).  The weighted
+draw is this module's own copy of NumPy 2.x's ``Generator.choice`` loop
+(:func:`_choice`), so the streams are repo code, pinned by the digests in
+``tests/test_datasets.py``, not a NumPy implementation detail.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .rmat import rmat_edges, uniform_edges
+from .rmat import rmat_edges, shuffle_edges, uniform_edges
 
 
 @dataclass(frozen=True)
@@ -90,46 +94,93 @@ class TemporalSpec:
         else:
             b = c = (1.0 - self.rmat_a) / 3
             edges = rmat_edges(nv, ne, a=self.rmat_a, b=b, c=c, seed=self.seed)
-        rng = np.random.default_rng(self.seed + 1)
-        edges = edges[rng.permutation(edges.shape[0])]
+        edges = shuffle_edges(edges, seed=self.seed + 1)
 
         counts = self.step_counts(scale)
         bounds = np.concatenate([[0], np.cumsum(counts)])
         del_rng = np.random.default_rng(self.seed + 2)
 
-        # live pool of not-yet-deleted copies, in arrival order, in flat
-        # arrays sized for the whole stream (window expiry is not modeled
-        # here — the stream deletes only via churn); ``deg`` is its degrees
-        src, dst = np.empty(ne, dtype=np.int64), np.empty(ne, dtype=np.int64)
-        birth = np.empty(ne, dtype=np.int64)
+        # deletes per step, and the pool's high-water mark (adds land first)
+        quota, n, cap = [], 0, 0
+        for a in counts.tolist():
+            n += a
+            cap = max(cap, n)
+            quota.append(min(int(round(self.churn * a)), n))
+            n -= quota[-1]
+
+        # the generator's own pool of not-yet-churned copies, in arrival
+        # order, with ``live[s]`` of them born at step s (window expiry is
+        # not modeled here); ``deg`` is its degrees.  A copy's degree
+        # weight is a gather from ``deg_w``, one ``int ** float`` per value
+        # (``mode="clip"``: indices are in range, and "raise" copies ``out``)
+        src, dst, pair_deg = (np.empty(cap, dtype=np.int64) for _ in range(3))
+        w, cum, cdf = np.empty(cap), np.empty(cap), np.empty(cap)
+        live = np.zeros(self.num_steps, dtype=np.int64)
         deg = np.zeros(nv, dtype=np.int64)
+        deg_w = np.arange(2 * np.bincount(edges.ravel(), minlength=nv).max() + 1) ** self.degree_bias
         n = 0
 
         steps: List[TemporalStep] = []
         for t in range(self.num_steps):
             adds = edges[bounds[t] : bounds[t + 1]]
             a = adds.shape[0]
-            src[n : n + a], dst[n : n + a], birth[n : n + a] = adds[:, 0], adds[:, 1], t
+            src[n : n + a], dst[n : n + a] = adds[:, 0], adds[:, 1]
             n += a
+            live[t] = a
             deg += np.bincount(adds.ravel(), minlength=nv)
 
-            k = min(int(round(self.churn * a)), n)
+            k = quota[t]
             if k > 0:
-                age = (t - birth[:n] + 1).astype(np.float64)
-                w = age**self.age_bias * (deg[src[:n]] + deg[dst[:n]]) ** self.degree_bias
-                idx = del_rng.choice(n, size=k, replace=False, p=w / w.sum())
-                gone = np.sort(idx)
+                age_w = (t + 1 - np.arange(t + 1)).astype(np.float64) ** self.age_bias
+                pd = deg.take(src[:n], out=pair_deg[:n], mode="clip")
+                pd += deg.take(dst[:n])
+                p = deg_w.take(pd, out=w[:n], mode="clip")
+                p *= np.repeat(age_w, live[: t + 1])
+                p /= p.sum()
+                gone = np.sort(_choice(del_rng, p, k, cum[:n], cdf[:n]))
                 deletes = np.stack([src[gone], dst[gone]], axis=1)
                 deg -= np.bincount(deletes.ravel(), minlength=nv)
+                born = np.searchsorted(np.cumsum(live[: t + 1]), gone, side="right")
+                live[: t + 1] -= np.bincount(born, minlength=t + 1)
                 keep = np.ones(n, dtype=bool)
-                keep[idx] = False
-                kept = np.flatnonzero(keep)
-                n = kept.size
-                src[:n], dst[:n], birth[:n] = src[kept], dst[kept], birth[kept]
+                keep[gone] = False
+                n -= k
+                src[:n], dst[:n] = src[: n + k][keep], dst[: n + k][keep]
             else:
                 deletes = np.empty((0, 2), dtype=np.int64)
             steps.append(TemporalStep(step=t, adds=adds, deletes=deletes))
         return steps
+
+
+def _choice(rng: np.random.Generator, p: np.ndarray, k: int, cum: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """``rng.choice(p.size, k, replace=False, p=p)``, bit for bit, as NumPy 2.x draws it.
+
+    Each round draws the missing count, zeroes what earlier rounds found and
+    searches the renormalised running sum, keeping each new index once, in
+    first-draw order.  Unlike NumPy, ``p`` is neither re-validated nor copied
+    (it is zeroed in place), and a later round re-adds only from its first
+    zeroed index, seeded with the unchanged prefix sum: the same additions.
+    """
+    found = np.empty(k, dtype=np.int64)
+    np.cumsum(p, out=cum)
+    m = 0
+    while True:
+        x = rng.random(k - m)
+        new = np.divide(cum, cum[-1], out=cdf).searchsorted(x, side="right")
+        _, first = np.unique(new, return_index=True)
+        new = new[np.sort(first)]
+        found[m : m + new.size] = new
+        m += new.size
+        if m == k:
+            return found
+        p[new] = 0.0
+        j = int(new.min())
+        if j == 0:
+            np.cumsum(p, out=cum)
+        else:  # cum[j-1] + p[j] + p[j+1] + ..., with p[j-1] borrowed as the seed
+            held, p[j - 1] = p[j - 1], cum[j - 1]
+            np.cumsum(p[j - 1 :], out=cum[j - 1 :])
+            p[j - 1] = held
 
 
 #: temporal proxies alongside the static registry: a contact-network

@@ -114,6 +114,14 @@ class TestDGAPEquivalence:
     def test_batched_equals_replay_when_logs_merge_below_full(self, triples, chunk):
         self._replay_check(triples, chunk, MERGE_BELOW_FULL)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 20: the batch's late flush leaves the next scalar insert an in-place flush, "
+        "so the batched history costs 10 modeled ns more than its replay"))
+    @pytest.mark.parametrize("cfg", [CFG, MERGE_BELOW_FULL], ids=["cfg", "merge_below_full"])
+    def test_item_20_batch_costs_no_more_than_replay(self, cfg):
+        triples = [(0, 0), (2, 0), (2, 0), (3, 0), (5, 0), (6, 0), (43, 0), (0, 44)]
+        self._replay_check([(s, d, False) for s, d in triples], 7, cfg)
+
     def _replay_check(self, triples, chunk, cfg):
         batch = _to_batch(triples)
         a = DGAP(DGAPConfig(**cfg))
