@@ -39,7 +39,7 @@ from .edge_log import EdgeLogs
 from .encoding import SLOT_DTYPE, check_vertex, encode_edge, encode_pivot
 from .locks import SectionLockTable
 from ..obs.tracer import annotate, trace, traced
-from ..nputil import multi_arange
+from ..nputil import multi_arange, run_heads, run_lengths
 from .rebalance import (
     ROOT_EPS,
     ROOT_GEN,
@@ -616,7 +616,8 @@ class DGAP:
     def _insert_batch_vectorized(self, batch: EdgeBatch, thread_id: int) -> int:
         srcs = batch.src
         encs = batch.encoded()
-        live = batch.live_deltas()
+        # live-degree delta per edge; None when every edge is a live insert
+        live = batch.live_deltas() if batch.tombstone.any() else None
         order_parts: list = []
         pending = np.arange(len(batch), dtype=np.int64)
         while pending.size:
@@ -632,7 +633,7 @@ class DGAP:
         pending: np.ndarray,
         srcs: np.ndarray,
         encs: np.ndarray,
-        live: np.ndarray,
+        live: Optional[np.ndarray],
         order_parts: list,
         thread_id: int,
     ) -> np.ndarray:
@@ -651,20 +652,19 @@ class DGAP:
         while True:
             ea, logs = self.ea, self.logs
             psrc = srcs[pending]
-            sec_keys = (va.start[psrc] - 1) // S
-            order = np.lexsort((psrc, sec_keys))
+            # Vertex runs lie in id order, so sections ascend with the
+            # source: one stable sort by source groups the round by
+            # section, then by source, in stream order within a source.
+            order = np.argsort(psrc, kind="stable")
             p = pending[order]
             o_src = psrc[order]
             m = int(p.size)
 
             # distinct-source subgroups (contiguous; sections contiguous too)
-            change = np.empty(m, dtype=bool)
-            change[0] = True
-            np.not_equal(o_src[1:], o_src[:-1], out=change[1:])
-            gstart = np.flatnonzero(change)
-            gcount = np.diff(np.append(gstart, m))
+            gstart = np.flatnonzero(run_heads(o_src))
+            gcount = run_lengths(gstart, m)
             gsrc = o_src[gstart]
-            gsec = sec_keys[order][gstart]
+            gsec = (va.start[gsrc] - 1) // S
 
             held: list = []
             if not cfg.thread_safe:
@@ -680,42 +680,45 @@ class DGAP:
             held = self.locks.acquire_many(need)
             stale = (
                 self.ea is not ea
-                or not np.array_equal((va.start[psrc] - 1) // S, sec_keys)
+                or not np.array_equal((va.start[gsrc] - 1) // S, gsec)
                 or not np.array_equal(va.start[gsrc] + va.array_degree[gsrc], wpos)
             )
             if not stale:
                 break
             # A rebalance/resize moved runs while we waited: regroup.
             self.locks.release_many(held)
+        deferred = None
+        cut_sec = -1
         try:
             # ---- fast phase: fill trailing gap runs ----------------------
-            cap = ea.capacity
             gpos = va.start[gsrc] + va.array_degree[gsrc]
-            kclip = np.minimum(gcount, np.clip(cap - gpos, 0, None))
-            nfree = kclip.copy()
-            cand = multi_arange(gpos, kclip)
-            if cand.size:
-                occ_mask = ea.slots[cand] != 0
-                if occ_mask.any():
-                    # first occupied candidate per subgroup caps its run
-                    seg_id = np.repeat(np.arange(gsrc.size), kclip)
-                    local = cand - np.repeat(gpos, kclip)
-                    hit = np.flatnonzero(occ_mask)
-                    first_block = np.full(gsrc.size, np.int64(1) << 60)
-                    np.minimum.at(first_block, seg_id[hit], local[hit])
-                    nfree = np.minimum(kclip, first_block)
-            n_fast = int(nfree.sum())
-            if n_fast:
+            nfree = np.minimum(gcount, np.maximum(ea.capacity - gpos, 0))
+            fast_slots = multi_arange(gpos, nfree)
+            occ = np.flatnonzero(ea.slots[fast_slots])
+            if occ.size:
+                # the first occupied candidate of a subgroup caps its run
+                ends = np.cumsum(nfree)
+                g = np.searchsorted(ends, occ, side="right")
+                first = run_heads(g)
+                g, occ = g[first], occ[first]
+                nfree[g] = occ - (ends[g] - nfree[g])
                 fast_slots = multi_arange(gpos, nfree)
-                fast_p = p[multi_arange(gstart, nfree)]
+            n_fast = int(fast_slots.size)
+            if n_fast:
+                fast_p = p if n_fast == m else p[multi_arange(gstart, nfree)]
                 # Commit group 1: durable before any log append is issued.
                 ea.write_slots(fast_slots, encs[fast_p])
-                ea.inc_occ_counts(
-                    np.bincount(fast_slots // S, minlength=ea.n_sections)
-                )
-                ends = np.cumsum(nfree)
-                lcum = np.concatenate(([0], np.cumsum(live[fast_p])))
-                va.bulk_apply_inserts(gsrc, nfree, nfree, lcum[ends] - lcum[ends - nfree])
+                # fast_slots ascend (runs lie in source order)
+                secs = fast_slots // S
+                sstart = np.flatnonzero(run_heads(secs))
+                ea.inc_occ_counts(secs[sstart], run_lengths(sstart, n_fast))
+                if live is None:
+                    d_live = nfree
+                else:
+                    ends = np.cumsum(nfree)
+                    lcum = np.concatenate(([0], np.cumsum(live[fast_p])))
+                    d_live = lcum[ends] - lcum[ends - nfree]
+                va.bulk_apply_inserts(gsrc, nfree, nfree, d_live)
                 self.n_array_inserts += n_fast
                 self.n_edges_inserted += n_fast
                 self._touch_rows(gsrc[nfree > 0])
@@ -724,9 +727,8 @@ class DGAP:
                 # check — rebalancing is driven by the edge logs.
 
             # ---- log phase: commit group 2, one scattered append ---------
-            rem = gcount - nfree
-            deferred_parts: list = []
-            if rem.any():
+            if n_fast < m:
+                rem = gcount - nfree
                 tails = multi_arange(gstart + nfree, rem)
                 # Log slots are assigned in stream-position order: this
                 # fixes each edge's entry and where the merge cut falls.
@@ -736,24 +738,24 @@ class DGAP:
                 ssrc = o_src[ti]
                 ssec = np.repeat(gsec, rem)[pos_order]
                 k = int(sp.size)
-                usecs, inv = np.unique(ssec, return_inverse=True)
+                # per-section append rank of every unit, in position order
+                so = np.argsort(ssec, kind="stable")
+                sstart = np.flatnonzero(run_heads(ssec[so]))
+                usecs = ssec[so[sstart]]
+                t_total = run_lengths(sstart, k)
+                inv = np.searchsorted(usecs, ssec)
+                rank = np.empty(k, dtype=np.int64)
+                rank[so] = np.arange(k, dtype=np.int64) - np.repeat(sstart, t_total)
                 counts_s = logs.counts[usecs]
-                t_total = np.bincount(inv, minlength=usecs.size)
                 force = counts_s >= logs.capacity
                 take_s = np.minimum(t_total, np.maximum(1, logs.merge_at - counts_s))
                 merges = force | (counts_s + take_s >= logs.merge_at)
-                # per-section append rank of every unit, in position order
-                so = np.argsort(inv, kind="stable")
-                sec0 = np.concatenate(([0], np.cumsum(t_total)))[:-1]
-                rank = np.empty(k, dtype=np.int64)
-                rank[so] = np.arange(k, dtype=np.int64) - np.repeat(sec0, t_total)
-                taken_mask = rank < take_s[inv]
+                kept = rank < take_s[inv]
                 # A merge relocates runs, so everything after the first
                 # merge trigger is deferred and regrouped next round (the
                 # scalar path's retry).  A normal trigger is the append
                 # that crosses the merge threshold (scalar merges right
                 # after it); a full log (force) merges *before* its unit.
-                cut_i, cut_sec, cut_force = k, -1, False
                 if merges.any():
                     far = np.int64(1) << 62
                     trig_n = np.flatnonzero(
@@ -762,17 +764,12 @@ class DGAP:
                     trig_f = np.flatnonzero(force[inv] & (rank == 0))
                     best_n = int(trig_n[0]) if trig_n.size else far
                     best_f = int(trig_f[0]) if trig_f.size else far
-                    if best_f < best_n:
-                        cut_i, cut_sec, cut_force = best_f, int(ssec[best_f]), True
-                    elif best_n < far:
-                        cut_i, cut_sec, cut_force = best_n, int(ssec[best_n]), False
-                if cut_i < k:
-                    idx = np.arange(k)
-                    kept = taken_mask & (idx < cut_i if cut_force else idx <= cut_i)
-                else:
-                    kept = taken_mask
+                    cut_i = min(best_f, best_n)
+                    if cut_i < far:
+                        cut_sec = int(ssec[cut_i])
+                        kept[cut_i + (best_n < best_f) :] = False
                 if not kept.all():
-                    deferred_parts.append(sp[~kept])
+                    deferred = sp[~kept]
 
                 ki = np.flatnonzero(kept)
                 n_log = int(ki.size)
@@ -788,46 +785,33 @@ class DGAP:
                     cho = np.argsort(ks, kind="stable")
                     cs = ks[cho]
                     cg = kg[cho]
-                    ch = np.empty(n_log, dtype=bool)
-                    ch[0] = True
-                    np.not_equal(cs[1:], cs[:-1], out=ch[1:])
+                    ch = run_heads(cs)
                     backs_s = np.empty(n_log, dtype=np.int64)
                     backs_s[1:] = cg[:-1]
                     backs_s[ch] = va.el[cs[ch]]
                     backs = np.empty(n_log, dtype=np.int64)
                     backs[cho] = backs_s
                     logs.append_scatter(kg, ks, encs[kp], backs)
-                    nexts = np.flatnonzero(ch[1:])
-                    last = np.append(nexts, n_log - 1)
-                    va.bulk_set_el(cs[last], cg[last])
-                    cnt_starts = np.flatnonzero(ch)
-                    cnt_ends = np.append(nexts + 1, n_log)
-                    lcum = np.concatenate(([0], np.cumsum(live[kp[cho]])))
-                    va.bulk_apply_inserts(
-                        cs[cnt_starts],
-                        cnt_ends - cnt_starts,
-                        0,
-                        lcum[cnt_ends] - lcum[cnt_starts],
-                    )
+                    cstart = np.flatnonzero(ch)
+                    clen = run_lengths(cstart, n_log)
+                    va.bulk_set_el(cs[cstart], cg[cstart + clen - 1])
+                    d_live = clen if live is None else np.add.reduceat(live[kp[cho]], cstart)
+                    va.bulk_apply_inserts(cs[cstart], clen, 0, d_live)
                     self.n_log_inserts += n_log
                     self.n_edges_inserted += n_log
-                    self._touch_rows(cs[cnt_starts])
+                    self._touch_rows(cs[cstart])
                     order_parts.append(kp)
 
         finally:
             self.locks.release_many(held)
 
-        if rem.any() and cut_sec >= 0:
+        if cut_sec >= 0:
             # Deferred past the release: a merge takes window locks of its
             # own, and taking them while holding writer locks is the
             # out-of-order acquisition the lock discipline forbids.
             self.rebalancer.merge_section(cut_sec, thread_id)
 
-        return (
-            np.concatenate(deferred_parts)
-            if deferred_parts
-            else np.empty(0, dtype=np.int64)
-        )
+        return np.empty(0, dtype=np.int64) if deferred is None else deferred
 
     def delete_edge(self, src: int, dst: int, thread_id: int = 0) -> None:
         """Delete one occurrence of ``src -> dst`` (tombstone insertion, §3.1.2)."""

@@ -97,12 +97,12 @@ class EdgeArray:
             # "No DP": the PMA tree lives on PM — persistent in-place update.
             self._occ_region.write(section, int(self.seg_occ[section]), payload=0, persist=True)
 
-    def inc_occ_counts(self, counts: np.ndarray) -> None:
-        """Bulk occupancy bump: ``counts`` holds one delta per section."""
-        touched = np.flatnonzero(counts)
-        self.seg_occ[touched] += counts[touched]
+    def inc_occ_counts(self, sections: np.ndarray, counts: np.ndarray) -> None:
+        """Bulk occupancy bump: ``counts[i]`` more elements in ``sections[i]``
+        (distinct, ascending)."""
+        self.seg_occ[sections] += counts
         if self._occ_region is not None:
-            for s in touched.tolist():
+            for s in sections.tolist():
                 self._occ_region.write(s, int(self.seg_occ[s]), payload=0, persist=True)
 
     def recount(self, lo_slot: int, hi_slot: int) -> None:

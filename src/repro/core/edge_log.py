@@ -39,6 +39,7 @@ from typing import Tuple
 import numpy as np
 
 from ..errors import PMemError
+from ..nputil import distinct_counts
 from ..pmem.pool import PMemPool
 
 ENTRY_BYTES = 12
@@ -147,7 +148,7 @@ class EdgeLogs:
         k = int(gidxs.size)
         if k == 0:
             return gidxs
-        secs, cnts = np.unique(gidxs // self.entries_per_section, return_counts=True)
+        secs, cnts = distinct_counts(gidxs // self.entries_per_section)
         new_counts = self.counts[secs] + cnts
         if (new_counts > self.entries_per_section).any():
             raise PMemError("edge-log scatter append overflows a section")

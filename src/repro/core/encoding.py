@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..errors import GraphError, VertexRangeError
-from ..nputil import multi_arange
+from ..nputil import multi_arange, prefix_dtype
 
 GAP = np.int32(0)
 TOMB_BIT = np.int32(1 << 30)
@@ -122,9 +122,9 @@ def live_degrees(slots: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarra
     recounts the rows it shrank.
     """
     worth = (slots > 0).view(np.int8) - 2 * is_tombstone(slots).view(np.int8)
-    net = np.zeros(slots.size + 1, dtype=np.int64)
-    np.cumsum(worth, dtype=np.int64, out=net[1:])
-    return net[hi] - net[lo]
+    net = np.zeros(slots.size + 1, dtype=prefix_dtype(slots.size))
+    np.cumsum(worth, dtype=net.dtype, out=net[1:])
+    return (net[hi] - net[lo]).astype(np.int64)
 
 
 def tombstone_matches(

@@ -36,6 +36,7 @@ import numpy as np
 
 from ..config import DGAPConfig
 from ..errors import RecoveryError
+from ..nputil import prefix_dtype
 from ..obs.tracer import trace, traced
 from ..pmem.pool import DATA_OFF, PMemPool
 from .encoding import SLOT_DTYPE, TOMB_BIT, live_degrees
@@ -250,7 +251,8 @@ def _scan_edge_array(host) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     The scan reads the array through the device's bulk read layer (one
     sequential stream over the capacity) and reduces it with prefix sums
-    into call-local arrays (recovery keeps no scratch past itself).
+    into call-local arrays (recovery keeps no scratch past itself),
+    4 B per slot while the capacity fits ``int32``.
     """
     ea = host.ea
     cap = ea.capacity
@@ -267,9 +269,9 @@ def _scan_edge_array(host) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
             raise RecoveryError("pivot id space is not dense — image corrupt")
     starts = ppos + 1
     ends = np.append(ppos[1:], cap)
-    nz = np.zeros(cap + 1, dtype=np.int64)
-    np.cumsum(slots != 0, dtype=np.int64, out=nz[1:])
-    array_deg = nz[ends] - nz[starts]
+    nz = np.zeros(cap + 1, dtype=prefix_dtype(cap))
+    np.cumsum(slots != 0, dtype=nz.dtype, out=nz[1:])
+    array_deg = (nz[ends] - nz[starts]).astype(np.int64)
     # A crash inside a commit group may persist slot k+1 without slot k:
     # cut such runs at their first gap, scrub the leftovers behind it.
     torn = np.flatnonzero(nz[starts + array_deg] - nz[starts] != array_deg)
@@ -279,8 +281,9 @@ def _scan_edge_array(host) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
             nzpos = st + np.flatnonzero(slots[st:en])
             garbage.append(nzpos[nzpos - st != np.arange(nzpos.size)])
         _zero_slots(ea, np.concatenate(garbage))
-        np.cumsum(slots != 0, dtype=np.int64, out=nz[1:])  # live view: recount
-        array_deg = nz[ends] - nz[starts]
+        np.cumsum(slots != 0, dtype=nz.dtype, out=nz[1:])  # live view: recount
+        array_deg = (nz[ends] - nz[starts]).astype(np.int64)
+    del nz  # one prefix alive at a time: live_degrees builds its own
     live = live_degrees(slots, starts, ends)
     return starts.astype(np.int64), array_deg, live
 

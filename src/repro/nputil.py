@@ -24,6 +24,47 @@ def multi_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(total, dtype=np.int64) + np.repeat(base, counts)
 
 
+def run_heads(a: np.ndarray) -> np.ndarray:
+    """Mask of the positions where ``a`` starts a run of equal values."""
+    head = np.empty(a.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(a[1:], a[:-1], out=head[1:])
+    return head
+
+
+def run_lengths(starts: np.ndarray, n: int) -> np.ndarray:
+    """Lengths of the runs that begin at ascending ``starts`` and tile ``[0, n)``."""
+    out = np.empty(starts.size, dtype=np.int64)
+    out[:-1] = starts[1:] - starts[:-1]
+    out[-1:] = n - starts[-1:]
+    return out
+
+
+def _sorted(a: np.ndarray) -> np.ndarray:
+    return a if bool((a[1:] >= a[:-1]).all()) else np.sort(a)
+
+
+def distinct(a: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-D integer array: at most one sort (none when
+    ``a`` already ascends) and a neighbour compare.  NumPy 2's hash-based
+    ``unique`` costs several times more on a few hundred values."""
+    s = _sorted(a)
+    return s[run_heads(s)]
+
+
+def distinct_counts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(a, return_counts=True)`` the same way."""
+    s = _sorted(a)
+    starts = np.flatnonzero(run_heads(s))
+    return s[starts], run_lengths(starts, s.size)
+
+
+def prefix_dtype(n: int) -> np.dtype:
+    """``int32`` when every prefix sum of ``n`` terms of magnitude <= 2
+    fits it, else ``int64``: a whole-array scan's prefix at half the DRAM."""
+    return np.dtype(np.int32 if n < 1 << 30 else np.int64)
+
+
 class ScratchBuffer:
     """Grow-only reusable DRAM scratch arrays, keyed by purpose.
 
@@ -58,4 +99,7 @@ class ScratchBuffer:
         return out
 
 
-__all__ = ["multi_arange", "ScratchBuffer"]
+__all__ = [
+    "multi_arange", "run_heads", "run_lengths", "distinct", "distinct_counts", "prefix_dtype",
+    "ScratchBuffer",
+]

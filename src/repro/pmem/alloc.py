@@ -116,8 +116,7 @@ class Region:
             )
         dev = self.device
         offs = self.offset + idxs * self.itemsize
-        dev.store_batch(offs, vals, payload_per_unit)
-        lines = np.unique(dev._unit_line_seq(offs, per_unit * self.itemsize))
+        lines = dev.store_batch(offs, vals, payload_per_unit)
         dev.flush_span(lines * CACHE_LINE, CACHE_LINE)
         dev.sfence()
 

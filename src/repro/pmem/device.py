@@ -40,6 +40,7 @@ from typing import Optional, Union
 import numpy as np
 
 from ..errors import MediaError, PMemError, SimulatedCrash
+from ..nputil import distinct
 from .constants import CACHE_LINE, CHUNKS_PER_LINE, LINES_PER_XPLINE, XPLINE
 from .crash import CrashInjector
 from .faults import DEFAULT_POLICY, FaultPolicy
@@ -539,10 +540,9 @@ class PMemDevice:
         per unit would flush.
         """
         first = offs // CACHE_LINE
-        last = (offs + (unit - 1)) // CACHE_LINE
-        lpu = last - first + 1
-        if int(lpu.max()) == 1:
-            return first
+        if not (offs - first * CACHE_LINE > CACHE_LINE - unit).any():
+            return first  # no unit crosses a line boundary
+        lpu = (offs + (unit - 1)) // CACHE_LINE - first + 1
         total = int(lpu.sum())
         seq = np.repeat(first, lpu)
         # within-unit line index: 0..lpu_i-1 appended to each first line
@@ -552,30 +552,33 @@ class PMemDevice:
 
     def store_batch(
         self, offs: np.ndarray, data: np.ndarray, payload_per_unit: Optional[int] = None
-    ) -> None:
+    ) -> np.ndarray:
         """``n`` CPU stores of equal-size units at (possibly scattered) offsets.
 
         Counter-equivalent to ``for off, row in zip(offs, rows):
         store(off, row, payload_per_unit)`` — same stats, same dirty
         lines, same modeled time — but vectorized.  ``data`` is any
         array with ``n`` equal-size rows (``data.nbytes // n`` bytes
-        each).
+        each).  Returns the distinct cache lines the units cover,
+        ascending: the line set a commit group flushes next.
         """
         offs = np.asarray(offs, dtype=np.int64)
         n = int(offs.size)
         if n == 0:
-            return
+            return offs
         data = np.ascontiguousarray(data)
         unit = data.nbytes // n
         if unit * n != data.nbytes:
             raise PMemError("store_batch: data size not divisible into equal units")
         self._check_range(int(offs.min()), 1)
         self._check_range(int(offs.max()), unit)
+        seq = self._unit_line_seq(offs, unit)
+        lines = distinct(seq)
         if self._crash_sensitive():
             rows = self._unit_rows(data, n)
             for i in range(n):
                 self.store(int(offs[i]), rows[i], payload=payload_per_unit)
-            return
+            return lines
         self.injector.tick_many("store", n)
 
         # Scatter into the cache image.
@@ -596,8 +599,7 @@ class PMemDevice:
                 a = int(offs[i])
                 self.buf[a : a + unit] = rows[i]
 
-        seq = self._unit_line_seq(offs, unit)
-        self._dirty.update(np.unique(seq).tolist())
+        self._dirty.update(lines.tolist())
 
         st = self.stats
         st.stores += n
@@ -606,6 +608,7 @@ class PMemDevice:
         self._charge(int(seq.size) * self.profile.store_per_line_ns)
         if TRACE_HOOK is not None:
             TRACE_HOOK("store", n, n * unit)
+        return lines
 
     def flush_span(self, offs: np.ndarray, unit: int) -> None:
         """Replay ``clwb(off_i, unit)`` per unit over the whole span at once.
@@ -614,7 +617,10 @@ class PMemDevice:
         accounting and flush-stream state end up identical to the scalar
         replay.  Contract: each unit's lines are dirty when its flush
         runs — true whenever each flush follows the store of the same
-        unit, as :meth:`persist_batch` guarantees.
+        unit, as :meth:`persist_batch` guarantees.  A strictly ascending
+        line sequence (a commit group's distinct lines) flushes each line
+        once: no pair inside it can be in-place, so only its first
+        ``INPLACE_WINDOW`` flushes are probed, against pre-span flushes.
         """
         offs = np.asarray(offs, dtype=np.int64)
         n = int(offs.size)
@@ -631,19 +637,21 @@ class PMemDevice:
         prof, st = self.profile, self.stats
         seq = self._unit_line_seq(offs, unit)
         m = int(seq.size)
-        xp = seq * CACHE_LINE // XPLINE
+        ascending = m == 1 or bool((seq[1:] > seq[:-1]).all())
+        xp = seq // LINES_PER_XPLINE
         window = INPLACE_WINDOW
 
         # Physical write-back: the last flush of every line follows its
         # last store, so final media content = final cache content.
-        lines = np.unique(seq)
-        bl = self.buf.reshape(-1, CACHE_LINE)
+        lines = seq if ascending else distinct(seq)
         if self._reorder:
+            bl = self.buf.reshape(-1, CACHE_LINE)
             for ln in lines.tolist():
                 self._pending[ln] = bytes(bl[ln])
         else:
-            ml = self.media.reshape(-1, CACHE_LINE)
-            ml[lines] = bl[lines]
+            # one opaque 64-byte item per line moves ~3x faster than rows
+            line_t = f"V{CACHE_LINE}"
+            self.media.view(line_t)[lines] = self.buf.view(line_t)[lines]
             if self._poisoned:
                 self._poisoned.difference_update(lines.tolist())
         self._dirty.difference_update(lines.tolist())
@@ -652,17 +660,17 @@ class PMemDevice:
         # earlier.  Within the span the op gap equals the index gap, so
         # shifted comparisons cover it ...
         inplace = np.zeros(m, dtype=bool)
-        for k in range(1, min(window, m - 1) + 1):
-            inplace[k:] |= seq[k:] == seq[:-k]
+        if not ascending:
+            for k in range(1, min(window, m - 1) + 1):
+                inplace[k:] |= seq[k:] == seq[:-k]
         # ... and only the first `window` flushes can still pair with a
         # pre-span flush recorded in _recent_flushes.
         if self._recent_flushes:
             base_op = self._flush_op
-            for i in range(min(window, m)):
-                if not inplace[i]:
-                    op = self._recent_flushes.get(int(seq[i]))
-                    if op is not None and (base_op + i + 1 - op) <= window:
-                        inplace[i] = True
+            for i, ln in enumerate(seq[:window].tolist()):
+                op = self._recent_flushes.get(ln)
+                if op is not None and (base_op + i + 1 - op) <= window:
+                    inplace[i] = True
 
         prev_line = np.empty(m, dtype=np.int64)
         prev_line[0] = self._last_flush_line
@@ -702,8 +710,8 @@ class PMemDevice:
             recent = {ln: op for ln, op in self._recent_flushes.items() if op >= cutoff}
         else:
             recent = {}
-        for i in range(m - tail, m):
-            recent[int(seq[i])] = base_op + i + 1
+        for op, ln in enumerate(seq[m - tail :].tolist(), base_op + m - tail + 1):
+            recent[ln] = op
         self._recent_flushes = recent
         if TRACE_HOOK is not None:
             TRACE_HOOK("flush", m, m * CACHE_LINE)

@@ -12,13 +12,18 @@ Covers the three layers beneath ``DGAP.insert_edges``:
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.batch import EdgeBatch, extend_adjacency
 from repro.core.edge_log import EdgeLogs
 from repro.core.encoding import MAX_VERTEX, TOMB_BIT, encode_edge
 from repro.errors import GraphError, PMemError, SimulatedCrash, VertexRangeError
 from repro.pmem import CACHE_LINE, DRAM, OPTANE_ADR, OPTANE_EADR, PMemDevice, PMemPool
+from repro.pmem import device as dev_mod
+from repro.pmem.alloc import Region
 from repro.pmem.crash import CrashInjector
+from repro.pmem.faults import FaultPolicy
 from repro.pmem.latency import INPLACE_WINDOW
 from repro.pmem.stats import INT_COUNTER_FIELDS
 
@@ -296,6 +301,149 @@ class TestDeviceBatchEquivalence:
             dev.store_batch(
                 np.array([0, dev.size], dtype=np.int64), np.zeros(8, dtype=np.uint8)
             )
+
+
+# ---------------------------------------------------------------------------
+# one commit group (Region.write_batch) against its literal replay
+# ---------------------------------------------------------------------------
+
+def _group_lines(region, idxs, per_unit):
+    """Distinct cache lines the group's units cover, ascending."""
+    nbytes = per_unit * region.itemsize
+    return sorted({
+        ln
+        for i in idxs
+        for ln in range(
+            region.byte_offset(i) // CACHE_LINE,
+            (region.byte_offset(i) + nbytes - 1) // CACHE_LINE + 1,
+        )
+    })
+
+
+def _replay_group(region, idxs, vals, payload):
+    """The literal commit group: a store per unit, a clwb per distinct
+    line in ascending order, one fence."""
+    dev = region.device
+    rows = vals.reshape(len(idxs), -1)
+    for i, row in zip(idxs, rows):
+        dev.store(region.byte_offset(i), row.tobytes(), payload=payload)
+    for ln in _group_lines(region, idxs, rows.shape[1]):
+        dev.clwb(ln * CACHE_LINE, CACHE_LINE)
+    dev.sfence()
+
+
+def _traced(dev, fn):
+    """Run ``fn`` with a TRACE_HOOK that sums each event kind's count and bytes."""
+    seen: dict = {}
+
+    def hook(kind, count, nbytes):
+        c, b = seen.get(kind, (0, 0))
+        seen[kind] = (c + count, b + nbytes)
+
+    dev_mod.TRACE_HOOK = hook
+    try:
+        fn()
+    except SimulatedCrash:
+        seen["raised"] = (1, 0)
+    finally:
+        dev_mod.TRACE_HOOK = None
+    return seen
+
+
+def _device_state(dev):
+    lo = dev._flush_op + 1 - INPLACE_WINDOW  # older entries classify nothing
+    return dict(
+        stats=int_stats(dev),
+        buf=dev.buf.tobytes(),
+        media=dev.media.tobytes(),
+        dirty=sorted(dev._dirty),
+        pending=sorted(dev._pending.items()),
+        poisoned=sorted(dev._poisoned),
+        recent={ln: op for ln, op in dev._recent_flushes.items() if op >= lo},
+        flush_op=dev._flush_op,
+        last=(dev._last_flush_line, dev._last_media_xpline),
+        injector=dict(dev.injector.counts),
+    )
+
+
+_UNITS = 256  # units of the largest kind the test region holds
+_unit_sets = st.one_of(
+    st.builds(  # contiguous: one run of adjacent units
+        lambda a, n: list(range(a, min(a + n, _UNITS))),
+        st.integers(0, _UNITS - 1), st.integers(1, 48),
+    ),
+    st.lists(st.integers(0, _UNITS - 1), min_size=1, max_size=48, unique=True),  # scattered
+)
+
+
+class TestCommitGroupReplay:
+    """``Region.write_batch`` — the batched write path's commit group —
+    leaves every counter, both images, the dirty / pending / poison sets,
+    the flush-stream state and the TRACE_HOOK totals exactly where its
+    literal replay leaves them, after an optional earlier group (its last
+    flushes inside ``INPLACE_WINDOW`` of this one), over a poisoned line,
+    under persist-reorder, and when an armed injector fires inside it."""
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        per_unit=st.sampled_from([1, 3]),  # 4 B slots, 12 B log entries
+        units=_unit_sets,
+        shift=st.integers(0, 2),
+        prev=st.integers(0, 8),
+        payload=st.sampled_from([None, 0, 4]),
+        fault=st.sampled_from(["none", "poison", "reorder", "crash"]),
+        crash_at=st.tuples(st.sampled_from(["store", "flush", "fence"]), st.integers(1, 64)),
+    )
+    @example(per_unit=1, units=list(range(0, 40)), shift=0, prev=0, payload=4,
+             fault="none", crash_at=("store", 1))
+    @example(per_unit=3, units=[5, 90, 17, 200, 3], shift=0, prev=3, payload=4,
+             fault="none", crash_at=("store", 1))
+    @example(per_unit=1, units=[7, 200, 8, 64, 65], shift=1, prev=8, payload=0,
+             fault="poison", crash_at=("store", 1))
+    @example(per_unit=3, units=list(range(10, 30)), shift=0, prev=2, payload=None,
+             fault="reorder", crash_at=("store", 1))
+    @example(per_unit=3, units=[1, 40, 2, 80], shift=0, prev=1, payload=4,
+             fault="crash", crash_at=("flush", 2))
+    @example(per_unit=1, units=list(range(50)), shift=0, prev=0, payload=4,
+             fault="crash", crash_at=("store", 30))
+    @example(per_unit=1, units=[3, 9], shift=2, prev=4, payload=4,
+             fault="crash", crash_at=("fence", 1))
+    def test_write_batch_equals_its_literal_replay(
+        self, per_unit, units, shift, prev, payload, fault, crash_at
+    ):
+        idxs = [u * per_unit + shift % per_unit for u in units]
+        rng = np.random.default_rng(len(units) * 7 + shift)
+        shape = (len(idxs),) if per_unit == 1 else (len(idxs), per_unit)
+        vals = rng.integers(1, 1 << 30, size=shape).astype(np.int32)
+        early = rng.integers(1, 1 << 30, size=(prev,) + shape[1:]).astype(np.int32)
+        faults = FaultPolicy(persist_reorder=True, seed=3) if fault == "reorder" else None
+        states, hooks = [], []
+        for batched in (True, False):
+            dev = PMemDevice(1 << 16, faults=faults)
+            region = Region(dev, 1024, np.int32, _UNITS * 3 + 2, "r")
+
+            def group(ix, vs):
+                if batched:
+                    region.write_batch(ix, vs, payload_per_unit=payload)
+                else:
+                    _replay_group(region, ix, vs, payload)
+
+            if prev:  # an earlier group over the same lines, just flushed
+                group(idxs[:prev], early[: len(idxs[:prev])])
+            if fault == "poison":
+                dev.poison(region.byte_offset(idxs[-1]))
+            if fault == "crash":
+                kind, k = crash_at
+                n = {"store": len(idxs), "fence": 1,
+                     "flush": len(_group_lines(region, idxs, per_unit))}[kind]
+                dev.injector.arm(min(k, n), kind)
+            hooks.append(_traced(dev, lambda: group(idxs, vals)))
+            states.append(_device_state(dev))
+        batched, replay = states
+        assert hooks[0] == hooks[1]
+        assert batched == replay
+        if fault == "crash":
+            assert "raised" in hooks[0]
 
 
 class TestRecentFlushBound:

@@ -198,10 +198,15 @@ class TestConcurrentWriters:
         failures = []
 
         def writer():
-            i = 0
-            while not stop.is_set():
-                g.insert_edge(i % nv, (i * 5) % nv, thread_id=0)
-                i += 1
+            # a fixed budget that fits the 8 192-edge array beside the 500
+            # preloaded edges: the pool never has to grow past its limit
+            try:
+                for i in range(4096):
+                    if stop.is_set():
+                        break
+                    g.insert_edge(i % nv, (i * 5) % nv, thread_id=0)
+            except Exception as e:
+                failures.append(e)
 
         def reader():
             try:

@@ -33,6 +33,7 @@ import dataclasses
 import gc
 import inspect
 import re
+import tracemalloc
 import weakref
 from contextlib import contextmanager
 from pathlib import Path
@@ -506,6 +507,22 @@ class TestLifetime:
         for shard in g2.shards:
             assert not [key for key, _ in shard.rebalancer.dram_scratch()._bufs
                         if key.startswith("recovery.")]
+
+    def test_a_reopen_peaks_near_its_slot_image(self, kind):
+        """Recovery's pivot scan keeps one prefix sum alive at a time, an
+        int32 one: a reopen's traced DRAM peak stays under 16 B per slot of
+        the largest shard (two int64 prefixes alive together read ~28)."""
+        g = make_store(kind, init_edges=1 << 18)
+        g.insert_edges([(v, (v + 1) % NV) for v in range(NV)])
+        g.pool.crash()
+        slots = max(shard.ea.capacity for shard in g.shards)
+        tracemalloc.start()
+        try:
+            type(g).open(g.pool, g.config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * slots
 
 
 # ---------------------------------------------------------------------------
