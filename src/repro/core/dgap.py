@@ -35,11 +35,11 @@ from ..pmem.pool import PMemPool
 from ..pmem.tx import TransactionManager
 from .batch import DEFAULT_BATCH_SIZE, EdgeBatch, EdgeLike
 from .edge_array import EdgeArray
-from .edge_log import EdgeLogs
+from .edge_log import EdgeLogs, group_chains
 from .encoding import SLOT_DTYPE, check_vertex, encode_edge, encode_pivot
 from .locks import SectionLockTable
 from ..obs.tracer import annotate, trace, traced
-from ..nputil import multi_arange, run_heads, run_lengths
+from ..nputil import distinct, multi_arange, run_heads, run_lengths
 from .rebalance import (
     ROOT_EPS,
     ROOT_GEN,
@@ -385,7 +385,12 @@ class DGAP:
         g = pos + int(free[0]) if free.size else ea.capacity
         return set(range(lo_sec, ea.section_of(min(g, ea.capacity - 1)) + 1))
 
-    def _acquire_validated(self, src: int, lock_set_fn) -> list:
+    def _pivot_sections(self, vids: np.ndarray) -> list:
+        """The pivot sections of rows ``vids``, ascending: a snapshot
+        reader's lock set (DESIGN.md §10) and the logs their chains sit in."""
+        return distinct((self.va.start[vids] - 1) // self.ea.segment_slots).tolist()
+
+    def _acquire_validated(self, src, lock_set_fn) -> list:
         """Acquire ``lock_set_fn(src)`` and re-validate it under the locks."""
         while True:
             held = self.locks.acquire_many(lock_set_fn(src))
@@ -965,8 +970,10 @@ class DGAP:
         Checked: pivot ids dense and strictly increasing; every run
         contiguous (no embedded gaps) and gap-terminated; DRAM occupancy
         bookkeeping consistent with the persistent array; per-vertex
-        degree = array part + live edge-log chain.  Used by tests and
-        available to applications after recovery.
+        degree = array part + live edge-log chain, headed by ``el``
+        (:func:`~repro.core.edge_log.group_chains` over every section's
+        log, which raises ``PMemError`` for a chain that came up short).
+        Used by tests and available to applications after recovery.
         """
         slots = self.ea.slots
         ppos = np.flatnonzero(slots < 0)
@@ -986,10 +993,8 @@ class DGAP:
                 raise GraphError(f"run of vertex {v} has embedded gaps")
             if not (slots[st + ad : int(ends[v])] == 0).all():
                 raise GraphError(f"trailing region of vertex {v} is not gaps")
-            el = int(self.va.el[v])
-            chain_len = self.logs.walk_chain_arrays(el)[0].size if el >= 0 else 0
-            if ad + chain_len != int(self.va.degree[v]):
-                raise GraphError(f"degree bookkeeping of vertex {v} inconsistent")
+        logs = self.logs
+        group_chains(*logs.peek(np.arange(logs.n_sections)), np.arange(nv), self.va)
         occ = self.ea.seg_occ.copy()
         self.ea.recount_all()
         if not np.array_equal(occ, self.ea.seg_occ):

@@ -28,8 +28,9 @@ self-invalidating without a checksum:
 
 Recovery finds the append frontier as one past the last entry with any
 nonzero field — no persistent per-log counter (counters would be
-in-place PM updates, exactly what DGAP avoids).  ``read_entry`` /
-``walk_chain_arrays`` undo the biases, so readers see plain ids.
+in-place PM updates, exactly what DGAP avoids).  ``read_entry`` undoes
+the biases; the streamed rows keep them, and :func:`group_chains` turns
+them into every vertex's chain.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from typing import Tuple
 
 import numpy as np
 
-from ..errors import PMemError
-from ..nputil import distinct_counts
+from ..errors import GraphError, PMemError
+from ..nputil import distinct_counts, multi_arange
 from ..pmem.pool import PMemPool
 
 ENTRY_BYTES = 12
@@ -90,9 +91,6 @@ class EdgeLogs:
         self.live_counts = np.zeros(n_sections, dtype=np.int64)
         #: peak fill per section ever observed (Fig. 9's utilization metric).
         self.peak_counts = np.zeros(n_sections, dtype=np.int64)
-        #: preallocated (cap, 3) output for :meth:`walk_chain_arrays`,
-        #: grown by doubling; a returned view is valid until the next walk.
-        self._chain_buf = np.empty((32, _FIELDS), dtype=np.int64)
 
     # -- geometry -----------------------------------------------------------
     @property
@@ -214,12 +212,9 @@ class EdgeLogs:
         per run of adjacent non-empty sections, every byte charged and
         poison / read-fault checked once.  Returns ``(gidx, rows)``:
         ascending global indices and the matching ``(n, 3)`` int32
-        entries in their on-media biases.  Ascending index *is* append
-        order and a vertex's pending entries all sit in its pivot
-        section's log, so a stable group-by on ``rows[:, 0]`` yields
-        every back-pointer chain oldest-first without chasing a pointer.
-        A single fully-kept run is returned as a live view of the device
-        buffer.
+        entries in their on-media biases, which :func:`group_chains`
+        turns into every back-pointer chain.  A single fully-kept run is
+        returned as a live view of the device buffer.
         """
         dev = self.pool.device
         eps, cursors = self.entries_per_section, self.counts
@@ -240,35 +235,14 @@ class EdgeLogs:
             return np.empty(0, dtype=np.int64), np.empty((0, _FIELDS), dtype=np.int32)
         return (gs[0], rs[0]) if len(gs) == 1 else (np.concatenate(gs), np.concatenate(rs))
 
-    def walk_chain_arrays(self, head_gidx: int, limit: int = -1):
-        """Follow back-pointers from ``head_gidx``; stops after ``limit``
-        entries if >= 0.
-
-        Returns newest-first ``(gidxs, srcs, dst_encs)`` int64 column
-        views into a preallocated buffer (valid until the next walk).
-        Unaccounted single-chain reader for snapshots and invariant
-        checks; merges and recovery consume whole section logs
-        through :meth:`stream` instead.
-        """
-        buf = self._chain_buf
-        view = self.region.view
-        n = 0
-        g = int(head_gidx)
-        while g >= 0 and (limit < 0 or n < limit):
-            if n >= buf.shape[0]:
-                buf = np.concatenate([buf, np.empty_like(buf)])
-                self._chain_buf = buf
-            p = g * _FIELDS  # == _base(section) + slot * _FIELDS
-            dst_enc = int(view[p + 1])
-            if dst_enc == 0:
-                raise PMemError(f"edge-log chain reached invalidated entry {g}")
-            buf[n, 0] = g
-            buf[n, 1] = int(view[p]) - 1
-            buf[n, 2] = dst_enc
-            n += 1
-            g = int(view[p + 2]) - 2
-        done = buf[:n]
-        return done[:, 0], done[:, 1], done[:, 2]
+    def peek(self, sections) -> Tuple[np.ndarray, np.ndarray]:
+        """The appended prefixes of ``sections`` (ascending, distinct) as
+        :meth:`stream` returns them, but read unaccounted: a snapshot's
+        and the invariant check's read of the logs, as they read the
+        array's slots (a copy, never a view)."""
+        secs = np.asarray(sections, dtype=np.int64)
+        gidx = multi_arange(secs * self.entries_per_section, self.counts[secs])
+        return gidx, self.region.view.reshape(-1, _FIELDS)[gidx]
 
     # -- recovery -----------------------------------------------------------------
     def rebuild_counts(self):
@@ -309,6 +283,51 @@ class EdgeLogs:
         return np.arange(b // ENTRY_BYTES, -(-(b + nbytes) // ENTRY_BYTES), dtype=np.int64)
 
 
+def group_chains(gidx: np.ndarray, rows: np.ndarray, vids: np.ndarray, va, lossy: bool = False):
+    """Every back-pointer chain of ``vids`` (ascending ids) among log rows
+    ``(gidx, rows)`` — ascending global indices and their entries in the
+    on-media biases, as :meth:`EdgeLogs.stream` returns them.
+
+    A vertex's pending entries all sit in its pivot section's log in
+    append order, so a stable group-by on source over those rows *is*
+    every chain, oldest first, with no pointer chased.  Returns ``(mine,
+    counts, short)``: ``rows[mine]`` are the valid entries of ``vids``,
+    grouped in ``vids`` order and oldest first within a group, and
+    ``counts[i]`` is the length of ``vids[i]``'s group.
+
+    The chains must match the DRAM vertex array ``va``: ``degree -
+    array_degree`` valid entries per vertex, the newest being ``el``.
+    A chain that came up short raises ``PMemError`` (one of its entries
+    was invalidated) — unless ``lossy``: the scrubber zeroed the entries
+    a media error destroyed, and ``short`` is each vertex's shortfall
+    (None otherwise).  A longer chain or a wrong head is corrupt either
+    way (``GraphError``).
+    """
+    n = vids.size
+    src = rows[:, 0].astype(np.int64) - 1
+    base = int(vids[0]) if n else 0
+    if n == 0 or int(vids[-1]) - base + 1 == n:  # an id range: no search
+        pos = src - base
+        ours = (pos >= 0) & (pos < n)
+    else:
+        pos = np.searchsorted(vids, src)
+        ours = vids[np.minimum(pos, n - 1)] == src
+    # valid: all three fields nonzero (an id of ours has field 0 nonzero)
+    mine = np.flatnonzero(ours & (rows[:, 1] != 0) & (rows[:, 2] != 0))
+    mine = mine[np.argsort(pos[mine], kind="stable")]
+    counts = np.bincount(pos[mine], minlength=n)
+    short = va.degree[vids] - va.array_degree[vids] - counts
+    if not lossy and (short > 0).any():
+        v = int(vids[(short > 0).argmax()])
+        raise PMemError(f"edge-log chain of vertex {v} reached an invalidated entry")
+    heads = np.full(n, -1, dtype=np.int64)
+    heads[counts > 0] = gidx[mine[(np.cumsum(counts) - 1)[counts > 0]]]
+    bad = (short < 0) | ((short == 0) & (heads != va.el[vids]))
+    if bad.any():
+        raise GraphError(f"edge-log chain of vertex {int(vids[bad.argmax()])} is corrupt")
+    return mine, counts, (short if lossy else None)
+
+
 def _cursors(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The cursor rule over whole-section entry rows ``(k, eps, 3)``:
     per section, one past the last *non-empty* entry (0 when empty) and
@@ -320,4 +339,4 @@ def _cursors(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return counts, (f0 & f1 & f2).sum(axis=1).astype(np.int64)
 
 
-__all__ = ["EdgeLogs", "ENTRY_BYTES", "MERGE_TENTHS", "merge_point"]
+__all__ = ["EdgeLogs", "ENTRY_BYTES", "MERGE_TENTHS", "group_chains", "merge_point"]

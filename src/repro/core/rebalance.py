@@ -57,11 +57,11 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import GraphError, OutOfPMemError, PMemError
+from ..errors import GraphError, OutOfPMemError
 from ..nputil import ScratchBuffer, multi_arange
 from ..obs.tracer import annotate, traced
 from .edge_array import EdgeArray
-from .edge_log import EdgeLogs
+from .edge_log import EdgeLogs, group_chains
 from .encoding import (
     SLOT_DTYPE,
     TOMB_BIT,
@@ -263,30 +263,27 @@ class Rebalancer:
         """Collect runs (array edges + merged log chains) for vertices [i0, j).
 
         Two sequential reads and no pointer chasing: one bulk load of
-        the window, one :meth:`EdgeLogs.stream` of its sections' logs.
-        A vertex's pending entries all sit in its pivot section's log in
-        append order, so a stable group-by on source over the streamed
-        rows *is* every chain, oldest first.  ``lossy`` is
-        :meth:`_check_chains`'s.
+        the window, one :meth:`EdgeLogs.stream` of its sections' logs,
+        which :func:`~repro.core.edge_log.group_chains` turns into every
+        chain, oldest first, checked against the vertex array.  A
+        ``lossy`` gather (the lost-slot filter's, :meth:`_gather_kept`)
+        accepts a chain that came up short and keeps the per-vertex
+        shortfall: the survivors are adopted by the layout the rewrite
+        commits (:meth:`_apply_dram` — degree becomes the run laid out,
+        ``el`` empties).
         """
         host = self.host
         va, ea, logs = host.va, host.ea, host.logs
         dev = host.pool.device
-        n = j - i0
         win = dev.load_batch(ea.byte_off(lo), (hi - lo) * 4).view(SLOT_DTYPE)
         secs = self._window_lock_span(lo, hi)
         gidx, rows = log_rows = logs.stream(secs.start, secs.stop)
-        src = rows[:, 0].astype(np.int64) - 1
-        # valid (all three fields nonzero; ``src >= i0`` covers field 0) and ours
-        mine = np.flatnonzero((rows[:, 1] != 0) & (rows[:, 2] != 0) & (src >= i0) & (src < j))
-        mine = mine[np.argsort(src[mine], kind="stable")]
-        counts = np.bincount(src[mine] - i0, minlength=n)
+        mine, counts, short = group_chains(gidx, rows, np.arange(i0, j), va, lossy)
         chain_gidxs = gidx[mine]
         starts = np.asarray(va.start[i0:j], dtype=np.int64) - lo
         ads = np.asarray(va.array_degree[i0:j], dtype=np.int64)
         sizes = ads + counts
         run_off = np.cumsum(sizes) - sizes
-        short = self._check_chains(i0, counts, chain_gidxs, lossy)
         nvals = int(sizes.sum())
         values = self.dram_scratch().take("gather.values", nvals, SLOT_DTYPE)
         if int(ads.sum()):
@@ -294,30 +291,6 @@ class Rebalancer:
         # chains merge oldest-first behind the array part of the run
         values[multi_arange(run_off + ads, counts)] = rows[mine, 1]
         return GatherResult(lo, hi, i0, j, values, sizes, chain_gidxs, log_rows, short=short)
-
-    def _check_chains(
-        self, i0: int, counts: np.ndarray, chain_gidxs: np.ndarray, lossy: bool
-    ) -> Optional[np.ndarray]:
-        """Gathered chains (grouped by vertex, oldest first) must match the
-        DRAM vertex array: ``degree - array_degree`` valid entries per
-        vertex, the newest being ``el``.  A ``lossy`` gather (the
-        scrubber zeroed the entries a media error destroyed) accepts a
-        chain that came up short and returns the per-vertex shortfall:
-        the survivors are adopted by the layout the rewrite commits
-        (:meth:`_apply_dram` — degree becomes the run laid out, ``el``
-        empties).  A chain longer than expected is corrupt either way."""
-        va = self.host.va
-        j = i0 + counts.size
-        short = np.asarray(va.degree[i0:j], dtype=np.int64) - va.array_degree[i0:j] - counts
-        heads = np.full(counts.size, -1, dtype=np.int64)
-        heads[counts > 0] = chain_gidxs[(np.cumsum(counts) - 1)[counts > 0]]
-        if not lossy and (short > 0).any():
-            v = i0 + int((short > 0).argmax())
-            raise PMemError(f"edge-log chain of vertex {v} reached an invalidated entry")
-        bad = (short < 0) | ((short == 0) & (heads != va.el[i0:j]))
-        if bad.any():
-            raise GraphError(f"edge-log chain of vertex {i0 + int(bad.argmax())} is corrupt")
-        return short if lossy else None
 
     def _gather_kept(self, ext, keep_mask) -> Tuple[GatherResult, Optional[np.ndarray]]:
         """Gather ``ext`` (an :meth:`_extend` result) and evaluate the
@@ -470,7 +443,7 @@ class Rebalancer:
     def _apply_dram(self, laid: GatherResult, new_starts: np.ndarray) -> None:
         """Move the vertex array with a committed layout: every chain was
         merged, so the laid-out run *is* the vertex's whole history
-        (``degree == array_degree == run length`` — :meth:`_check_chains`
+        (``degree == array_degree == run length`` — :func:`group_chains`
         pinned the gathered lengths to ``degree``) and ``el`` is empty.
         ``live_degree`` is invariant — a gather drops nothing, and each
         pair compaction drops is one live (+1) and one tombstone (−1) —

@@ -19,10 +19,11 @@ drops entries, DESIGN.md §7):
 
 * positions below ``array_degree_now`` come from the edge array run at
   the *current* ``start_v``;
-* the rest come from the edge-log back-pointer chain: the chain holds
-  logical positions ``[array_degree_now, degree_now)`` newest first, so
-  skip the ``degree_now - degree_t`` newest entries and take what the
-  range still needs (paper: the FIFO buffer of size ``rest_v^t``).
+* the rest come from the edge-log chain, which holds logical positions
+  ``[array_degree_now, degree_now)`` in append order — its pivot
+  section's log grouped by source — so the range is a slice of it and
+  the ``degree_now - degree_t`` entries appended since are left out
+  (paper: the FIFO buffer of size ``rest_v^t``).
 
 Tombstones (deleted edges) are filtered at read time: a tombstone
 cancels one earlier occurrence of the same destination.
@@ -34,9 +35,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..errors import PMemError, SnapshotError
-from ..nputil import multi_arange
+from ..errors import SnapshotError
+from ..nputil import distinct, multi_arange
 from ..obs.tracer import trace
+from .edge_log import group_chains
 from .encoding import SLOT_DTYPE, TOMB_BIT, check_vertex, tombstone_matches
 
 
@@ -101,75 +103,53 @@ class DGAPSnapshot:
         """Live (tombstone-adjusted) out-degree of ``v`` at snapshot time."""
         return int(self.live_t[self._at(check_vertex(v, self.num_vertices))])
 
-    def slot_values(self, v: int) -> np.ndarray:
-        """Encoded slot values of ``v``'s first ``degree_t`` edges, in order."""
-        vids = np.array([check_vertex(v, self.num_vertices)], dtype=np.int64)
-        return self._tails(vids, 0, self.degree_t[self._at(vids)])
-
     def out_neighbors(self, v: int) -> np.ndarray:
         """Live destination ids of ``v`` at snapshot time (tombstones applied)."""
-        vals = self.slot_values(v)
-        tomb = (vals & TOMB_BIT) != 0
-        dsts = (vals & ~TOMB_BIT) - 1
-        if not tomb.any():
-            return dsts
-        return _apply_tombstones(dsts, tomb)
+        vids = np.array([check_vertex(v, self.num_vertices)], dtype=np.int64)
+        return self.materialize_rows(vids)[1]
 
     # -- bulk materialization ---------------------------------------------------------
     def _tails(self, vids: np.ndarray, lo, deg_t: np.ndarray) -> np.ndarray:
         """Encoded entries ``[lo[i], deg_t[i])`` of each ``vids[i]``, back to
         back (``lo``: one offset per row, or 0 for whole rows) — the one
-        reader of row bytes.  Array parts are gathered in one pass; only
-        pending log chains are walked per vertex, and only as deep as the
-        range reaches.  Freshly allocated — never a view into the
-        persistent buffers.
+        reader of row bytes.  Array parts are gathered in one pass; the
+        chained rows' pivot sections' logs are read once and grouped by
+        source as a merge groups them
+        (:func:`~repro.core.edge_log.group_chains`).  Freshly allocated —
+        never a view into the persistent buffers.
 
-        A reader takes no section lock, so on a ``thread_safe`` store a
-        merge may drain a chain or move runs while a row's bytes are
-        read.  Seqlock order: the row's ``(start, array_degree, el,
-        degree)`` are read before its bytes and checked again behind
-        every read of them; a row whose fields moved in between — or
-        whose chain walk met an entry a merge invalidated — is read
-        again."""
-        va = self.host.va
-        fields = ("start", "array_degree", "el", "degree")  # looked up again: a grow reallocates
-        start, ad, el, degree = seen = [getattr(va, f)[vids] for f in fields]
-
-        def moved_since() -> np.ndarray:
-            moved = np.zeros(vids.size, dtype=bool)
-            for f, was in zip(fields, seen):
-                moved |= getattr(va, f)[vids] != was
-            return moved
-
-        sizes = deg_t - lo
-        n_arr = np.maximum(np.minimum(ad, deg_t) - lo, 0)
-        vals = self.host.ea.slots[multi_arange(start + lo, n_arr)]
-        n_chain = sizes - n_arr
-        moved = moved_since()
-        if not (n_chain.any() or moved.any()):
-            return vals
-        # splice each pending chain's entries in behind the array part
-        off = np.cumsum(sizes) - sizes
-        arr_vals, vals = vals, np.empty(int(sizes.sum()), dtype=SLOT_DTYPE)
-        vals[multi_arange(off, n_arr)] = arr_vals
-        for i in np.flatnonzero((n_chain > 0) & ~moved).tolist():
-            take = int(n_chain[i])
-            skip = int(degree[i] - deg_t[i])  # entries appended after snapshot time
-            try:
-                _, _, encs = self.host.logs.walk_chain_arrays(int(el[i]), limit=skip + take)
-            except PMemError:
-                if not self.host.config.thread_safe:
-                    raise
-                moved[i] = True  # a merge drained the chain under the walk
-                continue
-            # the chain is walked newest first
-            vals[off[i] + n_arr[i] : off[i] + sizes[i]] = encs[skip : skip + take][::-1]
-        redo = np.flatnonzero(moved | moved_since())
-        if redo.size:
-            vals[multi_arange(off[redo], sizes[redo])] = self._tails(
-                vids[redo], np.broadcast_to(lo, vids.shape)[redo], deg_t[redo]
-            )
-        return vals
+        On a ``thread_safe`` store the rows' pivot sections are held for
+        the read (DESIGN.md §10): every rebalance, merge or switch that
+        moves a row or drains its chain locks that section, and so does
+        every writer appending to the row."""
+        host = self.host
+        locked = host.config.thread_safe
+        held = host._acquire_validated(vids, host._pivot_sections) if locked else []
+        try:
+            va = host.va
+            start, ad = va.start[vids], va.array_degree[vids]
+            sizes = deg_t - lo
+            n_arr = np.maximum(np.minimum(ad, deg_t) - lo, 0)
+            vals = host.ea.slots[multi_arange(start + lo, n_arr)]
+            n_chain = sizes - n_arr
+            at = np.flatnonzero(n_chain)
+            if not at.size:
+                return vals
+            chained = distinct(vids[at])
+            gidx, rows = host.logs.peek(host._pivot_sections(chained))
+            mine, counts, _ = group_chains(gidx, rows, chained, va)
+            # a chain holds positions [array_degree, degree), oldest first
+            skip = np.maximum(np.broadcast_to(lo, vids.shape)[at] - ad[at], 0)
+            first = (np.cumsum(counts) - counts)[np.searchsorted(chained, vids[at])] + skip
+            off = np.cumsum(sizes) - sizes
+            out = np.empty(int(sizes.sum()), dtype=SLOT_DTYPE)
+            out[multi_arange(off, n_arr)] = vals
+            out[multi_arange(off[at] + n_arr[at], n_chain[at])] = rows[
+                mine[multi_arange(first, n_chain[at])], 1
+            ]
+            return out
+        finally:
+            host.locks.release_many(held)
 
     def materialize_rows(
         self, vids: np.ndarray, prefix: Optional[Tuple[np.ndarray, ...]] = None
@@ -227,13 +207,6 @@ class DGAPSnapshot:
                 np.cumsum(counts, out=indptr[1:])
                 self._csr = (indptr, dsts)
         return self._csr
-
-
-def _apply_tombstones(dsts: np.ndarray, tomb: np.ndarray) -> np.ndarray:
-    """Live destinations of one run: tombstones and the lives they cancel
-    (:func:`~repro.core.encoding.tombstone_matches`) are hidden."""
-    keep = ~(tomb | tombstone_matches(dsts, tomb))
-    return dsts[keep].astype(np.int32, copy=False)
 
 
 __all__ = ["DGAPSnapshot"]

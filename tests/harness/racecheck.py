@@ -25,9 +25,9 @@ replay → oracle):
 
 * scenario drivers + :func:`explore_scenario` — small real-``DGAP``
   workloads (writer/writer, writer/rebalancer, writer/resize,
-  reader/writer, the batch twins and two "No EL" shifts) whose schedule
-  space is explored exhaustively when it fits the budget, else its first
-  depth-first schedules up to the budget; every schedule is
+  reader/writer, reader/merge, the batch twins and two "No EL" shifts)
+  whose schedule space is explored exhaustively when it fits the budget,
+  else its first depth-first schedules up to the budget; every schedule is
   oracle-checked AND the end state is validated (no lost edges,
   structural invariants, degree caches consistent).
 
@@ -547,6 +547,57 @@ def scenario_reader_writer(sched: DeterministicScheduler) -> ScenarioSpec:
     )
 
 
+def scenario_reader_merge(sched: DeterministicScheduler) -> ScenarioSpec:
+    """A reader materializing a chained row while a second thread merges
+    that row's pivot section: the merge drains the chain and moves the
+    section's runs, and the reader — holding the rows' pivot sections
+    for its read — must see the bytes a quiet snapshot read."""
+    g = _make_graph(init_edges=64)  # two 64-slot sections, 16 slots a row
+    for d in range(20):  # row 2: 15 edges in its run, 5 in section 0's log
+        g.insert_edge(2, d)
+    assert g.va.el[2] >= 0
+    rec = instrument(g, sched)
+    with g.consistent_view() as quiet:
+        want = [a.copy() for a in quiet.to_csr()]
+    section = g.ea.section_of(int(g.va.start[2]) - 1)
+    reads: List[Tuple[np.ndarray, np.ndarray]] = []
+    apply_dram = g.rebalancer._apply_dram
+
+    def moved_late(*layout):
+        # the window is rewritten and its logs cleared, the vertex array
+        # not yet moved: a reader here that holds no lock reads garbage
+        sched.yield_point("mid-merge")
+        apply_dram(*layout)
+
+    g.rebalancer._apply_dram = moved_late
+
+    def reader():
+        rec.name_thread("reader")
+        with g.consistent_view() as view:
+            sched.yield_point("mid-view")  # the merge may land before the read
+            reads.append(view.to_csr())
+        _op(sched)
+
+    def merger():
+        rec.name_thread("merger")
+        g.rebalancer.merge_section(section, thread_id=1)
+        _op(sched)
+
+    def validate():
+        _base_validate(g, 20)()
+        if g.va.el[2] >= 0:
+            raise AssertionError("the merge left row 2's chain pending")
+        for got in reads:
+            if not all(np.array_equal(a, b) for a, b in zip(got, want)):
+                raise AssertionError(f"read {got} differs from the quiet read {want}")
+
+    return ScenarioSpec(
+        graph=g, recorder=rec,
+        workers={"reader": reader, "merger": merger},
+        validate=validate,
+    )
+
+
 #: two writers hammering the same source vertex
 _SHARED = dict(e_a=[(3, 1), (3, 2)], e_b=[(3, 5), (3, 6)])
 
@@ -556,6 +607,7 @@ SCENARIOS: Dict[str, ScenarioBuilder] = {
     "writer-rebalancer": scenario_writer_rebalancer,
     "writer-resize": scenario_writer_resize,
     "reader-writer": scenario_reader_writer,
+    "reader-merge": scenario_reader_merge,
     # the same three races through ``insert_edges``: two rounds contending
     # for one section (the second finds its runs moved and regroups), a
     # round against a rebalance window, a round against a generation switch

@@ -7,6 +7,9 @@ over sequential streams: ``Rebalancer._gather`` / ``_plan``,
 Python loop the bulk pass replaced.  The contract is exact equivalence:
 the same results, the same persistent bytes and the same device
 accounting (counters *and* modeled time, bit for bit).
+:func:`back_pointer_walk`, one chain read pointer by pointer, is the
+oracle of the chain grouping that gathers, snapshots and the invariant
+check share.
 
 :func:`scalar_readpath` swaps the references in for the length of a
 ``with`` block, so a store built, rebalanced or reopened inside it runs
@@ -24,7 +27,7 @@ from unittest import mock
 import numpy as np
 
 from repro.core import recovery
-from repro.core.edge_log import _FIELDS, ENTRY_BYTES, EdgeLogs
+from repro.core.edge_log import _FIELDS, ENTRY_BYTES, EdgeLogs, group_chains
 from repro.core.encoding import SLOT_DTYPE, TOMB_BIT, encode_pivot
 from repro.core.rebalance import GatherResult, Rebalancer
 from repro.errors import RecoveryError
@@ -65,6 +68,18 @@ def stream(logs: EdgeLogs, s_lo: int, s_hi: int):
                 p = g * _FIELDS
                 out.append((g, int(view[p]), int(view[p + 1]), int(view[p + 2])))
     return np.asarray(out, dtype=np.int64).reshape(len(out), 1 + _FIELDS)
+
+
+def back_pointer_walk(logs: EdgeLogs, head: int) -> List[Tuple[int, int, int]]:
+    """Per-entry oracle of :func:`~repro.core.edge_log.group_chains` for
+    one chain: oldest-first ``(gidx, src, dst_enc)`` of the chain headed at
+    ``head``, one ``read_entry`` per back-pointer."""
+    chain = []
+    while head >= 0:
+        src, dst_enc, back = logs.read_entry(head)
+        chain.append((head, src, dst_enc))
+        head = back
+    return chain[::-1]
 
 
 def rebuild_counts(logs: EdgeLogs):
@@ -127,9 +142,9 @@ def gather(
         run = np.concatenate([slots[st : st + ad], vals])
         runs.append(run)
         total += 1 + run.size  # pivot + edges
-    counts = np.fromiter(map(len, chains), dtype=np.int64, count=j - i0)
-    short = self._check_chains(i0, counts, np.asarray(chain_gidxs, dtype=np.int64), lossy)
     log_rows = entries[:, 0], entries[:, 1:]
+    # the chains meet the vertex array's check (the store's, not a loop of its own)
+    short = group_chains(*log_rows, np.arange(i0, j), va, lossy)[2]
     return from_runs(lo, hi, i0, j, runs, chain_gidxs, log_rows, short)
 
 

@@ -234,13 +234,13 @@ class TestConcurrentWriters:
 
 
 class TestSnapshotRace:
-    def test_a_merge_between_a_rows_extent_and_its_chain_is_read_again(self, monkeypatch):
-        """A section merge lands after ``_tails`` read a row's array
-        extent and before it walks the row's log chain: the drained row
-        (and every run the merge moved) is read again, and the view is
-        the one a quiet snapshot reads."""
-        import repro.core.snapshot as snapshot
+    """A section merge started by a second thread while a snapshot reads a
+    chained row: the reader holds the row's pivot section (DESIGN.md §10),
+    so the merge waits for the read to end, and the view both before and
+    after the merge is the one a quiet snapshot reads."""
 
+    @staticmethod
+    def _store_with_a_chained_row():
         nv = 16
         g = DGAP(DGAPConfig(init_vertices=nv, init_edges=256, segment_slots=64, thread_safe=True))
         # every row holds a few edges, then row 0's overflow goes to its
@@ -251,63 +251,76 @@ class TestSnapshotRace:
             g.insert_edge(0, (i * 5 + 2) % nv)
         chained = np.flatnonzero(g.va.el[:nv] >= 0)
         assert chained.size
-        v = int(chained[0])
+        return g, nv, int(chained[0])
+
+    def _race(self, g, nv, v, patch):
+        """Read a snapshot with ``patch(start_merge)`` installed, where
+        ``start_merge`` starts merging ``v``'s pivot section on a second
+        thread and checks that the merge is held off by the read."""
         with g.consistent_view() as snap:
             want = [a.copy() for a in snap.to_csr()]
         section = g.ea.section_of(int(g.va.start[v]) - 1)
         starts = g.va.start[:nv].copy()
+        merger = threading.Thread(target=g.rebalancer.merge_section, args=(section,))
+        started = []
 
-        real = snapshot.multi_arange
-        calls = []
+        def start_merge():
+            if not started:
+                started.append(True)
+                merger.start()
+                merger.join(timeout=0.2)
+                assert merger.is_alive()  # waiting on the reader's section lock
+                assert g.va.el[v] >= 0
 
-        def merge_first(*args):
-            if not calls:
-                g.rebalancer.merge_section(section)
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(snapshot, "multi_arange", merge_first)
-        with g.consistent_view() as snap:
-            got = snap.to_csr()
-        assert g.va.el[v] < 0  # the merge drained the chain under the read
+        patch(start_merge)
+        try:
+            with g.consistent_view() as snap:
+                got = snap.to_csr()
+        finally:
+            if started:
+                merger.join(timeout=30)
+        assert started and not merger.is_alive()
+        assert g.va.el[v] < 0  # the merge drained the chain once the read ended
         assert (g.va.start[:nv] != starts).any()  # and moved runs
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
+        with g.consistent_view() as snap:  # read again, after the merge
+            again = snap.to_csr()
+        for a, b in zip(again, want):
+            np.testing.assert_array_equal(a, b)
+        g.check_invariants()
+
+    def test_a_merge_between_a_rows_extent_and_its_chain_is_read_again(self, monkeypatch):
+        """The merge starts after ``_tails`` read the rows' array extents
+        and before it reads their chains."""
+        import repro.core.snapshot as snapshot
+
+        g, nv, v = self._store_with_a_chained_row()
+        real = snapshot.multi_arange
+
+        def patch(start_merge):
+            def merge_first(*args):
+                start_merge()
+                return real(*args)
+
+            monkeypatch.setattr(snapshot, "multi_arange", merge_first)
+
+        self._race(g, nv, v, patch)
 
     def test_a_merge_inside_a_chain_walk_is_read_again(self, monkeypatch):
-        """The merge lands while ``_tails`` walks a row's log chain —
-        after the row's fields were checked: the walk meets an entry the
-        merge invalidated, the row counts as moved, and the fields are
-        checked again behind every read (seqlock order), so the drained
-        row and every run the merge moved are read again."""
-        nv = 16
-        g = DGAP(DGAPConfig(init_vertices=nv, init_edges=256, segment_slots=64, thread_safe=True))
-        for i in range(48):
-            g.insert_edge(i % nv, (i * 3 + 1) % nv)
-        for i in range(40):
-            g.insert_edge(0, (i * 5 + 2) % nv)
-        chained = np.flatnonzero(g.va.el[:nv] >= 0)
-        assert chained.size
-        v = int(chained[0])
-        with g.consistent_view() as snap:
-            want = [a.copy() for a in snap.to_csr()]
-        section = g.ea.section_of(int(g.va.start[v]) - 1)
-        starts = g.va.start[:nv].copy()
-
-        real = g.logs.walk_chain_arrays
+        """The merge starts as ``_tails`` reads the chained row's pivot
+        section log, after the row's fields were read."""
+        g, nv, v = self._store_with_a_chained_row()
+        real = g.logs.peek
         calls = []
 
-        def merge_first(*args, **kwargs):
-            if not calls:
-                g.rebalancer.merge_section(section)
-            calls.append(args)
-            return real(*args, **kwargs)
+        def patch(start_merge):
+            def merge_first(*args, **kwargs):
+                calls.append(args)
+                start_merge()
+                return real(*args, **kwargs)
 
-        monkeypatch.setattr(g.logs, "walk_chain_arrays", merge_first)
-        with g.consistent_view() as snap:
-            got = snap.to_csr()
+            monkeypatch.setattr(g.logs, "peek", merge_first)
+
+        self._race(g, nv, v, patch)
         assert calls
-        assert g.va.el[v] < 0  # the merge drained the chain under the walk
-        assert (g.va.start[:nv] != starts).any()  # and moved runs
-        for a, b in zip(got, want):
-            np.testing.assert_array_equal(a, b)

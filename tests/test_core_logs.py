@@ -1,10 +1,12 @@
 """Unit tests for the per-section edge logs and per-thread undo logs."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro import DGAP, DGAPConfig
-from repro.core.edge_log import ENTRY_BYTES, EdgeLogs, merge_point
+from repro.core.edge_log import ENTRY_BYTES, EdgeLogs, group_chains, merge_point
 from repro.core.encoding import encode_edge
 from repro.core.undo_log import (
     PHASE_COMPACT,
@@ -17,6 +19,7 @@ from repro.core.undo_log import (
 from repro.errors import PMemError
 from repro.pmem import PMemPool
 from .harness import model
+from .harness.readpath_ref import back_pointer_walk
 
 
 @pytest.fixture
@@ -35,19 +38,17 @@ class TestEdgeLogs:
         assert logs.read_entry(g0)[2] == -1
 
     def test_chain_walk_newest_first(self, pool):
+        """Following back-pointers from the head reads a vertex's entries
+        newest first; grouping the appended rows yields the same chain."""
         logs = EdgeLogs(pool, 2, 16)
         g = -1
         for d in (1, 2, 3):
             g = logs.append(0, 7, int(encode_edge(d)), g)
-        _, _, dst_encs = logs.walk_chain_arrays(g)
-        assert dst_encs.tolist() == [int(encode_edge(3)), int(encode_edge(2)), int(encode_edge(1))]
-
-    def test_walk_chain_limit(self, pool):
-        logs = EdgeLogs(pool, 2, 16)
-        g = -1
-        for d in range(5):
-            g = logs.append(0, 7, int(encode_edge(d)), g)
-        assert logs.walk_chain_arrays(g, limit=2)[0].size == 2
+        oldest_first = [int(encode_edge(d)) for d in (1, 2, 3)]
+        assert [e[2] for e in back_pointer_walk(logs, g)] == oldest_first
+        gidx, rows = logs.stream(0, 2)
+        mine, _, _ = group_chains(gidx, rows, np.array([7]), chains_of({7: g}, [3]))
+        assert rows[mine, 1].tolist() == oldest_first
 
     def test_fill_fraction_and_overflow(self, pool):
         logs = EdgeLogs(pool, 2, 4)
@@ -79,10 +80,13 @@ class TestEdgeLogs:
         gb = logs.append(0, 2, int(encode_edge(6)), -1)
         logs.invalidate_entries([ga])
         assert logs.live_counts[0] == 1
-        # sibling entry still readable
+        # sibling entry still readable, and still its vertex's whole chain
         assert logs.read_entry(gb)[0] == 2
-        with pytest.raises(PMemError):
-            logs.walk_chain_arrays(ga)
+        rows = logs.stream(0, 1)
+        mine, counts, _ = group_chains(*rows, np.array([2]), chains_of({2: gb}, [1]))
+        assert rows[0][mine].tolist() == [gb] and counts.tolist() == [1]
+        with pytest.raises(PMemError, match="vertex 1 reached an invalidated entry"):
+            group_chains(*rows, np.array([1, 2]), chains_of({1: ga, 2: gb}, [1, 1]))
 
     def test_rebuild_counts_after_crash(self, pool):
         logs = EdgeLogs(pool, 4, 8)
@@ -274,41 +278,39 @@ class TestCompactionTombstoneAccounting:
         g2.check_invariants()
 
 
-def _walk_by_read_entry(logs, head):
-    """Newest-first ``(gidx, src, dst_enc)`` by following ``read_entry`` backs."""
-    out = []
-    while head >= 0:
-        src, dst_enc, back = logs.read_entry(head)
-        out.append((head, src, dst_enc))
-        head = back
-    return out
+def chains_of(heads: dict, lengths) -> SimpleNamespace:
+    """A vertex array (``degree``, ``array_degree``, ``el``) whose vertex
+    ``v`` has no array part and a chain of ``lengths[i]`` entries headed
+    at ``heads[v]`` (``v = sorted(heads)[i]``)."""
+    nv = max(heads) + 1
+    degree = np.zeros(nv, dtype=np.int64)
+    degree[sorted(heads)] = lengths
+    el = np.full(nv, -1, dtype=np.int64)
+    el[list(heads)] = list(heads.values())
+    return SimpleNamespace(degree=degree, array_degree=np.zeros(nv, dtype=np.int64), el=el)
 
 
 class TestChainArrayPaths:
-    """The two log readers: single-chain walks and the sequential stream."""
+    """The log readers: the sequential stream, its unaccounted twin, and
+    the chain grouping over either."""
 
     def test_walk_chain_arrays_matches_walk_chain(self, pool):
+        """One vertex's chain read as arrays (its section's rows grouped)
+        is the back-pointer walk from its head, entry for entry."""
         logs = EdgeLogs(pool, 2, 16)
         g = -1
         for d in (4, 5, 6, 7):
             g = logs.append(1, 9, int(encode_edge(d)), g)
-        gidxs, srcs, dst_encs = logs.walk_chain_arrays(g)
-        expect = _walk_by_read_entry(logs, g)
-        assert list(zip(gidxs.tolist(), srcs.tolist(), dst_encs.tolist())) == expect
-        assert srcs.tolist() == [9, 9, 9, 9]
-
-    def test_walk_chain_arrays_limit_and_growth(self, pool):
-        logs = EdgeLogs(pool, 8, 64)
-        g = -1
-        for d in range(50):  # force the chain buffer to grow past 32
-            g = logs.append(0, 1, int(encode_edge(d)), g)
-        gidxs, _, dst_encs = logs.walk_chain_arrays(g)
-        assert gidxs.size == 50
-        assert dst_encs[0] == int(encode_edge(49))  # newest first
-        assert logs.walk_chain_arrays(g, limit=3)[0].size == 3
+        gidx, rows = logs.peek([1])
+        mine, counts, _ = group_chains(gidx, rows, np.array([9]), chains_of({9: g}, [4]))
+        srcs = rows[mine, 0].astype(np.int64) - 1
+        got = list(zip(gidx[mine].tolist(), srcs.tolist(), rows[mine, 1].tolist()))
+        assert got == back_pointer_walk(logs, g)
+        assert counts.tolist() == [4] and srcs.tolist() == [9, 9, 9, 9]
 
     def test_stream_groupby_matches_per_head_walks(self, pool):
-        """Append order within a section, grouped by source, *is* each chain."""
+        """Append order within a section, grouped by source, *is* each chain,
+        oldest first — for an id range and for scattered ids alike."""
         logs = EdgeLogs(pool, 4, 16)
         heads = {}
         for d in range(5):  # interleave the appends of three co-located vertices
@@ -317,13 +319,32 @@ class TestChainArrayPaths:
         heads[3] = logs.append(3, 3, int(encode_edge(7)), -1)
         gidx, rows = logs.stream(0, 4)
         assert (np.diff(gidx) > 0).all()
-        src = rows[:, 0].astype(np.int64) - 1
-        order = np.argsort(src, kind="stable")
-        for v, head in heads.items():
-            walked = _walk_by_read_entry(logs, head)[::-1]  # oldest first
-            sel = order[src[order] == v]
-            assert gidx[sel].tolist() == [w[0] for w in walked]
-            assert rows[sel, 1].tolist() == [w[2] for w in walked]
+        walks = {v: back_pointer_walk(logs, h) for v, h in heads.items()}
+        for vids in (sorted(heads), [0, 4], [3, 4]):
+            held = {v: heads[v] for v in vids if v in heads}
+            va = chains_of(held, [len(walks[v]) for v in sorted(held)])
+            mine, counts, _ = group_chains(gidx, rows, np.array(vids), va)
+            at = np.cumsum(counts) - counts
+            for v, o, n in zip(vids, at.tolist(), counts.tolist()):
+                sel = mine[o : o + n]
+                assert gidx[sel].tolist() == [w[0] for w in walks.get(v, [])]
+                assert rows[sel, 1].tolist() == [w[2] for w in walks.get(v, [])]
+        # the unaccounted read of the same prefixes is the same rows
+        before = pool.device.stats.snapshot()
+        peeked = logs.peek([0, 3])
+        assert pool.device.stats.delta_since(before).seq_read_bytes == 0
+        np.testing.assert_array_equal(peeked[0], gidx)
+        np.testing.assert_array_equal(peeked[1], rows)
+
+    def test_a_chain_past_32_entries_groups_whole(self, pool):
+        logs = EdgeLogs(pool, 8, 64)
+        g = -1
+        for d in range(50):
+            g = logs.append(0, 1, int(encode_edge(d)), g)
+        gidx, rows = logs.peek([0])
+        mine, counts, _ = group_chains(gidx, rows, np.array([1]), chains_of({1: g}, [50]))
+        assert counts.tolist() == [50]
+        assert rows[mine, 1].tolist() == [int(encode_edge(d)) for d in range(50)]
 
     def test_stream_empty_and_out_of_window_sections(self, pool):
         logs = EdgeLogs(pool, 4, 8)

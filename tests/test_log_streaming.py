@@ -26,7 +26,7 @@ from repro.core.encoding import encode_edge
 from repro.core.rebalance import Rebalancer
 from repro.errors import GraphError, MediaError, PMemError
 from repro.pmem.faults import FaultPolicy
-from .harness.readpath_ref import scalar_readpath
+from .harness.readpath_ref import back_pointer_walk, scalar_readpath
 
 SMALL = dict(init_vertices=16, init_edges=256, elog_size=96, segment_slots=64)
 
@@ -111,10 +111,9 @@ class TestStreamedGroupByIsTheChain:
             va, logs = self.host.va, self.host.logs
             walked = []
             for v in range(i0, j):
-                el = int(va.el[v])
-                gi, srcs, encs = logs.walk_chain_arrays(el) if el >= 0 else ((), (), ())
-                assert all(s == v for s in srcs)
-                walked.append((list(gi)[::-1], list(encs)[::-1]))  # oldest first
+                chain = back_pointer_walk(logs, int(va.el[v]))
+                assert all(src == v for _, src, _ in chain)
+                walked.append(([c[0] for c in chain], [c[2] for c in chain]))
             res = gather(self, lo, hi, i0, j)
             off = 0
             for k, (gi, encs) in enumerate(walked):
@@ -183,7 +182,7 @@ class TestStreamedGroupByIsTheChain:
             g.rebalancer._gather(*whole)
 
         g, v, whole = fresh()  # right count, wrong head
-        older = int(g.logs.walk_chain_arrays(int(g.va.el[v]))[0][1])
+        older = back_pointer_walk(g.logs, int(g.va.el[v]))[-2][0]
         g.va.set_el(v, older)
         with pytest.raises(GraphError, match=f"vertex {v} is corrupt"):
             g.rebalancer._gather(*whole)

@@ -12,7 +12,6 @@ from repro.core.encoding import (
     tombstone_matches,
 )
 from repro.core.pma_tree import PMATree
-from repro.core.snapshot import _apply_tombstones
 from repro.nputil import multi_arange as _multi_arange
 from repro.pmem import CACHE_LINE, PMemDevice
 
@@ -107,7 +106,7 @@ class TestSnapshotHelpers:
     def test_tombstones_cancel_exactly_one_earlier(self, seq):
         dsts = np.array([d for d, _ in seq], dtype=np.int64)
         tomb = np.array([t for _, t in seq], dtype=bool)
-        out = _apply_tombstones(dsts, tomb)
+        out = dsts[~(tomb | tombstone_matches(dsts, tomb))]
         # reference: simple stack simulation
         stacks = {}
         keep = []

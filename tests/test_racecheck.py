@@ -12,8 +12,8 @@ Four layers, bottom up:
   flagging both historical bugs — and the fixed table staying clean
   over the *same* exhausted schedule space;
 * real-``DGAP`` **scenarios** (writer/writer, writer/rebalancer,
-  writer/resize, reader/writer) swept clean post-fix, plus a
-  hypothesis property that any explored schedule is linearizable
+  writer/resize, reader/writer, reader/merge) swept clean post-fix, plus
+  a hypothesis property that any explored schedule is linearizable
   (element-identical to some serial order of the two writers' ops).
 """
 
@@ -362,6 +362,17 @@ class TestScenarioSweeps:
     def test_writer_writer_exhaustive_and_clean(self, name):
         outcomes, exhaustive = explore_scenario(SCENARIOS[name], max_schedules=500)
         assert exhaustive
+        for o in outcomes:
+            assert o.clean, (o.trace.trace, [str(v) for v in o.violations], o.error)
+
+    def test_reader_merge_exhaustive_and_clean(self):
+        """Every schedule of a snapshot read racing a merge of its chained
+        row's pivot section — the merge may pause with the window rewritten
+        and the vertex array not yet moved — reads the quiet snapshot's
+        bytes, under the oracle."""
+        outcomes, exhaustive = explore_scenario(SCENARIOS["reader-merge"], max_schedules=500)
+        assert exhaustive
+        assert len(outcomes) > 50
         for o in outcomes:
             assert o.clean, (o.trace.trace, [str(v) for v in o.violations], o.error)
 

@@ -25,7 +25,7 @@ from repro.core.encoding import encode_edge
 from repro.errors import PMemError
 from repro.pmem import PMemPool
 from .harness import readpath_ref
-from .harness.readpath_ref import scalar_readpath
+from .harness.readpath_ref import back_pointer_walk, scalar_readpath
 
 common = settings(
     max_examples=15,
@@ -234,7 +234,8 @@ class TestRecoveryEquivalenceWithFaults:
 
 
 class TestChainErrors:
-    """Both chain readers reject invalidated chain hops identically."""
+    """Every chain reader — gather (either arm), snapshot, invariant
+    check — rejects an invalidated chain hop identically."""
 
     def test_walk_and_resolve_agree_on_invalidated(self):
         self._invalidated_hop_raises()
@@ -247,13 +248,15 @@ class TestChainErrors:
         while g.va.degree[3] - g.va.array_degree[3] < 2:  # grow a 2-entry chain
             g.insert_edge(3, d % 16)
             d += 1
-        head = int(g.va.el[3])
-        oldest = int(g.logs.walk_chain_arrays(head)[0][-1])
+        oldest = back_pointer_walk(g.logs, int(g.va.el[3]))[0][0]
         g.logs.invalidate_entries([oldest])
-        with pytest.raises(PMemError, match="invalidated entry"):
-            g.logs.walk_chain_arrays(head)
-        with pytest.raises(PMemError, match="invalidated entry"):
+        with pytest.raises(PMemError, match="vertex 3 reached an invalidated entry"):
             g.rebalancer._gather(0, g.ea.capacity, 0, g.va.num_vertices)
+        with g.consistent_view() as snap:
+            with pytest.raises(PMemError, match="vertex 3 reached an invalidated entry"):
+                snap.out_neighbors(3)
+        with pytest.raises(PMemError, match="vertex 3 reached an invalidated entry"):
+            g.check_invariants()
 
 
 class TestScratchBuffer:

@@ -220,7 +220,7 @@ class TestIllegalCalls:
         for snap in snaps:
             nv = snap.num_vertices
             for v in (bad, nv):
-                for read in (snap.out_degree, snap.out_neighbors, snap.slot_values):
+                for read in (snap.out_degree, snap.out_neighbors):
                     with pytest.raises(VertexRangeError) as exc:
                         read(v)
                     assert str(exc.value) == f"vertex {v} out of range [0, {nv})"
@@ -630,6 +630,15 @@ class TestOneSurface:
                      or k.startswith("serve/")}
         assert _count(r"\.ea\.slots\[|region\.view", view_path) == 1
         assert ".ea.slots[" in src["core/snapshot.py"].split("def _tails")[1].split("\n    def ")[0]
+        # one chain reader: a merge, a snapshot and the invariant check
+        # group streamed log rows by source; none chases a back-pointer,
+        # re-reads a moved row, or resolves a single row its own way
+        assert homes(r"def group_chains") == ["core/edge_log.py"]
+        assert homes(r"group_chains\(") == ["core/dgap.py", "core/edge_log.py",
+                                           "core/rebalance.py", "core/snapshot.py"]
+        for gone in (r"walk_chain_arrays", r"_chain_buf", r"moved_since", r"_apply_tombstones",
+                     r"_check_chains", r"slot_values"):
+            assert homes(gone) == [], gone
         assert homes(r"history_epoch = [^0]") == ["core/rebalance.py"]
         assert _count(r"history_epoch = [^0]", src) == 1
         # one tombstone count, (Σdegree − Σlive) / 2: the density and the
