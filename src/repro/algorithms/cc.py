@@ -24,7 +24,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from ..analysis.view import CSRArraysView
-from ..nputil import multi_arange
+from ..nputil import distinct, multi_arange
 from ..obs.tracer import annotate, kernel_span
 
 #: the modeled scheduling bottleneck (gives ~4-6x speedup at 16 threads,
@@ -106,7 +106,7 @@ def _merge(
     comp = np.arange(nv, dtype=np.int64)
     comp[: labels.size] = labels
     ru, rv = comp[srcs], comp[dsts]
-    roots = np.unique(np.concatenate([ru, rv]))
+    roots = distinct(np.concatenate([ru, rv]))
     local, done = _hook_and_jump(
         np.arange(roots.size, dtype=np.int64),
         np.searchsorted(roots, ru),

@@ -57,7 +57,7 @@ from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ..nputil import multi_arange
+from ..nputil import distinct, multi_arange
 from ..obs.tracer import annotate, trace
 from .view import ID_DTYPE, INDPTR_DTYPE, build_in_csr_from, merge_in_streams
 
@@ -244,7 +244,7 @@ class DGAPViewCache:
         # one probe per section a re-read row starts in, then those rows'
         # entries as one stream
         starts = g.va.start[stale_vids]
-        n_secs = int(np.unique(starts // g.ea.segment_slots).size)
+        n_secs = int(distinct(starts // g.ea.segment_slots).size)
         self.stats.incremental_builds += 1
         self.stats.sections_rebuilt += n_secs
         self.stats.vertices_rebuilt += stale_vids.size

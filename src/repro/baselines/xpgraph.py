@@ -30,6 +30,7 @@ import numpy as np
 from ..analysis import costs
 from ..analysis.view import CSRArraysView, StorageGeometry
 from ..core.batch import EdgeBatch, extend_adjacency
+from ..nputil import distinct
 from ..pmem.device import PMemDevice
 from ..pmem.latency import DRAM, OPTANE_ADR, LatencyModel
 from ..pmem.pool import PMemPool
@@ -130,10 +131,10 @@ class XPGraph(DynamicGraphSystem):
         self._pending = []
         self._account_log_append(len(batch))
         srcs = np.asarray([e[0] for e in batch], dtype=np.int64)
-        distinct = np.unique(srcs).size
+        touched = distinct(srcs).size
         # one XPLine-granular PM write per touched vertex's cache block,
         # plus DRAM batch-cache traffic per edge
-        self.pool.device.account_rnd_write(distinct, 64)
+        self.pool.device.account_rnd_write(touched, 64)
         self.dram.account_rnd_write(len(batch), 4)
         self.n_archives += 1
         self.edges_archived += len(batch)

@@ -43,7 +43,6 @@ from ..nputil import distinct, multi_arange, run_heads, run_lengths
 from .rebalance import (
     ROOT_EPS,
     ROOT_GEN,
-    ROOT_INIT_CAP,
     ROOT_NTHREADS,
     ROOT_NV_HINT,
     ROOT_SEGSLOTS,
@@ -187,7 +186,6 @@ class DGAP:
         return {
             ROOT_GEN: self.ea.gen,
             ROOT_SEGSLOTS: self.ea.segment_slots,
-            ROOT_INIT_CAP: self.ea.capacity,
             ROOT_EPS: self.logs.entries_per_section,
             ROOT_NTHREADS: len(self.ulogs),
             ROOT_NV_HINT: self.va.num_vertices,

@@ -100,41 +100,17 @@ class SectionLockTable:
         with self._cond:
             return self._holds[section]
 
-    # -- single-section write path ------------------------------------------
-    def acquire(self, section: int) -> None:
-        """Block while the section is being rebalanced, then lock it.
-
-        The flag is re-checked *after* the lock is won: if a rebalance
-        flagged the section in the gap (or a resize swapped the table),
-        the lock is dropped and the whole wait restarts.  Holding
-        nothing while flag-waiting is what keeps the protocol
-        deadlock-free (see module docstring).
-        """
-        while True:
-            with self._cond:
-                while self._rebalancing[section]:
-                    self._trace("flag-wait", section)
-                    self._cond_wait()
-                lock = self._locks[section]
-            self._trace("lock-request", section)
-            self._lock_acquire(lock, section)
-            with self._cond:
-                if self._locks[section] is lock and not self._rebalancing[section]:
-                    self._note_acquire(section)
-                    self._trace("acquire", section)
-                    return
-            # Raced with begin_rebalance (flag rose in the check-to-acquire
-            # gap) or with a table resize: back off and retry from the wait.
-            self._trace("acquire-retry", section)
-            lock.release()
-
+    # -- write path -------------------------------------------------------
     def acquire_many(self, sections: Iterable[int]) -> List[int]:
-        """Writer multi-lock (batch path): ascending order, flag-gated.
+        """Writer lock (writers and snapshot readers): ascending, flag-gated.
 
         Waits for every flag with no locks held, then acquires in
-        ascending order; if any flag rose meanwhile, releases everything
-        and restarts — same no-hold-while-flag-waiting rule as
-        :meth:`acquire`.
+        ascending order.  The flags (and the table identity) are
+        re-checked *after* the locks are won: if a rebalance flagged a
+        section in the gap (or a resize swapped the table), everything
+        is dropped and the whole wait restarts.  Holding nothing while
+        flag-waiting is what keeps the protocol deadlock-free (see
+        module docstring).
         """
         secs = sorted(set(int(s) for s in sections))
         while True:
@@ -170,10 +146,6 @@ class SectionLockTable:
     def release_many(self, sections: Iterable[int]) -> None:
         for s in sorted(set(int(s) for s in sections), reverse=True):
             self.release(s)
-
-    def locked(self, section: int):
-        """Context manager for one section."""
-        return _SectionGuard(self, section)
 
     # -- rebalance path ---------------------------------------------------------
     def begin_rebalance(self, sections: Iterable[int]) -> List[int]:
@@ -235,7 +207,7 @@ class SectionLockTable:
         :meth:`begin_rebalance` across the generation switch).  The
         caller's own holds are released *after* the swap so threads
         blocked on old locks wake up, fail the identity re-check in
-        :meth:`acquire`, and retry against the new table.
+        :meth:`acquire_many`, and retry against the new table.
         """
         me = threading.get_ident()
         with self._cond:
@@ -266,22 +238,6 @@ class SectionLockTable:
             return {
                 s: hold for s, hold in enumerate(self._holds) if hold[1] > 0
             }
-
-
-class _SectionGuard:
-    __slots__ = ("table", "section")
-
-    def __init__(self, table: SectionLockTable, section: int):
-        self.table = table
-        self.section = section
-
-    def __enter__(self):
-        self.table.acquire(self.section)
-        return self
-
-    def __exit__(self, *exc):
-        self.table.release(self.section)
-        return False
 
 
 __all__ = ["SectionLockTable"]

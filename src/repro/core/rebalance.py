@@ -91,11 +91,11 @@ ELEMENT_MOVE_NS = 22.0
 #: sub-root windows); dead between windows, regrown when one outgrows it.
 SCRATCH = "rebal.scratch"
 
-#: Pool root slots used by the edge-array generation protocol.
+#: Pool root slots used by the edge-array generation protocol (slot 3
+#: is unused and stays zero).
 ROOT_SHUTDOWN = 0
 ROOT_GEN = 1
 ROOT_SEGSLOTS = 2
-ROOT_INIT_CAP = 3
 ROOT_EPS = 4
 ROOT_NTHREADS = 5
 ROOT_NV_HINT = 6
@@ -831,4 +831,4 @@ class Rebalancer:
 
 
 __all__ = ["Rebalancer", "GatherResult", "ROOT_SHUTDOWN", "ROOT_GEN", "ROOT_SEGSLOTS",
-           "ROOT_INIT_CAP", "ROOT_EPS", "ROOT_NTHREADS", "ROOT_NV_HINT"]
+           "ROOT_EPS", "ROOT_NTHREADS", "ROOT_NV_HINT"]

@@ -1,39 +1,43 @@
 """Per-thread undo logs for crash-consistent PMA rebalancing (paper §3 ④).
 
 Each writer thread owns one fixed-size (``ULOG_SZ``, default 2 KB)
-persistent log.  A rebalance moves data in chunks of at most
-``ULOG_SZ`` bytes; before overwriting a destination chunk it backs the
-chunk up here, so a crash at any point leaves either the old or the
-fully-backed-up contents recoverable — without PMDK transactions'
-journal allocations and ordering overhead (§2.4.2).
+persistent log.  Before a window of at most ``ULOG_SZ`` bytes is
+overwritten in place, its old bytes are backed up here, so a crash at
+any point leaves either the old or the fully-backed-up contents
+recoverable — without PMDK transactions' journal allocations and
+ordering overhead (§2.4.2).  Larger windows never overwrite in place:
+they commit a COPYBACK redirect (or switch generations) instead.
 
-Persistent header (ten 8-byte fields, each updated failure-atomically):
+Persistent header (ten 8-byte words, each updated failure-atomically;
+the backup record fills the first cache line, the done window sits on
+the second):
 
 ====== ============ ====================================================
-field  name         meaning
+word   name         meaning
 ====== ============ ====================================================
-0      valid        0 = no valid backup; else the 1-based step number
-                    (the commit point of the backup protocol)
+0      valid        1 = ``payload`` holds a committed backup of
+                    ``[dst_off, dst_off + length)``; 0 = no backup
 1      dst_off      device byte offset the backup corresponds to
 2      length       backup length in bytes
 3      state        0 idle / 1 rebalance active / 2 moves done, log
-                    clears pending
-4      phase        1 = compact (left-to-right), 2 = spread
-                    (right-to-left)
+                    clears pending / 3 copy-back redirect committed
+4      —            unused (zero)
 5,6    win_lo/hi    rebalance window, in edge-array slot units
-7      progress     chunk boundary: slots left of it (compact) or right
-                    of it (spread) already hold the new layout
+7      —            unused (zero)
 8,9    done_lo/hi   window recorded for the idempotent post-move
                     edge-log clears
 ====== ============ ====================================================
 
-Backup protocol per chunk (the order is what makes every crash point
-recoverable — see the rebalance crash-sweep tests):
+Backup protocol (``snapshot_window``), two ordering points:
 
-1. ``valid <- 0``            (persist)  — payload is about to be reused
-2. payload ``<-`` old bytes  (persist)
-3. ``dst_off, length <- ...``(persist)
-4. ``valid <- step``         (persist)  — commit point
+1. payload ``<-`` old bytes; ``dst_off, length, win_lo, win_hi <- ...``
+   (one fence)
+2. ``state <- ACTIVE; valid <- 1`` (one fence) — the commit point; the
+   two stores share a cache line, and either partial outcome describes
+   a window not yet touched.
+
+Recovery dispatches on ``state`` and ``valid`` alone
+(``Rebalancer.recover_ulog``, :meth:`UndoLog.restore_if_valid`).
 """
 
 from __future__ import annotations
@@ -53,20 +57,17 @@ STATE_DONE = 2
 #: next generation's (``Rebalancer._land``).
 STATE_COPYBACK = 3
 
-PHASE_COMPACT = 1
-PHASE_SPREAD = 2
-
 _F_VALID = 0
 _F_DST = 1
 _F_LEN = 2
 _F_STATE = 3
-_F_PHASE = 4
 _F_WIN_LO = 5
 _F_WIN_HI = 6
-_F_PROGRESS = 7
 _F_DONE_LO = 8
 _F_DONE_HI = 9
 _N_FIELDS = 10
+#: The words :class:`UndoHeader` decodes, in its field order.
+_HEADER = (_F_VALID, _F_DST, _F_LEN, _F_STATE, _F_WIN_LO, _F_WIN_HI, _F_DONE_LO, _F_DONE_HI)
 
 
 @dataclass
@@ -77,10 +78,8 @@ class UndoHeader:
     dst_off: int
     length: int
     state: int
-    phase: int
     win_lo: int
     win_hi: int
-    progress: int
     done_lo: int
     done_hi: int
 
@@ -105,39 +104,24 @@ class UndoLog:
     def _set(self, field: int, value: int) -> None:
         self.hdr.write(field, value, payload=0, persist=True)
 
-    def _set_many(self, *pairs: tuple) -> None:
-        # Several independent fields under one flush+fence (they are not
-        # a commit point together — the atomic commit is always the
+    def _set2(self, f1: int, v1: int, f2: int, v2: int) -> None:
+        # Two adjacent independent words under one flush+fence (they are
+        # not a commit point together — the atomic commit is always the
         # single trailing ``_set``; this is where DGAP's undo log saves
         # ordering cost over PMDK transactions).
-        for f, v in pairs:
-            self.hdr.write(f, v, payload=0)
-        fields = [f for f, _ in pairs]
-        lo, hi = min(fields), max(fields)
-        self.hdr.clwb(lo, hi - lo + 1)
+        self.hdr.write(f1, v1, payload=0)
+        self.hdr.write(f2, v2, payload=0)
+        self.hdr.clwb(min(f1, f2), abs(f2 - f1) + 1)
         self.hdr.device.sfence()
-
-    def _set2(self, f1: int, v1: int, f2: int, v2: int) -> None:
-        self._set_many((f1, v1), (f2, v2))
 
     def read_header(self) -> UndoHeader:
         h = self.hdr.view
-        return UndoHeader(*(int(h[i]) for i in range(_N_FIELDS)))
+        return UndoHeader(*(int(h[f]) for f in _HEADER))
 
     # -- rebalance lifecycle --------------------------------------------------
-    def begin(self, win_lo: int, win_hi: int, phase: int) -> None:
-        """Record the rebalance intent, then activate (state is the commit)."""
-        self._set_many(
-            (_F_VALID, 0),
-            (_F_WIN_LO, win_lo),
-            (_F_WIN_HI, win_hi),
-            (_F_PHASE, phase),
-            (_F_PROGRESS, win_lo if phase == PHASE_COMPACT else win_hi),
-        )
-        self._set(_F_STATE, STATE_ACTIVE)
-
     def snapshot_window(self, win_lo: int, win_hi: int, dev_off: int, nbytes: int) -> None:
-        """Fused intent+backup for single-chunk operations (the common case).
+        """Back up ``[dev_off, dev_off+nbytes)`` before the window
+        ``[win_lo, win_hi)`` is overwritten in place (see the protocol above).
 
         One fence covers the payload copy and every intent field, and a
         second covers the state+valid commit — this ordering economy
@@ -156,8 +140,6 @@ class UndoLog:
             (_F_LEN, nbytes),
             (_F_WIN_LO, win_lo),
             (_F_WIN_HI, win_hi),
-            (_F_PHASE, PHASE_COMPACT),
-            (_F_PROGRESS, win_lo),
         ):
             self.hdr.write(f, v, payload=0)
         self.hdr.clwb(_F_VALID, _N_FIELDS)
@@ -166,21 +148,6 @@ class UndoLog:
         self.hdr.write(_F_VALID, 1, payload=0)
         self.hdr.clwb(_F_VALID, _F_STATE - _F_VALID + 1)
         dev.sfence()  # fence 2: commit
-
-    def backup(self, dev_off: int, nbytes: int, step: int) -> None:
-        """Back up device bytes ``[dev_off, dev_off+nbytes)`` (see protocol above)."""
-        assert nbytes <= self.capacity, "chunk exceeds ULOG_SZ"
-        assert step >= 1
-        dev = self.payload.device
-        self._set(_F_VALID, 0)
-        data = dev.buf[dev_off : dev_off + nbytes].copy()
-        dev.store(self.payload.offset, data, payload=0)
-        dev.clwb(self.payload.offset, nbytes)
-        self.hdr.write(_F_DST, dev_off, payload=0)
-        self.hdr.write(_F_LEN, nbytes, payload=0)
-        self.hdr.clwb(_F_DST, 2)
-        dev.sfence()  # payload + location under one fence
-        self._set(_F_VALID, step)  # commit point
 
     def begin_copyback(self, win_lo: int, win_hi: int, scratch_off: int, nbytes: int) -> None:
         """Commit a copy-on-write redirect: the final window image is
@@ -200,7 +167,8 @@ class UndoLog:
         log is cleared, and recovery checks state before the backup
         validity — so a fully-merged window is never restored+re-merged
         (which would duplicate edges).  The stale ``valid`` flag is
-        harmless: ``begin`` resets it before the next activation.
+        harmless: the next ``snapshot_window`` makes its own backup
+        durable before it sets ``state`` again.
         """
         self._set2(_F_DONE_LO, done_lo, _F_DONE_HI, done_hi)
         self._set(_F_STATE, STATE_DONE)
@@ -210,7 +178,7 @@ class UndoLog:
 
     # -- recovery ---------------------------------------------------------------
     def restore_if_valid(self) -> bool:
-        """If a committed chunk backup exists, write it back (post-crash)."""
+        """If a committed backup exists, write it back (post-crash)."""
         h = self.read_header()
         if h.valid == 0 or h.length == 0:
             return False
@@ -229,6 +197,4 @@ __all__ = [
     "STATE_ACTIVE",
     "STATE_DONE",
     "STATE_COPYBACK",
-    "PHASE_COMPACT",
-    "PHASE_SPREAD",
 ]

@@ -35,6 +35,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from ..nputil import run_heads
 from .rmat import rmat_edges, shuffle_edges, uniform_edges
 
 
@@ -167,7 +168,8 @@ def _choice(rng: np.random.Generator, p: np.ndarray, k: int, cum: np.ndarray, cd
     while True:
         x = rng.random(k - m)
         new = np.divide(cum, cum[-1], out=cdf).searchsorted(x, side="right")
-        _, first = np.unique(new, return_index=True)
+        order = np.argsort(new, kind="stable")
+        first = order[run_heads(new[order])]  # each value's first draw
         new = new[np.sort(first)]
         found[m : m + new.size] = new
         m += new.size

@@ -53,7 +53,7 @@ def distinct(a: np.ndarray) -> np.ndarray:
 
 
 def distinct_counts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(a, return_counts=True)`` the same way."""
+    """``np.unique`` with ``return_counts=True``, the same way."""
     s = _sorted(a)
     starts = np.flatnonzero(run_heads(s))
     return s[starts], run_lengths(starts, s.size)

@@ -64,11 +64,6 @@ class Region:
             )
 
     # -- reads --------------------------------------------------------------
-    def read(self, idx: int):
-        """Read one element (scalar). No cost accounted — see module docs."""
-        self._check_idx(idx)
-        return self._view[idx]
-
     def read_slice(self, start: int, n: int) -> np.ndarray:
         self._check_idx(start, n)
         return self._view[start : start + n]

@@ -72,6 +72,7 @@ import numpy as np
 from ..core.encoding import encode_pivot
 from ..core.recovery import dead_state
 from ..errors import MediaError, ReadOnlyGraphError
+from ..nputil import distinct
 from ..obs.tracer import annotate, trace
 from ..pmem.pool import DATA_OFF
 from .quarantine import (
@@ -415,7 +416,7 @@ class ResilienceManager:
             sec, slot = logs.locate(logs.entries_at(off, n))
             spent.append(bool((slot < cursors[sec]).any()))
             self._zero(off, n)
-            logs.rescan(np.unique(sec))
+            logs.rescan(distinct(sec))
         sections = set(np.flatnonzero(logs.live_counts < live).tolist())
         log_lost = int((live - logs.live_counts).sum())
 

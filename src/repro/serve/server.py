@@ -44,7 +44,7 @@ from ..analysis.costs import (
 from ..analysis.view import ID_DTYPE
 from ..analysis.viewcache import CSRPair, top_k_from_degrees
 from ..core.encoding import check_k, check_vertex
-from ..nputil import multi_arange
+from ..nputil import distinct, multi_arange
 from ..sharding.partition import block_mix, global_vertex_count, shard_of, to_global, to_local
 
 
@@ -95,7 +95,7 @@ def k_hop_walk(v: int, k: int, nv: int, expand) -> Tuple[np.ndarray, int, int]:
             break
         nbrs = expand(frontier)
         probes, edges = probes + frontier.size, edges + nbrs.size
-        frontier = np.unique(nbrs[~visited[nbrs]]).astype(ID_DTYPE)
+        frontier = distinct(nbrs[~visited[nbrs]]).astype(ID_DTYPE)
         visited[frontier] = True
         parts.append(frontier)
     found = np.sort(np.concatenate(parts)).astype(ID_DTYPE) if parts else np.empty(0, dtype=ID_DTYPE)

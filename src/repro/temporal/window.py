@@ -41,6 +41,7 @@ import numpy as np
 
 from ..core.batch import DEFAULT_BATCH_SIZE, EdgeBatch
 from ..errors import GraphError
+from ..nputil import distinct_counts
 from ..obs.tracer import annotate, trace
 
 Pair = Tuple[int, int]
@@ -189,7 +190,7 @@ class TemporalWindowGraph:
     # ------------------------------------------------------------------
     def live_pair_counts(self) -> Dict[Pair, int]:
         """Live copy count per pair — the window's logical contents."""
-        keys, counts = np.unique(self._key[self._live], return_counts=True)
+        keys, counts = distinct_counts(self._key[self._live])
         return dict(zip(zip((keys >> 32).tolist(), (keys & 0xFFFFFFFF).tolist()),
                         counts.tolist()))
 

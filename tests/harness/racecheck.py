@@ -32,7 +32,7 @@ replay → oracle):
   structural invariants, degree caches consistent).
 
 :class:`UnfixedSectionLockTable` re-creates the two pre-fix bugs —
-check-then-act ``acquire`` and quiescence-free ``resize`` — so the
+check-then-act ``acquire_many`` and quiescence-free ``resize`` — so the
 regression tests can replay the historical interleavings and watch the
 oracle flag them; see ``tests/test_racecheck.py``.
 """
@@ -157,9 +157,9 @@ class UnfixedSectionLockTable(InstrumentedSectionLockTable):
 
     Reintroduces the two historical bugs this PR fixes:
 
-    * ``acquire`` checks the rebalance flag and *then* acquires the
-      lock with no re-check — the check-to-acquire gap lets a writer
-      slip into a section a ``begin_rebalance`` just claimed;
+    * ``acquire_many`` checks the rebalance flags and *then* acquires
+      the locks with no re-check — the check-to-acquire gap lets a
+      writer slip into a section a ``begin_rebalance`` just claimed;
     * ``resize`` swaps the lock/flag arrays wholesale with no
       quiescence check — a current holder keeps an orphaned old lock
       (mutual exclusion silently lost) and later releases into the
@@ -168,18 +168,6 @@ class UnfixedSectionLockTable(InstrumentedSectionLockTable):
     Releases that would raise are recorded as ``release-void`` instead
     so the racy run can complete and the oracle can judge the full log.
     """
-
-    def acquire(self, section: int) -> None:
-        with self._cond:
-            while self._rebalancing[section]:
-                self._trace("flag-wait", section)
-                self._cond_wait()
-            lock = self._locks[section]
-        self._trace("lock-request", section)
-        self._lock_acquire(lock, section)
-        with self._cond:
-            self._note_acquire(section)
-            self._trace("acquire", section)
 
     def acquire_many(self, sections) -> List[int]:
         secs = sorted(set(int(s) for s in sections))

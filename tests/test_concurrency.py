@@ -20,13 +20,11 @@ from repro.errors import LockDisciplineError
 class TestSectionLockTable:
     def test_basic_acquire_release(self):
         t = SectionLockTable(4)
-        t.acquire(2)
-        t.release(2)
-
-    def test_context_manager(self):
-        t = SectionLockTable(4)
-        with t.locked(1):
-            pass
+        assert t.acquire_many([3, 1, 3]) == [1, 3]
+        assert t.held_sections() == {1: (threading.get_ident(), 1),
+                                     3: (threading.get_ident(), 1)}
+        t.release_many([1, 3])
+        assert t.held_sections() == {}
 
     def test_rebalance_blocks_writers(self):
         t = SectionLockTable(4)
@@ -34,9 +32,9 @@ class TestSectionLockTable:
         got = []
 
         def writer():
-            t.acquire(1)
+            t.acquire_many([1])
             got.append("acquired")
-            t.release(1)
+            t.release_many([1])
 
         th = threading.Thread(target=writer)
         th.start()
@@ -56,8 +54,8 @@ class TestSectionLockTable:
         t = SectionLockTable(2)
         t.resize(8)
         assert t.n_sections == 8
-        with t.locked(7):
-            pass
+        t.acquire_many([7])
+        t.release_many([7])
 
     def test_resize_requires_quiescence(self):
         """A table swap while another thread holds a section must raise,
@@ -67,10 +65,10 @@ class TestSectionLockTable:
         done = threading.Event()
 
         def holder():
-            t.acquire(1)
+            t.acquire_many([1])
             holding.set()
             done.wait(5)
-            t.release(1)
+            t.release_many([1])
 
         th = threading.Thread(target=holder)
         th.start()
@@ -92,8 +90,8 @@ class TestSectionLockTable:
         t.resize(4)
         assert t.n_sections == 4
         assert t.held_sections() == {}
-        with t.locked(3):
-            pass
+        t.acquire_many([3])
+        t.release_many([3])
 
     def test_release_without_acquire_raises(self):
         t = SectionLockTable(4)
@@ -112,10 +110,10 @@ class TestSectionLockTable:
         secs = t.begin_rebalance([0])
 
         def writer():
-            t.acquire(0)  # must block until end_rebalance
+            t.acquire_many([0])  # must block until end_rebalance
             owner, count = t.holder(0)
             inside.append((owner, count))
-            t.release(0)
+            t.release_many([0])
 
         th = threading.Thread(target=writer)
         th.start()

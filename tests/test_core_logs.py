@@ -9,15 +9,14 @@ from repro import DGAP, DGAPConfig
 from repro.core.edge_log import ENTRY_BYTES, EdgeLogs, group_chains, merge_point
 from repro.core.encoding import encode_edge
 from repro.core.undo_log import (
-    PHASE_COMPACT,
     STATE_ACTIVE,
     STATE_COPYBACK,
     STATE_DONE,
     STATE_IDLE,
     UndoLog,
 )
-from repro.errors import PMemError
-from repro.pmem import PMemPool
+from repro.errors import PMemError, SimulatedCrash
+from repro.pmem import OPTANE_EADR, CrashInjector, PMemPool
 from .harness import model
 from .harness.readpath_ref import back_pointer_walk
 
@@ -116,7 +115,8 @@ class TestEdgeLogs:
 class TestUndoLog:
     def test_lifecycle(self, pool):
         ul = UndoLog(pool, 0, 2048)
-        ul.begin(100, 200, PHASE_COMPACT)
+        region = pool.alloc_array("data", np.uint8, 4096)
+        ul.snapshot_window(100, 200, region.offset, 400)
         h = ul.read_header()
         assert h.state == STATE_ACTIVE and (h.win_lo, h.win_hi) == (100, 200)
         ul.mark_done(100, 200)
@@ -124,21 +124,19 @@ class TestUndoLog:
         ul.finish()
         assert ul.read_header().state == STATE_IDLE
 
-    def test_backup_restore(self, pool):
+    def test_restore_without_backup_is_noop(self):
+        """ACTIVE with valid 0: a power failure between the two commit
+        stores, on caches that persist them (eADR), leaves the state
+        store without the valid one — and nothing to restore."""
+        inj = CrashInjector()
+        pool = PMemPool(4 << 20, profile=OPTANE_EADR, injector=inj)
         ul = UndoLog(pool, 0, 2048)
-        region = pool.alloc_array("data", np.uint8, 4096, initial=7)
-        ul.begin(0, 1024, PHASE_COMPACT)
-        ul.backup(region.offset, 512, step=1)
-        # clobber the protected range
-        pool.device.store(region.offset, np.zeros(512, np.uint8))
-        pool.device.persist(region.offset, 512)
-        assert ul.restore_if_valid()
-        assert (region.view[:512] == 7).all()
-        assert ul.read_header().valid == 0
-
-    def test_restore_without_backup_is_noop(self, pool):
-        ul = UndoLog(pool, 0, 2048)
-        ul.begin(0, 10, PHASE_COMPACT)
+        region = pool.alloc_array("data", np.uint8, 4096)
+        inj.arm(7, "store")  # payload, 4 intent words, state; the valid store never lands
+        with pytest.raises(SimulatedCrash):
+            ul.snapshot_window(0, 10, region.offset, 40)
+        h = UndoLog(pool, 0, 2048, create=False).read_header()
+        assert (h.state, h.valid) == (STATE_ACTIVE, 0)
         assert not ul.restore_if_valid()
 
     def test_snapshot_window_fused(self, pool):
@@ -153,11 +151,12 @@ class TestUndoLog:
         pool.device.persist(region.offset, 512)
         assert ul.restore_if_valid()
         assert (region.view[:512] == 3).all()
+        assert ul.read_header().valid == 0
 
     def test_oversize_backup_asserts(self, pool):
         ul = UndoLog(pool, 0, 256)
         with pytest.raises(AssertionError):
-            ul.backup(0, 512, step=1)
+            ul.snapshot_window(0, 128, 0, 512)
 
     def test_copyback_state(self, pool):
         ul = UndoLog(pool, 0, 2048)
@@ -168,7 +167,8 @@ class TestUndoLog:
 
     def test_header_survives_crash(self, pool):
         ul = UndoLog(pool, 3, 2048)
-        ul.begin(64, 128, PHASE_COMPACT)
+        region = pool.alloc_array("data", np.uint8, 4096)
+        ul.snapshot_window(64, 128, region.offset, 256)
         pool.crash()
         ul2 = UndoLog(pool, 3, 2048, create=False)
         h = ul2.read_header()
@@ -177,7 +177,8 @@ class TestUndoLog:
     def test_per_thread_isolation(self, pool):
         a = UndoLog(pool, 0, 1024)
         b = UndoLog(pool, 1, 1024)
-        a.begin(0, 10, PHASE_COMPACT)
+        region = pool.alloc_array("data", np.uint8, 4096)
+        a.snapshot_window(0, 10, region.offset, 40)
         assert b.read_header().state == STATE_IDLE
 
 

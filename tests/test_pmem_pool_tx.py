@@ -85,7 +85,7 @@ class TestRegion:
     def test_scalar_write_read(self, pool):
         r = pool.alloc_array("r", np.int32, 10, initial=0)
         r.write(3, -77, persist=True)
-        assert r.read(3) == -77
+        assert r.view[3] == -77
 
     def test_view_is_readonly(self, pool):
         r = pool.alloc_array("r", np.int32, 10, initial=0)

@@ -258,9 +258,9 @@ class TestPreFixRegressions:
         # passes the flag check, the rebalancer flags the section, and
         # the unfixed writer still completes its acquire.
         def writer(t, sched):
-            t.acquire(0)
+            t.acquire_many([0])
             sched.yield_point("op")
-            t.release(0)
+            t.release_many([0])
 
         def rebal(t, sched):
             secs = t.begin_rebalance([0])
@@ -288,9 +288,9 @@ class TestPreFixRegressions:
 
     def test_unfixed_resize_swaps_table_under_a_holder(self):
         def writer(t, sched):
-            t.acquire(0)
+            t.acquire_many([0])
             sched.yield_point("op")
-            t.release(0)
+            t.release_many([0])
 
         def resizer(t, sched):
             t.resize(8)
@@ -307,9 +307,9 @@ class TestPreFixRegressions:
 
     def test_fixed_resize_raises_instead_of_corrupting(self):
         def writer(t, sched):
-            t.acquire(0)
+            t.acquire_many([0])
             sched.yield_point("op")
-            t.release(0)
+            t.release_many([0])
 
         def resizer(t, sched):
             t.resize(8)

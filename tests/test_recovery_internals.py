@@ -70,7 +70,7 @@ class TestUlogRecoveryBranches:
             g.insert_edge(0, d % 16)
         assert g.logs.counts[0] > 0
         ul = g.ulogs[0]
-        ul.begin(0, 64, 1)
+        ul.snapshot_window(0, 64, g.ea.byte_off(0), 256)
         ul.mark_done(0, 64)
         g.rebalancer.recover_ulog(ul, g.logs.rebuild_counts())
         assert g.logs.counts[0] == 0

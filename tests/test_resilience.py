@@ -160,10 +160,8 @@ class TestScrubRepairs:
         dev.poison(0, CACHE_LINE * 10)
         entries = ResilienceManager(g).full_scrub()
         assert {(e.kind, e.outcome) for e in entries} == {("pool-metadata", RepairOutcome.SCRUBBED)}
-        same = np.ones(before.size, dtype=bool)
-        same[64 + 3 * 8 : 64 + 4 * 8] = False  # ROOT_INIT_CAP: a recorded quirk, DESIGN.md §9
-        np.testing.assert_array_equal(dev.buf[header][same], before[same])
-        assert set(g.geometry_roots()) == set(range(7))
+        np.testing.assert_array_equal(dev.buf[header], before)
+        assert set(g.geometry_roots()) == {0, 1, 2, 4, 5, 6}  # slot 3 is unused
 
     def test_edge_array_lossy_repair(self):
         g = hot_graph()

@@ -703,9 +703,15 @@ class TestOneSurface:
         assert _count(r"def _unmatched_mask", src) == _count(r"def _lost_mask", src) == 1
         # the pool header has one builder, DGAP's roots one list
         assert [k for k in homes(r"pool_mod\._") if not k.startswith("pmem/")] == []
-        assert homes(r"ROOT_INIT_CAP\b") == ["core/dgap.py", "core/rebalance.py"]
-        assert _count(r"ROOT_INIT_CAP\b", {"d": src["core/dgap.py"]}) == 2  # import + the list
         assert homes(r"\.geometry_roots\(\)") == ["core/dgap.py", "resilience/scrub.py"]
+        # one undo-log backup (the fused two-fence snapshot) and one writer
+        # lock (the ascending, flag-gated multi-lock); no persistent word
+        # that nothing reads; `distinct` is the one dedupe rule
+        for gone in (r"ROOT_INIT_CAP", r"PHASE_", r"_F_PHASE", r"_F_PROGRESS", r"def begin\b",
+                     r"def backup\b", r"_SectionGuard"):
+            assert homes(gone) == [], gone
+        assert homes(r"def acquire\(") == ["serve/server.py"]
+        assert _count(r"np\.unique\(", src) == 0
         # one generation switch: the root flips in one function, which the
         # live switch and recovery's roll-forward both call; dead generation
         # regions are freed by one function (the flip, a switch unwinding
