@@ -13,14 +13,17 @@ from repro.bench import emit, format_table, paper_vs_measured
 from repro.bench.harness import modeled_ingest
 from repro.bench.paper_data import HEADLINES
 from repro.datasets import get_dataset
-from repro.pmem import CACHE_LINE, OPTANE_ADR, PMemDevice
+from repro.pmem import CACHE_LINE, OPTANE_ADR, PMemDevice, PMemPool
 from repro.pmem.latency import DRAM
 
 
 def _naive_config(spec, scale, **kw):
     nv, _ = spec.sizes(scale)
     ne = spec.generate(scale).shape[0]
-    return DGAPConfig(init_vertices=nv, init_edges=ne, use_edge_log=False, **kw)
+    # a fixed pool size, so the DRAM arm can build its pool to match
+    # (device images are demand-zero: the headroom costs no RSS)
+    return DGAPConfig(init_vertices=nv, init_edges=ne, use_edge_log=False,
+                      pool_bytes=1024 * (nv + ne) + (1 << 20), **kw)
 
 
 def test_fig1a_write_amplification(benchmark, scale):
@@ -68,13 +71,15 @@ def test_fig1b_transaction_overhead(benchmark, scale):
     small = min(0.5, scale)
     edges = spec.generate(small)
 
-    def one(**kw):
-        g = DGAP(_naive_config(spec, small, **kw))
+    def one(medium=None, **kw):
+        cfg = _naive_config(spec, small, **kw)
+        pool = None if medium is None else PMemPool(cfg.pool_bytes, profile=medium)
+        g = DGAP(cfg, pool=pool)
         return modeled_ingest(g, map(tuple, edges)).modeled_ns * 1e-9
 
     def run():
         return {
-            "DRAM": one(profile=DRAM),
+            "DRAM": one(DRAM),
             "PM": one(),                        # undo-log protected shifts
             "PM-TX": one(use_undo_log=False),   # PMDK transactions
         }

@@ -30,27 +30,30 @@ from ..obs.tracer import annotate, kernel_span
 #: the modeled scheduling bottleneck (gives ~4-6x speedup at 16 threads,
 #: matching Table 4 across systems).
 _CC_SERIAL = 0.12
+#: Shiloach–Vishkin rounds before a run gives up converging (its labels
+#: are then not carried to the next view).
+MAX_ROUNDS = 64
 
 
-def connected_components(view: CSRArraysView, max_rounds: int = 64) -> np.ndarray:
+def connected_components(view: CSRArraysView) -> np.ndarray:
     """|V|-sized array of component labels (the minimum vertex id reachable)."""
     with kernel_span("cc", view):
-        return _connected_components(view, max_rounds)
+        return _connected_components(view)
 
 
-def _connected_components(view: CSRArraysView, max_rounds: int) -> np.ndarray:
+def _connected_components(view: CSRArraysView) -> np.ndarray:
     nv = view.num_vertices
     lengths = view.out_degrees()
     carry = view.carry
     prev = None if carry is None else carry.get("cc")
     tail = None if prev is None else _appended(view, prev, lengths)
     if tail is None:
-        comp, done = _from_scratch(view, max_rounds)
+        comp, done = _from_scratch(view)
         annotate(incremental=False, appended_edges=0)
     else:
         grown, srcs, dsts = tail
         view.account_frontier(grown.size, srcs.size, serial_fraction=_CC_SERIAL)
-        comp, done = _merge(prev[0], nv, srcs, dsts, max_rounds)
+        comp, done = _merge(prev[0], nv, srcs, dsts)
         view.account_compute(nv * 8 * 2, serial_fraction=_CC_SERIAL)
         annotate(incremental=True, appended_edges=int(srcs.size))
     if carry is not None and done:
@@ -79,7 +82,7 @@ def _appended(
     return grown, np.repeat(grown, counts), dsts[idx].astype(np.intp)
 
 
-def _from_scratch(view: CSRArraysView, max_rounds: int) -> Tuple[np.ndarray, bool]:
+def _from_scratch(view: CSRArraysView) -> Tuple[np.ndarray, bool]:
     _, dsts = view.out_csr()
     srcs = view.out_src_ids()  # intp, cached across kernels
     dsts = dsts.astype(np.intp)  # ID_DTYPE would re-cast per gather
@@ -89,12 +92,12 @@ def _from_scratch(view: CSRArraysView, max_rounds: int) -> Tuple[np.ndarray, boo
         view.account_compute(view.num_vertices * 8 * 2, serial_fraction=_CC_SERIAL)
 
     return _hook_and_jump(
-        np.arange(view.num_vertices, dtype=np.int64), srcs, dsts, max_rounds, charge
+        np.arange(view.num_vertices, dtype=np.int64), srcs, dsts, charge
     )
 
 
 def _merge(
-    labels: np.ndarray, nv: int, srcs: np.ndarray, dsts: np.ndarray, max_rounds: int
+    labels: np.ndarray, nv: int, srcs: np.ndarray, dsts: np.ndarray
 ) -> Tuple[np.ndarray, bool]:
     """Old labels merged over the appended edges.
 
@@ -111,7 +114,6 @@ def _merge(
         np.arange(roots.size, dtype=np.int64),
         np.searchsorted(roots, ru),
         np.searchsorted(roots, rv),
-        max_rounds,
     )
     relabel = np.arange(nv, dtype=np.int64)
     relabel[roots] = roots[local]
@@ -122,11 +124,10 @@ def _hook_and_jump(
     comp: np.ndarray,
     srcs: np.ndarray,
     dsts: np.ndarray,
-    max_rounds: int,
     charge: Callable[[], None] = lambda: None,
 ) -> Tuple[np.ndarray, bool]:
     """Shiloach–Vishkin rounds from ``comp``: ``(labels, converged)``."""
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         lu = comp[srcs]
         lv = comp[dsts]
         m = np.minimum(lu, lv)

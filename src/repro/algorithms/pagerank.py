@@ -17,23 +17,17 @@ from ..obs.tracer import kernel_span
 #: PR touches every edge every iteration but has near-perfect parallel
 #: structure; the small serial part is the convergence reduction.
 _PR_SERIAL = 0.015
+#: GAPBS's damping factor.
+DAMPING = 0.85
 
 
-def pagerank(
-    view: CSRArraysView,
-    iterations: int = 20,
-    damping: float = 0.85,
-) -> np.ndarray:
+def pagerank(view: CSRArraysView, iterations: int = 20) -> np.ndarray:
     """|V|-sized array of ranks after ``iterations`` sweeps."""
     with kernel_span("pr", view):
-        return _pagerank(view, iterations, damping)
+        return _pagerank(view, iterations)
 
 
-def _pagerank(
-    view: CSRArraysView,
-    iterations: int,
-    damping: float,
-) -> np.ndarray:
+def _pagerank(view: CSRArraysView, iterations: int) -> np.ndarray:
     nv = view.num_vertices
     in_indptr, in_srcs = view.in_csr()
     out_deg = view.out_degrees().astype(np.float64)
@@ -42,7 +36,7 @@ def _pagerank(
     in_srcs = in_srcs.astype(np.intp)  # ID_DTYPE would re-cast per gather
 
     score = np.full(nv, 1.0 / nv)
-    base = (1.0 - damping) / nv
+    base = (1.0 - DAMPING) / nv
     acc = np.zeros(in_srcs.size + 1)
     for _ in range(iterations):
         contrib = score * inv_deg
@@ -50,7 +44,7 @@ def _pagerank(
         # differenced at the indptr boundaries (cheaper than a scatter)
         np.cumsum(contrib[in_srcs], out=acc[1:])
         sums = acc[in_indptr[1:]] - acc[in_indptr[:-1]]
-        score = base + damping * sums
+        score = base + DAMPING * sums
         view.account_full_scan(serial_fraction=_PR_SERIAL)
         view.account_compute(nv * 8 * 3, serial_fraction=_PR_SERIAL)
     return score

@@ -24,7 +24,6 @@ import numpy as np
 from ..analysis.view import CSRArraysView, StorageGeometry
 from ..analysis import costs
 from ..errors import VertexRangeError
-from ..pmem.latency import OPTANE_ADR, LatencyModel
 from ..pmem.pool import PMemPool
 from ..pmem.tx import TransactionManager
 from .interfaces import DynamicGraphSystem, adjacency_to_csr
@@ -42,17 +41,12 @@ class BlockedAdjacencyList(DynamicGraphSystem):
     #: the substrate covers the persistence costs.
     sw_overhead_ns = 25.0
 
-    def __init__(
-        self,
-        num_vertices: int,
-        expected_edges: int,
-        profile: LatencyModel = OPTANE_ADR,
-    ):
+    def __init__(self, num_vertices: int, expected_edges: int):
         super().__init__()
         self.num_vertices = num_vertices
         blocks = expected_edges // BLOCK_EDGES + num_vertices + 16
         pool_bytes = blocks * BLOCK_BYTES * 2 + num_vertices * 8 + (1 << 20)
-        self.pool = PMemPool(pool_bytes, profile=profile, name="bal")
+        self.pool = PMemPool(pool_bytes, name="bal")
         self.heads = self.pool.alloc_array("heads", np.int64, num_vertices, initial=0)
         self.txm = TransactionManager(self.pool, capacity=4096, name="bal-journal")
 

@@ -17,18 +17,14 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
 from ..analysis import costs
 from ..analysis.view import CSRArraysView, StorageGeometry
 from ..core.batch import EdgeBatch, extend_adjacency
 from ..pmem.device import PMemDevice
-from ..pmem.latency import DRAM, OPTANE_ADR, LatencyModel
+from ..pmem.latency import DRAM
 from ..pmem.pool import PMemPool
-from .interfaces import DynamicGraphSystem, adjacency_to_csr
+from .interfaces import AL_BLOCK_EDGES, DynamicGraphSystem, block_list_csr
 
-#: DRAM adjacency-list block size, in edges (GraphOne's chained blocks).
-AL_BLOCK_EDGES = 16
 #: durable-phase flush period (paper: every 2^16 inserts).
 FLUSH_PERIOD = 1 << 16
 #: archiving batch (edge list -> adjacency list) granularity.
@@ -45,16 +41,10 @@ class GraphOneFD(DynamicGraphSystem):
     #: Fig. 6 Orkut (1.23 MEPS) after substrate costs.
     sw_overhead_ns = 560.0
 
-    def __init__(
-        self,
-        num_vertices: int,
-        expected_edges: int,
-        profile: LatencyModel = OPTANE_ADR,
-    ):
+    def __init__(self, num_vertices: int, expected_edges: int):
         super().__init__()
         self.num_vertices = num_vertices
-        self.pool = PMemPool(max(1 << 20, expected_edges * 16 + (1 << 20)),
-                             profile=profile, name="graphone-pm")
+        self.pool = PMemPool(max(1 << 20, expected_edges * 16 + (1 << 20)), name="graphone-pm")
         self.dram = PMemDevice(1 << 20, profile=DRAM, name="graphone-dram")
         self.adj: List[List[int]] = [[] for _ in range(num_vertices)]
         self._since_flush = 0
@@ -117,17 +107,13 @@ class GraphOneFD(DynamicGraphSystem):
 
     # -- analysis -------------------------------------------------------------
     def _build_view(self) -> CSRArraysView:
-        nv = self.num_vertices
-        degree = np.fromiter((len(a) for a in self.adj), dtype=np.int64, count=nv)
-        indptr, dsts = adjacency_to_csr(
-            degree, ((v, (a,)) for v, a in enumerate(self.adj) if a)
-        )
+        indptr, dsts, chain = block_list_csr(self.adj)
         geometry = StorageGeometry(
             name="graphone",
             seq_ns_per_byte=costs.DRAM_SEQ_NS_PER_BYTE,  # analysis from DRAM
             edge_bytes=costs.EDGE_BYTES,
             # block chains: one DRAM line per 16-edge block + head lookup
-            scan_rnd_per_vertex=float(np.mean(degree / AL_BLOCK_EDGES + 1.0)),
+            scan_rnd_per_vertex=chain,
             scan_rnd_ns=costs.DRAM_RND_NS,
             # BFS touches a vertex's first block(s) only; full-coverage
             # frontier reads (BC's backward pass) chase one DRAM line
@@ -143,4 +129,4 @@ class GraphOneFD(DynamicGraphSystem):
         return (self.pool.device, self.dram)
 
 
-__all__ = ["GraphOneFD", "AL_BLOCK_EDGES", "FLUSH_PERIOD"]
+__all__ = ["GraphOneFD", "FLUSH_PERIOD"]

@@ -26,13 +26,15 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..analysis.view import CSRArraysView
-from ..core.batch import DEFAULT_BATCH_SIZE, EdgeBatch, EdgeLike
+from ..core.batch import DEFAULT_BATCH_SIZE, EdgeBatch, EdgeLike, sub_batches
 from ..pmem.device import PMemDevice
-from ..pmem.pool import PMemPool
 
 #: Aggregate Optane media write bandwidth of the paper's 6-DIMM testbed
 #: (interleaved small writes; well below the pure-stream peak).
 PM_WRITE_BW_BYTES_PER_S = 2.3e9
+#: DRAM adjacency-list block size, in edges (GraphOne's and XPGraph's
+#: chained blocks).
+AL_BLOCK_EDGES = 16
 
 
 @dataclass
@@ -115,12 +117,7 @@ class DynamicGraphSystem(ABC):
         batch = EdgeBatch.coerce(edges)
         if len(batch) == 0:
             return 0
-        if batch_size is None or batch_size <= 0 or len(batch) <= batch_size:
-            return self.insert_batch(batch)
-        n = 0
-        for chunk in batch.chunks(batch_size):
-            n += self.insert_batch(chunk)
-        return n
+        return sum(self.insert_batch(c) for c in sub_batches(batch, batch_size))
 
     def finalize(self) -> None:
         """Flush any buffered state (end of an ingest phase)."""
@@ -227,11 +224,22 @@ def adjacency_to_csr(degree, rows) -> Tuple[np.ndarray, np.ndarray]:
     return indptr, dsts
 
 
+def block_list_csr(adj) -> Tuple[np.ndarray, np.ndarray, float]:
+    """CSR ``(indptr, dsts)`` of a DRAM blocked adjacency list (one list
+    of destinations per vertex) and its mean block chain per vertex: one
+    DRAM line per ``AL_BLOCK_EDGES``-edge block plus the head lookup."""
+    degree = np.fromiter((len(a) for a in adj), dtype=np.int64, count=len(adj))
+    indptr, dsts = adjacency_to_csr(degree, ((v, (a,)) for v, a in enumerate(adj) if a))
+    return indptr, dsts, float(np.mean(degree / AL_BLOCK_EDGES + 1.0))
+
+
 __all__ = [
     "DynamicGraphSystem",
     "InsertProfile",
     "SystemCheckpoint",
     "ViewReuseStats",
     "PM_WRITE_BW_BYTES_PER_S",
+    "AL_BLOCK_EDGES",
     "adjacency_to_csr",
+    "block_list_csr",
 ]

@@ -1,13 +1,14 @@
 """LLAMA: multi-versioned CSR with batched snapshots (paper §4.1, [42]).
 
-Updates buffer in a DRAM delta map; every ``batch_edges`` inserts (the
-paper snapshots each 1% of the graph, 90 snapshots after warm-up) a new
-immutable snapshot is written to PM: the batch's edges as per-vertex
-*fragments* plus a copy-on-write **vertex table** of |V| entries — the
-O(|V|)-per-snapshot cost that makes LLAMA's insert throughput collapse
-on vertex-heavy graphs (CitPatents in Table 3).  Every ``flatten_every``
-snapshots LLAMA coalesces each vertex's fragments into one (the
-multiversion arrays' periodic flattening), bounding chain lengths.
+Updates buffer in a DRAM delta map; every ``batch_edges`` inserts (1% of
+the expected edges: the paper snapshots each 1% of the graph, 90
+snapshots after warm-up) a new immutable snapshot is written to PM: the
+batch's edges as per-vertex *fragments* plus a copy-on-write **vertex
+table** of |V| entries — the O(|V|)-per-snapshot cost that makes LLAMA's
+insert throughput collapse on vertex-heavy graphs (CitPatents in
+Table 3).  Every ``FLATTEN_EVERY`` snapshots LLAMA coalesces each
+vertex's fragments into one (the multiversion arrays' periodic
+flattening), bounding chain lengths.
 
 Analysis reads the *latest snapshot only*: the pending delta is
 invisible, so LLAMA's analysis can miss up to one batch of edges —
@@ -27,12 +28,14 @@ from ..analysis import costs
 from ..analysis.view import CSRArraysView, StorageGeometry
 from ..core.batch import EdgeBatch
 from ..pmem.device import PMemDevice
-from ..pmem.latency import DRAM, OPTANE_ADR, LatencyModel
+from ..pmem.latency import DRAM
 from ..pmem.pool import PMemPool
 from .interfaces import DynamicGraphSystem, adjacency_to_csr
 
 #: prefetch discount on fragment-boundary stalls during sequential scans.
 _SCAN_FRAG_DISCOUNT = 0.35
+#: snapshots between two flattenings of every vertex's fragments.
+FLATTEN_EVERY = 8
 
 
 class LLAMA(DynamicGraphSystem):
@@ -46,20 +49,12 @@ class LLAMA(DynamicGraphSystem):
     #: to Fig. 6 Orkut (1.84 MEPS) after substrate costs.
     sw_overhead_ns = 430.0
 
-    def __init__(
-        self,
-        num_vertices: int,
-        expected_edges: int,
-        batch_edges: int | None = None,
-        flatten_every: int = 8,
-        profile: LatencyModel = OPTANE_ADR,
-    ):
+    def __init__(self, num_vertices: int, expected_edges: int):
         super().__init__()
         self.num_vertices = num_vertices
-        self.batch_edges = batch_edges or max(1, expected_edges // 100)
-        self.flatten_every = flatten_every
+        self.batch_edges = max(1, expected_edges // 100)
         pool_bytes = expected_edges * 4 * 4 + num_vertices * 8 * 8 + (1 << 20)
-        self.pool = PMemPool(pool_bytes, profile=profile, name="llama")
+        self.pool = PMemPool(pool_bytes, name="llama")
         self.dram = PMemDevice(1 << 20, profile=DRAM, name="llama-dram")
 
         self._delta: List[tuple] = []
@@ -121,7 +116,7 @@ class LLAMA(DynamicGraphSystem):
         # copy-on-write vertex table: the O(|V|) per-snapshot cost
         self.dram.account_rnd_read(self.num_vertices, 16)
         self.pool.device.account_seq_write(self.num_vertices * 8)
-        if self.n_snapshots % self.flatten_every == 0:
+        if self.n_snapshots % FLATTEN_EVERY == 0:
             self._flatten()
 
     def _flatten(self) -> None:

@@ -32,11 +32,10 @@ from ..analysis.view import CSRArraysView, StorageGeometry
 from ..core.batch import EdgeBatch, extend_adjacency
 from ..nputil import distinct
 from ..pmem.device import PMemDevice
-from ..pmem.latency import DRAM, OPTANE_ADR, LatencyModel
+from ..pmem.latency import DRAM
 from ..pmem.pool import PMemPool
-from .interfaces import DynamicGraphSystem, adjacency_to_csr
+from .interfaces import AL_BLOCK_EDGES, DynamicGraphSystem, block_list_csr
 
-AL_BLOCK_EDGES = 16
 DEFAULT_ARCHIVE_THRESHOLD = 1 << 10
 
 
@@ -54,7 +53,6 @@ class XPGraph(DynamicGraphSystem):
         expected_edges: int,
         archive_threshold: int = DEFAULT_ARCHIVE_THRESHOLD,
         log_capacity_edges: int | None = 0,
-        profile: LatencyModel = OPTANE_ADR,
     ):
         super().__init__()
         self.num_vertices = num_vertices
@@ -64,8 +62,7 @@ class XPGraph(DynamicGraphSystem):
         #: stream fits the 8 GB log and archiving never activates (the
         #: paper's Table 3 small-graph anomaly).
         self.log_capacity_edges = log_capacity_edges
-        self.pool = PMemPool(max(1 << 20, expected_edges * 24 + (1 << 20)),
-                             profile=profile, name="xpgraph-pm")
+        self.pool = PMemPool(max(1 << 20, expected_edges * 24 + (1 << 20)), name="xpgraph-pm")
         self.dram = PMemDevice(1 << 20, profile=DRAM, name="xpgraph-dram")
 
         self.adj: List[List[int]] = [[] for _ in range(num_vertices)]
@@ -155,18 +152,14 @@ class XPGraph(DynamicGraphSystem):
 
     # -- analysis -------------------------------------------------------------
     def _build_view(self) -> CSRArraysView:
-        nv = self.num_vertices
-        degree = np.fromiter((len(a) for a in self.adj), dtype=np.int64, count=nv)
-        indptr, dsts = adjacency_to_csr(
-            degree, ((v, (a,)) for v, a in enumerate(self.adj) if a)
-        )
+        indptr, dsts, chain = block_list_csr(self.adj)
         geometry = StorageGeometry(
             name="xpgraph",
             # per-iteration PM transfer of the adjacency list ...
             seq_ns_per_byte=costs.PM_SEQ_NS_PER_BYTE,
             edge_bytes=costs.EDGE_BYTES,
             # ... plus DRAM pointer chasing once cached
-            scan_rnd_per_vertex=float(np.mean(degree / AL_BLOCK_EDGES + 1.0)),
+            scan_rnd_per_vertex=chain,
             scan_rnd_ns=costs.DRAM_RND_NS,
             frontier_rnd_per_vertex=2.2,
             frontier_rnd_ns=costs.DRAM_RND_NS,

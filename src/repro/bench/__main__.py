@@ -24,9 +24,10 @@ import inspect
 import sys
 
 from ..algorithms import KERNELS
+from ..core.batch import batch_limit
 from ..datasets import DATASETS
 from . import ablation, insert, kernels, profile, recovery
-from .harness import DEFAULT_BATCH_SIZE, finish_arm
+from .harness import finish_arm
 
 ARMS = {
     "insert": insert,
@@ -49,12 +50,6 @@ FLAGS = {
     "--trace-out": dict(help="write Chrome trace-event JSON here (open in Perfetto)"),
     "--device-ops": dict(help="also record every device primitive as a trace event"),
 }
-
-
-def _batch_size(args) -> int | None:
-    """CLI batch size; 0 or negative means 'one batch for everything'."""
-    bs = getattr(args, "batch_size", DEFAULT_BATCH_SIZE)
-    return None if bs is not None and bs <= 0 else bs
 
 
 def _add_arm(sub, name: str, arm) -> None:
@@ -82,7 +77,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     params = {k: v for k, v in vars(args).items() if k not in ("cmd", "arm")}
     if "batch_size" in params:
-        params["batch_size"] = _batch_size(args)
+        params["batch_size"] = batch_limit(args.batch_size)
     finish_arm(args.arm, args.arm.run(**params))
     return 0
 

@@ -25,8 +25,9 @@ class KernelTimes:
     #: system ("csr" first, then SYSTEM_ORDER) -> {threads: modeled seconds}
     seconds: Dict[str, Dict[int, float]]
 
-    def vs_csr(self, system: str, threads: int = 1) -> float:
-        return self.seconds[system][threads] / self.seconds["csr"][threads]
+    def vs_csr(self, system: str) -> float:
+        """Single-thread modeled time relative to the static CSR's."""
+        return self.seconds[system][1] / self.seconds["csr"][1]
 
 
 def run(dataset="orkut", kernel="pr", scale=1.0) -> KernelTimes:

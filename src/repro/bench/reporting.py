@@ -46,13 +46,11 @@ def _check_rows(rows: Iterable[Sequence]) -> List[Sequence[str]]:
     ]
 
 
-def paper_vs_measured(
-    title: str,
-    rows: Iterable[Sequence],
-    headers: Sequence[str] = ("metric", "paper", "measured", "ok?"),
-) -> str:
+def paper_vs_measured(title: str, rows: Iterable[Sequence]) -> str:
     """Rows: (metric, paper_value, measured_value, predicate_result)."""
-    return format_table(f"{title} — paper vs measured", headers, _check_rows(rows))
+    return format_table(
+        f"{title} — paper vs measured", ("metric", "paper", "measured", "ok?"), _check_rows(rows)
+    )
 
 
 def gate_table(title: str, rows: Iterable[Sequence]) -> str:

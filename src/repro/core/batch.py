@@ -33,6 +33,12 @@ EdgeLike = Union["EdgeBatch", np.ndarray, Iterable[Tuple[int, int]]]
 DEFAULT_BATCH_SIZE = 512
 
 
+def batch_limit(batch_size: Optional[int]) -> Optional[int]:
+    """The one reading of an ingest ``batch_size``: None or <= 0 means one
+    unbounded batch (None); anything else bounds each sub-batch."""
+    return None if batch_size is None or batch_size <= 0 else batch_size
+
+
 class EdgeBatch:
     """A validated batch of edge mutations (inserts and tombstones)."""
 
@@ -151,6 +157,15 @@ class EdgeBatch:
         return shard_of(self.src, n_shards)
 
 
+def sub_batches(batch: EdgeBatch, batch_size: Optional[int]) -> Iterator[EdgeBatch]:
+    """``batch`` as consecutive sub-batches of at most :func:`batch_limit`
+    edges; a batch that fits, an empty one included, is handed on whole."""
+    limit = batch_limit(batch_size)
+    if limit is None or len(batch) <= limit:
+        return iter((batch,))
+    return batch.chunks(limit)
+
+
 def extend_adjacency(
     adj: Sequence[List[int]], srcs: np.ndarray, dsts: np.ndarray
 ) -> None:
@@ -167,4 +182,11 @@ def extend_adjacency(
         adj[int(ss[a])].extend(dd[a:b].tolist())
 
 
-__all__ = ["DEFAULT_BATCH_SIZE", "EdgeBatch", "EdgeLike", "extend_adjacency"]
+__all__ = [
+    "DEFAULT_BATCH_SIZE",
+    "EdgeBatch",
+    "EdgeLike",
+    "batch_limit",
+    "extend_adjacency",
+    "sub_batches",
+]

@@ -23,7 +23,7 @@ Typical use::
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from ..pmem.crash import CrashInjector
 from ..pmem.faults import FaultPolicy
 from ..pmem.pool import PMemPool
 from ..pmem.tx import TransactionManager
-from .batch import DEFAULT_BATCH_SIZE, EdgeBatch, EdgeLike
+from .batch import DEFAULT_BATCH_SIZE, EdgeBatch, EdgeLike, sub_batches
 from .edge_array import EdgeArray
 from .edge_log import EdgeLogs, group_chains
 from .encoding import SLOT_DTYPE, check_vertex, encode_edge, encode_pivot
@@ -153,7 +153,6 @@ class DGAP:
         self.n_resizes = 0
         self.n_compactions = 0
         self.tombstone_pairs_compacted = 0
-        self.slots_rebalanced = 0
         self._active_snapshots = 0
         self._shut_down = False
         self._init_view_tracking()
@@ -235,8 +234,9 @@ class DGAP:
     # rebalancer callbacks
     # ------------------------------------------------------------------
     def note_rebalance_window(self, lo_slot: int, hi_slot: int) -> None:
+        """A rebalance rewrote slots ``[lo_slot, hi_slot)`` (the window
+        is the hook's argument for whoever wraps it)."""
         self.n_rebalances += 1
-        self.slots_rebalanced += hi_slot - lo_slot
         self.structure_epoch += 1  # runs moved; no row changed
 
     def stats_note_resize(self, new_capacity: int) -> None:
@@ -308,12 +308,7 @@ class DGAP:
                     self.locks.release_many(held)
 
     def insert_edge(
-        self,
-        src: int,
-        dst: int,
-        thread_id: int = 0,
-        tombstone: bool = False,
-        grow_vertices: bool = True,
+        self, src: int, dst: int, thread_id: int = 0, tombstone: bool = False
     ) -> None:
         """Insert directed edge ``src -> dst`` (``g.insertE``).
 
@@ -324,16 +319,10 @@ class DGAP:
         write is persisted *before* the DRAM vertex array is touched, so
         a crash in between is always recoverable from the persistent
         state.
-
-        With ``grow_vertices=False`` the source must already exist and
-        the destination is stored as an opaque id without materializing
-        a vertex for it — the sharding layer owns only ``src``'s shard
-        and keeps destinations in the *global* id space
-        (:mod:`repro.sharding`).
         """
         self._require_open()
         src, dst = check_vertex(src), check_vertex(dst)
-        self._ensure_vertices(src, max(src, dst), grow_vertices)
+        self._ensure_vertices(src, max(src, dst), True)
         self._insert_one(src, dst, thread_id, tombstone)
 
     def _ensure_vertices(self, src_max: int, any_max: int, grow_vertices: bool) -> None:
@@ -585,16 +574,20 @@ class DGAP:
         prefix of its edges).  ``batch_size`` splits the stream into
         sub-batches (default 512; None or <= 0 = one unbounded batch;
         1 = the per-edge persist path).
+
+        With ``grow_vertices=False`` every source must already exist and
+        destinations are stored as opaque ids without materializing
+        vertices for them — the sharding layer owns only a source's
+        shard and keeps destinations in the *global* id space
+        (:mod:`repro.sharding`).
         """
         self._require_open()
         batch = EdgeBatch.coerce(edges)
         with trace("insert_edges", edges=len(batch)):
-            if batch_size is not None and batch_size > 0 and len(batch) > batch_size:
-                return sum(
-                    self._insert_batch(c, thread_id, grow_vertices)
-                    for c in batch.chunks(batch_size)
-                )
-            return self._insert_batch(batch, thread_id, grow_vertices)
+            return sum(
+                self._insert_batch(c, thread_id, grow_vertices)
+                for c in sub_batches(batch, batch_size)
+            )
 
     def _insert_batch(
         self, batch: EdgeBatch, thread_id: int = 0, grow_vertices: bool = True
@@ -816,9 +809,9 @@ class DGAP:
 
         return np.empty(0, dtype=np.int64) if deferred is None else deferred
 
-    def delete_edge(self, src: int, dst: int, thread_id: int = 0) -> None:
+    def delete_edge(self, src: int, dst: int) -> None:
         """Delete one occurrence of ``src -> dst`` (tombstone insertion, §3.1.2)."""
-        self.insert_edge(src, dst, thread_id=thread_id, tombstone=True)
+        self.insert_edge(src, dst, tombstone=True)
 
     # ------------------------------------------------------------------
     # tombstone compaction (temporal expiry sweep)
@@ -844,7 +837,7 @@ class DGAP:
         deg = sum(int(sh.va.degrees().sum()) for sh in self.shards)
         return self.tombstone_count() / deg if deg else 0.0
 
-    def compact(self, thread_id: int = 0) -> dict:
+    def compact(self) -> dict:
         """Tombstone-merge sweep: physically drop matched delete pairs.
 
         Rewrites the whole edge array once (into its next generation,
@@ -863,7 +856,7 @@ class DGAP:
         self._require_open()
         self.require_no_snapshots("compact")
         with trace("compact"):
-            stats = self.rebalancer.compact(thread_id)
+            stats = self.rebalancer.compact()
             annotate(**stats)
         self.n_compactions += 1
         self.tombstone_pairs_compacted += stats["pairs_dropped"]

@@ -17,8 +17,6 @@ nothing: whoever creates a generation stores its whole image.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..pmem.pool import PMemPool
@@ -91,8 +89,8 @@ class EdgeArray:
         self.region.write_batch(slots, values, payload_per_unit=payload)
 
     # -- occupancy bookkeeping ------------------------------------------------------
-    def inc_occ(self, section: int, delta: int = 1) -> None:
-        self.seg_occ[section] += delta
+    def inc_occ(self, section: int) -> None:
+        self.seg_occ[section] += 1
         if self._occ_region is not None:
             # "No DP": the PMA tree lives on PM — persistent in-place update.
             self._occ_region.write(section, int(self.seg_occ[section]), payload=0, persist=True)

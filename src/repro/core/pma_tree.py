@@ -54,21 +54,19 @@ class PMATree:
         self,
         occupancy: np.ndarray,
         section: int,
-        extra: int = 0,
     ) -> Optional[Tuple[int, int, int]]:
         """Smallest aligned window around ``section`` within its level's bound.
 
         ``occupancy`` holds per-section element counts (edge-array
         elements plus pending edge-log entries — the paper counts both,
-        §3 ③).  ``extra`` is added to the window's count (e.g. an
-        element about to be inserted).  Returns ``(lo, hi, level)`` for
-        the smallest in-bounds window (level 0 means the section itself
-        is within bounds), or ``None`` when even the root window is too
-        dense and the caller must resize the array.
+        §3 ③).  Returns ``(lo, hi, level)`` for the smallest in-bounds
+        window (level 0 means the section itself is within bounds), or
+        ``None`` when even the root window is too dense and the caller
+        must resize the array.
         """
         for level in range(self.height + 1):
             lo, hi = self.window_at(section, level)
-            count = float(occupancy[lo:hi].sum()) + extra
+            count = float(occupancy[lo:hi].sum())
             slots = (hi - lo) * self.segment_slots
             if count / slots <= self.tau(level):
                 return lo, hi, level

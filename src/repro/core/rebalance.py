@@ -113,8 +113,7 @@ class GatherResult:
     __slots__ = ("lo", "hi", "i0", "j", "values", "sizes", "run_off",
                  "chain_gidxs", "total", "log_rows", "short", "_runs")
 
-    def __init__(self, lo, hi, i0, j, values, sizes, chain_gidxs, log_rows=None, runs=None,
-                 short=None):
+    def __init__(self, lo, hi, i0, j, values, sizes, chain_gidxs, log_rows=None, short=None):
         self.lo = lo
         self.hi = hi
         self.i0 = i0
@@ -127,7 +126,7 @@ class GatherResult:
         self.log_rows = log_rows  # the gather's ``EdgeLogs.stream``; feeds the log cleanup
         #: lossy gathers only (None otherwise): chain entries each vertex is short of
         self.short: Optional[np.ndarray] = short
-        self._runs: Optional[List[np.ndarray]] = runs
+        self._runs: Optional[List[np.ndarray]] = None
 
     def relaid(self, lo: int, hi: int, keep: Optional[np.ndarray] = None) -> "GatherResult":
         """The same vertices' runs, to be laid out over slots ``[lo, hi)``
@@ -723,7 +722,7 @@ class Rebalancer:
     # tombstone compaction (temporal expiry sweep)
     # ------------------------------------------------------------------
     @traced("compact_sweep")
-    def compact(self, thread_id: int = 0) -> dict:
+    def compact(self) -> dict:
         """Whole-array tombstone-merge sweep; returns sweep statistics.
 
         A rebalance of the root window with a filter: gathers every
@@ -747,7 +746,7 @@ class Rebalancer:
         """
         host = self.host
         done = self._rewrite_window(
-            0, host.ea.n_sections, host.ea.tree.height, thread_id, _unmatched_mask
+            0, host.ea.n_sections, host.ea.tree.height, thread_id=0, keep_mask=_unmatched_mask
         )
         ea = host.ea  # a generation newer when the sweep had to resize
         before = after = np.empty(0, dtype=SLOT_DTYPE)

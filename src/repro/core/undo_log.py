@@ -142,7 +142,7 @@ class UndoLog:
             (_F_WIN_HI, win_hi),
         ):
             self.hdr.write(f, v, payload=0)
-        self.hdr.clwb(_F_VALID, _N_FIELDS)
+        self.hdr.clwb(_F_DST, _F_WIN_HI - _F_DST + 1)  # the intent: first cache line only
         dev.sfence()  # fence 1: payload + intent durable
         self.hdr.write(_F_STATE, STATE_ACTIVE, payload=0)
         self.hdr.write(_F_VALID, 1, payload=0)

@@ -157,10 +157,9 @@ class PMVertexArray(VertexArray):
     _FIELDS = ("degree", "start", "el")
     _MIRRORED = frozenset(_FIELDS)
 
-    def __init__(self, num_vertices: int, pool: PMemPool, name: str = "vertexarr"):
+    def __init__(self, num_vertices: int, pool: PMemPool):
         super().__init__(num_vertices)
         self.pool = pool
-        self._name = name
         self._gen = 0
         self._alloc_regions()
 
@@ -170,9 +169,9 @@ class PMVertexArray(VertexArray):
             # the mirror this one replaces — the outgrown generation's, or
             # in a reopened pool the previous instance's — is read back by
             # nothing (recovery rebuilds and reloads every field)
-            for old in self.pool.names(f"{self._name}.{f}."):
+            for old in self.pool.names(f"vertexarr.{f}."):
                 self.pool.free_array(old)
-            r = self.pool.alloc_array(f"{self._name}.{f}.g{self._gen}", np.int64, self._cap)
+            r = self.pool.alloc_array(f"vertexarr.{f}.g{self._gen}", np.int64, self._cap)
             r.fill(NO_EL if f == "el" else 0)
             self._regions[f] = r
 

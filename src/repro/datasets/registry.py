@@ -68,9 +68,9 @@ class DatasetSpec:
             edges = rmat_edges(nv, ne, a=self.rmat_a, b=b, c=c, seed=self.seed)
         return shuffle_edges(edges, seed=self.seed + 1)
 
-    def split_warmup(self, edges: np.ndarray, fraction: float = 0.10):
+    def split_warmup(self, edges: np.ndarray):
         """The paper's protocol: first 10% warms the system, the rest is timed."""
-        k = int(edges.shape[0] * fraction)
+        k = int(edges.shape[0] * 0.10)
         return edges[:k], edges[k:]
 
 

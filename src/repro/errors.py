@@ -61,15 +61,8 @@ class SimulatedCrash(ReproError):
     canonical coordinate a crash sweep re-arms with.
     """
 
-    def __init__(
-        self,
-        message: str = "simulated power failure",
-        *,
-        op: str = "?",
-        op_index: int = -1,
-        total_index: int = -1,
-    ):
-        super().__init__(message)
+    def __init__(self, *, op: str = "?", op_index: int = -1, total_index: int = -1):
+        super().__init__("simulated power failure")
         self.op = op
         self.op_index = op_index
         self.total_index = total_index

@@ -55,6 +55,9 @@ _NOOP = _NoopSpan()
 #: one None check on the hot path).
 _ACTIVE: Optional["Tracer"] = None
 
+#: cap on the device events one tracer records (``device_ops=True``).
+MAX_DEVICE_EVENTS = 200_000
+
 
 class Span:
     """One timed, counter-attributed region; also its own context manager."""
@@ -165,9 +168,8 @@ class Tracer:
         records every primitive (store/flush/fence/ntstore) as a flat
         event — useful for fine-grained traces, but large; off by
         default.
-    max_device_events:
-        Cap on recorded device events; beyond it events are counted in
-        ``dropped_device_events`` instead of stored.
+    At most ``MAX_DEVICE_EVENTS`` device events are recorded; beyond
+    the cap they are counted in ``dropped_device_events`` instead.
     """
 
     def __init__(
@@ -175,11 +177,9 @@ class Tracer:
         stats: Optional[PMemStats] = None,
         *,
         device_ops: bool = False,
-        max_device_events: int = 200_000,
     ):
         self.stats = stats
         self.device_ops = device_ops
-        self.max_device_events = max_device_events
         self.roots: List[Span] = []
         self.device_events: List[Tuple[str, float, int, int]] = []
         self.dropped_device_events = 0
@@ -203,7 +203,7 @@ class Tracer:
 
     # -- device events -----------------------------------------------------
     def _device_event(self, kind: str, count: int, nbytes: int) -> None:
-        if len(self.device_events) >= self.max_device_events:
+        if len(self.device_events) >= MAX_DEVICE_EVENTS:
             self.dropped_device_events += 1
             return
         at = self.stats.modeled_ns if self.stats is not None else 0.0

@@ -115,18 +115,17 @@ class Region:
         dev.flush_span(lines * CACHE_LINE, CACHE_LINE)
         dev.sfence()
 
-    def nt_write_slice(self, start: int, arr, payload: Optional[int] = None) -> None:
+    def nt_write_slice(self, start: int, arr) -> None:
         """Non-temporal streaming store of a contiguous run (bulk loads)."""
         a = np.ascontiguousarray(arr, dtype=self.dtype)
         self._check_idx(start, a.size)
-        self.device.ntstore(self.byte_offset(start), a.view(np.uint8), payload=payload)
+        self.device.ntstore(self.byte_offset(start), a.view(np.uint8))
 
-    def fill(self, value, persist: bool = True) -> None:
+    def fill(self, value) -> None:
         """Initialize the whole region with ``value`` via a streaming store."""
         a = np.full(self.count, value, dtype=self.dtype)
         self.device.ntstore(self.offset, a.view(np.uint8), payload=0)
-        if persist:
-            self.device.sfence()
+        self.device.sfence()
 
     # -- persistence -----------------------------------------------------------
     def clwb(self, start: int, n: int = 1) -> None:

@@ -48,12 +48,9 @@ class PMemPool:
         profile: LatencyModel = OPTANE_ADR,
         name: str = "pool",
         injector: Optional[CrashInjector] = None,
-        device: Optional[PMemDevice] = None,
         faults: Optional[FaultPolicy] = None,
     ):
-        self.device = device or PMemDevice(
-            size, profile=profile, name=name, injector=injector, faults=faults
-        )
+        self.device = PMemDevice(size, profile=profile, name=name, injector=injector, faults=faults)
         self.name = name
         self._directory: Dict[str, Tuple[int, np.dtype, int]] = {}
 

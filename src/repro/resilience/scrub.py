@@ -171,9 +171,7 @@ class ResilienceManager:
         return self.scrub(self.dev.size)
 
     # -- guarded operation -------------------------------------------------
-    def guarded_insert_edge(
-        self, src: int, dst: int, thread_id: int = 0
-    ) -> List[QuarantineEntry]:
+    def guarded_insert_edge(self, src: int, dst: int) -> List[QuarantineEntry]:
         """Insert one edge, repairing and retrying through media faults.
 
         Whether a faulted insert landed is decided from the source's
@@ -195,11 +193,11 @@ class ResilienceManager:
             d0 = int(g.va.degree[src]) if known else 0
             try:
                 if not landed:
-                    g.insert_edge(src, dst, thread_id)
+                    g.insert_edge(src, dst)
                 else:
                     sec = g.ea.section_of(int(g.va.start[src]) - 1)
                     if g.logs.counts[sec] >= g.logs.merge_at:
-                        g.rebalancer.merge_section(sec, thread_id)
+                        g.rebalancer.merge_section(sec)
                 return created
             except MediaError as err:
                 entries = self.handle_media_error(err)

@@ -35,7 +35,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..config import DGAPConfig
-from ..core.batch import DEFAULT_BATCH_SIZE, EdgeBatch, EdgeLike
+from ..core.batch import DEFAULT_BATCH_SIZE, EdgeBatch, EdgeLike, sub_batches
 from ..core.dgap import DGAP
 from ..core.encoding import check_vertex
 from ..errors import GraphError, SimulatedCrash
@@ -187,30 +187,20 @@ class ShardedDGAP:
                 if lc > sh.num_vertices:
                     sh.insert_vertex(lc - 1)
 
-    def insert_edge(
-        self, src: int, dst: int, thread_id: int = 0, tombstone: bool = False
-    ) -> None:
-        src, dst = check_vertex(src), check_vertex(dst)
-        with self._whole_machine():
-            mx = max(src, dst)
-            if mx >= self.num_vertices:
-                self.insert_vertex(mx)
-            self.shard_for(src).insert_edge(
-                to_local(src, self.n_shards),
-                dst,
-                thread_id=thread_id,
-                tombstone=tombstone,
-                grow_vertices=False,
-            )
+    def insert_edge(self, src: int, dst: int, tombstone: bool = False) -> None:
+        """One edge, routed as a one-edge batch: the owner shard takes it
+        down its per-edge persist path."""
+        src, dst = check_vertex(src), check_vertex(dst)  # before the int64 cast
+        self._dispatch(EdgeBatch(np.array([src]), np.array([dst]), np.array([tombstone])))
 
-    def delete_edge(self, src: int, dst: int, thread_id: int = 0) -> None:
-        self.insert_edge(src, dst, thread_id=thread_id, tombstone=True)
+    def delete_edge(self, src: int, dst: int) -> None:
+        self.insert_edge(src, dst, tombstone=True)
 
     #: store-wide tombstone count and fraction: DGAP's methods are written over ``shards``.
     tombstone_count = DGAP.tombstone_count
     tombstone_density = DGAP.tombstone_density
 
-    def compact(self, thread_id: int = 0) -> dict:
+    def compact(self) -> dict:
         """Tombstone-merge sweep on every shard; returns summed statistics.
 
         Shard sweeps are independent (nothing persistent is shared), so
@@ -220,15 +210,12 @@ class ShardedDGAP:
         totals: dict = {}
         with self._whole_machine():
             for sh in self.shards:
-                for k, v in sh.compact(thread_id).items():
+                for k, v in sh.compact().items():
                     totals[k] = totals.get(k, 0) + v
         return totals
 
     def insert_edges(
-        self,
-        edges: EdgeLike,
-        thread_id: int = 0,
-        batch_size: Optional[int] = DEFAULT_BATCH_SIZE,
+        self, edges: EdgeLike, batch_size: Optional[int] = DEFAULT_BATCH_SIZE
     ) -> int:
         """Route and bulk-insert; returns accepted edge count.
 
@@ -238,13 +225,9 @@ class ShardedDGAP:
         ascending shard order down the unmodified batched ingest path.
         """
         batch = EdgeBatch.coerce(edges)
-        if batch_size is not None and batch_size > 0 and len(batch) > batch_size:
-            return sum(
-                self._dispatch(c, thread_id) for c in batch.chunks(batch_size)
-            )
-        return self._dispatch(batch, thread_id)
+        return sum(self._dispatch(c) for c in sub_batches(batch, batch_size))
 
-    def _dispatch(self, chunk: EdgeBatch, thread_id: int) -> int:
+    def _dispatch(self, chunk: EdgeBatch) -> int:
         if len(chunk) == 0:
             return 0
         with self._whole_machine():
@@ -252,9 +235,7 @@ class ShardedDGAP:
             if mx >= self.num_vertices:
                 self.insert_vertex(mx)
             for r, sub in self.router.split(chunk):
-                self.shards[r].insert_edges(
-                    sub, thread_id=thread_id, batch_size=None, grow_vertices=False
-                )
+                self.shards[r].insert_edges(sub, batch_size=None, grow_vertices=False)
         return len(chunk)
 
     # ------------------------------------------------------------------

@@ -35,7 +35,7 @@ coming from the underlying insert/compact paths.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -68,7 +68,6 @@ class TemporalWindowGraph:
         graph,
         window: int,
         compact_threshold: float = 0.125,
-        batch_size: Optional[int] = DEFAULT_BATCH_SIZE,
         auto_compact: bool = True,
     ) -> None:
         if window < 0:
@@ -80,7 +79,6 @@ class TemporalWindowGraph:
         self.graph = graph
         self.window = int(window)
         self.compact_threshold = float(compact_threshold)
-        self.batch_size = batch_size
         self.auto_compact = auto_compact
         #: the copy table: one row per copy of each not-yet-expired step, in
         #: arrival (= FIFO) order — packed pair, birth step, unconsumed by churn
@@ -139,7 +137,7 @@ class TemporalWindowGraph:
             return 0
         if batch.tombstone.any():
             raise GraphError("temporal adds must not carry tombstones")
-        self.graph.insert_edges(batch, batch_size=self.batch_size)
+        self.graph.insert_edges(batch, batch_size=DEFAULT_BATCH_SIZE)
         self._key = np.concatenate([self._key, _pack(batch.src, batch.dst)])
         self._birth = np.concatenate([self._birth, np.full(n, t, dtype=np.int64)])
         self._live = np.concatenate([self._live, np.ones(n, dtype=bool)])
@@ -183,7 +181,7 @@ class TemporalWindowGraph:
     def _tombstone(self, src: np.ndarray, dst: np.ndarray) -> None:
         if src.size:
             batch = EdgeBatch(src, dst, np.ones(src.size, dtype=bool))
-            self.graph.insert_edges(batch, batch_size=self.batch_size)
+            self.graph.insert_edges(batch, batch_size=DEFAULT_BATCH_SIZE)
 
     # ------------------------------------------------------------------
     # introspection

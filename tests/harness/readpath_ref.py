@@ -111,8 +111,10 @@ def from_runs(lo, hi, i0, j, runs, chain_gidxs, log_rows, short) -> GatherResult
     values = (
         np.concatenate(runs) if runs else np.empty(0, dtype=SLOT_DTYPE)
     ).astype(SLOT_DTYPE, copy=False)
-    return GatherResult(lo, hi, i0, j, values, sizes,
-                        np.asarray(chain_gidxs, dtype=np.int64), log_rows, list(runs), short)
+    res = GatherResult(lo, hi, i0, j, values, sizes,
+                       np.asarray(chain_gidxs, dtype=np.int64), log_rows, short)
+    res._runs = list(runs)  # the reference's own runs, not ones split by the product
+    return res
 
 
 def gather(

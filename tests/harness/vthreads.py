@@ -134,7 +134,7 @@ class VirtualThreadScheduler:
 
             ns0 = dev.stats.modeled_ns
             self.windows.clear()
-            g.insert_edge(src, dst, grow_vertices=self.grow_vertices)
+            g.insert_edges([(src, dst)], batch_size=None, grow_vertices=self.grow_vertices)
             op_ns = dev.stats.modeled_ns - ns0
 
             # A triggered rebalance holds its whole window.  The real

@@ -18,6 +18,7 @@ from repro.baselines import (
     StaticCSR,
     XPGraph,
 )
+from repro.baselines.llama import FLATTEN_EVERY
 from repro.datasets import rmat_edges, shuffle_edges
 from repro.errors import ImmutableGraphError, VertexRangeError
 from .harness.model import Model
@@ -94,7 +95,8 @@ class TestBAL:
 
 class TestLLAMA:
     def test_analysis_lags_by_at_most_one_batch(self):
-        llama = LLAMA(NV, 3000, batch_edges=500)
+        llama = LLAMA(NV, 50_000)  # snapshots every 1 % of the expected edges: 500
+        assert llama.batch_edges == 500
         llama.insert_edges(map(tuple, EDGES[:1234]))
         visible = llama.analysis_view().num_edges
         assert visible == 1000  # two full snapshots; 234 pending invisible
@@ -102,15 +104,16 @@ class TestLLAMA:
         assert llama.analysis_view().num_edges == 1234
 
     def test_snapshot_count(self):
-        llama = LLAMA(NV, 3000, batch_edges=300)
+        llama = LLAMA(NV, 30_000)
         llama.insert_edges(map(tuple, EDGES))
         assert llama.n_snapshots == 10
 
     def test_flattening_bounds_fragments(self):
-        llama = LLAMA(NV, 3000, batch_edges=100, flatten_every=4)
+        llama = LLAMA(NV, 10_000)  # 30 snapshots of 100 edges
         llama.insert_edges(map(tuple, EDGES))
         llama.finalize()
-        assert max(len(f) for f in llama._frags.values()) <= 4 + 1
+        assert llama.n_snapshots == 30
+        assert max(len(f) for f in llama._frags.values()) <= FLATTEN_EVERY + 1
 
 
 class TestGraphOne:

@@ -104,7 +104,7 @@ class TestHarness:
     def test_run_kernel_source_kernels(self):
         sys, _ = get_built_system("graphone", "citpatents", scale=0.03)
         view = sys.analysis_view()
-        t = run_kernel(view, "bfs", source=0, threads=(1,))
+        t = run_kernel(view, "bfs", source=0)
         assert t[1] > 0
 
     def test_run_kernel_times_cc_from_scratch_every_time(self):

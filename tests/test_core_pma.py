@@ -83,13 +83,14 @@ class TestPMATree:
         assert level == 0
 
     def test_density(self):
-        """A window's density is its combined occupancy plus ``extra``
-        over its slots; the level it clears is the window returned."""
+        """A window's density is its combined occupancy over its slots;
+        the level it clears is the window returned."""
         t = PMATree(4, 64)
         occ = np.array([58, 58, 0, 0], dtype=np.int64)
         assert t.find_rebalance_window(occ, 0) == (0, 1, 0)  # 58/64 <= 0.92
         # 59/64 > tau(0) and 117/128 > tau(1) = 0.81; 117/256 clears the root
-        assert t.find_rebalance_window(occ, 0, extra=1) == (0, 4, 2)
+        occ[0] += 1
+        assert t.find_rebalance_window(occ, 0) == (0, 4, 2)
 
     def test_section_slot_mapping(self):
         """Slot -> section lives on the edge array; the tree sees sections."""

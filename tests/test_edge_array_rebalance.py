@@ -37,7 +37,8 @@ class TestEdgeArray:
     def test_occupancy_tracking(self, ea):
         ea.write_slot(0, encode_pivot(0))
         ea.write_slot(1, encode_edge(3))
-        ea.inc_occ(0, 2)
+        ea.inc_occ(0)
+        ea.inc_occ(0)
         assert ea.seg_occ[0] == 2
         ea.recount(0, 1024)
         assert ea.seg_occ[0] == 2 and ea.seg_occ.sum() == 2

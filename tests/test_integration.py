@@ -69,8 +69,8 @@ class TestHarnessPipeline:
         spec, edges, nv = orkut
         system = build_system("dgap", nv, edges.shape[0])
         system.insert_edges(map(tuple, edges))
-        times = run_kernel(system.analysis_view(), "pr", threads=(1, 4, 16))
-        assert times[1] > times[4] > times[16]
+        times = run_kernel(system.analysis_view(), "pr")
+        assert sorted(times) == [1, 16] and times[1] > times[16]
 
 
 class TestSourcePicker:

@@ -212,9 +212,10 @@ def test_aggregate_phases_partitions_the_total():
     assert untraced.counters["stores"] == 1
 
 
-def test_device_events_capture_and_cap():
+def test_device_events_capture_and_cap(monkeypatch):
     g = make_store(**SMALL)
-    t = Tracer(g.pool.stats, device_ops=True, max_device_events=3)
+    monkeypatch.setattr(tracer_mod, "MAX_DEVICE_EVENTS", 3)
+    t = Tracer(g.pool.stats, device_ops=True)
     dev = g.pool.device
     with tracing(t):
         for i in range(5):

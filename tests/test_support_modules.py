@@ -189,19 +189,12 @@ def test_cli_help_exits_zero(capsys):
 
 
 def test_cli_batch_size_normalization():
-    from repro.bench.__main__ import _batch_size
+    from repro.core.batch import batch_limit
 
-    class A:
-        pass
-
-    a = A()
-    a.batch_size = 0
-    assert _batch_size(a) is None  # <= 0 means "one unbounded batch"
-    a.batch_size = -3
-    assert _batch_size(a) is None
-    a.batch_size = 7
-    assert _batch_size(a) == 7
-    assert _batch_size(A()) is not None  # default comes from the harness
+    assert batch_limit(0) is None  # <= 0 means "one unbounded batch"
+    assert batch_limit(-3) is None
+    assert batch_limit(None) is None
+    assert batch_limit(7) == 7
 
 
 # -- tools/check_reachability.py -------------------------------------------
@@ -238,6 +231,70 @@ def test_reachability_gate_passes_here_and_bites(tmp_path, capsys):
     assert "unreached: unreached_def" in out and "unreached: reached" not in out
     # the allow-list cannot rot: its names are not defined in this tree
     assert "stale allow-list entry: is_persisted — no longer defined" in out
+
+
+def test_reachability_gate_resolves_parameters_and_field_owners(tmp_path, capsys):
+    path = Path(__file__).resolve().parents[1] / "tools" / "check_reachability.py"
+    spec = importlib.util.spec_from_file_location("check_reachability", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+
+    pkg = tmp_path / "src" / "repro"
+    pkg.mkdir(parents=True)
+    (pkg / "mod.py").write_text(
+        "from dataclasses import replace\n"
+        "class ServeConfig:\n    mode: str = 'closed'\n    seed: int = 0\n    kept: int = 0\n"
+        "class Report:\n    def __init__(self, mode='x'):\n        self.m = mode\n"
+        "def knob(a, b=1, c=2, d=3, *, e=4):\n    return a\n"
+        "class Base:\n    def __init__(self, profile=None, size=1):\n        pass\n"
+        "class Child(Base):\n    pass\n"
+        "def wrapper(x, **kw):\n    return Child(**kw)\n"
+        "def pr(view, damping=0.85):\n    return view\n"
+        "def cc(view, rounds=64):\n    return view\n"
+        "KERNELS = {'pr': pr, 'cc': cc}\n"
+        "def run(view, kernel, flag=False):\n"
+        "    fn = KERNELS[kernel]\n    fn(view, 0.9)\n"
+        "    cfg = replace(ServeConfig(), seed=1)\n    cfg.kept = 2\n    return cfg\n"
+        "def main(params):\n    return run(**params)\n"
+        "class Inner:\n    def sweep(self, tid=0):\n        return tid\n"
+        "class Outer:\n    def sweep(self, tid=0):\n        return Inner().sweep(tid)\n"
+        "def route(tid=0):\n    return _dispatch(tid)\n"
+        "def _dispatch(tid):\n    return shard_put(1, tid=tid)\n"
+        "def shard_put(x, tid=0):\n    return x\n"
+        "def scaled(scale=1.0):\n    return scale\n"
+        "def halved(n=1):\n    return n\n"
+        "def entry(x, scale=1.0, n=2):\n    n = n // 2\n    return scaled(scale) + halved(n)\n"
+        "entry(0, scale=2.0)\n"
+        "Report(mode='y')\n"
+        "knob(0, 5)\n"
+        "knob(0, d=1, **{'e': 2})\n"
+        "wrapper(0, size=3)\n"
+    )
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_y.py").write_text(
+        "knob(0, c=9)\nBase(profile=1)\nServeConfig(mode='open')\n")
+    assert tool.main([str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    # a keyword, a position, a dict literal's keys behind ``**`` — and a
+    # keyword that reaches a constructor through ``**kwargs`` and a base
+    # class — pass a parameter; a test passing it does not
+    assert "never passed: knob(c)" in out and "never passed: Base(profile)" in out
+    for passed in ("knob(b)", "knob(d)", "knob(e)", "Base(size)", "Report(mode)"):
+        assert passed not in out, passed
+    # a call through a registry passes for every function it holds; an
+    # opaque ``**`` (an argparse namespace) passes every parameter
+    assert "pr(damping)" not in out and "cc(rounds)" not in out and "run(flag)" not in out
+    # handing on one's own parameter delegates, whatever the callee is
+    # named: the value is set only where the outermost parameter is
+    assert "never passed: Inner.sweep(tid)" in out and "never passed: Outer.sweep(tid)" in out
+    assert "never passed: route(tid)" in out and "never passed: shard_put(tid)" in out
+    assert "scaled(scale)" not in out and "entry(scale)" not in out
+    # a parameter rebound before the call is a new value, not a delegation
+    assert "never passed: entry(n)" in out and "halved(n)" not in out
+    # a field is set by its own class, replace() or a store — not by
+    # another callee's keyword of the same name
+    assert "never set: ServeConfig.mode" in out
+    assert "ServeConfig.seed" not in out and "ServeConfig.kept" not in out
 
 
 # -- tools/check_doc_refs.py ------------------------------------------------
