@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..errors import GraphError
-from .encoding import SLOT_DTYPE, TOMB_BIT, check_vertex
+from .encoding import check_vertex
 
 EdgeLike = Union["EdgeBatch", np.ndarray, Iterable[Tuple[int, int]]]
 
@@ -51,6 +51,10 @@ class EdgeBatch:
         tombstone: Optional[np.ndarray] = None,
         validate: bool = True,
     ):
+        src, dst = np.asarray(src), np.asarray(dst)
+        if validate and src.size and dst.size:  # before the int64 cast: an id may not survive it
+            check_vertex(min(src.min(), dst.min()))
+            check_vertex(max(src.max(), dst.max()))
         self.src = np.ascontiguousarray(src, dtype=np.int64)
         self.dst = np.ascontiguousarray(dst, dtype=np.int64)
         if tombstone is None:
@@ -59,8 +63,6 @@ class EdgeBatch:
             self.tombstone = np.ascontiguousarray(tombstone, dtype=bool)
         if not (self.src.size == self.dst.size == self.tombstone.size):
             raise GraphError("EdgeBatch arrays must have equal length")
-        if validate:
-            self.validate()
 
     # -- construction -----------------------------------------------------
     @classmethod
@@ -69,7 +71,7 @@ class EdgeBatch:
         buf = [(int(s), int(d)) for s, d in pairs]
         if not buf:
             return cls.empty()
-        arr = np.asarray(buf, dtype=np.int64)
+        arr = np.asarray(buf)
         return cls(arr[:, 0], arr[:, 1])
 
     @classmethod
@@ -91,12 +93,6 @@ class EdgeBatch:
     def empty(cls) -> "EdgeBatch":
         z = np.empty(0, dtype=np.int64)
         return cls(z, z.copy(), np.empty(0, dtype=bool), validate=False)
-
-    # -- validation -------------------------------------------------------
-    def validate(self) -> None:
-        if self.src.size:
-            check_vertex(min(int(self.src.min()), int(self.dst.min())))
-            check_vertex(self.max_vertex())
 
     # -- basics -----------------------------------------------------------
     def __len__(self) -> int:
@@ -130,17 +126,6 @@ class EdgeBatch:
             )
 
     # -- pipeline helpers -------------------------------------------------
-    def encoded(self) -> np.ndarray:
-        """Vectorized slot encodings: ``dst + 1``, tombstone bit in-band."""
-        enc = (self.dst + 1).astype(SLOT_DTYPE)
-        if self.tombstone.any():
-            enc = enc | np.where(self.tombstone, SLOT_DTYPE(TOMB_BIT), SLOT_DTYPE(0))
-        return enc
-
-    def live_deltas(self) -> np.ndarray:
-        """+1 per insert, -1 per tombstone (live-degree contribution)."""
-        return np.where(self.tombstone, np.int64(-1), np.int64(1))
-
     def shard_keys(self, n_shards: int) -> np.ndarray:
         """Owning shard of each edge (block-mixed partition on the source).
 

@@ -36,7 +36,7 @@ from ..pmem.tx import TransactionManager
 from .batch import DEFAULT_BATCH_SIZE, EdgeBatch, EdgeLike, sub_batches
 from .edge_array import EdgeArray
 from .edge_log import EdgeLogs, group_chains
-from .encoding import SLOT_DTYPE, check_vertex, encode_edge, encode_pivot
+from .encoding import SLOT_DTYPE, check_vertex, encode_edge, encode_pivot, is_edge, run_bounds, worth
 from .locks import SectionLockTable
 from ..obs.tracer import annotate, trace, traced
 from ..nputil import distinct, multi_arange, run_heads, run_lengths
@@ -170,7 +170,7 @@ class DGAP:
         image = np.zeros(cap, dtype=SLOT_DTYPE)
         ids = np.arange(nv, dtype=np.int64)
         pos = ids * cap // nv
-        image[pos] = -(ids + 1)
+        image[pos] = encode_pivot(ids)
         self.pool.device.ntstore(self.ea.region.offset, image.view(np.uint8), payload=0)
         self.pool.device.sfence()
         starts = pos + 1
@@ -408,9 +408,7 @@ class DGAP:
                 if stage == "inner":
                     pending = self._insert_edge_inner(src, dst, thread_id, tombstone)
                 else:  # stage == "shift": retry the nearby shift after a resize
-                    pending = self._insert_with_shift(
-                        src, encode_edge(dst, tombstone), -1 if tombstone else 1, thread_id
-                    )
+                    pending = self._insert_with_shift(src, encode_edge(dst, tombstone), thread_id)
             finally:
                 if held is not None:
                     self.locks.release_many(held)
@@ -440,7 +438,7 @@ class DGAP:
         va, ea, logs, cfg = self.va, self.ea, self.logs, self.config
         enc = encode_edge(dst, tombstone)
         pos = int(va.start[src] + va.array_degree[src])
-        live_delta = -1 if tombstone else 1
+        live_delta = int(worth(enc))
 
         if pos < ea.capacity and ea.slots[pos] == 0:
             # Fast path: the slot after the run is a gap — atomic insert.
@@ -465,7 +463,7 @@ class DGAP:
             # (wider) lock set rather than the pivot/append pair.
             if cfg.thread_safe:
                 return ("do_shift",)
-            return self._insert_with_shift(src, enc, live_delta, thread_id)
+            return self._insert_with_shift(src, enc, thread_id)
 
         sec = ea.section_of(int(va.start[src]) - 1)
         if logs.counts[sec] >= logs.capacity:
@@ -483,7 +481,7 @@ class DGAP:
             return ("merge", sec)
         return None
 
-    def _insert_with_shift(self, src: int, enc: int, live_delta: int, thread_id: int):
+    def _insert_with_shift(self, src: int, enc: np.int32, thread_id: int):
         """Naive PMA insert: shift the occupied range right to open a gap.
 
         This is the write-amplification path of Fig. 1(a) — every
@@ -534,7 +532,7 @@ class DGAP:
             va.set_start(u, int(va.start[u]) + 1)
         va.set_array_degree(src, int(va.array_degree[src]) + 1)
         va.set_degree(src, int(va.degree[src]) + 1)
-        va.set_live_degree(src, int(va.live_degree[src]) + live_delta)
+        va.set_live_degree(src, int(va.live_degree[src]) + int(worth(enc)))
         ea.recount(pos, g + 1)
         self._touch_rows(src)
         self.n_shift_inserts += 1
@@ -611,9 +609,9 @@ class DGAP:
 
     def _insert_batch_vectorized(self, batch: EdgeBatch, thread_id: int) -> int:
         srcs = batch.src
-        encs = batch.encoded()
+        encs = encode_edge(batch.dst, batch.tombstone)
         # live-degree delta per edge; None when every edge is a live insert
-        live = batch.live_deltas() if batch.tombstone.any() else None
+        live = worth(encs) if batch.tombstone.any() else None
         order_parts: list = []
         pending = np.arange(len(batch), dtype=np.int64)
         while pending.size:
@@ -967,23 +965,20 @@ class DGAP:
         Used by tests and available to applications after recovery.
         """
         slots = self.ea.slots
-        ppos = np.flatnonzero(slots < 0)
-        vids = -slots[ppos].astype(np.int64) - 1
+        start, ends = run_bounds(slots)
         nv = self.va.num_vertices
-        if vids.size != nv or not np.array_equal(vids, np.arange(nv)):
-            raise GraphError("pivot id space is not dense/ordered")
-        if not np.array_equal(ppos + 1, self.va.starts()):
+        if start.size != nv:
+            raise GraphError(f"{start.size} pivots for {nv} vertices")
+        if not np.array_equal(start, self.va.starts()):
             raise GraphError("DRAM starts disagree with pivots")
-        ends = np.append(ppos[1:], self.ea.capacity)
-        for v in range(nv):
-            st = int(self.va.start[v])
-            ad = int(self.va.array_degree[v])
-            if st + ad > int(ends[v]):
-                raise GraphError(f"run of vertex {v} overlaps its successor")
-            if not (slots[st : st + ad] > 0).all():
-                raise GraphError(f"run of vertex {v} has embedded gaps")
-            if not (slots[st + ad : int(ends[v])] == 0).all():
-                raise GraphError(f"trailing region of vertex {v} is not gaps")
+        # a run is array_degree edges, then only gaps up to the next pivot
+        ad = self.va.array_degree[:nv]
+        fill = np.minimum(start + ad, ends)
+        n_edges = np.concatenate(([0], np.cumsum(is_edge(slots))))
+        bad = fill != start + ad
+        bad |= (n_edges[fill] - n_edges[start] != ad) | (n_edges[ends] != n_edges[fill])
+        if bad.any():
+            raise GraphError(f"run of vertex {int(bad.argmax())} is not its edges then gaps")
         logs = self.logs
         group_chains(*logs.peek(np.arange(logs.n_sections)), np.arange(nv), self.va)
         occ = self.ea.seg_occ.copy()

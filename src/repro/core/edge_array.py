@@ -113,6 +113,14 @@ class EdgeArray:
         if self._occ_region is not None:
             self._occ_region.write_slice(s0, self.seg_occ[s0:s1], payload=0, persist=True)
 
+    def rewrite_mirror(self, name: str, off: int, n: int) -> bool:
+        """:meth:`VertexArray.rewrite_mirror` for the "No DP" ``seg_occ`` mirror."""
+        r = self._occ_region
+        if r is None or r.name != name:
+            return False
+        r.rewrite_from(self.seg_occ, off, n)
+        return True
+
     def recount_all(self) -> None:
         self.recount(0, self.capacity)
 

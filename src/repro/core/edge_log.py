@@ -19,8 +19,8 @@ self-invalidating without a checksum:
 * field 0 — source vertex id **plus one** (so vertex 0 is
   distinguishable from an unwritten slot);
 * field 1 — the destination encoded as in the edge array
-  (``dst+1``, optionally ``| TOMB_BIT``, always nonzero); merges zero
-  this field to invalidate an entry in place;
+  (:func:`~repro.core.encoding.encode_edge`, always nonzero); merges
+  zero this field to invalidate an entry in place;
 * field 2 — global index of the *previous* entry of the same source
   vertex **plus two** (1 = no predecessor), forming the newest-first
   back-pointer chain whose head lives in the DRAM vertex array
@@ -28,9 +28,11 @@ self-invalidating without a checksum:
 
 Recovery finds the append frontier as one past the last entry with any
 nonzero field — no persistent per-log counter (counters would be
-in-place PM updates, exactly what DGAP avoids).  ``read_entry`` undoes
-the biases; the streamed rows keep them, and :func:`group_chains` turns
-them into every vertex's chain.
+in-place PM updates, exactly what DGAP avoids).  This module alone
+knows the layout: :func:`pack_entries` applies the biases,
+:func:`unpack_entries` undoes them and :func:`valid_entries` is the
+validity rule; the streamed rows keep the biases, and
+:func:`group_chains` turns them into every vertex's chain.
 """
 
 from __future__ import annotations
@@ -115,10 +117,10 @@ class EdgeLogs:
         slot = int(self.counts[section])
         if slot >= self.entries_per_section:
             raise PMemError(f"edge log of section {section} is full")
-        entry = np.array([src + 1, dst_enc, back_gidx + 2], dtype=np.int32)
         pos = self._base(section) + slot * _FIELDS
         # One small persistent write — sequential within the section's log.
-        self.region.write_slice(pos, entry, payload=4, persist=True)
+        self.region.write_slice(pos, pack_entries(src, dst_enc, back_gidx)[0],
+                                payload=4, persist=True)
         self.counts[section] = slot + 1
         self.live_counts[section] += 1
         if slot + 1 > self.peak_counts[section]:
@@ -150,11 +152,8 @@ class EdgeLogs:
         new_counts = self.counts[secs] + cnts
         if (new_counts > self.entries_per_section).any():
             raise PMemError("edge-log scatter append overflows a section")
-        entries = np.empty((k, _FIELDS), dtype=np.int32)
-        entries[:, 0] = np.asarray(srcs, dtype=np.int64) + 1
-        entries[:, 1] = dst_encs
-        entries[:, 2] = np.asarray(back_gidxs, dtype=np.int64) + 2
-        self.region.write_batch(gidxs * _FIELDS, entries, payload_per_unit=4)
+        self.region.write_batch(gidxs * _FIELDS, pack_entries(srcs, dst_encs, back_gidxs),
+                                payload_per_unit=4)
         self.counts[secs] = new_counts
         self.live_counts[secs] += cnts
         self.peak_counts[secs] = np.maximum(self.peak_counts[secs], new_counts)
@@ -189,8 +188,8 @@ class EdgeLogs:
         """Return ``(src, dst_enc, back_gidx)`` (back −1 when none)."""
         section, slot = self.locate(gidx)
         pos = self._base(section) + slot * _FIELDS
-        e = self.region.view[pos : pos + _FIELDS]
-        return int(e[0]) - 1, int(e[1]), int(e[2]) - 2
+        src, dst_enc, back = unpack_entries(self.region.view[pos : pos + _FIELDS])
+        return int(src), int(dst_enc), int(back)
 
     def _runs(self, s_lo: int, s_hi: int):
         """``(first_gidx, n_entries)`` of each load :meth:`stream` issues:
@@ -304,7 +303,7 @@ def group_chains(gidx: np.ndarray, rows: np.ndarray, vids: np.ndarray, va, lossy
     way (``GraphError``).
     """
     n = vids.size
-    src = rows[:, 0].astype(np.int64) - 1
+    src = unpack_entries(rows)[0]
     base = int(vids[0]) if n else 0
     if n == 0 or int(vids[-1]) - base + 1 == n:  # an id range: no search
         pos = src - base
@@ -312,8 +311,7 @@ def group_chains(gidx: np.ndarray, rows: np.ndarray, vids: np.ndarray, va, lossy
     else:
         pos = np.searchsorted(vids, src)
         ours = vids[np.minimum(pos, n - 1)] == src
-    # valid: all three fields nonzero (an id of ours has field 0 nonzero)
-    mine = np.flatnonzero(ours & (rows[:, 1] != 0) & (rows[:, 2] != 0))
+    mine = np.flatnonzero(ours & valid_entries(rows))
     mine = mine[np.argsort(pos[mine], kind="stable")]
     counts = np.bincount(pos[mine], minlength=n)
     short = va.degree[vids] - va.array_degree[vids] - counts
@@ -328,15 +326,41 @@ def group_chains(gidx: np.ndarray, rows: np.ndarray, vids: np.ndarray, va, lossy
     return mine, counts, (short if lossy else None)
 
 
+def pack_entries(srcs, dst_encs, back_gidxs) -> np.ndarray:
+    """Entries ``(k, 3)`` int32 in their on-media biases, from sources,
+    encoded destinations and previous-entry indices (−1 for none) —
+    arrays, or scalars for one entry."""
+    srcs = np.asarray(srcs, dtype=np.int64)
+    entries = np.empty((srcs.size, _FIELDS), dtype=np.int32)
+    entries[:, 0] = srcs + 1
+    entries[:, 1] = dst_encs
+    entries[:, 2] = np.asarray(back_gidxs, dtype=np.int64) + 2
+    return entries
+
+
+def unpack_entries(rows: np.ndarray):
+    """``(src, dst_enc, back_gidx)`` of entry rows ``(..., 3)`` in their
+    on-media biases: ``src`` and ``back_gidx`` (−1 for none) as int64 with
+    the biases undone, ``dst_enc`` as stored (0 once invalidated)."""
+    return rows[..., 0].astype(np.int64) - 1, rows[..., 1], rows[..., 2].astype(np.int64) - 2
+
+
+def valid_entries(rows: np.ndarray) -> np.ndarray:
+    """Mask of the *valid* entries among rows ``(..., 3)``: all three
+    biased fields nonzero.  An unwritten slot, an in-flight append torn
+    at 8-byte granularity and an invalidated entry each leave one zero."""
+    return (rows[..., 0] != 0) & (rows[..., 1] != 0) & (rows[..., 2] != 0)
+
+
 def _cursors(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The cursor rule over whole-section entry rows ``(k, eps, 3)``:
     per section, one past the last *non-empty* entry (0 when empty) and
-    the count of *valid* — all fields nonzero — entries."""
-    f0, f1, f2 = (rows[..., k] != 0 for k in range(_FIELDS))
-    nonempty = f0 | f1 | f2
+    the count of :func:`valid_entries`."""
+    nonempty = (rows[..., 0] | rows[..., 1] | rows[..., 2]) != 0
     first = nonempty[:, ::-1].argmax(axis=1)  # distance of the last non-empty from the end
     counts = np.where(nonempty.any(axis=1), rows.shape[1] - first, 0).astype(np.int64)
-    return counts, (f0 & f1 & f2).sum(axis=1).astype(np.int64)
+    return counts, valid_entries(rows).sum(axis=1).astype(np.int64)
 
 
-__all__ = ["EdgeLogs", "ENTRY_BYTES", "MERGE_TENTHS", "group_chains", "merge_point"]
+__all__ = ["EdgeLogs", "ENTRY_BYTES", "MERGE_TENTHS", "group_chains", "merge_point",
+           "pack_entries", "unpack_entries", "valid_entries"]

@@ -17,11 +17,11 @@ below ``2**30 - 2`` — far beyond any graph this simulator hosts.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from ..errors import GraphError, VertexRangeError
+from ..errors import GraphError, RecoveryError, VertexRangeError
 from ..nputil import multi_arange, prefix_dtype
 
 GAP = np.int32(0)
@@ -29,7 +29,6 @@ TOMB_BIT = np.int32(1 << 30)
 MAX_VERTEX = (1 << 30) - 2
 
 SLOT_DTYPE = np.int32
-SLOT_BYTES = 4
 
 
 def check_vertex(v: int, nv: int = MAX_VERTEX + 1) -> int:
@@ -60,39 +59,28 @@ def check_k(k: int, limit: Optional[int] = None) -> int:
     return k if limit is None else min(k, limit)
 
 
-def encode_pivot(v: int) -> np.int32:
-    return np.int32(-(v + 1))
+def encode_pivot(v):
+    """The pivot slot of vertex ``v`` — an id, or an array of ids."""
+    return SLOT_DTYPE(-(v + 1))
 
 
-def encode_edge(dst: int, tombstone: bool = False) -> np.int32:
-    val = dst + 1
-    if tombstone:
-        val |= int(TOMB_BIT)
-    return np.int32(val)
+def encode_edge(dst, tombstone=False):
+    """The slot of an edge to ``dst`` — an id, or an array of ids with an
+    optional matching ``tombstone`` mask.  An array without a tombstone
+    costs one cast: the bit is OR'd in only where one is set."""
+    enc = SLOT_DTYPE(dst + 1)
+    if tombstone.any() if isinstance(tombstone, np.ndarray) else tombstone:
+        enc = enc | np.where(tombstone, TOMB_BIT, GAP)
+    return enc
 
 
-def decode_pivot(slot: int) -> int:
-    return -int(slot) - 1
-
-
-def decode_edge(slot: int) -> Tuple[int, bool]:
-    """Return ``(dst, is_tombstone)`` for a positive edge slot."""
-    s = int(slot)
-    tomb = bool(s & int(TOMB_BIT))
-    return (s & ~int(TOMB_BIT)) - 1, tomb
-
-
-# -- vectorized helpers --------------------------------------------------
+# -- predicates and decoders: one slot value or an array of them ----------
 def is_pivot(slots: np.ndarray) -> np.ndarray:
     return slots < 0
 
 
 def is_edge(slots: np.ndarray) -> np.ndarray:
     return slots > 0
-
-
-def is_gap(slots: np.ndarray) -> np.ndarray:
-    return slots == 0
 
 
 def is_tombstone(slots: np.ndarray) -> np.ndarray:
@@ -110,21 +98,34 @@ def pivot_vertices(slots: np.ndarray) -> np.ndarray:
     return -slots - 1
 
 
-def live_degrees(slots: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Live degree of the entries in each ``slots[lo[k] : hi[k]]``: lives
-    minus tombstones.
-
-    The one spelling of what an entry is worth to its vertex's
-    ``live_degree`` — a live edge +1, a tombstone −1 *whether or not it
+def worth(slots: np.ndarray) -> np.ndarray:
+    """What a slot is worth to its vertex's ``live_degree`` (int8) — the
+    one spelling: a live edge +1, a tombstone −1 *whether or not it
     matches anything* (:func:`tombstone_matches` pairs each match with
-    one live, netting zero), a pivot or gap nothing.  Crash recovery
-    rebuilds the counter with it from the scanned array; a lossy repair
-    recounts the rows it shrank.
-    """
-    worth = (slots > 0).view(np.int8) - 2 * is_tombstone(slots).view(np.int8)
+    one live, netting zero), a pivot or gap 0.  The write paths add it
+    per insert, recovery per replayed log entry and per scanned run."""
+    return is_edge(slots).view(np.int8) - 2 * is_tombstone(slots).view(np.int8)
+
+
+def live_degrees(slots: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Live degree of each ``slots[lo[k] : hi[k]]``: the sum of its
+    :func:`worth`.  Crash recovery rebuilds the counter with it from the
+    scanned array; a lossy repair recounts the rows it shrank."""
     net = np.zeros(slots.size + 1, dtype=prefix_dtype(slots.size))
-    np.cumsum(worth, dtype=net.dtype, out=net[1:])
+    np.cumsum(worth(slots), dtype=net.dtype, out=net[1:])
     return (net[hi] - net[lo]).astype(np.int64)
+
+
+def run_bounds(slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(starts, ends)``: vertex ``v``'s run is ``slots[starts[v] : ends[v]]``,
+    from behind its pivot to the next pivot — the one pivot scan, shared
+    by crash recovery and the invariant check.  The pivots must name
+    vertices ``0, 1, …`` in slot order (dense, strictly increasing); any
+    other image is corrupt (:class:`RecoveryError`)."""
+    ppos = np.flatnonzero(is_pivot(slots))
+    if not np.array_equal(pivot_vertices(slots[ppos]), np.arange(ppos.size)):
+        raise RecoveryError("pivot ids are not dense and strictly increasing — image corrupt")
+    return ppos + 1, np.append(ppos[1:], slots.size)
 
 
 def tombstone_matches(
@@ -194,19 +195,17 @@ __all__ = [
     "TOMB_BIT",
     "MAX_VERTEX",
     "SLOT_DTYPE",
-    "SLOT_BYTES",
     "check_vertex",
     "check_k",
     "encode_pivot",
     "encode_edge",
-    "decode_pivot",
-    "decode_edge",
     "is_pivot",
     "is_edge",
-    "is_gap",
     "is_tombstone",
     "edge_dsts",
     "pivot_vertices",
+    "worth",
     "live_degrees",
+    "run_bounds",
     "tombstone_matches",
 ]

@@ -61,11 +61,13 @@ from ..errors import GraphError, OutOfPMemError
 from ..nputil import ScratchBuffer, multi_arange
 from ..obs.tracer import annotate, traced
 from .edge_array import EdgeArray
-from .edge_log import EdgeLogs, group_chains
+from .edge_log import EdgeLogs, group_chains, unpack_entries
 from .encoding import (
     SLOT_DTYPE,
-    TOMB_BIT,
+    edge_dsts,
+    encode_pivot,
     is_pivot,
+    is_tombstone,
     live_degrees,
     pivot_vertices,
     tombstone_matches,
@@ -162,9 +164,7 @@ def _unmatched_mask(g: GatherResult) -> np.ndarray:
     degrees.  Filtering is order-preserving, so replaying the kept
     sequence reads back the exact same live adjacency.
     """
-    return ~tombstone_matches(
-        g.values & ~TOMB_BIT, (g.values & TOMB_BIT) != 0, g.run_off, g.sizes
-    )
+    return ~tombstone_matches(edge_dsts(g.values), is_tombstone(g.values), g.run_off, g.sizes)
 
 
 def _lost_mask(g: GatherResult) -> np.ndarray:
@@ -288,7 +288,7 @@ class Rebalancer:
         if int(ads.sum()):
             values[multi_arange(run_off, ads)] = win[multi_arange(starts, ads)]
         # chains merge oldest-first behind the array part of the run
-        values[multi_arange(run_off + ads, counts)] = rows[mine, 1]
+        values[multi_arange(run_off + ads, counts)] = unpack_entries(rows[mine])[1]
         return GatherResult(lo, hi, i0, j, values, sizes, chain_gidxs, log_rows, short=short)
 
     def _gather_kept(self, ext, keep_mask) -> Tuple[GatherResult, Optional[np.ndarray]]:
@@ -348,7 +348,7 @@ class Rebalancer:
         new_starts = g.lo + pos + 1
         image = self.dram_scratch().take("plan.image", W, SLOT_DTYPE, zero=True)
         if nv:
-            image[pos] = -(np.arange(g.i0, g.j, dtype=np.int64) + 1)  # encode_pivot
+            image[pos] = encode_pivot(np.arange(g.i0, g.j, dtype=np.int64))
             if g.values.size:
                 image[multi_arange(pos + 1, g.sizes)] = g.values
         return image, new_starts
@@ -435,8 +435,8 @@ class Rebalancer:
                     logs.clear_section(s)
             else:
                 a, b = np.searchsorted(gidx, (s * eps, (s + 1) * eps))
-                srcs = rows[a:b, 0].astype(np.int64) - 1
-                hit = (rows[a:b, 1] != 0) & np.isin(srcs, merged)
+                srcs, dst_encs, _ = unpack_entries(rows[a:b])
+                hit = (dst_encs != 0) & np.isin(srcs, merged)  # not yet invalidated
                 logs.invalidate_entries(gidx[a:b][hit])
 
     def _apply_dram(self, laid: GatherResult, new_starts: np.ndarray) -> None:
@@ -759,8 +759,8 @@ class Rebalancer:
             "entries_before": int(before.size),
             "entries_after": int(after.size),
             "pairs_dropped": int(before.size - after.size) // 2,
-            "tombstones_before": int(((before & TOMB_BIT) != 0).sum()),
-            "tombstones_after": int(((after & TOMB_BIT) != 0).sum()),
+            "tombstones_before": int(is_tombstone(before).sum()),
+            "tombstones_after": int(is_tombstone(after).sum()),
         }
 
     # ------------------------------------------------------------------

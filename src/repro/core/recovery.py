@@ -39,7 +39,8 @@ from ..errors import RecoveryError
 from ..nputil import prefix_dtype
 from ..obs.tracer import trace, traced
 from ..pmem.pool import DATA_OFF, PMemPool
-from .encoding import SLOT_DTYPE, TOMB_BIT, live_degrees
+from .edge_log import unpack_entries, valid_entries
+from .encoding import SLOT_DTYPE, live_degrees, run_bounds, worth
 from .rebalance import (
     ROOT_EPS,
     ROOT_GEN,
@@ -259,16 +260,7 @@ def _scan_edge_array(host) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     slots = host.pool.device.load_batch(
         ea.region.offset, cap * 4
     ).view(SLOT_DTYPE)
-    ppos = np.flatnonzero(slots < 0)
-    vids = (-slots[ppos].astype(np.int64)) - 1
-    nv = vids.size
-    if nv:
-        if not (np.diff(vids) > 0).all():
-            raise RecoveryError("pivot ids are not strictly increasing — image corrupt")
-        if vids[0] != 0 or vids[-1] != nv - 1:
-            raise RecoveryError("pivot id space is not dense — image corrupt")
-    starts = ppos + 1
-    ends = np.append(ppos[1:], cap)
+    starts, ends = run_bounds(slots)
     nz = np.zeros(cap + 1, dtype=prefix_dtype(cap))
     np.cumsum(slots != 0, dtype=nz.dtype, out=nz[1:])
     array_deg = (nz[ends] - nz[starts]).astype(np.int64)
@@ -304,18 +296,16 @@ def _replay_logs(
     clears, which the live view shows.  Validity, the torn-chain cut and
     the fold all come from it — no device read here.
     """
-    # Valid = all three biased fields nonzero: an in-flight append torn
-    # by the crash (8-byte atomicity) persists a strict chunk subset and
-    # always leaves a zero field, so it self-invalidates here.
-    valid = (image[:, 0] != 0) & (image[:, 1] != 0) & (image[:, 2] != 0)
+    # An in-flight append torn by the crash (8-byte atomicity) persists a
+    # strict chunk subset and always leaves a zero field: not valid.
+    valid = valid_entries(image)
     gidx = np.flatnonzero(valid)
     if gidx.size == 0:
         return
-    rows = image[gidx]
+    s, d, back = unpack_entries(image[gidx])
     # A crash inside a commit group may persist entry j without the one
     # its back-pointer names: accept entries only through an intact chain
     # (back targets have smaller indices) and invalidate the rest.
-    back = rows[:, 2].astype(np.int64) - 2
     broken = []
     while True:
         ok = (back < 0) | valid[np.maximum(back, 0)]
@@ -323,17 +313,13 @@ def _replay_logs(
             break
         valid[gidx[~ok]] = False  # rejected: re-judge what chained to them
         broken.append(gidx[~ok])
-        gidx, rows, back = gidx[ok], rows[ok], back[ok]
+        gidx, s, d, back = gidx[ok], s[ok], d[ok], back[ok]
     if broken:
         host.logs.invalidate_entries(np.concatenate(broken))
-    s = rows[:, 0].astype(np.int64) - 1
-    d = rows[:, 1]
     if s.size and (s.max() >= nv or s.min() < 0):
         raise RecoveryError("edge-log entry references unknown vertex")
     np.add.at(degree, s, 1)
-    tomb = (d & TOMB_BIT) != 0
-    np.add.at(live, s[~tomb], 1)
-    np.subtract.at(live, s[tomb], 1)
+    np.add.at(live, s, worth(d).astype(np.int64))  # add.at is fast on matching dtypes only
     # chain head = the entry appended last; entries of one vertex all live
     # in one section per merge epoch, so the max global index is the head.
     np.maximum.at(el, s, gidx)

@@ -38,8 +38,8 @@ import numpy as np
 from ..errors import SnapshotError
 from ..nputil import distinct, multi_arange
 from ..obs.tracer import trace
-from .edge_log import group_chains
-from .encoding import SLOT_DTYPE, TOMB_BIT, check_vertex, tombstone_matches
+from .edge_log import group_chains, unpack_entries
+from .encoding import SLOT_DTYPE, check_vertex, edge_dsts, is_tombstone, tombstone_matches
 
 
 class DGAPSnapshot:
@@ -144,9 +144,9 @@ class DGAPSnapshot:
             off = np.cumsum(sizes) - sizes
             out = np.empty(int(sizes.sum()), dtype=SLOT_DTYPE)
             out[multi_arange(off, n_arr)] = vals
-            out[multi_arange(off[at] + n_arr[at], n_chain[at])] = rows[
-                mine[multi_arange(first, n_chain[at])], 1
-            ]
+            out[multi_arange(off[at] + n_arr[at], n_chain[at])] = unpack_entries(
+                rows[mine[multi_arange(first, n_chain[at])]]
+            )[1]
             return out
         finally:
             host.locks.release_many(held)
@@ -173,8 +173,8 @@ class DGAPSnapshot:
         lens = 0 if prefix is None else prefix[0]
         vals = self._tails(vids, lens, deg_t)
         sizes = deg_t - lens
-        tomb = (vals & TOMB_BIT) != 0
-        dsts = (vals & ~TOMB_BIT) - 1
+        tomb = is_tombstone(vals)
+        dsts = edge_dsts(vals)
         if prefix is not None:
             # lay each held prefix out in front of its tail
             _, held, held_dsts = prefix

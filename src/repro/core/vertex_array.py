@@ -45,6 +45,7 @@ class VertexArray:
         self.start = np.zeros(cap, dtype=np.int64)
         self.el = np.full(cap, NO_EL, dtype=np.int64)
         self.row_epoch = np.zeros(cap, dtype=np.int64)
+        self._regions: dict = {}  # field -> its PM mirror (the "No DP" ablation's)
 
     # -- bulk views (valid slices over the active prefix) -------------------
     def starts(self) -> np.ndarray:
@@ -121,6 +122,15 @@ class VertexArray:
         self.live_degree[i0:j] = live_degree
         self.el[i0:j] = el
 
+    def rewrite_mirror(self, name: str, off: int, n: int) -> bool:
+        """Rewrite bytes ``[off, off + n)`` of region ``name`` from DRAM if
+        it is one of this array's live PM mirrors (a DRAM one has none)."""
+        for f, r in self._regions.items():
+            if r.name == name:
+                r.rewrite_from(getattr(self, f), off, n)
+                return True
+        return False
+
     # -- growth -----------------------------------------------------------------
     def grow(self, new_num_vertices: int) -> None:
         """Extend the id space (amortized-doubling DRAM reallocation)."""
@@ -155,7 +165,6 @@ class PMVertexArray(VertexArray):
     is_dram = False
 
     _FIELDS = ("degree", "start", "el")
-    _MIRRORED = frozenset(_FIELDS)
 
     def __init__(self, num_vertices: int, pool: PMemPool):
         super().__init__(num_vertices)

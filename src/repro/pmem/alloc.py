@@ -115,6 +115,13 @@ class Region:
         dev.flush_span(lines * CACHE_LINE, CACHE_LINE)
         dev.sfence()
 
+    def rewrite_from(self, source: np.ndarray, off: int, n: int) -> None:
+        """Persistently rewrite the elements device bytes ``[off, off + n)``
+        cover from ``source``, the DRAM array this region mirrors."""
+        i0 = (off - self.offset) // self.itemsize
+        i1 = (off + n - self.offset) // self.itemsize
+        self.write_slice(i0, source[i0:i1], payload=0, persist=True)
+
     def nt_write_slice(self, start: int, arr) -> None:
         """Non-temporal streaming store of a contiguous run (bulk loads)."""
         a = np.ascontiguousarray(arr, dtype=self.dtype)

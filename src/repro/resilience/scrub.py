@@ -324,32 +324,16 @@ class ResilienceManager:
             self._zero(off, n)
             return entry("unallocated", RepairOutcome.SCRUBBED)
 
-        va = g.va
         if name.startswith("vertexarr."):
-            field, gen = name.split(".")[1], name.rsplit(".g", 1)[1]
-            regions = getattr(va, "_regions", None)
-            live = (
-                regions is not None
-                and field in regions
-                and regions[field].name == name
-            )
-            if live:
-                r = regions[field]
-                i0 = (off - r.offset) // r.itemsize
-                i1 = (off + n - r.offset) // r.itemsize
-                r.write_slice(i0, getattr(va, field)[i0:i1], payload=0, persist=True)
+            if g.va.rewrite_mirror(name, off, n):
                 return entry(
                     "vertex-metadata", RepairOutcome.EXACT,
-                    f"field {field!r} rewritten from DRAM cache",
+                    f"field {name.split('.')[1]!r} rewritten from DRAM cache",
                 )
             self._zero(off, n)
             return entry("dead-generation", RepairOutcome.SCRUBBED)
 
-        if name == f"segocc.g{g.ea.gen}" and g.ea._occ_region is not None:
-            r = g.ea._occ_region
-            i0 = (off - r.offset) // r.itemsize
-            i1 = (off + n - r.offset) // r.itemsize
-            r.write_slice(i0, g.ea.seg_occ[i0:i1], payload=0, persist=True)
+        if g.ea.rewrite_mirror(name, off, n):
             return entry(
                 "pma-metadata", RepairOutcome.EXACT, "rewritten from DRAM seg_occ"
             )
@@ -423,8 +407,8 @@ class ResilienceManager:
             lo = (off - ea.region.offset) // width
             hi = lo + n // width
             image = np.zeros(hi - lo, dtype=ea.slots.dtype)
-            for v in np.flatnonzero((start > lo) & (start <= hi)).tolist():
-                image[start[v] - 1 - lo] = encode_pivot(v)
+            placed = np.flatnonzero((start > lo) & (start <= hi))
+            image[start[placed] - 1 - lo] = encode_pivot(placed)
             self._rewrite(off, image.view(np.uint8))
             under = np.minimum(end, hi) - np.maximum(start, lo)
             vs = np.flatnonzero(under > 0)

@@ -190,7 +190,6 @@ class ShardedDGAP:
     def insert_edge(self, src: int, dst: int, tombstone: bool = False) -> None:
         """One edge, routed as a one-edge batch: the owner shard takes it
         down its per-edge persist path."""
-        src, dst = check_vertex(src), check_vertex(dst)  # before the int64 cast
         self._dispatch(EdgeBatch(np.array([src]), np.array([dst]), np.array([tombstone])))
 
     def delete_edge(self, src: int, dst: int) -> None:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core.batch import EdgeBatch, extend_adjacency
 from repro.core.edge_log import EdgeLogs
-from repro.core.encoding import MAX_VERTEX, TOMB_BIT, encode_edge
+from repro.core.encoding import MAX_VERTEX, TOMB_BIT, encode_edge, worth
 from repro.errors import GraphError, PMemError, SimulatedCrash, VertexRangeError
 from repro.pmem import CACHE_LINE, DRAM, OPTANE_ADR, OPTANE_EADR, PMemDevice, PMemPool
 from repro.pmem import device as dev_mod
@@ -84,11 +84,11 @@ class TestEdgeBatch:
         b = EdgeBatch(
             np.array([0, 1, 2]), np.array([5, 6, 7]), np.array([False, True, False])
         )
-        enc = b.encoded()
+        enc = encode_edge(b.dst, b.tombstone)
         assert enc[0] == encode_edge(5)
         assert enc[1] == encode_edge(6, tombstone=True)
         assert enc[1] & TOMB_BIT
-        np.testing.assert_array_equal(b.live_deltas(), [1, -1, 1])
+        np.testing.assert_array_equal(worth(enc), [1, -1, 1])
 
     def test_extend_adjacency_preserves_per_src_order(self):
         adj = [[] for _ in range(4)]
@@ -128,7 +128,7 @@ class TestEdgeBatch:
         assert sum(len(sub) for _, sub in parts) == 4
         for _, sub in parts:
             assert sub.tombstone.all()
-            assert sub.live_deltas().sum() == -len(sub)
+            assert worth(encode_edge(sub.dst, sub.tombstone)).sum() == -len(sub)
 
     def test_route_single_vertex_hot_batch(self):
         # every edge shares one source: exactly one shard gets the whole

@@ -13,17 +13,32 @@ from repro.pmem import PMemPool
 
 class TestEncoding:
     def test_pivot_roundtrip(self):
-        for v in (0, 1, 17, enc.MAX_VERTEX):
-            assert enc.decode_pivot(enc.encode_pivot(v)) == v
+        ids = np.array([0, 1, 17, enc.MAX_VERTEX])
+        for v in ids.tolist():
+            assert enc.pivot_vertices(enc.encode_pivot(v)) == v
             assert enc.encode_pivot(v) < 0
+        slots = enc.encode_pivot(ids)  # an array is one more case of the same functions
+        assert slots.dtype == enc.SLOT_DTYPE and enc.is_pivot(slots).all()
+        np.testing.assert_array_equal(enc.pivot_vertices(slots), ids)
+        np.testing.assert_array_equal(enc.worth(slots), 0)
 
     def test_edge_roundtrip(self):
-        for dst in (0, 5, 12345):
-            for tomb in (False, True):
+        dsts = np.array([0, 5, 12345, enc.MAX_VERTEX])
+        for tomb in (False, True):
+            for dst in dsts.tolist():
                 slot = enc.encode_edge(dst, tomb)
                 assert slot > 0
-                d, t = enc.decode_edge(slot)
-                assert (d, t) == (dst, tomb)
+                assert (enc.edge_dsts(slot), enc.is_tombstone(slot)) == (dst, tomb)
+                assert enc.worth(slot) == (-1 if tomb else 1)
+        # arrays, with a tombstone mask or none; the top id keeps its tombstone bit apart
+        tombs = np.array([False, True, False, True])
+        for mask, want in ((tombs, tombs), (None, np.zeros(4, bool))):
+            slots = enc.encode_edge(dsts) if mask is None else enc.encode_edge(dsts, mask)
+            assert slots.dtype == enc.SLOT_DTYPE and (slots > 0).all()
+            np.testing.assert_array_equal(enc.edge_dsts(slots), dsts)
+            np.testing.assert_array_equal(enc.is_tombstone(slots), want)
+            np.testing.assert_array_equal(enc.worth(slots), np.where(want, -1, 1))
+            np.testing.assert_array_equal(slots, [enc.encode_edge(d, t) for d, t in zip(dsts, want)])
 
     def test_gap_is_zero(self):
         assert enc.GAP == 0
@@ -33,7 +48,7 @@ class TestEncoding:
             [0, enc.encode_pivot(3), enc.encode_edge(7), enc.encode_edge(9, True)],
             dtype=np.int32,
         )
-        np.testing.assert_array_equal(enc.is_gap(slots), [True, False, False, False])
+        np.testing.assert_array_equal(slots == enc.GAP, [True, False, False, False])
         np.testing.assert_array_equal(enc.is_pivot(slots), [False, True, False, False])
         np.testing.assert_array_equal(enc.is_edge(slots), [False, False, True, True])
         np.testing.assert_array_equal(enc.is_tombstone(slots), [False, False, False, True])

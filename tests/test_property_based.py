@@ -5,11 +5,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.encoding import (
-    decode_edge,
-    decode_pivot,
+    GAP,
+    MAX_VERTEX,
+    edge_dsts,
     encode_edge,
     encode_pivot,
+    is_tombstone,
+    pivot_vertices,
     tombstone_matches,
+    worth,
 )
 from repro.core.pma_tree import PMATree
 from repro.nputil import multi_arange as _multi_arange
@@ -26,18 +30,29 @@ class TestEncodingProperties:
     @given(st.integers(0, (1 << 30) - 2))
     @common
     def test_pivot_roundtrip(self, v):
-        assert decode_pivot(encode_pivot(v)) == v
+        assert pivot_vertices(encode_pivot(v)) == v
+        ids = np.array([0, v, MAX_VERTEX])
+        np.testing.assert_array_equal(pivot_vertices(encode_pivot(ids)), ids)
 
     @given(st.integers(0, (1 << 29) - 2), st.booleans())
     @common
     def test_edge_roundtrip(self, dst, tomb):
-        assert decode_edge(encode_edge(dst, tomb)) == (dst, tomb)
+        slot = encode_edge(dst, tomb)
+        assert (edge_dsts(slot), is_tombstone(slot)) == (dst, tomb)
+        dsts, tombs = np.array([0, dst, MAX_VERTEX]), np.array([tomb, not tomb, True])
+        slots = encode_edge(dsts, tombs)
+        np.testing.assert_array_equal(edge_dsts(slots), dsts)
+        np.testing.assert_array_equal(is_tombstone(slots), tombs)
+        np.testing.assert_array_equal(worth(slots), np.where(tombs, -1, 1))
 
     @given(st.integers(0, (1 << 29) - 2), st.integers(0, (1 << 29) - 2))
     @common
     def test_encodings_disjoint(self, a, b):
-        # pivots negative, edges positive, gap zero: never collide
-        assert encode_pivot(a) < 0 < encode_edge(b)
+        # pivots negative, edges positive, gap zero: never collide, and
+        # only an edge is worth anything to a live degree
+        slots = np.array([encode_pivot(a), GAP, encode_edge(b)])
+        assert slots[0] < slots[1] == 0 < slots[2]
+        np.testing.assert_array_equal(worth(slots), [0, 0, 1])
 
 
 class TestPMATreeProperties:

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro import DGAP, DGAPConfig, SimulatedCrash
+from repro.core.encoding import encode_pivot
 from repro.core.recovery import _scan_edge_array
 from repro.core.undo_log import STATE_IDLE
-from repro.errors import RecoveryError
+from repro.errors import GraphError, RecoveryError
 from repro.pmem import CrashInjector
 
 CFG = dict(init_vertices=16, init_edges=512, segment_slots=64)
@@ -30,6 +31,30 @@ class TestPivotScan:
         )  # vertex 0's pivot duplicated later
         with pytest.raises(RecoveryError):
             _scan_edge_array(g)
+
+    @pytest.mark.parametrize("reader", ["crash_open", "check_invariants"])
+    @pytest.mark.parametrize("stomp", ["not_dense", "not_increasing"])
+    def test_both_readers_refuse_a_corrupt_pivot_image(self, stomp, reader):
+        """Recovery's pivot scan and the invariant check are one scan: a
+        pivot id past the vertex count, or two pivots out of order, is
+        refused by either, persisted through the device."""
+        g = DGAP(DGAPConfig(**CFG))
+        g.insert_edges([(i % 16, (i * 3) % 16) for i in range(100)])
+        ppos = np.flatnonzero(g.ea.slots < 0)
+        if stomp == "not_dense":  # still increasing: the last pivot names vertex 20
+            at, ids = ppos[-1:], [20]
+        else:  # still dense: vertices 2 and 3 swap pivots
+            at, ids = ppos[2:4], [3, 2]
+        for p, v in zip(at.tolist(), ids):
+            g.pool.device.ntstore(g.ea.byte_off(p), encode_pivot(v).tobytes(), payload=0)
+        g.pool.device.sfence()
+        if reader == "check_invariants":
+            with pytest.raises(GraphError, match="pivot ids"):
+                g.check_invariants()
+        else:
+            g.pool.crash()
+            with pytest.raises(RecoveryError, match="pivot ids"):
+                DGAP.open(g.pool, g.config)
 
     def test_scan_counts_tombstones(self):
         g = DGAP(DGAPConfig(**CFG))

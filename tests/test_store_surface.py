@@ -45,6 +45,7 @@ import repro
 from repro import DGAP, DGAPConfig
 from repro.analysis import costs, viewcache
 from repro.baselines.dgap_system import DGAPSystem
+from repro.core.batch import EdgeBatch
 from repro.bench.__main__ import ARMS
 from repro.core.encoding import MAX_VERTEX
 from repro.core.rebalance import ROOT_SHUTDOWN
@@ -254,6 +255,23 @@ class TestIllegalCalls:
         assert k <= min(ids.size for ids, _ in served.tops)
         assert _bytes_equal(served.top_k_degree(k), direct.top_k_degree(k))
         assert served.last_query_ns == k * costs.DRAM_RND_NS + n * k * 8.0 * costs.DRAM_SEQ_NS_PER_BYTE
+
+
+@pytest.mark.parametrize("kind", ["dgap", "sharded3"])
+def test_an_id_int64_cannot_hold_is_out_of_range(kind):
+    """A batch range-checks its ids before the int64 cast, so an id past
+    2**63 is a ``VertexRangeError`` like any other, not an overflow: from
+    pairs, from ``(N, 2)`` uint64 and object arrays, and from one edge."""
+    g = seeded(kind)
+    huge = 2**70
+    for edges in ([(huge, 1)], [(0, huge)], np.array([[2**64 - 1, 1]], dtype=np.uint64),
+                  np.array([[0, huge]], dtype=object)):
+        refuse_write(g, "insert_edges", (edges,))
+    refuse_write(g, "insert_edge", (huge, 1))
+    for build in (lambda: EdgeBatch.from_pairs([(huge, 1)]),
+                  lambda: EdgeBatch(np.array([1, huge], dtype=object), np.array([2, 3]))):
+        with pytest.raises(VertexRangeError, match=f"vertex {huge} out of range"):
+            build()
 
 
 @pytest.mark.xfail(strict=True, reason="known defect, DESIGN.md §9: a tombstone that "
@@ -701,6 +719,24 @@ class TestOneSurface:
         assert re.search(r"\ndef _unmatched_mask\(((?!\ndef ).)*\ndef _lost_mask\(",
                          src["core/rebalance.py"], flags=re.S)  # the two filters, side by side
         assert _count(r"def _unmatched_mask", src) == _count(r"def _lost_mask", src) == 1
+        # one owner per on-media encoding: the slot encoding — the tombstone
+        # bit, the pivot shift both ways — is spelled in core/encoding.py
+        # alone; the log entry's layout — its fields and their biases — in
+        # core/edge_log.py alone; a slot's worth to a live degree is
+        # `encoding.worth`, which the write paths and recovery call
+        assert homes(r"\bTOMB_BIT\b") == ["core/encoding.py"]
+        assert homes(r"-\([^()\n]*(?:\([^()\n]*\))?[^()\n]*\+ 1\)") == ["core/encoding.py"]
+        assert homes(r"-\(?\s*slots\b[^\n]*-\s*1\b") == ["core/encoding.py"]
+        assert homes(r"\bslots\s*<\s*0") == ["core/encoding.py"]
+        assert homes(r"\b(?:rows|image|entries|entry|e)\[(?:[^\[\]]|\[(?:[^\[\]]|\[[^\[\]]*\])*\])*"
+                     r",\s*[012]\s*\]") == ["core/edge_log.py"]
+        assert homes(r"astype\(np\.int64\)\s*[-+]\s*[12]\b|\b(?:srcs?|back_gidxs?)\b\)?\s*\+\s*[12]\b"
+                     ) == ["core/edge_log.py"]
+        assert homes(r"decode_pivot|decode_edge|live_deltas|\.encoded\(|-1 if tomb") == []
+        assert homes(r"\bworth\(") == ["core/dgap.py", "core/encoding.py", "core/recovery.py"]
+        # and the PM mirrors of the vertex and edge arrays are rewritten by their owners
+        assert homes(r"[\"'.]_regions\b") == ["core/vertex_array.py"]
+        assert homes(r"[\"'.]_occ_region\b") == ["core/edge_array.py"]
         # the pool header has one builder, DGAP's roots one list
         assert [k for k in homes(r"pool_mod\._") if not k.startswith("pmem/")] == []
         assert homes(r"\.geometry_roots\(\)") == ["core/dgap.py", "resilience/scrub.py"]

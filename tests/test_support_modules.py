@@ -255,6 +255,17 @@ def test_reachability_gate_resolves_parameters_and_field_owners(tmp_path, capsys
         "def run(view, kernel, flag=False):\n"
         "    fn = KERNELS[kernel]\n    fn(view, 0.9)\n"
         "    cfg = replace(ServeConfig(), seed=1)\n    cfg.kept = 2\n    return cfg\n"
+        "def bfs(view, source=0):\n    return view\n"
+        "def cc0(view):\n    return view\n"
+        "SOURCED = {'bfs': bfs, 'cc': cc0}\n"
+        "def branched(view, k):\n    fn = SOURCED[k]\n"
+        "    if k == 'bfs':\n        fn(view, 7)\n    else:\n        fn(view)\n"
+        "def near(view, radius=1):\n    return view\n"
+        "WALKS = {'near': near, 'far': cc0}\n"
+        "WALKS['near'](None, 2)\n"
+        "def hops(view, k=1):\n    return view\n"
+        "MIXED = {'hops': hops, 'len': len}\n"
+        "def opaque(view, name):\n    return MIXED[name](view, 2)\n"
         "def main(params):\n    return run(**params)\n"
         "class Inner:\n    def sweep(self, tid=0):\n        return tid\n"
         "class Outer:\n    def sweep(self, tid=0):\n        return Inner().sweep(tid)\n"
@@ -284,6 +295,11 @@ def test_reachability_gate_resolves_parameters_and_field_owners(tmp_path, capsys
     # a call through a registry passes for every function it holds; an
     # opaque ``**`` (an argparse namespace) passes every parameter
     assert "pr(damping)" not in out and "cc(rounds)" not in out and "run(flag)" not in out
+    # ... but only what every value it may select takes: a branch may pick
+    # the values a call fits, which the gate cannot follow; a constant key
+    # selects one value; a value that is not ours leaves the gate unable to tell
+    assert "never passed: bfs(source)" in out and "near(radius)" not in out
+    assert "never passed: hops(k)" in out
     # handing on one's own parameter delegates, whatever the callee is
     # named: the value is set only where the outermost parameter is
     assert "never passed: Inner.sweep(tid)" in out and "never passed: Outer.sweep(tid)" in out

@@ -15,8 +15,13 @@ scanned trees that passes it.  A call is resolved by its callee's name
 ``__init__`` up the class's bases —, ``cls(...)`` and
 ``super().__init__(...)``), and a call through a registry (a module-level
 dict literal of functions or classes, such as ``SYSTEMS[name](...)``,
-also through a local alias ``fn = KERNELS[k]``) resolves to every value
-it holds.  The call passes a parameter by keyword, by position (a
+also through a local alias ``fn = KERNELS[k]``) resolves to the value of
+a constant key, else to every value it holds.  Such a call may sit under
+a branch that picks the values it fits (``if k in SOURCE_KERNELS:
+fn(view, source)``), which the gate cannot follow: it passes a position
+or keyword only if every value it may select has that parameter, and
+nothing when a value is not one of our definitions.  The call passes a
+parameter by keyword, by position (a
 ``*args`` passes every position from its own on), or through ``**``: a
 dict literal passes its keys; the enclosing function's own ``**kwargs``
 passes whatever keywords that function's callers hand it beyond its named
@@ -151,8 +156,9 @@ class Scanner(ast.NodeVisitor):
                 isinstance(v, (ast.Name, ast.Attribute)) for v in node.value.values):
             for t in node.targets:
                 if isinstance(t, ast.Name):
-                    self.ix.registries[t.id] = [
-                        v.id if isinstance(v, ast.Name) else v.attr for v in node.value.values]
+                    self.ix.registries[t.id] = {
+                        getattr(k, "value", i): v.id if isinstance(v, ast.Name) else v.attr
+                        for i, (k, v) in enumerate(zip(node.value.keys, node.value.values))}
         self.generic_visit(node)
 
 
@@ -163,7 +169,7 @@ class Index:
         self.by_name = defaultdict(list)  # function / method name -> [Def]
         self.ctor: dict = {}  # class name -> its __init__ Def / config Def
         self.bases: dict = {}  # class name -> base names
-        self.registries: dict = {}  # module-level dict of callables -> value names
+        self.registries: dict = {}  # module-level dict of callables -> {key: value name}
         self.fields: dict = {}  # "Class.field" -> (config Def, field, where)
         self.traffic = Counter()
         self.stores = Counter()  # attribute stores and dict-literal keys, by name
@@ -211,13 +217,22 @@ class CallCollector(ast.NodeVisitor):
 
     visit_AsyncFunctionDef = visit_FunctionDef
 
-    def visit_Assign(self, node):
-        v = node.value
-        if (isinstance(v, ast.Subscript) and isinstance(v.value, ast.Name)
+    def selected(self, v) -> list | None:
+        """The value names a registry lookup ``v`` may select, if it is one."""
+        if not (isinstance(v, ast.Subscript) and isinstance(v.value, ast.Name)
                 and v.value.id in self.ix.registries):
+            return None
+        values = self.ix.registries[v.value.id]
+        key = getattr(v.slice, "value", None)
+        return [values[key]] if isinstance(v.slice, ast.Constant) and key in values else list(
+            values.values())
+
+    def visit_Assign(self, node):
+        names = self.selected(node.value)
+        if names is not None:
             for t in node.targets:
                 if isinstance(t, ast.Name):
-                    self.aliases[t.id] = self.ix.registries[v.value.id]
+                    self.aliases[t.id] = names
         self.generic_visit(node)
 
     def visit_Name(self, node):
@@ -241,27 +256,31 @@ class CallCollector(ast.NodeVisitor):
         self.generic_visit(node)
 
     def callees(self, f) -> tuple:
-        """(names the callee may be spelled as, positional shift)."""
+        """(names the callee may be spelled as, positional shift, whether
+        they are a registry's selectable values)."""
         ix = self.ix
         if isinstance(f, ast.Name):
             if f.id == "cls" and self.classes:
-                return [self.classes[-1]], 0
-            return self.aliases.get(f.id, [f.id]), 0
+                return [self.classes[-1]], 0, False
+            if f.id in self.aliases:
+                return self.aliases[f.id], 0, True
+            return [f.id], 0, False
         if isinstance(f, ast.Attribute):
             v = f.value
             if (isinstance(v, ast.Call) and isinstance(v.func, ast.Name)
                     and v.func.id == "super" and f.attr == "__init__" and self.classes):
-                return ix.bases.get(self.classes[-1], []), 0
+                return ix.bases.get(self.classes[-1], []), 0, False
             if f.attr == "__init__":
-                return [], 0
+                return [], 0, False
             shift = int(isinstance(v, ast.Name) and v.id in ix.bases)
-            return [f.attr], shift
-        if isinstance(f, ast.Subscript) and isinstance(f.value, ast.Name):
-            return ix.registries.get(f.value.id, []), 0
+            return [f.attr], shift, False
+        names = self.selected(f)
+        if names is not None:
+            return names, 0, True
         if (isinstance(f, ast.Call) and isinstance(f.func, ast.Name)
                 and f.func.id == "type" and self.classes):
-            return [self.classes[-1]], 0
-        return [], 0
+            return [self.classes[-1]], 0, False
+        return [], 0, False
 
     def visit_Call(self, node):
         pos = node.args
@@ -279,7 +298,7 @@ class CallCollector(ast.NodeVisitor):
                 spread.append(self.funcs[-1][0])
             else:
                 spread.append(ALL)
-        names, shift = self.callees(node.func)
+        names, shift, registry = self.callees(node.func)
         # ``def compact(self, thread_id=0): sh.compact(thread_id)`` delegates:
         # an argument that is one of the caller's own parameters, unchanged,
         # is set only where the caller's parameter is
@@ -294,9 +313,17 @@ class CallCollector(ast.NodeVisitor):
         if names == ["replace"]:
             self.ix.replaced |= call.keywords
             self.ix.replace_spread += [s for s in spread if s is not ALL]
-        for name in names:
-            for d in self.ix.resolve(name):
-                d.calls.append(Call(call.keywords, call.n_pos, call.star_from, spread,
+        targets = [self.ix.resolve(name) for name in names]
+        if registry and len(names) > 1:
+            # a branch may pick the values this call fits: pass only what
+            # every selectable value takes, and nothing if one is not ours
+            fits = [ds[0] for ds in targets] if all(len(ds) == 1 for ds in targets) else []
+            n = min([len(pos) if star is None else star] + [d.n_pos for d in fits])
+            kw = {k for k in call.keywords if all(k in d.params for d in fits)}
+            call = Call(kw, n, None, spread, forwarded) if fits else Call(set(), 0, None, [], {})
+        for ds in targets:
+            for d in ds:
+                d.calls.append(Call(call.keywords, call.n_pos, call.star_from, call.spread,
                                     forwarded, shift if d.unbound_shift else 0))
         self.generic_visit(node)
 
