@@ -80,8 +80,7 @@ class EdgeLogs:
         name = f"elogs.g{n_sections}"
         total = n_sections * entries_per_section * _FIELDS
         if create:
-            self.region = pool.alloc_array(name, np.int32, total)
-            self.region.fill(0)
+            self.region = pool.alloc_array(name, np.int32, total, initial=0)
         else:
             self.region = pool.get_array(name)
         #: DRAM append cursors (next free entry slot per section).

@@ -61,7 +61,7 @@ from ..errors import GraphError, OutOfPMemError
 from ..nputil import ScratchBuffer, multi_arange
 from ..obs.tracer import annotate, traced
 from .edge_array import EdgeArray
-from .edge_log import EdgeLogs, group_chains, unpack_entries
+from .edge_log import EdgeLogs, group_chains, unpack_entries, valid_entries
 from .encoding import (
     SLOT_DTYPE,
     edge_dsts,
@@ -435,8 +435,9 @@ class Rebalancer:
                     logs.clear_section(s)
             else:
                 a, b = np.searchsorted(gidx, (s * eps, (s + 1) * eps))
-                srcs, dst_encs, _ = unpack_entries(rows[a:b])
-                hit = (dst_encs != 0) & np.isin(srcs, merged)  # not yet invalidated
+                here = rows[a:b]
+                # valid only: an invalidated entry is done, a torn one was never counted
+                hit = valid_entries(here) & np.isin(unpack_entries(here)[0], merged)
                 logs.invalidate_entries(gidx[a:b][hit])
 
     def _apply_dram(self, laid: GatherResult, new_starts: np.ndarray) -> None:

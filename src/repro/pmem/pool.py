@@ -113,14 +113,26 @@ class PMemPool:
         return self.allocator.alloc(nbytes, align)
 
     def alloc_array(self, name: str, dtype, count: int, initial=None) -> Region:
-        """Allocate and register a named typed array."""
+        """Allocate and register a named typed array, filled with ``initial``.
+
+        A zero fill is skipped on a *fresh* block: one wholly above the
+        allocator's high-water mark when allocated, none of its lines
+        poisoned.  Nothing was ever stored there, and both device images
+        are demand-zero (DESIGN.md §12).  A block reused from the free
+        list or regrown in place at the tail is filled.
+        """
         if name in self._directory:
             raise PoolLayoutError(f"root {name!r} already exists in pool {self.name!r}")
         dt = np.dtype(dtype)
-        off = self.alloc(max(count * dt.itemsize, 1), align=max(CACHE_LINE, dt.itemsize))
+        nbytes = max(count * dt.itemsize, 1)
+        high_water = self.allocator.cursor
+        off = self.alloc(nbytes, align=max(CACHE_LINE, dt.itemsize))
         self._directory[name] = (off, dt, count)
         region = Region(self.device, off, dt, count, name=name)
-        if initial is not None:
+        if initial is None:
+            return region
+        fresh = off >= high_water and not self.device.check_poison(off, nbytes)
+        if not (initial == 0 and fresh):
             region.fill(initial)
         return region
 

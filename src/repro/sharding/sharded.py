@@ -10,11 +10,11 @@ write bandwidth is the single-instance ceiling of Table 3).
 The facade keeps DGAP's mutation semantics:
 
 * ``insert_edge`` / ``insert_edges`` / ``delete_edge`` accept global
-  ids; batches are chunked at the same default cadence as a single
-  instance, routed per shard (:class:`~repro.sharding.router.ShardRouter`)
-  and dispatched down the unmodified batched ingest path with vertex
-  growth disabled (sources are pre-grown owner-side; destinations stay
-  global).
+  ids; a call is routed once (:class:`~repro.sharding.router.ShardRouter`)
+  and each shard's share goes down the unmodified batched ingest path,
+  which cuts it into that shard's own rounds at the single-instance
+  cadence, with vertex growth disabled (sources are pre-grown
+  owner-side; destinations stay global).
 * crash simulation is whole-machine: every shard's device shares one
   :class:`~repro.pmem.crash.CrashInjector`, so crash sweeps see a
   single global persistence-event ordering, and when any shard's device
@@ -35,7 +35,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..config import DGAPConfig
-from ..core.batch import DEFAULT_BATCH_SIZE, EdgeBatch, EdgeLike, sub_batches
+from ..core.batch import DEFAULT_BATCH_SIZE, EdgeBatch, EdgeLike
 from ..core.dgap import DGAP
 from ..core.encoding import check_vertex
 from ..errors import GraphError, SimulatedCrash
@@ -190,7 +190,7 @@ class ShardedDGAP:
     def insert_edge(self, src: int, dst: int, tombstone: bool = False) -> None:
         """One edge, routed as a one-edge batch: the owner shard takes it
         down its per-edge persist path."""
-        self._dispatch(EdgeBatch(np.array([src]), np.array([dst]), np.array([tombstone])))
+        self.insert_edges(EdgeBatch(np.array([src]), np.array([dst]), np.array([tombstone])))
 
     def delete_edge(self, src: int, dst: int) -> None:
         self.insert_edge(src, dst, tombstone=True)
@@ -218,24 +218,25 @@ class ShardedDGAP:
     ) -> int:
         """Route and bulk-insert; returns accepted edge count.
 
-        Chunking happens *before* routing (same stream cadence as one
-        instance); each chunk grows the owner shards to the chunk's max
-        vertex, then dispatches whole per-shard sub-batches in
-        ascending shard order down the unmodified batched ingest path.
+        The call is routed *once*: the owner shards grow to the call's
+        max vertex, the router splits the whole call, and each shard, in
+        ascending shard order, ingests its share down the unmodified
+        batched path, cut into its own rounds of at most ``batch_size``
+        edges like any :class:`DGAP` (a shard is a store: the round
+        bound holds per shard).  A power failure mid-call leaves a
+        per-vertex prefix of it — each vertex has one owner shard, which
+        keeps its edges in stream order.
         """
         batch = EdgeBatch.coerce(edges)
-        return sum(self._dispatch(c) for c in sub_batches(batch, batch_size))
-
-    def _dispatch(self, chunk: EdgeBatch) -> int:
-        if len(chunk) == 0:
+        if len(batch) == 0:
             return 0
         with self._whole_machine():
-            mx = chunk.max_vertex()
+            mx = batch.max_vertex()
             if mx >= self.num_vertices:
                 self.insert_vertex(mx)
-            for r, sub in self.router.split(chunk):
-                self.shards[r].insert_edges(sub, batch_size=None, grow_vertices=False)
-        return len(chunk)
+            for r, sub in self.router.split(batch):
+                self.shards[r].insert_edges(sub, batch_size=batch_size, grow_vertices=False)
+        return len(batch)
 
     # ------------------------------------------------------------------
     # analysis

@@ -40,7 +40,9 @@ recovery is the max over per-shard ``pool.clocks()`` deltas (shards
 replay concurrently), and ``("batch", EdgeBatch)`` workload ops
 (:func:`make_batched_insert_workload`) sweep crashes that land
 *mid-dispatch* — between per-shard sub-batches of one routed batch —
-against a per-vertex-prefix oracle.
+against a per-vertex-prefix oracle; a ``("batch", EdgeBatch,
+batch_size)`` op is one call each shard cuts into rounds of that size,
+so its crashes also land inside a shard's later rounds.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ from repro.core.edge_log import EdgeLogs
 from repro.sharding.partition import to_global
 
 #: One workload operation: ``("insert" | "delete", src, dst)``, a routed
-#: bulk mutation ``("batch", EdgeBatch)``, a window-expiry delete run
+#: bulk mutation ``("batch", EdgeBatch[, batch_size])``, a window-expiry delete run
 #: ``("expire", ((src, dst), ...))``, a tombstone-merge sweep
 #: ``("compact",)``, or ids ``0..v`` made to exist ``("grow", v)``.
 Op = Tuple
@@ -203,9 +203,10 @@ def apply(store, op: Op) -> None:
     """Run one workload op on a store."""
     kind = op[0]
     if kind == "batch":
-        # Chunking already happened in the workload builder; one op is
-        # one dispatch round.
-        store.insert_edges(op[1], batch_size=None)
+        # One op is one call: by default one round per shard (the
+        # workload builder chunked the stream); a third field is the
+        # call's batch size, which each shard cuts its share by.
+        store.insert_edges(op[1], batch_size=op[2] if len(op) > 2 else None)
     elif kind == "compact":
         store.compact()
     elif kind == "grow":

@@ -23,8 +23,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from repro import DGAP
 from repro.core import recovery
-from repro.core.batch import EdgeBatch
+from repro.core.batch import DEFAULT_BATCH_SIZE, EdgeBatch
+from repro.errors import SimulatedCrash
 from repro.pmem.faults import ADVERSARIAL, DEFAULT_POLICY, PERSIST_REORDER, TORN_STORES, FaultPolicy
 from .harness import model
 from .harness.crashsweep import (
@@ -88,6 +90,18 @@ def batched_workload(n=96, batch_size=8, seed=4):
     )
 
 
+def sharded_call(n=1100, seed=6):
+    """Nine one-edge rows, then one call of ``n`` edges that each shard
+    cuts into rounds of the default batch size: half the call is vertex
+    0's, so its shard takes more than 512 edges and crash points land
+    inside that shard's second round, not only between shards."""
+    rng = np.random.default_rng(seed)
+    src = np.where(rng.random(n) < 0.5, 0, rng.integers(0, 9, size=n))
+    call = EdgeBatch(src, rng.integers(0, 9, size=n))
+    return [("batch", EdgeBatch(np.arange(9), np.arange(9)[::-1].copy())),
+            ("batch", call, DEFAULT_BATCH_SIZE)]
+
+
 def random_edges(n, nv=48, seed=1):
     """``n`` uniform pairs."""
     rng = random.Random(seed)
@@ -129,6 +143,30 @@ def cut_spy():
         yield spy
 
 
+@contextmanager
+def round_spy():
+    """Count the power failures that fell inside a shard's second or
+    later round of one ``insert_edges`` call while active."""
+    spy, rounds = SimpleNamespace(later=0), {}
+    call, one_round = DGAP.insert_edges, DGAP._insert_batch
+
+    def call_spy(self, *args, **kwargs):
+        rounds[id(self)] = 0
+        return call(self, *args, **kwargs)
+
+    def one_round_spy(self, *args, **kwargs):
+        rounds[id(self)] += 1
+        try:
+            return one_round(self, *args, **kwargs)
+        except SimulatedCrash:
+            spy.later += rounds[id(self)] > 1
+            raise
+
+    with mock.patch.object(DGAP, "insert_edges", call_spy), \
+            mock.patch.object(DGAP, "_insert_batch", one_round_spy):
+        yield spy
+
+
 # -- the table -------------------------------------------------------------------
 class Sweep(NamedTuple):
     store: Callable  # make_graph(injector, faults)
@@ -141,6 +179,7 @@ class Sweep(NamedTuple):
     refused: Optional[str] = None  # some, not all, points refused, naming this
     idempotence: Optional[int] = None  # points that also crashed during recovery
     tears: Optional[bool] = None  # True: both cuts removed something; False: neither
+    later_round: bool = False  # some point crashed inside a shard's second round of one call
 
 
 ALL_KINDS = frozenset({"store", "flush", "fence", "ntstore"})
@@ -209,6 +248,11 @@ SWEEPS = {
         SweepConfig(exhaustive_threshold=0, samples=25, idempotence_samples=2, seed=9),
         min_points=10,
     ),
+    "batched-sharded3": Sweep(
+        factory("sharded3", **SHARD_CFG), sharded_call,
+        SweepConfig(faults=TORN_STORES, exhaustive_threshold=0, samples=150, idempotence_samples=3, seed=6),
+        min_points=100, ops=GROUP_KINDS, in_flight=True, idempotence=3, later_round=True,
+    ),
     **{
         f"batched-{name}": Sweep(
             factory(**BATCH_CFG), batched_workload,
@@ -235,7 +279,7 @@ def test_sweep(row):
         stats.extend(p.device.stats for p in g.pool.pools)
         return g
 
-    with cut_spy() as spy:
+    with cut_spy() as spy, round_spy() as rounds:
         rep = crash_sweep(store, row.workload(), row.config)
     points, refused = rep.crash_points, [r for r in rep.results if r.unrecoverable]
     assert points > row.min_points
@@ -255,6 +299,7 @@ def test_sweep(row):
     if row.tears is not None:
         assert (spy.scrubbed > 0 and spy.rejected > 0) if row.tears else spy.scrubbed == spy.rejected == 0
     assert all(r.recovery_ns > 0 for r in rep.results if not r.unrecoverable)
+    assert (rounds.later > 0) == row.later_round, rounds.later
     transient = sum(st.transient_faults for st in stats)
     assert (transient > 0) == (row.config.faults.transient_read_rate > 0), transient
 

@@ -25,6 +25,7 @@ import pytest
 
 from repro import DGAP, DGAPConfig
 from repro.core import recovery
+from repro.core.edge_log import pack_entries
 from repro.core.encoding import encode_edge
 from repro.errors import SimulatedCrash
 from repro.pmem import CACHE_LINE, CrashInjector
@@ -144,6 +145,33 @@ class TestPlantedTornShapes:
         g2.insert_edges([(0, 1), (0, 2)])
         assert g2.out_neighbors(0).tolist() == before[0] + [1, 2]
         g2.check_invariants()
+
+    def test_torn_entry_in_a_half_covered_section_is_left_alone(self, readpath):
+        """A merge whose window half-covers a section invalidates only the
+        merged vertices' *valid* entries there: a torn append, which
+        recovery never counted live, is neither rewritten nor subtracted."""
+        # 3 vertices in 1 024 slots: vertex 1's pivot sits in section 5
+        g = DGAP(DGAPConfig(**{**CFG, "init_vertices": 3, "init_edges": 512}))
+        g.insert_edges([(1, d % 3) for d in range(50)])
+        ea, va, logs = g.ea, g.va, g.logs
+        first, last = int(va.start[1]) - 1, int(va.start[1] + va.array_degree[1]) - 1
+        assert (ea.section_of(first), ea.section_of(last)) == (5, 6)
+        before = model.of(g)
+        torn = np.array(pack_entries(1, int(encode_edge(2)), -1), dtype=np.int32)
+        torn[..., 2] = 0  # its back pointer never persisted
+        off = logs.region.byte_offset(logs.gidx(5, 0) * 3)
+        plant(g.pool.device, off, torn)
+
+        g2 = reopen(g, crash=True)
+        assert g2.logs.live_counts[5] == 0 and g2.logs.counts[5] == 1
+        rebalances = g2.n_rebalances
+        g2.rebalancer.rebalance_window(6, 7, 0)  # extends down to vertex 1's pivot
+        assert g2.n_rebalances == rebalances + 1
+        assert g2.logs.live_counts[5] == 0
+        media = g2.pool.device.media[off : off + torn.nbytes]
+        np.testing.assert_array_equal(media.view(np.int32), torn.reshape(-1))
+        assert model.of(g2) == before
+        model.assert_structure(g2)
 
     def test_clean_image_costs_no_extra_recovery_traffic(self):
         """Nothing torn -> the cuts read and write nothing of their own."""

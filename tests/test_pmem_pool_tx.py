@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.core.edge_log import EdgeLogs
 from repro.errors import OutOfPMemError, PMemError, PoolLayoutError, TransactionError
 from repro.pmem import (
     DRAM,
@@ -172,6 +173,42 @@ class TestFreeList:
         big = pool.alloc_array("big", np.uint8, 1024)  # fits no block: bumps from the free tail
         assert big.offset == a.offset and pool.allocator.cursor == a.offset + 1024
         assert pool.allocator._free == []
+
+
+class TestFreshBlocks:
+    """A zero fill stores nothing on a fresh block — wholly above the
+    allocator's high-water mark, none of its lines poisoned — and runs on
+    any other (DESIGN.md §12)."""
+
+    def test_a_fresh_edge_log_region_issues_no_ntstore(self, pool):
+        before = pool.stats.snapshot()
+        logs = EdgeLogs(pool, 16, 96)
+        d = pool.stats.delta_since(before)
+        assert d.ntstores == d.ntstored_bytes == 0  # the cursor word is all it persists
+        assert not logs.region.view.any()
+        pool.crash()
+        assert not pool.get_array(logs.region.name).view.any()
+
+    @pytest.mark.parametrize("how", ["free list", "tail regrow", "poisoned"])
+    def test_a_block_that_may_be_dirty_is_filled(self, pool, how):
+        a = pool.alloc_array("a", np.int64, 64)
+        a.write_slice(0, np.arange(1, 65), persist=True)
+        if how == "free list":
+            pool.alloc_array("pin", np.uint8, 64)  # keeps "a" off the tail
+            pool.free_array("a")
+            want, count = a.offset, 64
+        elif how == "tail regrow":
+            pool.free_array("a")
+            want, count = a.offset, 128
+        else:
+            want, count = pool.allocator.cursor, 64
+            pool.device.poison(want, 64)
+        before = pool.stats.snapshot()
+        b = pool.alloc_array("b", np.int64, count, initial=0)
+        assert b.offset == want and pool.stats.delta_since(before).ntstores == 1
+        assert not b.view.any() and not pool.device.check_poison(b.offset, b.nbytes)
+        pool.crash()
+        assert not pool.get_array("b").view.any()
 
 
 class TestTransactions:

@@ -10,12 +10,16 @@ tombstones, growth, power failures inside any of them, reopens); here
 one four-shard stream.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro import DGAP, DGAPConfig
+from repro.core.batch import DEFAULT_BATCH_SIZE, EdgeBatch
 from repro.datasets import get_dataset
 from repro.errors import GraphError
+from repro.obs import Tracer, tracing
 from repro.sharding import (
     ShardedDGAP,
     ShardRouter,
@@ -161,6 +165,59 @@ class TestMergedViewIdentity:
         sh = ShardedDGAP(n, DGAPConfig(init_vertices=600, init_edges=16384))
         sh.insert_edges(edges)
         assert csr_bytes(sh.global_csr()) == csr_bytes(model_csrs(Model(edges), 600))
+
+
+def mixed_call(n_edges=3000, nv=200, seed=5):
+    """One call of ``n_edges`` inserts over ids ``0..nv-1`` followed by
+    tombstones of a tenth of them, in shuffled order."""
+    rng = np.random.default_rng(seed)
+    src, dst = rng.integers(0, nv, size=(2, n_edges))
+    dead = rng.permutation(n_edges)[: n_edges // 10]
+    return EdgeBatch(
+        np.concatenate([src, src[dead]]),
+        np.concatenate([dst, dst[dead]]),
+        np.arange(n_edges + dead.size) >= n_edges,
+    )
+
+
+class TestRoutedOnce:
+    """A call is routed once and each shard ingests its whole share in
+    its own rounds of at most ``batch_size`` edges (DESIGN.md §14)."""
+
+    CFG = DGAPConfig(init_vertices=64, init_edges=2048)
+
+    def test_each_shard_runs_its_own_rounds(self):
+        edges = stream(4096, nv=600)
+        sh = ShardedDGAP(4, DGAPConfig(init_vertices=600, init_edges=16384))
+        tracer = Tracer(sh.pool.stats)
+        with tracing(tracer):
+            sh.insert_edges(edges)
+        shares = np.bincount(shard_of(edges[:, 0], 4), minlength=4)
+        rounds = [sum(s.name == "batch_round" for _, s in root.walk()) for root in tracer.roots]
+        assert rounds == [-(-int(k) // DEFAULT_BATCH_SIZE) for k in shares]
+
+    def test_each_shard_is_a_store_fed_its_share(self):
+        batch = mixed_call()
+        sh = ShardedDGAP(4, self.CFG)
+        sh.insert_edges(batch)
+        keys, top = shard_of(batch.src, 4), batch.max_vertex()
+        for r, part in enumerate(sh.shards):
+            twin = DGAP(shard_config(self.CFG, r, 4))
+            twin.insert_vertex(local_count(top, r, 4) - 1)
+            mine = np.flatnonzero(keys == r)
+            twin.insert_edges(
+                EdgeBatch(to_local(batch.src[mine], 4), batch.dst[mine], batch.tombstone[mine]),
+                grow_vertices=False,
+            )
+            assert np.array_equal(part.pool.device.media, twin.pool.device.media), r
+            assert dataclasses.asdict(part.pool.stats) == dataclasses.asdict(twin.pool.stats), r
+
+    def test_merged_view_equals_one_store_fed_the_call(self):
+        batch = mixed_call()
+        sh, one = ShardedDGAP(4, self.CFG), DGAP(self.CFG)
+        sh.insert_edges(batch)
+        one.insert_edges(batch)
+        assert csr_bytes(sh.global_csr()) == csr_bytes(one.view_cache.materialize())
 
 
 class TestFourPoolsAreFourLanes:

@@ -752,8 +752,7 @@ class TestOneSurface:
         # unbounded batch"), which the CLI and every store's split call
         assert homes(r"(batch_size|bs)( is not None and \w+)? (<=|>) 0") == ["core/batch.py"]
         assert homes(r"def batch_limit|def sub_batches") == ["core/batch.py"]
-        assert homes(r"sub_batches\(") == ["baselines/interfaces.py", "core/batch.py",
-                                           "core/dgap.py", "sharding/sharded.py"]
+        assert homes(r"sub_batches\(") == ["baselines/interfaces.py", "core/batch.py", "core/dgap.py"]
         assert homes(r"batch_limit\(") == ["bench/__main__.py", "core/batch.py"]
         # one generation switch: the root flips in one function, which the
         # live switch and recovery's roll-forward both call; dead generation
