@@ -86,7 +86,10 @@ class EdgeBatch:
                 raise GraphError(
                     f"edge array must have shape (N, 2), got {edges.shape}"
                 )
-            return cls(edges[:, 0], edges[:, 1])
+            check_vertex(edges.min())  # before the int64 cast, as in __init__
+            check_vertex(edges.max())
+            cols = np.ascontiguousarray(edges.T, dtype=np.int64)
+            return cls(cols[0], cols[1], validate=False)
         return cls.from_pairs(edges)
 
     @classmethod

@@ -594,7 +594,8 @@ class DGAP:
         if n == 0:
             self.last_batch_order = np.empty(0, dtype=np.int64)
             return 0
-        self._ensure_vertices(int(batch.src.max()), batch.max_vertex(), grow_vertices)
+        src_max = int(batch.src.max())
+        self._ensure_vertices(src_max, max(src_max, int(batch.dst.max())), grow_vertices)
         cfg = self.config
         if n == 1 or not cfg.use_edge_log or not cfg.dram_placement:
             # A lone edge takes the per-edge persist path.  Ablation modes
@@ -609,9 +610,10 @@ class DGAP:
 
     def _insert_batch_vectorized(self, batch: EdgeBatch, thread_id: int) -> int:
         srcs = batch.src
-        encs = encode_edge(batch.dst, batch.tombstone)
+        tombs = batch.tombstone.any()
+        encs = encode_edge(batch.dst, batch.tombstone if tombs else False)
         # live-degree delta per edge; None when every edge is a live insert
-        live = worth(encs) if batch.tombstone.any() else None
+        live = worth(encs) if tombs else None
         order_parts: list = []
         pending = np.arange(len(batch), dtype=np.int64)
         while pending.size:
@@ -646,19 +648,20 @@ class DGAP:
         while True:
             ea, logs = self.ea, self.logs
             psrc = srcs[pending]
+            m = int(pending.size)
             # Vertex runs lie in id order, so sections ascend with the
-            # source: one stable sort by source groups the round by
-            # section, then by source, in stream order within a source.
-            order = np.argsort(psrc, kind="stable")
+            # source: one sort by (source, round position) groups the round
+            # by section, then by source, in stream order within a source.
+            order = np.argsort(psrc * m + np.arange(m))
             p = pending[order]
             o_src = psrc[order]
-            m = int(p.size)
 
             # distinct-source subgroups (contiguous; sections contiguous too)
             gstart = np.flatnonzero(run_heads(o_src))
             gcount = run_lengths(gstart, m)
             gsrc = o_src[gstart]
-            gsec = (va.start[gsrc] - 1) // S
+            gbase = va.start[gsrc]
+            gpos = gbase + va.array_degree[gsrc]  # each run's first free slot
 
             held: list = []
             if not cfg.thread_safe:
@@ -666,16 +669,16 @@ class DGAP:
             # Lock every section a group may store into: its pivot section
             # through the section of its worst-case trailing-gap fill (the
             # fast phase writes at most `gcount` slots past the run end).
+            gsec = (gbase - 1) // S
             need: set = set()
-            wpos = va.start[gsrc] + va.array_degree[gsrc]
-            wend = np.minimum(wpos + gcount, ea.capacity) - 1
+            wend = np.minimum(gpos + gcount, ea.capacity) - 1
             for a, b in zip(gsec.tolist(), (np.maximum(wend, 0) // S).tolist()):
                 need.update(range(int(a), min(int(b), ea.n_sections - 1) + 1))
             held = self.locks.acquire_many(need)
             stale = (
                 self.ea is not ea
                 or not np.array_equal((va.start[gsrc] - 1) // S, gsec)
-                or not np.array_equal(va.start[gsrc] + va.array_degree[gsrc], wpos)
+                or not np.array_equal(va.start[gsrc] + va.array_degree[gsrc], gpos)
             )
             if not stale:
                 break
@@ -685,116 +688,105 @@ class DGAP:
         cut_sec = -1
         try:
             # ---- fast phase: fill trailing gap runs ----------------------
-            gpos = va.start[gsrc] + va.array_degree[gsrc]
-            nfree = np.minimum(gcount, np.maximum(ea.capacity - gpos, 0))
-            fast_slots = multi_arange(gpos, nfree)
+            # group g fills slots gpos[g] + [0, nfree[g]), ending fast entry ends[g]
+            nfree = np.minimum(gcount, ea.capacity - gpos)  # a run ends by capacity
+            ends = np.cumsum(nfree)
+            fast_slots = multi_arange(gpos, nfree, ends)
             occ = np.flatnonzero(ea.slots[fast_slots])
             if occ.size:
                 # the first occupied candidate of a subgroup caps its run
-                ends = np.cumsum(nfree)
                 g = np.searchsorted(ends, occ, side="right")
                 first = run_heads(g)
                 g, occ = g[first], occ[first]
                 nfree[g] = occ - (ends[g] - nfree[g])
-                fast_slots = multi_arange(gpos, nfree)
-            n_fast = int(fast_slots.size)
+                ends = np.cumsum(nfree)
+                fast_slots = multi_arange(gpos, nfree, ends)
+            n_fast = int(ends[-1])
+            fast_p, tails = p, None  # tails: the log phase's edges, as indices into p
+            if n_fast < m:
+                fast_i = multi_arange(gstart, nfree, ends)
+                logged = np.ones(m, dtype=bool)
+                logged[fast_i] = False
+                fast_p, tails = p[fast_i], np.flatnonzero(logged)
             if n_fast:
-                fast_p = p if n_fast == m else p[multi_arange(gstart, nfree)]
                 # Commit group 1: durable before any log append is issued.
                 ea.write_slots(fast_slots, encs[fast_p])
-                # fast_slots ascend (runs lie in source order)
-                secs = fast_slots // S
-                sstart = np.flatnonzero(run_heads(secs))
-                ea.inc_occ_counts(secs[sstart], run_lengths(sstart, n_fast))
+                ea.inc_occ_counts(fast_slots // S)
                 if live is None:
                     d_live = nfree
                 else:
-                    ends = np.cumsum(nfree)
                     lcum = np.concatenate(([0], np.cumsum(live[fast_p])))
                     d_live = lcum[ends] - lcum[ends - nfree]
-                va.bulk_apply_inserts(gsrc, nfree, nfree, d_live)
+                va.bulk_apply_inserts(gsrc, nfree, d_live, nfree, None)
                 self.n_array_inserts += n_fast
                 self.n_edges_inserted += n_fast
-                self._touch_rows(gsrc[nfree > 0])
+                self._touch_rows(gsrc if tails is None else gsrc[nfree > 0])
                 order_parts.append(fast_p)
                 # As in the scalar path, gap inserts trigger no density
                 # check — rebalancing is driven by the edge logs.
 
             # ---- log phase: commit group 2, one scattered append ---------
-            if n_fast < m:
-                rem = gcount - nfree
-                tails = multi_arange(gstart + nfree, rem)
+            if tails is not None:
+                # Units stay in round order — by source, stream order within
+                # one — so sections lie in contiguous blocks.
+                sp = p[tails]
+                ssrc = o_src[tails]
+                ssec = (va.start[ssrc] - 1) // S
+                k = int(sp.size)
+                bstart = np.flatnonzero(run_heads(ssec))
+                usecs = ssec[bstart]
+                t_total = run_lengths(bstart, k)
+                heads = run_heads(ssrc)
                 # Log slots are assigned in stream-position order: this
                 # fixes each edge's entry and where the merge cut falls.
-                pos_order = np.argsort(p[tails], kind="stable")
-                ti = tails[pos_order]
-                sp = p[ti]
-                ssrc = o_src[ti]
-                ssec = np.repeat(gsec, rem)[pos_order]
-                k = int(sp.size)
-                # per-section append rank of every unit, in position order
-                so = np.argsort(ssec, kind="stable")
-                sstart = np.flatnonzero(run_heads(ssec[so]))
-                usecs = ssec[so[sstart]]
-                t_total = run_lengths(sstart, k)
-                inv = np.searchsorted(usecs, ssec)
-                rank = np.empty(k, dtype=np.int64)
-                rank[so] = np.arange(k, dtype=np.int64) - np.repeat(sstart, t_total)
+                # With one source per section, round order is that order.
+                if int(np.count_nonzero(heads)) > bstart.size:
+                    key = ssec * len(srcs) + sp  # (section, position)
+                    at = np.searchsorted(np.sort(key), key)
+                else:
+                    at = np.arange(k)
+                rank = at - np.repeat(bstart, t_total)
                 counts_s = logs.counts[usecs]
                 force = counts_s >= logs.capacity
                 take_s = np.minimum(t_total, np.maximum(1, logs.merge_at - counts_s))
                 merges = force | (counts_s + take_s >= logs.merge_at)
-                kept = rank < take_s[inv]
+                kept = rank < np.repeat(take_s, t_total)
                 # A merge relocates runs, so everything after the first
                 # merge trigger is deferred and regrouped next round (the
                 # scalar path's retry).  A normal trigger is the append
                 # that crosses the merge threshold (scalar merges right
                 # after it); a full log (force) merges *before* its unit.
                 if merges.any():
-                    far = np.int64(1) << 62
-                    trig_n = np.flatnonzero(
-                        (merges & ~force)[inv] & (rank == take_s[inv] - 1)
-                    )
-                    trig_f = np.flatnonzero(force[inv] & (rank == 0))
-                    best_n = int(trig_n[0]) if trig_n.size else far
-                    best_f = int(trig_f[0]) if trig_f.size else far
-                    cut_i = min(best_f, best_n)
-                    if cut_i < far:
-                        cut_sec = int(ssec[cut_i])
-                        kept[cut_i + (best_n < best_f) :] = False
+                    trig_rank = np.where(merges, np.where(force, 0, take_s - 1), -1)
+                    trig = np.flatnonzero(rank == np.repeat(trig_rank, t_total))
+                    j = int(trig[np.argmin(sp[trig])])
+                    cut_sec = int(ssec[j])
+                    kept &= sp < sp[j] + (logs.counts[cut_sec] < logs.capacity)
+                kg = np.repeat(usecs * logs.entries_per_section + counts_s, t_total) + rank
                 if not kept.all():
                     deferred = sp[~kept]
-
-                ki = np.flatnonzero(kept)
-                n_log = int(ki.size)
+                    sp, ssrc, kg, heads = sp[kept], ssrc[kept], kg[kept], heads[kept]
+                n_log = int(sp.size)
                 if n_log:
-                    kp = sp[ki]
-                    ks = ssrc[ki]
-                    kg = (
-                        usecs[inv[ki]] * logs.entries_per_section
-                        + counts_s[inv[ki]]
-                        + rank[ki]
-                    )
-                    # back-pointer chains per source, in slot order
-                    cho = np.argsort(ks, kind="stable")
-                    cs = ks[cho]
-                    cg = kg[cho]
-                    ch = run_heads(cs)
-                    backs_s = np.empty(n_log, dtype=np.int64)
-                    backs_s[1:] = cg[:-1]
-                    backs_s[ch] = va.el[cs[ch]]
-                    backs = np.empty(n_log, dtype=np.int64)
-                    backs[cho] = backs_s
-                    logs.append_scatter(kg, ks, encs[kp], backs)
-                    cstart = np.flatnonzero(ch)
+                    # A source keeps a prefix of its edges: in round order
+                    # its kept entries are one back-pointer chain.
+                    cstart = np.flatnonzero(heads)
                     clen = run_lengths(cstart, n_log)
-                    va.bulk_set_el(cs[cstart], cg[cstart + clen - 1])
-                    d_live = clen if live is None else np.add.reduceat(live[kp[cho]], cstart)
-                    va.bulk_apply_inserts(cs[cstart], clen, 0, d_live)
+                    cs = ssrc[cstart]
+                    backs = np.empty(n_log, dtype=np.int64)
+                    backs[1:] = kg[:-1]
+                    backs[cstart] = va.el[cs]
+                    tail_g = kg[cstart + clen - 1]
+                    d_live = clen if live is None else np.add.reduceat(live[sp], cstart)
+                    if cstart.size > 1:  # appends go in stream order
+                        o = np.argsort(sp)
+                        sp, ssrc, kg, backs = sp[o], ssrc[o], kg[o], backs[o]
+                    logs.append_scatter(kg, ssrc, encs[sp], backs)
+                    va.bulk_apply_inserts(cs, clen, d_live, None, tail_g)
                     self.n_log_inserts += n_log
                     self.n_edges_inserted += n_log
-                    self._touch_rows(cs[cstart])
-                    order_parts.append(kp)
+                    self._touch_rows(cs)
+                    order_parts.append(sp)
 
         finally:
             self.locks.release_many(held)

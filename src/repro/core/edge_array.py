@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..pmem.pool import PMemPool
+from ..nputil import distinct
 from .encoding import SLOT_DTYPE
 from .pma_tree import PMATree
 
@@ -95,12 +96,12 @@ class EdgeArray:
             # "No DP": the PMA tree lives on PM — persistent in-place update.
             self._occ_region.write(section, int(self.seg_occ[section]), payload=0, persist=True)
 
-    def inc_occ_counts(self, sections: np.ndarray, counts: np.ndarray) -> None:
-        """Bulk occupancy bump: ``counts[i]`` more elements in ``sections[i]``
-        (distinct, ascending)."""
-        self.seg_occ[sections] += counts
+    def inc_occ_counts(self, sections: np.ndarray) -> None:
+        """Bulk occupancy bump: one more element per entry of ``sections``
+        (repeats allowed)."""
+        np.add.at(self.seg_occ, sections, 1)
         if self._occ_region is not None:
-            for s in sections.tolist():
+            for s in distinct(sections).tolist():
                 self._occ_region.write(s, int(self.seg_occ[s]), payload=0, persist=True)
 
     def recount(self, lo_slot: int, hi_slot: int) -> None:

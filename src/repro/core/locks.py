@@ -47,6 +47,15 @@ from typing import Dict, Iterable, List, Tuple
 from ..errors import LockDisciplineError
 
 
+class _LazyLocks(dict):
+    """Section -> ``RLock``, made on first lookup (always under the table's
+    ``_cond``): a table is rebuilt at every open and generation switch."""
+
+    def __missing__(self, section: int) -> threading.RLock:
+        lock = self[section] = threading.RLock()
+        return lock
+
+
 class SectionLockTable:
     """|sections| re-entrant locks with rebalance condition flags.
 
@@ -65,7 +74,7 @@ class SectionLockTable:
 
     def _build(self, n_sections: int) -> None:
         self.n_sections = n_sections
-        self._locks: List[threading.RLock] = [threading.RLock() for _ in range(n_sections)]
+        self._locks: Dict[int, threading.RLock] = _LazyLocks()
         #: rebalance flag as a counter — overlapping windows nest.
         self._rebalancing: List[int] = [0] * n_sections
         #: per-section (owner thread ident, reentrant hold count)

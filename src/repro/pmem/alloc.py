@@ -109,11 +109,7 @@ class Region:
             raise PMemError(
                 f"region {self.name!r} batch write outside [0, {self.count})"
             )
-        dev = self.device
-        offs = self.offset + idxs * self.itemsize
-        lines = dev.store_batch(offs, vals, payload_per_unit)
-        dev.flush_span(lines * CACHE_LINE, CACHE_LINE)
-        dev.sfence()
+        self.device.commit_group(self.offset + idxs * self.itemsize, vals, payload_per_unit)
 
     def rewrite_from(self, source: np.ndarray, off: int, n: int) -> None:
         """Persistently rewrite the elements device bytes ``[off, off + n)``

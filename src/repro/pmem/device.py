@@ -66,6 +66,9 @@ _BULK_FLUSH_LINES = 16
 #: so eviction never changes accounting.
 _RECENT_FLUSH_SLACK = 4
 
+#: One cache line as an opaque item: a line-indexed view of an image.
+_LINE = np.dtype((np.void, CACHE_LINE))
+
 
 def _demand_zero(size: int) -> np.ndarray:
     """A zeroed ``uint8`` image whose pages cost DRAM only once written.
@@ -562,14 +565,10 @@ class PMemDevice:
         each).  Returns the distinct cache lines the units cover,
         ascending: the line set a commit group flushes next.
         """
-        offs = np.asarray(offs, dtype=np.int64)
+        offs, data, unit = self._units(offs, data, "store_batch")
         n = int(offs.size)
         if n == 0:
             return offs
-        data = np.ascontiguousarray(data)
-        unit = data.nbytes // n
-        if unit * n != data.nbytes:
-            raise PMemError("store_batch: data size not divisible into equal units")
         self._check_range(int(offs.min()), 1)
         self._check_range(int(offs.max()), unit)
         seq = self._unit_line_seq(offs, unit)
@@ -579,36 +578,44 @@ class PMemDevice:
             for i in range(n):
                 self.store(int(offs[i]), rows[i], payload=payload_per_unit)
             return lines
-        self.injector.tick_many("store", n)
+        self._store_units(offs, data, unit, int(seq.size), payload_per_unit)
+        self._dirty.update(lines.tolist())
+        return lines
 
-        # Scatter into the cache image.
+    @staticmethod
+    def _units(offs, data, op: str):
+        """``(offs, data, unit)``: int64 offsets, contiguous data, bytes per unit."""
+        offs, data = np.asarray(offs, dtype=np.int64), np.ascontiguousarray(data)
+        n = int(offs.size)
+        if n and data.nbytes % n:
+            raise PMemError(f"{op}: data size not divisible into equal units")
+        return offs, data, data.nbytes // n if n else 0
+
+    def _store_units(self, offs, data, unit: int, nseq: int, payload_per_unit) -> None:
+        """A batch's stores past its checks, ``nseq`` lines charged; not the dirty set."""
+        n = int(offs.size)
+        self.injector.tick_many("store", n)
         if offs.size > 1 and int(offs[0]) + (n - 1) * unit == int(offs[-1]) and bool(
             np.all(np.diff(offs) == unit)
         ):
             a = int(offs[0])
             self.buf[a : a + n * unit] = self._unit_rows(data, n).reshape(-1)
         elif data.dtype.itemsize == 4 and unit % 4 == 0 and not (offs & 3).any():
-            b32 = self.buf.view(np.uint32)
-            d32 = data.reshape(n, unit // 4).view(np.uint32)
-            idx = offs >> 2
-            for c in range(unit // 4):
-                b32[idx + c] = d32[:, c]
+            idx = offs >> 2 if unit == 4 else (offs >> 2)[:, None] + np.arange(unit // 4)
+            self.buf.view(np.uint32)[idx] = data.reshape(idx.shape).view(np.uint32)
         else:
             rows = self._unit_rows(data, n)
             for i in range(n):
                 a = int(offs[i])
                 self.buf[a : a + unit] = rows[i]
 
-        self._dirty.update(lines.tolist())
-
         st = self.stats
         st.stores += n
         st.stored_bytes += n * unit
         st.payload_bytes += n * (unit if payload_per_unit is None else payload_per_unit)
-        self._charge(int(seq.size) * self.profile.store_per_line_ns)
+        self._charge(nseq * self.profile.store_per_line_ns)
         if TRACE_HOOK is not None:
             TRACE_HOOK("store", n, n * unit)
-        return lines
 
     def flush_span(self, offs: np.ndarray, unit: int) -> None:
         """Replay ``clwb(off_i, unit)`` per unit over the whole span at once.
@@ -633,12 +640,15 @@ class PMemDevice:
                 self.clwb(int(offs[i]), unit)
             return
         self.injector.tick_many("flush", n)
-
-        prof, st = self.profile, self.stats
         seq = self._unit_line_seq(offs, unit)
+        ascending = seq.size == 1 or bool((seq[1:] > seq[:-1]).all())
+        self._flush_lines(seq, ascending)
+
+    def _flush_lines(self, seq: np.ndarray, ascending: bool) -> None:
+        """Flush the lines ``seq`` past the checks and ticks: write-back, and
+        the classification, media and flush-stream state of every span."""
+        prof, st = self.profile, self.stats
         m = int(seq.size)
-        ascending = m == 1 or bool((seq[1:] > seq[:-1]).all())
-        xp = seq // LINES_PER_XPLINE
         window = INPLACE_WINDOW
 
         # Physical write-back: the last flush of every line follows its
@@ -650,38 +660,38 @@ class PMemDevice:
                 self._pending[ln] = bytes(bl[ln])
         else:
             # one opaque 64-byte item per line moves ~3x faster than rows
-            line_t = f"V{CACHE_LINE}"
-            self.media.view(line_t)[lines] = self.buf.view(line_t)[lines]
+            self.media.view(_LINE)[lines] = self.buf.view(_LINE)[lines]
             if self._poisoned:
                 self._poisoned.difference_update(lines.tolist())
-        self._dirty.difference_update(lines.tolist())
+        if self._dirty:
+            self._dirty.difference_update(lines.tolist())
 
-        # In-place: the same line was flushed at most `window` flush ops
-        # earlier.  Within the span the op gap equals the index gap, so
-        # shifted comparisons cover it ...
-        inplace = np.zeros(m, dtype=bool)
+        # In-place: the same line flushed at most `window` flush ops earlier
+        # — before the span (only its first `window` flushes can pair with
+        # _recent_flushes) or inside it (never, when the span ascends).
+        base_op, seen = self._flush_op, self._recent_flushes
+        ip = {i for i, ln in enumerate(seq[:window].tolist())
+              if base_op + i + 1 - seen.get(ln, -window) <= window} if seen else set()
         if not ascending:
+            hit = np.zeros(m, dtype=bool)
             for k in range(1, min(window, m - 1) + 1):
-                inplace[k:] |= seq[k:] == seq[:-k]
-        # ... and only the first `window` flushes can still pair with a
-        # pre-span flush recorded in _recent_flushes.
-        if self._recent_flushes:
-            base_op = self._flush_op
-            for i, ln in enumerate(seq[:window].tolist()):
-                op = self._recent_flushes.get(ln)
-                if op is not None and (base_op + i + 1 - op) <= window:
-                    inplace[i] = True
-
-        prev_line = np.empty(m, dtype=np.int64)
-        prev_line[0] = self._last_flush_line
-        prev_line[1:] = seq[:-1]
-        prev_xp = np.empty(m, dtype=np.int64)
-        prev_xp[0] = self._last_media_xpline
-        prev_xp[1:] = xp[:-1]
-        seq_mask = ~inplace & ((seq == prev_line + 1) | (xp == prev_xp))
-        n_ip = int(inplace.sum())
-        n_sq = int(seq_mask.sum())
-        n_rd = m - n_ip - n_sq
+                hit[k:] |= seq[k:] == seq[:-k]
+            ip.update(np.flatnonzero(hit).tolist())
+        ip = sorted(ip)
+        # Sequential: a flush follows the previous one's line or shares its
+        # XPLine; unless it shares one (and is not in-place) it writes one.
+        xp = seq // LINES_PER_XPLINE
+        same, follows = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
+        same[0] = int(xp[0]) == self._last_media_xpline
+        np.equal(xp[1:], xp[:-1], out=same[1:])
+        follows[0] = int(seq[0]) == self._last_flush_line + 1
+        np.equal(seq[1:], seq[:-1] + 1, out=follows[1:])
+        follows |= same
+        n_ip, n_sq, n_shared = len(ip), int(np.count_nonzero(follows)), int(np.count_nonzero(same))
+        if ip:
+            n_sq -= int(np.count_nonzero(follows[ip]))
+            n_shared -= int(np.count_nonzero(same[ip]))
+        n_rd, n_media = m - n_ip - n_sq, m - n_shared
 
         st.flushes += m
         st.flushed_lines += m
@@ -689,7 +699,6 @@ class PMemDevice:
         st.inplace_flushes += n_ip
         st.rnd_flushes += n_ip + n_rd
         st.seq_flushes += n_sq
-        n_media = n_ip + n_rd + int((seq_mask & (xp != prev_xp)).sum())
         st.media_bytes += n_media * XPLINE
         self._charge(
             n_ip * (prof.flush_rnd_per_line_ns + prof.flush_inplace_extra_ns)
@@ -697,7 +706,6 @@ class PMemDevice:
             + n_rd * prof.flush_rnd_per_line_ns
         )
 
-        base_op = self._flush_op
         self._flush_op = base_op + m
         self._last_flush_line = int(seq[-1])
         self._last_media_xpline = int(xp[-1])
@@ -715,6 +723,38 @@ class PMemDevice:
         self._recent_flushes = recent
         if TRACE_HOOK is not None:
             TRACE_HOOK("flush", m, m * CACHE_LINE)
+
+    def commit_group(
+        self, offs: np.ndarray, data: np.ndarray, payload_per_unit: Optional[int]
+    ) -> None:
+        """One commit group in one pass: the counters, images, sets and
+        modeled ns of ``store_batch``, a ``flush_span`` of the distinct
+        lines the units cover, ascending, and one ``sfence``.  The line
+        set is found once (not the per-unit replay order); the lines
+        never enter the dirty set, and leave it only if an earlier store
+        left them there (DESIGN.md §5).  An armed injector or
+        persist-reorder runs the literal sequence."""
+        offs, data, unit = self._units(offs, data, "commit_group")
+        if offs.size == 0:
+            return
+        if self._crash_sensitive() or self._reorder:
+            lines = self.store_batch(offs, data, payload_per_unit)
+            self.flush_span(lines * CACHE_LINE, CACHE_LINE)
+            self.sfence()
+            return
+        first = offs // CACHE_LINE
+        last = (offs + (unit - 1)) // CACHE_LINE
+        crossing = int((last - first).sum())
+        if crossing:  # any order: a unit of at most a line covers first and last
+            first = (np.concatenate((first, last)) if unit <= CACHE_LINE
+                     else self._unit_line_seq(offs, unit))
+        lines = distinct(first)
+        lo, hi = int(lines[0]), int(lines[-1]) + 1
+        self._check_range(lo * CACHE_LINE, (hi - lo) * CACHE_LINE)
+        self._store_units(offs, data, unit, offs.size + crossing, payload_per_unit)
+        self.injector.tick_many("flush", int(lines.size))
+        self._flush_lines(lines, True)
+        self.sfence()
 
     def copyback_stream(self, src_off: int, dst_off: int, nbytes: int, chunk: int) -> None:
         """Chunked on-device copy: replay of ``store(dst+i*chunk, buf[src+i*chunk:…]);
@@ -820,14 +860,10 @@ class PMemDevice:
         the literal scalar loop runs instead, so mid-batch crashes leave
         exactly the prefix a real interleaved stream would.
         """
-        offs = np.asarray(offs, dtype=np.int64)
+        offs, data, unit = self._units(offs, data, "persist_batch")
         n = int(offs.size)
         if n == 0:
             return
-        data = np.ascontiguousarray(data)
-        unit = data.nbytes // n
-        if unit * n != data.nbytes:
-            raise PMemError("persist_batch: data size not divisible into equal units")
         if self._crash_sensitive():
             rows = self._unit_rows(data, n)
             for i in range(n):

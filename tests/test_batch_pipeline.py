@@ -376,13 +376,27 @@ _unit_sets = st.one_of(
 )
 
 
+def _uncovered(idxs, per_unit, count):
+    """The first region element no unit of the group covers, from the
+    group's first unit on: another writer's word, which may share a
+    cache line with the group."""
+    covered = {i + j for i in idxs for j in range(per_unit)}
+    return next(e for e in [*range(idxs[0], count), *range(count)] if e not in covered)
+
+
+_PROFILES = {"adr": OPTANE_ADR, "eadr": OPTANE_EADR, "volatile": DRAM}
+
+
 class TestCommitGroupReplay:
     """``Region.write_batch`` — the batched write path's commit group —
     leaves every counter, both images, the dirty / pending / poison sets,
     the flush-stream state and the TRACE_HOOK totals exactly where its
     literal replay leaves them, after an optional earlier group (its last
-    flushes inside ``INPLACE_WINDOW`` of this one), over a poisoned line,
-    under persist-reorder, and when an armed injector fires inside it."""
+    flushes inside ``INPLACE_WINDOW`` of this one), over lines an earlier
+    scalar store left dirty, beside another writer's unflushed store that
+    may share a line with it (DESIGN.md §5), on the ADR, eADR and volatile
+    profiles, over a poisoned line, under persist-reorder, and when an
+    armed injector fires inside it."""
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
@@ -393,23 +407,33 @@ class TestCommitGroupReplay:
         payload=st.sampled_from([None, 0, 4]),
         fault=st.sampled_from(["none", "poison", "reorder", "crash"]),
         crash_at=st.tuples(st.sampled_from(["store", "flush", "fence"]), st.integers(1, 64)),
+        dirty=st.sampled_from(["none", "inside", "beside"]),
+        profile=st.sampled_from(sorted(_PROFILES)),
     )
-    @example(per_unit=1, units=list(range(0, 40)), shift=0, prev=0, payload=4,
-             fault="none", crash_at=("store", 1))
-    @example(per_unit=3, units=[5, 90, 17, 200, 3], shift=0, prev=3, payload=4,
-             fault="none", crash_at=("store", 1))
-    @example(per_unit=1, units=[7, 200, 8, 64, 65], shift=1, prev=8, payload=0,
-             fault="poison", crash_at=("store", 1))
-    @example(per_unit=3, units=list(range(10, 30)), shift=0, prev=2, payload=None,
-             fault="reorder", crash_at=("store", 1))
+    @example(per_unit=1, units=[3, 9, 40], shift=0, prev=0, payload=4,
+             fault="none", crash_at=("store", 1), dirty="inside", profile="adr")
+    @example(per_unit=3, units=[5, 6, 90], shift=1, prev=2, payload=4,
+             fault="none", crash_at=("store", 1), dirty="beside", profile="adr")
     @example(per_unit=3, units=[1, 40, 2, 80], shift=0, prev=1, payload=4,
-             fault="crash", crash_at=("flush", 2))
+             fault="crash", crash_at=("flush", 2), dirty="beside", profile="eadr")
+    @example(per_unit=1, units=list(range(10, 30)), shift=0, prev=3, payload=None,
+             fault="none", crash_at=("store", 1), dirty="inside", profile="volatile")
+    @example(per_unit=1, units=list(range(0, 40)), shift=0, prev=0, payload=4,
+             fault="none", crash_at=("store", 1), dirty="none", profile="adr")
+    @example(per_unit=3, units=[5, 90, 17, 200, 3], shift=0, prev=3, payload=4,
+             fault="none", crash_at=("store", 1), dirty="none", profile="adr")
+    @example(per_unit=1, units=[7, 200, 8, 64, 65], shift=1, prev=8, payload=0,
+             fault="poison", crash_at=("store", 1), dirty="none", profile="adr")
+    @example(per_unit=3, units=list(range(10, 30)), shift=0, prev=2, payload=None,
+             fault="reorder", crash_at=("store", 1), dirty="none", profile="adr")
+    @example(per_unit=3, units=[1, 40, 2, 80], shift=0, prev=1, payload=4,
+             fault="crash", crash_at=("flush", 2), dirty="none", profile="adr")
     @example(per_unit=1, units=list(range(50)), shift=0, prev=0, payload=4,
-             fault="crash", crash_at=("store", 30))
+             fault="crash", crash_at=("store", 30), dirty="none", profile="adr")
     @example(per_unit=1, units=[3, 9], shift=2, prev=4, payload=4,
-             fault="crash", crash_at=("fence", 1))
+             fault="crash", crash_at=("fence", 1), dirty="none", profile="adr")
     def test_write_batch_equals_its_literal_replay(
-        self, per_unit, units, shift, prev, payload, fault, crash_at
+        self, per_unit, units, shift, prev, payload, fault, crash_at, dirty, profile
     ):
         idxs = [u * per_unit + shift % per_unit for u in units]
         rng = np.random.default_rng(len(units) * 7 + shift)
@@ -419,7 +443,7 @@ class TestCommitGroupReplay:
         faults = FaultPolicy(persist_reorder=True, seed=3) if fault == "reorder" else None
         states, hooks = [], []
         for batched in (True, False):
-            dev = PMemDevice(1 << 16, faults=faults)
+            dev = PMemDevice(1 << 16, profile=_PROFILES[profile], faults=faults)
             region = Region(dev, 1024, np.int32, _UNITS * 3 + 2, "r")
 
             def group(ix, vs):
@@ -430,6 +454,9 @@ class TestCommitGroupReplay:
 
             if prev:  # an earlier group over the same lines, just flushed
                 group(idxs[:prev], early[: len(idxs[:prev])])
+            if dirty != "none":  # a scalar store, left unflushed
+                at = idxs[-1] if dirty == "inside" else _uncovered(idxs, per_unit, region.count)
+                region.write(at, 0x5A5A)
             if fault == "poison":
                 dev.poison(region.byte_offset(idxs[-1]))
             if fault == "crash":
@@ -444,6 +471,32 @@ class TestCommitGroupReplay:
         assert batched == replay
         if fault == "crash":
             assert "raised" in hooks[0]
+
+
+    @pytest.mark.parametrize("setting", ["default", "armed", "reorder"])
+    def test_group_is_one_pass_unless_a_fault_model_needs_the_literal_sequence(
+        self, setting, monkeypatch
+    ):
+        """By default a group runs as one device pass; under an armed
+        injector or persist-reorder it runs ``store_batch`` /
+        ``flush_span`` / ``sfence``, each once."""
+        faults = FaultPolicy(persist_reorder=True, seed=3) if setting == "reorder" else None
+        dev = PMemDevice(1 << 16, faults=faults)
+        region = Region(dev, 1024, np.int32, 64, "r")
+        if setting == "armed":
+            dev.injector.arm(10**6)  # armed, never reached
+        calls = dict.fromkeys(("store_batch", "flush_span", "sfence", "_store_units",
+                               "_flush_lines"), 0)
+        for name in calls:
+            def counted(*args, _fn=getattr(PMemDevice, name), _name=name, **kw):
+                calls[_name] += 1
+                return _fn(*args, **kw)
+            monkeypatch.setattr(PMemDevice, name, counted)
+        region.write_batch([1, 9, 30], np.array([5, 6, 7], dtype=np.int32))
+        literal = int(setting != "default")
+        vectorized = int(setting != "armed")  # an armed literal sequence loops per unit
+        assert calls == {"store_batch": literal, "flush_span": literal, "sfence": 1,
+                         "_store_units": vectorized, "_flush_lines": vectorized}
 
 
 class TestRecentFlushBound:

@@ -8,11 +8,13 @@ and verify structural integrity and no lost updates.
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro import DGAP, DGAPConfig
+from repro.core import locks as locks_mod
 from repro.core.locks import SectionLockTable
 from repro.errors import LockDisciplineError
 
@@ -49,6 +51,45 @@ class TestSectionLockTable:
         secs = t.begin_rebalance([5, 2, 7, 2])
         assert secs == [2, 5, 7]
         t.end_rebalance(secs)
+
+    def test_two_threads_first_acquire_share_one_lock(self, monkeypatch):
+        """A section's lock is made on its first acquire.  Two threads that
+        race to that first acquire — its making slowed to widen the race —
+        get one lock between them, and never hold the section together."""
+        made = []
+        plain = locks_mod._LazyLocks.__missing__
+
+        def slow_missing(table, section):
+            time.sleep(0.01)
+            lock = plain(table, section)
+            made.append(lock)
+            return lock
+
+        monkeypatch.setattr(locks_mod._LazyLocks, "__missing__", slow_missing)
+        t = SectionLockTable(4)
+        start = threading.Barrier(2)
+        inside, most, errors = [0], [0], []
+
+        def writer():
+            try:
+                start.wait(2)
+                for _ in range(50):
+                    t.acquire_many([2])
+                    inside[0] += 1
+                    most[0] = max(most[0], inside[0])
+                    time.sleep(0)
+                    inside[0] -= 1
+                    t.release_many([2])
+            except Exception as exc:  # a dying thread fails the test
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer) for _ in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(10)
+        assert errors == [] and most == [1]
+        assert len(made) == 1 and t.held_sections() == {}
 
     def test_resize_rebuilds(self):
         t = SectionLockTable(2)

@@ -693,6 +693,11 @@ class TestOneSurface:
                      r"rho_", r'"inplace_flushes"', r'"dropped_pending_lines"'):
             assert homes(gone) == [], gone
         assert homes(r"fields\(PMemStats\)") == ["pmem/stats.py"]
+        # one commit group: a flush span straight into one fence is composed
+        # by the device's group alone (its literal sequence), nowhere else
+        group = r"flush_span\([^\n]*\)\n\s*[\w.]*sfence\(\)"
+        assert _count(group, src) == 1
+        assert re.search(group, src["pmem/device.py"].split("def commit_group")[1].split("\n    def ")[0])
         # "pools tick in parallel" is read in pool.clocks() only (the
         # baselines' devices run in sequence: they sum)
         assert homes(r"stats\.modeled_ns for") == ["baselines/interfaces.py", "pmem/pool.py"]
