@@ -648,13 +648,13 @@ class DGAP:
         while True:
             ea, logs = self.ea, self.logs
             psrc = srcs[pending]
-            m = int(pending.size)
             # Vertex runs lie in id order, so sections ascend with the
-            # source: one sort by (source, round position) groups the round
-            # by section, then by source, in stream order within a source.
-            order = np.argsort(psrc * m + np.arange(m))
+            # source: one stable sort by source groups the round by
+            # section, then by source, in stream order within a source.
+            order = np.argsort(psrc, kind="stable")
             p = pending[order]
             o_src = psrc[order]
+            m = int(p.size)
 
             # distinct-source subgroups (contiguous; sections contiguous too)
             gstart = np.flatnonzero(run_heads(o_src))
@@ -691,7 +691,7 @@ class DGAP:
             # group g fills slots gpos[g] + [0, nfree[g]), ending fast entry ends[g]
             nfree = np.minimum(gcount, ea.capacity - gpos)  # a run ends by capacity
             ends = np.cumsum(nfree)
-            fast_slots = multi_arange(gpos, nfree, ends)
+            fast_slots = multi_arange(gpos, nfree)
             occ = np.flatnonzero(ea.slots[fast_slots])
             if occ.size:
                 # the first occupied candidate of a subgroup caps its run
@@ -700,11 +700,11 @@ class DGAP:
                 g, occ = g[first], occ[first]
                 nfree[g] = occ - (ends[g] - nfree[g])
                 ends = np.cumsum(nfree)
-                fast_slots = multi_arange(gpos, nfree, ends)
+                fast_slots = multi_arange(gpos, nfree)
             n_fast = int(ends[-1])
             fast_p, tails = p, None  # tails: the log phase's edges, as indices into p
             if n_fast < m:
-                fast_i = multi_arange(gstart, nfree, ends)
+                fast_i = multi_arange(gstart, nfree)
                 logged = np.ones(m, dtype=bool)
                 logged[fast_i] = False
                 fast_p, tails = p[fast_i], np.flatnonzero(logged)
@@ -717,7 +717,7 @@ class DGAP:
                 else:
                     lcum = np.concatenate(([0], np.cumsum(live[fast_p])))
                     d_live = lcum[ends] - lcum[ends - nfree]
-                va.bulk_apply_inserts(gsrc, nfree, d_live, nfree, None)
+                va.bulk_apply_inserts(gsrc, nfree, nfree, d_live)
                 self.n_array_inserts += n_fast
                 self.n_edges_inserted += n_fast
                 self._touch_rows(gsrc if tails is None else gsrc[nfree > 0])
@@ -778,11 +778,11 @@ class DGAP:
                     backs[cstart] = va.el[cs]
                     tail_g = kg[cstart + clen - 1]
                     d_live = clen if live is None else np.add.reduceat(live[sp], cstart)
-                    if cstart.size > 1:  # appends go in stream order
-                        o = np.argsort(sp)
-                        sp, ssrc, kg, backs = sp[o], ssrc[o], kg[o], backs[o]
+                    o = np.argsort(sp, kind="stable")  # appends go in stream order
+                    sp, ssrc, kg, backs = sp[o], ssrc[o], kg[o], backs[o]
                     logs.append_scatter(kg, ssrc, encs[sp], backs)
-                    va.bulk_apply_inserts(cs, clen, d_live, None, tail_g)
+                    va.bulk_set_el(cs, tail_g)
+                    va.bulk_apply_inserts(cs, clen, 0, d_live)
                     self.n_log_inserts += n_log
                     self.n_edges_inserted += n_log
                     self._touch_rows(cs)

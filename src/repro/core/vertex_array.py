@@ -76,17 +76,19 @@ class VertexArray:
     def set_el(self, v: int, value: int) -> None:
         self.el[v] = value
 
-    def bulk_apply_inserts(self, vs, d_degree, d_live, d_array_degree, el) -> None:
-        """Vectorized insert bookkeeping for the distinct vertices ``vs``:
-        add the degree deltas (arrays aligned with ``vs``, or scalars),
-        the run-length delta of gap fills, and set the edge-log chain
-        heads ``el`` of log appends (``None``: no such change)."""
+    def bulk_apply_inserts(self, vs, d_degree, d_array_degree, d_live) -> None:
+        """Vectorized insert bookkeeping: add per-vertex deltas.
+
+        ``vs`` holds distinct vertex ids; each delta is an array aligned
+        with ``vs`` (or a scalar).
+        """
         self.degree[vs] += d_degree
+        self.array_degree[vs] += d_array_degree
         self.live_degree[vs] += d_live
-        if d_array_degree is not None:
-            self.array_degree[vs] += d_array_degree
-        if el is not None:
-            self.el[vs] = el
+
+    def bulk_set_el(self, vs, values) -> None:
+        """Set the edge-log chain head of several distinct vertices."""
+        self.el[vs] = values
 
     def bulk_load(
         self,

@@ -44,7 +44,8 @@ def rmat_edges(
         raise ValueError("require a + b + c < 1 (d is the remainder)")
     levels = int(np.ceil(np.log2(num_vertices)))
     rng = np.random.default_rng(seed)
-    ids = np.int32 if levels <= 30 else np.int64  # ids < 2**levels: half the bytes per pass
+    # ids < 2**levels: the narrowest type halves or quarters the bytes per pass
+    ids = np.int16 if levels <= 15 else np.int32 if levels <= 30 else np.int64
     src = np.zeros(num_edges, dtype=ids)
     dst = np.zeros(num_edges, dtype=ids)
     r = np.empty(num_edges)
@@ -62,8 +63,9 @@ def rmat_edges(
         src |= row
         dst <<= 1
         dst |= col
-    src %= num_vertices
-    dst %= num_vertices
+    if num_vertices != 1 << levels:
+        src %= num_vertices
+        dst %= num_vertices
     keep = src != dst if remove_self_loops else slice(None)
     edges = np.stack([src[keep], dst[keep]], axis=1, dtype=np.int64)
     deficit = num_edges - edges.shape[0]

@@ -5,22 +5,20 @@ from __future__ import annotations
 import numpy as np
 
 
-def multi_arange(starts: np.ndarray, counts: np.ndarray, cum=None) -> np.ndarray:
+def multi_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenated ``arange(s, s+c)`` per (start, count) pair, vectorized.
 
     The gather primitive behind both the snapshot CSR materialization
     and the kernels' edge gathers; always returns int64 indices.
-    ``cum`` is ``np.cumsum(counts)`` when the caller already has it.
     """
     counts = np.asarray(counts, dtype=np.int64)
     if counts.size == 1:  # one run (a point read's row) is one arange
         start = int(np.asarray(starts).flat[0])
         return np.arange(start, start + int(counts.flat[0]), dtype=np.int64)
-    if cum is None:
-        cum = np.cumsum(counts)
-    total = int(cum[-1]) if cum.size else 0
+    total = int(counts.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64)
+    cum = np.cumsum(counts)
     # one fused repeat of (start - run_offset) instead of two
     base = np.asarray(starts, dtype=np.int64) - cum + counts
     return np.arange(total, dtype=np.int64) + np.repeat(base, counts)

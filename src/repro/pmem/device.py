@@ -732,12 +732,12 @@ class PMemDevice:
         lines the units cover, ascending, and one ``sfence``.  The line
         set is found once (not the per-unit replay order); the lines
         never enter the dirty set, and leave it only if an earlier store
-        left them there (DESIGN.md §5).  An armed injector or
-        persist-reorder runs the literal sequence."""
+        left them there (DESIGN.md §5).  An armed injector runs the
+        literal sequence."""
         offs, data, unit = self._units(offs, data, "commit_group")
         if offs.size == 0:
             return
-        if self._crash_sensitive() or self._reorder:
+        if self._crash_sensitive():
             lines = self.store_batch(offs, data, payload_per_unit)
             self.flush_span(lines * CACHE_LINE, CACHE_LINE)
             self.sfence()

@@ -418,6 +418,8 @@ class TestCommitGroupReplay:
              fault="crash", crash_at=("flush", 2), dirty="beside", profile="eadr")
     @example(per_unit=1, units=list(range(10, 30)), shift=0, prev=3, payload=None,
              fault="none", crash_at=("store", 1), dirty="inside", profile="volatile")
+    @example(per_unit=3, units=[5, 6, 90], shift=1, prev=2, payload=4,
+             fault="reorder", crash_at=("store", 1), dirty="beside", profile="adr")
     @example(per_unit=1, units=list(range(0, 40)), shift=0, prev=0, payload=4,
              fault="none", crash_at=("store", 1), dirty="none", profile="adr")
     @example(per_unit=3, units=[5, 90, 17, 200, 3], shift=0, prev=3, payload=4,
@@ -474,11 +476,11 @@ class TestCommitGroupReplay:
 
 
     @pytest.mark.parametrize("setting", ["default", "armed", "reorder"])
-    def test_group_is_one_pass_unless_a_fault_model_needs_the_literal_sequence(
+    def test_group_is_one_pass_unless_an_armed_injector_needs_the_literal_sequence(
         self, setting, monkeypatch
     ):
-        """By default a group runs as one device pass; under an armed
-        injector or persist-reorder it runs ``store_batch`` /
+        """By default and under persist-reorder a group runs as one device
+        pass; under an armed injector it runs ``store_batch`` /
         ``flush_span`` / ``sfence``, each once."""
         faults = FaultPolicy(persist_reorder=True, seed=3) if setting == "reorder" else None
         dev = PMemDevice(1 << 16, faults=faults)
@@ -493,10 +495,9 @@ class TestCommitGroupReplay:
                 return _fn(*args, **kw)
             monkeypatch.setattr(PMemDevice, name, counted)
         region.write_batch([1, 9, 30], np.array([5, 6, 7], dtype=np.int32))
-        literal = int(setting != "default")
-        vectorized = int(setting != "armed")  # an armed literal sequence loops per unit
+        literal = int(setting == "armed")  # which loops per unit
         assert calls == {"store_batch": literal, "flush_span": literal, "sfence": 1,
-                         "_store_units": vectorized, "_flush_lines": vectorized}
+                         "_store_units": 1 - literal, "_flush_lines": 1 - literal}
 
 
 class TestRecentFlushBound:
